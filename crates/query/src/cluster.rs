@@ -44,7 +44,10 @@
 //! and policy swaps move the owning shard's component and stale every
 //! front entry at the old vector, which the shard caches then repopulate.
 
-use crate::engine::{CacheSnapshot, EngineStats, Plan, QueryEngine, RankedAnswer};
+use crate::engine::{
+    CacheSnapshot, EngineStats, Plan, QueryEngine, RankedAnswer, DEFAULT_RESULT_CAPACITY,
+    DEFAULT_VIEW_CAPACITY,
+};
 use crate::keyword::{KeywordHit, KeywordQuery};
 use crate::modes::ModeCaches;
 use crate::privacy_exec::PrivateSearchOutcome;
@@ -168,10 +171,6 @@ pub struct EngineCluster {
     durability: Option<DurableLog>,
 }
 
-/// Capacity of each cluster-front cache (same default as a shard's
-/// result caches).
-const FRONT_CAPACITY: usize = 4096;
-
 impl EngineCluster {
     /// Partition `repo` across `shards` engines (round-robin placement, the
     /// process-global pool, default cache capacities).
@@ -192,6 +191,30 @@ impl EngineCluster {
         shards: usize,
         strategy: ShardStrategy,
         pool: Arc<WorkerPool>,
+    ) -> Self {
+        Self::with_capacities(
+            repo,
+            registry,
+            shards,
+            strategy,
+            pool,
+            DEFAULT_VIEW_CAPACITY,
+            DEFAULT_RESULT_CAPACITY,
+        )
+    }
+
+    /// [`Self::with_config`] with explicit cache capacities: `views` per
+    /// shard view cache, `results` per shard result cache and per
+    /// cluster-front cache. Crate-private — production always runs the
+    /// defaults; the eviction-pressure tests starve the caches through it.
+    pub(crate) fn with_capacities(
+        repo: Repository,
+        registry: PrincipalRegistry,
+        shards: usize,
+        strategy: ShardStrategy,
+        pool: Arc<WorkerPool>,
+        views: usize,
+        results: usize,
     ) -> Self {
         let mut router = Router::new(shards, strategy);
         let mut shard_repos: Vec<Repository> = (0..shards).map(|_| Repository::new()).collect();
@@ -223,16 +246,19 @@ impl EngineCluster {
         let engines = shard_repos
             .into_iter()
             .enumerate()
-            .map(|(s, r)| QueryEngine::new(r, shard_view_of_registry(&registry, &router, s)))
+            .map(|(s, r)| {
+                let registry = shard_view_of_registry(&registry, &router, s);
+                QueryEngine::with_capacities(r, registry, views, results)
+            })
             .collect();
         EngineCluster {
             shards: engines,
             router,
             registry,
             pool,
-            front_keyword: GroupCache::new(FRONT_CAPACITY),
-            front_private: [GroupCache::new(FRONT_CAPACITY), GroupCache::new(FRONT_CAPACITY)],
-            front_ranked: ModeCaches::new(FRONT_CAPACITY),
+            front_keyword: GroupCache::new(results),
+            front_private: [GroupCache::new(results), GroupCache::new(results)],
+            front_ranked: ModeCaches::new(results),
             registry_view_rebuilds: 0,
             durability: None,
         }
@@ -1324,6 +1350,34 @@ mod tests {
         assert_eq!(stats.front.misses, 1);
         assert!(stats.aggregate.keyword.misses > 0);
         assert_eq!(stats.keyword_hit_rates().len(), 2);
+    }
+
+    #[test]
+    fn eviction_counters_roll_up_across_shards_and_front() {
+        let c = EngineCluster::with_capacities(
+            corpus(4),
+            registry(),
+            2,
+            ShardStrategy::RoundRobin,
+            Arc::clone(WorkerPool::global()),
+            2,
+            2,
+        );
+        for q in ["risk", "database", "query", "pubmed"] {
+            c.search_as("researchers", q).unwrap();
+            c.private_search_as("researchers", q, Plan::FilterThenSearch).unwrap();
+            c.ranked_search_as("researchers", q, RankingMode::ExactFull).unwrap();
+        }
+        let stats = c.stats();
+        // Keyword, private and ranked front tiers: four answers through two
+        // slots each.
+        assert_eq!(stats.front.evictions, 3 * 2);
+        assert!(stats.front.sweep_steps >= stats.front.evictions);
+        let summed: u64 = stats.per_shard.iter().map(|s| s.keyword.evictions).sum();
+        assert!(summed > 0, "shard caches of two must evict too");
+        assert_eq!(stats.aggregate.keyword.evictions, summed);
+        let steps: u64 = stats.per_shard.iter().map(|s| s.keyword.sweep_steps).sum();
+        assert_eq!(stats.aggregate.keyword.sweep_steps, steps);
     }
 
     #[test]

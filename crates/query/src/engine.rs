@@ -106,6 +106,13 @@ pub struct CacheSnapshot {
     pub misses: u64,
     /// Stale entries dropped so far.
     pub invalidations: u64,
+    /// Entries reclaimed to make room in a full cache. Evictions keeping
+    /// pace with misses mean the working set does not fit: the cache is
+    /// thrashing.
+    pub evictions: u64,
+    /// Slots the eviction hand inspected; per eviction this stays below ~2
+    /// whatever the capacity.
+    pub sweep_steps: u64,
 }
 
 impl CacheSnapshot {
@@ -114,15 +121,13 @@ impl CacheSnapshot {
             hits: stats.hits(),
             misses: stats.misses(),
             invalidations: stats.invalidations(),
+            evictions: stats.evictions(),
+            sweep_steps: stats.sweep_steps(),
         }
     }
 
     pub(crate) fn sum<'a>(many: impl IntoIterator<Item = &'a CacheStats>) -> Self {
-        many.into_iter().fold(CacheSnapshot::default(), |acc, s| CacheSnapshot {
-            hits: acc.hits + s.hits(),
-            misses: acc.misses + s.misses(),
-            invalidations: acc.invalidations + s.invalidations(),
-        })
+        many.into_iter().fold(CacheSnapshot::default(), |acc, s| acc.merge(CacheSnapshot::of(s)))
     }
 
     /// Combine two snapshots (e.g. the same cache class across shards).
@@ -131,6 +136,8 @@ impl CacheSnapshot {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
             invalidations: self.invalidations + other.invalidations,
+            evictions: self.evictions + other.evictions,
+            sweep_steps: self.sweep_steps + other.sweep_steps,
         }
     }
 
@@ -207,11 +214,17 @@ pub struct QueryEngine {
     durability: Option<DurableLog>,
 }
 
+/// Default view-cache capacity of an engine.
+pub(crate) const DEFAULT_VIEW_CAPACITY: usize = 1024;
+/// Default capacity of each result cache — per query class in an engine,
+/// and again per class at the cluster front.
+pub(crate) const DEFAULT_RESULT_CAPACITY: usize = 4096;
+
 impl QueryEngine {
     /// Assemble an engine with default cache capacities (1024 views, 4096
     /// results per query class).
     pub fn new(repo: Repository, registry: PrincipalRegistry) -> Self {
-        Self::with_capacities(repo, registry, 1024, 4096)
+        Self::with_capacities(repo, registry, DEFAULT_VIEW_CAPACITY, DEFAULT_RESULT_CAPACITY)
     }
 
     /// Assemble with explicit cache capacities.
@@ -775,6 +788,42 @@ mod tests {
             e.ranked_results.has_mode(&RankingMode::ExactFull.cache_key()),
             "the constantly-touched mode must not be the eviction victim"
         );
+    }
+
+    #[test]
+    fn eviction_counters_surface_and_survive_mode_churn() {
+        let mut repo = Repository::new();
+        let (spec, _) = fixtures::disease_susceptibility();
+        repo.insert_spec(spec, Policy::public()).unwrap();
+        let mut registry = PrincipalRegistry::new();
+        registry.add_group("researchers", AccessLevel(3), ViewRule::Full);
+        // Two views, two results per query class and per ranking mode.
+        let e = QueryEngine::with_capacities(repo, registry, 2, 2);
+        assert_eq!(e.stats().keyword.evictions, 0);
+        for q in ["query", "database", "risk", "pubmed"] {
+            e.search_as("researchers", q).unwrap();
+        }
+        let keyword = e.stats().keyword;
+        assert_eq!(keyword.evictions, 2, "four distinct answers through a cache of two");
+        assert!(keyword.sweep_steps >= keyword.evictions);
+
+        // Each churned mode's cache evicts once before the mode itself is
+        // dropped; the tombstone fold must keep those evictions on record.
+        let mut last = 0;
+        for seed in 0..2 * MAX_RANKED_MODES as u64 {
+            let mode = RankingMode::NoisyFull { epsilon: 1.0, seed };
+            for q in ["query", "database", "risk"] {
+                e.ranked_search_as("researchers", q, mode).unwrap();
+            }
+            let ranked = e.stats().ranked;
+            assert!(ranked.evictions > last, "ranked evictions went backwards or stalled");
+            assert!(ranked.sweep_steps >= ranked.evictions);
+            last = ranked.evictions;
+        }
+        assert_eq!(last, 2 * MAX_RANKED_MODES as u64);
+        let merged = EngineStats::merged([&e.stats(), &e.stats()]);
+        assert_eq!(merged.ranked.evictions, 2 * last);
+        assert_eq!(merged.keyword.sweep_steps, 2 * e.stats().keyword.sweep_steps);
     }
 
     #[test]

@@ -34,6 +34,8 @@
 
 pub mod cluster;
 pub mod engine;
+#[cfg(test)]
+mod eviction_pressure;
 pub mod exec_match;
 pub mod keyword;
 pub(crate) mod modes;

@@ -8,16 +8,30 @@
 //! entries by `(group, query)` and tags them with the repository version at
 //! compute time — any repository mutation invalidates stale entries lazily.
 //!
-//! Eviction is **true LRU**: every hit touches the entry's recency stamp
-//! (an atomic, so the warm read path stays borrow-only under the shared
-//! lock), and a full cache evicts stale entries first — they can never hit
-//! again — then the least-recently-used live one. Under adversarial query
-//! mixes this keeps the hot working set resident where the former
-//! stale-then-arbitrary policy could evict the hottest entry.
+//! Eviction is **CLOCK** (second chance), implemented once in
+//! [`ClockCache`] and shared with [`crate::view_cache::ViewCache`]. Entries
+//! live in a slab of at most `capacity` slots behind a two-level index.
+//! Recency is one *reference bit* per slot instead of a timestamp: a hit
+//! sets it with a relaxed store under the shared read lock, so warm readers
+//! touch no shared counter, and an insert into a full cache ranks nothing —
+//! it advances a hand over the slab, clearing the bit of each referenced
+//! live entry it passes (the second chance) and reclaiming the first slot
+//! that is unreferenced *or tagged with another version*: a stale entry can
+//! never hit again, so it goes the moment the hand reaches it, referenced
+//! or not. Every inspected slot is reclaimed or loses its bit, so eviction
+//! is amortized O(1) whatever the capacity — no scan, nothing allocated
+//! beyond the new entry's keys, capacity honoured exactly.
+//!
+//! The policy stays recency-based: an entry hit since the hand last passed
+//! survives the next pass. A scan wider than the capacity sets no bits and
+//! degenerates to FIFO — nothing is asked for again before it is reclaimed,
+//! exactly as under LRU. Scan resistance is deliberately not a goal.
 
 use parking_lot::RwLock;
+use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::Hash;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cache statistics (monotone counters).
@@ -26,6 +40,8 @@ pub struct CacheStats {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
+    evictions: AtomicU64,
+    sweep_steps: AtomicU64,
 }
 
 impl CacheStats {
@@ -42,6 +58,18 @@ impl CacheStats {
     /// Entries dropped because their repository version was stale.
     pub fn invalidations(&self) -> u64 {
         self.invalidations.load(Ordering::Relaxed)
+    }
+
+    /// Entries reclaimed to make room in a full cache. A rate close to the
+    /// miss rate means the working set does not fit: the cache is thrashing.
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Slots the eviction hand inspected so far; `sweep_steps / evictions`
+    /// is the cost of one eviction and stays below ~2 whatever the capacity.
+    pub fn sweep_steps(&self) -> u64 {
+        self.sweep_steps.load(Ordering::Relaxed)
     }
 
     /// Hit rate in [0, 1]; defined as 0 when there were no lookups at all
@@ -69,124 +97,211 @@ impl CacheStats {
     }
 }
 
-/// One cached value: the repository version it was computed at, plus an
-/// LRU recency stamp. The stamp is atomic so hits (taken under the shared
-/// read lock) can touch it without upgrading to a write lock.
-#[derive(Debug)]
-pub(crate) struct VersionedEntry<V> {
-    pub(crate) version: u64,
-    pub(crate) value: V,
-    last_used: AtomicU64,
-}
-
-impl<V> VersionedEntry<V> {
-    pub(crate) fn new(version: u64, value: V, tick: u64) -> Self {
-        VersionedEntry { version, value, last_used: AtomicU64::new(tick) }
-    }
-
-    /// Mark the entry as just-used (LRU touch-on-hit).
-    pub(crate) fn touch(&self, tick: u64) {
-        self.last_used.store(tick, Ordering::Relaxed);
-    }
-}
-
-/// A two-level versioned entry map: `outer key → inner key → entry`. Two
-/// levels instead of a tuple key so the hot read path can probe with
-/// borrowed keys (`&str`, `&Prefix`) — a warm hit allocates nothing.
-/// Shared by [`GroupCache`] and [`crate::view_cache::ViewCache`].
-pub(crate) type VersionedMap<K1, K2, V> = HashMap<K1, HashMap<K2, VersionedEntry<V>>>;
-
-/// Total entries across all inner maps.
-pub(crate) fn versioned_len<K1, K2, V>(map: &VersionedMap<K1, K2, V>) -> usize {
-    map.values().map(|m| m.len()).sum()
-}
-
-/// Make room for one insertion at `version`: if the map is at capacity,
-/// evict stale entries (wrong version — dead weight, they can never hit)
-/// first, then the least-recently-used live entries, until strictly under
-/// capacity. The one eviction policy both caches share.
-pub(crate) fn evict_for_insert<K1, K2, V>(
-    map: &mut VersionedMap<K1, K2, V>,
-    capacity: usize,
+/// One cached value: the keys that index it (to unlink a reclaimed slot),
+/// the repository version it was computed at, and the CLOCK reference bit —
+/// atomic so hits, under the shared read lock, can set it.
+struct Slot<K1, K2, V> {
+    k1: K1,
+    k2: K2,
     version: u64,
-) where
-    K1: Clone + Eq + std::hash::Hash,
-    K2: Clone + Eq + std::hash::Hash,
-{
-    let mut total = versioned_len(map);
-    if total < capacity {
-        return;
+    value: V,
+    referenced: AtomicBool,
+}
+
+/// The state behind [`ClockCache`]'s lock. Invariants: the slab is dense
+/// (`slots.len() ≤ capacity`), `index[k1][k2] == i` exactly when `slots[i]`
+/// holds `(k1, k2)`, and `hand < max(slots.len(), 1)`.
+struct Clock<K1, K2, V> {
+    slots: Vec<Slot<K1, K2, V>>,
+    /// Two levels instead of a tuple key so the hot read path can probe
+    /// with borrowed keys (`&str`, `&Prefix`) — a warm hit allocates nothing.
+    index: HashMap<K1, HashMap<K2, usize>>,
+    hand: usize,
+}
+
+/// The bounded, version-tagged, two-level-keyed CLOCK cache under
+/// [`GroupCache`] and [`crate::view_cache::ViewCache`]; the module docs
+/// describe the policy.
+pub(crate) struct ClockCache<K1, K2, V> {
+    inner: RwLock<Clock<K1, K2, V>>,
+    capacity: usize,
+    stats: CacheStats,
+}
+
+impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
+    pub(crate) fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "cache capacity must be positive");
+        let clock = Clock { slots: Vec::new(), index: HashMap::new(), hand: 0 };
+        ClockCache { inner: RwLock::new(clock), capacity, stats: CacheStats::default() }
     }
-    let stale: Vec<(K1, K2)> = map
-        .iter()
-        .flat_map(|(k1, m)| {
-            m.iter()
-                .filter(|(_, e)| e.version != version)
-                .map(move |(k2, _)| (k1.clone(), k2.clone()))
-        })
-        .collect();
-    for (k1, k2) in stale {
-        if total < capacity {
-            break;
+
+    pub(crate) fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    /// Entries held, stale ones included. O(1).
+    pub(crate) fn len(&self) -> usize {
+        self.inner.read().slots.len()
+    }
+
+    pub(crate) fn clear(&self) {
+        let mut guard = self.inner.write();
+        guard.slots.clear();
+        guard.index.clear();
+        guard.hand = 0;
+    }
+
+    /// The value cached for `(k1, k2)` if present *and* computed at
+    /// `version`, counting the lookup. A hit is a borrowed-key probe, one
+    /// relaxed store to the reference bit and a clone of `V` (an `Arc`).
+    pub(crate) fn get<Q1, Q2>(&self, k1: &Q1, k2: &Q2, version: u64) -> Option<V>
+    where
+        K1: Borrow<Q1>,
+        K2: Borrow<Q2>,
+        Q1: Eq + Hash + ?Sized,
+        Q2: Eq + Hash + ?Sized,
+    {
+        let guard = self.inner.read();
+        let slot = guard.index.get(k1).and_then(|m| m.get(k2)).map(|&i| &guard.slots[i]);
+        match slot {
+            Some(slot) if slot.version == version => {
+                slot.referenced.store(true, Ordering::Relaxed);
+                self.stats.record_hit();
+                return Some(slot.value.clone());
+            }
+            Some(_) => self.stats.record_invalidation(),
+            None => {}
         }
-        if let Some(m) = map.get_mut(&k1) {
-            if m.remove(&k2).is_some() {
-                total -= 1;
-                if m.is_empty() {
-                    map.remove(&k1);
+        self.stats.record_miss();
+        None
+    }
+
+    /// Cache `value` for `(k1, k2)` at `version`, reclaiming one slot if
+    /// the cache is full.
+    pub(crate) fn insert<Q1, Q2>(&self, k1: &Q1, k2: &Q2, version: u64, value: V)
+    where
+        K1: Borrow<Q1>,
+        K2: Borrow<Q2>,
+        Q1: Eq + Hash + ToOwned<Owned = K1> + ?Sized,
+        Q2: Eq + Hash + ToOwned<Owned = K2> + ?Sized,
+    {
+        let mut guard = self.inner.write();
+        let Clock { slots, index, hand } = &mut *guard;
+        if let Some(&i) = index.get(k1).and_then(|m| m.get(k2)) {
+            // Replacing a key (a stale entry, or a racing compute of the
+            // same one) does not grow the slab, so nothing is evicted — it
+            // must not cost an unrelated hot entry. A recompute is a use.
+            let slot = &mut slots[i];
+            slot.version = version;
+            slot.value = value;
+            *slot.referenced.get_mut() = true;
+            return;
+        }
+        let fresh = Slot {
+            k1: k1.to_owned(),
+            k2: k2.to_owned(),
+            version,
+            value,
+            referenced: AtomicBool::new(false),
+        };
+        let i = if slots.len() < self.capacity {
+            slots.push(fresh);
+            slots.len() - 1
+        } else {
+            // Advance the hand to the first slot that is stale or has spent
+            // its second chance. One lap clears every bit, so this ends.
+            let mut steps = 1;
+            loop {
+                let slot = &mut slots[*hand];
+                if slot.version != version || !std::mem::take(slot.referenced.get_mut()) {
+                    break;
                 }
+                *hand = (*hand + 1) % slots.len();
+                steps += 1;
+            }
+            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            self.stats.sweep_steps.fetch_add(steps, Ordering::Relaxed);
+            // The victim is unlinked under the same lock that hands its
+            // slot over, so no index entry ever points at another key's value.
+            let i = *hand;
+            *hand = (i + 1) % slots.len();
+            let victim = std::mem::replace(&mut slots[i], fresh);
+            let inner = index.get_mut::<K1>(&victim.k1).expect("victim is indexed");
+            inner.remove::<K2>(&victim.k2);
+            if inner.is_empty() {
+                index.remove::<K1>(&victim.k1);
+            }
+            i
+        };
+        index.entry(k1.to_owned()).or_default().insert(k2.to_owned(), i);
+    }
+
+    /// Retag every entry with `version`, values unchanged.
+    pub(crate) fn advance(&self, version: u64) {
+        for slot in &mut self.inner.write().slots {
+            slot.version = version;
+        }
+    }
+
+    /// Drop every entry under outer key `k1`, compacting the slab; returns
+    /// whether there were any.
+    pub(crate) fn remove_outer(&self, k1: &K1) -> bool {
+        let mut guard = self.inner.write();
+        let Clock { slots, index, hand } = &mut *guard;
+        let Some(inner) = index.remove(k1) else { return false };
+        let mut doomed: Vec<usize> = inner.into_values().collect();
+        // Highest first: the slot `swap_remove` moves into the hole is then
+        // never one still waiting to be removed. Its index entry follows it.
+        doomed.sort_unstable_by(|a, b| b.cmp(a));
+        for i in doomed {
+            slots.swap_remove(i);
+            if let Some(moved) = slots.get(i) {
+                let inner = index.get_mut(&moved.k1).expect("moved slot is indexed");
+                *inner.get_mut(&moved.k2).expect("moved slot is indexed") = i;
             }
         }
+        if *hand >= slots.len() {
+            *hand = 0;
+        }
+        true
     }
-    while total >= capacity {
-        // Evict the global least-recently-used entry. An O(n) scan, but it
-        // only runs on inserts into a full cache, evicting one entry each —
-        // cheap next to the query work that produced the value.
-        let victim = map
-            .iter()
-            .flat_map(|(k1, m)| {
-                m.iter().map(move |(k2, e)| (e.last_used.load(Ordering::Relaxed), k1, k2))
-            })
-            .min_by_key(|(used, _, _)| *used)
-            .map(|(_, k1, k2)| (k1.clone(), k2.clone()))
-            .expect("nonempty at capacity");
-        let m = map.get_mut(&victim.0).expect("victim outer key live");
-        m.remove(&victim.1);
-        total -= 1;
-        if m.is_empty() {
-            map.remove(&victim.0);
+
+    /// Panic unless the [`Clock`] invariants hold (test instrument).
+    pub(crate) fn assert_consistent(&self) {
+        let guard = self.inner.read();
+        assert!(guard.slots.len() <= self.capacity, "slab exceeds capacity");
+        assert!(guard.hand < guard.slots.len().max(1), "hand out of range");
+        let indexed: usize = guard.index.values().map(|m| m.len()).sum();
+        assert_eq!(indexed, guard.slots.len(), "index and slab disagree on size");
+        for (k1, inner) in &guard.index {
+            assert!(!inner.is_empty(), "empty inner map left behind");
+            for (k2, &i) in inner {
+                let slot = &guard.slots[i];
+                assert!(slot.k1 == *k1 && slot.k2 == *k2, "index points at another key's slot");
+            }
         }
     }
 }
 
 /// A concurrent result cache keyed by `(group, query)`.
 pub struct GroupCache<V> {
-    inner: RwLock<VersionedMap<String, String, Arc<V>>>,
-    capacity: usize,
-    stats: CacheStats,
-    tick: AtomicU64,
+    core: ClockCache<String, String, Arc<V>>,
 }
 
 impl<V> GroupCache<V> {
     /// Create with a maximum entry count.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        GroupCache {
-            inner: RwLock::new(HashMap::new()),
-            capacity,
-            stats: CacheStats::default(),
-            tick: AtomicU64::new(0),
-        }
+        GroupCache { core: ClockCache::new(capacity) }
     }
 
     /// Statistics.
     pub fn stats(&self) -> &CacheStats {
-        &self.stats
+        self.core.stats()
     }
 
-    /// Number of live entries.
+    /// Number of entries held (stale ones included until reclaimed).
     pub fn len(&self) -> usize {
-        versioned_len(&self.inner.read())
+        self.core.len()
     }
 
     /// Whether the cache is empty.
@@ -194,32 +309,12 @@ impl<V> GroupCache<V> {
         self.len() == 0
     }
 
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
     /// Fetch the cached value for `(group, query)` if present *and* computed
     /// at `version`. A hit is a borrowed-key probe plus an `Arc` clone — no
-    /// allocation (this is the engine's warm path) — and touches the
-    /// entry's LRU stamp.
+    /// allocation (this is the engine's warm path) — and sets the entry's
+    /// reference bit.
     pub fn get(&self, group: &str, query: &str, version: u64) -> Option<Arc<V>> {
-        let guard = self.inner.read();
-        match guard.get(group).and_then(|m| m.get(query)) {
-            Some(e) if e.version == version => {
-                e.touch(self.next_tick());
-                self.stats.record_hit();
-                Some(Arc::clone(&e.value))
-            }
-            Some(_) => {
-                self.stats.record_invalidation();
-                self.stats.record_miss();
-                None
-            }
-            None => {
-                self.stats.record_miss();
-                None
-            }
-        }
+        self.core.get(group, query, version)
     }
 
     /// Fetch or compute-and-insert. `compute` runs outside the lock.
@@ -241,25 +336,19 @@ impl<V> GroupCache<V> {
     /// Insert a value computed elsewhere (e.g. after a stats-counted
     /// [`Self::get`] miss whose recompute needed other lookups first).
     pub fn insert(&self, group: &str, query: &str, version: u64, value: Arc<V>) {
-        let tick = self.next_tick();
-        let mut guard = self.inner.write();
-        // Replacing an existing key (any version) does not grow the map, so
-        // no eviction is needed — racing inserts of the same query must not
-        // evict an unrelated hot entry for nothing.
-        let replaces = guard.get(group).is_some_and(|m| m.contains_key(query));
-        if !replaces {
-            evict_for_insert(&mut guard, self.capacity, version);
-        }
-        guard
-            .entry(group.to_string())
-            .or_default()
-            .insert(query.to_string(), VersionedEntry::new(version, value, tick));
+        self.core.insert(group, query, version, value);
     }
 
     /// Drop everything (e.g. policy change where lazy invalidation is not
     /// acceptable).
     pub fn clear(&self) {
-        self.inner.write().clear();
+        self.core.clear();
+    }
+
+    /// Panic unless index and slab agree (test instrument).
+    #[doc(hidden)]
+    pub fn assert_consistent(&self) {
+        self.core.assert_consistent();
     }
 }
 
@@ -349,6 +438,52 @@ mod tests {
         assert!(cache.get("g", "live", 2).is_some(), "live entry kept over stale");
         assert!(cache.get("g", "more", 2).is_some());
         assert!(cache.len() <= 3);
+    }
+
+    #[test]
+    fn stale_entries_get_no_second_chance() {
+        let cache: GroupCache<usize> = GroupCache::new(2);
+        cache.get_or_compute("g", "old", 1, || 0);
+        // Referenced, but at a version that can never hit again.
+        assert!(cache.get("g", "old", 1).is_some());
+        cache.get_or_compute("g", "live", 2, || 1);
+        cache.get_or_compute("g", "new", 2, || 2);
+        assert!(cache.get("g", "live", 2).is_some(), "unreferenced live entry outlives stale");
+        assert!(cache.get("g", "old", 1).is_none(), "stale entry reclaimed as the hand reached it");
+        assert_eq!(cache.stats().sweep_steps(), 1);
+    }
+
+    #[test]
+    fn reclaimed_slots_start_unreferenced() {
+        let cache: GroupCache<usize> = GroupCache::new(2);
+        cache.get_or_compute("g", "a", 1, || 0);
+        cache.get_or_compute("g", "b", 1, || 1);
+        assert!(cache.get("g", "a", 1).is_some());
+        // `y` takes over the stale-but-referenced slot of `a`, `z` that of
+        // `b`; neither has been hit, so they leave in insertion order.
+        cache.get_or_compute("g", "y", 2, || 2);
+        cache.get_or_compute("g", "z", 2, || 3);
+        cache.get_or_compute("g", "w", 2, || 4);
+        assert!(cache.get("g", "y", 2).is_none(), "inherited a reference bit");
+        assert!(cache.get("g", "z", 2).is_some());
+    }
+
+    #[test]
+    fn eviction_counters_are_monotone_and_exact() {
+        let cache: GroupCache<usize> = GroupCache::new(4);
+        for i in 0..4 {
+            cache.get_or_compute("g", &format!("q{i}"), 1, || i);
+        }
+        assert_eq!((cache.stats().evictions(), cache.stats().sweep_steps()), (0, 0));
+        cache.insert("g", "q0", 1, Arc::new(9));
+        assert_eq!(cache.stats().evictions(), 0, "replacing in place evicts nothing");
+        for i in 4..10 {
+            cache.get_or_compute("g", &format!("q{i}"), 1, || i);
+        }
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.stats().evictions(), 6);
+        // One step per eviction plus the second chance `q0`'s replace earned.
+        assert_eq!(cache.stats().sweep_steps(), 7);
     }
 
     #[test]

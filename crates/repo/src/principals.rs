@@ -29,6 +29,7 @@ use parking_lot::RwLock;
 use ppwf_core::policy::AccessLevel;
 use ppwf_model::hierarchy::{ExpansionHierarchy, Prefix};
 use ppwf_model::ids::WorkflowId;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -410,12 +411,22 @@ impl<'a> AccessResolver<'a> {
         let entry = self.repo.entry(spec)?;
         let rule = self.group.overrides.get(&spec).unwrap_or(&self.group.default_rule);
         let prefix = Arc::new(rule.resolve(&entry.hierarchy));
-        self.stats.record_miss();
         self.touched.borrow_mut().insert(spec);
-        // A racing resolution of the same spec computed the same product
-        // (rules are deterministic); last write wins harmlessly.
-        self.memo.prefixes.write().insert(spec, Arc::clone(&prefix));
-        Some(prefix)
+        // A racing resolver may have memoized the same spec since the probe
+        // (same product: rules are deterministic). Only the insert that
+        // wins counts as a miss, so `misses` is the number of resolutions
+        // memoized, whatever the interleaving; the loser is served the
+        // memoized product like any other hit.
+        match self.memo.prefixes.write().entry(spec) {
+            Entry::Occupied(won) => {
+                self.stats.record_hit();
+                Some(Arc::clone(won.get()))
+            }
+            Entry::Vacant(slot) => {
+                self.stats.record_miss();
+                Some(Arc::clone(slot.insert(prefix)))
+            }
+        }
     }
 
     /// Resolve a batch of specs; dead ids are skipped. Returned in input
@@ -606,6 +617,42 @@ mod tests {
         assert_eq!(cache.stats().misses(), 2, "untouched spec must not re-resolve");
         resolver.resolve(SpecId(0)).unwrap();
         assert_eq!(cache.stats().misses(), 3, "touched spec re-resolves exactly once");
+    }
+
+    #[test]
+    fn racing_resolvers_count_each_memoized_resolution_once() {
+        // Readers released together all miss the empty memo and resolve the
+        // same specs. Only the insert that wins may count as a miss, or
+        // `misses` overshoots the resolutions memoized and the multiplexed
+        // postings-budget check (`concurrent_serve_privacy`) flakes.
+        const SPECS: u32 = 8;
+        const THREADS: usize = 4;
+        let mut r = Repository::new();
+        for _ in 0..SPECS {
+            let (spec, _) = fixtures::disease_susceptibility();
+            r.insert_spec(spec, Policy::public()).unwrap();
+        }
+        let mut reg = PrincipalRegistry::new();
+        reg.add_group("g", AccessLevel(1), ViewRule::MaxDepth(1));
+        for _round in 0..50 {
+            let cache = AccessCache::new();
+            let barrier = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        let resolver = cache.resolver(&reg, &r, "g").unwrap();
+                        barrier.wait();
+                        for s in 0..SPECS {
+                            resolver.resolve(SpecId(s)).unwrap();
+                        }
+                    });
+                }
+            });
+            let stats = cache.stats();
+            assert_eq!(cache.memoized_len("g"), SPECS as usize);
+            assert_eq!(stats.misses(), u64::from(SPECS), "one miss per memoized resolution");
+            assert_eq!(stats.hits() + stats.misses(), u64::from(SPECS) * THREADS as u64);
+        }
     }
 
     #[test]

@@ -15,49 +15,44 @@
 //! structure), and [`ViewCache::invalidate_spec`] drops one spec's views
 //! on a policy swap instead of the whole cache going cold.
 //!
+//! Capacity is enforced by the CLOCK core shared with the result caches
+//! ([`crate::cache`] documents the policy): a hit sets the entry's
+//! reference bit, and a build into a full cache reclaims the first view
+//! the hand finds stale or not fetched since its last pass. A sweep over
+//! more `(spec, prefix)` pairs than fit therefore evicts in FIFO order,
+//! while the views a query mix keeps re-fetching stay resident.
+//!
 //! Entries are `Arc<SpecView>`: consumers share one materialized view, and
 //! because `DiGraph` memoizes its own transitive closure, the first
 //! structural query against a cached view also warms the closure rows for
 //! every later consumer of that same `Arc` — the "transitive-closure rows
 //! ride along" design.
 
-use crate::cache::{evict_for_insert, versioned_len, CacheStats, VersionedEntry, VersionedMap};
+use crate::cache::{CacheStats, ClockCache};
 use crate::repository::{Repository, SpecId};
-use parking_lot::RwLock;
 use ppwf_model::expand::SpecView;
 use ppwf_model::hierarchy::Prefix;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A concurrent `(SpecId, Prefix)`-keyed cache of flattened views.
 pub struct ViewCache {
-    inner: RwLock<VersionedMap<SpecId, Prefix, Arc<SpecView>>>,
-    capacity: usize,
-    stats: CacheStats,
-    tick: AtomicU64,
+    core: ClockCache<SpecId, Prefix, Arc<SpecView>>,
 }
 
 impl ViewCache {
     /// Create with a maximum entry count.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        ViewCache {
-            inner: RwLock::new(HashMap::new()),
-            capacity,
-            stats: CacheStats::default(),
-            tick: AtomicU64::new(0),
-        }
+        ViewCache { core: ClockCache::new(capacity) }
     }
 
     /// Statistics.
     pub fn stats(&self) -> &CacheStats {
-        &self.stats
+        self.core.stats()
     }
 
-    /// Number of live entries.
+    /// Number of entries held (stale ones included until reclaimed).
     pub fn len(&self) -> usize {
-        versioned_len(&self.inner.read())
+        self.core.len()
     }
 
     /// Whether the cache is empty.
@@ -67,7 +62,7 @@ impl ViewCache {
 
     /// Drop everything.
     pub fn clear(&self) {
-        self.inner.write().clear();
+        self.core.clear();
     }
 
     /// Carry every cached view forward to `version` *unchanged* — the
@@ -77,69 +72,43 @@ impl ViewCache {
     /// inserts and execution appends leave every cached view exact; only
     /// the version tag needs to move.
     pub fn advance(&self, version: u64) {
-        let mut guard = self.inner.write();
-        for inner in guard.values_mut() {
-            for entry in inner.values_mut() {
-                entry.version = version;
-            }
-        }
+        self.core.advance(version);
     }
 
     /// Per-spec invalidation for a policy swap on `spec`: drop only that
-    /// spec's cached views, then carry the rest forward to `version`.
-    /// Views do not read policies today, so even the dropped entries are
-    /// technically still exact — the eviction is the conservative
-    /// contract at per-spec cost, mirroring
+    /// spec's cached views (their slots are compacted away, so the freed
+    /// room is reused before anything is evicted), then carry the rest
+    /// forward to `version`. Views do not read policies today, so even the
+    /// dropped entries are technically still exact — the eviction is the
+    /// conservative contract at per-spec cost, mirroring
     /// [`AccessCache::invalidate_spec`](crate::principals::AccessCache::invalidate_spec).
     pub fn invalidate_spec(&self, spec: SpecId, version: u64) {
-        if self.inner.write().remove(&spec).is_some() {
-            self.stats.record_invalidation();
+        if self.core.remove_outer(&spec) {
+            self.stats().record_invalidation();
         }
         self.advance(version);
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// The view of `spec` under `prefix`, built at most once per repository
     /// version. Returns `None` when the spec does not exist or the prefix is
     /// invalid for its hierarchy (mirroring `SpecView::build` failure).
     /// A hit probes with borrowed keys — no `Prefix` clone, no allocation —
-    /// and touches the entry's LRU stamp.
+    /// and sets the entry's reference bit.
     pub fn view(&self, repo: &Repository, spec: SpecId, prefix: &Prefix) -> Option<Arc<SpecView>> {
         let version = repo.version();
-        {
-            let guard = self.inner.read();
-            match guard.get(&spec).and_then(|m| m.get(prefix)) {
-                Some(e) if e.version == version => {
-                    e.touch(self.next_tick());
-                    self.stats.record_hit();
-                    return Some(Arc::clone(&e.value));
-                }
-                Some(_) => {
-                    self.stats.record_invalidation();
-                    self.stats.record_miss();
-                }
-                None => self.stats.record_miss(),
-            }
+        if let Some(view) = self.core.get(&spec, prefix, version) {
+            return Some(view);
         }
         let entry = repo.entry(spec)?;
         let view = Arc::new(SpecView::build(&entry.spec, &entry.hierarchy, prefix).ok()?);
-        let tick = self.next_tick();
-        let mut guard = self.inner.write();
-        // Replacing an existing key (e.g. a stale entry, or a racing
-        // build of the same view) does not grow the map — evicting would
-        // drop an unrelated hot view for nothing.
-        let replaces = guard.get(&spec).is_some_and(|m| m.contains_key(prefix));
-        if !replaces {
-            evict_for_insert(&mut guard, self.capacity, version);
-        }
-        guard
-            .entry(spec)
-            .or_default()
-            .insert(prefix.clone(), VersionedEntry::new(version, Arc::clone(&view), tick));
+        self.core.insert(&spec, prefix, version, Arc::clone(&view));
         Some(view)
+    }
+
+    /// Panic unless index and slab agree (test instrument).
+    #[doc(hidden)]
+    pub fn assert_consistent(&self) {
+        self.core.assert_consistent();
     }
 }
 

@@ -1,0 +1,372 @@
+//! Model-based tests of the CLOCK cache core under [`GroupCache`] and
+//! [`ViewCache`].
+//!
+//! Random interleavings of every operation the wrappers expose run against
+//! a naive reference — a map from key to the `(version, value)` last stored
+//! under it. The reference knows nothing about eviction, so it never says
+//! what *must* be cached; it says what the cache *may* return. After every
+//! step:
+//!
+//! * `len ≤ capacity`, and index and slab agree (`assert_consistent`);
+//! * a lookup returns a value only for the exact `(k1, k2, version)` that
+//!   value was stored under — a recycled slot never answers for its
+//!   previous owner;
+//! * while nothing has been evicted, every stored entry still hits (removal
+//!   and slab compaction lose nothing);
+//! * an entry touched since the hand last passed it survives the next
+//!   eviction, and a stale-version entry never survives the hand passing
+//!   over it.
+//!
+//! Plus the deterministic work bound that replaces the old O(capacity)
+//! scan: N inserts into a full cache of capacity C inspect at most
+//! `2·N + C` slots, for C from 4 to 65 536.
+
+use ppwf_core::policy::Policy;
+use ppwf_model::expand::SpecView;
+use ppwf_model::fixtures;
+use ppwf_model::hierarchy::Prefix;
+use ppwf_model::ids::WorkflowId;
+use ppwf_repo::cache::GroupCache;
+use ppwf_repo::repository::{Repository, SpecId};
+use ppwf_repo::view_cache::ViewCache;
+use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+
+const GROUPS: [&str; 3] = ["public", "analysts", "researchers"];
+
+/// The `GroupCache` under test beside its naive reference.
+struct GroupModel {
+    cache: GroupCache<u64>,
+    capacity: usize,
+    /// Last `(version, value)` stored under each key.
+    stored: HashMap<(String, String), (u64, u64)>,
+    /// Keys stored since the last `clear`; while no more than `capacity`,
+    /// nothing can have been evicted.
+    resident: HashSet<(String, String)>,
+    version: u64,
+    next_value: u64,
+}
+
+impl GroupModel {
+    fn new(capacity: usize) -> Self {
+        GroupModel {
+            cache: GroupCache::new(capacity),
+            capacity,
+            stored: HashMap::new(),
+            resident: HashSet::new(),
+            version: 1,
+            next_value: 0,
+        }
+    }
+
+    fn insert(&mut self, group: &str, query: &str) {
+        self.next_value += 1;
+        self.cache.insert(group, query, self.version, Arc::new(self.next_value));
+        let key = (group.to_string(), query.to_string());
+        self.stored.insert(key.clone(), (self.version, self.next_value));
+        self.resident.insert(key);
+    }
+
+    /// A fresh key no other step uses.
+    fn insert_fresh(&mut self) -> (String, String) {
+        let key =
+            (GROUPS[self.next_value as usize % 3].to_string(), format!("fresh{}", self.next_value));
+        self.insert(&key.0, &key.1);
+        key
+    }
+
+    /// Look `(group, query)` up at `version`; whatever comes back must be
+    /// exactly what was stored under that key at that version.
+    fn get(&self, group: &str, query: &str, version: u64) -> Result<bool, TestCaseError> {
+        let got = self.cache.get(group, query, version);
+        let stored = self.stored.get(&(group.to_string(), query.to_string()));
+        match (got.as_deref(), stored) {
+            (Some(&value), Some(&(v, expect))) => {
+                prop_assert_eq!(
+                    (version, value),
+                    (v, expect),
+                    "wrong value for {}/{}",
+                    group,
+                    query
+                );
+            }
+            (Some(_), None) => prop_assert!(false, "value for the never-stored {group}/{query}"),
+            (None, Some(&(v, _))) => prop_assert!(
+                v != version || self.resident.len() > self.capacity,
+                "{group}/{query} lost although nothing was ever evicted"
+            ),
+            (None, None) => {}
+        }
+        Ok(got.is_some())
+    }
+
+    fn check(&self) -> Result<(), TestCaseError> {
+        self.cache.assert_consistent();
+        prop_assert!(self.cache.len() <= self.capacity);
+        prop_assert!(self.cache.len() <= self.resident.len());
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn group_cache_agrees_with_the_naive_reference(
+        capacity in 1usize..9,
+        ops in proptest::collection::vec((0u8..10, 0usize..3, 0usize..6), 1..160),
+    ) {
+        let mut m = GroupModel::new(capacity);
+        for (op, g, q) in ops {
+            let (group, query) = (GROUPS[g], format!("q{q}"));
+            match op {
+                // Insert, or replace in place when the key is cached.
+                0..=2 => m.insert(group, &query),
+                // Lookup at the current version, and at the previous one.
+                3..=5 => {
+                    m.get(group, &query, m.version)?;
+                }
+                6 => {
+                    m.get(group, &query, m.version - 1)?;
+                }
+                7 => m.version += 1,
+                8 if q == 0 => {
+                    m.cache.clear();
+                    m.resident.clear();
+                    m.stored.clear();
+                }
+                // Recency: with a fresh (so unreferenced) entry in the cache
+                // for the hand to take instead, an entry hit just now must
+                // survive the next eviction.
+                8 if capacity >= 2 => {
+                    m.insert_fresh();
+                    if m.get(group, &query, m.version)? {
+                        m.insert_fresh();
+                        prop_assert!(m.get(group, &query, m.version)?, "touched entry was evicted");
+                    }
+                }
+                // Staleness: one lap of the hand — `capacity` inserts into a
+                // full cache — after a version bump leaves nothing stored
+                // before it, referenced or not, even when asked for at its
+                // own version.
+                9 => {
+                    while m.cache.len() < capacity {
+                        m.insert_fresh();
+                    }
+                    let before: Vec<_> = m.stored.iter().map(|(k, &(v, _))| (k.clone(), v)).collect();
+                    m.version += 1;
+                    for _ in 0..capacity {
+                        m.insert_fresh();
+                    }
+                    for ((group, query), v) in before {
+                        prop_assert!(
+                            m.cache.get(&group, &query, v).is_none(),
+                            "stale {}/{} survived the hand", group, query
+                        );
+                    }
+                }
+                _ => {}
+            }
+            m.check()?;
+        }
+    }
+}
+
+fn view_repo(specs: usize) -> Repository {
+    let mut repo = Repository::new();
+    for _ in 0..specs {
+        let (spec, _) = fixtures::disease_susceptibility();
+        repo.insert_spec(spec, Policy::public()).unwrap();
+    }
+    repo
+}
+
+/// Four valid prefixes of the fixture hierarchy (W1 ⊃ {W2 ⊃ W4, W3}).
+fn prefixes(repo: &Repository) -> Vec<Prefix> {
+    let h = &repo.entry(SpecId(0)).unwrap().hierarchy;
+    let of =
+        |ws: &[usize]| Prefix::from_workflows(h, ws.iter().map(|&w| WorkflowId::new(w))).unwrap();
+    vec![Prefix::root_only(h), of(&[0, 1]), of(&[0, 1, 2]), Prefix::full(h)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn view_cache_agrees_with_the_naive_reference(
+        capacity in 1usize..14,
+        ops in proptest::collection::vec((0u8..12, 0u32..3, 0usize..4), 1..120),
+    ) {
+        let mut repo = view_repo(3);
+        let prefixes = prefixes(&repo);
+        let cache = ViewCache::new(capacity);
+        // Key → (version, view) last stored, as the cache should see it:
+        // `advance` retags, `invalidate_spec` and `clear` forget.
+        let mut stored: HashMap<(u32, usize), (u64, Arc<SpecView>)> = HashMap::new();
+        for (op, spec, p) in ops {
+            match op {
+                0..=6 => {
+                    let (hits, evictions, len) =
+                        (cache.stats().hits(), cache.stats().evictions(), cache.len());
+                    let view = cache.view(&repo, SpecId(spec), &prefixes[p]).unwrap();
+                    prop_assert_eq!(view.prefix(), &prefixes[p]);
+                    let known = stored.get(&(spec, p));
+                    if cache.stats().hits() > hits {
+                        let (v, expect) = known.expect("hit on a key never stored");
+                        prop_assert_eq!(*v, repo.version(), "hit across a version change");
+                        prop_assert!(Arc::ptr_eq(&view, expect), "hit returned another key's view");
+                    } else {
+                        prop_assert!(
+                            cache.stats().evictions() > 0
+                                || known.is_none_or(|(v, _)| *v != repo.version()),
+                            "({spec}, {p}) lost although nothing was ever evicted"
+                        );
+                        if len < capacity {
+                            prop_assert_eq!(cache.stats().evictions(), evictions, "evicted with room");
+                        }
+                        stored.insert((spec, p), (repo.version(), view));
+                    }
+                }
+                // An execution append cannot stale a view: carry all forward.
+                7 => {
+                    let exec = fixtures::disease_susceptibility_execution(
+                        &repo.entry(SpecId(spec)).unwrap().spec,
+                    );
+                    repo.add_execution(SpecId(spec), exec).unwrap();
+                    cache.advance(repo.version());
+                    stored.values_mut().for_each(|(v, _)| *v = repo.version());
+                }
+                // A policy swap drops that spec's views, carries the rest.
+                8 | 9 => {
+                    repo.set_policy(SpecId(spec), Policy::public()).unwrap();
+                    cache.invalidate_spec(SpecId(spec), repo.version());
+                    stored.retain(|&(s, _), _| s != spec);
+                    stored.values_mut().for_each(|(v, _)| *v = repo.version());
+                }
+                // A write the cache is not told about: everything is stale.
+                10 => repo.set_policy(SpecId(spec), Policy::public()).unwrap(),
+                _ => {
+                    cache.clear();
+                    stored.clear();
+                }
+            }
+            cache.assert_consistent();
+            prop_assert!(cache.len() <= capacity);
+            prop_assert!(cache.len() <= stored.len());
+        }
+    }
+}
+
+/// Eviction cost does not scale with capacity: N inserts into a full cache
+/// of capacity C inspect at most `2·N + C` slots — N reclaimed, at most one
+/// second chance per reference bit set in between, at most C set before.
+#[test]
+fn eviction_work_is_bounded_by_inserts_not_capacity() {
+    for capacity in [4usize, 4096, 65_536] {
+        let cache: GroupCache<usize> = GroupCache::new(capacity);
+        let value = Arc::new(0);
+        let key = |i: usize| (GROUPS[i % 3], format!("q{i}"));
+        for i in 0..capacity {
+            let (group, query) = key(i);
+            cache.insert(group, &query, 1, Arc::clone(&value));
+        }
+        // Worst case for the first sweep: every entry referenced.
+        for i in 0..capacity {
+            let (group, query) = key(i);
+            assert!(cache.get(group, &query, 1).is_some());
+        }
+        assert_eq!((cache.len(), cache.stats().evictions()), (capacity, 0));
+        let inserts = 2 * capacity;
+        for i in capacity..capacity + inserts {
+            let (group, query) = key(i);
+            cache.insert(group, &query, 1, Arc::clone(&value));
+            // Every other insert is hit once, as under a real query mix.
+            if i % 2 == 0 {
+                assert!(cache.get(group, &query, 1).is_some());
+            }
+        }
+        let (evictions, steps) = (cache.stats().evictions(), cache.stats().sweep_steps());
+        assert_eq!(cache.len(), capacity, "capacity honoured exactly");
+        assert_eq!(evictions, inserts as u64, "one eviction per insert into a full cache");
+        assert!(
+            steps <= (2 * inserts + capacity) as u64,
+            "capacity {capacity}: {steps} slots inspected for {inserts} inserts"
+        );
+        cache.assert_consistent();
+    }
+}
+
+/// One step of Knuth's 64-bit LCG: cheap, deterministic per-thread draws.
+fn lcg(x: u64) -> u64 {
+    x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407)
+}
+
+/// Readers hit (and so touch) entries while writers recycle the slots under
+/// them. Every value names the key and version it was stored under, so a
+/// reader handed a recycled slot's contents — another group's answer —
+/// sees it.
+#[test]
+fn concurrent_readers_never_see_another_keys_value() {
+    const READERS: usize = 3;
+    const QUERIES: usize = 12;
+    let cache: GroupCache<String> = GroupCache::new(8);
+    let barrier = Barrier::new(READERS + 2);
+    let done = AtomicBool::new(false);
+    let name = |g: usize, q: usize, v: u64| format!("{}|q{q}|v{v}", GROUPS[g]);
+    std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..2u64)
+            .map(|w| {
+                let (cache, barrier, name) = (&cache, &barrier, &name);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ w;
+                    for i in 0..40_000u64 {
+                        x = lcg(x);
+                        let (g, q) = ((x >> 33) as usize % 3, (x >> 40) as usize % QUERIES);
+                        let version = 1 + i / 5_000;
+                        cache.insert(
+                            GROUPS[g],
+                            &format!("q{q}"),
+                            version,
+                            Arc::new(name(g, q, version)),
+                        );
+                    }
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..READERS as u64)
+            .map(|r| {
+                let (cache, barrier, done, name) = (&cache, &barrier, &done, &name);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let (mut x, mut hits) = (0xD1B5_4A32_D192_ED03u64 ^ r, 0u64);
+                    while !done.load(Ordering::Relaxed) {
+                        x = lcg(x);
+                        let (g, q) = ((x >> 33) as usize % 3, (x >> 40) as usize % QUERIES);
+                        let version = 1 + (x >> 50) % 9;
+                        if let Some(value) = cache.get(GROUPS[g], &format!("q{q}"), version) {
+                            assert_eq!(
+                                *value,
+                                name(g, q, version),
+                                "value stored under another key"
+                            );
+                            hits += 1;
+                        }
+                    }
+                    hits
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().expect("writer thread");
+        }
+        done.store(true, Ordering::Relaxed);
+        let hits: u64 = readers.into_iter().map(|r| r.join().expect("reader thread")).sum();
+        assert!(hits > 0, "readers never hit: the race was not exercised");
+    });
+    cache.assert_consistent();
+    assert!(cache.len() <= 8);
+    assert!(cache.stats().evictions() > 0, "writers never evicted");
+}
