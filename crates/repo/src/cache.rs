@@ -12,8 +12,9 @@
 //! [`ClockCache`] and shared with [`crate::view_cache::ViewCache`]. Entries
 //! live in a slab of at most `capacity` slots behind a two-level index.
 //! Recency is one *reference bit* per slot instead of a timestamp: a hit
-//! sets it with a relaxed store under the shared read lock, so warm readers
-//! touch no shared counter, and an insert into a full cache ranks nothing —
+//! raises it (a relaxed store, skipped when it is already up) under the
+//! shared read lock, so warm readers touch no shared counter and write
+//! nothing to the slab, and an insert into a full cache ranks nothing —
 //! it advances a hand over the slab, clearing the bit of each referenced
 //! live entry it passes (the second chance) and reclaiming the first slot
 //! that is unreferenced *or tagged with another version*: a stale entry can
@@ -152,8 +153,8 @@ impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
     }
 
     /// The value cached for `(k1, k2)` if present *and* computed at
-    /// `version`, counting the lookup. A hit is a borrowed-key probe, one
-    /// relaxed store to the reference bit and a clone of `V` (an `Arc`).
+    /// `version`, counting the lookup. A hit is a borrowed-key probe, the
+    /// reference bit (stored only if down) and a clone of `V` (an `Arc`).
     pub(crate) fn get<Q1, Q2>(&self, k1: &Q1, k2: &Q2, version: u64) -> Option<V>
     where
         K1: Borrow<Q1>,
@@ -165,7 +166,11 @@ impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
         let slot = guard.index.get(k1).and_then(|m| m.get(k2)).map(|&i| &guard.slots[i]);
         match slot {
             Some(slot) if slot.version == version => {
-                slot.referenced.store(true, Ordering::Relaxed);
+                // Test before set: a warm hit writes nothing to the slab, so
+                // its lines stay shared instead of bouncing between readers.
+                if !slot.referenced.load(Ordering::Relaxed) {
+                    slot.referenced.store(true, Ordering::Relaxed);
+                }
                 self.stats.record_hit();
                 return Some(slot.value.clone());
             }
