@@ -35,18 +35,26 @@
 //! partition). In front of them sits the **cluster-front result cache**:
 //! fully merged answers keyed by `(group, query, mode)` and tagged with
 //! the cluster's **version vector** — one monotone
-//! [`QueryEngine::results_version`] per shard. A warm cluster request is
-//! then a single probe plus an `Arc` clone, skipping the scatter, the hit
-//! remap and the merge entirely — the per-request work E11's warm column
-//! measured against the single engine. Because each shard's counter only
-//! moves when a routed write can change answers, execution appends — the
-//! dominant provenance write — leave the front cache warm; spec inserts
-//! and policy swaps move the owning shard's component and stale every
-//! front entry at the old vector, which the shard caches then repopulate.
+//! [`QueryEngine::results_version`] per shard — collapsed to its sum, the
+//! front epoch. A warm cluster request is then a single probe plus an
+//! `Arc` clone, skipping the scatter, the hit remap and the merge entirely
+//! — the per-request work E11's warm column measured against the single
+//! engine. Because each shard's counter only moves when a routed write can
+//! change answers, execution appends — the dominant provenance write —
+//! leave every front entry an exact-tag hit. Every other write moves the
+//! owning shard's component, and with it the epoch, but strands only the
+//! front entries it can have changed: the shard stamps the written spec's
+//! vocabulary into the cluster's [`TouchStamps`] on the epoch clock as it
+//! applies the write, and a front probe that finds an entry merged at an
+//! older epoch re-admits it exactly when the stamps show nothing it depends
+//! on was written since ([`ppwf_repo::touch`] has the rules; the shard
+//! caches apply the same ones on their own clocks). A retraction, an edit
+//! or a policy swap is therefore never outlived by a merged answer that
+//! could name the spec, while reads of everything else stay one probe.
 
 use crate::engine::{
-    CacheSnapshot, EngineStats, Plan, QueryEngine, RankedAnswer, DEFAULT_RESULT_CAPACITY,
-    DEFAULT_VIEW_CAPACITY,
+    CacheSnapshot, EngineStats, FrontStamps, Plan, QueryEngine, RankedAnswer,
+    DEFAULT_RESULT_CAPACITY, DEFAULT_VIEW_CAPACITY,
 };
 use crate::keyword::{KeywordHit, KeywordQuery};
 use crate::modes::ModeCaches;
@@ -64,6 +72,7 @@ use ppwf_repo::principals::PrincipalRegistry;
 use ppwf_repo::repository::{deleted_spec_error, Repository, SpecEntry, SpecId};
 use ppwf_repo::snapshot::{CowChunk, CowImage, CHUNK_SPECS};
 use ppwf_repo::storage::StorageBackend;
+use ppwf_repo::touch::{Depends, TouchStamps};
 use ppwf_repo::wal::{
     DurabilityPolicy, DurabilityStats, DurableCallback, DurableLog, GroupCommit, RecoveryStats,
     WalError, WalResult,
@@ -160,6 +169,11 @@ pub struct EngineCluster {
     front_keyword: GroupCache<Vec<KeywordHit>>,
     front_private: [GroupCache<PrivateSearchOutcome>; 2],
     front_ranked: ModeCaches<RankedHits>,
+    /// What each move of [`Self::front_epoch`] touched: decides which front
+    /// entries merged at an older epoch are re-admitted. Written only by
+    /// routed writes (`&mut self` — behind the serving front's write lock),
+    /// read by probes (`&self`), so it needs no synchronisation of its own.
+    front_stamps: TouchStamps,
     /// How many times a routed write rebuilt a shard's registry view —
     /// the instrument proving rebuilds run only for writes that change
     /// principal-visible state (never execution appends).
@@ -259,6 +273,7 @@ impl EngineCluster {
             front_keyword: GroupCache::new(results),
             front_private: [GroupCache::new(results), GroupCache::new(results)],
             front_ranked: ModeCaches::new(results),
+            front_stamps: TouchStamps::new(),
             registry_view_rebuilds: 0,
             durability: None,
         }
@@ -381,9 +396,10 @@ impl EngineCluster {
 
     /// The cluster-wide version vector: shard `s`'s component is its
     /// engine's [`QueryEngine::results_version`], which moves exactly when
-    /// a routed write to that shard can change answers. Front-cache
-    /// entries are valid iff the vector is unchanged since they were
-    /// merged.
+    /// a routed write to that shard can change answers. A front-cache
+    /// entry merged at the current vector is valid as it stands; one merged
+    /// at an older vector is valid iff no write since touched what it
+    /// depends on ([`Self::probe_front`]).
     pub fn version_vector(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.results_version()).collect()
     }
@@ -484,19 +500,55 @@ impl EngineCluster {
         Arc::clone(&self.pool)
     }
 
-    /// The cluster-front keyword cache (async front probes it inline).
-    pub(crate) fn front_keyword_cache(&self) -> &GroupCache<Vec<KeywordHit>> {
-        &self.front_keyword
+    /// Probe one cluster-front cache at the current [`Self::front_epoch`] —
+    /// the one place the front's validity rule is written; the blocking
+    /// entry points and the async front's inline path all come through
+    /// here. An entry merged at this epoch is served as it is. One merged
+    /// at an older epoch is served, and re-tagged, iff the stamps show that
+    /// no write since can have changed it; so whatever this returns is the
+    /// current epoch's answer.
+    fn probe_front<V>(
+        &self,
+        cache: &GroupCache<V>,
+        group: &str,
+        query_text: &str,
+        depends: Depends,
+    ) -> Option<Arc<V>> {
+        cache.get_validated(group, query_text, self.front_epoch(), |tag| {
+            self.front_stamps.survives(query_text, tag, depends)
+        })
     }
 
-    /// The cluster-front private-search cache for `plan`.
-    pub(crate) fn front_private_cache(&self, plan: Plan) -> &GroupCache<PrivateSearchOutcome> {
-        &self.front_private[plan.slot()]
+    /// The merged keyword answer the front caches hold for the current
+    /// epoch, if any.
+    pub(crate) fn probe_keyword(
+        &self,
+        group: &str,
+        query_text: &str,
+    ) -> Option<Arc<Vec<KeywordHit>>> {
+        self.probe_front(&self.front_keyword, group, query_text, Depends::OnMatches)
     }
 
-    /// The cluster-front ranked cache serving `mode`.
-    pub(crate) fn front_ranked_cache(&self, mode: RankingMode) -> Arc<GroupCache<RankedHits>> {
-        self.front_ranked.cache(mode)
+    /// The merged private-search outcome under `plan`, as
+    /// [`Self::probe_keyword`].
+    pub(crate) fn probe_private(
+        &self,
+        group: &str,
+        query_text: &str,
+        plan: Plan,
+    ) -> Option<Arc<PrivateSearchOutcome>> {
+        self.probe_front(&self.front_private[plan.slot()], group, query_text, Depends::OnMatches)
+    }
+
+    /// The merged ranked answer under `mode`, as [`Self::probe_keyword`].
+    pub(crate) fn probe_ranked(
+        &self,
+        group: &str,
+        query_text: &str,
+        mode: RankingMode,
+    ) -> Option<Arc<RankedHits>> {
+        let cache = self.front_ranked.cache(mode);
+        self.probe_front(&cache, group, query_text, Depends::OnStatistics)
     }
 
     fn remap_hit(&self, shard: usize, h: &KeywordHit) -> KeywordHit {
@@ -517,10 +569,10 @@ impl EngineCluster {
         // Front probe before the registry walk, mirroring the engine's
         // "cache before any access work" ordering: only registered groups
         // ever get entries inserted, so a hit implies a known group.
-        let epoch = self.front_epoch();
-        if let Some(hit) = self.front_keyword.get(group, query_text, epoch) {
+        if let Some(hit) = self.probe_keyword(group, query_text) {
             return Some(hit);
         }
+        let epoch = self.front_epoch();
         self.registry.group(group)?;
         let query = KeywordQuery::parse(query_text);
         let targets = self.target_shards(&query);
@@ -565,11 +617,10 @@ impl EngineCluster {
         query_text: &str,
         plan: Plan,
     ) -> Option<Arc<PrivateSearchOutcome>> {
-        let epoch = self.front_epoch();
-        let front = &self.front_private[plan.slot()];
-        if let Some(hit) = front.get(group, query_text, epoch) {
+        if let Some(hit) = self.probe_private(group, query_text, plan) {
             return Some(hit);
         }
+        let epoch = self.front_epoch();
         self.registry.group(group)?;
         let query = KeywordQuery::parse(query_text);
         let targets = self.target_shards(&query);
@@ -618,11 +669,10 @@ impl EngineCluster {
         query_text: &str,
         mode: RankingMode,
     ) -> Option<Arc<RankedHits>> {
-        let epoch = self.front_epoch();
-        let front = self.front_ranked.cache(mode);
-        if let Some(hit) = front.get(group, query_text, epoch) {
+        if let Some(hit) = self.probe_ranked(group, query_text, mode) {
             return Some(hit);
         }
+        let epoch = self.front_epoch();
         self.registry.group(group)?;
         let query = KeywordQuery::parse(query_text);
         let targets = self.target_shards(&query);
@@ -691,11 +741,13 @@ impl EngineCluster {
     /// Apply a routed, typed mutation — the same [`Mutation`] vocabulary
     /// and [`MutationEffect`] contract as [`QueryEngine::mutate`], with
     /// ids in the returned effect translated to *global* spec ids. The
-    /// mutation forwards to exactly one shard engine: only that shard's
-    /// index appends and only its caches invalidate — and the front cache
-    /// needs no explicit invalidation at all, because the owning shard's
-    /// version-vector component moves (or, for execution appends,
-    /// deliberately does not).
+    /// mutation forwards to exactly one shard engine
+    /// ([`Self::mutate_shard`]): only that shard's index is maintained and
+    /// only its version-vector component moves (for execution appends,
+    /// deliberately not even that). The front caches are never swept: an
+    /// answer-changing write stamps the written spec's vocabulary at the
+    /// new front epoch, and each front entry is judged against the stamps
+    /// at its next probe.
     ///
     /// With durability attached, the mutation is validated against the
     /// *global* corpus first (mirroring every check the routed apply runs,
@@ -1083,13 +1135,28 @@ impl EngineCluster {
         self.mutate(Mutation::SetPolicy { spec, policy }).map(|_| ())
     }
 
+    /// Apply `mutation` (shard-local ids) on shard `shard`, lending it the
+    /// front stamp table: what the write touches is stamped on the shard's
+    /// clock for the shard's caches and on the front epoch for the front's.
+    /// Every routed write comes through here — a shard write that bypassed
+    /// it would move the epoch without saying what it touched, and front
+    /// entries naming the written spec would be re-admitted.
+    fn mutate_shard(&mut self, shard: usize, mutation: Mutation) -> Result<MutationEffect> {
+        let offset = self.front_epoch() - self.shards[shard].results_version();
+        let front = FrontStamps { stamps: &mut self.front_stamps, offset };
+        let effect = self.shards[shard].mutate_stamping(mutation, Some(front))?;
+        let live_terms = self.shards.iter().map(|s| s.index().term_count()).sum();
+        self.front_stamps.trim(live_terms, self.front_epoch());
+        Ok(effect)
+    }
+
     fn insert_spec_routed(&mut self, spec: Specification, policy: Policy) -> Result<SpecId> {
         // Validate before assigning a global id, so a rejected insert never
         // burns a router slot (the inner insert re-validates, infallibly).
         policy.validate(&spec)?;
         let (global, shard, local) = self.router.assign();
-        let effect = self.shards[shard]
-            .mutate(Mutation::InsertSpec { spec, policy })
+        let effect = self
+            .mutate_shard(shard, Mutation::InsertSpec { spec, policy })
             .expect("policy pre-validated");
         debug_assert_eq!(effect.inserted_id(), Some(local));
         self.refresh_registry_view(shard, global);
@@ -1098,14 +1165,14 @@ impl EngineCluster {
 
     fn add_execution_routed(&mut self, spec: SpecId, exec: Execution) -> Result<()> {
         let (shard, local) = self.locate_live(spec)?;
-        let effect = self.shards[shard].mutate(Mutation::AddExecution { spec: local, exec })?;
+        let effect = self.mutate_shard(shard, Mutation::AddExecution { spec: local, exec })?;
         debug_assert!(!effect.changes_visible_state());
         Ok(())
     }
 
     fn set_policy_routed(&mut self, spec: SpecId, policy: Policy) -> Result<()> {
         let (shard, local) = self.locate_live(spec)?;
-        self.shards[shard].mutate(Mutation::SetPolicy { spec: local, policy })?;
+        self.mutate_shard(shard, Mutation::SetPolicy { spec: local, policy })?;
         Ok(())
     }
 
@@ -1114,11 +1181,12 @@ impl EngineCluster {
     /// global id (it is never reassigned and never routes again), and —
     /// when a registry override named the spec — the shard's registry
     /// view is rebuilt so the override no longer maps to the dead slot.
-    /// The owning shard's version-vector component moves, so every front
-    /// cache entry merged at the old epoch is unreachable.
+    /// The owning shard's version-vector component moves and the spec's
+    /// vocabulary is stamped, so no front entry that could name it is
+    /// re-admitted.
     fn delete_spec_routed(&mut self, spec: SpecId) -> Result<()> {
         let (shard, local) = self.locate_live(spec)?;
-        self.shards[shard].mutate(Mutation::DeleteSpec { spec: local })?;
+        self.mutate_shard(shard, Mutation::DeleteSpec { spec: local })?;
         self.router.retire(spec);
         self.refresh_registry_view(shard, spec);
         Ok(())
@@ -1131,7 +1199,7 @@ impl EngineCluster {
     /// version-vector component moves.
     fn edit_spec_routed(&mut self, spec: SpecId, text: SpecText) -> Result<()> {
         let (shard, local) = self.locate_live(spec)?;
-        self.shards[shard].mutate(Mutation::EditSpec { spec: local, text })?;
+        self.mutate_shard(shard, Mutation::EditSpec { spec: local, text })?;
         Ok(())
     }
 
@@ -1205,6 +1273,7 @@ fn shard_view_of_registry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::spec_speaking;
     use ppwf_core::policy::AccessLevel;
     use ppwf_model::fixtures;
     use ppwf_repo::principals::ViewRule;
@@ -1378,6 +1447,150 @@ mod tests {
         assert_eq!(stats.aggregate.keyword.evictions, summed);
         let steps: u64 = stats.per_shard.iter().map(|s| s.keyword.sweep_steps).sum();
         assert_eq!(stats.aggregate.keyword.sweep_steps, steps);
+    }
+
+    #[test]
+    fn revalidations_roll_up_across_shards_and_front() {
+        let mut c = cluster(4, 2);
+        let mode = RankingMode::ExactFull;
+        let keyword = c.search_as("researchers", "risk").unwrap();
+        let private = c.private_search_as("researchers", "risk", Plan::FilterThenSearch).unwrap();
+        let ranked = c.ranked_search_as("researchers", "risk", mode).unwrap();
+        // Global spec 4 lands on shard 0 and shares no token with the query.
+        c.mutate(Mutation::InsertSpec { spec: spec_speaking("zebra"), policy: Policy::public() })
+            .unwrap();
+        assert!(Arc::ptr_eq(&keyword, &c.search_as("researchers", "risk").unwrap()));
+        let again = c.private_search_as("researchers", "risk", Plan::FilterThenSearch).unwrap();
+        assert!(Arc::ptr_eq(&private, &again));
+        // The corpus document count moved: the merged ranked answer is
+        // rejected at the front, and so is shard 0's share of it, while shard
+        // 1 — whose clock never moved — serves an exact-tag hit.
+        let again = c.ranked_search_as("researchers", "risk", mode).unwrap();
+        assert!(!Arc::ptr_eq(&ranked, &again));
+        let stats = c.stats();
+        assert_eq!((stats.front.revalidations, stats.front.invalidations), (2, 1));
+        assert_eq!(stats.per_shard[0].ranked.invalidations, 1);
+        assert_eq!(stats.per_shard[1].ranked.invalidations, 0);
+        // Shard 0's keyword entry (the ranked path's hit list) is re-admitted.
+        assert_eq!(stats.per_shard[0].keyword.revalidations, 1);
+        let summed: u64 = stats.per_shard.iter().map(|s| s.keyword.revalidations).sum();
+        assert_eq!(stats.aggregate.keyword.revalidations, summed);
+        assert_eq!(stats.aggregate.ranked.invalidations, 1);
+    }
+
+    #[test]
+    fn front_stamp_table_stays_bounded_under_fresh_vocabulary_churn() {
+        let mut c = cluster(2, 2);
+        let single = QueryEngine::new(corpus(2), registry());
+        let reference = single.search_as("researchers", "risk").unwrap();
+        c.search_as("researchers", "risk").unwrap();
+        let (mut previous, mut resets) = (0, 0);
+        for i in 0..300 {
+            let spec = spec_speaking(&format!("fresh{i}"));
+            let id = c
+                .mutate(Mutation::InsertSpec { spec, policy: Policy::public() })
+                .unwrap()
+                .inserted_id()
+                .unwrap();
+            c.mutate(Mutation::DeleteSpec { spec: id }).unwrap();
+            let live: usize = c.shards().iter().map(|s| s.index().term_count()).sum();
+            let stamps = c.front_stamps.len();
+            assert!(stamps <= 2 * live + 64, "{stamps} front stamps for {live} live terms");
+            resets += usize::from(stamps < previous);
+            previous = stamps;
+            let served = c.search_as("researchers", "risk").unwrap();
+            assert_eq!(served.len(), reference.len());
+            for (a, b) in served.iter().zip(reference.iter()) {
+                assert_eq!((a.spec, &a.prefix, &a.matched), (b.spec, &b.prefix, &b.matched));
+            }
+        }
+        assert!(resets >= 1, "300 fresh tokens must cross the front table's bound");
+        let front = c.stats().front;
+        assert_eq!(front.invalidations, resets as u64, "a reset costs the entry one miss");
+        assert_eq!(front.revalidations, 300 - resets as u64, "and every other write none");
+    }
+
+    #[test]
+    fn reopened_cluster_starts_with_empty_stamps_and_caches() {
+        use ppwf_repo::storage::{FaultPlan, MemStorage};
+        let policy = DurabilityPolicy { fsync_each: true, ..DurabilityPolicy::default() };
+        let open = |storage: &Arc<MemStorage>| {
+            EngineCluster::open_durable(
+                Arc::clone(storage) as Arc<dyn StorageBackend>,
+                policy,
+                registry(),
+                2,
+                ShardStrategy::RoundRobin,
+                Arc::new(WorkerPool::new(1)),
+            )
+            .expect("open durable cluster")
+            .0
+        };
+        let storage = Arc::new(MemStorage::new());
+        let mut c = open(&storage);
+        let mut mirror = Repository::new();
+        let (fixture, _) = fixtures::disease_susceptibility();
+        let mut acked = vec![
+            Mutation::InsertSpec { spec: fixture.clone(), policy: Policy::public() },
+            Mutation::InsertSpec { spec: spec_speaking("zebra"), policy: Policy::public() },
+            Mutation::InsertSpec { spec: fixture, policy: Policy::public() },
+        ];
+        for m in &acked {
+            c.mutate(m.clone()).unwrap();
+        }
+        let queries = ["risk", "zebra", "database, risk"];
+        let ask = |c: &EngineCluster| {
+            for q in queries {
+                c.search_as("researchers", q).unwrap();
+                c.ranked_search_as("public", q, RankingMode::ExactFull).unwrap();
+            }
+        };
+        ask(&c);
+        // Writes that leave older-tag entries and stamps behind.
+        let more = [
+            Mutation::SetPolicy { spec: SpecId(1), policy: Policy::public() },
+            edit_of(SpecId(2)),
+            Mutation::DeleteSpec { spec: SpecId(1) },
+        ];
+        for m in more {
+            c.mutate(m.clone()).unwrap();
+            acked.push(m);
+            ask(&c);
+        }
+        assert!(!c.front_stamps.is_empty() && c.stats().front.revalidations > 0);
+        // Power loss in the middle of the next record.
+        storage.set_plan(FaultPlan {
+            crash_after_bytes: Some(storage.bytes_appended() + 9),
+            ..FaultPlan::default()
+        });
+        assert!(c.mutate(Mutation::DeleteSpec { spec: SpecId(0) }).is_err());
+        assert!(storage.crashed());
+        drop(c);
+
+        // Stamps and caches are derived state: nothing of them is logged or
+        // snapshotted, so the reopened cluster has none.
+        let c = open(&Arc::new(storage.reopen()));
+        assert!(c.front_stamps.is_empty());
+        assert!(c.shards().iter().all(|s| s.stamps().is_empty()));
+        let stats = c.stats();
+        assert_eq!(stats.front, CacheSnapshot::default());
+        assert_eq!(stats.aggregate.keyword, CacheSnapshot::default());
+        for m in acked {
+            mirror.apply(m).unwrap();
+        }
+        let single = QueryEngine::new(mirror, registry());
+        for group in ["public", "researchers"] {
+            for q in queries {
+                let served = c.ranked_search_as(group, q, RankingMode::ExactFull).unwrap();
+                let (hits, ranked) =
+                    single.ranked_search_as(group, q, RankingMode::ExactFull).unwrap();
+                assert_eq!(served.hits.len(), hits.len(), "{group}/{q}");
+                for (a, b) in served.hits.iter().zip(hits.iter()) {
+                    assert_eq!((a.spec, &a.prefix, &a.matched), (b.spec, &b.prefix, &b.matched));
+                }
+                assert!(served.ranked.bitwise_eq(&ranked), "{group}/{q}");
+            }
+        }
     }
 
     #[test]

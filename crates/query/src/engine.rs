@@ -14,14 +14,19 @@
 //! Mutations go through [`QueryEngine::mutate`], which consumes a typed
 //! [`Mutation`] and keys its maintenance on the returned
 //! [`MutationEffect`]: spec inserts *append* to the keyword index
-//! ([`KeywordIndex::refresh`] — no full rebuild) and invalidate result
-//! caches; policy swaps invalidate results plus only the touched spec's
-//! access memo; execution appends — the dominant write, provenance
-//! accruing over repeated executions — leave the index, the access memos
-//! *and every result cache* untouched, because no keyword, private or
-//! ranked answer reads executions. Result caches are therefore tagged with
-//! the engine's [`QueryEngine::results_version`], which only moves when an
-//! effect can change answers, not with the raw repository version.
+//! ([`KeywordIndex::refresh`] — no full rebuild); policy swaps drop only
+//! the touched spec's access memo; execution appends — the dominant write,
+//! provenance accruing over repeated executions — leave the index, the
+//! access memos *and every result cache* untouched, because no keyword,
+//! private or ranked answer reads executions. Result caches are therefore
+//! tagged with the engine's [`QueryEngine::results_version`], which only
+//! moves when an effect can change answers, not with the raw repository
+//! version — and an answer-changing write strands only the cached answers
+//! it can have changed: it stamps the written spec's vocabulary in the
+//! engine's [`TouchStamps`], and a probe that finds an entry with an older
+//! tag re-admits it exactly when the stamps show that nothing it depends on
+//! was written since (the rules, and why they are a privacy invariant, are
+//! in [`ppwf_repo::touch`]).
 //!
 //! Cold queries resolve access views **lazily**: the engine holds an
 //! [`AccessCache`] whose per-group [`AccessResolver`]s resolve a spec's
@@ -47,6 +52,7 @@ use ppwf_repo::mutation::{Mutation, MutationEffect};
 use ppwf_repo::principals::{AccessCache, AccessResolver, PrincipalRegistry};
 use ppwf_repo::repository::Repository;
 use ppwf_repo::storage::StorageBackend;
+use ppwf_repo::touch::{Depends, TouchStamps};
 use ppwf_repo::view_cache::ViewCache;
 use ppwf_repo::wal::{DurabilityPolicy, DurabilityStats, DurableLog, RecoveryStats, WalResult};
 use std::sync::Arc;
@@ -104,8 +110,14 @@ pub struct CacheSnapshot {
     pub hits: u64,
     /// Cache misses so far.
     pub misses: u64,
-    /// Stale entries dropped so far.
+    /// Probes that rejected an entry tagged with an older version (each
+    /// also a miss).
     pub invalidations: u64,
+    /// Probes that re-admitted an entry tagged with an older version because
+    /// no write since could have changed it (each also a hit). Beside
+    /// `invalidations` this says how much of the cache answer-changing
+    /// writes strand.
+    pub revalidations: u64,
     /// Entries reclaimed to make room in a full cache. Evictions keeping
     /// pace with misses mean the working set does not fit: the cache is
     /// thrashing.
@@ -121,6 +133,7 @@ impl CacheSnapshot {
             hits: stats.hits(),
             misses: stats.misses(),
             invalidations: stats.invalidations(),
+            revalidations: stats.revalidations(),
             evictions: stats.evictions(),
             sweep_steps: stats.sweep_steps(),
         }
@@ -136,6 +149,7 @@ impl CacheSnapshot {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
             invalidations: self.invalidations + other.invalidations,
+            revalidations: self.revalidations + other.revalidations,
             evictions: self.evictions + other.evictions,
             sweep_steps: self.sweep_steps + other.sweep_steps,
         }
@@ -203,15 +217,31 @@ pub struct QueryEngine {
     /// Ranked answers, one `(group, query)` cache per ranking mode — the
     /// bounded [`ModeCaches`] map shared with the cluster front.
     ranked_results: ModeCaches<RankedAnswer>,
-    /// The version result caches key their entries by. It advances to the
-    /// repository version whenever a [`MutationEffect`] can change
-    /// answers (spec inserts, policy swaps) and stays put for execution
-    /// appends — so the write-heavy provenance path leaves every warm
-    /// `(group, query)` entry servable. Never ahead of `repo.version()`.
+    /// The version result caches tag their entries with. It advances to
+    /// the repository version whenever a [`MutationEffect`] can change
+    /// answers (every effect but an execution append) and stays put for
+    /// execution appends — so the write-heavy provenance path leaves every
+    /// warm `(group, query)` entry an exact-tag hit. Never ahead of
+    /// `repo.version()`.
     results_version: u64,
+    /// What each move of `results_version` touched: decides which entries
+    /// with an older tag are re-admitted. Written only by [`Self::mutate`]
+    /// (`&mut self`), read by the `&self` query paths.
+    stamps: TouchStamps,
     /// When present, every mutation is appended (and, per policy, fsynced)
     /// here *before* it is applied — see [`Self::attach_durability`].
     durability: Option<DurableLog>,
+}
+
+/// A cluster's front-cache stamp table, lent to the shard that applies a
+/// routed write ([`QueryEngine::mutate_stamping`]).
+pub(crate) struct FrontStamps<'a> {
+    pub(crate) stamps: &'a mut TouchStamps,
+    /// The front's clock minus this shard's: the sum of the *other* shards'
+    /// [`QueryEngine::results_version`]s, which cannot move during this
+    /// shard's write — so the front's new clock value is the shard's new
+    /// version plus this.
+    pub(crate) offset: u64,
 }
 
 /// Default view-cache capacity of an engine.
@@ -246,6 +276,7 @@ impl QueryEngine {
             private_results: [GroupCache::new(result_capacity), GroupCache::new(result_capacity)],
             ranked_results: ModeCaches::new(result_capacity),
             results_version,
+            stamps: TouchStamps::new(),
             durability: None,
         }
     }
@@ -332,19 +363,28 @@ impl QueryEngine {
     /// * **spec insert** — the keyword index *appends* the new spec's
     ///   postings ([`KeywordIndex::refresh`], no full rebuild), cached
     ///   views and access memos carry forward (existing specs and
-    ///   hierarchies are untouched), and [`Self::results_version`]
-    ///   advances so cached answers lazily invalidate;
+    ///   hierarchies are untouched);
     /// * **policy swap** — zero index work, only the touched spec's views
-    ///   and access memo drop, results invalidate;
+    ///   and access memo drop;
     /// * **execution append** — zero index work, views and access memos
     ///   carry forward, and results stay *warm*: provenance is not part
-    ///   of any keyword, private or ranked answer;
+    ///   of any keyword, private or ranked answer, so neither
+    ///   [`Self::results_version`] nor any stamp moves;
     /// * **spec delete** — the keyword index retracts exactly the retired
     ///   spec's postings ([`KeywordIndex::delete_spec`], no rebuild), the
-    ///   touched spec's views and access memo drop, results invalidate;
+    ///   touched spec's views and access memo drop;
     /// * **spec edit** — the keyword index retracts and re-indexes the one
     ///   spec in place ([`KeywordIndex::edit_spec`]), with the same
     ///   per-spec invalidation as a delete.
+    ///
+    /// Every effect but the execution append advances
+    /// [`Self::results_version`] and stamps the written spec's vocabulary —
+    /// what it posted before the write *and* what it posts after — with the
+    /// new version, plus the document count when that moved. Cached answers
+    /// are then judged one by one at their next probe: an entry that can
+    /// have named the written spec (or, if ranked, read a statistic the
+    /// write moved) is recomputed, every other entry is re-admitted at the
+    /// new version ([`ppwf_repo::touch`] has the rules).
     ///
     /// A failed mutation (validation error) changes nothing anywhere.
     ///
@@ -361,12 +401,47 @@ impl QueryEngine {
     /// the serve front: this single-engine path always acknowledges
     /// inline.
     pub fn mutate(&mut self, mutation: Mutation) -> Result<MutationEffect> {
+        self.mutate_stamping(mutation, None)
+    }
+
+    /// [`Self::mutate`] for a shard of a cluster: whatever this write
+    /// stamps in the engine's own table it also stamps in `front`, the
+    /// cluster-front caches' table, on the front's clock.
+    pub(crate) fn mutate_stamping(
+        &mut self,
+        mutation: Mutation,
+        front: Option<FrontStamps<'_>>,
+    ) -> Result<MutationEffect> {
         if let Some(log) = &mut self.durability {
             self.repo.check(&mutation)?;
             log.append(&mutation)?;
         }
         let effect = self.repo.apply(mutation)?;
         let version = self.repo.version();
+        let mut tables = [
+            Some((&mut self.stamps, version)),
+            front.map(|front| (front.stamps, version + front.offset)),
+        ];
+        let mut touch = |vocabulary: Option<&[String]>| {
+            for (stamps, at) in tables.iter_mut().flatten() {
+                match vocabulary {
+                    Some(vocabulary) => stamps.touch(vocabulary, *at),
+                    // A spec the index never held: nothing says which
+                    // answers named it, so none may outlive the write.
+                    None => stamps.touch_everything(*at),
+                }
+            }
+        };
+        // The vocabulary the spec is leaving behind, while the index still
+        // describes the spec as it was: a cached answer that named it then
+        // must not survive a delete, an edit or a policy swap.
+        if let MutationEffect::PolicyChanged { spec }
+        | MutationEffect::SpecDeleted { spec }
+        | MutationEffect::SpecEdited { spec } = effect
+        {
+            touch(self.index.posted_tokens(spec));
+        }
+        let docs = self.index.doc_count();
         // Index maintenance is keyed on the typed effect. Non-destructive
         // effects take the trusted-epoch refresh: the engine owns this
         // repository and every write is a typed mutation (checked just
@@ -380,6 +455,17 @@ impl QueryEngine {
             MutationEffect::SpecDeleted { spec } => self.index.delete_spec(&self.repo, spec),
             MutationEffect::SpecEdited { spec } => self.index.edit_spec(&self.repo, spec),
             _ => self.index.refresh_trusted(&self.repo),
+        }
+        // And the vocabulary it arrives with: an answer it belongs in now
+        // was computed without it.
+        if let MutationEffect::SpecInserted { spec } | MutationEffect::SpecEdited { spec } = effect
+        {
+            touch(self.index.posted_tokens(spec));
+        }
+        if self.index.doc_count() != docs {
+            for (stamps, at) in tables.iter_mut().flatten() {
+                stamps.touch_docs(*at);
+            }
         }
         match effect {
             MutationEffect::SpecInserted { .. } => {
@@ -401,16 +487,17 @@ impl QueryEngine {
                 self.results_version = version;
             }
         }
+        self.stamps.trim(self.index.term_count(), version);
         if let Some(log) = &mut self.durability {
             log.snapshot_if_due(&self.repo);
         }
         Ok(effect)
     }
 
-    /// The version result caches are keyed by: advances on effects that
-    /// can change answers (inserts, policy swaps), holds still across
-    /// execution appends. The cluster's version vector is one of these per
-    /// shard.
+    /// The version result caches are tagged with: advances on effects that
+    /// can change answers (everything but execution appends), holds still
+    /// across execution appends. The cluster's version vector is one of
+    /// these per shard.
     pub fn results_version(&self) -> u64 {
         self.results_version
     }
@@ -447,13 +534,17 @@ impl QueryEngine {
     ///
     /// The cache is probed *before* any access resolution: a warm hit is
     /// one hash lookup plus an `Arc` clone, never a walk of the registry —
-    /// that ordering is what E10's warm path measures. A cold miss builds
+    /// that ordering is what E10's warm path measures. The first probe of
+    /// an entry after an answer-changing write also walks the query's
+    /// tokens through the [`TouchStamps`]; if they vouch for the entry it is
+    /// re-tagged and later probes are plain hits again. A cold miss builds
     /// a lazy [`AccessResolver`], so only specs with candidate postings
     /// pay rule resolution (E12's cold-path lever) — never the whole
     /// corpus, as the former eager `access_map` did.
     pub fn search_as(&self, group: &str, query_text: &str) -> Option<Arc<Vec<KeywordHit>>> {
         let version = self.results_version;
-        if let Some(hit) = self.keyword_results.get(group, query_text, version) {
+        if let Some(hit) = self.probe(&self.keyword_results, group, query_text, Depends::OnMatches)
+        {
             return Some(hit);
         }
         let access = self.access_resolver(group)?;
@@ -481,7 +572,7 @@ impl QueryEngine {
     ) -> Option<Arc<PrivateSearchOutcome>> {
         let version = self.results_version;
         let cache = &self.private_results[plan.slot()];
-        if let Some(hit) = cache.get(group, query_text, version) {
+        if let Some(hit) = self.probe(cache, group, query_text, Depends::OnMatches) {
             return Some(hit);
         }
         let access = self.access_resolver(group)?;
@@ -512,15 +603,39 @@ impl QueryEngine {
         let hits = self.search_as(group, query_text)?;
         let version = self.results_version;
         let cache = self.ranked_results.cache(mode);
-        let ranked = cache.get_or_compute(group, query_text, version, || {
-            let query = KeywordQuery::parse(query_text);
-            let profiles = profiles_for_hits(&self.repo, &hits, &query.terms);
-            let idfs = idfs_for_terms(&self.index, &query.terms);
-            let scores = scores_for_profiles(&idfs, &profiles, mode);
-            let order = rank_by_scores(&scores);
-            RankedAnswer { order, scores, profiles }
-        });
+        if let Some(ranked) = self.probe(&cache, group, query_text, Depends::OnStatistics) {
+            return Some((hits, ranked));
+        }
+        let query = KeywordQuery::parse(query_text);
+        let profiles = profiles_for_hits(&self.repo, &hits, &query.terms);
+        let idfs = idfs_for_terms(&self.index, &query.terms);
+        let scores = scores_for_profiles(&idfs, &profiles, mode);
+        let order = rank_by_scores(&scores);
+        let ranked = Arc::new(RankedAnswer { order, scores, profiles });
+        cache.insert(group, query_text, version, Arc::clone(&ranked));
         Some((hits, ranked))
+    }
+
+    /// Probe one of the engine's result caches at the current
+    /// [`Self::results_version`]; an entry with an older tag is served iff
+    /// the stamps show no write since can have changed it.
+    fn probe<V>(
+        &self,
+        cache: &GroupCache<V>,
+        group: &str,
+        query_text: &str,
+        depends: Depends,
+    ) -> Option<Arc<V>> {
+        cache.get_validated(group, query_text, self.results_version, |tag| {
+            self.stamps.survives(query_text, tag, depends)
+        })
+    }
+
+    /// The engine's touch stamps (test instrument: derived state must start
+    /// empty after recovery and stay bounded under vocabulary churn).
+    #[cfg(test)]
+    pub(crate) fn stamps(&self) -> &TouchStamps {
+        &self.stamps
     }
 
     /// Counters of every cache layer.
@@ -537,7 +652,7 @@ impl QueryEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::modes::MAX_RANKED_MODES;
     use ppwf_core::policy::{AccessLevel, Policy};
@@ -824,6 +939,123 @@ mod tests {
         let merged = EngineStats::merged([&e.stats(), &e.stats()]);
         assert_eq!(merged.ranked.evictions, 2 * last);
         assert_eq!(merged.keyword.sweep_steps, 2 * e.stats().keyword.sweep_steps);
+    }
+
+    /// The paper's fixture with every proper module renamed to `word` — a
+    /// spec that shares no token with the fixture itself.
+    pub(crate) fn spec_speaking(word: &str) -> ppwf_model::spec::Specification {
+        let (mut spec, _) = fixtures::disease_susceptibility();
+        let proper: Vec<_> =
+            spec.modules().filter(|m| !m.kind.is_distinguished()).map(|m| m.id).collect();
+        for id in proper {
+            spec.set_module_text(id, word, &[]).unwrap();
+        }
+        spec
+    }
+
+    #[test]
+    fn revalidations_surface_beside_invalidations() {
+        let mut e = engine();
+        let mode = RankingMode::ExactFull;
+        let keyword = e.search_as("researchers", "risk").unwrap();
+        let private = e.private_search_as("researchers", "risk", Plan::FilterThenSearch).unwrap();
+        let (_, ranked) = e.ranked_search_as("researchers", "risk", mode).unwrap();
+        assert_eq!(e.stats().keyword.revalidations, 0);
+
+        // A spec that posts none of the query's tokens: matches cannot have
+        // changed, but the document count — which a ranked answer reads —
+        // has.
+        let spec = spec_speaking("zebra");
+        e.mutate(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
+        let again = e.search_as("researchers", "risk").unwrap();
+        assert!(Arc::ptr_eq(&keyword, &again), "an unrelated insert must not strand the answer");
+        let again = e.private_search_as("researchers", "risk", Plan::FilterThenSearch).unwrap();
+        assert!(Arc::ptr_eq(&private, &again));
+        let (_, again) = e.ranked_search_as("researchers", "risk", mode).unwrap();
+        assert!(!Arc::ptr_eq(&ranked, &again), "the document count moved under a ranked answer");
+        assert_ne!(ranked.scores[0].to_bits(), again.scores[0].to_bits());
+
+        let stats = e.stats();
+        // The ranked path probes the keyword cache for its hit list first:
+        // one re-admission above, one exact-tag hit here.
+        assert_eq!((stats.keyword.revalidations, stats.keyword.invalidations), (1, 0));
+        assert_eq!((stats.keyword.hits, stats.keyword.misses), (3, 1));
+        assert_eq!((stats.private.revalidations, stats.private.invalidations), (1, 0));
+        assert_eq!((stats.ranked.revalidations, stats.ranked.invalidations), (0, 1));
+        let merged = EngineStats::merged([&stats, &stats]);
+        assert_eq!(merged.keyword.revalidations, 2);
+        assert_eq!(merged.private.revalidations, 2);
+        assert_eq!(merged.ranked.invalidations, 2);
+
+        // A policy swap on the spec the answers name strands all three.
+        e.mutate(Mutation::SetPolicy { spec: SpecId(0), policy: Policy::public() }).unwrap();
+        let again = e.search_as("researchers", "risk").unwrap();
+        assert!(!Arc::ptr_eq(&keyword, &again), "a policy swap outlived by a cached answer");
+        assert_eq!(e.stats().keyword.invalidations, 1);
+        assert_eq!(e.stats().keyword.revalidations, 1, "monotone");
+    }
+
+    #[test]
+    fn revalidations_survive_ranked_mode_churn() {
+        let mut e = engine();
+        let modes: Vec<RankingMode> = (0..2 * MAX_RANKED_MODES as u64)
+            .map(|seed| RankingMode::NoisyFull { epsilon: 1.0, seed })
+            .collect();
+        // Warm one mode, re-admit its entry after a policy swap on a spec the
+        // query cannot match, then churn it out of the mode map: the
+        // tombstone fold must keep the re-admission on record.
+        let spec = spec_speaking("zebra");
+        e.mutate(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
+        e.ranked_search_as("researchers", "risk", modes[0]).unwrap();
+        e.mutate(Mutation::SetPolicy { spec: SpecId(1), policy: Policy::public() }).unwrap();
+        e.ranked_search_as("researchers", "risk", modes[0]).unwrap();
+        assert_eq!(e.stats().ranked.revalidations, 1);
+        for &mode in &modes[1..] {
+            e.ranked_search_as("researchers", "risk", mode).unwrap();
+        }
+        assert!(!e.ranked_results.has_mode(&modes[0].cache_key()));
+        assert_eq!(e.stats().ranked.revalidations, 1, "history must not vanish with the mode");
+    }
+
+    #[test]
+    fn stamp_table_stays_bounded_under_fresh_vocabulary_churn() {
+        let mut e = engine();
+        let mut warm = e.search_as("researchers", "risk").unwrap();
+        let (mut previous, mut resets, mut readmitted) = (0, 0, 0);
+        for i in 0..400 {
+            // Fresh vocabulary in, fresh vocabulary out: the index's live
+            // terms do not grow, the set of tokens ever touched does.
+            let spec = spec_speaking(&format!("fresh{i}"));
+            let id = e
+                .mutate(Mutation::InsertSpec { spec, policy: Policy::public() })
+                .unwrap()
+                .inserted_id()
+                .unwrap();
+            e.mutate(Mutation::DeleteSpec { spec: id }).unwrap();
+            let (stamps, live) = (e.stamps().len(), e.index().term_count());
+            assert!(stamps <= 2 * live + 64, "{stamps} stamps for {live} live terms");
+            let reset = stamps < previous;
+            previous = stamps;
+            // Crossing the bound costs every older entry one miss — and
+            // nothing but a miss: the recomputed answer is the same answer.
+            let again = e.search_as("researchers", "risk").unwrap();
+            if reset {
+                resets += 1;
+                assert!(!Arc::ptr_eq(&warm, &again), "a raised floor strands every older entry");
+                warm = Arc::clone(&again);
+            } else {
+                readmitted += 1;
+                assert!(Arc::ptr_eq(&warm, &again), "an unrelated write stranded the answer");
+            }
+            let fresh = QueryEngine::new(e.repo().clone(), e.registry().clone());
+            let reference = fresh.search_as("researchers", "risk").unwrap();
+            assert_eq!(again.len(), reference.len());
+            for (a, b) in again.iter().zip(reference.iter()) {
+                assert_eq!((a.spec, &a.prefix, &a.matched), (b.spec, &b.prefix, &b.matched));
+            }
+        }
+        assert!(resets >= 2, "400 fresh tokens must cross the bound more than once");
+        assert_eq!(resets + readmitted, 400);
     }
 
     #[test]

@@ -31,9 +31,15 @@
 //! serving the same request at that version (`gather_*` stages are
 //! *shared code*, not parallel implementations). Warm requests sidestep
 //! all of it: a front-cache hit completes inline on the submitting thread
-//! ([`Ticket::ready`]) without touching the queue — serving the current
-//! epoch's merged answer, which corresponds to ordering the read before
-//! any still-queued mutation (an admissible sequential cut, since those
+//! ([`Ticket::ready`]) without touching the queue. What it serves is the
+//! current epoch's merged answer — either merged at this epoch, or merged
+//! at an older one and re-admitted because every write applied since
+//! stamped its spec's vocabulary and those stamps show none of them could
+//! name a spec in this answer or move a statistic it reads (the dependency
+//! argument of [`ppwf_repo::touch`]; the stamps are written under the same
+//! cluster write lock that applies the write, so a probe under the read
+//! lock sees all of them). That corresponds to ordering the read before any
+//! still-queued mutation (an admissible sequential cut, since those
 //! mutations have not been applied yet).
 //!
 //! [`ServeStats`] surfaces the serving health an operator watches: the
@@ -189,8 +195,10 @@ pub struct ServeStats {
     pub submitted: u64,
     /// Responses completed (inline or via the queue).
     pub completed: u64,
-    /// Warm front-cache hits completed inline — these never touched the
-    /// admission queue or the pool.
+    /// Reads answered from the cluster-front caches without any shard
+    /// work: probes that hit on the submitting thread (never queued, no
+    /// pool job), plus reads that queued — behind a write, or behind an
+    /// identical read — and found the answer warm when they were admitted.
     pub warm_inline: u64,
     /// Mutations applied.
     pub mutations: u64,
@@ -441,23 +449,22 @@ impl ServeFront {
     }
 }
 
-/// Probe the cluster-front caches for `req` at the current epoch. A hit
-/// is the fully merged answer — one hash probe plus an `Arc` clone.
+/// Probe the cluster-front caches for `req`. A hit is the fully merged
+/// answer of the current epoch ([`EngineCluster::probe_keyword`] and its
+/// siblings hold the validity rule) — one hash probe plus an `Arc` clone,
+/// and on the first probe after an answer-changing write a walk of the
+/// query's tokens through the front's touch stamps.
 fn probe_front(cluster: &EngineCluster, req: &ServeRequest) -> Option<QueryAnswer> {
-    let epoch = cluster.front_epoch();
     match req {
-        ServeRequest::Keyword { group, query } => cluster
-            .front_keyword_cache()
-            .get(group, query, epoch)
-            .map(|hit| QueryAnswer::Keyword(Some(hit))),
-        ServeRequest::Private { group, query, plan } => cluster
-            .front_private_cache(*plan)
-            .get(group, query, epoch)
-            .map(|hit| QueryAnswer::Private(Some(hit))),
-        ServeRequest::Ranked { group, query, mode } => cluster
-            .front_ranked_cache(*mode)
-            .get(group, query, epoch)
-            .map(|hit| QueryAnswer::Ranked(Some(hit))),
+        ServeRequest::Keyword { group, query } => {
+            cluster.probe_keyword(group, query).map(|hit| QueryAnswer::Keyword(Some(hit)))
+        }
+        ServeRequest::Private { group, query, plan } => {
+            cluster.probe_private(group, query, *plan).map(|hit| QueryAnswer::Private(Some(hit)))
+        }
+        ServeRequest::Ranked { group, query, mode } => {
+            cluster.probe_ranked(group, query, *mode).map(|hit| QueryAnswer::Ranked(Some(hit)))
+        }
         ServeRequest::Mutate(_) => None,
     }
 }

@@ -1,12 +1,18 @@
-//! A user-group-keyed, version-invalidated query-result cache.
+//! A user-group-keyed, version-tagged query-result cache.
 //!
 //! Sec. 4: *"Another promising direction is to consider user groups when
 //! utilizing cached information during query processing."* Two principals
 //! in the same group (same access view + clearance) may share cached
 //! answers; principals in different groups must not, or cached fine-grained
 //! answers would leak to coarse-grained users. The cache therefore keys
-//! entries by `(group, query)` and tags them with the repository version at
-//! compute time — any repository mutation invalidates stale entries lazily.
+//! entries by `(group, query)` and tags them with the owner's version at
+//! compute time. A probe at the entry's own tag is a hit. A probe at a
+//! later version is the owner's call ([`GroupCache::get_validated`]): it is
+//! handed the tag and either vouches that nothing the answer depends on was
+//! written since — the entry is re-tagged and served, a *revalidation* — or
+//! does not, and the entry is a miss that the recompute replaces in place
+//! (an *invalidation*). The plain [`GroupCache::get`] never vouches: there a
+//! tag other than the probe's is always a miss.
 //!
 //! Eviction is **CLOCK** (second chance), implemented once in
 //! [`ClockCache`] and shared with [`crate::view_cache::ViewCache`]. Entries
@@ -16,12 +22,16 @@
 //! shared read lock, so warm readers touch no shared counter and write
 //! nothing to the slab, and an insert into a full cache ranks nothing —
 //! it advances a hand over the slab, clearing the bit of each referenced
-//! live entry it passes (the second chance) and reclaiming the first slot
-//! that is unreferenced *or tagged with another version*: a stale entry can
-//! never hit again, so it goes the moment the hand reaches it, referenced
-//! or not. Every inspected slot is reclaimed or loses its bit, so eviction
-//! is amortized O(1) whatever the capacity — no scan, nothing allocated
-//! beyond the new entry's keys, capacity honoured exactly.
+//! current entry it passes (the second chance) and reclaiming the first
+//! slot that is unreferenced *or tagged with another version*, referenced
+//! or not. An older tag no longer proves the entry dead — a validated probe
+//! might still re-admit it — but it does prove the entry cold: everything
+//! asked for since the version last moved was recomputed or re-tagged on the
+//! way, so a slot still carrying an older tag has not been wanted since,
+//! and it is the right one to give up before any current entry. Every
+//! inspected slot is reclaimed or loses its bit, so eviction is amortized
+//! O(1) whatever the capacity — no scan, nothing allocated beyond the new
+//! entry's keys, capacity honoured exactly.
 //!
 //! The policy stays recency-based: an entry hit since the hand last passed
 //! survives the next pass. A scan wider than the capacity sets no bits and
@@ -41,6 +51,7 @@ pub struct CacheStats {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
+    revalidations: AtomicU64,
     evictions: AtomicU64,
     sweep_steps: AtomicU64,
 }
@@ -56,9 +67,17 @@ impl CacheStats {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries dropped because their repository version was stale.
+    /// Probes that found an entry tagged with an older version and rejected
+    /// it (each is also a miss).
     pub fn invalidations(&self) -> u64 {
         self.invalidations.load(Ordering::Relaxed)
+    }
+
+    /// Probes that found an entry tagged with an older version and
+    /// re-admitted it, because nothing it depends on was written since
+    /// (each is also a hit).
+    pub fn revalidations(&self) -> u64 {
+        self.revalidations.load(Ordering::Relaxed)
     }
 
     /// Entries reclaimed to make room in a full cache. A rate close to the
@@ -99,12 +118,13 @@ impl CacheStats {
 }
 
 /// One cached value: the keys that index it (to unlink a reclaimed slot),
-/// the repository version it was computed at, and the CLOCK reference bit —
-/// atomic so hits, under the shared read lock, can set it.
+/// the version it was computed at or last re-admitted at, and the CLOCK
+/// reference bit — both atomic so probes, under the shared read lock, can
+/// move them.
 struct Slot<K1, K2, V> {
     k1: K1,
     k2: K2,
-    version: u64,
+    version: AtomicU64,
     value: V,
     referenced: AtomicBool,
 }
@@ -140,7 +160,7 @@ impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
         &self.stats
     }
 
-    /// Entries held, stale ones included. O(1).
+    /// Entries held, older-tagged ones included. O(1).
     pub(crate) fn len(&self) -> usize {
         self.inner.read().slots.len()
     }
@@ -162,10 +182,37 @@ impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
         Q1: Eq + Hash + ?Sized,
         Q2: Eq + Hash + ?Sized,
     {
+        self.get_validated(k1, k2, version, |_| false)
+    }
+
+    /// [`Self::get`], except that an entry tagged with an *older* version
+    /// is put to `still_valid(tag)`: if the caller vouches for it, it is
+    /// re-tagged with `version`, counted as a use (reference bit, hit,
+    /// revalidation) and served; otherwise it is an invalidation and a miss,
+    /// exactly as under `get`. An entry at `version` never consults the
+    /// caller — the exact-tag hit path is `get`'s.
+    pub(crate) fn get_validated<Q1, Q2>(
+        &self,
+        k1: &Q1,
+        k2: &Q2,
+        version: u64,
+        still_valid: impl FnOnce(u64) -> bool,
+    ) -> Option<V>
+    where
+        K1: Borrow<Q1>,
+        K2: Borrow<Q2>,
+        Q1: Eq + Hash + ?Sized,
+        Q2: Eq + Hash + ?Sized,
+    {
         let guard = self.inner.read();
         let slot = guard.index.get(k1).and_then(|m| m.get(k2)).map(|&i| &guard.slots[i]);
-        match slot {
-            Some(slot) if slot.version == version => {
+        if let Some(slot) = slot {
+            // Relaxed throughout: the tag and the bit publish no other data
+            // (the value was written under the write lock), and probes that
+            // race on one slot all run at the owner's one current version,
+            // so they decide alike and store the same tag.
+            let tag = slot.version.load(Ordering::Relaxed);
+            if tag == version {
                 // Test before set: a warm hit writes nothing to the slab, so
                 // its lines stay shared instead of bouncing between readers.
                 if !slot.referenced.load(Ordering::Relaxed) {
@@ -174,8 +221,14 @@ impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
                 self.stats.record_hit();
                 return Some(slot.value.clone());
             }
-            Some(_) => self.stats.record_invalidation(),
-            None => {}
+            if tag < version && still_valid(tag) {
+                slot.version.store(version, Ordering::Relaxed);
+                slot.referenced.store(true, Ordering::Relaxed);
+                self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
+                self.stats.record_hit();
+                return Some(slot.value.clone());
+            }
+            self.stats.record_invalidation();
         }
         self.stats.record_miss();
         None
@@ -197,7 +250,7 @@ impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
             // same one) does not grow the slab, so nothing is evicted — it
             // must not cost an unrelated hot entry. A recompute is a use.
             let slot = &mut slots[i];
-            slot.version = version;
+            *slot.version.get_mut() = version;
             slot.value = value;
             *slot.referenced.get_mut() = true;
             return;
@@ -205,7 +258,7 @@ impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
         let fresh = Slot {
             k1: k1.to_owned(),
             k2: k2.to_owned(),
-            version,
+            version: AtomicU64::new(version),
             value,
             referenced: AtomicBool::new(false),
         };
@@ -213,12 +266,14 @@ impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
             slots.push(fresh);
             slots.len() - 1
         } else {
-            // Advance the hand to the first slot that is stale or has spent
-            // its second chance. One lap clears every bit, so this ends.
+            // Advance the hand to the first slot that carries another tag
+            // or has spent its second chance. One lap clears every bit, so
+            // this ends.
             let mut steps = 1;
             loop {
                 let slot = &mut slots[*hand];
-                if slot.version != version || !std::mem::take(slot.referenced.get_mut()) {
+                if *slot.version.get_mut() != version || !std::mem::take(slot.referenced.get_mut())
+                {
                     break;
                 }
                 *hand = (*hand + 1) % slots.len();
@@ -244,7 +299,7 @@ impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
     /// Retag every entry with `version`, values unchanged.
     pub(crate) fn advance(&self, version: u64) {
         for slot in &mut self.inner.write().slots {
-            slot.version = version;
+            *slot.version.get_mut() = version;
         }
     }
 
@@ -304,7 +359,7 @@ impl<V> GroupCache<V> {
         self.core.stats()
     }
 
-    /// Number of entries held (stale ones included until reclaimed).
+    /// Number of entries held (older-tagged ones included until reclaimed).
     pub fn len(&self) -> usize {
         self.core.len()
     }
@@ -320,6 +375,22 @@ impl<V> GroupCache<V> {
     /// reference bit.
     pub fn get(&self, group: &str, query: &str, version: u64) -> Option<Arc<V>> {
         self.core.get(group, query, version)
+    }
+
+    /// [`Self::get`] that can outlive a version bump: an entry tagged with an
+    /// older version is served — and re-tagged with `version`, so the next
+    /// probe takes the exact-tag path — iff `still_valid(tag)` vouches that
+    /// nothing the answer depends on was written since `tag`. The owner
+    /// decides; see [`TouchStamps`](crate::touch::TouchStamps) for the rule
+    /// the query layer uses.
+    pub fn get_validated(
+        &self,
+        group: &str,
+        query: &str,
+        version: u64,
+        still_valid: impl FnOnce(u64) -> bool,
+    ) -> Option<Arc<V>> {
+        self.core.get_validated(group, query, version, still_valid)
     }
 
     /// Fetch or compute-and-insert. `compute` runs outside the lock.
@@ -396,6 +467,53 @@ mod tests {
     }
 
     #[test]
+    fn a_vouched_for_entry_is_retagged_and_served() {
+        let cache: GroupCache<u64> = GroupCache::new(8);
+        let v1 = cache.get_or_compute("g", "q", 1, || 1);
+        let served = cache.get_validated("g", "q", 3, |tag| {
+            assert_eq!(tag, 1, "the caller is handed the entry's tag");
+            true
+        });
+        assert!(Arc::ptr_eq(&v1, &served.unwrap()), "the same answer, not a recompute");
+        assert_eq!((cache.stats().hits(), cache.stats().revalidations()), (1, 1));
+        assert_eq!(cache.stats().invalidations(), 0);
+        // Re-tagged: the next probe at 3 is an exact-tag hit that consults
+        // nobody, and the old version no longer hits.
+        assert!(cache.get_validated("g", "q", 3, |_| unreachable!("exact tag")).is_some());
+        assert!(cache.get("g", "q", 3).is_some());
+        assert!(cache.get("g", "q", 1).is_none());
+        assert_eq!(cache.stats().revalidations(), 1);
+    }
+
+    #[test]
+    fn an_entry_nobody_vouches_for_is_an_invalidation() {
+        let cache: GroupCache<u64> = GroupCache::new(8);
+        cache.get_or_compute("g", "q", 1, || 1);
+        assert!(cache.get_validated("g", "q", 2, |_| false).is_none());
+        assert_eq!((cache.stats().invalidations(), cache.stats().revalidations()), (1, 0));
+        assert_eq!(cache.stats().misses(), 2);
+        // The recompute replaces it in place.
+        cache.insert("g", "q", 2, Arc::new(2));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(*cache.get("g", "q", 2).unwrap(), 2);
+        // A tag from the future is never re-admitted.
+        assert!(cache.get_validated("g", "q", 1, |_| unreachable!("newer tag")).is_none());
+    }
+
+    #[test]
+    fn revalidation_is_a_use_for_the_clock() {
+        let cache: GroupCache<usize> = GroupCache::new(2);
+        cache.get_or_compute("g", "kept", 1, || 0);
+        cache.get_or_compute("g", "cold", 1, || 1);
+        assert!(cache.get_validated("g", "kept", 2, |_| true).is_some());
+        // The hand passes the re-admitted entry (spending its reference
+        // bit) and reclaims `cold`, which still carries tag 1.
+        cache.get_or_compute("g", "new", 2, || 2);
+        assert!(cache.get("g", "kept", 2).is_some(), "re-admitted entry survives");
+        assert!(cache.get_validated("g", "cold", 2, |_| true).is_none());
+    }
+
+    #[test]
     fn capacity_bounded() {
         let cache: GroupCache<usize> = GroupCache::new(4);
         for i in 0..20 {
@@ -449,7 +567,7 @@ mod tests {
     fn stale_entries_get_no_second_chance() {
         let cache: GroupCache<usize> = GroupCache::new(2);
         cache.get_or_compute("g", "old", 1, || 0);
-        // Referenced, but at a version that can never hit again.
+        // Referenced, but left behind at an older version.
         assert!(cache.get("g", "old", 1).is_some());
         cache.get_or_compute("g", "live", 2, || 1);
         cache.get_or_compute("g", "new", 2, || 2);

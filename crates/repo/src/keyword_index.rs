@@ -22,9 +22,25 @@ use crate::principals::SpecAccess;
 use crate::repository::{Repository, SpecEntry, SpecId};
 use parking_lot::RwLock;
 use ppwf_model::ids::ModuleId;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 pub use crate::postings::Posting;
+
+/// [`tokenize`] for a reader that only looks the tokens up: the same tokens
+/// in the same normal form, one at a time, a token that is already normal
+/// (ASCII without capitals — every token of a query the client sent in the
+/// index's own form) borrowed from `text`, so walking such a text allocates
+/// nothing.
+pub fn tokens(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
+    text.split(|c: char| !c.is_alphanumeric()).filter(|t| !t.is_empty()).map(|t| {
+        if t.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
+            Cow::Borrowed(t)
+        } else {
+            Cow::Owned(t.to_lowercase())
+        }
+    })
+}
 
 /// Lowercase alphanumeric tokenization.
 pub fn tokenize(text: &str) -> Vec<String> {
@@ -615,6 +631,16 @@ impl KeywordIndex {
         self.terms.len()
     }
 
+    /// The sorted single tokens `spec` is currently posted under, or `None`
+    /// for a spec the index does not hold. A module can match a query term
+    /// — word, whole-tag phrase or consecutive name tokens — only if its
+    /// spec posted every token of that term, so this is the vocabulary a
+    /// write to the spec can change answers through
+    /// ([`TouchStamps`](crate::touch::TouchStamps)).
+    pub fn posted_tokens(&self, spec: SpecId) -> Option<&[String]> {
+        self.spec_posted.get(&spec).map(|posted| posted.terms.as_slice())
+    }
+
     /// All postings of a single term (unfiltered), decoded.
     pub fn lookup(&self, term: &str) -> Vec<Posting> {
         self.terms.get(&term.to_lowercase()).map(|l| l.to_vec()).unwrap_or_default()
@@ -855,6 +881,15 @@ mod tests {
         let (spec, _) = fixtures::disease_susceptibility();
         repo.insert_spec(spec, Policy::public()).unwrap();
         repo
+    }
+
+    #[test]
+    fn borrowed_tokens_are_the_tokenization() {
+        for text in ["Database, Disorder Risks", "kw12, kw7", "  ,--", "Ünïcode ΣΑΣ x1Y", ""] {
+            let walked: Vec<String> = tokens(text).map(Cow::into_owned).collect();
+            assert_eq!(walked, tokenize(text), "{text:?}");
+        }
+        assert!(tokens("kw12, query omim").all(|t| matches!(t, Cow::Borrowed(_))));
     }
 
     #[test]

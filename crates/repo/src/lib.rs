@@ -27,7 +27,9 @@
 //!   thread-local per-query scratch arena the cold path runs on,
 //! * [`reach_index`] — materialized reachability over full expansions,
 //!   with visibility-filtered lookups per access view,
-//! * [`cache`] — a user-group-keyed, version-invalidated result cache,
+//! * [`cache`] — a user-group-keyed, version-tagged result cache,
+//! * [`touch`] — per-token touch stamps: which older-tagged cache entries
+//!   an answer-changing write can have changed, and which survive it,
 //! * [`view_cache`] — a `(spec, prefix)`-keyed memo of flattened
 //!   [`SpecView`](ppwf_model::expand::SpecView)s (with their transitive
 //!   closures riding along), the query layer's view fast path,
@@ -71,6 +73,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod storage;
 pub mod ticket;
+pub mod touch;
 pub mod view_cache;
 pub mod wal;
 

@@ -11,8 +11,10 @@
 //! explicit and [`MutationEffect`] reports exactly what changed, so each
 //! layer invalidates only what the effect can reach:
 //!
-//! * a **spec insert** appends postings and closure rows and can change
-//!   any group's answers;
+//! * a **spec insert** appends postings and closure rows; it can change
+//!   the answers of queries whose every token the new spec posts, and —
+//!   through the document count and the document frequencies of the
+//!   tokens it posts — the scores of ranked answers;
 //! * an **execution append** — the paper's dominant write, provenance
 //!   accruing over repeated executions — touches no specification text,
 //!   no hierarchy and no policy, so keyword indexes, access-view memos
@@ -21,10 +23,18 @@
 //!   spec but leaves index postings (classification is the owning
 //!   workflow, not the policy) and every *other* spec's state untouched;
 //! * a **spec delete** retires the id as a tombstone — its postings and
-//!   closure rows retract, its cached answers die, other specs are
-//!   untouched;
+//!   closure rows retract, the cached answers that could name it die,
+//!   other specs are untouched;
 //! * a **spec edit** rewrites searchable text in place — its postings
-//!   retract and re-index, structure and provenance stay put.
+//!   retract and re-index, structure and provenance stay put, and the
+//!   answers at stake are those of queries over its old *or* its new
+//!   vocabulary.
+//!
+//! "The answers a write can reach" is made exact by
+//! [`TouchStamps`](crate::touch::TouchStamps): the serving layers stamp the
+//! written spec's vocabulary on every effect but the execution append, and
+//! a cached answer survives the write iff the stamps say it cannot have
+//! been reached.
 //!
 //! The last two are the paper's sanitization/retraction scenario (exposed
 //! attributes withdrawn, module descriptions revised) and are the only
@@ -113,8 +123,9 @@ pub enum Mutation {
 /// contract serving layers key their maintenance on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MutationEffect {
-    /// A new specification exists: indexes append its entries, answer
-    /// caches are stale.
+    /// A new specification exists: indexes append its entries; cached
+    /// answers over its vocabulary, and ranked answers (the document count
+    /// moved), are stale.
     SpecInserted {
         /// The id the spec was assigned.
         spec: SpecId,

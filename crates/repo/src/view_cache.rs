@@ -8,7 +8,8 @@
 //! on the hierarchy's upper lattice). The cache keys views by
 //! `(SpecId, Prefix)` and tags entries with the repository version at build
 //! time, so any repository mutation invalidates stale entries lazily —
-//! the same discipline as [`crate::cache::GroupCache`]. Typed-mutation
+//! the exact-tag discipline of [`GroupCache::get`](crate::cache::GroupCache::get);
+//! views are never re-admitted across versions. Typed-mutation
 //! owners can do better than the raw version tag: [`ViewCache::advance`]
 //! carries every entry forward across writes that cannot stale a view
 //! (spec inserts, execution appends — views read only immutable spec

@@ -14,8 +14,13 @@
 //! * while nothing has been evicted, every stored entry still hits (removal
 //!   and slab compaction lose nothing);
 //! * an entry touched since the hand last passed it survives the next
-//!   eviction, and a stale-version entry never survives the hand passing
-//!   over it.
+//!   eviction, and an entry still carrying an older version never survives
+//!   the hand passing over it;
+//! * a validated lookup re-admits an older-version entry iff the caller
+//!   vouches for it, consulting the caller only then and with the entry's
+//!   own tag; a re-admitted entry carries the probe's version afterwards
+//!   and counts as touched, a rejected one is replaced in place by the
+//!   recompute's insert.
 //!
 //! Plus the deterministic work bound that replaces the old O(capacity)
 //! scan: N inserts into a full cache of capacity C inspect at most
@@ -102,6 +107,52 @@ impl GroupModel {
         Ok(got.is_some())
     }
 
+    /// [`GroupCache::get_validated`] at the current version, the caller
+    /// answering `vouch` for whatever older entry it is asked about. The
+    /// model: an entry at the current version is a plain hit that consults
+    /// nobody; an older one is handed over with its own tag and is served —
+    /// and re-tagged — iff vouched for; the counters say which happened.
+    fn get_validated(
+        &mut self,
+        group: &str,
+        query: &str,
+        vouch: bool,
+    ) -> Result<bool, TestCaseError> {
+        let key = (group.to_string(), query.to_string());
+        let stats = self.cache.stats();
+        let (revalidations, invalidations) = (stats.revalidations(), stats.invalidations());
+        let asked = std::cell::Cell::new(None);
+        let got = self.cache.get_validated(group, query, self.version, |tag| {
+            asked.set(Some(tag));
+            vouch
+        });
+        let stored = self.stored.get(&key).copied();
+        if let Some(tag) = asked.get() {
+            let (v, _) = stored.expect("consulted about a never-stored key");
+            prop_assert_eq!(tag, v, "consulted with a tag the entry never had");
+            prop_assert!(tag < self.version, "consulted about a current entry");
+            prop_assert_eq!(got.is_some(), vouch, "the caller's verdict was not honoured");
+        }
+        let readmitted = asked.get().is_some() && vouch;
+        let rejected = asked.get().is_some() && !vouch;
+        prop_assert_eq!(stats.revalidations(), revalidations + u64::from(readmitted));
+        prop_assert_eq!(stats.invalidations(), invalidations + u64::from(rejected));
+        match (got.as_deref(), stored) {
+            (Some(&value), Some((v, expect))) => {
+                prop_assert_eq!(value, expect, "wrong value for {}/{}", group, query);
+                prop_assert!(v == self.version || readmitted, "served across a version unvouched");
+                self.stored.insert(key, (self.version, expect));
+            }
+            (Some(_), None) => prop_assert!(false, "value for the never-stored {group}/{query}"),
+            (None, Some(_)) => prop_assert!(
+                rejected || self.resident.len() > self.capacity,
+                "{group}/{query} lost although nothing was ever evicted"
+            ),
+            (None, None) => {}
+        }
+        Ok(got.is_some())
+    }
+
     fn check(&self) -> Result<(), TestCaseError> {
         self.cache.assert_consistent();
         prop_assert!(self.cache.len() <= self.capacity);
@@ -116,7 +167,7 @@ proptest! {
     #[test]
     fn group_cache_agrees_with_the_naive_reference(
         capacity in 1usize..9,
-        ops in proptest::collection::vec((0u8..10, 0usize..3, 0usize..6), 1..160),
+        ops in proptest::collection::vec((0u8..13, 0usize..3, 0usize..6), 1..160),
     ) {
         let mut m = GroupModel::new(capacity);
         for (op, g, q) in ops {
@@ -166,6 +217,44 @@ proptest! {
                             "stale {}/{} survived the hand", group, query
                         );
                     }
+                }
+                // Validated lookups, vouched for or not; a re-admitted
+                // entry then hits at the probe's version and no longer at
+                // its old one.
+                10 => {
+                    let old = m.stored.get(&(group.to_string(), query.clone())).map(|&(v, _)| v);
+                    if m.get_validated(group, &query, q % 2 == 0)? {
+                        prop_assert!(m.get(group, &query, m.version)?, "re-tagged entry missed");
+                        if let Some(old) = old.filter(|&old| old != m.version) {
+                            prop_assert!(!m.get(group, &query, old)?, "hit at the tag it left");
+                        }
+                    }
+                }
+                // Re-admission is a use: with a fresh (so unreferenced)
+                // current entry for the hand to take instead, an entry
+                // re-admitted just now must survive the next eviction.
+                11 if capacity >= 2 => {
+                    m.version += 1;
+                    m.insert_fresh();
+                    if m.get_validated(group, &query, true)? {
+                        m.insert_fresh();
+                        prop_assert!(m.get(group, &query, m.version)?, "re-admitted entry evicted");
+                    }
+                }
+                // A rejected entry is replaced in place by the recompute's
+                // insert: nothing is evicted for it and the cache does not
+                // grow.
+                12 => {
+                    m.version += 1;
+                    let invalidations = m.cache.stats().invalidations();
+                    prop_assert!(!m.get_validated(group, &query, false)?);
+                    let held = m.cache.stats().invalidations() > invalidations;
+                    let (len, evictions) = (m.cache.len(), m.cache.stats().evictions());
+                    m.insert(group, &query);
+                    if held {
+                        prop_assert_eq!((m.cache.len(), m.cache.stats().evictions()), (len, evictions));
+                    }
+                    prop_assert!(m.get(group, &query, m.version)?, "the recompute's insert missed");
                 }
                 _ => {}
             }
@@ -262,9 +351,14 @@ proptest! {
 /// Eviction cost does not scale with capacity: N inserts into a full cache
 /// of capacity C inspect at most `2·N + C` slots — N reclaimed, at most one
 /// second chance per reference bit set in between, at most C set before.
+/// The bound holds whichever way the bits were raised: by plain hits, or by
+/// re-admitting every entry after a version bump (each re-admission is a
+/// use, and leaves no older-version slot for the hand to take for free).
 #[test]
 fn eviction_work_is_bounded_by_inserts_not_capacity() {
-    for capacity in [4usize, 4096, 65_536] {
+    for (capacity, readmitted) in
+        [4usize, 4096, 65_536].into_iter().flat_map(|c| [(c, false), (c, true)])
+    {
         let cache: GroupCache<usize> = GroupCache::new(capacity);
         let value = Arc::new(0);
         let key = |i: usize| (GROUPS[i % 3], format!("q{i}"));
@@ -273,18 +367,20 @@ fn eviction_work_is_bounded_by_inserts_not_capacity() {
             cache.insert(group, &query, 1, Arc::clone(&value));
         }
         // Worst case for the first sweep: every entry referenced.
+        let version = if readmitted { 2 } else { 1 };
         for i in 0..capacity {
             let (group, query) = key(i);
-            assert!(cache.get(group, &query, 1).is_some());
+            assert!(cache.get_validated(group, &query, version, |_| true).is_some());
         }
+        assert_eq!(cache.stats().revalidations(), if readmitted { capacity as u64 } else { 0 });
         assert_eq!((cache.len(), cache.stats().evictions()), (capacity, 0));
         let inserts = 2 * capacity;
         for i in capacity..capacity + inserts {
             let (group, query) = key(i);
-            cache.insert(group, &query, 1, Arc::clone(&value));
+            cache.insert(group, &query, version, Arc::clone(&value));
             // Every other insert is hit once, as under a real query mix.
             if i % 2 == 0 {
-                assert!(cache.get(group, &query, 1).is_some());
+                assert!(cache.get(group, &query, version).is_some());
             }
         }
         let (evictions, steps) = (cache.stats().evictions(), cache.stats().sweep_steps());
