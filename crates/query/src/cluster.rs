@@ -70,7 +70,7 @@ use ppwf_repo::mutation::SpecText;
 use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::principals::PrincipalRegistry;
 use ppwf_repo::repository::{deleted_spec_error, Repository, SpecEntry, SpecId};
-use ppwf_repo::snapshot::{CowChunk, CowImage, CHUNK_SPECS};
+use ppwf_repo::snapshot::{ChunkRef, CowImage};
 use ppwf_repo::storage::StorageBackend;
 use ppwf_repo::touch::{Depends, TouchStamps};
 use ppwf_repo::wal::{
@@ -369,11 +369,11 @@ impl EngineCluster {
     }
 
     /// The cluster's corpus re-assembled as one global repository: entries
-    /// in global id order, each shard-held entry cloned back whole — the
-    /// snapshot image. Its `version` counts entries, not the mutation
-    /// history (shard partitioning does not preserve the global mutation
-    /// counter); the durable call sites re-stamp it with the log's
-    /// acknowledged sequence number ([`Repository::set_version`]) so
+    /// in global id order, each shard-held entry cloned back (shallowly —
+    /// see [`SpecEntry`]) — the whole-image snapshot. Its `version` counts
+    /// entries, not the mutation history (shard partitioning does not
+    /// preserve the global mutation counter); the durable call sites
+    /// re-stamp it with the log's acknowledged sequence number ([`Repository::set_version`]) so
     /// snapshot + suffix replay ends bit-identical to a sequential replay
     /// of the whole history, and the rebuilt cluster re-partitions the
     /// entries exactly as original construction did. Retired global ids
@@ -1005,71 +1005,53 @@ impl EngineCluster {
         })
     }
 
-    /// Cadence snapshots for the durable write paths: build a
-    /// copy-on-write image — only the chunks the log saw dirtied since
-    /// the last snapshot are cloned out of the shards; clean chunks ride
-    /// along as manifest references — stamp it with the appended sequence
-    /// number (the assembly loses the global mutation count — see
-    /// [`Repository::set_version`]), and hand it to the log: inline, or
-    /// as a background pool job when the policy opts in. Against the old
-    /// whole-image clone this shrinks both the pause (O(dirty chunks)
-    /// cloning) and the write volume (clean chunks are never
-    /// re-serialized).
+    /// Cadence snapshots for the durable write paths: when the log says
+    /// one is due, capture a copy-on-write image ([`Self::cow_image`]),
+    /// stamped with the appended sequence number (the assembly loses the
+    /// global mutation count — see [`Repository::set_version`]), and hand
+    /// it to the log — written inline, or by a background pool job when
+    /// the policy opts in. The log charges planning, capture and hand-off
+    /// to [`DurabilityStats::snapshot_pause_us`]. A busy background job
+    /// skips the cadence before any of it runs.
     fn snapshot_on_cadence(&mut self) {
-        // The in-flight check keeps a busy background snapshot from
-        // charging the write path a wasted image assembly every cadence.
-        if !self
-            .durability
-            .as_ref()
-            .is_some_and(|log| log.snapshot_due() && !log.background_snapshot_in_flight())
-        {
-            return;
-        }
-        let spec_count = self.router.spec_count();
-        let log = self.durability.as_mut().expect("presence checked above");
-        let plan = log.snapshot_chunk_plan(spec_count);
-        let version = log.stats().last_seq;
-        // Retired globals serialize as tombstone slots (flag 0), keeping
-        // chunk math aligned with the id space. A live router slot whose
-        // shard entry is missing is an id-map inconsistency: skip this
-        // cadence rather than persist a wrong image or panic the write
-        // path — the WAL already holds every record, so recovery is
-        // unaffected and a later cadence (or restart) retries.
+        let Some(log) = self.durability.as_mut() else { return };
+        let version = log.next_seq() - 1;
+        let (router, shards) = (&self.router, &self.shards);
+        log.snapshot_if_due_with(router.spec_count(), |plan| {
+            Self::cow_image(router, shards, plan, version)
+        });
+    }
+
+    /// The copy-on-write image of the shards' corpus for a chunk `plan`:
+    /// clean chunks ride along as manifest references; every spec of a
+    /// chunk dirtied since the last snapshot is cloned out of its shard —
+    /// a **shallow** clone ([`SpecEntry`]): pointer copies of its
+    /// specification, hierarchy and executions, so capture costs O(specs +
+    /// executions) of the dirty chunks under the write lock and the
+    /// snapshot job serializes from data it shares with the shards.
+    /// Retired globals are tombstone slots (flag 0), keeping chunk math
+    /// aligned with the id space. A live router slot whose shard entry is
+    /// missing is an id-map inconsistency: `None` gives this cadence up
+    /// rather than persist a wrong image or panic the write path — the WAL
+    /// already holds every record, so recovery is unaffected and a later
+    /// cadence (or restart) retries.
+    fn cow_image(
+        router: &Router,
+        shards: &[QueryEngine],
+        plan: &[Option<ChunkRef>],
+        version: u64,
+    ) -> Option<CowImage> {
         let mut stale_route = false;
-        let chunks: Vec<CowChunk> = plan
-            .iter()
-            .enumerate()
-            .map(|(c, reuse)| match reuse {
-                Some(r) => CowChunk::Clean(*r),
-                None => {
-                    let lo = c * CHUNK_SPECS;
-                    let hi = spec_count.min(lo + CHUNK_SPECS);
-                    CowChunk::Dirty(
-                        (lo..hi)
-                            .map(|global| {
-                                let global = SpecId(global as u32);
-                                if self.router.is_retired(global) {
-                                    return None;
-                                }
-                                let entry =
-                                    self.router.locate(global).and_then(|(shard, local)| {
-                                        self.shards[shard].repo().entry(local)
-                                    });
-                                if entry.is_none() {
-                                    stale_route = true;
-                                }
-                                entry.cloned()
-                            })
-                            .collect(),
-                    )
-                }
-            })
-            .collect();
-        if stale_route {
-            return;
-        }
-        let log = self.durability.as_mut().expect("presence checked above");
-        log.snapshot_if_due_cow(CowImage { version, chunks });
+        let image = CowImage::capture(version, router.spec_count(), plan, |global| {
+            if router.is_retired(global) {
+                return None;
+            }
+            let entry =
+                router.locate(global).and_then(|(shard, local)| shards[shard].repo().entry(local));
+            stale_route |= entry.is_none();
+            entry.cloned()
+        });
+        (!stale_route).then_some(image)
     }
 
     /// The validation the routed apply would run, without applying — the
@@ -1800,6 +1782,73 @@ mod tests {
         // Deletes without a matching override skip the rebuild.
         c.mutate(Mutation::DeleteSpec { spec: SpecId(2) }).unwrap();
         assert_eq!(c.registry_view_rebuilds(), 1);
+    }
+
+    #[test]
+    fn snapshot_pause_is_charged_the_image_capture() {
+        use ppwf_repo::storage::MemStorage;
+        use std::time::Instant;
+        const SPECS: usize = 32;
+        const EXECS: usize = 64;
+        // One cadence snapshot, due exactly at the last write: by then
+        // every spec carries its accrued executions and every chunk is
+        // dirty, so the image capture is the bulk of the pause.
+        let policy = DurabilityPolicy {
+            background_snapshots: true,
+            snapshot_every: (SPECS + SPECS * EXECS) as u64,
+            ..DurabilityPolicy::default()
+        };
+        let pool = Arc::new(WorkerPool::new(1));
+        let (mut c, _) = EngineCluster::open_durable(
+            Arc::new(MemStorage::new()) as Arc<dyn StorageBackend>,
+            policy,
+            registry(),
+            2,
+            ShardStrategy::RoundRobin,
+            pool,
+        )
+        .expect("open durable cluster");
+        let (fixture, _) = fixtures::disease_susceptibility();
+        let exec = fixtures::disease_susceptibility_execution(&fixture);
+        for _ in 0..SPECS {
+            let (spec, _) = fixtures::disease_susceptibility();
+            c.mutate(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
+        }
+        let mut writes = (0..SPECS * EXECS).map(|i| Mutation::AddExecution {
+            spec: SpecId((i % SPECS) as u32),
+            exec: exec.clone(),
+        });
+        let last = writes.next_back().expect("at least one execution");
+        for write in writes {
+            c.mutate(write).unwrap();
+        }
+        assert_eq!(c.durability_stats().unwrap().snapshots, 0, "not due yet");
+
+        // What capturing this image takes, observed directly: the fastest
+        // of several all-dirty captures.
+        let plan = vec![None; SPECS.div_ceil(ppwf_repo::snapshot::CHUNK_SPECS)];
+        let observed = (0..5)
+            .map(|_| {
+                let t = Instant::now();
+                let image = EngineCluster::cow_image(&c.router, &c.shards, &plan, 0);
+                let took = t.elapsed();
+                assert!(image.is_some());
+                took
+            })
+            .min()
+            .expect("five samples");
+
+        c.mutate(last).unwrap();
+        while c.background_snapshot_in_flight() {
+            std::thread::yield_now();
+        }
+        let stats = c.durability_stats().unwrap();
+        assert_eq!(stats.background_snapshots, 1, "the last write's cadence snapshot ran");
+        assert!(
+            u128::from(stats.snapshot_pause_us + 1) >= observed.as_micros(),
+            "pause {} us reported for a snapshot whose image capture alone takes {observed:?}",
+            stats.snapshot_pause_us
+        );
     }
 
     #[test]

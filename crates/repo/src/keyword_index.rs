@@ -86,11 +86,13 @@ impl SpecTextFingerprint {
 }
 
 /// The exact index keys one spec's postings live under — the reverse map
-/// that makes [`KeywordIndex::delete_spec`] /
-/// [`KeywordIndex::edit_spec`] retraction O(spec's own postings) instead
-/// of O(index): by the time a delete's maintenance runs, the repository
-/// entry is already a tombstone, so the keys cannot be recomputed from
-/// the spec text.
+/// that lets [`KeywordIndex::delete_spec`] / [`KeywordIndex::edit_spec`]
+/// visit only the spec's own keys instead of the whole index: by the time
+/// a delete's maintenance runs, the repository entry is already a
+/// tombstone, so the keys cannot be recomputed from the spec text. Per key
+/// the work is what [`PostingList::remove_spec`] documents — the spec's
+/// own postings in a pending tail or bitmap, the skip-located block(s) of
+/// a delta list — never the key's whole list.
 #[derive(Clone, Debug, Default)]
 struct PostedTerms {
     /// Sorted, deduplicated single-token keys the spec posted under.
@@ -106,9 +108,10 @@ struct PostedTerms {
 /// The index.
 #[derive(Debug, Default)]
 pub struct KeywordIndex {
-    /// Block-compressed per-token postings (see [`crate::postings`]);
-    /// appends land in each list's uncompressed tail and seal lazily on
-    /// first lookup.
+    /// Block-compressed per-token postings (see [`crate::postings`]): new
+    /// specs land in each list's uncompressed tail and seal lazily on
+    /// first lookup; retraction and splice edit the list in place, sealed
+    /// or not.
     terms: HashMap<String, PostingList>,
     /// Whole keyword tags, normalized, for phrase matching.
     phrases: HashMap<String, PostingList>,
@@ -134,6 +137,9 @@ pub struct KeywordIndex {
     /// [`Self::delete_spec`] / [`Self::edit_spec`] maintenance — the
     /// destructive-write instrument (E19).
     docs_retracted: usize,
+    /// Lifetime count of postings targeted maintenance had to materialize
+    /// (see [`Self::postings_decoded_by_maintenance`]).
+    postings_decoded_by_maintenance: usize,
     /// Lifetime count of [`Self::refresh_trusted`] calls that skipped the
     /// fingerprint verification scan — the trusted-epoch instrument.
     trusted_refreshes: usize,
@@ -146,14 +152,52 @@ pub struct KeywordIndex {
     /// append-only since the last reconcile, so the trusted shortcut
     /// would serve stale postings and must fall back to verification.
     structure_epoch_at: u64,
-    /// Per-query-term document-frequency memo ([`Self::df_cached`]). The
-    /// postings are immutable after build, so entries are tagged only by
-    /// living inside this index instance — a mutation rebuilds the index
-    /// (at the new `built_at`) and the memo dies with it. Bounded at
-    /// [`DF_MEMO_CAP`]: terms are user-supplied strings, and a mutation-
-    /// free workload never rebuilds, so an unbounded memo would be an
-    /// attacker-controllable allocation.
-    df_memo: RwLock<HashMap<String, usize>>,
+    /// Per-query-term document-frequency memo ([`Self::df_cached`]).
+    /// Bounded at [`DF_MEMO_CAP`]: terms are user-supplied strings, and a
+    /// mutation-free workload never rebuilds, so an unbounded memo would
+    /// be an attacker-controllable allocation.
+    df_memo: RwLock<DfMemo>,
+}
+
+/// The df memo and the reverse map that makes its invalidation a lookup
+/// per touched key. A memoized term's df can move only when a written spec
+/// posts the term's first token: a single token reads that token's list, a
+/// phrase reads its whole-tag list — whose every poster also posts each of
+/// the tag's tokens — and the first token's list. So a write drops, for
+/// each token it touched, exactly the memo entries filed under that token.
+#[derive(Debug, Default)]
+struct DfMemo {
+    /// Verbatim query term → df.
+    df: HashMap<String, usize>,
+    /// Normalized first token → the memoized terms that start with it.
+    /// Tokenless terms (df always 0) are memoized but filed nowhere.
+    by_first_token: HashMap<String, Vec<String>>,
+    /// Lifetime count of memo entries invalidation looked at — the
+    /// instrument behind "a write touching k keys inspects O(k) entries".
+    inspected: usize,
+}
+
+impl DfMemo {
+    fn insert(&mut self, term: &str, df: usize) {
+        if self.df.len() >= DF_MEMO_CAP && !self.df.contains_key(term) {
+            return;
+        }
+        if self.df.insert(term.to_string(), df).is_none() {
+            if let Some(first) = tokens(term).next() {
+                self.by_first_token.entry(first.into_owned()).or_default().push(term.to_string());
+            }
+        }
+    }
+
+    /// Drop every entry filed under one of `touched` (normalized tokens).
+    fn invalidate<'a>(&mut self, touched: impl IntoIterator<Item = &'a String>) {
+        for token in touched {
+            for term in self.by_first_token.remove(token).unwrap_or_default() {
+                self.inspected += 1;
+                self.df.remove(&term);
+            }
+        }
+    }
 }
 
 /// Most distinct query terms the df memo retains. Past the cap,
@@ -229,23 +273,26 @@ fn index_entry(
 }
 
 /// Insert one spec's freshly sorted postings into `map[key]` at their id
-/// position. The spec's old postings were already retracted, and all the
-/// new ones share one spec id (the sort key's leading component), so a
-/// single contiguous splice at the partition point reproduces exactly the
-/// `(spec, workflow, module)` order a fresh build would emit.
-fn splice_postings(map: &mut HashMap<String, PostingList>, key: String, new: Vec<Posting>) {
-    debug_assert!(!new.is_empty());
-    match map.get(&key) {
-        None => {
-            map.insert(key, PostingList::from_postings(new));
-        }
-        Some(list) => {
-            let mut v = list.to_vec();
-            let at = v.partition_point(|p| p.spec < new[0].spec);
-            v.splice(at..at, new);
-            map.insert(key, PostingList::from_postings(v));
-        }
+/// position, in place ([`PostingList::insert_spec_postings`]; a new key
+/// starts as an unsealed list). The spec's old postings were already
+/// retracted, and all the new ones share one spec id (the sort key's
+/// leading component), so the single contiguous insert reproduces exactly
+/// the `(spec, workflow, module)` order a fresh build would emit. Returns
+/// the postings the insert had to materialize.
+fn splice_postings(map: &mut HashMap<String, PostingList>, key: String, new: &[Posting]) -> usize {
+    map.entry(key).or_default().insert_spec_postings(new)
+}
+
+/// Drop `spec`'s postings from `map[key]` in place
+/// ([`PostingList::remove_spec`]), removing the key when its list empties;
+/// returns the postings the removal had to materialize.
+fn retract_postings(map: &mut HashMap<String, PostingList>, key: &str, spec: SpecId) -> usize {
+    let Some(list) = map.get_mut(key) else { return 0 };
+    let touched = list.remove_spec(spec);
+    if list.is_empty() {
+        map.remove(key);
     }
+    touched
 }
 
 impl KeywordIndex {
@@ -336,17 +383,24 @@ impl KeywordIndex {
     /// targeted-maintenance fallbacks: rebuild from scratch, then restore
     /// the lifetime instruments the fresh build wiped. `full_builds`
     /// accumulates (the rebuild *is* one more full build);
-    /// `docs_indexed`, `docs_retracted` and `trusted_refreshes` are
-    /// restored **by assignment** — a rebuild's own corpus pass is
-    /// charged to `full_builds` alone, never double-counted into the
-    /// incremental-work counter (see [`Self::docs_indexed`]).
+    /// `docs_indexed`, `docs_retracted`, `postings_decoded_by_maintenance`
+    /// and `trusted_refreshes` are restored **by assignment** — a
+    /// rebuild's own corpus pass is charged to `full_builds` alone, never
+    /// double-counted into the incremental-work counter (see
+    /// [`Self::docs_indexed`]).
     fn rebuild(&mut self, repo: &Repository) {
-        let (full_builds, docs_indexed, docs_retracted, trusted) =
-            (self.full_builds, self.docs_indexed, self.docs_retracted, self.trusted_refreshes);
+        let (full_builds, docs_indexed, docs_retracted, decoded, trusted) = (
+            self.full_builds,
+            self.docs_indexed,
+            self.docs_retracted,
+            self.postings_decoded_by_maintenance,
+            self.trusted_refreshes,
+        );
         *self = KeywordIndex::build(repo);
         self.full_builds += full_builds;
         self.docs_indexed = docs_indexed;
         self.docs_retracted = docs_retracted;
+        self.postings_decoded_by_maintenance = decoded;
         self.trusted_refreshes = trusted;
     }
 
@@ -421,22 +475,8 @@ impl KeywordIndex {
             self.fingerprints.push(Some(SpecTextFingerprint::of(entry)));
             self.spec_posted.insert(sid, posted);
         }
-        if !new_terms.is_empty() || !new_phrases.is_empty() {
-            // Drop only the memo entries the append could have changed: a
-            // term's df moves iff the new specs post its (first) token or
-            // its exact phrase tag. Keys are memoized verbatim, so
-            // normalize before probing the touched sets.
-            self.df_memo.write().retain(|k, _| {
-                let tokens = tokenize(k);
-                match tokens.split_first() {
-                    None => true, // tokenless keys always have df 0
-                    Some((first, rest)) => {
-                        !new_terms.contains_key(first.as_str())
-                            && (rest.is_empty() || !new_phrases.contains_key(&tokens.join(" ")))
-                    }
-                }
-            });
-        }
+        // Drop only the memo entries the append could have changed.
+        self.df_memo.get_mut().invalidate(new_terms.keys());
         for (term, mut postings) in new_terms {
             postings.sort_by_key(|p| (p.spec, p.workflow, p.module));
             self.terms.entry(term).or_default().append_sorted(postings);
@@ -449,63 +489,33 @@ impl KeywordIndex {
         self.structure_epoch_at = repo.structure_epoch();
     }
 
-    /// Drop the memo entries whose df the given **sorted** touched key
-    /// sets could have moved — the retraction-side twin of the append
-    /// path's per-touched-term invalidation.
-    fn invalidate_df_memo_for(&self, terms: &[String], phrases: &[String]) {
-        if terms.is_empty() && phrases.is_empty() {
-            return;
-        }
-        self.df_memo.write().retain(|k, _| {
-            let tokens = tokenize(k);
-            match tokens.split_first() {
-                None => true,
-                Some((first, rest)) => {
-                    terms.binary_search(first).is_err()
-                        && (rest.is_empty() || phrases.binary_search(&tokens.join(" ")).is_err())
-                }
-            }
-        });
-    }
-
     /// Retract every posting `spec` contributed under the keys `posted`
-    /// records: decode each touched list, drop the spec's postings,
-    /// re-seal (or remove the key outright when it empties). Posting
-    /// order is untouched for the surviving entries, so the result is
-    /// bit-identical to a fresh build over the post-retraction corpus.
+    /// records, each list edited in place (a key whose list empties is
+    /// removed outright), and drop the df-memo entries those keys could
+    /// have moved. Posting order is untouched for the surviving entries,
+    /// so the result is bit-identical to a fresh build over the
+    /// post-retraction corpus.
     fn retract(&mut self, spec: SpecId, posted: &PostedTerms) {
         for key in &posted.terms {
-            let Some(list) = self.terms.get(key) else { continue };
-            let mut v = list.to_vec();
-            v.retain(|p| p.spec != spec);
-            if v.is_empty() {
-                self.terms.remove(key);
-            } else {
-                self.terms.insert(key.clone(), PostingList::from_postings(v));
-            }
+            self.postings_decoded_by_maintenance += retract_postings(&mut self.terms, key, spec);
         }
         for key in &posted.phrases {
-            let Some(list) = self.phrases.get(key) else { continue };
-            let mut v = list.to_vec();
-            v.retain(|p| p.spec != spec);
-            if v.is_empty() {
-                self.phrases.remove(key);
-            } else {
-                self.phrases.insert(key.clone(), PostingList::from_postings(v));
-            }
+            self.postings_decoded_by_maintenance += retract_postings(&mut self.phrases, key, spec);
         }
         for m in &posted.modules {
             self.module_tokens.remove(&(spec, *m));
         }
-        self.invalidate_df_memo_for(&posted.terms, &posted.phrases);
+        self.df_memo.get_mut().invalidate(&posted.terms);
     }
 
     /// Targeted maintenance for
     /// [`MutationEffect::SpecDeleted`](crate::mutation::MutationEffect::SpecDeleted):
-    /// retract exactly the deleted spec's postings — O(its own postings),
-    /// not O(index) — using the [`PostedTerms`] reverse map (the
-    /// repository entry is already a tombstone, so the keys cannot be
-    /// recomputed from text). Falls back to the verifying [`Self::refresh`]
+    /// retract exactly the deleted spec's postings, visiting only the
+    /// keys the [`PostedTerms`] reverse map lists for it (the repository
+    /// entry is already a tombstone, so the keys cannot be recomputed from
+    /// text) and editing each key's list in place — see
+    /// [`Self::postings_decoded_by_maintenance`] for what that decodes.
+    /// Falls back to the verifying [`Self::refresh`]
     /// (which rebuilds on the fingerprint mismatch) when the index never
     /// indexed the spec — the honest degenerate boundary E19 measures.
     pub fn delete_spec(&mut self, repo: &Repository, spec: SpecId) {
@@ -526,8 +536,9 @@ impl KeywordIndex {
     /// Targeted maintenance for
     /// [`MutationEffect::SpecEdited`](crate::mutation::MutationEffect::SpecEdited):
     /// retract the spec's old postings and re-index its current text in
-    /// place. The re-indexed postings are spliced back at their id
-    /// position, so per-term order — and therefore every downstream
+    /// place. The re-indexed postings are inserted back at their id
+    /// position inside each key's list (no list is decoded whole or
+    /// unsealed), so per-term order — and therefore every downstream
     /// ranked score — is bit-identical to a fresh build. Falls back to
     /// the verifying [`Self::refresh`] when the index has no record of
     /// the spec.
@@ -553,14 +564,16 @@ impl KeywordIndex {
         );
         self.doc_count += docs;
         self.docs_indexed += docs;
-        self.invalidate_df_memo_for(&posted.terms, &posted.phrases);
+        self.df_memo.get_mut().invalidate(&posted.terms);
         for (key, mut postings) in new_terms {
             postings.sort_by_key(|p| (p.spec, p.workflow, p.module));
-            splice_postings(&mut self.terms, key, postings);
+            self.postings_decoded_by_maintenance +=
+                splice_postings(&mut self.terms, key, &postings);
         }
         for (key, mut postings) in new_phrases {
             postings.sort_by_key(|p| (p.spec, p.workflow, p.module));
-            splice_postings(&mut self.phrases, key, postings);
+            self.postings_decoded_by_maintenance +=
+                splice_postings(&mut self.phrases, key, &postings);
         }
         if let Some(fp) = self.fingerprints.get_mut(spec.0 as usize) {
             *fp = Some(SpecTextFingerprint::of(entry));
@@ -614,11 +627,24 @@ impl KeywordIndex {
         self.docs_retracted
     }
 
+    /// Lifetime count of postings targeted [`Self::delete_spec`] /
+    /// [`Self::edit_spec`] maintenance had to materialize to edit the
+    /// touched lists in place — per key, what
+    /// [`PostingList::remove_spec`] / [`PostingList::insert_spec_postings`]
+    /// return: the spec's own postings in a pending tail or bitmap, at most
+    /// [`BLOCK_POSTINGS`](crate::postings::BLOCK_POSTINGS) per delta block
+    /// that can hold the spec, and a whole list only when the edit flips
+    /// its shape. The work-bound instrument beside
+    /// [`Self::docs_retracted`].
+    pub fn postings_decoded_by_maintenance(&self) -> usize {
+        self.postings_decoded_by_maintenance
+    }
+
     /// Whether `term`'s document frequency is currently memoized —
     /// instrument for the per-term (not wholesale) memo invalidation
     /// tests.
     pub fn df_memoized(&self, term: &str) -> bool {
-        self.df_memo.read().contains_key(term)
+        self.df_memo.read().df.contains_key(term)
     }
 
     /// Number of indexed modules.
@@ -801,14 +827,11 @@ impl KeywordIndex {
     /// ranked gather used to pay per shard per request. First request per
     /// term per index build computes; every later one is a map probe.
     pub fn df_cached(&self, term: &str) -> usize {
-        if let Some(&df) = self.df_memo.read().get(term) {
+        if let Some(&df) = self.df_memo.read().df.get(term) {
             return df;
         }
         let df = self.df(term);
-        let mut memo = self.df_memo.write();
-        if memo.len() < DF_MEMO_CAP || memo.contains_key(term) {
-            memo.insert(term.to_string(), df);
-        }
+        self.df_memo.write().insert(term, df);
         df
     }
 
@@ -993,7 +1016,7 @@ mod tests {
         for i in 0..DF_MEMO_CAP + 50 {
             assert_eq!(idx.df_cached(&format!("zz{i}")), 0);
         }
-        assert!(idx.df_memo.read().len() <= DF_MEMO_CAP);
+        assert!(idx.df_memo.read().df.len() <= DF_MEMO_CAP);
         assert_eq!(idx.df_cached("query"), idx.df("query"), "past-cap lookups still correct");
     }
 
@@ -1079,6 +1102,37 @@ mod tests {
         assert!(idx.df_memoized("unobtainium"), "untouched term must survive the append");
         assert_eq!(idx.df_cached("database"), df_database * 2, "recomputed df sees both specs");
         assert_eq!(idx.df_cached("unobtainium"), 0);
+    }
+
+    #[test]
+    fn a_write_inspects_only_the_memo_entries_filed_under_its_tokens() {
+        let mut r = repo();
+        let mut idx = KeywordIndex::build(&r);
+        // A memo full of terms no fixture spec posts, and three a fixture
+        // insert touches: a token, a tag phrase and a name phrase.
+        for i in 0..2_000 {
+            idx.df_cached(&format!("unrelated{i}"));
+        }
+        for term in ["database", "Disorder Risks", "expand snp"] {
+            idx.df_cached(term);
+        }
+        let inspected = |idx: &KeywordIndex| idx.df_memo.read().inspected;
+        assert_eq!(inspected(&idx), 0);
+        let (spec, _) = fixtures::disease_susceptibility();
+        r.insert_spec(spec, Policy::public()).unwrap();
+        idx.refresh_trusted(&r);
+        assert_eq!(inspected(&idx), 3, "the append looked at the three entries it dropped");
+        assert!(!idx.df_memoized("Disorder Risks") && !idx.df_memoized("expand snp"));
+        assert!(idx.df_memoized("unrelated7"));
+        // A delete touches the same keys: nothing of theirs is memoized
+        // any more, so it inspects nothing however full the memo is.
+        r.delete_spec(SpecId(1)).unwrap();
+        idx.delete_spec(&r, SpecId(1));
+        assert_eq!(inspected(&idx), 3);
+        assert_eq!(idx.df_memo.read().df.len(), 2_000);
+        for term in ["database", "Disorder Risks", "expand snp"] {
+            assert_eq!(idx.df_cached(term), KeywordIndex::build(&r).df(term), "{term:?}");
+        }
     }
 
     #[test]

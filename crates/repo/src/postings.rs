@@ -12,16 +12,28 @@
 //!   intersection, O(1) membership) over a flat rank-indexed payload.
 //!   The variant is chosen per term at seal time by density
 //!   ([`prefers_bitmap`]).
-//! * **Append tail** — writes stay append-only and cheap: `append_sorted`
-//!   pushes to an uncompressed tail, and the list seals lazily on first
-//!   lookup. Incremental refreshes therefore keep their E13/E15 cost; the
-//!   seal is paid once, on the first read after a write, and delta lists
-//!   extend in place (new blocks) when the appended specs sort after the
-//!   sealed ones.
+//! * **Append tail** — new specs stay append-only and cheap:
+//!   `append_sorted` pushes to an uncompressed tail, and the list seals
+//!   lazily on first lookup. Incremental refreshes therefore keep their
+//!   E13/E15 cost; the seal is paid once, on the first read after an
+//!   append, and delta lists extend in place (new blocks) when the appended
+//!   specs sort after the sealed ones.
+//! * **In-place retraction and splice** — deleting or re-indexing one spec
+//!   ([`PostingList::remove_spec`] / [`PostingList::insert_spec_postings`])
+//!   never unseals and never decodes the whole list: a pending tail is
+//!   edited as the vector it is, a delta list decodes, re-encodes and
+//!   byte-splices only the skip-located block(s) that can hold the spec
+//!   (later offsets shifted, an emptied block dropped, an overfull one
+//!   split), and a bitmap flips one bit, moves the spec's payload range and
+//!   fixes the `starts` / `word_ranks` suffix. The one list is rebuilt only
+//!   when the edit flips its delta/bitmap preference or takes a bitmap's
+//!   minimum or maximum spec, so a list's shape is always the one a fresh
+//!   seal of the same postings would choose.
 //!
 //! Thread-safety mirrors the index's df memo: sealing happens under an
 //! interior [`RwLock`] so concurrent readers (the worker pool's scatter
-//! jobs) can share one index; appends take `&mut self` and never lock.
+//! jobs) can share one index; appends and the in-place kernels take
+//! `&mut self` and never lock.
 //!
 //! The module also owns [`QueryScratch`] / [`with_scratch`] — the
 //! thread-local, arena-style per-query scratch that the search and
@@ -33,6 +45,7 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use ppwf_model::ids::{ModuleId, WorkflowId};
 use serde::wire::{get_uvarint, put_uvarint};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// One match location for a term.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -170,6 +183,17 @@ fn encode_block(data: &mut Vec<u8>, postings: &[Posting]) {
     }
 }
 
+impl BlockSkip {
+    fn of(block: &[Posting], offset: usize) -> BlockSkip {
+        BlockSkip {
+            first_spec: block[0].spec.0,
+            max_spec: block[block.len() - 1].spec.0,
+            offset: offset as u32,
+            count: block.len() as u32,
+        }
+    }
+}
+
 impl DeltaList {
     fn build(postings: &[Posting]) -> DeltaList {
         let mut d = DeltaList::default();
@@ -177,17 +201,90 @@ impl DeltaList {
         d
     }
 
+    /// Replace blocks `range` by `postings` (sorted; empty drops the
+    /// blocks) re-encoded in as few near-equal blocks as hold them, so an
+    /// insert that overfills a block splits it in half rather than
+    /// shaving off a one-posting block. Bytes and skips are spliced in
+    /// place and every later block's offset shifts by the size change;
+    /// `len` / `distinct` are the caller's to adjust.
+    fn rewrite_blocks(&mut self, range: Range<usize>, postings: &[Posting]) {
+        let byte_at = |bi: usize| self.skips.get(bi).map_or(self.data.len(), |s| s.offset as usize);
+        let (start, end) = (byte_at(range.start), byte_at(range.end));
+        let mut bytes = Vec::new();
+        let mut skips = Vec::new();
+        if !postings.is_empty() {
+            let blocks = postings.len().div_ceil(BLOCK_POSTINGS);
+            for block in postings.chunks(postings.len().div_ceil(blocks)) {
+                skips.push(BlockSkip::of(block, start + bytes.len()));
+                encode_block(&mut bytes, block);
+            }
+        }
+        let shift = bytes.len() as i64 - (end - start) as i64;
+        for later in &mut self.skips[range.end..] {
+            later.offset = (later.offset as i64 + shift) as u32;
+        }
+        self.data.splice(start..end, bytes);
+        self.skips.splice(range, skips);
+    }
+
+    /// Drop every posting of `spec`, touching only the blocks whose skip
+    /// range can hold it (more than one when the spec straddles a block
+    /// boundary); returns the postings decoded to do so.
+    fn remove_spec(&mut self, spec: u32) -> usize {
+        let b0 = self.skips.partition_point(|s| s.max_spec < spec);
+        let b1 = b0 + self.skips[b0..].partition_point(|s| s.first_spec <= spec);
+        let mut block = Vec::new();
+        for bi in b0..b1 {
+            self.decode_block(bi, &mut block);
+        }
+        let decoded = block.len();
+        block.retain(|p| p.spec.0 != spec);
+        if block.len() < decoded {
+            self.rewrite_blocks(b0..b1, &block);
+            self.len -= decoded - block.len();
+            self.distinct -= 1;
+        }
+        decoded
+    }
+
+    /// Insert `run` — one spec's sorted postings, the spec not yet in the
+    /// list — into the one block its id position falls in (the last block
+    /// when it sorts after everything); returns the postings decoded.
+    fn insert_run(&mut self, run: &[Posting]) -> usize {
+        let spec = run[0].spec.0;
+        let mut block = Vec::new();
+        let target = match self.skips.len() {
+            0 => 0..0,
+            n => {
+                let bi = self.skips.partition_point(|s| s.max_spec < spec).min(n - 1);
+                self.decode_block(bi, &mut block);
+                bi..bi + 1
+            }
+        };
+        let decoded = block.len();
+        let at = block.partition_point(|p| p.spec.0 < spec);
+        debug_assert!(block.get(at).is_none_or(|p| p.spec.0 != spec), "spec already listed");
+        block.splice(at..at, run.iter().copied());
+        self.rewrite_blocks(target, &block);
+        self.len += run.len();
+        self.distinct += 1;
+        decoded
+    }
+
+    /// Spec-id span the density rule sees (`0` when empty).
+    fn span(&self) -> u64 {
+        match (self.first_spec(), self.max_spec()) {
+            (Some(first), Some(max)) => (max - first + 1) as u64,
+            _ => 0,
+        }
+    }
+
     /// Encode `postings` (sorted, specs ≥ the current maximum) as new
     /// blocks after the existing ones.
     fn push_blocks(&mut self, postings: &[Posting]) {
         let mut prev_spec = self.skips.last().map(|s| s.max_spec);
         for chunk in postings.chunks(BLOCK_POSTINGS) {
-            self.skips.push(BlockSkip {
-                first_spec: chunk[0].spec.0,
-                max_spec: chunk[chunk.len() - 1].spec.0,
-                offset: self.data.len() as u32,
-                count: chunk.len() as u32,
-            });
+            self.skips.push(BlockSkip::of(chunk, self.data.len()));
             encode_block(&mut self.data, chunk);
             for p in chunk {
                 if prev_spec != Some(p.spec.0) {
@@ -341,6 +438,59 @@ impl BitmapList {
         &self.postings[self.starts[rank] as usize..self.starts[rank + 1] as usize]
     }
 
+    /// Word index and bit mask of an in-range `spec`.
+    fn bit_of(&self, spec: u32) -> (usize, u64) {
+        let off = (spec - self.min_spec) as usize;
+        (off / 64, 1u64 << (off % 64))
+    }
+
+    /// Drop `spec`: its bit, its payload range, and the `starts` /
+    /// `word_ranks` entries after it; returns the postings removed. The
+    /// span is left alone — [`settle`] rebuilds a bitmap that lost a bound.
+    fn remove_spec(&mut self, spec: u32) -> usize {
+        let Some(rank) = self.rank(spec) else { return 0 };
+        let (from, to) = (self.starts[rank], self.starts[rank + 1]);
+        self.postings.drain(from as usize..to as usize);
+        self.starts.remove(rank);
+        for start in &mut self.starts[rank..] {
+            *start -= to - from;
+        }
+        let (w, bit) = self.bit_of(spec);
+        self.words[w] &= !bit;
+        for ranks in &mut self.word_ranks[w + 1..] {
+            *ranks -= 1;
+        }
+        self.distinct -= 1;
+        (to - from) as usize
+    }
+
+    /// Insert `run` — one spec's sorted postings, the spec absent and
+    /// inside `[min_spec, max_spec]` — at its rank: the mirror image of
+    /// [`Self::remove_spec`].
+    fn insert_run(&mut self, run: &[Posting]) {
+        let (w, bit) = self.bit_of(run[0].spec.0);
+        debug_assert_eq!(self.words[w] & bit, 0, "spec already listed");
+        let rank = self.word_ranks[w] as usize + (self.words[w] & (bit - 1)).count_ones() as usize;
+        let at = self.starts[rank];
+        self.postings.splice(at as usize..at as usize, run.iter().copied());
+        for start in &mut self.starts[rank..] {
+            *start += run.len() as u32;
+        }
+        self.starts.insert(rank, at);
+        self.words[w] |= bit;
+        for ranks in &mut self.word_ranks[w + 1..] {
+            *ranks += 1;
+        }
+        self.distinct += 1;
+    }
+
+    /// Whether both ends of the span are present specs, as a fresh build
+    /// guarantees and the density rule assumes.
+    fn is_tight(&self) -> bool {
+        let last = (self.span - 1) as usize;
+        self.words[0] & 1 != 0 && self.words[last / 64] & (1u64 << (last % 64)) != 0
+    }
+
     /// 64 membership bits for specs `[spec_base, spec_base + 64)`,
     /// shift-aligned out of this bitmap's own grid (zero outside range).
     fn extract_word(&self, spec_base: u32) -> u64 {
@@ -387,6 +537,59 @@ fn build_sealed(postings: Vec<Posting>) -> Option<Sealed> {
     }
 }
 
+impl Sealed {
+    fn max_spec(&self) -> Option<u32> {
+        match self {
+            Sealed::Delta(d) => d.max_spec(),
+            Sealed::Bitmap(b) => Some(b.max_spec()),
+        }
+    }
+
+    /// Every posting, decoded, in order — the input of a rebuild.
+    fn into_postings(self) -> Vec<Posting> {
+        match self {
+            Sealed::Delta(d) => {
+                let mut all = Vec::with_capacity(d.len);
+                for bi in 0..d.skips.len() {
+                    d.decode_block(bi, &mut all);
+                }
+                all
+            }
+            Sealed::Bitmap(b) => b.postings,
+        }
+    }
+}
+
+/// Restore the sealed invariants after an in-place edit: an emptied
+/// sealed part is dropped, and a list whose delta/bitmap preference
+/// flipped — or a bitmap whose minimum or maximum spec went — is rebuilt
+/// from its postings, so the shape stays the one [`build_sealed`] picks.
+/// Returns the postings rebuilt (`0` when the edit stood as made).
+fn settle(inner: &mut Inner) -> usize {
+    let rebuild = match &inner.sealed {
+        None => false,
+        Some(Sealed::Delta(d)) => d.skips.is_empty() || prefers_bitmap(d.distinct, d.span()),
+        Some(Sealed::Bitmap(b)) => {
+            b.distinct == 0 || !b.is_tight() || !prefers_bitmap(b.distinct, b.span as u64)
+        }
+    };
+    if rebuild {
+        rebuild_sealed(inner, |_| {})
+    } else {
+        0
+    }
+}
+
+/// Rebuild the sealed part from its decoded postings after `edit` has had
+/// its way with them; returns the postings rebuilt.
+fn rebuild_sealed(inner: &mut Inner, edit: impl FnOnce(&mut Vec<Posting>)) -> usize {
+    let mut all = inner.sealed.take().map(Sealed::into_postings).unwrap_or_default();
+    edit(&mut all);
+    let rebuilt = all.len();
+    inner.sealed = build_sealed(all);
+    rebuilt
+}
+
 fn seal(inner: &mut Inner) {
     if inner.tail.is_empty() {
         return;
@@ -412,16 +615,13 @@ fn seal(inner: &mut Inner) {
                 d.push_blocks(&tail);
                 Some(Sealed::Delta(d))
             } else {
-                let mut all = Vec::with_capacity(d.len + tail.len());
-                for bi in 0..d.skips.len() {
-                    d.decode_block(bi, &mut all);
-                }
+                let mut all = Sealed::Delta(d).into_postings();
                 merge_tail(&mut all, tail);
                 build_sealed(all)
             }
         }
-        Some(Sealed::Bitmap(b)) => {
-            let mut all = b.postings;
+        Some(bitmap) => {
+            let mut all = bitmap.into_postings();
             merge_tail(&mut all, tail);
             build_sealed(all)
         }
@@ -461,6 +661,60 @@ impl PostingList {
     /// wrong answers). Never locks, never re-encodes: O(new postings).
     pub fn append_sorted(&mut self, postings: impl IntoIterator<Item = Posting>) {
         self.inner.get_mut().tail.extend(postings);
+    }
+
+    /// Remove every posting of `spec`, in place: the pending tail is
+    /// filtered as the vector it is, and the sealed part gives up only
+    /// what can hold the spec — the skip-located delta block(s), or a
+    /// bitmap's bit and payload range (see the module docs). Survivors
+    /// keep their order and the list stays sealed. Returns the postings
+    /// the edit had to materialize — those removed from a tail or bitmap,
+    /// every posting of a delta block it decoded, and the whole list when
+    /// it had to be rebuilt — the maintenance-work instrument; removing an
+    /// absent spec from a bitmap or tail costs `0`.
+    pub fn remove_spec(&mut self, spec: SpecId) -> usize {
+        let inner = self.inner.get_mut();
+        let tail_before = inner.tail.len();
+        inner.tail.retain(|p| p.spec != spec);
+        let touched = match &mut inner.sealed {
+            None => 0,
+            Some(Sealed::Delta(d)) => d.remove_spec(spec.0),
+            Some(Sealed::Bitmap(b)) => b.remove_spec(spec.0),
+        };
+        tail_before - inner.tail.len() + touched + settle(inner)
+    }
+
+    /// Insert `run` — the postings of **one** spec the list does not hold,
+    /// sorted by `(workflow, module)` — at the spec's id position, in
+    /// place: the mirror image of [`Self::remove_spec`], with the same
+    /// return value. A spec past the sealed maximum joins the pending tail
+    /// when there is one (or nothing is sealed); otherwise the sealed part
+    /// takes it — one delta block decoded and re-encoded (split when it
+    /// overfills), or a bitmap's bit and payload range — and only a
+    /// bitmap asked to grow its span is rebuilt.
+    pub fn insert_spec_postings(&mut self, run: &[Posting]) -> usize {
+        let Some(first) = run.first() else { return 0 };
+        debug_assert!(run.iter().all(|p| p.spec == first.spec), "one spec per run");
+        let spec = first.spec.0;
+        let inner = self.inner.get_mut();
+        let sealed_max = inner.sealed.as_ref().and_then(Sealed::max_spec);
+        if sealed_max.is_none_or(|max| spec > max && !inner.tail.is_empty()) {
+            let at = inner.tail.partition_point(|p| p.spec.0 < spec);
+            inner.tail.splice(at..at, run.iter().copied());
+            return run.len();
+        }
+        let touched = match &mut inner.sealed {
+            Some(Sealed::Delta(d)) => d.insert_run(run),
+            Some(Sealed::Bitmap(b)) if (b.min_spec..=b.max_spec()).contains(&spec) => {
+                b.insert_run(run);
+                run.len()
+            }
+            _ => rebuild_sealed(inner, |all| {
+                let at = all.partition_point(|p| p.spec.0 < spec);
+                all.splice(at..at, run.iter().copied());
+            }),
+        };
+        touched + settle(inner)
     }
 
     /// Total postings (sealed + tail). Never seals — `df` probes stay

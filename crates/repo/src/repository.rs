@@ -17,6 +17,7 @@ use ppwf_model::ids::ModuleId;
 use ppwf_model::spec::Specification;
 use ppwf_model::{ModelError, Result};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Identifies a specification within a repository.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -30,21 +31,31 @@ impl SpecId {
 }
 
 /// One specification with its derived hierarchy, policy and executions.
+///
+/// `Clone` is **shallow**: an execution is immutable once recorded and a
+/// specification's structure changes only through
+/// [`Repository::edit_spec`], so both sit behind [`Arc`]s and a clone
+/// copies pointers — O(1 + executions), never the provenance itself. That
+/// is what lets a snapshot capture a frozen image under the write lock and
+/// serialize it later from the shared data: a later edit copies the
+/// specification out from under the image ([`Arc::make_mut`]) instead of
+/// changing it, and a later append, policy swap or delete only touches the
+/// live entry's own vector, policy or slot.
 #[derive(Clone, Debug)]
 pub struct SpecEntry {
     /// The specification.
-    pub spec: Specification,
+    pub spec: Arc<Specification>,
     /// Its expansion hierarchy (derived once at insert).
-    pub hierarchy: ExpansionHierarchy,
+    pub hierarchy: Arc<ExpansionHierarchy>,
     /// The privacy policy governing it.
     pub policy: Policy,
-    /// Recorded executions.
-    pub executions: Vec<Execution>,
+    /// Recorded executions, oldest first.
+    pub executions: Vec<Arc<Execution>>,
 }
 
-/// The repository. `Clone` is what background snapshots freeze: the
-/// mutating thread clones the image and hands it to a pool job, trading
-/// the serialize-and-fsync pause for transient memory.
+/// The repository. `Clone` is what snapshots freeze — a shallow copy (see
+/// [`SpecEntry`]), so the frozen image shares specifications and
+/// executions with the live repository.
 ///
 /// Storage is a slot vector: deleting a spec leaves a **tombstone** (a
 /// `None` slot) rather than compacting, so ids are never reassigned —
@@ -156,9 +167,14 @@ impl Repository {
     /// Insert a specification with its policy; validates the policy.
     pub fn insert_spec(&mut self, spec: Specification, policy: Policy) -> Result<SpecId> {
         policy.validate(&spec)?;
-        let hierarchy = ExpansionHierarchy::of(&spec);
+        let hierarchy = Arc::new(ExpansionHierarchy::of(&spec));
         let id = SpecId(self.entries.len() as u32);
-        self.entries.push(Some(SpecEntry { spec, hierarchy, policy, executions: Vec::new() }));
+        self.entries.push(Some(SpecEntry {
+            spec: Arc::new(spec),
+            hierarchy,
+            policy,
+            executions: Vec::new(),
+        }));
         self.live += 1;
         self.version += 1;
         Ok(id)
@@ -175,7 +191,7 @@ impl Repository {
                 entry.spec.name()
             )));
         }
-        entry.executions.push(exec);
+        entry.executions.push(Arc::new(exec));
         self.version += 1;
         Ok(())
     }
@@ -208,15 +224,16 @@ impl Repository {
     /// [`crate::mutation::SpecText`]). Structure, hierarchy, policy and
     /// executions are untouched by construction — only module names and
     /// keyword tags change — so no re-validation of any of them is
-    /// needed. Bumps both the version and the structure epoch.
+    /// needed. A specification some snapshot image still shares is copied
+    /// before it is changed ([`Arc::make_mut`]); the executions are never
+    /// copied. Bumps both the version and the structure epoch.
     pub fn edit_spec(&mut self, spec: SpecId, text: &crate::mutation::SpecText) -> Result<()> {
         self.check_edit(spec, text)?;
         let entry =
             self.entries[spec.index()].as_mut().expect("check_edit verified the slot is live");
+        let spec = Arc::make_mut(&mut entry.spec);
         for edit in &text.edits {
-            entry
-                .spec
-                .set_module_text(edit.module, &edit.name, &edit.keywords)
+            spec.set_module_text(edit.module, &edit.name, &edit.keywords)
                 .expect("check_edit verified every module edit");
         }
         self.version += 1;
@@ -633,7 +650,7 @@ mod tests {
     #[test]
     fn bad_spec_id_reports_true_len() {
         let mut repo = sample_repo();
-        let exec = repo.entry(SpecId(0)).unwrap().executions[0].clone();
+        let exec = Execution::clone(&repo.entry(SpecId(0)).unwrap().executions[0]);
         let err = repo.add_execution(SpecId(7), exec).unwrap_err();
         match err {
             ModelError::BadId { kind, index, len } => {

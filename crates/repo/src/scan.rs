@@ -38,7 +38,7 @@ where
     // Flatten the work list.
     let work: Vec<(SpecId, usize, &Execution)> = repo
         .entries()
-        .flat_map(|(sid, e)| e.executions.iter().enumerate().map(move |(i, x)| (sid, i, x)))
+        .flat_map(|(sid, e)| e.executions.iter().enumerate().map(move |(i, x)| (sid, i, &**x)))
         .collect();
     if work.is_empty() {
         return Vec::new();

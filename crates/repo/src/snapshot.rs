@@ -44,7 +44,7 @@
 //! wins, and replay skips records it covers).
 
 use crate::fnv::Fnv1a;
-use crate::repository::{self, Repository, SpecEntry};
+use crate::repository::{self, Repository, SpecEntry, SpecId};
 use crate::storage::StorageBackend;
 use crate::wal::{WalError, WalResult};
 use bytes::{BufMut, BytesMut};
@@ -86,10 +86,12 @@ pub struct ChunkRef {
     pub bytes: u32,
 }
 
-/// One chunk of a copy-on-write snapshot image: either the cloned
-/// entries of a chunk dirtied since the last snapshot (serialized and
-/// written by the snapshot job), or a reference to the previous
-/// manifest's chunk (reused without touching storage).
+/// One chunk of a copy-on-write snapshot image: either the entries of a
+/// chunk dirtied since the last snapshot — shallow clones sharing their
+/// specifications and executions with the live repository (see
+/// [`SpecEntry`]), serialized and written by the snapshot job — or a
+/// reference to the previous manifest's chunk (reused without touching
+/// storage).
 #[derive(Clone, Debug)]
 pub enum CowChunk {
     /// Slots to serialize (`None` = tombstone); covers one chunk-aligned
@@ -99,16 +101,44 @@ pub enum CowChunk {
     Clean(ChunkRef),
 }
 
-/// A frozen copy-on-write snapshot image: per-chunk clones of only the
-/// dirtied entry ranges, everything else carried by reference. This is
-/// what the background snapshot job receives instead of a whole
-/// [`Repository`] clone.
+/// A frozen copy-on-write snapshot image: per-chunk shallow clones of only
+/// the dirtied entry ranges, everything else carried by reference.
+/// Capturing one copies pointers — O(specs + executions) of the dirty
+/// chunks — and what it serializes to is fixed at capture: nothing a later
+/// mutation does to the live repository reaches the shared data.
 #[derive(Clone, Debug)]
 pub struct CowImage {
     /// Repository version counter the image was frozen at.
     pub version: u64,
     /// Chunks in id order; only the last may be partial.
     pub chunks: Vec<CowChunk>,
+}
+
+impl CowImage {
+    /// Capture the image a chunk `plan` asks for over an id space of
+    /// `entry_count` slots: chunk `c` rides along by reference when
+    /// `plan[c]` names its clean predecessor, and is otherwise cloned slot
+    /// by slot through `slot` (`None` = tombstone).
+    pub fn capture(
+        version: u64,
+        entry_count: usize,
+        plan: &[Option<ChunkRef>],
+        mut slot: impl FnMut(SpecId) -> Option<SpecEntry>,
+    ) -> CowImage {
+        let chunks = plan
+            .iter()
+            .enumerate()
+            .map(|(c, reuse)| match reuse {
+                Some(r) => CowChunk::Clean(*r),
+                None => {
+                    let lo = c * CHUNK_SPECS;
+                    let hi = entry_count.min(lo + CHUNK_SPECS);
+                    CowChunk::Dirty((lo..hi).map(|id| slot(SpecId(id as u32))).collect())
+                }
+            })
+            .collect();
+        CowImage { version, chunks }
+    }
 }
 
 /// What one chunked snapshot write did.
@@ -468,18 +498,8 @@ mod tests {
     /// Freeze `repo` into an all-dirty [`CowImage`] (what a first chunked
     /// snapshot — no prior manifest — serializes).
     fn all_dirty_image(repo: &Repository) -> CowImage {
-        let mut chunks = Vec::new();
-        let mut current = Vec::new();
-        for (_, slot) in repo.slots() {
-            current.push(slot.cloned());
-            if current.len() == CHUNK_SPECS {
-                chunks.push(CowChunk::Dirty(std::mem::take(&mut current)));
-            }
-        }
-        if !current.is_empty() {
-            chunks.push(CowChunk::Dirty(current));
-        }
-        CowImage { version: repo.version(), chunks }
+        let plan = vec![None; repo.len().div_ceil(CHUNK_SPECS)];
+        CowImage::capture(repo.version(), repo.len(), &plan, |id| repo.entry(id).cloned())
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! rename), remove, list. Two implementations ship:
 //!
 //! * [`FsStorage`] — real `std::fs` files rooted at a directory; atomic
-//!   replace is a temp-file write followed by `rename(2)`.
+//!   replace is a temp-file write followed by `rename(2)`, and the file
+//!   being appended to keeps its handle open between calls.
 //! * [`MemStorage`] — an in-memory map with **fault injection**: a byte
 //!   budget after which every write "loses power" mid-record (tearing the
 //!   tail exactly like a real crash), counters that fail the next N
@@ -48,7 +49,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A storage-layer failure: the operation, the file it targeted, and
 /// what went wrong. `crash` distinguishes an injected power-loss (state
@@ -137,6 +138,14 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
 #[derive(Debug)]
 pub struct FsStorage {
     root: PathBuf,
+    /// The open handle of the file appended to last — the log's active
+    /// segment — so a WAL frame costs one `write` and one `fsync`, not an
+    /// open and a close around each. One handle, not one per name: a
+    /// rotation replaces it, and `remove` / `write_atomic` of its name
+    /// drop it, so it never outlives the path it was opened at. It is
+    /// cloned out of the lock before any I/O, so the sync job's fsync never
+    /// holds up the next append.
+    active: Mutex<Option<(String, Arc<fs::File>)>>,
 }
 
 /// Prefix of in-flight atomic-replace temp files; crash leftovers with
@@ -149,7 +158,7 @@ impl FsStorage {
         let root = root.into();
         fs::create_dir_all(&root)
             .map_err(|e| StorageError::io("create_dir", &root.display().to_string(), e))?;
-        Ok(FsStorage { root })
+        Ok(FsStorage { root, active: Mutex::new(None) })
     }
 
     /// The storage root directory.
@@ -159,6 +168,24 @@ impl FsStorage {
 
     fn path(&self, name: &str) -> PathBuf {
         self.root.join(name)
+    }
+
+    fn active(&self) -> std::sync::MutexGuard<'_, Option<(String, Arc<fs::File>)>> {
+        self.active.lock().expect("no I/O or panic happens under the handle lock")
+    }
+
+    /// The cached append handle, if it is `name`'s.
+    fn cached(&self, name: &str) -> Option<Arc<fs::File>> {
+        self.active().as_ref().filter(|(cached, _)| cached == name).map(|(_, f)| Arc::clone(f))
+    }
+
+    /// Drop the cached handle if it is `name`'s: the path is about to stop
+    /// naming the file the handle writes to.
+    fn forget(&self, name: &str) {
+        let mut active = self.active();
+        if active.as_ref().is_some_and(|(cached, _)| cached == name) {
+            *active = None;
+        }
     }
 }
 
@@ -187,18 +214,30 @@ impl StorageBackend for FsStorage {
     }
 
     fn append(&self, name: &str, bytes: &[u8]) -> StorageResult<()> {
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(name))
-            .map_err(|e| StorageError::io("append", name, e))?;
-        file.write_all(bytes).map_err(|e| StorageError::io("append", name, e))
+        let file = match self.cached(name) {
+            Some(file) => file,
+            None => {
+                let file = fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(self.path(name))
+                    .map_err(|e| StorageError::io("append", name, e))?;
+                let file = Arc::new(file);
+                *self.active() = Some((name.to_string(), Arc::clone(&file)));
+                file
+            }
+        };
+        (&*file).write_all(bytes).map_err(|e| StorageError::io("append", name, e))
     }
 
     fn sync(&self, name: &str) -> StorageResult<()> {
-        let file =
-            fs::File::open(self.path(name)).map_err(|e| StorageError::io("sync", name, e))?;
-        file.sync_all().map_err(|e| StorageError::io("sync", name, e))
+        // Any handle of the file flushes it; a segment rotated away from
+        // (or never appended through this instance) is opened for the call.
+        let synced = match self.cached(name) {
+            Some(file) => file.sync_all(),
+            None => fs::File::open(self.path(name)).and_then(|file| file.sync_all()),
+        };
+        synced.map_err(|e| StorageError::io("sync", name, e))
     }
 
     fn exists(&self, name: &str) -> StorageResult<bool> {
@@ -210,6 +249,7 @@ impl StorageBackend for FsStorage {
     }
 
     fn write_atomic(&self, name: &str, bytes: &[u8]) -> StorageResult<()> {
+        self.forget(name);
         let tmp = self.path(&format!("{TMP_PREFIX}{name}"));
         let write = || -> std::io::Result<()> {
             let mut file = fs::File::create(&tmp)?;
@@ -228,6 +268,7 @@ impl StorageBackend for FsStorage {
     }
 
     fn remove(&self, name: &str) -> StorageResult<()> {
+        self.forget(name);
         match fs::remove_file(self.path(name)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -516,6 +557,34 @@ mod tests {
         assert_eq!(names, vec!["snap".to_string(), "wal-0".to_string()]);
         s.remove("wal-0").unwrap();
         assert_eq!(s.read("wal-0").unwrap(), None);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn fs_append_handle_never_outlives_the_path_it_was_opened_at() {
+        let root = std::env::temp_dir().join(format!("ppwf-storage-handle-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let s = FsStorage::open(&root).unwrap();
+        // Removal: the next append must create a new file, not write on
+        // into the unlinked one.
+        s.append("wal-0", b"old").unwrap();
+        s.remove("wal-0").unwrap();
+        s.append("wal-0", b"new").unwrap();
+        s.sync("wal-0").unwrap();
+        assert_eq!(s.read("wal-0").unwrap().unwrap(), b"new");
+        // Atomic replace (recovery truncating a torn tail): appends go to
+        // the replacement.
+        s.write_atomic("wal-0", b"kept").unwrap();
+        s.append("wal-0", b"+tail").unwrap();
+        assert_eq!(s.read("wal-0").unwrap().unwrap(), b"kept+tail");
+        // Rotation and back: each name keeps its own bytes, and a segment
+        // that is no longer the active one still syncs.
+        s.append("wal-1", b"next").unwrap();
+        s.sync("wal-0").unwrap();
+        s.append("wal-0", b"!").unwrap();
+        assert_eq!(s.read("wal-0").unwrap().unwrap(), b"kept+tail!");
+        assert_eq!(s.read("wal-1").unwrap().unwrap(), b"next");
+        assert!(s.sync("never-written").is_err());
         let _ = fs::remove_dir_all(&root);
     }
 }

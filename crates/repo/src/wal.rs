@@ -85,7 +85,7 @@ use crate::fnv::Fnv1a;
 use crate::mutation::{ModuleTextEdit, Mutation, SpecText};
 use crate::pool::WorkerPool;
 use crate::repository::{policy_codec, Repository, SpecId};
-use crate::snapshot::{self, ChunkRef, CowChunk, CowImage, CHUNK_SPECS};
+use crate::snapshot::{self, ChunkRef, CowImage, CHUNK_SPECS};
 use crate::storage::{StorageBackend, StorageError};
 use ppwf_model::codec;
 use ppwf_model::ids::ModuleId;
@@ -646,11 +646,11 @@ pub struct DurabilityPolicy {
     /// `None` (default): the per-record behavior, byte-identical logs.
     pub group_commit: Option<GroupCommit>,
     /// Write cadence snapshots on a [`WorkerPool`] job instead of the
-    /// mutating thread: the pause shrinks to a copy-on-write image of the
-    /// dirtied chunks, at the price of transient memory for the frozen
-    /// clones. Takes effect once a pool is attached
-    /// ([`DurableLog::set_snapshot_pool`]); without one, snapshots stay
-    /// inline.
+    /// mutating thread: the pause shrinks to capturing a copy-on-write
+    /// image of the dirtied chunks — pointer copies; the job serializes
+    /// from data it shares with the live repository. Takes effect once a
+    /// pool is attached ([`DurableLog::set_snapshot_pool`]); without one,
+    /// snapshots stay inline.
     pub background_snapshots: bool,
     /// Pipelined commit: the serving front appends through
     /// [`DurableLog::append_batch_pipelined`], deferring the covering
@@ -738,9 +738,11 @@ pub struct DurabilityStats {
     /// point.
     pub snapshot_failures: u64,
     /// µs the *mutating thread* spent paused inside cadence snapshots.
-    /// Inline: the full serialize + write + prune time. Background: just
-    /// the clone + rotation handoff — the pause the background path is
-    /// meant to shrink.
+    /// Inline: the full serialize + write + prune time. Background: chunk
+    /// planning, capturing the copy-on-write image (pointer copies of the
+    /// dirty chunks — by the log or by the caller of
+    /// [`DurableLog::snapshot_if_due_with`]) and the rotation hand-off —
+    /// the pause the background path is meant to shrink.
     pub snapshot_pause_us: u64,
     /// µs background snapshot jobs spent serializing, writing, and
     /// pruning off the mutating thread.
@@ -1217,72 +1219,55 @@ impl DurableLog {
     /// ([`DurabilityStats::snapshot_failures`]) and the log simply keeps
     /// its longer suffix — recovery is unaffected, just slower — until a
     /// later cadence point succeeds. Returns whether a snapshot was
-    /// written.
+    /// written. Background mode captures a copy-on-write image of `repo`
+    /// ([`Self::snapshot_if_due_with`]); inline mode writes the whole
+    /// image on this thread.
     pub fn snapshot_if_due(&mut self, repo: &Repository) -> bool {
-        if !self.snapshot_due() {
-            return false;
-        }
         if self.background_enabled() {
-            if self.bg.in_flight.load(Ordering::Acquire) {
-                // Skip (without resetting the cadence) rather than queue:
-                // the next due check retries once the job finishes.
-                return false;
-            }
-            let t = Instant::now();
-            let image = self.cow_image_of(repo);
-            let spawned = self.spawn_background_snapshot(image);
-            self.stats.snapshot_pause_us += t.elapsed().as_micros() as u64;
-            return spawned;
+            return self.snapshot_if_due_with(repo.len(), |plan| {
+                let slot = |id| repo.entry(id).cloned();
+                Some(CowImage::capture(repo.version(), repo.len(), plan, slot))
+            });
         }
-        self.snapshot_inline_counted(repo)
+        self.snapshot_due() && self.snapshot_inline_counted(repo)
     }
 
-    /// [`Self::snapshot_if_due`] for a caller that already assembled an
-    /// owned image of the acknowledged state (the cluster re-assembles
-    /// its shards for every snapshot): background mode clones only the
-    /// dirtied chunks out of the image into the pool job.
-    pub fn snapshot_if_due_image(&mut self, image: Repository) -> bool {
-        if !self.snapshot_due() {
+    /// [`Self::snapshot_if_due`] for a caller that captures the
+    /// copy-on-write image itself (the cluster captures it out of its
+    /// shards): when a snapshot is due — and no background job is still
+    /// running, which skips the cadence without resetting it — `capture`
+    /// receives the chunk plan over `entry_count` id slots (entry `c` is
+    /// `Some(chunk_ref)` when chunk `c` is clean since the last snapshot
+    /// and rides along by reference, `None` when it must be captured) and
+    /// returns the image, or `None` to give this cadence up. Background
+    /// mode moves the image into the pool job; inline mode writes the
+    /// chunked snapshot on this thread, with the usual failure counting.
+    ///
+    /// [`DurabilityStats::snapshot_pause_us`] is charged everything the
+    /// mutating thread spends in here — chunk planning, `capture`, and the
+    /// hand-off or inline write — so the pause an operator reads is the
+    /// pause the write path took, whoever assembled the image.
+    pub fn snapshot_if_due_with(
+        &mut self,
+        entry_count: usize,
+        capture: impl FnOnce(&[Option<ChunkRef>]) -> Option<CowImage>,
+    ) -> bool {
+        let background = self.background_enabled();
+        if !self.snapshot_due() || (background && self.bg.in_flight.load(Ordering::Acquire)) {
             return false;
-        }
-        if self.background_enabled() {
-            if self.bg.in_flight.load(Ordering::Acquire) {
-                return false;
-            }
-            let t = Instant::now();
-            let cow = self.cow_image_of(&image);
-            let spawned = self.spawn_background_snapshot(cow);
-            self.stats.snapshot_pause_us += t.elapsed().as_micros() as u64;
-            return spawned;
-        }
-        self.snapshot_inline_counted(&image)
-    }
-
-    /// [`Self::snapshot_if_due`] for a caller that built the
-    /// copy-on-write image itself (the cluster assembles only the chunks
-    /// [`Self::snapshot_chunk_plan`] marked dirty): background mode moves
-    /// the image into the pool job; inline mode writes the chunked
-    /// snapshot on this thread, with the usual failure counting.
-    pub fn snapshot_if_due_cow(&mut self, image: CowImage) -> bool {
-        if !self.snapshot_due() {
-            return false;
-        }
-        if self.background_enabled() {
-            if self.bg.in_flight.load(Ordering::Acquire) {
-                return false;
-            }
-            let t = Instant::now();
-            let spawned = self.spawn_background_snapshot(image);
-            self.stats.snapshot_pause_us += t.elapsed().as_micros() as u64;
-            return spawned;
         }
         let t = Instant::now();
-        let wrote = match self.snapshot_now_chunked(&image) {
-            Ok(()) => true,
-            Err(_) => {
-                self.stats.snapshot_failures += 1;
-                false
-            }
+        let plan = self.snapshot_chunk_plan(entry_count);
+        let wrote = match capture(&plan) {
+            None => false,
+            Some(image) if background => self.spawn_background_snapshot(image),
+            Some(image) => match self.snapshot_now_chunked(&image) {
+                Ok(()) => true,
+                Err(_) => {
+                    self.stats.snapshot_failures += 1;
+                    false
+                }
+            },
         };
         self.stats.snapshot_pause_us += t.elapsed().as_micros() as u64;
         wrote
@@ -1313,7 +1298,7 @@ impl DurableLog {
     /// (same entry population, no dirtying mutation), `None` when it must
     /// be re-serialized. `entry_count` is the acknowledged entry total
     /// the image will carry.
-    pub fn snapshot_chunk_plan(&mut self, entry_count: usize) -> Vec<Option<ChunkRef>> {
+    fn snapshot_chunk_plan(&mut self, entry_count: usize) -> Vec<Option<ChunkRef>> {
         self.refresh_manifest();
         let chunks = entry_count.div_ceil(CHUNK_SPECS);
         (0..chunks)
@@ -1331,27 +1316,6 @@ impl DurableLog {
                 }
             })
             .collect()
-    }
-
-    /// Build the copy-on-write image of `repo`: clean chunks by
-    /// reference, dirty ones cloned entry-by-entry.
-    fn cow_image_of(&mut self, repo: &Repository) -> CowImage {
-        let plan = self.snapshot_chunk_plan(repo.len());
-        let chunks = plan
-            .into_iter()
-            .enumerate()
-            .map(|(c, reuse)| match reuse {
-                Some(r) => CowChunk::Clean(r),
-                None => {
-                    let lo = c * CHUNK_SPECS;
-                    let hi = repo.len().min(lo + CHUNK_SPECS);
-                    CowChunk::Dirty(
-                        (lo..hi).map(|id| repo.entry(SpecId(id as u32)).cloned()).collect(),
-                    )
-                }
-            })
-            .collect();
-        CowImage { version: repo.version(), chunks }
     }
 
     /// Inline cadence snapshot with failure counting and pause timing.
@@ -1450,8 +1414,9 @@ impl DurableLog {
 
     /// Route cadence snapshots to `pool` when the policy opts in
     /// ([`DurabilityPolicy::background_snapshots`]): `snapshot_if_due`
-    /// then costs the mutating thread one repository clone plus a segment
-    /// rotation, and the serialize/write/prune work runs as a pool job.
+    /// then costs the mutating thread one shallow image capture plus a
+    /// segment rotation, and the serialize/write/prune work runs as a
+    /// pool job.
     /// Do not mix manual [`Self::snapshot_now`] calls with an in-flight
     /// background job — both walk and prune the same file set.
     pub fn set_snapshot_pool(&mut self, pool: Arc<WorkerPool>) {
