@@ -12,11 +12,11 @@
 //! Four measured sections:
 //!
 //! * **Append throughput.** The same typed write stream is appended to a
-//!   [`DurableLog`] over three backends: in-memory (the fault-injection
-//!   backend with no faults — the framing/checksum cost floor), real
-//!   files without per-record fsync, and real files with
-//!   durable-on-acknowledge fsync. The spread *is* the durability bill;
-//!   nothing here is gated, it is reported honestly.
+//!   [`DurableLog`] over two backends: in-memory (the fault-injection
+//!   backend with no faults — the framing/checksum cost floor) and real
+//!   files, where every append returns after its covering fsync. The
+//!   spread *is* the durability bill; nothing here is gated, it is
+//!   reported honestly.
 //! * **Recovery time vs log length.** Logs of growing record counts are
 //!   recovered with snapshots disabled (replay grows linearly) and with
 //!   the snapshot cadence on (replay is capped by the cadence, at the
@@ -33,16 +33,17 @@
 //!   with the two indexes asserted bit-identical first. This closes the
 //!   "O(1) structure-free refresh" item the E13 boundary documented.
 //! * **Read no-regression.** An engine grown through the durable write
-//!   path (WAL attached, fsync on) serves the read log against a fresh
+//!   path (WAL attached) serves the read log against a fresh
 //!   engine over the identical corpus: cold and warm ratios gated at
 //!   `--max-read-regression` — durability must cost the read path
 //!   nothing, because reads never touch the log.
 //!
 //! **Honest boundaries.** Per-record fsync dominates real-file appends
 //! (that is the point of durable-on-acknowledge — the number is reported,
-//! not hidden); a snapshot serializes the whole repository while the
-//! write path waits, so the snapshot cadence trades recovery replay
-//! length against a periodic write-path pause; and `refresh_trusted` is
+//! not hidden); this single-engine log has no pool, so a cadence snapshot
+//! serializes its dirty chunks while the write path waits, trading
+//! recovery replay length against a periodic write-path pause; and
+//! `refresh_trusted` is
 //! sound only because every durable write is a typed [`Mutation`] — the
 //! bench asserts bit-identity against the verifying path rather than
 //! assuming it. The binary exits non-zero when any acceptance gate fails.
@@ -152,13 +153,8 @@ fn standalone_stream(writes: usize, seed: u64) -> Vec<Mutation> {
 /// Append the whole stream through a fresh log over `backend`; returns
 /// (append+fsync µs total, bytes appended). Snapshots are disabled so
 /// the number is the pure append/sync path.
-fn append_pass(
-    backend: Arc<dyn StorageBackend>,
-    stream: &[Mutation],
-    fsync_each: bool,
-) -> (f64, u64) {
+fn append_pass(backend: Arc<dyn StorageBackend>, stream: &[Mutation]) -> (f64, u64) {
     let policy = DurabilityPolicy {
-        fsync_each,
         snapshot_every: 0,
         segment_bytes: 1 << 20,
         ..DurabilityPolicy::default()
@@ -188,12 +184,8 @@ fn recovery_time_us(
     reps: usize,
 ) -> f64 {
     let storage = Arc::new(MemStorage::new());
-    let policy = DurabilityPolicy {
-        fsync_each: false,
-        snapshot_every,
-        segment_bytes: 1 << 18,
-        ..DurabilityPolicy::default()
-    };
+    let policy =
+        DurabilityPolicy { snapshot_every, segment_bytes: 1 << 18, ..DurabilityPolicy::default() };
     let opened =
         DurableLog::open(Arc::clone(&storage) as Arc<dyn StorageBackend>, policy).expect("open");
     let mut log = opened.log;
@@ -267,26 +259,22 @@ fn main() {
 
     // -- section A: append throughput ---------------------------------------
     let fs_root = std::env::temp_dir().join(format!("ppwf-e15-{}", std::process::id()));
-    let (mem_us, bytes) = append_pass(Arc::new(MemStorage::new()), &standalone, true);
-    let fs_nosync = FsStorage::open(fs_root.join("nosync")).expect("temp storage root");
-    let (fs_nosync_us, _) = append_pass(Arc::new(fs_nosync), &standalone, false);
+    let (mem_us, bytes) = append_pass(Arc::new(MemStorage::new()), &standalone);
     let fs_sync = FsStorage::open(fs_root.join("sync")).expect("temp storage root");
-    let (fs_sync_us, _) = append_pass(Arc::new(fs_sync), &standalone, true);
+    let (fs_sync_us, _) = append_pass(Arc::new(fs_sync), &standalone);
     let _ = std::fs::remove_dir_all(&fs_root);
 
     let appends = standalone.len() as f64;
     let mb = bytes as f64 / (1024.0 * 1024.0);
     println!("\n-- append throughput ({} records, {:.2} MiB framed) --", standalone.len(), mb);
     println!("{:>28} {:>14} {:>12}", "backend", "µs/append", "MiB/s");
-    for (label, us) in [
-        ("memory (cost floor)", mem_us),
-        ("fs, no fsync", fs_nosync_us),
-        ("fs, fsync each (durable)", fs_sync_us),
-    ] {
+    for (label, us) in [("memory (cost floor)", mem_us), ("fs, fsync each (durable)", fs_sync_us)] {
         println!("{:>28} {:>14.2} {:>12.1}", label, us / appends, mb / (us / 1e6));
     }
-    let fsync_multiplier = fs_sync_us / fs_nosync_us;
-    println!("per-record fsync costs {fsync_multiplier:.1}x the unsynced fs append — the durability bill");
+    println!(
+        "the durable fs append costs {:.1}x the in-memory floor — the durability bill",
+        fs_sync_us / mem_us
+    );
 
     // -- section B: recovery time vs log length -----------------------------
     let recovery_base = e11_repo(&e11_corpus(128, config.seed ^ 0xBA5E));
@@ -372,7 +360,6 @@ fn main() {
     // measurement-order bias) and compare per-side minima.
     const COLD_REPS: usize = 3;
     let wal_policy = DurabilityPolicy {
-        fsync_each: true,
         snapshot_every: 64,
         segment_bytes: 1 << 18,
         ..DurabilityPolicy::default()
@@ -488,9 +475,7 @@ fn main() {
     "records": {records},
     "framed_mib": {mib:.3},
     "memory_us_per_append": {mem:.3},
-    "fs_nosync_us_per_append": {fsn:.3},
-    "fs_fsync_us_per_append": {fss:.3},
-    "fsync_multiplier_vs_nosync_fs": {fsm:.2}
+    "fs_fsync_us_per_append": {fss:.3}
   }},
   "recovery": [
     {recovery}
@@ -519,7 +504,7 @@ fn main() {
     "recovery_bit_identical_at_every_ladder_point": true,
     "every_mutate_appended_before_apply": true
   }},
-  "note": "per-record fsync dominates real-file appends (durable-on-acknowledge is priced, not hidden); a snapshot serializes the whole repository while the write path waits, trading recovery replay length against a periodic pause; refresh_trusted is sound only under typed mutations and is asserted bit-identical to the verifying path here"
+  "note": "per-record fsync dominates real-file appends (durable-on-acknowledge is priced, not hidden); without a pool a cadence snapshot serializes its dirty chunks while the write path waits, trading recovery replay length against a periodic pause; refresh_trusted is sound only under typed mutations and is asserted bit-identical to the verifying path here"
 }}
 "#,
         seed = config.seed,
@@ -529,9 +514,7 @@ fn main() {
         records = standalone.len(),
         mib = mb,
         mem = mem_us / appends,
-        fsn = fs_nosync_us / appends,
         fss = fs_sync_us / appends,
-        fsm = fsync_multiplier,
         recovery = recovery_json,
         rw = exec_stream.len(),
         vu = per_refresh(verify_us),

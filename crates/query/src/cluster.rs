@@ -74,8 +74,8 @@ use ppwf_repo::snapshot::{ChunkRef, CowImage};
 use ppwf_repo::storage::StorageBackend;
 use ppwf_repo::touch::{Depends, TouchStamps};
 use ppwf_repo::wal::{
-    DurabilityPolicy, DurabilityStats, DurableCallback, DurableLog, GroupCommit, RecoveryStats,
-    WalError, WalResult,
+    DurabilityPolicy, DurabilityStats, DurableCallback, DurableLog, RecoveryStats, WalError,
+    WalResult,
 };
 use std::collections::HashSet;
 use std::ops::Range;
@@ -297,22 +297,17 @@ impl EngineCluster {
         let mut cluster =
             EngineCluster::with_config(opened.repository, registry, shards, strategy, pool);
         let mut log = opened.log;
-        if log.policy().background_snapshots {
-            log.set_snapshot_pool(Arc::clone(&cluster.pool));
-        }
-        if log.policy().pipelined_commit {
-            log.set_sync_pool(Arc::clone(&cluster.pool));
-        }
+        log.set_pool(Arc::clone(&cluster.pool));
         cluster.durability = Some(log);
         Ok((cluster, opened.recovery))
     }
 
-    /// Attach a durable log: from here on, [`Self::mutate`] validates,
-    /// appends (global ids) and only then routes every mutation, and
-    /// snapshots the assembled global corpus on the log's cadence. If the
-    /// log is empty while the cluster already holds specs, a baseline
-    /// snapshot is written first so recovery always has a base covering
-    /// the pre-log history.
+    /// Attach a durable log: from here on, every write validates, appends
+    /// (global ids) and only then routes, and the cluster snapshots its
+    /// corpus on the log's cadence; the log's sync and snapshot jobs run on
+    /// the cluster's pool. If the log is empty while the cluster already
+    /// holds specs, a baseline snapshot is written first so recovery
+    /// always has a base covering the pre-log history.
     pub fn attach_durability(&mut self, mut log: DurableLog) -> WalResult<()> {
         if log.is_empty() && self.spec_count() > 0 {
             let mut image = self.assemble_repository().map_err(|e| WalError::Snapshot {
@@ -324,32 +319,22 @@ impl EngineCluster {
             image.set_version(log.stats().last_seq);
             log.snapshot_now(&image)?;
         }
-        if log.policy().background_snapshots {
-            log.set_snapshot_pool(Arc::clone(&self.pool));
-        }
-        if log.policy().pipelined_commit {
-            log.set_sync_pool(Arc::clone(&self.pool));
-        }
+        log.set_pool(Arc::clone(&self.pool));
         self.durability = Some(log);
         Ok(())
     }
 
-    /// The group-commit knobs of the attached log's policy, if any — the
-    /// serving front caches this at construction to size its batched
-    /// admission drains.
-    pub fn group_commit_policy(&self) -> Option<GroupCommit> {
-        self.durability.as_ref().and_then(|log| log.policy().group_commit)
+    /// `(max_batch, max_delay_us)` of the attached log's policy — how the
+    /// serving front sizes and holds its fenced write batches; one write
+    /// per batch and no delay without a log (there is no fsync to share).
+    pub(crate) fn write_batching(&self) -> (usize, u64) {
+        self.durability.as_ref().map_or((1, 0), |log| {
+            let policy = log.policy();
+            (policy.max_batch.max(1), policy.max_delay_us)
+        })
     }
 
-    /// Whether the attached log's policy pipelines covering fsyncs — the
-    /// serving front caches this to pick its dispatch path.
-    pub fn pipelined_commit_policy(&self) -> bool {
-        self.durability
-            .as_ref()
-            .is_some_and(|log| log.policy().pipelined_commit && log.policy().fsync_each)
-    }
-
-    /// Block until every pipelined frame's covering fsync has fired its
+    /// Block until every appended frame's covering fsync has fired its
     /// acknowledgement (test/bench quiescing; the write path never waits).
     pub fn wait_for_pipeline(&self) {
         if let Some(log) = self.durability.as_ref() {
@@ -357,7 +342,7 @@ impl EngineCluster {
         }
     }
 
-    /// Whether the attached log has a background snapshot job in flight
+    /// Whether the attached log has a snapshot job in flight
     /// (test/bench quiescing; the write path never waits on this).
     pub fn background_snapshot_in_flight(&self) -> bool {
         self.durability.as_ref().is_some_and(|log| log.background_snapshot_in_flight())
@@ -749,32 +734,26 @@ impl EngineCluster {
     /// new front epoch, and each front entry is judged against the stamps
     /// at its next probe.
     ///
-    /// With durability attached, the mutation is validated against the
+    /// With durability attached this is a one-element
+    /// [`Self::mutate_batch`]: the mutation is validated against the
     /// *global* corpus first (mirroring every check the routed apply runs,
-    /// so the log never holds a record that fails on replay), appended —
-    /// and per the log's policy fsynced — with its global ids, and only
-    /// then routed to the owning shard. An `Err` from the append means
-    /// nothing was acknowledged and no shard changed.
+    /// so the log never holds a record that fails on replay), appended and
+    /// fsynced with its global ids, and only then routed to the owning
+    /// shard. An `Err` from the append means nothing was acknowledged and
+    /// no shard changed.
     pub fn mutate(&mut self, mutation: Mutation) -> Result<MutationEffect> {
-        if self.durability.is_some() {
-            self.check_global(&mutation)?;
-        }
-        if let Some(log) = self.durability.as_mut() {
-            log.append(&mutation)?;
-        }
-        let effect = self.apply_routed(mutation)?;
-        self.snapshot_on_cadence();
-        Ok(effect)
+        self.mutate_batch(vec![mutation]).pop().expect("one outcome per mutation").0
     }
 
-    /// Apply a run of mutations with group-committed durability: each
-    /// mutation validates individually against the current global state
-    /// (`check_global` stays per-record, so the log never holds an
-    /// unreplayable record), maximal valid runs append as **one** WAL
-    /// batch record — one fsync acknowledges the whole run — applies
-    /// follow in sequence order, and the returned outcomes (effect plus
-    /// the [`Self::front_epoch`] after that mutation) are bit-identical
-    /// to calling [`Self::mutate`] once per element, in order.
+    /// Apply a run of mutations durably: each mutation validates
+    /// individually against the current global state (`check_global` stays
+    /// per-record, so the log never holds an unreplayable record), maximal
+    /// valid runs append as **one** WAL record each — one inline fsync
+    /// acknowledges the whole run before its outcomes are returned —
+    /// applies follow in sequence order, and the returned outcomes (effect
+    /// plus the [`Self::front_epoch`] after that mutation) are
+    /// bit-identical to calling [`Self::mutate`] once per element, in
+    /// order.
     ///
     /// Validating against the *pre-run* state is sound for the
     /// non-destructive vocabulary: an `InsertSpec` check is
@@ -790,72 +769,31 @@ impl EngineCluster {
     /// *fails* the pre-run check likewise flushes the pending run first
     /// and re-validates against the updated state.
     ///
-    /// Without an attached log this degenerates to sequential
-    /// [`Self::mutate`] calls (there is no fsync to amortize).
+    /// Without an attached log every mutation simply applies in order
+    /// (there is nothing to validate ahead of, and no fsync to share).
     pub fn mutate_batch(&mut self, mutations: Vec<Mutation>) -> Vec<(Result<MutationEffect>, u64)> {
-        if self.durability.is_none() {
-            return mutations
-                .into_iter()
-                .map(|mutation| {
-                    let result = self.mutate(mutation);
-                    (result, self.front_epoch())
-                })
-                .collect();
-        }
-        let mut out = Vec::with_capacity(mutations.len());
-        let mut run: Vec<Mutation> = Vec::new();
-        let mut run_destructive: HashSet<SpecId> = HashSet::new();
-        for mutation in mutations {
-            if referenced_conflicts(&mutation, &run_destructive) {
-                self.flush_run(&mut run, &mut out);
-                run_destructive.clear();
-            }
-            match self.check_global(&mutation) {
-                Ok(()) => {
-                    note_destructive(&mutation, &mut run_destructive);
-                    run.push(mutation);
-                }
-                Err(e) => {
-                    if run.is_empty() {
-                        out.push((Err(e), self.front_epoch()));
-                    } else {
-                        self.flush_run(&mut run, &mut out);
-                        run_destructive.clear();
-                        match self.check_global(&mutation) {
-                            Ok(()) => {
-                                note_destructive(&mutation, &mut run_destructive);
-                                run.push(mutation);
-                            }
-                            Err(e) => out.push((Err(e), self.front_epoch())),
-                        }
-                    }
-                }
-            }
-        }
-        self.flush_run(&mut run, &mut out);
-        self.snapshot_on_cadence();
-        out
+        self.mutate_runs(mutations, None)
     }
 
-    /// [`Self::mutate_batch`] with the covering fsync pipelined: maximal
-    /// valid runs append through
-    /// [`DurableLog::append_batch_pipelined`], so this returns — and the
-    /// caller may admit the next batch — while the fsync covering the
-    /// runs is still in flight on the sync pool.
+    /// [`Self::mutate_batch`] with the covering fsyncs left to the log's
+    /// sync job ([`DurableLog::append_batch_pipelined`]), so this returns
+    /// — and the caller may admit the next batch — while the fsync
+    /// covering the runs is still in flight.
     ///
     /// For every run that reaches the log, `on_run_durable(range)` is
     /// called once to mint the run's durability callback; `range` indexes
     /// the *input* `mutations` (equivalently the returned outcomes) the
-    /// run covers. The callback fires on the sync job's thread with the
-    /// run's durability verdict — `Ok` only after the covering fsync.
-    /// **Nothing in the returned outcomes is acknowledgeable until its
-    /// run's callback reports `Ok`**: an in-memory `Ok(effect)` whose
-    /// callback later reports `Err` must surface to the client as a
-    /// durability failure. Mutations that fail validation never join a
-    /// run and mint no callback — their `Err` outcome is final; a run
-    /// whose append errs synchronously still fires its callback (with an
-    /// error), so counting fired callbacks against minted ones is a sound
-    /// completion barrier.
+    /// run covers. The callback fires with the run's durability verdict —
+    /// `Ok` only after the covering fsync. **Nothing in the returned
+    /// outcomes is acknowledgeable until its run's callback reports
+    /// `Ok`**: an in-memory `Ok(effect)` whose callback later reports
+    /// `Err` must surface to the client as a durability failure.
+    /// Mutations that fail validation never join a run and mint no
+    /// callback — their `Err` outcome is final; a run whose append errs
+    /// synchronously still fires its callback (with an error), so counting
+    /// fired callbacks against minted ones is a sound completion barrier.
+    /// A cluster without a log mints none: every outcome is final at
+    /// return.
     ///
     /// Cadence snapshots still fire here and may cover appended-but-
     /// unacked records: the snapshot itself is durable, so recovery keeps
@@ -865,92 +803,78 @@ impl EngineCluster {
         mutations: Vec<Mutation>,
         mut on_run_durable: impl FnMut(Range<usize>) -> DurableCallback,
     ) -> Vec<(Result<MutationEffect>, u64)> {
-        if self.durability.is_none() {
-            // No log, nothing to pipeline: every outcome is final at
-            // return, and the caller's completion path needs no callback.
-            return self.mutate_batch(mutations);
-        }
+        self.mutate_runs(mutations, Some(&mut on_run_durable))
+    }
+
+    /// The run-forming loop under every write entry point. `on_run_durable`
+    /// says how a run commits: `None` — append with the covering fsync
+    /// inline; `Some(mint)` — append pipelined, acknowledging through the
+    /// callback `mint` makes for the run's range of `mutations`.
+    fn mutate_runs(
+        &mut self,
+        mutations: Vec<Mutation>,
+        mut on_run_durable: Option<&mut dyn FnMut(Range<usize>) -> DurableCallback>,
+    ) -> Vec<(Result<MutationEffect>, u64)> {
         let mut out = Vec::with_capacity(mutations.len());
+        if self.durability.is_none() {
+            for mutation in mutations {
+                let effect = self.apply_routed(mutation);
+                out.push((effect, self.front_epoch()));
+            }
+            return out;
+        }
         let mut run: Vec<Mutation> = Vec::new();
         let mut run_destructive: HashSet<SpecId> = HashSet::new();
         for mutation in mutations {
-            if referenced_conflicts(&mutation, &run_destructive) {
-                self.flush_run_pipelined(&mut run, &mut out, &mut on_run_durable);
+            // Ask the pre-run state — unless the pending run already touched
+            // the target destructively, which makes it the wrong state to ask.
+            let mut checked = (!referenced_conflicts(&mutation, &run_destructive))
+                .then(|| self.check_global(&mutation));
+            if !matches!(checked, Some(Ok(()))) && !run.is_empty() {
+                // Flush, then judge the mutation against the state the
+                // sequential order would have shown it.
+                self.flush_run(&mut run, &mut out, &mut on_run_durable);
                 run_destructive.clear();
+                checked = None;
             }
-            match self.check_global(&mutation) {
+            match checked.unwrap_or_else(|| self.check_global(&mutation)) {
                 Ok(()) => {
                     note_destructive(&mutation, &mut run_destructive);
                     run.push(mutation);
                 }
-                Err(e) => {
-                    if run.is_empty() {
-                        out.push((Err(e), self.front_epoch()));
-                    } else {
-                        self.flush_run_pipelined(&mut run, &mut out, &mut on_run_durable);
-                        run_destructive.clear();
-                        match self.check_global(&mutation) {
-                            Ok(()) => {
-                                note_destructive(&mutation, &mut run_destructive);
-                                run.push(mutation);
-                            }
-                            Err(e) => out.push((Err(e), self.front_epoch())),
-                        }
-                    }
-                }
+                Err(e) => out.push((Err(e), self.front_epoch())),
             }
         }
-        self.flush_run_pipelined(&mut run, &mut out, &mut on_run_durable);
+        self.flush_run(&mut run, &mut out, &mut on_run_durable);
         self.snapshot_on_cadence();
         out
     }
 
-    /// Append `run` as one pipelined group-commit record and apply it in
-    /// order. The run's callback fires exactly once on every path: a
-    /// synchronous append failure fires it with an error before the `Err`
-    /// outcomes are pushed, an `Ok` append hands it the covering fsync's
-    /// verdict.
-    fn flush_run_pipelined(
+    /// Append `run` as one record, apply it in order, and push each
+    /// mutation's outcome. A failed append acknowledges nothing: every
+    /// member reports the durability error and no shard changes — the
+    /// all-or-nothing contract of a single append. A pipelined run's
+    /// callback fires exactly once on every path: a synchronous append
+    /// failure fires it with an error before the `Err` outcomes are
+    /// pushed, an `Ok` append hands it the covering fsync's verdict.
+    fn flush_run(
         &mut self,
         run: &mut Vec<Mutation>,
         out: &mut Vec<(Result<MutationEffect>, u64)>,
-        on_run_durable: &mut impl FnMut(Range<usize>) -> DurableCallback,
+        on_run_durable: &mut Option<&mut dyn FnMut(Range<usize>) -> DurableCallback>,
     ) {
         if run.is_empty() {
             return;
         }
         let batch = std::mem::take(run);
-        let range = out.len()..out.len() + batch.len();
-        let log = self.durability.as_mut().expect("pipelined flush is the durable path");
-        if let Err(e) = log.append_batch_pipelined(&batch, on_run_durable(range)) {
-            let detail = e.to_string();
-            for _ in &batch {
-                out.push((
-                    Err(ModelError::invalid(format!("durability: {detail}"))),
-                    self.front_epoch(),
-                ));
+        let log = self.durability.as_mut().expect("runs form only on the durable path");
+        let appended = match on_run_durable {
+            Some(mint) => {
+                log.append_batch_pipelined(&batch, mint(out.len()..out.len() + batch.len()))
             }
-            return;
-        }
-        for mutation in batch {
-            let effect = self.apply_routed(mutation);
-            debug_assert!(effect.is_ok(), "a checked, appended mutation must apply");
-            out.push((effect, self.front_epoch()));
-        }
-    }
-
-    /// Append `run` as one group-commit record, apply it in order, and
-    /// push each mutation's outcome. A failed append acknowledges
-    /// nothing: every member reports the durability error and no shard
-    /// changes — the same all-or-nothing contract as a single append.
-    fn flush_run(&mut self, run: &mut Vec<Mutation>, out: &mut Vec<(Result<MutationEffect>, u64)>) {
-        if run.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(run);
-        let log = self.durability.as_mut().expect("flush_run is the durable path");
-        if let Err(e) = log.append_batch(&batch) {
-            // Mirror the single-append error shape (`From<WalError>`).
+            None => log.append_batch(&batch),
+        };
+        if let Err(e) = appended {
             let detail = e.to_string();
             for _ in &batch {
                 out.push((
@@ -1009,10 +933,10 @@ impl EngineCluster {
     /// one is due, capture a copy-on-write image ([`Self::cow_image`]),
     /// stamped with the appended sequence number (the assembly loses the
     /// global mutation count — see [`Repository::set_version`]), and hand
-    /// it to the log — written inline, or by a background pool job when
-    /// the policy opts in. The log charges planning, capture and hand-off
-    /// to [`DurabilityStats::snapshot_pause_us`]. A busy background job
-    /// skips the cadence before any of it runs.
+    /// it to the log's snapshot job (a job on the cluster's pool). The log
+    /// charges planning, capture and hand-off to
+    /// [`DurabilityStats::snapshot_pause_us`]. A busy snapshot job skips
+    /// the cadence before any of it runs.
     fn snapshot_on_cadence(&mut self) {
         let Some(log) = self.durability.as_mut() else { return };
         let version = log.next_seq() - 1;
@@ -1495,7 +1419,7 @@ mod tests {
     #[test]
     fn reopened_cluster_starts_with_empty_stamps_and_caches() {
         use ppwf_repo::storage::{FaultPlan, MemStorage};
-        let policy = DurabilityPolicy { fsync_each: true, ..DurabilityPolicy::default() };
+        let policy = DurabilityPolicy::default();
         let open = |storage: &Arc<MemStorage>| {
             EngineCluster::open_durable(
                 Arc::clone(storage) as Arc<dyn StorageBackend>,
@@ -1794,7 +1718,6 @@ mod tests {
         // every spec carries its accrued executions and every chunk is
         // dirty, so the image capture is the bulk of the pause.
         let policy = DurabilityPolicy {
-            background_snapshots: true,
             snapshot_every: (SPECS + SPECS * EXECS) as u64,
             ..DurabilityPolicy::default()
         };
@@ -1854,11 +1777,7 @@ mod tests {
     #[test]
     fn durable_batches_flush_on_destructive_conflicts_to_match_sequential_order() {
         use ppwf_repo::storage::MemStorage;
-        let policy = DurabilityPolicy {
-            fsync_each: true,
-            group_commit: Some(GroupCommit { max_batch: 16, max_delay_us: 0 }),
-            ..DurabilityPolicy::default()
-        };
+        let policy = DurabilityPolicy::pipelined(16, 0);
         let durable = |pool: &Arc<WorkerPool>| {
             let storage = Arc::new(MemStorage::new());
             EngineCluster::open_durable(

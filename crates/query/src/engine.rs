@@ -298,12 +298,14 @@ impl QueryEngine {
         Ok((engine, opened.recovery))
     }
 
-    /// Attach a durable log: from here on, [`Self::mutate`] appends (and,
-    /// per the log's policy, fsyncs) every mutation before applying it,
-    /// and snapshots on the log's cadence. If the log is empty while the
-    /// repository is not (durability bolted onto a pre-loaded corpus), a
-    /// baseline snapshot is written first so recovery always has a base
-    /// covering the pre-log history.
+    /// Attach a durable log: from here on, [`Self::mutate`] appends and
+    /// fsyncs every mutation before applying it, and snapshots on the
+    /// log's cadence — on the log's pool if the caller gave it one
+    /// ([`DurableLog::set_pool`]) before attaching, on the mutating thread
+    /// otherwise. If the log is empty while the repository is not
+    /// (durability bolted onto a pre-loaded corpus), a baseline snapshot
+    /// is written first so recovery always has a base covering the
+    /// pre-log history.
     pub fn attach_durability(&mut self, mut log: DurableLog) -> WalResult<()> {
         if log.is_empty() && !self.repo.is_empty() {
             log.snapshot_now(&self.repo)?;
@@ -317,20 +319,8 @@ impl QueryEngine {
         self.durability.as_ref().map(|log| log.stats())
     }
 
-    /// Route the attached log's cadence snapshots to `pool`; takes effect
-    /// when the log's policy opts in
-    /// ([`ppwf_repo::wal::DurabilityPolicy::background_snapshots`]), so
-    /// [`Self::mutate`]'s snapshot pause shrinks to cloning only the
-    /// copy-on-write chunks dirtied since the last snapshot — clean
-    /// chunks ride along by reference and are never re-serialized.
-    pub fn set_snapshot_pool(&mut self, pool: Arc<ppwf_repo::pool::WorkerPool>) {
-        if let Some(log) = &mut self.durability {
-            log.set_snapshot_pool(pool);
-        }
-    }
-
-    /// Block until no background snapshot is in flight (test/bench
-    /// teardown; the write path never waits).
+    /// Block until no snapshot job is in flight (test/bench teardown; the
+    /// write path never waits).
     pub fn wait_for_background_snapshots(&self) {
         if let Some(log) = &self.durability {
             log.wait_for_background_snapshot();
@@ -390,16 +380,14 @@ impl QueryEngine {
     ///
     /// With durability attached, the mutation is validated against the
     /// current state first (so the log never holds a record that fails on
-    /// replay), then appended — and per the log's policy fsynced — and
-    /// only then applied; an `Err` from the append means nothing was
-    /// acknowledged and nothing changed in memory. Snapshots fire on the
-    /// log's cadence after the apply; in background mode they are chunked
-    /// copy-on-write images (dirty chunks serialized, clean ones reused
-    /// by content-addressed reference). Pipelined commit — overlapping
-    /// the covering fsync with the next batch's apply — lives a layer up,
-    /// in [`crate::cluster::EngineCluster::mutate_batch_pipelined`] and
-    /// the serve front: this single-engine path always acknowledges
-    /// inline.
+    /// replay), then appended and fsynced, and only then applied; an `Err`
+    /// from the append means nothing was acknowledged and nothing changed
+    /// in memory. Snapshots fire on the log's cadence after the apply, as
+    /// chunked copy-on-write images (dirty chunks serialized, clean ones
+    /// reused by content-addressed reference). Overlapping the covering
+    /// fsync with the next batch's apply lives a layer up, in
+    /// [`crate::cluster::EngineCluster::mutate_batch_pipelined`] and the
+    /// serve front: this single-engine path always acknowledges inline.
     pub fn mutate(&mut self, mutation: Mutation) -> Result<MutationEffect> {
         self.mutate_stamping(mutation, None)
     }

@@ -46,50 +46,40 @@
 //! in-flight high-water mark (how much multiplexing actually happened),
 //! admission-queue depth, fence waits, and completion-latency buckets.
 //!
-//! **Durability.** When the underlying cluster has a
-//! [`DurableLog`](ppwf_repo::wal::DurableLog) attached
-//! ([`EngineCluster::attach_durability`]), the fenced write path is
-//! durable for free: a mutation runs exclusively behind the cluster's
-//! write lock, where [`EngineCluster::mutate`] validates, appends (and
-//! per policy fsyncs) the record *before* applying it. A
-//! [`QueryAnswer::Mutated`] carrying `Ok` therefore acknowledges a
-//! *durable* write, and because the fence serializes mutations FIFO, the
-//! acknowledged set after a crash is always a prefix of the submitted
-//! mutation order — exactly what [`ppwf_repo::Repository::recover`]
-//! rebuilds. An `Err` answer (validation or log failure) acknowledges
-//! nothing and changes nothing.
+//! **The write path.** There is one. The pump pops the consecutive run of
+//! mutations at the head of the queue — up to the attached log's
+//! [`max_batch`](ppwf_repo::wal::DurabilityPolicy::max_batch), never past a
+//! queued read, so FIFO holds — and hands it to one exclusive write job.
+//! The job may hold the batch open up to `max_delay_us` and top it up with
+//! late arrivals, then, behind the cluster's write lock,
+//! [`EngineCluster::mutate_batch_pipelined`] validates each mutation,
+//! appends every maximal valid run to the
+//! [`DurableLog`](ppwf_repo::wal::DurableLog) as one checksummed record
+//! *before* applying it, and applies the runs in sequence order. The job
+//! then **lifts the fence without waiting for the covering fsync**: that
+//! runs on the log's sync job, and batch *k+1* is admitted, validated and
+//! applied while batch *k*'s fsync is in flight. The tickets wait in a
+//! [`CommitGate`] until every run of the batch has reported durable, and
+//! only then complete — each with its own per-record epoch, in submission
+//! order — so a [`QueryAnswer::Mutated`] carrying `Ok` always acknowledges
+//! a *durable* write, the acknowledged set after a crash is always a prefix
+//! of the submitted mutation order (exactly what
+//! [`ppwf_repo::Repository::recover`] rebuilds), and the outcomes are
+//! bit-identical to dispatching the mutations one at a time. An `Err`
+//! answer (validation, log or fsync failure) acknowledges nothing. A
+//! cluster without a log runs the same job: no run reaches a log, so the
+//! gate has nothing to wait for and the tickets complete as soon as the
+//! batch has applied.
 //!
-//! **Group commit.** When the log's policy carries a
-//! [`GroupCommit`](ppwf_repo::wal::GroupCommit) mode, the fence drains in
-//! *batches*: the pump pops the whole consecutive run of mutations at the
-//! head of the queue (never past a queued read — FIFO is preserved), the
-//! write job may hold the batch open up to `max_delay_us` and re-drain
-//! late arrivals, and [`EngineCluster::mutate_batch`] validates each
-//! record individually, appends valid runs as single WAL records (one
-//! fsync per run) and applies them in sequence order. Every ticket in the
-//! batch completes only after the fsync covering its record returned,
-//! with its own per-record epoch — durable-on-acknowledge, amortized, and
-//! bit-identical to dispatching the mutations one at a time. Warm inline
-//! completions also recycle their ticket allocations through a
-//! [`TicketPool`], so a front-cache hit allocates nothing on the hot
-//! path.
+//! The honest boundary is the **read-uncommitted window**: reads admitted
+//! between a batch's apply and its covering fsync observe
+//! applied-but-not-yet-acknowledged state — *losable* suffix data, never
+//! anything a client was told succeeded — and a crash in the window loses
+//! only unacknowledged frames, which recovery truncates at the tear like
+//! any unsynced suffix.
 //!
-//! **Pipelined commit.** When the log's policy additionally sets
-//! [`pipelined_commit`](ppwf_repo::wal::DurabilityPolicy::pipelined_commit),
-//! the write job appends and applies its batch, then **releases the
-//! write fence before the covering fsync finishes**: the fsync runs as a
-//! dedicated pool sync job, and batch *k+1* is admitted, validated and
-//! applied while batch *k*'s fsync is still in flight. Acknowledgement
-//! order is unchanged — every ticket completes only after the fsync
-//! covering its record reports in (a [`CommitGate`] holds the staged
-//! outcomes until the per-run durability callbacks fire), so
-//! `Mutated(Ok)` still means *durable*, and the acknowledged set after a
-//! crash is still a prefix of submission order. The honest boundary:
-//! reads admitted in the overlap window can observe applied-but-not-yet-
-//! acknowledged state (a read-uncommitted window for *losable* suffix
-//! data — never for anything a client was told succeeded), and a crash
-//! in the window loses only unacknowledged frames, which recovery
-//! truncates at the tear exactly like any unsynced suffix.
+//! Warm inline completions recycle their ticket allocations through a
+//! [`TicketPool`], so a front-cache hit allocates nothing on the hot path.
 
 use crate::cluster::{EngineCluster, RankedHits};
 use crate::engine::Plan;
@@ -101,7 +91,7 @@ use ppwf_model::{ModelError, Result};
 use ppwf_repo::mutation::{Mutation, MutationEffect};
 use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::ticket::{Ticket, TicketCompleter, TicketPool};
-use ppwf_repo::wal::{DurableCallback, GroupCommit, WalResult};
+use ppwf_repo::wal::{DurableCallback, WalResult};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -241,8 +231,8 @@ struct Counters {
     completed: AtomicU64,
     warm_inline: AtomicU64,
     mutations: AtomicU64,
-    /// Mutations submitted but not yet completed — the group-commit
-    /// sibling test: a batch is held open for `max_delay_us` only while
+    /// Mutations submitted but not yet completed — the batching sibling
+    /// test: a batch is held open for `max_delay_us` only while
     /// more writes than it already holds are in flight somewhere (queued
     /// or about to queue), so a lone writer never pays the delay.
     writes_in_flight: AtomicU64,
@@ -294,15 +284,12 @@ struct Shared {
     pool: Arc<WorkerPool>,
     admission: Mutex<Admission>,
     counters: Counters,
-    /// The attached log's group-commit knobs, cached at construction (the
-    /// policy is immutable for a log's lifetime): `Some` lets the pump
-    /// and the write job drain consecutive mutations into one batch,
-    /// `None` keeps the one-at-a-time dispatch.
-    write_batch: Option<GroupCommit>,
-    /// Pipelined commit, cached like `write_batch`: the write job then
-    /// releases the fence before its covering fsync and completes tickets
-    /// from the sync job's durability callbacks.
-    pipelined: bool,
+    /// Most consecutive queued mutations one write job takes, and how long
+    /// (µs) it may hold a short batch open for late arrivals — the attached
+    /// log's policy, cached at construction (it is immutable for a log's
+    /// lifetime); 1 and 0 without a log.
+    max_batch: usize,
+    max_delay_us: u64,
     /// Recycled allocations for warm inline completions.
     warm_tickets: TicketPool<ServeResponse>,
 }
@@ -323,8 +310,7 @@ impl ServeFront {
     /// (normally the same pool the cluster's blocking scatter uses, so
     /// all work drains one queue).
     pub fn with_pool(cluster: EngineCluster, pool: Arc<WorkerPool>) -> Self {
-        let write_batch = cluster.group_commit_policy();
-        let pipelined = cluster.pipelined_commit_policy();
+        let (max_batch, max_delay_us) = cluster.write_batching();
         ServeFront {
             shared: Arc::new(Shared {
                 cluster: RwLock::new(cluster),
@@ -335,8 +321,8 @@ impl ServeFront {
                     writer_active: false,
                 }),
                 counters: Counters::default(),
-                write_batch,
-                pipelined,
+                max_batch,
+                max_delay_us,
                 warm_tickets: TicketPool::new(WARM_TICKET_SLOTS),
             }),
         }
@@ -492,12 +478,11 @@ fn pump(shared: &Arc<Shared>) {
                 admission.writer_active = true;
                 // Batched admission draining: the whole consecutive run
                 // of mutations at the head goes to one dispatch, capped
-                // by the policy's max_batch (1 without group commit).
-                // The drain never reaches past the first queued read, so
-                // FIFO order — and the fence semantics — are untouched.
-                let max_batch = shared.write_batch.map_or(1, |g| g.max_batch.max(1));
+                // by the policy's max_batch. The drain never reaches past
+                // the first queued read, so FIFO order — and the fence
+                // semantics — are untouched.
                 let mut batch = vec![admission.queue.pop_front().expect("head exists")];
-                while batch.len() < max_batch
+                while batch.len() < shared.max_batch
                     && admission.queue.front().is_some_and(|next| next.req.is_write())
                 {
                     batch.push(admission.queue.pop_front().expect("peeked write"));
@@ -530,32 +515,34 @@ fn pump(shared: &Arc<Shared>) {
 /// Run a batch of fenced mutations as one exclusive pool job: every
 /// admitted read has drained, so the write lock is uncontended (modulo
 /// inline warm probes, which never block — `try_read` yields to a
-/// waiting writer). With group commit configured, the job may hold the
-/// batch open for `max_delay_us` and then top it up with mutations that
-/// queued behind the fence meanwhile (safe: `writer_active` keeps the
-/// pump off the queue, and the top-up stops at the first queued read, so
-/// FIFO order holds). [`EngineCluster::mutate_batch`] then appends valid
-/// runs as single WAL records — every ticket completes only after the
-/// fsync covering its record returned, with its own per-record epoch.
+/// waiting writer). The job may hold a short batch open for
+/// `max_delay_us` and then top it up with mutations that queued behind
+/// the fence meanwhile (safe: `writer_active` keeps the pump off the
+/// queue, and the top-up stops at the first queued read, so FIFO order
+/// holds). It appends + applies the batch under the write lock, then
+/// releases the fence and re-pumps **before** the covering fsync reports —
+/// batch *k+1* admits and applies while batch *k*'s fsync runs on the
+/// log's sync job. Tickets stay parked in a [`CommitGate`] until every
+/// durability callback minted for the batch has fired, so `Mutated(Ok)`
+/// means durable and acknowledgements keep submission order.
 fn dispatch_write(shared: &Arc<Shared>, batch: Vec<Queued>) {
     let pool = Arc::clone(&shared.pool);
     let shared = Arc::clone(shared);
     pool.exec(move || {
         let mut batch = batch;
-        if let Some(group) = shared.write_batch {
-            if group.max_delay_us > 0
-                && batch.len() < group.max_batch
+        if batch.len() < shared.max_batch {
+            if shared.max_delay_us > 0
                 && shared.counters.writes_in_flight.load(Ordering::Relaxed) > batch.len() as u64
             {
-                // The documented latency cost of group commit: the first
+                // The documented latency cost of batching: the first
                 // record waits up to max_delay for peers to share its
                 // fsync — but only when such peers exist (more writes in
                 // flight than the batch holds); a lone writer's batch
-                // goes straight to the fsync.
-                std::thread::sleep(std::time::Duration::from_micros(group.max_delay_us));
+                // goes straight to the log.
+                std::thread::sleep(std::time::Duration::from_micros(shared.max_delay_us));
             }
             let mut admission = shared.admission.lock().expect("admission");
-            while batch.len() < group.max_batch.max(1)
+            while batch.len() < shared.max_batch
                 && admission.queue.front().is_some_and(|next| next.req.is_write())
             {
                 batch.push(admission.queue.pop_front().expect("peeked write"));
@@ -571,117 +558,61 @@ fn dispatch_write(shared: &Arc<Shared>, batch: Vec<Queued>) {
             mutations.push(*mutation);
             handles.push((completer, submitted));
         }
-        if shared.pipelined {
-            run_pipelined_write(&shared, mutations, handles);
-            return;
-        }
         let count = handles.len() as u64;
+        let gate = Arc::new(CommitGate {
+            shared: Arc::clone(&shared),
+            state: Mutex::new(GateState::default()),
+        });
+        let factory_gate = Arc::clone(&gate);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut cluster = shared.cluster.write();
-            let outcomes = cluster.mutate_batch(mutations);
+            let outcomes = cluster.mutate_batch_pipelined(mutations, move |range| {
+                // Mint-side accounting: the log fires every minted callback
+                // exactly once (even on a synchronous append error), so
+                // done == expected is a sound completion barrier.
+                factory_gate.state.lock().expect("commit gate").expected += 1;
+                let fired = Arc::clone(&factory_gate);
+                Box::new(move |verdict| fired.on_durable(range, verdict)) as DurableCallback
+            });
             drop(cluster);
             outcomes
         }));
+        // The pipelining: the batch is applied (or panicked), so the fence
+        // can lift now — the covering fsync is still in flight, and the next
+        // batch validates and applies against it. Tickets complete later,
+        // from maybe_finish, once the callbacks report in.
+        shared.admission.lock().expect("admission").writer_active = false;
+        pump(&shared);
         match outcome {
             Ok(outcomes) => {
                 debug_assert_eq!(outcomes.len() as u64, count);
                 shared.counters.mutations.fetch_add(count, Ordering::Relaxed);
                 shared.counters.write_batches.fetch_add(1, Ordering::Relaxed);
                 Counters::raise_high_water(&shared.counters.max_write_batch, count);
-                for ((result, epoch), (completer, submitted)) in outcomes.into_iter().zip(handles) {
-                    // Count before completing: once a ticket resolves,
-                    // its owner may read stats, and quiesce() keys on
-                    // completed == submitted.
-                    shared.counters.writes_in_flight.fetch_sub(1, Ordering::Relaxed);
-                    shared.counters.record_latency(submitted);
-                    completer
-                        .complete(ServeResponse { epoch, answer: QueryAnswer::Mutated(result) });
-                }
+                gate.stage(StagedCompletion { outcomes, handles, panic: None });
             }
             Err(payload) => {
-                // A panicked batch still completes every ticket — the
-                // counter parity (and so quiesce()) must not wedge on it.
-                // The payload is not clonable: the first ticket re-throws
-                // the real payload, peers a marker naming the shared
-                // cause.
-                let mut payload = Some(payload);
-                for (completer, submitted) in handles {
-                    shared.counters.writes_in_flight.fetch_sub(1, Ordering::Relaxed);
-                    shared.counters.record_latency(submitted);
-                    match payload.take() {
-                        Some(p) => completer.complete_with_panic(p),
-                        None => completer.complete_with_panic(Box::new(
-                            "a mutation batched with this one panicked the write job",
-                        )),
-                    }
-                }
+                // Runs appended before the panic still own minted callbacks;
+                // the gate waits for them so no callback outlives its batch's
+                // accounting, then completes every ticket with the panic.
+                gate.stage(StagedCompletion {
+                    outcomes: Vec::new(),
+                    handles,
+                    panic: Some(payload),
+                });
             }
         }
-        shared.admission.lock().expect("admission").writer_active = false;
-        pump(&shared);
     });
 }
 
-/// The pipelined write path: append + apply the batch under the write
-/// lock, then release the fence and re-pump **before** the covering
-/// fsync reports — batch *k+1* admits and applies while batch *k*'s
-/// fsync runs on the sync job. Tickets stay parked in a [`CommitGate`]
-/// until every durability callback minted for the batch has fired, so
-/// acknowledgement order (and `Mutated(Ok)` ⇒ durable) is exactly the
-/// synchronous path's.
-fn run_pipelined_write(
-    shared: &Arc<Shared>,
-    mutations: Vec<Mutation>,
-    handles: Vec<(TicketCompleter<ServeResponse>, Instant)>,
-) {
-    let count = handles.len() as u64;
-    let gate = Arc::new(CommitGate {
-        shared: Arc::clone(shared),
-        state: Mutex::new(GateState::default()),
-    });
-    let factory_gate = Arc::clone(&gate);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut cluster = shared.cluster.write();
-        let outcomes = cluster.mutate_batch_pipelined(mutations, move |range| {
-            // Mint-side accounting: the log fires every minted callback
-            // exactly once (even on a synchronous append error), so
-            // done == expected is a sound completion barrier.
-            factory_gate.state.lock().expect("commit gate").expected += 1;
-            let fired = Arc::clone(&factory_gate);
-            Box::new(move |verdict| fired.on_durable(range, verdict)) as DurableCallback
-        });
-        drop(cluster);
-        outcomes
-    }));
-    // The pipelining: the batch is applied (or panicked), so the fence
-    // can lift now — the covering fsync is still in flight, and the next
-    // batch validates and applies against it. Tickets complete later,
-    // from maybe_finish, once the callbacks report in.
-    shared.admission.lock().expect("admission").writer_active = false;
-    pump(shared);
-    match outcome {
-        Ok(outcomes) => {
-            debug_assert_eq!(outcomes.len() as u64, count);
-            shared.counters.mutations.fetch_add(count, Ordering::Relaxed);
-            shared.counters.write_batches.fetch_add(1, Ordering::Relaxed);
-            Counters::raise_high_water(&shared.counters.max_write_batch, count);
-            gate.stage(StagedCompletion { outcomes, handles, panic: None });
-        }
-        Err(payload) => {
-            // Runs appended before the panic still own minted callbacks;
-            // the gate waits for them so no callback outlives its batch's
-            // accounting, then completes every ticket with the panic.
-            gate.stage(StagedCompletion { outcomes: Vec::new(), handles, panic: Some(payload) });
-        }
-    }
-}
-
-/// Parks a pipelined batch's tickets until the fsyncs covering its WAL
-/// runs have all reported. Two halves race benignly: the write job
-/// stages outcomes + completers after releasing the fence, and the sync
-/// job's durability callbacks tick `done` toward `expected`; whichever
-/// side observes both conditions takes the staged completion (the
-/// `Option::take` makes the finisher unique) and resolves the tickets.
+/// Parks a write batch's tickets until the fsyncs covering its WAL runs
+/// have all reported. Two halves race benignly: the write job stages
+/// outcomes + completers after releasing the fence, and the sync job's
+/// durability callbacks tick `done` toward `expected`; whichever side
+/// observes both conditions takes the staged completion (the
+/// `Option::take` makes the finisher unique) and resolves the tickets. A
+/// batch that minted no callback (no log, or nothing valid to append)
+/// finishes at `stage`.
 struct CommitGate {
     shared: Arc<Shared>,
     state: Mutex<GateState>,
@@ -747,6 +678,9 @@ impl CommitGate {
                         }
                         None => result,
                     };
+                    // Count before completing: once a ticket resolves,
+                    // its owner may read stats, and quiesce() keys on
+                    // completed == submitted.
                     shared.counters.writes_in_flight.fetch_sub(1, Ordering::Relaxed);
                     shared.counters.record_latency(submitted);
                     completer
@@ -754,6 +688,11 @@ impl CommitGate {
                 }
             }
             Some(payload) => {
+                // A panicked batch still completes every ticket — the
+                // counter parity (and so quiesce()) must not wedge on it.
+                // The payload is not clonable: the first ticket re-throws
+                // the real payload, peers a marker naming the shared
+                // cause.
                 let mut payload = Some(payload);
                 for (completer, submitted) in staged.handles {
                     shared.counters.writes_in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -1165,16 +1104,14 @@ mod tests {
         front.quiesce();
     }
 
-    /// A durable front over `MemStorage`; `group` batches queued writes.
-    fn durable_front(
-        threads: usize,
-        group: Option<ppwf_repo::wal::GroupCommit>,
-    ) -> (ServeFront, Arc<WorkerPool>) {
+    /// A durable front over `MemStorage` batching up to `max_batch` queued
+    /// writes per record.
+    fn durable_front(threads: usize, max_batch: usize) -> (ServeFront, Arc<WorkerPool>) {
         use ppwf_repo::storage::{MemStorage, StorageBackend};
         use ppwf_repo::wal::DurabilityPolicy;
         let pool = Arc::new(WorkerPool::new(threads));
         let policy =
-            DurabilityPolicy { group_commit: group, snapshot_every: 0, ..Default::default() };
+            DurabilityPolicy { snapshot_every: 0, ..DurabilityPolicy::pipelined(max_batch, 0) };
         let backend: Arc<dyn StorageBackend> = Arc::new(MemStorage::new());
         let (cluster, _) = EngineCluster::open_durable(
             backend,
@@ -1193,8 +1130,7 @@ mod tests {
     /// bit-identical to a sequential unbatched reference.
     #[test]
     fn queued_writes_batch_into_one_fsync() {
-        use ppwf_repo::wal::GroupCommit;
-        let (front, pool) = durable_front(2, Some(GroupCommit { max_batch: 8, max_delay_us: 0 }));
+        let (front, pool) = durable_front(2, 8);
         // Plug both workers so the write job cannot run until every
         // mutation is queued: the batch drain must then cover all five.
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
@@ -1237,7 +1173,7 @@ mod tests {
 
         // Sequential unbatched reference: same stream, same epochs, same
         // final image.
-        let (reference, _ref_pool) = durable_front(2, None);
+        let (reference, _ref_pool) = durable_front(2, 1);
         let reference_epochs: Vec<u64> = (0..5)
             .map(|_| {
                 let (spec, _) = fixtures::disease_susceptibility();
@@ -1257,9 +1193,9 @@ mod tests {
         assert_eq!(batched, sequential, "batched apply must be bit-identical");
     }
 
-    /// Pipelined commit at the front: queued writes drain as one batch,
-    /// every ticket acknowledges only after its covering fsync (so all
-    /// acks mean durable), the pipeline stats register the queued frame,
+    /// The covering fsync is the sync job's: queued writes drain as one
+    /// batch, every ticket acknowledges only after its covering fsync (so
+    /// all acks mean durable), the sync queue registers the frame,
     /// and reopening the same storage recovers the acked image
     /// bit-identically.
     #[test]

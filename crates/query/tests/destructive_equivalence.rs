@@ -33,7 +33,7 @@ use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
 use ppwf_repo::repository::Repository;
 use ppwf_repo::storage::{MemStorage, StorageBackend};
-use ppwf_repo::wal::{DurabilityPolicy, GroupCommit};
+use ppwf_repo::wal::DurabilityPolicy;
 use ppwf_workloads::genmutation::mutation_stream;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -56,13 +56,7 @@ fn registry() -> PrincipalRegistry {
 /// snapshots fire mid-stream, so recovery replays a COW image that
 /// already holds tombstones plus a WAL suffix that adds more.
 fn durability_policy() -> DurabilityPolicy {
-    DurabilityPolicy {
-        fsync_each: true,
-        snapshot_every: 4,
-        segment_bytes: 4096,
-        group_commit: Some(GroupCommit { max_batch: 4, max_delay_us: 0 }),
-        ..DurabilityPolicy::default()
-    }
+    DurabilityPolicy { snapshot_every: 4, segment_bytes: 4096, ..DurabilityPolicy::pipelined(4, 0) }
 }
 
 fn hits_identical(a: &[KeywordHit], b: &[KeywordHit]) -> bool {
@@ -202,7 +196,12 @@ proptest! {
                 );
             }
         }
+        // At rest before recovery reads the storage: every ticket completed
+        // and no snapshot job still writing or pruning under it.
         front.quiesce();
+        while front.with_cluster(|c| c.background_snapshot_in_flight()) {
+            std::thread::yield_now();
+        }
         drop(front);
 
         // Stack 3: recover from the front's storage — snapshot with

@@ -2,21 +2,29 @@
 //! durable [`EngineCluster`] serves a mixed read/mutate stream while the
 //! storage backend dies mid-stream.
 //!
-//! The fence serializes mutations FIFO and [`EngineCluster::mutate`]
-//! appends (and fsyncs) each record *before* applying it, so the
-//! contract under crash is sharp:
+//! The fence serializes mutations FIFO, the write job appends each run
+//! *before* applying it, and a ticket completes only after the fsync
+//! covering its record, so the contract under crash is sharp:
 //!
 //! * the acknowledged mutations — tickets resolving
 //!   [`QueryAnswer::Mutated`]`(Ok)` — form a **prefix** of the submitted
 //!   mutation order (after the first storage failure every later mutation
-//!   is refused, never half-applied);
-//! * recovery rebuilds exactly that acknowledged prefix, bit-identical to
-//!   a sequential reference replay, and a cluster re-opened over the
-//!   survivors answers every query identically to a reference cluster
-//!   built from that replay;
-//! * no response is ever computed past the last acknowledged epoch: every
-//!   read's epoch is ≤ the epoch of the final acknowledged state, because
-//!   refused mutations change nothing visible.
+//!   is refused), and a run whose covering fsync never returned
+//!   acknowledges nothing;
+//! * recovery rebuilds `n` mutations with `acked ≤ n ≤ appended` — frames
+//!   that reached the segment but whose fsync the crash beat may survive,
+//!   acknowledged ones always do — bit-identical to a sequential reference
+//!   replay of that prefix, and a cluster re-opened over the survivors
+//!   answers every query identically to a reference cluster built from
+//!   that replay;
+//! * every read's epoch is ≤ the final in-memory epoch.
+//!
+//! One driver ([`serve`]) and one policy ([`policy`]) at `max_batch` 1 and
+//! 4; a cluster's log always runs its sync and snapshot jobs on the pool.
+//! The crash tests arm a byte budget that snapshot writes also consume, so
+//! the driver drains the snapshot job after every group of writes — the
+//! budget is then spent in a deterministic order *with* snapshots, pruning
+//! and rotations in the trace.
 
 use std::sync::Arc;
 
@@ -24,12 +32,12 @@ use ppwf_core::policy::{AccessLevel, Policy};
 use ppwf_query::cluster::{EngineCluster, Mutation};
 use ppwf_query::keyword::KeywordHit;
 use ppwf_query::route::ShardStrategy;
-use ppwf_query::serve::{QueryAnswer, ServeFront, ServeRequest};
+use ppwf_query::serve::{QueryAnswer, ServeFront, ServeRequest, ServeResponse};
 use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
 use ppwf_repo::repository::Repository;
 use ppwf_repo::storage::{FaultPlan, MemStorage, StorageBackend};
-use ppwf_repo::wal::{DurabilityPolicy, GroupCommit};
+use ppwf_repo::wal::DurabilityPolicy;
 use ppwf_workloads::genspec::{generate_spec, SpecParams};
 
 const QUERIES: [&str; 4] = ["kw0", "kw0, kw1", "kw2", "kw1, kw3"];
@@ -45,13 +53,12 @@ fn registry() -> PrincipalRegistry {
 }
 
 /// Tight cadences so the crash lands among snapshots and rotations, not
-/// just raw appends.
-fn durability_policy() -> DurabilityPolicy {
+/// just raw appends; up to `max_batch` queued mutations share a record.
+fn policy(max_batch: usize) -> DurabilityPolicy {
     DurabilityPolicy {
-        fsync_each: true,
         snapshot_every: 4,
         segment_bytes: 4096,
-        ..DurabilityPolicy::default()
+        ..DurabilityPolicy::pipelined(max_batch, 0)
     }
 }
 
@@ -61,8 +68,8 @@ fn durability_policy() -> DurabilityPolicy {
 /// and in-place text edits hit live targets (destructive histories leave
 /// tombstones, so targets come from the live slots). Every WAL record
 /// kind — including `DeleteSpec` and `EditSpec` frames, alone and inside
-/// group-commit batches — therefore lands in the crash matrix below at
-/// whatever byte boundary the budget picks.
+/// batch records — therefore lands in the crash tests below at whatever
+/// byte boundary the budget picks.
 fn mutation_stream(writes: usize, seed: u64) -> Vec<Mutation> {
     ppwf_workloads::genmutation::mutation_stream_n(writes, seed)
 }
@@ -75,18 +82,7 @@ fn replay_prefix(stream: &[Mutation], n: usize) -> Repository {
     repo
 }
 
-/// Group-commit variant: queued mutations behind the fence drain as one
-/// WAL batch under one fsync. Background snapshots stay OFF here — the
-/// crash tests arm a byte budget that snapshot writes would consume
-/// nondeterministically from another thread.
-fn grouped_policy() -> DurabilityPolicy {
-    DurabilityPolicy {
-        group_commit: Some(GroupCommit { max_batch: 4, max_delay_us: 0 }),
-        ..durability_policy()
-    }
-}
-
-fn durable_cluster_with(
+fn durable_cluster(
     storage: &Arc<MemStorage>,
     pool: &Arc<WorkerPool>,
     policy: DurabilityPolicy,
@@ -102,11 +98,46 @@ fn durable_cluster_with(
     .expect("open durable cluster")
 }
 
-fn durable_cluster(
-    storage: &Arc<MemStorage>,
-    pool: &Arc<WorkerPool>,
-) -> (EngineCluster, ppwf_repo::wal::RecoveryStats) {
-    durable_cluster_with(storage, pool, durability_policy())
+/// Bring the front to rest: every request completed, every frame's
+/// covering fsync reported, no snapshot job still writing.
+fn drain(front: &ServeFront) {
+    front.quiesce();
+    front.with_cluster(|c| c.wait_for_pipeline());
+    while front.with_cluster(|c| c.background_snapshot_in_flight()) {
+        std::thread::yield_now();
+    }
+}
+
+/// Serve `stream` through `front`, `group` writes at a time — chased by
+/// as many reads across groups, so the fence has readers to drain — and
+/// [`drain`] between groups. Writes of one group queue together (and
+/// batch, when the policy lets them); at most one group's frames and one
+/// snapshot job are ever in flight. Returns the responses to the writes
+/// and to the reads, each in submission order.
+fn serve(
+    front: &ServeFront,
+    stream: &[Mutation],
+    group: usize,
+) -> (Vec<ServeResponse>, Vec<ServeResponse>) {
+    let (mut writes, mut reads) = (Vec::new(), Vec::new());
+    for (g, chunk) in stream.chunks(group).enumerate() {
+        // The group's writes first — the pump never batches past a queued
+        // read — then as many reads behind them.
+        let write_tickets: Vec<_> =
+            chunk.iter().map(|m| front.submit(ServeRequest::mutate(m.clone()))).collect();
+        let read_tickets: Vec<_> = (g * group..g * group + chunk.len())
+            .map(|i| {
+                front.submit(ServeRequest::Keyword {
+                    group: GROUPS[i % GROUPS.len()].into(),
+                    query: QUERIES[i % QUERIES.len()].into(),
+                })
+            })
+            .collect();
+        writes.extend(write_tickets.into_iter().map(|t| t.wait()));
+        reads.extend(read_tickets.into_iter().map(|t| t.wait()));
+        drain(front);
+    }
+    (writes, reads)
 }
 
 fn hits_identical(a: &[KeywordHit], b: &[KeywordHit]) -> bool {
@@ -116,52 +147,61 @@ fn hits_identical(a: &[KeywordHit], b: &[KeywordHit]) -> bool {
             .all(|(x, y)| x.spec == y.spec && x.prefix == y.prefix && x.matched == y.matched)
 }
 
-/// Total durable byte cost of the full stream, measured on a fault-free
-/// backend — the crash budget is set mid-way through it.
-fn durable_bytes_of(stream: &[Mutation]) -> u64 {
-    let trace = Arc::new(MemStorage::new());
-    let pool = Arc::new(WorkerPool::new(2));
-    let (mut cluster, _) = durable_cluster(&trace, &pool);
-    for mutation in stream {
-        cluster.mutate(mutation.clone()).expect("fault-free stream applies");
+/// Serve `stream` fault-free at `max_batch` (writes submitted `max_batch`
+/// at a time) and check it against the sequential reference: every write
+/// acknowledged, the log's counters consistent, recovery over the pruned
+/// log bit-identical. Returns the durability counters and the bytes the
+/// run made durable.
+fn serve_fault_free(
+    stream: &[Mutation],
+    max_batch: usize,
+) -> (ppwf_repo::wal::DurabilityStats, ppwf_repo::wal::RecoveryStats, u64) {
+    let storage = Arc::new(MemStorage::new());
+    let pool = Arc::new(WorkerPool::new(3));
+    let (cluster, _) = durable_cluster(&storage, &pool, policy(max_batch));
+    let front = ServeFront::with_pool(cluster, Arc::clone(&pool));
+    let (writes, _) = serve(&front, stream, max_batch);
+    for response in &writes {
+        assert!(
+            matches!(response.answer, QueryAnswer::Mutated(Ok(_))),
+            "a fault-free write must acknowledge durable"
+        );
     }
-    trace.bytes_appended()
+    let wal = front.durability_stats().expect("durable cluster reports stats");
+    assert_eq!(wal.appends, stream.len() as u64);
+    assert!(wal.records <= wal.appends, "batching can only shrink the record count");
+    let (recovered, stats) = Repository::recover(storage.as_ref()).expect("recovery");
+    assert_eq!(stats.last_seq, stream.len() as u64);
+    assert_eq!(
+        recovered.save(),
+        replay_prefix(stream, stream.len()).save(),
+        "a snapshotted, pruned log must recover bit-identically"
+    );
+    (wal, stats, storage.bytes_appended())
 }
 
-#[test]
-fn acked_mutations_survive_a_mid_stream_crash() {
+/// The crash contract (module docs) at `max_batch`, with the byte budget
+/// set to half of what the fault-free run of the same stream made durable.
+fn crash_mid_stream(max_batch: usize) {
     let stream = mutation_stream(32, 0xD007);
-    let budget = durable_bytes_of(&stream) / 2;
+    let budget = serve_fault_free(&stream, max_batch).2 / 2;
 
     let storage = Arc::new(MemStorage::with_faults(FaultPlan {
         crash_after_bytes: Some(budget),
         ..FaultPlan::default()
     }));
     let pool = Arc::new(WorkerPool::new(3));
-    let (cluster, recovery) = durable_cluster(&storage, &pool);
+    let (cluster, recovery) = durable_cluster(&storage, &pool, policy(max_batch));
     assert_eq!(recovery.last_seq, 0, "fresh storage recovers empty");
     let front = ServeFront::with_pool(cluster, Arc::clone(&pool));
-
-    // Mixed stream: every mutation is chased by reads across groups, so
-    // the fence is constantly draining readers when the crash hits.
-    let mut mutation_tickets = Vec::new();
-    let mut read_tickets = Vec::new();
-    for (i, mutation) in stream.iter().enumerate() {
-        mutation_tickets.push(front.submit(ServeRequest::mutate(mutation.clone())));
-        let group = GROUPS[i % GROUPS.len()];
-        let query = QUERIES[i % QUERIES.len()];
-        read_tickets
-            .push(front.submit(ServeRequest::Keyword { group: group.into(), query: query.into() }));
-    }
-    front.quiesce();
+    let (writes, reads) = serve(&front, &stream, max_batch);
     assert!(storage.crashed(), "the crash budget must fire mid-stream");
 
     // Acknowledgements form a FIFO prefix of the submitted order.
     let mut acked = 0usize;
     let mut prefix_closed = false;
     let mut last_ack_epoch = 0u64;
-    for (i, ticket) in mutation_tickets.into_iter().enumerate() {
-        let response = ticket.wait();
+    for (i, response) in writes.iter().enumerate() {
         let QueryAnswer::Mutated(result) = &response.answer else {
             panic!("mutation ticket resolved a non-mutation answer")
         };
@@ -169,7 +209,8 @@ fn acked_mutations_survive_a_mid_stream_crash() {
             Ok(_) => {
                 assert!(
                     !prefix_closed,
-                    "mutation {i} acknowledged after an earlier one was refused — not a prefix"
+                    "mutation {i} acknowledged after an earlier one was refused — not a prefix \
+                     (a partially-acked batch?)"
                 );
                 assert!(
                     response.epoch >= last_ack_epoch,
@@ -184,40 +225,40 @@ fn acked_mutations_survive_a_mid_stream_crash() {
     assert!(acked > 0, "budget of half the stream must acknowledge something");
     assert!(acked < stream.len(), "budget of half the stream must refuse something");
 
-    // No response was computed past the last acknowledged state: refused
-    // mutations change nothing visible, so the final epoch is the
-    // acknowledged epoch and every read is at or below it.
+    // No response was computed past the final in-memory state.
     let final_epoch = front.with_cluster(|c| c.version_vector().iter().sum::<u64>());
     assert!(final_epoch >= last_ack_epoch);
-    for ticket in read_tickets {
-        let response = ticket.wait();
+    for response in &reads {
         assert!(matches!(response.answer, QueryAnswer::Keyword(Some(_))));
-        assert!(
-            response.epoch <= final_epoch,
-            "a read was served past the last acknowledged epoch"
-        );
+        assert!(response.epoch <= final_epoch, "a read was served past the final epoch");
     }
     let wal = front.durability_stats().expect("durable cluster reports stats");
-    assert_eq!(wal.appends, acked as u64);
+    assert!(wal.appends >= acked as u64, "nothing is acknowledged without being appended");
 
-    // Reboot. The raw recovered image is bit-identical to a sequential
-    // reference replay of exactly the acknowledged prefix.
+    // Reboot. Every acknowledged write survives, nothing beyond what was
+    // appended appears, and the raw recovered image is bit-identical to a
+    // sequential reference replay of the recovered prefix.
     let reopened = Arc::new(storage.reopen());
     let (recovered_repo, stats) =
         Repository::recover(reopened.as_ref()).expect("recovery after crash");
-    let reference = replay_prefix(&stream, acked);
-    assert_eq!(stats.last_seq, acked as u64, "recovered seq != acknowledged count");
+    let n = stats.last_seq as usize;
+    assert!(
+        acked <= n && n as u64 <= wal.appends,
+        "recovered {n} mutations outside acked {acked} ..= appended {}",
+        wal.appends
+    );
+    let reference = replay_prefix(&stream, n);
     assert_eq!(
         recovered_repo.save(),
         reference.save(),
-        "recovered image diverges from the acknowledged prefix"
+        "recovered image diverges from its sequential prefix"
     );
 
     // A cluster re-opened over the survivors answers every query exactly
     // like a reference cluster built from the replayed prefix.
     let pool = Arc::new(WorkerPool::new(2));
-    let (recovered_cluster, recovery) = durable_cluster(&reopened, &pool);
-    assert_eq!(recovery.last_seq, acked as u64);
+    let (recovered_cluster, recovery) = durable_cluster(&reopened, &pool, policy(max_batch));
+    assert_eq!(recovery.last_seq, n as u64);
     let reference_cluster = EngineCluster::new(reference, registry(), SHARDS);
     for group in GROUPS {
         for query in QUERIES {
@@ -231,142 +272,37 @@ fn acked_mutations_survive_a_mid_stream_crash() {
     }
 }
 
-/// Maximally-batched durable byte cost of the full stream on a fault-free
-/// backend: the floor for any batching the front actually realizes, so a
-/// budget of half of it always lands mid-stream.
-fn grouped_durable_bytes_of(stream: &[Mutation]) -> u64 {
-    let trace = Arc::new(MemStorage::new());
-    let pool = Arc::new(WorkerPool::new(2));
-    let (mut cluster, _) = durable_cluster_with(&trace, &pool, grouped_policy());
-    for chunk in stream.chunks(4) {
-        for (result, _) in cluster.mutate_batch(chunk.to_vec()) {
-            result.expect("fault-free stream applies");
-        }
-    }
-    trace.bytes_appended()
+/// One write in flight at a time, one record per mutation.
+#[test]
+fn acked_mutations_survive_a_mid_stream_crash() {
+    crash_mid_stream(1);
 }
 
-/// The crash contract survives group commit: a batch whose covering
-/// fsync never returned acknowledges NOTHING (no partially-acked batch),
-/// acknowledgements still form a FIFO prefix of submission order, and
-/// recovery rebuilds exactly that prefix bit-identically.
+/// The crash contract survives batching: four writes queue together, a
+/// batch whose covering fsync never returned acknowledges NOTHING (no
+/// partially-acked batch), acknowledgements still form a FIFO prefix of
+/// submission order, and recovery rebuilds whole records only.
 #[test]
 fn group_commit_crash_acks_a_whole_batch_prefix() {
-    let stream = mutation_stream(32, 0xD007);
-    let budget = grouped_durable_bytes_of(&stream) / 2;
-
-    let storage = Arc::new(MemStorage::with_faults(FaultPlan {
-        crash_after_bytes: Some(budget),
-        ..FaultPlan::default()
-    }));
-    let pool = Arc::new(WorkerPool::new(3));
-    let (cluster, recovery) = durable_cluster_with(&storage, &pool, grouped_policy());
-    assert_eq!(recovery.last_seq, 0, "fresh storage recovers empty");
-    let front = ServeFront::with_pool(cluster, Arc::clone(&pool));
-
-    // Mutations chased by reads, so batches of varying size pile up
-    // behind the fence while readers drain.
-    let mut mutation_tickets = Vec::new();
-    for (i, mutation) in stream.iter().enumerate() {
-        mutation_tickets.push(front.submit(ServeRequest::mutate(mutation.clone())));
-        let group = GROUPS[i % GROUPS.len()];
-        let query = QUERIES[i % QUERIES.len()];
-        front.submit(ServeRequest::Keyword { group: group.into(), query: query.into() });
-    }
-    front.quiesce();
-    assert!(storage.crashed(), "the crash budget must fire mid-stream");
-
-    let mut acked = 0usize;
-    let mut prefix_closed = false;
-    for (i, ticket) in mutation_tickets.into_iter().enumerate() {
-        let response = ticket.wait();
-        let QueryAnswer::Mutated(result) = &response.answer else {
-            panic!("mutation ticket resolved a non-mutation answer")
-        };
-        match result {
-            Ok(_) => {
-                assert!(
-                    !prefix_closed,
-                    "mutation {i} acknowledged after an earlier refusal — not a prefix \
-                     (a partially-acked batch?)"
-                );
-                acked += 1;
-            }
-            Err(_) => prefix_closed = true,
-        }
-    }
-    assert!(acked > 0, "half the batched byte cost must acknowledge something");
-    assert!(acked < stream.len(), "half the batched byte cost must refuse something");
-
-    let stats = front.stats();
-    let wal = stats.durability.expect("durable cluster reports stats");
-    assert_eq!(wal.appends, acked as u64, "acknowledged == durable mutations, exactly");
-    assert!(wal.records <= wal.appends, "batching can only shrink the record count");
-
-    // Reboot: bit-identical to the acknowledged prefix, whole batches only.
-    let reopened = Arc::new(storage.reopen());
-    let (recovered_repo, recovered_stats) =
-        Repository::recover(reopened.as_ref()).expect("recovery after crash");
-    assert_eq!(recovered_stats.last_seq, acked as u64, "recovered seq != acknowledged count");
-    assert_eq!(
-        recovered_repo.save(),
-        replay_prefix(&stream, acked).save(),
-        "recovered image diverges from the acknowledged prefix"
-    );
+    crash_mid_stream(4);
 }
 
-/// Fault-free group-commit serving with background snapshots ON: the
-/// cadence runs snapshots off-thread on the worker pool, the write path
-/// keeps acknowledging, and recovery over the pruned log is still
-/// bit-identical to the sequential reference.
+/// Fault-free batched serving: the cadence runs every snapshot as a job on
+/// the worker pool, the write path keeps acknowledging, and recovery over
+/// the pruned log is still bit-identical to the sequential reference.
 #[test]
 fn background_snapshots_prune_off_thread_and_recover() {
-    let stream = mutation_stream(24, 0xFEED);
-    let storage = Arc::new(MemStorage::new());
-    let pool = Arc::new(WorkerPool::new(3));
-    let policy = DurabilityPolicy { background_snapshots: true, ..grouped_policy() };
-    let (cluster, _) = durable_cluster_with(&storage, &pool, policy);
-    let front = ServeFront::with_pool(cluster, Arc::clone(&pool));
-
-    let tickets: Vec<_> =
-        stream.iter().map(|m| front.submit(ServeRequest::mutate(m.clone()))).collect();
-    for ticket in tickets {
-        assert!(matches!(ticket.wait().answer, QueryAnswer::Mutated(Ok(_))));
-    }
-    front.quiesce();
-    // Drain the in-flight snapshot (if any) before inspecting storage:
-    // the write path never waits on it, but recovery below must see a
-    // stable byte image.
-    while front.with_cluster(|c| c.background_snapshot_in_flight()) {
-        std::thread::yield_now();
-    }
-
-    let wal = front.durability_stats().expect("durable cluster reports stats");
-    assert_eq!(wal.appends, stream.len() as u64);
-    assert!(
-        wal.background_snapshots >= 1,
-        "the cadence must have run snapshots off-thread, got {:?}",
-        wal.background_snapshots
-    );
-    assert_eq!(wal.snapshots, wal.background_snapshots, "no inline snapshot may sneak in");
-
-    let (recovered, stats) = Repository::recover(storage.as_ref()).expect("recovery");
-    if stats.last_seq != stream.len() as u64 {
-        eprintln!("DEBUG wal stats: {wal:?}");
-        eprintln!("DEBUG recovery stats: {stats:?}");
-        for name in storage.list().unwrap() {
-            eprintln!("DEBUG file: {name}");
-        }
-    }
-    assert_eq!(stats.last_seq, stream.len() as u64);
-    assert_eq!(recovered.save(), replay_prefix(&stream, stream.len()).save());
+    let (wal, stats, _) = serve_fault_free(&mutation_stream(24, 0xFEED), 4);
+    assert!(wal.background_snapshots >= 2, "cadence 4 over 24 writes: {wal:?}");
+    assert_eq!(wal.snapshots, wal.background_snapshots, "no whole-image snapshot may sneak in");
+    assert!(wal.segments_pruned >= 1, "snapshot jobs prune covered segments");
+    assert!(wal.records < wal.appends, "queued writes must have shared records: {wal:?}");
+    assert!(stats.snapshot_seq > 0, "recovery must start from a chunked snapshot");
 }
 
-/// Pipelined commit through the front, fault-free: every ticket still
-/// acknowledges durably, the pipeline's bookkeeping — sync-queue depth
-/// high-water, overlapped fsyncs — and the COW snapshot chunk counters
-/// surface through [`ServeFront::stats`], and recovery over the pruned
-/// chunked snapshots plus the WAL suffix is bit-identical.
+/// The sync queue's bookkeeping — depth high-water, overlapped fsyncs —
+/// and the COW snapshot chunk counters surface through the front, and
+/// clean chunks are reused by reference.
 #[test]
 fn pipelined_serve_surfaces_pipeline_and_chunk_stats() {
     // Insert-only stream: ids grow monotonically, so chunk 0 (specs
@@ -377,34 +313,14 @@ fn pipelined_serve_surfaces_pipeline_and_chunk_stats() {
             policy: Policy::public(),
         })
         .collect();
-    let storage = Arc::new(MemStorage::new());
-    let pool = Arc::new(WorkerPool::new(3));
-    let policy = DurabilityPolicy { snapshot_every: 4, ..DurabilityPolicy::pipelined(4, 0) };
-    let (cluster, _) = durable_cluster_with(&storage, &pool, policy);
-    let front = ServeFront::with_pool(cluster, Arc::clone(&pool));
-
-    // One at a time, draining each background snapshot before the next
-    // cadence point, so every fourth mutation deterministically runs a
-    // chunked snapshot (none skipped for an in-flight peer).
-    for mutation in &stream {
-        let response = front.submit(ServeRequest::mutate(mutation.clone())).wait();
-        assert!(
-            matches!(response.answer, QueryAnswer::Mutated(Ok(_))),
-            "a fault-free pipelined write must acknowledge durable"
-        );
-        while front.with_cluster(|c| c.background_snapshot_in_flight()) {
-            std::thread::yield_now();
-        }
-    }
-    front.quiesce();
-    front.with_cluster(|c| c.wait_for_pipeline());
-
-    let wal = front.durability_stats().expect("durable cluster reports stats");
-    assert_eq!(wal.appends, stream.len() as u64);
+    // `serve` drains each snapshot job before the next cadence point, so
+    // every fourth mutation deterministically runs a chunked snapshot
+    // (none skipped for an in-flight peer).
+    let (wal, _, _) = serve_fault_free(&stream, 4);
     assert!(wal.syncs >= 1, "covering fsyncs must have run");
     assert!(
         wal.pipeline_depth_high_water >= 1,
-        "every pipelined frame passes through the sync queue, got {:?}",
+        "every frame passes through the sync queue, got {:?}",
         wal.pipeline_depth_high_water
     );
     assert!(
@@ -418,32 +334,26 @@ fn pipelined_serve_surfaces_pipeline_and_chunk_stats() {
         wal.snapshot_chunks_reused >= 1,
         "full, untouched chunk 0 must be reused by reference: {wal:?}"
     );
-
-    let (recovered, stats) = Repository::recover(storage.as_ref()).expect("recovery");
-    assert_eq!(stats.last_seq, stream.len() as u64);
-    assert!(stats.snapshot_seq > 0, "recovery must start from a chunked snapshot");
-    assert_eq!(
-        recovered.save(),
-        replay_prefix(&stream, stream.len()).save(),
-        "pipelined + COW-snapshotted log must recover bit-identically"
-    );
 }
 
+/// Every write queued at once (no drain between them, so cadences may be
+/// skipped for a busy snapshot job), one record per mutation.
 #[test]
 fn fault_free_serve_stream_recovers_in_full() {
     let stream = mutation_stream(12, 0xBEEF);
+    let (wal, _, _) = serve_fault_free(&stream, 1);
+    assert_eq!(wal.records, wal.appends, "max_batch 1 never batches");
+
     let storage = Arc::new(MemStorage::new());
     let pool = Arc::new(WorkerPool::new(2));
-    let (cluster, _) = durable_cluster(&storage, &pool);
+    let (cluster, _) = durable_cluster(&storage, &pool, policy(1));
     let front = ServeFront::with_pool(cluster, Arc::clone(&pool));
-
     let tickets: Vec<_> =
         stream.iter().map(|m| front.submit(ServeRequest::mutate(m.clone()))).collect();
     for ticket in tickets {
         assert!(matches!(ticket.wait().answer, QueryAnswer::Mutated(Ok(_))));
     }
-    front.quiesce();
-
+    drain(&front);
     let (recovered, stats) = Repository::recover(storage.as_ref()).expect("recovery");
     assert_eq!(stats.last_seq, stream.len() as u64);
     assert_eq!(recovered.save(), replay_prefix(&stream, stream.len()).save());

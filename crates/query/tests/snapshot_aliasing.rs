@@ -9,8 +9,9 @@
 //! * **what an image serializes to is fixed at capture** — an image
 //!   written only after further `AddExecution`, `EditSpec`, `SetPolicy`
 //!   and `DeleteSpec` on the same specs produces byte-identical snapshot
-//!   files to a copy written at capture, through the inline writer, the
-//!   background job, and up to a crash between capture and manifest;
+//!   files to a copy written at capture, through the snapshot job run on
+//!   the caller (no pool), run as a pool job, and up to a crash between
+//!   capture and manifest;
 //! * recovery over such a snapshot equals the sequential replay — through
 //!   the capture point when the log ends there, through the end when the
 //!   later writes were logged too — and a cluster opened over it holds
@@ -109,14 +110,11 @@ fn replay(history: &[Mutation]) -> Repository {
 
 /// A log over fresh storage whose first snapshot falls due exactly at the
 /// end of `history_through_k`, with that history appended and applied.
-fn log_at_k(background: bool) -> (Arc<MemStorage>, DurableLog, Repository) {
+fn log_at_k() -> (Arc<MemStorage>, DurableLog, Repository) {
     let history = history_through_k();
     let storage = Arc::new(MemStorage::new());
-    let policy = DurabilityPolicy {
-        background_snapshots: background,
-        snapshot_every: history.len() as u64,
-        ..DurabilityPolicy::default()
-    };
+    let policy =
+        DurabilityPolicy { snapshot_every: history.len() as u64, ..DurabilityPolicy::default() };
     let opened = DurableLog::open(Arc::clone(&storage) as Arc<dyn StorageBackend>, policy).unwrap();
     let (mut log, mut repo) = (opened.log, opened.repository);
     for mutation in history {
@@ -150,7 +148,7 @@ fn snapshot_files(storage: &MemStorage) -> Vec<(String, Vec<u8>)> {
 /// capture, before anything else happens — the reference the delayed
 /// writers are compared against.
 fn written_at_capture() -> Vec<(String, Vec<u8>)> {
-    let (storage, mut log, repo) = log_at_k(false);
+    let (storage, mut log, repo) = log_at_k();
     assert!(log.snapshot_if_due_with(repo.len(), |_| Some(capture(&repo))));
     let files = snapshot_files(&storage);
     assert_eq!(files.len(), 3, "two chunks and a manifest");
@@ -166,7 +164,7 @@ fn registry() -> PrincipalRegistry {
 
 #[test]
 fn inline_write_after_later_mutations_is_byte_identical_to_a_write_at_capture() {
-    let (storage, mut log, mut repo) = log_at_k(false);
+    let (storage, mut log, mut repo) = log_at_k();
     let image = capture(&repo);
     // The write path moves on — on the image's own specs — before the
     // image is serialized. (Unlogged, so this log ends at `k`.)
@@ -198,7 +196,7 @@ fn inline_write_after_later_mutations_is_byte_identical_to_a_write_at_capture() 
 
 #[test]
 fn background_job_that_runs_after_later_mutations_writes_the_capture_time_bytes() {
-    let (storage, mut log, mut repo) = log_at_k(true);
+    let (storage, mut log, mut repo) = log_at_k();
     // One worker, parked on a gate: the snapshot job queues behind it and
     // cannot serialize until the test says so.
     let pool = Arc::new(WorkerPool::new(1));
@@ -209,7 +207,7 @@ fn background_job_that_runs_after_later_mutations_writes_the_capture_time_bytes(
         gate.recv().unwrap();
     });
     is_parked.recv().unwrap();
-    log.set_snapshot_pool(Arc::clone(&pool));
+    log.set_pool(Arc::clone(&pool));
 
     assert!(log.snapshot_if_due(&repo), "captured and queued");
     assert!(log.background_snapshot_in_flight());
@@ -242,7 +240,7 @@ fn a_crash_between_capture_and_manifest_loses_nothing_and_leaves_only_capture_ti
         .filter(|(n, _)| parse_chunk_name(n).is_some())
         .map(|(_, b)| b.len() as u64)
         .sum();
-    let (storage, mut log, mut repo) = log_at_k(false);
+    let (storage, mut log, mut repo) = log_at_k();
     let image = capture(&repo);
     for mutation in later_writes() {
         repo.apply(mutation).unwrap();

@@ -36,10 +36,10 @@
 //! * [`pool`] — the persistent worker pool scans and the query layer's
 //!   scatter/gather run on (no per-call thread spawns), with both a
 //!   blocking scoped API and a non-blocking `submit`/`exec` path,
-//! * [`ticket`] — [`Ticket`](ticket::Ticket)/[`TicketCompleter`]
-//!   (ticket::TicketCompleter) completion handles the async serving front
-//!   multiplexes in-flight queries with (park/notify wakeups, caller
-//!   helping, per-ticket panic propagation),
+//! * [`ticket`] — [`ticket::Ticket`]/[`ticket::TicketCompleter`]
+//!   completion handles the async serving front multiplexes in-flight
+//!   queries with (park/notify wakeups, caller helping, per-ticket panic
+//!   propagation),
 //! * [`scan`] — parallel repository scans (on the pool) for the non-indexed
 //!   baseline the benchmarks compare against,
 //! * [`stats`] — repository statistics for operators,

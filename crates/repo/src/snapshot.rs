@@ -205,7 +205,7 @@ fn hash_of(payload: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Atomically write a copy-on-write chunked (v2) snapshot covering
+/// Atomically write a copy-on-write chunked (v3) snapshot covering
 /// mutations through `through_seq`. Dirty chunks are serialized and
 /// written first (content-addressed, so identical payloads are written
 /// once ever); the manifest commits last, so a crash anywhere in between
@@ -274,7 +274,7 @@ pub(crate) fn write_chunked(
     Ok(out)
 }
 
-/// Parse a v2 manifest payload into its chunk references.
+/// Parse a v3 manifest payload into its chunk references.
 fn decode_manifest(name: &str, payload: &[u8]) -> WalResult<(u64, Vec<ChunkRef>)> {
     if payload.len() < 12 {
         return Err(corrupt(name, "manifest shorter than its fixed header"));
@@ -300,7 +300,7 @@ fn decode_manifest(name: &str, payload: &[u8]) -> WalResult<(u64, Vec<ChunkRef>)
     Ok((version, refs))
 }
 
-/// Load and re-validate every chunk of a v2 manifest into a repository.
+/// Load and re-validate every chunk of a v3 manifest into a repository.
 fn load_chunked(
     backend: &dyn StorageBackend,
     name: &str,
@@ -374,7 +374,7 @@ fn corrupt(name: &str, detail: impl Into<String>) -> WalError {
 }
 
 /// What loading one snapshot file yields: the rebuilt repository, the
-/// sequence it covers through, and — for a chunked (v2) snapshot — the
+/// sequence it covers through, and — for a chunked (v3) snapshot — the
 /// verified manifest, which a re-opened log seeds its chunk reuse from.
 #[derive(Debug)]
 pub(crate) struct Loaded {

@@ -1,54 +1,74 @@
 //! A segmented, checksummed write-ahead log of typed [`Mutation`]s.
 //!
 //! The serving stack is in-memory; this module is what lets it survive a
-//! restart or a torn write. Every mutation is appended — *before* it is
-//! applied — as one framed record:
+//! restart or a torn write. There is **one write path**, and every caller
+//! — a lone [`DurableLog::append`], the cluster's run flush, the serving
+//! front's fenced batches — goes down it:
 //!
-//! ```text
-//! [u32 body_len (LE)] [u64 FNV-1a checksum of body (LE)] [body]
-//!   body = uvarint seq ++ mutation payload (tag + codec bytes)
-//! ```
+//! 1. **Frame.** A FIFO run of mutations, each already validated against
+//!    current state, is appended *before it is applied* as **one**
+//!    checksummed record:
 //!
-//! Records are packed into segment files named `wal-<first_seq:016x>.log`
-//! and rotated at a byte threshold; sequence numbers start at 1 and are
-//! contiguous across segments. Periodic [`crate::snapshot`]s serialize the
-//! whole repository atomically and let every fully covered segment be
-//! pruned, bounding both log size and recovery time.
+//!    ```text
+//!    [u32 body_len (LE)] [u64 FNV-1a checksum of body (LE)] [body]
+//!      one mutation:  body = uvarint seq ++ mutation payload (tag + codec bytes)
+//!      a longer run:  body = uvarint first_seq ++ TAG_BATCH ++ uvarint count
+//!                            ++ count × mutation payloads
+//!    ```
 //!
-//! **Group commit** ([`DurabilityPolicy::group_commit`] /
-//! [`DurableLog::append_batch`]) amortizes the fsync: a FIFO run of
-//! mutations becomes **one** checksummed record —
+//!    How long runs may get is the caller's [`DurabilityPolicy::max_batch`];
+//!    at 1 (the default) every record is the plain one-mutation form, so
+//!    such a log is byte-identical to one written before batch records
+//!    existed. Because a run is a single record, it is never partially
+//!    acknowledged and never partially replayed: a crash inside it tears
+//!    the final record, recovery truncates it, and exactly the
+//!    previously-acknowledged prefix survives. Records are packed into
+//!    segment files named `wal-<first_seq:016x>.log`, rotated at
+//!    [`DurabilityPolicy::segment_bytes`]; sequence numbers start at 1 and
+//!    are contiguous across segments.
+//! 2. **Covering fsync.** Every frame is owed one fsync of its segment
+//!    before anyone is told it happened; one fsync covers every frame
+//!    appended to that segment before it. [`DurableLog::append_batch`]
+//!    runs it on the calling thread and returns after it.
+//!    [`DurableLog::append_batch_pipelined`] returns as soon as the record
+//!    is in the segment — the caller applies the run, and frames and
+//!    applies the next one, meanwhile — and leaves the fsync to the *sync
+//!    job*: a [`WorkerPool`] job that drains the queue of pending frames in
+//!    FIFO order, fsyncs once per drained run of frames sharing a segment,
+//!    and only then fires each frame's [`DurableCallback`]. Which thread
+//!    the job runs on is the one thing the log reads off its surroundings
+//!    rather than its policy: with a pool attached ([`DurableLog::set_pool`])
+//!    it is a pool job; without one the same fsync runs on the caller
+//!    before the pipelined append returns.
+//! 3. **Acknowledge strictly behind durability.** A mutation may be
+//!    acknowledged when `append_batch` returns `Ok`, or when its frame's
+//!    callback fires `Ok` — never earlier, and callbacks fire in append
+//!    order. There is no policy that acknowledges without the fsync. What
+//!    the pipelined end adds is only that the *mutating thread* does not
+//!    idle through fsync latency; in that window the in-memory state (and
+//!    a reader of it) is ahead of the durable prefix by frames nobody has
+//!    been told about — a read-uncommitted window over losable suffix
+//!    data, never over anything acknowledged.
+//! 4. **Failure poisons.** A failed append or covering fsync — on the
+//!    caller or on the sync job — poisons the log: every queued and later
+//!    frame fails with a typed error (nothing acknowledged), and cadence
+//!    snapshots are refused, because the tail is in an unknown state.
+//!    Re-open (recover) to resume. A crash while frames are in flight
+//!    leaves 0..n appended-but-unsynced records on disk; recovery's
+//!    truncate-at-tear rule extends across them (below), so the recovered
+//!    prefix is record-aligned, holds every acknowledged record, and never
+//!    resurrects a torn one.
 //!
-//! ```text
-//! [u32 body_len (LE)] [u64 FNV-1a checksum of body (LE)] [body]
-//!   body = uvarint first_seq ++ TAG_BATCH ++ uvarint count
-//!          ++ count × mutation payloads
-//! ```
-//!
-//! — acknowledged by **one** fsync. Because the batch is a single record,
-//! the crash posture is unchanged: a crash inside the batch's fsync
-//! window tears the final record, recovery truncates it, and exactly the
-//! previously-acknowledged prefix survives. A batch is never partially
-//! acknowledged and never partially replayed. Single-mutation appends
-//! keep the plain framing, so a log written without group commit is
-//! byte-identical to one written before the mode existed.
-//!
-//! **Pipelined commit** ([`DurabilityPolicy::pipelined_commit`] /
-//! [`DurableLog::append_batch_pipelined`]) overlaps batch *k*'s append
-//! and in-memory apply with batch *k−1*'s covering fsync: the append
-//! returns as soon as the record hits the segment, and a dedicated
-//! [`WorkerPool`] sync job fsyncs the pending frames in FIFO order —
-//! one covering fsync per drained run — invoking each frame's
-//! [`DurableCallback`] only after the fsync that covers it succeeds.
-//! Acknowledgement therefore stays strictly ordered behind durability
-//! (durable-on-acknowledge unchanged); what pipelining adds is that the
-//! *mutating thread* no longer idles through fsync latency. A failed
-//! covering fsync poisons the pipeline: every pending and later frame
-//! fails (nothing acked), exactly like an inline fsync failure. A crash
-//! while frames are in flight leaves 0..n appended-but-unsynced records
-//! on disk; recovery's truncate-at-tear rule extends across them (see
-//! below), so the recovered prefix is always record-aligned, contains
-//! every acknowledged record, and never resurrects a torn one.
+//! **Snapshots** bound log size and recovery time. Every
+//! [`DurabilityPolicy::snapshot_every`] records the write path captures a
+//! copy-on-write image (pointer copies of the chunks dirtied since the last
+//! snapshot), rotates to a fresh segment, and hands the image to the
+//! *snapshot job*, which writes the dirty chunks and a manifest
+//! ([`crate::snapshot`], format v3) and prunes every segment whose first
+//! sequence number the snapshot covers — on the pool when one is attached,
+//! on the caller otherwise; the same job body either way. The
+//! whole-image v1 writer ([`DurableLog::snapshot_now`]) remains for the
+//! baseline checkpoint of a pre-loaded corpus and for manual checkpoints.
 //!
 //! **Recovery** ([`Repository::recover`] / [`DurableLog::open`]) replays
 //! `(latest snapshot, log suffix)` with a strict corruption posture:
@@ -58,13 +78,12 @@
 //!   from a clean boundary;
 //! * a checksum mismatch in the last segment with **no checksum-valid
 //!   record after it** (walking the record length chain) is likewise a
-//!   torn tail — with pipelined commit several unsynced frames may be
-//!   in flight at power loss, and blocks can hit disk out of order, so
-//!   the tear can start before the final record; everything from the
-//!   first damaged frame on is truncated. A valid record *after* the
-//!   mismatch proves the damage is interior (the later record was
-//!   appended — and possibly acknowledged — after the damaged one), so
-//!   it is refused instead;
+//!   torn tail — several unsynced frames may be in flight at power loss,
+//!   and blocks can hit disk out of order, so the tear can start before
+//!   the final record; everything from the first damaged frame on is
+//!   truncated. A valid record *after* the mismatch proves the damage is
+//!   interior (the later record was appended — and possibly acknowledged
+//!   — after the damaged one), so it is refused instead;
 //! * any other checksum mismatch, framing violation, or sequence gap is
 //!   interior corruption of data that was once acknowledged — that is
 //!   data loss, surfaced as a typed [`WalError::Corrupt`], never a panic
@@ -362,7 +381,7 @@ struct Replayed {
     stats: RecoveryStats,
     /// `(name, surviving bytes)` of the segment appends continue into.
     active_segment: Option<(String, u64)>,
-    /// Chunk manifest of the loaded snapshot, when it was chunked (v2):
+    /// Chunk manifest of the loaded snapshot, when it was chunked (v3):
     /// what a re-opened log seeds its copy-on-write reuse from.
     manifest: Option<Vec<ChunkRef>>,
     /// Chunks touched by the replayed log suffix — dirty relative to the
@@ -619,49 +638,22 @@ impl Repository {
 // The durable log.
 // ---------------------------------------------------------------------------
 
-/// Group-commit knobs: how aggressively callers may batch consecutive
-/// mutations into one record + one fsync.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GroupCommit {
-    /// Most mutations one batch record may carry.
-    pub max_batch: usize,
-    /// Longest the serving front may hold a batch open waiting for more
-    /// mutations to arrive (µs). 0 never delays: batches form only from
-    /// requests already queued behind the write fence. This bounds the
-    /// extra latency group commit adds to the *first* record of a batch.
-    pub max_delay_us: u64,
-}
-
-/// Durability knobs.
+/// Durability knobs: how runs batch, how often the log checkpoints, how
+/// large a segment grows. Nothing here can turn the covering fsync off.
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityPolicy {
-    /// `fsync` after every append (durable-on-acknowledge). Turning this
-    /// off trades the paper-trail guarantee for append throughput: a
-    /// crash may lose the unsynced suffix, but never tear acknowledged
-    /// interior records.
-    pub fsync_each: bool,
-    /// `Some`: group commit is on — [`DurableLog::append_batch`] frames a
-    /// FIFO run as one record acknowledged by one fsync, and the serving
-    /// front drains consecutive queued mutations into such runs.
-    /// `None` (default): the per-record behavior, byte-identical logs.
-    pub group_commit: Option<GroupCommit>,
-    /// Write cadence snapshots on a [`WorkerPool`] job instead of the
-    /// mutating thread: the pause shrinks to capturing a copy-on-write
-    /// image of the dirtied chunks — pointer copies; the job serializes
-    /// from data it shares with the live repository. Takes effect once a
-    /// pool is attached ([`DurableLog::set_snapshot_pool`]); without one,
-    /// snapshots stay inline.
-    pub background_snapshots: bool,
-    /// Pipelined commit: the serving front appends through
-    /// [`DurableLog::append_batch_pipelined`], deferring the covering
-    /// fsync to a dedicated pool sync job so batch *k*'s apply overlaps
-    /// batch *k−1*'s fsync. Acknowledgement stays ordered behind the
-    /// fsync that covers each record. Takes effect once a sync pool is
-    /// attached ([`DurableLog::set_sync_pool`]); without one, the fsync
-    /// runs inline (plain group-commit behavior).
-    pub pipelined_commit: bool,
+    /// Most mutations one record may carry: the serving front drains up to
+    /// this many consecutive queued mutations into one run, framed as one
+    /// record under one covering fsync. 1 (the default) is per-record
+    /// commit, and keeps such logs byte-identical to pre-batch ones.
+    pub max_batch: usize,
+    /// Longest the serving front may hold a run open waiting for more
+    /// mutations to arrive (µs). 0 never delays: runs form only from
+    /// requests already queued behind the write fence. This bounds the
+    /// latency batching adds to the *first* record of a run.
+    pub max_delay_us: u64,
     /// Snapshot (and prune covered segments) every N appended records;
-    /// 0 disables automatic snapshots.
+    /// 0 disables cadence snapshots.
     pub snapshot_every: u64,
     /// Rotate to a new segment once the active one exceeds this size.
     pub segment_bytes: u64,
@@ -670,10 +662,8 @@ pub struct DurabilityPolicy {
 impl Default for DurabilityPolicy {
     fn default() -> Self {
         DurabilityPolicy {
-            fsync_each: true,
-            group_commit: None,
-            background_snapshots: false,
-            pipelined_commit: false,
+            max_batch: 1,
+            max_delay_us: 0,
             snapshot_every: 256,
             segment_bytes: 64 * 1024,
         }
@@ -681,23 +671,12 @@ impl Default for DurabilityPolicy {
 }
 
 impl DurabilityPolicy {
-    /// The amortized serving profile: durable-on-acknowledge with group
-    /// commit and background snapshots, default cadence otherwise.
-    pub fn grouped(max_batch: usize, max_delay_us: u64) -> Self {
-        DurabilityPolicy {
-            group_commit: Some(GroupCommit { max_batch, max_delay_us }),
-            background_snapshots: true,
-            ..DurabilityPolicy::default()
-        }
-    }
-
-    /// [`Self::grouped`] plus pipelined commit: covering fsyncs run on a
-    /// dedicated sync job so the next batch's apply overlaps them.
+    /// The serving profile: runs of up to `max_batch` mutations per record,
+    /// held open at most `max_delay_us`, default cadence otherwise. With a
+    /// pool attached to the log each run's apply overlaps the previous
+    /// run's covering fsync.
     pub fn pipelined(max_batch: usize, max_delay_us: u64) -> Self {
-        DurabilityPolicy {
-            pipelined_commit: true,
-            ..DurabilityPolicy::grouped(max_batch, max_delay_us)
-        }
+        DurabilityPolicy { max_batch, max_delay_us, ..DurabilityPolicy::default() }
     }
 }
 
@@ -708,18 +687,17 @@ pub const BATCH_SIZE_BOUNDS: [u64; 5] = [1, 2, 4, 8, 16];
 /// Lifetime counters of one [`DurableLog`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DurabilityStats {
-    /// Mutations appended (and acknowledged); a group-commit batch adds
-    /// its full length.
+    /// Mutations appended; a batch record adds its full length.
     pub appends: u64,
-    /// Physical records appended (a group-commit batch counts once).
+    /// Physical records appended (a batch record counts once).
     pub records: u64,
     /// Bytes appended (framing included).
     pub bytes_appended: u64,
     /// Successful fsyncs.
     pub syncs: u64,
-    /// fsyncs avoided by group commit: Σ (batch length − 1) over synced
-    /// batches — what the same mutations would have cost per-record,
-    /// minus what they did cost.
+    /// fsyncs avoided by batching and by covering several frames at once:
+    /// what the same mutations would have cost per-record, minus what they
+    /// did cost.
     pub fsyncs_saved: u64,
     /// Histogram of appended record batch lengths: bucket `i` counts
     /// records carrying ≤ [`BATCH_SIZE_BOUNDS`]`[i]` mutations, the last
@@ -727,35 +705,34 @@ pub struct DurabilityStats {
     pub batch_size_counts: [u64; BATCH_SIZE_BOUNDS.len() + 1],
     /// Segment rotations.
     pub rotations: u64,
-    /// Snapshots written (inline and background).
+    /// Snapshots written (cadence and [`DurableLog::snapshot_now`]).
     pub snapshots: u64,
-    /// Cadence snapshots completed on a background worker.
+    /// Cadence snapshots the snapshot job completed — on the pool when one
+    /// is attached, on the mutating thread otherwise.
     pub background_snapshots: u64,
     /// Fully covered segments pruned after snapshots.
     pub segments_pruned: u64,
-    /// Cadence snapshots that failed (see [`DurableLog::snapshot_if_due`]);
-    /// the log keeps its longer suffix and retries at the next cadence
-    /// point.
+    /// Cadence snapshots that failed or were refused (see
+    /// [`DurableLog::snapshot_if_due`]); the log keeps its longer suffix
+    /// and retries at the next cadence point.
     pub snapshot_failures: u64,
-    /// µs the *mutating thread* spent paused inside cadence snapshots.
-    /// Inline: the full serialize + write + prune time. Background: chunk
-    /// planning, capturing the copy-on-write image (pointer copies of the
-    /// dirty chunks — by the log or by the caller of
-    /// [`DurableLog::snapshot_if_due_with`]) and the rotation hand-off —
-    /// the pause the background path is meant to shrink.
+    /// µs the *mutating thread* spent paused inside cadence snapshots:
+    /// chunk planning, capturing the copy-on-write image (pointer copies of
+    /// the dirty chunks — by the log or by the caller of
+    /// [`DurableLog::snapshot_if_due_with`]) and the rotation hand-off;
+    /// without a pool, the snapshot job itself as well.
     pub snapshot_pause_us: u64,
-    /// µs background snapshot jobs spent serializing, writing, and
-    /// pruning off the mutating thread.
+    /// µs snapshot jobs spent serializing, writing, and pruning.
     pub snapshot_background_us: u64,
-    /// Highest acknowledged sequence number.
+    /// Highest appended sequence number.
     pub last_seq: u64,
     /// Sequence number the latest snapshot covers through.
     pub snapshot_seq: u64,
-    /// Deepest the pipelined-commit sync queue has been (frames awaiting
-    /// their covering fsync, including the one being synced).
+    /// Deepest the sync queue has been (frames awaiting their covering
+    /// fsync, including the one being synced).
     pub pipeline_depth_high_water: u64,
-    /// Pipelined frames enqueued while a sync job was already running —
-    /// each one is an append/apply that overlapped an in-flight fsync.
+    /// Frames enqueued while a sync job was already running — each one is
+    /// an append/apply that overlapped an in-flight fsync.
     pub overlapped_fsyncs: u64,
     /// Chunks serialized and written by copy-on-write snapshots.
     pub snapshot_chunks_written: u64,
@@ -767,12 +744,12 @@ pub struct DurabilityStats {
     pub snapshot_bytes_written: u64,
 }
 
-/// Counters a background snapshot job updates; shared between the log and
-/// its in-flight pool jobs, merged into [`DurabilityStats`] on read.
+/// Counters the snapshot job updates; shared between the log and an
+/// in-flight pool job, merged into [`DurabilityStats`] on read.
 #[derive(Default)]
 struct BgSnapshot {
-    /// One background snapshot at a time: set before spawning, cleared by
-    /// the job. While set, due cadences are skipped (and retried later).
+    /// One snapshot job at a time: set before it starts, cleared by the
+    /// job. While set, due cadences are skipped (and retried later).
     in_flight: AtomicBool,
     completed: AtomicU64,
     failed: AtomicU64,
@@ -799,8 +776,9 @@ struct PendingFrame {
 }
 
 /// Fired exactly once per [`DurableLog::append_batch_pipelined`] frame,
-/// after the fsync covering it succeeds (`Ok`) or the pipeline poisons
-/// (`Err`). Runs on the sync job's thread — keep it cheap and lock-light.
+/// after the fsync covering it succeeds (`Ok`) or the log poisons
+/// (`Err`). With a pool it runs on the sync job's thread — keep it cheap
+/// and lock-light.
 pub type DurableCallback = Box<dyn FnOnce(WalResult<()>) + Send + 'static>;
 
 #[derive(Default)]
@@ -808,11 +786,13 @@ struct SyncQueue {
     pending: VecDeque<PendingFrame>,
     /// A sync job is draining the queue; new frames just enqueue.
     job_active: bool,
-    /// A covering fsync failed: every queued and future frame fails.
+    /// The failure that poisoned the log — an append or covering fsync, on
+    /// the mutating thread or on the sync job: every queued and future
+    /// frame fails, every snapshot is refused. The log's one poison cell.
     poisoned: Option<String>,
 }
 
-/// State shared between the mutating thread and its pipelined sync jobs.
+/// State shared between the mutating thread and its sync jobs.
 #[derive(Default)]
 struct SyncShared {
     queue: Mutex<SyncQueue>,
@@ -822,10 +802,10 @@ struct SyncShared {
     depth_high_water: AtomicU64,
 }
 
-/// The pipelined sync job: drain queued frames, fsync once per run of
-/// consecutive frames sharing a segment, then fire their acknowledgements
-/// in FIFO order. Loops until the queue is empty so one job covers every
-/// frame enqueued while it ran. Callbacks always run with the queue lock
+/// The sync job: drain queued frames, fsync once per run of consecutive
+/// frames sharing a segment, then fire their acknowledgements in FIFO
+/// order. Loops until the queue is empty so one job covers every frame
+/// enqueued while it ran. Callbacks always run with the queue lock
 /// released.
 fn run_sync_job(backend: Arc<dyn StorageBackend>, shared: Arc<SyncShared>) {
     loop {
@@ -885,6 +865,69 @@ fn run_sync_job(backend: Arc<dyn StorageBackend>, shared: Arc<SyncShared>) {
     }
 }
 
+/// Remove what a snapshot covering `through` supersedes: every segment
+/// whose *first sequence* is ≤ `through` (never "everything but the
+/// active name": a snapshot job races appends, and segments the size
+/// cadence rotated in meanwhile start past `through` and must survive),
+/// older snapshot files, and chunk files outside `referenced`. Returns
+/// the segments removed. Removal failures leak files, never correctness —
+/// replay skips covered records and ignores unreferenced chunks — and the
+/// next snapshot's prune retries them, so they are not surfaced.
+fn prune_covered(backend: &dyn StorageBackend, through: u64, referenced: &HashSet<u64>) -> u64 {
+    let mut segments = 0;
+    for name in backend.list().unwrap_or_default() {
+        let segment = parse_segment_name(&name);
+        let superseded = match (segment, snapshot::parse_name(&name)) {
+            (Some(first), _) => first <= through,
+            (None, Some(older)) => older < through,
+            (None, None) => {
+                snapshot::parse_chunk_name(&name).is_some_and(|hash| !referenced.contains(&hash))
+            }
+        };
+        if superseded && backend.remove(&name).is_ok() && segment.is_some() {
+            segments += 1;
+        }
+    }
+    segments
+}
+
+/// The snapshot job: write `image`'s dirty chunks and manifest as the
+/// snapshot covering `through`, prune what it supersedes, and leave the
+/// verdict where the mutating thread's next snapshot decision harvests it.
+/// Runs on the pool when the log has one, on the mutating thread
+/// otherwise. Failures are counted, never surfaced: by the time a cadence
+/// fires its records are durable in the log, which simply keeps its longer
+/// suffix until a later snapshot succeeds. Returns whether it did.
+fn run_snapshot_job(
+    backend: &dyn StorageBackend,
+    bg: &BgSnapshot,
+    through: u64,
+    image: &CowImage,
+) -> bool {
+    let t = Instant::now();
+    let ok = match snapshot::write_chunked(backend, through, image) {
+        Ok(wrote) => {
+            bg.snapshot_seq.store(through, Ordering::Release);
+            let referenced: HashSet<u64> = wrote.manifest.iter().map(|r| r.hash).collect();
+            bg.pruned.fetch_add(prune_covered(backend, through, &referenced), Ordering::Relaxed);
+            bg.chunks_written.fetch_add(wrote.chunks_written, Ordering::Relaxed);
+            bg.chunks_reused.fetch_add(wrote.chunks_reused, Ordering::Relaxed);
+            bg.bytes_written.fetch_add(wrote.bytes_written, Ordering::Relaxed);
+            *bg.outcome.lock().expect("bg outcome lock") = Some(Some(wrote.manifest));
+            bg.completed.fetch_add(1, Ordering::Relaxed);
+            true
+        }
+        Err(_) => {
+            *bg.outcome.lock().expect("bg outcome lock") = Some(None);
+            bg.failed.fetch_add(1, Ordering::Relaxed);
+            false
+        }
+    };
+    bg.busy_us.fetch_add(t.elapsed().as_micros() as u64, Ordering::Relaxed);
+    bg.in_flight.store(false, Ordering::Release);
+    ok
+}
+
 /// The append side of the WAL: owns the backend, the active segment, the
 /// sequence counter and the snapshot cadence. Obtain one (plus the
 /// recovered repository) via [`DurableLog::open`].
@@ -896,16 +939,12 @@ pub struct DurableLog {
     next_seq: u64,
     since_snapshot: u64,
     stats: DurabilityStats,
-    poisoned: Option<String>,
-    /// Runs cadence snapshots off the mutating thread when the policy
-    /// opts in; see [`Self::set_snapshot_pool`].
-    snapshot_pool: Option<Arc<WorkerPool>>,
+    /// Where the sync job and the snapshot job run; without one both run
+    /// on the mutating thread. See [`Self::set_pool`].
+    pool: Option<Arc<WorkerPool>>,
     bg: Arc<BgSnapshot>,
-    /// Runs pipelined covering fsyncs when the policy opts in; see
-    /// [`Self::set_sync_pool`].
-    sync_pool: Option<Arc<WorkerPool>>,
     pipeline: Arc<SyncShared>,
-    /// Entries the acknowledged history has produced — the id the next
+    /// Entries the appended history has produced — the id the next
     /// `InsertSpec` lands on, which fixes the chunk it dirties.
     entry_count: u64,
     /// Chunks dirtied since the last successful snapshot.
@@ -913,7 +952,7 @@ pub struct DurableLog {
     /// Chunk manifest of the last successful copy-on-write snapshot;
     /// empty after whole-image snapshots (every chunk then rewrites).
     last_manifest: Vec<ChunkRef>,
-    /// Chunks handed to the in-flight background job: re-dirtied if it
+    /// Chunks handed to the in-flight snapshot job: re-dirtied if it
     /// fails, retired with it if it succeeds.
     in_flight_dirty: Vec<u32>,
 }
@@ -923,7 +962,7 @@ impl fmt::Debug for DurableLog {
         f.debug_struct("DurableLog")
             .field("active", &self.active)
             .field("next_seq", &self.next_seq)
-            .field("poisoned", &self.poisoned)
+            .field("poisoned", &self.poison())
             .finish()
     }
 }
@@ -961,10 +1000,8 @@ impl DurableLog {
                 snapshot_seq: replayed.stats.snapshot_seq,
                 ..DurabilityStats::default()
             },
-            poisoned: None,
-            snapshot_pool: None,
+            pool: None,
             bg: Arc::default(),
-            sync_pool: None,
             pipeline: Arc::default(),
             entry_count,
             dirty_chunks: replayed.dirty_chunks,
@@ -974,26 +1011,49 @@ impl DurableLog {
         Ok(Opened { log, repository: replayed.repo, recovery: replayed.stats })
     }
 
-    /// Append (and, per policy, fsync) one mutation; returns its sequence
-    /// number. The record is durable — and the mutation may be
-    /// acknowledged — only when this returns `Ok`. Any backend failure
-    /// poisons the log: later appends fail fast until the log is
-    /// re-opened, so acknowledged history can never have holes.
+    /// Run the sync job and the snapshot job on `pool`:
+    /// [`Self::append_batch_pipelined`] then returns before its covering
+    /// fsync and acknowledges from the pool, and a cadence snapshot costs
+    /// the mutating thread one shallow image capture plus a segment
+    /// rotation. Without a pool both jobs run, unchanged, on the mutating
+    /// thread. Do not mix manual [`Self::snapshot_now`] calls with an
+    /// in-flight snapshot job — both walk and prune the same file set.
+    pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
+        self.pool = Some(pool);
+    }
+
+    /// The failure that poisoned the log, if any — whichever thread hit it.
+    fn poison(&self) -> Option<String> {
+        self.pipeline.queue.lock().expect("sync queue lock").poisoned.clone()
+    }
+
+    /// Poison the log with `e` and hand it back for the caller to return.
+    fn poisoned_by(&self, e: StorageError) -> WalError {
+        self.pipeline.queue.lock().expect("sync queue lock").poisoned = Some(e.to_string());
+        e.into()
+    }
+
+    /// Append (and fsync) one mutation; returns its sequence number. The
+    /// record is durable — and the mutation may be acknowledged — only
+    /// when this returns `Ok`. Any backend failure poisons the log: later
+    /// appends fail fast until the log is re-opened, so acknowledged
+    /// history can never have holes.
     pub fn append(&mut self, mutation: &Mutation) -> WalResult<u64> {
         self.append_batch(std::slice::from_ref(mutation))
     }
 
-    /// Append a FIFO run of mutations as **one** record and, per policy,
-    /// make them durable with **one** fsync — the group-commit kernel.
-    /// Returns the run's first sequence number; the run covers
-    /// `first .. first + mutations.len()`. All-or-nothing: on any backend
-    /// failure nothing is acknowledged and the log poisons itself exactly
-    /// as a single-record append would. A one-element run keeps the plain
-    /// record framing, so non-batched logs stay byte-identical.
-    pub fn append_batch(&mut self, mutations: &[Mutation]) -> WalResult<u64> {
-        assert!(!mutations.is_empty(), "append_batch needs at least one mutation");
-        if let Some(detail) = &self.poisoned {
-            return Err(WalError::Poisoned { detail: detail.clone() });
+    /// The frame kernel under both append ends: refuse a poisoned log,
+    /// encode the FIFO run as **one** record (a one-element run keeps the
+    /// plain framing), rotate if it would overflow the active segment,
+    /// append it, and account for it. With `sync_now` the covering fsync
+    /// runs here, between the append and the accounting, so a frame whose
+    /// fsync failed never counts as appended; otherwise the caller owes
+    /// the frame its covering fsync. All-or-nothing: any backend failure
+    /// poisons the log and nothing of the run may be acknowledged.
+    fn append_frame(&mut self, mutations: &[Mutation], sync_now: bool) -> WalResult<u64> {
+        assert!(!mutations.is_empty(), "a frame needs at least one mutation");
+        if let Some(detail) = self.poison() {
+            return Err(WalError::Poisoned { detail });
         }
         let first = self.next_seq;
         let count = mutations.len() as u64;
@@ -1010,17 +1070,15 @@ impl DurableLog {
             self.stats.rotations += 1;
         }
         if let Err(e) = self.backend.append(&self.active, &record) {
-            self.poisoned = Some(e.to_string());
-            return Err(e.into());
+            return Err(self.poisoned_by(e));
         }
         self.active_bytes += record.len() as u64;
-        if self.policy.fsync_each {
+        if sync_now {
             if let Err(e) = self.backend.sync(&self.active) {
                 // The bytes may or may not be durable; nothing was
                 // acknowledged. Poison so the in-memory state cannot run
                 // ahead of an uncertain log.
-                self.poisoned = Some(e.to_string());
-                return Err(e.into());
+                return Err(self.poisoned_by(e));
             }
             self.stats.syncs += 1;
             self.stats.fsyncs_saved += count - 1;
@@ -1060,108 +1118,68 @@ impl DurableLog {
         }
     }
 
-    /// [`Self::append_batch`] with the covering fsync pipelined onto the
-    /// sync pool: the record is appended (and the in-memory apply may
-    /// proceed) immediately, while `on_durable` fires — exactly once, on
-    /// the sync job's thread — only after the fsync covering this frame
-    /// succeeds. Acknowledge on the callback, never on return.
+    /// Append a FIFO run of mutations as **one** record and make it
+    /// durable with **one** fsync on this thread, whether or not a pool is
+    /// attached. Returns the run's first sequence number; the run covers
+    /// `first .. first + mutations.len()` and may be acknowledged once
+    /// this returns `Ok`.
+    pub fn append_batch(&mut self, mutations: &[Mutation]) -> WalResult<u64> {
+        self.append_frame(mutations, true)
+    }
+
+    /// [`Self::append_batch`] with the covering fsync left to the sync
+    /// job: the record is appended (and the in-memory apply may proceed)
+    /// immediately, while `on_durable` fires — exactly once — only after
+    /// the fsync covering this frame succeeds. Acknowledge on the
+    /// callback, never on return.
     ///
     /// The callback fires **exactly once on every path**, so callers can
-    /// count completions: `Err` here means the record was not appended —
-    /// fail the run inline, as with `append_batch` — and the callback
-    /// fires with a matching error before this returns. `Ok` means the
-    /// frame is in the pipeline; a later fsync failure reaches the caller
-    /// only through `on_durable(Err(_))`, poisoning the log for
-    /// subsequent appends.
+    /// count completions: `Err` here means the frame is not in the log's
+    /// acknowledgeable history — fail the run inline, as with
+    /// `append_batch` — and the callback fires with a matching error
+    /// before this returns. `Ok` means the frame awaits its fsync; a later
+    /// fsync failure reaches the caller only through `on_durable(Err(_))`,
+    /// poisoning the log for subsequent appends.
     ///
-    /// Without a sync pool (or with `fsync_each` off) this degrades to
-    /// the inline behavior and fires the callback before returning.
+    /// Without a pool the same fsync runs here, on the caller, and the
+    /// callback fires before this returns.
     pub fn append_batch_pipelined(
         &mut self,
         mutations: &[Mutation],
         on_durable: DurableCallback,
     ) -> WalResult<u64> {
-        assert!(!mutations.is_empty(), "append_batch_pipelined needs at least one mutation");
-        if self.poisoned.is_none() {
-            let q = self.pipeline.queue.lock().expect("sync queue lock");
-            if let Some(detail) = &q.poisoned {
-                self.poisoned = Some(detail.clone());
+        let pool = self.pool.clone();
+        let first = match self.append_frame(mutations, pool.is_none()) {
+            Ok(first) => first,
+            Err(e) => {
+                let detail = match &e {
+                    WalError::Poisoned { detail } => detail.clone(),
+                    other => other.to_string(),
+                };
+                on_durable(Err(WalError::Poisoned { detail }));
+                return Err(e);
             }
-        }
-        if let Some(detail) = &self.poisoned {
-            let detail = detail.clone();
-            on_durable(Err(WalError::Poisoned { detail: detail.clone() }));
-            return Err(WalError::Poisoned { detail });
-        }
-        let first = self.next_seq;
-        let count = mutations.len() as u64;
-        let record = if count == 1 {
-            encode_record(first, &mutations[0])
-        } else {
-            encode_batch_record(first, mutations)
         };
-        if self.active_bytes > 0
-            && self.active_bytes + record.len() as u64 > self.policy.segment_bytes
-        {
-            self.active = segment_name(first);
-            self.active_bytes = 0;
-            self.stats.rotations += 1;
-        }
-        if let Err(e) = self.backend.append(&self.active, &record) {
-            let detail = e.to_string();
-            self.poisoned = Some(detail.clone());
-            on_durable(Err(WalError::Poisoned { detail }));
-            return Err(e.into());
-        }
-        self.active_bytes += record.len() as u64;
-        self.next_seq = first + count;
-        self.since_snapshot += count;
-        self.stats.appends += count;
-        self.stats.records += 1;
-        let bucket = BATCH_SIZE_BOUNDS
-            .iter()
-            .position(|&bound| count <= bound)
-            .unwrap_or(BATCH_SIZE_BOUNDS.len());
-        self.stats.batch_size_counts[bucket] += 1;
-        self.stats.bytes_appended += record.len() as u64;
-        self.stats.last_seq = first + count - 1;
-        self.note_applied(mutations);
-        if !self.policy.fsync_each {
+        let Some(pool) = pool else {
             on_durable(Ok(()));
-            return Ok(first);
-        }
-        let Some(pool) = self.sync_pool.clone() else {
-            // Degrade to the inline covering fsync: same durability, no
-            // overlap.
-            match self.backend.sync(&self.active) {
-                Ok(()) => {
-                    self.stats.syncs += 1;
-                    self.stats.fsyncs_saved += count - 1;
-                    on_durable(Ok(()));
-                }
-                Err(e) => {
-                    self.poisoned = Some(e.to_string());
-                    on_durable(Err(e.into()));
-                }
-            }
             return Ok(first);
         };
         let spawn = {
             let mut q = self.pipeline.queue.lock().expect("sync queue lock");
             if let Some(detail) = q.poisoned.clone() {
+                // The sync job failed while this frame was being appended:
+                // it is in the segment but will never be covered.
                 drop(q);
-                self.poisoned = Some(detail.clone());
                 on_durable(Err(WalError::Poisoned { detail }));
                 return Ok(first);
             }
             if q.job_active {
                 self.pipeline.overlapped.fetch_add(1, Ordering::Relaxed);
             }
+            let count = mutations.len() as u64;
             q.pending.push_back(PendingFrame { segment: self.active.clone(), count, on_durable });
             self.pipeline.depth_high_water.fetch_max(q.pending.len() as u64, Ordering::Relaxed);
-            let spawn = !q.job_active;
-            q.job_active = true;
-            spawn
+            !std::mem::replace(&mut q.job_active, true)
         };
         if spawn {
             let backend = Arc::clone(&self.backend);
@@ -1171,17 +1189,9 @@ impl DurableLog {
         Ok(first)
     }
 
-    /// Route pipelined covering fsyncs to `pool` when the policy opts in
-    /// ([`DurabilityPolicy::pipelined_commit`]): `append_batch_pipelined`
-    /// then returns before the fsync and the acknowledgement callback
-    /// fires from a pool sync job. Without a pool the fsync stays inline.
-    pub fn set_sync_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.sync_pool = Some(pool);
-    }
-
-    /// Block until no pipelined frame awaits its covering fsync, helping
-    /// the sync pool while waiting. Test/bench teardown and pre-snapshot
-    /// barriers — the append path never waits.
+    /// Block until no frame awaits its covering fsync, helping the pool
+    /// while waiting. Test/bench teardown and pre-snapshot barriers — the
+    /// append path never waits.
     pub fn wait_for_pipeline(&self) {
         loop {
             {
@@ -1190,7 +1200,7 @@ impl DurableLog {
                     return;
                 }
             }
-            let helped = self.sync_pool.as_ref().is_some_and(|pool| pool.help_one());
+            let helped = self.pool.as_ref().is_some_and(|pool| pool.help_one());
             if !helped {
                 std::thread::yield_now();
             }
@@ -1202,82 +1212,61 @@ impl DurableLog {
         self.policy.snapshot_every > 0 && self.since_snapshot >= self.policy.snapshot_every
     }
 
-    /// Snapshot `repo` if the cadence is due (see [`Self::snapshot_now`]);
-    /// returns whether a snapshot was written.
-    pub fn maybe_snapshot(&mut self, repo: &Repository) -> WalResult<bool> {
-        if !self.snapshot_due() {
-            return Ok(false);
-        }
-        self.snapshot_now(repo)?;
-        Ok(true)
-    }
-
-    /// [`Self::maybe_snapshot`] for the post-acknowledge write path: by
-    /// the time the cadence fires, the triggering mutation is already
-    /// durable and acknowledged, so a snapshot failure must not surface
-    /// as a write error. Failures are counted
-    /// ([`DurabilityStats::snapshot_failures`]) and the log simply keeps
-    /// its longer suffix — recovery is unaffected, just slower — until a
-    /// later cadence point succeeds. Returns whether a snapshot was
-    /// written. Background mode captures a copy-on-write image of `repo`
-    /// ([`Self::snapshot_if_due_with`]); inline mode writes the whole
-    /// image on this thread.
+    /// The cadence snapshot of the post-acknowledge write path:
+    /// [`Self::snapshot_if_due_with`], capturing the copy-on-write image
+    /// out of `repo` — which must be the state produced by exactly the
+    /// appended history.
     pub fn snapshot_if_due(&mut self, repo: &Repository) -> bool {
-        if self.background_enabled() {
-            return self.snapshot_if_due_with(repo.len(), |plan| {
-                let slot = |id| repo.entry(id).cloned();
-                Some(CowImage::capture(repo.version(), repo.len(), plan, slot))
-            });
-        }
-        self.snapshot_due() && self.snapshot_inline_counted(repo)
+        self.snapshot_if_due_with(repo.len(), |plan| {
+            let slot = |id| repo.entry(id).cloned();
+            Some(CowImage::capture(repo.version(), repo.len(), plan, slot))
+        })
     }
 
-    /// [`Self::snapshot_if_due`] for a caller that captures the
-    /// copy-on-write image itself (the cluster captures it out of its
-    /// shards): when a snapshot is due — and no background job is still
-    /// running, which skips the cadence without resetting it — `capture`
-    /// receives the chunk plan over `entry_count` id slots (entry `c` is
-    /// `Some(chunk_ref)` when chunk `c` is clean since the last snapshot
-    /// and rides along by reference, `None` when it must be captured) and
-    /// returns the image, or `None` to give this cadence up. Background
-    /// mode moves the image into the pool job; inline mode writes the
-    /// chunked snapshot on this thread, with the usual failure counting.
+    /// Start a copy-on-write snapshot if the cadence is due and no
+    /// snapshot job is still running (a busy job skips the cadence without
+    /// resetting it). `capture` receives the chunk plan over `entry_count`
+    /// id slots (entry `c` is `Some(chunk_ref)` when chunk `c` is clean
+    /// since the last snapshot and rides along by reference, `None` when
+    /// it must be captured) and returns the image, or `None` to give this
+    /// cadence up; a caller that holds its corpus elsewhere (the cluster:
+    /// in its shards) captures from there. The image then goes to the
+    /// snapshot job — a pool job when a pool is attached, run here
+    /// otherwise. Returns whether a snapshot was started (no pool:
+    /// written).
+    ///
+    /// By the time a cadence fires its records are durable and
+    /// acknowledged, so a snapshot failure must not surface as a write
+    /// error: failures — and cadences refused because the log is poisoned
+    /// — are counted ([`DurabilityStats::snapshot_failures`]) and the log
+    /// keeps its longer suffix; recovery is unaffected, just slower.
     ///
     /// [`DurabilityStats::snapshot_pause_us`] is charged everything the
-    /// mutating thread spends in here — chunk planning, `capture`, and the
-    /// hand-off or inline write — so the pause an operator reads is the
-    /// pause the write path took, whoever assembled the image.
+    /// mutating thread spends in here, so the pause an operator reads is
+    /// the pause the write path took, whoever assembled the image.
     pub fn snapshot_if_due_with(
         &mut self,
         entry_count: usize,
         capture: impl FnOnce(&[Option<ChunkRef>]) -> Option<CowImage>,
     ) -> bool {
-        let background = self.background_enabled();
-        if !self.snapshot_due() || (background && self.bg.in_flight.load(Ordering::Acquire)) {
+        if !self.snapshot_due() || self.bg.in_flight.load(Ordering::Acquire) {
+            return false;
+        }
+        if self.is_poisoned() {
+            self.stats.snapshot_failures += 1;
             return false;
         }
         let t = Instant::now();
         let plan = self.snapshot_chunk_plan(entry_count);
-        let wrote = match capture(&plan) {
-            None => false,
-            Some(image) if background => self.spawn_background_snapshot(image),
-            Some(image) => match self.snapshot_now_chunked(&image) {
-                Ok(()) => true,
-                Err(_) => {
-                    self.stats.snapshot_failures += 1;
-                    false
-                }
-            },
-        };
+        let started = capture(&plan).is_some_and(|image| self.start_snapshot(image));
         self.stats.snapshot_pause_us += t.elapsed().as_micros() as u64;
-        wrote
+        started
     }
 
-    /// Harvest the outcome of a finished background snapshot job: on
-    /// success its manifest becomes the clean baseline and the chunks it
-    /// flushed stay retired; on failure those chunks return to the dirty
-    /// set so the next snapshot re-flushes them. Call only while no job
-    /// is in flight.
+    /// Harvest the outcome of a finished snapshot job: on success its
+    /// manifest becomes the clean baseline and the chunks it flushed stay
+    /// retired; on failure those chunks return to the dirty set so the
+    /// next snapshot re-flushes them. Call only while no job is in flight.
     fn refresh_manifest(&mut self) {
         let taken = self.bg.outcome.lock().expect("bg outcome lock").take();
         match taken {
@@ -1318,136 +1307,74 @@ impl DurableLog {
             .collect()
     }
 
-    /// Inline cadence snapshot with failure counting and pause timing.
-    fn snapshot_inline_counted(&mut self, repo: &Repository) -> bool {
-        let t = Instant::now();
-        let wrote = match self.snapshot_now(repo) {
-            Ok(()) => true,
-            Err(_) => {
-                self.stats.snapshot_failures += 1;
-                false
-            }
-        };
-        self.stats.snapshot_pause_us += t.elapsed().as_micros() as u64;
-        wrote
-    }
-
-    fn background_enabled(&self) -> bool {
-        self.policy.background_snapshots && self.snapshot_pool.is_some()
-    }
-
-    /// Hand the frozen `image` to a pool job that serializes, writes, and
-    /// prunes — the mutating thread returns immediately and the WAL keeps
-    /// accepting appends past the snapshot point. The active segment is
-    /// rotated *before* the job spawns, so every segment that existed at
-    /// spawn time holds only records ≤ the snapshot's covering sequence;
-    /// racing appends touch the rotation-fresh segment and, when the size
-    /// cadence rotates again mid-flight, later segments whose first
-    /// sequence is > the covering sequence. The prune therefore keys on
-    /// the segment's *first sequence* — covered iff ≤ `through` — never
-    /// on "everything but the name that was fresh at spawn", which would
-    /// delete those mid-flight rotations and lose acknowledged records.
-    /// One job in flight at a time; failures are counted, never surfaced
-    /// — the same contract as the inline [`Self::snapshot_if_due`].
-    fn spawn_background_snapshot(&mut self, image: CowImage) -> bool {
-        if self.poisoned.is_some() || self.bg.in_flight.swap(true, Ordering::AcqRel) {
+    /// Hand the frozen `image` to the snapshot job ([`run_snapshot_job`]).
+    /// The active segment is rotated *first*, so every segment that exists
+    /// when the job starts holds only records ≤ the snapshot's covering
+    /// sequence; with a pool the WAL keeps accepting appends meanwhile —
+    /// into the rotation-fresh segment and, when the size cadence rotates
+    /// again mid-flight, later ones — all of which start past the covering
+    /// sequence and survive the job's prune. One job at a time.
+    fn start_snapshot(&mut self, image: CowImage) -> bool {
+        if self.bg.in_flight.swap(true, Ordering::AcqRel) {
             return false;
         }
         let through = self.next_seq - 1;
-        let fresh = segment_name(self.next_seq);
+        self.rotate_past(through);
+        self.since_snapshot = 0;
+        // Hand the dirty set to the job: retired on success, returned to
+        // the dirty set on failure (see `refresh_manifest`).
+        self.in_flight_dirty = std::mem::take(&mut self.dirty_chunks).into_iter().collect();
+        let Some(pool) = &self.pool else {
+            return run_snapshot_job(&*self.backend, &self.bg, through, &image);
+        };
+        let (backend, bg) = (Arc::clone(&self.backend), Arc::clone(&self.bg));
+        pool.exec(move || {
+            run_snapshot_job(&*backend, &bg, through, &image);
+        });
+        true
+    }
+
+    /// Continue appending in the segment that starts right after
+    /// `through` (lazily — the file appears on the next append), leaving
+    /// every existing segment wholly ≤ `through`.
+    fn rotate_past(&mut self, through: u64) {
+        let fresh = segment_name(through + 1);
         if self.active != fresh {
             self.active = fresh;
             self.active_bytes = 0;
             self.stats.rotations += 1;
         }
-        self.since_snapshot = 0;
-        // Hand the dirty set to the job: retired on success, returned to
-        // the dirty set on failure (see `refresh_manifest`).
-        self.in_flight_dirty = std::mem::take(&mut self.dirty_chunks).into_iter().collect();
-        let backend = Arc::clone(&self.backend);
-        let bg = Arc::clone(&self.bg);
-        let pool = self.snapshot_pool.as_ref().expect("background_enabled checked by callers");
-        pool.exec(move || {
-            let t = Instant::now();
-            match snapshot::write_chunked(&*backend, through, &image) {
-                Ok(wrote) => {
-                    bg.snapshot_seq.store(through, Ordering::Release);
-                    // Prune covered segments, stale snapshots, and chunk
-                    // files the fresh manifest no longer references.
-                    // Removal failures leak files, never correctness:
-                    // replay skips covered records and ignores
-                    // unreferenced chunks.
-                    let referenced: HashSet<u64> = wrote.manifest.iter().map(|r| r.hash).collect();
-                    if let Ok(names) = backend.list() {
-                        for name in names {
-                            if let Some(first) = parse_segment_name(&name) {
-                                if first <= through && backend.remove(&name).is_ok() {
-                                    bg.pruned.fetch_add(1, Ordering::Relaxed);
-                                }
-                            } else if let Some(covered) = snapshot::parse_name(&name) {
-                                if covered < through {
-                                    let _ = backend.remove(&name);
-                                }
-                            } else if let Some(hash) = snapshot::parse_chunk_name(&name) {
-                                if !referenced.contains(&hash) {
-                                    let _ = backend.remove(&name);
-                                }
-                            }
-                        }
-                    }
-                    bg.chunks_written.fetch_add(wrote.chunks_written, Ordering::Relaxed);
-                    bg.chunks_reused.fetch_add(wrote.chunks_reused, Ordering::Relaxed);
-                    bg.bytes_written.fetch_add(wrote.bytes_written, Ordering::Relaxed);
-                    *bg.outcome.lock().expect("bg outcome lock") = Some(Some(wrote.manifest));
-                    bg.completed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    *bg.outcome.lock().expect("bg outcome lock") = Some(None);
-                    bg.failed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            bg.busy_us.fetch_add(t.elapsed().as_micros() as u64, Ordering::Relaxed);
-            bg.in_flight.store(false, Ordering::Release);
-        });
-        true
     }
 
-    /// Route cadence snapshots to `pool` when the policy opts in
-    /// ([`DurabilityPolicy::background_snapshots`]): `snapshot_if_due`
-    /// then costs the mutating thread one shallow image capture plus a
-    /// segment rotation, and the serialize/write/prune work runs as a
-    /// pool job.
-    /// Do not mix manual [`Self::snapshot_now`] calls with an in-flight
-    /// background job — both walk and prune the same file set.
-    pub fn set_snapshot_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.snapshot_pool = Some(pool);
-    }
-
-    /// Whether a background snapshot job is currently running.
+    /// Whether a snapshot job is currently running.
     pub fn background_snapshot_in_flight(&self) -> bool {
         self.bg.in_flight.load(Ordering::Acquire)
     }
 
-    /// Block until no background snapshot is in flight, helping the pool
-    /// while waiting. Test/bench teardown — the write path never waits.
+    /// Block until no snapshot job is in flight, helping the pool while
+    /// waiting. Test/bench teardown — the write path never waits.
     pub fn wait_for_background_snapshot(&self) {
         while self.background_snapshot_in_flight() {
-            let helped = self.snapshot_pool.as_ref().is_some_and(|pool| pool.help_one());
+            let helped = self.pool.as_ref().is_some_and(|pool| pool.help_one());
             if !helped {
                 std::thread::yield_now();
             }
         }
     }
 
-    /// Atomically snapshot `repo` as covering every record appended so
-    /// far, then prune: older snapshots and every fully covered segment
-    /// are removed, and appends continue into a fresh segment. `repo`
-    /// must be the state produced by exactly the acknowledged mutation
-    /// history (the caller owns that invariant; [`DurableLog::open`]'s
-    /// repository plus every `Ok` append maintains it).
+    /// The whole-image checkpoint: atomically write `repo` as one v1
+    /// snapshot covering every record appended so far, then prune — older
+    /// snapshots, every chunk file and every covered segment go, and
+    /// appends continue into a fresh segment. This is the *baseline*
+    /// writer (one atomic write for a pre-loaded corpus the log has no
+    /// records of) and the manual checkpoint; cadence snapshots are
+    /// copy-on-write ([`Self::snapshot_if_due`]). `repo` must be the state
+    /// produced by exactly the appended history (the caller owns that
+    /// invariant; [`DurableLog::open`]'s repository plus every `Ok` append
+    /// maintains it).
     pub fn snapshot_now(&mut self, repo: &Repository) -> WalResult<()> {
-        if let Some(detail) = &self.poisoned {
-            return Err(WalError::Poisoned { detail: detail.clone() });
+        if let Some(detail) = self.poison() {
+            return Err(WalError::Poisoned { detail });
         }
         let through = self.next_seq - 1;
         let bytes = snapshot::write(&*self.backend, through, repo)?;
@@ -1461,68 +1388,13 @@ impl DurableLog {
         self.entry_count = repo.len() as u64;
         self.dirty_chunks.clear();
         self.last_manifest.clear();
-        // Rotate first (lazily — the file appears on the next append), so
-        // every existing segment is fully covered and prunable. Removal
-        // failures after a successful snapshot are non-fatal to
-        // correctness (replay skips covered records), but surface as
-        // errors so operators see the leak.
-        let fresh = segment_name(self.next_seq);
-        for name in self.backend.list()? {
-            if parse_segment_name(&name).is_some() && name != fresh {
-                self.backend.remove(&name)?;
-                self.stats.segments_pruned += 1;
-            } else if let Some(covered) = snapshot::parse_name(&name) {
-                if covered < through {
-                    self.backend.remove(&name)?;
-                }
-            } else if snapshot::parse_chunk_name(&name).is_some() {
-                // A whole-image snapshot supersedes every chunk file.
-                self.backend.remove(&name)?;
-            }
-        }
-        self.active = fresh;
-        self.active_bytes = 0;
+        // No manifest references any chunk now: every chunk file goes too.
+        self.stats.segments_pruned += prune_covered(&*self.backend, through, &HashSet::new());
+        self.rotate_past(through);
         Ok(())
     }
 
-    /// [`Self::snapshot_now`] for a copy-on-write image: writes only the
-    /// dirty chunks plus a manifest, reusing clean chunks by reference.
-    fn snapshot_now_chunked(&mut self, image: &CowImage) -> WalResult<()> {
-        if let Some(detail) = &self.poisoned {
-            return Err(WalError::Poisoned { detail: detail.clone() });
-        }
-        let through = self.next_seq - 1;
-        let wrote = snapshot::write_chunked(&*self.backend, through, image)?;
-        self.stats.snapshots += 1;
-        self.stats.snapshot_seq = through;
-        self.stats.snapshot_chunks_written += wrote.chunks_written;
-        self.stats.snapshot_chunks_reused += wrote.chunks_reused;
-        self.stats.snapshot_bytes_written += wrote.bytes_written;
-        self.since_snapshot = 0;
-        self.dirty_chunks.clear();
-        let referenced: HashSet<u64> = wrote.manifest.iter().map(|r| r.hash).collect();
-        let fresh = segment_name(self.next_seq);
-        for name in self.backend.list()? {
-            if parse_segment_name(&name).is_some() && name != fresh {
-                self.backend.remove(&name)?;
-                self.stats.segments_pruned += 1;
-            } else if let Some(covered) = snapshot::parse_name(&name) {
-                if covered < through {
-                    self.backend.remove(&name)?;
-                }
-            } else if let Some(hash) = snapshot::parse_chunk_name(&name) {
-                if !referenced.contains(&hash) {
-                    self.backend.remove(&name)?;
-                }
-            }
-        }
-        self.active = fresh;
-        self.active_bytes = 0;
-        self.last_manifest = wrote.manifest;
-        Ok(())
-    }
-
-    /// Lifetime counters, with any background-snapshot activity merged in.
+    /// Lifetime counters, with the sync and snapshot jobs' merged in.
     pub fn stats(&self) -> DurabilityStats {
         let mut stats = self.stats;
         let bg_done = self.bg.completed.load(Ordering::Relaxed);
@@ -1557,9 +1429,10 @@ impl DurableLog {
         self.next_seq == 1 && self.stats.snapshot_seq == 0 && self.active_bytes == 0
     }
 
-    /// Whether an earlier failure poisoned the log (appends fail fast).
+    /// Whether an earlier failure — on this thread or on the sync job —
+    /// poisoned the log (appends fail fast, snapshots are refused).
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
+        self.poison().is_some()
     }
 
     /// The backend this log appends to.
@@ -1593,7 +1466,7 @@ mod tests {
             repo.check(&m).unwrap();
             log.append(&m).unwrap();
             repo.apply(m).unwrap();
-            log.maybe_snapshot(repo).unwrap();
+            log.snapshot_if_due(repo);
         }
     }
 
@@ -1775,11 +1648,7 @@ mod tests {
         let storage = Arc::new(MemStorage::new());
         let opened = DurableLog::open(
             Arc::clone(&storage) as Arc<dyn StorageBackend>,
-            DurabilityPolicy {
-                group_commit: Some(GroupCommit { max_batch: 8, max_delay_us: 0 }),
-                snapshot_every: 0,
-                ..Default::default()
-            },
+            DurabilityPolicy { snapshot_every: 0, ..DurabilityPolicy::pipelined(8, 0) },
         )
         .unwrap();
         let mut log = opened.log;
@@ -1843,16 +1712,12 @@ mod tests {
         let storage = Arc::new(MemStorage::new());
         let opened = DurableLog::open(
             Arc::clone(&storage) as Arc<dyn StorageBackend>,
-            DurabilityPolicy {
-                background_snapshots: true,
-                snapshot_every: 2,
-                ..Default::default()
-            },
+            DurabilityPolicy { snapshot_every: 2, ..Default::default() },
         )
         .unwrap();
         let mut log = opened.log;
         let mut repo = opened.repository;
-        log.set_snapshot_pool(Arc::new(WorkerPool::new(1)));
+        log.set_pool(Arc::new(WorkerPool::new(1)));
         for m in [insert(), insert(), insert(), insert(), insert()] {
             repo.check(&m).unwrap();
             log.append(&m).unwrap();
@@ -1864,7 +1729,7 @@ mod tests {
         }
         let stats = log.stats();
         assert!(stats.background_snapshots >= 2, "cadence fired in the background");
-        assert_eq!(stats.snapshots, stats.background_snapshots, "no inline snapshots");
+        assert_eq!(stats.snapshots, stats.background_snapshots, "no whole-image snapshots");
         assert!(stats.segments_pruned >= 1, "background jobs prune covered segments");
         assert!(stats.snapshot_seq >= 4);
         let (recovered, rstats) = Repository::recover(&*storage).unwrap();
@@ -1896,7 +1761,7 @@ mod tests {
         let mut log = opened.log;
         let mut repo = opened.repository;
         let pool = Arc::new(WorkerPool::new(1));
-        log.set_sync_pool(Arc::clone(&pool));
+        log.set_pool(Arc::clone(&pool));
         // Plug the single pool thread so every frame queues behind one
         // in-flight "fsync": the appends below all overlap it.
         let gate = Arc::new(AtomicBool::new(false));
@@ -1941,7 +1806,7 @@ mod tests {
         .unwrap();
         let mut log = opened.log;
         let pool = Arc::new(WorkerPool::new(1));
-        log.set_sync_pool(Arc::clone(&pool));
+        log.set_pool(Arc::clone(&pool));
         let gate = Arc::new(AtomicBool::new(false));
         let plug = Arc::clone(&gate);
         pool.exec(move || {
@@ -1967,6 +1832,40 @@ mod tests {
         }
         assert!(log.is_poisoned());
         assert_eq!(log.stats().syncs, 0);
+    }
+
+    /// A covering fsync that fails on the sync job poisons the log *then*,
+    /// not at the next append: `is_poisoned` says so as soon as the pipeline
+    /// drains, and the cadence snapshot due on the same frame's heels is
+    /// refused and counted — no snapshot, rotation or prune runs over a
+    /// tail in an unknown state.
+    #[test]
+    fn pipelined_fsync_failure_is_visible_at_once_and_refuses_the_due_snapshot() {
+        let storage =
+            Arc::new(MemStorage::with_faults(FaultPlan { fail_syncs: 1, ..FaultPlan::default() }));
+        let opened = DurableLog::open(
+            Arc::clone(&storage) as Arc<dyn StorageBackend>,
+            DurabilityPolicy { snapshot_every: 1, ..DurabilityPolicy::pipelined(8, 0) },
+        )
+        .unwrap();
+        let mut log = opened.log;
+        let mut repo = opened.repository;
+        log.set_pool(Arc::new(WorkerPool::new(1)));
+        let (acked, make) = acked_sink();
+        let m = insert();
+        repo.check(&m).unwrap();
+        log.append_batch_pipelined(std::slice::from_ref(&m), make()).unwrap();
+        repo.apply(m).unwrap();
+        log.wait_for_pipeline();
+        assert!(acked.lock().unwrap()[0].is_err(), "the failed fsync must not acknowledge");
+        assert!(log.is_poisoned(), "poison is visible without a further append");
+        assert!(log.snapshot_due());
+        assert!(!log.snapshot_if_due(&repo), "a poisoned log refuses its cadence snapshot");
+        let stats = log.stats();
+        assert_eq!((stats.snapshots, stats.snapshot_failures), (0, 1), "refused and counted");
+        assert_eq!(stats.rotations, 0, "the refused snapshot did not rotate");
+        assert_eq!(storage.list().unwrap(), vec![segment_name(1)], "nothing written or pruned");
+        assert!(matches!(log.snapshot_now(&repo), Err(WalError::Poisoned { .. })));
     }
 
     #[test]
@@ -2038,16 +1937,12 @@ mod tests {
         let storage = Arc::new(MemStorage::new());
         let opened = DurableLog::open(
             Arc::clone(&storage) as Arc<dyn StorageBackend>,
-            DurabilityPolicy {
-                background_snapshots: true,
-                snapshot_every: 1,
-                ..Default::default()
-            },
+            DurabilityPolicy { snapshot_every: 1, ..Default::default() },
         )
         .unwrap();
         let mut log = opened.log;
         let mut repo = opened.repository;
-        log.set_snapshot_pool(Arc::new(WorkerPool::new(1)));
+        log.set_pool(Arc::new(WorkerPool::new(1)));
         // Fill past one chunk (CHUNK_SPECS entries): once chunk 0 is full
         // and untouched, later snapshots must reuse it by reference.
         for _ in 0..(CHUNK_SPECS + 4) {

@@ -8,20 +8,35 @@
 //! a typed [`WalError::Corrupt`] — never a panic, never a silent skip.
 //!
 //! The schedule comes from [`ppwf_workloads::gencrash`]: the fault-free
-//! run records each mutation's durable byte cost (record framing plus any
+//! run records each run's durable byte cost (record framing plus any
 //! snapshot its cadence triggered), and the matrix then replays the same
 //! stream against a [`MemStorage`] armed with `crash_after_bytes` at each
 //! scheduled offset. Small `snapshot_every` / `segment_bytes` knobs make
 //! crashes land before, inside, and after snapshots and rotations.
+//!
+//! There is one write path, so there is one driver ([`drive`]) and one
+//! matrix ([`crash_matrix`]), run with and without a pool at `max_batch` 1
+//! and above: without a pool the covering fsync and the snapshot job run
+//! on the driving thread and the acknowledged count is exact; with one
+//! they run as pool jobs and the contract widens to `acked ≤ n ≤ appended`.
+//!
+//! The last test pins the *bytes*: every file a fixed trace stores —
+//! segments, the v1 baseline, v3 manifests, chunks — hashed at the commit
+//! before the write paths were unified, so a log written then recovers
+//! now.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use ppwf_core::policy::Policy;
+use ppwf_model::fixtures;
 use ppwf_repo::keyword_index::KeywordIndex;
+use ppwf_repo::mutation::{ModuleTextEdit, SpecText};
 use ppwf_repo::pool::WorkerPool;
-use ppwf_repo::repository::Repository;
+use ppwf_repo::repository::{Repository, SpecId};
 use ppwf_repo::storage::{FaultPlan, MemStorage, StorageBackend};
-use ppwf_repo::wal::{DurabilityPolicy, DurableLog, GroupCommit, WalError};
+use ppwf_repo::wal::{DurabilityPolicy, DurableLog, WalError};
 use ppwf_repo::Mutation;
 use ppwf_workloads::gencrash::{crash_schedule, CrashScheduleParams};
 use ppwf_workloads::genmutation::mutation_stream;
@@ -30,14 +45,20 @@ use proptest::prelude::*;
 /// Generated specs draw their keywords from the `kw{rank}` vocabulary.
 const TERMS: [&str; 6] = ["kw0", "kw1", "kw2", "kw3", "kw5", "kw7"];
 
-/// Tight cadences so a short stream still exercises snapshot pruning and
-/// segment rotation, and the crash matrix straddles both.
-fn tight_policy() -> DurabilityPolicy {
+/// Tight cadences so a short stream still exercises snapshots, pruning
+/// and segment rotation, and the crash matrix straddles all three.
+fn tight_policy(snapshot_every: u64) -> DurabilityPolicy {
+    DurabilityPolicy { snapshot_every, segment_bytes: 2048, ..DurabilityPolicy::default() }
+}
+
+/// Runs are the durability unit and nothing else writes: snapshots and
+/// rotation stay out of the byte trace, so the deltas are pure record
+/// framing and the crash schedule probes the fsync window.
+fn batch_policy() -> DurabilityPolicy {
     DurabilityPolicy {
-        fsync_each: true,
-        snapshot_every: 3,
-        segment_bytes: 2048,
-        ..DurabilityPolicy::default()
+        snapshot_every: 0,
+        segment_bytes: u64::MAX,
+        ..DurabilityPolicy::pipelined(8, 0)
     }
 }
 
@@ -46,179 +67,74 @@ fn tight_policy() -> DurabilityPolicy {
 // every scheduled byte — come from [`ppwf_workloads::genmutation`]:
 // destructive kinds target only live slots, so every stream replays.
 
+/// What one [`drive`] saw.
+struct Driven {
+    /// Mutations whose covering fsync confirmed: their run's durability
+    /// callback fired `Ok` — the acknowledgement contract.
+    acked: usize,
+    /// Mutations whose append returned `Ok`. Without a pool the fsync runs
+    /// inside the append, so this equals `acked`; with one, a crash can
+    /// leave appended-but-unsynced frames behind — [`MemStorage`], like a
+    /// real disk, may persist them — which is the window the matrix probes.
+    appended: usize,
+    /// Durable byte delta of each appended run: its record plus any
+    /// snapshot the cadence triggered on its heels.
+    deltas: Vec<u64>,
+    /// Length of each appended run; a run is acknowledged wholly or not
+    /// at all.
+    runs: Vec<usize>,
+}
+
 /// Drive `stream` through a fresh durable log over `storage` until the
-/// backend dies (or the stream ends). Returns the acknowledged count —
-/// mutations whose `append` returned `Ok` — and each acknowledged
-/// mutation's durable byte delta (its record plus any snapshot the
-/// cadence triggered on its heels).
+/// backend dies (or the stream ends): split it into runs whose lengths
+/// cycle through `run_lens`, append each run as ONE record, apply it, and
+/// let the cadence snapshot. With a `pool` the covering fsyncs and the
+/// snapshots are pool jobs; the snapshot job is waited out after every run
+/// so each snapshot byte lands deterministically inside its run's delta,
+/// the sync job only at the end so frames stay in flight across appends.
 fn drive(
     storage: &Arc<MemStorage>,
+    pool: Option<&Arc<WorkerPool>>,
     stream: &[Mutation],
     policy: DurabilityPolicy,
-) -> (usize, Vec<u64>) {
+    run_lens: &[usize],
+) -> Driven {
     let backend: Arc<dyn StorageBackend> = Arc::clone(storage) as Arc<dyn StorageBackend>;
     let opened = DurableLog::open(backend, policy).expect("open on fresh storage");
     let mut log = opened.log;
     let mut repo = opened.repository;
-    let mut deltas = Vec::new();
-    let mut acked = 0;
-    for mutation in stream {
-        let before = storage.bytes_appended();
-        repo.check(mutation).expect("pre-validated stream");
-        if log.append(mutation).is_err() {
-            break;
-        }
-        acked += 1;
-        repo.apply(mutation.clone()).expect("checked mutation applies");
-        log.snapshot_if_due(&repo);
-        deltas.push(storage.bytes_appended() - before);
+    if let Some(pool) = pool {
+        log.set_pool(Arc::clone(pool));
     }
-    (acked, deltas)
-}
-
-/// Group-commit variant of [`drive`]: split `stream` into runs whose
-/// lengths cycle through `run_lens`, append each run as ONE batch record
-/// via `append_batch`, and record the per-*batch* byte delta. Returns the
-/// acknowledged mutation count, the batch deltas, and the acknowledged
-/// batch sizes — `append_batch` acknowledges a run wholly or not at all,
-/// so `acked` is always the sum of `batch_sizes`. Snapshots stay out of
-/// the way (callers pass `snapshot_every: 0`), so the deltas are pure
-/// batch-record framing and the crash schedule probes the fsync window.
-fn drive_batched(
-    storage: &Arc<MemStorage>,
-    stream: &[Mutation],
-    policy: DurabilityPolicy,
-    run_lens: &[usize],
-) -> (usize, Vec<u64>, Vec<usize>) {
-    let backend: Arc<dyn StorageBackend> = Arc::clone(storage) as Arc<dyn StorageBackend>;
-    let opened = DurableLog::open(backend, policy).expect("open on fresh storage");
-    let mut log = opened.log;
-    let mut deltas = Vec::new();
-    let mut batch_sizes = Vec::new();
-    let mut acked = 0;
-    let mut start = 0;
-    let mut run = 0;
-    while start < stream.len() {
-        let len = run_lens[run % run_lens.len()].clamp(1, stream.len() - start);
-        run += 1;
-        let before = storage.bytes_appended();
-        if log.append_batch(&stream[start..start + len]).is_err() {
-            break;
-        }
-        acked += len;
-        deltas.push(storage.bytes_appended() - before);
-        batch_sizes.push(len);
-        start += len;
-    }
-    (acked, deltas, batch_sizes)
-}
-
-/// Tight group-commit policy for the batch crash matrix: batches are the
-/// durability unit, snapshots and rotation stay out of the byte trace.
-fn batch_policy() -> DurabilityPolicy {
-    DurabilityPolicy {
-        fsync_each: true,
-        group_commit: Some(GroupCommit { max_batch: 8, max_delay_us: 0 }),
-        snapshot_every: 0,
-        segment_bytes: u64::MAX,
-        ..DurabilityPolicy::default()
-    }
-}
-
-/// Pipelined variant of [`drive_batched`]: runs go through
-/// `append_batch_pipelined` with a dedicated sync job, and a run counts
-/// as *acknowledged* only when its durability callback fires `Ok` — the
-/// pipeline's contract, not the append's return. Returns
-/// `(acked, appended, deltas, batch_sizes)`: `appended` counts mutations
-/// whose append returned `Ok` (frames in the pipeline), `acked` the
-/// subset whose covering fsync confirmed. With a crash in flight the two
-/// legitimately differ — appended-but-unsynced frames persist in
-/// [`MemStorage`] — which is exactly the window the matrix probes.
-fn drive_pipelined(
-    storage: &Arc<MemStorage>,
-    pool: &Arc<WorkerPool>,
-    stream: &[Mutation],
-    run_lens: &[usize],
-) -> (usize, usize, Vec<u64>, Vec<usize>) {
-    let backend: Arc<dyn StorageBackend> = Arc::clone(storage) as Arc<dyn StorageBackend>;
-    let policy = DurabilityPolicy { pipelined_commit: true, ..batch_policy() };
-    let opened = DurableLog::open(backend, policy).expect("open on fresh storage");
-    let mut log = opened.log;
-    log.set_sync_pool(Arc::clone(pool));
     let acked = Arc::new(AtomicUsize::new(0));
-    let mut appended = 0usize;
-    let mut deltas = Vec::new();
-    let mut batch_sizes = Vec::new();
+    let mut driven = Driven { acked: 0, appended: 0, deltas: Vec::new(), runs: Vec::new() };
     let mut start = 0;
-    let mut run = 0;
     while start < stream.len() {
-        let len = run_lens[run % run_lens.len()].clamp(1, stream.len() - start);
-        run += 1;
+        let len = run_lens[driven.runs.len() % run_lens.len()].clamp(1, stream.len() - start);
+        let run = &stream[start..start + len];
         let before = storage.bytes_appended();
         let acked_cb = Arc::clone(&acked);
-        let outcome = log.append_batch_pipelined(
-            &stream[start..start + len],
-            Box::new(move |verdict| {
-                if verdict.is_ok() {
-                    acked_cb.fetch_add(len, Ordering::SeqCst);
-                }
-            }),
-        );
-        if outcome.is_err() {
+        let on_durable = Box::new(move |verdict: Result<(), WalError>| {
+            if verdict.is_ok() {
+                acked_cb.fetch_add(len, Ordering::SeqCst);
+            }
+        });
+        if log.append_batch_pipelined(run, on_durable).is_err() {
             break;
         }
-        appended += len;
-        deltas.push(storage.bytes_appended() - before);
-        batch_sizes.push(len);
+        for mutation in run {
+            repo.apply(mutation.clone()).expect("pre-validated stream applies");
+        }
+        log.snapshot_if_due(&repo);
+        log.wait_for_background_snapshot();
+        driven.appended += len;
+        driven.deltas.push(storage.bytes_appended() - before);
+        driven.runs.push(len);
         start += len;
     }
     log.wait_for_pipeline();
-    (acked.load(Ordering::SeqCst), appended, deltas, batch_sizes)
-}
-
-/// Chunked copy-on-write snapshot variant of [`drive`]: a tight cadence
-/// runs a background COW snapshot (chunk blobs, then the manifest, then
-/// pruning) after nearly every append, and the driver waits the job out
-/// so every snapshot byte lands deterministically inside its mutation's
-/// delta — the crash schedule then probes mid-chunk writes, the gap
-/// between chunks and manifest, and manifests that reuse prior chunks.
-fn drive_cow(
-    storage: &Arc<MemStorage>,
-    stream: &[Mutation],
-    policy: DurabilityPolicy,
-) -> (usize, Vec<u64>) {
-    let backend: Arc<dyn StorageBackend> = Arc::clone(storage) as Arc<dyn StorageBackend>;
-    let opened = DurableLog::open(backend, policy).expect("open on fresh storage");
-    let mut log = opened.log;
-    let mut repo = opened.repository;
-    log.set_snapshot_pool(Arc::new(WorkerPool::new(1)));
-    let mut deltas = Vec::new();
-    let mut acked = 0;
-    for mutation in stream {
-        let before = storage.bytes_appended();
-        repo.check(mutation).expect("pre-validated stream");
-        if log.append(mutation).is_err() {
-            break;
-        }
-        acked += 1;
-        repo.apply(mutation.clone()).expect("checked mutation applies");
-        log.snapshot_if_due(&repo);
-        log.wait_for_background_snapshot();
-        deltas.push(storage.bytes_appended() - before);
-    }
-    (acked, deltas)
-}
-
-/// Tight COW cadence: a chunked background snapshot after every second
-/// mutation, so consecutive snapshots share (and must reuse) chunks.
-fn cow_policy() -> DurabilityPolicy {
-    DurabilityPolicy {
-        fsync_each: true,
-        background_snapshots: true,
-        snapshot_every: 2,
-        segment_bytes: 2048,
-        ..DurabilityPolicy::default()
-    }
+    driven.acked = acked.load(Ordering::SeqCst);
+    driven
 }
 
 /// The sequential reference: apply the first `n` mutations to a fresh
@@ -231,85 +147,144 @@ fn replay_prefix(stream: &[Mutation], n: usize) -> Repository {
     repo
 }
 
+fn crash_at(offset: u64) -> Arc<MemStorage> {
+    Arc::new(MemStorage::with_faults(FaultPlan {
+        crash_after_bytes: Some(offset),
+        ..FaultPlan::default()
+    }))
+}
+
+/// The matrix: a fault-free trace run feeds the crash schedule, then the
+/// same drive is crashed at every scheduled offset and rebooted. Recovery
+/// must yield `replay_prefix(n)` — image bytes and the rebuilt keyword
+/// index down to ranked idf mantissa bits — for a **run-aligned** `n` with
+/// `acked ≤ n ≤ appended`: every acknowledged write survives, nothing torn
+/// is resurrected, and no run recovers partially. Without a pool `acked ==
+/// appended`, so `n` is exactly the acknowledged count.
+fn crash_matrix(
+    stream: &[Mutation],
+    pool: Option<&Arc<WorkerPool>>,
+    policy: DurabilityPolicy,
+    run_lens: &[usize],
+    schedule: &CrashScheduleParams,
+) -> Result<(), TestCaseError> {
+    let trace = Arc::new(MemStorage::new());
+    let full = drive(&trace, pool, stream, policy, run_lens);
+    prop_assert_eq!(full.acked, stream.len(), "fault-free run must ack everything");
+    prop_assert_eq!(full.appended, stream.len());
+    let (trace_recovered, trace_stats) = Repository::recover(trace.as_ref()).unwrap();
+    prop_assert_eq!(trace_recovered.save(), replay_prefix(stream, stream.len()).save());
+    prop_assert_eq!(trace_stats.last_seq, stream.len() as u64);
+    if policy.snapshot_every > 0 {
+        prop_assert!(trace_stats.snapshot_seq > 0, "the cadence must have snapshotted");
+    }
+
+    // Run-boundary prefixes are the only legal recovery points;
+    // precompute each one's reference so the per-offset loop only compares.
+    let mut aligned = vec![0usize];
+    for &len in &full.runs {
+        aligned.push(aligned.last().unwrap() + len);
+    }
+    let references: Vec<_> = aligned
+        .iter()
+        .map(|&n| {
+            let reference = replay_prefix(stream, n);
+            (reference.save(), KeywordIndex::build(&reference))
+        })
+        .collect();
+
+    let mut index_checked = BTreeSet::new();
+    for &offset in &crash_schedule(&full.deltas, schedule) {
+        let storage = crash_at(offset);
+        let crashed = drive(&storage, pool, stream, policy, run_lens);
+        prop_assert!(crashed.acked <= crashed.appended, "crash at byte {}", offset);
+        prop_assert!(
+            pool.is_some() || crashed.acked == crashed.appended,
+            "crash at byte {}: an inline fsync acknowledges inside the append",
+            offset
+        );
+        // Whole runs only, the same runs the fault-free drive formed.
+        prop_assert_eq!(crashed.appended, crashed.runs.iter().sum::<usize>());
+        prop_assert_eq!(&full.runs[..crashed.runs.len()], &crashed.runs[..]);
+
+        // Reboot: only the surviving bytes, a clean fault plan.
+        let (recovered, stats) = match Repository::recover(&storage.reopen()) {
+            Ok(ok) => ok,
+            Err(e) => {
+                return Err(TestCaseError::Fail(format!(
+                    "crash at byte {offset}: recovery failed: {e}"
+                )))
+            }
+        };
+        let n = stats.last_seq as usize;
+        let Some(at) = aligned.iter().position(|&a| a == n) else {
+            return Err(TestCaseError::Fail(format!(
+                "crash at byte {offset}: recovered {n} mutations, not a run boundary"
+            )));
+        };
+        prop_assert!(
+            crashed.acked <= n && n <= crashed.appended,
+            "crash at byte {}: recovered {} outside acked {} ..= appended {}",
+            offset,
+            n,
+            crashed.acked,
+            crashed.appended
+        );
+        let (reference, idx_reference) = &references[at];
+        prop_assert_eq!(
+            &recovered.save(),
+            reference,
+            "crash at byte {}: recovered image diverges from reference replay",
+            offset
+        );
+
+        // Index rebuild bit-equivalence, ranked f64 bits included — once
+        // per recovery point and recovery shape (with or without a
+        // snapshot under the suffix), not once per offset: an exhaustive
+        // schedule recovers the same few states thousands of times.
+        if !index_checked.insert((at, stats.snapshot_seq)) {
+            continue;
+        }
+        let idx_recovered = KeywordIndex::build(&recovered);
+        prop_assert_eq!(idx_recovered.doc_count(), idx_reference.doc_count());
+        prop_assert_eq!(idx_recovered.term_count(), idx_reference.term_count());
+        for term in TERMS {
+            prop_assert_eq!(
+                idx_recovered.lookup_query_term(term),
+                idx_reference.lookup_query_term(term),
+                "postings diverged on {:?} at crash byte {}",
+                term,
+                offset
+            );
+            prop_assert_eq!(idx_recovered.df(term), idx_reference.df(term));
+            prop_assert_eq!(
+                idx_recovered.idf_cached(term).to_bits(),
+                idx_reference.idf_cached(term).to_bits(),
+                "ranked idf bits diverged on {:?} at crash byte {}",
+                term,
+                offset
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The matrix itself: every record boundary, the first header byte of
-    /// every record, and sampled interior offsets. Recovery after each
-    /// crash is byte-for-byte the acknowledged prefix, and the rebuilt
-    /// keyword index matches the reference down to idf mantissa bits.
+    /// No pool × `max_batch` 1, snapshots every third record and 2 KB
+    /// segments: every record boundary, the first header byte of every
+    /// record, and sampled interior offsets — of records, chunk writes and
+    /// manifests alike. Recovery after each crash is byte-for-byte the
+    /// acknowledged prefix.
     #[test]
     fn recovery_is_bit_identical_at_every_crash_offset(
         seed in any::<u64>(),
         writes in proptest::collection::vec((0u8..5, any::<u64>()), 3..9),
     ) {
         let stream = mutation_stream(&writes);
-        let policy = tight_policy();
-
-        // Fault-free trace run: byte deltas feed the crash schedule, and
-        // the trace itself must recover bit-identically.
-        let trace = Arc::new(MemStorage::new());
-        let (acked, deltas) = drive(&trace, &stream, policy);
-        prop_assert_eq!(acked, stream.len(), "fault-free run must ack everything");
-        let full_reference = replay_prefix(&stream, stream.len());
-        let (trace_recovered, trace_stats) = Repository::recover(trace.as_ref()).unwrap();
-        prop_assert_eq!(trace_recovered.save(), full_reference.save());
-        prop_assert_eq!(trace_stats.last_seq, stream.len() as u64);
-
-        let schedule =
-            crash_schedule(
-                &deltas,
-                &CrashScheduleParams { seed, interior_per_record: 2, ..Default::default() },
-            );
-        for &offset in &schedule {
-            let storage = Arc::new(MemStorage::with_faults(FaultPlan {
-                crash_after_bytes: Some(offset),
-                ..FaultPlan::default()
-            }));
-            let (acked, _) = drive(&storage, &stream, policy);
-
-            // Reboot: only the surviving bytes, a clean fault plan.
-            let reopened = storage.reopen();
-            let (recovered, stats) = match Repository::recover(&reopened) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    return Err(TestCaseError::Fail(format!(
-                        "crash at byte {offset}: recovery failed: {e}"
-                    )))
-                }
-            };
-
-            // Exactly the acknowledged prefix: nothing acknowledged is
-            // lost, nothing torn is resurrected.
-            let reference = replay_prefix(&stream, acked);
-            prop_assert_eq!(
-                stats.last_seq, acked as u64,
-                "crash at byte {}: recovered seq != acknowledged count", offset
-            );
-            prop_assert_eq!(
-                recovered.save(), reference.save(),
-                "crash at byte {}: recovered image diverges from reference replay", offset
-            );
-
-            // Index rebuild bit-equivalence, ranked f64 bits included.
-            let idx_recovered = KeywordIndex::build(&recovered);
-            let idx_reference = KeywordIndex::build(&reference);
-            prop_assert_eq!(idx_recovered.doc_count(), idx_reference.doc_count());
-            prop_assert_eq!(idx_recovered.term_count(), idx_reference.term_count());
-            for term in TERMS {
-                prop_assert_eq!(
-                    idx_recovered.lookup_query_term(term),
-                    idx_reference.lookup_query_term(term),
-                    "postings diverged on {:?} at crash byte {}", term, offset
-                );
-                prop_assert_eq!(idx_recovered.df(term), idx_reference.df(term));
-                prop_assert_eq!(
-                    idx_recovered.idf_cached(term).to_bits(),
-                    idx_reference.idf_cached(term).to_bits(),
-                    "ranked idf bits diverged on {:?} at crash byte {}", term, offset
-                );
-            }
-        }
+        let schedule = CrashScheduleParams { seed, interior_per_record: 2, ..Default::default() };
+        crash_matrix(&stream, None, tight_policy(3), &[1], &schedule)?;
     }
 
     /// Corrupting an *interior* record (a checksum byte of a record with
@@ -317,22 +292,16 @@ proptest! {
     /// refuse the log rather than skip the record or panic.
     #[test]
     fn interior_corruption_is_rejected_not_skipped(
-        seed in any::<u64>(),
         writes in proptest::collection::vec((0u8..5, any::<u64>()), 4..9),
         victim in any::<u64>(),
     ) {
         let stream = mutation_stream(&writes);
         // One fat segment, no snapshots: every record stays in the log and
         // every record but the last has durable successors.
-        let policy = DurabilityPolicy {
-            fsync_each: true,
-            snapshot_every: 0,
-            segment_bytes: u64::MAX,
-            ..DurabilityPolicy::default()
-        };
+        let policy = DurabilityPolicy { max_batch: 1, ..batch_policy() };
         let storage = Arc::new(MemStorage::new());
-        let (acked, deltas) = drive(&storage, &stream, policy);
-        prop_assert_eq!(acked, stream.len());
+        let driven = drive(&storage, None, &stream, policy, &[1]);
+        prop_assert_eq!(driven.acked, stream.len());
 
         let segments: Vec<String> = storage
             .list()
@@ -345,13 +314,9 @@ proptest! {
 
         // Flip a checksum byte (record-relative offset 5) of a non-final
         // record: an unambiguous interior corruption.
-        let victim = (victim % (acked as u64 - 1)) as usize;
-        let record_start: u64 = deltas[..victim].iter().sum();
+        let victim = (victim % (driven.acked as u64 - 1)) as usize;
+        let record_start: u64 = driven.deltas[..victim].iter().sum();
         storage.flip_byte(segment, record_start as usize + 5);
-
-        // `seed` keeps the generated corpus varied across cases even
-        // though this property never samples offsets from it.
-        let _ = seed;
 
         match Repository::recover(storage.as_ref()) {
             Err(WalError::Corrupt { .. }) => {}
@@ -372,18 +337,16 @@ proptest! {
 }
 
 proptest! {
-    // The batch matrix probes every byte of small batch records; a
+    // The batch matrices probe every byte of small batch records; a
     // leaner case budget keeps the exhaustive schedules affordable in
     // debug tier-1 runs (the nightly soak raises it via PROPTEST_CASES).
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Group-commit crash matrix: the stream is appended in multi-record
-    /// batches; batch records up to 256 bytes get **every** interior byte
+    /// No pool × `max_batch` > 1: the stream is appended in multi-record
+    /// runs; batch records up to 256 bytes get **every** interior byte
     /// probed and larger ones are densely sampled. A crash anywhere in a
-    /// batch's fsync window recovers exactly the previously-acked prefix
-    /// — whole batches only, never a partial one — and the recovered
-    /// image plus its rebuilt index are bit-identical to the sequential
-    /// reference replay of that prefix.
+    /// run's fsync window recovers exactly the previously-acked prefix —
+    /// whole runs only, never a partial one.
     #[test]
     fn group_commit_recovery_has_no_partial_batches(
         seed in any::<u64>(),
@@ -391,82 +354,20 @@ proptest! {
         run_lens in proptest::collection::vec(1usize..5, 1..4),
     ) {
         let stream = mutation_stream(&writes);
-        let policy = batch_policy();
-
-        // Fault-free trace: per-batch byte deltas feed the crash schedule,
-        // and the trace itself must recover bit-identically.
-        let trace = Arc::new(MemStorage::new());
-        let (acked, deltas, batch_sizes) = drive_batched(&trace, &stream, policy, &run_lens);
-        prop_assert_eq!(acked, stream.len(), "fault-free run must ack everything");
-        let (trace_recovered, trace_stats) = Repository::recover(trace.as_ref()).unwrap();
-        prop_assert_eq!(trace_recovered.save(), replay_prefix(&stream, stream.len()).save());
-        prop_assert_eq!(trace_stats.last_seq, stream.len() as u64);
-
-        let schedule = crash_schedule(
-            &deltas,
-            &CrashScheduleParams {
-                seed,
-                interior_per_record: 4,
-                exhaustive_max_len: 256,
-                ..Default::default()
-            },
-        );
-        for &offset in &schedule {
-            let storage = Arc::new(MemStorage::with_faults(FaultPlan {
-                crash_after_bytes: Some(offset),
-                ..FaultPlan::default()
-            }));
-            let (acked, _, sizes) = drive_batched(&storage, &stream, policy, &run_lens);
-
-            // Whole batches only: the acked count is a batch-boundary
-            // prefix of the fault-free batching.
-            prop_assert_eq!(acked, sizes.iter().sum::<usize>());
-            prop_assert!(sizes.len() <= batch_sizes.len());
-            prop_assert_eq!(&batch_sizes[..sizes.len()], &sizes[..]);
-
-            let reopened = storage.reopen();
-            let (recovered, stats) = match Repository::recover(&reopened) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    return Err(TestCaseError::Fail(format!(
-                        "crash at byte {offset}: recovery failed: {e}"
-                    )))
-                }
-            };
-            prop_assert_eq!(
-                stats.last_seq, acked as u64,
-                "crash at byte {}: recovered seq != acknowledged count", offset
-            );
-            let reference = replay_prefix(&stream, acked);
-            prop_assert_eq!(
-                recovered.save(), reference.save(),
-                "crash at byte {}: recovered image diverges from reference", offset
-            );
-
-            // Index rebuild bit-equivalence, ranked f64 bits included.
-            let idx_recovered = KeywordIndex::build(&recovered);
-            let idx_reference = KeywordIndex::build(&reference);
-            for term in TERMS {
-                prop_assert_eq!(idx_recovered.df(term), idx_reference.df(term));
-                prop_assert_eq!(
-                    idx_recovered.idf_cached(term).to_bits(),
-                    idx_reference.idf_cached(term).to_bits(),
-                    "ranked idf bits diverged on {:?} at crash byte {}", term, offset
-                );
-            }
-        }
+        let schedule = CrashScheduleParams {
+            seed,
+            interior_per_record: 4,
+            exhaustive_max_len: 256,
+            ..Default::default()
+        };
+        crash_matrix(&stream, None, batch_policy(), &run_lens, &schedule)?;
     }
 
-    /// Pipelined-commit crash matrix: appends run ahead of their covering
-    /// fsyncs, so a crash can land between apply-of-batch-*k* and
-    /// fsync-of-batch-*k−1* — the in-flight window the schedule's
-    /// `exhaustive_tail_records` tears at every byte. The contract is
-    /// deliberately wider than the synchronous matrices: `MemStorage`
-    /// (like a real disk) may persist appended-but-unacknowledged frames,
-    /// so recovery yields `replay_prefix(n)` for some **batch-aligned**
-    /// `n` with `acked ≤ n ≤ appended` — every acknowledged write
-    /// survives, nothing torn is resurrected, and no batch ever recovers
-    /// partially.
+    /// Pool × `max_batch` > 1: appends run ahead of their covering
+    /// fsyncs, so a crash can land between apply-of-run-*k* and
+    /// fsync-of-run-*k−1* — the in-flight window the schedule's
+    /// `exhaustive_tail_records` tears at every byte. Recovery yields a
+    /// **run-aligned** `n` with `acked ≤ n ≤ appended`.
     #[test]
     fn pipelined_commit_recovers_a_batch_aligned_acked_superset(
         seed in any::<u64>(),
@@ -475,131 +376,34 @@ proptest! {
     ) {
         let stream = mutation_stream(&writes);
         let pool = Arc::new(WorkerPool::new(1));
-
-        // Fault-free trace: everything appended is eventually acked, and
-        // the trace recovers bit-identically.
-        let trace = Arc::new(MemStorage::new());
-        let (acked, appended, deltas, batch_sizes) =
-            drive_pipelined(&trace, &pool, &stream, &run_lens);
-        prop_assert_eq!(acked, stream.len(), "fault-free pipeline must ack everything");
-        prop_assert_eq!(appended, stream.len());
-        let (trace_recovered, trace_stats) = Repository::recover(trace.as_ref()).unwrap();
-        prop_assert_eq!(trace_recovered.save(), replay_prefix(&stream, stream.len()).save());
-        prop_assert_eq!(trace_stats.last_seq, stream.len() as u64);
-
-        // Batch-boundary prefixes (in acknowledged mutation counts) are
-        // the only legal recovery points; precompute each one's reference
-        // image so the per-offset loop only compares bytes.
-        let mut aligned = vec![0usize];
-        for &size in &batch_sizes {
-            aligned.push(aligned.last().unwrap() + size);
-        }
-        let references: Vec<_> =
-            aligned.iter().map(|&n| replay_prefix(&stream, n).save()).collect();
-
-        let schedule = crash_schedule(
-            &deltas,
-            // Every byte of the final record — the deepest in-flight
-            // frame — plus sampled interiors of the rest: the nightly
-            // soak widens coverage via PROPTEST_CASES, debug tier-1
-            // keeps the matrix affordable.
-            &CrashScheduleParams {
-                seed,
-                interior_per_record: 2,
-                exhaustive_tail_records: 1,
-                ..Default::default()
-            },
-        );
-        for &offset in &schedule {
-            let storage = Arc::new(MemStorage::with_faults(FaultPlan {
-                crash_after_bytes: Some(offset),
-                ..FaultPlan::default()
-            }));
-            let (acked, appended, _, _) = drive_pipelined(&storage, &pool, &stream, &run_lens);
-            prop_assert!(acked <= appended, "crash at byte {}: acked past appended", offset);
-
-            let reopened = storage.reopen();
-            let (recovered, stats) = match Repository::recover(&reopened) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    return Err(TestCaseError::Fail(format!(
-                        "crash at byte {offset}: recovery failed: {e}"
-                    )))
-                }
-            };
-            let n = stats.last_seq as usize;
-            let Some(at) = aligned.iter().position(|&a| a == n) else {
-                return Err(TestCaseError::Fail(format!(
-                    "crash at byte {offset}: recovered {n} mutations, not a batch boundary"
-                )));
-            };
-            prop_assert!(
-                acked <= n && n <= appended,
-                "crash at byte {}: recovered {} outside acked {} ..= appended {}",
-                offset, n, acked, appended
-            );
-            prop_assert_eq!(
-                &recovered.save(), &references[at],
-                "crash at byte {}: recovered image diverges from its prefix", offset
-            );
-        }
+        // Every byte of the final record — the deepest in-flight frame —
+        // plus sampled interiors of the rest: the nightly soak widens
+        // coverage via PROPTEST_CASES, debug tier-1 keeps the matrix
+        // affordable.
+        let schedule = CrashScheduleParams {
+            seed,
+            interior_per_record: 2,
+            exhaustive_tail_records: 1,
+            ..Default::default()
+        };
+        crash_matrix(&stream, Some(&pool), batch_policy(), &run_lens, &schedule)?;
     }
 
-    /// Chunked COW snapshot crash matrix: with a background chunked
-    /// snapshot after every second append, the schedule's offsets land
-    /// inside chunk-blob writes, between the chunks and their manifest,
-    /// and across manifests that reuse earlier chunks. Whatever the
-    /// snapshot generation lost, the unpruned WAL suffix must restore:
-    /// recovery is bit-identical to the acknowledged prefix at every
-    /// offset (appends here are synchronous, so acked is exact).
+    /// Pool × `max_batch` 1, a copy-on-write snapshot job after every
+    /// second append: the schedule's offsets land inside chunk-blob
+    /// writes, between the chunks and their manifest, and across manifests
+    /// that reuse earlier chunks, while frames are still in flight.
+    /// Whatever the snapshot generation lost, the unpruned WAL suffix must
+    /// restore.
     #[test]
     fn cow_snapshot_recovery_is_bit_identical_at_every_crash_offset(
         seed in any::<u64>(),
         writes in proptest::collection::vec((0u8..5, any::<u64>()), 4..9),
     ) {
         let stream = mutation_stream(&writes);
-        let policy = cow_policy();
-
-        let trace = Arc::new(MemStorage::new());
-        let (acked, deltas) = drive_cow(&trace, &stream, policy);
-        prop_assert_eq!(acked, stream.len(), "fault-free run must ack everything");
-        let (trace_recovered, trace_stats) = Repository::recover(trace.as_ref()).unwrap();
-        prop_assert_eq!(trace_recovered.save(), replay_prefix(&stream, stream.len()).save());
-        prop_assert_eq!(trace_stats.last_seq, stream.len() as u64);
-        prop_assert!(
-            trace_stats.snapshot_seq > 0,
-            "the cadence must have produced at least one chunked snapshot"
-        );
-
-        let schedule = crash_schedule(
-            &deltas,
-            &CrashScheduleParams { seed, interior_per_record: 3, ..Default::default() },
-        );
-        for &offset in &schedule {
-            let storage = Arc::new(MemStorage::with_faults(FaultPlan {
-                crash_after_bytes: Some(offset),
-                ..FaultPlan::default()
-            }));
-            let (acked, _) = drive_cow(&storage, &stream, policy);
-
-            let reopened = storage.reopen();
-            let (recovered, stats) = match Repository::recover(&reopened) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    return Err(TestCaseError::Fail(format!(
-                        "crash at byte {offset}: recovery failed: {e}"
-                    )))
-                }
-            };
-            prop_assert_eq!(
-                stats.last_seq, acked as u64,
-                "crash at byte {}: recovered seq != acknowledged count", offset
-            );
-            prop_assert_eq!(
-                recovered.save(), replay_prefix(&stream, acked).save(),
-                "crash at byte {}: recovered image diverges from reference", offset
-            );
-        }
+        let pool = Arc::new(WorkerPool::new(1));
+        let schedule = CrashScheduleParams { seed, interior_per_record: 3, ..Default::default() };
+        crash_matrix(&stream, Some(&pool), tight_policy(2), &[1], &schedule)?;
     }
 }
 
@@ -613,17 +417,14 @@ fn a_torn_batch_record_never_acknowledges_partially() {
     let policy = batch_policy();
 
     let trace = Arc::new(MemStorage::new());
-    let (acked, deltas, _) = drive_batched(&trace, &stream, policy, &[4]);
-    assert_eq!(acked, 4, "fault-free run acks the whole batch");
-    assert_eq!(deltas.len(), 1, "one physical record covers the batch");
-    let total = deltas[0];
+    let full = drive(&trace, None, &stream, policy, &[4]);
+    assert_eq!(full.acked, 4, "fault-free run acks the whole batch");
+    assert_eq!(full.deltas.len(), 1, "one physical record covers the batch");
+    let total = full.deltas[0];
 
     for offset in 0..=total {
-        let storage = Arc::new(MemStorage::with_faults(FaultPlan {
-            crash_after_bytes: Some(offset),
-            ..FaultPlan::default()
-        }));
-        let (acked, _, _) = drive_batched(&storage, &stream, policy, &[4]);
+        let storage = crash_at(offset);
+        let acked = drive(&storage, None, &stream, policy, &[4]).acked;
         let expect = if offset >= total { 4 } else { 0 };
         assert_eq!(acked, expect, "crash at byte {offset}: batch ack must be all-or-nothing");
 
@@ -645,18 +446,13 @@ fn a_torn_batch_record_never_acknowledges_partially() {
 #[test]
 fn log_reopens_and_extends_after_a_torn_tail() {
     let stream = mutation_stream(&[(0, 11), (1, 12), (2, 13), (0, 14), (1, 15)]);
-    let policy = tight_policy();
+    let policy = tight_policy(3);
 
     // Crash inside the fourth record: acked = 3.
     let trace = Arc::new(MemStorage::new());
-    let (_, deltas) = drive(&trace, &stream, policy);
-    let crash_at: u64 = deltas[..3].iter().sum::<u64>() + 7;
-    let storage = Arc::new(MemStorage::with_faults(FaultPlan {
-        crash_after_bytes: Some(crash_at),
-        ..FaultPlan::default()
-    }));
-    let (acked, _) = drive(&storage, &stream, policy);
-    assert_eq!(acked, 3);
+    let deltas = drive(&trace, None, &stream, policy, &[1]).deltas;
+    let storage = crash_at(deltas[..3].iter().sum::<u64>() + 7);
+    assert_eq!(drive(&storage, None, &stream, policy, &[1]).acked, 3);
 
     // Reboot, recover, and append the remaining writes through a reopened
     // log — the torn record is truncated, then overwritten by the retry.
@@ -676,4 +472,165 @@ fn log_reopens_and_extends_after_a_torn_tail() {
     let (recovered, stats) = Repository::recover(reopened.as_ref()).unwrap();
     assert_eq!(stats.last_seq, stream.len() as u64);
     assert_eq!(recovered.save(), replay_prefix(&stream, stream.len()).save());
+}
+
+// ---------------------------------------------------------------------------
+// Format stability.
+// ---------------------------------------------------------------------------
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+fn paper_insert() -> Mutation {
+    Mutation::InsertSpec { spec: fixtures::disease_susceptibility_spec(), policy: Policy::public() }
+}
+
+/// A fixed five-kind trace over the paper fixture, applied on top of two
+/// pre-loaded specs (ids 0 and 1): sixteen inserts fill chunk 0 and open
+/// chunk 1, four writes touch chunk 0, and the last twelve touch only
+/// chunk 1 — so late snapshots must reuse chunk 0 by reference.
+fn golden_trace() -> Vec<Mutation> {
+    let (spec, m) = fixtures::disease_susceptibility();
+    let exec = |id: u32| Mutation::AddExecution {
+        spec: SpecId(id),
+        exec: fixtures::disease_susceptibility_execution(&spec),
+    };
+    let policy = |id: u32| Mutation::SetPolicy { spec: SpecId(id), policy: Policy::public() };
+    let edit = |id: u32, module, name: &str| Mutation::EditSpec {
+        spec: SpecId(id),
+        text: SpecText {
+            edits: vec![ModuleTextEdit {
+                module,
+                name: name.to_string(),
+                keywords: vec!["redacted".to_string(), "revised".to_string()],
+            }],
+        },
+    };
+    let mut trace: Vec<Mutation> = (0..16).map(|_| paper_insert()).collect();
+    trace.extend([
+        exec(0),
+        policy(3),
+        edit(1, m.m2, "Sanitized step"),
+        Mutation::DeleteSpec { spec: SpecId(5) },
+        exec(17),
+        exec(16),
+        paper_insert(),
+        edit(17, m.m3, "Bare"),
+        policy(16),
+        exec(18),
+        edit(18, m.m2, "Sanitized step"),
+        paper_insert(),
+        exec(19),
+        policy(18),
+        Mutation::DeleteSpec { spec: SpecId(19) },
+        exec(17),
+    ]);
+    trace
+}
+
+/// `(file name, FNV-1a of its bytes)` for every file [`golden_trace`]
+/// stores at `max_batch` 1 — segments at their fullest, the v1 baseline
+/// (`snap-…0000`), the six v3 manifests and their chunks — as written by
+/// commit fe158a1, the last one with three append paths and two cadence
+/// snapshot writers.
+const GOLDEN_PER_RECORD: &[(&str, u64)] = &[
+    ("chk-06fe70015ba7d270.blob", 0x07d1eb2e7ebd438d),
+    ("chk-18f89e6d9a22d9bd.blob", 0xcdfae8efc617a9bd),
+    ("chk-3a18b150ab20804f.blob", 0xe1ff192670352525),
+    ("chk-81e8b9074068e5ed.blob", 0xbadfec7df4f77965),
+    ("chk-87b4d515c0ed145f.blob", 0x1e4b1bc5330e3080),
+    ("chk-91338500b14aeb1b.blob", 0x2dc739682ac7c8a5),
+    ("chk-97fdac7371732691.blob", 0x1ee333cab61b6e4b),
+    ("chk-9ec9d9032908b172.blob", 0xd69468cc3800a14d),
+    ("snap-0000000000000000.snap", 0x4463519b666e4a38),
+    ("snap-0000000000000005.snap", 0xdcd38f8dc83a746b),
+    ("snap-000000000000000a.snap", 0x99fa9afe372816d1),
+    ("snap-000000000000000f.snap", 0x957b0054ccf86122),
+    ("snap-0000000000000014.snap", 0xa1b0ba5a72ba83e2),
+    ("snap-0000000000000019.snap", 0xb1d641718ddbe828),
+    ("snap-000000000000001e.snap", 0xf2479874bbe90888),
+    ("wal-0000000000000001.log", 0xe50a69f5f7fb71b7),
+    ("wal-0000000000000003.log", 0x32780106729790fd),
+    ("wal-0000000000000006.log", 0x76b0f98b355d6869),
+    ("wal-0000000000000008.log", 0x559e3f1f62130036),
+    ("wal-000000000000000b.log", 0x2d4d2820d1c192db),
+    ("wal-000000000000000d.log", 0x3c4390842a726093),
+    ("wal-0000000000000010.log", 0x5d9dee9f54ae3955),
+    ("wal-0000000000000015.log", 0x1a7a28427493f33d),
+    ("wal-000000000000001a.log", 0x38bba1508d358ca8),
+    ("wal-000000000000001f.log", 0x1ac6d5ff490fdcc2),
+];
+
+/// [`GOLDEN_PER_RECORD`] at `max_batch` 4: eight batch records, one per
+/// segment.
+const GOLDEN_BATCHED: &[(&str, u64)] = &[
+    ("chk-3a18b150ab20804f.blob", 0xe1ff192670352525),
+    ("chk-81e8b9074068e5ed.blob", 0xbadfec7df4f77965),
+    ("chk-87b4d515c0ed145f.blob", 0x1e4b1bc5330e3080),
+    ("chk-97fdac7371732691.blob", 0x1ee333cab61b6e4b),
+    ("chk-aa1e244b590357e9.blob", 0xf5fdcd8077abf6e5),
+    ("chk-c7be395f16dca525.blob", 0x1410657c64afb265),
+    ("snap-0000000000000000.snap", 0x4463519b666e4a38),
+    ("snap-0000000000000008.snap", 0x0b94b2a7f34b151d),
+    ("snap-0000000000000010.snap", 0x6303cb69016045a1),
+    ("snap-0000000000000018.snap", 0x299bd6132f7f818e),
+    ("snap-0000000000000020.snap", 0x5d1476927b8afdf1),
+    ("wal-0000000000000001.log", 0xfdb617ef2240005b),
+    ("wal-0000000000000009.log", 0x27c3045c3abda423),
+    ("wal-0000000000000011.log", 0x399247ab5b33fd48),
+    ("wal-0000000000000019.log", 0x3e3aad987b97c8af),
+];
+
+/// Format stability across commits, not just within one build: the bytes
+/// of every file the log stores for [`golden_trace`] — whole-image
+/// baseline, per-record and batch frames across size rotations, cadence
+/// snapshots every fifth record with chunk reuse and pruning — are pinned
+/// to what the parent commit wrote, and `Repository::recover` over them
+/// equals the sequential replay at every step. Equal bytes are the proof
+/// that a parent-written store recovers here (and the reverse).
+#[test]
+fn stored_bytes_match_the_parent_commit_and_recover_to_the_sequential_replay() {
+    for (max_batch, golden) in [(1, GOLDEN_PER_RECORD), (4, GOLDEN_BATCHED)] {
+        let storage = Arc::new(MemStorage::new());
+        let mut repo = Repository::new();
+        repo.apply(paper_insert()).unwrap();
+        repo.apply(paper_insert()).unwrap();
+        let mut reference = Repository::load(&repo.save()).unwrap();
+        let policy = DurabilityPolicy {
+            snapshot_every: 5,
+            segment_bytes: 6000,
+            ..DurabilityPolicy::pipelined(max_batch, 0)
+        };
+        let backend = Arc::clone(&storage) as Arc<dyn StorageBackend>;
+        let mut log = DurableLog::open(backend, policy).unwrap().log;
+        // Every name ever stored, at the last content it was seen with
+        // (segments grow until pruned; everything else is written once).
+        let mut stored: BTreeMap<String, u64> = BTreeMap::new();
+        let mut observe = |storage: &MemStorage| {
+            for name in storage.list().unwrap() {
+                let bytes = storage.read(&name).unwrap().unwrap();
+                stored.insert(name, fnv1a(&bytes));
+            }
+        };
+        log.snapshot_now(&repo).unwrap();
+        observe(&storage);
+        for run in golden_trace().chunks(max_batch) {
+            for mutation in run {
+                repo.check(mutation).unwrap();
+            }
+            log.append_batch(run).unwrap();
+            for mutation in run {
+                repo.apply(mutation.clone()).unwrap();
+                reference.apply(mutation.clone()).unwrap();
+            }
+            log.snapshot_if_due(&repo);
+            observe(&storage);
+            let (recovered, _) = Repository::recover(storage.as_ref()).unwrap();
+            assert_eq!(recovered.save(), reference.save(), "max_batch {max_batch}");
+        }
+        assert!(log.stats().snapshot_chunks_reused > 0, "the trace must exercise chunk reuse");
+        let stored: Vec<(&str, u64)> = stored.iter().map(|(n, h)| (n.as_str(), *h)).collect();
+        assert_eq!(stored, golden, "max_batch {max_batch}: stored bytes moved");
+    }
 }

@@ -43,7 +43,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     VecStrategy { element, size: size.into() }
 }
 
-/// Output of [`vec`].
+/// Output of [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -27,22 +27,22 @@
 # a fresh build, every recovery asserted bit-identical; E16: cold
 # selective multi-term search ≥3x the pre-E16 flat-Vec dataflow at 2048
 # specs, warm probe and per-write refresh no-regression, every answer
-# verified identical; E17: group-commit WAL ≥4x per-record fsync on the
-# fsync-dominated policy-churn stream at 32 in flight (plus a ≥4x
-# fsync-count cut on the heavyweight mixed stream), single-writer and
-# read paths within 1.2x, background snapshots pause the mutating
-# thread no longer than inline, every final state bit-identical to a
-# sequential replay; E18: pipelined commit ≥1.5x the grouped baseline
-# on the mixed stream at 32 in flight in the balanced-batch regime,
-# with the fsync-overlaps-apply count asserted positive, a crash
-# matrix over every byte of the final in-flight frame recovering
-# batch-aligned acked prefixes bit-identically, and copy-on-write
-# chunked snapshots writing ≤0.5x the whole image at 12.5% dirty
+# verified identical; E17: on the one write path, batched records
+# (max_batch N) no slower than max_batch 1 on the policy-churn stream at
+# 32 in flight (both arms lift the fence before the covering fsync, so
+# this is what batching adds on top of shared fsyncs), single-writer and
+# read paths within 1.2x, a pool shrinking the mutating thread's
+# snapshot pause, every final state bit-identical to a sequential
+# replay; E18: the fsync-overlaps-apply count positive on the mixed
+# stream at 32 in flight, a crash matrix over every byte of the final
+# in-flight frame recovering batch-aligned acked prefixes
+# bit-identically, and copy-on-write chunked snapshots writing ≤0.5x
+# what the whole-image baseline writer does at 12.5% dirty
 # chunks with ≥0.5 chunk reuse; E19: targeted DeleteSpec/EditSpec
 # index maintenance ≥5x per-write full rebuilds with the maintained
 # index bit-identical to a fresh build of the tombstoned corpus, reads
 # over the destructively grown engine within 1.2x, and the durable
-# group-committed destructive pipeline recovering bit-identically),
+# batched destructive pipeline recovering bit-identically),
 # so this script doubles as a perf smoke test in CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
