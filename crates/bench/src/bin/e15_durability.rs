@@ -32,18 +32,18 @@
 //!   structure work only, O(new specs). Gate: ≥ `--min-trusted-speedup`,
 //!   with the two indexes asserted bit-identical first. This closes the
 //!   "O(1) structure-free refresh" item the E13 boundary documented.
-//! * **Read no-regression.** An engine grown through the durable write
-//!   path (WAL attached) serves the read log against a fresh
-//!   engine over the identical corpus: cold and warm ratios gated at
+//! * **Read no-regression.** A one-shard cluster grown through the
+//!   durable write path (WAL attached — durability lives at the cluster)
+//!   serves the read log against a fresh one-shard cluster over the
+//!   identical corpus: cold and warm ratios gated at
 //!   `--max-read-regression` — durability must cost the read path
 //!   nothing, because reads never touch the log.
 //!
 //! **Honest boundaries.** Per-record fsync dominates real-file appends
 //! (that is the point of durable-on-acknowledge — the number is reported,
-//! not hidden); this single-engine log has no pool, so a cadence snapshot
-//! serializes its dirty chunks while the write path waits, trading
-//! recovery replay length against a periodic write-path pause; and
-//! `refresh_trusted` is
+//! not hidden); the read section's cadence snapshots run as jobs on the
+//! cluster's pool, and the timed reads start only once those have drained;
+//! and `refresh_trusted` is
 //! sound only because every durable write is a typed [`Mutation`] — the
 //! bench asserts bit-identity against the verifying path rather than
 //! assuming it. The binary exits non-zero when any acceptance gate fails.
@@ -51,7 +51,7 @@
 use ppwf_bench::{
     e11_corpus, e11_query_log, e11_repo, e13_write_stream, standard_registry, E10_GROUPS,
 };
-use ppwf_query::engine::QueryEngine;
+use ppwf_query::EngineCluster;
 use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::mutation::Mutation;
 use ppwf_repo::repository::Repository;
@@ -354,8 +354,10 @@ fn main() {
     );
 
     // -- section D: read no-regression under durability ---------------------
-    // A cold pass is one-shot per engine and totals a few ms, where one
-    // scheduler interrupt swamps the signal — measure COLD_REPS
+    // Both sides are one-shard clusters: durability attaches to a cluster,
+    // and the fresh side must pay the same front for the ratio to be about
+    // the log. A cold pass is one-shot per engine and totals a few ms, where
+    // one scheduler interrupt swamps the signal — measure COLD_REPS
     // independent engine pairs (order alternated to cancel
     // measurement-order bias) and compare per-side minima.
     const COLD_REPS: usize = 3;
@@ -367,14 +369,14 @@ fn main() {
     let mut durable_write_us = 0.0f64;
     let mut wal_appends = 0u64;
     let (mut fresh_cold_us, mut durable_cold_us) = (f64::INFINITY, f64::INFINITY);
-    let mut pair: Option<(QueryEngine, QueryEngine)> = None;
+    let mut pair: Option<(EngineCluster, EngineCluster)> = None;
     {
         // Warm the allocator/page cache outside timing.
-        let warmup = QueryEngine::new(e11_repo(&corpus), standard_registry());
+        let warmup = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
         let _ = serve_pass(|g, q| warmup.search_as(g, q).map(|h| h.len()).unwrap_or(0), &read_log);
     }
     for rep in 0..COLD_REPS {
-        let mut engine_durable = QueryEngine::new(e11_repo(&corpus), standard_registry());
+        let mut engine_durable = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
         let opened =
             DurableLog::open(Arc::new(MemStorage::new()) as Arc<dyn StorageBackend>, wal_policy)
                 .expect("open durable log");
@@ -386,12 +388,15 @@ fn main() {
         durable_write_us = t.elapsed().as_secs_f64() * 1e6;
         wal_appends =
             engine_durable.durability_stats().expect("durable engine reports stats").appends;
+        while engine_durable.background_snapshot_in_flight() {
+            std::thread::yield_now();
+        }
 
         let mut repo_replay = e11_repo(&corpus);
         for mutation in stream.iter().cloned() {
             repo_replay.apply(mutation).expect("write stream valid");
         }
-        let engine_fresh = QueryEngine::new(repo_replay, standard_registry());
+        let engine_fresh = EngineCluster::new(repo_replay, standard_registry(), 1);
 
         let serve_fresh =
             |g: &str, q: &str| engine_fresh.search_as(g, q).map(|h| h.len()).unwrap_or(0);

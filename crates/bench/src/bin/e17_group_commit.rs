@@ -39,8 +39,9 @@
 //!   the log; batching must not change that. Gate: both ratios ≤
 //!   `--max-read-regression`.
 //! * **Snapshot pause: pool attached vs not.** The same durable write
-//!   stream through a [`QueryEngine`] (whose log has a pool only when one
-//!   is set — a cluster's always does) with the snapshot cadence on:
+//!   stream through a [`DurableLog`] and its [`Repository`] driven
+//!   directly (a bare log has a pool only when one is set — a cluster's
+//!   always does) with the snapshot cadence on:
 //!   without a pool the snapshot job (serialize dirty chunks, write,
 //!   prune) runs on the mutating thread, with one the thread pays capture
 //!   and rotate and a pool job does the rest. Both recover bit-identically.
@@ -57,7 +58,6 @@
 
 use ppwf_bench::{standard_registry, E10_GROUPS, E10_QUERIES};
 use ppwf_query::cluster::EngineCluster;
-use ppwf_query::engine::QueryEngine;
 use ppwf_query::route::ShardStrategy;
 use ppwf_query::serve::{QueryAnswer, ServeFront, ServeRequest, ServeStats};
 use ppwf_repo::mutation::Mutation;
@@ -268,9 +268,9 @@ fn read_pass(cluster: &EngineCluster, reads: usize) -> (f64, usize) {
     (t.elapsed().as_secs_f64() * 1e6, hits)
 }
 
-/// Drive the stream through a durable engine with the snapshot cadence
-/// on, its log with or without a pool. Returns (total µs, WAL stats after
-/// draining any in-flight job).
+/// Drive the stream through a durable log and its repository with the
+/// snapshot cadence on, the log with or without a pool. Returns (total µs,
+/// WAL stats after draining any in-flight job).
 fn snapshot_pass(
     root: &Path,
     stream: &[Mutation],
@@ -284,19 +284,21 @@ fn snapshot_pass(
         segment_bytes: 1 << 18,
         ..DurabilityPolicy::default()
     };
-    let mut log = DurableLog::open(backend.clone(), policy).expect("open log on fresh storage").log;
+    let opened = DurableLog::open(backend.clone(), policy).expect("open log on fresh storage");
+    let (mut log, mut repo) = (opened.log, opened.repository);
     if pooled {
         log.set_pool(Arc::new(WorkerPool::new(2)));
     }
-    let mut engine = QueryEngine::new(Repository::new(), standard_registry());
-    engine.attach_durability(log).expect("attach an empty log to an empty engine");
     let t = Instant::now();
     for mutation in stream {
-        engine.mutate(mutation.clone()).expect("fault-free stream applies");
+        repo.check(mutation).expect("fault-free stream validates");
+        log.append(mutation).expect("append on healthy storage");
+        repo.apply(mutation.clone()).expect("checked mutation applies");
+        log.snapshot_if_due(&repo);
     }
     let us = t.elapsed().as_secs_f64() * 1e6;
-    engine.wait_for_background_snapshots();
-    let wal = engine.durability_stats().expect("durable engine reports stats");
+    log.wait_for_background_snapshot();
+    let wal = log.stats();
 
     // No number is believed over an unverified log: recovery must be
     // bit-identical to a sequential replay of the same stream.

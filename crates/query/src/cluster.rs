@@ -4,9 +4,22 @@
 //! view cache and one repository walk per request. The [`EngineCluster`]
 //! lifts that bound: a [`Router`] partitions specifications across N shard
 //! engines (each a full, independently cached [`QueryEngine`] over its own
-//! repository slice), and every serving entry point scatters across the
-//! shards on a persistent [`WorkerPool`], then gathers per-shard hits into
-//! one merged answer in global spec order.
+//! repository slice), and a read scatters across the shards, then gathers
+//! per-shard hits into one merged answer in global spec order.
+//!
+//! **The read path is written once.** The query mode — keyword, private
+//! under a plan, ranked under a ranking mode — is a value
+//! ([`crate::modes`]); everything here is generic over it, in four stages:
+//! `probe` the front cache, `plan` (epoch, group check, one parse, target
+//! shards, corpus statistics only if the mode needs them and a target
+//! survives), `run_shard` per target, and `gather` (merge, then publish to
+//! the front cache at the plan's epoch). The three public entry points
+//! (`search_as`, `private_search_as`, `ranked_search_as`) are instantiations
+//! of one blocking `read` that schedules the shard runs on the persistent
+//! [`WorkerPool`] and waits; the async front ([`crate::serve`]) calls the
+//! same four stages and schedules the shard runs as pool jobs nobody waits
+//! for. Plan, shard run and gather are one implementation; only scheduling
+//! differs.
 //!
 //! Three invariants make the cluster *transparent* — answers are
 //! bit-identical to a single engine over the same corpus:
@@ -18,17 +31,19 @@
 //!   shard sanitizes its hits against the group's access views before
 //!   anything reaches the gather stage, exactly as in the unsharded model.
 //! * **Corpus-global ranking statistics.** TF-IDF scores depend on corpus
-//!   document counts; shard-local IDFs would drift. The cluster sums
-//!   per-shard `(doc_count, df)` into global IDFs and rescores gathered
-//!   profiles with [`scores_for_profiles`] — bitwise the single engine's
-//!   math.
+//!   document counts; shard-local IDFs would drift. The plan sums
+//!   per-shard `(doc_count, df)` into global IDFs and the gather rescores
+//!   the gathered profiles with
+//!   [`scores_for_profiles`](crate::ranking::scores_for_profiles) — bitwise
+//!   the single engine's math.
 //! * **Index-gated scatter.** A shard whose index lacks some query term
-//!   cannot contribute a hit (AND semantics), so the router skips it before
+//!   cannot contribute a hit (AND semantics), so the plan skips it before
 //!   any access-map resolution. This is pure pruning: it never changes an
 //!   answer, and it is where sharding beats the single engine even on one
 //!   core — selective queries touch one shard's worth of state, not the
 //!   whole corpus. On multi-core hosts the surviving shard tasks also run
-//!   in parallel on the pool.
+//!   in parallel on the pool. A query that no shard can match is answered
+//!   from the plan alone, touching no shard at all — not even a df memo.
 //!
 //! Per-group caching lives in two tiers. The shards keep their
 //! `(group, query)` caches (they partition cleanly across a spec
@@ -57,22 +72,21 @@ use crate::engine::{
     DEFAULT_RESULT_CAPACITY, DEFAULT_VIEW_CAPACITY,
 };
 use crate::keyword::{KeywordHit, KeywordQuery};
-use crate::modes::ModeCaches;
+use crate::modes::{Keyword, Merged, Private, Ranked, ReadMode, ResultCaches};
 use crate::privacy_exec::PrivateSearchOutcome;
-use crate::ranking::{idfs_from_shard_counts, rank_by_scores, scores_for_profiles, RankingMode};
+use crate::ranking::RankingMode;
 use crate::route::{Router, ShardStrategy};
 use ppwf_core::policy::Policy;
 use ppwf_model::exec::Execution;
 use ppwf_model::spec::Specification;
 use ppwf_model::{ModelError, Result};
-use ppwf_repo::cache::GroupCache;
 use ppwf_repo::mutation::SpecText;
 use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::principals::PrincipalRegistry;
 use ppwf_repo::repository::{deleted_spec_error, Repository, SpecEntry, SpecId};
 use ppwf_repo::snapshot::{ChunkRef, CowImage};
 use ppwf_repo::storage::StorageBackend;
-use ppwf_repo::touch::{Depends, TouchStamps};
+use ppwf_repo::touch::TouchStamps;
 use ppwf_repo::wal::{
     DurabilityPolicy, DurabilityStats, DurableCallback, DurableLog, RecoveryStats, WalError,
     WalResult,
@@ -132,6 +146,22 @@ pub struct RankedHits {
     pub ranked: RankedAnswer,
 }
 
+/// A read past the front cache, planned: what [`EngineCluster::plan`] fixes
+/// and [`EngineCluster::run_shard`] / [`EngineCluster::gather`] consume.
+pub(crate) struct ReadPlan<M> {
+    pub(crate) mode: M,
+    group: String,
+    query_text: String,
+    /// The front epoch the answer is computed and published at.
+    pub(crate) epoch: u64,
+    /// The shards that can contribute, in shard order; empty when index
+    /// gating pruned them all (the answer is then empty, and gathered
+    /// from no parts).
+    pub(crate) targets: Vec<usize>,
+    /// Corpus-global IDFs, when the mode merges with them.
+    pub(crate) idfs: Vec<f64>,
+}
+
 /// Per-shard and rolled-up cache counters for operators and E11/E13.
 #[derive(Clone, Debug)]
 pub struct ClusterStats {
@@ -164,11 +194,9 @@ pub struct EngineCluster {
     registry: PrincipalRegistry,
     pool: Arc<WorkerPool>,
     /// Cluster-front merged-answer caches, tagged with the version-vector
-    /// epoch ([`Self::front_epoch`]). One per query class, mirroring the
-    /// engine's own cache layout so the warm probes stay borrow-only.
-    front_keyword: GroupCache<Vec<KeywordHit>>,
-    front_private: [GroupCache<PrivateSearchOutcome>; 2],
-    front_ranked: ModeCaches<RankedHits>,
+    /// epoch ([`Self::front_epoch`]): the engine's own cache layout, one
+    /// tier up.
+    front: ResultCaches<RankedHits>,
     /// What each move of [`Self::front_epoch`] touched: decides which front
     /// entries merged at an older epoch are re-admitted. Written only by
     /// routed writes (`&mut self` — behind the serving front's write lock),
@@ -270,9 +298,7 @@ impl EngineCluster {
             router,
             registry,
             pool,
-            front_keyword: GroupCache::new(results),
-            front_private: [GroupCache::new(results), GroupCache::new(results)],
-            front_ranked: ModeCaches::new(results),
+            front: ResultCaches::new(results),
             front_stamps: TouchStamps::new(),
             registry_view_rebuilds: 0,
             durability: None,
@@ -384,7 +410,7 @@ impl EngineCluster {
     /// a routed write to that shard can change answers. A front-cache
     /// entry merged at the current vector is valid as it stands; one merged
     /// at an older vector is valid iff no write since touched what it
-    /// depends on ([`Self::probe_front`]).
+    /// depends on (the front probe's rule).
     pub fn version_vector(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.results_version()).collect()
     }
@@ -443,7 +469,7 @@ impl EngineCluster {
     /// Shards that could contribute to `query`: every term must have a
     /// possible posting in the shard's index (AND semantics make the rest
     /// unreachable). Pure pruning — never changes an answer.
-    pub(crate) fn target_shards(&self, query: &KeywordQuery) -> Vec<usize> {
+    fn target_shards(&self, query: &KeywordQuery) -> Vec<usize> {
         if query.terms.is_empty() {
             return Vec::new();
         }
@@ -455,94 +481,10 @@ impl EngineCluster {
             .collect()
     }
 
-    /// Scatter `f` over the target shards on the pool; results come back in
-    /// target order. Single-target scatters run inline — no queue handoff.
-    fn scatter<'a, T, F>(&'a self, targets: &[usize], f: F) -> Vec<T>
-    where
-        T: Send + 'a,
-        F: Fn(&'a QueryEngine) -> T + Sync + 'a,
-    {
-        match targets.len() {
-            0 => Vec::new(),
-            1 => vec![f(&self.shards[targets[0]])],
-            _ => {
-                let f = &f;
-                let tasks: Vec<_> = targets
-                    .iter()
-                    .map(|&s| {
-                        let shard = &self.shards[s];
-                        move || f(shard)
-                    })
-                    .collect();
-                self.pool.run(tasks)
-            }
-        }
-    }
-
     /// The serving pool (shared with the async front, so scoped scatter
     /// jobs and non-blocking shard tasks drain one queue).
     pub(crate) fn pool_handle(&self) -> Arc<WorkerPool> {
         Arc::clone(&self.pool)
-    }
-
-    /// Probe one cluster-front cache at the current [`Self::front_epoch`] —
-    /// the one place the front's validity rule is written; the blocking
-    /// entry points and the async front's inline path all come through
-    /// here. An entry merged at this epoch is served as it is. One merged
-    /// at an older epoch is served, and re-tagged, iff the stamps show that
-    /// no write since can have changed it; so whatever this returns is the
-    /// current epoch's answer.
-    fn probe_front<V>(
-        &self,
-        cache: &GroupCache<V>,
-        group: &str,
-        query_text: &str,
-        depends: Depends,
-    ) -> Option<Arc<V>> {
-        cache.get_validated(group, query_text, self.front_epoch(), |tag| {
-            self.front_stamps.survives(query_text, tag, depends)
-        })
-    }
-
-    /// The merged keyword answer the front caches hold for the current
-    /// epoch, if any.
-    pub(crate) fn probe_keyword(
-        &self,
-        group: &str,
-        query_text: &str,
-    ) -> Option<Arc<Vec<KeywordHit>>> {
-        self.probe_front(&self.front_keyword, group, query_text, Depends::OnMatches)
-    }
-
-    /// The merged private-search outcome under `plan`, as
-    /// [`Self::probe_keyword`].
-    pub(crate) fn probe_private(
-        &self,
-        group: &str,
-        query_text: &str,
-        plan: Plan,
-    ) -> Option<Arc<PrivateSearchOutcome>> {
-        self.probe_front(&self.front_private[plan.slot()], group, query_text, Depends::OnMatches)
-    }
-
-    /// The merged ranked answer under `mode`, as [`Self::probe_keyword`].
-    pub(crate) fn probe_ranked(
-        &self,
-        group: &str,
-        query_text: &str,
-        mode: RankingMode,
-    ) -> Option<Arc<RankedHits>> {
-        let cache = self.front_ranked.cache(mode);
-        self.probe_front(&cache, group, query_text, Depends::OnStatistics)
-    }
-
-    fn remap_hit(&self, shard: usize, h: &KeywordHit) -> KeywordHit {
-        KeywordHit {
-            spec: self.router.global_of(shard, h.spec),
-            prefix: h.prefix.clone(),
-            view: Arc::clone(&h.view),
-            matched: h.matched.clone(),
-        }
     }
 
     /// Privilege-filtered keyword search, scattered and gathered in global
@@ -551,45 +493,7 @@ impl EngineCluster {
     /// remap, no merge — and, past it, from the shards' `(group, query)`
     /// caches.
     pub fn search_as(&self, group: &str, query_text: &str) -> Option<Arc<Vec<KeywordHit>>> {
-        // Front probe before the registry walk, mirroring the engine's
-        // "cache before any access work" ordering: only registered groups
-        // ever get entries inserted, so a hit implies a known group.
-        if let Some(hit) = self.probe_keyword(group, query_text) {
-            return Some(hit);
-        }
-        let epoch = self.front_epoch();
-        self.registry.group(group)?;
-        let query = KeywordQuery::parse(query_text);
-        let targets = self.target_shards(&query);
-        let per_shard = self.scatter(&targets, |shard| {
-            shard.search_as(group, query_text).expect("group registered on every shard")
-        });
-        Some(self.gather_keyword(group, query_text, epoch, &targets, &per_shard))
-    }
-
-    /// The keyword gather stage, shared bitwise between the blocking path
-    /// above and the async front's shard-task continuation: remap each
-    /// shard's hits to global ids, merge in global spec order, publish to
-    /// the front cache at `epoch`.
-    pub(crate) fn gather_keyword(
-        &self,
-        group: &str,
-        query_text: &str,
-        epoch: u64,
-        targets: &[usize],
-        per_shard: &[Arc<Vec<KeywordHit>>],
-    ) -> Arc<Vec<KeywordHit>> {
-        let mut merged = Vec::new();
-        for (&s, hits) in targets.iter().zip(per_shard) {
-            merged.extend(hits.iter().map(|h| self.remap_hit(s, h)));
-        }
-        if targets.len() > 1 {
-            // Within one shard, local-id order is global-id order already.
-            merged.sort_by_key(|h| h.spec);
-        }
-        let merged = Arc::new(merged);
-        self.front_keyword.insert(group, query_text, epoch, Arc::clone(&merged));
-        merged
+        self.read(Keyword, group, query_text)
     }
 
     /// Privacy-preserving search under an explicit plan; per-shard hits are
@@ -602,45 +506,7 @@ impl EngineCluster {
         query_text: &str,
         plan: Plan,
     ) -> Option<Arc<PrivateSearchOutcome>> {
-        if let Some(hit) = self.probe_private(group, query_text, plan) {
-            return Some(hit);
-        }
-        let epoch = self.front_epoch();
-        self.registry.group(group)?;
-        let query = KeywordQuery::parse(query_text);
-        let targets = self.target_shards(&query);
-        let per_shard = self.scatter(&targets, |shard| {
-            shard
-                .private_search_as(group, query_text, plan)
-                .expect("group registered on every shard")
-        });
-        Some(self.gather_private(group, query_text, plan, epoch, &targets, &per_shard))
-    }
-
-    /// The private-search gather stage (see [`Self::gather_keyword`]):
-    /// merge hits in global spec order and sum the plans' per-spec cost
-    /// counters, so the totals equal the single-engine figures.
-    pub(crate) fn gather_private(
-        &self,
-        group: &str,
-        query_text: &str,
-        plan: Plan,
-        epoch: u64,
-        targets: &[usize],
-        per_shard: &[Arc<PrivateSearchOutcome>],
-    ) -> Arc<PrivateSearchOutcome> {
-        let mut hits = Vec::new();
-        let (mut views_built, mut zoom_steps, mut discarded) = (0usize, 0usize, 0usize);
-        for (&s, outcome) in targets.iter().zip(per_shard) {
-            views_built += outcome.views_built;
-            zoom_steps += outcome.zoom_steps;
-            discarded += outcome.discarded;
-            hits.extend(outcome.hits.iter().map(|h| self.remap_hit(s, h)));
-        }
-        hits.sort_by_key(|h| h.spec);
-        let outcome = Arc::new(PrivateSearchOutcome { hits, views_built, zoom_steps, discarded });
-        self.front_private[plan.slot()].insert(group, query_text, epoch, Arc::clone(&outcome));
-        outcome
+        self.read(Private(plan), group, query_text)
     }
 
     /// Ranked keyword search. Shards contribute hits and TF profiles (both
@@ -654,73 +520,84 @@ impl EngineCluster {
         query_text: &str,
         mode: RankingMode,
     ) -> Option<Arc<RankedHits>> {
-        if let Some(hit) = self.probe_ranked(group, query_text, mode) {
+        self.read(Ranked(mode), group, query_text)
+    }
+
+    /// The blocking read: the four stages below, with the shard runs
+    /// scheduled on the pool by the calling thread, which waits for them
+    /// (a single-target scatter runs inline — no queue handoff).
+    /// [`crate::serve`] calls the same four and waits for nothing.
+    fn read<M: ReadMode>(&self, mode: M, group: &str, query_text: &str) -> Option<Arc<Merged<M>>> {
+        if let Some(hit) = self.probe(mode, group, query_text) {
             return Some(hit);
         }
-        let epoch = self.front_epoch();
-        self.registry.group(group)?;
-        let query = KeywordQuery::parse(query_text);
-        let targets = self.target_shards(&query);
-        let idfs = if targets.is_empty() {
-            // No shard can contribute a hit; the IDF statistics would go
-            // unused (scores of an empty profile set), so skip collecting
-            // them — this is the fast-reject path the query mix leans on.
-            Vec::new()
-        } else {
-            self.ranked_corpus_idfs(&query)
-        };
-        let per_shard = self.scatter(&targets, |shard| {
-            shard
-                .ranked_search_as(group, query_text, mode)
-                .expect("group registered on every shard")
-        });
-        Some(self.gather_ranked(group, query_text, mode, epoch, &idfs, &targets, &per_shard))
+        let plan = &self.plan(mode, group.to_owned(), query_text.to_owned())?;
+        let runs = (0..plan.targets.len()).map(|slot| move || self.run_shard(plan, slot));
+        Some(self.gather(plan, self.pool.run(runs.collect())))
     }
 
-    /// Corpus-global IDFs for `query` over *all* shards — including ones
-    /// the scatter prunes, whose document counts still shape the
-    /// statistics. Per-shard dfs go through each index's per-term memo:
-    /// the first request per term per index build materializes (phrases
-    /// verify adjacency over postings), every later gather is a map probe.
-    pub(crate) fn ranked_corpus_idfs(&self, query: &KeywordQuery) -> Vec<f64> {
-        let doc_counts: Vec<usize> = self.shards.iter().map(|s| s.index().doc_count()).collect();
-        let dfs_per_term: Vec<Vec<usize>> = query
-            .terms
-            .iter()
-            .map(|t| self.shards.iter().map(|s| s.index().df_cached(t)).collect())
-            .collect();
-        idfs_from_shard_counts(&doc_counts, &dfs_per_term)
-    }
-
-    /// The ranked gather stage (see [`Self::gather_keyword`]): remap and
-    /// merge hits with their TF profiles in global spec order, rescore
-    /// every profile with the corpus-global `idfs`, publish at `epoch`.
-    /// Scores and order come out bit-identical to a single engine.
-    #[allow(clippy::too_many_arguments)] // the gather stage's full context, threaded not stored
-    pub(crate) fn gather_ranked(
+    /// Stage 1 — probe `mode`'s cluster-front cache at the current
+    /// [`Self::front_epoch`]: the one place the front's validity rule is
+    /// written. An entry merged at this epoch is served as it is. One
+    /// merged at an older epoch is served, and re-tagged, iff the stamps
+    /// show that no write since can have changed it; so whatever this
+    /// returns is the current epoch's answer. Comes before the registry
+    /// walk, mirroring the engine's "cache before any access work"
+    /// ordering: only registered groups ever get entries inserted, so a
+    /// hit implies a known group.
+    pub(crate) fn probe<M: ReadMode>(
         &self,
+        mode: M,
         group: &str,
         query_text: &str,
-        mode: RankingMode,
-        epoch: u64,
-        idfs: &[f64],
-        targets: &[usize],
-        per_shard: &[(Arc<Vec<KeywordHit>>, Arc<RankedAnswer>)],
-    ) -> Arc<RankedHits> {
-        let mut rows: Vec<(KeywordHit, crate::ranking::TfProfile)> = Vec::new();
-        for (&s, (hits, ranked)) in targets.iter().zip(per_shard) {
-            for (i, h) in hits.iter().enumerate() {
-                rows.push((self.remap_hit(s, h), ranked.profiles[i].clone()));
-            }
-        }
-        rows.sort_by_key(|(h, _)| h.spec);
-        let (hits, profiles): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
-        let scores = scores_for_profiles(idfs, &profiles, mode);
-        let order = rank_by_scores(&scores);
-        let answer =
-            Arc::new(RankedHits { hits, ranked: RankedAnswer { order, scores, profiles } });
-        self.front_ranked.cache(mode).insert(group, query_text, epoch, Arc::clone(&answer));
-        answer
+    ) -> Option<Arc<Merged<M>>> {
+        mode.cache(&self.front).get_validated(group, query_text, self.front_epoch(), |tag| {
+            self.front_stamps.survives(query_text, tag, M::DEPENDS)
+        })
+    }
+
+    /// Stage 2 — plan a read the front cache could not answer: fix its
+    /// epoch, refuse unknown groups (`None`), parse the query once, pick
+    /// the shards that can contribute, and — only if some shard survived
+    /// the pruning, so a query nothing can match leaves no trace in any
+    /// shard's df memo — collect what `mode` merges with beyond the parts.
+    pub(crate) fn plan<M: ReadMode>(
+        &self,
+        mode: M,
+        group: String,
+        query_text: String,
+    ) -> Option<ReadPlan<M>> {
+        let epoch = self.front_epoch();
+        self.registry.group(&group)?;
+        let query = KeywordQuery::parse(&query_text);
+        let targets = self.target_shards(&query);
+        let idfs =
+            if targets.is_empty() { Vec::new() } else { mode.corpus_idfs(&self.shards, &query) };
+        Some(ReadPlan { mode, group, query_text, epoch, targets, idfs })
+    }
+
+    /// Stage 3 — target `slot`'s part of the answer. Module privacy is
+    /// enforced here, inside the shard: its hits are sanitized against the
+    /// group's access views before anything reaches the gather.
+    pub(crate) fn run_shard<M: ReadMode>(&self, plan: &ReadPlan<M>, slot: usize) -> M::Part {
+        plan.mode
+            .shard_part(&self.shards[plan.targets[slot]], &plan.group, &plan.query_text)
+            .expect("group registered on every shard")
+    }
+
+    /// Stage 4 — gather: merge the target shards' parts (in target order)
+    /// as the mode prescribes — hits remapped to global ids, in global
+    /// spec order — and publish the answer to the front cache at the
+    /// plan's epoch.
+    pub(crate) fn gather<M: ReadMode>(
+        &self,
+        plan: &ReadPlan<M>,
+        parts: Vec<M::Part>,
+    ) -> Arc<Merged<M>> {
+        let merged = Arc::new(M::merge(plan, &self.router, &parts));
+        let cache = plan.mode.cache(&self.front);
+        cache.insert(&plan.group, &plan.query_text, plan.epoch, Arc::clone(&merged));
+        merged
     }
 
     /// Apply a routed, typed mutation — the same [`Mutation`] vocabulary
@@ -1144,11 +1021,7 @@ impl EngineCluster {
             let view = shard_view_of_registry(&self.registry, &self.router, s);
             self.shards[s].set_registry(view);
         }
-        self.front_keyword.clear();
-        for cache in &self.front_private {
-            cache.clear();
-        }
-        self.front_ranked.clear();
+        self.front.clear();
     }
 
     /// Per-shard snapshots plus the cluster rollup and front-cache
@@ -1156,9 +1029,8 @@ impl EngineCluster {
     pub fn stats(&self) -> ClusterStats {
         let per_shard: Vec<EngineStats> = self.shards.iter().map(|s| s.stats()).collect();
         let aggregate = EngineStats::merged(&per_shard);
-        let front = CacheSnapshot::of(self.front_keyword.stats())
-            .merge(CacheSnapshot::sum(self.front_private.iter().map(|c| c.stats())))
-            .merge(self.front_ranked.snapshot());
+        let front =
+            self.front.snapshots().into_iter().fold(CacheSnapshot::default(), CacheSnapshot::merge);
         ClusterStats { per_shard, aggregate, front }
     }
 }

@@ -5,11 +5,12 @@
 //! per request is the principal's **user group**. The engine therefore owns
 //! the shared read structures — the keyword index, the
 //! [`ViewCache`](ppwf_repo::view_cache::ViewCache) of flattened views — and
-//! a [`GroupCache`] per query class, keyed by `(group, query)` exactly as
-//! Sec. 4 prescribes: *"consider user groups when utilizing cached
-//! information during query processing"*. Two principals of the same group
-//! share answers; different groups never do, so fine-grained answers cannot
-//! leak into coarse-grained sessions through the cache.
+//! a [`GroupCache`](ppwf_repo::cache::GroupCache) per query class, keyed by
+//! `(group, query)` exactly as Sec. 4 prescribes: *"consider user groups
+//! when utilizing cached information during query processing"*. Two
+//! principals of the same group share answers; different groups never do,
+//! so fine-grained answers cannot leak into coarse-grained sessions through
+//! the cache.
 //!
 //! Mutations go through [`QueryEngine::mutate`], which consumes a typed
 //! [`Mutation`] and keys its maintenance on the returned
@@ -37,24 +38,18 @@
 //! the filter-then-search privacy invariant is untouched, because postings
 //! are still filtered before any search work.
 
-use crate::keyword::{search_filtered_with_cache, KeywordHit, KeywordQuery};
-use crate::modes::ModeCaches;
-use crate::privacy_exec::{
-    filter_then_search_cached, search_then_zoom_out_cached, PrivateSearchOutcome,
-};
-use crate::ranking::{
-    idfs_for_terms, profiles_for_hits, rank_by_scores, scores_for_profiles, RankingMode, TfProfile,
-};
+use crate::keyword::{KeywordHit, KeywordQuery};
+use crate::modes::{Keyword, Private, Ranked, ReadMode, ResultCaches};
+use crate::privacy_exec::PrivateSearchOutcome;
+use crate::ranking::{RankingMode, TfProfile};
 use ppwf_model::Result;
-use ppwf_repo::cache::{CacheStats, GroupCache};
+use ppwf_repo::cache::CacheStats;
 use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::mutation::{Mutation, MutationEffect};
 use ppwf_repo::principals::{AccessCache, AccessResolver, PrincipalRegistry};
 use ppwf_repo::repository::Repository;
-use ppwf_repo::storage::StorageBackend;
-use ppwf_repo::touch::{Depends, TouchStamps};
+use ppwf_repo::touch::TouchStamps;
 use ppwf_repo::view_cache::ViewCache;
-use ppwf_repo::wal::{DurabilityPolicy, DurabilityStats, DurableLog, RecoveryStats, WalResult};
 use std::sync::Arc;
 
 /// Which privacy-preserving evaluation plan to run (Sec. 4's contrast).
@@ -64,18 +59,6 @@ pub enum Plan {
     FilterThenSearch,
     /// Oblivious full search, then per-hit coarsening (the costly plan).
     SearchThenZoomOut,
-}
-
-impl Plan {
-    /// Index into a per-plan cache array (the engine's and the cluster
-    /// front's). One cache per plan keeps the warm probe borrow-only — no
-    /// composite key to allocate.
-    pub(crate) fn slot(self) -> usize {
-        match self {
-            Plan::FilterThenSearch => 0,
-            Plan::SearchThenZoomOut => 1,
-        }
-    }
 }
 
 /// A ranked keyword answer: hit order (best first), scores and profiles
@@ -211,12 +194,8 @@ pub struct QueryEngine {
     /// for candidate specs, and the products survive across queries until
     /// a version bump or registry swap.
     access: AccessCache,
-    keyword_results: GroupCache<Vec<KeywordHit>>,
-    /// One cache per [`Plan`], indexed by [`Plan::slot`].
-    private_results: [GroupCache<PrivateSearchOutcome>; 2],
-    /// Ranked answers, one `(group, query)` cache per ranking mode — the
-    /// bounded [`ModeCaches`] map shared with the cluster front.
-    ranked_results: ModeCaches<RankedAnswer>,
+    /// The `(group, query)` result caches, one per query class.
+    results: ResultCaches<RankedAnswer>,
     /// The version result caches tag their entries with. It advances to
     /// the repository version whenever a [`MutationEffect`] can change
     /// answers (every effect but an execution append) and stays put for
@@ -228,9 +207,6 @@ pub struct QueryEngine {
     /// with an older tag are re-admitted. Written only by [`Self::mutate`]
     /// (`&mut self`), read by the `&self` query paths.
     stamps: TouchStamps,
-    /// When present, every mutation is appended (and, per policy, fsynced)
-    /// here *before* it is applied — see [`Self::attach_durability`].
-    durability: Option<DurableLog>,
 }
 
 /// A cluster's front-cache stamp table, lent to the shard that applies a
@@ -272,58 +248,9 @@ impl QueryEngine {
             index,
             views: ViewCache::new(view_capacity),
             access: AccessCache::new(),
-            keyword_results: GroupCache::new(result_capacity),
-            private_results: [GroupCache::new(result_capacity), GroupCache::new(result_capacity)],
-            ranked_results: ModeCaches::new(result_capacity),
+            results: ResultCaches::new(result_capacity),
             results_version,
             stamps: TouchStamps::new(),
-            durability: None,
-        }
-    }
-
-    /// Recover `(snapshot, WAL suffix)` from `backend` and assemble an
-    /// engine over the recovered repository with durability attached —
-    /// the restart path. The rebuilt keyword index is bit-identical to
-    /// the never-crashed engine's, and because every replayed record was
-    /// checksum-verified the engine keeps using the trusted-epoch refresh
-    /// fast path from the first post-recovery write.
-    pub fn open_durable(
-        backend: Arc<dyn StorageBackend>,
-        policy: DurabilityPolicy,
-        registry: PrincipalRegistry,
-    ) -> WalResult<(Self, RecoveryStats)> {
-        let opened = DurableLog::open(backend, policy)?;
-        let mut engine = QueryEngine::new(opened.repository, registry);
-        engine.durability = Some(opened.log);
-        Ok((engine, opened.recovery))
-    }
-
-    /// Attach a durable log: from here on, [`Self::mutate`] appends and
-    /// fsyncs every mutation before applying it, and snapshots on the
-    /// log's cadence — on the log's pool if the caller gave it one
-    /// ([`DurableLog::set_pool`]) before attaching, on the mutating thread
-    /// otherwise. If the log is empty while the repository is not
-    /// (durability bolted onto a pre-loaded corpus), a baseline snapshot
-    /// is written first so recovery always has a base covering the
-    /// pre-log history.
-    pub fn attach_durability(&mut self, mut log: DurableLog) -> WalResult<()> {
-        if log.is_empty() && !self.repo.is_empty() {
-            log.snapshot_now(&self.repo)?;
-        }
-        self.durability = Some(log);
-        Ok(())
-    }
-
-    /// Durability counters, when a log is attached.
-    pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        self.durability.as_ref().map(|log| log.stats())
-    }
-
-    /// Block until no snapshot job is in flight (test/bench teardown; the
-    /// write path never waits).
-    pub fn wait_for_background_snapshots(&self) {
-        if let Some(log) = &self.durability {
-            log.wait_for_background_snapshot();
         }
     }
 
@@ -378,16 +305,10 @@ impl QueryEngine {
     ///
     /// A failed mutation (validation error) changes nothing anywhere.
     ///
-    /// With durability attached, the mutation is validated against the
-    /// current state first (so the log never holds a record that fails on
-    /// replay), then appended and fsynced, and only then applied; an `Err`
-    /// from the append means nothing was acknowledged and nothing changed
-    /// in memory. Snapshots fire on the log's cadence after the apply, as
-    /// chunked copy-on-write images (dirty chunks serialized, clean ones
-    /// reused by content-addressed reference). Overlapping the covering
-    /// fsync with the next batch's apply lives a layer up, in
-    /// [`crate::cluster::EngineCluster::mutate_batch_pipelined`] and the
-    /// serve front: this single-engine path always acknowledges inline.
+    /// The engine is the non-durable kernel: logging, fsync and snapshots
+    /// live one layer up, in
+    /// [`EngineCluster`](crate::cluster::EngineCluster::attach_durability),
+    /// which validates and appends a write before any shard engine sees it.
     pub fn mutate(&mut self, mutation: Mutation) -> Result<MutationEffect> {
         self.mutate_stamping(mutation, None)
     }
@@ -400,10 +321,6 @@ impl QueryEngine {
         mutation: Mutation,
         front: Option<FrontStamps<'_>>,
     ) -> Result<MutationEffect> {
-        if let Some(log) = &mut self.durability {
-            self.repo.check(&mutation)?;
-            log.append(&mutation)?;
-        }
         let effect = self.repo.apply(mutation)?;
         let version = self.repo.version();
         let mut tables = [
@@ -432,8 +349,8 @@ impl QueryEngine {
         let docs = self.index.doc_count();
         // Index maintenance is keyed on the typed effect. Non-destructive
         // effects take the trusted-epoch refresh: the engine owns this
-        // repository and every write is a typed mutation (checked just
-        // above when durable), so the per-write O(corpus) fingerprint
+        // repository and every write is a typed mutation, so the per-write
+        // O(corpus) fingerprint
         // verification scan is structurally redundant — `refresh_trusted`
         // appends in O(new specs) and degrades to the verifying rebuild
         // if the invariant is ever broken. Destructive effects route to
@@ -476,9 +393,6 @@ impl QueryEngine {
             }
         }
         self.stamps.trim(self.index.term_count(), version);
-        if let Some(log) = &mut self.durability {
-            log.snapshot_if_due(&self.repo);
-        }
         Ok(effect)
     }
 
@@ -497,11 +411,7 @@ impl QueryEngine {
     pub fn set_registry(&mut self, registry: PrincipalRegistry) {
         self.registry = registry;
         self.access.clear();
-        self.keyword_results.clear();
-        for cache in &self.private_results {
-            cache.clear();
-        }
-        self.ranked_results.clear();
+        self.results.clear();
     }
 
     /// A lazy access resolver for `group` at the current repository
@@ -519,33 +429,8 @@ impl QueryEngine {
 
     /// Privilege-filtered keyword search for one group, cached per
     /// `(group, query)`. Returns `None` for unknown groups.
-    ///
-    /// The cache is probed *before* any access resolution: a warm hit is
-    /// one hash lookup plus an `Arc` clone, never a walk of the registry —
-    /// that ordering is what E10's warm path measures. The first probe of
-    /// an entry after an answer-changing write also walks the query's
-    /// tokens through the [`TouchStamps`]; if they vouch for the entry it is
-    /// re-tagged and later probes are plain hits again. A cold miss builds
-    /// a lazy [`AccessResolver`], so only specs with candidate postings
-    /// pay rule resolution (E12's cold-path lever) — never the whole
-    /// corpus, as the former eager `access_map` did.
     pub fn search_as(&self, group: &str, query_text: &str) -> Option<Arc<Vec<KeywordHit>>> {
-        let version = self.results_version;
-        if let Some(hit) = self.probe(&self.keyword_results, group, query_text, Depends::OnMatches)
-        {
-            return Some(hit);
-        }
-        let access = self.access_resolver(group)?;
-        let query = KeywordQuery::parse(query_text);
-        let answer = Arc::new(search_filtered_with_cache(
-            &self.repo,
-            &self.index,
-            &query,
-            &access,
-            &self.views,
-        ));
-        self.keyword_results.insert(group, query_text, version, Arc::clone(&answer));
-        Some(answer)
+        Keyword.shard_part(self, group, query_text)
     }
 
     /// Privacy-preserving search under an explicit plan, cached per
@@ -558,65 +443,53 @@ impl QueryEngine {
         query_text: &str,
         plan: Plan,
     ) -> Option<Arc<PrivateSearchOutcome>> {
-        let version = self.results_version;
-        let cache = &self.private_results[plan.slot()];
-        if let Some(hit) = self.probe(cache, group, query_text, Depends::OnMatches) {
-            return Some(hit);
-        }
-        let access = self.access_resolver(group)?;
-        let query = KeywordQuery::parse(query_text);
-        let outcome = Arc::new(match plan {
-            Plan::FilterThenSearch => {
-                filter_then_search_cached(&self.repo, &self.index, &query, &access, &self.views)
-            }
-            Plan::SearchThenZoomOut => {
-                search_then_zoom_out_cached(&self.repo, &self.index, &query, &access, &self.views)
-            }
-        });
-        cache.insert(group, query_text, version, Arc::clone(&outcome));
-        Some(outcome)
+        Private(plan).shard_part(self, group, query_text)
     }
 
     /// Ranked keyword search: the cached hit list for `(group, query)`
     /// scored under `mode`, itself cached per `(group, query)` in a
-    /// per-mode cache ([`ModeCaches`]), so repeated ranked queries skip
-    /// the TF re-tokenization pass entirely — and the warm probe is
-    /// allocation-free like the other layers.
+    /// per-mode cache — and the warm probe is allocation-free like the
+    /// other layers.
     pub fn ranked_search_as(
         &self,
         group: &str,
         query_text: &str,
         mode: RankingMode,
     ) -> Option<(Arc<Vec<KeywordHit>>, Arc<RankedAnswer>)> {
-        let hits = self.search_as(group, query_text)?;
-        let version = self.results_version;
-        let cache = self.ranked_results.cache(mode);
-        if let Some(ranked) = self.probe(&cache, group, query_text, Depends::OnStatistics) {
-            return Some((hits, ranked));
-        }
-        let query = KeywordQuery::parse(query_text);
-        let profiles = profiles_for_hits(&self.repo, &hits, &query.terms);
-        let idfs = idfs_for_terms(&self.index, &query.terms);
-        let scores = scores_for_profiles(&idfs, &profiles, mode);
-        let order = rank_by_scores(&scores);
-        let ranked = Arc::new(RankedAnswer { order, scores, profiles });
-        cache.insert(group, query_text, version, Arc::clone(&ranked));
-        Some((hits, ranked))
+        Ranked(mode).shard_part(self, group, query_text)
     }
 
-    /// Probe one of the engine's result caches at the current
-    /// [`Self::results_version`]; an entry with an older tag is served iff
-    /// the stamps show no write since can have changed it.
-    fn probe<V>(
+    /// The one cached read under every entry point above: probe → resolve
+    /// access → compute → insert, in `mode`'s result cache.
+    ///
+    /// The cache is probed *before* any access resolution: a warm hit is
+    /// one hash lookup plus an `Arc` clone, never a walk of the registry —
+    /// that ordering is what E10's warm path measures. An entry with an
+    /// older tag than [`Self::results_version`] is served, and re-tagged,
+    /// iff the [`TouchStamps`] show no write since can have changed it; so
+    /// the first probe of an entry after an answer-changing write also
+    /// walks the query's tokens through the stamps, and later probes are
+    /// plain hits again. A cold miss builds a lazy [`AccessResolver`], so
+    /// only specs with candidate postings pay rule resolution (E12's
+    /// cold-path lever) — never the whole corpus, as the former eager
+    /// `access_map` did. `None` for unknown groups.
+    pub(crate) fn cached<M: ReadMode>(
         &self,
-        cache: &GroupCache<V>,
+        mode: M,
         group: &str,
         query_text: &str,
-        depends: Depends,
-    ) -> Option<Arc<V>> {
-        cache.get_validated(group, query_text, self.results_version, |tag| {
-            self.stamps.survives(query_text, tag, depends)
-        })
+        compute: impl FnOnce(&AccessResolver<'_>, &KeywordQuery) -> M::Cached<RankedAnswer>,
+    ) -> Option<Arc<M::Cached<RankedAnswer>>> {
+        let version = self.results_version;
+        let cache = mode.cache(&self.results);
+        let vouched = |tag| self.stamps.survives(query_text, tag, M::DEPENDS);
+        if let Some(hit) = cache.get_validated(group, query_text, version, vouched) {
+            return Some(hit);
+        }
+        let access = self.access_resolver(group)?;
+        let answer = Arc::new(compute(&access, &KeywordQuery::parse(query_text)));
+        cache.insert(group, query_text, version, Arc::clone(&answer));
+        Some(answer)
     }
 
     /// The engine's touch stamps (test instrument: derived state must start
@@ -628,11 +501,11 @@ impl QueryEngine {
 
     /// Counters of every cache layer.
     pub fn stats(&self) -> EngineStats {
-        let ranked = self.ranked_results.snapshot();
+        let [keyword, private, ranked] = self.results.snapshots();
         EngineStats {
             views: CacheSnapshot::of(self.views.stats()),
-            keyword: CacheSnapshot::of(self.keyword_results.stats()),
-            private: CacheSnapshot::sum(self.private_results.iter().map(|c| c.stats())),
+            keyword,
+            private,
             ranked,
             access: CacheSnapshot::of(self.access.stats()),
         }
@@ -870,7 +743,7 @@ pub(crate) mod tests {
             assert!(lookups >= last_lookups, "ranked counters went backwards");
             last_lookups = lookups;
         }
-        assert!(e.ranked_results.mode_count() <= MAX_RANKED_MODES);
+        assert!(e.results.ranked.mode_count() <= MAX_RANKED_MODES);
         assert_eq!(
             last_lookups,
             3 * MAX_RANKED_MODES as u64,
@@ -888,7 +761,7 @@ pub(crate) mod tests {
             e.ranked_search_as("researchers", "query", RankingMode::ExactFull).unwrap();
         }
         assert!(
-            e.ranked_results.has_mode(&RankingMode::ExactFull.cache_key()),
+            e.results.ranked.has_mode(&RankingMode::ExactFull.cache_key()),
             "the constantly-touched mode must not be the eviction victim"
         );
     }
@@ -1001,7 +874,7 @@ pub(crate) mod tests {
         for &mode in &modes[1..] {
             e.ranked_search_as("researchers", "risk", mode).unwrap();
         }
-        assert!(!e.ranked_results.has_mode(&modes[0].cache_key()));
+        assert!(!e.results.ranked.has_mode(&modes[0].cache_key()));
         assert_eq!(e.stats().ranked.revalidations, 1, "history must not vanish with the mode");
     }
 

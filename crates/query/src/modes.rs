@@ -1,24 +1,280 @@
-//! A bounded map of per-[`RankingMode`] result caches, shared by the
-//! single engine's ranked path and the cluster-front ranked cache.
+//! The read path's one vocabulary: a query **mode** is a value.
 //!
-//! Ranked answers are cached per `(group, query)` like every other query
-//! class, but the ranking *mode* is part of the answer's identity — and
-//! modes carry `f64` parameters, so they key an outer map of caches
-//! rather than a fixed array like `Plan`. The warm probe builds a stack
-//! [`ModeKey`] and clones an `Arc`, allocating nothing. The map itself is
-//! bounded at [`MAX_RANKED_MODES`]: workloads that mint unbounded distinct
-//! modes (e.g. a fresh `NoisyFull` seed per request) evict the
-//! least-recently-used mode's cache instead of growing forever, and
-//! evicted caches fold their counters into a tombstone so statistics stay
-//! monotone under mode churn.
+//! Sec. 4 of the paper asks the same privacy-filtered question three ways —
+//! keyword, private under a [`Plan`], ranked under a [`RankingMode`]. What
+//! differs between them is written here once, as the three implementors of
+//! [`ReadMode`]: which result cache a mode's answers live in, what such an
+//! answer depends on ([`Depends`]), how one shard engine computes its part
+//! of an answer, and how parts merge into the global answer. Everything
+//! else — the engine's probe → resolve access → compute → insert
+//! ([`QueryEngine::cached`]), the cluster's probe, plan, shard run and
+//! gather ([`crate::cluster`]), the serving front's fan-out
+//! ([`crate::serve`]) — is generic over the mode and written once. A part of
+//! one mode handed to another mode's merge is a type error.
+//!
+//! [`ResultCaches`] is the cache triple both tiers keep (a shard engine's
+//! per-`(group, query)` caches, and the cluster front's caches of merged
+//! answers): one keyword cache, one cache per [`Plan`] so the warm probe
+//! stays borrow-only, and a [`ModeCaches`] map for ranked answers. The
+//! ranking *mode* is part of a ranked answer's identity — and modes carry
+//! `f64` parameters, so they key an outer map of caches rather than a fixed
+//! array like `Plan`. The warm probe builds a stack [`ModeKey`] and clones
+//! an `Arc`, allocating nothing. The map itself is bounded at
+//! [`MAX_RANKED_MODES`]: workloads that mint unbounded distinct modes (e.g.
+//! a fresh `NoisyFull` seed per request) evict the least-recently-used
+//! mode's cache instead of growing forever, and evicted caches fold their
+//! counters into a tombstone so statistics stay monotone under mode churn.
 
-use crate::engine::CacheSnapshot;
-use crate::ranking::{ModeKey, RankingMode};
+use crate::cluster::{RankedHits, ReadPlan};
+use crate::engine::{CacheSnapshot, Plan, QueryEngine, RankedAnswer};
+use crate::keyword::{search_filtered_with_cache, KeywordHit, KeywordQuery};
+use crate::privacy_exec::{
+    filter_then_search_cached, search_then_zoom_out_cached, PrivateSearchOutcome,
+};
+use crate::ranking::{
+    idfs_for_terms, idfs_from_shard_counts, profiles_for_hits, rank_by_scores, scores_for_profiles,
+    ModeKey, RankingMode, TfProfile,
+};
+use crate::route::Router;
 use parking_lot::RwLock;
 use ppwf_repo::cache::GroupCache;
+use ppwf_repo::touch::Depends;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// One way of asking the privacy-filtered question. See the module docs.
+pub(crate) trait ReadMode: Copy + Send + Sync + 'static {
+    /// What a result cache holds per `(group, query)` under this mode, in a
+    /// tier whose ranked entries are `R`: a shard engine's caches
+    /// (`R` = [`RankedAnswer`]) or a cluster front's (`R` = [`RankedHits`]).
+    type Cached<R>;
+    /// What one shard engine hands the gather stage.
+    type Part: Send + 'static;
+    /// What a cached answer reads, and so which writes can strand it.
+    const DEPENDS: Depends;
+
+    /// The cache of `caches` that holds this mode's answers: the keyword and
+    /// private caches by reference, a ranking mode's by the `Arc` its map
+    /// slot holds (the slot may be evicted while the read runs).
+    fn cache<R>(self, caches: &ResultCaches<R>)
+        -> impl Deref<Target = GroupCache<Self::Cached<R>>>;
+
+    /// One shard engine's part of the answer, shard-local ids, served from
+    /// and published to the engine's own caches. `None` for unknown groups.
+    fn shard_part(self, e: &QueryEngine, group: &str, query_text: &str) -> Option<Self::Part>;
+
+    /// Corpus-global IDFs for `query`, if merging reads them.
+    fn corpus_idfs(self, _shards: &[QueryEngine], _query: &KeywordQuery) -> Vec<f64> {
+        Vec::new()
+    }
+
+    /// Merge the parts of `plan`'s target shards, in target order, into the
+    /// global answer: hits under `router`'s global ids, in global spec
+    /// order.
+    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Self::Part]) -> Merged<Self>;
+}
+
+/// The merged, global-id answer a cluster front caches and returns.
+pub(crate) type Merged<M> = <M as ReadMode>::Cached<RankedHits>;
+
+/// Privilege-filtered keyword search.
+#[derive(Clone, Copy)]
+pub(crate) struct Keyword;
+/// Privacy-preserving search under an explicit plan.
+#[derive(Clone, Copy)]
+pub(crate) struct Private(pub(crate) Plan);
+/// Ranked keyword search under a ranking mode.
+#[derive(Clone, Copy)]
+pub(crate) struct Ranked(pub(crate) RankingMode);
+
+/// A shard's hit under its global id.
+fn to_global(router: &Router, shard: usize, h: &KeywordHit) -> KeywordHit {
+    KeywordHit {
+        spec: router.global_of(shard, h.spec),
+        prefix: h.prefix.clone(),
+        view: Arc::clone(&h.view),
+        matched: h.matched.clone(),
+    }
+}
+
+/// The `targets` shards' hits under global ids, in global spec order.
+fn merge_hits<'a>(
+    targets: &[usize],
+    router: &Router,
+    per_shard: impl Iterator<Item = &'a Vec<KeywordHit>>,
+) -> Vec<KeywordHit> {
+    let mut merged = Vec::new();
+    for (&shard, hits) in targets.iter().zip(per_shard) {
+        merged.extend(hits.iter().map(|h| to_global(router, shard, h)));
+    }
+    if targets.len() > 1 {
+        // Within one shard, local-id order is global-id order already.
+        merged.sort_by_key(|h| h.spec);
+    }
+    merged
+}
+
+impl ReadMode for Keyword {
+    type Cached<R> = Vec<KeywordHit>;
+    type Part = Arc<Vec<KeywordHit>>;
+    const DEPENDS: Depends = Depends::OnMatches;
+
+    fn cache<R>(
+        self,
+        caches: &ResultCaches<R>,
+    ) -> impl Deref<Target = GroupCache<Vec<KeywordHit>>> {
+        &caches.keyword
+    }
+
+    fn shard_part(self, e: &QueryEngine, group: &str, query_text: &str) -> Option<Self::Part> {
+        e.cached(self, group, query_text, |access, query| {
+            search_filtered_with_cache(e.repo(), e.index(), query, access, e.views())
+        })
+    }
+
+    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Self::Part]) -> Merged<Self> {
+        merge_hits(&plan.targets, router, parts.iter().map(|hits| &**hits))
+    }
+}
+
+impl ReadMode for Private {
+    type Cached<R> = PrivateSearchOutcome;
+    type Part = Arc<PrivateSearchOutcome>;
+    const DEPENDS: Depends = Depends::OnMatches;
+
+    /// One cache per plan keeps the warm probe borrow-only — no composite
+    /// key to allocate.
+    fn cache<R>(
+        self,
+        caches: &ResultCaches<R>,
+    ) -> impl Deref<Target = GroupCache<PrivateSearchOutcome>> {
+        &caches.private[self.0 as usize]
+    }
+
+    fn shard_part(self, e: &QueryEngine, group: &str, query_text: &str) -> Option<Self::Part> {
+        e.cached(self, group, query_text, |access, query| match self.0 {
+            Plan::FilterThenSearch => {
+                filter_then_search_cached(e.repo(), e.index(), query, access, e.views())
+            }
+            Plan::SearchThenZoomOut => {
+                search_then_zoom_out_cached(e.repo(), e.index(), query, access, e.views())
+            }
+        })
+    }
+
+    /// The plans' cost counters (views built, zoom steps, discards) are
+    /// counts of per-spec work, so their sums equal the single-engine
+    /// figures.
+    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Self::Part]) -> Merged<Self> {
+        PrivateSearchOutcome {
+            hits: merge_hits(&plan.targets, router, parts.iter().map(|outcome| &outcome.hits)),
+            views_built: parts.iter().map(|outcome| outcome.views_built).sum(),
+            zoom_steps: parts.iter().map(|outcome| outcome.zoom_steps).sum(),
+            discarded: parts.iter().map(|outcome| outcome.discarded).sum(),
+        }
+    }
+}
+
+impl ReadMode for Ranked {
+    type Cached<R> = R;
+    /// The shard's keyword hit list, and its ranking aligned with it.
+    type Part = (Arc<Vec<KeywordHit>>, Arc<RankedAnswer>);
+    const DEPENDS: Depends = Depends::OnStatistics;
+
+    fn cache<R>(self, caches: &ResultCaches<R>) -> impl Deref<Target = GroupCache<R>> {
+        caches.ranked.cache(self.0)
+    }
+
+    /// The engine's cached hit list for `(group, query)` scored under the
+    /// mode, itself cached, so repeated ranked queries skip the TF
+    /// re-tokenization pass entirely.
+    fn shard_part(self, e: &QueryEngine, group: &str, query_text: &str) -> Option<Self::Part> {
+        let hits = Keyword.shard_part(e, group, query_text)?;
+        let ranked = e.cached(self, group, query_text, |_, query| {
+            let profiles = profiles_for_hits(e.repo(), &hits, &query.terms);
+            let idfs = idfs_for_terms(e.index(), &query.terms);
+            let scores = scores_for_profiles(&idfs, &profiles, self.0);
+            RankedAnswer { order: rank_by_scores(&scores), scores, profiles }
+        })?;
+        Some((hits, ranked))
+    }
+
+    /// Summed over *all* shards — including ones the scatter prunes, whose
+    /// document counts still shape the statistics. Per-shard dfs go through
+    /// each index's per-term memo: the first request per term per index
+    /// build materializes (phrases verify adjacency over postings), every
+    /// later one is a map probe.
+    fn corpus_idfs(self, shards: &[QueryEngine], query: &KeywordQuery) -> Vec<f64> {
+        let doc_counts: Vec<usize> = shards.iter().map(|s| s.index().doc_count()).collect();
+        let dfs_per_term: Vec<Vec<usize>> = query
+            .terms
+            .iter()
+            .map(|t| shards.iter().map(|s| s.index().df_cached(t)).collect())
+            .collect();
+        idfs_from_shard_counts(&doc_counts, &dfs_per_term)
+    }
+
+    /// Hits merge with their TF profiles; every profile is rescored with
+    /// the plan's corpus-global IDFs ([`scores_for_profiles`] — bitwise the
+    /// single engine's math), so scores and order come out bit-identical
+    /// to a single engine over the same corpus.
+    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Self::Part]) -> Merged<Self> {
+        let mut rows: Vec<(KeywordHit, TfProfile)> = Vec::new();
+        for (&shard, (hits, ranked)) in plan.targets.iter().zip(parts) {
+            let hits = hits.iter().map(|h| to_global(router, shard, h));
+            rows.extend(hits.zip(ranked.profiles.iter().cloned()));
+        }
+        rows.sort_by_key(|(h, _)| h.spec);
+        let (hits, profiles): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+        let scores = scores_for_profiles(&plan.idfs, &profiles, plan.mode.0);
+        let order = rank_by_scores(&scores);
+        RankedHits { hits, ranked: RankedAnswer { order, scores, profiles } }
+    }
+}
+
+/// The `(group, query)` result caches of one tier, one per query class;
+/// `R` is what the tier caches for a ranked query. See the module docs.
+pub(crate) struct ResultCaches<R> {
+    keyword: GroupCache<Vec<KeywordHit>>,
+    /// One cache per [`Plan`], indexed by the plan's discriminant.
+    private: [GroupCache<PrivateSearchOutcome>; 2],
+    /// Crate-visible for the engine's mode-churn tests.
+    pub(crate) ranked: ModeCaches<R>,
+}
+
+impl<R> ResultCaches<R> {
+    /// Empty caches of `capacity` entries each (per ranking mode, for
+    /// ranked answers).
+    pub(crate) fn new(capacity: usize) -> Self {
+        ResultCaches {
+            keyword: GroupCache::new(capacity),
+            private: [GroupCache::new(capacity), GroupCache::new(capacity)],
+            ranked: ModeCaches::new(capacity),
+        }
+    }
+
+    /// Drop every entry (e.g. after a registry swap: group keys may now
+    /// mean different privileges, and version tags cannot see that).
+    pub(crate) fn clear(&self) {
+        self.keyword.clear();
+        for cache in &self.private {
+            cache.clear();
+        }
+        self.ranked.clear();
+    }
+
+    /// Counters per query class: keyword, private (both plans summed),
+    /// ranked (every mode summed, evicted ones included).
+    pub(crate) fn snapshots(&self) -> [CacheSnapshot; 3] {
+        [
+            CacheSnapshot::of(self.keyword.stats()),
+            CacheSnapshot::sum(self.private.iter().map(|c| c.stats())),
+            self.ranked.snapshot(),
+        ]
+    }
+}
 
 /// Most distinct [`RankingMode`]s cached simultaneously. Real deployments
 /// use a handful; the bound only matters for mode-churning workloads.
@@ -31,8 +287,8 @@ struct ModeSlot<V> {
 }
 
 /// The bounded per-mode cache map. `V` is whatever the owner caches per
-/// `(group, query)` — the engine stores `RankedAnswer`s, the cluster front
-/// stores fully merged hit lists with their ranking.
+/// `(group, query)` — a shard engine stores [`RankedAnswer`]s, the cluster
+/// front stores fully merged hit lists with their ranking.
 pub(crate) struct ModeCaches<V> {
     slots: RwLock<HashMap<ModeKey, ModeSlot<V>>>,
     tick: AtomicU64,
@@ -45,7 +301,7 @@ pub(crate) struct ModeCaches<V> {
 }
 
 impl<V> ModeCaches<V> {
-    pub(crate) fn new(per_mode_capacity: usize) -> Self {
+    fn new(per_mode_capacity: usize) -> Self {
         ModeCaches {
             slots: RwLock::new(HashMap::new()),
             tick: AtomicU64::new(0),
@@ -58,7 +314,7 @@ impl<V> ModeCaches<V> {
     /// The warm path is a read-locked map probe plus an `Arc` clone. A new
     /// mode beyond [`MAX_RANKED_MODES`] evicts the least-recently-used
     /// mode's cache.
-    pub(crate) fn cache(&self, mode: RankingMode) -> Arc<GroupCache<V>> {
+    fn cache(&self, mode: RankingMode) -> Arc<GroupCache<V>> {
         let key = mode.cache_key();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(slot) = self.slots.read().get(&key) {
@@ -89,14 +345,13 @@ impl<V> ModeCaches<V> {
     }
 
     /// Summed counters across every live mode cache plus evicted history.
-    pub(crate) fn snapshot(&self) -> CacheSnapshot {
+    fn snapshot(&self) -> CacheSnapshot {
         let guard = self.slots.read();
         self.evicted.read().merge(CacheSnapshot::sum(guard.values().map(|slot| slot.cache.stats())))
     }
 
-    /// Clear every mode's cache (e.g. after a registry swap), keeping the
-    /// mode slots themselves.
-    pub(crate) fn clear(&self) {
+    /// Clear every mode's cache, keeping the mode slots themselves.
+    fn clear(&self) {
         for slot in self.slots.read().values() {
             slot.cache.clear();
         }

@@ -12,6 +12,18 @@
 //! dozens of queries in flight over a 2-thread pool, and the pool's queue,
 //! not a thread-per-request stack, is the concurrency ceiling.
 //!
+//! **One read path.** `submit` decodes the request once, into its query
+//! mode ([`crate::modes`]) — and nothing past that point matches on the
+//! mode again. A read is served by the cluster's own four stages — front
+//! probe, plan, shard run, gather and publish — the very functions the
+//! blocking entry points call: plan, shard run and gather are one
+//! implementation; only scheduling differs. The front probes inline on the
+//! submitting thread, plans when the read is admitted, runs each target
+//! shard as its own pool job, and lets the last job to finish gather. A
+//! read that needs no shard — warm by the time it is admitted, from an
+//! unknown group, or pruned off every shard by the index gate — completes
+//! on the admitting thread.
+//!
 //! **Write/read ordering (the version fence).** Interleaving mutations
 //! with multiplexed reads is where privacy bugs live: a response assembled
 //! from shard answers at two different repository versions could stitch a
@@ -28,8 +40,7 @@
 //! Consequently an admitted read's version-vector epoch cannot move while
 //! the read is in flight — every response is computed entirely at one
 //! epoch the fence admitted, and is bit-identical to the blocking cluster
-//! serving the same request at that version (`gather_*` stages are
-//! *shared code*, not parallel implementations). Warm requests sidestep
+//! serving the same request at that version. Warm requests sidestep
 //! all of it: a front-cache hit completes inline on the submitting thread
 //! ([`Ticket::ready`]) without touching the queue. What it serves is the
 //! current epoch's merged answer — either merged at this epoch, or merged
@@ -81,9 +92,10 @@
 //! Warm inline completions recycle their ticket allocations through a
 //! [`TicketPool`], so a front-cache hit allocates nothing on the hot path.
 
-use crate::cluster::{EngineCluster, RankedHits};
+use crate::cluster::{EngineCluster, RankedHits, ReadPlan};
 use crate::engine::Plan;
-use crate::keyword::{KeywordHit, KeywordQuery};
+use crate::keyword::KeywordHit;
+use crate::modes::{Keyword, Merged, Private, Ranked, ReadMode};
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::RankingMode;
 use parking_lot::RwLock;
@@ -95,7 +107,7 @@ use ppwf_repo::wal::{DurableCallback, WalResult};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -139,10 +151,6 @@ impl ServeRequest {
     /// Convenience constructor for a fenced mutation request.
     pub fn mutate(mutation: Mutation) -> ServeRequest {
         ServeRequest::Mutate(Box::new(mutation))
-    }
-
-    fn is_write(&self) -> bool {
-        matches!(self, ServeRequest::Mutate(_))
     }
 }
 
@@ -254,23 +262,47 @@ impl Counters {
         self.latency[bucket].fetch_add(1, Ordering::Relaxed);
         self.completed.fetch_add(1, Ordering::Relaxed);
     }
-
-    fn raise_high_water(slot: &AtomicU64, observed: u64) {
-        slot.fetch_max(observed, Ordering::Relaxed);
-    }
 }
 
-/// One accepted request waiting behind the fence.
-struct Queued {
-    req: ServeRequest,
+/// An accepted request's way back to its client.
+struct Pending {
     completer: TicketCompleter<ServeResponse>,
     submitted: Instant,
+}
+
+/// What an accepted request waiting behind the fence does once admitted.
+/// [`ServeFront::submit`] is the one place a [`ServeRequest`] is decoded:
+/// past it a read is its [`dispatch_read`], already instantiated for the
+/// request's mode, and a write is its mutation.
+enum Work {
+    Read(ReadDispatch),
+    Write(Box<Mutation>),
+}
+
+/// Returns whether the read completed without fanning out.
+type ReadDispatch = Box<dyn FnOnce(&Arc<Shared>, Pending) -> bool + Send>;
+
+/// Move the run of writes at the head of `queue` into `batch`, up to
+/// `max_batch` — never past a queued read, so FIFO order and the fence
+/// semantics are untouched.
+fn take_writes(
+    queue: &mut VecDeque<(Work, Pending)>,
+    batch: &mut Vec<(Box<Mutation>, Pending)>,
+    max_batch: usize,
+) {
+    while batch.len() < max_batch {
+        match queue.pop_front() {
+            Some((Work::Write(mutation), pending)) => batch.push((mutation, pending)),
+            Some(read) => return queue.push_front(read),
+            None => return,
+        }
+    }
 }
 
 /// Admission state, guarded by one mutex: the FIFO queue plus the fence's
 /// two counters. Held only for queue surgery — never across query work.
 struct Admission {
-    queue: VecDeque<Queued>,
+    queue: VecDeque<(Work, Pending)>,
     readers_in_flight: usize,
     writer_active: bool,
 }
@@ -333,35 +365,64 @@ impl ServeFront {
     /// admission-queued and executed as pool jobs. The ticket resolves
     /// whenever the response is ready; dropping it un-awaited is fine.
     pub fn submit(&self, req: ServeRequest) -> Ticket<ServeResponse> {
-        let shared = &self.shared;
-        shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        if req.is_write() {
-            shared.counters.writes_in_flight.fetch_add(1, Ordering::Relaxed);
-        }
+        let counters = &self.shared.counters;
+        counters.submitted.fetch_add(1, Ordering::Relaxed);
         let submitted = Instant::now();
-        if !req.is_write() {
-            // Warm path: probe the cluster front without blocking. If a
-            // writer holds (or waits on) the cluster lock, `try_read`
-            // fails and the request queues behind the mutation instead —
-            // exactly the FIFO ordering the fence wants.
-            if let Some(cluster) = shared.cluster.try_read() {
-                if let Some(answer) = probe_front(&cluster, &req) {
-                    let epoch = cluster.front_epoch();
-                    drop(cluster);
-                    shared.counters.warm_inline.fetch_add(1, Ordering::Relaxed);
-                    shared.counters.record_latency(submitted);
-                    return shared.warm_tickets.ready(ServeResponse { epoch, answer });
-                }
+        match req {
+            ServeRequest::Keyword { group, query } => {
+                self.submit_read(Keyword, group, query, QueryAnswer::Keyword, submitted)
+            }
+            ServeRequest::Private { group, query, plan } => {
+                self.submit_read(Private(plan), group, query, QueryAnswer::Private, submitted)
+            }
+            ServeRequest::Ranked { group, query, mode } => {
+                self.submit_read(Ranked(mode), group, query, QueryAnswer::Ranked, submitted)
+            }
+            ServeRequest::Mutate(mutation) => {
+                counters.writes_in_flight.fetch_add(1, Ordering::Relaxed);
+                self.enqueue(Work::Write(mutation), submitted)
             }
         }
+    }
+
+    fn submit_read<M: ReadMode>(
+        &self,
+        mode: M,
+        group: String,
+        query_text: String,
+        wrap: Wrap<M>,
+        submitted: Instant,
+    ) -> Ticket<ServeResponse> {
+        let shared = &self.shared;
+        // Warm path: probe the cluster front without blocking — one hash
+        // probe plus an `Arc` clone, and on the first probe after an
+        // answer-changing write a walk of the query's tokens through the
+        // front's touch stamps. If a writer holds (or waits on) the cluster
+        // lock, `try_read` fails and the request queues behind the mutation
+        // instead — exactly the FIFO ordering the fence wants.
+        if let Some(cluster) = shared.cluster.try_read() {
+            if let Some(hit) = cluster.probe(mode, &group, &query_text) {
+                let epoch = cluster.front_epoch();
+                drop(cluster);
+                shared.counters.warm_inline.fetch_add(1, Ordering::Relaxed);
+                shared.counters.record_latency(submitted);
+                return shared.warm_tickets.ready(ServeResponse { epoch, answer: wrap(Some(hit)) });
+            }
+        }
+        let dispatch = move |shared: &Arc<Shared>, pending| {
+            dispatch_read(shared, mode, group, query_text, wrap, pending)
+        };
+        self.enqueue(Work::Read(Box::new(dispatch)), submitted)
+    }
+
+    fn enqueue(&self, work: Work, submitted: Instant) -> Ticket<ServeResponse> {
+        let shared = &self.shared;
         let (ticket, completer) = Ticket::pending(Some(Arc::clone(&shared.pool)));
         {
             let mut admission = shared.admission.lock().expect("admission");
-            admission.queue.push_back(Queued { req, completer, submitted });
-            Counters::raise_high_water(
-                &shared.counters.queue_high_water,
-                admission.queue.len() as u64,
-            );
+            admission.queue.push_back((work, Pending { completer, submitted }));
+            let depth = admission.queue.len() as u64;
+            shared.counters.queue_high_water.fetch_max(depth, Ordering::Relaxed);
         }
         pump(shared);
         ticket
@@ -435,26 +496,6 @@ impl ServeFront {
     }
 }
 
-/// Probe the cluster-front caches for `req`. A hit is the fully merged
-/// answer of the current epoch ([`EngineCluster::probe_keyword`] and its
-/// siblings hold the validity rule) — one hash probe plus an `Arc` clone,
-/// and on the first probe after an answer-changing write a walk of the
-/// query's tokens through the front's touch stamps.
-fn probe_front(cluster: &EngineCluster, req: &ServeRequest) -> Option<QueryAnswer> {
-    match req {
-        ServeRequest::Keyword { group, query } => {
-            cluster.probe_keyword(group, query).map(|hit| QueryAnswer::Keyword(Some(hit)))
-        }
-        ServeRequest::Private { group, query, plan } => {
-            cluster.probe_private(group, query, *plan).map(|hit| QueryAnswer::Private(Some(hit)))
-        }
-        ServeRequest::Ranked { group, query, mode } => {
-            cluster.probe_ranked(group, query, *mode).map(|hit| QueryAnswer::Ranked(Some(hit)))
-        }
-        ServeRequest::Mutate(_) => None,
-    }
-}
-
 /// Admit as much of the queue as the fence allows. Runs after every
 /// submit and every completion, on whichever thread got there — the
 /// admission lock makes pumps mutually exclusive per decision, and the
@@ -462,51 +503,48 @@ fn probe_front(cluster: &EngineCluster, req: &ServeRequest) -> Option<QueryAnswe
 /// waiting for the next event.
 fn pump(shared: &Arc<Shared>) {
     loop {
-        let queued = {
+        let (dispatch, pending) = {
             let mut admission = shared.admission.lock().expect("admission");
             if admission.writer_active {
                 return;
             }
-            let Some(head) = admission.queue.front() else { return };
-            if head.req.is_write() {
-                if admission.readers_in_flight > 0 {
-                    // The fence: the mutation waits for in-flight reads
-                    // to drain; the last completion re-pumps.
+            let Some((work, pending)) = admission.queue.pop_front() else { return };
+            match work {
+                Work::Write(mutation) if admission.readers_in_flight > 0 => {
+                    // The fence: the mutation waits at the head for
+                    // in-flight reads to drain; the last completion re-pumps.
+                    admission.queue.push_front((Work::Write(mutation), pending));
                     shared.counters.fence_waits.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
-                admission.writer_active = true;
-                // Batched admission draining: the whole consecutive run
-                // of mutations at the head goes to one dispatch, capped
-                // by the policy's max_batch. The drain never reaches past
-                // the first queued read, so FIFO order — and the fence
-                // semantics — are untouched.
-                let mut batch = vec![admission.queue.pop_front().expect("head exists")];
-                while batch.len() < shared.max_batch
-                    && admission.queue.front().is_some_and(|next| next.req.is_write())
-                {
-                    batch.push(admission.queue.pop_front().expect("peeked write"));
+                Work::Write(mutation) => {
+                    admission.writer_active = true;
+                    // Batched admission draining: the whole consecutive run
+                    // of mutations at the head goes to one dispatch, capped
+                    // by the policy's max_batch.
+                    let mut batch = vec![(mutation, pending)];
+                    take_writes(&mut admission.queue, &mut batch, shared.max_batch);
+                    let in_flight = batch.len() as u64;
+                    shared.counters.in_flight_high_water.fetch_max(in_flight, Ordering::Relaxed);
+                    drop(admission);
+                    // Nothing admits past an active writer; its completion
+                    // job clears the flag and re-pumps.
+                    dispatch_write(shared, batch);
+                    return;
                 }
-                Counters::raise_high_water(
-                    &shared.counters.in_flight_high_water,
-                    batch.len() as u64,
-                );
-                drop(admission);
-                // Nothing admits past an active writer; its completion
-                // job clears the flag and re-pumps.
-                dispatch_write(shared, batch);
-                return;
+                Work::Read(dispatch) => {
+                    admission.readers_in_flight += 1;
+                    let in_flight = admission.readers_in_flight as u64;
+                    shared.counters.in_flight_high_water.fetch_max(in_flight, Ordering::Relaxed);
+                    (dispatch, pending)
+                }
             }
-            admission.readers_in_flight += 1;
-            let in_flight = admission.readers_in_flight as u64;
-            Counters::raise_high_water(&shared.counters.in_flight_high_water, in_flight);
-            admission.queue.pop_front().expect("head exists")
         };
         // A read that completed without fanning out (warm, unknown group,
         // fully pruned) releases its fence slot here, in the loop — never
         // by recursing into pump — so a long run of inline-completable
         // reads costs constant stack.
-        if dispatch_read(shared, queued) {
+        if dispatch(shared, pending) {
             shared.admission.lock().expect("admission").readers_in_flight -= 1;
         }
     }
@@ -525,7 +563,7 @@ fn pump(shared: &Arc<Shared>) {
 /// log's sync job. Tickets stay parked in a [`CommitGate`] until every
 /// durability callback minted for the batch has fired, so `Mutated(Ok)`
 /// means durable and acknowledgements keep submission order.
-fn dispatch_write(shared: &Arc<Shared>, batch: Vec<Queued>) {
+fn dispatch_write(shared: &Arc<Shared>, batch: Vec<(Box<Mutation>, Pending)>) {
     let pool = Arc::clone(&shared.pool);
     let shared = Arc::clone(shared);
     pool.exec(move || {
@@ -542,22 +580,10 @@ fn dispatch_write(shared: &Arc<Shared>, batch: Vec<Queued>) {
                 std::thread::sleep(std::time::Duration::from_micros(shared.max_delay_us));
             }
             let mut admission = shared.admission.lock().expect("admission");
-            while batch.len() < shared.max_batch
-                && admission.queue.front().is_some_and(|next| next.req.is_write())
-            {
-                batch.push(admission.queue.pop_front().expect("peeked write"));
-            }
+            take_writes(&mut admission.queue, &mut batch, shared.max_batch);
         }
-        let mut mutations = Vec::with_capacity(batch.len());
-        let mut handles = Vec::with_capacity(batch.len());
-        for queued in batch {
-            let Queued { req, completer, submitted } = queued;
-            let ServeRequest::Mutate(mutation) = req else {
-                unreachable!("write dispatch requires Mutate")
-            };
-            mutations.push(*mutation);
-            handles.push((completer, submitted));
-        }
+        let (mutations, handles): (Vec<Mutation>, Vec<Pending>) =
+            batch.into_iter().map(|(mutation, pending)| (*mutation, pending)).unzip();
         let count = handles.len() as u64;
         let gate = Arc::new(CommitGate {
             shared: Arc::clone(&shared),
@@ -588,7 +614,7 @@ fn dispatch_write(shared: &Arc<Shared>, batch: Vec<Queued>) {
                 debug_assert_eq!(outcomes.len() as u64, count);
                 shared.counters.mutations.fetch_add(count, Ordering::Relaxed);
                 shared.counters.write_batches.fetch_add(1, Ordering::Relaxed);
-                Counters::raise_high_water(&shared.counters.max_write_batch, count);
+                shared.counters.max_write_batch.fetch_max(count, Ordering::Relaxed);
                 gate.stage(StagedCompletion { outcomes, handles, panic: None });
             }
             Err(payload) => {
@@ -632,7 +658,7 @@ struct GateState {
 
 struct StagedCompletion {
     outcomes: Vec<(Result<MutationEffect>, u64)>,
-    handles: Vec<(TicketCompleter<ServeResponse>, Instant)>,
+    handles: Vec<Pending>,
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
@@ -665,7 +691,7 @@ impl CommitGate {
         let shared = &self.shared;
         match staged.panic {
             None => {
-                for (i, ((result, epoch), (completer, submitted))) in
+                for (i, ((result, epoch), Pending { completer, submitted })) in
                     staged.outcomes.into_iter().zip(staged.handles).enumerate()
                 {
                     // An applied effect whose covering fsync failed must
@@ -694,7 +720,7 @@ impl CommitGate {
                 // the real payload, peers a marker naming the shared
                 // cause.
                 let mut payload = Some(payload);
-                for (completer, submitted) in staged.handles {
+                for Pending { completer, submitted } in staged.handles {
                     shared.counters.writes_in_flight.fetch_sub(1, Ordering::Relaxed);
                     shared.counters.record_latency(submitted);
                     match payload.take() {
@@ -709,241 +735,133 @@ impl CommitGate {
     }
 }
 
-/// What one shard task produced for its gather.
-enum ShardPart {
-    Keyword(Arc<Vec<KeywordHit>>),
-    Private(Arc<PrivateSearchOutcome>),
-    Ranked((Arc<Vec<KeywordHit>>, Arc<crate::engine::RankedAnswer>)),
-}
+/// The [`QueryAnswer`] variant carrying mode `M`'s merged answer (`None`:
+/// an unknown group), picked where [`ServeFront::submit`] decodes the
+/// request.
+type Wrap<M> = fn(Option<Arc<Merged<M>>>) -> QueryAnswer;
 
-/// How the gather finishes a read — fixed at planning time.
-enum ReadKind {
-    Keyword,
-    Private(Plan),
-    Ranked {
-        mode: RankingMode,
-        /// Corpus-global IDFs, collected once at planning (cheap memo
-        /// probes) so shard tasks stay independent.
-        idfs: Vec<f64>,
-    },
-}
-
-/// The continuation shared by one read's shard tasks: parts land in
-/// `slots`, and whichever task decrements `remaining` to zero runs the
+/// The continuation shared by one read's shard tasks: parts land in the
+/// state's `parts`, and whichever task brings `remaining` to zero runs the
 /// gather and completes the ticket. No thread ever blocks waiting for
 /// another shard.
-struct Gather {
+struct Gather<M: ReadMode> {
     shared: Arc<Shared>,
-    group: String,
-    query_text: String,
-    kind: ReadKind,
-    epoch: u64,
-    targets: Vec<usize>,
-    slots: Vec<Mutex<Option<ShardPart>>>,
-    remaining: AtomicUsize,
-    completer: Mutex<Option<TicketCompleter<ServeResponse>>>,
-    panicked: AtomicBool,
-    submitted: Instant,
+    plan: ReadPlan<M>,
+    wrap: Wrap<M>,
+    state: Mutex<GatherState<M::Part>>,
 }
 
-/// Plan an admitted read and fan its shard tasks out as independent pool
-/// jobs. Planning (front re-probe, group check, index-gated target
-/// selection, ranked IDF collection) is memo-probe cheap and runs on the
-/// admitting thread; all per-shard query work goes to the pool. Returns
-/// `true` if the read completed without fanning out (the caller then
-/// releases its fence slot).
-fn dispatch_read(shared: &Arc<Shared>, queued: Queued) -> bool {
-    let Queued { req, completer, submitted } = queued;
+struct GatherState<P> {
+    /// One per target shard, in target order.
+    parts: Vec<Option<P>>,
+    remaining: usize,
+    /// Taken by whoever completes the ticket: the last shard task to
+    /// finish, or the first to panic.
+    pending: Option<Pending>,
+}
+
+/// Serve an admitted read through the cluster's four read stages
+/// ([`EngineCluster::probe`] → [`plan`](EngineCluster::plan) →
+/// [`run_shard`](EngineCluster::run_shard) →
+/// [`gather`](EngineCluster::gather)), scheduling the shard runs as
+/// independent pool jobs nobody waits for. Probe and plan are memo-probe
+/// cheap and run on the admitting thread; all per-shard query work goes to
+/// the pool. Returns `true` if the read completed without fanning out (the
+/// caller then releases its fence slot).
+fn dispatch_read<M: ReadMode>(
+    shared: &Arc<Shared>,
+    mode: M,
+    group: String,
+    query_text: String,
+    wrap: Wrap<M>,
+    pending: Pending,
+) -> bool {
     let cluster = shared.cluster.read();
     let epoch = cluster.front_epoch();
     // The request may have warmed while queued (an identical read ahead
     // of it); serve it without shard work, like the inline path.
-    if let Some(answer) = probe_front(&cluster, &req) {
-        drop(cluster);
+    let warm = cluster.probe(mode, &group, &query_text);
+    if warm.is_some() {
         shared.counters.warm_inline.fetch_add(1, Ordering::Relaxed);
-        shared.counters.record_latency(submitted);
-        completer.complete(ServeResponse { epoch, answer });
-        return true;
     }
-    let (group, query_text, kind) = match req {
-        ServeRequest::Keyword { group, query } => (group, query, ReadKind::Keyword),
-        ServeRequest::Private { group, query, plan } => (group, query, ReadKind::Private(plan)),
-        ServeRequest::Ranked { group, query, mode } => {
-            let idfs = if cluster.registry().group(&group).is_some() {
-                cluster.ranked_corpus_idfs(&KeywordQuery::parse(&query))
-            } else {
-                Vec::new()
-            };
-            (group, query, ReadKind::Ranked { mode, idfs })
+    let plan = if warm.is_none() { cluster.plan(mode, group, query_text) } else { None };
+    let answer = match plan {
+        Some(plan) if !plan.targets.is_empty() => {
+            drop(cluster);
+            let targets = plan.targets.len();
+            let gather = Arc::new(Gather {
+                shared: Arc::clone(shared),
+                plan,
+                wrap,
+                state: Mutex::new(GatherState {
+                    parts: (0..targets).map(|_| None).collect(),
+                    remaining: targets,
+                    pending: Some(pending),
+                }),
+            });
+            for slot in 0..targets {
+                let gather = Arc::clone(&gather);
+                shared.pool.exec(move || gather.run_shard_task(slot));
+            }
+            return false;
         }
-        ServeRequest::Mutate(_) => unreachable!("read dispatch requires a query"),
-    };
-    if cluster.registry().group(&group).is_none() {
-        let answer = match kind {
-            ReadKind::Keyword => QueryAnswer::Keyword(None),
-            ReadKind::Private(_) => QueryAnswer::Private(None),
-            ReadKind::Ranked { .. } => QueryAnswer::Ranked(None),
-        };
-        drop(cluster);
-        shared.counters.record_latency(submitted);
-        completer.complete(ServeResponse { epoch, answer });
-        return true;
-    }
-    let query = KeywordQuery::parse(&query_text);
-    let targets = cluster.target_shards(&query);
-    let gather = Arc::new(Gather {
-        shared: Arc::clone(shared),
-        group,
-        query_text,
-        kind,
-        epoch,
-        remaining: AtomicUsize::new(targets.len()),
-        slots: targets.iter().map(|_| Mutex::new(None)).collect(),
-        targets,
-        completer: Mutex::new(Some(completer)),
-        panicked: AtomicBool::new(false),
-        submitted,
-    });
-    if gather.targets.is_empty() {
-        // Index gating pruned every shard: gather an empty answer (which
+        // Index gating pruned every shard: gather the empty answer (which
         // also publishes it to the front cache) without any pool work.
-        gather.finalize(&cluster);
-        return true;
-    }
+        Some(plan) => Some(cluster.gather(&plan, Vec::new())),
+        // Warm — or an unknown group, which is answered `None`.
+        None => warm,
+    };
     drop(cluster);
-    for slot in 0..gather.targets.len() {
-        let gather = Arc::clone(&gather);
-        shared.pool.exec(move || gather.run_shard_task(slot));
-    }
-    false
+    shared.counters.record_latency(pending.submitted);
+    pending.completer.complete(ServeResponse { epoch, answer: wrap(answer) });
+    true
 }
 
-/// Decrement the reader fence and re-pump (a drained fence may admit a
-/// waiting mutation).
-fn finish_read(shared: &Arc<Shared>) {
-    shared.admission.lock().expect("admission").readers_in_flight -= 1;
-    pump(shared);
-}
-
-impl Gather {
-    /// One shard's task: query the shard engine under the cluster read
-    /// lock, deposit the part, and — as the last finisher — gather.
-    fn run_shard_task(self: &Arc<Self>, slot: usize) {
-        let shard = self.targets[slot];
+impl<M: ReadMode> Gather<M> {
+    /// One shard's task: run the shard under the cluster read lock, deposit
+    /// the part, and — as the last finisher — gather through the cluster's
+    /// one gather stage and complete the ticket.
+    fn run_shard_task(&self, slot: usize) {
+        let shared = &self.shared;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let cluster = self.shared.cluster.read();
+            let cluster = shared.cluster.read();
             debug_assert_eq!(
                 cluster.front_epoch(),
-                self.epoch,
+                self.plan.epoch,
                 "fence violated: epoch moved under an in-flight read"
             );
-            let engine = &cluster.shards()[shard];
-            let registered = "group registered on every shard";
-            match &self.kind {
-                ReadKind::Keyword => ShardPart::Keyword(
-                    engine.search_as(&self.group, &self.query_text).expect(registered),
-                ),
-                ReadKind::Private(plan) => ShardPart::Private(
-                    engine
-                        .private_search_as(&self.group, &self.query_text, *plan)
-                        .expect(registered),
-                ),
-                ReadKind::Ranked { mode, .. } => ShardPart::Ranked(
-                    engine
-                        .ranked_search_as(&self.group, &self.query_text, *mode)
-                        .expect(registered),
-                ),
-            }
+            cluster.run_shard(&self.plan, slot)
         }));
+        let mut state = self.state.lock().expect("gather state");
         match outcome {
-            Ok(part) => *self.slots[slot].lock().expect("gather slot") = Some(part),
+            Ok(part) => state.parts[slot] = Some(part),
+            // The ticket learns of the panic immediately; the fence still
+            // waits for the remaining shard tasks below. A panicked read
+            // still completes (counter parity for quiesce); its latency
+            // buckets like any response.
             Err(payload) => {
-                self.panicked.store(true, Ordering::SeqCst);
-                // The ticket learns of the panic immediately; the fence
-                // still waits for the remaining shard tasks below.
-                if let Some(completer) = self.completer.lock().expect("gather completer").take() {
-                    // A panicked read still completes (counter parity for
-                    // quiesce); its latency buckets like any response.
-                    self.shared.counters.record_latency(self.submitted);
-                    completer.complete_with_panic(payload);
+                if let Some(pending) = state.pending.take() {
+                    shared.counters.record_latency(pending.submitted);
+                    pending.completer.complete_with_panic(payload);
                 }
             }
         }
-        if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-            if !self.panicked.load(Ordering::SeqCst) {
-                let cluster = self.shared.cluster.read();
-                self.finalize(&cluster);
-            }
-            finish_read(&self.shared);
+        state.remaining -= 1;
+        if state.remaining > 0 {
+            return;
         }
-    }
-
-    /// The gather continuation: merge the parts through the cluster's
-    /// shared gather stages (bit-identical to the blocking path) and
-    /// complete the ticket.
-    fn finalize(&self, cluster: &EngineCluster) {
-        let parts: Vec<ShardPart> = self
-            .slots
-            .iter()
-            .map(|s| s.lock().expect("gather slot").take().expect("all shard parts deposited"))
-            .collect();
-        let answer = match &self.kind {
-            ReadKind::Keyword => {
-                let per_shard: Vec<_> = parts
-                    .into_iter()
-                    .map(|p| match p {
-                        ShardPart::Keyword(hits) => hits,
-                        _ => unreachable!("keyword gather got a foreign part"),
-                    })
-                    .collect();
-                QueryAnswer::Keyword(Some(cluster.gather_keyword(
-                    &self.group,
-                    &self.query_text,
-                    self.epoch,
-                    &self.targets,
-                    &per_shard,
-                )))
-            }
-            ReadKind::Private(plan) => {
-                let per_shard: Vec<_> = parts
-                    .into_iter()
-                    .map(|p| match p {
-                        ShardPart::Private(outcome) => outcome,
-                        _ => unreachable!("private gather got a foreign part"),
-                    })
-                    .collect();
-                QueryAnswer::Private(Some(cluster.gather_private(
-                    &self.group,
-                    &self.query_text,
-                    *plan,
-                    self.epoch,
-                    &self.targets,
-                    &per_shard,
-                )))
-            }
-            ReadKind::Ranked { mode, idfs } => {
-                let per_shard: Vec<_> = parts
-                    .into_iter()
-                    .map(|p| match p {
-                        ShardPart::Ranked(pair) => pair,
-                        _ => unreachable!("ranked gather got a foreign part"),
-                    })
-                    .collect();
-                QueryAnswer::Ranked(Some(cluster.gather_ranked(
-                    &self.group,
-                    &self.query_text,
-                    *mode,
-                    self.epoch,
-                    idfs,
-                    &self.targets,
-                    &per_shard,
-                )))
-            }
-        };
-        if let Some(completer) = self.completer.lock().expect("gather completer").take() {
-            self.shared.counters.record_latency(self.submitted);
-            completer.complete(ServeResponse { epoch: self.epoch, answer });
+        let done = state.pending.take().map(|pending| (pending, std::mem::take(&mut state.parts)));
+        drop(state);
+        if let Some((pending, parts)) = done {
+            let parts = parts.into_iter().map(|p| p.expect("all shard parts deposited")).collect();
+            let answer = (self.wrap)(Some(shared.cluster.read().gather(&self.plan, parts)));
+            shared.counters.record_latency(pending.submitted);
+            pending.completer.complete(ServeResponse { epoch: self.plan.epoch, answer });
         }
+        // Release the fence slot and re-pump: a drained fence may admit a
+        // waiting mutation.
+        shared.admission.lock().expect("admission").readers_in_flight -= 1;
+        pump(shared);
     }
 }
 
@@ -1026,11 +944,77 @@ mod tests {
         assert_eq!(front.stats().warm_inline, 1);
     }
 
+    /// Every read shape, in a fixed order: keyword, private under each
+    /// plan, ranked under two modes.
+    fn read_shapes(group: &str, query: &str) -> [ServeRequest; 5] {
+        let (group, query) = (group.to_string(), query.to_string());
+        let private =
+            |plan| ServeRequest::Private { group: group.clone(), query: query.clone(), plan };
+        let ranked =
+            |mode| ServeRequest::Ranked { group: group.clone(), query: query.clone(), mode };
+        [
+            keyword(&group, &query),
+            private(Plan::FilterThenSearch),
+            private(Plan::SearchThenZoomOut),
+            ranked(RankingMode::ExactFull),
+            ranked(RankingMode::NoisyFull { epsilon: 1.0, seed: 11 }),
+        ]
+    }
+
     #[test]
     fn unknown_group_answers_none() {
         let front = front(2, 2, 1);
-        let response = front.submit(keyword("nobody", "risk")).wait();
-        assert!(matches!(response.answer, QueryAnswer::Keyword(None)));
+        for request in read_shapes("nobody", "risk") {
+            let shape = format!("{request:?}");
+            let response = front.submit(request).wait();
+            assert!(
+                matches!(
+                    response.answer,
+                    QueryAnswer::Keyword(None)
+                        | QueryAnswer::Private(None)
+                        | QueryAnswer::Ranked(None)
+                ),
+                "{shape} answered {:?}",
+                response.answer
+            );
+        }
+        assert_eq!(front.stats().warm_inline, 0, "a refusal is never cached");
+    }
+
+    /// A ranked read whose every shard is pruned collects no corpus
+    /// statistics: user-chosen strings that match nothing must not fill
+    /// the shards' bounded df memos and crowd real terms out.
+    #[test]
+    fn no_hit_ranked_reads_leave_the_df_memos_alone() {
+        let front = front(4, 2, 2);
+        let ranked = |query: String| ServeRequest::Ranked {
+            group: "researchers".into(),
+            query,
+            mode: RankingMode::ExactFull,
+        };
+        let memoized = |term: &str| {
+            front
+                .with_cluster(|c| c.shards().iter().filter(|s| s.index().df_memoized(term)).count())
+        };
+        let tickets: Vec<_> =
+            (0..5000).map(|i| front.submit(ranked(format!("zzz-none-{i}")))).collect();
+        for ticket in tickets {
+            let QueryAnswer::Ranked(Some(answer)) = ticket.wait().answer else {
+                panic!("expected a ranked answer")
+            };
+            assert!(answer.hits.is_empty());
+        }
+        for i in 0..5000 {
+            let query = crate::keyword::KeywordQuery::parse(&format!("zzz-none-{i}"));
+            assert_eq!(memoized(&query.terms[0]), 0, "{:?} was memoized", query.terms[0]);
+        }
+        // A term the corpus does hold is memoized on every shard the
+        // moment a ranked read needs its df.
+        assert_eq!(memoized("disorder risks"), 0);
+        let response = front.submit(ranked("Disorder Risks".into())).wait();
+        let QueryAnswer::Ranked(Some(answer)) = response.answer else { panic!() };
+        assert_eq!(answer.hits.len(), 4);
+        assert_eq!(memoized("disorder risks"), 2);
     }
 
     #[test]

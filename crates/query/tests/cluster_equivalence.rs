@@ -32,8 +32,12 @@ use ppwf_workloads::genspec::{generate_spec, SpecParams};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-const QUERIES: [&str; 6] = ["kw0", "kw0, kw1", "kw2", "kw1, kw3", "kw5", "kw0, kw2"];
-const GROUPS: [&str; 3] = ["public", "analysts", "researchers"];
+/// The last two match nothing on any shard: alone, and beside a term that
+/// does match.
+const QUERIES: [&str; 8] =
+    ["kw0", "kw0, kw1", "kw2", "kw1, kw3", "kw5", "kw0, kw2", "zzz-none", "kw0, zzz-none"];
+/// `nobody` is registered nowhere: every entry point must refuse it.
+const GROUPS: [&str; 4] = ["public", "analysts", "researchers", "nobody"];
 
 fn registry() -> PrincipalRegistry {
     let mut registry = PrincipalRegistry::new();
@@ -103,15 +107,21 @@ proptest! {
         let single = QueryEngine::new(random_repo(seed, specs), registry());
         for group in GROUPS {
             for q in QUERIES {
-                let reference = single.search_as(group, q).unwrap();
-                let cold = cluster.search_as(group, q).unwrap();
-                let warm = cluster.search_as(group, q).unwrap();
+                let answers =
+                    (single.search_as(group, q), cluster.search_as(group, q), cluster.search_as(group, q));
+                let (Some(reference), Some(cold), Some(warm)) = &answers else {
+                    prop_assert!(
+                        matches!(answers, (None, None, None)),
+                        "refusal diverged for group {}, query {:?}", group, q
+                    );
+                    continue;
+                };
                 prop_assert!(
-                    hits_identical(&reference, &cold),
+                    hits_identical(reference, cold),
                     "cold cluster ≠ single for {} shards, group {}, query {:?}", shards, group, q
                 );
                 prop_assert!(
-                    hits_identical(&reference, &warm),
+                    hits_identical(reference, warm),
                     "warm cluster ≠ single for {} shards, group {}, query {:?}", shards, group, q
                 );
             }
@@ -139,8 +149,17 @@ proptest! {
         for group in GROUPS {
             for q in QUERIES {
                 for plan in [Plan::FilterThenSearch, Plan::SearchThenZoomOut] {
-                    let reference = single.private_search_as(group, q, plan).unwrap();
-                    let clustered = cluster.private_search_as(group, q, plan).unwrap();
+                    let answers = (
+                        single.private_search_as(group, q, plan),
+                        cluster.private_search_as(group, q, plan),
+                    );
+                    let (Some(reference), Some(clustered)) = &answers else {
+                        prop_assert!(
+                            matches!(answers, (None, None)),
+                            "{plan:?} refusal diverged for group {}, query {:?}", group, q
+                        );
+                        continue;
+                    };
                     prop_assert!(
                         hits_identical(&reference.hits, &clustered.hits),
                         "{plan:?} hits diverged for group {}, query {:?}", group, q
@@ -180,9 +199,18 @@ proptest! {
         for group in GROUPS {
             for q in QUERIES {
                 for mode in modes {
-                    let (rhits, rranked) = single.ranked_search_as(group, q, mode).unwrap();
-                    let clustered = cluster.ranked_search_as(group, q, mode).unwrap();
-                    prop_assert!(hits_identical(&rhits, &clustered.hits));
+                    let answers = (
+                        single.ranked_search_as(group, q, mode),
+                        cluster.ranked_search_as(group, q, mode),
+                    );
+                    let (Some((rhits, rranked)), Some(clustered)) = &answers else {
+                        prop_assert!(
+                            matches!(answers, (None, None)),
+                            "{mode:?} refusal diverged for group {}, query {:?}", group, q
+                        );
+                        continue;
+                    };
+                    prop_assert!(hits_identical(rhits, &clustered.hits));
                     prop_assert_eq!(&rranked.order, &clustered.ranked.order,
                         "order diverged for group {}, query {:?}, mode {:?}", group, q, mode);
                     prop_assert_eq!(&rranked.scores, &clustered.ranked.scores,
@@ -214,9 +242,14 @@ proptest! {
         for (qi, q) in QUERIES.iter().enumerate() {
             for offset in 0..GROUPS.len() {
                 let group = GROUPS[(qi + offset) % GROUPS.len()];
-                let served = cluster.search_as(group, q).unwrap();
-                let again = cluster.search_as(group, q).unwrap();
-                let access = reference_registry.access_map(&repo, group).unwrap();
+                let answers = (cluster.search_as(group, q), cluster.search_as(group, q));
+                let Some(access) = reference_registry.access_map(&repo, group) else {
+                    prop_assert!(matches!(answers, (None, None)), "{} was answered", group);
+                    continue;
+                };
+                let (Some(served), Some(again)) = answers else {
+                    return Err(TestCaseError::Fail(format!("known group {group} was refused")));
+                };
                 let isolated =
                     search_filtered(&repo, &reference_index, &KeywordQuery::parse(q), &access);
                 prop_assert!(
@@ -243,8 +276,8 @@ proptest! {
         let mut cluster = EngineCluster::new(random_repo(seed, specs), registry(), shards);
         let mut single = QueryEngine::new(random_repo(seed, specs), registry());
         for g in GROUPS {
-            cluster.search_as(g, "kw0, kw1").unwrap();
-            single.search_as(g, "kw0, kw1").unwrap();
+            let warmed = cluster.search_as(g, "kw0, kw1").is_some();
+            prop_assert_eq!(warmed, single.search_as(g, "kw0, kw1").is_some());
         }
 
         // Insert.
@@ -292,10 +325,13 @@ proptest! {
 
         for g in GROUPS {
             for q in QUERIES {
-                let served = cluster.search_as(g, q).unwrap();
-                let reference = single.search_as(g, q).unwrap();
+                let answers = (single.search_as(g, q), cluster.search_as(g, q));
+                let (Some(reference), Some(served)) = &answers else {
+                    prop_assert!(matches!(answers, (None, None)), "refusal diverged for group {}", g);
+                    continue;
+                };
                 prop_assert!(
-                    hits_identical(&reference, &served),
+                    hits_identical(reference, served),
                     "stale answer served for group {} query {:?} after mutation", g, q
                 );
             }

@@ -1,11 +1,11 @@
-//! Shared FNV-1a mixing for the index fingerprints.
+//! Shared FNV-1a mixing for fingerprints and checksums.
 //!
-//! Both refresh fast paths — [`crate::reach_index::ReachIndex::refresh`]
-//! and [`crate::keyword_index::KeywordIndex::refresh`] — verify per-spec
-//! fingerprints before trusting their append-only invariant. They hash
-//! different fields (graph structure vs indexed text), but the mixing
-//! discipline is one thing: keep it here so a change to the scheme (e.g.
-//! the length-delimiter convention) cannot silently miss a copy.
+//! [`crate::keyword_index::KeywordIndex::refresh`] verifies per-spec text
+//! fingerprints before trusting its append-only invariant, and the WAL and
+//! snapshot writers checksum their frames and chunks. They hash different
+//! fields, but the mixing discipline is one thing: keep it here so a
+//! change to the scheme (e.g. the length-delimiter convention) cannot
+//! silently miss a copy.
 
 /// An incremental FNV-1a hasher over `u64` words and delimited byte
 /// strings.

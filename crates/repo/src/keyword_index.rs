@@ -338,9 +338,7 @@ impl KeywordIndex {
     }
 
     /// Bring the index up to date with `repo`, incrementally when the
-    /// mutation history allows it — the
-    /// [`ReachIndex::refresh`](crate::reach_index::ReachIndex::refresh)
-    /// discipline applied to postings. Most repository mutations are
+    /// mutation history allows it. Most repository mutations are
     /// append-only for indexing purposes: new specs append postings (their
     /// ids sort after every existing posting, so per-term order survives
     /// concatenation), while execution appends and policy swaps leave

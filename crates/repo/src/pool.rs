@@ -124,8 +124,8 @@ impl WorkerPool {
         T: Send + 'env,
         F: FnOnce() -> T + Send + 'env,
     {
-        if self.threads == 1 || tasks.len() == 1 {
-            // Degenerate pool (single-core host) or single task: queue
+        if self.threads == 1 || tasks.len() <= 1 {
+            // Degenerate pool (single-core host), single task or none: queue
             // handoff buys nothing but wakeups and context switches — run
             // everything on the caller.
             return tasks.into_iter().map(|t| t()).collect();

@@ -85,152 +85,18 @@ impl SpecReachability {
     }
 }
 
-/// A cheap identity check for an indexed spec: reachability rows depend
-/// only on the spec's structure and hierarchy (executions and policies
-/// don't shape the closure), so a matching fingerprint means the row is
-/// still valid. [`ReachIndex::refresh`] verifies rather than assumes, so
-/// the fingerprint hashes the *structure* (edge endpoints, module
-/// workflow placement), not just counts: an in-place rewire that
-/// preserved every count would still be caught. Module *text* is
-/// deliberately excluded — a
-/// [`Mutation::EditSpec`](crate::mutation::Mutation::EditSpec) rewrites
-/// names and keyword tags only, which is reach-neutral, so edits keep
-/// matching fingerprints and never force a closure rebuild.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct SpecFingerprint {
-    modules: usize,
-    workflows: usize,
-    edges: usize,
-    /// FNV-1a over edge endpoints and module→workflow assignments.
-    structure: u64,
-}
-
-impl SpecFingerprint {
-    fn of(entry: &crate::repository::SpecEntry) -> Self {
-        let mut h = crate::fnv::Fnv1a::new();
-        for e in entry.spec.edges() {
-            h.mix_u64(e.from.0 as u64);
-            h.mix_u64(e.to.0 as u64);
-            h.mix_u64(e.workflow.index() as u64);
-        }
-        for m in entry.spec.modules() {
-            h.mix_u64(m.id.0 as u64);
-            h.mix_u64(m.workflow.index() as u64);
-        }
-        SpecFingerprint {
-            modules: entry.spec.module_count(),
-            workflows: entry.hierarchy.len(),
-            edges: entry.spec.edge_count(),
-            structure: h.finish(),
-        }
-    }
-}
-
 /// Repository-wide reachability index. Rows are slot-aligned to the
 /// repository's id space: a tombstoned (or retracted) spec keeps its
 /// position as `None`, so later ids never shift.
 #[derive(Debug)]
 pub struct ReachIndex {
     specs: Vec<Option<SpecReachability>>,
-    fingerprints: Vec<Option<SpecFingerprint>>,
-    built_at: u64,
-    rows_built: usize,
 }
 
 impl ReachIndex {
     /// Build for every live specification.
     pub fn build(repo: &Repository) -> Self {
-        let specs: Vec<Option<SpecReachability>> =
-            repo.slots().map(|(_, s)| s.map(SpecReachability::build)).collect();
-        let rows_built = specs.iter().flatten().count();
-        ReachIndex {
-            specs,
-            fingerprints: repo.slots().map(|(_, s)| s.map(SpecFingerprint::of)).collect(),
-            built_at: repo.version(),
-            rows_built,
-        }
-    }
-
-    /// Bring the index up to date with `repo`, incrementally when the
-    /// mutation history allows it. Most repository mutations are
-    /// append-only for reachability purposes — new specs append entries,
-    /// while execution appends, policy swaps *and text-only spec edits*
-    /// leave every spec's structure (and therefore its closure rows)
-    /// untouched — so the common refresh appends rows for the new specs
-    /// and re-tags `built_at` without recomputing a single existing
-    /// closure. A full rebuild happens only when an existing slot's
-    /// structural fingerprint changed — e.g. a
-    /// [`Mutation::DeleteSpec`](crate::mutation::Mutation::DeleteSpec)
-    /// that bypassed the targeted [`Self::delete_spec`]; the check is
-    /// kept so the fast path *verifies* the invariant it rides on.
-    pub fn refresh(&mut self, repo: &Repository) {
-        if repo.version() == self.built_at {
-            return;
-        }
-        let changed = repo.len() < self.specs.len()
-            || repo.slots().take(self.specs.len()).zip(&self.fingerprints).any(
-                |((_, slot), fp)| match (slot, fp) {
-                    (None, None) => false,
-                    (Some(e), Some(fp)) => SpecFingerprint::of(e) != *fp,
-                    _ => true,
-                },
-            );
-        if changed {
-            let rows_built = self.rows_built;
-            *self = ReachIndex::build(repo);
-            self.rows_built += rows_built;
-            return;
-        }
-        self.append_tail(repo);
-    }
-
-    /// Append rows for slots beyond the indexed prefix and re-tag
-    /// `built_at` — the shared tail of [`Self::refresh`] and the targeted
-    /// destructive maintenance.
-    fn append_tail(&mut self, repo: &Repository) {
-        for (_, slot) in repo.slots().skip(self.specs.len()) {
-            match slot {
-                Some(entry) => {
-                    self.specs.push(Some(SpecReachability::build(entry)));
-                    self.fingerprints.push(Some(SpecFingerprint::of(entry)));
-                    self.rows_built += 1;
-                }
-                None => {
-                    self.specs.push(None);
-                    self.fingerprints.push(None);
-                }
-            }
-        }
-        self.built_at = repo.version();
-    }
-
-    /// Targeted maintenance for
-    /// [`MutationEffect::SpecDeleted`](crate::mutation::MutationEffect::SpecDeleted):
-    /// drop exactly the retired spec's row — O(1), no closure work, no
-    /// rebuild. The slot stays as `None` so later ids keep their
-    /// positions.
-    pub fn delete_spec(&mut self, repo: &Repository, spec: SpecId) {
-        if let Some(slot) = self.specs.get_mut(spec.index()) {
-            *slot = None;
-        }
-        if let Some(fp) = self.fingerprints.get_mut(spec.index()) {
-            *fp = None;
-        }
-        self.append_tail(repo);
-    }
-
-    /// Targeted maintenance for
-    /// [`MutationEffect::SpecEdited`](crate::mutation::MutationEffect::SpecEdited):
-    /// text-only edits are reach-neutral by construction, so this only
-    /// *verifies* the structural fingerprint still matches and re-tags —
-    /// zero closure work. A mismatch (structure changed some other way)
-    /// degrades to the verifying [`Self::refresh`].
-    pub fn edit_spec(&mut self, repo: &Repository, spec: SpecId) {
-        let current = self.fingerprints.get(spec.index()).copied().flatten();
-        match (repo.entry(spec), current) {
-            (Some(entry), Some(fp)) if SpecFingerprint::of(entry) == fp => self.append_tail(repo),
-            _ => self.refresh(repo),
-        }
+        ReachIndex { specs: repo.slots().map(|(_, s)| s.map(SpecReachability::build)).collect() }
     }
 
     /// Per-spec index (`None` for tombstoned or never-indexed ids).
@@ -241,26 +107,6 @@ impl ReachIndex {
     /// Number of indexed (live) specifications.
     pub fn spec_count(&self) -> usize {
         self.specs.iter().flatten().count()
-    }
-
-    /// Cumulative closure rows computed over this index's lifetime — the
-    /// incrementality instrument: a refresh that appended `k` specs moves
-    /// this by `k`, a full rebuild by the whole corpus.
-    pub fn rows_built(&self) -> usize {
-        self.rows_built
-    }
-
-    /// Repository version the index reflects.
-    pub fn built_at(&self) -> u64 {
-        self.built_at
-    }
-
-    /// Whether the repository has mutated since this index was built.
-    /// Stale indexes answer for a repository state that no longer exists;
-    /// callers holding one across mutations must [`Self::refresh`] (or
-    /// rebuild) before serving.
-    pub fn is_stale(&self, repo: &Repository) -> bool {
-        repo.version() != self.built_at
     }
 }
 
@@ -331,115 +177,6 @@ mod tests {
         assert!(!live.contains(&m.m11));
         assert!(live.contains(&m.m15));
         assert_eq!(live.len(), 11);
-    }
-
-    #[test]
-    fn staleness_detected_after_mutation() {
-        let (mut repo, id) = setup();
-        let idx = ReachIndex::build(&repo);
-        assert!(!idx.is_stale(&repo));
-        assert_eq!(idx.built_at(), repo.version());
-        let exec = {
-            let entry = repo.entry(id).unwrap();
-            fixtures::disease_susceptibility_execution(&entry.spec)
-        };
-        repo.add_execution(id, exec).unwrap();
-        assert!(idx.is_stale(&repo), "mutation must mark the index stale");
-        let rebuilt = ReachIndex::build(&repo);
-        assert!(!rebuilt.is_stale(&repo));
-    }
-
-    #[test]
-    fn refresh_appends_without_rebuilding() {
-        let (mut repo, id) = setup();
-        let mut idx = ReachIndex::build(&repo);
-        assert_eq!(idx.rows_built(), 1);
-
-        // Execution appends don't shape reachability: refresh re-tags the
-        // version without computing any row.
-        let exec = {
-            let entry = repo.entry(id).unwrap();
-            fixtures::disease_susceptibility_execution(&entry.spec)
-        };
-        repo.add_execution(id, exec).unwrap();
-        assert!(idx.is_stale(&repo));
-        idx.refresh(&repo);
-        assert!(!idx.is_stale(&repo));
-        assert_eq!(idx.rows_built(), 1, "no new closure rows for an execution append");
-
-        // A policy swap is equally structure-free.
-        repo.set_policy(id, Policy::public()).unwrap();
-        idx.refresh(&repo);
-        assert_eq!(idx.rows_built(), 1);
-
-        // Inserting specs appends exactly their rows.
-        for _ in 0..2 {
-            let (spec, _) = fixtures::disease_susceptibility();
-            repo.insert_spec(spec, Policy::public()).unwrap();
-        }
-        idx.refresh(&repo);
-        assert_eq!(idx.spec_count(), 3);
-        assert_eq!(idx.rows_built(), 3, "refresh built only the two new rows");
-        assert!(!idx.is_stale(&repo));
-
-        // Refreshed rows answer exactly like a fresh build.
-        let fresh = ReachIndex::build(&repo);
-        for (sid, entry) in repo.entries() {
-            let m = fixtures::handles(&entry.spec);
-            for (a, b) in [(m.m3, m.m6), (m.m6, m.m3), (m.m8, m.m9), (m.m10, m.m14)] {
-                assert_eq!(
-                    idx.spec(sid).unwrap().reaches(a, b),
-                    fresh.spec(sid).unwrap().reaches(a, b),
-                    "refresh diverged on {sid:?} {a} → {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn destructive_maintenance_is_targeted_and_reach_neutral() {
-        use crate::mutation::{ModuleTextEdit, SpecText};
-        let (mut repo, id) = setup();
-        let (spec2, _) = fixtures::disease_susceptibility();
-        let id2 = repo.insert_spec(spec2, Policy::public()).unwrap();
-        let mut idx = ReachIndex::build(&repo);
-        assert_eq!(idx.rows_built(), 2);
-
-        // Text-only edit: reach-neutral, zero closure work.
-        let m = fixtures::handles(&repo.entry(id).unwrap().spec);
-        repo.edit_spec(
-            id,
-            &SpecText {
-                edits: vec![ModuleTextEdit {
-                    module: m.m3,
-                    name: "Renamed".into(),
-                    keywords: vec![],
-                }],
-            },
-        )
-        .unwrap();
-        idx.edit_spec(&repo, id);
-        assert_eq!(idx.rows_built(), 2, "text edits must not recompute closures");
-        assert!(!idx.is_stale(&repo));
-        assert!(idx.spec(id).unwrap().reaches(m.m3, m.m6), "closure survives the rename");
-
-        // Delete: the row retracts in place; other slots are untouched.
-        repo.delete_spec(id).unwrap();
-        idx.delete_spec(&repo, id);
-        assert_eq!(idx.rows_built(), 2, "no closure work for a delete");
-        assert!(idx.spec(id).is_none(), "retired ids answer nothing");
-        assert!(idx.spec(id2).is_some(), "surviving rows keep their slots");
-        assert_eq!(idx.spec_count(), 1);
-        assert!(!idx.is_stale(&repo));
-        assert_eq!(ReachIndex::build(&repo).spec_count(), 1, "fresh build agrees");
-    }
-
-    #[test]
-    fn refresh_is_idempotent_when_current() {
-        let (repo, _) = setup();
-        let mut idx = ReachIndex::build(&repo);
-        idx.refresh(&repo);
-        assert_eq!(idx.rows_built(), 1, "up-to-date refresh is a no-op");
     }
 
     #[test]
