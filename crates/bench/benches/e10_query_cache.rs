@@ -40,7 +40,7 @@ fn bench_query_cache(c: &mut Criterion) {
             })
         });
 
-        let views = ViewCache::new(1024);
+        let views = ViewCache::new(16);
         group.bench_with_input(BenchmarkId::new("view_cache", specs), &specs, |b, _| {
             b.iter(|| {
                 let mut hits = 0usize;

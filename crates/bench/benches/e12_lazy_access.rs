@@ -28,7 +28,7 @@ fn bench_lazy_access(c: &mut Criterion) {
         let (registry, _) = e12_registry(8, specs);
         let queries: Vec<KeywordQuery> =
             e11_query_log(&corpus, 20, 0x5EED).iter().map(|q| KeywordQuery::parse(q)).collect();
-        let views = ViewCache::new(4096);
+        let views = ViewCache::new(16);
         // Warm the view cache so both plans measure access resolution +
         // search, not first-touch view construction.
         for g in E10_GROUPS {

@@ -115,7 +115,7 @@ fn main() {
         };
 
         // Plan 2: only the view memo.
-        let views = ViewCache::new(1024);
+        let views = ViewCache::new(16);
         let t = Instant::now();
         let mut view_hits = 0usize;
         for _ in 0..config.reps {

@@ -124,7 +124,7 @@ fn main() {
     // Warm the allocator/page cache outside timing: one untimed pass per
     // plan over throwaway caches.
     {
-        let views = ViewCache::new(4096);
+        let views = ViewCache::new(16);
         let cache = AccessCache::new();
         for (i, q) in selective.iter().enumerate() {
             let g = group_of(i);
@@ -137,7 +137,7 @@ fn main() {
     }
 
     // -- selective pass: eager ----------------------------------------------
-    let views_eager = ViewCache::new(4096);
+    let views_eager = ViewCache::new(16);
     let t = Instant::now();
     let mut eager_hits = 0usize;
     for (i, q) in selective.iter().enumerate() {
@@ -149,7 +149,7 @@ fn main() {
     let eager_us = t.elapsed().as_secs_f64() * 1e6;
 
     // -- selective pass: lazy (one surviving AccessCache, as in production) --
-    let views_lazy = ViewCache::new(4096);
+    let views_lazy = ViewCache::new(16);
     let access_cache = AccessCache::new();
     let t = Instant::now();
     let mut lazy_hits = 0usize;
@@ -210,7 +210,7 @@ fn main() {
     let (broad_eager_us, broad_lazy_us, broad_lazy_rules) = if broad.is_empty() {
         (0.0, 0.0, 0u64)
     } else {
-        let views_warm = ViewCache::new(4096);
+        let views_warm = ViewCache::new(16);
         for (i, q) in broad.iter().enumerate() {
             let access = registry.access_map(&broad_repo, group_of(i)).unwrap();
             let query = KeywordQuery::parse(q);

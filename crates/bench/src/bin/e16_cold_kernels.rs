@@ -477,8 +477,8 @@ fn main() {
     // -- section A: cold selective search -----------------------------------
     let base_index = BaselineIndex::build(&repo);
     let kernel_index = KeywordIndex::build(&repo);
-    let base_views = ViewCache::new(4096);
-    let kernel_views = ViewCache::new(4096);
+    let base_views = ViewCache::new(16);
+    let kernel_views = ViewCache::new(16);
 
     // Verification before any number: identical answers per (group, query),
     // and warm both view caches so neither timed side pays view builds.

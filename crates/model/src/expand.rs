@@ -18,7 +18,6 @@ use crate::hierarchy::{ExpansionHierarchy, Prefix};
 use crate::ids::{ModuleId, WorkflowId};
 use crate::spec::{ModuleKind, Specification};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A node of a flattened specification view.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -54,14 +53,18 @@ pub struct ViewEdge {
 pub struct SpecView {
     prefix: Prefix,
     graph: DiGraph<ViewNode, ViewEdge>,
-    node_of_module: HashMap<ModuleId, u32>,
+    /// View node per module id, [`ABSENT`] for modules the view does not show.
+    node_of_module: Vec<u32>,
     input: u32,
     output: u32,
 }
 
+/// "No node" in the dense id tables.
+const ABSENT: u32 = u32::MAX;
+
 /// Internal working node used during construction; pass-through points are
 /// contracted away before the view is returned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum WorkNode {
     Keep(ViewNode),
     /// Inner input pseudo-module of an expanded subworkflow.
@@ -70,105 +73,126 @@ enum WorkNode {
     PassOut(WorkflowId),
 }
 
+/// An edge of the work graph. Channels borrow the specification's strings:
+/// splicing filters names, and only the edges that survive contraction are
+/// ever copied out.
+struct WorkEdge<'a> {
+    from: u32,
+    to: u32,
+    channels: Vec<&'a str>,
+    /// Cleared when a contracted endpoint takes the edge with it.
+    live: bool,
+}
+
+/// Work nodes numbered in order of first appearance, through one dense
+/// table per node kind instead of a hash map.
+struct WorkNodes {
+    nodes: Vec<WorkNode>,
+    of_module: Vec<u32>,
+    pass_in: Vec<u32>,
+    pass_out: Vec<u32>,
+}
+
+impl WorkNodes {
+    fn id(&mut self, n: WorkNode) -> u32 {
+        let slot = match n {
+            WorkNode::Keep(ViewNode::Input) => return 0,
+            WorkNode::Keep(ViewNode::Output) => return 1,
+            WorkNode::Keep(ViewNode::Module(m)) => &mut self.of_module[m.index()],
+            WorkNode::PassIn(w) => &mut self.pass_in[w.index()],
+            WorkNode::PassOut(w) => &mut self.pass_out[w.index()],
+        };
+        if *slot == ABSENT {
+            *slot = self.nodes.len() as u32;
+            self.nodes.push(n);
+        }
+        *slot
+    }
+}
+
 impl SpecView {
     /// Build the view of `spec` defined by `prefix`.
     pub fn build(spec: &Specification, h: &ExpansionHierarchy, prefix: &Prefix) -> Result<Self> {
         prefix.validate(h)?;
-        let mut g: DiGraph<WorkNode, ViewEdge> = DiGraph::new();
-        let mut idx: HashMap<WorkNode, u32> = HashMap::new();
-        let add =
-            |g: &mut DiGraph<WorkNode, ViewEdge>, idx: &mut HashMap<WorkNode, u32>, n: WorkNode| {
-                *idx.entry(n).or_insert_with(|| g.add_node(n))
-            };
-
         let root = spec.root();
-        let input = add(&mut g, &mut idx, WorkNode::Keep(ViewNode::Input));
-        let output = add(&mut g, &mut idx, WorkNode::Keep(ViewNode::Output));
-
         // Map a spec module occurring as an edge *source* to a work node.
-        let src_node = |spec: &Specification, m: ModuleId, w: WorkflowId| -> WorkNode {
-            let module = spec.module(m);
+        let src_node = |m: ModuleId, w: WorkflowId| -> WorkNode {
             if m == spec.workflow(w).input {
                 if w == root {
                     WorkNode::Keep(ViewNode::Input)
                 } else {
                     WorkNode::PassIn(w)
                 }
-            } else if let ModuleKind::Composite(sub) = module.kind {
-                if prefix.contains(sub) {
-                    WorkNode::PassOut(sub) // expanded: its output speaks for it
-                } else {
-                    WorkNode::Keep(ViewNode::Module(m))
-                }
             } else {
-                WorkNode::Keep(ViewNode::Module(m))
+                match spec.module(m).kind {
+                    // Expanded: its output speaks for it.
+                    ModuleKind::Composite(sub) if prefix.contains(sub) => WorkNode::PassOut(sub),
+                    _ => WorkNode::Keep(ViewNode::Module(m)),
+                }
             }
         };
         // Map a spec module occurring as an edge *target* to a work node.
-        let dst_node = |spec: &Specification, m: ModuleId, w: WorkflowId| -> WorkNode {
-            let module = spec.module(m);
+        let dst_node = |m: ModuleId, w: WorkflowId| -> WorkNode {
             if m == spec.workflow(w).output {
                 if w == root {
                     WorkNode::Keep(ViewNode::Output)
                 } else {
                     WorkNode::PassOut(w)
                 }
-            } else if let ModuleKind::Composite(sub) = module.kind {
-                if prefix.contains(sub) {
-                    WorkNode::PassIn(sub)
-                } else {
-                    WorkNode::Keep(ViewNode::Module(m))
-                }
             } else {
-                WorkNode::Keep(ViewNode::Module(m))
+                match spec.module(m).kind {
+                    ModuleKind::Composite(sub) if prefix.contains(sub) => WorkNode::PassIn(sub),
+                    _ => WorkNode::Keep(ViewNode::Module(m)),
+                }
             }
         };
 
+        let mut work = WorkNodes {
+            nodes: vec![WorkNode::Keep(ViewNode::Input), WorkNode::Keep(ViewNode::Output)],
+            of_module: vec![ABSENT; spec.module_count()],
+            pass_in: vec![ABSENT; spec.workflow_count()],
+            pass_out: vec![ABSENT; spec.workflow_count()],
+        };
+        let mut edges: Vec<WorkEdge<'_>> = Vec::new();
         for w in prefix.workflows() {
             for &eid in &spec.workflow(w).edges {
                 let e = spec.edge(eid);
-                let f = src_node(spec, e.from, w);
-                let t = dst_node(spec, e.to, w);
-                let fi = add(&mut g, &mut idx, f);
-                let ti = add(&mut g, &mut idx, t);
-                g.add_edge(fi, ti, ViewEdge { channels: e.channels.clone() });
+                let from = work.id(src_node(e.from, w));
+                let to = work.id(dst_node(e.to, w));
+                let channels = e.channels.iter().map(String::as_str).collect();
+                edges.push(WorkEdge { from, to, channels, live: true });
             }
         }
 
         // Contract pass-through nodes, splicing channels by name selection.
-        let g = contract_pass_through(g);
+        contract_pass_through(&work.nodes, &mut edges);
 
-        // Re-index into the final graph.
-        let mut out: DiGraph<ViewNode, ViewEdge> = DiGraph::new();
-        let mut map: Vec<u32> = Vec::with_capacity(g.node_count());
-        let mut node_of_module = HashMap::new();
-        let (mut fin, mut fout) = (0u32, 0u32);
-        for (i, n) in g.nodes() {
-            let vn = match n {
-                WorkNode::Keep(v) => *v,
-                _ => unreachable!("pass-through nodes were contracted"),
-            };
-            let ni = out.add_node(vn);
-            debug_assert_eq!(ni, i);
-            map.push(ni);
-            match vn {
-                ViewNode::Input => fin = ni,
-                ViewNode::Output => fout = ni,
-                ViewNode::Module(m) => {
-                    node_of_module.insert(m, ni);
-                }
-            }
+        // Kept nodes close ranks in order; surviving edges follow in theirs.
+        let mut graph: DiGraph<ViewNode, ViewEdge> =
+            DiGraph::with_capacity(work.nodes.len(), edges.len());
+        let renumbered: Vec<u32> = work
+            .nodes
+            .iter()
+            .map(|n| match n {
+                WorkNode::Keep(v) => graph.add_node(*v),
+                _ => ABSENT,
+            })
+            .collect();
+        for e in edges.iter().filter(|e| e.live) {
+            let channels = e.channels.iter().map(|c| c.to_string()).collect();
+            let (from, to) = (renumbered[e.from as usize], renumbered[e.to as usize]);
+            graph.add_edge(from, to, ViewEdge { channels });
         }
-        for (_, e) in g.edges() {
-            out.add_edge(map[e.from as usize], map[e.to as usize], e.payload.clone());
+        let mut node_of_module = work.of_module;
+        for node in node_of_module.iter_mut().filter(|n| **n != ABSENT) {
+            *node = renumbered[*node as usize];
         }
-        let _ = (input, output);
         Ok(SpecView {
             prefix: prefix.clone(),
-            graph: out,
+            graph,
             node_of_module,
-            input: fin,
-            output: fout,
+            input: renumbered[0],
+            output: renumbered[1],
         })
     }
 
@@ -194,7 +218,7 @@ impl SpecView {
 
     /// The view node showing module `m`, if `m` is visible in this view.
     pub fn node_of(&self, m: ModuleId) -> Option<u32> {
-        self.node_of_module.get(&m).copied()
+        self.node_of_module.get(m.index()).copied().filter(|&n| n != ABSENT)
     }
 
     /// Iterate over the visible modules (excluding the root input/output).
@@ -217,63 +241,54 @@ impl SpecView {
     }
 }
 
-/// Contract every pass-through node: each (in-edge, out-edge) pair becomes a
-/// direct edge whose channels are the out-edge's names filtered to those the
-/// in-edge provides. Chains of pass-throughs are handled by iterating until
-/// none remain (each iteration removes all currently known pass-throughs;
-/// splices cannot create new ones).
-fn contract_pass_through(g: DiGraph<WorkNode, ViewEdge>) -> DiGraph<WorkNode, ViewEdge> {
-    // Process pass-through nodes in (any) topological order of the current
-    // graph; since the graph is a DAG, splicing a node only creates edges
-    // between its neighbors, so one pass in topo order suffices if we
-    // re-splice through already-contracted chains transitively. Simpler and
-    // still linear-ish at workflow scale: repeat until fixpoint.
-    let mut g = g;
-    loop {
-        let Some(victim) = g
-            .nodes()
-            .find(|(_, n)| matches!(n, WorkNode::PassIn(_) | WorkNode::PassOut(_)))
-            .map(|(i, _)| i)
-        else {
-            return g;
-        };
-        let mut ng: DiGraph<WorkNode, ViewEdge> = DiGraph::new();
-        let mut map: Vec<Option<u32>> = vec![None; g.node_count()];
-        for (i, n) in g.nodes() {
-            if i != victim {
-                map[i as usize] = Some(ng.add_node(*n));
-            }
+/// Contract every pass-through node, lowest id first: each pair of a live
+/// in-edge and a live out-edge of the node becomes a direct edge — appended
+/// to the arena — whose channels are the out-edge's names filtered to those
+/// the in-edge provides (no name in common, no edge), and the node's own
+/// edges die with it. A spliced edge that touches a later pass-through node
+/// joins that node's lists, so chains of pass-throughs resolve in the one
+/// sweep; none touches an earlier one, which has no live edge left to pair.
+/// Live edges in arena order are exactly what contracting the nodes one at a
+/// time, each time rebuilding the graph as survivors-then-splices, would
+/// leave.
+fn contract_pass_through(nodes: &[WorkNode], edges: &mut Vec<WorkEdge<'_>>) {
+    let pass = |n: u32| !matches!(nodes[n as usize], WorkNode::Keep(_));
+    // In- and out-edge lists, in arena order, of pass-through nodes only.
+    let mut ins: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    let mut outs = ins.clone();
+    for (id, e) in edges.iter().enumerate() {
+        if pass(e.to) {
+            ins[e.to as usize].push(id);
         }
-        for (_, e) in g.edges() {
-            if e.from != victim && e.to != victim {
-                ng.add_edge(
-                    map[e.from as usize].unwrap(),
-                    map[e.to as usize].unwrap(),
-                    e.payload.clone(),
-                );
-            }
+        if pass(e.from) {
+            outs[e.from as usize].push(id);
         }
-        for &ie in g.in_edges(victim) {
-            let ein = g.edge(ie);
-            for &oe in g.out_edges(victim) {
-                let eout = g.edge(oe);
-                let channels: Vec<String> = eout
-                    .payload
-                    .channels
-                    .iter()
-                    .filter(|c| ein.payload.channels.iter().any(|d| d == *c))
-                    .cloned()
-                    .collect();
-                if !channels.is_empty() {
-                    ng.add_edge(
-                        map[ein.from as usize].unwrap(),
-                        map[eout.to as usize].unwrap(),
-                        ViewEdge { channels },
-                    );
+    }
+    for v in (0..nodes.len()).filter(|&v| pass(v as u32)) {
+        let (mut vin, mut vout) = (std::mem::take(&mut ins[v]), std::mem::take(&mut outs[v]));
+        vin.retain(|&e| edges[e].live);
+        vout.retain(|&e| edges[e].live);
+        for &ie in &vin {
+            for &oe in &vout {
+                let (ein, eout) = (&edges[ie], &edges[oe]);
+                let channels: Vec<&str> =
+                    eout.channels.iter().copied().filter(|c| ein.channels.contains(c)).collect();
+                if channels.is_empty() {
+                    continue;
                 }
+                let (from, to) = (ein.from, eout.to);
+                if pass(to) {
+                    ins[to as usize].push(edges.len());
+                }
+                if pass(from) {
+                    outs[from as usize].push(edges.len());
+                }
+                edges.push(WorkEdge { from, to, channels, live: true });
             }
         }
-        g = ng;
+        for &e in vin.iter().chain(&vout) {
+            edges[e].live = false;
+        }
     }
 }
 

@@ -528,7 +528,7 @@ impl EngineCluster {
     /// (a single-target scatter runs inline — no queue handoff).
     /// [`crate::serve`] calls the same four and waits for nothing.
     fn read<M: ReadMode>(&self, mode: M, group: &str, query_text: &str) -> Option<Arc<Merged<M>>> {
-        if let Some(hit) = self.probe(mode, group, query_text) {
+        if let Some(hit) = self.probe(mode, group, query_text, false) {
             return Some(hit);
         }
         let plan = &self.plan(mode, group.to_owned(), query_text.to_owned())?;
@@ -545,15 +545,26 @@ impl EngineCluster {
     /// walk, mirroring the engine's "cache before any access work"
     /// ordering: only registered groups ever get entries inserted, so a
     /// hit implies a known group.
+    ///
+    /// `early` marks a probe whose failure is not the read's last word —
+    /// the serving front probes when a read is submitted and again when it
+    /// is admitted — so it counts only a hit (`get_validated_early`) and
+    /// each read appears in [`ClusterStats::front`] once, with its final
+    /// outcome.
     pub(crate) fn probe<M: ReadMode>(
         &self,
         mode: M,
         group: &str,
         query_text: &str,
+        early: bool,
     ) -> Option<Arc<Merged<M>>> {
-        mode.cache(&self.front).get_validated(group, query_text, self.front_epoch(), |tag| {
-            self.front_stamps.survives(query_text, tag, M::DEPENDS)
-        })
+        let (cache, epoch) = (mode.cache(&self.front), self.front_epoch());
+        let vouched = |tag| self.front_stamps.survives(query_text, tag, M::DEPENDS);
+        if early {
+            cache.get_validated_early(group, query_text, epoch, vouched)
+        } else {
+            cache.get_validated(group, query_text, epoch, vouched)
+        }
     }
 
     /// Stage 2 — plan a read the front cache could not answer: fix its

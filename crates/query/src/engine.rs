@@ -220,20 +220,21 @@ pub(crate) struct FrontStamps<'a> {
     pub(crate) offset: u64,
 }
 
-/// Default view-cache capacity of an engine.
-pub(crate) const DEFAULT_VIEW_CAPACITY: usize = 1024;
+/// Default bound on memoized views per spec.
+pub(crate) const DEFAULT_VIEW_CAPACITY: usize = 16;
 /// Default capacity of each result cache — per query class in an engine,
 /// and again per class at the cluster front.
 pub(crate) const DEFAULT_RESULT_CAPACITY: usize = 4096;
 
 impl QueryEngine {
-    /// Assemble an engine with default cache capacities (1024 views, 4096
-    /// results per query class).
+    /// Assemble an engine with default cache capacities (16 views per spec,
+    /// 4096 results per query class).
     pub fn new(repo: Repository, registry: PrincipalRegistry) -> Self {
         Self::with_capacities(repo, registry, DEFAULT_VIEW_CAPACITY, DEFAULT_RESULT_CAPACITY)
     }
 
-    /// Assemble with explicit cache capacities.
+    /// Assemble with explicit cache capacities: views memoized *per spec*,
+    /// results cached per query class.
     pub fn with_capacities(
         repo: Repository,
         registry: PrincipalRegistry,
@@ -269,7 +270,7 @@ impl QueryEngine {
         &self.index
     }
 
-    /// The shared view cache.
+    /// The shared view memo.
     pub fn views(&self) -> &ViewCache {
         &self.views
     }
@@ -278,21 +279,26 @@ impl QueryEngine {
     /// on the returned [`MutationEffect`]:
     ///
     /// * **spec insert** — the keyword index *appends* the new spec's
-    ///   postings ([`KeywordIndex::refresh`], no full rebuild), cached
-    ///   views and access memos carry forward (existing specs and
-    ///   hierarchies are untouched);
-    /// * **policy swap** — zero index work, only the touched spec's views
-    ///   and access memo drop;
-    /// * **execution append** — zero index work, views and access memos
-    ///   carry forward, and results stay *warm*: provenance is not part
-    ///   of any keyword, private or ranked answer, so neither
-    ///   [`Self::results_version`] nor any stamp moves;
+    ///   postings ([`KeywordIndex::refresh`], no full rebuild), access
+    ///   memos carry forward (existing specs and hierarchies are
+    ///   untouched), and the view memo is not told: it has no slot for
+    ///   the new spec yet;
+    /// * **policy swap** — zero index work, only the touched spec's access
+    ///   memo drops; its memoized views stay, `Arc` for `Arc` — a view
+    ///   reads structure, never a policy;
+    /// * **execution append** — zero index work, access memos carry
+    ///   forward, the view memo is not touched, and results stay *warm*:
+    ///   provenance is not part of any keyword, private or ranked answer,
+    ///   so neither [`Self::results_version`] nor any stamp moves;
     /// * **spec delete** — the keyword index retracts exactly the retired
     ///   spec's postings ([`KeywordIndex::delete_spec`], no rebuild), the
-    ///   touched spec's views and access memo drop;
+    ///   touched spec's access memo drops, and so does its slot of the
+    ///   view memo ([`ViewCache::forget_spec`]) — nothing can ask for
+    ///   those views again;
     /// * **spec edit** — the keyword index retracts and re-indexes the one
     ///   spec in place ([`KeywordIndex::edit_spec`]), with the same
-    ///   per-spec invalidation as a delete.
+    ///   per-spec drops as a delete (for views the conservative contract:
+    ///   an edit is text-only by type and no view reads text).
     ///
     /// Every effect but the execution append advances
     /// [`Self::results_version`] and stamps the written spec's vocabulary —
@@ -374,23 +380,23 @@ impl QueryEngine {
         }
         match effect {
             MutationEffect::SpecInserted { .. } => {
-                // Existing views and access prefixes read only immutable
-                // state (spec structure, hierarchies); carry both forward.
-                self.views.advance(version);
+                // Existing access prefixes read only immutable state (spec
+                // structure, hierarchies); carry them forward.
                 self.access.advance(version);
                 self.results_version = version;
             }
-            MutationEffect::ExecutionAppended { .. } => {
-                self.views.advance(version);
-                self.access.advance(version);
-            }
+            MutationEffect::ExecutionAppended { .. } => self.access.advance(version),
             MutationEffect::PolicyChanged { spec }
             | MutationEffect::SpecDeleted { spec }
             | MutationEffect::SpecEdited { spec } => {
-                self.views.invalidate_spec(spec, version);
                 self.access.invalidate_spec(spec, version);
                 self.results_version = version;
             }
+        }
+        // The view memo is keyed by structure, which only these two retire
+        // or rewrite; it carries no version for any other write to move.
+        if let MutationEffect::SpecDeleted { spec } | MutationEffect::SpecEdited { spec } = effect {
+            self.views.forget_spec(spec);
         }
         self.stamps.trim(self.index.term_count(), version);
         Ok(effect)

@@ -1,10 +1,11 @@
 //! Privacy under eviction pressure.
 //!
-//! The result and view caches recycle slab slots in place, and slot reuse
-//! is precisely how a cross-group leak would appear: group A's slot handed
-//! to group B while some index entry still points at it. The default
-//! capacities (thousands of entries) never evict on the equivalence suites'
-//! workloads, so these tests starve every cache — two views, two results per
+//! The result caches recycle slab slots in place and the view memo replaces
+//! views inside a spec's slot, and reuse is precisely how a cross-group leak
+//! would appear: group A's slot handed to group B while some index entry
+//! still points at it. The default capacities (thousands of results, sixteen
+//! views per spec) never evict on the equivalence suites' workloads, so
+//! these tests starve every cache — two views per spec, two results per
 //! class, in the engine, in every shard and at the cluster front — and
 //! require every answer of every group, on every query class, to stay
 //! bit-identical to an *uncached* evaluation (a fresh engine per request)
@@ -36,9 +37,14 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const QUERIES: [&str; 6] = ["kw0", "kw0, kw1", "kw2", "kw1, kw3", "kw5", "kw0, kw2"];
+/// Six over the synthetic vocabulary, then three whose minimal views of the
+/// paper's fixture are three different prefixes ({W1, W2, W4}, {W1, W3},
+/// {W1, W2}): one more than a starved view slot holds, whatever the seed.
+const QUERIES: [&str; 9] =
+    ["kw0", "kw0, kw1", "kw2", "kw1, kw3", "kw5", "kw0, kw2", "omim", "summary", "snp"];
 const GROUPS: [&str; 3] = ["public", "analysts", "researchers"];
-/// Capacity of every view and result cache under test.
+/// Capacity of every result cache, and bound on every spec's views, under
+/// test.
 const STARVED: usize = 2;
 
 fn registry(specs: usize) -> PrincipalRegistry {
@@ -60,6 +66,9 @@ fn random_repo(seed: u64, specs: usize) -> Repository {
             generate_spec(&SpecParams { seed: seed.wrapping_add(i), ..SpecParams::default() });
         repo.insert_spec(spec, Policy::public()).unwrap();
     }
+    // Last, so the registry's per-spec overrides stay on generated specs.
+    let (fixture, _) = ppwf_model::fixtures::disease_susceptibility();
+    repo.insert_spec(fixture, Policy::public()).unwrap();
     repo
 }
 
@@ -81,7 +90,7 @@ struct Read {
     kind: u8,
 }
 
-/// Every `(group, query, kind)` — 90 distinct cache keys against caches of
+/// Every `(group, query, kind)` — 135 distinct cache keys against caches of
 /// two, with the groups interleaved so neighbouring slots change owner.
 fn all_reads() -> Vec<Read> {
     let mut reads = Vec::new();
@@ -329,10 +338,11 @@ fn sequential_run(
         }
     }
     let (engine_stats, cluster_stats) = (engine.stats(), cluster.stats());
-    // (View-cache pressure depends on how many distinct `(spec, prefix)`
-    // views the corpus yields; the result caches are starved by the 90
-    // keys whatever the corpus, so those are the ones held to it.)
+    // The result caches are starved by the 135 keys whatever the corpus; the
+    // view memos by the fixture, whose answers span three prefixes.
     for (what, evictions) in [
+        ("engine view", engine_stats.views.evictions),
+        ("shard view", cluster_stats.aggregate.views.evictions),
         ("engine keyword", engine_stats.keyword.evictions),
         ("engine private", engine_stats.private.evictions),
         ("engine ranked", engine_stats.ranked.evictions),
@@ -436,9 +446,9 @@ fn concurrent_run(
             (None, other) => return Err(format!("mutation failed: {other:?}")),
         }
     }
-    let evictions = front.with_cluster(|c| c.stats().front.evictions);
-    if evictions == 0 {
-        return Err("front caches never evicted: no pressure was applied".to_string());
+    let stats = front.with_cluster(|c| c.stats());
+    if stats.front.evictions == 0 || stats.aggregate.views.evictions == 0 {
+        return Err(format!("front caches or shard views never evicted: {stats:?}"));
     }
     Ok(checked)
 }

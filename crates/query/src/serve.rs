@@ -399,9 +399,10 @@ impl ServeFront {
         // answer-changing write a walk of the query's tokens through the
         // front's touch stamps. If a writer holds (or waits on) the cluster
         // lock, `try_read` fails and the request queues behind the mutation
-        // instead — exactly the FIFO ordering the fence wants.
+        // instead — exactly the FIFO ordering the fence wants. An early
+        // probe: a read that queues is counted when it is admitted.
         if let Some(cluster) = shared.cluster.try_read() {
-            if let Some(hit) = cluster.probe(mode, &group, &query_text) {
+            if let Some(hit) = cluster.probe(mode, &group, &query_text, true) {
                 let epoch = cluster.front_epoch();
                 drop(cluster);
                 shared.counters.warm_inline.fetch_add(1, Ordering::Relaxed);
@@ -780,7 +781,7 @@ fn dispatch_read<M: ReadMode>(
     let epoch = cluster.front_epoch();
     // The request may have warmed while queued (an identical read ahead
     // of it); serve it without shard work, like the inline path.
-    let warm = cluster.probe(mode, &group, &query_text);
+    let warm = cluster.probe(mode, &group, &query_text, false);
     if warm.is_some() {
         shared.counters.warm_inline.fetch_add(1, Ordering::Relaxed);
     }
@@ -942,6 +943,75 @@ mod tests {
         };
         assert!(Arc::ptr_eq(a, b), "warm answer must share the merged Arc");
         assert_eq!(front.stats().warm_inline, 1);
+    }
+
+    /// Every read is one lookup in the front-cache counters, with its
+    /// final outcome: the probe at submit time and the re-probe when a
+    /// queued read is admitted do not both count.
+    #[test]
+    fn each_read_counts_one_front_lookup() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let cluster = EngineCluster::with_config(
+            corpus(4),
+            registry(),
+            2,
+            crate::route::ShardStrategy::RoundRobin,
+            Arc::clone(&pool),
+        );
+        let front = ServeFront::with_pool(cluster, Arc::clone(&pool));
+        let lookups = || {
+            let stats = front.with_cluster(|c| c.stats().front);
+            (stats.hits, stats.misses)
+        };
+        // Four distinct cold reads — one of them pruned on every shard —
+        // are four misses; a repeat is one hit.
+        for (group, query) in [
+            ("researchers", "risk"),
+            ("public", "risk"),
+            ("researchers", "database"),
+            ("public", "zzz-none"),
+        ] {
+            front.submit(keyword(group, query)).wait();
+        }
+        assert_eq!(lookups(), (0, 4));
+        front.submit(keyword("researchers", "risk")).wait();
+        assert_eq!(lookups(), (1, 4));
+
+        // An identical read queued behind its twin. Both workers are
+        // plugged, so the first read stays in flight; an execution append
+        // (which leaves the epoch alone) waits on the fence behind it, and
+        // the twin — still cold at submit time — queues behind the write.
+        // Unplugged, the twin is admitted after the first has published:
+        // one miss and one hit for the pair, where both probes counting
+        // made it three misses and a hit.
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Arc::new(Mutex::new(release_rx));
+        for _ in 0..2 {
+            let release_rx = Arc::clone(&release_rx);
+            pool.exec(move || {
+                let _ = release_rx.lock().unwrap().recv();
+            });
+        }
+        let (spec, _) = fixtures::disease_susceptibility();
+        let exec = fixtures::disease_susceptibility_execution(&spec);
+        let first = front.submit(keyword("researchers", "pubmed"));
+        let write =
+            front.submit(ServeRequest::mutate(Mutation::AddExecution { spec: SpecId(0), exec }));
+        let twin = front.submit(keyword("researchers", "pubmed"));
+        assert!(!twin.is_complete(), "the twin must queue, not hit inline");
+        release_tx.send(()).unwrap();
+        release_tx.send(()).unwrap();
+        let (first, write, twin) = (first.wait(), write.wait(), twin.wait());
+        assert!(matches!(write.answer, QueryAnswer::Mutated(Ok(_))));
+        let (QueryAnswer::Keyword(Some(a)), QueryAnswer::Keyword(Some(b))) =
+            (&first.answer, &twin.answer)
+        else {
+            panic!("expected keyword answers")
+        };
+        assert!(Arc::ptr_eq(a, b), "the twin is served its sibling's published answer");
+        assert_eq!(lookups(), (2, 5));
+        let stats = front.stats();
+        assert_eq!(stats.submitted - stats.mutations, 7, "hits + misses = reads submitted");
     }
 
     /// Every read shape, in a fixed order: keyword, private under each

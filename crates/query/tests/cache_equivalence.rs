@@ -80,7 +80,7 @@ proptest! {
         let repo = random_repo(seed, specs);
         let index = KeywordIndex::build(&repo);
         let registry = registry();
-        let views = ViewCache::new(256);
+        let views = ViewCache::new(16);
         for group in GROUPS {
             let access = registry.access_map(&repo, group).unwrap();
             for q in QUERIES {

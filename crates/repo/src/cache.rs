@@ -14,9 +14,8 @@
 //! (an *invalidation*). The plain [`GroupCache::get`] never vouches: there a
 //! tag other than the probe's is always a miss.
 //!
-//! Eviction is **CLOCK** (second chance), implemented once in
-//! [`ClockCache`] and shared with [`crate::view_cache::ViewCache`]. Entries
-//! live in a slab of at most `capacity` slots behind a two-level index.
+//! Eviction is **CLOCK** (second chance). Entries live in a slab of at most
+//! `capacity` slots behind a two-level index.
 //! Recency is one *reference bit* per slot instead of a timestamp: a hit
 //! raises it (a relaxed store, skipped when it is already up) under the
 //! shared read lock, so warm readers touch no shared counter and write
@@ -39,9 +38,7 @@
 //! exactly as under LRU. Scan resistance is deliberately not a goal.
 
 use parking_lot::RwLock;
-use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -115,97 +112,128 @@ impl CacheStats {
     pub(crate) fn record_invalidation(&self) {
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
+
+    pub(crate) fn record_eviction(&self) {
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
-/// One cached value: the keys that index it (to unlink a reclaimed slot),
+/// One cached answer: the keys that index it (to unlink a reclaimed slot),
 /// the version it was computed at or last re-admitted at, and the CLOCK
 /// reference bit — both atomic so probes, under the shared read lock, can
 /// move them.
-struct Slot<K1, K2, V> {
-    k1: K1,
-    k2: K2,
+struct Slot<V> {
+    group: String,
+    query: String,
     version: AtomicU64,
-    value: V,
+    value: Arc<V>,
     referenced: AtomicBool,
 }
 
-/// The state behind [`ClockCache`]'s lock. Invariants: the slab is dense
-/// (`slots.len() ≤ capacity`), `index[k1][k2] == i` exactly when `slots[i]`
-/// holds `(k1, k2)`, and `hand < max(slots.len(), 1)`.
-struct Clock<K1, K2, V> {
-    slots: Vec<Slot<K1, K2, V>>,
+/// The state behind [`GroupCache`]'s lock. Invariants: the slab is dense
+/// (`slots.len() ≤ capacity`), `index[group][query] == i` exactly when
+/// `slots[i]` holds `(group, query)`, and `hand < max(slots.len(), 1)`.
+struct Clock<V> {
+    slots: Vec<Slot<V>>,
     /// Two levels instead of a tuple key so the hot read path can probe
-    /// with borrowed keys (`&str`, `&Prefix`) — a warm hit allocates nothing.
-    index: HashMap<K1, HashMap<K2, usize>>,
+    /// with borrowed `&str` keys — a warm hit allocates nothing.
+    index: HashMap<String, HashMap<String, usize>>,
     hand: usize,
 }
 
-/// The bounded, version-tagged, two-level-keyed CLOCK cache under
-/// [`GroupCache`] and [`crate::view_cache::ViewCache`]; the module docs
-/// describe the policy.
-pub(crate) struct ClockCache<K1, K2, V> {
-    inner: RwLock<Clock<K1, K2, V>>,
+/// A concurrent, bounded result cache keyed by `(group, query)`; the module
+/// docs describe the tagging and eviction policy.
+pub struct GroupCache<V> {
+    inner: RwLock<Clock<V>>,
     capacity: usize,
     stats: CacheStats,
 }
 
-impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
-    pub(crate) fn new(capacity: usize) -> Self {
+impl<V> GroupCache<V> {
+    /// Create with a maximum entry count.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         let clock = Clock { slots: Vec::new(), index: HashMap::new(), hand: 0 };
-        ClockCache { inner: RwLock::new(clock), capacity, stats: CacheStats::default() }
+        GroupCache { inner: RwLock::new(clock), capacity, stats: CacheStats::default() }
     }
 
-    pub(crate) fn stats(&self) -> &CacheStats {
+    /// Statistics.
+    pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
 
-    /// Entries held, older-tagged ones included. O(1).
-    pub(crate) fn len(&self) -> usize {
+    /// Number of entries held (older-tagged ones included until reclaimed).
+    /// O(1).
+    pub fn len(&self) -> usize {
         self.inner.read().slots.len()
     }
 
-    pub(crate) fn clear(&self) {
+    /// Whether the cache is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drop everything (e.g. policy change where lazy invalidation is not
+    /// acceptable).
+    pub fn clear(&self) {
         let mut guard = self.inner.write();
         guard.slots.clear();
         guard.index.clear();
         guard.hand = 0;
     }
 
-    /// The value cached for `(k1, k2)` if present *and* computed at
-    /// `version`, counting the lookup. A hit is a borrowed-key probe, the
-    /// reference bit (stored only if down) and a clone of `V` (an `Arc`).
-    pub(crate) fn get<Q1, Q2>(&self, k1: &Q1, k2: &Q2, version: u64) -> Option<V>
-    where
-        K1: Borrow<Q1>,
-        K2: Borrow<Q2>,
-        Q1: Eq + Hash + ?Sized,
-        Q2: Eq + Hash + ?Sized,
-    {
-        self.get_validated(k1, k2, version, |_| false)
+    /// Fetch the cached value for `(group, query)` if present *and* computed
+    /// at `version`, counting the lookup. A hit is a borrowed-key probe, the
+    /// reference bit (stored only if down) and an `Arc` clone — no
+    /// allocation (this is the engine's warm path).
+    pub fn get(&self, group: &str, query: &str, version: u64) -> Option<Arc<V>> {
+        self.probe(group, query, version, |_| false, true)
     }
 
-    /// [`Self::get`], except that an entry tagged with an *older* version
-    /// is put to `still_valid(tag)`: if the caller vouches for it, it is
-    /// re-tagged with `version`, counted as a use (reference bit, hit,
-    /// revalidation) and served; otherwise it is an invalidation and a miss,
-    /// exactly as under `get`. An entry at `version` never consults the
-    /// caller — the exact-tag hit path is `get`'s.
-    pub(crate) fn get_validated<Q1, Q2>(
+    /// [`Self::get`] that can outlive a version bump: an entry tagged with an
+    /// *older* version is put to `still_valid(tag)`. If the caller vouches
+    /// that nothing the answer depends on was written since `tag`, the entry
+    /// is re-tagged with `version` — so the next probe takes the exact-tag
+    /// path — counted as a use (reference bit, hit, revalidation) and served;
+    /// otherwise it is an invalidation and a miss, exactly as under `get`. An
+    /// entry at `version` never consults the caller. The owner decides; see
+    /// [`TouchStamps`](crate::touch::TouchStamps) for the rule the query
+    /// layer uses.
+    pub fn get_validated(
         &self,
-        k1: &Q1,
-        k2: &Q2,
+        group: &str,
+        query: &str,
         version: u64,
         still_valid: impl FnOnce(u64) -> bool,
-    ) -> Option<V>
-    where
-        K1: Borrow<Q1>,
-        K2: Borrow<Q2>,
-        Q1: Eq + Hash + ?Sized,
-        Q2: Eq + Hash + ?Sized,
-    {
+    ) -> Option<Arc<V>> {
+        self.probe(group, query, version, still_valid, true)
+    }
+
+    /// [`Self::get_validated`] for a caller that, should this probe fail,
+    /// probes again before it computes anything (the serving front: once
+    /// when a read is submitted, once when it is admitted): a hit is served
+    /// and counted as usual, anything else counts nothing, so each read
+    /// shows up in the counters once, with its final outcome.
+    pub fn get_validated_early(
+        &self,
+        group: &str,
+        query: &str,
+        version: u64,
+        still_valid: impl FnOnce(u64) -> bool,
+    ) -> Option<Arc<V>> {
+        self.probe(group, query, version, still_valid, false)
+    }
+
+    fn probe(
+        &self,
+        group: &str,
+        query: &str,
+        version: u64,
+        still_valid: impl FnOnce(u64) -> bool,
+        count_failure: bool,
+    ) -> Option<Arc<V>> {
         let guard = self.inner.read();
-        let slot = guard.index.get(k1).and_then(|m| m.get(k2)).map(|&i| &guard.slots[i]);
+        let slot = guard.index.get(group).and_then(|m| m.get(query)).map(|&i| &guard.slots[i]);
         if let Some(slot) = slot {
             // Relaxed throughout: the tag and the bit publish no other data
             // (the value was written under the write lock), and probes that
@@ -219,45 +247,65 @@ impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
                     slot.referenced.store(true, Ordering::Relaxed);
                 }
                 self.stats.record_hit();
-                return Some(slot.value.clone());
+                return Some(Arc::clone(&slot.value));
             }
             if tag < version && still_valid(tag) {
                 slot.version.store(version, Ordering::Relaxed);
                 slot.referenced.store(true, Ordering::Relaxed);
                 self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
                 self.stats.record_hit();
-                return Some(slot.value.clone());
+                return Some(Arc::clone(&slot.value));
             }
-            self.stats.record_invalidation();
+            if count_failure {
+                self.stats.record_invalidation();
+            }
         }
-        self.stats.record_miss();
+        if count_failure {
+            self.stats.record_miss();
+        }
         None
     }
 
-    /// Cache `value` for `(k1, k2)` at `version`, reclaiming one slot if
-    /// the cache is full.
-    pub(crate) fn insert<Q1, Q2>(&self, k1: &Q1, k2: &Q2, version: u64, value: V)
-    where
-        K1: Borrow<Q1>,
-        K2: Borrow<Q2>,
-        Q1: Eq + Hash + ToOwned<Owned = K1> + ?Sized,
-        Q2: Eq + Hash + ToOwned<Owned = K2> + ?Sized,
-    {
+    /// Fetch or compute-and-insert. `compute` runs outside the lock.
+    pub fn get_or_compute(
+        &self,
+        group: &str,
+        query: &str,
+        version: u64,
+        compute: impl FnOnce() -> V,
+    ) -> Arc<V> {
+        if let Some(v) = self.get(group, query, version) {
+            return v;
+        }
+        let value = Arc::new(compute());
+        self.insert(group, query, version, Arc::clone(&value));
+        value
+    }
+
+    /// Cache `value` for `(group, query)` at `version` (e.g. after a
+    /// stats-counted [`Self::get`] miss whose recompute needed other lookups
+    /// first), reclaiming one slot if the cache is full.
+    pub fn insert(&self, group: &str, query: &str, version: u64, value: Arc<V>) {
+        // What this insert displaces — a replaced value, or an evicted
+        // entry's keys and the last `Arc` of a whole answer — is freed only
+        // after the lock is released (declared first, dropped last): warm
+        // probes of this class do not wait on a deallocation.
+        let (_replaced, victim);
         let mut guard = self.inner.write();
         let Clock { slots, index, hand } = &mut *guard;
-        if let Some(&i) = index.get(k1).and_then(|m| m.get(k2)) {
+        if let Some(&i) = index.get(group).and_then(|m| m.get(query)) {
             // Replacing a key (a stale entry, or a racing compute of the
             // same one) does not grow the slab, so nothing is evicted — it
             // must not cost an unrelated hot entry. A recompute is a use.
             let slot = &mut slots[i];
             *slot.version.get_mut() = version;
-            slot.value = value;
+            _replaced = std::mem::replace(&mut slot.value, value);
             *slot.referenced.get_mut() = true;
             return;
         }
         let fresh = Slot {
-            k1: k1.to_owned(),
-            k2: k2.to_owned(),
+            group: group.to_owned(),
+            query: query.to_owned(),
             version: AtomicU64::new(version),
             value,
             referenced: AtomicBool::new(false),
@@ -285,146 +333,35 @@ impl<K1: Eq + Hash, K2: Eq + Hash, V: Clone> ClockCache<K1, K2, V> {
             // slot over, so no index entry ever points at another key's value.
             let i = *hand;
             *hand = (i + 1) % slots.len();
-            let victim = std::mem::replace(&mut slots[i], fresh);
-            let inner = index.get_mut::<K1>(&victim.k1).expect("victim is indexed");
-            inner.remove::<K2>(&victim.k2);
+            victim = std::mem::replace(&mut slots[i], fresh);
+            let inner = index.get_mut(&victim.group).expect("victim is indexed");
+            inner.remove(&victim.query);
             if inner.is_empty() {
-                index.remove::<K1>(&victim.k1);
+                index.remove(&victim.group);
             }
             i
         };
-        index.entry(k1.to_owned()).or_default().insert(k2.to_owned(), i);
-    }
-
-    /// Retag every entry with `version`, values unchanged.
-    pub(crate) fn advance(&self, version: u64) {
-        for slot in &mut self.inner.write().slots {
-            *slot.version.get_mut() = version;
-        }
-    }
-
-    /// Drop every entry under outer key `k1`, compacting the slab; returns
-    /// whether there were any.
-    pub(crate) fn remove_outer(&self, k1: &K1) -> bool {
-        let mut guard = self.inner.write();
-        let Clock { slots, index, hand } = &mut *guard;
-        let Some(inner) = index.remove(k1) else { return false };
-        let mut doomed: Vec<usize> = inner.into_values().collect();
-        // Highest first: the slot `swap_remove` moves into the hole is then
-        // never one still waiting to be removed. Its index entry follows it.
-        doomed.sort_unstable_by(|a, b| b.cmp(a));
-        for i in doomed {
-            slots.swap_remove(i);
-            if let Some(moved) = slots.get(i) {
-                let inner = index.get_mut(&moved.k1).expect("moved slot is indexed");
-                *inner.get_mut(&moved.k2).expect("moved slot is indexed") = i;
-            }
-        }
-        if *hand >= slots.len() {
-            *hand = 0;
-        }
-        true
+        index.entry(group.to_owned()).or_default().insert(query.to_owned(), i);
     }
 
     /// Panic unless the [`Clock`] invariants hold (test instrument).
-    pub(crate) fn assert_consistent(&self) {
+    #[doc(hidden)]
+    pub fn assert_consistent(&self) {
         let guard = self.inner.read();
         assert!(guard.slots.len() <= self.capacity, "slab exceeds capacity");
         assert!(guard.hand < guard.slots.len().max(1), "hand out of range");
         let indexed: usize = guard.index.values().map(|m| m.len()).sum();
         assert_eq!(indexed, guard.slots.len(), "index and slab disagree on size");
-        for (k1, inner) in &guard.index {
+        for (group, inner) in &guard.index {
             assert!(!inner.is_empty(), "empty inner map left behind");
-            for (k2, &i) in inner {
+            for (query, &i) in inner {
                 let slot = &guard.slots[i];
-                assert!(slot.k1 == *k1 && slot.k2 == *k2, "index points at another key's slot");
+                assert!(
+                    slot.group == *group && slot.query == *query,
+                    "index points at another key's slot"
+                );
             }
         }
-    }
-}
-
-/// A concurrent result cache keyed by `(group, query)`.
-pub struct GroupCache<V> {
-    core: ClockCache<String, String, Arc<V>>,
-}
-
-impl<V> GroupCache<V> {
-    /// Create with a maximum entry count.
-    pub fn new(capacity: usize) -> Self {
-        GroupCache { core: ClockCache::new(capacity) }
-    }
-
-    /// Statistics.
-    pub fn stats(&self) -> &CacheStats {
-        self.core.stats()
-    }
-
-    /// Number of entries held (older-tagged ones included until reclaimed).
-    pub fn len(&self) -> usize {
-        self.core.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Fetch the cached value for `(group, query)` if present *and* computed
-    /// at `version`. A hit is a borrowed-key probe plus an `Arc` clone — no
-    /// allocation (this is the engine's warm path) — and sets the entry's
-    /// reference bit.
-    pub fn get(&self, group: &str, query: &str, version: u64) -> Option<Arc<V>> {
-        self.core.get(group, query, version)
-    }
-
-    /// [`Self::get`] that can outlive a version bump: an entry tagged with an
-    /// older version is served — and re-tagged with `version`, so the next
-    /// probe takes the exact-tag path — iff `still_valid(tag)` vouches that
-    /// nothing the answer depends on was written since `tag`. The owner
-    /// decides; see [`TouchStamps`](crate::touch::TouchStamps) for the rule
-    /// the query layer uses.
-    pub fn get_validated(
-        &self,
-        group: &str,
-        query: &str,
-        version: u64,
-        still_valid: impl FnOnce(u64) -> bool,
-    ) -> Option<Arc<V>> {
-        self.core.get_validated(group, query, version, still_valid)
-    }
-
-    /// Fetch or compute-and-insert. `compute` runs outside the lock.
-    pub fn get_or_compute(
-        &self,
-        group: &str,
-        query: &str,
-        version: u64,
-        compute: impl FnOnce() -> V,
-    ) -> Arc<V> {
-        if let Some(v) = self.get(group, query, version) {
-            return v;
-        }
-        let value = Arc::new(compute());
-        self.insert(group, query, version, Arc::clone(&value));
-        value
-    }
-
-    /// Insert a value computed elsewhere (e.g. after a stats-counted
-    /// [`Self::get`] miss whose recompute needed other lookups first).
-    pub fn insert(&self, group: &str, query: &str, version: u64, value: Arc<V>) {
-        self.core.insert(group, query, version, value);
-    }
-
-    /// Drop everything (e.g. policy change where lazy invalidation is not
-    /// acceptable).
-    pub fn clear(&self) {
-        self.core.clear();
-    }
-
-    /// Panic unless index and slab agree (test instrument).
-    #[doc(hidden)]
-    pub fn assert_consistent(&self) {
-        self.core.assert_consistent();
     }
 }
 

@@ -1,5 +1,5 @@
-//! Model-based tests of the CLOCK cache core under [`GroupCache`] and
-//! [`ViewCache`].
+//! Model-based tests of the CLOCK cache core under [`GroupCache`], and of
+//! the per-spec [`ViewCache`] memo against its own (exact) reference.
 //!
 //! Random interleavings of every operation the wrappers expose run against
 //! a naive reference — a map from key to the `(version, value)` last stored
@@ -283,67 +283,75 @@ fn prefixes(repo: &Repository) -> Vec<Prefix> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// The view memo against its naive reference: per spec, the prefixes
+    /// built since the spec was last forgotten, oldest first, trimmed from
+    /// the front to the bound — exactly what the memo must hold. The memo is
+    /// told of deletes and edits only (`forget_spec`); policy swaps and
+    /// execution appends happen behind its back and must cost it nothing.
     #[test]
     fn view_cache_agrees_with_the_naive_reference(
-        capacity in 1usize..14,
+        bound in 1usize..5,
         ops in proptest::collection::vec((0u8..12, 0u32..3, 0usize..4), 1..120),
     ) {
         let mut repo = view_repo(3);
         let prefixes = prefixes(&repo);
-        let cache = ViewCache::new(capacity);
-        // Key → (version, view) last stored, as the cache should see it:
-        // `advance` retags, `invalidate_spec` and `clear` forget.
-        let mut stored: HashMap<(u32, usize), (u64, Arc<SpecView>)> = HashMap::new();
+        let cache = ViewCache::new(bound);
+        let mut resident: HashMap<u32, Vec<(usize, Arc<SpecView>)>> = HashMap::new();
         for (op, spec, p) in ops {
+            let stats = cache.stats();
             match op {
                 0..=6 => {
-                    let (hits, evictions, len) =
-                        (cache.stats().hits(), cache.stats().evictions(), cache.len());
-                    let view = cache.view(&repo, SpecId(spec), &prefixes[p]).unwrap();
+                    let (hits, misses, evictions) =
+                        (stats.hits(), stats.misses(), stats.evictions());
+                    let served = cache.view(&repo, SpecId(spec), &prefixes[p]);
+                    if !repo.is_live(SpecId(spec)) {
+                        prop_assert!(served.is_none(), "a deleted spec answered");
+                        prop_assert_eq!((stats.hits(), stats.misses()), (hits, misses));
+                        continue;
+                    }
+                    let view = served.unwrap();
                     prop_assert_eq!(view.prefix(), &prefixes[p]);
-                    let known = stored.get(&(spec, p));
-                    if cache.stats().hits() > hits {
-                        let (v, expect) = known.expect("hit on a key never stored");
-                        prop_assert_eq!(*v, repo.version(), "hit across a version change");
-                        prop_assert!(Arc::ptr_eq(&view, expect), "hit returned another key's view");
-                    } else {
-                        prop_assert!(
-                            cache.stats().evictions() > 0
-                                || known.is_none_or(|(v, _)| *v != repo.version()),
-                            "({spec}, {p}) lost although nothing was ever evicted"
-                        );
-                        if len < capacity {
-                            prop_assert_eq!(cache.stats().evictions(), evictions, "evicted with room");
+                    let slot = resident.entry(spec).or_default();
+                    match slot.iter().find(|(q, _)| *q == p) {
+                        Some((_, expect)) => {
+                            prop_assert!(Arc::ptr_eq(&view, expect), "not the memoized view");
+                            prop_assert_eq!((stats.hits(), stats.misses()), (hits + 1, misses));
                         }
-                        stored.insert((spec, p), (repo.version(), view));
+                        None => {
+                            prop_assert_eq!((stats.hits(), stats.misses()), (hits, misses + 1));
+                            let full = slot.len() == bound;
+                            if full {
+                                slot.remove(0);
+                            }
+                            prop_assert_eq!(stats.evictions(), evictions + u64::from(full));
+                            slot.push((p, view));
+                        }
                     }
                 }
-                // An execution append cannot stale a view: carry all forward.
-                7 => {
+                // Writes the memo is not told about: none stales a view.
+                7 if repo.is_live(SpecId(spec)) => {
                     let exec = fixtures::disease_susceptibility_execution(
                         &repo.entry(SpecId(spec)).unwrap().spec,
                     );
                     repo.add_execution(SpecId(spec), exec).unwrap();
-                    cache.advance(repo.version());
-                    stored.values_mut().for_each(|(v, _)| *v = repo.version());
                 }
-                // A policy swap drops that spec's views, carries the rest.
-                8 | 9 => {
+                8 | 9 if repo.is_live(SpecId(spec)) => {
                     repo.set_policy(SpecId(spec), Policy::public()).unwrap();
-                    cache.invalidate_spec(SpecId(spec), repo.version());
-                    stored.retain(|&(s, _), _| s != spec);
-                    stored.values_mut().for_each(|(v, _)| *v = repo.version());
                 }
-                // A write the cache is not told about: everything is stale.
-                10 => repo.set_policy(SpecId(spec), Policy::public()).unwrap(),
-                _ => {
+                // A delete, as the engine reports it.
+                10 if repo.is_live(SpecId(spec)) && p == 0 => {
+                    repo.delete_spec(SpecId(spec)).unwrap();
+                    cache.forget_spec(SpecId(spec));
+                    resident.remove(&spec);
+                }
+                11 if p == 0 => {
                     cache.clear();
-                    stored.clear();
+                    resident.clear();
                 }
+                _ => {}
             }
             cache.assert_consistent();
-            prop_assert!(cache.len() <= capacity);
-            prop_assert!(cache.len() <= stored.len());
+            prop_assert_eq!(cache.len(), resident.values().map(Vec::len).sum::<usize>());
         }
     }
 }
