@@ -7,12 +7,12 @@
 //!
 //! * `maintenance` — the per-write index cost after an execution append
 //!   (the dominant provenance write): `full_rebuild` re-tokenizes the
-//!   whole corpus as the pre-E13 engine did, `incremental_refresh`
-//!   verifies fingerprints and re-tags — the E13 lever, measured at the
-//!   same corpus size;
+//!   whole corpus as the pre-E13 engine did, `apply_effect` folds the
+//!   append's typed effect into the index (it indexes nothing) — the E13
+//!   lever, measured at the same corpus size;
 //! * `typed_write` — the whole engine pipeline (`QueryEngine::mutate`)
-//!   absorbing one execution append, including effect dispatch, index
-//!   refresh and access-memo advance.
+//!   absorbing one execution append, including effect dispatch and
+//!   stamping.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppwf_bench::{e11_corpus, e11_repo, standard_registry};
@@ -43,18 +43,13 @@ fn bench_incremental_writes(c: &mut Criterion) {
     {
         let mut repo = e11_repo(&corpus);
         let mut index = KeywordIndex::build(&repo);
-        group.bench_with_input(
-            BenchmarkId::new("maintenance", "incremental_refresh"),
-            &specs,
-            |b, _| {
-                b.iter(|| {
-                    repo.add_execution(SpecId(0), exec.clone()).unwrap();
-                    index.refresh(&repo);
-                    index.doc_count()
-                })
-            },
-        );
-        assert_eq!(index.full_builds(), 1, "refresh must never fully rebuild here");
+        group.bench_with_input(BenchmarkId::new("maintenance", "apply_effect"), &specs, |b, _| {
+            b.iter(|| {
+                let append = Mutation::AddExecution { spec: SpecId(0), exec: exec.clone() };
+                let effect = repo.apply(append).unwrap();
+                index.apply_effect(&repo, &effect).docs_moved
+            })
+        });
     }
 
     {

@@ -15,8 +15,8 @@
 //!   Must stay flat in the list length for `delta` (one block) and grow
 //!   only by a memmove for `tail` / `bitmap`.
 //! * `index/edit_spec/<state>` and `index/insert_delete/<state>` —
-//!   [`KeywordIndex::edit_spec`] of one spec, and an insert followed by
-//!   the [`KeywordIndex::delete_spec`] of it, on the 1 024-spec E11
+//!   [`KeywordIndex::apply_effect`] of one spec's edit, and of an insert
+//!   followed by the delete of that spec, on the 1 024-spec E11
 //!   corpus, with every list `unsealed` (no read since build — the
 //!   `write_durable` state) and `sealed` (every list read once before the
 //!   samples — the `mixed_live` state; the inserted spec's postings then
@@ -32,7 +32,7 @@ use ppwf_bench::{e11_corpus, e11_repo, e11_spec_params};
 use ppwf_core::policy::Policy;
 use ppwf_model::ids::{ModuleId, WorkflowId};
 use ppwf_repo::keyword_index::{KeywordIndex, Posting};
-use ppwf_repo::mutation::{ModuleTextEdit, SpecText};
+use ppwf_repo::mutation::{ModuleTextEdit, Mutation, SpecText};
 use ppwf_repo::postings::{PostingList, PostingsShape};
 use ppwf_repo::repository::{Repository, SpecId};
 use ppwf_repo::snapshot::{CowImage, CHUNK_SPECS};
@@ -122,8 +122,9 @@ fn bench_index(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("index/edit_spec", state), |b| {
             b.iter(|| {
                 i += 1;
-                repo.edit_spec(victim, &text(i)).unwrap();
-                index.edit_spec(&repo, victim);
+                let effect =
+                    repo.apply(Mutation::EditSpec { spec: victim, text: text(i) }).unwrap();
+                index.apply_effect(&repo, &effect);
                 index.doc_count()
             })
         });
@@ -131,14 +132,14 @@ fn bench_index(c: &mut Criterion) {
             b.iter(|| {
                 i += 1;
                 let spec = fresh[i as usize % fresh.len()].clone();
-                let id = repo.insert_spec(spec, Policy::public()).unwrap();
-                index.refresh_trusted(&repo);
-                repo.delete_spec(id).unwrap();
-                index.delete_spec(&repo, id);
+                let effect =
+                    repo.apply(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
+                index.apply_effect(&repo, &effect);
+                let effect = repo.apply(Mutation::DeleteSpec { spec: effect.spec() }).unwrap();
+                index.apply_effect(&repo, &effect);
                 index.doc_count()
             })
         });
-        assert_eq!(index.full_builds(), 1, "targeted maintenance never rebuilds");
     }
     group.finish();
 }

@@ -1,15 +1,14 @@
 //! E15 baseline emitter: the durability subsystem — WAL append
-//! throughput, crash-recovery time vs log length, the trusted-epoch
-//! index refresh, and the durable engine's read no-regression.
+//! throughput, crash-recovery time vs log length, and the durable engine's
+//! read no-regression.
 //!
 //! ```bash
 //! cargo run --release -p ppwf-bench --bin e15_durability -- \
 //!     [--out BENCH_e15_durability.json] [--specs 1024] [--writes 256] \
-//!     [--reads 200] [--seed 17] [--refresh-writes 64] \
-//!     [--min-trusted-speedup 5.0] [--max-read-regression 1.2]
+//!     [--reads 200] [--seed 17] [--max-read-regression 1.2]
 //! ```
 //!
-//! Four measured sections:
+//! Three measured sections:
 //!
 //! * **Append throughput.** The same typed write stream is appended to a
 //!   [`DurableLog`] over two backends: in-memory (the fault-injection
@@ -24,14 +23,6 @@
 //!   image outweighs the replayed suffix). Every recovery is asserted
 //!   byte-identical to a sequential reference replay before its time is
 //!   reported.
-//! * **Trusted-epoch refresh.** At `--specs` corpus size, per-write index
-//!   maintenance under the dominant write (execution appends) is measured
-//!   for the verifying `refresh` — which re-checks per-spec text
-//!   fingerprints across the corpus, O(corpus) per write — against
-//!   `refresh_trusted`, which trusts the typed-mutation epoch and does
-//!   structure work only, O(new specs). Gate: ≥ `--min-trusted-speedup`,
-//!   with the two indexes asserted bit-identical first. This closes the
-//!   "O(1) structure-free refresh" item the E13 boundary documented.
 //! * **Read no-regression.** A one-shard cluster grown through the
 //!   durable write path (WAL attached — durability lives at the cluster)
 //!   serves the read log against a fresh one-shard cluster over the
@@ -42,17 +33,13 @@
 //! **Honest boundaries.** Per-record fsync dominates real-file appends
 //! (that is the point of durable-on-acknowledge — the number is reported,
 //! not hidden); the read section's cadence snapshots run as jobs on the
-//! cluster's pool, and the timed reads start only once those have drained;
-//! and `refresh_trusted` is
-//! sound only because every durable write is a typed [`Mutation`] — the
-//! bench asserts bit-identity against the verifying path rather than
-//! assuming it. The binary exits non-zero when any acceptance gate fails.
+//! cluster's pool, and the timed reads start only once those have drained.
+//! The binary exits non-zero when any acceptance gate fails.
 
 use ppwf_bench::{
     e11_corpus, e11_query_log, e11_repo, e13_write_stream, standard_registry, E10_GROUPS,
 };
 use ppwf_query::EngineCluster;
-use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::mutation::Mutation;
 use ppwf_repo::repository::Repository;
 use ppwf_repo::storage::{FsStorage, MemStorage, StorageBackend};
@@ -66,8 +53,6 @@ struct Config {
     writes: usize,
     reads: usize,
     seed: u64,
-    refresh_writes: usize,
-    min_trusted_speedup: f64,
     max_read_regression: f64,
 }
 
@@ -78,8 +63,6 @@ fn parse_args() -> Config {
         writes: 256,
         reads: 200,
         seed: 17,
-        refresh_writes: 64,
-        min_trusted_speedup: 5.0,
         max_read_regression: 1.2,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -93,12 +76,6 @@ fn parse_args() -> Config {
             "--writes" => config.writes = need(i + 1).parse().expect("bad write count"),
             "--reads" => config.reads = need(i + 1).parse().expect("bad read count"),
             "--seed" => config.seed = need(i + 1).parse().expect("bad seed"),
-            "--refresh-writes" => {
-                config.refresh_writes = need(i + 1).parse().expect("bad refresh write count")
-            }
-            "--min-trusted-speedup" => {
-                config.min_trusted_speedup = need(i + 1).parse().expect("bad threshold")
-            }
             "--max-read-regression" => {
                 config.max_read_regression = need(i + 1).parse().expect("bad ratio")
             }
@@ -244,8 +221,8 @@ fn main() {
     let config = parse_args();
     println!("== E15: durable mutation WAL, snapshots, crash recovery ==");
     println!(
-        "corpus: {} specs · {} writes · {} reads · {} refresh writes · seed {}",
-        config.specs, config.writes, config.reads, config.refresh_writes, config.seed
+        "corpus: {} specs · {} writes · {} reads · seed {}",
+        config.specs, config.writes, config.reads, config.seed
     );
 
     let corpus = e11_corpus(config.specs, config.seed);
@@ -291,69 +268,7 @@ fn main() {
         recovery_rows.push((n, replay_us, snap_us));
     }
 
-    // -- section C: trusted-epoch refresh -----------------------------------
-    // The dominant write (execution appends) at full corpus size: the
-    // verifying refresh re-fingerprints the corpus per write, the trusted
-    // refresh does structure work only.
-    let exec_stream = e13_write_stream(&corpus, config.refresh_writes, 100, 0, config.seed ^ 0xC);
-    let mut repo_verify = e11_repo(&corpus);
-    let mut idx_verify = KeywordIndex::build(&repo_verify);
-    let mut verify_us = 0.0f64;
-    for mutation in exec_stream.iter().cloned() {
-        repo_verify.apply(mutation).expect("write stream valid");
-        let t = Instant::now();
-        idx_verify.refresh(&repo_verify);
-        verify_us += t.elapsed().as_secs_f64() * 1e6;
-    }
-    let mut repo_trusted = e11_repo(&corpus);
-    let mut idx_trusted = KeywordIndex::build(&repo_trusted);
-    let mut trusted_us = 0.0f64;
-    for mutation in exec_stream.iter().cloned() {
-        repo_trusted.apply(mutation).expect("write stream valid");
-        let t = Instant::now();
-        idx_trusted.refresh_trusted(&repo_trusted);
-        trusted_us += t.elapsed().as_secs_f64() * 1e6;
-    }
-    assert_eq!(
-        idx_trusted.trusted_refreshes(),
-        exec_stream.len(),
-        "every structure-free write must take the trusted path"
-    );
-    assert_eq!(idx_trusted.full_builds(), 1, "trusted refresh must never rebuild");
-    // Bit-identity before any number is believed.
-    assert_eq!(idx_trusted.doc_count(), idx_verify.doc_count());
-    assert_eq!(idx_trusted.term_count(), idx_verify.term_count());
-    for q in &read_log {
-        for term in q.split(',').map(str::trim) {
-            assert_eq!(
-                idx_trusted.lookup_query_term(term),
-                idx_verify.lookup_query_term(term),
-                "trusted vs verifying postings diverged on {term:?}"
-            );
-            assert_eq!(
-                idx_trusted.idf_cached(term).to_bits(),
-                idx_verify.idf_cached(term).to_bits(),
-                "trusted vs verifying idf bits diverged on {term:?}"
-            );
-        }
-    }
-    let trusted_speedup = verify_us / trusted_us;
-    let per_refresh = |us: f64| us / exec_stream.len().max(1) as f64;
-    println!(
-        "\n-- index refresh under execution appends ({} writes, {} specs) --",
-        exec_stream.len(),
-        config.specs
-    );
-    println!("{:>26} {:>14} {:>12}", "path", "µs/write", "speedup");
-    println!("{:>26} {:>14.2} {:>12}", "verifying refresh", per_refresh(verify_us), "1.0x");
-    println!(
-        "{:>26} {:>14.2} {:>11.1}x",
-        "trusted-epoch refresh",
-        per_refresh(trusted_us),
-        trusted_speedup
-    );
-
-    // -- section D: read no-regression under durability ---------------------
+    // -- section C: read no-regression under durability ---------------------
     // Both sides are one-shard clusters: durability attaches to a cluster,
     // and the fresh side must pay the same front for the ratio to be about
     // the log. A cold pass is one-shot per engine and totals a few ms, where
@@ -471,7 +386,7 @@ fn main() {
     let json = format!(
         r#"{{
   "experiment": "E15",
-  "title": "Durable mutation WAL + snapshots: crash recovery, trusted-epoch refresh, read no-regression",
+  "title": "Durable mutation WAL + snapshots: crash recovery, read no-regression",
   "seed": {seed},
   "corpus_specs": {specs},
   "writes": {writes},
@@ -485,15 +400,6 @@ fn main() {
   "recovery": [
     {recovery}
   ],
-  "trusted_refresh": {{
-    "exec_append_writes": {rw},
-    "verifying_us_per_write": {vu:.3},
-    "trusted_us_per_write": {tu:.3},
-    "speedup_trusted_vs_verifying": {ts:.3},
-    "trusted_refreshes": {tr},
-    "full_builds": 1,
-    "bit_identical_to_verifying": true
-  }},
   "read_path": {{
     "fresh_cold_us_per_query": {fc:.3},
     "durable_cold_us_per_query": {dc:.3},
@@ -504,12 +410,11 @@ fn main() {
     "durable_write_us_per_write": {dwu:.3}
   }},
   "acceptance": {{
-    "min_trusted_speedup": {mts:.1},
     "max_read_regression": {mrr:.2},
     "recovery_bit_identical_at_every_ladder_point": true,
     "every_mutate_appended_before_apply": true
   }},
-  "note": "per-record fsync dominates real-file appends (durable-on-acknowledge is priced, not hidden); without a pool a cadence snapshot serializes its dirty chunks while the write path waits, trading recovery replay length against a periodic pause; refresh_trusted is sound only under typed mutations and is asserted bit-identical to the verifying path here"
+  "note": "per-record fsync dominates real-file appends (durable-on-acknowledge is priced, not hidden); without a pool a cadence snapshot serializes its dirty chunks while the write path waits, trading recovery replay length against a periodic pause"
 }}
 "#,
         seed = config.seed,
@@ -521,11 +426,6 @@ fn main() {
         mem = mem_us / appends,
         fss = fs_sync_us / appends,
         recovery = recovery_json,
-        rw = exec_stream.len(),
-        vu = per_refresh(verify_us),
-        tu = per_refresh(trusted_us),
-        ts = trusted_speedup,
-        tr = idx_trusted.trusted_refreshes(),
         fc = per_q(fresh_cold_us),
         dc = per_q(durable_cold_us),
         cr = cold_ratio,
@@ -533,22 +433,11 @@ fn main() {
         dw = per_q(durable_warm_us),
         wr = warm_ratio,
         dwu = durable_write_us / stream.len() as f64,
-        mts = config.min_trusted_speedup,
         mrr = config.max_read_regression,
     );
     std::fs::write(&config.out, &json).expect("write baseline JSON");
     println!("\nbaseline written to {}", config.out);
 
-    println!(
-        "trusted refresh speedup: {trusted_speedup:.2}x (threshold {:.1}x)",
-        config.min_trusted_speedup
-    );
-    assert!(
-        trusted_speedup >= config.min_trusted_speedup,
-        "E15 acceptance: trusted-epoch refresh must be ≥{:.1}x the verifying refresh at {} specs (got {trusted_speedup:.2}x)",
-        config.min_trusted_speedup,
-        config.specs
-    );
     assert!(
         cold_ratio <= config.max_read_regression && warm_ratio <= config.max_read_regression,
         "E15 acceptance: the durable engine regressed reads (cold {cold_ratio:.2}x, warm {warm_ratio:.2}x, gate {:.2}x)",

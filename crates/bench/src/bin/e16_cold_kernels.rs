@@ -31,10 +31,11 @@
 //!   counters asserted hit-only (the warm path never re-enters the
 //!   kernel pipeline).
 //! * **Write no-regression.** A typed write stream drives per-write
-//!   `refresh` on the block-compressed index versus the PR-6 refresh
-//!   replica (same fingerprint verification scan, `Vec` append tail).
-//!   Gate: kernel refresh ≤ `--max-write-ratio` × baseline refresh; the
-//!   maintained index must answer the log identically to a fresh build.
+//!   maintenance of the block-compressed index (`apply_effect` on each
+//!   write's effect) versus the PR-6 refresh replica (fingerprint
+//!   verification scan, `Vec` append tail). Gate: kernel maintenance ≤
+//!   `--max-write-ratio` × baseline refresh; the maintained index must
+//!   answer the log identically to a fresh build.
 //! * **Seal boundary (honest cost).** Lists compress on *first* lookup;
 //!   a freshly built index pays that once per touched term. Reported as
 //!   first-pass vs sealed-pass lookup time — not gated, but committed.
@@ -625,9 +626,9 @@ fn main() {
     let mut idx_kernel = KeywordIndex::build(&repo_kernel);
     let mut kernel_write_us = 0.0f64;
     for m in stream.iter().cloned() {
-        repo_kernel.apply(m).expect("write stream valid");
+        let effect = repo_kernel.apply(m).expect("write stream valid");
         let t = Instant::now();
-        idx_kernel.refresh(&repo_kernel);
+        idx_kernel.apply_effect(&repo_kernel, &effect);
         kernel_write_us += t.elapsed().as_secs_f64() * 1e6;
     }
     let write_ratio = kernel_write_us / base_write_us;

@@ -14,16 +14,18 @@
 //!
 //! Mutations go through [`QueryEngine::mutate`], which consumes a typed
 //! [`Mutation`] and keys its maintenance on the returned
-//! [`MutationEffect`]: spec inserts *append* to the keyword index
-//! ([`KeywordIndex::refresh`] — no full rebuild); policy swaps drop only
-//! the touched spec's access memo; execution appends — the dominant write,
-//! provenance accruing over repeated executions — leave the index, the
-//! access memos *and every result cache* untouched, because no keyword,
-//! private or ranked answer reads executions. Result caches are therefore
-//! tagged with the engine's [`QueryEngine::results_version`], which only
-//! moves when an effect can change answers, not with the raw repository
-//! version — and an answer-changing write strands only the cached answers
-//! it can have changed: it stamps the written spec's vocabulary in the
+//! [`MutationEffect`]: the keyword index folds the effect in
+//! ([`KeywordIndex::apply_effect`] — an insert appends, a delete or edit
+//! retracts one spec, nothing is rebuilt or re-verified); policy swaps
+//! drop only the touched spec's access memo; execution appends — the
+//! dominant write, provenance accruing over repeated executions — leave
+//! the index, the access memos *and every result cache* untouched, because
+//! no keyword, private or ranked answer reads executions. Result caches
+//! are therefore tagged with the engine's
+//! [`QueryEngine::results_version`], which only moves when an effect can
+//! change answers, not with the raw repository version — and an
+//! answer-changing write strands only the cached answers it can have
+//! changed: it stamps the written spec's vocabulary in the
 //! engine's [`TouchStamps`], and a probe that finds an entry with an older
 //! tag re-admits it exactly when the stamps show that nothing it depends on
 //! was written since (the rules, and why they are a privacy invariant, are
@@ -58,6 +60,10 @@ pub enum Plan {
     /// Privacy pushed into the index (the production plan).
     FilterThenSearch,
     /// Oblivious full search, then per-hit coarsening (the costly plan).
+    /// Its answers are a subset of [`Plan::FilterThenSearch`]'s by spec,
+    /// not equal to them: coarsening can drop a spec whose admissible match
+    /// the oblivious search did not pick (see
+    /// [`crate::privacy_exec`]).
     SearchThenZoomOut,
 }
 
@@ -192,7 +198,7 @@ pub struct QueryEngine {
     views: ViewCache,
     /// Lazy per-group access-view memos: cold queries resolve rules only
     /// for candidate specs, and the products survive across queries until
-    /// a version bump or registry swap.
+    /// the spec's policy swap, delete or edit, or a registry swap.
     access: AccessCache,
     /// The `(group, query)` result caches, one per query class.
     results: ResultCaches<RankedAnswer>,
@@ -278,36 +284,38 @@ impl QueryEngine {
     /// Apply a typed repository mutation, keying every layer's maintenance
     /// on the returned [`MutationEffect`]:
     ///
-    /// * **spec insert** — the keyword index *appends* the new spec's
-    ///   postings ([`KeywordIndex::refresh`], no full rebuild), access
-    ///   memos carry forward (existing specs and hierarchies are
-    ///   untouched), and the view memo is not told: it has no slot for
-    ///   the new spec yet;
+    /// The keyword index sees every effect first
+    /// ([`KeywordIndex::apply_effect`]) and reports what it touched; then:
+    ///
+    /// * **spec insert** — the index *appends* the new spec's postings;
+    ///   neither memo is told: access prefixes and views are resolved
+    ///   against a spec's hierarchy, and no existing hierarchy changed;
     /// * **policy swap** — zero index work, only the touched spec's access
-    ///   memo drops; its memoized views stay, `Arc` for `Arc` — a view
-    ///   reads structure, never a policy;
-    /// * **execution append** — zero index work, access memos carry
-    ///   forward, the view memo is not touched, and results stay *warm*:
-    ///   provenance is not part of any keyword, private or ranked answer,
-    ///   so neither [`Self::results_version`] nor any stamp moves;
-    /// * **spec delete** — the keyword index retracts exactly the retired
-    ///   spec's postings ([`KeywordIndex::delete_spec`], no rebuild), the
-    ///   touched spec's access memo drops, and so does its slot of the
-    ///   view memo ([`ViewCache::forget_spec`]) — nothing can ask for
-    ///   those views again;
-    /// * **spec edit** — the keyword index retracts and re-indexes the one
-    ///   spec in place ([`KeywordIndex::edit_spec`]), with the same
-    ///   per-spec drops as a delete (for views the conservative contract:
-    ///   an edit is text-only by type and no view reads text).
+    ///   memo entries drop ([`AccessCache::forget_spec`]); its memoized
+    ///   views stay, `Arc` for `Arc` — a view reads structure, never a
+    ///   policy;
+    /// * **execution append** — zero index work, neither memo is told, and
+    ///   results stay *warm*: provenance is not part of any keyword,
+    ///   private or ranked answer, so neither [`Self::results_version`]
+    ///   nor any stamp moves;
+    /// * **spec delete** — the index retracts exactly the retired spec's
+    ///   postings, and the spec's access memo entries and view memo slot
+    ///   ([`ViewCache::forget_spec`]) drop — a dead id answers `None`
+    ///   before either memo is consulted, so this returns their memory;
+    /// * **spec edit** — the index retracts and re-indexes the one spec in
+    ///   place, with the same per-spec drops as a delete (the conservative
+    ///   contract: an edit is text-only by type and neither a prefix nor a
+    ///   view reads text).
     ///
     /// Every effect but the execution append advances
     /// [`Self::results_version`] and stamps the written spec's vocabulary —
-    /// what it posted before the write *and* what it posts after — with the
-    /// new version, plus the document count when that moved. Cached answers
-    /// are then judged one by one at their next probe: an entry that can
-    /// have named the written spec (or, if ranked, read a statistic the
-    /// write moved) is recomputed, every other entry is re-admitted at the
-    /// new version ([`ppwf_repo::touch`] has the rules).
+    /// what it posted before the write *and* what it posts after, as the
+    /// index reports them — with the new version, plus the document count
+    /// when that moved. Cached answers are then judged one by one at their
+    /// next probe: an entry that can have named the written spec (or, if
+    /// ranked, read a statistic the write moved) is recomputed, every other
+    /// entry is re-admitted at the new version ([`ppwf_repo::touch`] has
+    /// the rules).
     ///
     /// A failed mutation (validation error) changes nothing anywhere.
     ///
@@ -329,74 +337,33 @@ impl QueryEngine {
     ) -> Result<MutationEffect> {
         let effect = self.repo.apply(mutation)?;
         let version = self.repo.version();
-        let mut tables = [
-            Some((&mut self.stamps, version)),
-            front.map(|front| (front.stamps, version + front.offset)),
-        ];
-        let mut touch = |vocabulary: Option<&[String]>| {
-            for (stamps, at) in tables.iter_mut().flatten() {
-                match vocabulary {
-                    Some(vocabulary) => stamps.touch(vocabulary, *at),
-                    // A spec the index never held: nothing says which
-                    // answers named it, so none may outlive the write.
-                    None => stamps.touch_everything(*at),
-                }
+        // What the write touched in the index: the vocabulary the spec
+        // leaves behind (a cached answer that named it then must not
+        // survive a delete, an edit or a policy swap), the vocabulary it
+        // arrives with (an answer it belongs in now was computed without
+        // it), and whether the document count moved.
+        let touched = self.index.apply_effect(&self.repo, &effect);
+        let front = front.map(|front| (front.stamps, version + front.offset));
+        for (stamps, at) in std::iter::once((&mut self.stamps, version)).chain(front) {
+            stamps.touch(&touched.left, at);
+            stamps.touch(touched.arrived, at);
+            if touched.docs_moved {
+                stamps.touch_docs(at);
             }
-        };
-        // The vocabulary the spec is leaving behind, while the index still
-        // describes the spec as it was: a cached answer that named it then
-        // must not survive a delete, an edit or a policy swap.
-        if let MutationEffect::PolicyChanged { spec }
-        | MutationEffect::SpecDeleted { spec }
-        | MutationEffect::SpecEdited { spec } = effect
-        {
-            touch(self.index.posted_tokens(spec));
         }
-        let docs = self.index.doc_count();
-        // Index maintenance is keyed on the typed effect. Non-destructive
-        // effects take the trusted-epoch refresh: the engine owns this
-        // repository and every write is a typed mutation, so the per-write
-        // O(corpus) fingerprint
-        // verification scan is structurally redundant — `refresh_trusted`
-        // appends in O(new specs) and degrades to the verifying rebuild
-        // if the invariant is ever broken. Destructive effects route to
-        // the targeted retraction/re-index paths, which re-sync the
-        // structure epoch the trusted shortcut keys on.
+        if effect.changes_visible_state() {
+            self.results_version = version;
+        }
+        // Access prefixes and views are resolved against a spec's
+        // hierarchy, which no write replaces: their memos carry nothing for
+        // inserts or execution appends to move.
         match effect {
-            MutationEffect::SpecDeleted { spec } => self.index.delete_spec(&self.repo, spec),
-            MutationEffect::SpecEdited { spec } => self.index.edit_spec(&self.repo, spec),
-            _ => self.index.refresh_trusted(&self.repo),
-        }
-        // And the vocabulary it arrives with: an answer it belongs in now
-        // was computed without it.
-        if let MutationEffect::SpecInserted { spec } | MutationEffect::SpecEdited { spec } = effect
-        {
-            touch(self.index.posted_tokens(spec));
-        }
-        if self.index.doc_count() != docs {
-            for (stamps, at) in tables.iter_mut().flatten() {
-                stamps.touch_docs(*at);
+            MutationEffect::PolicyChanged { spec } => self.access.forget_spec(spec),
+            MutationEffect::SpecDeleted { spec } | MutationEffect::SpecEdited { spec } => {
+                self.access.forget_spec(spec);
+                self.views.forget_spec(spec);
             }
-        }
-        match effect {
-            MutationEffect::SpecInserted { .. } => {
-                // Existing access prefixes read only immutable state (spec
-                // structure, hierarchies); carry them forward.
-                self.access.advance(version);
-                self.results_version = version;
-            }
-            MutationEffect::ExecutionAppended { .. } => self.access.advance(version),
-            MutationEffect::PolicyChanged { spec }
-            | MutationEffect::SpecDeleted { spec }
-            | MutationEffect::SpecEdited { spec } => {
-                self.access.invalidate_spec(spec, version);
-                self.results_version = version;
-            }
-        }
-        // The view memo is keyed by structure, which only these two retire
-        // or rewrite; it carries no version for any other write to move.
-        if let MutationEffect::SpecDeleted { spec } | MutationEffect::SpecEdited { spec } = effect {
-            self.views.forget_spec(spec);
+            MutationEffect::SpecInserted { .. } | MutationEffect::ExecutionAppended { .. } => {}
         }
         self.stamps.trim(self.index.term_count(), version);
         Ok(effect)
@@ -412,17 +379,16 @@ impl QueryEngine {
 
     /// Replace the registry (e.g. a group's access rule changed). Result
     /// caches and the access memo are cleared outright: group keys may now
-    /// mean different privileges, and lazy version tags cannot see
-    /// registry changes.
+    /// mean different privileges, which no hierarchy witness can see.
     pub fn set_registry(&mut self, registry: PrincipalRegistry) {
         self.registry = registry;
         self.access.clear();
         self.results.clear();
     }
 
-    /// A lazy access resolver for `group` at the current repository
-    /// version — the cold path's privilege source. Exposed so operators
-    /// and tests can drive/inspect resolution directly; query entry points
+    /// A lazy access resolver for `group` over the current repository —
+    /// the cold path's privilege source. Exposed so operators and tests
+    /// can drive/inspect resolution directly; query entry points
     /// call it internally after their result-cache probe misses.
     pub fn access_resolver(&self, group: &str) -> Option<AccessResolver<'_>> {
         self.access.resolver(&self.registry, &self.repo, group)
@@ -597,11 +563,9 @@ pub(crate) mod tests {
     #[test]
     fn insert_appends_to_the_index_without_rebuilding() {
         let mut e = engine();
-        assert_eq!(e.index().full_builds(), 1);
         let docs = e.index().docs_indexed();
         let (spec, _) = fixtures::disease_susceptibility();
         e.mutate(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
-        assert_eq!(e.index().full_builds(), 1, "insert must append, not rebuild");
         assert_eq!(e.index().docs_indexed(), docs * 2, "only the new spec's modules indexed");
         assert_eq!(e.index().doc_count(), 30);
     }
@@ -610,18 +574,14 @@ pub(crate) mod tests {
     fn execution_appends_leave_results_warm_and_index_untouched() {
         let mut e = engine();
         let before = e.search_as("researchers", "risk").unwrap();
-        let (full_builds, docs) = (e.index().full_builds(), e.index().docs_indexed());
+        let docs = e.index().docs_indexed();
         let exec = {
             let entry = e.repo().entry(SpecId(0)).unwrap();
             fixtures::disease_susceptibility_execution(&entry.spec)
         };
         let effect = e.mutate(Mutation::AddExecution { spec: SpecId(0), exec }).unwrap();
         assert!(!effect.changes_visible_state());
-        assert_eq!(
-            (e.index().full_builds(), e.index().docs_indexed()),
-            (full_builds, docs),
-            "provenance appends must cost zero index work"
-        );
+        assert_eq!(e.index().docs_indexed(), docs, "provenance appends must cost zero index work");
         let after = e.search_as("researchers", "risk").unwrap();
         assert!(Arc::ptr_eq(&before, &after), "the cached answer must survive the append");
         let stats = e.stats();
@@ -647,14 +607,10 @@ pub(crate) mod tests {
         // Warm: resolves both specs' rules (one candidate posting each).
         e.search_as("researchers", "database").unwrap();
         assert_eq!(e.stats().access.misses, 2);
-        let (full_builds, docs) = (e.index().full_builds(), e.index().docs_indexed());
+        let docs = e.index().docs_indexed();
 
         e.mutate(Mutation::SetPolicy { spec: SpecId(0), policy: Policy::public() }).unwrap();
-        assert_eq!(
-            (e.index().full_builds(), e.index().docs_indexed()),
-            (full_builds, docs),
-            "policy swaps must cost zero index work"
-        );
+        assert_eq!(e.index().docs_indexed(), docs, "policy swaps must cost zero index work");
         // Results are stale (policies gate privacy-filtered answers)...
         e.search_as("researchers", "database").unwrap();
         assert!(e.stats().keyword.invalidations >= 1);
@@ -670,8 +626,8 @@ pub(crate) mod tests {
         e.mutate(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
         assert_eq!(e.search_as("researchers", "database").unwrap().len(), 2);
 
-        // Edit spec 1's M5 text: targeted re-index, no rebuild, cached
-        // answers for the query drop.
+        // Edit spec 1's M5 text: targeted re-index, cached answers for the
+        // query drop.
         let effect = e
             .mutate(Mutation::EditSpec {
                 spec: SpecId(1),
@@ -685,26 +641,16 @@ pub(crate) mod tests {
             })
             .unwrap();
         assert!(effect.is_destructive());
-        assert_eq!(e.index().full_builds(), 1, "edit must use the targeted path, not a rebuild");
         assert_eq!(e.search_as("researchers", "database").unwrap().len(), 1);
         assert_eq!(e.search_as("researchers", "redacted").unwrap().len(), 1);
 
         // Delete spec 0: its postings retract, the other spec's answers
         // survive, and the tombstone refuses further destructive writes.
         e.mutate(Mutation::DeleteSpec { spec: SpecId(0) }).unwrap();
-        assert_eq!(e.index().full_builds(), 1, "delete must use the targeted path");
         assert!(e.index().docs_retracted() > 0);
         assert_eq!(e.search_as("researchers", "database").unwrap().len(), 0);
         assert_eq!(e.search_as("researchers", "redacted").unwrap().len(), 1);
         assert!(e.mutate(Mutation::DeleteSpec { spec: SpecId(0) }).is_err());
-
-        // A later insert still rides the trusted append shortcut: the
-        // targeted maintenance re-synced the structure epoch.
-        let trusted = e.index().trusted_refreshes();
-        let (spec, _) = fixtures::disease_susceptibility();
-        e.mutate(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
-        assert_eq!(e.index().trusted_refreshes(), trusted + 1);
-        assert_eq!(e.index().full_builds(), 1);
     }
 
     #[test]

@@ -2,13 +2,19 @@
 //! invisible in every read structure they maintain.
 //!
 //! Property 1 (index bit-equivalence): across randomized mutation
-//! sequences — spec inserts, execution appends, policy swaps — a
-//! [`KeywordIndex`] maintained by `refresh` is bit-identical to a fresh
-//! full build of the final corpus: postings (specs, modules, workflows,
-//! term frequencies, order), `doc_count`, and the df/idf memo's answers.
-//! The build counters prove *how* it got there: execution appends and
-//! policy swaps perform zero index work, inserts append exactly the new
-//! specs' modules, and a full rebuild never fires.
+//! sequences — spec inserts, execution appends, policy swaps, deletes, text
+//! edits and edits that reorder a module's name tokens — a
+//! [`KeywordIndex`] maintained only through `apply_effect` is, after
+//! *every* write, bit-identical to a fresh `KeywordIndex::build` of the
+//! same repository: the raw postings of every key any spec ever posted
+//! (single tokens and whole-tag phrases, so a key the index failed to drop
+//! shows up), name-phrase lookups, `doc_count`, df / memoized df / idf
+//! bits, and each spec's posted vocabulary. The touch report is what the
+//! write changed (the vocabulary before and after, whether `doc_count`
+//! moved), and the counters prove *how* the index got there: execution
+//! appends and policy swaps perform zero index work, inserts index exactly
+//! the new spec, deletes and edits retract exactly the spec's old
+//! postings.
 //!
 //! Property 2 (front-cache staleness): a cluster serving through its
 //! version-vectored front cache never serves a stale merged answer across
@@ -25,12 +31,13 @@ use ppwf_model::exec::{Executor, HashOracle};
 use ppwf_query::cluster::{EngineCluster, Mutation, MutationEffect};
 use ppwf_query::engine::QueryEngine;
 use ppwf_query::keyword::{search_filtered, KeywordHit, KeywordQuery};
-use ppwf_repo::keyword_index::KeywordIndex;
+use ppwf_repo::keyword_index::{tokenize, KeywordIndex};
 use ppwf_repo::mutation::{ModuleTextEdit, SpecText};
 use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
 use ppwf_repo::repository::{Repository, SpecId};
 use ppwf_workloads::genspec::{generate_spec, SpecParams};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const QUERIES: [&str; 6] = ["kw0", "kw0, kw1", "kw2", "kw1, kw3", "kw5", "kw0, kw2"];
 const GROUPS: [&str; 3] = ["public", "analysts", "researchers"];
@@ -55,7 +62,9 @@ fn random_repo(seed: u64, specs: usize) -> Repository {
 
 /// Materialize the `i`-th random mutation against the current repository
 /// state: 0 → insert, 1 → execution append, 2 → policy swap, 3 → spec
-/// delete, 4 → spec text edit. Targets are drawn from the *live* slots
+/// delete, 4 → spec text edit, 5 → an edit that reverses one module's name
+/// tokens (same tokens, so only phrase lookups can tell). Targets are drawn
+/// from the *live* slots
 /// (destructive histories leave tombstones); with no live spec left, or
 /// no editable module on the chosen spec, the write degenerates to an
 /// insert so every stream element stays applicable.
@@ -70,7 +79,7 @@ fn mutation_of(kind: u8, seed: u64, repo: &Repository) -> Mutation {
         return insert();
     }
     let target = live[(seed % live.len() as u64) as usize];
-    match kind % 5 {
+    match kind % 6 {
         0 => insert(),
         1 => {
             let exec = Executor::new(&repo.entry(target).unwrap().spec)
@@ -80,25 +89,78 @@ fn mutation_of(kind: u8, seed: u64, repo: &Repository) -> Mutation {
         }
         2 => Mutation::SetPolicy { spec: target, policy: Policy::public() },
         3 => Mutation::DeleteSpec { spec: target },
-        _ => {
+        kind => {
             let spec = &repo.entry(target).unwrap().spec;
             let editable: Vec<_> = spec.modules().filter(|m| !m.kind.is_distinguished()).collect();
             if editable.is_empty() {
                 return insert();
             }
             let module = editable[(seed % editable.len() as u64) as usize];
-            Mutation::EditSpec {
-                spec: target,
-                text: SpecText {
-                    edits: vec![ModuleTextEdit {
-                        module: module.id,
-                        name: format!("edited step {seed}"),
-                        keywords: vec![format!("kw{}", seed % 8), "edited".to_string()],
-                    }],
-                },
+            let edit = if kind == 4 {
+                ModuleTextEdit {
+                    module: module.id,
+                    name: format!("edited step {seed}"),
+                    keywords: vec![format!("kw{}", seed % 8), "edited".to_string()],
+                }
+            } else {
+                let mut name = tokenize(&module.name);
+                name.reverse();
+                ModuleTextEdit {
+                    module: module.id,
+                    name: name.join(" "),
+                    keywords: module.keywords.clone(),
+                }
+            };
+            Mutation::EditSpec { spec: target, text: SpecText { edits: vec![edit] } }
+        }
+    }
+}
+
+/// Add every key `repo`'s text produces to `keys`: single tokens, whole
+/// tags, and each module's full name and consecutive name-token pairs (the
+/// phrases that match through adjacency rather than a tag).
+fn collect_keys(repo: &Repository, keys: &mut BTreeSet<String>) {
+    for (_, entry) in repo.entries() {
+        for module in entry.spec.modules().filter(|m| !m.kind.is_distinguished()) {
+            let name = tokenize(&module.name);
+            keys.extend(name.windows(2).map(|pair| pair.join(" ")));
+            keys.insert(name.join(" "));
+            keys.extend(name);
+            for tag in &module.keywords {
+                let tag = tokenize(tag);
+                keys.insert(tag.join(" "));
+                keys.extend(tag);
             }
         }
     }
+    keys.remove("");
+}
+
+/// `idx` answers exactly as a fresh build of `repo` over every key in
+/// `keys` (raw term and phrase lists, so an emptied key the index kept is
+/// `Some([])` against `None`), and holds the same per-spec vocabulary.
+fn assert_equals_build(
+    idx: &KeywordIndex,
+    repo: &Repository,
+    keys: &BTreeSet<String>,
+) -> Result<(), TestCaseError> {
+    let fresh = KeywordIndex::build(repo);
+    prop_assert_eq!(idx.doc_count(), fresh.doc_count());
+    prop_assert_eq!(idx.term_count(), fresh.term_count());
+    for key in keys {
+        let raw = |i: &KeywordIndex| {
+            (i.term_postings(key).map(|l| l.to_vec()), i.phrase_postings(key).map(|l| l.to_vec()))
+        };
+        prop_assert_eq!(raw(idx), raw(&fresh), "raw lists diverged on {:?}", key);
+        prop_assert_eq!(idx.lookup_query_term(key), fresh.lookup_query_term(key), "{:?}", key);
+        prop_assert_eq!(idx.df(key), fresh.df(key));
+        prop_assert_eq!(idx.df_cached(key), fresh.df_cached(key), "df memo on {:?}", key);
+        prop_assert_eq!(idx.idf_cached(key).to_bits(), fresh.idf_cached(key).to_bits());
+    }
+    for (spec, _) in repo.slots() {
+        prop_assert_eq!(idx.posted_tokens(spec), fresh.posted_tokens(spec), "{:?}", spec);
+    }
+    Ok(())
 }
 
 fn hits_identical(a: &[KeywordHit], b: &[KeywordHit]) -> bool {
@@ -111,110 +173,58 @@ fn hits_identical(a: &[KeywordHit], b: &[KeywordHit]) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A refreshed index is bit-identical to a full rebuild of the final
-    /// corpus — postings, doc_count, df/idf — and the counters prove the
-    /// work was incremental: zero for execution appends and policy swaps,
-    /// per-spec for inserts, no full rebuild ever.
+    /// An index maintained through `apply_effect` alone equals a fresh
+    /// build after every write, reports what each write touched, and does
+    /// exactly the per-spec work the effect names.
     #[test]
     fn incremental_index_equals_full_rebuild(
         seed in any::<u64>(),
         specs in 2usize..5,
-        writes in proptest::collection::vec((0u8..5, any::<u64>()), 1..10),
+        writes in proptest::collection::vec((0u8..6, any::<u64>()), 1..10),
     ) {
         let mut repo = random_repo(seed, specs);
         let mut idx = KeywordIndex::build(&repo);
-        prop_assert_eq!(idx.full_builds(), 1);
+        let mut keys = BTreeSet::new();
+        collect_keys(&repo, &mut keys);
 
         for &(kind, wseed) in &writes {
             let mutation = mutation_of(kind, wseed, &repo);
-            let (full_builds, docs_indexed, docs_retracted) =
-                (idx.full_builds(), idx.docs_indexed(), idx.docs_retracted());
+            let (docs_indexed, docs_retracted, doc_count) =
+                (idx.docs_indexed(), idx.docs_retracted(), idx.doc_count());
             let effect = repo.apply(mutation).unwrap();
-            // The engine's typed dispatch: destructive effects take the
-            // targeted maintenance path, everything else refreshes.
-            match effect {
-                MutationEffect::SpecDeleted { spec } => idx.delete_spec(&repo, spec),
-                MutationEffect::SpecEdited { spec } => idx.edit_spec(&repo, spec),
-                _ => idx.refresh(&repo),
-            }
-            prop_assert_eq!(
-                idx.full_builds(),
-                full_builds,
-                "typed maintenance must never fully rebuild"
-            );
-            match effect {
-                MutationEffect::SpecInserted { spec } => {
-                    let added = repo
-                        .entry(spec)
-                        .unwrap()
-                        .spec
-                        .modules()
-                        .filter(|m| !m.kind.is_distinguished())
-                        .count();
-                    prop_assert_eq!(
-                        idx.docs_indexed(),
-                        docs_indexed + added,
-                        "insert must index exactly the new spec's modules"
-                    );
-                }
-                MutationEffect::ExecutionAppended { .. }
-                | MutationEffect::PolicyChanged { .. } => {
-                    prop_assert_eq!(
-                        idx.docs_indexed(),
-                        docs_indexed,
-                        "structure-free writes must perform zero index work"
-                    );
-                }
-                MutationEffect::SpecDeleted { spec } => {
-                    prop_assert!(repo.entry(spec).is_none(), "delete leaves a tombstone");
-                    prop_assert_eq!(
-                        idx.docs_indexed(),
-                        docs_indexed,
-                        "delete must index nothing new"
-                    );
-                    prop_assert!(
-                        idx.docs_retracted() > docs_retracted,
-                        "delete must retract the spec's postings"
-                    );
-                }
-                MutationEffect::SpecEdited { spec } => {
-                    let docs = repo
-                        .entry(spec)
-                        .unwrap()
-                        .spec
-                        .modules()
-                        .filter(|m| !m.kind.is_distinguished())
-                        .count();
-                    prop_assert_eq!(
-                        idx.docs_indexed(),
-                        docs_indexed + docs,
-                        "edit must re-index exactly the edited spec"
-                    );
-                    prop_assert_eq!(
-                        idx.docs_retracted(),
-                        docs_retracted + docs,
-                        "edit must retract exactly the edited spec's old postings"
-                    );
-                }
-            }
-            prop_assert!(!idx.is_stale(&repo));
-        }
+            let spec = effect.spec();
+            let was = idx.posted_tokens(spec).map(<[String]>::to_vec).unwrap_or_default();
+            let touched = idx.apply_effect(&repo, &effect);
+            let (left, arrived, docs_moved) =
+                (touched.left.into_owned(), touched.arrived.to_vec(), touched.docs_moved);
+            collect_keys(&repo, &mut keys);
+            assert_equals_build(&idx, &repo, &keys)?;
 
-        // Bit-equivalence against a fresh build of the final corpus.
-        let fresh = KeywordIndex::build(&repo);
-        prop_assert_eq!(idx.doc_count(), fresh.doc_count());
-        prop_assert_eq!(idx.term_count(), fresh.term_count());
-        for q in QUERIES {
-            for term in &KeywordQuery::parse(q).terms {
-                prop_assert_eq!(
-                    idx.lookup_query_term(term),
-                    fresh.lookup_query_term(term),
-                    "postings diverged on {:?}", term
-                );
-                prop_assert_eq!(idx.df(term), fresh.df(term));
-                prop_assert_eq!(idx.df_cached(term), fresh.df_cached(term));
-                prop_assert_eq!(idx.idf_cached(term).to_bits(), fresh.idf_cached(term).to_bits());
-            }
+            let now = idx.posted_tokens(spec).map(<[String]>::to_vec).unwrap_or_default();
+            prop_assert_eq!(docs_moved, idx.doc_count() != doc_count);
+            let modules = |spec| {
+                repo.entry(spec).map_or(0, |e| {
+                    e.spec.modules().filter(|m| !m.kind.is_distinguished()).count()
+                })
+            };
+            // (vocabulary left behind, vocabulary arrived with, modules
+            // indexed, modules retracted) per effect kind.
+            let expected = match effect {
+                MutationEffect::SpecInserted { .. } => (vec![], now, modules(spec), 0),
+                MutationEffect::ExecutionAppended { .. } => (vec![], vec![], 0, 0),
+                MutationEffect::PolicyChanged { .. } => (was, vec![], 0, 0),
+                MutationEffect::SpecDeleted { .. } => {
+                    prop_assert!(repo.entry(spec).is_none(), "delete leaves a tombstone");
+                    prop_assert!(now.is_empty() && idx.doc_count() < doc_count);
+                    (was, vec![], 0, doc_count - idx.doc_count())
+                }
+                MutationEffect::SpecEdited { .. } => (was, now, modules(spec), modules(spec)),
+            };
+            prop_assert_eq!(
+                (left, arrived, idx.docs_indexed() - docs_indexed, idx.docs_retracted() - docs_retracted),
+                expected,
+                "{:?}", effect
+            );
         }
     }
 
@@ -226,7 +236,7 @@ proptest! {
         seed in any::<u64>(),
         specs in 2usize..5,
         shards in 2usize..4,
-        writes in proptest::collection::vec((0u8..5, any::<u64>()), 1..6),
+        writes in proptest::collection::vec((0u8..6, any::<u64>()), 1..6),
     ) {
         let mut cluster = EngineCluster::new(random_repo(seed, specs), registry(), shards);
         let mut mirror = random_repo(seed, specs);
@@ -255,7 +265,7 @@ proptest! {
                     prop_assert!(
                         hits_identical(&fresh, &served),
                         "stale front answer for group {} query {:?} after {:?} write",
-                        g, q, kind % 5
+                        g, q, kind % 6
                     );
                 }
             }

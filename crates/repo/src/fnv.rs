@@ -1,11 +1,9 @@
-//! Shared FNV-1a mixing for fingerprints and checksums.
+//! Shared FNV-1a mixing for checksums.
 //!
-//! [`crate::keyword_index::KeywordIndex::refresh`] verifies per-spec text
-//! fingerprints before trusting its append-only invariant, and the WAL and
-//! snapshot writers checksum their frames and chunks. They hash different
-//! fields, but the mixing discipline is one thing: keep it here so a
-//! change to the scheme (e.g. the length-delimiter convention) cannot
-//! silently miss a copy.
+//! The WAL and snapshot writers checksum their frames and chunks. They
+//! hash different fields, but the mixing discipline is one thing: keep it
+//! here so a change to the scheme (e.g. the length-delimiter convention)
+//! cannot silently miss a copy.
 
 /// An incremental FNV-1a hasher over `u64` words and delimited byte
 /// strings.

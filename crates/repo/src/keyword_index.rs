@@ -16,7 +16,20 @@
 //! * single terms match the tokenized module name and keyword tags,
 //! * multi-word phrases (`"disorder risks"`) match whole keyword tags or
 //!   consecutive name tokens.
+//!
+//! **Maintenance is a fold over the write log.** The index is derived state
+//! of the repository, and every write reaches it as the typed
+//! [`MutationEffect`] that [`Repository::apply`] returned. Its owner builds
+//! it once ([`KeywordIndex::build`]) and then hands it every effect, in
+//! order, through [`KeywordIndex::apply_effect`] — the one maintenance
+//! entry point. An insert appends the new spec's postings, a delete
+//! retracts exactly the spec's own, an edit retracts and re-indexes the one
+//! spec in place, and execution appends and policy swaps change nothing
+//! indexed. Nothing is verified against the repository at run time: the
+//! effect says what changed, and the oracle that the result equals a fresh
+//! `build` of the same repository lives in the tests.
 
+use crate::mutation::MutationEffect;
 use crate::postings::{intersect_term_specs, with_scratch, PostingList, QueryScratch, TermLists};
 use crate::principals::SpecAccess;
 use crate::repository::{Repository, SpecEntry, SpecId};
@@ -50,49 +63,14 @@ pub fn tokenize(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// A cheap identity check for one spec's *indexed text*: postings depend
-/// only on module names, keyword tags and workflow placement (executions
-/// and policies shape nothing in the index), so a matching fingerprint
-/// means every posting of that spec is still valid.
-/// [`KeywordIndex::refresh`] verifies rather than assumes, so the
-/// fingerprint hashes the text itself, not just counts: an in-place
-/// rename that preserved every count (exactly what
-/// [`Mutation::EditSpec`](crate::mutation::Mutation::EditSpec) can do) is
-/// still caught.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct SpecTextFingerprint {
-    modules: usize,
-    text: u64,
-}
-
-impl SpecTextFingerprint {
-    fn of(entry: &SpecEntry) -> Self {
-        let mut h = crate::fnv::Fnv1a::new();
-        let mut modules = 0usize;
-        for module in entry.spec.modules() {
-            if module.kind.is_distinguished() {
-                continue;
-            }
-            modules += 1;
-            h.mix_u64(module.id.0 as u64);
-            h.mix_u64(module.workflow.index() as u64);
-            h.mix_bytes(module.name.as_bytes());
-            for tag in &module.keywords {
-                h.mix_bytes(tag.as_bytes());
-            }
-        }
-        SpecTextFingerprint { modules, text: h.finish() }
-    }
-}
-
 /// The exact index keys one spec's postings live under — the reverse map
-/// that lets [`KeywordIndex::delete_spec`] / [`KeywordIndex::edit_spec`]
-/// visit only the spec's own keys instead of the whole index: by the time
-/// a delete's maintenance runs, the repository entry is already a
-/// tombstone, so the keys cannot be recomputed from the spec text. Per key
-/// the work is what [`PostingList::remove_spec`] documents — the spec's
-/// own postings in a pending tail or bitmap, the skip-located block(s) of
-/// a delta list — never the key's whole list.
+/// that lets a delete or an edit visit only the spec's own keys instead of
+/// the whole index: by the time a delete's maintenance runs, the
+/// repository entry is already a tombstone, so the keys cannot be
+/// recomputed from the spec text. Per key the work is what
+/// [`PostingList::remove_spec`] documents — the spec's own postings in a
+/// pending tail or bitmap, the skip-located block(s) of a delta list —
+/// never the key's whole list.
 #[derive(Clone, Debug, Default)]
 struct PostedTerms {
     /// Sorted, deduplicated single-token keys the spec posted under.
@@ -121,41 +99,20 @@ pub struct KeywordIndex {
     spec_posted: HashMap<SpecId, PostedTerms>,
     /// Number of indexed modules (documents) — the IDF denominator.
     doc_count: usize,
-    /// Per-slot text fingerprints, in id order (`None` = tombstone) —
-    /// what [`Self::refresh`]'s fast path verifies before trusting its
-    /// append-only invariant.
-    fingerprints: Vec<Option<SpecTextFingerprint>>,
-    /// Lifetime count of full builds (the incrementality instrument's
-    /// denominator: refreshes that could append never move it).
-    full_builds: usize,
-    /// Lifetime count of modules indexed *incrementally*: the initial
-    /// build, appended specs, and targeted edit re-indexing move it;
-    /// verified full rebuilds are charged to `full_builds` alone, and
-    /// execution appends / policy swaps move nothing.
+    /// Repository slots (live or tombstone) the index has seen: the next
+    /// insert effect names slot `slots`.
+    slots: usize,
+    /// Lifetime count of modules indexed (see [`Self::docs_indexed`]).
     docs_indexed: usize,
-    /// Lifetime count of module documents retracted by targeted
-    /// [`Self::delete_spec`] / [`Self::edit_spec`] maintenance — the
-    /// destructive-write instrument (E19).
+    /// Lifetime count of modules retracted (see [`Self::docs_retracted`]).
     docs_retracted: usize,
     /// Lifetime count of postings targeted maintenance had to materialize
     /// (see [`Self::postings_decoded_by_maintenance`]).
     postings_decoded_by_maintenance: usize,
-    /// Lifetime count of [`Self::refresh_trusted`] calls that skipped the
-    /// fingerprint verification scan — the trusted-epoch instrument.
-    trusted_refreshes: usize,
-    /// Repository version this index was built at.
-    built_at: u64,
-    /// Repository *structure epoch* this index last reconciled with —
-    /// bumped by the repository only on destructive mutations (delete /
-    /// edit / tombstone insert). [`Self::refresh_trusted`] keys its trust
-    /// decision on it: an epoch mismatch means the history was not
-    /// append-only since the last reconcile, so the trusted shortcut
-    /// would serve stale postings and must fall back to verification.
-    structure_epoch_at: u64,
     /// Per-query-term document-frequency memo ([`Self::df_cached`]).
     /// Bounded at [`DF_MEMO_CAP`]: terms are user-supplied strings, and a
-    /// mutation-free workload never rebuilds, so an unbounded memo would
-    /// be an attacker-controllable allocation.
+    /// mutation-free workload never invalidates it, so an unbounded memo
+    /// would be an attacker-controllable allocation.
     df_memo: RwLock<DfMemo>,
 }
 
@@ -205,26 +162,22 @@ impl DfMemo {
 /// terms of a real stream are cached long before it fills.
 const DF_MEMO_CAP: usize = 4096;
 
-/// Index every proper module of one spec into `terms`/`phrases`/
-/// `module_tokens`, recording the posted keys into `posted` (the reverse
-/// map targeted retraction replays later); returns the number of modules
-/// (documents) indexed. Shared by [`KeywordIndex::build`] (whole
-/// corpus), [`KeywordIndex::refresh`] (appended specs only) and
-/// [`KeywordIndex::edit_spec`] (one re-indexed spec).
+/// Index every proper module of one spec into `terms` / `phrases` (the
+/// new postings per single-token and per whole-tag key) and
+/// `module_tokens`; returns the keys it posted under — the reverse map
+/// targeted retraction replays later.
 fn index_entry(
     sid: SpecId,
     entry: &SpecEntry,
-    terms: &mut HashMap<String, Vec<Posting>>,
-    phrases: &mut HashMap<String, Vec<Posting>>,
+    [terms, phrases]: &mut [HashMap<String, Vec<Posting>>; 2],
     module_tokens: &mut HashMap<(SpecId, ModuleId), Vec<String>>,
-    posted: &mut PostedTerms,
-) -> usize {
-    let mut docs = 0usize;
+) -> PostedTerms {
+    let mut posted = PostedTerms::default();
     for module in entry.spec.modules() {
         if module.kind.is_distinguished() {
             continue;
         }
-        docs += 1;
+        posted.docs += 1;
         let name_tokens = tokenize(&module.name);
         let mut tf: HashMap<String, u32> = HashMap::new();
         for t in &name_tokens {
@@ -264,23 +217,27 @@ fn index_entry(
         module_tokens.insert((sid, module.id), name_tokens);
         posted.modules.push(module.id);
     }
-    posted.docs = docs;
     posted.terms.sort();
     posted.terms.dedup();
     posted.phrases.sort();
     posted.phrases.dedup();
-    docs
+    posted
 }
 
-/// Insert one spec's freshly sorted postings into `map[key]` at their id
-/// position, in place ([`PostingList::insert_spec_postings`]; a new key
-/// starts as an unsealed list). The spec's old postings were already
-/// retracted, and all the new ones share one spec id (the sort key's
-/// leading component), so the single contiguous insert reproduces exactly
-/// the `(spec, workflow, module)` order a fresh build would emit. Returns
-/// the postings the insert had to materialize.
-fn splice_postings(map: &mut HashMap<String, PostingList>, key: String, new: &[Posting]) -> usize {
-    map.entry(key).or_default().insert_spec_postings(new)
+/// What one [`KeywordIndex::apply_effect`] did to the index — exactly what
+/// a cached answer computed from it can have been reached by.
+#[derive(Debug)]
+pub struct Touched<'a> {
+    /// The single tokens the written spec leaves behind: what it was posted
+    /// under before a policy swap, a delete or an edit (empty otherwise,
+    /// and for a spec the index never held — no answer computed from this
+    /// index can name it).
+    pub left: Cow<'a, [String]>,
+    /// The single tokens it arrives with after an insert or an edit (empty
+    /// otherwise).
+    pub arrived: &'a [String],
+    /// Whether the write moved [`KeywordIndex::doc_count`].
+    pub docs_moved: bool,
 }
 
 /// Drop `spec`'s postings from `map[key]` in place
@@ -296,337 +253,177 @@ fn retract_postings(map: &mut HashMap<String, PostingList>, key: &str, spec: Spe
 }
 
 impl KeywordIndex {
-    /// Build the index over every module of every live specification
-    /// (tombstoned slots keep their position as `None` fingerprints).
+    /// Build the index over every module of every live specification —
+    /// the starting point of maintenance, and the oracle it is tested
+    /// against.
     pub fn build(repo: &Repository) -> Self {
-        let mut idx = KeywordIndex {
-            built_at: repo.version(),
-            structure_epoch_at: repo.structure_epoch(),
-            ..KeywordIndex::default()
-        };
-        idx.full_builds = 1;
-        let mut terms: HashMap<String, Vec<Posting>> = HashMap::new();
-        let mut phrases: HashMap<String, Vec<Posting>> = HashMap::new();
-        for (sid, slot) in repo.slots() {
-            let Some(entry) = slot else {
-                idx.fingerprints.push(None);
-                continue;
-            };
-            let mut posted = PostedTerms::default();
-            idx.doc_count += index_entry(
-                sid,
-                entry,
-                &mut terms,
-                &mut phrases,
-                &mut idx.module_tokens,
-                &mut posted,
-            );
-            idx.fingerprints.push(Some(SpecTextFingerprint::of(entry)));
-            idx.spec_posted.insert(sid, posted);
-        }
-        idx.docs_indexed = idx.doc_count;
-        // Deterministic posting order, grouped by (spec, workflow). The
-        // lists stay unsealed until their first lookup (block compression
-        // is a read-path cost, never a build/refresh one).
-        let into_list = |(t, mut v): (String, Vec<Posting>)| {
-            v.sort_by_key(|p: &Posting| (p.spec, p.workflow, p.module));
-            (t, PostingList::from_postings(v))
-        };
-        idx.terms = terms.into_iter().map(into_list).collect();
-        idx.phrases = phrases.into_iter().map(into_list).collect();
+        let mut idx = KeywordIndex::default();
+        idx.index_appended(repo);
         idx
     }
 
-    /// Bring the index up to date with `repo`, incrementally when the
-    /// mutation history allows it. Most repository mutations are
-    /// append-only for indexing purposes: new specs append postings (their
-    /// ids sort after every existing posting, so per-term order survives
-    /// concatenation), while execution appends and policy swaps leave
-    /// every module's text untouched — so the common refresh appends the
-    /// new specs' postings, bumps `doc_count` and re-tags `built_at`
-    /// without re-tokenizing a single existing module. A full rebuild
-    /// happens when an existing slot's text fingerprint changed — which
-    /// [`Mutation::DeleteSpec`](crate::mutation::Mutation::DeleteSpec) /
-    /// [`Mutation::EditSpec`](crate::mutation::Mutation::EditSpec) *can*
-    /// now cause when their typed targeted maintenance
-    /// ([`Self::delete_spec`] / [`Self::edit_spec`]) was bypassed; the
-    /// fast path *verifies* the invariant it rides on rather than
-    /// assuming it.
+    /// Maintain the index for one applied write — the one maintenance
+    /// entry point (see the module docs):
     ///
-    /// The per-term [`Self::df_cached`] memo is invalidated **per touched
-    /// term**, not wholesale: a memoized df can only change when the
-    /// appended specs post its token (or its leading phrase token), and
-    /// `doc_count` lives outside the memo, so untouched terms keep their
-    /// entries across the write.
-    pub fn refresh(&mut self, repo: &Repository) {
-        if repo.version() == self.built_at {
-            return;
-        }
-        let changed = repo.len() < self.fingerprints.len()
-            || repo.slots().take(self.fingerprints.len()).zip(&self.fingerprints).any(
-                |((_, slot), fp)| match (slot, fp) {
-                    (None, None) => false,
-                    (Some(e), Some(fp)) => SpecTextFingerprint::of(e) != *fp,
-                    _ => true,
-                },
-            );
-        if changed {
-            self.rebuild(repo);
-            return;
-        }
-        self.append_new_specs(repo);
-    }
-
-    /// The verified full-rebuild arm shared by [`Self::refresh`] and the
-    /// targeted-maintenance fallbacks: rebuild from scratch, then restore
-    /// the lifetime instruments the fresh build wiped. `full_builds`
-    /// accumulates (the rebuild *is* one more full build);
-    /// `docs_indexed`, `docs_retracted`, `postings_decoded_by_maintenance`
-    /// and `trusted_refreshes` are restored **by assignment** — a
-    /// rebuild's own corpus pass is charged to `full_builds` alone, never
-    /// double-counted into the incremental-work counter (see
-    /// [`Self::docs_indexed`]).
-    fn rebuild(&mut self, repo: &Repository) {
-        let (full_builds, docs_indexed, docs_retracted, decoded, trusted) = (
-            self.full_builds,
-            self.docs_indexed,
-            self.docs_retracted,
-            self.postings_decoded_by_maintenance,
-            self.trusted_refreshes,
+    /// * `SpecInserted` appends the new spec's postings: its id sorts after
+    ///   every posting held, so each list's order survives;
+    /// * `SpecDeleted` retracts exactly the spec's postings, visiting only
+    ///   the keys the `PostedTerms` reverse map lists for it and editing
+    ///   each list in place;
+    /// * `SpecEdited` retracts the spec's old postings and splices the
+    ///   re-indexed ones back in at their id position, so per-term order —
+    ///   and every ranked score — is what a fresh build gives;
+    /// * `ExecutionAppended` and `PolicyChanged` index nothing: postings
+    ///   read module text and workflow placement only.
+    ///
+    /// The df memo drops only the entries the touched keys could move.
+    ///
+    /// **Ownership contract.** The caller owns the repository and hands the
+    /// index every effect, in order, exactly as [`Repository::apply`]
+    /// returned it, with `repo` in the state that `apply` left. Nothing is
+    /// re-verified: debug builds check in O(1) that no write was skipped
+    /// or reordered, and the tests check the result against
+    /// [`Self::build`].
+    pub fn apply_effect(&mut self, repo: &Repository, effect: &MutationEffect) -> Touched<'_> {
+        debug_assert_eq!(
+            self.slots + usize::from(effect.inserted_id().is_some()),
+            repo.len(),
+            "every insert reaches the index, in order"
         );
-        *self = KeywordIndex::build(repo);
-        self.full_builds += full_builds;
-        self.docs_indexed = docs_indexed;
-        self.docs_retracted = docs_retracted;
-        self.postings_decoded_by_maintenance = decoded;
-        self.trusted_refreshes = trusted;
+        debug_assert_eq!(
+            repo.is_live(effect.spec()),
+            !matches!(effect, MutationEffect::SpecDeleted { .. }),
+            "effects reach the index in the order they were applied"
+        );
+        let docs = self.doc_count;
+        let left = match *effect {
+            MutationEffect::SpecDeleted { spec } | MutationEffect::SpecEdited { spec } => {
+                self.retract(spec)
+            }
+            _ => Vec::new(),
+        };
+        match *effect {
+            MutationEffect::SpecInserted { .. } => self.index_appended(repo),
+            MutationEffect::SpecEdited { spec } => {
+                self.post(repo.entry(spec).map(|entry| (spec, entry)), true);
+            }
+            _ => {}
+        }
+        let posted = |spec| self.posted_tokens(spec).unwrap_or_default();
+        Touched {
+            left: match *effect {
+                MutationEffect::PolicyChanged { spec } => Cow::Borrowed(posted(spec)),
+                _ => Cow::Owned(left),
+            },
+            arrived: match *effect {
+                MutationEffect::SpecInserted { spec } | MutationEffect::SpecEdited { spec } => {
+                    posted(spec)
+                }
+                _ => &[],
+            },
+            docs_moved: self.doc_count != docs,
+        }
     }
 
-    /// [`Self::refresh`] minus the per-write O(corpus) fingerprint
-    /// verification scan — the **trusted-epoch fast path**.
-    ///
-    /// `refresh` *verifies* the append-only invariant it rides on by
-    /// re-fingerprinting every existing spec on every call, which is what
-    /// makes a write cost O(corpus) (~hundreds of µs at 1024 specs) even
-    /// when it appends nothing. That scan defends against exactly one
-    /// thing: an existing spec's indexed text changing behind the index's
-    /// back. A caller that *owns* the repository and feeds it only typed
-    /// [`Mutation`](crate::mutation::Mutation)s can rule that out
-    /// *per effect*: the non-destructive variants never edit existing
-    /// spec text, and the repository's
-    /// [`structure_epoch`](Repository::structure_epoch) moves exactly
-    /// when a destructive one (delete / edit / tombstone) applies. The
-    /// trust decision is therefore keyed on the epoch, not on slot
-    /// counts: tombstones keep `repo.len()` constant across deletion, so
-    /// an equal-length destructive history is *normal* — a length guard
-    /// alone would silently serve stale postings. Recovery re-establishes
-    /// the same trust: every replayed record was checksum-verified, so
-    /// the rebuilt corpus is exactly a typed-write history. Under that
-    /// ownership contract this method is sound and O(new specs) per call;
-    /// without it (a repository mutated through arbitrary `&mut` access),
-    /// use `refresh`, which spends the scan to verify instead of trusting.
-    ///
-    /// Falls back to the verifying path whenever the structure epoch
-    /// moved (a destructive mutation applied since the last reconcile —
-    /// the typed targeted maintenance is [`Self::delete_spec`] /
-    /// [`Self::edit_spec`], which re-sync the epoch) or the repository
-    /// shrank, so misuse degrades to a correct (full) rebuild, never to
-    /// stale postings.
+    /// Index the repository slots appended since the last maintenance —
+    /// what [`Self::apply_effect`] does for an insert, without the touch
+    /// report; a no-op for any other effect.
     pub fn refresh_trusted(&mut self, repo: &Repository) {
-        if repo.version() == self.built_at {
-            return;
-        }
-        if repo.len() < self.fingerprints.len() || repo.structure_epoch() != self.structure_epoch_at
-        {
-            self.refresh(repo);
-            return;
-        }
-        self.trusted_refreshes += 1;
-        self.append_new_specs(repo);
+        self.index_appended(repo);
     }
 
-    /// The shared append tail of [`Self::refresh`] /
-    /// [`Self::refresh_trusted`] (and the re-tag tail of the targeted
-    /// destructive maintenance): index slots beyond the fingerprinted
-    /// prefix (tombstoned slots keep their position as `None`),
-    /// invalidate only the df-memo entries those postings could move, and
-    /// re-tag `built_at` / `structure_epoch_at`.
-    fn append_new_specs(&mut self, repo: &Repository) {
-        let mut new_terms: HashMap<String, Vec<Posting>> = HashMap::new();
-        let mut new_phrases: HashMap<String, Vec<Posting>> = HashMap::new();
-        for (sid, slot) in repo.slots().skip(self.fingerprints.len()) {
-            let Some(entry) = slot else {
-                self.fingerprints.push(None);
-                continue;
-            };
-            let mut posted = PostedTerms::default();
-            let docs = index_entry(
-                sid,
-                entry,
-                &mut new_terms,
-                &mut new_phrases,
-                &mut self.module_tokens,
-                &mut posted,
-            );
-            self.doc_count += docs;
-            self.docs_indexed += docs;
-            self.fingerprints.push(Some(SpecTextFingerprint::of(entry)));
+    /// [`Self::apply_effect`] for a `SpecDeleted` effect.
+    pub fn delete_spec(&mut self, repo: &Repository, spec: SpecId) {
+        self.apply_effect(repo, &MutationEffect::SpecDeleted { spec });
+    }
+
+    /// [`Self::apply_effect`] for a `SpecEdited` effect.
+    pub fn edit_spec(&mut self, repo: &Repository, spec: SpecId) {
+        self.apply_effect(repo, &MutationEffect::SpecEdited { spec });
+    }
+
+    /// Index the repository slots past those the index has seen — a fresh
+    /// build's whole corpus, or the spec an insert appended.
+    fn index_appended(&mut self, repo: &Repository) {
+        let appended = (self.slots..repo.len()).map(|i| SpecId(i as u32));
+        self.post(appended.filter_map(|sid| repo.entry(sid).map(|entry| (sid, entry))), false);
+        self.slots = repo.len();
+    }
+
+    /// Index `specs` and drop the df-memo entries their postings could
+    /// move. Appended specs sort after every posting held, so their
+    /// postings join each list's pending tail (`append_sorted`; a new or
+    /// empty list takes the vector whole, which is most of a build, and
+    /// starts unsealed — block compression is a read-path cost, never a
+    /// write one). An edited spec — one spec, its old postings already
+    /// retracted — is `splice`d in at its id position instead
+    /// ([`PostingList::insert_spec_postings`]), so the single contiguous
+    /// insert reproduces the `(spec, workflow, module)` order a fresh build
+    /// emits.
+    fn post<'r>(&mut self, specs: impl IntoIterator<Item = (SpecId, &'r SpecEntry)>, splice: bool) {
+        let mut new: [HashMap<String, Vec<Posting>>; 2] = Default::default();
+        for (sid, entry) in specs {
+            let posted = index_entry(sid, entry, &mut new, &mut self.module_tokens);
+            self.doc_count += posted.docs;
+            self.docs_indexed += posted.docs;
             self.spec_posted.insert(sid, posted);
         }
-        // Drop only the memo entries the append could have changed.
-        self.df_memo.get_mut().invalidate(new_terms.keys());
-        for (term, mut postings) in new_terms {
-            postings.sort_by_key(|p| (p.spec, p.workflow, p.module));
-            self.terms.entry(term).or_default().append_sorted(postings);
+        self.df_memo.get_mut().invalidate(new[0].keys());
+        for (map, new) in [&mut self.terms, &mut self.phrases].into_iter().zip(new) {
+            map.reserve(new.len());
+            for (key, mut postings) in new {
+                postings.sort_by_key(|p| (p.spec, p.workflow, p.module));
+                let list = map.entry(key).or_default();
+                if splice {
+                    self.postings_decoded_by_maintenance += list.insert_spec_postings(&postings);
+                } else if list.is_empty() {
+                    *list = PostingList::from_postings(postings);
+                } else {
+                    list.append_sorted(postings);
+                }
+            }
         }
-        for (phrase, mut postings) in new_phrases {
-            postings.sort_by_key(|p| (p.spec, p.workflow, p.module));
-            self.phrases.entry(phrase).or_default().append_sorted(postings);
-        }
-        self.built_at = repo.version();
-        self.structure_epoch_at = repo.structure_epoch();
     }
 
-    /// Retract every posting `spec` contributed under the keys `posted`
-    /// records, each list edited in place (a key whose list empties is
-    /// removed outright), and drop the df-memo entries those keys could
-    /// have moved. Posting order is untouched for the surviving entries,
-    /// so the result is bit-identical to a fresh build over the
-    /// post-retraction corpus.
-    fn retract(&mut self, spec: SpecId, posted: &PostedTerms) {
-        for key in &posted.terms {
-            self.postings_decoded_by_maintenance += retract_postings(&mut self.terms, key, spec);
-        }
-        for key in &posted.phrases {
-            self.postings_decoded_by_maintenance += retract_postings(&mut self.phrases, key, spec);
+    /// Retract every posting `spec` contributed under the keys its
+    /// [`PostedTerms`] record lists, each list edited in place (a key whose
+    /// list empties is removed outright), and drop the df-memo entries
+    /// those keys could have moved. Surviving postings keep their order.
+    /// Returns the single tokens the spec was posted under (none for a
+    /// spec the index does not hold).
+    fn retract(&mut self, spec: SpecId) -> Vec<String> {
+        let Some(posted) = self.spec_posted.remove(&spec) else { return Vec::new() };
+        for (map, keys) in [(&mut self.terms, &posted.terms), (&mut self.phrases, &posted.phrases)]
+        {
+            for key in keys {
+                self.postings_decoded_by_maintenance += retract_postings(map, key, spec);
+            }
         }
         for m in &posted.modules {
             self.module_tokens.remove(&(spec, *m));
         }
         self.df_memo.get_mut().invalidate(&posted.terms);
-    }
-
-    /// Targeted maintenance for
-    /// [`MutationEffect::SpecDeleted`](crate::mutation::MutationEffect::SpecDeleted):
-    /// retract exactly the deleted spec's postings, visiting only the
-    /// keys the [`PostedTerms`] reverse map lists for it (the repository
-    /// entry is already a tombstone, so the keys cannot be recomputed from
-    /// text) and editing each key's list in place — see
-    /// [`Self::postings_decoded_by_maintenance`] for what that decodes.
-    /// Falls back to the verifying [`Self::refresh`]
-    /// (which rebuilds on the fingerprint mismatch) when the index never
-    /// indexed the spec — the honest degenerate boundary E19 measures.
-    pub fn delete_spec(&mut self, repo: &Repository, spec: SpecId) {
-        let Some(posted) = self.spec_posted.remove(&spec) else {
-            self.refresh(repo);
-            return;
-        };
-        self.retract(spec, &posted);
         self.doc_count -= posted.docs;
         self.docs_retracted += posted.docs;
-        if let Some(fp) = self.fingerprints.get_mut(spec.0 as usize) {
-            *fp = None;
-        }
-        // Pick up any not-yet-indexed tail and re-tag built_at / epoch.
-        self.append_new_specs(repo);
+        posted.terms
     }
 
-    /// Targeted maintenance for
-    /// [`MutationEffect::SpecEdited`](crate::mutation::MutationEffect::SpecEdited):
-    /// retract the spec's old postings and re-index its current text in
-    /// place. The re-indexed postings are inserted back at their id
-    /// position inside each key's list (no list is decoded whole or
-    /// unsealed), so per-term order — and therefore every downstream
-    /// ranked score — is bit-identical to a fresh build. Falls back to
-    /// the verifying [`Self::refresh`] when the index has no record of
-    /// the spec.
-    pub fn edit_spec(&mut self, repo: &Repository, spec: SpecId) {
-        let (Some(entry), Some(old)) = (repo.entry(spec), self.spec_posted.remove(&spec)) else {
-            self.refresh(repo);
-            return;
-        };
-        self.retract(spec, &old);
-        self.doc_count -= old.docs;
-        self.docs_retracted += old.docs;
-
-        let mut new_terms: HashMap<String, Vec<Posting>> = HashMap::new();
-        let mut new_phrases: HashMap<String, Vec<Posting>> = HashMap::new();
-        let mut posted = PostedTerms::default();
-        let docs = index_entry(
-            spec,
-            entry,
-            &mut new_terms,
-            &mut new_phrases,
-            &mut self.module_tokens,
-            &mut posted,
-        );
-        self.doc_count += docs;
-        self.docs_indexed += docs;
-        self.df_memo.get_mut().invalidate(&posted.terms);
-        for (key, mut postings) in new_terms {
-            postings.sort_by_key(|p| (p.spec, p.workflow, p.module));
-            self.postings_decoded_by_maintenance +=
-                splice_postings(&mut self.terms, key, &postings);
-        }
-        for (key, mut postings) in new_phrases {
-            postings.sort_by_key(|p| (p.spec, p.workflow, p.module));
-            self.postings_decoded_by_maintenance +=
-                splice_postings(&mut self.phrases, key, &postings);
-        }
-        if let Some(fp) = self.fingerprints.get_mut(spec.0 as usize) {
-            *fp = Some(SpecTextFingerprint::of(entry));
-        }
-        self.spec_posted.insert(spec, posted);
-        self.append_new_specs(repo);
-    }
-
-    /// Repository version the index reflects.
-    pub fn built_at(&self) -> u64 {
-        self.built_at
-    }
-
-    /// Whether the repository has mutated since this index last built or
-    /// refreshed; stale indexes answer for a repository state that no
-    /// longer exists.
-    pub fn is_stale(&self, repo: &Repository) -> bool {
-        repo.version() != self.built_at
-    }
-
-    /// Lifetime count of full builds — the incrementality instrument:
-    /// refreshes that could append (or re-tag) never move it.
-    pub fn full_builds(&self) -> usize {
-        self.full_builds
-    }
-
-    /// Lifetime count of trusted-epoch refreshes that skipped the
-    /// fingerprint verification scan (see [`Self::refresh_trusted`]).
-    pub fn trusted_refreshes(&self) -> usize {
-        self.trusted_refreshes
-    }
-
-    /// Lifetime count of modules indexed *incrementally*: the initial
-    /// build moves it by the whole corpus, a refresh that appended `k`
-    /// specs by their module count, a targeted edit by the re-indexed
-    /// spec's module count — and verified full rebuilds by exactly zero
-    /// (their corpus pass is charged to [`Self::full_builds`] alone, so
-    /// the instrument never double-counts rebuild work), as are execution
-    /// appends / policy swaps — the "zero index work" assertion the
-    /// write-path tests pin down.
+    /// Lifetime count of modules indexed: the build moves it by the whole
+    /// corpus, an insert by the new spec's module count, an edit by the
+    /// re-indexed spec's — execution appends and policy swaps by zero, the
+    /// "zero index work" the write-path tests pin down.
     pub fn docs_indexed(&self) -> usize {
         self.docs_indexed
     }
 
-    /// Lifetime count of module documents retracted by targeted
-    /// [`Self::delete_spec`] / [`Self::edit_spec`] maintenance — the
-    /// destructive-write instrument: fallback rebuilds move
-    /// [`Self::full_builds`] instead, so the ratio of the two is exactly
-    /// E19's targeted-vs-rebuild boundary.
+    /// Lifetime count of module documents retracted by deletes and edits —
+    /// the destructive-write instrument (E19).
     pub fn docs_retracted(&self) -> usize {
         self.docs_retracted
     }
 
-    /// Lifetime count of postings targeted [`Self::delete_spec`] /
-    /// [`Self::edit_spec`] maintenance had to materialize to edit the
+    /// Lifetime count of postings delete and edit maintenance had to
+    /// materialize to edit the
     /// touched lists in place — per key, what
     /// [`PostingList::remove_spec`] / [`PostingList::insert_spec_postings`]
     /// return: the spec's own postings in a pending tail or bitmap, at most
@@ -893,6 +690,7 @@ pub fn filter_postings<A: SpecAccess + ?Sized>(postings: &mut Vec<Posting>, acce
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mutation::{ModuleTextEdit, Mutation, SpecText};
     use ppwf_core::policy::Policy;
     use ppwf_model::fixtures;
     use ppwf_model::hierarchy::Prefix;
@@ -925,7 +723,6 @@ mod tests {
         let r = repo();
         let idx = KeywordIndex::build(&r);
         assert_eq!(idx.doc_count(), 15, "M1..M15, pseudo-modules excluded");
-        assert_eq!(idx.built_at(), r.version());
         assert!(idx.term_count() > 10);
     }
 
@@ -1028,45 +825,90 @@ mod tests {
         assert!(idx.idf("nonexistent") >= idx.idf("reformat"));
     }
 
-    #[test]
-    fn refresh_appends_without_rebuilding() {
-        let mut r = repo();
-        let mut idx = KeywordIndex::build(&r);
-        assert_eq!(idx.full_builds(), 1);
-        assert_eq!(idx.docs_indexed(), 15);
+    /// Terms the maintenance tests probe: tokens and phrases the fixture
+    /// posts, the edit's replacement text, and one nothing posts.
+    const PROBES: [&str; 8] = [
+        "database",
+        "query",
+        "risk",
+        "disorder risks",
+        "expand snp",
+        "redacted",
+        "sanitized",
+        "unobtainium",
+    ];
 
-        // Execution appends and policy swaps: re-tag only, zero work.
-        let exec = {
-            let entry = r.entry(SpecId(0)).unwrap();
-            fixtures::disease_susceptibility_execution(&entry.spec)
-        };
-        r.add_execution(SpecId(0), exec).unwrap();
-        assert!(idx.is_stale(&r));
-        idx.refresh(&r);
-        assert!(!idx.is_stale(&r));
-        assert_eq!(idx.full_builds(), 1, "execution append must not rebuild");
-        assert_eq!(idx.docs_indexed(), 15, "execution append must index nothing");
-        r.set_policy(SpecId(0), Policy::public()).unwrap();
-        idx.refresh(&r);
-        assert_eq!((idx.full_builds(), idx.docs_indexed()), (1, 15));
+    /// Apply `mutation` and fold its effect into `idx`, as an owner does;
+    /// returns the touch report, owned.
+    fn write(
+        r: &mut Repository,
+        idx: &mut KeywordIndex,
+        mutation: Mutation,
+    ) -> (Vec<String>, Vec<String>, bool) {
+        let effect = r.apply(mutation).unwrap();
+        let touched = idx.apply_effect(r, &effect);
+        (touched.left.into_owned(), touched.arrived.to_vec(), touched.docs_moved)
+    }
 
-        // Spec inserts append exactly the new specs' postings.
+    fn insert_fixture() -> Mutation {
         let (spec, _) = fixtures::disease_susceptibility();
-        r.insert_spec(spec, Policy::public()).unwrap();
-        idx.refresh(&r);
-        assert_eq!(idx.full_builds(), 1, "append path must not rebuild");
-        assert_eq!(idx.docs_indexed(), 30, "only the new spec's modules indexed");
-        assert_eq!(idx.doc_count(), 30);
+        Mutation::InsertSpec { spec, policy: Policy::public() }
+    }
 
-        // The refreshed index is bit-identical to a fresh build.
-        let fresh = KeywordIndex::build(&r);
+    fn fixture_execution(r: &Repository) -> Mutation {
+        let exec = fixtures::disease_susceptibility_execution(&r.entry(SpecId(0)).unwrap().spec);
+        Mutation::AddExecution { spec: SpecId(0), exec }
+    }
+
+    /// Rewrite M5 ("Generate Database Queries", the fixture's only
+    /// "database" module) of `spec`.
+    fn edit_m5(r: &Repository, spec: SpecId) -> Mutation {
+        let m = fixtures::handles(&r.entry(spec).unwrap().spec);
+        let edit = ModuleTextEdit {
+            module: m.m5,
+            name: "Sanitized".into(),
+            keywords: vec!["redacted".into()],
+        };
+        Mutation::EditSpec { spec, text: SpecText { edits: vec![edit] } }
+    }
+
+    /// The maintained index answers every probe exactly as a fresh build of
+    /// the same repository does.
+    fn assert_matches_build(idx: &KeywordIndex, r: &Repository) {
+        let fresh = KeywordIndex::build(r);
         assert_eq!(idx.doc_count(), fresh.doc_count());
         assert_eq!(idx.term_count(), fresh.term_count());
-        for term in ["database", "query", "risk", "disorder risks", "expand snp"] {
+        for term in PROBES {
             assert_eq!(idx.lookup_query_term(term), fresh.lookup_query_term(term), "{term:?}");
             assert_eq!(idx.df(term), fresh.df(term));
             assert_eq!(idx.df_cached(term), fresh.df_cached(term));
         }
+        for (sid, _) in r.slots() {
+            assert_eq!(idx.posted_tokens(sid), fresh.posted_tokens(sid), "{sid:?}");
+        }
+    }
+
+    #[test]
+    fn refresh_appends_without_rebuilding() {
+        let mut r = repo();
+        let mut idx = KeywordIndex::build(&r);
+        assert_eq!(idx.docs_indexed(), 15);
+        let vocabulary = idx.posted_tokens(SpecId(0)).unwrap().to_vec();
+
+        // Execution appends index nothing and touch nothing; a policy swap
+        // indexes nothing and reports the vocabulary its answers read.
+        let exec = fixture_execution(&r);
+        assert_eq!(write(&mut r, &mut idx, exec), (vec![], vec![], false));
+        assert_eq!(idx.docs_indexed(), 15, "execution append must index nothing");
+        let swap = Mutation::SetPolicy { spec: SpecId(0), policy: Policy::public() };
+        assert_eq!(write(&mut r, &mut idx, swap), (vocabulary.clone(), vec![], false));
+        assert_eq!(idx.docs_indexed(), 15, "policy swap must index nothing");
+
+        // An insert appends exactly the new spec's postings.
+        assert_eq!(write(&mut r, &mut idx, insert_fixture()), (vec![], vocabulary, true));
+        assert_eq!(idx.docs_indexed(), 30, "only the new spec's modules indexed");
+        assert_eq!(idx.doc_count(), 30);
+        assert_matches_build(&idx, &r);
     }
 
     #[test]
@@ -1081,20 +923,14 @@ mod tests {
         assert!(idx.df_memoized("database") && idx.df_memoized("unobtainium"));
 
         // An execution append leaves the memo alone wholesale.
-        let exec = {
-            let entry = r.entry(SpecId(0)).unwrap();
-            fixtures::disease_susceptibility_execution(&entry.spec)
-        };
-        r.add_execution(SpecId(0), exec).unwrap();
-        idx.refresh(&r);
-        assert!(idx.df_memoized("database"), "structure-free refresh kept the memo");
+        let exec = fixture_execution(&r);
+        write(&mut r, &mut idx, exec);
+        assert!(idx.df_memoized("database"), "structure-free write kept the memo");
         assert!(idx.df_memoized("disorder risks"));
 
         // Inserting another fixture spec touches "database" and the
         // "disorder risks" tag but cannot touch the absent term.
-        let (spec, _) = fixtures::disease_susceptibility();
-        r.insert_spec(spec, Policy::public()).unwrap();
-        idx.refresh(&r);
+        write(&mut r, &mut idx, insert_fixture());
         assert!(!idx.df_memoized("database"), "touched term must drop from the memo");
         assert!(!idx.df_memoized("disorder risks"), "touched phrase must drop too");
         assert!(idx.df_memoized("unobtainium"), "untouched term must survive the append");
@@ -1116,151 +952,18 @@ mod tests {
         }
         let inspected = |idx: &KeywordIndex| idx.df_memo.read().inspected;
         assert_eq!(inspected(&idx), 0);
-        let (spec, _) = fixtures::disease_susceptibility();
-        r.insert_spec(spec, Policy::public()).unwrap();
-        idx.refresh_trusted(&r);
+        write(&mut r, &mut idx, insert_fixture());
         assert_eq!(inspected(&idx), 3, "the append looked at the three entries it dropped");
         assert!(!idx.df_memoized("Disorder Risks") && !idx.df_memoized("expand snp"));
         assert!(idx.df_memoized("unrelated7"));
         // A delete touches the same keys: nothing of theirs is memoized
         // any more, so it inspects nothing however full the memo is.
-        r.delete_spec(SpecId(1)).unwrap();
-        idx.delete_spec(&r, SpecId(1));
+        write(&mut r, &mut idx, Mutation::DeleteSpec { spec: SpecId(1) });
         assert_eq!(inspected(&idx), 3);
         assert_eq!(idx.df_memo.read().df.len(), 2_000);
         for term in ["database", "Disorder Risks", "expand snp"] {
             assert_eq!(idx.df_cached(term), KeywordIndex::build(&r).df(term), "{term:?}");
         }
-    }
-
-    #[test]
-    fn refresh_rebuilds_on_structural_mismatch() {
-        // A shrunken repository breaks the append-only invariant: refresh
-        // must detect it (fingerprint count) and fall back to a rebuild.
-        let mut big = Repository::new();
-        for _ in 0..2 {
-            let (spec, _) = fixtures::disease_susceptibility();
-            big.insert_spec(spec, Policy::public()).unwrap();
-        }
-        let mut idx = KeywordIndex::build(&big);
-        let small = repo();
-        idx.refresh(&small);
-        assert_eq!(idx.full_builds(), 2, "mismatch must force a verified full rebuild");
-        assert_eq!(idx.doc_count(), 15);
-        assert_eq!(idx.lookup("database"), KeywordIndex::build(&small).lookup("database"));
-    }
-
-    #[test]
-    fn trusted_refresh_matches_verifying_refresh_bit_for_bit() {
-        let mut r = repo();
-        let mut trusted = KeywordIndex::build(&r);
-        let mut verifying = KeywordIndex::build(&r);
-
-        // Typed mutation history: inserts, an execution append, a policy
-        // swap — the exact write vocabulary the trust contract covers.
-        let (spec, _) = fixtures::disease_susceptibility();
-        r.insert_spec(spec, Policy::public()).unwrap();
-        trusted.refresh_trusted(&r);
-        verifying.refresh(&r);
-        let exec = {
-            let entry = r.entry(SpecId(0)).unwrap();
-            fixtures::disease_susceptibility_execution(&entry.spec)
-        };
-        r.add_execution(SpecId(0), exec).unwrap();
-        r.set_policy(SpecId(0), Policy::public()).unwrap();
-        trusted.refresh_trusted(&r);
-        verifying.refresh(&r);
-
-        assert_eq!(trusted.trusted_refreshes(), 2);
-        assert_eq!(verifying.trusted_refreshes(), 0);
-        assert_eq!(trusted.full_builds(), 1, "trusted path must never rebuild");
-        assert_eq!(trusted.doc_count(), verifying.doc_count());
-        assert_eq!(trusted.docs_indexed(), verifying.docs_indexed());
-        assert_eq!(trusted.built_at(), verifying.built_at());
-        for term in ["database", "query", "risk", "disorder risks", "expand snp"] {
-            assert_eq!(trusted.lookup_query_term(term), verifying.lookup_query_term(term));
-            assert_eq!(trusted.df(term), verifying.df(term));
-        }
-    }
-
-    #[test]
-    fn trusted_refresh_degrades_safely_on_shrunken_repository() {
-        let mut big = Repository::new();
-        for _ in 0..2 {
-            let (spec, _) = fixtures::disease_susceptibility();
-            big.insert_spec(spec, Policy::public()).unwrap();
-        }
-        let mut idx = KeywordIndex::build(&big);
-        let small = repo();
-        idx.refresh_trusted(&small);
-        assert_eq!(idx.full_builds(), 2, "shrink must fall back to the verified rebuild");
-        assert_eq!(idx.trusted_refreshes(), 0, "the fallback is not a trusted refresh");
-        assert_eq!(idx.doc_count(), 15);
-    }
-
-    #[test]
-    fn trusted_refresh_falls_back_on_equal_length_destructive_history() {
-        use crate::mutation::{ModuleTextEdit, SpecText};
-        let mut r = repo();
-        let (spec, _) = fixtures::disease_susceptibility();
-        r.insert_spec(spec, Policy::public()).unwrap();
-        let mut idx = KeywordIndex::build(&r);
-        // A delete leaves a tombstone, so repo.len() stays 2 — a
-        // length-only guard cannot distinguish this from an append-only
-        // history and would serve spec 1's retracted postings forever.
-        r.delete_spec(SpecId(1)).unwrap();
-        idx.refresh_trusted(&r);
-        assert_eq!(idx.trusted_refreshes(), 0, "destructive epoch must skip the trusted shortcut");
-        assert_eq!(idx.full_builds(), 2, "the fallback is the verified rebuild");
-        let fresh = KeywordIndex::build(&r);
-        assert_eq!(idx.doc_count(), fresh.doc_count());
-        assert_eq!(idx.lookup("database"), fresh.lookup("database"));
-
-        // Same for an in-place edit: length and module counts unchanged.
-        let m = fixtures::handles(&r.entry(SpecId(0)).unwrap().spec);
-        r.edit_spec(
-            SpecId(0),
-            &SpecText {
-                edits: vec![ModuleTextEdit {
-                    module: m.m5,
-                    name: "Sanitized".into(),
-                    keywords: vec!["redacted".into()],
-                }],
-            },
-        )
-        .unwrap();
-        idx.refresh_trusted(&r);
-        assert_eq!(idx.trusted_refreshes(), 0);
-        assert!(idx.lookup("database").is_empty(), "edited-away token must not linger");
-        assert_eq!(idx.lookup("redacted"), KeywordIndex::build(&r).lookup("redacted"));
-    }
-
-    #[test]
-    fn rebuild_restores_docs_indexed_without_double_counting() {
-        use crate::mutation::{ModuleTextEdit, SpecText};
-        let mut r = repo();
-        let (spec, _) = fixtures::disease_susceptibility();
-        r.insert_spec(spec, Policy::public()).unwrap();
-        let mut idx = KeywordIndex::build(&r);
-        assert_eq!(idx.docs_indexed(), 30, "the initial build is incremental work");
-        // Text changed behind the index's back: the verifying refresh
-        // must rebuild — charged to full_builds, never re-counted into
-        // docs_indexed.
-        let m = fixtures::handles(&r.entry(SpecId(0)).unwrap().spec);
-        r.edit_spec(
-            SpecId(0),
-            &SpecText {
-                edits: vec![ModuleTextEdit {
-                    module: m.m3,
-                    name: "Renamed Step".into(),
-                    keywords: vec![],
-                }],
-            },
-        )
-        .unwrap();
-        idx.refresh(&r);
-        assert_eq!(idx.full_builds(), 2);
-        assert_eq!(idx.docs_indexed(), 30, "rebuild work must not inflate the incremental counter");
     }
 
     #[test]
@@ -1271,62 +974,38 @@ mod tests {
         let mut idx = KeywordIndex::build(&r);
         idx.df_cached("database");
         idx.df_cached("unobtainium");
-        r.delete_spec(SpecId(0)).unwrap();
-        idx.delete_spec(&r, SpecId(0));
-        assert_eq!(idx.full_builds(), 1, "targeted retraction must not rebuild");
+        let vocabulary = idx.posted_tokens(SpecId(0)).unwrap().to_vec();
+        let touched = write(&mut r, &mut idx, Mutation::DeleteSpec { spec: SpecId(0) });
+        assert_eq!(touched, (vocabulary, vec![], true), "a delete reports what it retracted");
         assert_eq!(idx.docs_retracted(), 15);
         assert_eq!(idx.doc_count(), 15);
-        assert!(!idx.is_stale(&r));
+        assert!(idx.posted_tokens(SpecId(0)).is_none());
         assert!(!idx.df_memoized("database"), "touched df entries die with the retraction");
         assert!(idx.df_memoized("unobtainium"), "untouched entries survive it");
-        let fresh = KeywordIndex::build(&r);
-        assert_eq!(idx.doc_count(), fresh.doc_count());
-        assert_eq!(idx.term_count(), fresh.term_count());
-        for term in ["database", "query", "risk", "disorder risks", "expand snp"] {
-            assert_eq!(idx.lookup_query_term(term), fresh.lookup_query_term(term), "{term:?}");
-            assert_eq!(idx.df(term), fresh.df(term));
-            assert_eq!(idx.df_cached(term), fresh.df_cached(term));
-        }
-        // A later trusted refresh over an appended spec works again: the
-        // targeted maintenance re-synced the structure epoch.
-        let (spec, _) = fixtures::disease_susceptibility();
-        r.insert_spec(spec, Policy::public()).unwrap();
-        idx.refresh_trusted(&r);
-        assert_eq!(idx.trusted_refreshes(), 1, "epoch re-sync restores the trusted shortcut");
+        assert_matches_build(&idx, &r);
+        // An insert after the tombstone appends as usual.
+        write(&mut r, &mut idx, insert_fixture());
         assert_eq!(idx.doc_count(), 30);
+        assert_matches_build(&idx, &r);
     }
 
     #[test]
     fn edit_spec_reindexes_in_place_bit_identically() {
-        use crate::mutation::{ModuleTextEdit, SpecText};
         let mut r = repo();
         let (spec, _) = fixtures::disease_susceptibility();
         r.insert_spec(spec, Policy::public()).unwrap();
         let mut idx = KeywordIndex::build(&r);
-        let m = fixtures::handles(&r.entry(SpecId(0)).unwrap().spec);
-        r.edit_spec(
-            SpecId(0),
-            &SpecText {
-                edits: vec![ModuleTextEdit {
-                    module: m.m5,
-                    name: "Sanitized".into(),
-                    keywords: vec!["redacted".into()],
-                }],
-            },
-        )
-        .unwrap();
-        idx.edit_spec(&r, SpecId(0));
-        assert_eq!(idx.full_builds(), 1, "targeted edit must not rebuild");
+        let before = idx.posted_tokens(SpecId(0)).unwrap().to_vec();
+        let edit = edit_m5(&r, SpecId(0));
+        let (left, arrived, docs_moved) = write(&mut r, &mut idx, edit);
+        assert_eq!(left, before, "an edit reports the vocabulary it leaves behind");
+        assert_eq!(arrived, KeywordIndex::build(&r).posted_tokens(SpecId(0)).unwrap());
+        assert!(arrived.contains(&"redacted".to_string()));
+        assert!(!arrived.contains(&"database".to_string()));
+        assert!(!docs_moved, "an edit keeps the module count");
         assert_eq!(idx.docs_indexed(), 45, "edit re-indexes exactly the one spec");
         assert_eq!(idx.docs_retracted(), 15);
-        assert!(!idx.is_stale(&r));
-        let fresh = KeywordIndex::build(&r);
-        assert_eq!(idx.doc_count(), fresh.doc_count());
-        assert_eq!(idx.term_count(), fresh.term_count());
-        for term in ["database", "redacted", "sanitized", "query", "disorder risks", "expand snp"] {
-            assert_eq!(idx.lookup_query_term(term), fresh.lookup_query_term(term), "{term:?}");
-            assert_eq!(idx.df(term), fresh.df(term));
-        }
+        assert_matches_build(&idx, &r);
         // The splice lands spec 0's re-indexed postings *before* spec 1's
         // (interior id), and spec 1's "database" posting survives.
         assert!(idx.lookup("database").iter().any(|p| p.spec == SpecId(1)));
@@ -1337,8 +1016,20 @@ mod tests {
     fn refresh_is_idempotent_when_current() {
         let r = repo();
         let mut idx = KeywordIndex::build(&r);
-        idx.refresh(&r);
-        assert_eq!((idx.full_builds(), idx.docs_indexed()), (1, 15), "up-to-date refresh no-ops");
+        idx.refresh_trusted(&r);
+        assert_eq!(idx.docs_indexed(), 15, "nothing appended, nothing indexed");
+        assert_matches_build(&idx, &r);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "every insert reaches the index")]
+    fn a_skipped_insert_trips_the_order_check() {
+        let mut r = repo();
+        let mut idx = KeywordIndex::build(&r);
+        r.apply(insert_fixture()).unwrap();
+        let exec = fixture_execution(&r);
+        write(&mut r, &mut idx, exec);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * [`keyword_index`] — an inverted index whose postings carry their
 //!   privacy classification (the owning workflow), so privilege filtering
 //!   is a per-posting O(1) check instead of a per-level index; kept
-//!   current incrementally by [`keyword_index::KeywordIndex::refresh`]
-//!   (append-only, fingerprint-verified),
+//!   current by folding every write's effect into it
+//!   ([`keyword_index::KeywordIndex::apply_effect`]),
 //! * [`postings`] — the block-compressed posting lists under that index
 //!   (uvarint delta blocks with skip entries, density-chosen dense
 //!   bitmaps, galloping/bitwise multi-term intersection) plus the

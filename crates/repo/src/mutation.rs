@@ -38,9 +38,12 @@
 //!
 //! The last two are the paper's sanitization/retraction scenario (exposed
 //! attributes withdrawn, module descriptions revised) and are the only
-//! *destructive* effects: they break the append-only invariant the
-//! trusted-refresh fast paths ride on, which is why the effect (not the
-//! caller's discipline) decides the maintenance route.
+//! *destructive* effects: derived read structures retract state for them
+//! instead of appending. Every such structure is a fold over the effects,
+//! in the order [`Repository::apply`] returned them — the keyword index
+//! through [`KeywordIndex::apply_effect`](crate::keyword_index::KeywordIndex::apply_effect),
+//! the access and view memos through their per-spec `forget_spec` — so the
+//! effect, not a scan of the repository, decides what each one does.
 
 use crate::repository::{Repository, SpecId};
 use ppwf_core::policy::Policy;
@@ -66,9 +69,8 @@ pub struct ModuleTextEdit {
 
 /// A text-only specification revision — the paper's sanitization scenario
 /// (exposed attribute names get retracted, module descriptions revised)
-/// without structural surgery. Exactly the text the keyword index indexes
-/// and the spec-text fingerprint hashes; reachability and policy validity
-/// are untouched by construction.
+/// without structural surgery. Exactly the text the keyword index indexes;
+/// reachability and policy validity are untouched by construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpecText {
     /// Per-module replacements, applied in order.
@@ -190,10 +192,9 @@ impl MutationEffect {
     }
 
     /// Whether the mutation destroyed or rewrote indexed state in place —
-    /// the effects that break the append-only invariant every trusted
-    /// refresh path rides on. Index maintenance for these must be the
-    /// typed targeted form (posting retraction / re-index) or a verified
-    /// rebuild; a trusted append would silently serve stale postings.
+    /// the effects after which derived structures retract rather than
+    /// append: the keyword index retracts the spec's postings (and
+    /// re-indexes an edit), the access and view memos drop its entries.
     pub fn is_destructive(&self) -> bool {
         matches!(self, MutationEffect::SpecDeleted { .. } | MutationEffect::SpecEdited { .. })
     }

@@ -19,9 +19,11 @@
 //! * **Lazy** — [`AccessCache::resolver`] hands out an [`AccessResolver`]
 //!   that resolves a rule only when a concrete spec is asked about (a
 //!   candidate posting, a hit being coarsened) and memoizes the product
-//!   per group across queries, tagged with the repository version. The
-//!   module-privacy boundary is per-spec, so a query touching 3 specs of a
-//!   100 000-spec corpus resolves 3 rules, not 100 000.
+//!   per group across queries, beside the hierarchy `Arc` it was resolved
+//!   against — the witness that it still describes the spec (see
+//!   [`AccessCache`]). The module-privacy boundary is per-spec, so a query
+//!   touching 3 specs of a 100 000-spec corpus resolves 3 rules, not
+//!   100 000.
 
 use crate::cache::CacheStats;
 use crate::repository::{Repository, SpecId};
@@ -29,7 +31,6 @@ use parking_lot::RwLock;
 use ppwf_core::policy::AccessLevel;
 use ppwf_model::hierarchy::{ExpansionHierarchy, Prefix};
 use ppwf_model::ids::WorkflowId;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -225,30 +226,35 @@ impl SpecAccess for HashMap<SpecId, Prefix> {
     }
 }
 
-/// One group's lazily filled, repository-version-tagged view memo.
-#[derive(Debug)]
-struct GroupMemo {
-    /// Repository version the memoized prefixes are valid at. Atomic so
-    /// the typed-mutation path can carry a memo forward
-    /// ([`AccessCache::advance`]) without rebuilding it: access rules
-    /// resolve against hierarchies, which are immutable once inserted, so
-    /// append-shaped writes cannot stale a resolved prefix.
-    version: std::sync::atomic::AtomicU64,
-    /// Lazily resolved `spec → prefix` products.
-    prefixes: RwLock<HashMap<SpecId, Arc<Prefix>>>,
-}
+/// One memoized resolution: the hierarchy the rule was resolved against —
+/// the witness that the prefix still describes the spec asked about — and
+/// the prefix.
+type Resolved = (Arc<ExpansionHierarchy>, Arc<Prefix>);
+
+/// One group's lazily filled memo.
+type GroupMemo = RwLock<HashMap<SpecId, Resolved>>;
 
 /// A process-lifetime cache of per-group access-view memos, the backing
 /// store for [`AccessResolver`]s. Memos survive across queries — the
-/// second query touching a spec reuses the first query's rule resolution —
-/// and invalidate lazily on repository version bumps. Registry swaps must
-/// go through [`AccessCache::clear`] (group names may now mean different
-/// privileges; the version tag cannot see registry changes), mirroring the
-/// result caches' discipline.
+/// second query touching a spec reuses the first query's rule resolution.
+///
+/// A rule resolves against a spec's expansion hierarchy and nothing else,
+/// and the hierarchy is derived once at insert and shared by every shallow
+/// copy of the entry, so each memo entry keeps the hierarchy `Arc` it was
+/// resolved against and is served only while the repository's entry holds
+/// that same `Arc` (the rule [`ViewCache`](crate::view_cache::ViewCache)
+/// keys its views by). A dead id answers `None` before the memo is
+/// consulted. Writes therefore cost the memo nothing: no tag is re-stamped
+/// on an insert or an execution append, and the owner drops one spec's
+/// entries ([`AccessCache::forget_spec`]) only on a policy swap, a delete
+/// or an edit. Registry swaps must go through [`AccessCache::clear`]:
+/// group names may now mean different privileges, which no witness can
+/// see.
 ///
 /// Statistics reuse [`CacheStats`]: `hits` are memo-served resolutions,
 /// `misses` are actual rule resolutions against a hierarchy (the work lazy
-/// evaluation exists to avoid), `invalidations` are stale memos dropped.
+/// evaluation exists to avoid), `invalidations` are memo entries dropped or
+/// replaced.
 #[derive(Debug, Default)]
 pub struct AccessCache {
     groups: RwLock<HashMap<String, Arc<GroupMemo>>>,
@@ -276,74 +282,35 @@ impl AccessCache {
     /// Number of specs currently memoized for `group` (diagnostics; the
     /// lazy-vs-eager tests assert this stays ≪ corpus for selective loads).
     pub fn memoized_len(&self, group: &str) -> usize {
-        self.groups.read().get(group).map_or(0, |m| m.prefixes.read().len())
+        self.groups.read().get(group).map_or(0, |m| m.read().len())
     }
 
-    /// Carry every group memo forward to `version` *unchanged* — the
-    /// typed-mutation fast path for writes that cannot stale a resolved
-    /// prefix. Access rules resolve against a spec's hierarchy, which is
-    /// immutable once inserted: spec inserts add specs no memo has seen,
-    /// and execution appends touch no hierarchy at all, so the memoized
-    /// products stay exact and only the version tag moves. Without this,
-    /// every write dropped every group's memo wholesale via the version
-    /// mismatch in [`Self::resolver`].
-    pub fn advance(&self, version: u64) {
-        use std::sync::atomic::Ordering;
+    /// Drop `spec`'s memoized prefix in every group: its policy was
+    /// swapped, or it was deleted or edited. Today's rules resolve from the
+    /// hierarchy alone, so only the delete strictly needs it (to return the
+    /// memory); for the other two it is the conservative contract, at
+    /// per-spec cost.
+    pub fn forget_spec(&self, spec: SpecId) {
         for memo in self.groups.read().values() {
-            memo.version.store(version, Ordering::Release);
-        }
-    }
-
-    /// Per-spec invalidation for a policy swap on `spec`: drop only that
-    /// spec's memoized prefix in every group, then carry the memos forward
-    /// to `version`. Today's view rules resolve from the hierarchy alone,
-    /// so even the touched spec's prefix is technically still exact — the
-    /// eviction is the conservative contract (a future rule may consult
-    /// the policy) at per-spec cost instead of a whole-registry drop. The
-    /// touch-counter tests pin down that *only* the swapped spec
-    /// re-resolves afterwards.
-    pub fn invalidate_spec(&self, spec: SpecId, version: u64) {
-        use std::sync::atomic::Ordering;
-        for memo in self.groups.read().values() {
-            if memo.prefixes.write().remove(&spec).is_some() {
+            if memo.write().remove(&spec).is_some() {
                 self.stats.record_invalidation();
             }
-            memo.version.store(version, Ordering::Release);
         }
     }
 
-    /// A lazy resolver for `name`'s views over `repo` at its current
-    /// version. Returns `None` for unknown groups. A stale memo (older
-    /// repository version) is replaced wholesale — hierarchies may have
-    /// changed under it.
+    /// A lazy resolver for `name`'s views over `repo`. Returns `None` for
+    /// unknown groups.
     pub fn resolver<'a>(
         &'a self,
         registry: &'a PrincipalRegistry,
         repo: &'a Repository,
         name: &str,
     ) -> Option<AccessResolver<'a>> {
-        use std::sync::atomic::Ordering;
         let group = registry.group(name)?;
-        let version = repo.version();
-        if let Some(memo) = self.groups.read().get(name) {
-            if memo.version.load(Ordering::Acquire) == version {
-                return Some(AccessResolver::new(repo, group, Arc::clone(memo), &self.stats));
-            }
-        }
-        let mut guard = self.groups.write();
-        // Re-check under the write lock: a racing resolver may have
-        // refreshed the memo already.
-        if let Some(memo) = guard.get(name) {
-            if memo.version.load(Ordering::Acquire) == version {
-                return Some(AccessResolver::new(repo, group, Arc::clone(memo), &self.stats));
-            }
-            self.stats.record_invalidation();
-        }
-        let memo = Arc::new(GroupMemo {
-            version: std::sync::atomic::AtomicU64::new(version),
-            prefixes: RwLock::new(HashMap::new()),
+        let known = self.groups.read().get(name).cloned();
+        let memo = known.unwrap_or_else(|| {
+            Arc::clone(self.groups.write().entry(name.to_string()).or_default())
         });
-        guard.insert(name.to_string(), Arc::clone(&memo));
         Some(AccessResolver::new(repo, group, memo, &self.stats))
     }
 }
@@ -351,8 +318,8 @@ impl AccessCache {
 /// A lazy, per-spec-memoized view of one group's access rules: the unit
 /// the query layer threads through filtered search instead of an eager
 /// whole-corpus map. `resolve` pays one rule resolution per *distinct spec
-/// actually asked about* per repository version; everything else is a memo
-/// probe.
+/// actually asked about* while its hierarchy lives; everything else is a
+/// memo probe.
 ///
 /// The resolver also keeps a per-handle record of which specs it was asked
 /// to resolve ([`AccessResolver::resolved_specs`]). That record is the
@@ -401,32 +368,35 @@ impl<'a> AccessResolver<'a> {
     }
 
     /// The group's access prefix for `spec`: memo probe first, rule
-    /// resolution on first touch. `None` for dead spec ids.
+    /// resolution on first touch. `None` for dead spec ids, whatever the
+    /// memo still holds.
     pub fn resolve(&self, spec: SpecId) -> Option<Arc<Prefix>> {
-        if let Some(hit) = self.memo.prefixes.read().get(&spec) {
-            self.touched.borrow_mut().insert(spec);
+        let entry = self.repo.entry(spec)?;
+        let current = |(hierarchy, _): &Resolved| Arc::ptr_eq(hierarchy, &entry.hierarchy);
+        self.touched.borrow_mut().insert(spec);
+        if let Some((_, hit)) = self.memo.read().get(&spec).filter(|r| current(r)) {
             self.stats.record_hit();
             return Some(Arc::clone(hit));
         }
-        let entry = self.repo.entry(spec)?;
         let rule = self.group.overrides.get(&spec).unwrap_or(&self.group.default_rule);
         let prefix = Arc::new(rule.resolve(&entry.hierarchy));
-        self.touched.borrow_mut().insert(spec);
         // A racing resolver may have memoized the same spec since the probe
         // (same product: rules are deterministic). Only the insert that
         // wins counts as a miss, so `misses` is the number of resolutions
         // memoized, whatever the interleaving; the loser is served the
         // memoized product like any other hit.
-        match self.memo.prefixes.write().entry(spec) {
-            Entry::Occupied(won) => {
+        let mut memo = self.memo.write();
+        match memo.get(&spec) {
+            Some(won) if current(won) => {
                 self.stats.record_hit();
-                Some(Arc::clone(won.get()))
+                return Some(Arc::clone(&won.1));
             }
-            Entry::Vacant(slot) => {
-                self.stats.record_miss();
-                Some(Arc::clone(slot.insert(prefix)))
-            }
+            Some(_) => self.stats.record_invalidation(),
+            None => {}
         }
+        self.stats.record_miss();
+        memo.insert(spec, (Arc::clone(&entry.hierarchy), Arc::clone(&prefix)));
+        Some(prefix)
     }
 
     /// Resolve a batch of specs; dead ids are skipped. Returned in input
@@ -554,69 +524,122 @@ mod tests {
         assert_eq!(cache.memoized_len("g"), 1);
     }
 
-    #[test]
-    fn resolver_invalidates_on_version_bump() {
-        let mut r = repo();
-        let mut reg = PrincipalRegistry::new();
-        reg.add_group("g", AccessLevel(1), ViewRule::Full);
-        let cache = AccessCache::new();
-        cache.resolver(&reg, &r, "g").unwrap().resolve(SpecId(0)).unwrap();
-        let (spec, _) = fixtures::disease_susceptibility();
-        r.insert_spec(spec, Policy::public()).unwrap();
-        let resolver = cache.resolver(&reg, &r, "g").unwrap();
-        assert_eq!(resolver.corpus_len(), 2);
-        resolver.resolve(SpecId(0)).unwrap();
-        assert_eq!(cache.stats().invalidations(), 1, "stale memo dropped");
-        assert_eq!(cache.stats().misses(), 2, "post-mutation touch re-resolves");
+    /// A one-workflow repository: its spec 0's full prefix is not the
+    /// fixture's.
+    fn flat_repo() -> Repository {
+        let mut b = ppwf_model::spec::SpecBuilder::new("flat");
+        let w = b.root_workflow("W1");
+        let a = b.atomic(w, "A", &[]);
+        b.edge(w, b.input(w), a, &["x"]);
+        b.edge(w, a, b.output(w), &["y"]);
+        let mut r = Repository::new();
+        r.insert_spec(b.build().unwrap(), Policy::public()).unwrap();
+        r
     }
 
     #[test]
-    fn advance_carries_memos_across_appends() {
+    fn a_swapped_repository_is_never_served_the_others_prefix() {
+        let (ours, theirs) = (repo(), flat_repo());
+        let mut reg = PrincipalRegistry::new();
+        reg.add_group("g", AccessLevel(1), ViewRule::Full);
+        let cache = AccessCache::new();
+        let a = cache.resolver(&reg, &ours, "g").unwrap().resolve(SpecId(0)).unwrap();
+        // Same group, same id, another hierarchy `Arc`: nothing vouches for
+        // the memo entry, so the rule resolves against the hierarchy asked
+        // about.
+        let b = cache.resolver(&reg, &theirs, "g").unwrap().resolve(SpecId(0)).unwrap();
+        assert_eq!(*b, ViewRule::Full.resolve(&theirs.entry(SpecId(0)).unwrap().hierarchy));
+        assert_ne!(a, b);
+        assert_eq!((cache.stats().misses(), cache.stats().invalidations()), (2, 1));
+        // A shallow copy shares the hierarchy and therefore the memo entry.
+        let copy = theirs.clone();
+        let c = cache.resolver(&reg, &copy, "g").unwrap().resolve(SpecId(0)).unwrap();
+        assert!(Arc::ptr_eq(&b, &c));
+        let again = cache.resolver(&reg, &ours, "g").unwrap().resolve(SpecId(0)).unwrap();
+        assert_eq!(again, a);
+        assert_eq!(cache.stats().misses(), 3);
+    }
+
+    #[test]
+    fn an_execution_append_leaves_the_memo_serving_hits() {
         let mut r = repo();
         let mut reg = PrincipalRegistry::new();
         reg.add_group("g", AccessLevel(1), ViewRule::Full);
         let cache = AccessCache::new();
-        cache.resolver(&reg, &r, "g").unwrap().resolve(SpecId(0)).unwrap();
+        let before = cache.resolver(&reg, &r, "g").unwrap().resolve(SpecId(0)).unwrap();
         assert_eq!(cache.stats().misses(), 1);
 
-        // An execution append cannot stale any prefix: advance instead of
-        // dropping, and the next touch is a memo hit, not a re-resolution.
+        // Neither an execution append nor another spec's insert touches a
+        // hierarchy, and neither needs the memo to be told.
         let exec = {
             let entry = r.entry(SpecId(0)).unwrap();
             fixtures::disease_susceptibility_execution(&entry.spec)
         };
         r.add_execution(SpecId(0), exec).unwrap();
-        cache.advance(r.version());
-        cache.resolver(&reg, &r, "g").unwrap().resolve(SpecId(0)).unwrap();
-        assert_eq!(cache.stats().misses(), 1, "advanced memo must serve the touch");
-        assert_eq!(cache.stats().invalidations(), 0, "nothing dropped");
+        let (spec, _) = fixtures::disease_susceptibility();
+        r.insert_spec(spec, Policy::public()).unwrap();
+        let after = cache.resolver(&reg, &r, "g").unwrap().resolve(SpecId(0)).unwrap();
+        assert!(Arc::ptr_eq(&before, &after), "the memoized prefix must keep serving");
+        let stats = cache.stats();
+        assert_eq!((stats.misses(), stats.hits(), stats.invalidations()), (1, 1, 0));
     }
 
     #[test]
-    fn invalidate_spec_drops_only_the_touched_memo() {
+    fn a_policy_swap_re_resolves_exactly_one_spec() {
+        let mut r = repo();
+        let (spec, _) = fixtures::disease_susceptibility();
+        r.insert_spec(spec, Policy::public()).unwrap();
+        let mut reg = PrincipalRegistry::new();
+        reg.add_group("g", AccessLevel(1), ViewRule::Full);
+        reg.add_group("h", AccessLevel(0), ViewRule::RootOnly);
+        let cache = AccessCache::new();
+        for group in ["g", "h"] {
+            let resolver = cache.resolver(&reg, &r, group).unwrap();
+            resolver.resolve(SpecId(0)).unwrap();
+            resolver.resolve(SpecId(1)).unwrap();
+        }
+        assert_eq!(cache.stats().misses(), 4);
+
+        // Policy swap on spec 0: only its entries drop, in every group.
+        r.set_policy(SpecId(0), Policy::public()).unwrap();
+        cache.forget_spec(SpecId(0));
+        assert_eq!(cache.memoized_len("g"), 1, "the untouched spec's memo survives");
+        assert_eq!(cache.stats().invalidations(), 2);
+        let resolver = cache.resolver(&reg, &r, "g").unwrap();
+        resolver.resolve(SpecId(1)).unwrap();
+        assert_eq!(cache.stats().misses(), 4, "untouched spec must not re-resolve");
+        resolver.resolve(SpecId(0)).unwrap();
+        resolver.resolve(SpecId(0)).unwrap();
+        assert_eq!(cache.stats().misses(), 5, "touched spec re-resolves exactly once");
+        // Forgetting a spec nobody memoized is not an invalidation.
+        cache.forget_spec(SpecId(7));
+        assert_eq!(cache.stats().invalidations(), 2);
+    }
+
+    #[test]
+    fn a_dead_id_answers_none_while_its_memo_entry_exists() {
         let mut r = repo();
         let (spec, _) = fixtures::disease_susceptibility();
         r.insert_spec(spec, Policy::public()).unwrap();
         let mut reg = PrincipalRegistry::new();
         reg.add_group("g", AccessLevel(1), ViewRule::Full);
         let cache = AccessCache::new();
-        {
+        let kept = {
             let resolver = cache.resolver(&reg, &r, "g").unwrap();
             resolver.resolve(SpecId(0)).unwrap();
-            resolver.resolve(SpecId(1)).unwrap();
-        }
-        assert_eq!(cache.stats().misses(), 2);
-
-        // Policy swap on spec 0: only its memo entry drops.
-        r.set_policy(SpecId(0), Policy::public()).unwrap();
-        cache.invalidate_spec(SpecId(0), r.version());
-        assert_eq!(cache.memoized_len("g"), 1, "the untouched spec's memo survives");
-        assert_eq!(cache.stats().invalidations(), 1);
+            resolver.resolve(SpecId(1)).unwrap()
+        };
+        // Nothing tells the cache about the delete: the entry stays, but
+        // the id is dead, and that is checked before the memo is.
+        r.delete_spec(SpecId(0)).unwrap();
+        assert_eq!(cache.memoized_len("g"), 2);
         let resolver = cache.resolver(&reg, &r, "g").unwrap();
-        resolver.resolve(SpecId(1)).unwrap();
-        assert_eq!(cache.stats().misses(), 2, "untouched spec must not re-resolve");
-        resolver.resolve(SpecId(0)).unwrap();
-        assert_eq!(cache.stats().misses(), 3, "touched spec re-resolves exactly once");
+        assert!(resolver.resolve(SpecId(0)).is_none());
+        assert_eq!(resolver.resolved_count(), 0, "a dead id is not 'resolved'");
+        assert!(Arc::ptr_eq(&kept, &resolver.resolve(SpecId(1)).unwrap()));
+        drop(resolver);
+        cache.forget_spec(SpecId(0));
+        assert_eq!(cache.memoized_len("g"), 1);
     }
 
     #[test]

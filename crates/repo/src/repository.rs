@@ -64,14 +64,16 @@ pub struct SpecEntry {
 /// count (the id space); [`Self::live_count`] is the population.
 #[derive(Clone, Debug, Default)]
 pub struct Repository {
+    /// Slots in id order; `None` is a tombstone. Derived read structures
+    /// (the keyword index, the access and view memos) follow this vector
+    /// through the [`MutationEffect`](crate::mutation::MutationEffect)
+    /// each write returns, never through a counter kept here.
     entries: Vec<Option<SpecEntry>>,
+    /// Bumps on every mutation: the sequence number logs and snapshots are
+    /// stamped with (see [`Self::version`]).
     version: u64,
     /// Live (non-tombstone) slots.
     live: usize,
-    /// Bumps only on destructive mutations (delete/edit) — the epoch the
-    /// index trust shortcuts key on: equal epochs prove the history since
-    /// the index last refreshed was append-only.
-    structure_epoch: u64,
 }
 
 /// The error every layer returns for operating on a tombstoned spec.
@@ -132,11 +134,6 @@ impl Repository {
     /// the snapshot was stamped with the sequence number it covers.
     pub fn set_version(&mut self, version: u64) {
         self.version = version;
-    }
-
-    /// The monotone destructive-mutation counter (see the field doc).
-    pub fn structure_epoch(&self) -> u64 {
-        self.structure_epoch
     }
 
     /// Resolve a live entry or the typed error for why it isn't one:
@@ -209,14 +206,12 @@ impl Repository {
     /// Remove a specification, its policy and its executions. The slot
     /// becomes a tombstone: [`Self::len`] (and therefore id assignment)
     /// is unchanged, lookups return `None`, and every further mutation
-    /// naming the id fails with [`deleted_spec_error`]. Bumps both the
-    /// version and the structure epoch.
+    /// naming the id fails with [`deleted_spec_error`].
     pub fn delete_spec(&mut self, spec: SpecId) -> Result<()> {
         self.check_delete(spec)?;
         self.entries[spec.index()] = None;
         self.live -= 1;
         self.version += 1;
-        self.structure_epoch += 1;
         Ok(())
     }
 
@@ -226,7 +221,7 @@ impl Repository {
     /// keyword tags change — so no re-validation of any of them is
     /// needed. A specification some snapshot image still shares is copied
     /// before it is changed ([`Arc::make_mut`]); the executions are never
-    /// copied. Bumps both the version and the structure epoch.
+    /// copied.
     pub fn edit_spec(&mut self, spec: SpecId, text: &crate::mutation::SpecText) -> Result<()> {
         self.check_edit(spec, text)?;
         let entry =
@@ -237,7 +232,6 @@ impl Repository {
                 .expect("check_edit verified every module edit");
         }
         self.version += 1;
-        self.structure_epoch += 1;
         Ok(())
     }
 
@@ -327,7 +321,6 @@ impl Repository {
         let id = SpecId(self.entries.len() as u32);
         self.entries.push(None);
         self.version += 1;
-        self.structure_epoch += 1;
         id
     }
 
@@ -354,8 +347,8 @@ impl Repository {
     }
 
     /// Iterate over live `(id, entry)` pairs. Positional consumers that
-    /// must stay aligned with the id space (index fingerprint scans,
-    /// chunk serialization) use [`Self::slots`] instead — this iterator
+    /// must stay aligned with the id space (chunk serialization) use
+    /// [`Self::slots`] instead — this iterator
     /// *skips* tombstones.
     pub fn entries(&self) -> impl Iterator<Item = (SpecId, &SpecEntry)> {
         self.entries
@@ -699,7 +692,6 @@ mod tests {
         let (spec, _) = fixtures::disease_susceptibility();
         let id1 = repo.insert_spec(spec, Policy::public()).unwrap();
         assert_eq!((repo.len(), repo.live_count()), (2, 2));
-        let epoch = repo.structure_epoch();
 
         repo.delete_spec(SpecId(0)).unwrap();
         assert_eq!(repo.len(), 2, "slot count is the id space and must not shrink");
@@ -707,7 +699,6 @@ mod tests {
         assert!(repo.entry(SpecId(0)).is_none());
         assert!(!repo.is_live(SpecId(0)));
         assert!(repo.is_live(id1));
-        assert!(repo.structure_epoch() > epoch, "delete must bump the structure epoch");
         assert_eq!(repo.execution_count(), 0, "the deleted spec's executions are gone");
 
         // Further mutations on the tombstone fail with the shared error.
@@ -732,7 +723,6 @@ mod tests {
         let m = fixtures::handles(&entry.spec);
         let before_hierarchy = entry.hierarchy.clone();
         let before_edges = entry.spec.edge_count();
-        let epoch = repo.structure_epoch();
 
         let text = SpecText {
             edits: vec![ModuleTextEdit {
@@ -750,7 +740,6 @@ mod tests {
         assert_eq!(entry.spec.edge_count(), before_edges, "edits never touch structure");
         assert_eq!(entry.hierarchy.len(), before_hierarchy.len());
         assert_eq!(entry.executions.len(), 1, "provenance survives the edit");
-        assert!(repo.structure_epoch() > epoch, "edit must bump the structure epoch");
 
         // Distinguished modules and bad ids are rejected before any change.
         let input = entry.spec.workflow(entry.spec.root()).input;

@@ -89,11 +89,13 @@
 //!   data loss, surfaced as a typed [`WalError::Corrupt`], never a panic
 //!   and never a silent skip.
 //!
-//! The log's checksums are also what makes the recovered history
-//! *trusted*: every record was verified at replay, so the rebuilt
-//! [`KeywordIndex`](crate::keyword_index::KeywordIndex) can use the
-//! trusted-epoch refresh fast path (skipping the per-write O(corpus)
-//! fingerprint scan) exactly like a never-crashed engine does.
+//! The log's checksums are also what makes the recovered history a
+//! sequence of typed writes: every record was verified at replay, so a
+//! [`KeywordIndex`](crate::keyword_index::KeywordIndex) built over the
+//! recovered repository and then handed each later write's effect
+//! ([`KeywordIndex::apply_effect`](crate::keyword_index::KeywordIndex::apply_effect))
+//! is maintained exactly as a never-crashed engine's is — nothing in the
+//! index is checked against the repository, before or after a crash.
 //!
 //! Write ordering: callers must validate a mutation against current state
 //! *before* appending (see [`Repository::check`]), so the log never holds

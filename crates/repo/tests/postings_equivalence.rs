@@ -9,7 +9,7 @@
 //! filtering by per-posting prefix membership. Every public read of
 //! [`KeywordIndex`] — `lookup_query_term`, `lookup_filtered`, `df` /
 //! `df_cached`, idf *bits*, candidate intersection — is compared against
-//! it over randomized corpora and randomized append/refresh sequences,
+//! it over randomized corpora and randomized insert sequences,
 //! with lookups interleaved so lists seal, grow unsealed tails, and
 //! re-seal mid-stream.
 //!
@@ -23,6 +23,7 @@ use ppwf_core::policy::{AccessLevel, Policy};
 use ppwf_model::hierarchy::Prefix;
 use ppwf_model::ids::ModuleId;
 use ppwf_repo::keyword_index::{tokenize, KeywordIndex, Posting};
+use ppwf_repo::mutation::Mutation;
 use ppwf_repo::postings::PostingsShape;
 use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
 use ppwf_repo::repository::{Repository, SpecId};
@@ -268,7 +269,7 @@ fn check_equivalence(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Randomized corpora and randomized append/refresh sequences, with
+    /// Randomized corpora and randomized insert sequences, with
     /// lookups interleaved so posting lists seal, grow tails, and re-seal
     /// — the index must stay observationally identical to the flat
     /// reference after every step.
@@ -276,7 +277,7 @@ proptest! {
     fn randomized_corpora_and_mutations_match_reference(
         seed in any::<u64>(),
         initial in 1usize..4,
-        appends in proptest::collection::vec((any::<u64>(), any::<bool>(), any::<bool>()), 0..4),
+        appends in proptest::collection::vec((any::<u64>(), any::<bool>()), 0..4),
     ) {
         let params = |s: u64| SpecParams { seed: s, vocabulary: 24, ..SpecParams::default() };
         let mut repo = Repository::new();
@@ -287,10 +288,10 @@ proptest! {
         let mut idx = KeywordIndex::build(&repo);
         check_equivalence(&idx, &repo, seed)?;
 
-        for (i, &(s, trusted, probe_first)) in appends.iter().enumerate() {
+        for (i, &(s, probe_first)) in appends.iter().enumerate() {
             if probe_first {
                 // Seal the current lists before appending: the next
-                // refresh then lands in tails behind sealed blocks, and
+                // insert then lands in tails behind sealed blocks, and
                 // the post-append check exercises seal → tail → re-seal.
                 let reference = RefIndex::build(&repo);
                 for term in sample_terms(&reference, seed, 4) {
@@ -298,12 +299,8 @@ proptest! {
                 }
             }
             let spec = generate_spec(&params(s ^ ((i as u64) << 32)));
-            repo.insert_spec(spec, Policy::public()).unwrap();
-            if trusted {
-                idx.refresh_trusted(&repo);
-            } else {
-                idx.refresh(&repo);
-            }
+            let effect = repo.apply(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
+            idx.apply_effect(&repo, &effect);
             check_equivalence(&idx, &repo, seed.wrapping_add(i as u64 + 1))?;
         }
     }

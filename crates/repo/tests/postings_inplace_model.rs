@@ -526,7 +526,7 @@ fn corpus(specs: usize, seed: u64) -> Repository {
 /// own postings plus the blocks that can hold them.
 #[test]
 fn index_maintenance_stays_within_the_per_key_work_bound() {
-    use ppwf_repo::mutation::{ModuleTextEdit, SpecText};
+    use ppwf_repo::mutation::{ModuleTextEdit, Mutation, SpecText};
     let mut repo = corpus(400, 0xE14);
     let mut idx = KeywordIndex::build(&repo);
     let vocabulary: Vec<String> = (0..48).map(|i| format!("kw{i}")).collect();
@@ -567,8 +567,8 @@ fn index_maintenance_stays_within_the_per_key_work_bound() {
     };
     let (own, shapes, lens, before) =
         (own_of(&idx), shapes_of(&idx), lens_of(&idx), idx.postings_decoded_by_maintenance());
-    repo.edit_spec(victim, &text).unwrap();
-    idx.edit_spec(&repo, victim);
+    let effect = repo.apply(Mutation::EditSpec { spec: victim, text }).unwrap();
+    idx.apply_effect(&repo, &effect);
     let spent = idx.postings_decoded_by_maintenance() - before;
     assert!(spent > 0, "the instrument must move");
     // Retraction and re-insertion each visit every key once.
@@ -579,8 +579,8 @@ fn index_maintenance_stays_within_the_per_key_work_bound() {
     // …and a delete that takes the token's only posting takes the key too.
     let (own, shapes, lens, before) =
         (own_of(&idx), shapes_of(&idx), lens_of(&idx), idx.postings_decoded_by_maintenance());
-    repo.delete_spec(victim).unwrap();
-    idx.delete_spec(&repo, victim);
+    let effect = repo.apply(Mutation::DeleteSpec { spec: victim }).unwrap();
+    idx.apply_effect(&repo, &effect);
     assert!(idx.term_postings("solitary").is_none(), "an emptied key must be removed");
     assert!(!idx.may_match("solitary"));
     let spent = idx.postings_decoded_by_maintenance() - before;

@@ -18,13 +18,12 @@
 # warm cache ≥5x uncached; E11: 4-shard cold serving above a ≥0.7x
 # no-regression floor — post-E12 both sides resolve access lazily, so
 # one-core cold serving sits near parity; E12: lazy access resolution
-# ≥3x eager on selective queries; E13: incremental index refresh ≥5x
-# full per-write rebuilds, no cold/warm read regression, cluster front
+# ≥3x eager on selective queries; E13: index maintenance by typed
+# effect (`apply_effect`) ≥5x full per-write rebuilds, no cold/warm read regression, cluster front
 # cache within 1.2x of the single engine warm; E14: async serving ≥2x
 # blocking thread-per-request at concurrency 8 on a 2-thread pool, with
-# bit-identical answers; E15: trusted-epoch index refresh ≥5x the
-# verifying refresh at 1024 specs, durable engine reads within 1.2x of
-# a fresh build, every recovery asserted bit-identical; E16: cold
+# bit-identical answers; E15: durable engine reads within 1.2x of a
+# fresh build, every recovery asserted bit-identical; E16: cold
 # selective multi-term search ≥3x the pre-E16 flat-Vec dataflow at 2048
 # specs, warm probe and per-write refresh no-regression, every answer
 # verified identical; E17: on the one write path, batched records
