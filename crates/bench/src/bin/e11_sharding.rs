@@ -208,7 +208,7 @@ fn main() {
       "warm_speedup_vs_single": {ws:.3},
       "avg_target_shards_per_query": {at:.3},
       "hits_served_per_pass": {hits},
-      "aggregate_keyword_hit_rate": {khr:.4}
+      "front_hit_rate": {fhr:.4}
     }}"#,
             shards = shards,
             cq = qps(cold_us, log.len()),
@@ -219,7 +219,7 @@ fn main() {
             ws = single_warm_us / warm_us,
             at = avg_targets,
             hits = cold_hits,
-            khr = stats.aggregate_keyword_hit_rate(),
+            fhr = stats.front.hit_rate(),
         ));
     }
 

@@ -3,9 +3,10 @@
 //! One [`QueryEngine`] bounds serving capacity by one keyword index, one
 //! view cache and one repository walk per request. The [`EngineCluster`]
 //! lifts that bound: a [`Router`] partitions specifications across N shard
-//! engines (each a full, independently cached [`QueryEngine`] over its own
-//! repository slice), and a read scatters across the shards, then gathers
-//! per-shard hits into one merged answer in global spec order.
+//! engines (each a [`QueryEngine`] over its own repository slice, with its
+//! own keyword index, view memo and access memo), and a read scatters
+//! across the shards, then gathers per-shard hits into one merged answer in
+//! global spec order.
 //!
 //! **The read path is written once.** The query mode — keyword, private
 //! under a plan, ranked under a ranking mode — is a value
@@ -45,34 +46,36 @@
 //!   in parallel on the pool. A query that no shard can match is answered
 //!   from the plan alone, touching no shard at all — not even a df memo.
 //!
-//! Per-group caching lives in two tiers. The shards keep their
-//! `(group, query)` caches (they partition cleanly across a spec
-//! partition). In front of them sits the **cluster-front result cache**:
-//! fully merged answers keyed by `(group, query, mode)` and tagged with
-//! the cluster's **version vector** — one monotone
+//! An answer is cached once, where it is served: in the **cluster-front
+//! result cache**. A shard computes its part of an answer without a cache
+//! of its own — `run_shard` resolves the group's access on the shard and
+//! computes the part, probing and filling no shard result cache — and only
+//! the merged answer is kept, keyed by `(group, query, mode)` and tagged
+//! with the cluster's **version vector** — one monotone
 //! [`QueryEngine::results_version`] per shard — collapsed to its sum, the
 //! front epoch. A warm cluster request is then a single probe plus an
 //! `Arc` clone, skipping the scatter, the hit remap and the merge entirely
 //! — the per-request work E11's warm column measured against the single
-//! engine. Because each shard's counter only moves when a routed write can
+//! engine. A cold one pays one insert, and a retraction has one cache to
+//! reach. Because each shard's counter only moves when a routed write can
 //! change answers, execution appends — the dominant provenance write —
 //! leave every front entry an exact-tag hit. Every other write moves the
 //! owning shard's component, and with it the epoch, but strands only the
 //! front entries it can have changed: the shard stamps the written spec's
 //! vocabulary into the cluster's [`TouchStamps`] on the epoch clock as it
-//! applies the write, and a front probe that finds an entry merged at an
-//! older epoch re-admits it exactly when the stamps show nothing it depends
-//! on was written since ([`ppwf_repo::touch`] has the rules; the shard
-//! caches apply the same ones on their own clocks). A retraction, an edit
-//! or a policy swap is therefore never outlived by a merged answer that
-//! could name the spec, while reads of everything else stay one probe.
+//! applies the write — the one table it stamps — and a front probe that
+//! finds an entry merged at an older epoch re-admits it exactly when the
+//! stamps show nothing it depends on was written since
+//! ([`ppwf_repo::touch`] has the rules). A retraction, an edit or a policy
+//! swap is therefore never outlived by a merged answer that could name the
+//! spec, while reads of everything else stay one probe.
 
 use crate::engine::{
     CacheSnapshot, EngineStats, FrontStamps, Plan, QueryEngine, RankedAnswer,
     DEFAULT_RESULT_CAPACITY, DEFAULT_VIEW_CAPACITY,
 };
 use crate::keyword::{KeywordHit, KeywordQuery};
-use crate::modes::{Keyword, Merged, Private, Ranked, ReadMode, ResultCaches};
+use crate::modes::{Keyword, Merged, Part, Private, Ranked, ReadMode, ResultCaches};
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::RankingMode;
 use crate::route::{Router, ShardStrategy};
@@ -152,6 +155,8 @@ pub(crate) struct ReadPlan<M> {
     pub(crate) mode: M,
     group: String,
     query_text: String,
+    /// `query_text`, parsed once for every target shard.
+    query: KeywordQuery,
     /// The front epoch the answer is computed and published at.
     pub(crate) epoch: u64,
     /// The shards that can contribute, in shard order; empty when index
@@ -163,6 +168,11 @@ pub(crate) struct ReadPlan<M> {
 }
 
 /// Per-shard and rolled-up cache counters for operators and E11/E13.
+///
+/// The cluster's one result cache is its front. A shard computes its parts
+/// uncached, so the `keyword`, `private` and `ranked` snapshots of
+/// `per_shard` and `aggregate` read zero by construction; their `views`
+/// and `access` snapshots count the memos the shards do keep.
 #[derive(Clone, Debug)]
 pub struct ClusterStats {
     /// One [`EngineStats`] per shard, in shard order.
@@ -170,21 +180,9 @@ pub struct ClusterStats {
     /// Field-wise sum across shards (rates derive from summed counters, so
     /// idle shards cannot produce NaN or dilute a rate).
     pub aggregate: EngineStats,
-    /// The cluster-front result cache (keyword + private + ranked tiers
+    /// The cluster-front result cache (keyword + private + ranked caches
     /// summed): hits here skipped the scatter/remap/merge entirely.
     pub front: CacheSnapshot,
-}
-
-impl ClusterStats {
-    /// Per-shard keyword hit rates, in shard order (0 for idle shards).
-    pub fn keyword_hit_rates(&self) -> Vec<f64> {
-        self.per_shard.iter().map(|s| s.keyword.hit_rate()).collect()
-    }
-
-    /// Aggregate keyword hit rate across the cluster.
-    pub fn aggregate_keyword_hit_rate(&self) -> f64 {
-        self.aggregate.keyword.hit_rate()
-    }
 }
 
 /// The sharded serving stack. See the module docs.
@@ -246,9 +244,10 @@ impl EngineCluster {
     }
 
     /// [`Self::with_config`] with explicit cache capacities: `views` per
-    /// shard view cache, `results` per shard result cache and per
-    /// cluster-front cache. Crate-private — production always runs the
-    /// defaults; the eviction-pressure tests starve the caches through it.
+    /// spec in each shard's view memo, `results` per cluster-front cache
+    /// (the shards' result caches stay empty). Crate-private — production
+    /// always runs the defaults; the eviction-pressure tests starve the
+    /// caches through it.
     pub(crate) fn with_capacities(
         repo: Repository,
         registry: PrincipalRegistry,
@@ -490,8 +489,8 @@ impl EngineCluster {
     /// Privilege-filtered keyword search, scattered and gathered in global
     /// spec order. Returns `None` for unknown groups. Warm requests are
     /// served from the cluster-front cache — one probe, no scatter, no
-    /// remap, no merge — and, past it, from the shards' `(group, query)`
-    /// caches.
+    /// remap, no merge; a miss computes every target shard's part and
+    /// caches only the merged answer.
     pub fn search_as(&self, group: &str, query_text: &str) -> Option<Arc<Vec<KeywordHit>>> {
         self.read(Keyword, group, query_text)
     }
@@ -509,11 +508,11 @@ impl EngineCluster {
         self.read(Private(plan), group, query_text)
     }
 
-    /// Ranked keyword search. Shards contribute hits and TF profiles (both
-    /// cached shard-side); the gather stage rescores every profile with
-    /// corpus-global IDFs summed over *all* shards — including pruned ones,
-    /// whose document counts still shape the statistics — so scores and
-    /// order are bit-identical to a single engine over the same corpus.
+    /// Ranked keyword search. Shards contribute hits and TF profiles; the
+    /// gather stage rescores every profile with corpus-global IDFs summed
+    /// over *all* shards — including pruned ones, whose document counts
+    /// still shape the statistics — so scores and order are bit-identical
+    /// to a single engine over the same corpus.
     pub fn ranked_search_as(
         &self,
         group: &str,
@@ -584,16 +583,19 @@ impl EngineCluster {
         let targets = self.target_shards(&query);
         let idfs =
             if targets.is_empty() { Vec::new() } else { mode.corpus_idfs(&self.shards, &query) };
-        Some(ReadPlan { mode, group, query_text, epoch, targets, idfs })
+        Some(ReadPlan { mode, group, query_text, query, epoch, targets, idfs })
     }
 
-    /// Stage 3 — target `slot`'s part of the answer. Module privacy is
-    /// enforced here, inside the shard: its hits are sanitized against the
-    /// group's access views before anything reaches the gather.
-    pub(crate) fn run_shard<M: ReadMode>(&self, plan: &ReadPlan<M>, slot: usize) -> M::Part {
-        plan.mode
-            .shard_part(&self.shards[plan.targets[slot]], &plan.group, &plan.query_text)
-            .expect("group registered on every shard")
+    /// Stage 3 — target `slot`'s part of the answer, computed on the shard
+    /// under the group's access there and cached nowhere: the front caches
+    /// the merged answer, and no shard result cache is probed or filled.
+    /// Module privacy is enforced here, inside the shard: its hits are
+    /// sanitized against the group's access views before anything reaches
+    /// the gather.
+    pub(crate) fn run_shard<M: ReadMode>(&self, plan: &ReadPlan<M>, slot: usize) -> Part<M> {
+        let shard = &self.shards[plan.targets[slot]];
+        let access = shard.access_resolver(&plan.group).expect("group registered on every shard");
+        plan.mode.part(shard, &access, &plan.query)
     }
 
     /// Stage 4 — gather: merge the target shards' parts (in target order)
@@ -603,7 +605,7 @@ impl EngineCluster {
     pub(crate) fn gather<M: ReadMode>(
         &self,
         plan: &ReadPlan<M>,
-        parts: Vec<M::Part>,
+        parts: Vec<Part<M>>,
     ) -> Arc<Merged<M>> {
         let merged = Arc::new(M::merge(plan, &self.router, &parts));
         let cache = plan.mode.cache(&self.front);
@@ -930,11 +932,12 @@ impl EngineCluster {
     }
 
     /// Apply `mutation` (shard-local ids) on shard `shard`, lending it the
-    /// front stamp table: what the write touches is stamped on the shard's
-    /// clock for the shard's caches and on the front epoch for the front's.
-    /// Every routed write comes through here — a shard write that bypassed
-    /// it would move the epoch without saying what it touched, and front
-    /// entries naming the written spec would be re-admitted.
+    /// front stamp table: what the write touches is stamped there, on the
+    /// front epoch, and nowhere else — the front caches every answer the
+    /// shard contributes to, and the shard caches none. Every routed write
+    /// comes through here — a shard write that bypassed it would move the
+    /// epoch without saying what it touched, and front entries naming the
+    /// written spec would be re-admitted.
     fn mutate_shard(&mut self, shard: usize, mutation: Mutation) -> Result<MutationEffect> {
         let offset = self.front_epoch() - self.shards[shard].results_version();
         let front = FrontStamps { stamps: &mut self.front_stamps, offset };
@@ -1023,9 +1026,9 @@ impl EngineCluster {
     }
 
     /// Replace the registry cluster-wide: every shard receives its remapped
-    /// view and clears its result caches, and the front caches drop too
-    /// (group names may now mean different privileges — version tags
-    /// cannot see registry changes).
+    /// view and drops its access memo, and the front caches — the cluster's
+    /// only result caches — drop too (group names may now mean different
+    /// privileges — version tags cannot see registry changes).
     pub fn set_registry(&mut self, registry: PrincipalRegistry) {
         self.registry = registry;
         for s in 0..self.shards.len() {
@@ -1119,7 +1122,7 @@ mod tests {
         let c = cluster(2, 2);
         assert_eq!(c.search_as("researchers", "database").unwrap().len(), 2);
         assert_eq!(c.search_as("public", "database").unwrap().len(), 0);
-        assert_eq!(c.stats().aggregate.keyword.hits, 0, "distinct groups cannot hit");
+        assert_eq!(c.stats().front.hits, 0, "distinct groups cannot hit");
     }
 
     #[test]
@@ -1193,6 +1196,11 @@ mod tests {
         );
     }
 
+    /// The three result-cache snapshots of one engine's stats.
+    fn result_caches(stats: &EngineStats) -> [CacheSnapshot; 3] {
+        [stats.keyword, stats.private, stats.ranked]
+    }
+
     #[test]
     fn stats_roll_up_across_shards() {
         let c = cluster(4, 2);
@@ -1200,14 +1208,19 @@ mod tests {
         c.search_as("researchers", "risk").unwrap();
         let stats = c.stats();
         assert_eq!(stats.per_shard.len(), 2);
-        let summed: u64 = stats.per_shard.iter().map(|s| s.keyword.hits).sum();
-        assert_eq!(stats.aggregate.keyword.hits, summed);
-        // The warm request is absorbed by the cluster front; shard caches
-        // see only the cold scatter.
+        // The memos the shards keep roll up field by field...
+        let views = stats.per_shard.iter().fold(CacheSnapshot::default(), |a, s| a.merge(s.views));
+        assert_eq!(stats.aggregate.views, views);
+        let summed: u64 = stats.per_shard.iter().map(|s| s.access.misses).sum();
+        assert_eq!(stats.aggregate.access.misses, summed);
+        assert!(summed > 0, "the cold scatter resolved access on the shards");
+        // ...while both requests are counted at the front alone: the warm
+        // one is absorbed there, and the cold one reached no shard cache.
         assert_eq!(stats.front.hits, 1);
         assert_eq!(stats.front.misses, 1);
-        assert!(stats.aggregate.keyword.misses > 0);
-        assert_eq!(stats.keyword_hit_rates().len(), 2);
+        for s in stats.per_shard.iter().chain([&stats.aggregate]) {
+            assert_eq!(result_caches(s), [CacheSnapshot::default(); 3]);
+        }
     }
 
     #[test]
@@ -1227,15 +1240,18 @@ mod tests {
             c.ranked_search_as("researchers", q, RankingMode::ExactFull).unwrap();
         }
         let stats = c.stats();
-        // Keyword, private and ranked front tiers: four answers through two
+        // Keyword, private and ranked front caches: four answers through two
         // slots each.
         assert_eq!(stats.front.evictions, 3 * 2);
         assert!(stats.front.sweep_steps >= stats.front.evictions);
-        let summed: u64 = stats.per_shard.iter().map(|s| s.keyword.evictions).sum();
-        assert!(summed > 0, "shard caches of two must evict too");
-        assert_eq!(stats.aggregate.keyword.evictions, summed);
-        let steps: u64 = stats.per_shard.iter().map(|s| s.keyword.sweep_steps).sum();
-        assert_eq!(stats.aggregate.keyword.sweep_steps, steps);
+        // However starved, the front is the only result cache that fills:
+        // the shards' evict nothing because they never receive an entry.
+        assert_eq!(result_caches(&stats.aggregate), [CacheSnapshot::default(); 3]);
+        // The shards' view memos still roll up their eviction work.
+        let summed: u64 = stats.per_shard.iter().map(|s| s.views.evictions).sum();
+        assert_eq!(stats.aggregate.views.evictions, summed);
+        let steps: u64 = stats.per_shard.iter().map(|s| s.views.sweep_steps).sum();
+        assert_eq!(stats.aggregate.views.sweep_steps, steps);
     }
 
     #[test]
@@ -1252,19 +1268,74 @@ mod tests {
         let again = c.private_search_as("researchers", "risk", Plan::FilterThenSearch).unwrap();
         assert!(Arc::ptr_eq(&private, &again));
         // The corpus document count moved: the merged ranked answer is
-        // rejected at the front, and so is shard 0's share of it, while shard
-        // 1 — whose clock never moved — serves an exact-tag hit.
+        // rejected at the front and recomputed from every target's part.
         let again = c.ranked_search_as("researchers", "risk", mode).unwrap();
         assert!(!Arc::ptr_eq(&ranked, &again));
         let stats = c.stats();
         assert_eq!((stats.front.revalidations, stats.front.invalidations), (2, 1));
-        assert_eq!(stats.per_shard[0].ranked.invalidations, 1);
-        assert_eq!(stats.per_shard[1].ranked.invalidations, 0);
-        // Shard 0's keyword entry (the ranked path's hit list) is re-admitted.
-        assert_eq!(stats.per_shard[0].keyword.revalidations, 1);
-        let summed: u64 = stats.per_shard.iter().map(|s| s.keyword.revalidations).sum();
-        assert_eq!(stats.aggregate.keyword.revalidations, summed);
-        assert_eq!(stats.aggregate.ranked.invalidations, 1);
+        assert_eq!((stats.front.hits, stats.front.misses), (2, 4));
+        // Every verdict was the front's: no shard cache re-admitted or
+        // rejected anything, and the write stamped no shard's table.
+        for (shard, s) in c.shards().iter().zip(&stats.per_shard) {
+            assert_eq!(result_caches(s), [CacheSnapshot::default(); 3]);
+            assert!(shard.stamps().is_empty());
+        }
+        assert!(!c.front_stamps.is_empty());
+    }
+
+    #[test]
+    fn a_cluster_caches_each_answer_once() {
+        use crate::serve::{QueryAnswer, ServeFront, ServeRequest};
+        let (fixture, _) = fixtures::disease_susceptibility();
+        let writes = [
+            Mutation::InsertSpec { spec: spec_speaking("zebra"), policy: Policy::public() },
+            Mutation::AddExecution {
+                spec: SpecId(0),
+                exec: fixtures::disease_susceptibility_execution(&fixture),
+            },
+            Mutation::SetPolicy { spec: SpecId(1), policy: Policy::public() },
+            edit_of(SpecId(2)),
+            Mutation::DeleteSpec { spec: SpecId(3) },
+        ];
+        let queries = ["risk", "database", "zebra", "redacted", "database, risk"];
+        let (plan, mode) = (Plan::FilterThenSearch, RankingMode::ExactFull);
+        let mut blocking = cluster(4, 2);
+        let front = ServeFront::new(cluster(4, 2));
+        let mut reads = 0;
+        for round in 0..=writes.len() {
+            for (group, query) in ["public", "researchers"].into_iter().flat_map(|g| {
+                queries.into_iter().chain(queries).map(move |q| (g.to_owned(), q.to_owned()))
+            }) {
+                blocking.search_as(&group, &query).unwrap();
+                blocking.private_search_as(&group, &query, plan).unwrap();
+                blocking.ranked_search_as(&group, &query, mode).unwrap();
+                for request in [
+                    ServeRequest::Keyword { group: group.clone(), query: query.clone() },
+                    ServeRequest::Private { group: group.clone(), query: query.clone(), plan },
+                    ServeRequest::Ranked { group: group.clone(), query: query.clone(), mode },
+                ] {
+                    front.submit(request).wait();
+                }
+                reads += 3;
+            }
+            if let Some(write) = writes.get(round) {
+                blocking.mutate(write.clone()).unwrap();
+                let response = front.submit(ServeRequest::mutate(write.clone())).wait();
+                assert!(matches!(response.answer, QueryAnswer::Mutated(Ok(_))));
+            }
+        }
+        let one_tier = |c: &EngineCluster| {
+            let stats = c.stats();
+            for (shard, s) in c.shards().iter().zip(&stats.per_shard) {
+                assert_eq!(result_caches(s), [CacheSnapshot::default(); 3]);
+                assert!(shard.stamps().is_empty(), "a routed write stamped a shard's table");
+            }
+            assert_eq!(stats.front.hits + stats.front.misses, reads, "one front lookup per read");
+            assert!(stats.front.revalidations > 0 && stats.front.invalidations > 0);
+        };
+        one_tier(&blocking);
+        front.quiesce();
+        front.with_cluster(one_tier);
     }
 
     #[test]
@@ -1347,6 +1418,7 @@ mod tests {
             ask(&c);
         }
         assert!(!c.front_stamps.is_empty() && c.stats().front.revalidations > 0);
+        assert!(c.shards().iter().all(|s| s.stamps().is_empty()), "writes stamp the front alone");
         // Power loss in the middle of the next record.
         storage.set_plan(FaultPlan {
             crash_after_bytes: Some(storage.bytes_appended() + 9),
@@ -1363,7 +1435,8 @@ mod tests {
         assert!(c.shards().iter().all(|s| s.stamps().is_empty()));
         let stats = c.stats();
         assert_eq!(stats.front, CacheSnapshot::default());
-        assert_eq!(stats.aggregate.keyword, CacheSnapshot::default());
+        assert_eq!(stats.aggregate.views, CacheSnapshot::default());
+        assert_eq!(stats.aggregate.access, CacheSnapshot::default());
         for m in acked {
             mirror.apply(m).unwrap();
         }
@@ -1400,8 +1473,17 @@ mod tests {
     fn zero_lookup_rates_are_zero_not_nan() {
         let c = cluster(2, 2);
         let stats = c.stats();
-        assert_eq!(stats.aggregate_keyword_hit_rate(), 0.0);
-        assert!(stats.keyword_hit_rates().iter().all(|r| *r == 0.0));
+        assert_eq!(stats.front.hit_rate(), 0.0);
+        assert_eq!(stats.aggregate.access.hit_rate(), 0.0);
+        assert!(stats.per_shard.iter().all(|s| s.views.hit_rate() == 0.0));
+        // The shards' result caches see no lookup even once the cluster
+        // serves: their rates stay a defined 0.
+        c.search_as("researchers", "risk").unwrap();
+        c.search_as("researchers", "risk").unwrap();
+        let stats = c.stats();
+        assert_eq!(stats.front.hit_rate(), 0.5);
+        assert!(stats.per_shard.iter().all(|s| s.keyword.hit_rate() == 0.0));
+        assert_eq!(stats.aggregate.keyword.hit_rate(), 0.0);
     }
 
     #[test]
@@ -1425,11 +1507,13 @@ mod tests {
         assert!(Arc::ptr_eq(&cold, &warm), "warm request must share the merged answer");
         let after = c.stats();
         assert_eq!(after.front.hits, before.front.hits + 1);
-        assert_eq!(
-            after.aggregate.keyword.hits + after.aggregate.keyword.misses,
-            before.aggregate.keyword.hits + before.aggregate.keyword.misses,
-            "a front hit must not touch any shard"
-        );
+        // What a shard run consults: the access and view memos.
+        let shard_lookups = |s: &ClusterStats| {
+            let (access, views) = (s.aggregate.access, s.aggregate.views);
+            access.hits + access.misses + views.hits + views.misses
+        };
+        assert!(shard_lookups(&before) > 0, "the cold request ran on the shards");
+        assert_eq!(shard_lookups(&after), shard_lookups(&before), "a front hit touched a shard");
     }
 
     #[test]

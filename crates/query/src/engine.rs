@@ -31,6 +31,13 @@
 //! was written since (the rules, and why they are a privacy invariant, are
 //! in [`ppwf_repo::touch`]).
 //!
+//! All of that caching belongs to the engine that *serves*. An engine that
+//! is a shard of an [`EngineCluster`](crate::cluster::EngineCluster)
+//! serves nobody directly: the cluster computes the shard's parts without
+//! its result caches, caches only the merged answer at its front, and has
+//! the shard stamp its writes into the front's table — so an answer is
+//! cached once, and a shard's result caches and stamp table stay empty.
+//!
 //! Cold queries resolve access views **lazily**: the engine holds an
 //! [`AccessCache`] whose per-group [`AccessResolver`]s resolve a spec's
 //! rule only when that spec shows up in candidate postings (or in a hit
@@ -41,7 +48,7 @@
 //! are still filtered before any search work.
 
 use crate::keyword::{KeywordHit, KeywordQuery};
-use crate::modes::{Keyword, Private, Ranked, ReadMode, ResultCaches};
+use crate::modes::{Keyword, Part, Private, Ranked, RankedPart, ReadMode, ResultCaches};
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::{RankingMode, TfProfile};
 use ppwf_model::Result;
@@ -68,7 +75,7 @@ pub enum Plan {
 }
 
 /// A ranked keyword answer: hit order (best first), scores and profiles
-/// aligned with the hit list the keyword cache holds for the same query.
+/// aligned with the hit list it was computed from.
 #[derive(Debug)]
 pub struct RankedAnswer {
     /// Hit indices, best first.
@@ -200,8 +207,9 @@ pub struct QueryEngine {
     /// for candidate specs, and the products survive across queries until
     /// the spec's policy swap, delete or edit, or a registry swap.
     access: AccessCache,
-    /// The `(group, query)` result caches, one per query class.
-    results: ResultCaches<RankedAnswer>,
+    /// The `(group, query)` result caches, one per query class (empty in a
+    /// cluster shard: see the module docs).
+    results: ResultCaches<RankedPart>,
     /// The version result caches tag their entries with. It advances to
     /// the repository version whenever a [`MutationEffect`] can change
     /// answers (every effect but an execution append) and stays put for
@@ -211,12 +219,14 @@ pub struct QueryEngine {
     results_version: u64,
     /// What each move of `results_version` touched: decides which entries
     /// with an older tag are re-admitted. Written only by [`Self::mutate`]
-    /// (`&mut self`), read by the `&self` query paths.
+    /// (`&mut self`), read by the `&self` query paths; a cluster shard's
+    /// writes stamp the front's table instead.
     stamps: TouchStamps,
 }
 
 /// A cluster's front-cache stamp table, lent to the shard that applies a
-/// routed write ([`QueryEngine::mutate_stamping`]).
+/// routed write ([`QueryEngine::mutate_stamping`]) — the one table that
+/// write stamps.
 pub(crate) struct FrontStamps<'a> {
     pub(crate) stamps: &'a mut TouchStamps,
     /// The front's clock minus this shard's: the sum of the *other* shards'
@@ -228,8 +238,8 @@ pub(crate) struct FrontStamps<'a> {
 
 /// Default bound on memoized views per spec.
 pub(crate) const DEFAULT_VIEW_CAPACITY: usize = 16;
-/// Default capacity of each result cache — per query class in an engine,
-/// and again per class at the cluster front.
+/// Default capacity of each result cache, per query class, in whichever
+/// object serves: a standalone engine, or a cluster's front.
 pub(crate) const DEFAULT_RESULT_CAPACITY: usize = 4096;
 
 impl QueryEngine {
@@ -324,12 +334,16 @@ impl QueryEngine {
     /// [`EngineCluster`](crate::cluster::EngineCluster::attach_durability),
     /// which validates and appends a write before any shard engine sees it.
     pub fn mutate(&mut self, mutation: Mutation) -> Result<MutationEffect> {
-        self.mutate_stamping(mutation, None)
+        let effect = self.mutate_stamping(mutation, None)?;
+        self.stamps.trim(self.index.term_count(), self.repo.version());
+        Ok(effect)
     }
 
-    /// [`Self::mutate`] for a shard of a cluster: whatever this write
-    /// stamps in the engine's own table it also stamps in `front`, the
-    /// cluster-front caches' table, on the front's clock.
+    /// [`Self::mutate`], stamping exactly one table: the engine's own when
+    /// `front` is `None` (the engine serves, and caches, its own answers),
+    /// otherwise `front`, the table of the cluster front that caches every
+    /// answer this shard contributes to, on the front's clock. Whoever owns
+    /// the stamped table trims it afterwards.
     pub(crate) fn mutate_stamping(
         &mut self,
         mutation: Mutation,
@@ -343,13 +357,14 @@ impl QueryEngine {
         // arrives with (an answer it belongs in now was computed without
         // it), and whether the document count moved.
         let touched = self.index.apply_effect(&self.repo, &effect);
-        let front = front.map(|front| (front.stamps, version + front.offset));
-        for (stamps, at) in std::iter::once((&mut self.stamps, version)).chain(front) {
-            stamps.touch(&touched.left, at);
-            stamps.touch(touched.arrived, at);
-            if touched.docs_moved {
-                stamps.touch_docs(at);
-            }
+        let (stamps, at) = match front {
+            Some(front) => (front.stamps, version + front.offset),
+            None => (&mut self.stamps, version),
+        };
+        stamps.touch(&touched.left, at);
+        stamps.touch(touched.arrived, at);
+        if touched.docs_moved {
+            stamps.touch_docs(at);
         }
         if effect.changes_visible_state() {
             self.results_version = version;
@@ -365,7 +380,6 @@ impl QueryEngine {
             }
             MutationEffect::SpecInserted { .. } | MutationEffect::ExecutionAppended { .. } => {}
         }
-        self.stamps.trim(self.index.term_count(), version);
         Ok(effect)
     }
 
@@ -402,7 +416,7 @@ impl QueryEngine {
     /// Privilege-filtered keyword search for one group, cached per
     /// `(group, query)`. Returns `None` for unknown groups.
     pub fn search_as(&self, group: &str, query_text: &str) -> Option<Arc<Vec<KeywordHit>>> {
-        Keyword.shard_part(self, group, query_text)
+        self.cached(Keyword, group, query_text)
     }
 
     /// Privacy-preserving search under an explicit plan, cached per
@@ -415,24 +429,26 @@ impl QueryEngine {
         query_text: &str,
         plan: Plan,
     ) -> Option<Arc<PrivateSearchOutcome>> {
-        Private(plan).shard_part(self, group, query_text)
+        self.cached(Private(plan), group, query_text)
     }
 
-    /// Ranked keyword search: the cached hit list for `(group, query)`
-    /// scored under `mode`, itself cached per `(group, query)` in a
-    /// per-mode cache — and the warm probe is allocation-free like the
-    /// other layers.
+    /// Ranked keyword search: the hit list for `(group, query)` and its
+    /// ranking under `mode`, computed together and cached together per
+    /// `(group, query)` in a per-mode cache — and the warm probe is
+    /// allocation-free like the other layers.
     pub fn ranked_search_as(
         &self,
         group: &str,
         query_text: &str,
         mode: RankingMode,
     ) -> Option<(Arc<Vec<KeywordHit>>, Arc<RankedAnswer>)> {
-        Ranked(mode).shard_part(self, group, query_text)
+        let (hits, ranked) = &*self.cached(Ranked(mode), group, query_text)?;
+        Some((Arc::clone(hits), Arc::clone(ranked)))
     }
 
     /// The one cached read under every entry point above: probe → resolve
-    /// access → compute → insert, in `mode`'s result cache.
+    /// access → compute the part ([`ReadMode::part`]) → insert, in `mode`'s
+    /// result cache.
     ///
     /// The cache is probed *before* any access resolution: a warm hit is
     /// one hash lookup plus an `Arc` clone, never a walk of the registry —
@@ -445,13 +461,7 @@ impl QueryEngine {
     /// only specs with candidate postings pay rule resolution (E12's
     /// cold-path lever) — never the whole corpus, as the former eager
     /// `access_map` did. `None` for unknown groups.
-    pub(crate) fn cached<M: ReadMode>(
-        &self,
-        mode: M,
-        group: &str,
-        query_text: &str,
-        compute: impl FnOnce(&AccessResolver<'_>, &KeywordQuery) -> M::Cached<RankedAnswer>,
-    ) -> Option<Arc<M::Cached<RankedAnswer>>> {
+    fn cached<M: ReadMode>(&self, mode: M, group: &str, query_text: &str) -> Option<Arc<Part<M>>> {
         let version = self.results_version;
         let cache = mode.cache(&self.results);
         let vouched = |tag| self.stamps.survives(query_text, tag, M::DEPENDS);
@@ -459,7 +469,7 @@ impl QueryEngine {
             return Some(hit);
         }
         let access = self.access_resolver(group)?;
-        let answer = Arc::new(compute(&access, &KeywordQuery::parse(query_text)));
+        let answer = Arc::new(mode.part(self, &access, &KeywordQuery::parse(query_text)));
         cache.insert(group, query_text, version, Arc::clone(&answer));
         Some(answer)
     }
@@ -789,10 +799,11 @@ pub(crate) mod tests {
         assert_ne!(ranked.scores[0].to_bits(), again.scores[0].to_bits());
 
         let stats = e.stats();
-        // The ranked path probes the keyword cache for its hit list first:
-        // one re-admission above, one exact-tag hit here.
+        // The ranked path caches its hit list with its ranking: the keyword
+        // cache saw the two keyword reads alone, one miss and one
+        // re-admission.
         assert_eq!((stats.keyword.revalidations, stats.keyword.invalidations), (1, 0));
-        assert_eq!((stats.keyword.hits, stats.keyword.misses), (3, 1));
+        assert_eq!((stats.keyword.hits, stats.keyword.misses), (1, 1));
         assert_eq!((stats.private.revalidations, stats.private.invalidations), (1, 0));
         assert_eq!((stats.ranked.revalidations, stats.ranked.invalidations), (0, 1));
         let merged = EngineStats::merged([&stats, &stats]);

@@ -6,7 +6,8 @@
 //! still points at it. The default capacities (thousands of results, sixteen
 //! views per spec) never evict on the equivalence suites' workloads, so
 //! these tests starve every cache — two views per spec, two results per
-//! class, in the engine, in every shard and at the cluster front — and
+//! class, in the engine, in every shard's view memo and at the cluster
+//! front (a cluster's only result caches) — and
 //! require every answer of every group, on every query class, to stay
 //! bit-identical to an *uncached* evaluation (a fresh engine per request)
 //! and inside the requester's access prefix: sequentially across mutations,
@@ -18,7 +19,7 @@
 //! public knob.
 
 use crate::cluster::EngineCluster;
-use crate::engine::{Plan, QueryEngine, RankedAnswer};
+use crate::engine::{CacheSnapshot, Plan, QueryEngine, RankedAnswer};
 use crate::keyword::KeywordHit;
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::RankingMode;
@@ -347,11 +348,16 @@ fn sequential_run(
         ("engine private", engine_stats.private.evictions),
         ("engine ranked", engine_stats.ranked.evictions),
         ("cluster front", cluster_stats.front.evictions),
-        ("shard keyword", cluster_stats.aggregate.keyword.evictions),
     ] {
         if evictions == 0 {
             return Err(format!("{what} cache never evicted: no pressure was applied"));
         }
+    }
+    // The front is the cluster's one result tier: under the same pressure
+    // the shards' result caches must see no traffic at all.
+    let shard = &cluster_stats.aggregate;
+    if [shard.keyword, shard.private, shard.ranked] != [CacheSnapshot::default(); 3] {
+        return Err("a shard result cache was consulted: answers are cached twice".to_string());
     }
     Ok(())
 }

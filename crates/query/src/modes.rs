@@ -4,22 +4,24 @@
 //! keyword, private under a [`Plan`], ranked under a [`RankingMode`]. What
 //! differs between them is written here once, as the three implementors of
 //! [`ReadMode`]: which result cache a mode's answers live in, what such an
-//! answer depends on ([`Depends`]), how one shard engine computes its part
-//! of an answer, and how parts merge into the global answer. Everything
-//! else — the engine's probe → resolve access → compute → insert
+//! answer depends on ([`Depends`]), how one engine computes its part of an
+//! answer, and how parts merge into the global answer. Everything else — a
+//! standalone engine's probe → resolve access → part → insert
 //! ([`QueryEngine::cached`]), the cluster's probe, plan, shard run and
 //! gather ([`crate::cluster`]), the serving front's fan-out
 //! ([`crate::serve`]) — is generic over the mode and written once. A part of
 //! one mode handed to another mode's merge is a type error.
 //!
-//! [`ResultCaches`] is the cache triple both tiers keep (a shard engine's
-//! per-`(group, query)` caches, and the cluster front's caches of merged
-//! answers): one keyword cache, one cache per [`Plan`] so the warm probe
-//! stays borrow-only, and a [`ModeCaches`] map for ranked answers. The
-//! ranking *mode* is part of a ranked answer's identity — and modes carry
-//! `f64` parameters, so they key an outer map of caches rather than a fixed
-//! array like `Plan`. The warm probe builds a stack [`ModeKey`] and clones
-//! an `Arc`, allocating nothing. The map itself is bounded at
+//! Computing a part ([`ReadMode::part`]) touches no result cache: an answer
+//! is cached once, by whichever object serves it. A standalone engine
+//! caches the parts it computes; a cluster caches only merged answers, at
+//! its front, and its shards compute parts uncached. [`ResultCaches`] is the
+//! cache triple either keeps: one keyword cache, one cache per [`Plan`] so
+//! the warm probe stays borrow-only, and a [`ModeCaches`] map for ranked
+//! answers. The ranking *mode* is part of a ranked answer's identity — and
+//! modes carry `f64` parameters, so they key an outer map of caches rather
+//! than a fixed array like `Plan`. The warm probe builds a stack [`ModeKey`]
+//! and clones an `Arc`, allocating nothing. The map itself is bounded at
 //! [`MAX_RANKED_MODES`]: workloads that mint unbounded distinct modes (e.g.
 //! a fresh `NoisyFull` seed per request) evict the least-recently-used
 //! mode's cache instead of growing forever, and evicted caches fold their
@@ -38,6 +40,7 @@ use crate::ranking::{
 use crate::route::Router;
 use parking_lot::RwLock;
 use ppwf_repo::cache::GroupCache;
+use ppwf_repo::principals::AccessResolver;
 use ppwf_repo::touch::Depends;
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -47,23 +50,25 @@ use std::sync::Arc;
 /// One way of asking the privacy-filtered question. See the module docs.
 pub(crate) trait ReadMode: Copy + Send + Sync + 'static {
     /// What a result cache holds per `(group, query)` under this mode, in a
-    /// tier whose ranked entries are `R`: a shard engine's caches
-    /// (`R` = [`RankedAnswer`]) or a cluster front's (`R` = [`RankedHits`]).
-    type Cached<R>;
-    /// What one shard engine hands the gather stage.
-    type Part: Send + 'static;
+    /// tier whose ranked entries are `R`: a standalone engine's caches of
+    /// parts (`R` = [`RankedPart`]) or a cluster front's caches of merged
+    /// answers (`R` = [`RankedHits`]).
+    type Cached<R: Send + 'static>: Send + 'static;
     /// What a cached answer reads, and so which writes can strand it.
     const DEPENDS: Depends;
 
     /// The cache of `caches` that holds this mode's answers: the keyword and
     /// private caches by reference, a ranking mode's by the `Arc` its map
     /// slot holds (the slot may be evicted while the read runs).
-    fn cache<R>(self, caches: &ResultCaches<R>)
-        -> impl Deref<Target = GroupCache<Self::Cached<R>>>;
+    fn cache<R: Send + 'static>(
+        self,
+        caches: &ResultCaches<R>,
+    ) -> impl Deref<Target = GroupCache<Self::Cached<R>>>;
 
-    /// One shard engine's part of the answer, shard-local ids, served from
-    /// and published to the engine's own caches. `None` for unknown groups.
-    fn shard_part(self, e: &QueryEngine, group: &str, query_text: &str) -> Option<Self::Part>;
+    /// One engine's part of the answer to `query` under `access`, in the
+    /// engine's own ids. Computed, never looked up: no result cache is
+    /// probed or filled here.
+    fn part(self, e: &QueryEngine, access: &AccessResolver, query: &KeywordQuery) -> Part<Self>;
 
     /// Corpus-global IDFs for `query`, if merging reads them.
     fn corpus_idfs(self, _shards: &[QueryEngine], _query: &KeywordQuery) -> Vec<f64> {
@@ -73,9 +78,14 @@ pub(crate) trait ReadMode: Copy + Send + Sync + 'static {
     /// Merge the parts of `plan`'s target shards, in target order, into the
     /// global answer: hits under `router`'s global ids, in global spec
     /// order.
-    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Self::Part]) -> Merged<Self>;
+    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Part<Self>]) -> Merged<Self>;
 }
 
+/// A ranked part: the engine's keyword hits, and their ranking aligned
+/// with them.
+pub(crate) type RankedPart = (Arc<Vec<KeywordHit>>, Arc<RankedAnswer>);
+/// What one engine computes for a query, and a standalone engine caches.
+pub(crate) type Part<M> = <M as ReadMode>::Cached<RankedPart>;
 /// The merged, global-id answer a cluster front caches and returns.
 pub(crate) type Merged<M> = <M as ReadMode>::Cached<RankedHits>;
 
@@ -117,57 +127,53 @@ fn merge_hits<'a>(
 }
 
 impl ReadMode for Keyword {
-    type Cached<R> = Vec<KeywordHit>;
-    type Part = Arc<Vec<KeywordHit>>;
+    type Cached<R: Send + 'static> = Vec<KeywordHit>;
     const DEPENDS: Depends = Depends::OnMatches;
 
-    fn cache<R>(
+    fn cache<R: Send + 'static>(
         self,
         caches: &ResultCaches<R>,
     ) -> impl Deref<Target = GroupCache<Vec<KeywordHit>>> {
         &caches.keyword
     }
 
-    fn shard_part(self, e: &QueryEngine, group: &str, query_text: &str) -> Option<Self::Part> {
-        e.cached(self, group, query_text, |access, query| {
-            search_filtered_with_cache(e.repo(), e.index(), query, access, e.views())
-        })
+    fn part(self, e: &QueryEngine, access: &AccessResolver, query: &KeywordQuery) -> Part<Self> {
+        search_filtered_with_cache(e.repo(), e.index(), query, access, e.views())
     }
 
-    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Self::Part]) -> Merged<Self> {
-        merge_hits(&plan.targets, router, parts.iter().map(|hits| &**hits))
+    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Part<Self>]) -> Merged<Self> {
+        merge_hits(&plan.targets, router, parts.iter())
     }
 }
 
 impl ReadMode for Private {
-    type Cached<R> = PrivateSearchOutcome;
-    type Part = Arc<PrivateSearchOutcome>;
+    type Cached<R: Send + 'static> = PrivateSearchOutcome;
     const DEPENDS: Depends = Depends::OnMatches;
 
     /// One cache per plan keeps the warm probe borrow-only — no composite
     /// key to allocate.
-    fn cache<R>(
+    fn cache<R: Send + 'static>(
         self,
         caches: &ResultCaches<R>,
     ) -> impl Deref<Target = GroupCache<PrivateSearchOutcome>> {
         &caches.private[self.0 as usize]
     }
 
-    fn shard_part(self, e: &QueryEngine, group: &str, query_text: &str) -> Option<Self::Part> {
-        e.cached(self, group, query_text, |access, query| match self.0 {
+    fn part(self, e: &QueryEngine, access: &AccessResolver, query: &KeywordQuery) -> Part<Self> {
+        match self.0 {
             Plan::FilterThenSearch => {
                 filter_then_search_cached(e.repo(), e.index(), query, access, e.views())
             }
             Plan::SearchThenZoomOut => {
                 search_then_zoom_out_cached(e.repo(), e.index(), query, access, e.views())
             }
-        })
+        }
     }
 
     /// The plans' cost counters (views built, zoom steps, discards) are
     /// counts of per-spec work, so their sums equal the single-engine
     /// figures.
-    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Self::Part]) -> Merged<Self> {
+    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Part<Self>]) -> Merged<Self> {
         PrivateSearchOutcome {
             hits: merge_hits(&plan.targets, router, parts.iter().map(|outcome| &outcome.hits)),
             views_built: parts.iter().map(|outcome| outcome.views_built).sum(),
@@ -178,27 +184,25 @@ impl ReadMode for Private {
 }
 
 impl ReadMode for Ranked {
-    type Cached<R> = R;
-    /// The shard's keyword hit list, and its ranking aligned with it.
-    type Part = (Arc<Vec<KeywordHit>>, Arc<RankedAnswer>);
+    type Cached<R: Send + 'static> = R;
     const DEPENDS: Depends = Depends::OnStatistics;
 
-    fn cache<R>(self, caches: &ResultCaches<R>) -> impl Deref<Target = GroupCache<R>> {
+    fn cache<R: Send + 'static>(
+        self,
+        caches: &ResultCaches<R>,
+    ) -> impl Deref<Target = GroupCache<R>> {
         caches.ranked.cache(self.0)
     }
 
-    /// The engine's cached hit list for `(group, query)` scored under the
-    /// mode, itself cached, so repeated ranked queries skip the TF
-    /// re-tokenization pass entirely.
-    fn shard_part(self, e: &QueryEngine, group: &str, query_text: &str) -> Option<Self::Part> {
-        let hits = Keyword.shard_part(e, group, query_text)?;
-        let ranked = e.cached(self, group, query_text, |_, query| {
-            let profiles = profiles_for_hits(e.repo(), &hits, &query.terms);
-            let idfs = idfs_for_terms(e.index(), &query.terms);
-            let scores = scores_for_profiles(&idfs, &profiles, self.0);
-            RankedAnswer { order: rank_by_scores(&scores), scores, profiles }
-        })?;
-        Some((hits, ranked))
+    /// The keyword hits and, in the same call, their TF profiles scored
+    /// under the mode with the engine's own IDFs.
+    fn part(self, e: &QueryEngine, access: &AccessResolver, query: &KeywordQuery) -> Part<Self> {
+        let hits = Keyword.part(e, access, query);
+        let profiles = profiles_for_hits(e.repo(), &hits, &query.terms);
+        let idfs = idfs_for_terms(e.index(), &query.terms);
+        let scores = scores_for_profiles(&idfs, &profiles, self.0);
+        let ranked = RankedAnswer { order: rank_by_scores(&scores), scores, profiles };
+        (Arc::new(hits), Arc::new(ranked))
     }
 
     /// Summed over *all* shards — including ones the scatter prunes, whose
@@ -220,7 +224,7 @@ impl ReadMode for Ranked {
     /// the plan's corpus-global IDFs ([`scores_for_profiles`] — bitwise the
     /// single engine's math), so scores and order come out bit-identical
     /// to a single engine over the same corpus.
-    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Self::Part]) -> Merged<Self> {
+    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Part<Self>]) -> Merged<Self> {
         let mut rows: Vec<(KeywordHit, TfProfile)> = Vec::new();
         for (&shard, (hits, ranked)) in plan.targets.iter().zip(parts) {
             let hits = hits.iter().map(|h| to_global(router, shard, h));
@@ -234,8 +238,8 @@ impl ReadMode for Ranked {
     }
 }
 
-/// The `(group, query)` result caches of one tier, one per query class;
-/// `R` is what the tier caches for a ranked query. See the module docs.
+/// The `(group, query)` result caches of one serving object, one per query
+/// class; `R` is what it caches for a ranked query. See the module docs.
 pub(crate) struct ResultCaches<R> {
     keyword: GroupCache<Vec<KeywordHit>>,
     /// One cache per [`Plan`], indexed by the plan's discriminant.
@@ -287,7 +291,7 @@ struct ModeSlot<V> {
 }
 
 /// The bounded per-mode cache map. `V` is whatever the owner caches per
-/// `(group, query)` — a shard engine stores [`RankedAnswer`]s, the cluster
+/// `(group, query)` — a standalone engine stores [`RankedPart`]s, a cluster
 /// front stores fully merged hit lists with their ranking.
 pub(crate) struct ModeCaches<V> {
     slots: RwLock<HashMap<ModeKey, ModeSlot<V>>>,

@@ -95,7 +95,7 @@
 use crate::cluster::{EngineCluster, RankedHits, ReadPlan};
 use crate::engine::Plan;
 use crate::keyword::KeywordHit;
-use crate::modes::{Keyword, Merged, Private, Ranked, ReadMode};
+use crate::modes::{Keyword, Merged, Part, Private, Ranked, ReadMode};
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::RankingMode;
 use parking_lot::RwLock;
@@ -749,7 +749,7 @@ struct Gather<M: ReadMode> {
     shared: Arc<Shared>,
     plan: ReadPlan<M>,
     wrap: Wrap<M>,
-    state: Mutex<GatherState<M::Part>>,
+    state: Mutex<GatherState<Part<M>>>,
 }
 
 struct GatherState<P> {

@@ -341,7 +341,13 @@ impl<V> GroupCache<V> {
             }
             i
         };
-        index.entry(group.to_owned()).or_default().insert(query.to_owned(), i);
+        // The group key is allocated only for a group the index does not
+        // hold yet; every later insert of the group probes with the borrow.
+        if let Some(inner) = index.get_mut(group) {
+            inner.insert(query.to_owned(), i);
+        } else {
+            index.insert(group.to_owned(), HashMap::from([(query.to_owned(), i)]));
+        }
     }
 
     /// Panic unless the [`Clock`] invariants hold (test instrument).
