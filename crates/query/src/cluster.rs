@@ -47,9 +47,9 @@
 //!   from the plan alone, touching no shard at all — not even a df memo.
 //!
 //! An answer is cached once, where it is served: in the **cluster-front
-//! result cache**. A shard computes its part of an answer without a cache
-//! of its own — `run_shard` resolves the group's access on the shard and
-//! computes the part, probing and filling no shard result cache — and only
+//! result cache**. A shard engine is built without result caches —
+//! `run_shard` resolves the group's access on the shard and computes the
+//! part, and a read made on a shard directly is computed too — and only
 //! the merged answer is kept, keyed by `(group, query, mode)` and tagged
 //! with the cluster's **version vector** — one monotone
 //! [`QueryEngine::results_version`] per shard — collapsed to its sum, the
@@ -169,10 +169,10 @@ pub(crate) struct ReadPlan<M> {
 
 /// Per-shard and rolled-up cache counters for operators and E11/E13.
 ///
-/// The cluster's one result cache is its front. A shard computes its parts
-/// uncached, so the `keyword`, `private` and `ranked` snapshots of
-/// `per_shard` and `aggregate` read zero by construction; their `views`
-/// and `access` snapshots count the memos the shards do keep.
+/// The cluster's one result cache is its front. A shard has no result
+/// cache, so the `keyword`, `private` and `ranked` snapshots of `per_shard`
+/// and `aggregate` read zero by construction; their `views` and `access`
+/// snapshots count the memos the shards do keep.
 #[derive(Clone, Debug)]
 pub struct ClusterStats {
     /// One [`EngineStats`] per shard, in shard order.
@@ -245,7 +245,7 @@ impl EngineCluster {
 
     /// [`Self::with_config`] with explicit cache capacities: `views` per
     /// spec in each shard's view memo, `results` per cluster-front cache
-    /// (the shards' result caches stay empty). Crate-private — production
+    /// (the shards have no result caches). Crate-private — production
     /// always runs the defaults; the eviction-pressure tests starve the
     /// caches through it.
     pub(crate) fn with_capacities(
@@ -289,7 +289,7 @@ impl EngineCluster {
             .enumerate()
             .map(|(s, r)| {
                 let registry = shard_view_of_registry(&registry, &router, s);
-                QueryEngine::with_capacities(r, registry, views, results)
+                QueryEngine::shard(r, registry, views)
             })
             .collect();
         EngineCluster {
@@ -437,7 +437,8 @@ impl EngineCluster {
     }
 
     /// The shard engines, in shard order (read-only; writes go through
-    /// [`Self::mutate`]).
+    /// [`Self::mutate`]). A shard has no result cache: a read made on one
+    /// directly is computed, in shard-local ids.
     pub fn shards(&self) -> &[QueryEngine] {
         &self.shards
     }
@@ -588,7 +589,7 @@ impl EngineCluster {
 
     /// Stage 3 — target `slot`'s part of the answer, computed on the shard
     /// under the group's access there and cached nowhere: the front caches
-    /// the merged answer, and no shard result cache is probed or filled.
+    /// the merged answer, and a shard has no result cache.
     /// Module privacy is enforced here, inside the shard: its hits are
     /// sanitized against the group's access views before anything reaches
     /// the gather.
@@ -1214,13 +1215,10 @@ mod tests {
         let summed: u64 = stats.per_shard.iter().map(|s| s.access.misses).sum();
         assert_eq!(stats.aggregate.access.misses, summed);
         assert!(summed > 0, "the cold scatter resolved access on the shards");
-        // ...while both requests are counted at the front alone: the warm
-        // one is absorbed there, and the cold one reached no shard cache.
+        // ...while both requests are counted at the front, the one result
+        // cache a cluster has: the warm one is absorbed there.
         assert_eq!(stats.front.hits, 1);
         assert_eq!(stats.front.misses, 1);
-        for s in stats.per_shard.iter().chain([&stats.aggregate]) {
-            assert_eq!(result_caches(s), [CacheSnapshot::default(); 3]);
-        }
     }
 
     #[test]
@@ -1244,10 +1242,7 @@ mod tests {
         // slots each.
         assert_eq!(stats.front.evictions, 3 * 2);
         assert!(stats.front.sweep_steps >= stats.front.evictions);
-        // However starved, the front is the only result cache that fills:
-        // the shards' evict nothing because they never receive an entry.
-        assert_eq!(result_caches(&stats.aggregate), [CacheSnapshot::default(); 3]);
-        // The shards' view memos still roll up their eviction work.
+        // The shards' view memos roll up their eviction work.
         let summed: u64 = stats.per_shard.iter().map(|s| s.views.evictions).sum();
         assert_eq!(stats.aggregate.views.evictions, summed);
         let steps: u64 = stats.per_shard.iter().map(|s| s.views.sweep_steps).sum();
@@ -1274,13 +1269,7 @@ mod tests {
         let stats = c.stats();
         assert_eq!((stats.front.revalidations, stats.front.invalidations), (2, 1));
         assert_eq!((stats.front.hits, stats.front.misses), (2, 4));
-        // Every verdict was the front's: no shard cache re-admitted or
-        // rejected anything, and the write stamped no shard's table.
-        for (shard, s) in c.shards().iter().zip(&stats.per_shard) {
-            assert_eq!(result_caches(s), [CacheSnapshot::default(); 3]);
-            assert!(shard.stamps().is_empty());
-        }
-        assert!(!c.front_stamps.is_empty());
+        assert!(!c.front_stamps.is_empty(), "the write stamped the front's table");
     }
 
     #[test]
@@ -1336,6 +1325,36 @@ mod tests {
         one_tier(&blocking);
         front.quiesce();
         front.with_cluster(one_tier);
+    }
+
+    #[test]
+    fn a_read_made_on_a_shard_is_never_outlived_by_a_routed_write() {
+        let mut c = cluster(4, 2);
+        let (shard, local) = c.router().locate(SpecId(1)).unwrap();
+        let (plan, mode) = (Plan::FilterThenSearch, RankingMode::ExactFull);
+        let names = |hits: &[KeywordHit]| hits.iter().any(|h| h.spec == local);
+        let writes = [
+            ("policy swap", Mutation::SetPolicy { spec: SpecId(1), policy: Policy::public() }),
+            ("edit", edit_of(SpecId(1))),
+            ("delete", Mutation::DeleteSpec { spec: SpecId(1) }),
+        ];
+        for (kind, write) in writes {
+            let e = &c.shards()[shard];
+            let keyword = e.search_as("researchers", "database").unwrap();
+            let private = e.private_search_as("researchers", "database", plan).unwrap();
+            let (_, ranked) = e.ranked_search_as("researchers", "database", mode).unwrap();
+            assert_eq!(names(&keyword), kind == "policy swap" || kind == "edit", "{kind}");
+            c.mutate(write).unwrap();
+            let e = &c.shards()[shard];
+            let again = e.search_as("researchers", "database").unwrap();
+            assert!(!Arc::ptr_eq(&keyword, &again), "{kind} outlived by a shard's answer");
+            assert_eq!(names(&again), kind == "policy swap", "{kind}");
+            let again = e.private_search_as("researchers", "database", plan).unwrap();
+            assert!(!Arc::ptr_eq(&private, &again), "{kind}");
+            let (_, again) = e.ranked_search_as("researchers", "database", mode).unwrap();
+            assert!(!Arc::ptr_eq(&ranked, &again), "{kind}");
+        }
+        assert_eq!(result_caches(&c.stats().per_shard[shard]), [CacheSnapshot::default(); 3]);
     }
 
     #[test]
@@ -1418,7 +1437,6 @@ mod tests {
             ask(&c);
         }
         assert!(!c.front_stamps.is_empty() && c.stats().front.revalidations > 0);
-        assert!(c.shards().iter().all(|s| s.stamps().is_empty()), "writes stamp the front alone");
         // Power loss in the middle of the next record.
         storage.set_plan(FaultPlan {
             crash_after_bytes: Some(storage.bytes_appended() + 9),
@@ -1432,7 +1450,6 @@ mod tests {
         // snapshotted, so the reopened cluster has none.
         let c = open(&Arc::new(storage.reopen()));
         assert!(c.front_stamps.is_empty());
-        assert!(c.shards().iter().all(|s| s.stamps().is_empty()));
         let stats = c.stats();
         assert_eq!(stats.front, CacheSnapshot::default());
         assert_eq!(stats.aggregate.views, CacheSnapshot::default());
@@ -1476,13 +1493,12 @@ mod tests {
         assert_eq!(stats.front.hit_rate(), 0.0);
         assert_eq!(stats.aggregate.access.hit_rate(), 0.0);
         assert!(stats.per_shard.iter().all(|s| s.views.hit_rate() == 0.0));
-        // The shards' result caches see no lookup even once the cluster
-        // serves: their rates stay a defined 0.
+        // A shard has no result cache: its result rates are a defined 0
+        // however much the cluster serves.
         c.search_as("researchers", "risk").unwrap();
         c.search_as("researchers", "risk").unwrap();
         let stats = c.stats();
         assert_eq!(stats.front.hit_rate(), 0.5);
-        assert!(stats.per_shard.iter().all(|s| s.keyword.hit_rate() == 0.0));
         assert_eq!(stats.aggregate.keyword.hit_rate(), 0.0);
     }
 

@@ -33,10 +33,12 @@
 //!
 //! All of that caching belongs to the engine that *serves*. An engine that
 //! is a shard of an [`EngineCluster`](crate::cluster::EngineCluster)
-//! serves nobody directly: the cluster computes the shard's parts without
-//! its result caches, caches only the merged answer at its front, and has
-//! the shard stamp its writes into the front's table — so an answer is
-//! cached once, and a shard's result caches and stamp table stay empty.
+//! serves nobody directly: it is built without result caches, so every
+//! read of it — the cluster's, or one made through
+//! [`EngineCluster::shards`](crate::cluster::EngineCluster::shards) — is
+//! computed; the cluster caches only the merged answer at its front and
+//! has the shard stamp its writes into the front's table. An answer is
+//! cached once, and nothing a shard answered can outlive a write to it.
 //!
 //! Cold queries resolve access views **lazily**: the engine holds an
 //! [`AccessCache`] whose per-group [`AccessResolver`]s resolve a spec's
@@ -207,9 +209,9 @@ pub struct QueryEngine {
     /// for candidate specs, and the products survive across queries until
     /// the spec's policy swap, delete or edit, or a registry swap.
     access: AccessCache,
-    /// The `(group, query)` result caches, one per query class (empty in a
-    /// cluster shard: see the module docs).
-    results: ResultCaches<RankedPart>,
+    /// The `(group, query)` result caches, one per query class (`None` in
+    /// a cluster shard: see the module docs).
+    results: Option<ResultCaches<RankedPart>>,
     /// The version result caches tag their entries with. It advances to
     /// the repository version whenever a [`MutationEffect`] can change
     /// answers (every effect but an execution append) and stays put for
@@ -219,8 +221,9 @@ pub struct QueryEngine {
     results_version: u64,
     /// What each move of `results_version` touched: decides which entries
     /// with an older tag are re-admitted. Written only by [`Self::mutate`]
-    /// (`&mut self`), read by the `&self` query paths; a cluster shard's
-    /// writes stamp the front's table instead.
+    /// (`&mut self`), read by the `&self` query paths; a cluster shard,
+    /// which has no result cache to judge, stamps the front's table
+    /// instead and leaves this one empty.
     stamps: TouchStamps,
 }
 
@@ -257,15 +260,24 @@ impl QueryEngine {
         view_capacity: usize,
         result_capacity: usize,
     ) -> Self {
+        QueryEngine {
+            results: Some(ResultCaches::new(result_capacity)),
+            ..Self::shard(repo, registry, view_capacity)
+        }
+    }
+
+    /// A cluster shard's engine: views memoized *per spec*, and no result
+    /// caches — its every read is computed (see the module docs).
+    pub(crate) fn shard(repo: Repository, registry: PrincipalRegistry, views: usize) -> Self {
         let index = KeywordIndex::build(&repo);
         let results_version = repo.version();
         QueryEngine {
             repo,
             registry,
             index,
-            views: ViewCache::new(view_capacity),
+            views: ViewCache::new(views),
             access: AccessCache::new(),
-            results: ResultCaches::new(result_capacity),
+            results: None,
             results_version,
             stamps: TouchStamps::new(),
         }
@@ -397,7 +409,7 @@ impl QueryEngine {
     pub fn set_registry(&mut self, registry: PrincipalRegistry) {
         self.registry = registry;
         self.access.clear();
-        self.results.clear();
+        self.results.iter().for_each(ResultCaches::clear);
     }
 
     /// A lazy access resolver for `group` over the current repository —
@@ -448,7 +460,8 @@ impl QueryEngine {
 
     /// The one cached read under every entry point above: probe → resolve
     /// access → compute the part ([`ReadMode::part`]) → insert, in `mode`'s
-    /// result cache.
+    /// result cache — or, in a cluster shard, which has none, just the
+    /// middle two.
     ///
     /// The cache is probed *before* any access resolution: a warm hit is
     /// one hash lookup plus an `Arc` clone, never a walk of the registry —
@@ -463,14 +476,17 @@ impl QueryEngine {
     /// `access_map` did. `None` for unknown groups.
     fn cached<M: ReadMode>(&self, mode: M, group: &str, query_text: &str) -> Option<Arc<Part<M>>> {
         let version = self.results_version;
-        let cache = mode.cache(&self.results);
+        let cache = self.results.as_ref().map(|results| mode.cache(results));
         let vouched = |tag| self.stamps.survives(query_text, tag, M::DEPENDS);
-        if let Some(hit) = cache.get_validated(group, query_text, version, vouched) {
-            return Some(hit);
+        let hit = cache.as_ref().and_then(|c| c.get_validated(group, query_text, version, vouched));
+        if hit.is_some() {
+            return hit;
         }
         let access = self.access_resolver(group)?;
         let answer = Arc::new(mode.part(self, &access, &KeywordQuery::parse(query_text)));
-        cache.insert(group, query_text, version, Arc::clone(&answer));
+        if let Some(cache) = cache {
+            cache.insert(group, query_text, version, Arc::clone(&answer));
+        }
         Some(answer)
     }
 
@@ -483,7 +499,8 @@ impl QueryEngine {
 
     /// Counters of every cache layer.
     pub fn stats(&self) -> EngineStats {
-        let [keyword, private, ranked] = self.results.snapshots();
+        let [keyword, private, ranked] =
+            self.results.as_ref().map_or([CacheSnapshot::default(); 3], ResultCaches::snapshots);
         EngineStats {
             views: CacheSnapshot::of(self.views.stats()),
             keyword,
@@ -686,6 +703,10 @@ pub(crate) mod tests {
         assert!(e.stats().ranked.hits >= 1);
     }
 
+    fn ranked_modes(e: &QueryEngine) -> &crate::modes::ModeCaches<RankedPart> {
+        &e.results.as_ref().expect("a standalone engine caches").ranked
+    }
+
     #[test]
     fn mode_churn_cannot_grow_the_ranked_map_unboundedly() {
         let e = engine();
@@ -705,7 +726,7 @@ pub(crate) mod tests {
             assert!(lookups >= last_lookups, "ranked counters went backwards");
             last_lookups = lookups;
         }
-        assert!(e.results.ranked.mode_count() <= MAX_RANKED_MODES);
+        assert!(ranked_modes(&e).mode_count() <= MAX_RANKED_MODES);
         assert_eq!(
             last_lookups,
             3 * MAX_RANKED_MODES as u64,
@@ -723,7 +744,7 @@ pub(crate) mod tests {
             e.ranked_search_as("researchers", "query", RankingMode::ExactFull).unwrap();
         }
         assert!(
-            e.results.ranked.has_mode(&RankingMode::ExactFull.cache_key()),
+            ranked_modes(&e).has_mode(&RankingMode::ExactFull.cache_key()),
             "the constantly-touched mode must not be the eviction victim"
         );
     }
@@ -837,7 +858,7 @@ pub(crate) mod tests {
         for &mode in &modes[1..] {
             e.ranked_search_as("researchers", "risk", mode).unwrap();
         }
-        assert!(!e.results.ranked.has_mode(&modes[0].cache_key()));
+        assert!(!ranked_modes(&e).has_mode(&modes[0].cache_key()));
         assert_eq!(e.stats().ranked.revalidations, 1, "history must not vanish with the mode");
     }
 
