@@ -16,10 +16,10 @@
 //!   serving path. The index-gated scatter touches only shards whose
 //!   indexes can satisfy every query term, and surviving shard tasks run
 //!   in parallel on the worker pool on multi-core hosts.
-//! * `warm` — second pass over the same stream. Since E13 this is served
-//!   from the cluster-front result cache (one probe per request, tagged
-//!   by the shard version vector); the shards' `(group, query)` caches
-//!   sit behind it for front misses after answer-changing writes.
+//! * `warm` — second pass over the same stream, served from the
+//!   cluster-front result cache (one probe per request, tagged by the
+//!   cluster's epoch). A shard caches no answer, so a front miss
+//!   recomputes the target shards' parts.
 //!
 //! **Post-E12 note.** When this gate was introduced, a cold request
 //! resolved the principal group's access views across its engine's whole
@@ -35,7 +35,7 @@
 //! scatter pays.
 //!
 //! Before any number is reported, a verification pass asserts every
-//! cluster answer lists exactly the single engine's global spec ids. The
+//! cluster answer lists exactly the single engine's spec ids. The
 //! binary exits non-zero if the 4-shard cold-path throughput ratio is
 //! below the acceptance threshold.
 
@@ -166,7 +166,7 @@ fn main() {
         let (cold_us, cold_hits) =
             serve_pass(|g, q| cluster.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
         // Equivalence: every answer lists exactly the single engine's
-        // global spec ids (cluster caches are warm now; answers must not
+        // spec ids (cluster caches are warm now; answers must not
         // depend on that).
         for (i, q) in log.iter().enumerate() {
             let hits = cluster.search_as(E10_GROUPS[i % E10_GROUPS.len()], q).unwrap();

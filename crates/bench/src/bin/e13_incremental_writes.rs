@@ -30,7 +30,7 @@
 //!   `--max-read-regression`), and both engines must return identical
 //!   spec ids.
 //! * **Cluster-front warm path.** A sharded cluster serves the same log
-//!   through its version-vectored front cache; its warm pass must land
+//!   through its epoch-tagged front cache; its warm pass must land
 //!   within `--max-warm-ratio` of the single engine's warm pass (E11's
 //!   former warm-path gap). A mid-stream execution append then proves the
 //!   front cache *survives* the dominant write: the follow-up warm pass

@@ -384,7 +384,7 @@ fn main() {
             "recovered cluster diverged on {q:?}"
         );
     }
-    let assembled = recovered.assemble_repository().expect("consistent recovery");
+    let assembled = recovered.repo();
     assert_eq!(assembled.len(), repo_incr.len(), "recovered id space diverged");
     assert_eq!(assembled.live_count(), repo_incr.live_count(), "recovered live count diverged");
 

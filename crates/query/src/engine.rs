@@ -31,14 +31,13 @@
 //! was written since (the rules, and why they are a privacy invariant, are
 //! in [`ppwf_repo::touch`]).
 //!
-//! All of that caching belongs to the engine that *serves*. An engine that
-//! is a shard of an [`EngineCluster`](crate::cluster::EngineCluster)
-//! serves nobody directly: it is built without result caches, so every
-//! read of it — the cluster's, or one made through
-//! [`EngineCluster::shards`](crate::cluster::EngineCluster::shards) — is
-//! computed; the cluster caches only the merged answer at its front and
-//! has the shard stamp its writes into the front's table. An answer is
-//! cached once, and nothing a shard answered can outlive a write to it.
+//! The read structures themselves — the keyword index and the view and
+//! access memos — are one [`Shard`], and every write reaches them through
+//! `Shard::absorb`. An [`EngineCluster`](crate::cluster::EngineCluster)
+//! calls the same function: it owns one repository and N shards, each
+//! indexing a partition of it, and the result caches and the stamp table
+//! belong to the object that *serves* — the engine here, the cluster's
+//! front there. A shard caches no answer, so an answer is cached once.
 //!
 //! Cold queries resolve access views **lazily**: the engine holds an
 //! [`AccessCache`] whose per-group [`AccessResolver`]s resolve a spec's
@@ -199,19 +198,95 @@ impl EngineStats {
     }
 }
 
-/// The assembled serving stack. See the module docs.
-pub struct QueryEngine {
-    repo: Repository,
-    registry: PrincipalRegistry,
+/// The read structures over a repository's specifications — all of them
+/// in a standalone engine, those placed on it in a cluster: a keyword
+/// index and the view and access memos its reads fill. A shard owns no
+/// repository (its owner passes the one it indexes) and caches no answer.
+pub struct Shard {
     index: KeywordIndex,
     views: ViewCache,
     /// Lazy per-group access-view memos: cold queries resolve rules only
     /// for candidate specs, and the products survive across queries until
     /// the spec's policy swap, delete or edit, or a registry swap.
     access: AccessCache,
-    /// The `(group, query)` result caches, one per query class (`None` in
-    /// a cluster shard: see the module docs).
-    results: Option<ResultCaches<RankedPart>>,
+}
+
+impl Shard {
+    /// A shard over `index`, memoizing up to `views` views per spec.
+    pub(crate) fn new(index: KeywordIndex, views: usize) -> Self {
+        Shard { index, views: ViewCache::new(views), access: AccessCache::new() }
+    }
+
+    /// The shard's keyword index.
+    pub fn index(&self) -> &KeywordIndex {
+        &self.index
+    }
+
+    /// The shard's view memo.
+    pub fn views(&self) -> &ViewCache {
+        &self.views
+    }
+
+    /// The shard's lazy access memo (counters, memoized sizes).
+    pub fn access_cache(&self) -> &AccessCache {
+        &self.access
+    }
+
+    /// Fold one applied write on a spec this shard holds into its read
+    /// structures — the one place an effect meets them, for the engine and
+    /// the cluster alike. `repo` is the state the write left. The index
+    /// applies the effect ([`KeywordIndex::apply_effect`]) and reports what
+    /// it touched: the vocabulary the spec leaves behind (a cached answer
+    /// that named it then must not survive a delete, an edit or a policy
+    /// swap), the vocabulary it arrives with (an answer it belongs in now
+    /// was computed without it), and whether the document count moved.
+    /// That is stamped into `stamps` at clock value `at` — the table of
+    /// whoever caches the answers this shard contributes to. Then the memos
+    /// drop what the write can have outdated: access prefixes and views
+    /// are resolved against a spec's hierarchy, which no write replaces, so
+    /// inserts and execution appends drop nothing.
+    pub(crate) fn absorb(
+        &mut self,
+        repo: &Repository,
+        effect: &MutationEffect,
+        stamps: &mut TouchStamps,
+        at: u64,
+    ) {
+        let touched = self.index.apply_effect(repo, effect);
+        stamps.touch(&touched.left, at);
+        stamps.touch(touched.arrived, at);
+        if touched.docs_moved {
+            stamps.touch_docs(at);
+        }
+        match *effect {
+            MutationEffect::PolicyChanged { spec } => self.access.forget_spec(spec),
+            MutationEffect::SpecDeleted { spec } | MutationEffect::SpecEdited { spec } => {
+                self.access.forget_spec(spec);
+                self.views.forget_spec(spec);
+            }
+            MutationEffect::SpecInserted { .. } | MutationEffect::ExecutionAppended { .. } => {}
+        }
+    }
+
+    /// Counters of the shard's memos; it has no result cache, so those
+    /// snapshots read zero.
+    pub(crate) fn stats(&self) -> EngineStats {
+        EngineStats {
+            views: CacheSnapshot::of(self.views.stats()),
+            access: CacheSnapshot::of(self.access.stats()),
+            ..EngineStats::default()
+        }
+    }
+}
+
+/// The assembled serving stack. See the module docs.
+pub struct QueryEngine {
+    repo: Repository,
+    registry: PrincipalRegistry,
+    /// The read structures over the whole repository.
+    shard: Shard,
+    /// The `(group, query)` result caches, one per query class.
+    results: ResultCaches<RankedPart>,
     /// The version result caches tag their entries with. It advances to
     /// the repository version whenever a [`MutationEffect`] can change
     /// answers (every effect but an execution append) and stays put for
@@ -221,22 +296,8 @@ pub struct QueryEngine {
     results_version: u64,
     /// What each move of `results_version` touched: decides which entries
     /// with an older tag are re-admitted. Written only by [`Self::mutate`]
-    /// (`&mut self`), read by the `&self` query paths; a cluster shard,
-    /// which has no result cache to judge, stamps the front's table
-    /// instead and leaves this one empty.
+    /// (`&mut self`), read by the `&self` query paths.
     stamps: TouchStamps,
-}
-
-/// A cluster's front-cache stamp table, lent to the shard that applies a
-/// routed write ([`QueryEngine::mutate_stamping`]) — the one table that
-/// write stamps.
-pub(crate) struct FrontStamps<'a> {
-    pub(crate) stamps: &'a mut TouchStamps,
-    /// The front's clock minus this shard's: the sum of the *other* shards'
-    /// [`QueryEngine::results_version`]s, which cannot move during this
-    /// shard's write — so the front's new clock value is the shard's new
-    /// version plus this.
-    pub(crate) offset: u64,
 }
 
 /// Default bound on memoized views per spec.
@@ -261,24 +322,11 @@ impl QueryEngine {
         result_capacity: usize,
     ) -> Self {
         QueryEngine {
-            results: Some(ResultCaches::new(result_capacity)),
-            ..Self::shard(repo, registry, view_capacity)
-        }
-    }
-
-    /// A cluster shard's engine: views memoized *per spec*, and no result
-    /// caches — its every read is computed (see the module docs).
-    pub(crate) fn shard(repo: Repository, registry: PrincipalRegistry, views: usize) -> Self {
-        let index = KeywordIndex::build(&repo);
-        let results_version = repo.version();
-        QueryEngine {
+            shard: Shard::new(KeywordIndex::build(&repo), view_capacity),
+            results_version: repo.version(),
             repo,
             registry,
-            index,
-            views: ViewCache::new(views),
-            access: AccessCache::new(),
-            results: None,
-            results_version,
+            results: ResultCaches::new(result_capacity),
             stamps: TouchStamps::new(),
         }
     }
@@ -295,16 +343,16 @@ impl QueryEngine {
 
     /// The keyword index currently serving queries.
     pub fn index(&self) -> &KeywordIndex {
-        &self.index
+        self.shard.index()
     }
 
     /// The shared view memo.
     pub fn views(&self) -> &ViewCache {
-        &self.views
+        self.shard.views()
     }
 
     /// Apply a typed repository mutation, keying every layer's maintenance
-    /// on the returned [`MutationEffect`]:
+    /// on the returned [`MutationEffect`] (`Shard::absorb`):
     ///
     /// The keyword index sees every effect first
     /// ([`KeywordIndex::apply_effect`]) and reports what it touched; then:
@@ -344,61 +392,21 @@ impl QueryEngine {
     /// The engine is the non-durable kernel: logging, fsync and snapshots
     /// live one layer up, in
     /// [`EngineCluster`](crate::cluster::EngineCluster::attach_durability),
-    /// which validates and appends a write before any shard engine sees it.
+    /// which validates and appends a write before it applies it.
     pub fn mutate(&mut self, mutation: Mutation) -> Result<MutationEffect> {
-        let effect = self.mutate_stamping(mutation, None)?;
-        self.stamps.trim(self.index.term_count(), self.repo.version());
-        Ok(effect)
-    }
-
-    /// [`Self::mutate`], stamping exactly one table: the engine's own when
-    /// `front` is `None` (the engine serves, and caches, its own answers),
-    /// otherwise `front`, the table of the cluster front that caches every
-    /// answer this shard contributes to, on the front's clock. Whoever owns
-    /// the stamped table trims it afterwards.
-    pub(crate) fn mutate_stamping(
-        &mut self,
-        mutation: Mutation,
-        front: Option<FrontStamps<'_>>,
-    ) -> Result<MutationEffect> {
         let effect = self.repo.apply(mutation)?;
         let version = self.repo.version();
-        // What the write touched in the index: the vocabulary the spec
-        // leaves behind (a cached answer that named it then must not
-        // survive a delete, an edit or a policy swap), the vocabulary it
-        // arrives with (an answer it belongs in now was computed without
-        // it), and whether the document count moved.
-        let touched = self.index.apply_effect(&self.repo, &effect);
-        let (stamps, at) = match front {
-            Some(front) => (front.stamps, version + front.offset),
-            None => (&mut self.stamps, version),
-        };
-        stamps.touch(&touched.left, at);
-        stamps.touch(touched.arrived, at);
-        if touched.docs_moved {
-            stamps.touch_docs(at);
-        }
+        self.shard.absorb(&self.repo, &effect, &mut self.stamps, version);
         if effect.changes_visible_state() {
             self.results_version = version;
         }
-        // Access prefixes and views are resolved against a spec's
-        // hierarchy, which no write replaces: their memos carry nothing for
-        // inserts or execution appends to move.
-        match effect {
-            MutationEffect::PolicyChanged { spec } => self.access.forget_spec(spec),
-            MutationEffect::SpecDeleted { spec } | MutationEffect::SpecEdited { spec } => {
-                self.access.forget_spec(spec);
-                self.views.forget_spec(spec);
-            }
-            MutationEffect::SpecInserted { .. } | MutationEffect::ExecutionAppended { .. } => {}
-        }
+        self.stamps.trim(self.index().term_count(), version);
         Ok(effect)
     }
 
     /// The version result caches are tagged with: advances on effects that
     /// can change answers (everything but execution appends), holds still
-    /// across execution appends. The cluster's version vector is one of
-    /// these per shard.
+    /// across execution appends.
     pub fn results_version(&self) -> u64 {
         self.results_version
     }
@@ -408,8 +416,8 @@ impl QueryEngine {
     /// mean different privileges, which no hierarchy witness can see.
     pub fn set_registry(&mut self, registry: PrincipalRegistry) {
         self.registry = registry;
-        self.access.clear();
-        self.results.iter().for_each(ResultCaches::clear);
+        self.shard.access.clear();
+        self.results.clear();
     }
 
     /// A lazy access resolver for `group` over the current repository —
@@ -417,12 +425,12 @@ impl QueryEngine {
     /// can drive/inspect resolution directly; query entry points
     /// call it internally after their result-cache probe misses.
     pub fn access_resolver(&self, group: &str) -> Option<AccessResolver<'_>> {
-        self.access.resolver(&self.registry, &self.repo, group)
+        self.shard.access.resolver(&self.registry, &self.repo, group)
     }
 
     /// The lazy access memo (counters, memoized sizes).
     pub fn access_cache(&self) -> &AccessCache {
-        &self.access
+        &self.shard.access
     }
 
     /// Privilege-filtered keyword search for one group, cached per
@@ -460,8 +468,7 @@ impl QueryEngine {
 
     /// The one cached read under every entry point above: probe → resolve
     /// access → compute the part ([`ReadMode::part`]) → insert, in `mode`'s
-    /// result cache — or, in a cluster shard, which has none, just the
-    /// middle two.
+    /// result cache.
     ///
     /// The cache is probed *before* any access resolution: a warm hit is
     /// one hash lookup plus an `Arc` clone, never a walk of the registry —
@@ -475,18 +482,15 @@ impl QueryEngine {
     /// cold-path lever) — never the whole corpus, as the former eager
     /// `access_map` did. `None` for unknown groups.
     fn cached<M: ReadMode>(&self, mode: M, group: &str, query_text: &str) -> Option<Arc<Part<M>>> {
-        let version = self.results_version;
-        let cache = self.results.as_ref().map(|results| mode.cache(results));
+        let (cache, version) = (mode.cache(&self.results), self.results_version);
         let vouched = |tag| self.stamps.survives(query_text, tag, M::DEPENDS);
-        let hit = cache.as_ref().and_then(|c| c.get_validated(group, query_text, version, vouched));
-        if hit.is_some() {
-            return hit;
+        if let Some(hit) = cache.get_validated(group, query_text, version, vouched) {
+            return Some(hit);
         }
         let access = self.access_resolver(group)?;
-        let answer = Arc::new(mode.part(self, &access, &KeywordQuery::parse(query_text)));
-        if let Some(cache) = cache {
-            cache.insert(group, query_text, version, Arc::clone(&answer));
-        }
+        let query = KeywordQuery::parse(query_text);
+        let answer = Arc::new(mode.part(&self.repo, &self.shard, &access, &query));
+        cache.insert(group, query_text, version, Arc::clone(&answer));
         Some(answer)
     }
 
@@ -499,15 +503,8 @@ impl QueryEngine {
 
     /// Counters of every cache layer.
     pub fn stats(&self) -> EngineStats {
-        let [keyword, private, ranked] =
-            self.results.as_ref().map_or([CacheSnapshot::default(); 3], ResultCaches::snapshots);
-        EngineStats {
-            views: CacheSnapshot::of(self.views.stats()),
-            keyword,
-            private,
-            ranked,
-            access: CacheSnapshot::of(self.access.stats()),
-        }
+        let [keyword, private, ranked] = self.results.snapshots();
+        EngineStats { keyword, private, ranked, ..self.shard.stats() }
     }
 }
 
@@ -704,7 +701,7 @@ pub(crate) mod tests {
     }
 
     fn ranked_modes(e: &QueryEngine) -> &crate::modes::ModeCaches<RankedPart> {
-        &e.results.as_ref().expect("a standalone engine caches").ranked
+        &e.results.ranked
     }
 
     #[test]

@@ -79,8 +79,7 @@ fn starved_cluster(
     shards: usize,
     pool: Arc<WorkerPool>,
 ) -> EngineCluster {
-    let strategy = ShardStrategy::RoundRobin;
-    EngineCluster::with_capacities(repo, registry(specs), shards, strategy, pool, STARVED, STARVED)
+    EngineCluster::with_capacities(repo, registry(specs), shards, pool, STARVED, STARVED)
 }
 
 /// One read: `kind` selects the query class, plan and ranking mode.
@@ -353,8 +352,8 @@ fn sequential_run(
             return Err(format!("{what} cache never evicted: no pressure was applied"));
         }
     }
-    // The front is the cluster's one result tier: under the same pressure
-    // the shards' result caches must see no traffic at all.
+    // The front is the cluster's one result tier: a shard has no result
+    // cache, so the shards' result counters read zero under any pressure.
     let shard = &cluster_stats.aggregate;
     if [shard.keyword, shard.private, shard.ranked] != [CacheSnapshot::default(); 3] {
         return Err("a shard result cache was consulted: answers are cached twice".to_string());

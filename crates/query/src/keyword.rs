@@ -50,8 +50,8 @@ impl KeywordQuery {
 /// The view is shared (`Arc`): with a [`ViewCache`] in play, many hits —
 /// across queries and across principals of the same group — point at one
 /// materialized view, and its memoized transitive closure warms once for
-/// all of them.
-#[derive(Debug)]
+/// all of them; cloning a hit shares it.
+#[derive(Clone, Debug)]
 pub struct KeywordHit {
     /// The matching specification.
     pub spec: SpecId,

@@ -22,8 +22,8 @@
 //!   [`ViewCache`](ppwf_repo::view_cache::ViewCache) + per-user-group
 //!   result caches with surfaced statistics (Sec. 4's caching design;
 //!   experiment E10).
-//! * [`route`] / [`cluster`] — sharded serving: a spec-partitioning
-//!   [`Router`](route::Router) over N shard engines, scattered on a
+//! * [`route`] / [`cluster`] — sharded serving over one repository: the
+//!   keyword index partitioned across N shards by spec id, scattered on a
 //!   persistent worker pool and gathered into answers bit-identical to a
 //!   single engine (experiment E11).
 //! * [`serve`] — the asynchronous serving front: typed requests admitted
@@ -49,5 +49,5 @@ pub mod structural;
 pub use cluster::{ClusterStats, EngineCluster, Mutation, MutationEffect, RankedHits};
 pub use engine::{EngineStats, Plan, QueryEngine, RankedAnswer};
 pub use keyword::{KeywordHit, KeywordQuery};
-pub use route::{Router, ShardStrategy};
+pub use route::ShardStrategy;
 pub use serve::{QueryAnswer, ServeFront, ServeRequest, ServeResponse, ServeStats};

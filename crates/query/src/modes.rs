@@ -4,8 +4,8 @@
 //! keyword, private under a [`Plan`], ranked under a [`RankingMode`]. What
 //! differs between them is written here once, as the three implementors of
 //! [`ReadMode`]: which result cache a mode's answers live in, what such an
-//! answer depends on ([`Depends`]), how one engine computes its part of an
-//! answer, and how parts merge into the global answer. Everything else — a
+//! answer depends on ([`Depends`]), how one shard computes its part of an
+//! answer, and how parts merge into the whole answer. Everything else — a
 //! standalone engine's probe → resolve access → part → insert
 //! ([`QueryEngine::cached`]), the cluster's probe, plan, shard run and
 //! gather ([`crate::cluster`]), the serving front's fan-out
@@ -28,7 +28,7 @@
 //! counters into a tombstone so statistics stay monotone under mode churn.
 
 use crate::cluster::{RankedHits, ReadPlan};
-use crate::engine::{CacheSnapshot, Plan, QueryEngine, RankedAnswer};
+use crate::engine::{CacheSnapshot, Plan, RankedAnswer, Shard};
 use crate::keyword::{search_filtered_with_cache, KeywordHit, KeywordQuery};
 use crate::privacy_exec::{
     filter_then_search_cached, search_then_zoom_out_cached, PrivateSearchOutcome,
@@ -37,10 +37,10 @@ use crate::ranking::{
     idfs_for_terms, idfs_from_shard_counts, profiles_for_hits, rank_by_scores, scores_for_profiles,
     ModeKey, RankingMode, TfProfile,
 };
-use crate::route::Router;
 use parking_lot::RwLock;
 use ppwf_repo::cache::GroupCache;
 use ppwf_repo::principals::AccessResolver;
+use ppwf_repo::repository::Repository;
 use ppwf_repo::touch::Depends;
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -65,28 +65,33 @@ pub(crate) trait ReadMode: Copy + Send + Sync + 'static {
         caches: &ResultCaches<R>,
     ) -> impl Deref<Target = GroupCache<Self::Cached<R>>>;
 
-    /// One engine's part of the answer to `query` under `access`, in the
-    /// engine's own ids. Computed, never looked up: no result cache is
-    /// probed or filled here.
-    fn part(self, e: &QueryEngine, access: &AccessResolver, query: &KeywordQuery) -> Part<Self>;
+    /// `shard`'s part of the answer to `query` under `access`, over the
+    /// specs of `repo` it indexes. Computed, never looked up: no result
+    /// cache is probed or filled here.
+    fn part(
+        self,
+        repo: &Repository,
+        shard: &Shard,
+        access: &AccessResolver,
+        query: &KeywordQuery,
+    ) -> Part<Self>;
 
     /// Corpus-global IDFs for `query`, if merging reads them.
-    fn corpus_idfs(self, _shards: &[QueryEngine], _query: &KeywordQuery) -> Vec<f64> {
+    fn corpus_idfs(self, _shards: &[Shard], _query: &KeywordQuery) -> Vec<f64> {
         Vec::new()
     }
 
     /// Merge the parts of `plan`'s target shards, in target order, into the
-    /// global answer: hits under `router`'s global ids, in global spec
-    /// order.
-    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Part<Self>]) -> Merged<Self>;
+    /// whole answer, in spec order.
+    fn merge(plan: &ReadPlan<Self>, parts: &[Part<Self>]) -> Merged<Self>;
 }
 
-/// A ranked part: the engine's keyword hits, and their ranking aligned
-/// with them.
+/// A ranked part: a shard's keyword hits, and their ranking aligned with
+/// them.
 pub(crate) type RankedPart = (Arc<Vec<KeywordHit>>, Arc<RankedAnswer>);
-/// What one engine computes for a query, and a standalone engine caches.
+/// What one shard computes for a query, and a standalone engine caches.
 pub(crate) type Part<M> = <M as ReadMode>::Cached<RankedPart>;
-/// The merged, global-id answer a cluster front caches and returns.
+/// The merged answer a cluster front caches and returns.
 pub(crate) type Merged<M> = <M as ReadMode>::Cached<RankedHits>;
 
 /// Privilege-filtered keyword search.
@@ -99,30 +104,11 @@ pub(crate) struct Private(pub(crate) Plan);
 #[derive(Clone, Copy)]
 pub(crate) struct Ranked(pub(crate) RankingMode);
 
-/// A shard's hit under its global id.
-fn to_global(router: &Router, shard: usize, h: &KeywordHit) -> KeywordHit {
-    KeywordHit {
-        spec: router.global_of(shard, h.spec),
-        prefix: h.prefix.clone(),
-        view: Arc::clone(&h.view),
-        matched: h.matched.clone(),
-    }
-}
-
-/// The `targets` shards' hits under global ids, in global spec order.
-fn merge_hits<'a>(
-    targets: &[usize],
-    router: &Router,
-    per_shard: impl Iterator<Item = &'a Vec<KeywordHit>>,
-) -> Vec<KeywordHit> {
-    let mut merged = Vec::new();
-    for (&shard, hits) in targets.iter().zip(per_shard) {
-        merged.extend(hits.iter().map(|h| to_global(router, shard, h)));
-    }
-    if targets.len() > 1 {
-        // Within one shard, local-id order is global-id order already.
-        merged.sort_by_key(|h| h.spec);
-    }
+/// The shards' hits, each list in spec order already, merged in spec
+/// order.
+fn merge_hits<'a>(per_shard: impl Iterator<Item = &'a Vec<KeywordHit>>) -> Vec<KeywordHit> {
+    let mut merged: Vec<KeywordHit> = per_shard.flatten().cloned().collect();
+    merged.sort_by_key(|h| h.spec);
     merged
 }
 
@@ -137,12 +123,18 @@ impl ReadMode for Keyword {
         &caches.keyword
     }
 
-    fn part(self, e: &QueryEngine, access: &AccessResolver, query: &KeywordQuery) -> Part<Self> {
-        search_filtered_with_cache(e.repo(), e.index(), query, access, e.views())
+    fn part(
+        self,
+        repo: &Repository,
+        shard: &Shard,
+        access: &AccessResolver,
+        query: &KeywordQuery,
+    ) -> Part<Self> {
+        search_filtered_with_cache(repo, shard.index(), query, access, shard.views())
     }
 
-    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Part<Self>]) -> Merged<Self> {
-        merge_hits(&plan.targets, router, parts.iter())
+    fn merge(_plan: &ReadPlan<Self>, parts: &[Part<Self>]) -> Merged<Self> {
+        merge_hits(parts.iter())
     }
 }
 
@@ -159,13 +151,18 @@ impl ReadMode for Private {
         &caches.private[self.0 as usize]
     }
 
-    fn part(self, e: &QueryEngine, access: &AccessResolver, query: &KeywordQuery) -> Part<Self> {
+    fn part(
+        self,
+        repo: &Repository,
+        shard: &Shard,
+        access: &AccessResolver,
+        query: &KeywordQuery,
+    ) -> Part<Self> {
+        let (index, views) = (shard.index(), shard.views());
         match self.0 {
-            Plan::FilterThenSearch => {
-                filter_then_search_cached(e.repo(), e.index(), query, access, e.views())
-            }
+            Plan::FilterThenSearch => filter_then_search_cached(repo, index, query, access, views),
             Plan::SearchThenZoomOut => {
-                search_then_zoom_out_cached(e.repo(), e.index(), query, access, e.views())
+                search_then_zoom_out_cached(repo, index, query, access, views)
             }
         }
     }
@@ -173,9 +170,9 @@ impl ReadMode for Private {
     /// The plans' cost counters (views built, zoom steps, discards) are
     /// counts of per-spec work, so their sums equal the single-engine
     /// figures.
-    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Part<Self>]) -> Merged<Self> {
+    fn merge(_plan: &ReadPlan<Self>, parts: &[Part<Self>]) -> Merged<Self> {
         PrivateSearchOutcome {
-            hits: merge_hits(&plan.targets, router, parts.iter().map(|outcome| &outcome.hits)),
+            hits: merge_hits(parts.iter().map(|outcome| &outcome.hits)),
             views_built: parts.iter().map(|outcome| outcome.views_built).sum(),
             zoom_steps: parts.iter().map(|outcome| outcome.zoom_steps).sum(),
             discarded: parts.iter().map(|outcome| outcome.discarded).sum(),
@@ -195,11 +192,17 @@ impl ReadMode for Ranked {
     }
 
     /// The keyword hits and, in the same call, their TF profiles scored
-    /// under the mode with the engine's own IDFs.
-    fn part(self, e: &QueryEngine, access: &AccessResolver, query: &KeywordQuery) -> Part<Self> {
-        let hits = Keyword.part(e, access, query);
-        let profiles = profiles_for_hits(e.repo(), &hits, &query.terms);
-        let idfs = idfs_for_terms(e.index(), &query.terms);
+    /// under the mode with the shard's own IDFs.
+    fn part(
+        self,
+        repo: &Repository,
+        shard: &Shard,
+        access: &AccessResolver,
+        query: &KeywordQuery,
+    ) -> Part<Self> {
+        let hits = Keyword.part(repo, shard, access, query);
+        let profiles = profiles_for_hits(repo, &hits, &query.terms);
+        let idfs = idfs_for_terms(shard.index(), &query.terms);
         let scores = scores_for_profiles(&idfs, &profiles, self.0);
         let ranked = RankedAnswer { order: rank_by_scores(&scores), scores, profiles };
         (Arc::new(hits), Arc::new(ranked))
@@ -210,7 +213,7 @@ impl ReadMode for Ranked {
     /// each index's per-term memo: the first request per term per index
     /// build materializes (phrases verify adjacency over postings), every
     /// later one is a map probe.
-    fn corpus_idfs(self, shards: &[QueryEngine], query: &KeywordQuery) -> Vec<f64> {
+    fn corpus_idfs(self, shards: &[Shard], query: &KeywordQuery) -> Vec<f64> {
         let doc_counts: Vec<usize> = shards.iter().map(|s| s.index().doc_count()).collect();
         let dfs_per_term: Vec<Vec<usize>> = query
             .terms
@@ -224,12 +227,11 @@ impl ReadMode for Ranked {
     /// the plan's corpus-global IDFs ([`scores_for_profiles`] — bitwise the
     /// single engine's math), so scores and order come out bit-identical
     /// to a single engine over the same corpus.
-    fn merge(plan: &ReadPlan<Self>, router: &Router, parts: &[Part<Self>]) -> Merged<Self> {
-        let mut rows: Vec<(KeywordHit, TfProfile)> = Vec::new();
-        for (&shard, (hits, ranked)) in plan.targets.iter().zip(parts) {
-            let hits = hits.iter().map(|h| to_global(router, shard, h));
-            rows.extend(hits.zip(ranked.profiles.iter().cloned()));
-        }
+    fn merge(plan: &ReadPlan<Self>, parts: &[Part<Self>]) -> Merged<Self> {
+        let mut rows: Vec<(KeywordHit, TfProfile)> = parts
+            .iter()
+            .flat_map(|(hits, ranked)| hits.iter().cloned().zip(ranked.profiles.iter().cloned()))
+            .collect();
         rows.sort_by_key(|(h, _)| h.spec);
         let (hits, profiles): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
         let scores = scores_for_profiles(&plan.idfs, &profiles, plan.mode.0);

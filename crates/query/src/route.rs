@@ -1,211 +1,103 @@
-//! Spec-partitioning routing for the sharded serving cluster.
+//! Spec placement for the sharded serving cluster.
 //!
-//! A [`Router`] owns the bidirectional mapping between *global* spec ids
-//! (what clients see — dense insertion order across the whole corpus) and
-//! *shard-local* ids (dense insertion order within each shard repository).
-//! The placement [`ShardStrategy`] only matters at assignment time; after
-//! that the router is a pair of O(1) lookup tables, so the scatter path
-//! never hashes and the gather path remaps ids with one indexed load.
+//! An [`EngineCluster`](crate::cluster::EngineCluster) keeps one repository
+//! and partitions its keyword index over N shards. Specification `s` is
+//! placed on shard `s % N`, a function of the id alone, and is posted
+//! there under that same id: there is no id to translate, and a deleted
+//! id is a tombstone in the one repository, not a routing entry.
 
 use ppwf_repo::repository::SpecId;
 
-/// How new specifications are placed on shards.
+/// How specifications are placed on shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardStrategy {
-    /// `global % shards` — perfectly balanced for append-only corpora.
+    /// `spec % shards` — perfectly balanced for append-only corpora.
     RoundRobin,
-    /// Multiplicative hash of the global id — balanced in expectation and
-    /// stable under id-space gaps (e.g. future tombstones).
-    Hash,
 }
 
-impl ShardStrategy {
-    fn place(self, global: SpecId, shards: usize) -> usize {
-        match self {
-            ShardStrategy::RoundRobin => global.index() % shards,
-            ShardStrategy::Hash => {
-                // Fibonacci hashing: spreads consecutive ids well without a
-                // hasher dependency.
-                let h = (global.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                ((h >> 33) % shards as u64) as usize
-            }
-        }
-    }
-}
-
-/// The global↔local spec-id mapping for one cluster.
-///
-/// Deleted specifications are **retired**, never unmapped: the
-/// global↔local tables keep their slots (ids are never reassigned, local
-/// ids stay aligned with the shard repositories' tombstone slots), and a
-/// retired bit makes [`Router::locate`] refuse the id. This is what lets
-/// the id maps survive removal — `global_of` still resolves for gather
-/// remaps, and reconstruction from a recovered global repository can
-/// re-derive the identical placement.
-#[derive(Clone, Debug)]
-pub struct Router {
-    strategy: ShardStrategy,
-    /// global id → (shard, local id).
-    to_shard: Vec<(u32, u32)>,
-    /// shard → local id → global id.
-    to_global: Vec<Vec<SpecId>>,
-    /// global id → deleted. Aligned with `to_shard`.
-    retired: Vec<bool>,
-    retired_count: usize,
-}
-
-impl Router {
-    /// An empty router over `shards` shards.
-    pub fn new(shards: usize, strategy: ShardStrategy) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        Router {
-            strategy,
-            to_shard: Vec::new(),
-            to_global: vec![Vec::new(); shards],
-            retired: Vec::new(),
-            retired_count: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.to_global.len()
-    }
-
-    /// Number of assigned specifications, retired ones included — the
-    /// global id space (matches a tombstone-slot repository's `len`).
-    pub fn spec_count(&self) -> usize {
-        self.to_shard.len()
-    }
-
-    /// Number of live (never-retired) specifications.
-    pub fn live_count(&self) -> usize {
-        self.to_shard.len() - self.retired_count
-    }
-
-    /// Mark a global id as deleted. The slot survives — `global_of` still
-    /// resolves and the id is never reassigned — but [`Self::locate`]
-    /// refuses it from now on.
-    pub fn retire(&mut self, global: SpecId) {
-        let slot = &mut self.retired[global.index()];
-        debug_assert!(!*slot, "retire must be called once per global id");
-        if !*slot {
-            *slot = true;
-            self.retired_count += 1;
-        }
-    }
-
-    /// Whether a global id has been retired (out-of-range ids are not
-    /// retired — they were never assigned).
-    pub fn is_retired(&self, global: SpecId) -> bool {
-        self.retired.get(global.index()).copied().unwrap_or(false)
-    }
-
-    /// The placement strategy.
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
-    }
-
-    /// Assign the next global id to a shard; returns `(global, shard,
-    /// local)`. Ids are dense: the caller must insert the spec into the
-    /// returned shard's repository immediately (which hands out `local`).
-    pub fn assign(&mut self) -> (SpecId, usize, SpecId) {
-        let global = SpecId(self.to_shard.len() as u32);
-        let shard = self.strategy.place(global, self.shard_count());
-        let local = SpecId(self.to_global[shard].len() as u32);
-        self.to_shard.push((shard as u32, local.0));
-        self.to_global[shard].push(global);
-        self.retired.push(false);
-        (global, shard, local)
-    }
-
-    /// Where a global spec lives: `(shard, local id)`. `None` for ids
-    /// that were never assigned *and* for retired (deleted) ids — callers
-    /// that must distinguish the two probe [`Self::is_retired`] first.
-    pub fn locate(&self, global: SpecId) -> Option<(usize, SpecId)> {
-        if self.is_retired(global) {
-            return None;
-        }
-        self.to_shard.get(global.index()).map(|&(s, l)| (s as usize, SpecId(l)))
-    }
-
-    /// The global id of a shard-local spec.
-    pub fn global_of(&self, shard: usize, local: SpecId) -> SpecId {
-        self.to_global[shard][local.index()]
-    }
-
-    /// Global ids living on `shard`, in local-id order (ascending global).
-    pub fn shard_specs(&self, shard: usize) -> &[SpecId] {
-        &self.to_global[shard]
-    }
+/// The shard, of `shards`, that `spec` is placed on.
+pub(crate) fn place(spec: SpecId, shards: usize) -> usize {
+    spec.index() % shards
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{EngineCluster, Mutation};
+    use ppwf_core::policy::{AccessLevel, Policy};
+    use ppwf_model::{fixtures, ModelError};
+    use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
+    use ppwf_repo::repository::{deleted_spec_error, Repository};
 
-    #[test]
-    fn round_robin_balances_and_round_trips() {
-        let mut r = Router::new(3, ShardStrategy::RoundRobin);
-        for i in 0..9u32 {
-            let (global, shard, local) = r.assign();
-            assert_eq!(global, SpecId(i));
-            assert_eq!(shard, i as usize % 3);
-            assert_eq!(r.locate(global), Some((shard, local)));
-            assert_eq!(r.global_of(shard, local), global);
+    fn cluster(specs: usize, shards: usize) -> EngineCluster {
+        let mut repo = Repository::new();
+        for _ in 0..specs {
+            let (spec, _) = fixtures::disease_susceptibility();
+            repo.insert_spec(spec, Policy::public()).unwrap();
         }
-        for s in 0..3 {
-            assert_eq!(r.shard_specs(s).len(), 3);
-        }
+        let mut registry = PrincipalRegistry::new();
+        registry.add_group("researchers", AccessLevel(3), ViewRule::Full);
+        EngineCluster::new(repo, registry, shards)
+    }
+
+    /// The shards `spec` is posted on.
+    fn posted_on(c: &EngineCluster, spec: SpecId) -> Vec<usize> {
+        let shards = c.shards().iter().enumerate();
+        shards.filter(|(_, s)| s.index().posted_tokens(spec).is_some()).map(|(i, _)| i).collect()
     }
 
     #[test]
-    fn hash_placement_is_deterministic_and_total() {
-        let mut a = Router::new(4, ShardStrategy::Hash);
-        let mut b = Router::new(4, ShardStrategy::Hash);
-        for _ in 0..32 {
-            let (ga, sa, _) = a.assign();
-            let (gb, sb, _) = b.assign();
-            assert_eq!((ga, sa), (gb, sb), "placement must be deterministic");
+    fn round_robin_balances_and_round_trips() {
+        let mut per_shard = vec![Vec::new(); 3];
+        for i in 0..9u32 {
+            let shard = place(SpecId(i), 3);
+            assert_eq!(shard, i as usize % 3);
+            per_shard[shard].push(SpecId(i));
         }
-        let placed: usize = (0..4).map(|s| a.shard_specs(s).len()).sum();
-        assert_eq!(placed, 32);
+        assert!(per_shard.iter().all(|specs| specs.len() == 3));
+        let mut merged: Vec<SpecId> = per_shard.concat();
+        merged.sort();
+        assert_eq!(merged, (0..9).map(SpecId).collect::<Vec<_>>(), "the partition is the id space");
     }
 
     #[test]
     fn shard_specs_ascend_globally() {
-        let mut r = Router::new(2, ShardStrategy::Hash);
-        for _ in 0..20 {
-            r.assign();
-        }
-        for s in 0..2 {
-            let specs = r.shard_specs(s);
-            assert!(specs.windows(2).all(|w| w[0] < w[1]), "local order preserves global order");
+        let c = cluster(20, 3);
+        for (s, shard) in c.shards().iter().enumerate() {
+            let specs: Vec<SpecId> =
+                shard.index().lookup("database").iter().map(|p| p.spec).collect();
+            let placed: Vec<SpecId> = (0..20).map(SpecId).filter(|&id| place(id, 3) == s).collect();
+            assert_eq!(specs, placed, "shard {s} posts its own specs, in repository id order");
         }
     }
 
     #[test]
     fn unknown_global_is_none() {
-        let r = Router::new(2, ShardStrategy::RoundRobin);
-        assert!(r.locate(SpecId(0)).is_none());
-        assert!(!r.is_retired(SpecId(0)), "unassigned ids are not retired");
+        let mut c = cluster(2, 2);
+        assert!(c.repo().entry(SpecId(2)).is_none());
+        assert!(posted_on(&c, SpecId(2)).is_empty());
+        match c.mutate(Mutation::DeleteSpec { spec: SpecId(2) }).unwrap_err() {
+            ModelError::BadId { len, .. } => assert_eq!(len, 2),
+            other => panic!("unexpected error {other:?}"),
+        }
     }
 
     #[test]
     fn retired_ids_survive_in_the_maps_but_refuse_lookups() {
-        let mut r = Router::new(2, ShardStrategy::RoundRobin);
-        for _ in 0..4 {
-            r.assign();
-        }
-        let (shard, local) = r.locate(SpecId(1)).unwrap();
-        r.retire(SpecId(1));
-        assert!(r.is_retired(SpecId(1)));
-        assert!(r.locate(SpecId(1)).is_none(), "retired ids must not route");
-        assert_eq!(r.global_of(shard, local), SpecId(1), "gather remap survives retirement");
-        assert_eq!(r.spec_count(), 4, "the id space keeps its slots");
-        assert_eq!(r.live_count(), 3);
-        // New assignments never reuse the retired slot.
-        let (global, _, _) = r.assign();
-        assert_eq!(global, SpecId(4));
+        let mut c = cluster(4, 2);
+        assert_eq!(posted_on(&c, SpecId(1)), vec![1]);
+        c.mutate(Mutation::DeleteSpec { spec: SpecId(1) }).unwrap();
+        assert_eq!(c.repo().len(), 4, "the deleted id keeps its slot");
+        assert_eq!(c.repo().live_count(), 3);
+        assert!(c.repo().entry(SpecId(1)).is_none());
+        assert!(posted_on(&c, SpecId(1)).is_empty(), "no shard serves a deleted spec");
+        let err = c.mutate(Mutation::DeleteSpec { spec: SpecId(1) }).unwrap_err();
+        assert_eq!(err.to_string(), deleted_spec_error(SpecId(1)).to_string());
+        // The id is never reassigned: the next insert extends the id space
+        // and lands where its own id places it.
+        let (spec, _) = fixtures::disease_susceptibility();
+        let effect = c.mutate(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
+        assert_eq!(effect.inserted_id(), Some(SpecId(4)));
+        assert_eq!(posted_on(&c, SpecId(4)), vec![0]);
     }
 }

@@ -37,7 +37,7 @@
 //!   admitted read has completed, then runs exclusively (behind the
 //!   cluster's write lock), then reopens admission.
 //!
-//! Consequently an admitted read's version-vector epoch cannot move while
+//! Consequently an admitted read's epoch cannot move while
 //! the read is in flight — every response is computed entirely at one
 //! epoch the fence admitted, and is bit-identical to the blocking cluster
 //! serving the same request at that version. Warm requests sidestep
@@ -168,13 +168,13 @@ pub enum QueryAnswer {
     Mutated(Result<MutationEffect>),
 }
 
-/// A response: the answer plus the version-vector epoch it was computed
+/// A response: the answer plus the cluster epoch it was computed
 /// at — single-valued for the whole response, by the fence. Tests replay
 /// the request log sequentially and check each response bit-identical to
 /// the reference state at exactly this epoch.
 #[derive(Debug)]
 pub struct ServeResponse {
-    /// The cluster epoch ([`EngineCluster`] version-vector sum) the answer
+    /// The cluster epoch ([`EngineCluster::version_vector`] sum) the answer
     /// was computed at; for mutations, the epoch after application.
     pub epoch: u64,
     /// The typed answer.
@@ -1242,8 +1242,8 @@ mod tests {
             })
             .collect();
         assert_eq!(epochs, reference_epochs, "batched epochs must match sequential");
-        let batched = front.with_cluster(|c| c.assemble_repository().unwrap().save());
-        let sequential = reference.with_cluster(|c| c.assemble_repository().unwrap().save());
+        let batched = front.with_cluster(|c| c.repo().save());
+        let sequential = reference.with_cluster(|c| c.repo().save());
         assert_eq!(batched, sequential, "batched apply must be bit-identical");
     }
 
@@ -1310,7 +1310,7 @@ mod tests {
             "the frame must have passed through the sync queue, got {}",
             wal.pipeline_depth_high_water
         );
-        let served = front.with_cluster(|c| c.assemble_repository().unwrap().save());
+        let served = front.with_cluster(|c| c.repo().save());
         drop(front);
         // Reopen the same storage: the acked image must recover whole.
         let pool2 = Arc::new(WorkerPool::new(1));
@@ -1324,7 +1324,7 @@ mod tests {
         )
         .expect("reopen the pipelined log");
         assert_eq!(
-            recovered.assemble_repository().unwrap().save(),
+            recovered.repo().save(),
             served,
             "recovery must be bit-identical to the acknowledged image"
         );

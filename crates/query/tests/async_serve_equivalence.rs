@@ -5,7 +5,7 @@
 //! The driver submits a randomized request log — keyword, private (both
 //! plans) and ranked queries plus typed mutations — from several client
 //! threads at once, over randomized corpus sizes, shard counts and pool
-//! sizes. Every response carries the version-vector epoch it was computed
+//! sizes. Every response carries the cluster epoch it was computed
 //! at; the checker then replays the mutation sub-log *sequentially* on a
 //! reference cluster, snapshots the epoch after every mutation, and
 //! requires each concurrent response to be bit-identical (hits, prefixes,
@@ -205,7 +205,7 @@ fn mutation_log(seed: u64, specs: usize, kinds: &[(u8, u64)]) -> Vec<Mutation> {
         .collect()
 }
 
-/// The version-vector epoch (sum of per-shard components) — the same
+/// The cluster epoch (the version vector's sum) — the same
 /// scalar the front stamps on every response.
 fn epoch_of(cluster: &EngineCluster) -> u64 {
     cluster.version_vector().iter().sum()

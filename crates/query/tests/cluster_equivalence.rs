@@ -2,11 +2,11 @@
 //! answers.
 //!
 //! Property 1 (bit-identical answers): for random repositories, every
-//! shard count, both placement strategies, every privilege group and every
-//! query, [`EngineCluster`] returns exactly the single-engine answer —
-//! same global specs, same prefixes, same matched modules, same flattened
-//! view graphs — for keyword, private (both plans, including cost
-//! counters), and ranked search (orders, bitwise scores, profiles).
+//! shard count, every privilege group and every query, [`EngineCluster`]
+//! returns exactly the single-engine answer — same specs, same prefixes,
+//! same matched modules, same flattened view graphs — for keyword, private
+//! (both plans, including cost counters), and ranked search (orders,
+//! bitwise scores, profiles).
 //!
 //! Property 2 (no cross-group or cross-shard leakage): interleaved
 //! multi-group traffic through one cluster never changes any group's
@@ -14,7 +14,7 @@
 //! so neither shard caches nor the gather stage can leak fine-grained
 //! answers into coarse-grained sessions.
 //!
-//! Property 3 (mutation staleness): mutations routed through
+//! Property 3 (mutation staleness): mutations applied through
 //! [`EngineCluster::mutate`] — spec inserts, execution appends, policy
 //! swaps — invalidate exactly as in a single engine: post-mutation answers
 //! equal a fresh evaluation of the mutated corpus.
@@ -77,31 +77,22 @@ fn views_identical(a: &ppwf_model::expand::SpecView, b: &ppwf_model::expand::Spe
         })
 }
 
-fn strategy_of(pick: bool) -> ShardStrategy {
-    if pick {
-        ShardStrategy::Hash
-    } else {
-        ShardStrategy::RoundRobin
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Keyword answers are bit-identical to the single engine, cold and
-    /// warm, for every group, shard count and placement strategy.
+    /// warm, for every group and shard count.
     #[test]
     fn keyword_answers_bit_identical(
         seed in any::<u64>(),
         specs in 2usize..7,
         shards in 1usize..5,
-        hash in any::<bool>(),
     ) {
         let cluster = EngineCluster::with_config(
             random_repo(seed, specs),
             registry(),
             shards,
-            strategy_of(hash),
+            ShardStrategy::RoundRobin,
             Arc::clone(WorkerPool::global()),
         );
         let single = QueryEngine::new(random_repo(seed, specs), registry());
@@ -136,13 +127,12 @@ proptest! {
         seed in any::<u64>(),
         specs in 2usize..6,
         shards in 1usize..5,
-        hash in any::<bool>(),
     ) {
         let cluster = EngineCluster::with_config(
             random_repo(seed, specs),
             registry(),
             shards,
-            strategy_of(hash),
+            ShardStrategy::RoundRobin,
             Arc::clone(WorkerPool::global()),
         );
         let single = QueryEngine::new(random_repo(seed, specs), registry());
@@ -180,13 +170,12 @@ proptest! {
         seed in any::<u64>(),
         specs in 2usize..6,
         shards in 2usize..5,
-        hash in any::<bool>(),
     ) {
         let cluster = EngineCluster::with_config(
             random_repo(seed, specs),
             registry(),
             shards,
-            strategy_of(hash),
+            ShardStrategy::RoundRobin,
             Arc::clone(WorkerPool::global()),
         );
         let single = QueryEngine::new(random_repo(seed, specs), registry());
@@ -264,7 +253,7 @@ proptest! {
         }
     }
 
-    /// Mutations routed through `EngineCluster::mutate` invalidate like a
+    /// Mutations applied through `EngineCluster::mutate` invalidate like a
     /// single engine: post-mutation answers equal a fresh evaluation of the
     /// mutated corpus, for inserts, execution appends and policy swaps.
     #[test]
@@ -287,14 +276,14 @@ proptest! {
             .unwrap()
             .inserted_id()
             .expect("insert returns id");
-        prop_assert_eq!(id.index(), specs, "global ids stay dense");
+        prop_assert_eq!(id.index(), specs, "ids stay dense");
         single
             .mutate(Mutation::InsertSpec { spec: fresh_spec, policy: Policy::public() })
             .unwrap();
 
         // Append an execution to an existing spec.
         let exec = {
-            let entry = cluster.entry(ppwf_repo::repository::SpecId(1)).unwrap();
+            let entry = cluster.repo().entry(ppwf_repo::repository::SpecId(1)).unwrap();
             ppwf_model::exec::Executor::new(&entry.spec)
                 .run(&mut ppwf_model::exec::HashOracle)
                 .unwrap()

@@ -6,8 +6,8 @@
 //! One property, four stacks, one reference. The sequential single-engine
 //! replay defines ground truth; the same stream then runs through
 //!
-//! 1. an in-memory [`EngineCluster`] (routed applies, router retirement,
-//!    per-shard index maintenance),
+//! 1. an in-memory [`EngineCluster`] (one repository, the write absorbed
+//!    by the shard its spec is placed on),
 //! 2. a fenced [`ServeFront`] over a *durable* cluster with group-commit
 //!    batching (so `DeleteSpec` / `EditSpec` records land inside WAL
 //!    batch frames and the destructive-overlay flush logic is on the hot
@@ -19,7 +19,7 @@
 //! hits, private-search answers *and* cost counters (`views_built`,
 //! `zoom_steps`, `discarded`), ranked orders and f64 score bits, and the
 //! df/idf statistics of a fresh index over the recovered corpus. Mutation
-//! effects (with global ids) must agree everywhere too.
+//! effects (with their ids) must agree everywhere too.
 
 use ppwf_core::policy::AccessLevel;
 use ppwf_query::cluster::{EngineCluster, MutationEffect};
@@ -117,17 +117,16 @@ proptest! {
     #[test]
     fn destructive_streams_are_invisible_across_every_serving_stack(
         writes in proptest::collection::vec((0u8..5, any::<u64>()), 8..24),
-        hash in any::<bool>(),
     ) {
         let stream = mutation_stream(&writes);
-        let strategy = if hash { ShardStrategy::Hash } else { ShardStrategy::RoundRobin };
+        let strategy = ShardStrategy::RoundRobin;
 
         // Ground truth: sequential single-engine replay.
         let mut single = QueryEngine::new(Repository::new(), registry());
         let reference_effects: Vec<MutationEffect> =
             stream.iter().map(|m| single.mutate(m.clone()).unwrap()).collect();
 
-        // Stack 1: in-memory cluster, routed applies.
+        // Stack 1: in-memory cluster.
         let mut cluster = EngineCluster::with_config(
             Repository::new(),
             registry(),
@@ -137,7 +136,7 @@ proptest! {
         );
         for (m, want) in stream.iter().zip(&reference_effects) {
             let got = cluster.mutate(m.clone()).unwrap();
-            prop_assert_eq!(&got, want, "cluster effect must carry the global id");
+            prop_assert_eq!(&got, want, "cluster effect must carry the reference id");
         }
         assert_reads_match(&single, &cluster, "cluster")?;
 
@@ -218,12 +217,12 @@ proptest! {
         assert_reads_match(&single, &recovered, "recovered")?;
 
         // The recovered corpus preserves the id space and its df/idf
-        // statistics: a fresh index over the assembly answers the memo
+        // statistics: a fresh index over it answers the memo
         // bit-identically to the incrementally maintained reference.
-        let assembled = recovered.assemble_repository().expect("consistent recovery");
+        let assembled = recovered.repo();
         prop_assert_eq!(assembled.len(), single.repo().len(), "id space (tombstones included)");
         prop_assert_eq!(assembled.live_count(), single.repo().live_count());
-        let fresh = KeywordIndex::build(&assembled);
+        let fresh = KeywordIndex::build(assembled);
         prop_assert_eq!(fresh.doc_count(), single.index().doc_count());
         for term in ["kw0", "kw1", "kw2", "kw3", "kw4", "kw5", "kw6", "kw7", "edited"] {
             prop_assert_eq!(fresh.df(term), single.index().df(term), "df({})", term);

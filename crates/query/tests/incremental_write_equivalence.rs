@@ -17,21 +17,28 @@
 //! postings.
 //!
 //! Property 2 (front-cache staleness): a cluster serving through its
-//! version-vectored front cache never serves a stale merged answer across
-//! routed writes — after every mutation, cluster answers equal a fresh
-//! cacheless evaluation of the mutated corpus — while execution appends
+//! epoch-tagged front cache never serves a stale merged answer across
+//! writes — after every mutation, cluster answers equal a fresh cacheless
+//! evaluation of the mutated corpus — while execution appends
 //! demonstrably keep the front cache warm (same `Arc`, no new scatter).
 //!
 //! Property 3 (no over-invalidation): a policy swap re-resolves at most
 //! the touched spec's access rule per group; every other memoized prefix
 //! keeps serving, pinned by the resolver touch counters.
+//!
+//! Property 4 (one index, partitioned): after every write, the shard
+//! indexes of clusters of 2 and 3 shards partition a fresh build of the
+//! cluster's one repository — per key the shard lists merged by spec are
+//! the fresh list, document counts and frequencies sum to the fresh ones
+//! (idf bits included), and every live spec is posted on exactly shard
+//! `spec % shards`.
 
 use ppwf_core::policy::{AccessLevel, Policy};
 use ppwf_model::exec::{Executor, HashOracle};
 use ppwf_query::cluster::{ClusterStats, EngineCluster, Mutation, MutationEffect};
 use ppwf_query::engine::QueryEngine;
 use ppwf_query::keyword::{search_filtered, KeywordHit, KeywordQuery};
-use ppwf_repo::keyword_index::{tokenize, KeywordIndex};
+use ppwf_repo::keyword_index::{tokenize, KeywordIndex, Posting};
 use ppwf_repo::mutation::{ModuleTextEdit, SpecText};
 use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
 use ppwf_repo::repository::{Repository, SpecId};
@@ -163,6 +170,60 @@ fn assert_equals_build(
     Ok(())
 }
 
+/// The shards' lists of one key, merged by spec (`None` when no shard holds
+/// the key).
+fn merged_by_spec(lists: impl Iterator<Item = Option<Vec<Posting>>>) -> Option<Vec<Posting>> {
+    let mut merged: Option<Vec<Posting>> = None;
+    for list in lists.flatten() {
+        merged.get_or_insert_with(Vec::new).extend(list);
+    }
+    if let Some(merged) = &mut merged {
+        merged.sort_by_key(|p| p.spec);
+    }
+    merged
+}
+
+/// `cluster`'s shard indexes partition a fresh build of its repository
+/// over every key in `keys` (Property 4).
+fn assert_partitions(
+    cluster: &EngineCluster,
+    keys: &BTreeSet<String>,
+) -> Result<(), TestCaseError> {
+    let (repo, shards) = (cluster.repo(), cluster.shards());
+    let fresh = KeywordIndex::build(repo);
+    let doc_count: usize = shards.iter().map(|s| s.index().doc_count()).sum();
+    prop_assert_eq!(doc_count, fresh.doc_count());
+    for key in keys {
+        let terms =
+            merged_by_spec(shards.iter().map(|s| s.index().term_postings(key).map(|l| l.to_vec())));
+        prop_assert_eq!(terms, fresh.term_postings(key).map(|l| l.to_vec()), "term {:?}", key);
+        let phrases = merged_by_spec(
+            shards.iter().map(|s| s.index().phrase_postings(key).map(|l| l.to_vec())),
+        );
+        prop_assert_eq!(
+            phrases,
+            fresh.phrase_postings(key).map(|l| l.to_vec()),
+            "phrase {:?}",
+            key
+        );
+        let lookups = merged_by_spec(shards.iter().map(|s| Some(s.index().lookup_query_term(key))));
+        prop_assert_eq!(lookups, Some(fresh.lookup_query_term(key)), "lookup {:?}", key);
+        let df: usize = shards.iter().map(|s| s.index().df_cached(key)).sum();
+        prop_assert_eq!(df, fresh.df(key), "df {:?}", key);
+        let idf = KeywordIndex::idf_from_counts(doc_count, df);
+        prop_assert_eq!(idf.to_bits(), fresh.idf(key).to_bits(), "idf {:?}", key);
+    }
+    for (spec, entry) in repo.slots() {
+        let posted: Vec<usize> = (0..shards.len())
+            .filter(|&s| shards[s].index().posted_tokens(spec).is_some())
+            .collect();
+        let home = spec.index() % shards.len();
+        prop_assert_eq!(&posted, &entry.map_or(vec![], |_| vec![home]), "placement of {:?}", spec);
+        prop_assert_eq!(shards[home].index().posted_tokens(spec), fresh.posted_tokens(spec));
+    }
+    Ok(())
+}
+
 fn hits_identical(a: &[KeywordHit], b: &[KeywordHit]) -> bool {
     a.len() == b.len()
         && a.iter()
@@ -228,9 +289,9 @@ proptest! {
         }
     }
 
-    /// Routed writes never let the cluster front serve a stale merged
-    /// answer: after every mutation, every group's answer equals a fresh
-    /// cacheless evaluation of the mutated corpus.
+    /// Writes never let the cluster front serve a stale merged answer:
+    /// after every mutation, every group's answer equals a fresh cacheless
+    /// evaluation of the mutated corpus.
     #[test]
     fn front_cache_stays_fresh_under_routed_writes(
         seed in any::<u64>(),
@@ -273,8 +334,8 @@ proptest! {
     }
 
     /// Execution appends keep the whole warm path warm: the front cache
-    /// serves the identical `Arc`, no shard sees a new access-memo or view
-    /// lookup, and no registry view rebuilds.
+    /// serves the identical `Arc`, and no shard sees a new access-memo or
+    /// view lookup.
     #[test]
     fn execution_appends_keep_every_cache_warm(
         seed in any::<u64>(),
@@ -287,13 +348,12 @@ proptest! {
         let before = cluster.stats();
         let vector = cluster.version_vector();
 
-        let exec = Executor::new(&cluster.entry(SpecId(0)).unwrap().spec)
+        let exec = Executor::new(&cluster.repo().entry(SpecId(0)).unwrap().spec)
             .run(&mut HashOracle)
             .unwrap();
         let effect = cluster.mutate(Mutation::AddExecution { spec: SpecId(0), exec }).unwrap();
         prop_assert!(!effect.changes_visible_state());
         prop_assert_eq!(cluster.version_vector(), vector);
-        prop_assert_eq!(cluster.registry_view_rebuilds(), 0);
 
         for (g, old) in GROUPS.iter().zip(&warmed) {
             let again = cluster.search_as(g, "kw0, kw1").unwrap();
@@ -314,6 +374,30 @@ proptest! {
             shard_lookups(&before),
             "warm front hits must not reach any shard"
         );
+    }
+
+    /// The shards of clusters of 2 and 3 shards partition a fresh build of
+    /// the one repository after every write (Property 4).
+    #[test]
+    fn shards_partition_a_fresh_build_after_every_write(
+        seed in any::<u64>(),
+        specs in 2usize..5,
+        writes in proptest::collection::vec((0u8..6, any::<u64>()), 1..10),
+    ) {
+        let mut clusters =
+            [2, 3].map(|shards| EngineCluster::new(random_repo(seed, specs), registry(), shards));
+        let mut keys = BTreeSet::new();
+        collect_keys(clusters[0].repo(), &mut keys);
+        for &(kind, wseed) in &writes {
+            let mutation = mutation_of(kind, wseed, clusters[0].repo());
+            for cluster in &mut clusters {
+                cluster.mutate(mutation.clone()).unwrap();
+            }
+            collect_keys(clusters[0].repo(), &mut keys);
+            for cluster in &clusters {
+                assert_partitions(cluster, &keys)?;
+            }
+        }
     }
 
     /// Policy swaps re-resolve at most the touched spec per group — the

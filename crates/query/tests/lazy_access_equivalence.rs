@@ -7,7 +7,7 @@
 //! the eager `access_map` answers — keyword, private (both plans,
 //! including cost counters), and ranked search (orders and bitwise `f64`
 //! scores) — through the raw search functions, the single engine, and the
-//! cluster across shard counts and placement strategies.
+//! cluster across shard counts.
 //!
 //! Property 2 (no cross-group leakage): many groups resolving through one
 //! shared [`AccessCache`] never observe another group's prefixes; each

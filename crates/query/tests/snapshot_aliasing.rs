@@ -189,9 +189,7 @@ fn inline_write_after_later_mutations_is_byte_identical_to_a_write_at_capture() 
         Arc::new(WorkerPool::new(1)),
     )
     .unwrap();
-    let mut assembled = cluster.assemble_repository().unwrap();
-    assembled.set_version(reference.version());
-    assert_eq!(assembled.save(), reference.save());
+    assert_eq!(cluster.repo().save(), reference.save());
 }
 
 #[test]

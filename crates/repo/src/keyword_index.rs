@@ -28,6 +28,12 @@
 //! indexed. Nothing is verified against the repository at run time: the
 //! effect says what changed, and the oracle that the result equals a fresh
 //! `build` of the same repository lives in the tests.
+//!
+//! An index may also hold a **partition** of the repository: a cluster
+//! shard's index posts only the specifications placed on it, under their
+//! repository ids ([`KeywordIndex::build_partition`]), and is handed only
+//! those specifications' effects. Document counts and frequencies are then
+//! additive across the partitions.
 
 use crate::mutation::MutationEffect;
 use crate::postings::{intersect_term_specs, with_scratch, PostingList, QueryScratch, TermLists};
@@ -99,8 +105,9 @@ pub struct KeywordIndex {
     spec_posted: HashMap<SpecId, PostedTerms>,
     /// Number of indexed modules (documents) — the IDF denominator.
     doc_count: usize,
-    /// Repository slots (live or tombstone) the index has seen: the next
-    /// insert effect names slot `slots`.
+    /// One past the last repository slot the index has seen: the whole
+    /// repository at build time, then each insert handed to it. An insert
+    /// always names a slot at or past it (ids only grow).
     slots: usize,
     /// Lifetime count of modules indexed (see [`Self::docs_indexed`]).
     docs_indexed: usize,
@@ -257,16 +264,25 @@ impl KeywordIndex {
     /// the starting point of maintenance, and the oracle it is tested
     /// against.
     pub fn build(repo: &Repository) -> Self {
+        Self::build_partition(repo, |_| true)
+    }
+
+    /// [`Self::build`] over only the live specifications `keep` admits, in
+    /// one pass: a cluster shard's partition of the corpus index, posted
+    /// under repository ids. Handed the effects on those specifications
+    /// alone, it stays equal to a fresh partition build.
+    pub fn build_partition(repo: &Repository, keep: impl Fn(SpecId) -> bool) -> Self {
         let mut idx = KeywordIndex::default();
-        idx.index_appended(repo);
+        idx.post(repo.entries().filter(|&(sid, _)| keep(sid)), false);
+        idx.slots = repo.len();
         idx
     }
 
     /// Maintain the index for one applied write — the one maintenance
     /// entry point (see the module docs):
     ///
-    /// * `SpecInserted` appends the new spec's postings: its id sorts after
-    ///   every posting held, so each list's order survives;
+    /// * `SpecInserted` appends exactly the new spec's postings: its id
+    ///   sorts after every posting held, so each list's order survives;
     /// * `SpecDeleted` retracts exactly the spec's postings, visiting only
     ///   the keys the `PostedTerms` reverse map lists for it and editing
     ///   each list in place;
@@ -279,17 +295,17 @@ impl KeywordIndex {
     /// The df memo drops only the entries the touched keys could move.
     ///
     /// **Ownership contract.** The caller owns the repository and hands the
-    /// index every effect, in order, exactly as [`Repository::apply`]
+    /// index every effect on the specifications it holds (all of them, or
+    /// its partition's), in order, exactly as [`Repository::apply`]
     /// returned it, with `repo` in the state that `apply` left. Nothing is
-    /// re-verified: debug builds check in O(1) that no write was skipped
-    /// or reordered, and the tests check the result against
-    /// [`Self::build`].
+    /// re-verified: debug builds check in O(1) that inserts arrive in
+    /// increasing id order and that no delete is handed over early or
+    /// late, and the tests check the result against a fresh build.
     pub fn apply_effect(&mut self, repo: &Repository, effect: &MutationEffect) -> Touched<'_> {
-        debug_assert_eq!(
-            self.slots + usize::from(effect.inserted_id().is_some()),
-            repo.len(),
-            "every insert reaches the index, in order"
-        );
+        if let MutationEffect::SpecInserted { spec } = *effect {
+            debug_assert!(spec.index() >= self.slots, "inserts arrive in increasing id order");
+            self.slots = spec.index() + 1;
+        }
         debug_assert_eq!(
             repo.is_live(effect.spec()),
             !matches!(effect, MutationEffect::SpecDeleted { .. }),
@@ -302,12 +318,10 @@ impl KeywordIndex {
             }
             _ => Vec::new(),
         };
-        match *effect {
-            MutationEffect::SpecInserted { .. } => self.index_appended(repo),
-            MutationEffect::SpecEdited { spec } => {
-                self.post(repo.entry(spec).map(|entry| (spec, entry)), true);
-            }
-            _ => {}
+        if let MutationEffect::SpecInserted { spec } | MutationEffect::SpecEdited { spec } = *effect
+        {
+            let splice = matches!(effect, MutationEffect::SpecEdited { .. });
+            self.post(repo.entry(spec).map(|entry| (spec, entry)), splice);
         }
         let posted = |spec| self.posted_tokens(spec).unwrap_or_default();
         Touched {
@@ -325,11 +339,15 @@ impl KeywordIndex {
         }
     }
 
-    /// Index the repository slots appended since the last maintenance —
-    /// what [`Self::apply_effect`] does for an insert, without the touch
-    /// report; a no-op for any other effect.
+    /// Index every repository slot past the last one the index has seen —
+    /// for a whole-corpus index, what [`Self::apply_effect`] does for an
+    /// insert, without the touch report; a no-op when nothing was
+    /// appended. A partition index must not call it: it would post the
+    /// other partitions' specs.
     pub fn refresh_trusted(&mut self, repo: &Repository) {
-        self.index_appended(repo);
+        let appended = (self.slots..repo.len()).map(|i| SpecId(i as u32));
+        self.post(appended.filter_map(|sid| repo.entry(sid).map(|entry| (sid, entry))), false);
+        self.slots = repo.len();
     }
 
     /// [`Self::apply_effect`] for a `SpecDeleted` effect.
@@ -340,14 +358,6 @@ impl KeywordIndex {
     /// [`Self::apply_effect`] for a `SpecEdited` effect.
     pub fn edit_spec(&mut self, repo: &Repository, spec: SpecId) {
         self.apply_effect(repo, &MutationEffect::SpecEdited { spec });
-    }
-
-    /// Index the repository slots past those the index has seen — a fresh
-    /// build's whole corpus, or the spec an insert appended.
-    fn index_appended(&mut self, repo: &Repository) {
-        let appended = (self.slots..repo.len()).map(|i| SpecId(i as u32));
-        self.post(appended.filter_map(|sid| repo.entry(sid).map(|entry| (sid, entry))), false);
-        self.slots = repo.len();
     }
 
     /// Index `specs` and drop the df-memo entries their postings could
@@ -639,7 +649,7 @@ impl KeywordIndex {
 
     /// Whether a *normalized* query term (lowercased, space-joined — the
     /// form `KeywordQuery::parse` produces) could have a posting here: the
-    /// allocation-free gate the scatter router probes to skip shards before
+    /// allocation-free gate a cluster's scatter probes to skip shards before
     /// any access-map work. Conservative for phrases (whole-tag or
     /// first-token presence admits the shard), so `false` is always safe to
     /// prune on.
@@ -875,7 +885,12 @@ mod tests {
     /// The maintained index answers every probe exactly as a fresh build of
     /// the same repository does.
     fn assert_matches_build(idx: &KeywordIndex, r: &Repository) {
-        let fresh = KeywordIndex::build(r);
+        assert_matches(idx, &KeywordIndex::build(r), r);
+    }
+
+    /// `idx` answers every probe exactly as `fresh` does, and holds the same
+    /// vocabulary for every slot of `r`.
+    fn assert_matches(idx: &KeywordIndex, fresh: &KeywordIndex, r: &Repository) {
         assert_eq!(idx.doc_count(), fresh.doc_count());
         assert_eq!(idx.term_count(), fresh.term_count());
         for term in PROBES {
@@ -1022,14 +1037,46 @@ mod tests {
     }
 
     #[test]
+    fn a_partition_handed_only_its_own_effects_equals_a_partition_build() {
+        let mut r = repo();
+        let even = |sid: SpecId| sid.index().is_multiple_of(2);
+        let mut idx = KeywordIndex::build_partition(&r, even);
+        let mut own = |r: &mut Repository, mutation| {
+            let effect = r.apply(mutation).unwrap();
+            if even(effect.spec()) {
+                idx.apply_effect(r, &effect);
+            }
+        };
+        for _ in 0..4 {
+            own(&mut r, insert_fixture());
+        }
+        for spec in [SpecId(2), SpecId(3)] {
+            let edit = edit_m5(&r, spec);
+            own(&mut r, edit);
+        }
+        own(&mut r, Mutation::DeleteSpec { spec: SpecId(4) });
+        own(&mut r, Mutation::DeleteSpec { spec: SpecId(1) });
+        own(&mut r, insert_fixture());
+        own(&mut r, insert_fixture());
+        // Specs 0, 2 and 6 are the partition's live specs; 1, 3 and 5 were
+        // never handed to it.
+        assert_eq!(idx.doc_count(), 3 * 15);
+        for sid in [1, 3, 5] {
+            assert!(idx.posted_tokens(SpecId(sid)).is_none(), "spec {sid} is not ours");
+        }
+        let redacted = idx.lookup("redacted");
+        assert!(!redacted.is_empty() && redacted.iter().all(|p| p.spec == SpecId(2)));
+        assert_matches(&idx, &KeywordIndex::build_partition(&r, even), &r);
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "every insert reaches the index")]
-    fn a_skipped_insert_trips_the_order_check() {
+    #[should_panic(expected = "inserts arrive in increasing id order")]
+    fn an_out_of_order_insert_trips_the_order_check() {
         let mut r = repo();
         let mut idx = KeywordIndex::build(&r);
         r.apply(insert_fixture()).unwrap();
-        let exec = fixture_execution(&r);
-        write(&mut r, &mut idx, exec);
+        idx.apply_effect(&r, &MutationEffect::SpecInserted { spec: SpecId(0) });
     }
 
     #[test]

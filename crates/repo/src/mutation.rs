@@ -77,8 +77,8 @@ pub struct SpecText {
     pub edits: Vec<ModuleTextEdit>,
 }
 
-/// A typed repository write. All mutations — engine-level and routed
-/// cluster writes alike — flow through this vocabulary, so effects (and
+/// A typed repository write. All mutations — engine-level and cluster
+/// writes alike — flow through this vocabulary, so effects (and
 /// therefore invalidation) are decided by type, not by convention.
 #[derive(Clone, Debug)]
 pub enum Mutation {

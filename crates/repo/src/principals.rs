@@ -113,48 +113,6 @@ impl PrincipalRegistry {
         self.groups[group].overrides.insert(spec, rule);
     }
 
-    /// Build a registry from pre-assembled groups (names must be unique).
-    pub fn from_groups(groups: Vec<Group>) -> Self {
-        for (i, g) in groups.iter().enumerate() {
-            assert!(
-                groups[..i].iter().all(|h| h.name != g.name),
-                "duplicate group name `{}`",
-                g.name
-            );
-        }
-        PrincipalRegistry { groups }
-    }
-
-    /// All registered groups, in registration order.
-    pub fn groups(&self) -> &[Group] {
-        &self.groups
-    }
-
-    /// A copy of the registry with every per-spec override re-keyed through
-    /// `f`; overrides mapped to `None` are dropped. This is how a cluster
-    /// derives each shard's registry: global spec ids become shard-local
-    /// ones, and overrides for specs living on other shards disappear.
-    pub fn map_spec_ids(&self, f: impl Fn(SpecId) -> Option<SpecId>) -> Self {
-        let groups = self
-            .groups
-            .iter()
-            .map(|g| {
-                let overrides = g
-                    .overrides
-                    .iter()
-                    .filter_map(|(sid, rule)| f(*sid).map(|local| (local, rule.clone())))
-                    .collect();
-                Group {
-                    name: g.name.clone(),
-                    level: g.level,
-                    default_rule: g.default_rule.clone(),
-                    overrides,
-                }
-            })
-            .collect();
-        PrincipalRegistry::from_groups(groups)
-    }
-
     /// Look up a group by name.
     pub fn group(&self, name: &str) -> Option<&Group> {
         self.groups.iter().find(|g| g.name == name)

@@ -59,7 +59,7 @@ pub struct SpecEntry {
 ///
 /// Storage is a slot vector: deleting a spec leaves a **tombstone** (a
 /// `None` slot) rather than compacting, so ids are never reassigned —
-/// routing tables, snapshot chunk ranges and later WAL records all key on
+/// shard placement, snapshot chunk ranges and later WAL records all key on
 /// the id and survive removal unchanged. [`Self::len`] stays the slot
 /// count (the id space); [`Self::live_count`] is the population.
 #[derive(Clone, Debug, Default)]
@@ -77,9 +77,9 @@ pub struct Repository {
 }
 
 /// The error every layer returns for operating on a tombstoned spec.
-/// Shared (rather than inlined per call site) so a single engine and a
-/// sharded cluster reject the same doomed mutation with bit-identical
-/// text — the equivalence property tests compare errors too.
+/// Shared (rather than inlined per call site) so every check and apply
+/// path rejects the same doomed mutation with bit-identical text — the
+/// equivalence property tests compare errors too.
 pub fn deleted_spec_error(spec: SpecId) -> ModelError {
     ModelError::invalid(format!("spec {} deleted", spec.0))
 }
@@ -125,13 +125,13 @@ impl Repository {
         self.version
     }
 
-    /// Overwrite the version counter. For checkpoint assembly only: a
-    /// re-assembled image (a sharded cluster collecting its entries back
-    /// into one global repository) loses the global mutation count, but a
-    /// durable snapshot must carry it — recovery replays the log suffix
-    /// on top, each record bumping the version by one, and ends
-    /// bit-identical to a sequential replay of the whole history only if
-    /// the snapshot was stamped with the sequence number it covers.
+    /// Overwrite the version counter. For durable checkpoints only: a
+    /// snapshot must carry the sequence number it covers — recovery
+    /// replays the log suffix on top, each record bumping the version by
+    /// one, and ends bit-identical to a sequential replay of the whole
+    /// history only then. A snapshot load restores it, and a corpus built
+    /// before a log was attached (which counted its own mutations) is
+    /// re-stamped with the log's sequence before its baseline snapshot.
     pub fn set_version(&mut self, version: u64) {
         self.version = version;
     }
@@ -302,43 +302,14 @@ impl Repository {
         }
     }
 
-    /// Ingest a pre-validated entry whole — the shard-construction fast
-    /// path. The entry's policy was validated and its hierarchy derived when
-    /// it first entered *some* repository, so re-partitioning a corpus
-    /// across shard repositories moves entries without re-deriving either.
-    pub fn insert_entry(&mut self, entry: SpecEntry) -> SpecId {
-        let id = SpecId(self.entries.len() as u32);
-        self.entries.push(Some(entry));
-        self.live += 1;
-        self.version += 1;
-        id
-    }
-
-    /// Append a tombstone slot — reconstruction of a retired id during
-    /// snapshot load or shard reassembly. The id is consumed (the next
-    /// insert lands after it) but nothing is stored under it.
+    /// Append a tombstone slot — reconstruction of a deleted id during a
+    /// snapshot load. The id is consumed (the next insert lands after it)
+    /// but nothing is stored under it.
     pub fn insert_tombstone(&mut self) -> SpecId {
         let id = SpecId(self.entries.len() as u32);
         self.entries.push(None);
         self.version += 1;
         id
-    }
-
-    /// Consume the repository into its live entries (tombstones dropped,
-    /// so ids become vector order **only when none existed**) — the other
-    /// half of the construction/ingest split: partition the result across
-    /// shards and [`Self::insert_entry`] each piece. Shard construction
-    /// happens before any mutation, so the no-tombstone precondition holds
-    /// there; reassembly paths that must preserve id alignment use
-    /// [`Self::into_slots`].
-    pub fn into_entries(self) -> Vec<SpecEntry> {
-        self.entries.into_iter().flatten().collect()
-    }
-
-    /// Consume the repository into its slots, tombstones included — ids
-    /// are exactly vector order.
-    pub fn into_slots(self) -> Vec<Option<SpecEntry>> {
-        self.entries
     }
 
     /// Look up an entry (`None` for tombstones and out-of-range ids).

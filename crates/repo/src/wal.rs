@@ -1231,8 +1231,8 @@ impl DurableLog {
     /// id slots (entry `c` is `Some(chunk_ref)` when chunk `c` is clean
     /// since the last snapshot and rides along by reference, `None` when
     /// it must be captured) and returns the image, or `None` to give this
-    /// cadence up; a caller that holds its corpus elsewhere (the cluster:
-    /// in its shards) captures from there. The image then goes to the
+    /// cadence up; [`Self::snapshot_if_due`] captures it out of one
+    /// repository, the cluster's included. The image then goes to the
     /// snapshot job — a pool job when a pool is attached, run here
     /// otherwise. Returns whether a snapshot was started (no pool:
     /// written).
