@@ -8,11 +8,12 @@
 //!   from scratch;
 //! * `view_cache` — the same search with only the `(spec, prefix)` view
 //!   memo warm (no result caching);
-//! * `warm_engine` — the full engine with the group-keyed result cache
-//!   warm: one hash probe plus an `Arc` clone per request.
+//! * `warm_front` — a one-shard cluster, what serves one index, with its
+//!   group-keyed front cache warm: one hash probe plus an `Arc` clone per
+//!   request.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppwf_bench::{populated_repo, query_engine, standard_registry, E10_GROUPS, E10_QUERIES};
+use ppwf_bench::{one_shard_cluster, populated_repo, standard_registry, E10_GROUPS, E10_QUERIES};
 use ppwf_query::keyword::{search_filtered, search_filtered_with_cache, KeywordQuery};
 use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::view_cache::ViewCache;
@@ -54,18 +55,18 @@ fn bench_query_cache(c: &mut Criterion) {
             })
         });
 
-        let engine = query_engine(specs, 0, 91);
+        let cluster = one_shard_cluster(specs, 0, 91);
         for g in E10_GROUPS {
             for q in E10_QUERIES {
-                engine.search_as(g, q).unwrap();
+                cluster.search_as(g, q).unwrap();
             }
         }
-        group.bench_with_input(BenchmarkId::new("warm_engine", specs), &specs, |b, _| {
+        group.bench_with_input(BenchmarkId::new("warm_front", specs), &specs, |b, _| {
             b.iter(|| {
                 let mut hits = 0usize;
                 for g in E10_GROUPS {
                     for q in E10_QUERIES {
-                        hits += engine.search_as(g, q).unwrap().len();
+                        hits += cluster.search_as(g, q).unwrap().len();
                     }
                 }
                 hits

@@ -1,19 +1,17 @@
 //! E11 — sharded serving through the criterion harness.
 //!
 //! The JSON emitter (`--bin e11_sharding`) owns the cold-path acceptance
-//! run (a cold pass is one-shot per engine, which criterion's repeated
+//! run (a cold pass is one-shot per cluster, which criterion's repeated
 //! iteration model cannot express). This harness times what *can* iterate:
 //!
-//! * `warm_serving` — the steady-state request path per configuration:
-//!   single engine (one cache probe) vs clusters (shard cache probes plus
-//!   gather/merge), making the cluster's warm-path overhead visible;
+//! * `warm_serving` — the steady-state request path at 1, 2 and 4 shards:
+//!   one front-cache probe per request whatever the shard count;
 //! * `pool_scatter` — the worker pool's scatter/gather round-trip cost at
 //!   several fan-outs, the fixed overhead every multi-shard query pays.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppwf_bench::{e11_corpus, e11_query_log, e11_repo, standard_registry, E10_GROUPS};
 use ppwf_query::cluster::EngineCluster;
-use ppwf_query::engine::QueryEngine;
 use ppwf_repo::pool::WorkerPool;
 
 fn bench_sharded_serving(c: &mut Criterion) {
@@ -24,21 +22,7 @@ fn bench_sharded_serving(c: &mut Criterion) {
     let corpus = e11_corpus(specs, 17);
     let log = e11_query_log(&corpus, 100, 17 ^ 0x5EED);
 
-    let single = QueryEngine::new(e11_repo(&corpus), standard_registry());
-    for (i, q) in log.iter().enumerate() {
-        single.search_as(E10_GROUPS[i % E10_GROUPS.len()], q).unwrap();
-    }
-    group.bench_with_input(BenchmarkId::new("warm_serving", "single"), &specs, |b, _| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for (i, q) in log.iter().enumerate() {
-                hits += single.search_as(E10_GROUPS[i % E10_GROUPS.len()], q).unwrap().len();
-            }
-            hits
-        })
-    });
-
-    for shards in [2usize, 4] {
+    for shards in [1usize, 2, 4] {
         let cluster = EngineCluster::new(e11_repo(&corpus), standard_registry(), shards);
         for (i, q) in log.iter().enumerate() {
             cluster.search_as(E10_GROUPS[i % E10_GROUPS.len()], q).unwrap();

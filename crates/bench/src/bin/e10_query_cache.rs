@@ -13,15 +13,15 @@
 //!   construction on every request (no cache anywhere);
 //! * `view_cache` — search work repeated per request, answer views fetched
 //!   from the shared `(spec, prefix)` memo;
-//! * `warm_engine` — the full engine: group-keyed result cache in front,
-//!   view cache behind it.
+//! * `warm_front` — a one-shard cluster, what serves one index: the
+//!   group-keyed front cache in front, the shard's view memo behind it.
 //!
 //! The JSON carries per-plan µs/query, speedups against `uncached`, the
-//! private-search (filter plan) pair, and the engine's cache counters, so
+//! private-search (filter plan) pair, and the cluster's cache counters, so
 //! regressions in any layer of the fast path show up as a diff against the
 //! committed baseline.
 
-use ppwf_bench::{populated_repo, query_engine, standard_registry, E10_GROUPS, E10_QUERIES};
+use ppwf_bench::{one_shard_cluster, populated_repo, standard_registry, E10_GROUPS, E10_QUERIES};
 use ppwf_query::engine::Plan;
 use ppwf_query::keyword::{search_filtered, search_filtered_with_cache, KeywordQuery};
 use ppwf_query::privacy_exec::filter_then_search;
@@ -132,12 +132,12 @@ fn main() {
             hits_served: view_hits,
         };
 
-        // Plan 3: the full engine, result cache warm.
-        let engine = query_engine(specs, 0, SEED);
+        // Plan 3: a one-shard cluster, front cache warm.
+        let cluster = one_shard_cluster(specs, 0, SEED);
         for g in E10_GROUPS {
             for q in E10_QUERIES {
-                engine.search_as(g, q).unwrap();
-                engine.private_search_as(g, q, Plan::FilterThenSearch).unwrap();
+                cluster.search_as(g, q).unwrap();
+                cluster.private_search_as(g, q, Plan::FilterThenSearch).unwrap();
             }
         }
         let t = Instant::now();
@@ -145,19 +145,19 @@ fn main() {
         for _ in 0..config.reps {
             for g in E10_GROUPS {
                 for q in E10_QUERIES {
-                    warm_hits += engine.search_as(g, q).unwrap().len();
+                    warm_hits += cluster.search_as(g, q).unwrap().len();
                 }
             }
         }
-        let warm_engine = PlanResult {
+        let warm_front = PlanResult {
             us_per_query: per_query_us(t.elapsed().as_secs_f64() * 1e6, requests),
             hits_served: warm_hits,
         };
 
         assert_eq!(uncached.hits_served, view_cache.hits_served, "view cache changed answers");
-        assert_eq!(uncached.hits_served, warm_engine.hits_served, "result cache changed answers");
+        assert_eq!(uncached.hits_served, warm_front.hits_served, "result cache changed answers");
 
-        // Private-search pair (filter plan), uncached vs warm engine.
+        // Private-search pair (filter plan), uncached vs warm front.
         let t = Instant::now();
         for _ in 0..config.reps {
             for g in E10_GROUPS {
@@ -173,7 +173,7 @@ fn main() {
             for g in E10_GROUPS {
                 for q in E10_QUERIES {
                     std::hint::black_box(
-                        engine.private_search_as(g, q, Plan::FilterThenSearch).unwrap(),
+                        cluster.private_search_as(g, q, Plan::FilterThenSearch).unwrap(),
                     );
                 }
             }
@@ -181,19 +181,19 @@ fn main() {
         let private_warm_us = per_query_us(t.elapsed().as_secs_f64() * 1e6, requests);
 
         let view_speedup = uncached.us_per_query / view_cache.us_per_query;
-        let warm_speedup = uncached.us_per_query / warm_engine.us_per_query;
+        let warm_speedup = uncached.us_per_query / warm_front.us_per_query;
         let private_speedup = private_uncached_us / private_warm_us;
         min_keyword_speedup = min_keyword_speedup.min(warm_speedup);
         min_private_speedup = min_private_speedup.min(private_speedup);
 
-        let stats = engine.stats();
+        let stats = cluster.stats();
         println!(
             "{:>6} {:>6} {:>14.2} {:>14.2} {:>14.2} {:>9.1}x {:>9.1}x",
             specs,
             requests,
             uncached.us_per_query,
             view_cache.us_per_query,
-            warm_engine.us_per_query,
+            warm_front.us_per_query,
             view_speedup,
             warm_speedup
         );
@@ -208,21 +208,20 @@ fn main() {
       "keyword": {{
         "uncached_us_per_query": {unc:.3},
         "view_cache_us_per_query": {vc:.3},
-        "warm_engine_us_per_query": {we:.3},
+        "warm_front_us_per_query": {we:.3},
         "view_cache_speedup": {vs:.2},
-        "warm_engine_speedup": {ws:.2},
+        "warm_front_speedup": {ws:.2},
         "hits_served_per_pass": {hits}
       }},
       "private_filter_plan": {{
         "uncached_us_per_query": {punc:.3},
-        "warm_engine_us_per_query": {pwe:.3},
-        "warm_engine_speedup": {ps:.2}
+        "warm_front_us_per_query": {pwe:.3},
+        "warm_front_speedup": {ps:.2}
       }},
-      "engine_cache_stats": {{
+      "cache_stats": {{
         "view_hits": {vh}, "view_misses": {vm},
-        "keyword_hits": {kh}, "keyword_misses": {km},
-        "private_hits": {ph}, "private_misses": {pm},
-        "keyword_hit_rate": {khr:.4}
+        "front_hits": {fh}, "front_misses": {fm},
+        "front_hit_rate": {fhr:.4}
       }}
     }}"#,
             specs = specs,
@@ -232,27 +231,25 @@ fn main() {
             requests = requests,
             unc = uncached.us_per_query,
             vc = view_cache.us_per_query,
-            we = warm_engine.us_per_query,
+            we = warm_front.us_per_query,
             vs = view_speedup,
             ws = warm_speedup,
             hits = uncached.hits_served / config.reps,
             punc = private_uncached_us,
             pwe = private_warm_us,
             ps = private_speedup,
-            vh = stats.views.hits,
-            vm = stats.views.misses,
-            kh = stats.keyword.hits,
-            km = stats.keyword.misses,
-            ph = stats.private.hits,
-            pm = stats.private.misses,
-            khr = stats.keyword.hit_rate(),
+            vh = stats.aggregate.views.hits,
+            vm = stats.aggregate.views.misses,
+            fh = stats.front.hits,
+            fm = stats.front.misses,
+            fhr = stats.front.hit_rate(),
         ));
     }
 
     let json = format!(
         r#"{{
   "experiment": "E10",
-  "title": "Query fast path: per-user-group result cache + (spec, prefix) view cache vs uncached serving",
+  "title": "Query fast path: a one-shard cluster's per-user-group front cache + (spec, prefix) view cache vs uncached serving",
   "seed": {SEED},
   "query_mix": [{}],
   "groups": [{}],
@@ -274,7 +271,7 @@ fn main() {
     );
 
     std::fs::write(&config.out, &json).expect("write baseline JSON");
-    println!("\nminimum warm-engine speedup: keyword {min_keyword_speedup:.1}x, private {min_private_speedup:.1}x");
+    println!("\nminimum warm-front speedup: keyword {min_keyword_speedup:.1}x, private {min_private_speedup:.1}x");
     println!("baseline written to {}", config.out);
     assert!(
         min_keyword_speedup >= 5.0 && min_private_speedup >= 5.0,

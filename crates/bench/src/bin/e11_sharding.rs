@@ -1,4 +1,4 @@
-//! E11 baseline emitter: sharded vs single-engine query serving.
+//! E11 baseline emitter: sharded vs one-shard query serving.
 //!
 //! ```bash
 //! cargo run --release -p ppwf-bench --bin e11_sharding -- \
@@ -8,9 +8,10 @@
 //!
 //! One corpus (many small specs, large Zipf keyword vocabulary), one
 //! distinct-query log (mixed arity, co-occurring and cross term pairs,
-//! corpus-Zipf popularity), one rotating group stream. The single
-//! [`QueryEngine`] serves the stream as the baseline; then an
-//! [`EngineCluster`] per shard count serves the *same* stream:
+//! corpus-Zipf popularity), one rotating group stream. A one-shard
+//! [`EngineCluster`] — what serves when there is one index — serves the
+//! stream as the single baseline; then a cluster per shard count serves
+//! the *same* stream:
 //!
 //! * `cold` — first pass, every request a result-cache miss: the uncached
 //!   serving path. The index-gated scatter touches only shards whose
@@ -41,7 +42,6 @@
 
 use ppwf_bench::{e11_corpus, e11_query_log, e11_repo, standard_registry, E10_GROUPS};
 use ppwf_query::cluster::EngineCluster;
-use ppwf_query::engine::QueryEngine;
 use std::time::Instant;
 
 struct Config {
@@ -117,14 +117,14 @@ fn main() {
     // first heavy pass pays one-time costs (heap growth, cold branch
     // predictors) — interleaving construction with measurement would bias
     // whichever configuration ran first.
-    let single = QueryEngine::new(e11_repo(&corpus), standard_registry());
+    let single = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
     let clusters: Vec<EngineCluster> = config
         .shards
         .iter()
         .map(|&s| EngineCluster::new(e11_repo(&corpus), standard_registry(), s))
         .collect();
     {
-        let warmup = QueryEngine::new(e11_repo(&corpus), standard_registry());
+        let warmup = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
         let _ = serve_pass(|g, q| warmup.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
     }
 
@@ -226,7 +226,7 @@ fn main() {
     let json = format!(
         r#"{{
   "experiment": "E11",
-  "title": "Sharded query serving: EngineCluster scatter/gather vs a single QueryEngine",
+  "title": "Sharded query serving: EngineCluster scatter/gather vs one shard",
   "seed": {seed},
   "corpus_specs": {specs},
   "distinct_queries": {queries},

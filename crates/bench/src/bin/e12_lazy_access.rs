@@ -30,13 +30,14 @@
 //! resolver counters are checked: rule resolutions stay within the
 //! candidate postings union — the filter-then-search privacy invariant.
 //! The binary exits non-zero when the selective-pass speedup falls below
-//! the acceptance threshold (default ≥3×), and when a warm engine pass
-//! touches the resolver at all (the warm path must stay a cache probe).
+//! the acceptance threshold (default ≥3×), and when a warm pass of a
+//! one-shard cluster — what serves one index — touches the resolver at all
+//! (the warm path must stay a front-cache probe).
 
 use ppwf_bench::{
     e11_corpus, e11_query_log, e11_repo, e12_broad_corpus, e12_broad_query_log, e12_registry,
 };
-use ppwf_query::engine::QueryEngine;
+use ppwf_query::cluster::EngineCluster;
 use ppwf_query::keyword::{search_filtered_with_cache, KeywordQuery};
 use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::principals::AccessCache;
@@ -237,18 +238,18 @@ fn main() {
         (be, bl, rules)
     };
 
-    // -- warm engine pass: the resolver must be invisible when caches hit ----
-    let engine = QueryEngine::new(e11_repo(&corpus), registry.clone());
+    // -- warm pass: the resolver must be invisible when the front cache hits --
+    let cluster = EngineCluster::new(e11_repo(&corpus), registry.clone(), 1);
     for (i, q) in selective.iter().enumerate() {
-        engine.search_as(group_of(i), q).unwrap();
+        cluster.search_as(group_of(i), q).unwrap();
     }
-    let cold_access = engine.stats().access;
+    let cold_access = cluster.stats().aggregate.access;
     let t = Instant::now();
     for (i, q) in selective.iter().enumerate() {
-        engine.search_as(group_of(i), q).unwrap();
+        cluster.search_as(group_of(i), q).unwrap();
     }
     let warm_us = t.elapsed().as_secs_f64() * 1e6;
-    let warm_access = engine.stats().access;
+    let warm_access = cluster.stats().aggregate.access;
     assert_eq!(
         (cold_access.hits, cold_access.misses),
         (warm_access.hits, warm_access.misses),
@@ -289,7 +290,7 @@ fn main() {
     }
     println!(
         "{:>22} {:>12.3} {:>14} {:>12}",
-        "warm engine",
+        "warm front",
         per_q(warm_us, selective.len()),
         "0.00",
         "-"

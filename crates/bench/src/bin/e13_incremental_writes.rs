@@ -23,15 +23,14 @@
 //!   number is reported the maintained index is checked bit-identical to
 //!   a fresh build of the final corpus, and its counters must show index
 //!   work only for inserts.
-//! * **Read no-regression.** An engine that *grew* through the typed
-//!   write pipeline serves the read log against an engine constructed
-//!   fresh over the identical final corpus — cold and warm. The
-//!   incremental index must serve reads no slower (within
-//!   `--max-read-regression`), and both engines must return identical
-//!   spec ids.
+//! * **Read no-regression.** A one-shard cluster — what serves one index —
+//!   that *grew* through the typed write pipeline serves the read log
+//!   against one constructed fresh over the identical final corpus — cold
+//!   and warm. The incremental index must serve reads no slower (within
+//!   `--max-read-regression`), and both must return identical spec ids.
 //! * **Cluster-front warm path.** A sharded cluster serves the same log
 //!   through its epoch-tagged front cache; its warm pass must land
-//!   within `--max-warm-ratio` of the single engine's warm pass (E11's
+//!   within `--max-warm-ratio` of the one-shard warm pass (E11's
 //!   former warm-path gap). A mid-stream execution append then proves the
 //!   front cache *survives* the dominant write: the follow-up warm pass
 //!   still hits the front, with answers unchanged.
@@ -46,7 +45,6 @@ use ppwf_bench::{
     e11_corpus, e11_query_log, e11_repo, e13_write_stream, standard_registry, E10_GROUPS,
 };
 use ppwf_query::cluster::EngineCluster;
-use ppwf_query::engine::QueryEngine;
 use ppwf_query::keyword::KeywordQuery;
 use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::mutation::Mutation;
@@ -225,40 +223,40 @@ fn main() {
     );
 
     // -- section B: read no-regression --------------------------------------
-    // Grow an engine through the typed pipeline; build its twin fresh over
-    // the identical final corpus. A cold pass is one-shot per engine and
-    // totals only a few ms, where one scheduler interrupt on a shared host
-    // swamps the signal — so measure COLD_REPS independent engine pairs
+    // Grow a one-shard cluster through the typed pipeline; build its twin
+    // fresh over the identical final corpus. A cold pass is one-shot per
+    // cluster and totals only a few ms, where one scheduler interrupt on a
+    // shared host swamps the signal — so measure COLD_REPS independent pairs
     // (order alternated to cancel measurement-order bias) and compare the
     // per-side minima, the same noise-floor estimate the warm passes use.
     const COLD_REPS: usize = 3;
     let mut pipeline_us = 0.0f64;
     let (mut fresh_cold_us, mut grown_cold_us) = (f64::INFINITY, f64::INFINITY);
     let mut fresh_hits = 0usize;
-    let mut pair: Option<(QueryEngine, QueryEngine)> = None;
+    let mut pair: Option<(EngineCluster, EngineCluster)> = None;
     {
         // Warm the allocator/page cache outside timing.
-        let warmup = QueryEngine::new(e11_repo(&corpus), standard_registry());
+        let warmup = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
         let _ = serve_pass(|g, q| warmup.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
     }
     for rep in 0..COLD_REPS {
-        let mut engine_grown = QueryEngine::new(e11_repo(&corpus), standard_registry());
+        let mut cluster_grown = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
         let t = Instant::now();
         for m in stream.iter().cloned() {
-            engine_grown.mutate(m).expect("write stream valid");
+            cluster_grown.mutate(m).expect("write stream valid");
         }
         pipeline_us = t.elapsed().as_secs_f64() * 1e6;
         let mut repo_replay = e11_repo(&corpus);
         for m in stream.iter().cloned() {
             repo_replay.apply(m).expect("write stream valid");
         }
-        let engine_fresh = QueryEngine::new(repo_replay, standard_registry());
+        let cluster_fresh = EngineCluster::new(repo_replay, standard_registry(), 1);
 
         let serve_fresh = |g: &str, q: &str| -> usize {
-            engine_fresh.search_as(g, q).map(|h| h.len()).unwrap_or(0)
+            cluster_fresh.search_as(g, q).map(|h| h.len()).unwrap_or(0)
         };
         let serve_grown = |g: &str, q: &str| -> usize {
-            engine_grown.search_as(g, q).map(|h| h.len()).unwrap_or(0)
+            cluster_grown.search_as(g, q).map(|h| h.len()).unwrap_or(0)
         };
         let ((fresh_us, fh), (grown_us, gh)) = if rep % 2 == 0 {
             let f = serve_pass(serve_fresh, &log);
@@ -269,17 +267,17 @@ fn main() {
             let f = serve_pass(serve_fresh, &log);
             (f, g)
         };
-        assert_eq!(gh, fh, "the grown engine serves different answers");
+        assert_eq!(gh, fh, "the grown cluster serves different answers");
         fresh_cold_us = fresh_cold_us.min(fresh_us);
         grown_cold_us = grown_cold_us.min(grown_us);
         fresh_hits = fh;
-        pair = Some((engine_grown, engine_fresh));
+        pair = Some((cluster_grown, cluster_fresh));
     }
-    let (engine_grown, engine_fresh) = pair.expect("at least one rep");
+    let (cluster_grown, cluster_fresh) = pair.expect("at least one rep");
     for (i, q) in log.iter().enumerate() {
         let g = E10_GROUPS[i % E10_GROUPS.len()];
-        let a = engine_grown.search_as(g, q).unwrap();
-        let b = engine_fresh.search_as(g, q).unwrap();
+        let a = cluster_grown.search_as(g, q).unwrap();
+        let b = cluster_fresh.search_as(g, q).unwrap();
         assert_eq!(
             a.iter().map(|h| h.spec.0).collect::<Vec<_>>(),
             b.iter().map(|h| h.spec.0).collect::<Vec<_>>(),
@@ -289,12 +287,12 @@ fn main() {
     const WARM_REPS: usize = 9;
     let (fresh_warm_us, _) = best_pass(
         WARM_REPS,
-        |g, q| engine_fresh.search_as(g, q).map(|h| h.len()).unwrap_or(0),
+        |g, q| cluster_fresh.search_as(g, q).map(|h| h.len()).unwrap_or(0),
         &log,
     );
     let (grown_warm_us, _) = best_pass(
         WARM_REPS,
-        |g, q| engine_grown.search_as(g, q).map(|h| h.len()).unwrap_or(0),
+        |g, q| cluster_grown.search_as(g, q).map(|h| h.len()).unwrap_or(0),
         &log,
     );
     let cold_ratio = grown_cold_us / fresh_cold_us;
@@ -348,7 +346,7 @@ fn main() {
 
     println!("\n-- cluster-front warm path ({} shards) --", config.shards);
     println!("{:>26} {:>12}", "pass", "µs/q");
-    println!("{:>26} {:>12.3}", "single engine warm", per_q(fresh_warm_us));
+    println!("{:>26} {:>12.3}", "one shard warm", per_q(fresh_warm_us));
     println!("{:>26} {:>12.3}", "cluster cold (scatter)", per_q(cluster_cold_us));
     println!("{:>26} {:>12.3}", "cluster warm (front)", per_q(cluster_warm_us));
     println!("{:>26} {:>12.3}", "cluster warm post-append", per_q(cluster_after_us));
@@ -444,12 +442,12 @@ fn main() {
     );
     assert!(
         cold_ratio <= config.max_read_regression && warm_ratio <= config.max_read_regression,
-        "E13 acceptance: the incrementally grown engine regressed reads (cold {cold_ratio:.2}x, warm {warm_ratio:.2}x, gate {:.2}x)",
+        "E13 acceptance: the incrementally grown cluster regressed reads (cold {cold_ratio:.2}x, warm {warm_ratio:.2}x, gate {:.2}x)",
         config.max_read_regression
     );
     assert!(
         warm_vs_single <= config.max_warm_ratio,
-        "E13 acceptance: cluster warm path must stay within {:.1}x of the single engine (got {warm_vs_single:.2}x)",
+        "E13 acceptance: cluster warm path must stay within {:.1}x of one shard (got {warm_vs_single:.2}x)",
         config.max_warm_ratio
     );
 }

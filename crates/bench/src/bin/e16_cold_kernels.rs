@@ -27,9 +27,9 @@
 //!   probe that E16 does not touch; both sides' answers are loaded into
 //!   structurally identical probe maps and served best-of-9. Gate:
 //!   kernel-side probe ≤ `--max-warm-ratio` × baseline-side probe. A
-//!   real [`QueryEngine`] warm pass is measured too, with its cache
-//!   counters asserted hit-only (the warm path never re-enters the
-//!   kernel pipeline).
+//!   real warm pass of a one-shard [`EngineCluster`] — what serves one
+//!   index — is measured too, with its front-cache counters asserted
+//!   hit-only (the warm path never re-enters the kernel pipeline).
 //! * **Write no-regression.** A typed write stream drives per-write
 //!   maintenance of the block-compressed index (`apply_effect` on each
 //!   write's effect) versus the PR-6 refresh replica (fingerprint
@@ -50,7 +50,6 @@ use ppwf_model::expand::SpecView;
 use ppwf_model::hierarchy::Prefix;
 use ppwf_model::ids::{ModuleId, WorkflowId};
 use ppwf_query::cluster::EngineCluster;
-use ppwf_query::engine::QueryEngine;
 use ppwf_query::keyword::{search_filtered_with_cache, KeywordHit, KeywordQuery};
 use ppwf_query::ShardStrategy;
 use ppwf_repo::keyword_index::{filter_postings, tokenize, KeywordIndex, Posting};
@@ -586,28 +585,28 @@ fn main() {
     );
     let warm_ratio = kernel_warm_us / base_warm_us;
 
-    // And the real engine: a warm pass must be pure cache hits — the
-    // kernel pipeline is never re-entered for a repeated query.
-    let engine = QueryEngine::new(e11_repo(&corpus), registry.clone());
+    // And the real serving object: a warm pass must be pure front-cache
+    // hits — the kernel pipeline is never re-entered for a repeated query.
+    let cluster = EngineCluster::new(e11_repo(&corpus), registry.clone(), 1);
     for (g, q) in pairs.iter() {
-        engine.search_as(groups[*g], q);
+        cluster.search_as(groups[*g], q);
     }
-    let before = engine.stats();
+    let before = cluster.stats().front;
     let (engine_warm_us, _) = best_pass(
         WARM_REPS,
-        |g, q| engine.search_as(groups[g], q).map(|h| h.len()).unwrap_or(0),
+        |g, q| cluster.search_as(groups[g], q).map(|h| h.len()).unwrap_or(0),
         &pairs,
     );
-    let after = engine.stats();
+    let after = cluster.stats().front;
     assert_eq!(
-        after.keyword.hits - before.keyword.hits,
+        after.hits - before.hits,
         (WARM_REPS * pairs.len()) as u64,
-        "warm pass must be served entirely from the keyword cache"
+        "warm pass must be served entirely from the front cache"
     );
-    assert_eq!(after.keyword.misses, before.keyword.misses, "warm pass must not miss");
+    assert_eq!(after.misses, before.misses, "warm pass must not miss");
     println!("\n-- warm probe (best of {WARM_REPS}) --");
     println!("  baseline probe: {base_warm_us:>8.0} µs   kernel probe: {kernel_warm_us:>8.0} µs   ratio {warm_ratio:.3} (gate ≤ {:.2})", config.max_warm_ratio);
-    println!("  engine warm pass: {engine_warm_us:.0} µs (all keyword-cache hits)");
+    println!("  one-shard warm pass: {engine_warm_us:.0} µs (all front-cache hits)");
 
     // -- section C: write no-regression -------------------------------------
     let stream = e13_write_stream(&corpus, config.writes, 60, 20, config.seed ^ 0xE16);

@@ -24,16 +24,16 @@
 //!   number is reported the maintained index is checked bit-identical
 //!   (postings, df, idf bits) to a fresh build of the final tombstoned
 //!   corpus, with retraction counters that actually moved.
-//! * **Read no-regression.** An engine *grown* through the destructive
-//!   stream serves a read log against an engine built fresh over the
-//!   identical final corpus — identical answers required, cold and warm
-//!   passes within `--max-read-regression`.
+//! * **Read no-regression.** A one-shard cluster — what serves one index —
+//!   *grown* through the destructive stream serves a read log against one
+//!   built fresh over the identical final corpus — identical answers
+//!   required, cold and warm passes within `--max-read-regression`.
 //! * **Durable pipeline + recovery.** A sharded durable cluster applies
 //!   the same stream through group-committed `mutate_batch` runs (the
 //!   destructive-overlay flush path is live here), then a second cluster
 //!   recovers from that storage — snapshot with tombstoned COW chunks
 //!   plus WAL suffix — and must answer the whole log bit-identically to
-//!   the grown single engine.
+//!   the grown one-shard cluster.
 //!
 //! **Honest boundary.** Targeted maintenance is *not* O(1): a delete
 //! retracts the spec's postings term by term and an edit re-posts all of
@@ -48,7 +48,6 @@ use ppwf_bench::{
     e11_corpus, e11_query_log, e11_repo, e19_write_stream, standard_registry, E10_GROUPS,
 };
 use ppwf_query::cluster::EngineCluster;
-use ppwf_query::engine::QueryEngine;
 use ppwf_query::keyword::KeywordQuery;
 use ppwf_query::route::ShardStrategy;
 use ppwf_repo::keyword_index::KeywordIndex;
@@ -238,21 +237,21 @@ fn main() {
     );
 
     // -- section B: read no-regression over the tombstoned corpus ----------
-    let mut engine_grown = QueryEngine::new(e11_repo(&corpus), standard_registry());
+    let mut cluster_grown = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
     let t = Instant::now();
     for m in stream.iter().cloned() {
-        engine_grown.mutate(m).expect("write stream valid");
+        cluster_grown.mutate(m).expect("write stream valid");
     }
     let pipeline_us = t.elapsed().as_secs_f64() * 1e6;
     let mut repo_replay = e11_repo(&corpus);
     for m in stream.iter().cloned() {
         repo_replay.apply(m).expect("write stream valid");
     }
-    let engine_fresh = QueryEngine::new(repo_replay, standard_registry());
+    let cluster_fresh = EngineCluster::new(repo_replay, standard_registry(), 1);
     for (i, q) in log.iter().enumerate() {
         let g = E10_GROUPS[i % E10_GROUPS.len()];
-        let a = engine_grown.search_as(g, q).unwrap();
-        let b = engine_fresh.search_as(g, q).unwrap();
+        let a = cluster_grown.search_as(g, q).unwrap();
+        let b = cluster_fresh.search_as(g, q).unwrap();
         assert_eq!(
             a.iter().map(|h| h.spec.0).collect::<Vec<_>>(),
             b.iter().map(|h| h.spec.0).collect::<Vec<_>>(),
@@ -264,7 +263,7 @@ fn main() {
     let (mut fresh_cold_us, mut grown_cold_us) = (f64::INFINITY, f64::INFINITY);
     let mut fresh_hits = 0usize;
     for rep in 0..COLD_REPS {
-        let mut grown_rep = QueryEngine::new(e11_repo(&corpus), standard_registry());
+        let mut grown_rep = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
         for m in stream.iter().cloned() {
             grown_rep.mutate(m).expect("write stream valid");
         }
@@ -272,7 +271,7 @@ fn main() {
         for m in stream.iter().cloned() {
             replay_rep.apply(m).expect("write stream valid");
         }
-        let fresh_rep = QueryEngine::new(replay_rep, standard_registry());
+        let fresh_rep = EngineCluster::new(replay_rep, standard_registry(), 1);
         let serve_fresh =
             |g: &str, q: &str| -> usize { fresh_rep.search_as(g, q).map(|h| h.len()).unwrap_or(0) };
         let serve_grown =
@@ -286,19 +285,19 @@ fn main() {
             let f = serve_pass(serve_fresh, &log);
             (f, g)
         };
-        assert_eq!(gh, fh, "the grown engine serves different hit totals");
+        assert_eq!(gh, fh, "the grown cluster serves different hit totals");
         fresh_cold_us = fresh_cold_us.min(fresh_us);
         grown_cold_us = grown_cold_us.min(grown_us);
         fresh_hits = fh;
     }
     let (fresh_warm_us, _) = best_pass(
         WARM_REPS,
-        |g, q| engine_fresh.search_as(g, q).map(|h| h.len()).unwrap_or(0),
+        |g, q| cluster_fresh.search_as(g, q).map(|h| h.len()).unwrap_or(0),
         &log,
     );
     let (grown_warm_us, _) = best_pass(
         WARM_REPS,
-        |g, q| engine_grown.search_as(g, q).map(|h| h.len()).unwrap_or(0),
+        |g, q| cluster_grown.search_as(g, q).map(|h| h.len()).unwrap_or(0),
         &log,
     );
     let cold_ratio = grown_cold_us / fresh_cold_us;
@@ -377,7 +376,7 @@ fn main() {
     for (i, q) in log.iter().enumerate() {
         let g = E10_GROUPS[i % E10_GROUPS.len()];
         let a = recovered.search_as(g, q).unwrap();
-        let b = engine_grown.search_as(g, q).unwrap();
+        let b = cluster_grown.search_as(g, q).unwrap();
         assert_eq!(
             a.iter().map(|h| h.spec.0).collect::<Vec<_>>(),
             b.iter().map(|h| h.spec.0).collect::<Vec<_>>(),
@@ -492,7 +491,7 @@ fn main() {
     );
     assert!(
         cold_ratio <= config.max_read_regression && warm_ratio <= config.max_read_regression,
-        "E19 acceptance: the destructively grown engine regressed reads (cold {cold_ratio:.2}x, warm {warm_ratio:.2}x, gate {:.2}x)",
+        "E19 acceptance: the destructively grown cluster regressed reads (cold {cold_ratio:.2}x, warm {warm_ratio:.2}x, gate {:.2}x)",
         config.max_read_regression
     );
 }

@@ -11,7 +11,7 @@
 //! from DESIGN.md §3.
 
 use ppwf_bench::{
-    deep_spec, layered_dag, parallel_chains, populated_repo, query_engine, reachable_pair,
+    deep_spec, layered_dag, one_shard_cluster, parallel_chains, populated_repo, reachable_pair,
     sized_spec, standard_registry, E10_GROUPS, E10_QUERIES, SIZES,
 };
 use ppwf_core::dp::{evaluate_mechanism, LaplaceMechanism};
@@ -362,7 +362,7 @@ fn e10_query_cache() {
     println!("== E10: query cache fast path (Sec. 4 — user-group caching) ==");
     println!(
         "{:>8} {:>14} {:>14} {:>10} {:>10} {:>10}",
-        "specs", "uncached µs/q", "warm µs/q", "speedup", "kw hit%", "view hit%"
+        "specs", "uncached µs/q", "warm µs/q", "speedup", "front hit%", "view hit%"
     );
     for &specs in &[8usize, 16, 32] {
         let repo = populated_repo(specs, 0, 91);
@@ -384,43 +384,42 @@ fn e10_query_cache() {
         }
         let uncached = us(t0) / requests as f64;
 
-        let engine = query_engine(specs, 0, 91);
+        let cluster = one_shard_cluster(specs, 0, 91);
         for g in E10_GROUPS {
             for q in E10_QUERIES {
-                engine.search_as(g, q).unwrap();
+                cluster.search_as(g, q).unwrap();
             }
         }
         let t1 = Instant::now();
         for _ in 0..reps {
             for g in E10_GROUPS {
                 for q in E10_QUERIES {
-                    std::hint::black_box(engine.search_as(g, q).unwrap());
+                    std::hint::black_box(cluster.search_as(g, q).unwrap());
                 }
             }
         }
         let warm = us(t1) / requests as f64;
-        let stats = engine.stats();
+        let stats = cluster.stats();
         println!(
             "{:>8} {:>14.2} {:>14.2} {:>9.0}x {:>9.1}% {:>9.1}%",
             specs,
             uncached,
             warm,
             uncached / warm,
-            stats.keyword.hit_rate() * 100.0,
-            stats.views.hit_rate() * 100.0
+            stats.front.hit_rate() * 100.0,
+            stats.aggregate.views.hit_rate() * 100.0
         );
     }
     println!();
 }
 
-/// E11 — sharded serving: EngineCluster scatter/gather vs a single engine
-/// over the same corpus and query log. `--bin e11_sharding` emits the
+/// E11 — sharded serving: EngineCluster scatter/gather vs one shard over
+/// the same corpus and query log. `--bin e11_sharding` emits the
 /// machine-readable baseline with the ≥2× cold-path acceptance gate; this
 /// table is the human-readable shape at a smaller corpus.
 fn e11_sharding() {
     use ppwf_bench::{e11_corpus, e11_query_log, e11_repo};
     use ppwf_query::cluster::EngineCluster;
-    use ppwf_query::engine::QueryEngine;
 
     println!("== E11: sharded serving (scatter/gather over the worker pool) ==");
     let specs = 256usize;
@@ -439,7 +438,7 @@ fn e11_sharding() {
         "{:>7} {:>12} {:>12} {:>9} {:>12} {:>7}",
         "shards", "cold µs/q", "warm µs/q", "cold ×", "avg targets", "hits"
     );
-    let single = QueryEngine::new(e11_repo(&corpus), standard_registry());
+    let single = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
     let (single_cold, hits) =
         serve(&mut |g, q| single.search_as(g, q).map(|h| h.len()).unwrap_or(0));
     let (single_warm, _) = serve(&mut |g, q| single.search_as(g, q).map(|h| h.len()).unwrap_or(0));

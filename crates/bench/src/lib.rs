@@ -9,7 +9,7 @@
 use ppwf_core::policy::{AccessLevel, Policy};
 use ppwf_model::graph::DiGraph;
 use ppwf_model::spec::Specification;
-use ppwf_query::engine::QueryEngine;
+use ppwf_query::cluster::EngineCluster;
 use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
 use ppwf_repo::repository::Repository;
 use ppwf_views::clustering::Clustering;
@@ -72,10 +72,10 @@ pub const E10_GROUPS: [&str; 3] = ["public", "analysts", "researchers"];
 /// minimal-cover paths.
 pub const E10_QUERIES: [&str; 5] = ["kw0, kw1", "kw1", "kw2", "kw0, kw3", "kw1, kw2"];
 
-/// A warm-capable query engine over [`populated_repo`] and
-/// [`standard_registry`].
-pub fn query_engine(specs: usize, execs: usize, seed: u64) -> QueryEngine {
-    QueryEngine::new(populated_repo(specs, execs, seed), standard_registry())
+/// A one-shard cluster — what serves, and caches, when there is one index —
+/// over [`populated_repo`] and [`standard_registry`].
+pub fn one_shard_cluster(specs: usize, execs: usize, seed: u64) -> EngineCluster {
+    EngineCluster::new(populated_repo(specs, execs, seed), standard_registry(), 1)
 }
 
 /// The E11 corpus shape: many small specifications over a large keyword

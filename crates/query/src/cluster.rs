@@ -1,11 +1,11 @@
 //! Sharded query serving: scatter/gather over one corpus.
 //!
-//! One [`QueryEngine`](crate::engine::QueryEngine) bounds serving
-//! capacity by one keyword index, one view cache and one index walk per
-//! request. The [`EngineCluster`] lifts that bound without copying the
-//! corpus: it owns **one** [`Repository`] and one registry, as Sec. 4
-//! serves every privilege level from one store, and partitions the keyword
-//! index over N [`Shard`]s — spec `s` is posted on shard `s % N`, under its
+//! The [`EngineCluster`] is the one object that serves answers, and the
+//! one that caches them; a cluster of one shard is what serves when there
+//! is one index, and the uncached [`QueryEngine`](crate::engine::QueryEngine)
+//! is the reference it answers like. It owns **one** [`Repository`] and one
+//! registry, as Sec. 4 serves every privilege level from one store, and
+//! partitions the keyword index over N [`Shard`]s — spec `s` is posted on shard `s % N`, under its
 //! own id, beside that shard's view and access memos ([`crate::route`]). A
 //! read scatters across the shards and gathers their hits into one merged
 //! answer in spec order.
@@ -60,21 +60,18 @@
 //! Execution appends — the dominant provenance write — leave the epoch,
 //! and so every front entry, as it is. Every other write moves the epoch
 //! but strands only the front entries it can have changed: the shard the
-//! written spec is placed on absorbs the write (`Shard::absorb`) and
-//! stamps the spec's vocabulary into the front's [`TouchStamps`] at the new
-//! epoch — the one table the write stamps — and a front probe that finds
-//! an entry merged at an older epoch re-admits it exactly when the stamps
-//! show nothing it depends on was written since ([`ppwf_repo::touch`] has
-//! the rules). A retraction, an edit or a policy swap is therefore never
+//! written spec is placed on absorbs the write (`Shard::absorb`), the
+//! cluster stamps what its index touched into the front's [`TouchStamps`]
+//! at the new epoch — the one table a write stamps — and a front probe
+//! that finds an entry merged at an older epoch re-admits it exactly when
+//! the stamps show nothing it depends on was written since
+//! ([`ppwf_repo::touch`] has the rules). A retraction, an edit or a policy swap is therefore never
 //! outlived by a merged answer that could name the spec, while reads of
 //! everything else stay one probe.
 
-use crate::engine::{
-    CacheSnapshot, EngineStats, Plan, RankedAnswer, Shard, DEFAULT_RESULT_CAPACITY,
-    DEFAULT_VIEW_CAPACITY,
-};
+use crate::engine::{CacheSnapshot, EngineStats, Plan, RankedAnswer, Shard, DEFAULT_VIEW_CAPACITY};
 use crate::keyword::{KeywordHit, KeywordQuery};
-use crate::modes::{Keyword, Merged, Part, Private, Ranked, ReadMode, ResultCaches};
+use crate::modes::{Keyword, Private, Ranked, ReadMode, ResultCaches};
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::RankingMode;
 use crate::route::{place, ShardStrategy};
@@ -96,6 +93,10 @@ use std::ops::Range;
 use std::sync::Arc;
 
 pub use ppwf_repo::mutation::{Mutation, MutationEffect};
+
+/// Default capacity of each front result cache, per query class (per
+/// ranking mode for ranked answers).
+pub(crate) const DEFAULT_RESULT_CAPACITY: usize = 4096;
 
 /// The existing spec a mutation validates against, if any — the key the
 /// batch paths use to detect a pending-destructive conflict inside a run.
@@ -180,8 +181,8 @@ pub struct EngineCluster {
     shards: Vec<Shard>,
     pool: Arc<WorkerPool>,
     /// Cluster-front merged-answer caches, tagged with [`Self::front_epoch`]:
-    /// the engine's own cache layout, one tier up.
-    front: ResultCaches<RankedHits>,
+    /// the one cached tier.
+    front: ResultCaches,
     /// What each move of the epoch touched: decides which front entries
     /// merged at an older epoch are re-admitted. Written only by writes
     /// (`&mut self` — behind the serving front's write lock), read by
@@ -436,7 +437,7 @@ impl EngineCluster {
     /// scheduled on the pool by the calling thread, which waits for them
     /// (a single-target scatter runs inline — no queue handoff).
     /// [`crate::serve`] calls the same four and waits for nothing.
-    fn read<M: ReadMode>(&self, mode: M, group: &str, query_text: &str) -> Option<Arc<Merged<M>>> {
+    fn read<M: ReadMode>(&self, mode: M, group: &str, query_text: &str) -> Option<Arc<M::Answer>> {
         if let Some(hit) = self.probe(mode, group, query_text, false) {
             return Some(hit);
         }
@@ -451,9 +452,8 @@ impl EngineCluster {
     /// merged at an older epoch is served, and re-tagged, iff the stamps
     /// show that no write since can have changed it; so whatever this
     /// returns is the current epoch's answer. Comes before the registry
-    /// walk, mirroring the engine's "cache before any access work"
-    /// ordering: only registered groups ever get entries inserted, so a
-    /// hit implies a known group.
+    /// walk — a warm hit does no access work at all — and only registered
+    /// groups ever get entries inserted, so a hit implies a known group.
     ///
     /// `early` marks a probe whose failure is not the read's last word —
     /// the serving front probes when a read is submitted and again when it
@@ -466,7 +466,7 @@ impl EngineCluster {
         group: &str,
         query_text: &str,
         early: bool,
-    ) -> Option<Arc<Merged<M>>> {
+    ) -> Option<Arc<M::Answer>> {
         let (cache, epoch) = (mode.cache(&self.front), self.front_epoch());
         let vouched = |tag| self.front_stamps.survives(query_text, tag, M::DEPENDS);
         if early {
@@ -502,7 +502,7 @@ impl EngineCluster {
     /// Module privacy is enforced here, inside the shard run: its hits are
     /// sanitized against the group's access views before anything reaches
     /// the gather.
-    pub(crate) fn run_shard<M: ReadMode>(&self, plan: &ReadPlan<M>, slot: usize) -> Part<M> {
+    pub(crate) fn run_shard<M: ReadMode>(&self, plan: &ReadPlan<M>, slot: usize) -> M::Part {
         let shard = &self.shards[plan.targets[slot]];
         let access = shard.access_cache().resolver(&self.registry, &self.repo, &plan.group);
         let access = access.expect("the plan admitted a registered group");
@@ -515,8 +515,8 @@ impl EngineCluster {
     pub(crate) fn gather<M: ReadMode>(
         &self,
         plan: &ReadPlan<M>,
-        parts: Vec<Part<M>>,
-    ) -> Arc<Merged<M>> {
+        parts: Vec<M::Part>,
+    ) -> Arc<M::Answer> {
         let merged = Arc::new(M::merge(plan, &parts));
         let cache = plan.mode.cache(&self.front);
         cache.insert(&plan.group, &plan.query_text, plan.epoch, Arc::clone(&merged));
@@ -692,18 +692,29 @@ impl EngineCluster {
         }
     }
 
-    /// Apply one validated (and, when durable, already-appended) mutation:
-    /// the repository applies it, an answer-changing effect moves the
-    /// epoch, and the shard the written spec is placed on absorbs the
-    /// effect, stamping the front's table at the epoch — the one write
-    /// step under every entry point. A shard that absorbed another shard's
-    /// spec, or a write that bypassed this, would leave front entries
-    /// naming the written spec re-admitted.
+    /// Apply one validated (and, when durable, already-appended) mutation —
+    /// the one write step under every entry point, and the one place a
+    /// write is stamped. The repository applies it, an answer-changing
+    /// effect moves the epoch, and the shard the written spec is placed on
+    /// absorbs the effect and reports what its index touched: the
+    /// vocabulary the spec leaves behind (a front entry that named it then
+    /// must not survive a delete, an edit or a policy swap), the vocabulary
+    /// it arrives with (an answer it belongs in now was merged without
+    /// it), and whether the document count moved. All of it is stamped
+    /// into the front's table at the epoch. A shard that absorbed another
+    /// shard's spec, or a write that bypassed this, would leave front
+    /// entries naming the written spec re-admitted.
     fn apply(&mut self, mutation: Mutation) -> Result<MutationEffect> {
         let effect = self.repo.apply(mutation)?;
         self.epoch += u64::from(effect.changes_visible_state());
         let shard = place(effect.spec(), self.shards.len());
-        self.shards[shard].absorb(&self.repo, &effect, &mut self.front_stamps, self.epoch);
+        let touched = self.shards[shard].absorb(&self.repo, &effect);
+        let (stamps, epoch) = (&mut self.front_stamps, self.epoch);
+        stamps.touch(&touched.left, epoch);
+        stamps.touch(touched.arrived, epoch);
+        if touched.docs_moved {
+            stamps.touch_docs(epoch);
+        }
         let live_terms = self.shards.iter().map(|s| s.index().term_count()).sum();
         self.front_stamps.trim(live_terms, self.epoch);
         Ok(effect)
@@ -757,6 +768,7 @@ mod tests {
     use super::*;
     use crate::engine::tests::spec_speaking;
     use crate::engine::QueryEngine;
+    use crate::modes::MAX_RANKED_MODES;
     use ppwf_core::policy::AccessLevel;
     use ppwf_model::fixtures;
     use ppwf_repo::principals::ViewRule;
@@ -936,6 +948,91 @@ mod tests {
         assert_eq!(stats.aggregate.views.evictions, summed);
         let steps: u64 = stats.per_shard.iter().map(|s| s.views.sweep_steps).sum();
         assert_eq!(stats.aggregate.views.sweep_steps, steps);
+    }
+
+    #[test]
+    fn mode_churn_cannot_grow_the_ranked_map_unboundedly() {
+        let c = cluster(1, 1);
+        let noisy = |seed| RankingMode::NoisyFull { epsilon: 1.0, seed };
+        // A fresh NoisyFull seed per request mints a distinct ModeKey each
+        // time — the front's map must evict old modes, not accumulate them.
+        let mut last_lookups = 0u64;
+        for seed in 0..3 * MAX_RANKED_MODES as u64 {
+            c.ranked_search_as("researchers", "query", noisy(seed)).unwrap();
+            // Evictions must not erase history: the counters stay monotone.
+            let front = c.stats().front;
+            let lookups = front.hits + front.misses;
+            assert!(lookups >= last_lookups, "ranked counters went backwards");
+            last_lookups = lookups;
+        }
+        assert!(c.front.ranked.mode_count() <= MAX_RANKED_MODES);
+        assert_eq!(
+            last_lookups,
+            3 * MAX_RANKED_MODES as u64,
+            "every mode-churn lookup is still accounted for after evictions"
+        );
+        // A hot mode in steady use survives the churn's evictions.
+        c.ranked_search_as("researchers", "query", RankingMode::ExactFull).unwrap();
+        for seed in 100..100 + MAX_RANKED_MODES as u64 - 1 {
+            c.ranked_search_as("researchers", "query", noisy(seed)).unwrap();
+            c.ranked_search_as("researchers", "query", RankingMode::ExactFull).unwrap();
+        }
+        assert!(
+            c.front.ranked.has_mode(&RankingMode::ExactFull.cache_key()),
+            "the constantly-touched mode must not be the eviction victim"
+        );
+    }
+
+    #[test]
+    fn eviction_counters_surface_and_survive_mode_churn() {
+        // Two views, two results per query class and per ranking mode.
+        let pool = Arc::clone(WorkerPool::global());
+        let c = EngineCluster::with_capacities(corpus(1), registry(), 1, pool, 2, 2);
+        assert_eq!(c.stats().front.evictions, 0);
+        for q in ["query", "database", "risk", "pubmed"] {
+            c.search_as("researchers", q).unwrap();
+        }
+        let [keyword, _, _] = c.front.snapshots();
+        assert_eq!(keyword.evictions, 2, "four distinct answers through a cache of two");
+        assert!(keyword.sweep_steps >= keyword.evictions);
+
+        // Each churned mode's cache evicts once before the mode itself is
+        // dropped; the tombstone fold must keep those evictions on record.
+        let mut last = 0;
+        for seed in 0..2 * MAX_RANKED_MODES as u64 {
+            let mode = RankingMode::NoisyFull { epsilon: 1.0, seed };
+            for q in ["query", "database", "risk"] {
+                c.ranked_search_as("researchers", q, mode).unwrap();
+            }
+            let [_, _, ranked] = c.front.snapshots();
+            assert!(ranked.evictions > last, "ranked evictions went backwards or stalled");
+            assert!(ranked.sweep_steps >= ranked.evictions);
+            last = ranked.evictions;
+        }
+        assert_eq!(last, 2 * MAX_RANKED_MODES as u64);
+        assert_eq!(c.stats().front.evictions, keyword.evictions + last, "the front sums them");
+    }
+
+    #[test]
+    fn revalidations_survive_ranked_mode_churn() {
+        let mut c = cluster(1, 1);
+        let modes: Vec<RankingMode> = (0..2 * MAX_RANKED_MODES as u64)
+            .map(|seed| RankingMode::NoisyFull { epsilon: 1.0, seed })
+            .collect();
+        // Warm one mode, re-admit its entry after a policy swap on a spec the
+        // query cannot match, then churn it out of the mode map: the
+        // tombstone fold must keep the re-admission on record.
+        c.mutate(Mutation::InsertSpec { spec: spec_speaking("zebra"), policy: Policy::public() })
+            .unwrap();
+        c.ranked_search_as("researchers", "risk", modes[0]).unwrap();
+        c.mutate(Mutation::SetPolicy { spec: SpecId(1), policy: Policy::public() }).unwrap();
+        c.ranked_search_as("researchers", "risk", modes[0]).unwrap();
+        assert_eq!(c.stats().front.revalidations, 1);
+        for &mode in &modes[1..] {
+            c.ranked_search_as("researchers", "risk", mode).unwrap();
+        }
+        assert!(!c.front.ranked.has_mode(&modes[0].cache_key()));
+        assert_eq!(c.stats().front.revalidations, 1, "history must not vanish with the mode");
     }
 
     #[test]

@@ -1,45 +1,35 @@
-//! The query engine: the paper's Sec. 4 serving stack assembled into one
-//! front door.
+//! The query engine: the paper's Sec. 4 read path over one index, as the
+//! **uncached reference**.
 //!
 //! A repository serves *every* privilege level from one store; what varies
-//! per request is the principal's **user group**. The engine therefore owns
-//! the shared read structures — the keyword index, the
-//! [`ViewCache`](ppwf_repo::view_cache::ViewCache) of flattened views — and
-//! a [`GroupCache`](ppwf_repo::cache::GroupCache) per query class, keyed by
-//! `(group, query)` exactly as Sec. 4 prescribes: *"consider user groups
-//! when utilizing cached information during query processing"*. Two
-//! principals of the same group share answers; different groups never do,
-//! so fine-grained answers cannot leak into coarse-grained sessions through
-//! the cache.
+//! per request is the principal's **user group**. [`QueryEngine`] owns one
+//! repository, one registry and one whole-corpus [`Shard`] — the keyword
+//! index and the view and access memos its reads fill — and answers every
+//! read the same way: resolve the group's access
+//! ([`QueryEngine::access_resolver`]), parse the query, and compute the
+//! answer over the shard (`ReadMode::part`). It caches no answer, so two
+//! identical reads return two allocations with equal contents. That makes
+//! it the oracle the serving stack is held to: an answer the cluster's
+//! front cache served must equal what this engine computes, and a cached
+//! disclosure that outlived a retraction shows up as a difference.
+//!
+//! Answers are served — and cached, once — by an
+//! [`EngineCluster`](crate::cluster::EngineCluster); a cluster of one shard
+//! is what serves when there is one index. Its front keys its result caches
+//! by `(group, query)` exactly as Sec. 4 prescribes: *"consider user groups
+//! when utilizing cached information during query processing"*. The
+//! cluster's shards are this same [`Shard`] type, each indexing a partition
+//! of the one repository.
 //!
 //! Mutations go through [`QueryEngine::mutate`], which consumes a typed
-//! [`Mutation`] and keys its maintenance on the returned
-//! [`MutationEffect`]: the keyword index folds the effect in
-//! ([`KeywordIndex::apply_effect`] — an insert appends, a delete or edit
-//! retracts one spec, nothing is rebuilt or re-verified); policy swaps
-//! drop only the touched spec's access memo; execution appends — the
-//! dominant write, provenance accruing over repeated executions — leave
-//! the index, the access memos *and every result cache* untouched, because
-//! no keyword, private or ranked answer reads executions. Result caches
-//! are therefore tagged with the engine's
-//! [`QueryEngine::results_version`], which only moves when an effect can
-//! change answers, not with the raw repository version — and an
-//! answer-changing write strands only the cached answers it can have
-//! changed: it stamps the written spec's vocabulary in the
-//! engine's [`TouchStamps`], and a probe that finds an entry with an older
-//! tag re-admits it exactly when the stamps show that nothing it depends on
-//! was written since (the rules, and why they are a privacy invariant, are
-//! in [`ppwf_repo::touch`]).
+//! [`Mutation`] and folds the returned [`MutationEffect`] into the shard
+//! (`Shard::absorb`, which the cluster calls too): the keyword index
+//! applies the effect ([`KeywordIndex::apply_effect`] — an insert appends,
+//! a delete or edit retracts one spec, nothing is rebuilt), policy swaps
+//! drop only the touched spec's access memo, and execution appends — the
+//! dominant write — leave index and memos untouched.
 //!
-//! The read structures themselves — the keyword index and the view and
-//! access memos — are one [`Shard`], and every write reaches them through
-//! `Shard::absorb`. An [`EngineCluster`](crate::cluster::EngineCluster)
-//! calls the same function: it owns one repository and N shards, each
-//! indexing a partition of it, and the result caches and the stamp table
-//! belong to the object that *serves* — the engine here, the cluster's
-//! front there. A shard caches no answer, so an answer is cached once.
-//!
-//! Cold queries resolve access views **lazily**: the engine holds an
+//! Reads resolve access views **lazily**: the shard holds an
 //! [`AccessCache`] whose per-group [`AccessResolver`]s resolve a spec's
 //! rule only when that spec shows up in candidate postings (or in a hit
 //! being coarsened), memoizing products across queries. The former plan —
@@ -49,16 +39,15 @@
 //! are still filtered before any search work.
 
 use crate::keyword::{KeywordHit, KeywordQuery};
-use crate::modes::{Keyword, Part, Private, Ranked, RankedPart, ReadMode, ResultCaches};
+use crate::modes::{Keyword, Private, Ranked, ReadMode};
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::{RankingMode, TfProfile};
 use ppwf_model::Result;
 use ppwf_repo::cache::CacheStats;
-use ppwf_repo::keyword_index::KeywordIndex;
+use ppwf_repo::keyword_index::{KeywordIndex, Touched};
 use ppwf_repo::mutation::{Mutation, MutationEffect};
 use ppwf_repo::principals::{AccessCache, AccessResolver, PrincipalRegistry};
 use ppwf_repo::repository::Repository;
-use ppwf_repo::touch::TouchStamps;
 use ppwf_repo::view_cache::ViewCache;
 use std::sync::Arc;
 
@@ -165,17 +154,21 @@ impl CacheSnapshot {
     }
 }
 
-/// Counters of every cache layer the engine runs, for operators and
-/// E10/E12.
+/// Counters of the caches one index's reads run — the engine's, or one
+/// shard's — for operators and E12. Neither caches an answer, so the
+/// `keyword`, `private` and `ranked` snapshots read zero; a cluster counts
+/// its answers at its front ([`ClusterStats::front`]).
+///
+/// [`ClusterStats::front`]: crate::cluster::ClusterStats::front
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
     /// The `(spec, prefix)` view memo.
     pub views: CacheSnapshot,
-    /// The `(group, query)` keyword-answer cache.
+    /// `(group, query)` keyword-answer lookups: none.
     pub keyword: CacheSnapshot,
-    /// The `(group, query)` private-search-outcome cache.
+    /// `(group, query)` private-search-outcome lookups: none.
     pub private: CacheSnapshot,
-    /// The per-mode `(group, query)` ranking caches, summed.
+    /// `(group, query)` ranked-answer lookups: none.
     pub ranked: CacheSnapshot,
     /// The lazy access-view memo: `hits` are memo-served resolutions,
     /// `misses` are rule resolutions actually performed — the E12
@@ -199,9 +192,9 @@ impl EngineStats {
 }
 
 /// The read structures over a repository's specifications — all of them
-/// in a standalone engine, those placed on it in a cluster: a keyword
-/// index and the view and access memos its reads fill. A shard owns no
-/// repository (its owner passes the one it indexes) and caches no answer.
+/// in the engine, those placed on it in a cluster: a keyword index and the
+/// view and access memos its reads fill. A shard owns no repository (its
+/// owner passes the one it indexes) and caches no answer.
 pub struct Shard {
     index: KeywordIndex,
     views: ViewCache,
@@ -235,29 +228,14 @@ impl Shard {
     /// Fold one applied write on a spec this shard holds into its read
     /// structures — the one place an effect meets them, for the engine and
     /// the cluster alike. `repo` is the state the write left. The index
-    /// applies the effect ([`KeywordIndex::apply_effect`]) and reports what
-    /// it touched: the vocabulary the spec leaves behind (a cached answer
-    /// that named it then must not survive a delete, an edit or a policy
-    /// swap), the vocabulary it arrives with (an answer it belongs in now
-    /// was computed without it), and whether the document count moved.
-    /// That is stamped into `stamps` at clock value `at` — the table of
-    /// whoever caches the answers this shard contributes to. Then the memos
-    /// drop what the write can have outdated: access prefixes and views
-    /// are resolved against a spec's hierarchy, which no write replaces, so
-    /// inserts and execution appends drop nothing.
-    pub(crate) fn absorb(
-        &mut self,
-        repo: &Repository,
-        effect: &MutationEffect,
-        stamps: &mut TouchStamps,
-        at: u64,
-    ) {
+    /// applies the effect ([`KeywordIndex::apply_effect`]), and what it
+    /// touched is returned for whoever caches the answers this shard
+    /// contributes to. Then the memos drop what the write can have
+    /// outdated: access prefixes and views are resolved against a spec's
+    /// hierarchy, which no write replaces, so inserts and execution appends
+    /// drop nothing.
+    pub(crate) fn absorb(&mut self, repo: &Repository, effect: &MutationEffect) -> Touched<'_> {
         let touched = self.index.apply_effect(repo, effect);
-        stamps.touch(&touched.left, at);
-        stamps.touch(touched.arrived, at);
-        if touched.docs_moved {
-            stamps.touch_docs(at);
-        }
         match *effect {
             MutationEffect::PolicyChanged { spec } => self.access.forget_spec(spec),
             MutationEffect::SpecDeleted { spec } | MutationEffect::SpecEdited { spec } => {
@@ -266,6 +244,7 @@ impl Shard {
             }
             MutationEffect::SpecInserted { .. } | MutationEffect::ExecutionAppended { .. } => {}
         }
+        touched
     }
 
     /// Counters of the shard's memos; it has no result cache, so those
@@ -279,55 +258,24 @@ impl Shard {
     }
 }
 
-/// The assembled serving stack. See the module docs.
+/// The uncached single-index reference. See the module docs.
 pub struct QueryEngine {
     repo: Repository,
     registry: PrincipalRegistry,
     /// The read structures over the whole repository.
     shard: Shard,
-    /// The `(group, query)` result caches, one per query class.
-    results: ResultCaches<RankedPart>,
-    /// The version result caches tag their entries with. It advances to
-    /// the repository version whenever a [`MutationEffect`] can change
-    /// answers (every effect but an execution append) and stays put for
-    /// execution appends — so the write-heavy provenance path leaves every
-    /// warm `(group, query)` entry an exact-tag hit. Never ahead of
-    /// `repo.version()`.
-    results_version: u64,
-    /// What each move of `results_version` touched: decides which entries
-    /// with an older tag are re-admitted. Written only by [`Self::mutate`]
-    /// (`&mut self`), read by the `&self` query paths.
-    stamps: TouchStamps,
 }
 
 /// Default bound on memoized views per spec.
 pub(crate) const DEFAULT_VIEW_CAPACITY: usize = 16;
-/// Default capacity of each result cache, per query class, in whichever
-/// object serves: a standalone engine, or a cluster's front.
-pub(crate) const DEFAULT_RESULT_CAPACITY: usize = 4096;
 
 impl QueryEngine {
-    /// Assemble an engine with default cache capacities (16 views per spec,
-    /// 4096 results per query class).
+    /// Index `repo` whole, memoizing up to 16 views per spec.
     pub fn new(repo: Repository, registry: PrincipalRegistry) -> Self {
-        Self::with_capacities(repo, registry, DEFAULT_VIEW_CAPACITY, DEFAULT_RESULT_CAPACITY)
-    }
-
-    /// Assemble with explicit cache capacities: views memoized *per spec*,
-    /// results cached per query class.
-    pub fn with_capacities(
-        repo: Repository,
-        registry: PrincipalRegistry,
-        view_capacity: usize,
-        result_capacity: usize,
-    ) -> Self {
         QueryEngine {
-            shard: Shard::new(KeywordIndex::build(&repo), view_capacity),
-            results_version: repo.version(),
+            shard: Shard::new(KeywordIndex::build(&repo), DEFAULT_VIEW_CAPACITY),
             repo,
             registry,
-            results: ResultCaches::new(result_capacity),
-            stamps: TouchStamps::new(),
         }
     }
 
@@ -341,21 +289,18 @@ impl QueryEngine {
         &self.registry
     }
 
-    /// The keyword index currently serving queries.
+    /// The keyword index reads run over.
     pub fn index(&self) -> &KeywordIndex {
         self.shard.index()
     }
 
-    /// The shared view memo.
+    /// The view memo.
     pub fn views(&self) -> &ViewCache {
         self.shard.views()
     }
 
-    /// Apply a typed repository mutation, keying every layer's maintenance
-    /// on the returned [`MutationEffect`] (`Shard::absorb`):
-    ///
-    /// The keyword index sees every effect first
-    /// ([`KeywordIndex::apply_effect`]) and reports what it touched; then:
+    /// Apply a typed repository mutation and fold the returned
+    /// [`MutationEffect`] into the shard (`Shard::absorb`):
     ///
     /// * **spec insert** — the index *appends* the new spec's postings;
     ///   neither memo is told: access prefixes and views are resolved
@@ -364,10 +309,8 @@ impl QueryEngine {
     ///   memo entries drop ([`AccessCache::forget_spec`]); its memoized
     ///   views stay, `Arc` for `Arc` — a view reads structure, never a
     ///   policy;
-    /// * **execution append** — zero index work, neither memo is told, and
-    ///   results stay *warm*: provenance is not part of any keyword,
-    ///   private or ranked answer, so neither [`Self::results_version`]
-    ///   nor any stamp moves;
+    /// * **execution append** — zero index work, neither memo is told:
+    ///   provenance is not part of any keyword, private or ranked answer;
     /// * **spec delete** — the index retracts exactly the retired spec's
     ///   postings, and the spec's access memo entries and view memo slot
     ///   ([`ViewCache::forget_spec`]) drop — a dead id answers `None`
@@ -377,53 +320,21 @@ impl QueryEngine {
     ///   contract: an edit is text-only by type and neither a prefix nor a
     ///   view reads text).
     ///
-    /// Every effect but the execution append advances
-    /// [`Self::results_version`] and stamps the written spec's vocabulary —
-    /// what it posted before the write *and* what it posts after, as the
-    /// index reports them — with the new version, plus the document count
-    /// when that moved. Cached answers are then judged one by one at their
-    /// next probe: an entry that can have named the written spec (or, if
-    /// ranked, read a statistic the write moved) is recomputed, every other
-    /// entry is re-admitted at the new version ([`ppwf_repo::touch`] has
-    /// the rules).
-    ///
     /// A failed mutation (validation error) changes nothing anywhere.
     ///
     /// The engine is the non-durable kernel: logging, fsync and snapshots
-    /// live one layer up, in
+    /// live in
     /// [`EngineCluster`](crate::cluster::EngineCluster::attach_durability),
     /// which validates and appends a write before it applies it.
     pub fn mutate(&mut self, mutation: Mutation) -> Result<MutationEffect> {
         let effect = self.repo.apply(mutation)?;
-        let version = self.repo.version();
-        self.shard.absorb(&self.repo, &effect, &mut self.stamps, version);
-        if effect.changes_visible_state() {
-            self.results_version = version;
-        }
-        self.stamps.trim(self.index().term_count(), version);
+        self.shard.absorb(&self.repo, &effect);
         Ok(effect)
     }
 
-    /// The version result caches are tagged with: advances on effects that
-    /// can change answers (everything but execution appends), holds still
-    /// across execution appends.
-    pub fn results_version(&self) -> u64 {
-        self.results_version
-    }
-
-    /// Replace the registry (e.g. a group's access rule changed). Result
-    /// caches and the access memo are cleared outright: group keys may now
-    /// mean different privileges, which no hierarchy witness can see.
-    pub fn set_registry(&mut self, registry: PrincipalRegistry) {
-        self.registry = registry;
-        self.shard.access.clear();
-        self.results.clear();
-    }
-
     /// A lazy access resolver for `group` over the current repository —
-    /// the cold path's privilege source. Exposed so operators and tests
-    /// can drive/inspect resolution directly; query entry points
-    /// call it internally after their result-cache probe misses.
+    /// the privilege source of every read. Exposed so operators and tests
+    /// can drive/inspect resolution directly.
     pub fn access_resolver(&self, group: &str) -> Option<AccessResolver<'_>> {
         self.shard.access.resolver(&self.registry, &self.repo, group)
     }
@@ -433,87 +344,58 @@ impl QueryEngine {
         &self.shard.access
     }
 
-    /// Privilege-filtered keyword search for one group, cached per
-    /// `(group, query)`. Returns `None` for unknown groups.
+    /// Privilege-filtered keyword search for one group. Returns `None` for
+    /// unknown groups.
     pub fn search_as(&self, group: &str, query_text: &str) -> Option<Arc<Vec<KeywordHit>>> {
-        self.cached(Keyword, group, query_text)
+        self.read(Keyword, group, query_text).map(Arc::new)
     }
 
-    /// Privacy-preserving search under an explicit plan, cached per
-    /// `(group, query)` in a per-plan cache (so the warm probe stays
-    /// borrow-only, like [`Self::search_as`]). Returns `None` for unknown
-    /// groups.
+    /// Privacy-preserving search under an explicit plan. Returns `None` for
+    /// unknown groups.
     pub fn private_search_as(
         &self,
         group: &str,
         query_text: &str,
         plan: Plan,
     ) -> Option<Arc<PrivateSearchOutcome>> {
-        self.cached(Private(plan), group, query_text)
+        self.read(Private(plan), group, query_text).map(Arc::new)
     }
 
     /// Ranked keyword search: the hit list for `(group, query)` and its
-    /// ranking under `mode`, computed together and cached together per
-    /// `(group, query)` in a per-mode cache — and the warm probe is
-    /// allocation-free like the other layers.
+    /// ranking under `mode`, computed together.
     pub fn ranked_search_as(
         &self,
         group: &str,
         query_text: &str,
         mode: RankingMode,
     ) -> Option<(Arc<Vec<KeywordHit>>, Arc<RankedAnswer>)> {
-        let (hits, ranked) = &*self.cached(Ranked(mode), group, query_text)?;
-        Some((Arc::clone(hits), Arc::clone(ranked)))
+        self.read(Ranked(mode), group, query_text)
     }
 
-    /// The one cached read under every entry point above: probe → resolve
-    /// access → compute the part ([`ReadMode::part`]) → insert, in `mode`'s
-    /// result cache.
-    ///
-    /// The cache is probed *before* any access resolution: a warm hit is
-    /// one hash lookup plus an `Arc` clone, never a walk of the registry —
-    /// that ordering is what E10's warm path measures. An entry with an
-    /// older tag than [`Self::results_version`] is served, and re-tagged,
-    /// iff the [`TouchStamps`] show no write since can have changed it; so
-    /// the first probe of an entry after an answer-changing write also
-    /// walks the query's tokens through the stamps, and later probes are
-    /// plain hits again. A cold miss builds a lazy [`AccessResolver`], so
-    /// only specs with candidate postings pay rule resolution (E12's
-    /// cold-path lever) — never the whole corpus, as the former eager
-    /// `access_map` did. `None` for unknown groups.
-    fn cached<M: ReadMode>(&self, mode: M, group: &str, query_text: &str) -> Option<Arc<Part<M>>> {
-        let (cache, version) = (mode.cache(&self.results), self.results_version);
-        let vouched = |tag| self.stamps.survives(query_text, tag, M::DEPENDS);
-        if let Some(hit) = cache.get_validated(group, query_text, version, vouched) {
-            return Some(hit);
-        }
+    /// The one read under every entry point above: resolve access lazily
+    /// (only specs with candidate postings pay rule resolution, E12's
+    /// lever), parse, and compute `mode`'s answer over the whole-corpus
+    /// shard ([`ReadMode::part`]). `None` for unknown groups.
+    fn read<M: ReadMode>(&self, mode: M, group: &str, query_text: &str) -> Option<M::Part> {
         let access = self.access_resolver(group)?;
-        let query = KeywordQuery::parse(query_text);
-        let answer = Arc::new(mode.part(&self.repo, &self.shard, &access, &query));
-        cache.insert(group, query_text, version, Arc::clone(&answer));
-        Some(answer)
+        Some(mode.part(&self.repo, &self.shard, &access, &KeywordQuery::parse(query_text)))
     }
 
-    /// The engine's touch stamps (test instrument: derived state must start
-    /// empty after recovery and stay bounded under vocabulary churn).
-    #[cfg(test)]
-    pub(crate) fn stamps(&self) -> &TouchStamps {
-        &self.stamps
-    }
-
-    /// Counters of every cache layer.
+    /// Counters of the view and access memos; the engine has no result
+    /// cache, so those snapshots read zero.
     pub fn stats(&self) -> EngineStats {
-        let [keyword, private, ranked] = self.results.snapshots();
-        EngineStats { keyword, private, ranked, ..self.shard.stats() }
+        self.shard.stats()
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::modes::MAX_RANKED_MODES;
+    use crate::cluster::EngineCluster;
     use ppwf_core::policy::{AccessLevel, Policy};
     use ppwf_model::fixtures;
+    use ppwf_model::hierarchy::Prefix;
+    use ppwf_model::ids::ModuleId;
     use ppwf_repo::principals::ViewRule;
     use ppwf_repo::repository::SpecId;
 
@@ -527,16 +409,39 @@ pub(crate) mod tests {
         QueryEngine::new(repo, registry)
     }
 
+    /// What a hit releases: spec, prefix and match set.
+    type Released = (SpecId, Prefix, Vec<(String, ModuleId)>);
+
+    fn released(hits: &[KeywordHit]) -> Vec<Released> {
+        hits.iter().map(|h| (h.spec, h.prefix.clone(), h.matched.clone())).collect()
+    }
+
     #[test]
-    fn repeated_queries_hit_the_group_cache() {
+    fn the_engine_caches_no_answer() {
         let e = engine();
-        let a = e.search_as("researchers", "Database, Disorder Risks").unwrap();
+        let (q, plan, mode) =
+            ("Database, Disorder Risks", Plan::FilterThenSearch, RankingMode::ExactFull);
+        let (a, b) =
+            (e.search_as("researchers", q).unwrap(), e.search_as("researchers", q).unwrap());
+        assert!(!Arc::ptr_eq(&a, &b), "a keyword answer was cached");
         assert_eq!(a.len(), 1);
-        let b = e.search_as("researchers", "Database, Disorder Risks").unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same group must share the cached answer");
+        assert_eq!(released(&a), released(&b));
+        let a = e.private_search_as("researchers", q, plan).unwrap();
+        let b = e.private_search_as("researchers", q, plan).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b), "a private answer was cached");
+        assert_eq!(released(&a.hits), released(&b.hits));
+        assert_eq!(
+            (a.views_built, a.zoom_steps, a.discarded),
+            (b.views_built, b.zoom_steps, b.discarded)
+        );
+        let (hits_a, ranked_a) = e.ranked_search_as("researchers", q, mode).unwrap();
+        let (hits_b, ranked_b) = e.ranked_search_as("researchers", q, mode).unwrap();
+        assert!(!Arc::ptr_eq(&hits_a, &hits_b) && !Arc::ptr_eq(&ranked_a, &ranked_b));
+        assert_eq!(released(&hits_a), released(&hits_b));
+        assert!(ranked_a.bitwise_eq(&ranked_b));
         let stats = e.stats();
-        assert_eq!(stats.keyword.hits, 1);
-        assert_eq!(stats.keyword.misses, 1);
+        assert_eq!([stats.keyword, stats.private, stats.ranked], [CacheSnapshot::default(); 3]);
+        assert!(stats.access.hits > 0 && stats.views.hits > 0, "the memos still serve");
     }
 
     #[test]
@@ -546,7 +451,6 @@ pub(crate) mod tests {
         let coarse = e.search_as("public", "database").unwrap();
         assert_eq!(fine.len(), 1, "full access sees the M5 match");
         assert_eq!(coarse.len(), 0, "root-only access must not see it");
-        assert_eq!(e.stats().keyword.hits, 0, "distinct groups cannot hit each other");
     }
 
     #[test]
@@ -572,19 +476,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn mutation_invalidates_cached_answers() {
-        let mut e = engine();
-        let before = e.search_as("researchers", "risk").unwrap();
-        assert_eq!(before.len(), 1);
-        let (spec, _) = fixtures::disease_susceptibility();
-        let effect = e.mutate(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
-        assert_eq!(effect.inserted_id(), Some(SpecId(1)));
-        let after = e.search_as("researchers", "risk").unwrap();
-        assert_eq!(after.len(), 2, "stale single-spec answer served after insert");
-        assert!(e.stats().keyword.invalidations >= 1);
-    }
-
-    #[test]
     fn insert_appends_to_the_index_without_rebuilding() {
         let mut e = engine();
         let docs = e.index().docs_indexed();
@@ -607,12 +498,11 @@ pub(crate) mod tests {
         assert!(!effect.changes_visible_state());
         assert_eq!(e.index().docs_indexed(), docs, "provenance appends must cost zero index work");
         let after = e.search_as("researchers", "risk").unwrap();
-        assert!(Arc::ptr_eq(&before, &after), "the cached answer must survive the append");
+        assert_eq!(released(&before), released(&after), "an append changes no answer");
         let stats = e.stats();
-        assert_eq!(stats.keyword.invalidations, 0, "nothing was invalidated");
         assert_eq!(stats.access.misses, 1, "and the access memo was not re-resolved");
-        // A *cold* query whose minimal view coincides reuses the carried-
-        // forward view instead of rebuilding it at the new version.
+        // A query whose minimal view coincides reuses the carried-forward
+        // view instead of rebuilding it.
         let view_misses = stats.views.misses;
         e.search_as("researchers", "database, pubmed").unwrap();
         let stats = e.stats();
@@ -628,17 +518,15 @@ pub(crate) mod tests {
         let mut e = engine();
         let (spec, _) = fixtures::disease_susceptibility();
         e.mutate(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
-        // Warm: resolves both specs' rules (one candidate posting each).
-        e.search_as("researchers", "database").unwrap();
+        // Resolves both specs' rules (one candidate posting each).
+        assert_eq!(e.search_as("researchers", "database").unwrap().len(), 2);
         assert_eq!(e.stats().access.misses, 2);
         let docs = e.index().docs_indexed();
 
         e.mutate(Mutation::SetPolicy { spec: SpecId(0), policy: Policy::public() }).unwrap();
         assert_eq!(e.index().docs_indexed(), docs, "policy swaps must cost zero index work");
-        // Results are stale (policies gate privacy-filtered answers)...
-        e.search_as("researchers", "database").unwrap();
-        assert!(e.stats().keyword.invalidations >= 1);
-        // ...but only the swapped spec's access rule re-resolved.
+        assert_eq!(e.search_as("researchers", "database").unwrap().len(), 2);
+        // Only the swapped spec's access rule re-resolved.
         assert_eq!(e.stats().access.misses, 3, "exactly one re-resolution, not the corpus");
     }
 
@@ -650,8 +538,8 @@ pub(crate) mod tests {
         e.mutate(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
         assert_eq!(e.search_as("researchers", "database").unwrap().len(), 2);
 
-        // Edit spec 1's M5 text: targeted re-index, cached answers for the
-        // query drop.
+        // Edit spec 1's M5 text: targeted re-index, and the query's answer
+        // drops the edited spec.
         let effect = e
             .mutate(Mutation::EditSpec {
                 spec: SpecId(1),
@@ -683,103 +571,23 @@ pub(crate) mod tests {
         let filter = e.private_search_as("public", "risk", Plan::FilterThenSearch).unwrap();
         let zoom = e.private_search_as("public", "risk", Plan::SearchThenZoomOut).unwrap();
         assert!(crate::privacy_exec::same_answers(&filter, &zoom));
-        // Distinct plans are distinct cache keys.
-        assert_eq!(e.stats().private.misses, 2);
     }
 
     #[test]
     fn ranked_answers_are_cached_and_ordered() {
         let e = engine();
-        let (hits, ranked) =
-            e.ranked_search_as("researchers", "query", RankingMode::ExactFull).unwrap();
+        let mode = RankingMode::ExactFull;
+        let (hits, ranked) = e.ranked_search_as("researchers", "query", mode).unwrap();
         assert_eq!(ranked.order.len(), hits.len());
         assert_eq!(ranked.scores.len(), hits.len());
-        let (_, again) =
-            e.ranked_search_as("researchers", "query", RankingMode::ExactFull).unwrap();
-        assert!(Arc::ptr_eq(&ranked, &again));
-        assert!(e.stats().ranked.hits >= 1);
-    }
-
-    fn ranked_modes(e: &QueryEngine) -> &crate::modes::ModeCaches<RankedPart> {
-        &e.results.ranked
-    }
-
-    #[test]
-    fn mode_churn_cannot_grow_the_ranked_map_unboundedly() {
-        let e = engine();
-        // A fresh NoisyFull seed per request mints a distinct ModeKey each
-        // time — the map must evict old modes, not accumulate them.
-        let mut last_lookups = 0u64;
-        for seed in 0..3 * MAX_RANKED_MODES as u64 {
-            e.ranked_search_as(
-                "researchers",
-                "query",
-                RankingMode::NoisyFull { epsilon: 1.0, seed },
-            )
-            .unwrap();
-            // Evictions must not erase history: the counters stay monotone.
-            let ranked = e.stats().ranked;
-            let lookups = ranked.hits + ranked.misses;
-            assert!(lookups >= last_lookups, "ranked counters went backwards");
-            last_lookups = lookups;
-        }
-        assert!(ranked_modes(&e).mode_count() <= MAX_RANKED_MODES);
-        assert_eq!(
-            last_lookups,
-            3 * MAX_RANKED_MODES as u64,
-            "every mode-churn lookup is still accounted for after evictions"
-        );
-        // A hot mode in steady use survives the churn's evictions.
-        e.ranked_search_as("researchers", "query", RankingMode::ExactFull).unwrap();
-        for seed in 100..100 + MAX_RANKED_MODES as u64 - 1 {
-            e.ranked_search_as(
-                "researchers",
-                "query",
-                RankingMode::NoisyFull { epsilon: 1.0, seed },
-            )
-            .unwrap();
-            e.ranked_search_as("researchers", "query", RankingMode::ExactFull).unwrap();
-        }
-        assert!(
-            ranked_modes(&e).has_mode(&RankingMode::ExactFull.cache_key()),
-            "the constantly-touched mode must not be the eviction victim"
-        );
-    }
-
-    #[test]
-    fn eviction_counters_surface_and_survive_mode_churn() {
-        let mut repo = Repository::new();
-        let (spec, _) = fixtures::disease_susceptibility();
-        repo.insert_spec(spec, Policy::public()).unwrap();
-        let mut registry = PrincipalRegistry::new();
-        registry.add_group("researchers", AccessLevel(3), ViewRule::Full);
-        // Two views, two results per query class and per ranking mode.
-        let e = QueryEngine::with_capacities(repo, registry, 2, 2);
-        assert_eq!(e.stats().keyword.evictions, 0);
-        for q in ["query", "database", "risk", "pubmed"] {
-            e.search_as("researchers", q).unwrap();
-        }
-        let keyword = e.stats().keyword;
-        assert_eq!(keyword.evictions, 2, "four distinct answers through a cache of two");
-        assert!(keyword.sweep_steps >= keyword.evictions);
-
-        // Each churned mode's cache evicts once before the mode itself is
-        // dropped; the tombstone fold must keep those evictions on record.
-        let mut last = 0;
-        for seed in 0..2 * MAX_RANKED_MODES as u64 {
-            let mode = RankingMode::NoisyFull { epsilon: 1.0, seed };
-            for q in ["query", "database", "risk"] {
-                e.ranked_search_as("researchers", q, mode).unwrap();
-            }
-            let ranked = e.stats().ranked;
-            assert!(ranked.evictions > last, "ranked evictions went backwards or stalled");
-            assert!(ranked.sweep_steps >= ranked.evictions);
-            last = ranked.evictions;
-        }
-        assert_eq!(last, 2 * MAX_RANKED_MODES as u64);
-        let merged = EngineStats::merged([&e.stats(), &e.stats()]);
-        assert_eq!(merged.ranked.evictions, 2 * last);
-        assert_eq!(merged.keyword.sweep_steps, 2 * e.stats().keyword.sweep_steps);
+        // Cached where it is served — at a one-shard cluster's front — and
+        // bit for bit the reference's ranking.
+        let c = EngineCluster::new(e.repo().clone(), e.registry().clone(), 1);
+        let served = c.ranked_search_as("researchers", "query", mode).unwrap();
+        let again = c.ranked_search_as("researchers", "query", mode).unwrap();
+        assert!(Arc::ptr_eq(&served, &again));
+        assert_eq!(released(&served.hits), released(&hits));
+        assert!(served.ranked.bitwise_eq(&ranked));
     }
 
     /// The paper's fixture with every proper module renamed to `word` — a
@@ -795,112 +603,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn revalidations_surface_beside_invalidations() {
-        let mut e = engine();
-        let mode = RankingMode::ExactFull;
-        let keyword = e.search_as("researchers", "risk").unwrap();
-        let private = e.private_search_as("researchers", "risk", Plan::FilterThenSearch).unwrap();
-        let (_, ranked) = e.ranked_search_as("researchers", "risk", mode).unwrap();
-        assert_eq!(e.stats().keyword.revalidations, 0);
-
-        // A spec that posts none of the query's tokens: matches cannot have
-        // changed, but the document count — which a ranked answer reads —
-        // has.
-        let spec = spec_speaking("zebra");
-        e.mutate(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
-        let again = e.search_as("researchers", "risk").unwrap();
-        assert!(Arc::ptr_eq(&keyword, &again), "an unrelated insert must not strand the answer");
-        let again = e.private_search_as("researchers", "risk", Plan::FilterThenSearch).unwrap();
-        assert!(Arc::ptr_eq(&private, &again));
-        let (_, again) = e.ranked_search_as("researchers", "risk", mode).unwrap();
-        assert!(!Arc::ptr_eq(&ranked, &again), "the document count moved under a ranked answer");
-        assert_ne!(ranked.scores[0].to_bits(), again.scores[0].to_bits());
-
-        let stats = e.stats();
-        // The ranked path caches its hit list with its ranking: the keyword
-        // cache saw the two keyword reads alone, one miss and one
-        // re-admission.
-        assert_eq!((stats.keyword.revalidations, stats.keyword.invalidations), (1, 0));
-        assert_eq!((stats.keyword.hits, stats.keyword.misses), (1, 1));
-        assert_eq!((stats.private.revalidations, stats.private.invalidations), (1, 0));
-        assert_eq!((stats.ranked.revalidations, stats.ranked.invalidations), (0, 1));
-        let merged = EngineStats::merged([&stats, &stats]);
-        assert_eq!(merged.keyword.revalidations, 2);
-        assert_eq!(merged.private.revalidations, 2);
-        assert_eq!(merged.ranked.invalidations, 2);
-
-        // A policy swap on the spec the answers name strands all three.
-        e.mutate(Mutation::SetPolicy { spec: SpecId(0), policy: Policy::public() }).unwrap();
-        let again = e.search_as("researchers", "risk").unwrap();
-        assert!(!Arc::ptr_eq(&keyword, &again), "a policy swap outlived by a cached answer");
-        assert_eq!(e.stats().keyword.invalidations, 1);
-        assert_eq!(e.stats().keyword.revalidations, 1, "monotone");
-    }
-
-    #[test]
-    fn revalidations_survive_ranked_mode_churn() {
-        let mut e = engine();
-        let modes: Vec<RankingMode> = (0..2 * MAX_RANKED_MODES as u64)
-            .map(|seed| RankingMode::NoisyFull { epsilon: 1.0, seed })
-            .collect();
-        // Warm one mode, re-admit its entry after a policy swap on a spec the
-        // query cannot match, then churn it out of the mode map: the
-        // tombstone fold must keep the re-admission on record.
-        let spec = spec_speaking("zebra");
-        e.mutate(Mutation::InsertSpec { spec, policy: Policy::public() }).unwrap();
-        e.ranked_search_as("researchers", "risk", modes[0]).unwrap();
-        e.mutate(Mutation::SetPolicy { spec: SpecId(1), policy: Policy::public() }).unwrap();
-        e.ranked_search_as("researchers", "risk", modes[0]).unwrap();
-        assert_eq!(e.stats().ranked.revalidations, 1);
-        for &mode in &modes[1..] {
-            e.ranked_search_as("researchers", "risk", mode).unwrap();
-        }
-        assert!(!ranked_modes(&e).has_mode(&modes[0].cache_key()));
-        assert_eq!(e.stats().ranked.revalidations, 1, "history must not vanish with the mode");
-    }
-
-    #[test]
-    fn stamp_table_stays_bounded_under_fresh_vocabulary_churn() {
-        let mut e = engine();
-        let mut warm = e.search_as("researchers", "risk").unwrap();
-        let (mut previous, mut resets, mut readmitted) = (0, 0, 0);
-        for i in 0..400 {
-            // Fresh vocabulary in, fresh vocabulary out: the index's live
-            // terms do not grow, the set of tokens ever touched does.
-            let spec = spec_speaking(&format!("fresh{i}"));
-            let id = e
-                .mutate(Mutation::InsertSpec { spec, policy: Policy::public() })
-                .unwrap()
-                .inserted_id()
-                .unwrap();
-            e.mutate(Mutation::DeleteSpec { spec: id }).unwrap();
-            let (stamps, live) = (e.stamps().len(), e.index().term_count());
-            assert!(stamps <= 2 * live + 64, "{stamps} stamps for {live} live terms");
-            let reset = stamps < previous;
-            previous = stamps;
-            // Crossing the bound costs every older entry one miss — and
-            // nothing but a miss: the recomputed answer is the same answer.
-            let again = e.search_as("researchers", "risk").unwrap();
-            if reset {
-                resets += 1;
-                assert!(!Arc::ptr_eq(&warm, &again), "a raised floor strands every older entry");
-                warm = Arc::clone(&again);
-            } else {
-                readmitted += 1;
-                assert!(Arc::ptr_eq(&warm, &again), "an unrelated write stranded the answer");
-            }
-            let fresh = QueryEngine::new(e.repo().clone(), e.registry().clone());
-            let reference = fresh.search_as("researchers", "risk").unwrap();
-            assert_eq!(again.len(), reference.len());
-            for (a, b) in again.iter().zip(reference.iter()) {
-                assert_eq!((a.spec, &a.prefix, &a.matched), (b.spec, &b.prefix, &b.matched));
-            }
-        }
-        assert!(resets >= 2, "400 fresh tokens must cross the bound more than once");
-        assert_eq!(resets + readmitted, 400);
-    }
-
-    #[test]
     fn view_cache_warms_across_queries() {
         let e = engine();
         e.search_as("researchers", "Database, Disorder Risks").unwrap();
@@ -913,20 +615,5 @@ pub(crate) mod tests {
             stats.views.hits > 0 || stats.views.misses > cold_misses,
             "second query must consult the view cache"
         );
-    }
-
-    #[test]
-    fn registry_swap_clears_results() {
-        let mut e = engine();
-        assert_eq!(e.search_as("public", "database").unwrap().len(), 0);
-        let mut registry = PrincipalRegistry::new();
-        registry.add_group("public", AccessLevel(3), ViewRule::Full);
-        e.set_registry(registry);
-        assert_eq!(
-            e.search_as("public", "database").unwrap().len(),
-            1,
-            "stale coarse answer served after privilege change"
-        );
-        let _ = e.repo().entry(SpecId(0)).unwrap();
     }
 }

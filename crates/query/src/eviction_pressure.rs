@@ -5,12 +5,12 @@
 //! would appear: group A's slot handed to group B while some index entry
 //! still points at it. The default capacities (thousands of results, sixteen
 //! views per spec) never evict on the equivalence suites' workloads, so
-//! these tests starve every cache — two views per spec, two results per
-//! class, in the engine, in every shard's view memo and at the cluster
-//! front (a cluster's only result caches) — and
-//! require every answer of every group, on every query class, to stay
-//! bit-identical to an *uncached* evaluation (a fresh engine per request)
-//! and inside the requester's access prefix: sequentially across mutations,
+//! these tests starve every cache — two views per spec in every shard's view
+//! memo, two results per class at the cluster front (a cluster's only
+//! result caches) — and require every answer of every group, on every query
+//! class, to stay bit-identical to the *uncached* reference
+//! ([`QueryEngine`], which caches no answer) and inside the requester's
+//! access prefix: sequentially across mutations,
 //! and through a multiplexed [`ServeFront`] with reads racing writes, where
 //! each response is held to the sequential cut at its fenced epoch.
 //!
@@ -229,8 +229,8 @@ impl Answer {
     }
 }
 
-/// The uncached reference over one corpus state: every read evaluated on a
-/// fresh engine of its own, so no reference answer ever came out of a cache.
+/// The uncached reference over one corpus state: every read evaluated on
+/// one engine, which caches no answer.
 struct Reference {
     answers: HashMap<Read, Answer>,
     access: HashMap<&'static str, HashMap<SpecId, Prefix>>,
@@ -239,10 +239,9 @@ struct Reference {
 impl Reference {
     fn of(repo: &Repository, specs: usize) -> Reference {
         let registry = registry(specs);
-        let answers = all_reads()
-            .into_iter()
-            .map(|read| (read, read.ask_engine(&QueryEngine::new(repo.clone(), registry.clone()))))
-            .collect();
+        let engine = QueryEngine::new(repo.clone(), registry.clone());
+        let answers =
+            all_reads().into_iter().map(|read| (read, read.ask_engine(&engine))).collect();
         let access = GROUPS
             .iter()
             .map(|&g| (g, registry.access_map(repo, g).expect("registered group")))
@@ -307,7 +306,7 @@ fn epoch_of(cluster: &EngineCluster) -> u64 {
     cluster.version_vector().iter().sum()
 }
 
-/// Starved engine and starved cluster, asked every read in three orders
+/// A starved cluster, asked every read in three orders
 /// (forward: pure eviction; backward: the two survivors hit; doubled: every
 /// insert is hit at once) at every prefix of the mutation log.
 fn sequential_run(
@@ -317,8 +316,6 @@ fn sequential_run(
     kinds: &[(u8, u64)],
 ) -> Result<(), String> {
     let (log, states) = mutation_log(seed, specs, kinds);
-    let mut engine =
-        QueryEngine::with_capacities(states[0].clone(), registry(specs), STARVED, STARVED);
     let mut cluster =
         starved_cluster(states[0].clone(), specs, shards, Arc::new(WorkerPool::new(1)));
     let forward = all_reads();
@@ -328,24 +325,18 @@ fn sequential_run(
         let reference = Reference::of(state, specs);
         for order in [&forward, &backward, &doubled] {
             for &read in order {
-                reference.check(read, &read.ask_engine(&engine), "starved engine")?;
                 reference.check(read, &read.ask_cluster(&cluster), "starved cluster")?;
             }
         }
         if let Some(m) = log.get(k) {
-            engine.mutate(m.clone()).map_err(|e| e.to_string())?;
             cluster.mutate(m.clone()).map_err(|e| e.to_string())?;
         }
     }
-    let (engine_stats, cluster_stats) = (engine.stats(), cluster.stats());
-    // The result caches are starved by the 135 keys whatever the corpus; the
+    let cluster_stats = cluster.stats();
+    // The front caches are starved by the 135 keys whatever the corpus; the
     // view memos by the fixture, whose answers span three prefixes.
     for (what, evictions) in [
-        ("engine view", engine_stats.views.evictions),
         ("shard view", cluster_stats.aggregate.views.evictions),
-        ("engine keyword", engine_stats.keyword.evictions),
-        ("engine private", engine_stats.private.evictions),
-        ("engine ranked", engine_stats.ranked.evictions),
         ("cluster front", cluster_stats.front.evictions),
     ] {
         if evictions == 0 {

@@ -18,14 +18,16 @@
 //!   leak hidden term counts (Sec. 4's "Impact of Ranking on Privacy
 //!   Preservation"); bucketized and visible-only rankers trade utility for
 //!   leakage, measured with Kendall-τ (experiment E7).
-//! * [`engine`] — the assembled serving stack: keyword index + shared
-//!   [`ViewCache`](ppwf_repo::view_cache::ViewCache) + per-user-group
-//!   result caches with surfaced statistics (Sec. 4's caching design;
-//!   experiment E10).
-//! * [`route`] / [`cluster`] — sharded serving over one repository: the
-//!   keyword index partitioned across N shards by spec id, scattered on a
-//!   persistent worker pool and gathered into answers bit-identical to a
-//!   single engine (experiment E11).
+//! * [`engine`] — the uncached single-index reference: keyword index +
+//!   [`ViewCache`](ppwf_repo::view_cache::ViewCache) + lazy access memo
+//!   over one repository, computing every answer and caching none; the
+//!   oracle every cached path is checked against.
+//! * [`route`] / [`cluster`] — serving over one repository, and the one
+//!   cached tier: the keyword index partitioned across N shards by spec id
+//!   (one shard when there is one index), scattered on a persistent worker
+//!   pool and gathered into answers bit-identical to the reference, with
+//!   per-user-group result caches at the front (Sec. 4's caching design;
+//!   experiments E10, E11).
 //! * [`serve`] — the asynchronous serving front: typed requests admitted
 //!   through a read/write fence, fanned out as independent per-shard pool
 //!   jobs and gathered into [`Ticket`](ppwf_repo::ticket::Ticket)

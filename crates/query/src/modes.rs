@@ -3,29 +3,31 @@
 //! Sec. 4 of the paper asks the same privacy-filtered question three ways —
 //! keyword, private under a [`Plan`], ranked under a [`RankingMode`]. What
 //! differs between them is written here once, as the three implementors of
-//! [`ReadMode`]: which result cache a mode's answers live in, what such an
-//! answer depends on ([`Depends`]), how one shard computes its part of an
-//! answer, and how parts merge into the whole answer. Everything else — a
-//! standalone engine's probe → resolve access → part → insert
-//! ([`QueryEngine::cached`]), the cluster's probe, plan, shard run and
-//! gather ([`crate::cluster`]), the serving front's fan-out
-//! ([`crate::serve`]) — is generic over the mode and written once. A part of
-//! one mode handed to another mode's merge is a type error.
+//! [`ReadMode`]: what one shard computes ([`ReadMode::Part`]), what the
+//! whole answer is ([`ReadMode::Answer`]) and which front cache holds it,
+//! what such an answer depends on ([`Depends`]), how a shard computes its
+//! part, and how parts merge into the answer. Everything else — the
+//! uncached reference's resolve access → part ([`QueryEngine`]), the
+//! cluster's probe, plan, shard run and gather ([`crate::cluster`]), the
+//! serving front's fan-out ([`crate::serve`]) — is generic over the mode and
+//! written once. A part of one mode handed to another mode's merge is a
+//! type error.
 //!
-//! Computing a part ([`ReadMode::part`]) touches no result cache: an answer
-//! is cached once, by whichever object serves it. A standalone engine
-//! caches the parts it computes; a cluster caches only merged answers, at
-//! its front, and its shards compute parts uncached. [`ResultCaches`] is the
-//! cache triple either keeps: one keyword cache, one cache per [`Plan`] so
-//! the warm probe stays borrow-only, and a [`ModeCaches`] map for ranked
-//! answers. The ranking *mode* is part of a ranked answer's identity — and
-//! modes carry `f64` parameters, so they key an outer map of caches rather
-//! than a fixed array like `Plan`. The warm probe builds a stack [`ModeKey`]
-//! and clones an `Arc`, allocating nothing. The map itself is bounded at
+//! Computing a part ([`ReadMode::part`]) touches no result cache. There is
+//! one cached tier: a cluster caches merged answers at its front, and
+//! nothing else caches an answer. [`ResultCaches`] is that front's cache
+//! triple: one keyword cache, one cache per [`Plan`] so the warm probe stays
+//! borrow-only, and a [`ModeCaches`] map for ranked answers. The ranking
+//! *mode* is part of a ranked answer's identity — and modes carry `f64`
+//! parameters, so they key an outer map of caches rather than a fixed array
+//! like `Plan`. The warm probe builds a stack [`ModeKey`] and clones an
+//! `Arc`, allocating nothing. The map itself is bounded at
 //! [`MAX_RANKED_MODES`]: workloads that mint unbounded distinct modes (e.g.
 //! a fresh `NoisyFull` seed per request) evict the least-recently-used
 //! mode's cache instead of growing forever, and evicted caches fold their
 //! counters into a tombstone so statistics stay monotone under mode churn.
+//!
+//! [`QueryEngine`]: crate::engine::QueryEngine
 
 use crate::cluster::{RankedHits, ReadPlan};
 use crate::engine::{CacheSnapshot, Plan, RankedAnswer, Shard};
@@ -49,21 +51,17 @@ use std::sync::Arc;
 
 /// One way of asking the privacy-filtered question. See the module docs.
 pub(crate) trait ReadMode: Copy + Send + Sync + 'static {
-    /// What a result cache holds per `(group, query)` under this mode, in a
-    /// tier whose ranked entries are `R`: a standalone engine's caches of
-    /// parts (`R` = [`RankedPart`]) or a cluster front's caches of merged
-    /// answers (`R` = [`RankedHits`]).
-    type Cached<R: Send + 'static>: Send + 'static;
+    /// What one shard computes for a query under this mode.
+    type Part: Send + 'static;
+    /// The whole answer: what a cluster front caches and returns.
+    type Answer: Send + Sync + 'static;
     /// What a cached answer reads, and so which writes can strand it.
     const DEPENDS: Depends;
 
     /// The cache of `caches` that holds this mode's answers: the keyword and
     /// private caches by reference, a ranking mode's by the `Arc` its map
     /// slot holds (the slot may be evicted while the read runs).
-    fn cache<R: Send + 'static>(
-        self,
-        caches: &ResultCaches<R>,
-    ) -> impl Deref<Target = GroupCache<Self::Cached<R>>>;
+    fn cache(self, caches: &ResultCaches) -> impl Deref<Target = GroupCache<Self::Answer>>;
 
     /// `shard`'s part of the answer to `query` under `access`, over the
     /// specs of `repo` it indexes. Computed, never looked up: no result
@@ -74,7 +72,7 @@ pub(crate) trait ReadMode: Copy + Send + Sync + 'static {
         shard: &Shard,
         access: &AccessResolver,
         query: &KeywordQuery,
-    ) -> Part<Self>;
+    ) -> Self::Part;
 
     /// Corpus-global IDFs for `query`, if merging reads them.
     fn corpus_idfs(self, _shards: &[Shard], _query: &KeywordQuery) -> Vec<f64> {
@@ -83,16 +81,12 @@ pub(crate) trait ReadMode: Copy + Send + Sync + 'static {
 
     /// Merge the parts of `plan`'s target shards, in target order, into the
     /// whole answer, in spec order.
-    fn merge(plan: &ReadPlan<Self>, parts: &[Part<Self>]) -> Merged<Self>;
+    fn merge(plan: &ReadPlan<Self>, parts: &[Self::Part]) -> Self::Answer;
 }
 
 /// A ranked part: a shard's keyword hits, and their ranking aligned with
 /// them.
 pub(crate) type RankedPart = (Arc<Vec<KeywordHit>>, Arc<RankedAnswer>);
-/// What one shard computes for a query, and a standalone engine caches.
-pub(crate) type Part<M> = <M as ReadMode>::Cached<RankedPart>;
-/// The merged answer a cluster front caches and returns.
-pub(crate) type Merged<M> = <M as ReadMode>::Cached<RankedHits>;
 
 /// Privilege-filtered keyword search.
 #[derive(Clone, Copy)]
@@ -113,13 +107,11 @@ fn merge_hits<'a>(per_shard: impl Iterator<Item = &'a Vec<KeywordHit>>) -> Vec<K
 }
 
 impl ReadMode for Keyword {
-    type Cached<R: Send + 'static> = Vec<KeywordHit>;
+    type Part = Vec<KeywordHit>;
+    type Answer = Vec<KeywordHit>;
     const DEPENDS: Depends = Depends::OnMatches;
 
-    fn cache<R: Send + 'static>(
-        self,
-        caches: &ResultCaches<R>,
-    ) -> impl Deref<Target = GroupCache<Vec<KeywordHit>>> {
+    fn cache(self, caches: &ResultCaches) -> impl Deref<Target = GroupCache<Vec<KeywordHit>>> {
         &caches.keyword
     }
 
@@ -129,25 +121,23 @@ impl ReadMode for Keyword {
         shard: &Shard,
         access: &AccessResolver,
         query: &KeywordQuery,
-    ) -> Part<Self> {
+    ) -> Vec<KeywordHit> {
         search_filtered_with_cache(repo, shard.index(), query, access, shard.views())
     }
 
-    fn merge(_plan: &ReadPlan<Self>, parts: &[Part<Self>]) -> Merged<Self> {
+    fn merge(_plan: &ReadPlan<Self>, parts: &[Vec<KeywordHit>]) -> Vec<KeywordHit> {
         merge_hits(parts.iter())
     }
 }
 
 impl ReadMode for Private {
-    type Cached<R: Send + 'static> = PrivateSearchOutcome;
+    type Part = PrivateSearchOutcome;
+    type Answer = PrivateSearchOutcome;
     const DEPENDS: Depends = Depends::OnMatches;
 
     /// One cache per plan keeps the warm probe borrow-only — no composite
     /// key to allocate.
-    fn cache<R: Send + 'static>(
-        self,
-        caches: &ResultCaches<R>,
-    ) -> impl Deref<Target = GroupCache<PrivateSearchOutcome>> {
+    fn cache(self, caches: &ResultCaches) -> impl Deref<Target = GroupCache<PrivateSearchOutcome>> {
         &caches.private[self.0 as usize]
     }
 
@@ -157,7 +147,7 @@ impl ReadMode for Private {
         shard: &Shard,
         access: &AccessResolver,
         query: &KeywordQuery,
-    ) -> Part<Self> {
+    ) -> PrivateSearchOutcome {
         let (index, views) = (shard.index(), shard.views());
         match self.0 {
             Plan::FilterThenSearch => filter_then_search_cached(repo, index, query, access, views),
@@ -170,7 +160,7 @@ impl ReadMode for Private {
     /// The plans' cost counters (views built, zoom steps, discards) are
     /// counts of per-spec work, so their sums equal the single-engine
     /// figures.
-    fn merge(_plan: &ReadPlan<Self>, parts: &[Part<Self>]) -> Merged<Self> {
+    fn merge(_plan: &ReadPlan<Self>, parts: &[PrivateSearchOutcome]) -> PrivateSearchOutcome {
         PrivateSearchOutcome {
             hits: merge_hits(parts.iter().map(|outcome| &outcome.hits)),
             views_built: parts.iter().map(|outcome| outcome.views_built).sum(),
@@ -181,13 +171,11 @@ impl ReadMode for Private {
 }
 
 impl ReadMode for Ranked {
-    type Cached<R: Send + 'static> = R;
+    type Part = RankedPart;
+    type Answer = RankedHits;
     const DEPENDS: Depends = Depends::OnStatistics;
 
-    fn cache<R: Send + 'static>(
-        self,
-        caches: &ResultCaches<R>,
-    ) -> impl Deref<Target = GroupCache<R>> {
+    fn cache(self, caches: &ResultCaches) -> impl Deref<Target = GroupCache<RankedHits>> {
         caches.ranked.cache(self.0)
     }
 
@@ -199,7 +187,7 @@ impl ReadMode for Ranked {
         shard: &Shard,
         access: &AccessResolver,
         query: &KeywordQuery,
-    ) -> Part<Self> {
+    ) -> RankedPart {
         let hits = Keyword.part(repo, shard, access, query);
         let profiles = profiles_for_hits(repo, &hits, &query.terms);
         let idfs = idfs_for_terms(shard.index(), &query.terms);
@@ -227,7 +215,7 @@ impl ReadMode for Ranked {
     /// the plan's corpus-global IDFs ([`scores_for_profiles`] — bitwise the
     /// single engine's math), so scores and order come out bit-identical
     /// to a single engine over the same corpus.
-    fn merge(plan: &ReadPlan<Self>, parts: &[Part<Self>]) -> Merged<Self> {
+    fn merge(plan: &ReadPlan<Self>, parts: &[RankedPart]) -> RankedHits {
         let mut rows: Vec<(KeywordHit, TfProfile)> = parts
             .iter()
             .flat_map(|(hits, ranked)| hits.iter().cloned().zip(ranked.profiles.iter().cloned()))
@@ -240,17 +228,17 @@ impl ReadMode for Ranked {
     }
 }
 
-/// The `(group, query)` result caches of one serving object, one per query
-/// class; `R` is what it caches for a ranked query. See the module docs.
-pub(crate) struct ResultCaches<R> {
+/// The `(group, query)` result caches of a cluster front, one per query
+/// class. See the module docs.
+pub(crate) struct ResultCaches {
     keyword: GroupCache<Vec<KeywordHit>>,
     /// One cache per [`Plan`], indexed by the plan's discriminant.
     private: [GroupCache<PrivateSearchOutcome>; 2],
-    /// Crate-visible for the engine's mode-churn tests.
-    pub(crate) ranked: ModeCaches<R>,
+    /// Crate-visible for the front's mode-churn tests.
+    pub(crate) ranked: ModeCaches,
 }
 
-impl<R> ResultCaches<R> {
+impl ResultCaches {
     /// Empty caches of `capacity` entries each (per ranking mode, for
     /// ranked answers).
     pub(crate) fn new(capacity: usize) -> Self {
@@ -287,16 +275,15 @@ impl<R> ResultCaches<R> {
 pub(crate) const MAX_RANKED_MODES: usize = 16;
 
 /// One mode's result cache plus an LRU stamp for mode eviction.
-struct ModeSlot<V> {
-    cache: Arc<GroupCache<V>>,
+struct ModeSlot {
+    cache: Arc<GroupCache<RankedHits>>,
     last_used: AtomicU64,
 }
 
-/// The bounded per-mode cache map. `V` is whatever the owner caches per
-/// `(group, query)` — a standalone engine stores [`RankedPart`]s, a cluster
-/// front stores fully merged hit lists with their ranking.
-pub(crate) struct ModeCaches<V> {
-    slots: RwLock<HashMap<ModeKey, ModeSlot<V>>>,
+/// The bounded per-mode cache map: per `(group, query)`, a merged hit list
+/// with its ranking.
+pub(crate) struct ModeCaches {
+    slots: RwLock<HashMap<ModeKey, ModeSlot>>,
     tick: AtomicU64,
     /// Counters of evicted mode caches, folded in so [`Self::snapshot`]
     /// stays monotonic under mode churn — history must not vanish with
@@ -306,7 +293,7 @@ pub(crate) struct ModeCaches<V> {
     per_mode_capacity: usize,
 }
 
-impl<V> ModeCaches<V> {
+impl ModeCaches {
     fn new(per_mode_capacity: usize) -> Self {
         ModeCaches {
             slots: RwLock::new(HashMap::new()),
@@ -320,7 +307,7 @@ impl<V> ModeCaches<V> {
     /// The warm path is a read-locked map probe plus an `Arc` clone. A new
     /// mode beyond [`MAX_RANKED_MODES`] evicts the least-recently-used
     /// mode's cache.
-    fn cache(&self, mode: RankingMode) -> Arc<GroupCache<V>> {
+    fn cache(&self, mode: RankingMode) -> Arc<GroupCache<RankedHits>> {
         let key = mode.cache_key();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(slot) = self.slots.read().get(&key) {

@@ -95,7 +95,7 @@
 use crate::cluster::{EngineCluster, RankedHits, ReadPlan};
 use crate::engine::Plan;
 use crate::keyword::KeywordHit;
-use crate::modes::{Keyword, Merged, Part, Private, Ranked, ReadMode};
+use crate::modes::{Keyword, Private, Ranked, ReadMode};
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::RankingMode;
 use parking_lot::RwLock;
@@ -739,7 +739,7 @@ impl CommitGate {
 /// The [`QueryAnswer`] variant carrying mode `M`'s merged answer (`None`:
 /// an unknown group), picked where [`ServeFront::submit`] decodes the
 /// request.
-type Wrap<M> = fn(Option<Arc<Merged<M>>>) -> QueryAnswer;
+type Wrap<M> = fn(Option<Arc<<M as ReadMode>::Answer>>) -> QueryAnswer;
 
 /// The continuation shared by one read's shard tasks: parts land in the
 /// state's `parts`, and whichever task brings `remaining` to zero runs the
@@ -749,7 +749,7 @@ struct Gather<M: ReadMode> {
     shared: Arc<Shared>,
     plan: ReadPlan<M>,
     wrap: Wrap<M>,
-    state: Mutex<GatherState<Part<M>>>,
+    state: Mutex<GatherState<M::Part>>,
 }
 
 struct GatherState<P> {

@@ -8,16 +8,18 @@
 //! warm (hitting) pass.
 //!
 //! Property 2 (no cross-group leakage): interleaving queries from groups
-//! with different privileges never changes any group's answers relative to
-//! an isolated, cacheless evaluation of that group alone. Sec. 4's caching
-//! design stands or falls on this.
+//! with different privileges through the one cached tier — a one-shard
+//! cluster's front, which is what serves when there is one index — never
+//! changes any group's answers relative to an isolated, cacheless
+//! evaluation of that group alone. Sec. 4's caching design stands or falls
+//! on this.
 //!
 //! Property 3 (staleness): mutating the repository invalidates cached
 //! views and cached group answers; post-mutation answers equal a fresh
 //! uncached evaluation.
 
 use ppwf_core::policy::{AccessLevel, Policy};
-use ppwf_query::engine::QueryEngine;
+use ppwf_query::cluster::EngineCluster;
 use ppwf_query::keyword::{search_filtered, search_filtered_with_cache, KeywordHit, KeywordQuery};
 use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
@@ -100,30 +102,29 @@ proptest! {
         }
     }
 
-    /// Interleaved multi-group traffic through one engine changes nothing:
+    /// Interleaved multi-group traffic through one front changes nothing:
     /// each group's answers equal an isolated cacheless evaluation, so no
     /// group can observe (or leak into) another group's cache entries.
     #[test]
     fn engine_interleaving_leaks_nothing(seed in any::<u64>(), specs in 2usize..5) {
         let repo = random_repo(seed, specs);
         let reference_index = KeywordIndex::build(&repo);
-        let registry_for_engine = registry();
         let reference_registry = registry();
-        let engine = QueryEngine::new(random_repo(seed, specs), registry_for_engine);
+        let cluster = EngineCluster::new(random_repo(seed, specs), registry(), 1);
 
         // Interleave: group order varies per query, every query asked twice
         // (second ask served from the group cache).
         for (qi, q) in QUERIES.iter().enumerate() {
             for offset in 0..GROUPS.len() {
                 let group = GROUPS[(qi + offset) % GROUPS.len()];
-                let warm = engine.search_as(group, q).unwrap();
-                let again = engine.search_as(group, q).unwrap();
+                let warm = cluster.search_as(group, q).unwrap();
+                let again = cluster.search_as(group, q).unwrap();
                 let access = reference_registry.access_map(&repo, group).unwrap();
                 let isolated =
                     search_filtered(&repo, &reference_index, &KeywordQuery::parse(q), &access);
                 prop_assert!(
                     hits_identical(&isolated, &warm),
-                    "engine answer diverged for group {} query {:?}", group, q
+                    "served answer diverged for group {} query {:?}", group, q
                 );
                 prop_assert!(
                     hits_identical(&isolated, &again),
@@ -131,21 +132,21 @@ proptest! {
                 );
             }
         }
-        let stats = engine.stats();
-        prop_assert!(stats.keyword.hits >= QUERIES.len() as u64 * GROUPS.len() as u64,
-            "second asks must be cache hits (got {})", stats.keyword.hits);
+        let front = cluster.stats().front;
+        prop_assert!(front.hits >= QUERIES.len() as u64 * GROUPS.len() as u64,
+            "second asks must be cache hits (got {})", front.hits);
     }
 
     /// Mutating the repository invalidates both cache layers: post-mutation
     /// answers equal a fresh cacheless evaluation of the mutated state.
     #[test]
     fn mutation_invalidates_both_layers(seed in any::<u64>()) {
-        let mut engine = QueryEngine::new(random_repo(seed, 2), registry());
+        let mut cluster = EngineCluster::new(random_repo(seed, 2), registry(), 1);
         for g in GROUPS {
-            engine.search_as(g, "kw0, kw1").unwrap();
+            cluster.search_as(g, "kw0, kw1").unwrap();
         }
         let spec = generate_spec(&SpecParams { seed: seed ^ 0xABCD, ..SpecParams::default() });
-        engine
+        cluster
             .mutate(ppwf_repo::mutation::Mutation::InsertSpec { spec, policy: Policy::public() })
             .unwrap();
         let mut reference_repo = random_repo(seed, 2);
@@ -161,7 +162,7 @@ proptest! {
                 &KeywordQuery::parse("kw0, kw1"),
                 &access,
             );
-            let served = engine.search_as(g, "kw0, kw1").unwrap();
+            let served = cluster.search_as(g, "kw0, kw1").unwrap();
             prop_assert!(
                 hits_identical(&fresh, &served),
                 "stale answer served for group {} after mutation", g

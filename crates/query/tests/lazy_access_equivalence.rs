@@ -305,20 +305,22 @@ proptest! {
     }
 
     /// Mutations and registry swaps: lazy answers equal a fresh eager
-    /// evaluation afterwards (no stale access views served).
+    /// evaluation afterwards (no stale access views served). Runs on a
+    /// one-shard cluster, the object that serves one index, whose registry
+    /// swap clears the access memo and the front caches.
     #[test]
     fn lazy_stays_fresh_across_mutation_and_registry_swap(
         seed in any::<u64>(),
         specs in 2usize..5,
     ) {
-        let mut engine = QueryEngine::new(random_repo(seed, specs), registry(specs));
+        let mut cluster = EngineCluster::new(random_repo(seed, specs), registry(specs), 1);
         for g in GROUPS {
-            engine.search_as(g, "kw0, kw1").unwrap();
+            cluster.search_as(g, "kw0, kw1").unwrap();
         }
         // Mutate: insert a spec; answers must reflect it afterwards (the
         // access memo itself carries forward — hierarchies are immutable).
         let fresh = generate_spec(&SpecParams { seed: seed ^ 0xE12, ..SpecParams::default() });
-        engine
+        cluster
             .mutate(ppwf_repo::mutation::Mutation::InsertSpec {
                 spec: fresh,
                 policy: Policy::public(),
@@ -337,7 +339,7 @@ proptest! {
             for q in QUERIES {
                 let reference =
                     search_filtered(&repo_now, &index_now, &KeywordQuery::parse(q), &eager);
-                let served = engine.search_as(g, q).unwrap();
+                let served = cluster.search_as(g, q).unwrap();
                 prop_assert!(
                     hits_identical(&reference, &served),
                     "stale lazy answer for {} {:?} after mutation", g, q
@@ -350,13 +352,13 @@ proptest! {
         for g in GROUPS {
             coarse.add_group(g, AccessLevel(0), ViewRule::RootOnly);
         }
-        engine.set_registry(coarse.clone());
+        cluster.set_registry(coarse.clone());
         for g in GROUPS {
             let eager = coarse.access_map(&repo_now, g).unwrap();
             for q in QUERIES {
                 let reference =
                     search_filtered(&repo_now, &index_now, &KeywordQuery::parse(q), &eager);
-                let served = engine.search_as(g, q).unwrap();
+                let served = cluster.search_as(g, q).unwrap();
                 prop_assert!(
                     hits_identical(&reference, &served),
                     "stale fine-grained answer for {} {:?} after registry swap", g, q

@@ -5,12 +5,12 @@
 //! is re-admitted when the stamps show no write since can have changed it
 //! (`ppwf_repo::touch`). That makes "which entries survive" a privacy
 //! question: a retraction, an edit or a policy swap must never be outlived
-//! by a cached disclosure. These tests hold every stack — the engine, the
+//! by a cached disclosure. These tests hold every stack that caches — the
 //! blocking cluster at 1/2/4 shards, and a multiplexed [`ServeFront`] with
-//! reads racing writes — to an *uncached* reference (a fresh engine per
-//! read) at exactly the epoch each answer was served at, bit for bit: hits,
-//! views, private cost counters, ranked order and `f64` score bits, all
-//! inside the requester's access prefix.
+//! reads racing writes — to the *uncached* reference ([`QueryEngine`],
+//! which caches no answer) at exactly the epoch each answer was served at,
+//! bit for bit: hits, views, private cost counters, ranked order and `f64`
+//! score bits, all inside the requester's access prefix.
 //!
 //! The corpus is built from vocabulary *families* — red, blue, green, and
 //! one that posts red and blue together — so that most writes share no full
@@ -216,7 +216,6 @@ impl Served {
         match (self, other) {
             (Served::Keyword(a), Served::Keyword(b)) => Arc::ptr_eq(a, b),
             (Served::Private(a), Served::Private(b)) => Arc::ptr_eq(a, b),
-            (Served::RankedParts(_, a), Served::RankedParts(_, b)) => Arc::ptr_eq(a, b),
             (Served::Ranked(a), Served::Ranked(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
@@ -312,10 +311,8 @@ fn ask_cluster(cluster: &EngineCluster, read: Read) -> Served {
     }
 }
 
-/// The uncached reference over one corpus state: a fresh engine that is
-/// never written to and is asked every distinct read exactly once, so every
-/// reference answer is computed, at the one version the engine ever has —
-/// none is re-admitted and none is a hit on an entry from another state.
+/// The uncached reference over one corpus state: an engine over exactly
+/// that state, which computes every answer and caches none.
 struct Reference {
     answers: HashMap<Read, Answer>,
     access: HashMap<&'static str, HashMap<SpecId, Prefix>>,
@@ -324,11 +321,9 @@ struct Reference {
 impl Reference {
     fn of(repo: &Repository, specs: usize) -> Reference {
         let registry = registry(specs);
-        let fresh = QueryEngine::new(repo.clone(), registry.clone());
+        let engine = QueryEngine::new(repo.clone(), registry.clone());
         let answers =
-            all_reads().into_iter().map(|read| (read, ask_engine(&fresh, read).bits())).collect();
-        let stats = fresh.stats();
-        assert_eq!(stats.private.hits + stats.ranked.hits, 0, "a reference answer was cached");
+            all_reads().into_iter().map(|read| (read, ask_engine(&engine, read).bits())).collect();
         let access = GROUPS
             .iter()
             .map(|&g| (g, registry.access_map(repo, g).expect("registered group")))
@@ -418,13 +413,12 @@ fn both_outcomes(what: &str, caches: &[CacheSnapshot]) -> Result<(), String> {
     Ok(())
 }
 
-/// Engine and blocking clusters, asked every read twice (the second probe
-/// of a re-admitted entry takes the exact-tag path) at every prefix of the
-/// mutation log. Entries warmed at one prefix are the older-tag entries of
-/// the next.
+/// Blocking clusters of 1, 2 and 4 shards, asked every read twice (the
+/// second probe of a re-admitted entry takes the exact-tag path) at every
+/// prefix of the mutation log. Entries warmed at one prefix are the
+/// older-tag entries of the next.
 fn sequential_run(seed: u64, specs: usize, kinds: &[(u8, u64)]) -> Result<(), String> {
     let (log, states) = mutation_log(seed, specs, kinds);
-    let mut engine = QueryEngine::new(states[0].clone(), registry(specs));
     let mut clusters: Vec<EngineCluster> = [1, 2, 4]
         .into_iter()
         .map(|shards| {
@@ -441,22 +435,18 @@ fn sequential_run(seed: u64, specs: usize, kinds: &[(u8, u64)]) -> Result<(), St
     for (k, state) in states.iter().enumerate() {
         let reference = Reference::of(state, specs);
         for &read in reads.iter().chain(&reads) {
-            reference.check(read, &ask_engine(&engine, read), "engine")?;
             for cluster in &clusters {
                 let stack = format!("cluster of {}", cluster.shard_count());
                 reference.check(read, &ask_cluster(cluster, read), &stack)?;
             }
         }
         if let Some(m) = log.get(k) {
-            engine.mutate(m.clone()).map_err(|e| e.to_string())?;
             for cluster in &mut clusters {
                 cluster.mutate(m.clone()).map_err(|e| e.to_string())?;
             }
         }
     }
     if answer_changing(&log[..log.len().saturating_sub(1)]) {
-        let stats = engine.stats();
-        both_outcomes("engine", &[stats.keyword, stats.private, stats.ranked])?;
         for cluster in &clusters {
             let stats = cluster.stats();
             both_outcomes(&format!("front of {}", cluster.shard_count()), &[stats.front])?;
@@ -615,35 +605,33 @@ fn deterministic_smoke_with_every_write_kind() {
 
 // ---- The privacy regression: each write kind, each stack, each mode ------
 
-/// The three stacks behind one face, so each regression below runs on all.
+/// The caching stacks behind one face, so each regression below runs on all.
 enum Stack {
-    Engine(Box<QueryEngine>),
     Cluster(Box<EngineCluster>),
     Front(ServeFront),
 }
 
 impl Stack {
     fn all(repo: &Repository, specs: usize) -> Vec<(&'static str, Stack)> {
-        let cluster = |pool: &Arc<WorkerPool>| {
+        let cluster = |shards, pool: &Arc<WorkerPool>| {
             EngineCluster::with_config(
                 repo.clone(),
                 registry(specs),
-                2,
+                shards,
                 ShardStrategy::RoundRobin,
                 Arc::clone(pool),
             )
         };
         let pool = Arc::new(WorkerPool::new(2));
         vec![
-            ("engine", Stack::Engine(Box::new(QueryEngine::new(repo.clone(), registry(specs))))),
-            ("cluster", Stack::Cluster(Box::new(cluster(&pool)))),
-            ("front", Stack::Front(ServeFront::with_pool(cluster(&pool), pool))),
+            ("cluster of 1", Stack::Cluster(Box::new(cluster(1, &pool)))),
+            ("cluster", Stack::Cluster(Box::new(cluster(2, &pool)))),
+            ("front", Stack::Front(ServeFront::with_pool(cluster(2, &pool), pool))),
         ]
     }
 
     fn ask(&self, read: Read) -> Served {
         match self {
-            Stack::Engine(engine) => ask_engine(engine, read),
             Stack::Cluster(cluster) => ask_cluster(cluster, read),
             Stack::Front(front) => Served::of_response(front.submit(read.request()).wait().answer),
         }
@@ -651,7 +639,6 @@ impl Stack {
 
     fn mutate(&mut self, mutation: Mutation) {
         match self {
-            Stack::Engine(engine) => drop(engine.mutate(mutation).expect("valid mutation")),
             Stack::Cluster(cluster) => drop(cluster.mutate(mutation).expect("valid mutation")),
             Stack::Front(front) => match front.submit(ServeRequest::mutate(mutation)).wait().answer
             {

@@ -3,9 +3,9 @@
 //!
 //! The paper's repository is write-heavy by nature: every workflow
 //! execution appends provenance, and specifications and policies evolve
-//! alongside. The serving layers above the store (a single
-//! `QueryEngine`, a sharded `EngineCluster`) each need to know *what* a
-//! write changed to invalidate precisely — an opaque
+//! alongside. The layers above the store (the uncached `QueryEngine`
+//! reference, the `EngineCluster` that serves and caches) each need to know
+//! *what* a write changed to invalidate precisely — an opaque
 //! `FnOnce(&mut Repository)` forces them to assume the worst (rebuild
 //! every index, drop every cache). [`Mutation`] makes the write vocabulary
 //! explicit and [`MutationEffect`] reports exactly what changed, so each
