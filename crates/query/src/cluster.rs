@@ -5,10 +5,10 @@
 //! is one index, and the uncached [`QueryEngine`](crate::engine::QueryEngine)
 //! is the reference it answers like. It owns **one** [`Repository`] and one
 //! registry, as Sec. 4 serves every privilege level from one store, and
-//! partitions the keyword index over N [`Shard`]s — spec `s` is posted on shard `s % N`, under its
-//! own id, beside that shard's view and access memos ([`crate::route`]). A
-//! read scatters across the shards and gathers their hits into one merged
-//! answer in spec order.
+//! partitions the keyword index over N [`Shard`]s — spec `s` is posted on
+//! shard `s % N`, under its own id, beside that shard's view and access
+//! memos ([`crate::route`]). A read scatters across the shards and gathers
+//! their hits into one merged answer in spec order.
 //!
 //! **The read path is written once.** The query mode — keyword, private
 //! under a plan, ranked under a ranking mode — is a value
@@ -65,9 +65,9 @@
 //! at the new epoch — the one table a write stamps — and a front probe
 //! that finds an entry merged at an older epoch re-admits it exactly when
 //! the stamps show nothing it depends on was written since
-//! ([`ppwf_repo::touch`] has the rules). A retraction, an edit or a policy swap is therefore never
-//! outlived by a merged answer that could name the spec, while reads of
-//! everything else stay one probe.
+//! ([`ppwf_repo::touch`] has the rules). A retraction, an edit or a policy
+//! swap is therefore never outlived by a merged answer that could name the
+//! spec, while reads of everything else stay one probe.
 
 use crate::engine::{CacheSnapshot, EngineStats, Plan, RankedAnswer, Shard, DEFAULT_VIEW_CAPACITY};
 use crate::keyword::{KeywordHit, KeywordQuery};
