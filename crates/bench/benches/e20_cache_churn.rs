@@ -34,10 +34,10 @@ fn bench_cache_churn(c: &mut Criterion) {
     let value = Arc::new(0u64);
 
     for capacity in [256usize, 4096, 65_536] {
-        let cache: GroupCache<u64> = GroupCache::new(capacity);
+        let cache: GroupCache<(), Arc<u64>> = GroupCache::new(capacity);
         let stream = keys(2 * capacity);
         for (g, q) in &stream[..capacity] {
-            cache.insert(g, q, 1, Arc::clone(&value));
+            cache.insert(g, q, (), 1, Arc::clone(&value));
         }
         let mut next = capacity;
         group.bench_with_input(
@@ -47,7 +47,7 @@ fn bench_cache_churn(c: &mut Criterion) {
                 b.iter(|| {
                     for _ in 0..BATCH {
                         let (g, q) = &stream[next % stream.len()];
-                        cache.insert(g, q, 1, Arc::clone(&value));
+                        cache.insert(g, q, (), 1, Arc::clone(&value));
                         next += 1;
                     }
                 })
@@ -57,16 +57,16 @@ fn bench_cache_churn(c: &mut Criterion) {
     }
 
     let capacity = 4096;
-    let cache: GroupCache<u64> = GroupCache::new(capacity);
+    let cache: GroupCache<(), Arc<u64>> = GroupCache::new(capacity);
     let resident = keys(capacity);
     for (g, q) in &resident {
-        cache.insert(g, q, 1, Arc::clone(&value));
+        cache.insert(g, q, (), 1, Arc::clone(&value));
     }
     group.bench_with_input(BenchmarkId::new("warm_get_hit", capacity), &capacity, |b, _| {
         b.iter(|| {
             let mut found = 0u64;
             for (g, q) in &resident[..BATCH] {
-                found += u64::from(cache.get(g, q, 1).is_some());
+                found += u64::from(cache.get(g, q, (), 1).is_some());
             }
             assert_eq!(found, BATCH as u64);
         })

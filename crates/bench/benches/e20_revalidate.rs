@@ -40,11 +40,11 @@ fn vocabulary(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("kw{i}")).collect()
 }
 
-fn warm_cache(resident: &[(&'static str, String)]) -> GroupCache<u64> {
+fn warm_cache(resident: &[(&'static str, String)]) -> GroupCache<(), Arc<u64>> {
     let cache = GroupCache::new(CAPACITY);
     let value = Arc::new(0u64);
     for (g, q) in resident {
-        cache.insert(g, q, 1, Arc::clone(&value));
+        cache.insert(g, q, (), 1, Arc::clone(&value));
     }
     cache
 }
@@ -53,11 +53,12 @@ fn bench_revalidate(c: &mut Criterion) {
     let mut group = c.benchmark_group("e20_revalidate");
     group.sample_size(40);
     let resident = keys(CAPACITY);
-    let probe = |cache: &GroupCache<u64>, stamps: &TouchStamps, version: u64| {
+    let probe = |cache: &GroupCache<(), Arc<u64>>, stamps: &TouchStamps, version: u64| {
         let mut found = 0usize;
         for (g, q) in &resident[..BATCH] {
-            let hit = cache
-                .get_validated(g, q, version, |tag| stamps.survives(q, tag, Depends::OnMatches));
+            let hit = cache.get_validated(g, q, (), version, |tag| {
+                stamps.survives(q, tag, Depends::OnMatches)
+            });
             found += usize::from(hit.is_some());
         }
         found

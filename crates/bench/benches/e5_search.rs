@@ -27,11 +27,11 @@ fn bench_search(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("index_filtered", specs), &specs, |b, _| {
             b.iter(|| search_filtered(&repo, &index, &q, &access))
         });
-        let cache: GroupCache<usize> = GroupCache::new(8);
+        let cache: GroupCache<(), usize> = GroupCache::new(8);
         let version = repo.version();
-        cache.get_or_compute("g", "q", version, || search(&repo, &index, &q).len());
+        cache.get_or_compute("g", "q", (), version, || search(&repo, &index, &q).len());
         group.bench_with_input(BenchmarkId::new("cached", specs), &specs, |b, _| {
-            b.iter(|| cache.get_or_compute("g", "q", version, || unreachable!()))
+            b.iter(|| cache.get_or_compute("g", "q", (), version, || unreachable!()))
         });
     }
     group.finish();

@@ -208,10 +208,11 @@ fn e5_search() {
         let idx_hits = search(&repo, &index, &q);
         let t_index = us(t1);
         assert_eq!(scan_hits.len(), idx_hits.len());
-        let cache: GroupCache<usize> = GroupCache::new(8);
-        cache.get_or_compute("g", "q", repo.version(), || idx_hits.len());
+        let cache: GroupCache<(), usize> = GroupCache::new(8);
+        cache.get_or_compute("g", "q", (), repo.version(), || idx_hits.len());
         let t2 = Instant::now();
-        let cached = *cache.get_or_compute("g", "q", repo.version(), || unreachable!("must hit"));
+        let cached =
+            cache.get_or_compute("g", "q", (), repo.version(), || unreachable!("must hit"));
         let t_cache = us(t2);
         println!(
             "{:>6} {:>8} {:>10.1} {:>10.1} {:>10.2} {:>9}",

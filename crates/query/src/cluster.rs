@@ -51,11 +51,12 @@
 //! An answer is cached once, where it is served: in the **cluster-front
 //! result cache**. A shard caches nothing — `run_shard` resolves the
 //! group's access on the shard and computes the part — and only the merged
-//! answer is kept, keyed by `(group, query, mode)` and tagged with the
-//! cluster's **epoch**, one counter that moves by one on every write that
-//! can change answers. A warm cluster request is then a single probe plus
-//! an `Arc` clone, skipping the scatter and the merge entirely — the
-//! per-request work E11's warm column measured against the single engine.
+//! answer is kept, in one cache keyed by `(group, query, class)` — the
+//! class being the query mode — and tagged with the cluster's **epoch**,
+//! one counter that moves by one on every write that can change answers.
+//! A warm cluster request is then a single probe plus an `Arc` clone,
+//! skipping the scatter and the merge entirely — the per-request work
+//! E11's warm column measured against the single engine.
 //! A cold one pays one insert, and a retraction has one cache to reach.
 //! Execution appends — the dominant provenance write — leave the epoch,
 //! and so every front entry, as it is. Every other write moves the epoch
@@ -71,7 +72,7 @@
 
 use crate::engine::{CacheSnapshot, EngineStats, Plan, RankedAnswer, Shard, DEFAULT_VIEW_CAPACITY};
 use crate::keyword::{KeywordHit, KeywordQuery};
-use crate::modes::{Keyword, Private, Ranked, ReadMode, ResultCaches};
+use crate::modes::{FrontCache, Keyword, Private, Ranked, ReadMode};
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::RankingMode;
 use crate::route::{place, ShardStrategy};
@@ -79,6 +80,7 @@ use ppwf_core::policy::Policy;
 use ppwf_model::exec::Execution;
 use ppwf_model::spec::Specification;
 use ppwf_model::{ModelError, Result};
+use ppwf_repo::cache::GroupCache;
 use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::principals::PrincipalRegistry;
@@ -94,8 +96,8 @@ use std::sync::Arc;
 
 pub use ppwf_repo::mutation::{Mutation, MutationEffect};
 
-/// Default capacity of each front result cache, per query class (per
-/// ranking mode for ranked answers).
+/// Default capacity of the front result cache: answers held in total, over
+/// every group, query class and ranking mode.
 pub(crate) const DEFAULT_RESULT_CAPACITY: usize = 4096;
 
 /// The existing spec a mutation validates against, if any — the key the
@@ -167,8 +169,8 @@ pub struct ClusterStats {
     /// Field-wise sum across shards (rates derive from summed counters, so
     /// idle shards cannot produce NaN or dilute a rate).
     pub aggregate: EngineStats,
-    /// The cluster-front result cache (keyword + private + ranked caches
-    /// summed): hits here skipped the scatter and the merge entirely.
+    /// The cluster-front result cache, over every query class: hits here
+    /// skipped the scatter and the merge entirely.
     pub front: CacheSnapshot,
 }
 
@@ -180,9 +182,9 @@ pub struct EngineCluster {
     /// Shard `i` indexes the specs `place` puts on it.
     shards: Vec<Shard>,
     pool: Arc<WorkerPool>,
-    /// Cluster-front merged-answer caches, tagged with [`Self::front_epoch`]:
-    /// the one cached tier.
-    front: ResultCaches,
+    /// The cluster-front merged-answer cache, tagged with
+    /// [`Self::front_epoch`]: the one cached tier.
+    front: FrontCache,
     /// What each move of the epoch touched: decides which front entries
     /// merged at an older epoch are re-admitted. Written only by writes
     /// (`&mut self` — behind the serving front's write lock), read by
@@ -228,7 +230,7 @@ impl EngineCluster {
     }
 
     /// [`Self::with_config`] with explicit cache capacities: `views` per
-    /// spec in each shard's view memo, `results` per cluster-front cache
+    /// spec in each shard's view memo, `results` in the cluster-front cache
     /// (the shards have no result caches). Crate-private — production
     /// always runs the defaults; the eviction-pressure tests starve the
     /// caches through it.
@@ -248,7 +250,7 @@ impl EngineCluster {
             registry,
             shards,
             pool,
-            front: ResultCaches::new(results),
+            front: GroupCache::new(results),
             front_stamps: TouchStamps::new(),
             epoch: 0,
             durability: None,
@@ -446,9 +448,9 @@ impl EngineCluster {
         Some(self.gather(plan, self.pool.run(runs.collect())))
     }
 
-    /// Stage 1 — probe `mode`'s cluster-front cache at the current
-    /// [`Self::front_epoch`]: the one place the front's validity rule is
-    /// written. An entry merged at this epoch is served as it is. One
+    /// Stage 1 — probe the cluster-front cache under `mode`'s class at the
+    /// current [`Self::front_epoch`]: the one place the front's validity
+    /// rule is written. An entry merged at this epoch is served as it is. One
     /// merged at an older epoch is served, and re-tagged, iff the stamps
     /// show that no write since can have changed it; so whatever this
     /// returns is the current epoch's answer. Comes before the registry
@@ -467,13 +469,14 @@ impl EngineCluster {
         query_text: &str,
         early: bool,
     ) -> Option<Arc<M::Answer>> {
-        let (cache, epoch) = (mode.cache(&self.front), self.front_epoch());
+        let (class, epoch) = (mode.class(), self.front_epoch());
         let vouched = |tag| self.front_stamps.survives(query_text, tag, M::DEPENDS);
-        if early {
-            cache.get_validated_early(group, query_text, epoch, vouched)
+        let cached = if early {
+            self.front.get_validated_early(group, query_text, class, epoch, vouched)
         } else {
-            cache.get_validated(group, query_text, epoch, vouched)
-        }
+            self.front.get_validated(group, query_text, class, epoch, vouched)
+        };
+        cached.map(|answer| answer.downcast().expect("a class holds its mode's answer"))
     }
 
     /// Stage 2 — plan a read the front cache could not answer: fix its
@@ -518,8 +521,8 @@ impl EngineCluster {
         parts: Vec<M::Part>,
     ) -> Arc<M::Answer> {
         let merged = Arc::new(M::merge(plan, &parts));
-        let cache = plan.mode.cache(&self.front);
-        cache.insert(&plan.group, &plan.query_text, plan.epoch, Arc::clone(&merged));
+        let (group, query, class) = (&plan.group, &plan.query_text, plan.mode.class());
+        self.front.insert(group, query, class, plan.epoch, Arc::clone(&merged) as _);
         merged
     }
 
@@ -528,7 +531,7 @@ impl EngineCluster {
     /// [`QueryEngine::mutate`](crate::engine::QueryEngine::mutate). The
     /// repository applies it, and the one shard the written spec is placed
     /// on absorbs the effect (`Shard::absorb`): only that shard's index
-    /// is maintained. The front caches are never swept: an answer-changing
+    /// is maintained. The front cache is never swept: an answer-changing
     /// write moves the epoch and stamps the written spec's vocabulary at
     /// the new epoch, and each front entry is judged against the stamps at
     /// its next probe; an execution append moves neither.
@@ -741,7 +744,7 @@ impl EngineCluster {
     }
 
     /// Replace the registry: every shard drops its access memo, and the
-    /// front caches — the cluster's only result caches — drop too (group
+    /// front cache — the cluster's only result cache — drops too (group
     /// names may now mean different privileges — epochs cannot see
     /// registry changes).
     pub fn set_registry(&mut self, registry: PrincipalRegistry) {
@@ -757,9 +760,7 @@ impl EngineCluster {
     pub fn stats(&self) -> ClusterStats {
         let per_shard: Vec<EngineStats> = self.shards.iter().map(Shard::stats).collect();
         let aggregate = EngineStats::merged(&per_shard);
-        let front =
-            self.front.snapshots().into_iter().fold(CacheSnapshot::default(), CacheSnapshot::merge);
-        ClusterStats { per_shard, aggregate, front }
+        ClusterStats { per_shard, aggregate, front: CacheSnapshot::of(self.front.stats()) }
     }
 }
 
@@ -768,7 +769,6 @@ mod tests {
     use super::*;
     use crate::engine::tests::spec_speaking;
     use crate::engine::QueryEngine;
-    use crate::modes::MAX_RANKED_MODES;
     use ppwf_core::policy::AccessLevel;
     use ppwf_model::fixtures;
     use ppwf_repo::principals::ViewRule;
@@ -939,9 +939,9 @@ mod tests {
             c.ranked_search_as("researchers", q, RankingMode::ExactFull).unwrap();
         }
         let stats = c.stats();
-        // Keyword, private and ranked front caches: four answers through two
-        // slots each.
-        assert_eq!(stats.front.evictions, 3 * 2);
+        // Keyword, private and ranked answers: twelve through one front
+        // cache of two slots.
+        assert_eq!(stats.front.evictions, 12 - 2);
         assert!(stats.front.sweep_steps >= stats.front.evictions);
         // The shards' view memos roll up their eviction work.
         let summed: u64 = stats.per_shard.iter().map(|s| s.views.evictions).sum();
@@ -951,77 +951,58 @@ mod tests {
     }
 
     #[test]
-    fn mode_churn_cannot_grow_the_ranked_map_unboundedly() {
-        let c = cluster(1, 1);
-        let noisy = |seed| RankingMode::NoisyFull { epsilon: 1.0, seed };
-        // A fresh NoisyFull seed per request mints a distinct ModeKey each
-        // time — the front's map must evict old modes, not accumulate them.
-        let mut last_lookups = 0u64;
-        for seed in 0..3 * MAX_RANKED_MODES as u64 {
-            c.ranked_search_as("researchers", "query", noisy(seed)).unwrap();
-            // Evictions must not erase history: the counters stay monotone.
-            let front = c.stats().front;
-            let lookups = front.hits + front.misses;
-            assert!(lookups >= last_lookups, "ranked counters went backwards");
-            last_lookups = lookups;
+    fn front_holds_at_most_capacity_answers() {
+        const CAPACITY: usize = 4;
+        let pool = Arc::clone(WorkerPool::global());
+        let c = EngineCluster::with_capacities(corpus(2), registry(), 2, pool, 2, CAPACITY);
+        // Keyword, both plans and 17 ranking modes: twenty classes per pair.
+        let modes = [RankingMode::ExactFull, RankingMode::VisibleOnly]
+            .into_iter()
+            .chain([RankingMode::BucketizedFull { base: 2.0 }])
+            .chain((0..14).map(|seed| RankingMode::NoisyFull { epsilon: 1.0, seed }));
+        let modes: Vec<RankingMode> = modes.collect();
+        let mut answers = 0;
+        for group in ["public", "researchers"] {
+            for q in ["risk", "database"] {
+                c.search_as(group, q).unwrap();
+                for plan in [Plan::FilterThenSearch, Plan::SearchThenZoomOut] {
+                    c.private_search_as(group, q, plan).unwrap();
+                }
+                for &mode in &modes {
+                    c.ranked_search_as(group, q, mode).unwrap();
+                }
+                answers += 3 + modes.len() as u64;
+                assert!(c.front.len() <= CAPACITY, "{} answers resident", c.front.len());
+            }
         }
-        assert!(c.front.ranked.mode_count() <= MAX_RANKED_MODES);
-        assert_eq!(
-            last_lookups,
-            3 * MAX_RANKED_MODES as u64,
-            "every mode-churn lookup is still accounted for after evictions"
-        );
-        // A hot mode in steady use survives the churn's evictions.
-        c.ranked_search_as("researchers", "query", RankingMode::ExactFull).unwrap();
-        for seed in 100..100 + MAX_RANKED_MODES as u64 - 1 {
-            c.ranked_search_as("researchers", "query", noisy(seed)).unwrap();
-            c.ranked_search_as("researchers", "query", RankingMode::ExactFull).unwrap();
-        }
-        assert!(
-            c.front.ranked.has_mode(&RankingMode::ExactFull.cache_key()),
-            "the constantly-touched mode must not be the eviction victim"
-        );
+        let front = c.stats().front;
+        assert_eq!((front.hits, front.misses), (0, answers), "every answer is distinct");
+        assert_eq!(front.evictions, answers - CAPACITY as u64, "one capacity over every class");
+        c.front.assert_consistent();
     }
 
     #[test]
-    fn eviction_counters_surface_and_survive_mode_churn() {
-        // Two views, two results per query class and per ranking mode.
-        let pool = Arc::clone(WorkerPool::global());
-        let c = EngineCluster::with_capacities(corpus(1), registry(), 1, pool, 2, 2);
-        assert_eq!(c.stats().front.evictions, 0);
-        for q in ["query", "database", "risk", "pubmed"] {
-            c.search_as("researchers", q).unwrap();
-        }
-        let [keyword, _, _] = c.front.snapshots();
-        assert_eq!(keyword.evictions, 2, "four distinct answers through a cache of two");
-        assert!(keyword.sweep_steps >= keyword.evictions);
-
-        // Each churned mode's cache evicts once before the mode itself is
-        // dropped; the tombstone fold must keep those evictions on record.
-        let mut last = 0;
-        for seed in 0..2 * MAX_RANKED_MODES as u64 {
+    fn one_groups_mode_churn_does_not_evict_anothers_ranked_answers() {
+        let c = cluster(2, 2);
+        let exact = c.ranked_search_as("researchers", "risk", RankingMode::ExactFull).unwrap();
+        for seed in 0..3 * 16 {
             let mode = RankingMode::NoisyFull { epsilon: 1.0, seed };
-            for q in ["query", "database", "risk"] {
-                c.ranked_search_as("researchers", q, mode).unwrap();
-            }
-            let [_, _, ranked] = c.front.snapshots();
-            assert!(ranked.evictions > last, "ranked evictions went backwards or stalled");
-            assert!(ranked.sweep_steps >= ranked.evictions);
-            last = ranked.evictions;
+            c.ranked_search_as("public", "risk", mode).unwrap();
         }
-        assert_eq!(last, 2 * MAX_RANKED_MODES as u64);
-        assert_eq!(c.stats().front.evictions, keyword.evictions + last, "the front sums them");
+        assert!(c.front.len() < DEFAULT_RESULT_CAPACITY, "the churn stays below capacity");
+        let again = c.ranked_search_as("researchers", "risk", RankingMode::ExactFull).unwrap();
+        assert!(Arc::ptr_eq(&exact, &again), "another group's mode churn evicted the answer");
+        assert_eq!(c.stats().front.evictions, 0);
     }
 
     #[test]
     fn revalidations_survive_ranked_mode_churn() {
         let mut c = cluster(1, 1);
-        let modes: Vec<RankingMode> = (0..2 * MAX_RANKED_MODES as u64)
-            .map(|seed| RankingMode::NoisyFull { epsilon: 1.0, seed })
-            .collect();
+        let modes: Vec<RankingMode> =
+            (0..32).map(|seed| RankingMode::NoisyFull { epsilon: 1.0, seed }).collect();
         // Warm one mode, re-admit its entry after a policy swap on a spec the
-        // query cannot match, then churn it out of the mode map: the
-        // tombstone fold must keep the re-admission on record.
+        // query cannot match, then churn through other modes: the
+        // re-admission stays on record.
         c.mutate(Mutation::InsertSpec { spec: spec_speaking("zebra"), policy: Policy::public() })
             .unwrap();
         c.ranked_search_as("researchers", "risk", modes[0]).unwrap();
@@ -1031,8 +1012,7 @@ mod tests {
         for &mode in &modes[1..] {
             c.ranked_search_as("researchers", "risk", mode).unwrap();
         }
-        assert!(!c.front.ranked.has_mode(&modes[0].cache_key()));
-        assert_eq!(c.stats().front.revalidations, 1, "history must not vanish with the mode");
+        assert_eq!(c.stats().front.revalidations, 1, "mode churn must not erase history");
     }
 
     #[test]

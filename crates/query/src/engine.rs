@@ -52,7 +52,7 @@ use ppwf_repo::view_cache::ViewCache;
 use std::sync::Arc;
 
 /// Which privacy-preserving evaluation plan to run (Sec. 4's contrast).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Plan {
     /// Privacy pushed into the index (the production plan).
     FilterThenSearch,
@@ -123,10 +123,6 @@ impl CacheSnapshot {
             evictions: stats.evictions(),
             sweep_steps: stats.sweep_steps(),
         }
-    }
-
-    pub(crate) fn sum<'a>(many: impl IntoIterator<Item = &'a CacheStats>) -> Self {
-        many.into_iter().fold(CacheSnapshot::default(), |acc, s| acc.merge(CacheSnapshot::of(s)))
     }
 
     /// Combine two snapshots (e.g. the same cache class across shards).

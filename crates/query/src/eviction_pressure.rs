@@ -6,17 +6,19 @@
 //! still points at it. The default capacities (thousands of results, sixteen
 //! views per spec) never evict on the equivalence suites' workloads, so
 //! these tests starve every cache — two views per spec in every shard's view
-//! memo, two results per class at the cluster front (a cluster's only
-//! result caches) — and require every answer of every group, on every query
-//! class, to stay bit-identical to the *uncached* reference
-//! ([`QueryEngine`], which caches no answer) and inside the requester's
-//! access prefix: sequentially across mutations,
-//! and through a multiplexed [`ServeFront`] with reads racing writes, where
-//! each response is held to the sequential cut at its fenced epoch.
+//! memo, two results in the cluster front (a cluster's only result cache,
+//! shared by every group and query class) — and require every answer of
+//! every group, on every query class, to stay bit-identical to the
+//! *uncached* reference ([`QueryEngine`], which caches no answer) and inside
+//! the requester's access prefix: sequentially across mutations, and
+//! through a multiplexed [`ServeFront`] with reads racing writes, where each
+//! response is held to the sequential cut at its fenced epoch.
 //!
 //! They live inside the crate because starving a cluster goes through the
 //! crate-private [`EngineCluster::with_capacities`]; capacity is not a
 //! public knob.
+
+#![cfg(test)]
 
 use crate::cluster::EngineCluster;
 use crate::engine::{CacheSnapshot, Plan, QueryEngine, RankedAnswer};
@@ -44,8 +46,8 @@ use std::sync::Arc;
 const QUERIES: [&str; 9] =
     ["kw0", "kw0, kw1", "kw2", "kw1, kw3", "kw5", "kw0, kw2", "omim", "summary", "snp"];
 const GROUPS: [&str; 3] = ["public", "analysts", "researchers"];
-/// Capacity of every result cache, and bound on every spec's views, under
-/// test.
+/// Capacity of the front result cache, and bound on every spec's views,
+/// under test.
 const STARVED: usize = 2;
 
 fn registry(specs: usize) -> PrincipalRegistry {
@@ -90,8 +92,8 @@ struct Read {
     kind: u8,
 }
 
-/// Every `(group, query, kind)` — 135 distinct cache keys against caches of
-/// two, with the groups interleaved so neighbouring slots change owner.
+/// Every `(group, query, kind)` — 135 distinct cache keys against a cache
+/// of two, with the groups interleaved so neighbouring slots change owner.
 fn all_reads() -> Vec<Read> {
     let mut reads = Vec::new();
     for query in QUERIES {
@@ -333,7 +335,7 @@ fn sequential_run(
         }
     }
     let cluster_stats = cluster.stats();
-    // The front caches are starved by the 135 keys whatever the corpus; the
+    // The front cache is starved by the 135 keys whatever the corpus; the
     // view memos by the fixture, whose answers span three prefixes.
     for (what, evictions) in [
         ("shard view", cluster_stats.aggregate.views.evictions),
@@ -444,7 +446,7 @@ fn concurrent_run(
     }
     let stats = front.with_cluster(|c| c.stats());
     if stats.front.evictions == 0 || stats.aggregate.views.evictions == 0 {
-        return Err(format!("front caches or shard views never evicted: {stats:?}"));
+        return Err(format!("front cache or shard views never evicted: {stats:?}"));
     }
     Ok(checked)
 }

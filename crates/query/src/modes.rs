@@ -4,33 +4,31 @@
 //! keyword, private under a [`Plan`], ranked under a [`RankingMode`]. What
 //! differs between them is written here once, as the three implementors of
 //! [`ReadMode`]: what one shard computes ([`ReadMode::Part`]), what the
-//! whole answer is ([`ReadMode::Answer`]) and which front cache holds it,
-//! what such an answer depends on ([`Depends`]), how a shard computes its
-//! part, and how parts merge into the answer. Everything else — the
-//! uncached reference's resolve access → part ([`QueryEngine`]), the
+//! whole answer is ([`ReadMode::Answer`]) and the [`Class`] the front caches
+//! it under, what such an answer depends on ([`Depends`]), how a shard
+//! computes its part, and how parts merge into the answer. Everything else —
+//! the uncached reference's resolve access → part ([`QueryEngine`]), the
 //! cluster's probe, plan, shard run and gather ([`crate::cluster`]), the
 //! serving front's fan-out ([`crate::serve`]) — is generic over the mode and
-//! written once. A part of one mode handed to another mode's merge is a
-//! type error.
+//! written once. A part of one mode handed to another mode's merge is a type
+//! error.
 //!
 //! Computing a part ([`ReadMode::part`]) touches no result cache. There is
 //! one cached tier: a cluster caches merged answers at its front, and
-//! nothing else caches an answer. [`ResultCaches`] is that front's cache
-//! triple: one keyword cache, one cache per [`Plan`] so the warm probe stays
-//! borrow-only, and a [`ModeCaches`] map for ranked answers. The ranking
-//! *mode* is part of a ranked answer's identity — and modes carry `f64`
-//! parameters, so they key an outer map of caches rather than a fixed array
-//! like `Plan`. The warm probe builds a stack [`ModeKey`] and clones an
-//! `Arc`, allocating nothing. The map itself is bounded at
-//! [`MAX_RANKED_MODES`]: workloads that mint unbounded distinct modes (e.g.
-//! a fresh `NoisyFull` seed per request) evict the least-recently-used
-//! mode's cache instead of growing forever, and evicted caches fold their
-//! counters into a tombstone so statistics stay monotone under mode churn.
+//! nothing else caches an answer. That front is **one** [`FrontCache`],
+//! keyed by `(group, query, class)`: the [`Class`] says what the query was
+//! asked as — keyword, private under a [`Plan`], or ranked under a mode,
+//! whose [`ModeKey`] is part of a ranked answer's identity. Every class
+//! shares one capacity, one CLOCK hand and one set of counters, so a stream
+//! of fresh modes (a new `NoisyFull` seed per request) is just more keys: it
+//! competes for slots entry by entry and evicts no other mode's answers
+//! wholesale. The warm probe builds the class on the stack and clones one
+//! `Arc`, allocating nothing.
 //!
 //! [`QueryEngine`]: crate::engine::QueryEngine
 
 use crate::cluster::{RankedHits, ReadPlan};
-use crate::engine::{CacheSnapshot, Plan, RankedAnswer, Shard};
+use crate::engine::{Plan, RankedAnswer, Shard};
 use crate::keyword::{search_filtered_with_cache, KeywordHit, KeywordQuery};
 use crate::privacy_exec::{
     filter_then_search_cached, search_then_zoom_out_cached, PrivateSearchOutcome,
@@ -39,14 +37,11 @@ use crate::ranking::{
     idfs_for_terms, idfs_from_shard_counts, profiles_for_hits, rank_by_scores, scores_for_profiles,
     ModeKey, RankingMode, TfProfile,
 };
-use parking_lot::RwLock;
 use ppwf_repo::cache::GroupCache;
 use ppwf_repo::principals::AccessResolver;
 use ppwf_repo::repository::Repository;
 use ppwf_repo::touch::Depends;
-use std::collections::HashMap;
-use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::any::Any;
 use std::sync::Arc;
 
 /// One way of asking the privacy-filtered question. See the module docs.
@@ -58,10 +53,9 @@ pub(crate) trait ReadMode: Copy + Send + Sync + 'static {
     /// What a cached answer reads, and so which writes can strand it.
     const DEPENDS: Depends;
 
-    /// The cache of `caches` that holds this mode's answers: the keyword and
-    /// private caches by reference, a ranking mode's by the `Arc` its map
-    /// slot holds (the slot may be evicted while the read runs).
-    fn cache(self, caches: &ResultCaches) -> impl Deref<Target = GroupCache<Self::Answer>>;
+    /// The class this mode's answers are cached under at the front. An
+    /// entry under it always holds an `Arc<Self::Answer>`.
+    fn class(self) -> Class;
 
     /// `shard`'s part of the answer to `query` under `access`, over the
     /// specs of `repo` it indexes. Computed, never looked up: no result
@@ -111,8 +105,8 @@ impl ReadMode for Keyword {
     type Answer = Vec<KeywordHit>;
     const DEPENDS: Depends = Depends::OnMatches;
 
-    fn cache(self, caches: &ResultCaches) -> impl Deref<Target = GroupCache<Vec<KeywordHit>>> {
-        &caches.keyword
+    fn class(self) -> Class {
+        Class::Keyword
     }
 
     fn part(
@@ -135,10 +129,8 @@ impl ReadMode for Private {
     type Answer = PrivateSearchOutcome;
     const DEPENDS: Depends = Depends::OnMatches;
 
-    /// One cache per plan keeps the warm probe borrow-only — no composite
-    /// key to allocate.
-    fn cache(self, caches: &ResultCaches) -> impl Deref<Target = GroupCache<PrivateSearchOutcome>> {
-        &caches.private[self.0 as usize]
+    fn class(self) -> Class {
+        Class::Private(self.0)
     }
 
     fn part(
@@ -175,8 +167,8 @@ impl ReadMode for Ranked {
     type Answer = RankedHits;
     const DEPENDS: Depends = Depends::OnStatistics;
 
-    fn cache(self, caches: &ResultCaches) -> impl Deref<Target = GroupCache<RankedHits>> {
-        caches.ranked.cache(self.0)
+    fn class(self) -> Class {
+        Class::Ranked(self.0.cache_key())
     }
 
     /// The keyword hits and, in the same call, their TF profiles scored
@@ -228,137 +220,15 @@ impl ReadMode for Ranked {
     }
 }
 
-/// The `(group, query)` result caches of a cluster front, one per query
-/// class. See the module docs.
-pub(crate) struct ResultCaches {
-    keyword: GroupCache<Vec<KeywordHit>>,
-    /// One cache per [`Plan`], indexed by the plan's discriminant.
-    private: [GroupCache<PrivateSearchOutcome>; 2],
-    /// Crate-visible for the front's mode-churn tests.
-    pub(crate) ranked: ModeCaches,
+/// What a front entry's query was asked as; with the group and the query
+/// text, the whole key of one cached answer.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Class {
+    Keyword,
+    Private(Plan),
+    Ranked(ModeKey),
 }
 
-impl ResultCaches {
-    /// Empty caches of `capacity` entries each (per ranking mode, for
-    /// ranked answers).
-    pub(crate) fn new(capacity: usize) -> Self {
-        ResultCaches {
-            keyword: GroupCache::new(capacity),
-            private: [GroupCache::new(capacity), GroupCache::new(capacity)],
-            ranked: ModeCaches::new(capacity),
-        }
-    }
-
-    /// Drop every entry (e.g. after a registry swap: group keys may now
-    /// mean different privileges, and version tags cannot see that).
-    pub(crate) fn clear(&self) {
-        self.keyword.clear();
-        for cache in &self.private {
-            cache.clear();
-        }
-        self.ranked.clear();
-    }
-
-    /// Counters per query class: keyword, private (both plans summed),
-    /// ranked (every mode summed, evicted ones included).
-    pub(crate) fn snapshots(&self) -> [CacheSnapshot; 3] {
-        [
-            CacheSnapshot::of(self.keyword.stats()),
-            CacheSnapshot::sum(self.private.iter().map(|c| c.stats())),
-            self.ranked.snapshot(),
-        ]
-    }
-}
-
-/// Most distinct [`RankingMode`]s cached simultaneously. Real deployments
-/// use a handful; the bound only matters for mode-churning workloads.
-pub(crate) const MAX_RANKED_MODES: usize = 16;
-
-/// One mode's result cache plus an LRU stamp for mode eviction.
-struct ModeSlot {
-    cache: Arc<GroupCache<RankedHits>>,
-    last_used: AtomicU64,
-}
-
-/// The bounded per-mode cache map: per `(group, query)`, a merged hit list
-/// with its ranking.
-pub(crate) struct ModeCaches {
-    slots: RwLock<HashMap<ModeKey, ModeSlot>>,
-    tick: AtomicU64,
-    /// Counters of evicted mode caches, folded in so [`Self::snapshot`]
-    /// stays monotonic under mode churn — history must not vanish with
-    /// the victim.
-    evicted: RwLock<CacheSnapshot>,
-    /// Capacity of each per-mode [`GroupCache`].
-    per_mode_capacity: usize,
-}
-
-impl ModeCaches {
-    fn new(per_mode_capacity: usize) -> Self {
-        ModeCaches {
-            slots: RwLock::new(HashMap::new()),
-            tick: AtomicU64::new(0),
-            evicted: RwLock::new(CacheSnapshot::default()),
-            per_mode_capacity,
-        }
-    }
-
-    /// The `(group, query)` cache serving `mode`, created on first use.
-    /// The warm path is a read-locked map probe plus an `Arc` clone. A new
-    /// mode beyond [`MAX_RANKED_MODES`] evicts the least-recently-used
-    /// mode's cache.
-    fn cache(&self, mode: RankingMode) -> Arc<GroupCache<RankedHits>> {
-        let key = mode.cache_key();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(slot) = self.slots.read().get(&key) {
-            slot.last_used.store(tick, Ordering::Relaxed);
-            return Arc::clone(&slot.cache);
-        }
-        let mut guard = self.slots.write();
-        if let Some(slot) = guard.get(&key) {
-            // A racing request created the slot between our locks.
-            slot.last_used.store(tick, Ordering::Relaxed);
-            return Arc::clone(&slot.cache);
-        }
-        if guard.len() >= MAX_RANKED_MODES {
-            let victim = guard
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k)
-                .expect("nonempty at capacity");
-            if let Some(slot) = guard.remove(&victim) {
-                // Fold the victim's counters so stats never go backwards.
-                let mut evicted = self.evicted.write();
-                *evicted = evicted.merge(CacheSnapshot::of(slot.cache.stats()));
-            }
-        }
-        let cache = Arc::new(GroupCache::new(self.per_mode_capacity));
-        guard.insert(key, ModeSlot { cache: Arc::clone(&cache), last_used: AtomicU64::new(tick) });
-        cache
-    }
-
-    /// Summed counters across every live mode cache plus evicted history.
-    fn snapshot(&self) -> CacheSnapshot {
-        let guard = self.slots.read();
-        self.evicted.read().merge(CacheSnapshot::sum(guard.values().map(|slot| slot.cache.stats())))
-    }
-
-    /// Clear every mode's cache, keeping the mode slots themselves.
-    fn clear(&self) {
-        for slot in self.slots.read().values() {
-            slot.cache.clear();
-        }
-    }
-
-    /// Number of live mode slots (test instrument for the churn bound).
-    #[cfg(test)]
-    pub(crate) fn mode_count(&self) -> usize {
-        self.slots.read().len()
-    }
-
-    /// Whether `key`'s cache is currently live (test instrument).
-    #[cfg(test)]
-    pub(crate) fn has_mode(&self, key: &ModeKey) -> bool {
-        self.slots.read().contains_key(key)
-    }
-}
+/// A cluster front's one result cache: each entry is the `Arc` of the answer
+/// its class's mode computes. See the module docs.
+pub(crate) type FrontCache = GroupCache<Class, Arc<dyn Any + Send + Sync>>;

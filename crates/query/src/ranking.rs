@@ -55,9 +55,9 @@ pub enum RankingMode {
 /// A compact, fixed-width, hashable identity for a [`RankingMode`]: one
 /// discriminant byte, the mode's `f64` parameter bits, and the RNG seed.
 /// Two modes map to the same key iff they rank identically, so the cluster
-/// front can key its ranked-answer cache by `ModeKey` — a stack value built
-/// without formatting — instead of a `format!("{mode:?}…")` string per
-/// warm probe.
+/// front's one result cache can key a ranked answer by `(group, query,
+/// ModeKey)` — a stack value built without formatting — instead of a
+/// `format!("{mode:?}…")` string per warm probe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ModeKey([u8; 17]);
 
@@ -138,9 +138,10 @@ pub fn tf_profile(repo: &Repository, spec: SpecId, prefix: &Prefix, terms: &[Str
 
 /// TF profiles for a slice of keyword hits, one per hit in order, each
 /// computed under the hit's own answer prefix. This is the ranking layer's
-/// per-query hot loop; the cluster front memoizes its output per
-/// `(group, query)` in a [`GroupCache`](ppwf_repo::cache::GroupCache), so
-/// repeated queries skip re-tokenizing every module of every hit spec.
+/// per-query hot loop; the cluster front memoizes its output, inside the
+/// ranked answer, per `(group, query, mode)` in its one
+/// [`GroupCache`](ppwf_repo::cache::GroupCache), so repeated queries skip
+/// re-tokenizing every module of every hit spec.
 pub fn profiles_for_hits(
     repo: &Repository,
     hits: &[crate::keyword::KeywordHit],

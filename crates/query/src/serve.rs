@@ -174,8 +174,10 @@ pub enum QueryAnswer {
 /// the reference state at exactly this epoch.
 #[derive(Debug)]
 pub struct ServeResponse {
-    /// The cluster epoch ([`EngineCluster::version_vector`] sum) the answer
-    /// was computed at; for mutations, the epoch after application.
+    /// The cluster's front epoch the answer was computed at — the counter
+    /// its front-cache entries are tagged with, which moves on every
+    /// answer-changing write and holds still across execution appends; for
+    /// mutations, the epoch after application.
     pub epoch: u64,
     /// The typed answer.
     pub answer: QueryAnswer,
@@ -193,7 +195,7 @@ pub struct ServeStats {
     pub submitted: u64,
     /// Responses completed (inline or via the queue).
     pub completed: u64,
-    /// Reads answered from the cluster-front caches without any shard
+    /// Reads answered from the cluster-front cache without any shard
     /// work: probes that hit on the submitting thread (never queued, no
     /// pool job), plus reads that queued — behind a write, or behind an
     /// identical read — and found the answer warm when they were admitted.

@@ -307,7 +307,7 @@ proptest! {
     /// Mutations and registry swaps: lazy answers equal a fresh eager
     /// evaluation afterwards (no stale access views served). Runs on a
     /// one-shard cluster, the object that serves one index, whose registry
-    /// swap clears the access memo and the front caches.
+    /// swap clears the access memo and the front cache.
     #[test]
     fn lazy_stays_fresh_across_mutation_and_registry_swap(
         seed in any::<u64>(),

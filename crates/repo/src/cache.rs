@@ -5,17 +5,18 @@
 //! in the same group (same access view + clearance) may share cached
 //! answers; principals in different groups must not, or cached fine-grained
 //! answers would leak to coarse-grained users. The cache therefore keys
-//! entries by `(group, query)` and tags them with the owner's version at
-//! compute time. A probe at the entry's own tag is a hit. A probe at a
-//! later version is the owner's call ([`GroupCache::get_validated`]): it is
-//! handed the tag and either vouches that nothing the answer depends on was
-//! written since — the entry is re-tagged and served, a *revalidation* — or
-//! does not, and the entry is a miss that the recompute replaces in place
-//! (an *invalidation*). The plain [`GroupCache::get`] never vouches: there a
+//! entries by `(group, query, class)` — the class is what the query was asked
+//! as, so one cache holds every kind of answer under one capacity — and tags
+//! them with the owner's version at compute time. A probe at the entry's
+//! own tag is a hit. A probe at a later version is the owner's call
+//! ([`GroupCache::get_validated`]): it is handed the tag and either vouches
+//! that nothing the answer depends on was written since — the entry is
+//! re-tagged and served, a *revalidation* — or does not, and the entry is a
+//! miss that the recompute replaces in place (an *invalidation*). The plain [`GroupCache::get`] never vouches: there a
 //! tag other than the probe's is always a miss.
 //!
 //! Eviction is **CLOCK** (second chance). Entries live in a slab of at most
-//! `capacity` slots behind a two-level index.
+//! `capacity` slots behind one hash index over their keys.
 //! Recency is one *reference bit* per slot instead of a timestamp: a hit
 //! raises it (a relaxed store, skipped when it is already up) under the
 //! shared read lock, so warm readers touch no shared counter and write
@@ -38,7 +39,9 @@
 //! exactly as under LRU. Scan resistance is deliberately not a goal.
 
 use parking_lot::RwLock;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -118,39 +121,89 @@ impl CacheStats {
     }
 }
 
-/// One cached answer: the keys that index it (to unlink a reclaimed slot),
+/// An entry's identity. The index holds one per entry and is probed through
+/// [`KeyParts`], so a warm probe hashes borrowed parts and allocates nothing.
+/// The derived `Hash` and `Eq` visit the fields in [`KeyParts::parts`]
+/// order, so they agree with the borrowed form's.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Key<K> {
+    group: Arc<str>,
+    query: Arc<str>,
+    class: K,
+}
+
+/// `(group, query, class)` as borrowed parts: what the index hashes and
+/// compares, for a stored [`Key`] and for a probe's borrowed triple alike.
+trait KeyParts<K> {
+    fn parts(&self) -> (&str, &str, &K);
+}
+
+impl<K> KeyParts<K> for Key<K> {
+    fn parts(&self) -> (&str, &str, &K) {
+        (&self.group, &self.query, &self.class)
+    }
+}
+
+impl<K> KeyParts<K> for (&str, &str, K) {
+    fn parts(&self) -> (&str, &str, &K) {
+        (self.0, self.1, &self.2)
+    }
+}
+
+impl<K: Hash> Hash for dyn KeyParts<K> + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl<K: Eq> PartialEq for dyn KeyParts<K> + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl<K: Eq> Eq for dyn KeyParts<K> + '_ {}
+
+impl<'a, K: Hash + Eq + 'a> Borrow<dyn KeyParts<K> + 'a> for Key<K> {
+    fn borrow(&self) -> &(dyn KeyParts<K> + 'a) {
+        self
+    }
+}
+
+/// One cached answer: the key that indexes it (to unlink a reclaimed slot),
 /// the version it was computed at or last re-admitted at, and the CLOCK
 /// reference bit — both atomic so probes, under the shared read lock, can
 /// move them.
-struct Slot<V> {
-    group: String,
-    query: String,
+struct Slot<K, V> {
+    key: Key<K>,
     version: AtomicU64,
-    value: Arc<V>,
+    value: V,
     referenced: AtomicBool,
 }
 
 /// The state behind [`GroupCache`]'s lock. Invariants: the slab is dense
-/// (`slots.len() ≤ capacity`), `index[group][query] == i` exactly when
-/// `slots[i]` holds `(group, query)`, and `hand < max(slots.len(), 1)`.
-struct Clock<V> {
-    slots: Vec<Slot<V>>,
-    /// Two levels instead of a tuple key so the hot read path can probe
-    /// with borrowed `&str` keys — a warm hit allocates nothing.
-    index: HashMap<String, HashMap<String, usize>>,
+/// (`slots.len() ≤ capacity`), `index[key] == i` exactly when `slots[i]`
+/// holds `key`, and `hand < max(slots.len(), 1)`.
+struct Clock<K, V> {
+    slots: Vec<Slot<K, V>>,
+    index: HashMap<Key<K>, usize>,
     hand: usize,
 }
 
-/// A concurrent, bounded result cache keyed by `(group, query)`; the module
-/// docs describe the tagging and eviction policy.
-pub struct GroupCache<V> {
-    inner: RwLock<Clock<V>>,
+/// A concurrent, bounded result cache keyed by `(group, query, class)`; the
+/// module docs describe the tagging and eviction policy. The class is what
+/// the query was asked as (a caller with one kind of question passes `()`),
+/// so one cache, one capacity and one set of counters serve every kind.
+/// A probe returns a clone of the stored value: store an `Arc` to share a
+/// large answer.
+pub struct GroupCache<K, V> {
+    inner: RwLock<Clock<K, V>>,
     capacity: usize,
     stats: CacheStats,
 }
 
-impl<V> GroupCache<V> {
-    /// Create with a maximum entry count.
+impl<K: Copy + Eq + Hash, V: Clone> GroupCache<K, V> {
+    /// Create with a maximum entry count, over every class.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         let clock = Clock { slots: Vec::new(), index: HashMap::new(), hand: 0 };
@@ -182,12 +235,13 @@ impl<V> GroupCache<V> {
         guard.hand = 0;
     }
 
-    /// Fetch the cached value for `(group, query)` if present *and* computed
-    /// at `version`, counting the lookup. A hit is a borrowed-key probe, the
-    /// reference bit (stored only if down) and an `Arc` clone — no
-    /// allocation (this is the engine's warm path).
-    pub fn get(&self, group: &str, query: &str, version: u64) -> Option<Arc<V>> {
-        self.probe(group, query, version, |_| false, true)
+    /// Fetch the cached value for `(group, query, class)` if present *and*
+    /// computed at `version`, counting the lookup. A hit is a borrowed-key
+    /// probe, the reference bit (stored only if down) and a clone of the
+    /// value — no allocation when the value is an `Arc` (this is the
+    /// front's warm path).
+    pub fn get(&self, group: &str, query: &str, class: K, version: u64) -> Option<V> {
+        self.probe((group, query, class), version, |_| false, true)
     }
 
     /// [`Self::get`] that can outlive a version bump: an entry tagged with an
@@ -203,10 +257,11 @@ impl<V> GroupCache<V> {
         &self,
         group: &str,
         query: &str,
+        class: K,
         version: u64,
         still_valid: impl FnOnce(u64) -> bool,
-    ) -> Option<Arc<V>> {
-        self.probe(group, query, version, still_valid, true)
+    ) -> Option<V> {
+        self.probe((group, query, class), version, still_valid, true)
     }
 
     /// [`Self::get_validated`] for a caller that, should this probe fail,
@@ -218,22 +273,22 @@ impl<V> GroupCache<V> {
         &self,
         group: &str,
         query: &str,
+        class: K,
         version: u64,
         still_valid: impl FnOnce(u64) -> bool,
-    ) -> Option<Arc<V>> {
-        self.probe(group, query, version, still_valid, false)
+    ) -> Option<V> {
+        self.probe((group, query, class), version, still_valid, false)
     }
 
     fn probe(
         &self,
-        group: &str,
-        query: &str,
+        key: (&str, &str, K),
         version: u64,
         still_valid: impl FnOnce(u64) -> bool,
         count_failure: bool,
-    ) -> Option<Arc<V>> {
+    ) -> Option<V> {
         let guard = self.inner.read();
-        let slot = guard.index.get(group).and_then(|m| m.get(query)).map(|&i| &guard.slots[i]);
+        let slot = guard.index.get(&key as &dyn KeyParts<K>).map(|&i| &guard.slots[i]);
         if let Some(slot) = slot {
             // Relaxed throughout: the tag and the bit publish no other data
             // (the value was written under the write lock), and probes that
@@ -247,14 +302,14 @@ impl<V> GroupCache<V> {
                     slot.referenced.store(true, Ordering::Relaxed);
                 }
                 self.stats.record_hit();
-                return Some(Arc::clone(&slot.value));
+                return Some(slot.value.clone());
             }
             if tag < version && still_valid(tag) {
                 slot.version.store(version, Ordering::Relaxed);
                 slot.referenced.store(true, Ordering::Relaxed);
                 self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
                 self.stats.record_hit();
-                return Some(Arc::clone(&slot.value));
+                return Some(slot.value.clone());
             }
             if count_failure {
                 self.stats.record_invalidation();
@@ -271,29 +326,30 @@ impl<V> GroupCache<V> {
         &self,
         group: &str,
         query: &str,
+        class: K,
         version: u64,
         compute: impl FnOnce() -> V,
-    ) -> Arc<V> {
-        if let Some(v) = self.get(group, query, version) {
+    ) -> V {
+        if let Some(v) = self.get(group, query, class, version) {
             return v;
         }
-        let value = Arc::new(compute());
-        self.insert(group, query, version, Arc::clone(&value));
+        let value = compute();
+        self.insert(group, query, class, version, value.clone());
         value
     }
 
-    /// Cache `value` for `(group, query)` at `version` (e.g. after a
+    /// Cache `value` for `(group, query, class)` at `version` (e.g. after a
     /// stats-counted [`Self::get`] miss whose recompute needed other lookups
     /// first), reclaiming one slot if the cache is full.
-    pub fn insert(&self, group: &str, query: &str, version: u64, value: Arc<V>) {
+    pub fn insert(&self, group: &str, query: &str, class: K, version: u64, value: V) {
         // What this insert displaces — a replaced value, or an evicted
         // entry's keys and the last `Arc` of a whole answer — is freed only
         // after the lock is released (declared first, dropped last): warm
-        // probes of this class do not wait on a deallocation.
+        // probes do not wait on a deallocation.
         let (_replaced, victim);
         let mut guard = self.inner.write();
         let Clock { slots, index, hand } = &mut *guard;
-        if let Some(&i) = index.get(group).and_then(|m| m.get(query)) {
+        if let Some(&i) = index.get(&(group, query, class) as &dyn KeyParts<K>) {
             // Replacing a key (a stale entry, or a racing compute of the
             // same one) does not grow the slab, so nothing is evicted — it
             // must not cost an unrelated hot entry. A recompute is a use.
@@ -303,9 +359,9 @@ impl<V> GroupCache<V> {
             *slot.referenced.get_mut() = true;
             return;
         }
+        let key = Key { group: group.into(), query: query.into(), class };
         let fresh = Slot {
-            group: group.to_owned(),
-            query: query.to_owned(),
+            key: key.clone(),
             version: AtomicU64::new(version),
             value,
             referenced: AtomicBool::new(false),
@@ -334,20 +390,10 @@ impl<V> GroupCache<V> {
             let i = *hand;
             *hand = (i + 1) % slots.len();
             victim = std::mem::replace(&mut slots[i], fresh);
-            let inner = index.get_mut(&victim.group).expect("victim is indexed");
-            inner.remove(&victim.query);
-            if inner.is_empty() {
-                index.remove(&victim.group);
-            }
+            index.remove(&victim.key);
             i
         };
-        // The group key is allocated only for a group the index does not
-        // hold yet; every later insert of the group probes with the borrow.
-        if let Some(inner) = index.get_mut(group) {
-            inner.insert(query.to_owned(), i);
-        } else {
-            index.insert(group.to_owned(), HashMap::from([(query.to_owned(), i)]));
-        }
+        index.insert(key, i);
     }
 
     /// Panic unless the [`Clock`] invariants hold (test instrument).
@@ -356,17 +402,9 @@ impl<V> GroupCache<V> {
         let guard = self.inner.read();
         assert!(guard.slots.len() <= self.capacity, "slab exceeds capacity");
         assert!(guard.hand < guard.slots.len().max(1), "hand out of range");
-        let indexed: usize = guard.index.values().map(|m| m.len()).sum();
-        assert_eq!(indexed, guard.slots.len(), "index and slab disagree on size");
-        for (group, inner) in &guard.index {
-            assert!(!inner.is_empty(), "empty inner map left behind");
-            for (query, &i) in inner {
-                let slot = &guard.slots[i];
-                assert!(
-                    slot.group == *group && slot.query == *query,
-                    "index points at another key's slot"
-                );
-            }
+        assert_eq!(guard.index.len(), guard.slots.len(), "index and slab disagree on size");
+        for (key, &i) in &guard.index {
+            assert!(guard.slots[i].key == *key, "index points at another key's slot");
         }
     }
 }
@@ -377,15 +415,15 @@ mod tests {
 
     #[test]
     fn hit_after_compute() {
-        let cache: GroupCache<u64> = GroupCache::new(8);
-        let v1 = cache.get_or_compute("g1", "q", 1, || 42);
-        assert_eq!(*v1, 42);
+        let cache: GroupCache<(), u64> = GroupCache::new(8);
+        let v1 = cache.get_or_compute("g1", "q", (), 1, || 42);
+        assert_eq!(v1, 42);
         let mut computed = false;
-        let v2 = cache.get_or_compute("g1", "q", 1, || {
+        let v2 = cache.get_or_compute("g1", "q", (), 1, || {
             computed = true;
             0
         });
-        assert_eq!(*v2, 42);
+        assert_eq!(v2, 42);
         assert!(!computed, "second call must hit");
         assert_eq!(cache.stats().hits(), 1);
         assert_eq!(cache.stats().misses(), 1);
@@ -393,27 +431,30 @@ mod tests {
 
     #[test]
     fn groups_are_isolated() {
-        let cache: GroupCache<&'static str> = GroupCache::new(8);
-        cache.get_or_compute("biologists", "q", 1, || "fine answer");
-        let public = cache.get_or_compute("public", "q", 1, || "coarse answer");
-        assert_eq!(*public, "coarse answer", "no cross-group reuse");
-        assert_eq!(cache.len(), 2);
+        let cache: GroupCache<u8, &'static str> = GroupCache::new(8);
+        cache.get_or_compute("biologists", "q", 0, 1, || "fine answer");
+        let public = cache.get_or_compute("public", "q", 0, 1, || "coarse answer");
+        assert_eq!(public, "coarse answer", "no cross-group reuse");
+        let ranked = cache.get_or_compute("public", "q", 1, 1, || "ranked answer");
+        assert_eq!(ranked, "ranked answer", "no cross-class reuse");
+        assert_eq!(cache.get("public", "q", 0, 1), Some("coarse answer"));
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]
     fn version_invalidates() {
-        let cache: GroupCache<u64> = GroupCache::new(8);
-        cache.get_or_compute("g", "q", 1, || 1);
-        let v = cache.get_or_compute("g", "q", 2, || 2);
-        assert_eq!(*v, 2, "stale version recomputed");
+        let cache: GroupCache<(), u64> = GroupCache::new(8);
+        cache.get_or_compute("g", "q", (), 1, || 1);
+        let v = cache.get_or_compute("g", "q", (), 2, || 2);
+        assert_eq!(v, 2, "stale version recomputed");
         assert!(cache.stats().invalidations() >= 1);
     }
 
     #[test]
     fn a_vouched_for_entry_is_retagged_and_served() {
-        let cache: GroupCache<u64> = GroupCache::new(8);
-        let v1 = cache.get_or_compute("g", "q", 1, || 1);
-        let served = cache.get_validated("g", "q", 3, |tag| {
+        let cache: GroupCache<(), Arc<u64>> = GroupCache::new(8);
+        let v1 = cache.get_or_compute("g", "q", (), 1, || Arc::new(1));
+        let served = cache.get_validated("g", "q", (), 3, |tag| {
             assert_eq!(tag, 1, "the caller is handed the entry's tag");
             true
         });
@@ -422,129 +463,132 @@ mod tests {
         assert_eq!(cache.stats().invalidations(), 0);
         // Re-tagged: the next probe at 3 is an exact-tag hit that consults
         // nobody, and the old version no longer hits.
-        assert!(cache.get_validated("g", "q", 3, |_| unreachable!("exact tag")).is_some());
-        assert!(cache.get("g", "q", 3).is_some());
-        assert!(cache.get("g", "q", 1).is_none());
+        assert!(cache.get_validated("g", "q", (), 3, |_| unreachable!("exact tag")).is_some());
+        assert!(cache.get("g", "q", (), 3).is_some());
+        assert!(cache.get("g", "q", (), 1).is_none());
         assert_eq!(cache.stats().revalidations(), 1);
     }
 
     #[test]
     fn an_entry_nobody_vouches_for_is_an_invalidation() {
-        let cache: GroupCache<u64> = GroupCache::new(8);
-        cache.get_or_compute("g", "q", 1, || 1);
-        assert!(cache.get_validated("g", "q", 2, |_| false).is_none());
+        let cache: GroupCache<(), u64> = GroupCache::new(8);
+        cache.get_or_compute("g", "q", (), 1, || 1);
+        assert!(cache.get_validated("g", "q", (), 2, |_| false).is_none());
         assert_eq!((cache.stats().invalidations(), cache.stats().revalidations()), (1, 0));
         assert_eq!(cache.stats().misses(), 2);
         // The recompute replaces it in place.
-        cache.insert("g", "q", 2, Arc::new(2));
+        cache.insert("g", "q", (), 2, 2);
         assert_eq!(cache.len(), 1);
-        assert_eq!(*cache.get("g", "q", 2).unwrap(), 2);
+        assert_eq!(cache.get("g", "q", (), 2).unwrap(), 2);
         // A tag from the future is never re-admitted.
-        assert!(cache.get_validated("g", "q", 1, |_| unreachable!("newer tag")).is_none());
+        assert!(cache.get_validated("g", "q", (), 1, |_| unreachable!("newer tag")).is_none());
     }
 
     #[test]
     fn revalidation_is_a_use_for_the_clock() {
-        let cache: GroupCache<usize> = GroupCache::new(2);
-        cache.get_or_compute("g", "kept", 1, || 0);
-        cache.get_or_compute("g", "cold", 1, || 1);
-        assert!(cache.get_validated("g", "kept", 2, |_| true).is_some());
+        let cache: GroupCache<(), usize> = GroupCache::new(2);
+        cache.get_or_compute("g", "kept", (), 1, || 0);
+        cache.get_or_compute("g", "cold", (), 1, || 1);
+        assert!(cache.get_validated("g", "kept", (), 2, |_| true).is_some());
         // The hand passes the re-admitted entry (spending its reference
         // bit) and reclaims `cold`, which still carries tag 1.
-        cache.get_or_compute("g", "new", 2, || 2);
-        assert!(cache.get("g", "kept", 2).is_some(), "re-admitted entry survives");
-        assert!(cache.get_validated("g", "cold", 2, |_| true).is_none());
+        cache.get_or_compute("g", "new", (), 2, || 2);
+        assert!(cache.get("g", "kept", (), 2).is_some(), "re-admitted entry survives");
+        assert!(cache.get_validated("g", "cold", (), 2, |_| true).is_none());
     }
 
     #[test]
     fn capacity_bounded() {
-        let cache: GroupCache<usize> = GroupCache::new(4);
+        let cache: GroupCache<(), usize> = GroupCache::new(4);
         for i in 0..20 {
-            cache.get_or_compute("g", &format!("q{i}"), 1, || i);
+            cache.get_or_compute("g", &format!("q{i}"), (), 1, || i);
         }
         assert!(cache.len() <= 4);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache: GroupCache<usize> = GroupCache::new(3);
-        cache.get_or_compute("g", "q0", 1, || 0);
-        cache.get_or_compute("g", "q1", 1, || 1);
-        cache.get_or_compute("g", "q2", 1, || 2);
+        let cache: GroupCache<(), usize> = GroupCache::new(3);
+        cache.get_or_compute("g", "q0", (), 1, || 0);
+        cache.get_or_compute("g", "q1", (), 1, || 1);
+        cache.get_or_compute("g", "q2", (), 1, || 2);
         // q0 is oldest by insertion; inserting q3 must evict it.
-        cache.get_or_compute("g", "q3", 1, || 3);
-        assert!(cache.get("g", "q0", 1).is_none(), "LRU entry evicted");
-        assert!(cache.get("g", "q1", 1).is_some());
-        assert!(cache.get("g", "q2", 1).is_some());
-        assert!(cache.get("g", "q3", 1).is_some());
+        cache.get_or_compute("g", "q3", (), 1, || 3);
+        assert!(cache.get("g", "q0", (), 1).is_none(), "LRU entry evicted");
+        assert!(cache.get("g", "q1", (), 1).is_some());
+        assert!(cache.get("g", "q2", (), 1).is_some());
+        assert!(cache.get("g", "q3", (), 1).is_some());
     }
 
     #[test]
     fn hits_refresh_recency() {
-        let cache: GroupCache<usize> = GroupCache::new(3);
-        cache.get_or_compute("g", "hot", 1, || 0);
-        cache.get_or_compute("g", "warm", 1, || 1);
-        cache.get_or_compute("g", "cold", 1, || 2);
+        let cache: GroupCache<(), usize> = GroupCache::new(3);
+        cache.get_or_compute("g", "hot", (), 1, || 0);
+        cache.get_or_compute("g", "warm", (), 1, || 1);
+        cache.get_or_compute("g", "cold", (), 1, || 2);
         // Touch the oldest entry: it must survive the next eviction even
         // though it was inserted first.
-        assert!(cache.get("g", "hot", 1).is_some());
-        cache.get_or_compute("g", "new", 1, || 3);
-        assert!(cache.get("g", "hot", 1).is_some(), "touched entry survives");
-        assert!(cache.get("g", "warm", 1).is_none(), "untouched LRU entry evicted");
+        assert!(cache.get("g", "hot", (), 1).is_some());
+        cache.get_or_compute("g", "new", (), 1, || 3);
+        assert!(cache.get("g", "hot", (), 1).is_some(), "touched entry survives");
+        assert!(cache.get("g", "warm", (), 1).is_none(), "untouched LRU entry evicted");
     }
 
     #[test]
     fn stale_entries_evicted_before_live_ones() {
-        let cache: GroupCache<usize> = GroupCache::new(3);
-        cache.get_or_compute("g", "old1", 1, || 0);
-        cache.get_or_compute("g", "old2", 1, || 1);
+        let cache: GroupCache<(), usize> = GroupCache::new(3);
+        cache.get_or_compute("g", "old1", (), 1, || 0);
+        cache.get_or_compute("g", "old2", (), 1, || 1);
         // Version moves on; the v1 entries are dead weight.
-        cache.get_or_compute("g", "live", 2, || 2);
-        cache.get_or_compute("g", "more", 2, || 3);
-        assert!(cache.get("g", "live", 2).is_some(), "live entry kept over stale");
-        assert!(cache.get("g", "more", 2).is_some());
+        cache.get_or_compute("g", "live", (), 2, || 2);
+        cache.get_or_compute("g", "more", (), 2, || 3);
+        assert!(cache.get("g", "live", (), 2).is_some(), "live entry kept over stale");
+        assert!(cache.get("g", "more", (), 2).is_some());
         assert!(cache.len() <= 3);
     }
 
     #[test]
     fn stale_entries_get_no_second_chance() {
-        let cache: GroupCache<usize> = GroupCache::new(2);
-        cache.get_or_compute("g", "old", 1, || 0);
+        let cache: GroupCache<(), usize> = GroupCache::new(2);
+        cache.get_or_compute("g", "old", (), 1, || 0);
         // Referenced, but left behind at an older version.
-        assert!(cache.get("g", "old", 1).is_some());
-        cache.get_or_compute("g", "live", 2, || 1);
-        cache.get_or_compute("g", "new", 2, || 2);
-        assert!(cache.get("g", "live", 2).is_some(), "unreferenced live entry outlives stale");
-        assert!(cache.get("g", "old", 1).is_none(), "stale entry reclaimed as the hand reached it");
+        assert!(cache.get("g", "old", (), 1).is_some());
+        cache.get_or_compute("g", "live", (), 2, || 1);
+        cache.get_or_compute("g", "new", (), 2, || 2);
+        assert!(cache.get("g", "live", (), 2).is_some(), "unreferenced live entry outlives stale");
+        assert!(
+            cache.get("g", "old", (), 1).is_none(),
+            "stale entry reclaimed as the hand reached it"
+        );
         assert_eq!(cache.stats().sweep_steps(), 1);
     }
 
     #[test]
     fn reclaimed_slots_start_unreferenced() {
-        let cache: GroupCache<usize> = GroupCache::new(2);
-        cache.get_or_compute("g", "a", 1, || 0);
-        cache.get_or_compute("g", "b", 1, || 1);
-        assert!(cache.get("g", "a", 1).is_some());
+        let cache: GroupCache<(), usize> = GroupCache::new(2);
+        cache.get_or_compute("g", "a", (), 1, || 0);
+        cache.get_or_compute("g", "b", (), 1, || 1);
+        assert!(cache.get("g", "a", (), 1).is_some());
         // `y` takes over the stale-but-referenced slot of `a`, `z` that of
         // `b`; neither has been hit, so they leave in insertion order.
-        cache.get_or_compute("g", "y", 2, || 2);
-        cache.get_or_compute("g", "z", 2, || 3);
-        cache.get_or_compute("g", "w", 2, || 4);
-        assert!(cache.get("g", "y", 2).is_none(), "inherited a reference bit");
-        assert!(cache.get("g", "z", 2).is_some());
+        cache.get_or_compute("g", "y", (), 2, || 2);
+        cache.get_or_compute("g", "z", (), 2, || 3);
+        cache.get_or_compute("g", "w", (), 2, || 4);
+        assert!(cache.get("g", "y", (), 2).is_none(), "inherited a reference bit");
+        assert!(cache.get("g", "z", (), 2).is_some());
     }
 
     #[test]
     fn eviction_counters_are_monotone_and_exact() {
-        let cache: GroupCache<usize> = GroupCache::new(4);
+        let cache: GroupCache<(), usize> = GroupCache::new(4);
         for i in 0..4 {
-            cache.get_or_compute("g", &format!("q{i}"), 1, || i);
+            cache.get_or_compute("g", &format!("q{i}"), (), 1, || i);
         }
         assert_eq!((cache.stats().evictions(), cache.stats().sweep_steps()), (0, 0));
-        cache.insert("g", "q0", 1, Arc::new(9));
+        cache.insert("g", "q0", (), 1, 9);
         assert_eq!(cache.stats().evictions(), 0, "replacing in place evicts nothing");
         for i in 4..10 {
-            cache.get_or_compute("g", &format!("q{i}"), 1, || i);
+            cache.get_or_compute("g", &format!("q{i}"), (), 1, || i);
         }
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.stats().evictions(), 6);
@@ -554,8 +598,8 @@ mod tests {
 
     #[test]
     fn clear_empties() {
-        let cache: GroupCache<u64> = GroupCache::new(4);
-        cache.get_or_compute("g", "q", 1, || 7);
+        let cache: GroupCache<(), u64> = GroupCache::new(4);
+        cache.get_or_compute("g", "q", (), 1, || 7);
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
@@ -563,14 +607,14 @@ mod tests {
 
     #[test]
     fn zero_lookup_hit_rate_is_defined() {
-        let cache: GroupCache<u64> = GroupCache::new(4);
+        let cache: GroupCache<(), u64> = GroupCache::new(4);
         assert_eq!(cache.stats().hit_rate(), 0.0, "fresh cache reports 0, not NaN");
     }
 
     #[test]
     fn concurrent_access() {
         use std::sync::Arc as StdArc;
-        let cache: StdArc<GroupCache<u64>> = StdArc::new(GroupCache::new(64));
+        let cache: StdArc<GroupCache<(), u64>> = StdArc::new(GroupCache::new(64));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let c = StdArc::clone(&cache);
@@ -579,10 +623,11 @@ mod tests {
                     let v = c.get_or_compute(
                         &format!("g{}", t % 2),
                         &format!("q{}", i % 10),
+                        (),
                         1,
                         || i % 10,
                     );
-                    assert_eq!(*v, i % 10);
+                    assert_eq!(v, i % 10);
                 }
             }));
         }

@@ -7,10 +7,12 @@
 //! what *must* be cached; it says what the cache *may* return. After every
 //! step:
 //!
-//! * `len ≤ capacity`, and index and slab agree (`assert_consistent`);
-//! * a lookup returns a value only for the exact `(k1, k2, version)` that
-//!   value was stored under — a recycled slot never answers for its
-//!   previous owner;
+//! * `len ≤ capacity` over every class together, and index and slab agree
+//!   (`assert_consistent`);
+//! * a lookup returns a value only for the exact `(group, query, class,
+//!   version)` that value was stored under — a recycled slot never answers
+//!   for its previous owner, and one `(group, query)` under one class never
+//!   answers for it under another;
 //! * while nothing has been evicted, every stored entry still hits (removal
 //!   and slab compaction lose nothing);
 //! * an entry touched since the hand last passed it survives the next
@@ -40,16 +42,27 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 const GROUPS: [&str; 3] = ["public", "analysts", "researchers"];
+/// Query classes the model draws from (the front's are keyword, two plans
+/// and any number of ranking modes).
+const CLASSES: u8 = 3;
+
+/// A `(group, query, class)` key, owned.
+type Key = (String, String, u8);
+
+fn key(group: &str, query: &str, class: u8) -> Key {
+    (group.to_string(), query.to_string(), class)
+}
 
 /// The `GroupCache` under test beside its naive reference.
 struct GroupModel {
-    cache: GroupCache<u64>,
+    cache: GroupCache<u8, u64>,
     capacity: usize,
-    /// Last `(version, value)` stored under each key.
-    stored: HashMap<(String, String), (u64, u64)>,
+    /// Last `(version, value)` stored under each key; every value is
+    /// distinct, so an answer for the wrong key shows as a wrong value.
+    stored: HashMap<Key, (u64, u64)>,
     /// Keys stored since the last `clear`; while no more than `capacity`,
     /// nothing can have been evicted.
-    resident: HashSet<(String, String)>,
+    resident: HashSet<Key>,
     version: u64,
     next_value: u64,
 }
@@ -66,41 +79,50 @@ impl GroupModel {
         }
     }
 
-    fn insert(&mut self, group: &str, query: &str) {
+    fn insert(&mut self, group: &str, query: &str, class: u8) {
         self.next_value += 1;
-        self.cache.insert(group, query, self.version, Arc::new(self.next_value));
-        let key = (group.to_string(), query.to_string());
+        self.cache.insert(group, query, class, self.version, self.next_value);
+        let key = key(group, query, class);
         self.stored.insert(key.clone(), (self.version, self.next_value));
         self.resident.insert(key);
     }
 
     /// A fresh key no other step uses.
-    fn insert_fresh(&mut self) -> (String, String) {
-        let key =
-            (GROUPS[self.next_value as usize % 3].to_string(), format!("fresh{}", self.next_value));
-        self.insert(&key.0, &key.1);
+    fn insert_fresh(&mut self) -> Key {
+        let n = self.next_value;
+        let key = key(GROUPS[n as usize % 3], &format!("fresh{n}"), n as u8 % CLASSES);
+        self.insert(&key.0, &key.1, key.2);
         key
     }
 
-    /// Look `(group, query)` up at `version`; whatever comes back must be
-    /// exactly what was stored under that key at that version.
-    fn get(&self, group: &str, query: &str, version: u64) -> Result<bool, TestCaseError> {
-        let got = self.cache.get(group, query, version);
-        let stored = self.stored.get(&(group.to_string(), query.to_string()));
-        match (got.as_deref(), stored) {
-            (Some(&value), Some(&(v, expect))) => {
+    /// Look `(group, query, class)` up at `version`; whatever comes back
+    /// must be exactly what was stored under that key at that version.
+    fn get(
+        &self,
+        group: &str,
+        query: &str,
+        class: u8,
+        version: u64,
+    ) -> Result<bool, TestCaseError> {
+        let got = self.cache.get(group, query, class, version);
+        let stored = self.stored.get(&key(group, query, class));
+        match (got, stored) {
+            (Some(value), Some(&(v, expect))) => {
                 prop_assert_eq!(
                     (version, value),
                     (v, expect),
-                    "wrong value for {}/{}",
+                    "wrong value for {}/{}/{}",
                     group,
-                    query
+                    query,
+                    class
                 );
             }
-            (Some(_), None) => prop_assert!(false, "value for the never-stored {group}/{query}"),
+            (Some(_), None) => {
+                prop_assert!(false, "value for the never-stored {group}/{query}/{class}")
+            }
             (None, Some(&(v, _))) => prop_assert!(
                 v != version || self.resident.len() > self.capacity,
-                "{group}/{query} lost although nothing was ever evicted"
+                "{group}/{query}/{class} lost although nothing was ever evicted"
             ),
             (None, None) => {}
         }
@@ -116,13 +138,14 @@ impl GroupModel {
         &mut self,
         group: &str,
         query: &str,
+        class: u8,
         vouch: bool,
     ) -> Result<bool, TestCaseError> {
-        let key = (group.to_string(), query.to_string());
+        let key = key(group, query, class);
         let stats = self.cache.stats();
         let (revalidations, invalidations) = (stats.revalidations(), stats.invalidations());
         let asked = std::cell::Cell::new(None);
-        let got = self.cache.get_validated(group, query, self.version, |tag| {
+        let got = self.cache.get_validated(group, query, class, self.version, |tag| {
             asked.set(Some(tag));
             vouch
         });
@@ -137,16 +160,18 @@ impl GroupModel {
         let rejected = asked.get().is_some() && !vouch;
         prop_assert_eq!(stats.revalidations(), revalidations + u64::from(readmitted));
         prop_assert_eq!(stats.invalidations(), invalidations + u64::from(rejected));
-        match (got.as_deref(), stored) {
-            (Some(&value), Some((v, expect))) => {
-                prop_assert_eq!(value, expect, "wrong value for {}/{}", group, query);
+        match (got, stored) {
+            (Some(value), Some((v, expect))) => {
+                prop_assert_eq!(value, expect, "wrong value for {}/{}/{}", group, query, class);
                 prop_assert!(v == self.version || readmitted, "served across a version unvouched");
                 self.stored.insert(key, (self.version, expect));
             }
-            (Some(_), None) => prop_assert!(false, "value for the never-stored {group}/{query}"),
+            (Some(_), None) => {
+                prop_assert!(false, "value for the never-stored {group}/{query}/{class}")
+            }
             (None, Some(_)) => prop_assert!(
                 rejected || self.resident.len() > self.capacity,
-                "{group}/{query} lost although nothing was ever evicted"
+                "{group}/{query}/{class} lost although nothing was ever evicted"
             ),
             (None, None) => {}
         }
@@ -167,20 +192,20 @@ proptest! {
     #[test]
     fn group_cache_agrees_with_the_naive_reference(
         capacity in 1usize..9,
-        ops in proptest::collection::vec((0u8..13, 0usize..3, 0usize..6), 1..160),
+        ops in proptest::collection::vec((0u8..14, 0usize..3, 0usize..6, 0..CLASSES), 1..160),
     ) {
         let mut m = GroupModel::new(capacity);
-        for (op, g, q) in ops {
+        for (op, g, q, c) in ops {
             let (group, query) = (GROUPS[g], format!("q{q}"));
             match op {
                 // Insert, or replace in place when the key is cached.
-                0..=2 => m.insert(group, &query),
+                0..=2 => m.insert(group, &query, c),
                 // Lookup at the current version, and at the previous one.
                 3..=5 => {
-                    m.get(group, &query, m.version)?;
+                    m.get(group, &query, c, m.version)?;
                 }
                 6 => {
-                    m.get(group, &query, m.version - 1)?;
+                    m.get(group, &query, c, m.version - 1)?;
                 }
                 7 => m.version += 1,
                 8 if q == 0 => {
@@ -193,9 +218,9 @@ proptest! {
                 // survive the next eviction.
                 8 if capacity >= 2 => {
                     m.insert_fresh();
-                    if m.get(group, &query, m.version)? {
+                    if m.get(group, &query, c, m.version)? {
                         m.insert_fresh();
-                        prop_assert!(m.get(group, &query, m.version)?, "touched entry was evicted");
+                        prop_assert!(m.get(group, &query, c, m.version)?, "touched entry was evicted");
                     }
                 }
                 // Staleness: one lap of the hand — `capacity` inserts into a
@@ -211,10 +236,10 @@ proptest! {
                     for _ in 0..capacity {
                         m.insert_fresh();
                     }
-                    for ((group, query), v) in before {
+                    for ((group, query, class), v) in before {
                         prop_assert!(
-                            m.cache.get(&group, &query, v).is_none(),
-                            "stale {}/{} survived the hand", group, query
+                            m.cache.get(&group, &query, class, v).is_none(),
+                            "stale {}/{}/{} survived the hand", group, query, class
                         );
                     }
                 }
@@ -222,11 +247,11 @@ proptest! {
                 // entry then hits at the probe's version and no longer at
                 // its old one.
                 10 => {
-                    let old = m.stored.get(&(group.to_string(), query.clone())).map(|&(v, _)| v);
-                    if m.get_validated(group, &query, q % 2 == 0)? {
-                        prop_assert!(m.get(group, &query, m.version)?, "re-tagged entry missed");
+                    let old = m.stored.get(&key(group, &query, c)).map(|&(v, _)| v);
+                    if m.get_validated(group, &query, c, q % 2 == 0)? {
+                        prop_assert!(m.get(group, &query, c, m.version)?, "re-tagged entry missed");
                         if let Some(old) = old.filter(|&old| old != m.version) {
-                            prop_assert!(!m.get(group, &query, old)?, "hit at the tag it left");
+                            prop_assert!(!m.get(group, &query, c, old)?, "hit at the tag it left");
                         }
                     }
                 }
@@ -236,9 +261,9 @@ proptest! {
                 11 if capacity >= 2 => {
                     m.version += 1;
                     m.insert_fresh();
-                    if m.get_validated(group, &query, true)? {
+                    if m.get_validated(group, &query, c, true)? {
                         m.insert_fresh();
-                        prop_assert!(m.get(group, &query, m.version)?, "re-admitted entry evicted");
+                        prop_assert!(m.get(group, &query, c, m.version)?, "re-admitted entry evicted");
                     }
                 }
                 // A rejected entry is replaced in place by the recompute's
@@ -247,14 +272,26 @@ proptest! {
                 12 => {
                     m.version += 1;
                     let invalidations = m.cache.stats().invalidations();
-                    prop_assert!(!m.get_validated(group, &query, false)?);
+                    prop_assert!(!m.get_validated(group, &query, c, false)?);
                     let held = m.cache.stats().invalidations() > invalidations;
                     let (len, evictions) = (m.cache.len(), m.cache.stats().evictions());
-                    m.insert(group, &query);
+                    m.insert(group, &query, c);
                     if held {
                         prop_assert_eq!((m.cache.len(), m.cache.stats().evictions()), (len, evictions));
                     }
-                    prop_assert!(m.get(group, &query, m.version)?, "the recompute's insert missed");
+                    prop_assert!(m.get(group, &query, c, m.version)?, "the recompute's insert missed");
+                }
+                // Classes: the same `(group, query)` stored under two classes
+                // is two entries, and neither answers for the other — even
+                // right after the other was stored or re-stored.
+                13 => {
+                    let other = (c + 1) % CLASSES;
+                    m.insert(group, &query, c);
+                    let fresh = m.next_value;
+                    let got = m.cache.get(group, &query, other, m.version);
+                    prop_assert!(got != Some(fresh), "class {} answered for class {}", other, c);
+                    m.get(group, &query, other, m.version)?;
+                    prop_assert!(m.get(group, &query, c, m.version)?, "the class's own insert missed");
                 }
                 _ => {}
             }
@@ -367,28 +404,28 @@ fn eviction_work_is_bounded_by_inserts_not_capacity() {
     for (capacity, readmitted) in
         [4usize, 4096, 65_536].into_iter().flat_map(|c| [(c, false), (c, true)])
     {
-        let cache: GroupCache<usize> = GroupCache::new(capacity);
+        let cache: GroupCache<(), Arc<usize>> = GroupCache::new(capacity);
         let value = Arc::new(0);
         let key = |i: usize| (GROUPS[i % 3], format!("q{i}"));
         for i in 0..capacity {
             let (group, query) = key(i);
-            cache.insert(group, &query, 1, Arc::clone(&value));
+            cache.insert(group, &query, (), 1, Arc::clone(&value));
         }
         // Worst case for the first sweep: every entry referenced.
         let version = if readmitted { 2 } else { 1 };
         for i in 0..capacity {
             let (group, query) = key(i);
-            assert!(cache.get_validated(group, &query, version, |_| true).is_some());
+            assert!(cache.get_validated(group, &query, (), version, |_| true).is_some());
         }
         assert_eq!(cache.stats().revalidations(), if readmitted { capacity as u64 } else { 0 });
         assert_eq!((cache.len(), cache.stats().evictions()), (capacity, 0));
         let inserts = 2 * capacity;
         for i in capacity..capacity + inserts {
             let (group, query) = key(i);
-            cache.insert(group, &query, version, Arc::clone(&value));
+            cache.insert(group, &query, (), version, Arc::clone(&value));
             // Every other insert is hit once, as under a real query mix.
             if i % 2 == 0 {
-                assert!(cache.get(group, &query, version).is_some());
+                assert!(cache.get(group, &query, (), version).is_some());
             }
         }
         let (evictions, steps) = (cache.stats().evictions(), cache.stats().sweep_steps());
@@ -409,16 +446,16 @@ fn lcg(x: u64) -> u64 {
 
 /// Readers hit (and so touch) entries while writers recycle the slots under
 /// them. Every value names the key and version it was stored under, so a
-/// reader handed a recycled slot's contents — another group's answer —
-/// sees it.
+/// reader handed a recycled slot's contents — another group's or another
+/// class's answer — sees it.
 #[test]
 fn concurrent_readers_never_see_another_keys_value() {
     const READERS: usize = 3;
     const QUERIES: usize = 12;
-    let cache: GroupCache<String> = GroupCache::new(8);
+    let cache: GroupCache<u8, Arc<String>> = GroupCache::new(8);
     let barrier = Barrier::new(READERS + 2);
     let done = AtomicBool::new(false);
-    let name = |g: usize, q: usize, v: u64| format!("{}|q{q}|v{v}", GROUPS[g]);
+    let name = |g: usize, q: usize, c: u8, v: u64| format!("{}|q{q}|c{c}|v{v}", GROUPS[g]);
     std::thread::scope(|scope| {
         let writers: Vec<_> = (0..2u64)
             .map(|w| {
@@ -429,13 +466,9 @@ fn concurrent_readers_never_see_another_keys_value() {
                     for i in 0..40_000u64 {
                         x = lcg(x);
                         let (g, q) = ((x >> 33) as usize % 3, (x >> 40) as usize % QUERIES);
-                        let version = 1 + i / 5_000;
-                        cache.insert(
-                            GROUPS[g],
-                            &format!("q{q}"),
-                            version,
-                            Arc::new(name(g, q, version)),
-                        );
+                        let (c, version) = ((x >> 45) as u8 % 2, 1 + i / 5_000);
+                        let value = Arc::new(name(g, q, c, version));
+                        cache.insert(GROUPS[g], &format!("q{q}"), c, version, value);
                     }
                 })
             })
@@ -449,11 +482,11 @@ fn concurrent_readers_never_see_another_keys_value() {
                     while !done.load(Ordering::Relaxed) {
                         x = lcg(x);
                         let (g, q) = ((x >> 33) as usize % 3, (x >> 40) as usize % QUERIES);
-                        let version = 1 + (x >> 50) % 9;
-                        if let Some(value) = cache.get(GROUPS[g], &format!("q{q}"), version) {
+                        let (c, version) = ((x >> 45) as u8 % 2, 1 + (x >> 50) % 9);
+                        if let Some(value) = cache.get(GROUPS[g], &format!("q{q}"), c, version) {
                             assert_eq!(
                                 *value,
-                                name(g, q, version),
+                                name(g, q, c, version),
                                 "value stored under another key"
                             );
                             hits += 1;

@@ -54,10 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Per-group caching: repeated queries hit; different groups never share.
-    let cache: GroupCache<usize> = GroupCache::new(64);
+    let cache: GroupCache<(), usize> = GroupCache::new(64);
     for _ in 0..5 {
         for (group, access) in [("public", &public_access), ("researchers", &researcher_access)] {
-            cache.get_or_compute(group, "kw0, kw1", repo.version(), || {
+            cache.get_or_compute(group, "kw0, kw1", (), repo.version(), || {
                 filter_then_search(&repo, &index, &q, access).hits.len()
             });
         }

@@ -140,11 +140,11 @@ fn parallel_scan_matches_sequential() {
 #[test]
 fn cache_respects_versions_and_groups() {
     let mut repo = populated_repo(3, 0);
-    let cache: GroupCache<usize> = GroupCache::new(32);
+    let cache: GroupCache<(), usize> = GroupCache::new(32);
     let v1 = repo.version();
     let index = KeywordIndex::build(&repo);
     let q = KeywordQuery::parse("kw0");
-    let n1 = *cache.get_or_compute("g", "kw0", v1, || search(&repo, &index, &q).len());
+    let n1 = cache.get_or_compute("g", "kw0", (), v1, || search(&repo, &index, &q).len());
 
     // Mutate the repository → version changes → cached entry is stale.
     let spec = generate_spec(&SpecParams { seed: 77, ..SpecParams::default() });
@@ -152,7 +152,7 @@ fn cache_respects_versions_and_groups() {
     let v2 = repo.version();
     assert_ne!(v1, v2);
     let index2 = KeywordIndex::build(&repo);
-    let n2 = *cache.get_or_compute("g", "kw0", v2, || search(&repo, &index2, &q).len());
+    let n2 = cache.get_or_compute("g", "kw0", (), v2, || search(&repo, &index2, &q).len());
     assert!(n2 >= n1);
     assert!(cache.stats().invalidations() >= 1);
 }

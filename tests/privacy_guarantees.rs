@@ -105,7 +105,7 @@ fn cache_cannot_launder_privileged_answers() {
     let (repo, id) = paper_setup();
     let entry = repo.entry(id).unwrap();
     let index = KeywordIndex::build(&repo);
-    let cache: GroupCache<usize> = GroupCache::new(16);
+    let cache: GroupCache<(), usize> = GroupCache::new(16);
 
     let mut fine: AccessMap = AccessMap::new();
     fine.insert(id, Prefix::full(&entry.hierarchy));
@@ -113,10 +113,10 @@ fn cache_cannot_launder_privileged_answers() {
     coarse.insert(id, Prefix::root_only(&entry.hierarchy));
 
     let q = KeywordQuery::parse("reformat");
-    let priv_hits = *cache.get_or_compute("researchers", "reformat", repo.version(), || {
+    let priv_hits = cache.get_or_compute("researchers", "reformat", (), repo.version(), || {
         filter_then_search(&repo, &index, &q, &fine).hits.len()
     });
-    let pub_hits = *cache.get_or_compute("public", "reformat", repo.version(), || {
+    let pub_hits = cache.get_or_compute("public", "reformat", (), repo.version(), || {
         filter_then_search(&repo, &index, &q, &coarse).hits.len()
     });
     assert_eq!(priv_hits, 1);
