@@ -15,8 +15,8 @@
 //!
 //! * `cold` — first pass, every request a result-cache miss: the uncached
 //!   serving path. The index-gated scatter touches only shards whose
-//!   indexes can satisfy every query term, and surviving shard tasks run
-//!   in parallel on the worker pool on multi-core hosts.
+//!   indexes can satisfy every query term, and the blocking read runs the
+//!   surviving shards in sequence on the calling thread.
 //! * `warm` — second pass over the same stream, served from the
 //!   cluster-front result cache (one probe per request, tagged by the
 //!   cluster's epoch). A shard caches no answer, so a front miss
@@ -28,12 +28,11 @@
 //! single pinned core measured ≥2× at 4 shards. E12's lazy resolver gave
 //! the *single engine* the same per-candidate saving, so on one core the
 //! cluster now runs at rough parity cold (the pruned work no longer
-//! dominates); sharding's remaining levers are pool parallelism,
-//! write isolation and per-shard cache capacity. The acceptance gate is
-//! therefore a **no-regression floor** (default ≥0.7× — sharding must not
-//! make cold serving pathologically slower on one core), not a speedup
-//! claim; raise `--min-speedup` on multi-core hosts where parallel
-//! scatter pays.
+//! dominates); sharding's remaining levers are the async front's
+//! parallel shard jobs (E14), write isolation and per-shard pruning. The
+//! acceptance gate is therefore a **no-regression floor** (default ≥0.7× —
+//! sharding must not make cold serving pathologically slower), not a
+//! speedup claim.
 //!
 //! Before any number is reported, a verification pass asserts every
 //! cluster answer lists exactly the single engine's spec ids. The
@@ -102,7 +101,9 @@ fn qps(total_us: f64, requests: usize) -> f64 {
 
 fn main() {
     let config = parse_args();
-    println!("== E11: sharded vs single-engine serving (scatter/gather over the worker pool) ==");
+    println!(
+        "== E11: sharded vs single-engine serving (blocking read: target shards in sequence) =="
+    );
     println!(
         "corpus: {} specs, {} distinct queries, groups {:?}, seed {}",
         config.specs, config.queries, E10_GROUPS, config.seed
@@ -243,7 +244,7 @@ fn main() {
   "aggregate": {{
     "cold_speedup_at_4_shards": {s4},
     "acceptance_threshold_speedup": {thr:.1},
-    "note": "post-E12 the single engine resolves access views lazily too, so one-core cold serving sits near parity and the gate is a no-regression floor; index-gated scatter pruning still bounds per-shard work and multi-core pool parallelism is where sharding wins cold"
+    "note": "post-E12 the single engine resolves access views lazily too, so one-core cold serving sits near parity and the gate is a no-regression floor; index-gated scatter pruning still bounds per-shard work; the blocking read runs its target shards in sequence, so parallel shard work is the async front's (E14)"
   }}
 }}
 "#,

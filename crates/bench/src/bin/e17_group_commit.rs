@@ -246,7 +246,7 @@ fn front_mutation_pass(
     let us = t.elapsed().as_secs_f64() * 1e6;
     front.quiesce();
     let stats = front.stats();
-    let wal = stats.durability.expect("durable front reports WAL stats");
+    let wal = front.durability_stats().expect("durable front reports WAL stats");
     // The equivalence that matters is the *durable* image: replaying the
     // WAL this pass wrote must rebuild the sequential reference exactly.
     let (recovered, recovery) =

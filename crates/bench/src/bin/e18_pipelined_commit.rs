@@ -206,8 +206,7 @@ fn front_mutation_pass(
     let us = t.elapsed().as_secs_f64() * 1e6;
     front.quiesce();
     front.with_cluster(|c| c.wait_for_pipeline());
-    let stats = front.stats();
-    let wal = stats.durability.expect("durable front reports WAL stats");
+    let wal = front.durability_stats().expect("durable front reports WAL stats");
     // No time is believed over an unverified log: replaying the WAL this
     // pass wrote must rebuild the sequential reference exactly.
     let (recovered, recovery) =

@@ -6,6 +6,8 @@
 //! experiment ids (E1–E9) and their mapping to paper claims live in
 //! DESIGN.md §3; EXPERIMENTS.md records the measured outcomes.
 
+#![forbid(unsafe_code)]
+
 use ppwf_core::policy::{AccessLevel, Policy};
 use ppwf_model::graph::DiGraph;
 use ppwf_model::spec::Specification;

@@ -27,6 +27,8 @@
 //!   policy and an execution, produce the coarsest-necessary view with
 //!   masked data ("zoom out until privacy is achieved").
 
+#![forbid(unsafe_code)]
+
 pub mod data_privacy;
 pub mod dp;
 pub mod enforce;

@@ -37,6 +37,8 @@
 //! assert_eq!(exec.data_count(), 20);    // d0..d19
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitset;
 pub mod codec;
 pub mod error;

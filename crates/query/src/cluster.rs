@@ -18,11 +18,11 @@
 //! survives), `run_shard` per target, and `gather` (merge, then publish to
 //! the front cache at the plan's epoch). The three public entry points
 //! (`search_as`, `private_search_as`, `ranked_search_as`) are instantiations
-//! of one blocking `read` that schedules the shard runs on the persistent
-//! [`WorkerPool`] and waits; the async front ([`crate::serve`]) calls the
-//! same four stages and schedules the shard runs as pool jobs nobody waits
-//! for. Plan, shard run and gather are one implementation; only scheduling
-//! differs.
+//! of one blocking `read` that runs the target shards in sequence on the
+//! calling thread; the async front ([`crate::serve`]) calls the same four
+//! stages and schedules the shard runs as jobs on the persistent
+//! [`WorkerPool`] that nobody waits for. Plan, shard run and gather are one
+//! implementation; only scheduling differs.
 //!
 //! Three invariants make the cluster *transparent* — answers are
 //! bit-identical to a single engine over the same corpus:
@@ -44,9 +44,10 @@
 //!   any access-map resolution. This is pure pruning: it never changes an
 //!   answer, and it is where sharding beats the single engine even on one
 //!   core — selective queries touch one shard's worth of state, not the
-//!   whole corpus. On multi-core hosts the surviving shard tasks also run
-//!   in parallel on the pool. A query that no shard can match is answered
-//!   from the plan alone, touching no shard at all — not even a df memo.
+//!   whole corpus. Through the async front the surviving shard tasks also
+//!   run in parallel on the pool. A query that no shard can match is
+//!   answered from the plan alone, touching no shard at all — not even a
+//!   df memo.
 //!
 //! An answer is cached once, where it is served: in the **cluster-front
 //! result cache**. A shard caches nothing — `run_shard` resolves the
@@ -210,7 +211,11 @@ impl EngineCluster {
         )
     }
 
-    /// Full-control construction: placement strategy and serving pool.
+    /// Full-control construction: placement strategy and serving pool —
+    /// the pool an attached log runs its sync and snapshot jobs on, and
+    /// the one a [`ServeFront`](crate::serve::ServeFront) built with
+    /// [`ServeFront::new`](crate::serve::ServeFront::new) runs shard jobs
+    /// on. The blocking reads never touch it.
     pub fn with_config(
         repo: Repository,
         registry: PrincipalRegistry,
@@ -393,8 +398,8 @@ impl EngineCluster {
             .collect()
     }
 
-    /// The serving pool (shared with the async front, so scoped scatter
-    /// jobs and non-blocking shard tasks drain one queue).
+    /// The serving pool: the async front's default, so its shard tasks
+    /// and the log's sync and snapshot jobs drain one queue.
     pub(crate) fn pool_handle(&self) -> Arc<WorkerPool> {
         Arc::clone(&self.pool)
     }
@@ -435,17 +440,16 @@ impl EngineCluster {
         self.read(Ranked(mode), group, query_text)
     }
 
-    /// The blocking read: the four stages below, with the shard runs
-    /// scheduled on the pool by the calling thread, which waits for them
-    /// (a single-target scatter runs inline — no queue handoff).
-    /// [`crate::serve`] calls the same four and waits for nothing.
+    /// The blocking read: the four stages below, every target shard run
+    /// in sequence on the calling thread. [`crate::serve`] calls the same
+    /// four, runs each shard as its own pool job and waits for nothing.
     fn read<M: ReadMode>(&self, mode: M, group: &str, query_text: &str) -> Option<Arc<M::Answer>> {
         if let Some(hit) = self.probe(mode, group, query_text, false) {
             return Some(hit);
         }
         let plan = &self.plan(mode, group.to_owned(), query_text.to_owned())?;
-        let runs = (0..plan.targets.len()).map(|slot| move || self.run_shard(plan, slot));
-        Some(self.gather(plan, self.pool.run(runs.collect())))
+        let parts = (0..plan.targets.len()).map(|slot| self.run_shard(plan, slot)).collect();
+        Some(self.gather(plan, parts))
     }
 
     /// Stage 1 — probe the cluster-front cache under `mode`'s class at the

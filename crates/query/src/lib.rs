@@ -34,6 +34,8 @@
 //!   completions, so a small fixed pool multiplexes many in-flight
 //!   queries (experiment E14).
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod engine;
 #[cfg(test)]

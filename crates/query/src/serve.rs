@@ -89,8 +89,8 @@
 //! only unacknowledged frames, which recovery truncates at the tear like
 //! any unsynced suffix.
 //!
-//! Warm inline completions recycle their ticket allocations through a
-//! [`TicketPool`], so a front-cache hit allocates nothing on the hot path.
+//! A warm inline completion is a [`Ticket::ready`] value, so a front-cache
+//! hit allocates no ticket state and takes no ticket lock.
 
 use crate::cluster::{EngineCluster, RankedHits, ReadPlan};
 use crate::engine::Plan;
@@ -102,7 +102,7 @@ use parking_lot::RwLock;
 use ppwf_model::{ModelError, Result};
 use ppwf_repo::mutation::{Mutation, MutationEffect};
 use ppwf_repo::pool::WorkerPool;
-use ppwf_repo::ticket::{Ticket, TicketCompleter, TicketPool};
+use ppwf_repo::ticket::{Ticket, TicketCompleter};
 use ppwf_repo::wal::{DurableCallback, WalResult};
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -207,9 +207,6 @@ pub struct ServeStats {
     pub write_batches: u64,
     /// Largest mutation batch one dispatch ran.
     pub max_write_batch: u64,
-    /// Warm inline completions served from a recycled ticket allocation
-    /// (see [`TicketPool`]).
-    pub warm_ticket_reuses: u64,
     /// Pump passes that found a mutation at the head of the queue still
     /// fenced behind in-flight reads.
     pub fence_waits: u64,
@@ -227,12 +224,6 @@ pub struct ServeStats {
     /// submit→complete latency ≤ [`LATENCY_BOUNDS_US`]`[i]` µs (last
     /// bucket: everything slower).
     pub latency_counts: [u64; LATENCY_BOUNDS_US.len() + 1],
-    /// Durability counters of the underlying cluster (batch-size
-    /// histogram, fsyncs saved, snapshot pause timings …), when a log is
-    /// attached *and* the cluster read lock was free at the moment
-    /// [`ServeFront::stats`] probed it; always populated once the front
-    /// has quiesced.
-    pub durability: Option<ppwf_repo::wal::DurabilityStats>,
 }
 
 #[derive(Default)]
@@ -309,10 +300,6 @@ struct Admission {
     writer_active: bool,
 }
 
-/// Slots the warm-ticket slab retains; sized past any realistic number of
-/// simultaneously live warm tickets so steady-state warm serving reuses.
-const WARM_TICKET_SLOTS: usize = 64;
-
 struct Shared {
     cluster: RwLock<EngineCluster>,
     pool: Arc<WorkerPool>,
@@ -324,8 +311,6 @@ struct Shared {
     /// lifetime); 1 and 0 without a log.
     max_batch: usize,
     max_delay_us: u64,
-    /// Recycled allocations for warm inline completions.
-    warm_tickets: TicketPool<ServeResponse>,
 }
 
 /// The asynchronous serving front. See the module docs.
@@ -341,8 +326,8 @@ impl ServeFront {
     }
 
     /// Serve `cluster`, running shard tasks and mutations on `pool`
-    /// (normally the same pool the cluster's blocking scatter uses, so
-    /// all work drains one queue).
+    /// (normally the cluster's own pool, which its log's sync and snapshot
+    /// jobs use, so all work drains one queue).
     pub fn with_pool(cluster: EngineCluster, pool: Arc<WorkerPool>) -> Self {
         let (max_batch, max_delay_us) = cluster.write_batching();
         ServeFront {
@@ -357,7 +342,6 @@ impl ServeFront {
                 counters: Counters::default(),
                 max_batch,
                 max_delay_us,
-                warm_tickets: TicketPool::new(WARM_TICKET_SLOTS),
             }),
         }
     }
@@ -409,7 +393,7 @@ impl ServeFront {
                 drop(cluster);
                 shared.counters.warm_inline.fetch_add(1, Ordering::Relaxed);
                 shared.counters.record_latency(submitted);
-                return shared.warm_tickets.ready(ServeResponse { epoch, answer: wrap(Some(hit)) });
+                return Ticket::ready(ServeResponse { epoch, answer: wrap(Some(hit)) });
             }
         }
         let dispatch = move |shared: &Arc<Shared>, pending| {
@@ -446,17 +430,11 @@ impl ServeFront {
             mutations: c.mutations.load(Ordering::Relaxed),
             write_batches: c.write_batches.load(Ordering::Relaxed),
             max_write_batch: c.max_write_batch.load(Ordering::Relaxed),
-            warm_ticket_reuses: self.shared.warm_tickets.reused(),
             fence_waits: c.fence_waits.load(Ordering::Relaxed),
             in_flight_high_water: c.in_flight_high_water.load(Ordering::Relaxed),
             queue_depth,
             queue_high_water: c.queue_high_water.load(Ordering::Relaxed),
             latency_counts,
-            durability: self
-                .shared
-                .cluster
-                .try_read()
-                .and_then(|cluster| cluster.durability_stats()),
         }
     }
 
@@ -1221,7 +1199,7 @@ mod tests {
         assert_eq!(stats.mutations, 5);
         assert_eq!(stats.write_batches, 1, "all queued writes must drain as one batch");
         assert_eq!(stats.max_write_batch, 5);
-        let wal = stats.durability.expect("durable front reports wal stats");
+        let wal = front.durability_stats().expect("durable front reports wal stats");
         assert_eq!(wal.appends, 5, "appends keep counting durable mutations");
         assert_eq!(wal.records, 1, "one physical record covers the batch");
         assert_eq!(wal.syncs, 1, "one fsync acknowledges the whole batch");
@@ -1303,7 +1281,7 @@ mod tests {
         let stats = front.stats();
         assert_eq!(stats.mutations, 5);
         assert_eq!(stats.write_batches, 1, "queued writes still drain as one batch");
-        let wal = stats.durability.expect("durable front reports wal stats");
+        let wal = front.durability_stats().expect("durable front reports wal stats");
         assert_eq!(wal.appends, 5);
         assert_eq!(wal.records, 1, "the pipelined batch still appends as one record");
         assert!(wal.syncs >= 1, "at least one covering fsync acknowledged the batch");
@@ -1332,23 +1310,21 @@ mod tests {
         );
     }
 
-    /// The second warm hit recycles the first's consumed ticket slot.
+    /// A warm ticket dropped unawaited takes its answer with it: nothing
+    /// but the front cache and the client ever holds a served answer.
     #[test]
-    fn warm_hits_reuse_pooled_tickets() {
+    fn a_dropped_warm_ticket_releases_its_answer() {
         let front = front(4, 2, 2);
-        front.submit(keyword("researchers", "risk")).wait();
-        let first_warm = front.submit(keyword("researchers", "risk"));
-        assert!(first_warm.is_complete());
-        first_warm.wait();
-        let second_warm = front.submit(keyword("researchers", "risk"));
-        second_warm.wait();
-        let stats = front.stats();
-        assert_eq!(stats.warm_inline, 2);
-        assert!(
-            stats.warm_ticket_reuses >= 1,
-            "a consumed warm ticket must be recycled, got {} reuses",
-            stats.warm_ticket_reuses
-        );
+        let QueryAnswer::Keyword(Some(hits)) =
+            front.submit(keyword("researchers", "risk")).wait().answer
+        else {
+            panic!("expected a keyword answer")
+        };
+        let warm = front.submit(keyword("researchers", "risk"));
+        assert!(warm.is_complete(), "the second read is a warm hit");
+        drop(warm);
+        assert_eq!(front.stats().warm_inline, 1);
+        assert_eq!(Arc::strong_count(&hits), 2, "only the front and this test hold the answer");
     }
 
     #[test]

@@ -33,15 +33,15 @@
 //! * [`view_cache`] — a `(spec, prefix)`-keyed memo of flattened
 //!   [`SpecView`](ppwf_model::expand::SpecView)s (with their transitive
 //!   closures riding along), the query layer's view fast path,
-//! * [`pool`] — the persistent worker pool scans and the query layer's
-//!   scatter/gather run on (no per-call thread spawns), with both a
-//!   blocking scoped API and a non-blocking `submit`/`exec` path,
+//! * [`pool`] — the persistent worker pool the serving front's shard
+//!   jobs, the WAL's fsyncs and background snapshots run on (no per-call
+//!   thread spawns); every job is owned, queued by `submit` or `exec`,
 //! * [`ticket`] — [`ticket::Ticket`]/[`ticket::TicketCompleter`]
 //!   completion handles the async serving front multiplexes in-flight
 //!   queries with (park/notify wakeups, caller helping, per-ticket panic
 //!   propagation),
-//! * [`scan`] — parallel repository scans (on the pool) for the non-indexed
-//!   baseline the benchmarks compare against,
+//! * [`scan`] — the specification scan behind the non-indexed baseline
+//!   the benchmarks compare against,
 //! * [`stats`] — repository statistics for operators,
 //! * [`storage`] — the injectable [`StorageBackend`](storage::StorageBackend)
 //!   the durability subsystem runs on: real files ([`storage::FsStorage`])
@@ -58,6 +58,8 @@
 //!   views (the paper's "user groups" made concrete), lazily through the
 //!   memoized [`AccessCache`]/[`AccessResolver`] on the query path, with
 //!   the eager whole-corpus map kept as the benchmark baseline.
+
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub(crate) mod fnv;

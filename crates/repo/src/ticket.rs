@@ -1,16 +1,16 @@
 //! Completion handles for the pool's non-blocking submission path.
 //!
-//! [`WorkerPool::scope`](crate::pool::WorkerPool::scope) is a *blocking*
-//! API: the submitting thread cannot return until every spawned job
-//! finishes, which is exactly right for borrowing scatter/gather and
-//! exactly wrong for a serving front that wants many queries in flight per
-//! thread. A [`Ticket`] decouples the two halves: submission returns
-//! immediately with a handle, the job (or a chain of jobs — the query
-//! layer's gather completes a ticket from whichever shard task finishes
-//! last) completes the handle whenever it is done, and the owner collects
-//! the value with [`Ticket::wait`] only when it actually needs it.
+//! A serving front wants many queries in flight per thread, so submission
+//! must not wait for the work it queues. A [`Ticket`] decouples the two
+//! halves: submission returns immediately with a handle, the job (or a
+//! chain of jobs — the serving front's gather completes a ticket from
+//! whichever shard task finishes last) completes the handle whenever it is
+//! done, and the owner collects the value with [`Ticket::wait`] only when
+//! it actually needs it. A ticket is either a value ([`Ticket::ready`],
+//! the serving front's warm hits: no allocation, no lock) or a pending
+//! state shared with its [`TicketCompleter`].
 //!
-//! Three properties carry over from the scoped API:
+//! Three properties hold for pending tickets:
 //!
 //! * **Caller helping.** A thread blocked in [`Ticket::wait`] drains the
 //!   pool's queue instead of sleeping, so a 1-thread pool whose only
@@ -28,7 +28,6 @@
 use crate::pool::WorkerPool;
 use std::any::Any;
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -64,10 +63,14 @@ impl<T> State<T> {
 }
 
 /// The owner's half of an in-flight result. See the module docs.
-pub struct Ticket<T> {
-    state: Arc<State<T>>,
-    /// Pool to help while waiting; `None` for [`Ticket::ready`] values.
-    pool: Option<Arc<WorkerPool>>,
+pub struct Ticket<T>(Repr<T>);
+
+enum Repr<T> {
+    /// Complete from the start: [`Ticket::ready`].
+    Ready(T),
+    /// Shared with a [`TicketCompleter`]; `pool` is the queue a waiter
+    /// helps drain.
+    Pending { state: Arc<State<T>>, pool: Option<Arc<WorkerPool>> },
 }
 
 /// The producer's half: complete it exactly once with a value or a panic
@@ -82,20 +85,25 @@ impl<T> Ticket<T> {
     /// helps drain; pass the pool the completing job runs on.
     pub fn pending(pool: Option<Arc<WorkerPool>>) -> (Ticket<T>, TicketCompleter<T>) {
         let state = Arc::new(State { slot: Mutex::new(Slot::Pending), done: Condvar::new() });
-        (Ticket { state: Arc::clone(&state), pool }, TicketCompleter { state: Some(state) })
+        let ticket = Ticket(Repr::Pending { state: Arc::clone(&state), pool });
+        (ticket, TicketCompleter { state: Some(state) })
     }
 
     /// A ticket that is already complete — the serving front's inline
-    /// warm-hit path, which never touches the queue.
+    /// warm-hit path, which never touches the queue. Allocates nothing.
     pub fn ready(value: T) -> Ticket<T> {
-        let state = Arc::new(State { slot: Mutex::new(Slot::Done(value)), done: Condvar::new() });
-        Ticket { state, pool: None }
+        Ticket(Repr::Ready(value))
     }
 
     /// Whether the ticket has completed (value, panic, or abandonment).
     /// `wait` will not block once this returns true.
     pub fn is_complete(&self) -> bool {
-        !matches!(*self.state.slot.lock().expect("ticket state"), Slot::Pending)
+        match &self.0 {
+            Repr::Ready(_) => true,
+            Repr::Pending { state, .. } => {
+                !matches!(*state.slot.lock().expect("ticket state"), Slot::Pending)
+            }
+        }
     }
 
     /// Block until the job completes and return its value. While pending,
@@ -105,9 +113,13 @@ impl<T> Ticket<T> {
     /// the job panicked, the payload is re-thrown here — on the owning
     /// thread, and only here.
     pub fn wait(self) -> T {
+        let (state, pool) = match self.0 {
+            Repr::Ready(value) => return value,
+            Repr::Pending { state, pool } => (state, pool),
+        };
         loop {
             {
-                let mut slot = self.state.slot.lock().expect("ticket state");
+                let mut slot = state.slot.lock().expect("ticket state");
                 match std::mem::replace(&mut *slot, Slot::Pending) {
                     Slot::Done(value) => return value,
                     Slot::Panicked(payload) => {
@@ -120,89 +132,20 @@ impl<T> Ticket<T> {
                     Slot::Pending => {}
                 }
             }
-            if let Some(pool) = &self.pool {
+            if let Some(pool) = &pool {
                 if pool.help_one() {
                     continue;
                 }
             }
-            let slot = self.state.slot.lock().expect("ticket state");
+            let slot = state.slot.lock().expect("ticket state");
             if !matches!(*slot, Slot::Pending) {
                 continue;
             }
             // The completing job may still be mid-run on a worker. The
             // bounded wait re-checks the queue (jobs can spawn jobs the
-            // helper should pick up), mirroring the scope WaitGuard.
-            let _ =
-                self.state.done.wait_timeout(slot, Duration::from_millis(1)).expect("ticket state");
+            // helper should pick up).
+            let _ = state.done.wait_timeout(slot, Duration::from_millis(1)).expect("ticket state");
         }
-    }
-}
-
-/// A bounded slab of completed-ticket allocations for hot inline paths.
-///
-/// [`Ticket::ready`] allocates a fresh `Arc<State>` per call — fine for
-/// cold queries, measurable on the serving front's warm path, where a
-/// front-cache hit is otherwise a single probe plus an `Arc` clone. A
-/// `TicketPool` recycles the allocation: [`TicketPool::ready`] hands back
-/// a slot whose previous ticket has been consumed or dropped, and
-/// allocates only when the pool is cold or every slot is still live.
-///
-/// Soundness of the reuse test: `Ticket` is not `Clone` and a pooled
-/// state is never handed to a completer, so the pool's own reference is
-/// the only one left exactly when `Arc::strong_count == 1` — and the slab
-/// lock is held across the check-and-clone, so two `ready` calls cannot
-/// claim the same slot.
-pub struct TicketPool<T> {
-    slots: Mutex<Vec<Arc<State<T>>>>,
-    capacity: usize,
-    reused: AtomicU64,
-    allocated: AtomicU64,
-}
-
-impl<T> TicketPool<T> {
-    /// A pool retaining up to `capacity` recycled allocations.
-    pub fn new(capacity: usize) -> Self {
-        TicketPool {
-            slots: Mutex::new(Vec::with_capacity(capacity.min(64))),
-            capacity,
-            reused: AtomicU64::new(0),
-            allocated: AtomicU64::new(0),
-        }
-    }
-
-    /// A ticket that is already complete — [`Ticket::ready`] semantics,
-    /// reusing a pooled allocation when one is free.
-    pub fn ready(&self, value: T) -> Ticket<T> {
-        let free = {
-            let slots = self.slots.lock().expect("ticket pool");
-            slots.iter().find(|state| Arc::strong_count(state) == 1).cloned()
-        };
-        if let Some(state) = free {
-            // Overwrite whatever the previous ticket left behind
-            // (`wait` leaves `Pending`, an unawaited drop leaves `Done`).
-            *state.slot.lock().expect("ticket state") = Slot::Done(value);
-            self.reused.fetch_add(1, Ordering::Relaxed);
-            return Ticket { state, pool: None };
-        }
-        let state = Arc::new(State { slot: Mutex::new(Slot::Done(value)), done: Condvar::new() });
-        {
-            let mut slots = self.slots.lock().expect("ticket pool");
-            if slots.len() < self.capacity {
-                slots.push(Arc::clone(&state));
-            }
-        }
-        self.allocated.fetch_add(1, Ordering::Relaxed);
-        Ticket { state, pool: None }
-    }
-
-    /// Tickets served from a recycled allocation.
-    pub fn reused(&self) -> u64 {
-        self.reused.load(Ordering::Relaxed)
-    }
-
-    /// Tickets that had to allocate (pool cold, or every slot still live).
-    pub fn allocated(&self) -> u64 {
-        self.allocated.load(Ordering::Relaxed)
     }
 }
 
@@ -259,38 +202,6 @@ mod tests {
         drop(completer);
         let caught = catch_unwind(AssertUnwindSafe(move || ticket.wait()));
         assert!(caught.is_err(), "abandoned ticket must not hang");
-    }
-
-    #[test]
-    fn ticket_pool_recycles_consumed_slots() {
-        let pool = TicketPool::new(4);
-        let a = pool.ready(1u32);
-        assert_eq!(pool.allocated(), 1);
-        // `a` is live: the slot cannot be reused under it.
-        let b = pool.ready(2u32);
-        assert_eq!(pool.allocated(), 2);
-        assert_eq!(pool.reused(), 0);
-        assert_eq!(a.wait(), 1);
-        assert_eq!(b.wait(), 2);
-        // Both consumed: the next two come from the slab.
-        let c = pool.ready(3u32);
-        let d = pool.ready(4u32);
-        assert_eq!(pool.reused(), 2);
-        assert_eq!(pool.allocated(), 2);
-        assert_eq!(c.wait(), 3);
-        assert_eq!(d.wait(), 4);
-    }
-
-    #[test]
-    fn ticket_pool_over_capacity_falls_back_to_fresh_allocations() {
-        let pool = TicketPool::new(1);
-        let live: Vec<Ticket<u32>> = (0..3).map(|i| pool.ready(i)).collect();
-        assert_eq!(pool.allocated(), 3, "live tickets force allocation");
-        for (i, t) in live.into_iter().enumerate() {
-            assert_eq!(t.wait(), i as u32);
-        }
-        let _again = pool.ready(9);
-        assert_eq!(pool.reused(), 1, "the single retained slot recycles");
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn panic_reaches_exactly_the_owning_ticket() {
         }
     }
     // The pool survives: workers caught the panic, nothing is wedged.
-    assert_eq!(pool.run(vec![|| 1u8, || 2]), vec![1, 2]);
+    assert_eq!(pool.submit(|| 1u8).wait(), 1);
 }
 
 #[test]
@@ -134,16 +134,4 @@ fn dropping_unawaited_tickets_leaks_nothing() {
         assert!(std::time::Instant::now() < deadline, "unawaited ticket values leaked");
         std::thread::yield_now();
     }
-}
-
-#[test]
-fn submission_interleaves_with_scoped_scatter() {
-    // The non-blocking path shares the queue with the scoped API; both
-    // must make progress when interleaved on a saturated pool.
-    let pool = Arc::new(WorkerPool::new(2));
-    let tickets: Vec<_> = (0..8u64).map(|i| pool.submit(move || i + 100)).collect();
-    let scoped: Vec<u64> = pool.run((0..8u64).map(|i| move || i).collect::<Vec<_>>());
-    assert_eq!(scoped, (0..8u64).collect::<Vec<_>>());
-    let submitted: Vec<u64> = tickets.into_iter().map(|t| t.wait()).collect();
-    assert_eq!(submitted, (100..108u64).collect::<Vec<_>>());
 }

@@ -17,6 +17,8 @@
 //! * [`zoom`] — the zoom-out walk over the prefix lattice used by
 //!   privacy-controlled query answering (Sec. 4).
 
+#![forbid(unsafe_code)]
+
 pub mod clustering;
 pub mod exec_view;
 pub mod repair;

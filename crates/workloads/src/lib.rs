@@ -27,6 +27,8 @@
 //!
 //! Everything is deterministic under a caller-provided seed.
 
+#![forbid(unsafe_code)]
+
 pub mod gencrash;
 pub mod genexec;
 pub mod genmodule;

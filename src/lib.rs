@@ -17,6 +17,8 @@
 //! See `README.md` for a guided tour, `DESIGN.md` for the system inventory
 //! and `EXPERIMENTS.md` for the figure/experiment reproduction log.
 
+#![forbid(unsafe_code)]
+
 pub use ppwf_core as privacy;
 pub use ppwf_model as model;
 pub use ppwf_query as query;

@@ -10,7 +10,6 @@ use ppwf::repo::cache::GroupCache;
 use ppwf::repo::keyword_index::KeywordIndex;
 use ppwf::repo::reach_index::ReachIndex;
 use ppwf::repo::repository::{Repository, SpecId};
-use ppwf::repo::scan::scan_executions;
 use ppwf::workloads::genexec::generate_executions;
 use ppwf::workloads::genspec::{generate_spec, SpecParams};
 use std::collections::HashMap;
@@ -124,16 +123,6 @@ fn persistence_preserves_everything_queryable() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn parallel_scan_matches_sequential() {
-    let repo = populated_repo(4, 6);
-    let seq = scan_executions(&repo, 1, |sid, i, e| Some((sid, i, e.data_count())));
-    for threads in [2, 4, 8] {
-        let par = scan_executions(&repo, threads, |sid, i, e| Some((sid, i, e.data_count())));
-        assert_eq!(seq, par, "threads={threads}");
     }
 }
 
