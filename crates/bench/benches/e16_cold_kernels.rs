@@ -3,11 +3,11 @@
 //! The JSON emitter (`--bin e16_cold_kernels`) owns the acceptance run
 //! (end-to-end search over a generated corpus, verified answers, gated
 //! speedups). This harness isolates the two kernels underneath on
-//! synthetic lists whose shapes are pinned by construction:
+//! synthetic lists:
 //!
-//! * `intersect` — multi-term candidate-spec intersection:
-//!   `delta_gallop` over two block-compressed sparse lists,
-//!   `bitmap_and` over two dense bitmap-sealed lists, and
+//! * `intersect` — multi-term candidate-spec intersection over two sparse
+//!   lists: `kernel` is [`intersect_term_specs`] (one list's specs,
+//!   binary-searched in the other), and
 //!   `baseline_merge`, which derives spec sets from the flat sorted
 //!   posting arrays the PR-6 index kept and merges them two-pointer
 //!   style (spec sets never pre-existed in that representation);
@@ -19,21 +19,16 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppwf_model::ids::{ModuleId, WorkflowId};
 use ppwf_query::ranking::{score_with_idfs, scores_for_profiles, RankingMode, TfProfile};
-use ppwf_repo::postings::{intersect_term_specs, Posting, PostingList, PostingsShape, TermLists};
+use ppwf_repo::postings::{intersect_term_specs, Posting, PostingList, TermLists};
 use ppwf_repo::repository::SpecId;
 
 /// A synthetic list posting every `stride`-th spec id below `span`.
-/// `stride ≤ 4` seals to a bitmap (density ≥ 1/4 with ≥ 64 distinct
-/// specs), larger strides to uvarint delta blocks.
 fn strided_list(stride: u32, span: u32) -> PostingList {
     let postings: Vec<Posting> = (0..span)
         .step_by(stride as usize)
         .map(|s| Posting { spec: SpecId(s), module: ModuleId(0), workflow: WorkflowId(0), tf: 1 })
         .collect();
-    let list = PostingList::from_postings(postings);
-    let mut specs = Vec::new();
-    list.specs_into(&mut specs); // seal once, outside timing
-    list
+    PostingList::from_postings(postings)
 }
 
 /// The PR-6 shape of the same question: spec sets don't pre-exist — they
@@ -71,47 +66,31 @@ fn bench_intersect(c: &mut Criterion) {
     let mut group = c.benchmark_group("e16_intersect");
     const SPAN: u32 = 32_768;
 
-    // Sparse × sparse: strides 16 and 24 → delta blocks with skips; the
-    // intersection (every 48th spec) is ~683 of 2048/1366 candidates.
-    let sparse_a = strided_list(16, SPAN);
-    let sparse_b = strided_list(24, SPAN);
-    assert!(matches!(sparse_a.shape(), PostingsShape::Delta { .. }), "stride 16 must delta-seal");
-    assert!(matches!(sparse_b.shape(), PostingsShape::Delta { .. }), "stride 24 must delta-seal");
+    // Sparse × sparse: strides 16 and 24; the intersection (every 48th
+    // spec) is ~683 of 2048/1366 candidates.
+    let (a, b) = (strided_list(16, SPAN), strided_list(24, SPAN));
+    let groups =
+        [TermLists { primary: Some(&a), seed: None }, TermLists { primary: Some(&b), seed: None }];
+    let (pa, pb) = (a.to_vec(), b.to_vec());
+    let (mut sa, mut sb) = (Vec::new(), Vec::new());
+    let mut expect = Vec::new();
+    merge_intersect(&pa, &pb, &mut sa, &mut sb, &mut expect);
+    let (mut tmp, mut out) = (Vec::new(), Vec::new());
+    intersect_term_specs(&groups, &mut tmp, &mut out);
+    assert_eq!(out, expect, "kernel and merge must agree");
 
-    // Dense × dense: strides 2 and 3 → bitmap words, AND-able wordwise.
-    let dense_a = strided_list(2, SPAN);
-    let dense_b = strided_list(3, SPAN);
-    assert!(matches!(dense_a.shape(), PostingsShape::Bitmap { .. }), "stride 2 must bitmap-seal");
-    assert!(matches!(dense_b.shape(), PostingsShape::Bitmap { .. }), "stride 3 must bitmap-seal");
-
-    for (label, a, b) in
-        [("sparse_delta", &sparse_a, &sparse_b), ("dense_bitmap", &dense_a, &dense_b)]
-    {
-        let groups = [
-            TermLists { primary: Some(a), seed: None },
-            TermLists { primary: Some(b), seed: None },
-        ];
-        let (pa, pb) = (a.to_vec(), b.to_vec());
-        let (mut sa, mut sb) = (Vec::new(), Vec::new());
-        let mut expect = Vec::new();
-        merge_intersect(&pa, &pb, &mut sa, &mut sb, &mut expect);
-        let (mut tmp, mut out) = (Vec::new(), Vec::new());
-        intersect_term_specs(&groups, &mut tmp, &mut out);
-        assert_eq!(out, expect, "kernel and merge must agree on {label}");
-
-        group.bench_with_input(BenchmarkId::new("kernel", label), &SPAN, |bch, _| {
-            bch.iter(|| {
-                intersect_term_specs(&groups, &mut tmp, &mut out);
-                out.len()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("baseline_merge", label), &SPAN, |bch, _| {
-            bch.iter(|| {
-                merge_intersect(&pa, &pb, &mut sa, &mut sb, &mut out);
-                out.len()
-            })
-        });
-    }
+    group.bench_with_input(BenchmarkId::new("kernel", "sparse"), &SPAN, |bch, _| {
+        bch.iter(|| {
+            intersect_term_specs(&groups, &mut tmp, &mut out);
+            out.len()
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("baseline_merge", "sparse"), &SPAN, |bch, _| {
+        bch.iter(|| {
+            merge_intersect(&pa, &pb, &mut sa, &mut sb, &mut out);
+            out.len()
+        })
+    });
     group.finish();
 }
 

@@ -1,6 +1,6 @@
-//! E16 baseline emitter: cold-path query kernels — block-compressed
-//! postings with galloping/bitmap intersection and restricted gather —
-//! versus a faithful replica of the PR-6 flat-`Vec` dataflow.
+//! E16 baseline emitter: cold-path query kernels — candidate-spec
+//! intersection and restricted gather over sorted posting lists — versus
+//! a faithful replica of the PR-6 flat-`Vec` dataflow.
 //!
 //! ```bash
 //! cargo run --release -p ppwf-bench --bin e16_cold_kernels -- \
@@ -11,7 +11,7 @@
 //!
 //! One E11-shaped corpus, one distinct multi-term-only query log (every
 //! query is an AND of two terms — the selective shape whose answer is the
-//! *intersection* of the terms' candidate specs). Five sections:
+//! *intersection* of the terms' candidate specs). Four sections:
 //!
 //! * **Cold selective search.** The in-repo [`BaselineIndex`] replicates
 //!   the PR-6 index byte for byte — `HashMap<String, Vec<Posting>>`
@@ -31,14 +31,11 @@
 //!   index — is measured too, with its front-cache counters asserted
 //!   hit-only (the warm path never re-enters the kernel pipeline).
 //! * **Write no-regression.** A typed write stream drives per-write
-//!   maintenance of the block-compressed index (`apply_effect` on each
+//!   maintenance of the kernel-side index (`apply_effect` on each
 //!   write's effect) versus the PR-6 refresh replica (fingerprint
 //!   verification scan, `Vec` append tail). Gate: kernel maintenance ≤
 //!   `--max-write-ratio` × baseline refresh; the maintained index must
 //!   answer the log identically to a fresh build.
-//! * **Seal boundary (honest cost).** Lists compress on *first* lookup;
-//!   a freshly built index pays that once per touched term. Reported as
-//!   first-pass vs sealed-pass lookup time — not gated, but committed.
 //! * **Pool-width sweep.** Cold scatter over a 4-shard cluster at worker
 //!   pool widths `--pool-widths`. On a single-core host this measures
 //!   dispatch overhead, not parallelism — reported, not gated.
@@ -632,7 +629,7 @@ fn main() {
     }
     let write_ratio = kernel_write_us / base_write_us;
 
-    // The maintained block-compressed index answers like a fresh build,
+    // The maintained kernel-side index answers like a fresh build,
     // and like the baseline replica, on every log term.
     let fresh = KeywordIndex::build(&repo_kernel);
     assert_eq!(idx_kernel.doc_count(), fresh.doc_count(), "doc_count diverged after writes");
@@ -654,37 +651,7 @@ fn main() {
     println!("\n-- per-write maintenance ({} writes) --", stream.len());
     println!("  baseline refresh: {base_write_us:>8.0} µs   kernel refresh: {kernel_write_us:>8.0} µs   ratio {write_ratio:.3} (gate ≤ {:.2})", config.max_write_ratio);
 
-    // -- section D: seal boundary (honest cost) -----------------------------
-    let mut seal_tokens: Vec<String> = queries
-        .iter()
-        .flat_map(|q| q.terms.iter())
-        .flat_map(|t| t.split(' '))
-        .map(|t| t.to_string())
-        .collect();
-    seal_tokens.sort();
-    seal_tokens.dedup();
-    let seal_index = KeywordIndex::build(&repo);
-    let t = Instant::now();
-    let mut seal_postings = 0usize;
-    for tok in &seal_tokens {
-        seal_postings += seal_index.lookup(tok).len();
-    }
-    let seal_first_us = t.elapsed().as_secs_f64() * 1e6;
-    let t = Instant::now();
-    let mut sealed_postings = 0usize;
-    for tok in &seal_tokens {
-        sealed_postings += seal_index.lookup(tok).len();
-    }
-    let sealed_us = t.elapsed().as_secs_f64() * 1e6;
-    assert_eq!(seal_postings, sealed_postings, "sealing changed answers");
-    println!(
-        "\n-- seal boundary ({} distinct tokens, {} postings) --",
-        seal_tokens.len(),
-        seal_postings
-    );
-    println!("  first lookup (seals): {seal_first_us:.0} µs   sealed lookup: {sealed_us:.0} µs");
-
-    // -- section E: pool-width sweep (cold scatter) -------------------------
+    // -- section D: pool-width sweep (cold scatter) -------------------------
     println!("\n-- pool-width sweep (4-shard cold scatter, {} queries) --", pairs.len());
     let mut sweep: Vec<(usize, f64, usize)> = Vec::new();
     for &w in &config.pool_widths {
@@ -740,10 +707,6 @@ fn main() {
     "count": {nw}, "baseline_refresh_us": {base_write_us:.0},
     "kernel_refresh_us": {kernel_write_us:.0}, "ratio": {write_ratio:.4}
   }},
-  "seal_boundary": {{
-    "distinct_tokens": {ntok}, "postings": {seal_postings},
-    "first_lookup_us": {seal_first_us:.0}, "sealed_lookup_us": {sealed_us:.0}
-  }},
   "pool_sweep": [
     {sweep_json}
   ],
@@ -767,7 +730,6 @@ fn main() {
         bpq = base_cold_us / pairs.len() as f64,
         kpq = kernel_cold_us / pairs.len() as f64,
         nw = stream.len(),
-        ntok = seal_tokens.len(),
         sweep_json = sweep_json.join(",\n    "),
     );
     std::fs::write(&config.out, json).expect("write benchmark json");

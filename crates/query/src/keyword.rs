@@ -18,7 +18,6 @@ use ppwf_repo::keyword_index::{filter_postings, tokenize, KeywordIndex};
 use ppwf_repo::postings::{with_scratch, QueryScratch};
 use ppwf_repo::principals::SpecAccess;
 use ppwf_repo::repository::{Repository, SpecId};
-use ppwf_repo::scan::scan_specs;
 use ppwf_repo::view_cache::ViewCache;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -179,11 +178,11 @@ pub fn search_filtered_with_cache(
 
 /// The cold-path kernel pipeline behind every index-backed entry point:
 ///
-/// 1. **Candidate discovery** — intersect the terms' spec supersets over
-///    the block-compressed lists (galloping skips / bitmap AND), so specs
-///    that cannot satisfy the AND semantics never materialize a posting.
-/// 2. **Restricted gather** — decode only the candidate specs' blocks per
-///    term, then privilege-filter in place (one prefix resolution per
+/// 1. **Candidate discovery** — intersect the terms' spec supersets by
+///    galloping search over the sorted lists, so specs that cannot
+///    satisfy the AND semantics never materialize a posting.
+/// 2. **Restricted gather** — copy only the candidate specs' posting runs
+///    per term, then privilege-filter in place (one prefix resolution per
 ///    spec run; with a lazy resolver only candidate specs resolve).
 /// 3. **Vec-indexed assembly** — per-`(spec, term)` module lists live in
 ///    a flat scratch table addressed by candidate rank, replacing the old
@@ -202,7 +201,7 @@ fn search_with_index<A: SpecAccess + ?Sized>(
         return Vec::new();
     }
     with_scratch(|s| {
-        let QueryScratch { postings, seed, block, specs, specs_b, mods, .. } = s;
+        let QueryScratch { postings, seed, specs, specs_b, mods, .. } = s;
         if !index.candidate_specs_into(&query.terms, specs_b, specs) || specs.is_empty() {
             return Vec::new();
         }
@@ -219,7 +218,7 @@ fn search_with_index<A: SpecAccess + ?Sized>(
         // superset of) its own specs — nothing to restrict against.
         let restrict = if nterms > 1 { Some(cands) } else { None };
         for (ti, term) in query.terms.iter().enumerate() {
-            index.lookup_normalized_into(term, restrict, block, seed, postings);
+            index.lookup_normalized_into(term, restrict, seed, postings);
             if let Some(a) = access {
                 filter_postings(postings, a);
             }
@@ -293,7 +292,7 @@ fn search_scan_inner(
                 kt.join(" ") == term || (qtokens.len() == 1 && kt.contains(&qtokens[0]))
             })
     };
-    scan_specs(repo, |sid, entry| {
+    let hit = |(sid, entry): (SpecId, &ppwf_repo::repository::SpecEntry)| {
         let named: Vec<(String, Vec<ModuleId>)> = query
             .terms
             .iter()
@@ -310,7 +309,8 @@ fn search_scan_inner(
         let (prefix, matched) = minimal_cover(entry, &named)?;
         let view = build_view(repo, views, sid, &prefix)?;
         Some(KeywordHit { spec: sid, prefix, view, matched })
-    })
+    };
+    repo.entries().filter_map(hit).collect()
 }
 
 #[cfg(test)]

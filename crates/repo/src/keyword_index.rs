@@ -36,7 +36,7 @@
 //! additive across the partitions.
 
 use crate::mutation::MutationEffect;
-use crate::postings::{intersect_term_specs, with_scratch, PostingList, QueryScratch, TermLists};
+use crate::postings::{intersect_term_specs, with_scratch, PostingList, TermLists};
 use crate::principals::SpecAccess;
 use crate::repository::{Repository, SpecEntry, SpecId};
 use parking_lot::RwLock;
@@ -73,10 +73,9 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// that lets a delete or an edit visit only the spec's own keys instead of
 /// the whole index: by the time a delete's maintenance runs, the
 /// repository entry is already a tombstone, so the keys cannot be
-/// recomputed from the spec text. Per key the work is what
-/// [`PostingList::remove_spec`] documents — the spec's own postings in a
-/// pending tail or bitmap, the skip-located block(s) of a delta list —
-/// never the key's whole list.
+/// recomputed from the spec text. Per key the work is one binary search
+/// and one drain of the spec's run ([`PostingList::remove_spec`]), never a
+/// rebuild of the key's list.
 #[derive(Clone, Debug, Default)]
 struct PostedTerms {
     /// Sorted, deduplicated single-token keys the spec posted under.
@@ -92,10 +91,9 @@ struct PostedTerms {
 /// The index.
 #[derive(Debug, Default)]
 pub struct KeywordIndex {
-    /// Block-compressed per-token postings (see [`crate::postings`]): new
-    /// specs land in each list's uncompressed tail and seal lazily on
-    /// first lookup; retraction and splice edit the list in place, sealed
-    /// or not.
+    /// Per-token postings, one sorted vector per token (see
+    /// [`crate::postings`]): new specs append, and retraction and splice
+    /// edit the one spec's run in place.
     terms: HashMap<String, PostingList>,
     /// Whole keyword tags, normalized, for phrase matching.
     phrases: HashMap<String, PostingList>,
@@ -113,9 +111,6 @@ pub struct KeywordIndex {
     docs_indexed: usize,
     /// Lifetime count of modules retracted (see [`Self::docs_retracted`]).
     docs_retracted: usize,
-    /// Lifetime count of postings targeted maintenance had to materialize
-    /// (see [`Self::postings_decoded_by_maintenance`]).
-    postings_decoded_by_maintenance: usize,
     /// Per-query-term document-frequency memo ([`Self::df_cached`]).
     /// Bounded at [`DF_MEMO_CAP`]: terms are user-supplied strings, and a
     /// mutation-free workload never invalidates it, so an unbounded memo
@@ -248,15 +243,13 @@ pub struct Touched<'a> {
 }
 
 /// Drop `spec`'s postings from `map[key]` in place
-/// ([`PostingList::remove_spec`]), removing the key when its list empties;
-/// returns the postings the removal had to materialize.
-fn retract_postings(map: &mut HashMap<String, PostingList>, key: &str, spec: SpecId) -> usize {
-    let Some(list) = map.get_mut(key) else { return 0 };
-    let touched = list.remove_spec(spec);
+/// ([`PostingList::remove_spec`]), removing the key when its list empties.
+fn retract_postings(map: &mut HashMap<String, PostingList>, key: &str, spec: SpecId) {
+    let Some(list) = map.get_mut(key) else { return };
+    list.remove_spec(spec);
     if list.is_empty() {
         map.remove(key);
     }
-    touched
 }
 
 impl KeywordIndex {
@@ -362,11 +355,10 @@ impl KeywordIndex {
 
     /// Index `specs` and drop the df-memo entries their postings could
     /// move. Appended specs sort after every posting held, so their
-    /// postings join each list's pending tail (`append_sorted`; a new or
-    /// empty list takes the vector whole, which is most of a build, and
-    /// starts unsealed — block compression is a read-path cost, never a
-    /// write one). An edited spec — one spec, its old postings already
-    /// retracted — is `splice`d in at its id position instead
+    /// postings extend each list (`append_sorted`; a new or empty list
+    /// takes the vector whole, which is most of a build). An edited spec —
+    /// one spec, its old postings already retracted — is `splice`d in at
+    /// its id position instead
     /// ([`PostingList::insert_spec_postings`]), so the single contiguous
     /// insert reproduces the `(spec, workflow, module)` order a fresh build
     /// emits.
@@ -385,7 +377,7 @@ impl KeywordIndex {
                 postings.sort_by_key(|p| (p.spec, p.workflow, p.module));
                 let list = map.entry(key).or_default();
                 if splice {
-                    self.postings_decoded_by_maintenance += list.insert_spec_postings(&postings);
+                    list.insert_spec_postings(&postings);
                 } else if list.is_empty() {
                     *list = PostingList::from_postings(postings);
                 } else {
@@ -406,7 +398,7 @@ impl KeywordIndex {
         for (map, keys) in [(&mut self.terms, &posted.terms), (&mut self.phrases, &posted.phrases)]
         {
             for key in keys {
-                self.postings_decoded_by_maintenance += retract_postings(map, key, spec);
+                retract_postings(map, key, spec);
             }
         }
         for m in &posted.modules {
@@ -430,19 +422,6 @@ impl KeywordIndex {
     /// the destructive-write instrument (E19).
     pub fn docs_retracted(&self) -> usize {
         self.docs_retracted
-    }
-
-    /// Lifetime count of postings delete and edit maintenance had to
-    /// materialize to edit the
-    /// touched lists in place — per key, what
-    /// [`PostingList::remove_spec`] / [`PostingList::insert_spec_postings`]
-    /// return: the spec's own postings in a pending tail or bitmap, at most
-    /// [`BLOCK_POSTINGS`](crate::postings::BLOCK_POSTINGS) per delta block
-    /// that can hold the spec, and a whole list only when the edit flips
-    /// its shape. The work-bound instrument beside
-    /// [`Self::docs_retracted`].
-    pub fn postings_decoded_by_maintenance(&self) -> usize {
-        self.postings_decoded_by_maintenance
     }
 
     /// Whether `term`'s document frequency is currently memoized —
@@ -477,9 +456,9 @@ impl KeywordIndex {
         self.terms.get(&term.to_lowercase()).map(|l| l.to_vec()).unwrap_or_default()
     }
 
-    /// The raw block-compressed list of an already-normalized single
-    /// token — the kernel surface (block skips, bitmap membership) that
-    /// intersection and the criterion benches probe directly.
+    /// The raw posting list of an already-normalized single token — the
+    /// kernel surface that intersection and the criterion benches probe
+    /// directly.
     pub fn term_postings(&self, token: &str) -> Option<&PostingList> {
         self.terms.get(token)
     }
@@ -494,26 +473,21 @@ impl KeywordIndex {
     pub fn lookup_query_term(&self, term: &str) -> Vec<Posting> {
         let normalized = tokenize(term).join(" ");
         let mut out = Vec::new();
-        with_scratch(|s| {
-            let QueryScratch { seed, block, .. } = s;
-            self.lookup_normalized_into(&normalized, None, block, seed, &mut out);
-        });
+        with_scratch(|s| self.lookup_normalized_into(&normalized, None, &mut s.seed, &mut out));
         out
     }
 
     /// Kernel form of [`Self::lookup_query_term`]: `term` must already be
     /// normalized (lowercased, single-space-joined — the form
-    /// `KeywordQuery::parse` produces), `restrict` optionally limits
-    /// decoding to the given sorted candidate specs (blocks outside the
-    /// set are skipped, not decoded), and the caller supplies the block /
-    /// phrase-seed scratch instead of allocating per call. `out` is
+    /// `KeywordQuery::parse` produces), `restrict` optionally limits the
+    /// gather to the given sorted candidate specs, and the caller supplies
+    /// the phrase-seed scratch instead of allocating per call. `out` is
     /// cleared first and receives postings in `(spec, workflow, module)`
     /// order.
     pub fn lookup_normalized_into(
         &self,
         term: &str,
         restrict: Option<&[u32]>,
-        block: &mut Vec<Posting>,
         seed: &mut Vec<Posting>,
         out: &mut Vec<Posting>,
     ) {
@@ -523,7 +497,7 @@ impl KeywordIndex {
         if words.next().is_none() {
             if let Some(list) = self.terms.get(first) {
                 match restrict {
-                    Some(specs) => list.gather_specs_into(specs, block, out),
+                    Some(specs) => list.gather_specs_into(specs, out),
                     None => list.decode_into(out),
                 }
             }
@@ -534,14 +508,14 @@ impl KeywordIndex {
         // adjacency.
         if let Some(list) = self.phrases.get(term) {
             match restrict {
-                Some(specs) => list.gather_specs_into(specs, block, out),
+                Some(specs) => list.gather_specs_into(specs, out),
                 None => list.decode_into(out),
             }
         }
         seed.clear();
         if let Some(list) = self.terms.get(first) {
             match restrict {
-                Some(specs) => list.gather_specs_into(specs, block, seed),
+                Some(specs) => list.gather_specs_into(specs, seed),
                 None => list.decode_into(seed),
             }
         }
@@ -563,7 +537,7 @@ impl KeywordIndex {
     }
 
     /// Sorted candidate specs for an AND query over normalized `terms`:
-    /// the galloping/bitwise intersection of every term's spec superset
+    /// the intersection of every term's spec superset
     /// (see [`TermLists`]). Returns `false` when some term has no posting
     /// list at all — the query provably has no hits; `true` with an empty
     /// `out` means the intersection itself came up empty. Touches no
@@ -684,8 +658,8 @@ impl KeywordIndex {
 /// by `(spec, workflow, module)`, so consecutive same-spec postings share
 /// one prefix fetch — with a lazy
 /// [`AccessResolver`](crate::principals::AccessResolver) this resolves
-/// once per candidate spec run (block-at-a-time, never per posting), and
-/// only for specs actually present in the candidate postings.
+/// once per candidate spec run (never per posting), and only for specs
+/// actually present in the candidate postings.
 pub fn filter_postings<A: SpecAccess + ?Sized>(postings: &mut Vec<Posting>, access: &A) {
     let mut current: Option<(SpecId, Option<crate::principals::AccessPrefix<'_>>)> = None;
     postings.retain(|p| {

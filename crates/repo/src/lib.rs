@@ -21,10 +21,10 @@
 //!   is a per-posting O(1) check instead of a per-level index; kept
 //!   current by folding every write's effect into it
 //!   ([`keyword_index::KeywordIndex::apply_effect`]),
-//! * [`postings`] — the block-compressed posting lists under that index
-//!   (uvarint delta blocks with skip entries, density-chosen dense
-//!   bitmaps, galloping/bitwise multi-term intersection) plus the
-//!   thread-local per-query scratch arena the cold path runs on,
+//! * [`postings`] — the posting lists under that index (one sorted vector
+//!   per key; spec-level edits, candidate intersection and restricted
+//!   gathers by binary search) plus the thread-local per-query scratch
+//!   arena the cold path runs on,
 //! * [`reach_index`] — materialized reachability over full expansions,
 //!   with visibility-filtered lookups per access view,
 //! * [`cache`] — a user-group-keyed, version-tagged result cache,
@@ -40,8 +40,6 @@
 //!   completion handles the async serving front multiplexes in-flight
 //!   queries with (park/notify wakeups, caller helping, per-ticket panic
 //!   propagation),
-//! * [`scan`] — the specification scan behind the non-indexed baseline
-//!   the benchmarks compare against,
 //! * [`stats`] — repository statistics for operators,
 //! * [`storage`] — the injectable [`StorageBackend`](storage::StorageBackend)
 //!   the durability subsystem runs on: real files ([`storage::FsStorage`])
@@ -70,7 +68,6 @@ pub mod postings;
 pub mod principals;
 pub mod reach_index;
 pub mod repository;
-pub mod scan;
 pub mod snapshot;
 pub mod stats;
 pub mod storage;

@@ -1,7 +1,7 @@
-//! E16 equivalence properties: the block-compressed posting layer
-//! (uvarint delta blocks, density-chosen bitmaps, lazy seal-on-first-
-//! lookup, galloping intersection) must be observationally identical to
-//! the flat `Vec<Posting>` representation it replaced.
+//! E16 equivalence properties: the index's posting layer (sorted per-key
+//! lists edited in place, binary-search candidate intersection and
+//! restricted gathers) must be observationally identical to a plain
+//! per-term `Vec<Posting>` index that materializes every lookup.
 //!
 //! `RefIndex` below is a deliberate replica of the pre-E16 dataflow: per-
 //! term posting vectors built by the same tokenization rules, phrase
@@ -9,9 +9,8 @@
 //! filtering by per-posting prefix membership. Every public read of
 //! [`KeywordIndex`] — `lookup_query_term`, `lookup_filtered`, `df` /
 //! `df_cached`, idf *bits*, candidate intersection — is compared against
-//! it over randomized corpora and randomized insert sequences,
-//! with lookups interleaved so lists seal, grow unsealed tails, and
-//! re-seal mid-stream.
+//! it over randomized corpora and randomized insert sequences, with
+//! lookups interleaved between the inserts.
 //!
 //! The lazy-access invariant rides along: a resolver driven through
 //! `lookup_filtered` must touch **only** specs present in the term's own
@@ -24,7 +23,6 @@ use ppwf_model::hierarchy::Prefix;
 use ppwf_model::ids::ModuleId;
 use ppwf_repo::keyword_index::{tokenize, KeywordIndex, Posting};
 use ppwf_repo::mutation::Mutation;
-use ppwf_repo::postings::PostingsShape;
 use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
 use ppwf_repo::repository::{Repository, SpecId};
 use ppwf_repo::AccessCache;
@@ -33,7 +31,7 @@ use proptest::prelude::*;
 
 /// Reference replica of the flat-vector index: same tokenization, same
 /// posting classification, same `(spec, workflow, module)` order — no
-/// compression, no sealing, no skips.
+/// candidate intersection, no restricted gather.
 struct RefIndex {
     terms: HashMap<String, Vec<Posting>>,
     phrases: HashMap<String, Vec<Posting>>,
@@ -269,10 +267,9 @@ fn check_equivalence(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Randomized corpora and randomized insert sequences, with
-    /// lookups interleaved so posting lists seal, grow tails, and re-seal
-    /// — the index must stay observationally identical to the flat
-    /// reference after every step.
+    /// Randomized corpora and randomized insert sequences, with lookups
+    /// interleaved between the inserts — the index must stay
+    /// observationally identical to the flat reference after every step.
     #[test]
     fn randomized_corpora_and_mutations_match_reference(
         seed in any::<u64>(),
@@ -290,9 +287,9 @@ proptest! {
 
         for (i, &(s, probe_first)) in appends.iter().enumerate() {
             if probe_first {
-                // Seal the current lists before appending: the next
-                // insert then lands in tails behind sealed blocks, and
-                // the post-append check exercises seal → tail → re-seal.
+                // Read the current lists before appending, so the
+                // post-append check reads lists both before and after
+                // they grew.
                 let reference = RefIndex::build(&repo);
                 for term in sample_terms(&reference, seed, 4) {
                     let _ = idx.lookup_query_term(&term);
@@ -306,12 +303,10 @@ proptest! {
     }
 }
 
-/// Many small specs: head tokens land in well over
-/// [`BITMAP_MIN_DISTINCT`](ppwf_repo::postings::BITMAP_MIN_DISTINCT)
-/// specs of a dense id span, so their lists must seal as bitmaps — and
-/// stay bit-equivalent to the reference across the whole vocabulary.
+/// Many small specs: head tokens land in every spec of a dense id span,
+/// and the whole vocabulary stays bit-equivalent to the reference.
 #[test]
-fn dense_corpus_seals_bitmaps_and_matches_reference() {
+fn dense_corpus_matches_reference() {
     let mut repo = Repository::new();
     for s in 0..200u64 {
         let spec = generate_spec(&SpecParams {
@@ -329,32 +324,13 @@ fn dense_corpus_seals_bitmaps_and_matches_reference() {
     // "module" opens every generated module name: 200 distinct specs over
     // a 200-id span is as dense as it gets.
     let list = idx.term_postings("module").expect("every generated module posts it");
-    let _ = idx.lookup_query_term("module"); // force the seal
-    assert!(
-        matches!(list.shape(), PostingsShape::Bitmap { .. }),
-        "dense head term must seal as a bitmap, got {:?}",
-        list.shape()
-    );
-    let shapes: Vec<PostingsShape> = RefIndex::build(&repo)
-        .terms
-        .keys()
-        .map(|t| {
-            let _ = idx.lookup_query_term(t);
-            idx.term_postings(t).unwrap().shape()
-        })
-        .collect();
-    assert!(
-        shapes.iter().any(|s| matches!(s, PostingsShape::Delta { .. })),
-        "a 12-term zipf tail should leave some sparse delta lists"
-    );
+    assert_eq!(list.distinct_specs(), 200);
 }
 
 /// Few large specs: "module" appears in thousands of modules across only
-/// 40 distinct specs — below the bitmap distinct floor, so it must stay
-/// delta-encoded across several skip blocks, and still match the
-/// reference posting-for-posting.
+/// 40 distinct specs, and still matches the reference posting-for-posting.
 #[test]
-fn big_specs_seal_multi_block_deltas_and_match_reference() {
+fn big_specs_match_reference() {
     let mut repo = Repository::new();
     for s in 0..40u64 {
         let spec = generate_spec(&SpecParams {
@@ -370,12 +346,7 @@ fn big_specs_seal_multi_block_deltas_and_match_reference() {
     let idx = KeywordIndex::build(&repo);
     check_equivalence(&idx, &repo, 11).unwrap();
 
-    let _ = idx.lookup_query_term("module");
     let list = idx.term_postings("module").expect("every generated module posts it");
-    match list.shape() {
-        PostingsShape::Delta { blocks } => {
-            assert!(blocks >= 2, "thousands of postings must span several blocks, got {blocks}")
-        }
-        other => panic!("40 distinct specs is below the bitmap floor, got {other:?}"),
-    }
+    assert_eq!(list.distinct_specs(), 40);
+    assert!(list.len() >= 1_000, "thousands of postings over 40 specs, got {}", list.len());
 }
