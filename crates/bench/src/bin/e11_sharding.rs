@@ -28,9 +28,9 @@
 //! single pinned core measured ≥2× at 4 shards. E12's lazy resolver gave
 //! the *single engine* the same per-candidate saving, so on one core the
 //! cluster now runs at rough parity cold (the pruned work no longer
-//! dominates); sharding's remaining levers are the async front's
-//! parallel shard jobs (E14), write isolation and per-shard pruning. The
-//! acceptance gate is therefore a **no-regression floor** (default ≥0.7× —
+//! dominates); sharding's remaining levers are write isolation and
+//! per-shard pruning. The acceptance gate is therefore a
+//! **no-regression floor** (default ≥0.7× —
 //! sharding must not make cold serving pathologically slower), not a
 //! speedup claim.
 //!
@@ -244,7 +244,7 @@ fn main() {
   "aggregate": {{
     "cold_speedup_at_4_shards": {s4},
     "acceptance_threshold_speedup": {thr:.1},
-    "note": "post-E12 the single engine resolves access views lazily too, so one-core cold serving sits near parity and the gate is a no-regression floor; index-gated scatter pruning still bounds per-shard work; the blocking read runs its target shards in sequence, so parallel shard work is the async front's (E14)"
+    "note": "post-E12 the single engine resolves access views lazily too, so one-core cold serving sits near parity and the gate is a no-regression floor; index-gated scatter pruning still bounds per-shard work; every read, blocking or through the async front (E14), runs its target shards in sequence"
   }}
 }}
 "#,

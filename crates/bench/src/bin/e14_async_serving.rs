@@ -27,7 +27,7 @@
 //!   it approaches the async front (see the boundary note below).
 //! * **`async_front`** — one submitting thread, a sliding window of
 //!   `--concurrency` in-flight tickets over `ServeFront`: warm hits
-//!   complete inline, cold queries fan out as per-shard pool jobs.
+//!   complete inline, each cold query runs as one pool job.
 //!
 //! A fourth section drives a mixed read/write stream (`--write-every`)
 //! through the front to price the write fence, and the cold burst is

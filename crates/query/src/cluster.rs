@@ -20,7 +20,7 @@
 //! (`search_as`, `private_search_as`, `ranked_search_as`) are instantiations
 //! of one blocking `read` that runs the target shards in sequence on the
 //! calling thread; the async front ([`crate::serve`]) calls the same four
-//! stages and schedules the shard runs as jobs on the persistent
+//! stages, in the same order, from one job on the persistent
 //! [`WorkerPool`] that nobody waits for. Plan, shard run and gather are one
 //! implementation; only scheduling differs.
 //!
@@ -44,10 +44,8 @@
 //!   any access-map resolution. This is pure pruning: it never changes an
 //!   answer, and it is where sharding beats the single engine even on one
 //!   core — selective queries touch one shard's worth of state, not the
-//!   whole corpus. Through the async front the surviving shard tasks also
-//!   run in parallel on the pool. A query that no shard can match is
-//!   answered from the plan alone, touching no shard at all — not even a
-//!   df memo.
+//!   whole corpus. A query that no shard can match is answered from the
+//!   plan alone, touching no shard at all — not even a df memo.
 //!
 //! An answer is cached once, where it is served: in the **cluster-front
 //! result cache**. A shard caches nothing — `run_shard` resolves the
@@ -214,7 +212,7 @@ impl EngineCluster {
     /// Full-control construction: placement strategy and serving pool —
     /// the pool an attached log runs its sync and snapshot jobs on, and
     /// the one a [`ServeFront`](crate::serve::ServeFront) built with
-    /// [`ServeFront::new`](crate::serve::ServeFront::new) runs shard jobs
+    /// [`ServeFront::new`](crate::serve::ServeFront::new) runs read jobs
     /// on. The blocking reads never touch it.
     pub fn with_config(
         repo: Repository,
@@ -398,8 +396,8 @@ impl EngineCluster {
             .collect()
     }
 
-    /// The serving pool: the async front's default, so its shard tasks
-    /// and the log's sync and snapshot jobs drain one queue.
+    /// The serving pool: the async front's default, so its read and write
+    /// jobs and the log's sync and snapshot jobs drain one queue.
     pub(crate) fn pool_handle(&self) -> Arc<WorkerPool> {
         Arc::clone(&self.pool)
     }
@@ -441,8 +439,8 @@ impl EngineCluster {
     }
 
     /// The blocking read: the four stages below, every target shard run
-    /// in sequence on the calling thread. [`crate::serve`] calls the same
-    /// four, runs each shard as its own pool job and waits for nothing.
+    /// in sequence on the calling thread. [`crate::serve`] runs the same
+    /// four in one pool job and waits for nothing.
     fn read<M: ReadMode>(&self, mode: M, group: &str, query_text: &str) -> Option<Arc<M::Answer>> {
         if let Some(hit) = self.probe(mode, group, query_text, false) {
             return Some(hit);

@@ -29,10 +29,9 @@
 //!   per-user-group result caches at the front (Sec. 4's caching design;
 //!   experiments E10, E11).
 //! * [`serve`] — the asynchronous serving front: typed requests admitted
-//!   through a read/write fence, fanned out as independent per-shard pool
-//!   jobs and gathered into [`Ticket`](ppwf_repo::ticket::Ticket)
-//!   completions, so a small fixed pool multiplexes many in-flight
-//!   queries (experiment E14).
+//!   through a read/write fence, each read served by one pool job that
+//!   completes its [`Ticket`](ppwf_repo::ticket::Ticket), so a small
+//!   fixed pool multiplexes many in-flight queries (experiment E14).
 
 #![forbid(unsafe_code)]
 

@@ -5,10 +5,9 @@
 //! one query and cannot do anything else until the scatter/gather
 //! finishes, so a serving tier holds at most one query in flight per
 //! thread. The [`ServeFront`] inverts that: [`ServeFront::submit`] accepts
-//! a typed [`ServeRequest`], returns a [`Ticket`] immediately, and the
-//! query executes as **independent per-shard pool jobs** — not one
-//! blocking job per query — whose last finisher runs the gather stage and
-//! completes the ticket. A single submitting thread can therefore keep
+//! a typed [`ServeRequest`], returns a [`Ticket`] immediately, and an
+//! admitted read executes as **one pool job** that completes the ticket —
+//! no thread waits on it. A single submitting thread can therefore keep
 //! dozens of queries in flight over a 2-thread pool, and the pool's queue,
 //! not a thread-per-request stack, is the concurrency ceiling.
 //!
@@ -17,12 +16,13 @@
 //! mode again. A read is served by the cluster's own four stages — front
 //! probe, plan, shard run, gather and publish — the very functions the
 //! blocking entry points call: plan, shard run and gather are one
-//! implementation; only scheduling differs. The front probes inline on the
-//! submitting thread, plans when the read is admitted, runs each target
-//! shard as its own pool job, and lets the last job to finish gather. A
-//! read that needs no shard — warm by the time it is admitted, from an
-//! unknown group, or pruned off every shard by the index gate — completes
-//! on the admitting thread.
+//! implementation; only scheduling differs. The submitting thread probes
+//! the front and, on a miss, enqueues — nothing else. Once the read is
+//! admitted, its pool job takes the cluster read lock once and, under that
+//! one guard, re-probes, plans, runs every target shard in order and
+//! gathers (which publishes). A read that needs no shard — warm by the
+//! time it is admitted, from an unknown group, or pruned off every shard
+//! by the index gate — is answered by the same job.
 //!
 //! **Write/read ordering (the version fence).** Interleaving mutations
 //! with multiplexed reads is where privacy bugs live: a response assembled
@@ -32,7 +32,7 @@
 //! read/write fence:
 //!
 //! * reads admit **concurrently** (each bumps the in-flight reader count
-//!   before its shard jobs are spawned);
+//!   before its pool job is queued);
 //! * a mutation at the head of the queue **drains**: it waits until every
 //!   admitted read has completed, then runs exclusively (behind the
 //!   cluster's write lock), then reopens admission.
@@ -92,7 +92,7 @@
 //! A warm inline completion is a [`Ticket::ready`] value, so a front-cache
 //! hit allocates no ticket state and takes no ticket lock.
 
-use crate::cluster::{EngineCluster, RankedHits, ReadPlan};
+use crate::cluster::{EngineCluster, RankedHits};
 use crate::engine::Plan;
 use crate::keyword::KeywordHit;
 use crate::modes::{Keyword, Private, Ranked, ReadMode};
@@ -198,7 +198,8 @@ pub struct ServeStats {
     /// Reads answered from the cluster-front cache without any shard
     /// work: probes that hit on the submitting thread (never queued, no
     /// pool job), plus reads that queued — behind a write, or behind an
-    /// identical read — and found the answer warm when they were admitted.
+    /// identical read — and found the answer warm when their pool job
+    /// re-probed.
     pub warm_inline: u64,
     /// Mutations applied.
     pub mutations: u64,
@@ -265,15 +266,14 @@ struct Pending {
 
 /// What an accepted request waiting behind the fence does once admitted.
 /// [`ServeFront::submit`] is the one place a [`ServeRequest`] is decoded:
-/// past it a read is its [`dispatch_read`], already instantiated for the
-/// request's mode, and a write is its mutation.
+/// past it a read is its pool job, [`serve_read`] already instantiated
+/// for the request's mode, and a write is its mutation.
 enum Work {
-    Read(ReadDispatch),
+    Read(ReadJob),
     Write(Box<Mutation>),
 }
 
-/// Returns whether the read completed without fanning out.
-type ReadDispatch = Box<dyn FnOnce(&Arc<Shared>, Pending) -> bool + Send>;
+type ReadJob = Box<dyn FnOnce(&Arc<Shared>, Pending) + Send>;
 
 /// Move the run of writes at the head of `queue` into `batch`, up to
 /// `max_batch` — never past a queued read, so FIFO order and the fence
@@ -325,7 +325,7 @@ impl ServeFront {
         Self::with_pool(cluster, pool)
     }
 
-    /// Serve `cluster`, running shard tasks and mutations on `pool`
+    /// Serve `cluster`, running read jobs and mutations on `pool`
     /// (normally the cluster's own pool, which its log's sync and snapshot
     /// jobs use, so all work drains one queue).
     pub fn with_pool(cluster: EngineCluster, pool: Arc<WorkerPool>) -> Self {
@@ -396,10 +396,10 @@ impl ServeFront {
                 return Ticket::ready(ServeResponse { epoch, answer: wrap(Some(hit)) });
             }
         }
-        let dispatch = move |shared: &Arc<Shared>, pending| {
-            dispatch_read(shared, mode, group, query_text, wrap, pending)
+        let job = move |shared: &Arc<Shared>, pending| {
+            serve_read(shared, mode, group, query_text, wrap, pending)
         };
-        self.enqueue(Work::Read(Box::new(dispatch)), submitted)
+        self.enqueue(Work::Read(Box::new(job)), submitted)
     }
 
     fn enqueue(&self, work: Work, submitted: Instant) -> Ticket<ServeResponse> {
@@ -481,10 +481,10 @@ impl ServeFront {
 /// submit and every completion, on whichever thread got there — the
 /// admission lock makes pumps mutually exclusive per decision, and the
 /// loop re-checks after each dispatch so no admissible request is left
-/// waiting for the next event.
+/// waiting for the next event. It only queues jobs, never runs one.
 fn pump(shared: &Arc<Shared>) {
     loop {
-        let (dispatch, pending) = {
+        let (job, pending) = {
             let mut admission = shared.admission.lock().expect("admission");
             if admission.writer_active {
                 return;
@@ -513,21 +513,16 @@ fn pump(shared: &Arc<Shared>) {
                     dispatch_write(shared, batch);
                     return;
                 }
-                Work::Read(dispatch) => {
+                Work::Read(job) => {
                     admission.readers_in_flight += 1;
                     let in_flight = admission.readers_in_flight as u64;
                     shared.counters.in_flight_high_water.fetch_max(in_flight, Ordering::Relaxed);
-                    (dispatch, pending)
+                    (job, pending)
                 }
             }
         };
-        // A read that completed without fanning out (warm, unknown group,
-        // fully pruned) releases its fence slot here, in the loop — never
-        // by recursing into pump — so a long run of inline-completable
-        // reads costs constant stack.
-        if dispatch(shared, pending) {
-            shared.admission.lock().expect("admission").readers_in_flight -= 1;
-        }
+        let job_shared = Arc::clone(shared);
+        shared.pool.exec(move || job(&job_shared, pending));
     }
 }
 
@@ -721,129 +716,48 @@ impl CommitGate {
 /// request.
 type Wrap<M> = fn(Option<Arc<<M as ReadMode>::Answer>>) -> QueryAnswer;
 
-/// The continuation shared by one read's shard tasks: parts land in the
-/// state's `parts`, and whichever task brings `remaining` to zero runs the
-/// gather and completes the ticket. No thread ever blocks waiting for
-/// another shard.
-struct Gather<M: ReadMode> {
-    shared: Arc<Shared>,
-    plan: ReadPlan<M>,
-    wrap: Wrap<M>,
-    state: Mutex<GatherState<M::Part>>,
-}
-
-struct GatherState<P> {
-    /// One per target shard, in target order.
-    parts: Vec<Option<P>>,
-    remaining: usize,
-    /// Taken by whoever completes the ticket: the last shard task to
-    /// finish, or the first to panic.
-    pending: Option<Pending>,
-}
-
-/// Serve an admitted read through the cluster's four read stages
-/// ([`EngineCluster::probe`] → [`plan`](EngineCluster::plan) →
-/// [`run_shard`](EngineCluster::run_shard) →
-/// [`gather`](EngineCluster::gather)), scheduling the shard runs as
-/// independent pool jobs nobody waits for. Probe and plan are memo-probe
-/// cheap and run on the admitting thread; all per-shard query work goes to
-/// the pool. Returns `true` if the read completed without fanning out (the
-/// caller then releases its fence slot).
-fn dispatch_read<M: ReadMode>(
+/// Serve an admitted read as one pool job. Under one cluster read guard it
+/// runs the cluster's four read stages: [`EngineCluster::probe`] again (the
+/// read may have warmed while queued, behind an identical read), then
+/// [`plan`](EngineCluster::plan), [`run_shard`](EngineCluster::run_shard)
+/// for every target in order, and [`gather`](EngineCluster::gather), which
+/// publishes. An unknown group plans to `None`, and a plan pruned off every
+/// shard gathers the empty answer. The one guard holds the epoch still from
+/// re-probe to publish. Then the job completes the ticket (with the panic,
+/// if a stage panicked), releases the read's fence slot and re-pumps: a
+/// drained fence may admit a waiting mutation.
+fn serve_read<M: ReadMode>(
     shared: &Arc<Shared>,
     mode: M,
     group: String,
     query_text: String,
     wrap: Wrap<M>,
     pending: Pending,
-) -> bool {
-    let cluster = shared.cluster.read();
-    let epoch = cluster.front_epoch();
-    // The request may have warmed while queued (an identical read ahead
-    // of it); serve it without shard work, like the inline path.
-    let warm = cluster.probe(mode, &group, &query_text, false);
-    if warm.is_some() {
-        shared.counters.warm_inline.fetch_add(1, Ordering::Relaxed);
-    }
-    let plan = if warm.is_none() { cluster.plan(mode, group, query_text) } else { None };
-    let answer = match plan {
-        Some(plan) if !plan.targets.is_empty() => {
-            drop(cluster);
-            let targets = plan.targets.len();
-            let gather = Arc::new(Gather {
-                shared: Arc::clone(shared),
-                plan,
-                wrap,
-                state: Mutex::new(GatherState {
-                    parts: (0..targets).map(|_| None).collect(),
-                    remaining: targets,
-                    pending: Some(pending),
-                }),
-            });
-            for slot in 0..targets {
-                let gather = Arc::clone(&gather);
-                shared.pool.exec(move || gather.run_shard_task(slot));
-            }
-            return false;
+) {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let cluster = shared.cluster.read();
+        let epoch = cluster.front_epoch();
+        if let Some(hit) = cluster.probe(mode, &group, &query_text, false) {
+            shared.counters.warm_inline.fetch_add(1, Ordering::Relaxed);
+            return (epoch, Some(hit));
         }
-        // Index gating pruned every shard: gather the empty answer (which
-        // also publishes it to the front cache) without any pool work.
-        Some(plan) => Some(cluster.gather(&plan, Vec::new())),
-        // Warm — or an unknown group, which is answered `None`.
-        None => warm,
-    };
-    drop(cluster);
+        let answer = cluster.plan(mode, group, query_text).map(|plan| {
+            let parts = (0..plan.targets.len()).map(|slot| cluster.run_shard(&plan, slot));
+            cluster.gather(&plan, parts.collect())
+        });
+        (epoch, answer)
+    }));
+    // A panicked read still completes (counter parity for quiesce); its
+    // latency buckets like any response.
     shared.counters.record_latency(pending.submitted);
-    pending.completer.complete(ServeResponse { epoch, answer: wrap(answer) });
-    true
-}
-
-impl<M: ReadMode> Gather<M> {
-    /// One shard's task: run the shard under the cluster read lock, deposit
-    /// the part, and — as the last finisher — gather through the cluster's
-    /// one gather stage and complete the ticket.
-    fn run_shard_task(&self, slot: usize) {
-        let shared = &self.shared;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let cluster = shared.cluster.read();
-            debug_assert_eq!(
-                cluster.front_epoch(),
-                self.plan.epoch,
-                "fence violated: epoch moved under an in-flight read"
-            );
-            cluster.run_shard(&self.plan, slot)
-        }));
-        let mut state = self.state.lock().expect("gather state");
-        match outcome {
-            Ok(part) => state.parts[slot] = Some(part),
-            // The ticket learns of the panic immediately; the fence still
-            // waits for the remaining shard tasks below. A panicked read
-            // still completes (counter parity for quiesce); its latency
-            // buckets like any response.
-            Err(payload) => {
-                if let Some(pending) = state.pending.take() {
-                    shared.counters.record_latency(pending.submitted);
-                    pending.completer.complete_with_panic(payload);
-                }
-            }
+    match outcome {
+        Ok((epoch, answer)) => {
+            pending.completer.complete(ServeResponse { epoch, answer: wrap(answer) })
         }
-        state.remaining -= 1;
-        if state.remaining > 0 {
-            return;
-        }
-        let done = state.pending.take().map(|pending| (pending, std::mem::take(&mut state.parts)));
-        drop(state);
-        if let Some((pending, parts)) = done {
-            let parts = parts.into_iter().map(|p| p.expect("all shard parts deposited")).collect();
-            let answer = (self.wrap)(Some(shared.cluster.read().gather(&self.plan, parts)));
-            shared.counters.record_latency(pending.submitted);
-            pending.completer.complete(ServeResponse { epoch: self.plan.epoch, answer });
-        }
-        // Release the fence slot and re-pump: a drained fence may admit a
-        // waiting mutation.
-        shared.admission.lock().expect("admission").readers_in_flight -= 1;
-        pump(shared);
+        Err(payload) => pending.completer.complete_with_panic(payload),
     }
+    shared.admission.lock().expect("admission").readers_in_flight -= 1;
+    pump(shared);
 }
 
 #[cfg(test)]
@@ -1067,6 +981,62 @@ mod tests {
         assert_eq!(memoized("disorder risks"), 2);
     }
 
+    /// The submitting thread only probes and enqueues: a cold read's
+    /// re-probe (the miss it counts), its plan (the corpus statistics a
+    /// ranked read memoizes), its shard runs and its gather all happen in
+    /// the read's pool job.
+    #[test]
+    fn a_cold_read_does_its_admission_work_in_its_pool_job() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let cluster = EngineCluster::with_config(
+            corpus(4),
+            registry(),
+            2,
+            crate::route::ShardStrategy::RoundRobin,
+            Arc::clone(&pool),
+        );
+        let front = ServeFront::with_pool(cluster, Arc::clone(&pool));
+        let misses = || front.with_cluster(|c| c.stats().front.misses);
+        let memoized = |term: &str| {
+            front
+                .with_cluster(|c| c.shards().iter().filter(|s| s.index().df_memoized(term)).count())
+        };
+        // Plug both workers so the read's job cannot run before the checks.
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Arc::new(Mutex::new(release_rx));
+        for _ in 0..2 {
+            let release_rx = Arc::clone(&release_rx);
+            pool.exec(move || {
+                let _ = release_rx.lock().unwrap().recv();
+            });
+        }
+        let ticket = front.submit(ServeRequest::Ranked {
+            group: "researchers".into(),
+            query: "Disorder Risks".into(),
+            mode: RankingMode::ExactFull,
+        });
+        assert!(!ticket.is_complete(), "a cold read must not complete at submit time");
+        assert_eq!(misses(), 0, "the admission re-probe must not run on the submitting thread");
+        assert_eq!(memoized("disorder risks"), 0, "the plan must not run on the submitting thread");
+        release_tx.send(()).unwrap();
+        release_tx.send(()).unwrap();
+        let QueryAnswer::Ranked(Some(answer)) = ticket.wait().answer else {
+            panic!("expected a ranked answer")
+        };
+        let blocking = EngineCluster::new(corpus(4), registry(), 2);
+        let reference = blocking
+            .ranked_search_as("researchers", "Disorder Risks", RankingMode::ExactFull)
+            .unwrap();
+        assert_eq!(answer.hits.len(), 4);
+        assert_eq!(answer.hits.len(), reference.hits.len());
+        for (a, b) in answer.hits.iter().zip(&reference.hits) {
+            assert_eq!((a.spec, &a.prefix), (b.spec, &b.prefix));
+        }
+        assert!(answer.ranked.bitwise_eq(&reference.ranked), "f64 bits must agree");
+        assert_eq!(misses(), 1);
+        assert_eq!(memoized("disorder risks"), 2);
+    }
+
     #[test]
     fn mutations_fence_and_apply_in_order() {
         let front = front(3, 2, 2);
@@ -1099,7 +1069,7 @@ mod tests {
             Arc::clone(&pool),
         );
         let front = ServeFront::with_pool(cluster, Arc::clone(&pool));
-        // Plug both workers so no shard job can complete while the burst
+        // Plug both workers so no read job can complete while the burst
         // is being submitted: every cold read must then be concurrently
         // in flight, which is the multiplexing claim itself — one
         // submitting thread, many admitted queries, zero extra threads.

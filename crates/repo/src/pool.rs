@@ -5,7 +5,7 @@
 //! (`'static`): [`WorkerPool::submit`] queues one and returns a
 //! [`Ticket`] completion handle immediately, and
 //! [`WorkerPool::exec`] queues a fire-and-forget job for code that manages
-//! its own completion (the serving front's per-shard gathers).
+//! its own completion (the serving front's read and write jobs).
 //!
 //! Two properties matter for serving:
 //!

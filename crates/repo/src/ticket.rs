@@ -3,10 +3,10 @@
 //! A serving front wants many queries in flight per thread, so submission
 //! must not wait for the work it queues. A [`Ticket`] decouples the two
 //! halves: submission returns immediately with a handle, the job (or a
-//! chain of jobs — the serving front's gather completes a ticket from
-//! whichever shard task finishes last) completes the handle whenever it is
-//! done, and the owner collects the value with [`Ticket::wait`] only when
-//! it actually needs it. A ticket is either a value ([`Ticket::ready`],
+//! chain of jobs — a serving front's write ticket completes from whichever
+//! of the write job and its covering fsync finishes last) completes the
+//! handle whenever it is done, and the owner collects the value with
+//! [`Ticket::wait`] only when it actually needs it. A ticket is either a value ([`Ticket::ready`],
 //! the serving front's warm hits: no allocation, no lock) or a pending
 //! state shared with its [`TicketCompleter`].
 //!

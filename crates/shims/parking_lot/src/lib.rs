@@ -1,8 +1,8 @@
-//! Offline shim for `parking_lot`: `Mutex` and `RwLock` with the
-//! non-poisoning API, implemented over `std::sync`. A poisoned std lock
-//! (a panic while held) panics on the next acquisition instead of
-//! propagating a `PoisonError`, matching parking_lot's practical behavior
-//! for this workspace's uses.
+//! Offline shim for `parking_lot`: `Mutex` and `RwLock` with
+//! parking_lot's guard-returning API, implemented over `std::sync`. Unlike
+//! parking_lot, the locks do poison: a panic while a `Mutex` guard or an
+//! `RwLock` write guard is held poisons the lock, and every later
+//! acquisition of it panics.
 
 /// Guard returned by [`RwLock::read`].
 pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
@@ -11,7 +11,8 @@ pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
 /// Guard returned by [`Mutex::lock`].
 pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
-/// A reader-writer lock without poisoning.
+/// A reader-writer lock; a panic under its write guard poisons it (see
+/// the crate docs).
 #[derive(Debug, Default)]
 pub struct RwLock<T>(std::sync::RwLock<T>);
 
@@ -52,7 +53,8 @@ impl<T> RwLock<T> {
     }
 }
 
-/// A mutual-exclusion lock without poisoning.
+/// A mutual-exclusion lock; a panic under its guard poisons it (see the
+/// crate docs).
 #[derive(Debug, Default)]
 pub struct Mutex<T>(std::sync::Mutex<T>);
 
