@@ -40,6 +40,7 @@ pub mod engine;
 #[cfg(test)]
 mod eviction_pressure;
 pub mod exec_match;
+mod fence;
 pub mod keyword;
 pub(crate) mod modes;
 pub mod privacy_exec;

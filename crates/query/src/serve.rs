@@ -28,14 +28,16 @@
 //! with multiplexed reads is where privacy bugs live: a response assembled
 //! from shard answers at two different repository versions could stitch a
 //! pre-policy-swap shard view onto a post-swap one — a leak, not just a
-//! wrong answer. The front therefore runs a FIFO admission queue with a
-//! read/write fence:
-//!
-//! * reads admit **concurrently** (each bumps the in-flight reader count
-//!   before its pool job is queued);
-//! * a mutation at the head of the queue **drains**: it waits until every
-//!   admitted read has completed, then runs exclusively (behind the
-//!   cluster's write lock), then reopens admission.
+//! wrong answer. Every request that does not complete inline waits in one
+//! FIFO admission queue behind a read/write fence: reads run concurrently,
+//! and a write batch runs only once every admitted read has drained and
+//! alone. The rules — admission, write batching and the acknowledgement
+//! order — are stated once, in the crate-private `fence.rs`, as a state
+//! machine with no lock, thread or clock, checked against a sequential
+//! model. This module is its executor: it holds the fence under one mutex,
+//! feeds it each submit, read completion, batch outcome and durability
+//! verdict, and runs the actions it hands back (a read job or a write batch
+//! on the pool, or write tickets to complete) outside that lock.
 //!
 //! Consequently an admitted read's epoch cannot move while
 //! the read is in flight — every response is computed entirely at one
@@ -57,30 +59,28 @@
 //! in-flight high-water mark (how much multiplexing actually happened),
 //! admission-queue depth, fence waits, and completion-latency buckets.
 //!
-//! **The write path.** There is one. The pump pops the consecutive run of
-//! mutations at the head of the queue — up to the attached log's
-//! [`max_batch`](ppwf_repo::wal::DurabilityPolicy::max_batch), never past a
-//! queued read, so FIFO holds — and hands it to one exclusive write job.
-//! The job may hold the batch open up to `max_delay_us` and top it up with
-//! late arrivals, then, behind the cluster's write lock,
+//! **The write path.** There is one. The fence hands out a batch of queued
+//! mutations, sized by the attached log's
+//! [`max_batch`](ppwf_repo::wal::DurabilityPolicy::max_batch), and its pool
+//! job runs it behind the cluster's write lock:
 //! [`EngineCluster::mutate_batch_pipelined`] validates each mutation,
 //! appends every maximal valid run to the
 //! [`DurableLog`](ppwf_repo::wal::DurableLog) as one checksummed record
 //! *before* applying it, and applies the runs in sequence order. The job
-//! then **lifts the fence without waiting for the covering fsync**: that
-//! runs on the log's sync job, and batch *k+1* is admitted, validated and
-//! applied while batch *k*'s fsync is in flight. The tickets wait in a
-//! [`CommitGate`] until every run of the batch has reported durable, and
-//! only then complete — each with its own per-record epoch, in submission
-//! order — so a [`QueryAnswer::Mutated`] carrying `Ok` always acknowledges
-//! a *durable* write, the acknowledged set after a crash is always a prefix
-//! of the submitted mutation order (exactly what
+//! then reports the batch applied, which **lifts the fence without waiting
+//! for the covering fsync**: that runs on the log's sync job, and batch
+//! *k+1* is admitted, validated and applied while batch *k*'s fsync is in
+//! flight. The fence releases the tickets only once every run of the batch
+//! has reported durable — each with its own per-record epoch, in
+//! submission order — so a [`QueryAnswer::Mutated`] carrying `Ok` always
+//! acknowledges a *durable* write, the acknowledged set after a crash is
+//! always a prefix of the submitted mutation order (exactly what
 //! [`ppwf_repo::Repository::recover`] rebuilds), and the outcomes are
 //! bit-identical to dispatching the mutations one at a time. An `Err`
 //! answer (validation, log or fsync failure) acknowledges nothing. A
-//! cluster without a log runs the same job: no run reaches a log, so the
-//! gate has nothing to wait for and the tickets complete as soon as the
-//! batch has applied.
+//! cluster without a log runs the same job: no run reaches a log, so there
+//! is no verdict to wait for and the tickets complete as soon as the batch
+//! has applied.
 //!
 //! The honest boundary is the **read-uncommitted window**: reads admitted
 //! between a batch's apply and its covering fsync observe
@@ -94,21 +94,21 @@
 
 use crate::cluster::{EngineCluster, RankedHits};
 use crate::engine::Plan;
+use crate::fence::{Action, Fence, Request, WriteBatch};
 use crate::keyword::KeywordHit;
 use crate::modes::{Keyword, Private, Ranked, ReadMode};
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::RankingMode;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use ppwf_model::{ModelError, Result};
 use ppwf_repo::mutation::{Mutation, MutationEffect};
 use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::ticket::{Ticket, TicketCompleter};
 use ppwf_repo::wal::{DurableCallback, WalResult};
-use std::collections::VecDeque;
-use std::ops::Range;
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A typed serving request — the front's whole vocabulary. Queries carry
@@ -208,13 +208,17 @@ pub struct ServeStats {
     pub write_batches: u64,
     /// Largest mutation batch one dispatch ran.
     pub max_write_batch: u64,
-    /// Pump passes that found a mutation at the head of the queue still
+    /// Admission passes (one per submit, read completion or batch
+    /// outcome) that found a mutation at the head of the queue still
     /// fenced behind in-flight reads.
     pub fence_waits: u64,
-    /// High-water mark of concurrently in-flight admitted requests
-    /// (reads in flight plus an active writer) — the multiplexing
-    /// instrument: blocking per-thread serving pins this at the thread
-    /// count, the async front takes it to the admission window.
+    /// High-water mark of admitted work in flight: the most reads in
+    /// flight at once, or the most mutations one write batch held when the
+    /// fence dispatched it (before its job topped it up), whichever is
+    /// larger — never a sum, since the fence never lets reads and a batch
+    /// run together. The multiplexing instrument: blocking per-thread
+    /// serving pins it at the thread count, the async front takes it to
+    /// the admission window.
     pub in_flight_high_water: u64,
     /// Current admission-queue depth (requests accepted, not yet
     /// admitted past the fence).
@@ -233,16 +237,8 @@ struct Counters {
     completed: AtomicU64,
     warm_inline: AtomicU64,
     mutations: AtomicU64,
-    /// Mutations submitted but not yet completed — the batching sibling
-    /// test: a batch is held open for `max_delay_us` only while
-    /// more writes than it already holds are in flight somewhere (queued
-    /// or about to queue), so a lone writer never pays the delay.
-    writes_in_flight: AtomicU64,
     write_batches: AtomicU64,
     max_write_batch: AtomicU64,
-    fence_waits: AtomicU64,
-    in_flight_high_water: AtomicU64,
-    queue_high_water: AtomicU64,
     latency: [AtomicU64; LATENCY_BOUNDS_US.len() + 1],
 }
 
@@ -264,53 +260,25 @@ struct Pending {
     submitted: Instant,
 }
 
-/// What an accepted request waiting behind the fence does once admitted.
-/// [`ServeFront::submit`] is the one place a [`ServeRequest`] is decoded:
-/// past it a read is its pool job, [`serve_read`] already instantiated
-/// for the request's mode, and a write is its mutation.
-enum Work {
-    Read(ReadJob),
-    Write(Box<Mutation>),
-}
-
+/// A queued read's pool job: [`serve_read`], already instantiated for the
+/// request's mode where [`ServeFront::submit`] decoded it.
 type ReadJob = Box<dyn FnOnce(&Arc<Shared>, Pending) + Send>;
 
-/// Move the run of writes at the head of `queue` into `batch`, up to
-/// `max_batch` — never past a queued read, so FIFO order and the fence
-/// semantics are untouched.
-fn take_writes(
-    queue: &mut VecDeque<(Work, Pending)>,
-    batch: &mut Vec<(Box<Mutation>, Pending)>,
-    max_batch: usize,
-) {
-    while batch.len() < max_batch {
-        match queue.pop_front() {
-            Some((Work::Write(mutation), pending)) => batch.push((mutation, pending)),
-            Some(read) => return queue.push_front(read),
-            None => return,
-        }
-    }
-}
+/// A write's ticket with what its batch made of it (or the batch's panic),
+/// parked in the fence until the batch's covering fsyncs report.
+type Staged = (Pending, std::thread::Result<(Result<MutationEffect>, u64)>);
 
-/// Admission state, guarded by one mutex: the FIFO queue plus the fence's
-/// two counters. Held only for queue surgery — never across query work.
-struct Admission {
-    queue: VecDeque<(Work, Pending)>,
-    readers_in_flight: usize,
-    writer_active: bool,
-}
+type Queued = Request<(ReadJob, Pending), (Box<Mutation>, Pending)>;
+
+type ServeFence = Fence<(ReadJob, Pending), (Box<Mutation>, Pending), Staged>;
 
 struct Shared {
     cluster: RwLock<EngineCluster>,
     pool: Arc<WorkerPool>,
-    admission: Mutex<Admission>,
+    /// Held only while the fence takes an event or hands out an action —
+    /// never across query work or a pool submission.
+    fence: Mutex<ServeFence>,
     counters: Counters,
-    /// Most consecutive queued mutations one write job takes, and how long
-    /// (µs) it may hold a short batch open for late arrivals — the attached
-    /// log's policy, cached at construction (it is immutable for a log's
-    /// lifetime); 1 and 0 without a log.
-    max_batch: usize,
-    max_delay_us: u64,
 }
 
 /// The asynchronous serving front. See the module docs.
@@ -329,19 +297,15 @@ impl ServeFront {
     /// (normally the cluster's own pool, which its log's sync and snapshot
     /// jobs use, so all work drains one queue).
     pub fn with_pool(cluster: EngineCluster, pool: Arc<WorkerPool>) -> Self {
+        // The attached log's batching policy (immutable for the log's
+        // lifetime); 1 and 0 without a log.
         let (max_batch, max_delay_us) = cluster.write_batching();
         ServeFront {
             shared: Arc::new(Shared {
                 cluster: RwLock::new(cluster),
                 pool,
-                admission: Mutex::new(Admission {
-                    queue: VecDeque::new(),
-                    readers_in_flight: 0,
-                    writer_active: false,
-                }),
+                fence: Mutex::new(Fence::new(max_batch, max_delay_us)),
                 counters: Counters::default(),
-                max_batch,
-                max_delay_us,
             }),
         }
     }
@@ -351,8 +315,7 @@ impl ServeFront {
     /// admission-queued and executed as pool jobs. The ticket resolves
     /// whenever the response is ready; dropping it un-awaited is fine.
     pub fn submit(&self, req: ServeRequest) -> Ticket<ServeResponse> {
-        let counters = &self.shared.counters;
-        counters.submitted.fetch_add(1, Ordering::Relaxed);
+        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let submitted = Instant::now();
         match req {
             ServeRequest::Keyword { group, query } => {
@@ -365,8 +328,7 @@ impl ServeFront {
                 self.submit_read(Ranked(mode), group, query, QueryAnswer::Ranked, submitted)
             }
             ServeRequest::Mutate(mutation) => {
-                counters.writes_in_flight.fetch_add(1, Ordering::Relaxed);
-                self.enqueue(Work::Write(mutation), submitted)
+                self.enqueue(submitted, |pending| Request::Write((mutation, pending)))
             }
         }
     }
@@ -396,33 +358,26 @@ impl ServeFront {
                 return Ticket::ready(ServeResponse { epoch, answer: wrap(Some(hit)) });
             }
         }
-        let job = move |shared: &Arc<Shared>, pending| {
+        let job: ReadJob = Box::new(move |shared: &Arc<Shared>, pending| {
             serve_read(shared, mode, group, query_text, wrap, pending)
-        };
-        self.enqueue(Work::Read(Box::new(job)), submitted)
+        });
+        self.enqueue(submitted, |pending| Request::Read((job, pending)))
     }
 
-    fn enqueue(&self, work: Work, submitted: Instant) -> Ticket<ServeResponse> {
-        let shared = &self.shared;
-        let (ticket, completer) = Ticket::pending(Some(Arc::clone(&shared.pool)));
-        {
-            let mut admission = shared.admission.lock().expect("admission");
-            admission.queue.push_back((work, Pending { completer, submitted }));
-            let depth = admission.queue.len() as u64;
-            shared.counters.queue_high_water.fetch_max(depth, Ordering::Relaxed);
-        }
-        pump(shared);
+    fn enqueue(
+        &self,
+        submitted: Instant,
+        request: impl FnOnce(Pending) -> Queued,
+    ) -> Ticket<ServeResponse> {
+        let (ticket, completer) = Ticket::pending(Some(Arc::clone(&self.shared.pool)));
+        let request = request(Pending { completer, submitted });
+        step(&self.shared, |fence| fence.submit(request));
         ticket
     }
 
     /// Current serving counters.
     pub fn stats(&self) -> ServeStats {
         let c = &self.shared.counters;
-        let queue_depth = self.shared.admission.lock().expect("admission").queue.len() as u64;
-        let mut latency_counts = [0u64; LATENCY_BOUNDS_US.len() + 1];
-        for (out, counter) in latency_counts.iter_mut().zip(&c.latency) {
-            *out = counter.load(Ordering::Relaxed);
-        }
         ServeStats {
             submitted: c.submitted.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
@@ -430,11 +385,9 @@ impl ServeFront {
             mutations: c.mutations.load(Ordering::Relaxed),
             write_batches: c.write_batches.load(Ordering::Relaxed),
             max_write_batch: c.max_write_batch.load(Ordering::Relaxed),
-            fence_waits: c.fence_waits.load(Ordering::Relaxed),
-            in_flight_high_water: c.in_flight_high_water.load(Ordering::Relaxed),
-            queue_depth,
-            queue_high_water: c.queue_high_water.load(Ordering::Relaxed),
-            latency_counts,
+            latency_counts: c.latency.each_ref().map(|bucket| bucket.load(Ordering::Relaxed)),
+            // The fence's counters and queue depth, read under its lock.
+            ..self.shared.fence.lock().stats()
         }
     }
 
@@ -458,18 +411,12 @@ impl ServeFront {
     /// while waiting. Intended for test/bench teardown; normal operation
     /// never needs a barrier.
     pub fn quiesce(&self) {
-        loop {
-            {
-                let c = &self.shared.counters;
-                let admission = self.shared.admission.lock().expect("admission");
-                if admission.queue.is_empty()
-                    && admission.readers_in_flight == 0
-                    && !admission.writer_active
-                    && c.completed.load(Ordering::Relaxed) == c.submitted.load(Ordering::Relaxed)
-                {
-                    return;
-                }
-            }
+        let c = &self.shared.counters;
+        // The fence goes idle when it hands out the last tickets, just
+        // before they complete; the counters catch up as they do.
+        while !(self.shared.fence.lock().idle()
+            && c.completed.load(Ordering::Relaxed) == c.submitted.load(Ordering::Relaxed))
+        {
             if !self.shared.pool.help_one() {
                 std::thread::yield_now();
             }
@@ -477,236 +424,96 @@ impl ServeFront {
     }
 }
 
-/// Admit as much of the queue as the fence allows. Runs after every
-/// submit and every completion, on whichever thread got there — the
-/// admission lock makes pumps mutually exclusive per decision, and the
-/// loop re-checks after each dispatch so no admissible request is left
-/// waiting for the next event. It only queues jobs, never runs one.
-fn pump(shared: &Arc<Shared>) {
-    loop {
-        let (job, pending) = {
-            let mut admission = shared.admission.lock().expect("admission");
-            if admission.writer_active {
-                return;
-            }
-            let Some((work, pending)) = admission.queue.pop_front() else { return };
-            match work {
-                Work::Write(mutation) if admission.readers_in_flight > 0 => {
-                    // The fence: the mutation waits at the head for
-                    // in-flight reads to drain; the last completion re-pumps.
-                    admission.queue.push_front((Work::Write(mutation), pending));
-                    shared.counters.fence_waits.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                Work::Write(mutation) => {
-                    admission.writer_active = true;
-                    // Batched admission draining: the whole consecutive run
-                    // of mutations at the head goes to one dispatch, capped
-                    // by the policy's max_batch.
-                    let mut batch = vec![(mutation, pending)];
-                    take_writes(&mut admission.queue, &mut batch, shared.max_batch);
-                    let in_flight = batch.len() as u64;
-                    shared.counters.in_flight_high_water.fetch_max(in_flight, Ordering::Relaxed);
-                    drop(admission);
-                    // Nothing admits past an active writer; its completion
-                    // job clears the flag and re-pumps.
-                    dispatch_write(shared, batch);
-                    return;
-                }
-                Work::Read(job) => {
-                    admission.readers_in_flight += 1;
-                    let in_flight = admission.readers_in_flight as u64;
-                    shared.counters.in_flight_high_water.fetch_max(in_flight, Ordering::Relaxed);
-                    (job, pending)
-                }
-            }
-        };
+/// Feed the fence one event, then run every action it hands out, each
+/// outside the lock: a read or a write batch becomes one pool job, released
+/// write tickets complete here. Runs on whichever thread raised the event.
+fn step(shared: &Arc<Shared>, event: impl FnOnce(&mut ServeFence)) {
+    let mut fence = shared.fence.lock();
+    event(&mut fence);
+    while let Some(action) = fence.next_action() {
+        drop(fence);
         let job_shared = Arc::clone(shared);
-        shared.pool.exec(move || job(&job_shared, pending));
+        match action {
+            Action::Read((job, pending)) => shared.pool.exec(move || job(&job_shared, pending)),
+            Action::Write(batch) => shared.pool.exec(move || run_batch(&job_shared, batch)),
+            Action::Complete(tickets) => complete_writes(&shared.counters, tickets),
+        }
+        fence = shared.fence.lock();
     }
 }
 
-/// Run a batch of fenced mutations as one exclusive pool job: every
-/// admitted read has drained, so the write lock is uncontended (modulo
-/// inline warm probes, which never block — `try_read` yields to a
-/// waiting writer). The job may hold a short batch open for
-/// `max_delay_us` and then top it up with mutations that queued behind
-/// the fence meanwhile (safe: `writer_active` keeps the pump off the
-/// queue, and the top-up stops at the first queued read, so FIFO order
-/// holds). It appends + applies the batch under the write lock, then
-/// releases the fence and re-pumps **before** the covering fsync reports —
-/// batch *k+1* admits and applies while batch *k*'s fsync runs on the
-/// log's sync job. Tickets stay parked in a [`CommitGate`] until every
-/// durability callback minted for the batch has fired, so `Mutated(Ok)`
-/// means durable and acknowledgements keep submission order.
-fn dispatch_write(shared: &Arc<Shared>, batch: Vec<(Box<Mutation>, Pending)>) {
-    let pool = Arc::clone(&shared.pool);
-    let shared = Arc::clone(shared);
-    pool.exec(move || {
-        let mut batch = batch;
-        if batch.len() < shared.max_batch {
-            if shared.max_delay_us > 0
-                && shared.counters.writes_in_flight.load(Ordering::Relaxed) > batch.len() as u64
-            {
-                // The documented latency cost of batching: the first
-                // record waits up to max_delay for peers to share its
-                // fsync — but only when such peers exist (more writes in
-                // flight than the batch holds); a lone writer's batch
-                // goes straight to the log.
-                std::thread::sleep(std::time::Duration::from_micros(shared.max_delay_us));
-            }
-            let mut admission = shared.admission.lock().expect("admission");
-            take_writes(&mut admission.queue, &mut batch, shared.max_batch);
+/// Run a write batch as one exclusive pool job: every admitted read has
+/// drained, so the write lock is uncontended (modulo inline warm probes,
+/// which never block — `try_read` yields to a waiting writer). A short
+/// batch is topped up first, after its hold-open window if the fence set
+/// one. Behind the write lock, [`EngineCluster::mutate_batch_pipelined`]
+/// appends and applies the batch, minting one durability callback per log
+/// run; each callback reports its verdict to the fence. Then the job
+/// reports the batch applied, which lifts the fence before the covering
+/// fsync has reported.
+fn run_batch(shared: &Arc<Shared>, mut batch: WriteBatch<(Box<Mutation>, Pending)>) {
+    if batch.short {
+        if batch.hold_us > 0 {
+            // The documented latency cost of batching: the first record
+            // waits for peers to share its fsync.
+            std::thread::sleep(std::time::Duration::from_micros(batch.hold_us));
         }
-        let (mutations, handles): (Vec<Mutation>, Vec<Pending>) =
-            batch.into_iter().map(|(mutation, pending)| (*mutation, pending)).unzip();
-        let count = handles.len() as u64;
-        let gate = Arc::new(CommitGate {
-            shared: Arc::clone(&shared),
-            state: Mutex::new(GateState::default()),
-        });
-        let factory_gate = Arc::clone(&gate);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut cluster = shared.cluster.write();
-            let outcomes = cluster.mutate_batch_pipelined(mutations, move |range| {
-                // Mint-side accounting: the log fires every minted callback
-                // exactly once (even on a synchronous append error), so
-                // done == expected is a sound completion barrier.
-                factory_gate.state.lock().expect("commit gate").expected += 1;
-                let fired = Arc::clone(&factory_gate);
-                Box::new(move |verdict| fired.on_durable(range, verdict)) as DurableCallback
-            });
-            drop(cluster);
-            outcomes
-        }));
-        // The pipelining: the batch is applied (or panicked), so the fence
-        // can lift now — the covering fsync is still in flight, and the next
-        // batch validates and applies against it. Tickets complete later,
-        // from maybe_finish, once the callbacks report in.
-        shared.admission.lock().expect("admission").writer_active = false;
-        pump(&shared);
+        shared.fence.lock().top_up(&mut batch);
+    }
+    let id = batch.id;
+    let (mutations, handles): (Vec<Mutation>, Vec<Pending>) =
+        batch.writes.into_iter().map(|(mutation, pending)| (*mutation, pending)).unzip();
+    let count = handles.len() as u64;
+    let mut minted = 0;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        shared.cluster.write().mutate_batch_pipelined(mutations, |range| {
+            // The log fires every minted callback exactly once (even on a
+            // synchronous append error), so counting mints here tells the
+            // fence how many verdicts to wait for.
+            minted += 1;
+            let shared = Arc::clone(shared);
+            Box::new(move |verdict: WalResult<()>| {
+                let verdict = verdict.map_err(|e| e.to_string());
+                step(&shared, |fence| fence.durable(id, range, verdict))
+            }) as DurableCallback
+        })
+    }));
+    let staged: Vec<Staged> = match outcome {
+        Ok(outcomes) => {
+            debug_assert_eq!(outcomes.len() as u64, count);
+            shared.counters.mutations.fetch_add(count, Ordering::Relaxed);
+            shared.counters.write_batches.fetch_add(1, Ordering::Relaxed);
+            shared.counters.max_write_batch.fetch_max(count, Ordering::Relaxed);
+            handles.into_iter().zip(outcomes.into_iter().map(Ok)).collect()
+        }
+        Err(payload) => {
+            // The payload is not clonable: the first ticket re-throws the
+            // real payload, peers a marker naming the shared cause.
+            const PEER: &str = "a mutation batched with this one panicked the write job";
+            let peers = std::iter::repeat_with(|| Box::new(PEER) as Box<dyn Any + Send>);
+            handles.into_iter().zip(std::iter::once(payload).chain(peers).map(Err)).collect()
+        }
+    };
+    step(shared, |fence| fence.applied(id, staged, minted));
+}
+
+/// Complete the write tickets the fence released, in submission order.
+fn complete_writes(counters: &Counters, tickets: Vec<(Staged, Option<String>)>) {
+    for ((Pending { completer, submitted }, outcome), durability) in tickets {
+        // Count before completing: once a ticket resolves, its owner may
+        // read stats, and quiesce() keys on completed == submitted.
+        counters.record_latency(submitted);
         match outcome {
-            Ok(outcomes) => {
-                debug_assert_eq!(outcomes.len() as u64, count);
-                shared.counters.mutations.fetch_add(count, Ordering::Relaxed);
-                shared.counters.write_batches.fetch_add(1, Ordering::Relaxed);
-                shared.counters.max_write_batch.fetch_max(count, Ordering::Relaxed);
-                gate.stage(StagedCompletion { outcomes, handles, panic: None });
+            Ok((result, epoch)) => {
+                // An applied effect whose covering fsync failed must not
+                // acknowledge as durable (recovery will replay only what
+                // the log actually holds).
+                let durability =
+                    durability.map(|e| ModelError::invalid(format!("durability: {e}")));
+                let result = durability.map_or(result, Err);
+                completer.complete(ServeResponse { epoch, answer: QueryAnswer::Mutated(result) })
             }
-            Err(payload) => {
-                // Runs appended before the panic still own minted callbacks;
-                // the gate waits for them so no callback outlives its batch's
-                // accounting, then completes every ticket with the panic.
-                gate.stage(StagedCompletion {
-                    outcomes: Vec::new(),
-                    handles,
-                    panic: Some(payload),
-                });
-            }
-        }
-    });
-}
-
-/// Parks a write batch's tickets until the fsyncs covering its WAL runs
-/// have all reported. Two halves race benignly: the write job stages
-/// outcomes + completers after releasing the fence, and the sync job's
-/// durability callbacks tick `done` toward `expected`; whichever side
-/// observes both conditions takes the staged completion (the
-/// `Option::take` makes the finisher unique) and resolves the tickets. A
-/// batch that minted no callback (no log, or nothing valid to append)
-/// finishes at `stage`.
-struct CommitGate {
-    shared: Arc<Shared>,
-    state: Mutex<GateState>,
-}
-
-#[derive(Default)]
-struct GateState {
-    /// Durability callbacks minted by the batch's run flushes.
-    expected: usize,
-    /// Callbacks that have fired (Ok or Err).
-    done: usize,
-    /// Batch-index ranges whose covering fsync failed, with the error.
-    failed: Vec<(Range<usize>, String)>,
-    /// Set once by the write job; taken exactly once by the finisher.
-    staged: Option<StagedCompletion>,
-}
-
-struct StagedCompletion {
-    outcomes: Vec<(Result<MutationEffect>, u64)>,
-    handles: Vec<Pending>,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-impl CommitGate {
-    fn on_durable(self: &Arc<Self>, range: Range<usize>, verdict: WalResult<()>) {
-        {
-            let mut state = self.state.lock().expect("commit gate");
-            state.done += 1;
-            if let Err(e) = verdict {
-                state.failed.push((range, e.to_string()));
-            }
-        }
-        self.maybe_finish();
-    }
-
-    fn stage(self: &Arc<Self>, staged: StagedCompletion) {
-        self.state.lock().expect("commit gate").staged = Some(staged);
-        self.maybe_finish();
-    }
-
-    fn maybe_finish(self: &Arc<Self>) {
-        let (staged, failed) = {
-            let mut state = self.state.lock().expect("commit gate");
-            if state.done < state.expected || state.staged.is_none() {
-                return;
-            }
-            let staged = state.staged.take().expect("checked above");
-            (staged, std::mem::take(&mut state.failed))
-        };
-        let shared = &self.shared;
-        match staged.panic {
-            None => {
-                for (i, ((result, epoch), Pending { completer, submitted })) in
-                    staged.outcomes.into_iter().zip(staged.handles).enumerate()
-                {
-                    // An applied effect whose covering fsync failed must
-                    // not acknowledge as durable: the durability error
-                    // overrides the in-memory Ok (recovery will replay
-                    // only what the log actually holds).
-                    let result = match failed.iter().find(|(range, _)| range.contains(&i)) {
-                        Some((_, detail)) => {
-                            Err(ModelError::invalid(format!("durability: {detail}")))
-                        }
-                        None => result,
-                    };
-                    // Count before completing: once a ticket resolves,
-                    // its owner may read stats, and quiesce() keys on
-                    // completed == submitted.
-                    shared.counters.writes_in_flight.fetch_sub(1, Ordering::Relaxed);
-                    shared.counters.record_latency(submitted);
-                    completer
-                        .complete(ServeResponse { epoch, answer: QueryAnswer::Mutated(result) });
-                }
-            }
-            Some(payload) => {
-                // A panicked batch still completes every ticket — the
-                // counter parity (and so quiesce()) must not wedge on it.
-                // The payload is not clonable: the first ticket re-throws
-                // the real payload, peers a marker naming the shared
-                // cause.
-                let mut payload = Some(payload);
-                for Pending { completer, submitted } in staged.handles {
-                    shared.counters.writes_in_flight.fetch_sub(1, Ordering::Relaxed);
-                    shared.counters.record_latency(submitted);
-                    match payload.take() {
-                        Some(p) => completer.complete_with_panic(p),
-                        None => completer.complete_with_panic(Box::new(
-                            "a mutation batched with this one panicked the write job",
-                        )),
-                    }
-                }
-            }
+            Err(payload) => completer.complete_with_panic(payload),
         }
     }
 }
@@ -756,8 +563,7 @@ fn serve_read<M: ReadMode>(
         }
         Err(payload) => pending.completer.complete_with_panic(payload),
     }
-    shared.admission.lock().expect("admission").readers_in_flight -= 1;
-    pump(shared);
+    step(shared, Fence::read_done);
 }
 
 #[cfg(test)]
@@ -767,6 +573,7 @@ mod tests {
     use ppwf_model::fixtures;
     use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
     use ppwf_repo::repository::{Repository, SpecId};
+    use std::sync::Mutex;
 
     fn registry() -> PrincipalRegistry {
         let mut registry = PrincipalRegistry::new();

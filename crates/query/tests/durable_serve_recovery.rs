@@ -121,7 +121,7 @@ fn serve(
 ) -> (Vec<ServeResponse>, Vec<ServeResponse>) {
     let (mut writes, mut reads) = (Vec::new(), Vec::new());
     for (g, chunk) in stream.chunks(group).enumerate() {
-        // The group's writes first — the pump never batches past a queued
+        // The group's writes first — the fence never batches past a queued
         // read — then as many reads behind them.
         let write_tickets: Vec<_> =
             chunk.iter().map(|m| front.submit(ServeRequest::mutate(m.clone()))).collect();
