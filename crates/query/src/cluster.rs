@@ -34,9 +34,10 @@
 //!   its hits are sanitized against the group's access views before
 //!   anything reaches the gather stage, exactly as in the unsharded model.
 //! * **Corpus-global ranking statistics.** TF-IDF scores depend on corpus
-//!   document counts; shard-local IDFs would drift. The plan sums
-//!   per-shard `(doc_count, df)` into global IDFs and the gather rescores
-//!   the gathered profiles with
+//!   document counts; shard-local IDFs would drift. So a shard scores
+//!   nothing: its part is hits and their TF profiles. The plan sums
+//!   per-shard `(doc_count, df)` into global IDFs, and the gather scores
+//!   the gathered profiles once with
 //!   [`scores_for_profiles`](crate::ranking::scores_for_profiles) — bitwise
 //!   the single engine's math.
 //! * **Index-gated scatter.** A shard whose index lacks some query term
@@ -425,7 +426,7 @@ impl EngineCluster {
     }
 
     /// Ranked keyword search. Shards contribute hits and TF profiles; the
-    /// gather stage rescores every profile with corpus-global IDFs summed
+    /// gather stage scores every profile once with corpus-global IDFs summed
     /// over *all* shards — including pruned ones, whose document counts
     /// still shape the statistics — so scores and order are bit-identical
     /// to a single engine over the same corpus.
@@ -514,15 +515,16 @@ impl EngineCluster {
         plan.mode.part(&self.repo, shard, &access, &plan.query)
     }
 
-    /// Stage 4 — gather: merge the target shards' parts (in target order)
-    /// as the mode prescribes, in spec order, and publish the answer to
-    /// the front cache at the plan's epoch.
+    /// Stage 4 — gather: hand the target shards' parts (in target order)
+    /// to the mode's merge, which moves them into one answer in spec order
+    /// (a single part is the answer), and publish the answer to the front
+    /// cache at the plan's epoch.
     pub(crate) fn gather<M: ReadMode>(
         &self,
         plan: &ReadPlan<M>,
         parts: Vec<M::Part>,
     ) -> Arc<M::Answer> {
-        let merged = Arc::new(M::merge(plan, &parts));
+        let merged = Arc::new(M::merge(plan, parts));
         let (group, query, class) = (&plan.group, &plan.query_text, plan.mode.class());
         self.front.insert(group, query, class, plan.epoch, Arc::clone(&merged) as _);
         merged

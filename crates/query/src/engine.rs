@@ -41,7 +41,7 @@
 use crate::keyword::{KeywordHit, KeywordQuery};
 use crate::modes::{Keyword, Private, Ranked, ReadMode};
 use crate::privacy_exec::PrivateSearchOutcome;
-use crate::ranking::{RankingMode, TfProfile};
+use crate::ranking::{idfs_for_terms, RankingMode, TfProfile};
 use ppwf_model::Result;
 use ppwf_repo::cache::CacheStats;
 use ppwf_repo::keyword_index::{KeywordIndex, Touched};
@@ -343,7 +343,7 @@ impl QueryEngine {
     /// Privilege-filtered keyword search for one group. Returns `None` for
     /// unknown groups.
     pub fn search_as(&self, group: &str, query_text: &str) -> Option<Arc<Vec<KeywordHit>>> {
-        self.read(Keyword, group, query_text).map(Arc::new)
+        self.read(Keyword, group, &KeywordQuery::parse(query_text)).map(Arc::new)
     }
 
     /// Privacy-preserving search under an explicit plan. Returns `None` for
@@ -354,27 +354,34 @@ impl QueryEngine {
         query_text: &str,
         plan: Plan,
     ) -> Option<Arc<PrivateSearchOutcome>> {
-        self.read(Private(plan), group, query_text).map(Arc::new)
+        self.read(Private(plan), group, &KeywordQuery::parse(query_text)).map(Arc::new)
     }
 
     /// Ranked keyword search: the hit list for `(group, query)` and its
     /// ranking under `mode`, computed together.
+    ///
+    /// The one part is scored by the same step as a cluster's merge
+    /// (`Ranked::rank`), with this index's IDFs: over one whole-corpus
+    /// index they are the corpus IDFs a cluster sums, bit for bit.
     pub fn ranked_search_as(
         &self,
         group: &str,
         query_text: &str,
         mode: RankingMode,
     ) -> Option<(Arc<Vec<KeywordHit>>, Arc<RankedAnswer>)> {
-        self.read(Ranked(mode), group, query_text)
+        let query = KeywordQuery::parse(query_text);
+        let (hits, profiles) = self.read(Ranked(mode), group, &query)?;
+        let ranked = Ranked(mode).rank(&idfs_for_terms(self.index(), &query.terms), profiles);
+        Some((Arc::new(hits), Arc::new(ranked)))
     }
 
     /// The one read under every entry point above: resolve access lazily
     /// (only specs with candidate postings pay rule resolution, E12's
-    /// lever), parse, and compute `mode`'s answer over the whole-corpus
-    /// shard ([`ReadMode::part`]). `None` for unknown groups.
-    fn read<M: ReadMode>(&self, mode: M, group: &str, query_text: &str) -> Option<M::Part> {
+    /// lever) and compute `mode`'s part over the whole-corpus shard
+    /// ([`ReadMode::part`]). `None` for unknown groups.
+    fn read<M: ReadMode>(&self, mode: M, group: &str, query: &KeywordQuery) -> Option<M::Part> {
         let access = self.access_resolver(group)?;
-        Some(mode.part(&self.repo, &self.shard, &access, &KeywordQuery::parse(query_text)))
+        Some(mode.part(&self.repo, &self.shard, &access, query))
     }
 
     /// Counters of the view and access memos; the engine has no result

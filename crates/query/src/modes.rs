@@ -27,6 +27,11 @@
 //!
 //! [`QueryEngine`]: crate::engine::QueryEngine
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 use crate::cluster::{RankedHits, ReadPlan};
 use crate::engine::{Plan, RankedAnswer, Shard};
 use crate::keyword::{search_filtered_with_cache, KeywordHit, KeywordQuery};
@@ -34,8 +39,8 @@ use crate::privacy_exec::{
     filter_then_search_cached, search_then_zoom_out_cached, PrivateSearchOutcome,
 };
 use crate::ranking::{
-    idfs_for_terms, idfs_from_shard_counts, profiles_for_hits, rank_by_scores, scores_for_profiles,
-    ModeKey, RankingMode, TfProfile,
+    idfs_from_shard_counts, profiles_for_hits, rank_by_scores, scores_for_profiles, ModeKey,
+    RankingMode, TfProfile,
 };
 use ppwf_repo::cache::GroupCache;
 use ppwf_repo::principals::AccessResolver;
@@ -73,14 +78,16 @@ pub(crate) trait ReadMode: Copy + Send + Sync + 'static {
         Vec::new()
     }
 
-    /// Merge the parts of `plan`'s target shards, in target order, into the
-    /// whole answer, in spec order.
-    fn merge(plan: &ReadPlan<Self>, parts: &[Self::Part]) -> Self::Answer;
+    /// Merge the parts of `plan`'s target shards, handed over in target
+    /// order, into the whole answer, in spec order. Every part is already
+    /// in spec order, so a single part *is* the answer: it is moved
+    /// through, not copied or re-sorted.
+    fn merge(plan: &ReadPlan<Self>, parts: Vec<Self::Part>) -> Self::Answer;
 }
 
-/// A ranked part: a shard's keyword hits, and their ranking aligned with
-/// them.
-pub(crate) type RankedPart = (Arc<Vec<KeywordHit>>, Arc<RankedAnswer>);
+/// A ranked part: a shard's keyword hits, and their TF profiles aligned
+/// with them, unscored — the merge scores the whole answer once.
+pub(crate) type RankedPart = (Vec<KeywordHit>, Vec<TfProfile>);
 
 /// Privilege-filtered keyword search.
 #[derive(Clone, Copy)]
@@ -92,12 +99,18 @@ pub(crate) struct Private(pub(crate) Plan);
 #[derive(Clone, Copy)]
 pub(crate) struct Ranked(pub(crate) RankingMode);
 
-/// The shards' hits, each list in spec order already, merged in spec
-/// order.
-fn merge_hits<'a>(per_shard: impl Iterator<Item = &'a Vec<KeywordHit>>) -> Vec<KeywordHit> {
-    let mut merged: Vec<KeywordHit> = per_shard.flatten().cloned().collect();
-    merged.sort_by_key(|h| h.spec);
-    merged
+/// The shards' hits, each list in spec order already, merged by move in
+/// spec order: a single list is returned as it is; several are
+/// concatenated and stably sorted by spec.
+fn merge_hits(parts: Vec<Vec<KeywordHit>>) -> Vec<KeywordHit> {
+    match <[_; 1]>::try_from(parts) {
+        Ok([part]) => part,
+        Err(parts) => {
+            let mut merged: Vec<KeywordHit> = parts.into_iter().flatten().collect();
+            merged.sort_by_key(|h| h.spec);
+            merged
+        }
+    }
 }
 
 impl ReadMode for Keyword {
@@ -119,8 +132,8 @@ impl ReadMode for Keyword {
         search_filtered_with_cache(repo, shard.index(), query, access, shard.views())
     }
 
-    fn merge(_plan: &ReadPlan<Self>, parts: &[Vec<KeywordHit>]) -> Vec<KeywordHit> {
-        merge_hits(parts.iter())
+    fn merge(_plan: &ReadPlan<Self>, parts: Vec<Vec<KeywordHit>>) -> Vec<KeywordHit> {
+        merge_hits(parts)
     }
 }
 
@@ -152,13 +165,12 @@ impl ReadMode for Private {
     /// The plans' cost counters (views built, zoom steps, discards) are
     /// counts of per-spec work, so their sums equal the single-engine
     /// figures.
-    fn merge(_plan: &ReadPlan<Self>, parts: &[PrivateSearchOutcome]) -> PrivateSearchOutcome {
-        PrivateSearchOutcome {
-            hits: merge_hits(parts.iter().map(|outcome| &outcome.hits)),
-            views_built: parts.iter().map(|outcome| outcome.views_built).sum(),
-            zoom_steps: parts.iter().map(|outcome| outcome.zoom_steps).sum(),
-            discarded: parts.iter().map(|outcome| outcome.discarded).sum(),
-        }
+    fn merge(_plan: &ReadPlan<Self>, parts: Vec<PrivateSearchOutcome>) -> PrivateSearchOutcome {
+        let views_built = parts.iter().map(|outcome| outcome.views_built).sum();
+        let zoom_steps = parts.iter().map(|outcome| outcome.zoom_steps).sum();
+        let discarded = parts.iter().map(|outcome| outcome.discarded).sum();
+        let hits = merge_hits(parts.into_iter().map(|outcome| outcome.hits).collect());
+        PrivateSearchOutcome { hits, views_built, zoom_steps, discarded }
     }
 }
 
@@ -171,8 +183,9 @@ impl ReadMode for Ranked {
         Class::Ranked(self.0.cache_key())
     }
 
-    /// The keyword hits and, in the same call, their TF profiles scored
-    /// under the mode with the shard's own IDFs.
+    /// The keyword hits and, in the same call, their TF profiles. Nothing
+    /// is scored here: scores need corpus-global IDFs, so the merge (or
+    /// the reference engine, over its one part) scores once ([`Ranked::rank`]).
     fn part(
         self,
         repo: &Repository,
@@ -182,10 +195,7 @@ impl ReadMode for Ranked {
     ) -> RankedPart {
         let hits = Keyword.part(repo, shard, access, query);
         let profiles = profiles_for_hits(repo, &hits, &query.terms);
-        let idfs = idfs_for_terms(shard.index(), &query.terms);
-        let scores = scores_for_profiles(&idfs, &profiles, self.0);
-        let ranked = RankedAnswer { order: rank_by_scores(&scores), scores, profiles };
-        (Arc::new(hits), Arc::new(ranked))
+        (hits, profiles)
     }
 
     /// Summed over *all* shards — including ones the scatter prunes, whose
@@ -203,20 +213,34 @@ impl ReadMode for Ranked {
         idfs_from_shard_counts(&doc_counts, &dfs_per_term)
     }
 
-    /// Hits merge with their TF profiles; every profile is rescored with
-    /// the plan's corpus-global IDFs ([`scores_for_profiles`] — bitwise the
-    /// single engine's math), so scores and order come out bit-identical
-    /// to a single engine over the same corpus.
-    fn merge(plan: &ReadPlan<Self>, parts: &[RankedPart]) -> RankedHits {
-        let mut rows: Vec<(KeywordHit, TfProfile)> = parts
-            .iter()
-            .flat_map(|(hits, ranked)| hits.iter().cloned().zip(ranked.profiles.iter().cloned()))
-            .collect();
-        rows.sort_by_key(|(h, _)| h.spec);
-        let (hits, profiles): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
-        let scores = scores_for_profiles(&plan.idfs, &profiles, plan.mode.0);
-        let order = rank_by_scores(&scores);
-        RankedHits { hits, ranked: RankedAnswer { order, scores, profiles } }
+    /// Hits merge by move with their TF profiles, and the merged profiles
+    /// are scored once with the plan's corpus-global IDFs ([`Ranked::rank`]
+    /// — bitwise the single engine's math), so scores and order come out
+    /// bit-identical to a single engine over the same corpus.
+    fn merge(plan: &ReadPlan<Self>, parts: Vec<RankedPart>) -> RankedHits {
+        let (hits, profiles) = match <[_; 1]>::try_from(parts) {
+            Ok([part]) => part,
+            Err(parts) => {
+                let mut rows: Vec<(KeywordHit, TfProfile)> = parts
+                    .into_iter()
+                    .flat_map(|(hits, profiles)| hits.into_iter().zip(profiles))
+                    .collect();
+                rows.sort_by_key(|(h, _)| h.spec);
+                rows.into_iter().unzip()
+            }
+        };
+        RankedHits { ranked: plan.mode.rank(&plan.idfs, profiles), hits }
+    }
+}
+
+impl Ranked {
+    /// Score `profiles` under the mode with `idfs` and rank them: the one
+    /// scoring step of a ranked read. The merge runs it with the plan's
+    /// corpus-global IDFs; the reference engine with its whole-corpus
+    /// index's, which over one index are the same bits.
+    pub(crate) fn rank(self, idfs: &[f64], profiles: Vec<TfProfile>) -> RankedAnswer {
+        let scores = scores_for_profiles(idfs, &profiles, self.0);
+        RankedAnswer { order: rank_by_scores(&scores), scores, profiles }
     }
 }
 
@@ -232,3 +256,112 @@ pub(crate) enum Class {
 /// A cluster front's one result cache: each entry is the `Arc` of the answer
 /// its class's mode computes. See the module docs.
 pub(crate) type FrontCache = GroupCache<Class, Arc<dyn Any + Send + Sync>>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::EngineCluster;
+    use crate::engine::QueryEngine;
+    use ppwf_core::policy::{AccessLevel, Policy};
+    use ppwf_model::fixtures;
+    use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
+
+    fn corpus(specs: usize) -> Repository {
+        let mut repo = Repository::new();
+        for _ in 0..specs {
+            let (spec, _) = fixtures::disease_susceptibility();
+            repo.insert_spec(spec, Policy::public()).unwrap();
+        }
+        repo
+    }
+
+    fn registry() -> PrincipalRegistry {
+        let mut registry = PrincipalRegistry::new();
+        registry.add_group("researchers", AccessLevel(3), ViewRule::Full);
+        registry
+    }
+
+    /// `mode`'s plan for `query` on `cluster` and its target shards' parts.
+    fn planned<M: ReadMode>(
+        cluster: &EngineCluster,
+        mode: M,
+        query: &str,
+    ) -> (ReadPlan<M>, Vec<M::Part>) {
+        let plan = cluster.plan(mode, "researchers".to_owned(), query.to_owned()).unwrap();
+        let parts = (0..plan.targets.len()).map(|slot| cluster.run_shard(&plan, slot)).collect();
+        (plan, parts)
+    }
+
+    /// What a hit releases: spec, prefix and match set.
+    fn released(hits: &[KeywordHit]) -> Vec<impl PartialEq + std::fmt::Debug> {
+        hits.iter().map(|h| (h.spec, h.prefix.clone(), h.matched.clone())).collect()
+    }
+
+    #[test]
+    fn one_part_merge_returns_the_part_itself() {
+        let cluster = EngineCluster::new(corpus(3), registry(), 1);
+
+        let (plan, parts) = planned(&cluster, Keyword, "risk");
+        assert_eq!(parts.len(), 1);
+        let buffer = parts[0].as_ptr();
+        let merged = Keyword::merge(&plan, parts);
+        assert_eq!(merged.as_ptr(), buffer);
+
+        let (plan, parts) = planned(&cluster, Private(Plan::SearchThenZoomOut), "risk");
+        let (buffer, views_built) = (parts[0].hits.as_ptr(), parts[0].views_built);
+        let merged = Private::merge(&plan, parts);
+        assert_eq!(merged.hits.as_ptr(), buffer);
+        assert_eq!(merged.views_built, views_built);
+
+        let (plan, parts) = planned(&cluster, Ranked(RankingMode::ExactFull), "risk, database");
+        let (hits, profiles) = (parts[0].0.as_ptr(), parts[0].1.as_ptr());
+        let merged = Ranked::merge(&plan, parts);
+        assert_eq!(merged.hits.as_ptr(), hits);
+        assert_eq!(merged.ranked.profiles.as_ptr(), profiles);
+        assert_eq!(merged.hits.len(), 3);
+    }
+
+    #[test]
+    fn two_part_merge_is_the_sorted_concatenation() {
+        // Spec s sits on shard s % 2, so target order concatenates
+        // 0, 2, 4, 1, 3: the merge has to sort.
+        let cluster = EngineCluster::new(corpus(5), registry(), 2);
+        let reference = QueryEngine::new(corpus(5), registry());
+
+        let (plan, parts) = planned(&cluster, Keyword, "risk");
+        assert_eq!(parts.len(), 2);
+        let mut want: Vec<KeywordHit> = parts.concat();
+        want.sort_by_key(|h| h.spec);
+        assert_eq!(released(&Keyword::merge(&plan, parts)), released(&want));
+
+        let (plan, parts) = planned(&cluster, Private(Plan::SearchThenZoomOut), "risk");
+        let views_built: usize = parts.iter().map(|p| p.views_built).sum();
+        let merged = Private::merge(&plan, parts);
+        assert_eq!(merged.views_built, views_built);
+        assert_eq!(released(&merged.hits), released(&want));
+
+        for mode in [RankingMode::ExactFull, RankingMode::BucketizedFull { base: 2.0 }] {
+            let (plan, parts) = planned(&cluster, Ranked(mode), "risk, database");
+            let mut rows: Vec<(KeywordHit, TfProfile)> = Vec::new();
+            for (hits, profiles) in &parts {
+                rows.extend(hits.iter().zip(profiles).map(|(h, p)| (h.clone(), p.clone())));
+            }
+            rows.sort_by_key(|(h, _)| h.spec);
+            let (want_hits, want_profiles): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+            let want_scores = scores_for_profiles(&plan.idfs, &want_profiles, mode);
+            let merged = Ranked::merge(&plan, parts);
+            assert_eq!(released(&merged.hits), released(&want_hits));
+            let profile_bits = |p: &[TfProfile]| -> Vec<(Vec<u64>, Vec<u64>)> {
+                p.iter().map(|p| (p.visible.clone(), p.hidden.clone())).collect()
+            };
+            assert_eq!(profile_bits(&merged.ranked.profiles), profile_bits(&want_profiles));
+            let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&merged.ranked.scores), bits(&want_scores));
+            assert_eq!(merged.ranked.order, rank_by_scores(&want_scores));
+            let (ref_hits, ref_ranked) =
+                reference.ranked_search_as("researchers", "risk, database", mode).unwrap();
+            assert_eq!(released(&merged.hits), released(&ref_hits));
+            assert!(merged.ranked.bitwise_eq(&ref_ranked), "{mode:?}");
+        }
+    }
+}

@@ -25,7 +25,7 @@
 
 use ppwf_core::dp::LaplaceMechanism;
 use ppwf_model::hierarchy::Prefix;
-use ppwf_repo::keyword_index::{tokenize, KeywordIndex};
+use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::postings::with_scratch;
 use ppwf_repo::repository::{Repository, SpecId};
 use rand::rngs::StdRng;
@@ -106,48 +106,80 @@ impl TfProfile {
 /// Compute the TF profile of a specification for `terms` under `prefix`
 /// (which modules count as visible).
 pub fn tf_profile(repo: &Repository, spec: SpecId, prefix: &Prefix, terms: &[String]) -> TfProfile {
-    let entry = repo.entry(spec).expect("live spec");
-    let mut profile = TfProfile { visible: vec![0; terms.len()], hidden: vec![0; terms.len()] };
-    for module in entry.spec.modules() {
-        if module.kind.is_distinguished() {
-            continue;
-        }
-        let mut text = tokenize(&module.name);
-        for k in &module.keywords {
-            text.extend(tokenize(k));
-        }
-        let visible = prefix.contains(module.workflow);
-        for (ti, term) in terms.iter().enumerate() {
-            let words: Vec<&str> = term.split(' ').collect();
-            let count = if words.len() == 1 {
-                text.iter().filter(|w| w.as_str() == words[0]).count() as u64
-            } else {
-                text.windows(words.len())
-                    .filter(|w| w.iter().map(|s| s.as_str()).eq(words.iter().copied()))
-                    .count() as u64
-            };
-            if visible {
-                profile.visible[ti] += count;
-            } else {
-                profile.hidden[ti] += count;
-            }
-        }
-    }
-    profile
+    let words = split_terms(terms);
+    profile_with(repo, spec, prefix, &words, &mut Vec::new())
 }
 
 /// TF profiles for a slice of keyword hits, one per hit in order, each
 /// computed under the hit's own answer prefix. This is the ranking layer's
-/// per-query hot loop; the cluster front memoizes its output, inside the
-/// ranked answer, per `(group, query, mode)` in its one
-/// [`GroupCache`](ppwf_repo::cache::GroupCache), so repeated queries skip
-/// re-tokenizing every module of every hit spec.
+/// per-query hot loop: the terms are split once per call, and every
+/// module's tokens are borrowed slices of its text in one reused buffer,
+/// so a call allocates the split terms, that buffer and the profiles,
+/// and nothing per module.
 pub fn profiles_for_hits(
     repo: &Repository,
     hits: &[crate::keyword::KeywordHit],
     terms: &[String],
 ) -> Vec<TfProfile> {
-    hits.iter().map(|h| tf_profile(repo, h.spec, &h.prefix, terms)).collect()
+    let words = split_terms(terms);
+    let mut tokens = Vec::new();
+    hits.iter().map(|h| profile_with(repo, h.spec, &h.prefix, &words, &mut tokens)).collect()
+}
+
+/// Each term's words, split once per call.
+fn split_terms(terms: &[String]) -> Vec<Vec<&str>> {
+    terms.iter().map(|t| t.split(' ').collect()).collect()
+}
+
+/// [`tf_profile`] over pre-split terms, walking each module's name and tag
+/// tokens as borrowed slices in `tokens` (cleared per module). Counts are
+/// exactly those over [`tokenize`](ppwf_repo::keyword_index::tokenize)'s
+/// output: the same split, and [`token_is`] compares as its lowercasing
+/// would.
+fn profile_with<'r>(
+    repo: &'r Repository,
+    spec: SpecId,
+    prefix: &Prefix,
+    words: &[Vec<&str>],
+    tokens: &mut Vec<&'r str>,
+) -> TfProfile {
+    let entry = repo.entry(spec).expect("live spec");
+    let mut profile = TfProfile { visible: vec![0; words.len()], hidden: vec![0; words.len()] };
+    for module in entry.spec.modules() {
+        if module.kind.is_distinguished() {
+            continue;
+        }
+        tokens.clear();
+        for text in std::iter::once(&module.name).chain(&module.keywords) {
+            tokens.extend(text.split(|c: char| !c.is_alphanumeric()).filter(|t| !t.is_empty()));
+        }
+        let counts = if prefix.contains(module.workflow) {
+            &mut profile.visible
+        } else {
+            &mut profile.hidden
+        };
+        for (count, term) in counts.iter_mut().zip(words) {
+            *count += match term.as_slice() {
+                [word] => tokens.iter().filter(|t| token_is(t, word)).count() as u64,
+                _ => tokens
+                    .windows(term.len())
+                    .filter(|w| w.iter().zip(term).all(|(t, word)| token_is(t, word)))
+                    .count() as u64,
+            };
+        }
+    }
+    profile
+}
+
+/// Whether `token` lowercases to exactly `word`, without building the
+/// lowercase string for an ASCII token.
+fn token_is(token: &str, word: &str) -> bool {
+    if token.is_ascii() {
+        token.len() == word.len()
+            && token.bytes().zip(word.bytes()).all(|(t, w)| t.to_ascii_lowercase() == w)
+    } else {
+        token.to_lowercase() == word
+    }
 }
 
 /// Per-term IDF weights from one index, through the index's per-term df
@@ -178,10 +210,9 @@ pub fn score(
     score_with_idfs(&idfs_for_terms(index, terms), profile, mode)
 }
 
-/// [`score`] with precomputed per-term IDF weights — the form both the
-/// single engine (one IDF resolution per query, not per hit) and the
-/// cluster's gather stage (corpus-global IDFs over shard-local profiles)
-/// evaluate.
+/// [`score`] with precomputed per-term IDF weights (one IDF resolution per
+/// query, not per hit) — the per-profile definition
+/// [`scores_for_profiles`] is held to bit for bit.
 pub fn score_with_idfs(idfs: &[f64], profile: &TfProfile, mode: RankingMode) -> f64 {
     let mut rng = match mode {
         RankingMode::NoisyFull { seed, .. } => Some(StdRng::seed_from_u64(seed)),
@@ -210,8 +241,9 @@ pub fn score_with_idfs(idfs: &[f64], profile: &TfProfile, mode: RankingMode) -> 
 }
 
 /// Batch form of [`score_with_idfs`] over many profiles at once — the
-/// shape the engine's `ranked_search_as` and the cluster's gather stage
-/// evaluate on the cold path.
+/// scoring step every cold ranked read runs once, over all its hits: the
+/// cluster's merge with corpus-global IDFs, the reference engine with its
+/// whole-corpus index's.
 ///
 /// Scores are **bit-identical** to mapping [`score_with_idfs`] over the
 /// profiles: the flat staging pass computes each per-term tf with the
@@ -415,6 +447,169 @@ mod tests {
     use ppwf_core::policy::Policy;
     use ppwf_model::fixtures;
     use ppwf_model::hierarchy::Prefix;
+
+    use ppwf_model::ids::ModuleId;
+    use ppwf_repo::keyword_index::tokenize;
+    use rand::Rng;
+
+    /// The replaced profile computation, kept as the oracle: tokenize every
+    /// module into fresh lowercase strings and split every term per module.
+    fn tf_profile_by_tokenize(
+        repo: &Repository,
+        spec: SpecId,
+        prefix: &Prefix,
+        terms: &[String],
+    ) -> TfProfile {
+        let entry = repo.entry(spec).expect("live spec");
+        let mut profile = TfProfile { visible: vec![0; terms.len()], hidden: vec![0; terms.len()] };
+        for module in entry.spec.modules() {
+            if module.kind.is_distinguished() {
+                continue;
+            }
+            let mut text = tokenize(&module.name);
+            for k in &module.keywords {
+                text.extend(tokenize(k));
+            }
+            let visible = prefix.contains(module.workflow);
+            for (ti, term) in terms.iter().enumerate() {
+                let words: Vec<&str> = term.split(' ').collect();
+                let count = if words.len() == 1 {
+                    text.iter().filter(|w| w.as_str() == words[0]).count() as u64
+                } else {
+                    text.windows(words.len())
+                        .filter(|w| w.iter().map(|s| s.as_str()).eq(words.iter().copied()))
+                        .count() as u64
+                };
+                if visible {
+                    profile.visible[ti] += count;
+                } else {
+                    profile.hidden[ti] += count;
+                }
+            }
+        }
+        profile
+    }
+
+    /// The paper's fixture with every proper module's name and tags
+    /// replaced by `text(module index)`.
+    fn retexted(text: impl Fn(usize) -> (String, Vec<String>)) -> Repository {
+        let (mut spec, _) = fixtures::disease_susceptibility();
+        let proper: Vec<ModuleId> =
+            spec.modules().filter(|m| !m.kind.is_distinguished()).map(|m| m.id).collect();
+        for (i, m) in proper.into_iter().enumerate() {
+            let (name, tags) = text(i);
+            spec.set_module_text(m, &name, &tags).unwrap();
+        }
+        let mut repo = Repository::new();
+        repo.insert_spec(spec, Policy::public()).unwrap();
+        repo
+    }
+
+    /// Word pieces for generated module text: case variants, non-ASCII
+    /// letters whose lowercase differs in length or depends on context
+    /// (`İ`, `ẞ`, final `Σ`, the Kelvin sign), digits and repeats.
+    const PIECES: &[&str] = &[
+        "Query", "query", "QUERY", "qUeRy", "Database", "db", "Risks", "risks", "É", "é", "Étude",
+        "ß", "ẞ", "SS", "Straße", "İ", "i̇", "Σ", "ΣΑΣ", "σας", "\u{212A}", "k", "x1", "42",
+    ];
+    /// Separators: punctuation runs, doubled spaces, underscores.
+    const SEPS: &[&str] = &[" ", "  ", "-", "--", ", ", "...", "!?", "_", "/", " (", ") "];
+
+    fn random_text(rng: &mut StdRng) -> String {
+        let mut text = String::new();
+        if rng.gen_bool(0.2) {
+            text.push_str(SEPS[rng.gen_range(0..SEPS.len())]);
+        }
+        for i in 0..rng.gen_range(0..5) {
+            if i > 0 {
+                text.push_str(SEPS[rng.gen_range(0..SEPS.len())]);
+            }
+            text.push_str(PIECES[rng.gen_range(0..PIECES.len())]);
+        }
+        if rng.gen_bool(0.2) {
+            text.push_str(SEPS[rng.gen_range(0..SEPS.len())]);
+        }
+        text
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The borrowed-token kernel counts exactly what tokenizing every
+        /// module counts, over random module text and terms: single words
+        /// (normalized and not), and phrases cut from a module's own token
+        /// sequence, so their windows span name/tag and tag/tag
+        /// boundaries.
+        #[test]
+        fn tf_profile_matches_the_tokenize_oracle(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let texts: Vec<(String, Vec<String>)> = (0..16)
+                .map(|_| {
+                    let name = random_text(&mut rng);
+                    let tags = (0..rng.gen_range(0..4)).map(|_| random_text(&mut rng)).collect();
+                    (name, tags)
+                })
+                .collect();
+            let repo = retexted(|i| texts[i % texts.len()].clone());
+            let mut terms: Vec<String> = Vec::new();
+            for _ in 0..rng.gen_range(1..6) {
+                let (name, tags) = &texts[rng.gen_range(0..texts.len())];
+                let mut tokens = tokenize(name);
+                for tag in tags {
+                    tokens.extend(tokenize(tag));
+                }
+                let piece = PIECES[rng.gen_range(0..PIECES.len())];
+                let term = match rng.gen_range(0..4) {
+                    // A raw piece: not normalized, so an uppercase term
+                    // must count nothing on both sides.
+                    0 => piece.to_string(),
+                    _ if tokens.is_empty() => tokenize(piece).join(" "),
+                    1 => tokens[rng.gen_range(0..tokens.len())].clone(),
+                    _ => {
+                        let len = rng.gen_range(2..4).min(tokens.len());
+                        let start = rng.gen_range(0..=tokens.len() - len);
+                        tokens[start..start + len].join(" ")
+                    }
+                };
+                terms.push(term);
+            }
+            let entry = repo.entry(SpecId(0)).unwrap();
+            let h = &entry.hierarchy;
+            let mut partial = Prefix::full(h);
+            let w = h.preorder()[rng.gen_range(0..h.len())];
+            if w != h.root() {
+                partial.remove_subtree(h, w).unwrap();
+            }
+            for prefix in [Prefix::full(h), Prefix::root_only(h), partial] {
+                let got = tf_profile(&repo, SpecId(0), &prefix, &terms);
+                let want = tf_profile_by_tokenize(&repo, SpecId(0), &prefix, &terms);
+                proptest::prop_assert_eq!(&got.visible, &want.visible, "terms {:?}", terms);
+                proptest::prop_assert_eq!(&got.hidden, &want.hidden, "terms {:?}", terms);
+            }
+        }
+    }
+
+    #[test]
+    fn phrase_windows_span_name_and_tag_boundaries() {
+        let repo = retexted(|_| {
+            ("Alpha BETA".to_string(), vec!["gamma--Alpha".to_string(), "beta, ÉTUDE".to_string()])
+        });
+        let entry = repo.entry(SpecId(0)).unwrap();
+        let full = Prefix::full(&entry.hierarchy);
+        let terms: Vec<String> =
+            ["beta gamma", "alpha beta", "alpha beta étude", "étude", "Alpha", "beta"]
+                .iter()
+                .map(|t| t.to_string())
+                .collect();
+        let modules = entry.spec.modules().filter(|m| !m.kind.is_distinguished()).count() as u64;
+        let got = tf_profile(&repo, SpecId(0), &full, &terms);
+        // Per module: name/tag window, name-internal window plus
+        // tag/tag window, one three-word window, one non-ASCII token, no
+        // uppercase term, and "beta" in the name and the second tag.
+        let per_module = [1, 2, 1, 1, 0, 2];
+        assert_eq!(got.visible, per_module.map(|c| c * modules).to_vec());
+        assert_eq!(got.visible, tf_profile_by_tokenize(&repo, SpecId(0), &full, &terms).visible);
+    }
 
     fn setup() -> (Repository, KeywordIndex) {
         let mut repo = Repository::new();

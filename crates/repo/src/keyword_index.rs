@@ -605,12 +605,22 @@ impl KeywordIndex {
     /// adjacency verification over seed postings) — which the cluster's
     /// ranked gather used to pay per shard per request. First request per
     /// term per index build computes; every later one is a map probe.
+    ///
+    /// A full memo is seen under the read guard: a miss then computes
+    /// without taking the write lock, so past the cap one term's miss never
+    /// blocks other readers' lookups.
     pub fn df_cached(&self, term: &str) -> usize {
-        if let Some(&df) = self.df_memo.read().df.get(term) {
-            return df;
-        }
+        let full = {
+            let memo = self.df_memo.read();
+            if let Some(&df) = memo.df.get(term) {
+                return df;
+            }
+            memo.df.len() >= DF_MEMO_CAP
+        };
         let df = self.df(term);
-        self.df_memo.write().insert(term, df);
+        if !full {
+            self.df_memo.write().insert(term, df);
+        }
         df
     }
 
@@ -797,6 +807,28 @@ mod tests {
         }
         assert!(idx.df_memo.read().df.len() <= DF_MEMO_CAP);
         assert_eq!(idx.df_cached("query"), idx.df("query"), "past-cap lookups still correct");
+    }
+
+    #[test]
+    fn full_df_memo_misses_take_no_write_lock() {
+        let r = repo();
+        let idx = KeywordIndex::build(&r);
+        for i in 0..DF_MEMO_CAP {
+            idx.df_cached(&format!("zz{i}"));
+        }
+        assert_eq!(idx.df_memo.read().df.len(), DF_MEMO_CAP);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let got = std::thread::scope(|s| {
+            // Another reader holds the memo: a miss that wanted the write
+            // lock would wait for it.
+            let guard = idx.df_memo.read();
+            s.spawn(|| tx.send(idx.df_cached("query")));
+            let got = rx.recv_timeout(std::time::Duration::from_secs(1));
+            drop(guard);
+            got
+        });
+        assert_eq!(got, Ok(idx.df("query")), "a miss on a full memo blocked on its lock");
+        assert!(!idx.df_memoized("query"));
     }
 
     #[test]
