@@ -10,10 +10,19 @@
 //! memos ([`crate::route`]). A read scatters across the shards and gathers
 //! their hits into one merged answer in spec order.
 //!
+//! **The partitions are built side by side.** Construction — fresh, or
+//! over a recovered corpus — builds shard 0's index on the calling thread
+//! while shards 1..N build as jobs on the cluster's own [`WorkerPool`],
+//! each reading the corpus through a shared handle. The caller then waits
+//! on them in shard order, helping drain the pool as it waits, so a
+//! 1-thread or busy pool still finishes the build on the caller. The
+//! parallelism is the pool the cluster is handed; nothing else spawns a
+//! thread.
+//!
 //! **The read path is written once.** The query mode — keyword, private
-//! under a plan, ranked under a ranking mode — is a value
-//! ([`crate::modes`]); everything here is generic over it, in four stages:
-//! `probe` the front cache, `plan` (epoch, group check, one parse, target
+//! under a plan, ranked under a ranking mode — is a value (the
+//! crate-private `modes` module); everything here is generic over it, in
+//! four stages: `probe` the front cache, `plan` (epoch, group check, one parse, target
 //! shards, corpus statistics only if the mode needs them and a target
 //! survives), `run_shard` per target, and `gather` (merge, then publish to
 //! the front cache at the plan's epoch). The three public entry points
@@ -86,6 +95,7 @@ use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::principals::PrincipalRegistry;
 use ppwf_repo::repository::{Repository, SpecId};
 use ppwf_repo::storage::StorageBackend;
+use ppwf_repo::ticket::Ticket;
 use ppwf_repo::touch::TouchStamps;
 use ppwf_repo::wal::{
     DurabilityPolicy, DurabilityStats, DurableCallback, DurableLog, RecoveryStats, WalResult,
@@ -199,7 +209,8 @@ pub struct EngineCluster {
 
 impl EngineCluster {
     /// Partition `repo`'s index across `shards` shards (round-robin
-    /// placement, the process-global pool, default cache capacities).
+    /// placement, the process-global pool, default cache capacities); the
+    /// partitions are built on that pool (see [`Self::with_config`]).
     pub fn new(repo: Repository, registry: PrincipalRegistry, shards: usize) -> Self {
         Self::with_config(
             repo,
@@ -215,6 +226,11 @@ impl EngineCluster {
     /// the one a [`ServeFront`](crate::serve::ServeFront) built with
     /// [`ServeFront::new`](crate::serve::ServeFront::new) runs read jobs
     /// on. The blocking reads never touch it.
+    ///
+    /// The index partitions are built on `pool` too: shards 1..N as its
+    /// jobs, shard 0 on the calling thread, which then waits on the rest in
+    /// shard order and helps the pool meanwhile. A panicking build
+    /// re-throws here.
     pub fn with_config(
         repo: Repository,
         registry: PrincipalRegistry,
@@ -237,7 +253,9 @@ impl EngineCluster {
     /// spec in each shard's view memo, `results` in the cluster-front cache
     /// (the shards have no result caches). Crate-private — production
     /// always runs the defaults; the eviction-pressure tests starve the
-    /// caches through it.
+    /// caches through it. The one constructor under [`Self::new`],
+    /// [`Self::with_config`] and [`Self::open_durable`]: it builds the
+    /// partitions on `pool` as [`Self::with_config`] describes.
     pub(crate) fn with_capacities(
         repo: Repository,
         registry: PrincipalRegistry,
@@ -247,8 +265,24 @@ impl EngineCluster {
         results: usize,
     ) -> Self {
         assert!(shards > 0, "need at least one shard");
-        let partition = |s| KeywordIndex::build_partition(&repo, |spec| place(spec, shards) == s);
-        let shards = (0..shards).map(|s| Shard::new(partition(s), views)).collect();
+        let partition = move |repo: &Repository, s| {
+            KeywordIndex::build_partition(repo, |spec| place(spec, shards) == s)
+        };
+        let repo = Arc::new(repo);
+        let jobs: Vec<Ticket<KeywordIndex>> = (1..shards)
+            .map(|s| {
+                let repo = Arc::clone(&repo);
+                pool.submit(move || partition(&repo, s))
+            })
+            .collect();
+        let first = partition(&repo, 0);
+        let shards = std::iter::once(first)
+            .chain(jobs.into_iter().map(Ticket::wait))
+            .map(|index| Shard::new(index, views))
+            .collect();
+        // Every job dropped its handle when its closure returned, before
+        // its ticket completed.
+        let repo = Arc::try_unwrap(repo).expect("partition jobs hold no repository handle");
         EngineCluster {
             repo,
             registry,
@@ -262,8 +296,9 @@ impl EngineCluster {
     }
 
     /// Recover `(snapshot, WAL suffix)` from `backend`, partition the
-    /// recovered corpus's index across `shards` shards and attach the log —
-    /// the cluster restart path. Placement is a function of the id, so the
+    /// recovered corpus's index across `shards` shards — built on `pool`,
+    /// as [`Self::with_config`] does — and attach the log: the cluster
+    /// restart path. Placement is a function of the id, so the
     /// recovered cluster answers bit-identically to the pre-crash one.
     pub fn open_durable(
         backend: Arc<dyn StorageBackend>,
@@ -555,9 +590,8 @@ impl EngineCluster {
     /// valid runs append as **one** WAL record each — one inline fsync
     /// acknowledges the whole run before its outcomes are returned —
     /// applies follow in sequence order, and the returned outcomes (effect
-    /// plus the [`Self::front_epoch`] after that mutation) are
-    /// bit-identical to calling [`Self::mutate`] once per element, in
-    /// order.
+    /// plus the front epoch after that mutation) are bit-identical to
+    /// calling [`Self::mutate`] once per element, in order.
     ///
     /// Validating against the *pre-run* state is sound for the
     /// non-destructive vocabulary: an `InsertSpec` check is
@@ -796,6 +830,46 @@ mod tests {
 
     fn cluster(specs: usize, shards: usize) -> EngineCluster {
         EngineCluster::new(corpus(specs), registry(), shards)
+    }
+
+    #[test]
+    fn partitions_built_on_the_pool_equal_sequential_builds() {
+        for threads in [1, 2] {
+            let pool = Arc::new(WorkerPool::new(threads));
+            for shards in 1..=4 {
+                let mut repo = corpus(3);
+                for word in ["zebra", "yak", "xerus", "wombat"] {
+                    repo.insert_spec(spec_speaking(word), Policy::public()).unwrap();
+                }
+                let strategy = ShardStrategy::RoundRobin;
+                let pool = Arc::clone(&pool);
+                let c = EngineCluster::with_config(repo, registry(), shards, strategy, pool);
+                for (s, shard) in c.shards().iter().enumerate() {
+                    let sequential =
+                        KeywordIndex::build_partition(c.repo(), |spec| place(spec, shards) == s);
+                    assert!(
+                        *shard.index() == sequential,
+                        "{threads} threads, {shards} shards: {s}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn construction_completes_while_the_pools_only_worker_is_parked() {
+        let pool = Arc::new(WorkerPool::new(1));
+        let (started, running) = std::sync::mpsc::channel();
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        pool.exec(move || {
+            started.send(()).expect("test waiting");
+            parked.recv().expect("released");
+        });
+        running.recv().expect("the worker runs the parked job");
+        let strategy = ShardStrategy::RoundRobin;
+        let c = EngineCluster::with_config(corpus(6), registry(), 3, strategy, Arc::clone(&pool));
+        release.send(()).expect("job parked");
+        assert_eq!(c.search_as("researchers", "risk").unwrap().len(), 6);
     }
 
     #[test]

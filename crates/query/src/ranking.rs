@@ -265,7 +265,7 @@ pub fn scores_for_profiles(idfs: &[f64], profiles: &[TfProfile], mode: RankingMo
 /// [`scores_for_profiles`] writing into a caller-owned buffer (cleared
 /// first). Borrows the thread-local query scratch internally — callers
 /// must not invoke it from inside their own
-/// [`with_scratch`](ppwf_repo::postings::with_scratch) closure, or the
+/// [`with_scratch`] closure, or the
 /// staging pass silently falls back to a fresh allocation.
 pub fn scores_for_profiles_into(
     idfs: &[f64],

@@ -12,8 +12,8 @@
 //! not a thread-per-request stack, is the concurrency ceiling.
 //!
 //! **One read path.** `submit` decodes the request once, into its query
-//! mode ([`crate::modes`]) — and nothing past that point matches on the
-//! mode again. A read is served by the cluster's own four stages — front
+//! mode (the crate-private `modes` module) — and nothing past that point
+//! matches on the mode again. A read is served by the cluster's own four stages — front
 //! probe, plan, shard run, gather and publish — the very functions the
 //! blocking entry points call: plan, shard run and gather are one
 //! implementation; only scheduling differs. The submitting thread probes

@@ -342,10 +342,13 @@ impl<K: Copy + Eq + Hash, V: Clone> GroupCache<K, V> {
     /// stats-counted [`Self::get`] miss whose recompute needed other lookups
     /// first), reclaiming one slot if the cache is full.
     pub fn insert(&self, group: &str, query: &str, class: K, version: u64, value: V) {
-        // What this insert displaces — a replaced value, or an evicted
+        // The key's two allocations happen before the lock is taken, and
+        // what this insert displaces — a replaced value, or an evicted
         // entry's keys and the last `Arc` of a whole answer — is freed only
-        // after the lock is released (declared first, dropped last): warm
-        // probes do not wait on a deallocation.
+        // after it is released (declared first, dropped last), as is the
+        // key when a replace leaves it unused: warm probes wait on neither
+        // an allocation nor a deallocation.
+        let key = Key { group: group.into(), query: query.into(), class };
         let (_replaced, victim);
         let mut guard = self.inner.write();
         let Clock { slots, index, hand } = &mut *guard;
@@ -359,7 +362,6 @@ impl<K: Copy + Eq + Hash, V: Clone> GroupCache<K, V> {
             *slot.referenced.get_mut() = true;
             return;
         }
-        let key = Key { group: group.into(), query: query.into(), class };
         let fresh = Slot {
             key: key.clone(),
             version: AtomicU64::new(version),

@@ -40,7 +40,6 @@ use crate::postings::{intersect_term_specs, with_scratch, PostingList, TermLists
 use crate::principals::SpecAccess;
 use crate::repository::{Repository, SpecEntry, SpecId};
 use parking_lot::RwLock;
-use ppwf_model::ids::ModuleId;
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -75,17 +74,65 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// repository entry is already a tombstone, so the keys cannot be
 /// recomputed from the spec text. Per key the work is one binary search
 /// and one drain of the spec's run ([`PostingList::remove_spec`]), never a
-/// rebuild of the key's list.
-#[derive(Clone, Debug, Default)]
+/// rebuild of the key's list. Beside them, the spec's module names, which
+/// consecutive-token phrases are matched against.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct PostedTerms {
     /// Sorted, deduplicated single-token keys the spec posted under.
     terms: Vec<String>,
     /// Sorted, deduplicated whole-tag phrase keys.
-    phrases: Vec<String>,
-    /// Proper modules whose name-token sequences were stored.
-    modules: Vec<ModuleId>,
+    phrases: Packed,
+    /// Each module's name tokens joined by single spaces, by module index
+    /// (empty for the pseudo-modules), for [`holds_phrase`].
+    names: Packed,
     /// Modules (documents) the spec contributed to `doc_count`.
     docs: usize,
+}
+
+/// Strings stored end to end in one buffer: one allocation for all of a
+/// spec's phrase keys or module names instead of one per string.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Packed {
+    text: String,
+    /// Where each string ends in `text`.
+    ends: Vec<u32>,
+}
+
+impl Packed {
+    /// Append `word` to the string being written, a space after the
+    /// previous word.
+    fn push_word(&mut self, word: &str) {
+        if self.text.len() > self.ends.last().map_or(0, |&end| end as usize) {
+            self.text.push(' ');
+        }
+        self.text.push_str(word);
+    }
+
+    /// End the string being written (empty if nothing was pushed).
+    fn seal(&mut self) {
+        self.ends.push(self.text.len() as u32);
+    }
+
+    fn push(&mut self, s: &str) {
+        self.text.push_str(s);
+        self.seal();
+    }
+
+    /// The `i`th string.
+    fn get(&self, i: usize) -> Option<&str> {
+        let end = *self.ends.get(i)? as usize;
+        let start = i.checked_sub(1).map_or(0, |before| self.ends[before] as usize);
+        Some(&self.text[start..end])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let s = &self.text[start..end as usize];
+            start = end as usize;
+            s
+        })
+    }
 }
 
 /// The index.
@@ -97,9 +144,8 @@ pub struct KeywordIndex {
     terms: HashMap<String, PostingList>,
     /// Whole keyword tags, normalized, for phrase matching.
     phrases: HashMap<String, PostingList>,
-    /// Name token sequences per module, for consecutive-token phrases.
-    module_tokens: HashMap<(SpecId, ModuleId), Vec<String>>,
-    /// Per-live-spec reverse map of posted keys (see [`PostedTerms`]).
+    /// Per-live-spec reverse map of posted keys and module names (see
+    /// [`PostedTerms`]).
     spec_posted: HashMap<SpecId, PostedTerms>,
     /// Number of indexed modules (documents) — the IDF denominator.
     doc_count: usize,
@@ -116,6 +162,21 @@ pub struct KeywordIndex {
     /// mutation-free workload never invalidates it, so an unbounded memo
     /// would be an attacker-controllable allocation.
     df_memo: RwLock<DfMemo>,
+}
+
+/// Two indexes are equal when they hold the same contents: every key's
+/// postings (order, `tf` and distinct-spec count), every spec's posted
+/// keys and module names, the document count and the slots seen. The df
+/// memo and the lifetime counters are instruments, not contents, and are
+/// not compared.
+impl PartialEq for KeywordIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.terms == other.terms
+            && self.phrases == other.phrases
+            && self.spec_posted == other.spec_posted
+            && self.doc_count == other.doc_count
+            && self.slots == other.slots
+    }
 }
 
 /// The df memo and the reverse map that makes its invalidation a lookup
@@ -150,6 +211,9 @@ impl DfMemo {
 
     /// Drop every entry filed under one of `touched` (normalized tokens).
     fn invalidate<'a>(&mut self, touched: impl IntoIterator<Item = &'a String>) {
+        if self.by_first_token.is_empty() {
+            return;
+        }
         for token in touched {
             for term in self.by_first_token.remove(token).unwrap_or_default() {
                 self.inspected += 1;
@@ -164,66 +228,116 @@ impl DfMemo {
 /// terms of a real stream are cached long before it fills.
 const DF_MEMO_CAP: usize = 4096;
 
-/// Index every proper module of one spec into `terms` / `phrases` (the
-/// new postings per single-token and per whole-tag key) and
-/// `module_tokens`; returns the keys it posted under — the reverse map
-/// targeted retraction replays later.
-fn index_entry(
+/// One spec's postings as `(key, posting)` entries, before they reach the
+/// index — the scratch a [`KeywordIndex::post`] pass reuses for every spec,
+/// so a build allocates only what the index keeps. Keys borrow the spec's
+/// text wherever a token is already in normal form.
+#[derive(Default)]
+struct SpecEntries<'r> {
+    /// One entry per name- and tag-token occurrence, `tf` 1 each:
+    /// [`post_runs`] folds a module's repeats into one posting.
+    terms: Vec<(Cow<'r, str>, Posting)>,
+    /// One entry per non-empty normalized tag (a repeated tag posts twice).
+    phrases: Vec<(Cow<'r, str>, Posting)>,
+    /// The run of one key, as it goes into the key's list.
+    run: Vec<Posting>,
+}
+
+/// `tag`'s whole-tag phrase key: its tokens joined by single spaces,
+/// borrowed when the tag already is that (lowercase ASCII words, one space
+/// apart).
+fn phrase_key(tag: &str) -> Cow<'_, str> {
+    let normal = tag.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b' ')
+        && !tag.starts_with(' ')
+        && !tag.ends_with(' ')
+        && !tag.contains("  ");
+    if normal {
+        Cow::Borrowed(tag)
+    } else {
+        Cow::Owned(tokens(tag).collect::<Vec<_>>().join(" "))
+    }
+}
+
+/// Whether `phrase` — tokens joined by single spaces — is a run of
+/// consecutive tokens of `name` (joined the same way). No token holds a
+/// space, so that is a match starting at a token start and ending at a
+/// token end.
+fn holds_phrase(name: &str, phrase: &str) -> bool {
+    let mut starts = std::iter::once(0).chain(name.match_indices(' ').map(|(at, _)| at + 1));
+    starts.any(|at| {
+        name[at..].strip_prefix(phrase).is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
+    })
+}
+
+/// Collect every proper module of one spec into `scratch`'s entries;
+/// returns the spec's [`PostedTerms`] with its module names and without
+/// its keys, which [`post_runs`] fills in.
+fn index_entry<'r>(
     sid: SpecId,
-    entry: &SpecEntry,
-    [terms, phrases]: &mut [HashMap<String, Vec<Posting>>; 2],
-    module_tokens: &mut HashMap<(SpecId, ModuleId), Vec<String>>,
+    entry: &'r SpecEntry,
+    scratch: &mut SpecEntries<'r>,
 ) -> PostedTerms {
     let mut posted = PostedTerms::default();
     for module in entry.spec.modules() {
         if module.kind.is_distinguished() {
+            posted.names.seal();
             continue;
         }
         posted.docs += 1;
-        let name_tokens = tokenize(&module.name);
-        let mut tf: HashMap<String, u32> = HashMap::new();
-        for t in &name_tokens {
-            // Clone the token only on first sight; repeats bump in place.
-            match tf.get_mut(t.as_str()) {
-                Some(count) => *count += 1,
-                None => {
-                    tf.insert(t.clone(), 1);
-                }
-            }
+        let posting = Posting { spec: sid, module: module.id, workflow: module.workflow, tf: 1 };
+        for t in tokens(&module.name) {
+            posted.names.push_word(&t);
+            scratch.terms.push((t, posting));
         }
         for tag in &module.keywords {
-            let tag_tokens = tokenize(tag);
-            let norm = tag_tokens.join(" ");
-            for t in tag_tokens {
-                *tf.entry(t).or_insert(0) += 1;
-            }
-            if !norm.is_empty() {
-                posted.phrases.push(norm.clone());
-                phrases.entry(norm).or_default().push(Posting {
-                    spec: sid,
-                    module: module.id,
-                    workflow: module.workflow,
-                    tf: 1,
-                });
+            scratch.terms.extend(tokens(tag).map(|t| (t, posting)));
+            let phrase = phrase_key(tag);
+            if !phrase.is_empty() {
+                scratch.phrases.push((phrase, posting));
             }
         }
-        for (term, count) in tf {
-            posted.terms.push(term.clone());
-            terms.entry(term).or_default().push(Posting {
-                spec: sid,
-                module: module.id,
-                workflow: module.workflow,
-                tf: count,
-            });
-        }
-        module_tokens.insert((sid, module.id), name_tokens);
-        posted.modules.push(module.id);
+        posted.names.seal();
     }
-    posted.terms.sort();
-    posted.terms.dedup();
-    posted.phrases.sort();
-    posted.phrases.dedup();
     posted
+}
+
+/// Apply one spec's `entries` to `map`, one run per key: sorted into list
+/// order (`(workflow, module)` within the spec; `merge_tf` folds a module's
+/// repeated occurrences into one posting), each run is appended to its
+/// key's list or, when `splice`, spliced in at the spec's id position — one
+/// lookup per key, the key's `String` allocated only for a new list.
+/// Drains `entries`; hands the spec's keys, sorted and distinct, to
+/// `posted`.
+fn post_runs(
+    map: &mut HashMap<String, PostingList>,
+    entries: &mut Vec<(Cow<'_, str>, Posting)>,
+    run: &mut Vec<Posting>,
+    splice: bool,
+    merge_tf: bool,
+    mut posted: impl FnMut(&str),
+) {
+    entries.sort_unstable_by(|(a, p), (b, q)| {
+        a.cmp(b).then_with(|| (p.workflow, p.module).cmp(&(q.workflow, q.module)))
+    });
+    for group in entries.chunk_by(|a, b| a.0 == b.0) {
+        run.clear();
+        for &(_, p) in group {
+            match run.last_mut() {
+                Some(last) if merge_tf && last.module == p.module => last.tf += 1,
+                _ => run.push(p),
+            }
+        }
+        let key: &str = &group[0].0;
+        match map.get_mut(key) {
+            Some(list) if splice => list.insert_spec_postings(run),
+            Some(list) => list.append_sorted(run.iter().copied()),
+            None => {
+                map.insert(key.to_owned(), PostingList::from_postings(run.clone()));
+            }
+        }
+        posted(key);
+    }
+    entries.clear();
 }
 
 /// What one [`KeywordIndex::apply_effect`] did to the index — exactly what
@@ -260,10 +374,12 @@ impl KeywordIndex {
         Self::build_partition(repo, |_| true)
     }
 
-    /// [`Self::build`] over only the live specifications `keep` admits, in
-    /// one pass: a cluster shard's partition of the corpus index, posted
-    /// under repository ids. Handed the effects on those specifications
-    /// alone, it stays equal to a fresh partition build.
+    /// [`Self::build`] over only the live specifications `keep` admits: a
+    /// cluster shard's partition of the corpus index, posted under
+    /// repository ids. One pass over per-spec runs (`post`): each
+    /// spec's postings go straight to their keys' lists, and the build
+    /// allocates only what the index keeps. Handed the effects on those
+    /// specifications alone, it stays equal to a fresh partition build.
     pub fn build_partition(repo: &Repository, keep: impl Fn(SpecId) -> bool) -> Self {
         let mut idx = KeywordIndex::default();
         idx.post(repo.entries().filter(|&(sid, _)| keep(sid)), false);
@@ -354,36 +470,29 @@ impl KeywordIndex {
     }
 
     /// Index `specs` and drop the df-memo entries their postings could
-    /// move. Appended specs sort after every posting held, so their
-    /// postings extend each list (`append_sorted`; a new or empty list
-    /// takes the vector whole, which is most of a build). An edited spec —
+    /// move, in one pass over per-spec runs: each spec's entries are
+    /// sorted into one run per key ([`post_runs`]) and the run goes
+    /// straight to the key's list. Appended specs sort after every posting
+    /// held, so a run extends its list (`append_sorted`). An edited spec —
     /// one spec, its old postings already retracted — is `splice`d in at
-    /// its id position instead
-    /// ([`PostingList::insert_spec_postings`]), so the single contiguous
-    /// insert reproduces the `(spec, workflow, module)` order a fresh build
-    /// emits.
+    /// its id position instead ([`PostingList::insert_spec_postings`]), so
+    /// the single contiguous insert reproduces the `(spec, workflow,
+    /// module)` order a fresh build emits.
     fn post<'r>(&mut self, specs: impl IntoIterator<Item = (SpecId, &'r SpecEntry)>, splice: bool) {
-        let mut new: [HashMap<String, Vec<Posting>>; 2] = Default::default();
+        let mut scratch = SpecEntries::default();
         for (sid, entry) in specs {
-            let posted = index_entry(sid, entry, &mut new, &mut self.module_tokens);
+            let mut posted = index_entry(sid, entry, &mut scratch);
+            let SpecEntries { terms, phrases, run } = &mut scratch;
+            post_runs(&mut self.terms, terms, run, splice, true, |key| {
+                posted.terms.push(key.to_owned())
+            });
+            post_runs(&mut self.phrases, phrases, run, splice, false, |key| {
+                posted.phrases.push(key)
+            });
+            self.df_memo.get_mut().invalidate(&posted.terms);
             self.doc_count += posted.docs;
             self.docs_indexed += posted.docs;
             self.spec_posted.insert(sid, posted);
-        }
-        self.df_memo.get_mut().invalidate(new[0].keys());
-        for (map, new) in [&mut self.terms, &mut self.phrases].into_iter().zip(new) {
-            map.reserve(new.len());
-            for (key, mut postings) in new {
-                postings.sort_by_key(|p| (p.spec, p.workflow, p.module));
-                let list = map.entry(key).or_default();
-                if splice {
-                    list.insert_spec_postings(&postings);
-                } else if list.is_empty() {
-                    *list = PostingList::from_postings(postings);
-                } else {
-                    list.append_sorted(postings);
-                }
-            }
         }
     }
 
@@ -395,14 +504,11 @@ impl KeywordIndex {
     /// spec the index does not hold).
     fn retract(&mut self, spec: SpecId) -> Vec<String> {
         let Some(posted) = self.spec_posted.remove(&spec) else { return Vec::new() };
-        for (map, keys) in [(&mut self.terms, &posted.terms), (&mut self.phrases, &posted.phrases)]
-        {
-            for key in keys {
-                retract_postings(map, key, spec);
-            }
+        for key in &posted.terms {
+            retract_postings(&mut self.terms, key, spec);
         }
-        for m in &posted.modules {
-            self.module_tokens.remove(&(spec, *m));
+        for key in posted.phrases.iter() {
+            retract_postings(&mut self.phrases, key, spec);
         }
         self.df_memo.get_mut().invalidate(&posted.terms);
         self.doc_count -= posted.docs;
@@ -519,18 +625,19 @@ impl KeywordIndex {
                 None => list.decode_into(seed),
             }
         }
-        let tokens: Vec<&str> = term.split(' ').filter(|w| !w.is_empty()).collect();
+        let phrase: Cow<'_, str> = if term.split(' ').any(str::is_empty) {
+            Cow::Owned(term.split(' ').filter(|w| !w.is_empty()).collect::<Vec<_>>().join(" "))
+        } else {
+            Cow::Borrowed(term)
+        };
         for p in seed.iter() {
             if out.iter().any(|q| q.spec == p.spec && q.module == p.module) {
                 continue;
             }
-            if let Some(seq) = self.module_tokens.get(&(p.spec, p.module)) {
-                if seq
-                    .windows(tokens.len())
-                    .any(|w| w.iter().map(String::as_str).eq(tokens.iter().copied()))
-                {
-                    out.push(*p);
-                }
+            let posted = self.spec_posted.get(&p.spec);
+            let name = posted.and_then(|posted| posted.names.get(p.module.index()));
+            if name.is_some_and(|name| holds_phrase(name, &phrase)) {
+                out.push(*p);
             }
         }
         out.sort_by_key(|p| (p.spec, p.workflow, p.module));
@@ -688,6 +795,7 @@ mod tests {
     use ppwf_core::policy::Policy;
     use ppwf_model::fixtures;
     use ppwf_model::hierarchy::Prefix;
+    use ppwf_model::ids::ModuleId;
 
     fn repo() -> Repository {
         let mut repo = Repository::new();
@@ -1083,6 +1191,306 @@ mod tests {
         let mut idx = KeywordIndex::build(&r);
         r.apply(insert_fixture()).unwrap();
         idx.apply_effect(&r, &MutationEffect::SpecInserted { spec: SpecId(0) });
+    }
+
+    /// The build path the one-pass [`post`](KeywordIndex::post) replaced,
+    /// kept as its oracle: per module a `Vec<String>` of lowercased tokens
+    /// per name and tag and a fresh `HashMap` of term frequencies, every
+    /// occurrence hashed into whole-call maps and every key hashed again
+    /// into the final ones. `names` keeps each module's name tokens as a
+    /// sequence, for the windowed adjacency test phrases used to run.
+    #[derive(Default)]
+    struct Oracle {
+        index: KeywordIndex,
+        names: HashMap<(SpecId, ModuleId), Vec<String>>,
+    }
+
+    impl Oracle {
+        fn build(repo: &Repository) -> Self {
+            let mut oracle = Oracle::default();
+            oracle.post(repo.entries(), false);
+            oracle.index.slots = repo.len();
+            oracle
+        }
+
+        /// What `apply_effect` does for the effects that index anything.
+        fn apply(&mut self, repo: &Repository, effect: &MutationEffect) {
+            let spec = effect.spec();
+            if let MutationEffect::SpecInserted { .. } = effect {
+                self.index.slots = spec.index() + 1;
+            }
+            if let MutationEffect::SpecDeleted { .. } | MutationEffect::SpecEdited { .. } = effect {
+                self.names.retain(|&(s, _), _| s != spec);
+                self.index.retract(spec);
+            }
+            if let MutationEffect::SpecInserted { .. } | MutationEffect::SpecEdited { .. } = effect
+            {
+                let splice = matches!(effect, MutationEffect::SpecEdited { .. });
+                self.post(repo.entry(spec).map(|entry| (spec, entry)), splice);
+            }
+        }
+
+        fn post<'r>(
+            &mut self,
+            specs: impl IntoIterator<Item = (SpecId, &'r SpecEntry)>,
+            splice: bool,
+        ) {
+            let mut new: [HashMap<String, Vec<Posting>>; 2] = Default::default();
+            for (sid, entry) in specs {
+                let posted = self.index_entry(sid, entry, &mut new);
+                self.index.doc_count += posted.docs;
+                self.index.spec_posted.insert(sid, posted);
+            }
+            for (map, new) in [&mut self.index.terms, &mut self.index.phrases].into_iter().zip(new)
+            {
+                for (key, mut postings) in new {
+                    postings.sort_by_key(|p| (p.spec, p.workflow, p.module));
+                    let list = map.entry(key).or_default();
+                    if splice {
+                        list.insert_spec_postings(&postings);
+                    } else if list.is_empty() {
+                        *list = PostingList::from_postings(postings);
+                    } else {
+                        list.append_sorted(postings);
+                    }
+                }
+            }
+        }
+
+        fn index_entry(
+            &mut self,
+            sid: SpecId,
+            entry: &SpecEntry,
+            [terms, phrases]: &mut [HashMap<String, Vec<Posting>>; 2],
+        ) -> PostedTerms {
+            let mut posted = PostedTerms::default();
+            let mut phrase_keys = Vec::new();
+            for module in entry.spec.modules() {
+                if module.kind.is_distinguished() {
+                    posted.names.seal();
+                    continue;
+                }
+                posted.docs += 1;
+                let name_tokens = tokenize(&module.name);
+                let mut tf: HashMap<String, u32> = HashMap::new();
+                for t in &name_tokens {
+                    *tf.entry(t.clone()).or_insert(0) += 1;
+                }
+                for tag in &module.keywords {
+                    let tag_tokens = tokenize(tag);
+                    let norm = tag_tokens.join(" ");
+                    for t in tag_tokens {
+                        *tf.entry(t).or_insert(0) += 1;
+                    }
+                    if !norm.is_empty() {
+                        phrase_keys.push(norm.clone());
+                        phrases.entry(norm).or_default().push(Posting {
+                            spec: sid,
+                            module: module.id,
+                            workflow: module.workflow,
+                            tf: 1,
+                        });
+                    }
+                }
+                for (term, count) in tf {
+                    posted.terms.push(term.clone());
+                    terms.entry(term).or_default().push(Posting {
+                        spec: sid,
+                        module: module.id,
+                        workflow: module.workflow,
+                        tf: count,
+                    });
+                }
+                posted.names.push(&name_tokens.join(" "));
+                self.names.insert((sid, module.id), name_tokens);
+            }
+            posted.terms.sort();
+            posted.terms.dedup();
+            phrase_keys.sort();
+            phrase_keys.dedup();
+            for key in &phrase_keys {
+                posted.phrases.push(key);
+            }
+            posted
+        }
+
+        /// `df` as the windowed adjacency test computed it.
+        fn df(&self, term: &str) -> usize {
+            let words = tokenize(term);
+            let list = |map: &HashMap<String, PostingList>, key: &str| {
+                map.get(key).map(PostingList::to_vec).unwrap_or_default()
+            };
+            match words.len() {
+                0 => 0,
+                1 => list(&self.index.terms, &words[0]).len(),
+                n => {
+                    let mut hits = list(&self.index.phrases, &words.join(" "));
+                    for p in list(&self.index.terms, &words[0]) {
+                        if hits.iter().any(|q| q.spec == p.spec && q.module == p.module) {
+                            continue;
+                        }
+                        let seq = &self.names[&(p.spec, p.module)];
+                        if seq.windows(n).any(|w| w == words.as_slice()) {
+                            hits.push(p);
+                        }
+                    }
+                    hits.len()
+                }
+            }
+        }
+    }
+
+    /// Word pieces for generated module text: case variants, non-ASCII
+    /// letters whose lowercase differs in length or depends on context
+    /// (`İ`, `ẞ`, final `Σ`, the Kelvin sign), digits and repeats.
+    const PIECES: &[&str] = &[
+        "query", "Query", "QUERY", "risks", "Risks", "db", "É", "é", "Étude", "ß", "ẞ", "SS",
+        "Straße", "İ", "i̇", "Σ", "ΣΑΣ", "σας", "\u{212A}", "k", "x1", "42",
+    ];
+    /// Separators: single spaces (an already normal tag), punctuation runs,
+    /// doubled spaces, underscores.
+    const SEPS: &[&str] = &[" ", " ", "  ", "-", "--", ", ", "...", "!?", "_", "/"];
+
+    /// A deterministic generator for the stream (splitmix64).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len())]
+        }
+
+        /// Up to four pieces, a piece often repeated, sometimes wrapped in
+        /// punctuation; empty and punctuation-only texts included.
+        fn text(&mut self) -> String {
+            let mut text = String::new();
+            match self.below(8) {
+                0 => return text,
+                1 => return "--, ".to_string(),
+                2 => text.push_str(self.pick(&["(", ", ", " "])),
+                _ => {}
+            }
+            let mut last = self.pick(PIECES);
+            for i in 0..1 + self.below(4) {
+                if i > 0 {
+                    text.push_str(self.pick(SEPS));
+                    if self.below(3) > 0 {
+                        last = self.pick(PIECES);
+                    }
+                }
+                text.push_str(last);
+            }
+            if self.below(5) == 0 {
+                text.push_str(self.pick(&[")", "!", " "]));
+            }
+            text
+        }
+
+        /// A module text: a name, and up to three tags, one sometimes
+        /// repeated.
+        fn module_text(&mut self) -> (String, Vec<String>) {
+            let name = self.text();
+            let mut tags: Vec<String> = (0..self.below(4)).map(|_| self.text()).collect();
+            if !tags.is_empty() && self.below(4) == 0 {
+                tags.push(tags[0].clone());
+            }
+            (name, tags)
+        }
+
+        /// The paper's fixture, every proper module retexted.
+        fn spec(&mut self) -> ppwf_model::spec::Specification {
+            let (mut spec, _) = fixtures::disease_susceptibility();
+            for m in proper(&spec) {
+                let (name, tags) = self.module_text();
+                spec.set_module_text(m, &name, &tags).unwrap();
+            }
+            spec
+        }
+    }
+
+    /// The proper (indexed) modules of `spec`.
+    fn proper(spec: &ppwf_model::spec::Specification) -> Vec<ModuleId> {
+        spec.modules().filter(|m| !m.kind.is_distinguished()).map(|m| m.id).collect()
+    }
+
+    /// `idx` holds exactly what the oracle holds, and every `df` — of each
+    /// posted key, of phrases cut from module names, of raw text — agrees.
+    fn assert_same_as_oracle(idx: &KeywordIndex, oracle: &Oracle, rng: &mut Rng) {
+        assert!(*idx == oracle.index, "the index differs from the oracle's");
+        assert_eq!(idx.term_count(), oracle.index.term_count());
+        assert_eq!(idx.phrases.len(), oracle.index.phrases.len());
+        for (sid, posted) in &oracle.index.spec_posted {
+            assert_eq!(idx.posted_tokens(*sid), Some(posted.terms.as_slice()));
+        }
+        let mut probes: Vec<String> = oracle.index.terms.keys().cloned().collect();
+        probes.extend(oracle.index.phrases.keys().cloned());
+        for seq in oracle.names.values() {
+            for n in 2..=seq.len().min(3) {
+                probes.extend(seq.windows(n).map(|w| w.join(" ")));
+            }
+        }
+        probes.extend((0..8).map(|_| rng.text()));
+        for term in &probes {
+            assert_eq!(idx.df(term), oracle.df(term), "df({term:?})");
+        }
+    }
+
+    /// A random insert, delete or edit of `r` (an insert when nothing is
+    /// live); an edit rewrites one to three modules' text.
+    fn random_write(rng: &mut Rng, r: &Repository) -> Mutation {
+        let live: Vec<SpecId> = r.entries().map(|(sid, _)| sid).collect();
+        match rng.below(4) {
+            0 => Mutation::InsertSpec { spec: rng.spec(), policy: Policy::public() },
+            _ if live.is_empty() => {
+                Mutation::InsertSpec { spec: rng.spec(), policy: Policy::public() }
+            }
+            1 => Mutation::DeleteSpec { spec: live[rng.below(live.len())] },
+            _ => {
+                let spec = live[rng.below(live.len())];
+                let modules = proper(&r.entry(spec).unwrap().spec);
+                let edits = (0..1 + rng.below(3))
+                    .map(|_| {
+                        let module = modules[rng.below(modules.len())];
+                        let (name, keywords) = rng.module_text();
+                        ModuleTextEdit { module, name, keywords }
+                    })
+                    .collect();
+                Mutation::EditSpec { spec, text: SpecText { edits } }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The one-pass build equals the replaced build after a build and
+        /// after every step of a random insert / edit / delete stream over
+        /// random module text.
+        #[test]
+        fn one_pass_build_matches_the_replaced_build(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = Rng(seed);
+            let mut r = Repository::new();
+            for _ in 0..1 + rng.below(3) {
+                r.insert_spec(rng.spec(), Policy::public()).unwrap();
+            }
+            let mut idx = KeywordIndex::build(&r);
+            let mut oracle = Oracle::build(&r);
+            assert_same_as_oracle(&idx, &oracle, &mut rng);
+            for _ in 0..12 {
+                let effect = r.apply(random_write(&mut rng, &r)).unwrap();
+                idx.apply_effect(&r, &effect);
+                oracle.apply(&r, &effect);
+                assert_same_as_oracle(&idx, &oracle, &mut rng);
+                assert!(KeywordIndex::build(&r) == Oracle::build(&r).index, "fresh builds differ");
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //!   queries with (park/notify wakeups, caller helping, per-ticket panic
 //!   propagation),
 //! * [`stats`] — repository statistics for operators,
-//! * [`storage`] — the injectable [`StorageBackend`](storage::StorageBackend)
+//! * [`storage`] — the injectable [`StorageBackend`]
 //!   the durability subsystem runs on: real files ([`storage::FsStorage`])
 //!   or the fault-injecting in-memory backend ([`storage::MemStorage`])
 //!   that can crash at byte N, tear tails, flip bytes and fail fsyncs,

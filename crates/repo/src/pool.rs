@@ -117,10 +117,23 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
+        // Set under the queue lock: a worker between its shutdown check and
+        // its wait holds that lock, so it either sees the flag or is already
+        // waiting when the notification comes. Set without it, the
+        // notification can land in that gap and the join below waits on a
+        // worker that sleeps forever.
+        let queue = self.shared.queue.lock();
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        drop(queue);
         self.shared.work_ready.notify_all();
+        // The last handle may go inside one of the pool's own jobs: that
+        // worker cannot join itself, and it leaves its loop once the job
+        // returns, since `shutdown` is set.
+        let current = std::thread::current().id();
         for w in self.workers.drain(..) {
-            let _ = w.join();
+            if w.thread().id() != current {
+                let _ = w.join();
+            }
         }
     }
 }
@@ -204,6 +217,25 @@ mod tests {
         let caught = catch_unwind(AssertUnwindSafe(move || bad.wait()));
         assert!(caught.is_err(), "panic must re-throw from the owning ticket");
         assert_eq!(pool.submit(|| 9u32).wait(), 9, "workers survive");
+    }
+
+    #[test]
+    fn the_last_handle_dropped_inside_a_job_does_not_join_its_own_worker() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let handle = Arc::clone(&pool);
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let (report, reported) = std::sync::mpsc::channel();
+        pool.exec(move || {
+            released.recv().expect("released");
+            // The only handle left: dropping it drops the pool on this
+            // worker.
+            let dropped = catch_unwind(AssertUnwindSafe(move || drop(handle)));
+            report.send(dropped.is_ok()).expect("reported");
+        });
+        drop(pool);
+        release.send(()).expect("job waiting");
+        let ok = reported.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(ok, Ok(true), "dropping the pool on its own worker panicked");
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn seek(rest: &[Posting], before: impl Fn(&Posting) -> bool) -> usize {
 
 /// One key's postings, sorted by `(spec, workflow, module)` (see the module
 /// docs).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct PostingList {
     postings: Vec<Posting>,
     /// Distinct specs among `postings`.
