@@ -194,6 +194,31 @@ impl Prefix {
         self.member.get(w.index()).copied().unwrap_or(false)
     }
 
+    /// How many workflows [`Self::add_path`] would add for `w`: `w` and
+    /// those of its ancestors outside the prefix. The prefix is closed
+    /// under parents, so they are the bottom of the root path, and the walk
+    /// stops at the first member.
+    pub fn path_cost(&self, h: &ExpansionHierarchy, w: WorkflowId) -> usize {
+        let mut cost = 0;
+        let mut cur = Some(w);
+        while let Some(x) = cur.filter(|&x| !self.contains(x)) {
+            cost += 1;
+            cur = h.parent(x);
+        }
+        cost
+    }
+
+    /// Add `w` and its root path, keeping the prefix closed under parents:
+    /// the smallest growth that makes `w` expanded. `w` must be a workflow
+    /// of `h`.
+    pub fn add_path(&mut self, h: &ExpansionHierarchy, w: WorkflowId) {
+        let mut cur = Some(w);
+        while let Some(x) = cur.filter(|&x| !self.contains(x)) {
+            self.member[x.index()] = true;
+            cur = h.parent(x);
+        }
+    }
+
     /// Number of workflows in the prefix.
     pub fn len(&self) -> usize {
         self.member.iter().filter(|&&b| b).count()

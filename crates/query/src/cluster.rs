@@ -22,14 +22,15 @@
 //! **The read path is written once.** The query mode — keyword, private
 //! under a plan, ranked under a ranking mode — is a value (the
 //! crate-private `modes` module); everything here is generic over it, in
-//! four stages: `probe` the front cache, `plan` (epoch, group check, one parse, target
-//! shards, corpus statistics only if the mode needs them and a target
-//! survives), `run_shard` per target, and `gather` (merge, then publish to
-//! the front cache at the plan's epoch). The three public entry points
-//! (`search_as`, `private_search_as`, `ranked_search_as`) are instantiations
-//! of one blocking `read` that runs the target shards in sequence on the
-//! calling thread; the async front ([`crate::serve`]) calls the same four
-//! stages, in the same order, from one job on the persistent
+//! four stages: `probe` the front cache, `plan` (epoch, group check, one
+//! parse, one lookup of every term on every shard, target shards, corpus
+//! statistics only if the mode needs them and a target survives),
+//! `run_shard` per target over the plan's lookup, and `gather` (merge,
+//! then publish to the front cache at the plan's epoch). The three public
+//! entry points (`search_as`, `private_search_as`, `ranked_search_as`) are
+//! instantiations of one blocking `read` that runs the target shards in
+//! sequence on the calling thread; the async front ([`crate::serve`]) calls
+//! the same four stages, in the same order, from one job on the persistent
 //! [`WorkerPool`] that nobody waits for. Plan, shard run and gather are one
 //! implementation; only scheduling differs.
 //!
@@ -55,7 +56,19 @@
 //!   answer, and it is where sharding beats the single engine even on one
 //!   core — selective queries touch one shard's worth of state, not the
 //!   whole corpus. A query that no shard can match is answered from the
-//!   plan alone, touching no shard at all — not even a df memo.
+//!   plan alone, touching no shard's memos at all — not even a df memo.
+//!
+//! **A term is looked up once per shard.** Stage 2 resolves every query
+//! term on every shard's index once ([`KeywordIndex::term_lists`]), and
+//! that one resolution is read by everything after it: it picks the
+//! target shards (a term with no list rules its shard out), it gives every
+//! already-normal single token its per-shard df as its list's length (a
+//! phrase's df keeps the index's memo), and each target's shard run
+//! intersects, gathers and — for a ranked read of single tokens — reads its
+//! TF profiles from the same lists. Ranked reads need every shard resolved
+//! anyway, because the corpus dfs count pruned shards too. The plan
+//! borrows the cluster for the read guard it runs under, so the lists are
+//! plain references into the shards' indexes.
 //!
 //! An answer is cached once, where it is served: in the **cluster-front
 //! result cache**. A shard caches nothing — `run_shard` resolves the
@@ -80,7 +93,7 @@
 //! spec, while reads of everything else stay one probe.
 
 use crate::engine::{CacheSnapshot, EngineStats, Plan, RankedAnswer, Shard, DEFAULT_VIEW_CAPACITY};
-use crate::keyword::{KeywordHit, KeywordQuery};
+use crate::keyword::{KeywordHit, KeywordQuery, Lookup};
 use crate::modes::{FrontCache, Keyword, Private, Ranked, ReadMode};
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::RankingMode;
@@ -90,7 +103,7 @@ use ppwf_model::exec::Execution;
 use ppwf_model::spec::Specification;
 use ppwf_model::{ModelError, Result};
 use ppwf_repo::cache::GroupCache;
-use ppwf_repo::keyword_index::KeywordIndex;
+use ppwf_repo::keyword_index::{KeywordIndex, TermLists};
 use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::principals::PrincipalRegistry;
 use ppwf_repo::repository::{Repository, SpecId};
@@ -149,8 +162,10 @@ pub struct RankedHits {
 }
 
 /// A read past the front cache, planned: what [`EngineCluster::plan`] fixes
-/// and [`EngineCluster::run_shard`] / [`EngineCluster::gather`] consume.
-pub(crate) struct ReadPlan<M> {
+/// and [`EngineCluster::run_shard`] / [`EngineCluster::gather`] consume. It
+/// borrows the cluster it was planned on (`'c`), for as long as the read
+/// guard the read runs under.
+pub(crate) struct ReadPlan<'c, M> {
     pub(crate) mode: M,
     group: String,
     query_text: String,
@@ -158,6 +173,9 @@ pub(crate) struct ReadPlan<M> {
     query: KeywordQuery,
     /// The front epoch the answer is computed and published at.
     pub(crate) epoch: u64,
+    /// `query` looked up on every shard once, shard-major: shard `s`'s
+    /// lists are `lists[s * n..(s + 1) * n]` for `n` terms.
+    lists: Vec<TermLists<'c>>,
     /// The shards that can contribute, in shard order; empty when index
     /// gating pruned them all (the answer is then empty, and gathered
     /// from no parts).
@@ -414,22 +432,29 @@ impl EngineCluster {
     /// pruning diagnostic E11 reports (and operators watch: a mix that
     /// always touches every shard gets no routing benefit).
     pub fn probe_target_count(&self, query_text: &str) -> usize {
-        self.target_shards(&KeywordQuery::parse(query_text)).len()
+        self.resolve(&KeywordQuery::parse(query_text)).1.len()
     }
 
-    /// Shards that could contribute to `query`: every term must have a
-    /// possible posting in the shard's index (AND semantics make the rest
-    /// unreachable). Pure pruning — never changes an answer.
-    fn target_shards(&self, query: &KeywordQuery) -> Vec<usize> {
-        if query.terms.is_empty() {
-            return Vec::new();
+    /// Look `query`'s terms up on every shard, once (shard-major, as
+    /// [`ReadPlan`] keeps them), and keep as targets the shards where every
+    /// term has a list: AND semantics make the others unreachable, so the
+    /// pruning never changes an answer. A tokenless query targets no shard.
+    fn resolve(&self, query: &KeywordQuery) -> (Vec<TermLists<'_>>, Vec<usize>) {
+        let terms = query.terms.len();
+        let mut lists = Vec::with_capacity(terms * self.shards.len());
+        for shard in &self.shards {
+            shard.index().term_lists(&query.terms, &mut lists);
         }
-        (0..self.shards.len())
-            .filter(|&s| {
-                let index = self.shards[s].index();
-                query.terms.iter().all(|t| index.may_match(t))
-            })
-            .collect()
+        let targets = match terms {
+            0 => Vec::new(),
+            _ => lists
+                .chunks_exact(terms)
+                .enumerate()
+                .filter(|(_, row)| row.iter().all(TermLists::may_match))
+                .map(|(s, _)| s)
+                .collect(),
+        };
+        (lists, targets)
     }
 
     /// The serving pool: the async front's default, so its read and write
@@ -518,36 +543,46 @@ impl EngineCluster {
     }
 
     /// Stage 2 — plan a read the front cache could not answer: fix its
-    /// epoch, refuse unknown groups (`None`), parse the query once, pick
-    /// the shards that can contribute, and — only if some shard survived
-    /// the pruning, so a query nothing can match leaves no trace in any
-    /// shard's df memo — collect what `mode` merges with beyond the parts.
+    /// epoch, refuse unknown groups (`None`), parse the query once, look
+    /// every term up on every shard once and keep the shards that can
+    /// contribute, and — only if some shard survived the pruning, so a
+    /// query nothing can match leaves no trace in any shard's df memo —
+    /// collect what `mode` merges with beyond the parts, from the same
+    /// lists.
     pub(crate) fn plan<M: ReadMode>(
         &self,
         mode: M,
         group: String,
         query_text: String,
-    ) -> Option<ReadPlan<M>> {
+    ) -> Option<ReadPlan<'_, M>> {
         let epoch = self.front_epoch();
         self.registry.group(&group)?;
         let query = KeywordQuery::parse(&query_text);
-        let targets = self.target_shards(&query);
-        let idfs =
-            if targets.is_empty() { Vec::new() } else { mode.corpus_idfs(&self.shards, &query) };
-        Some(ReadPlan { mode, group, query_text, query, epoch, targets, idfs })
+        let (lists, targets) = self.resolve(&query);
+        let idfs = if targets.is_empty() {
+            Vec::new()
+        } else {
+            mode.corpus_idfs(&self.shards, &query, &lists)
+        };
+        Some(ReadPlan { mode, group, query_text, query, epoch, lists, targets, idfs })
     }
 
     /// Stage 3 — target `slot`'s part of the answer, computed on the shard
-    /// under the group's access there and cached nowhere: the front caches
-    /// the merged answer, and a shard has no result cache.
+    /// under the group's access there, over the lists the plan looked up,
+    /// and cached nowhere: the front caches the merged answer, and a shard
+    /// has no result cache.
     /// Module privacy is enforced here, inside the shard run: its hits are
     /// sanitized against the group's access views before anything reaches
     /// the gather.
-    pub(crate) fn run_shard<M: ReadMode>(&self, plan: &ReadPlan<M>, slot: usize) -> M::Part {
-        let shard = &self.shards[plan.targets[slot]];
+    pub(crate) fn run_shard<M: ReadMode>(&self, plan: &ReadPlan<'_, M>, slot: usize) -> M::Part {
+        let s = plan.targets[slot];
+        let shard = &self.shards[s];
+        let terms = plan.query.terms.len();
+        let lists = &plan.lists[s * terms..(s + 1) * terms];
+        let lookup = Lookup { index: shard.index(), lists };
         let access = shard.access_cache().resolver(&self.registry, &self.repo, &plan.group);
         let access = access.expect("the plan admitted a registered group");
-        plan.mode.part(&self.repo, shard, &access, &plan.query)
+        plan.mode.part(&self.repo, shard, lookup, &access, &plan.query)
     }
 
     /// Stage 4 — gather: hand the target shards' parts (in target order)
@@ -556,7 +591,7 @@ impl EngineCluster {
     /// cache at the plan's epoch.
     pub(crate) fn gather<M: ReadMode>(
         &self,
-        plan: &ReadPlan<M>,
+        plan: &ReadPlan<'_, M>,
         parts: Vec<M::Part>,
     ) -> Arc<M::Answer> {
         let merged = Arc::new(M::merge(plan, parts));

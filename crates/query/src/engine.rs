@@ -38,7 +38,7 @@
 //! the filter-then-search privacy invariant is untouched, because postings
 //! are still filtered before any search work.
 
-use crate::keyword::{KeywordHit, KeywordQuery};
+use crate::keyword::{looked_up, KeywordHit, KeywordQuery};
 use crate::modes::{Keyword, Private, Ranked, ReadMode};
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::{idfs_for_terms, RankingMode, TfProfile};
@@ -377,11 +377,15 @@ impl QueryEngine {
 
     /// The one read under every entry point above: resolve access lazily
     /// (only specs with candidate postings pay rule resolution, E12's
-    /// lever) and compute `mode`'s part over the whole-corpus shard
-    /// ([`ReadMode::part`]). `None` for unknown groups.
+    /// lever), look the query's terms up once on the whole-corpus index
+    /// ([`KeywordIndex::term_lists`], as a cluster's plan does per shard)
+    /// and compute `mode`'s part over the shard ([`ReadMode::part`]).
+    /// `None` for unknown groups.
     fn read<M: ReadMode>(&self, mode: M, group: &str, query: &KeywordQuery) -> Option<M::Part> {
         let access = self.access_resolver(group)?;
-        Some(mode.part(&self.repo, &self.shard, &access, query))
+        Some(looked_up(self.index(), query, |lookup| {
+            mode.part(&self.repo, &self.shard, lookup, &access, query)
+        }))
     }
 
     /// Counters of the view and access memos; the engine has no result

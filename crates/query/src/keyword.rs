@@ -10,14 +10,49 @@
 //! `"Database, Disorder Risks"`: *Database* matches only `M5` deep in
 //! `W4`, *Disorder Risks* matches `M2` at top level, so the minimal view
 //! expands `{W1, W2, W4}` and leaves `M2` opaque.
+//!
+//! **The pipeline.** A read runs these steps, in this order, over one
+//! index (a whole-corpus index, or one shard's partition):
+//!
+//! 1. **Parse** — [`KeywordQuery::parse`] splits the text at commas and
+//!    normalizes each term from the borrowed
+//!    [`tokens`]: one `String` per term.
+//! 2. **Look up** — each term is resolved to its posting lists once
+//!    ([`KeywordIndex::term_lists`]). The resolution is what every later
+//!    step reads: a cluster prunes shards on it and takes ranked document
+//!    frequencies and TF profiles from it, and the steps below intersect
+//!    and gather from it. No step looks a term up again.
+//! 3. **Candidate discovery** — intersect the terms' spec supersets by
+//!    galloping search over the sorted lists, so specs that cannot satisfy
+//!    the AND semantics never materialize a posting.
+//! 4. **Restricted gather** — copy only the candidate specs' posting runs
+//!    per term, then privilege-filter in place (one prefix resolution per
+//!    spec run; with a lazy resolver only candidate specs resolve).
+//! 5. **Vec-indexed assembly** — per-`(spec, term)` module lists live in a
+//!    flat scratch table addressed by candidate rank.
+//! 6. **Minimal cover** — per candidate whose every term kept a match, one
+//!    match per term is chosen, reading the table's rows in place, and the
+//!    answer prefix is marked path by path; its view comes from the view
+//!    memo.
+//!
+//! Steps 3–5 borrow their buffers from the thread-local [`QueryScratch`],
+//! so a pool worker reuses one arena across every query it serves; what a
+//! read allocates is its answer.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 use ppwf_model::expand::SpecView;
 use ppwf_model::hierarchy::Prefix;
-use ppwf_model::ids::{ModuleId, WorkflowId};
-use ppwf_repo::keyword_index::{filter_postings, tokenize, KeywordIndex};
+use ppwf_model::ids::ModuleId;
+use ppwf_repo::keyword_index::{
+    candidate_specs, filter_postings, tokenize, tokens, KeywordIndex, TermLists,
+};
 use ppwf_repo::postings::{with_scratch, QueryScratch};
 use ppwf_repo::principals::SpecAccess;
-use ppwf_repo::repository::{Repository, SpecId};
+use ppwf_repo::repository::{Repository, SpecEntry, SpecId};
 use ppwf_repo::view_cache::ViewCache;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -32,15 +67,48 @@ pub struct KeywordQuery {
 impl KeywordQuery {
     /// Parse `"Database, Disorder Risks"` into `["database", "disorder risks"]`.
     pub fn parse(text: &str) -> Self {
-        let terms =
-            text.split(',').map(|t| tokenize(t).join(" ")).filter(|t| !t.is_empty()).collect();
+        let terms = text.split(',').map(normal_term).filter(|t| !t.is_empty()).collect();
         KeywordQuery { terms }
     }
 
     /// Build from explicit terms.
     pub fn new(terms: &[&str]) -> Self {
-        KeywordQuery { terms: terms.iter().map(|t| tokenize(t).join(" ")).collect() }
+        KeywordQuery { terms: terms.iter().map(|t| normal_term(t)).collect() }
     }
+}
+
+/// `text`'s tokens in normal form joined by single spaces —
+/// `tokenize(text).join(" ")`, built in one string from borrowed tokens.
+fn normal_term(text: &str) -> String {
+    let mut term = String::new();
+    for token in tokens(text) {
+        if !term.is_empty() {
+            term.push(' ');
+        }
+        term.push_str(&token);
+    }
+    term
+}
+
+/// A query looked up on one index: the index, and each term's lists in
+/// term order, resolved once ([`KeywordIndex::term_lists`]). Every search
+/// step after the lookup reads these lists instead of the index's maps.
+#[derive(Clone, Copy)]
+pub(crate) struct Lookup<'a> {
+    pub(crate) index: &'a KeywordIndex,
+    pub(crate) lists: &'a [TermLists<'a>],
+}
+
+/// Resolve `query` on `index` and run `f` over the lookup — the entry for
+/// callers that hold an index rather than a resolved plan.
+pub(crate) fn looked_up<R>(
+    index: &KeywordIndex,
+    query: &KeywordQuery,
+    f: impl FnOnce(Lookup<'_>) -> R,
+) -> R {
+    let mut lists = Vec::with_capacity(query.terms.len());
+    index.term_lists(&query.terms, &mut lists);
+    f(Lookup { index, lists: &lists })
 }
 
 /// One search hit: a specification, the minimal view answering the query,
@@ -79,60 +147,51 @@ pub(crate) fn build_view(
     }
 }
 
-/// Workflows that must be in the prefix for module `m` to be visible: the
-/// hierarchy path from the root to `m`'s workflow.
-fn required_path(entry: &ppwf_repo::repository::SpecEntry, m: ModuleId) -> Vec<WorkflowId> {
-    let mut path = Vec::new();
-    let mut cur = Some(entry.spec.module(m).workflow);
-    while let Some(w) = cur {
-        path.push(w);
-        cur = entry.hierarchy.parent(w);
-    }
-    path
-}
-
 /// Choose one match per term minimizing the resulting prefix size (greedy:
-/// terms with fewest candidates first; each picks the candidate adding the
-/// fewest new workflows; ties broken by module id for determinism).
+/// terms with fewest candidates first, ties by term order; each picks the
+/// candidate adding the fewest new workflows, ties broken by module id for
+/// determinism). `candidates[i]` are term `i`'s matching modules, read in
+/// place; the prefix is marked path by path from the root alone. `None`
+/// when some term has no candidate.
 fn minimal_cover(
-    entry: &ppwf_repo::repository::SpecEntry,
-    candidates: &[(String, Vec<ModuleId>)],
+    entry: &SpecEntry,
+    terms: &[String],
+    candidates: &[Vec<ModuleId>],
 ) -> Option<(Prefix, Vec<(String, ModuleId)>)> {
-    if candidates.iter().any(|(_, c)| c.is_empty()) {
+    // A term without a candidate rejects the spec before anything is
+    // allocated for it.
+    if candidates.iter().any(Vec::is_empty) {
         return None;
     }
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by_key(|&i| candidates[i].1.len());
-
-    let mut required: Vec<WorkflowId> = vec![entry.spec.root()];
-    let mut chosen: Vec<Option<(String, ModuleId)>> = vec![None; candidates.len()];
-    for &i in &order {
-        let (term, mods) = &candidates[i];
-        let best = mods
-            .iter()
-            .map(|&m| {
-                let path = required_path(entry, m);
-                let added = path.iter().filter(|w| !required.contains(w)).count();
-                (added, m, path)
-            })
-            .min_by_key(|(added, m, _)| (*added, *m))
-            .expect("nonempty candidate list");
-        for w in best.2 {
-            if !required.contains(&w) {
-                required.push(w);
-            }
-        }
-        chosen[i] = Some((term.clone(), best.1));
+    let h = &entry.hierarchy;
+    let mut matched = terms
+        .iter()
+        .zip(candidates)
+        .map(|(term, mods)| Some((term.clone(), *mods.first()?)))
+        .collect::<Option<Vec<_>>>()?;
+    let mut prefix = Prefix::root_only(h);
+    // Visit terms by (candidate count, term index), each once: the next is
+    // the smallest key above the last one visited.
+    let mut last = None;
+    while let Some((_, i)) = (0..candidates.len())
+        .map(|i| (candidates[i].len(), i))
+        .filter(|&key| last.is_none_or(|last| key > last))
+        .min()
+    {
+        last = Some((candidates[i].len(), i));
+        let workflow = |m: ModuleId| entry.spec.module(m).workflow;
+        let (_, best) =
+            candidates[i].iter().map(|&m| (prefix.path_cost(h, workflow(m)), m)).min()?;
+        prefix.add_path(h, workflow(best));
+        matched[i].1 = best;
     }
-    let prefix =
-        Prefix::from_workflows(&entry.hierarchy, required).expect("root paths are parent-closed");
-    Some((prefix, chosen.into_iter().map(|c| c.expect("all terms chosen")).collect()))
+    Some((prefix, matched))
 }
 
 /// Index-backed search over the whole repository (no privacy filtering —
 /// the administrator's plan). Hits are ordered by spec id.
 pub fn search(repo: &Repository, index: &KeywordIndex, query: &KeywordQuery) -> Vec<KeywordHit> {
-    search_with_index(repo, index, query, None, None::<&HashMap<SpecId, Prefix>>)
+    looked_up(index, query, |lookup| search_in(repo, lookup, query, None, no_access()))
 }
 
 /// [`search`] with answer views fetched through `views` instead of built
@@ -143,7 +202,7 @@ pub fn search_with_cache(
     query: &KeywordQuery,
     views: &ViewCache,
 ) -> Vec<KeywordHit> {
-    search_with_index(repo, index, query, Some(views), None::<&HashMap<SpecId, Prefix>>)
+    looked_up(index, query, |lookup| search_in(repo, lookup, query, Some(views), no_access()))
 }
 
 /// Index-backed search with privilege filtering: only postings whose
@@ -161,7 +220,7 @@ pub fn search_filtered(
     query: &KeywordQuery,
     access: &impl SpecAccess,
 ) -> Vec<KeywordHit> {
-    search_with_index(repo, index, query, None, Some(access))
+    looked_up(index, query, |lookup| search_in(repo, lookup, query, None, Some(access)))
 }
 
 /// [`search_filtered`] with answer views fetched through `views` — the
@@ -173,36 +232,29 @@ pub fn search_filtered_with_cache(
     access: &impl SpecAccess,
     views: &ViewCache,
 ) -> Vec<KeywordHit> {
-    search_with_index(repo, index, query, Some(views), Some(access))
+    looked_up(index, query, |lookup| search_in(repo, lookup, query, Some(views), Some(access)))
 }
 
-/// The cold-path kernel pipeline behind every index-backed entry point:
-///
-/// 1. **Candidate discovery** — intersect the terms' spec supersets by
-///    galloping search over the sorted lists, so specs that cannot
-///    satisfy the AND semantics never materialize a posting.
-/// 2. **Restricted gather** — copy only the candidate specs' posting runs
-///    per term, then privilege-filter in place (one prefix resolution per
-///    spec run; with a lazy resolver only candidate specs resolve).
-/// 3. **Vec-indexed assembly** — per-`(spec, term)` module lists live in
-///    a flat scratch table addressed by candidate rank, replacing the old
-///    per-posting `HashMap<SpecId, _>` insert.
-///
-/// All intermediate buffers come from the thread-local [`QueryScratch`],
-/// so a pool worker reuses one arena across every query it serves.
-fn search_with_index<A: SpecAccess + ?Sized>(
+/// The access argument of an unfiltered search.
+fn no_access() -> Option<&'static HashMap<SpecId, Prefix>> {
+    None
+}
+
+/// The kernel pipeline behind every index-backed entry point (steps 3–6
+/// of the module docs) over `query` looked up as `lookup`: candidate
+/// discovery, the restricted and privilege-filtered gather, the
+/// rank-indexed assembly and the minimal cover of each surviving
+/// candidate.
+pub(crate) fn search_in<A: SpecAccess + ?Sized>(
     repo: &Repository,
-    index: &KeywordIndex,
+    lookup: Lookup<'_>,
     query: &KeywordQuery,
     views: Option<&ViewCache>,
     access: Option<&A>,
 ) -> Vec<KeywordHit> {
-    if query.terms.is_empty() {
-        return Vec::new();
-    }
     with_scratch(|s| {
         let QueryScratch { postings, seed, specs, specs_b, mods, .. } = s;
-        if !index.candidate_specs_into(&query.terms, specs_b, specs) || specs.is_empty() {
+        if !candidate_specs(lookup.lists, specs_b, specs) || specs.is_empty() {
             return Vec::new();
         }
         let cands: &[u32] = specs;
@@ -217,8 +269,8 @@ fn search_with_index<A: SpecAccess + ?Sized>(
         // A single term's candidates are exactly (or, for a phrase, a
         // superset of) its own specs — nothing to restrict against.
         let restrict = if nterms > 1 { Some(cands) } else { None };
-        for (ti, term) in query.terms.iter().enumerate() {
-            index.lookup_normalized_into(term, restrict, seed, postings);
+        for (ti, (term, lists)) in query.terms.iter().zip(lookup.lists).enumerate() {
+            lookup.index.gather_into(term, lists, restrict, seed, postings);
             if let Some(a) = access {
                 filter_postings(postings, a);
             }
@@ -228,26 +280,27 @@ fn search_with_index<A: SpecAccess + ?Sized>(
                 return Vec::new();
             }
             for p in postings.iter() {
-                let rank =
-                    cands.binary_search(&p.spec.0).expect("gathered posting spec is a candidate");
-                mods[rank * nterms + ti].push(p.module);
+                // Every gathered spec is a candidate: the gather is
+                // restricted to them, or they are the one term's specs.
+                if let Ok(rank) = cands.binary_search(&p.spec.0) {
+                    mods[rank * nterms + ti].push(p.module);
+                }
             }
         }
         let mut hits = Vec::new();
         for (rank, &spec) in cands.iter().enumerate() {
-            let row = &mut mods[rank * nterms..(rank + 1) * nterms];
-            if row.iter().any(|c| c.is_empty()) {
-                continue; // AND semantics: every term must match
-            }
+            let row = &mods[rank * nterms..(rank + 1) * nterms];
             let sid = SpecId(spec);
-            let entry = repo.entry(sid).expect("posting references live spec");
-            let named: Vec<(String, Vec<ModuleId>)> =
-                query.terms.iter().cloned().zip(row.iter_mut().map(std::mem::take)).collect();
-            if let Some((prefix, matched)) = minimal_cover(entry, &named) {
-                let view =
-                    build_view(repo, views, sid, &prefix).expect("minimal cover prefix is valid");
-                hits.push(KeywordHit { spec: sid, prefix, view, matched });
-            }
+            // AND semantics: every term must match (the cover refuses an
+            // empty row). A posting names a live spec.
+            let Some(entry) = repo.entry(sid) else { continue };
+            let Some((prefix, matched)) = minimal_cover(entry, &query.terms, row) else { continue };
+            // invariant: a cover prefix is the root plus root paths of the
+            // spec's own workflows, so it is valid and the view builds.
+            #[allow(clippy::expect_used)]
+            let view =
+                build_view(repo, views, sid, &prefix).expect("minimal cover prefix is valid");
+            hits.push(KeywordHit { spec: sid, prefix, view, matched });
         }
         hits
     })
@@ -292,21 +345,20 @@ fn search_scan_inner(
                 kt.join(" ") == term || (qtokens.len() == 1 && kt.contains(&qtokens[0]))
             })
     };
-    let hit = |(sid, entry): (SpecId, &ppwf_repo::repository::SpecEntry)| {
-        let named: Vec<(String, Vec<ModuleId>)> = query
+    let hit = |(sid, entry): (SpecId, &SpecEntry)| {
+        let candidates: Vec<Vec<ModuleId>> = query
             .terms
             .iter()
             .map(|term| {
-                let mods: Vec<ModuleId> = entry
+                entry
                     .spec
                     .modules()
                     .filter(|m| !m.kind.is_distinguished() && matches_term(m, term))
                     .map(|m| m.id)
-                    .collect();
-                (term.clone(), mods)
+                    .collect()
             })
             .collect();
-        let (prefix, matched) = minimal_cover(entry, &named)?;
+        let (prefix, matched) = minimal_cover(entry, &query.terms, &candidates)?;
         let view = build_view(repo, views, sid, &prefix)?;
         Some(KeywordHit { spec: sid, prefix, view, matched })
     };
@@ -422,6 +474,48 @@ mod tests {
         let (repo, index) = setup();
         assert!(search(&repo, &index, &KeywordQuery::parse("")).is_empty());
         assert!(search_scan(&repo, &KeywordQuery::parse("")).is_empty());
+    }
+
+    /// A tag of one token posts no phrase of its own, so a query for the
+    /// tag as written answers exactly like the query for its token: same
+    /// hits, same postings, same df — over the fixture and over corpora of
+    /// adversarial module text.
+    #[test]
+    fn a_one_token_tag_answers_like_its_term() {
+        use ppwf_workloads::gentext::TextGen;
+        for seed in 0..24 {
+            let mut gen = TextGen(seed);
+            let mut repo = Repository::new();
+            let (fixture, _) = fixtures::disease_susceptibility();
+            repo.insert_spec(fixture, Policy::public()).unwrap();
+            for _ in 0..3 {
+                repo.insert_spec(gen.spec(), Policy::public()).unwrap();
+            }
+            let index = KeywordIndex::build(&repo);
+            let tags: Vec<String> = repo
+                .entries()
+                .flat_map(|(_, entry)| entry.spec.modules().flat_map(|m| m.keywords.clone()))
+                .filter(|tag| tokenize(tag).len() == 1)
+                .collect();
+            assert!(!tags.is_empty());
+            for tag in &tags {
+                // The term query is the token as the index keys it (not
+                // re-parsed: lowercasing `İ` is not idempotent under the
+                // tokenizer).
+                let token = tokenize(tag).remove(0);
+                let term_postings = index.term_postings(&token).map(|l| l.to_vec());
+                assert!(index.phrase_postings(&token).is_none(), "{tag:?} posted a phrase");
+                assert_eq!(Some(index.lookup_query_term(tag)), term_postings, "{tag:?}");
+                assert_eq!(Some(index.df(tag)), term_postings.map(|p| p.len()), "{tag:?}");
+                let released = |query: &KeywordQuery| {
+                    let hits = search(&repo, &index, query);
+                    hits.into_iter().map(|h| (h.spec, h.prefix, h.matched)).collect::<Vec<_>>()
+                };
+                let by_tag = released(&KeywordQuery::parse(tag));
+                assert!(!by_tag.is_empty(), "{tag:?} finds its own module");
+                assert_eq!(by_tag, released(&KeywordQuery { terms: vec![token] }), "{tag:?}");
+            }
+        }
     }
 
     #[test]

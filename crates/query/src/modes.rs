@@ -34,15 +34,14 @@
 
 use crate::cluster::{RankedHits, ReadPlan};
 use crate::engine::{Plan, RankedAnswer, Shard};
-use crate::keyword::{search_filtered_with_cache, KeywordHit, KeywordQuery};
-use crate::privacy_exec::{
-    filter_then_search_cached, search_then_zoom_out_cached, PrivateSearchOutcome,
-};
+use crate::keyword::{search_in, KeywordHit, KeywordQuery, Lookup};
+use crate::privacy_exec::{filter_then_search_in, search_then_zoom_out_in, PrivateSearchOutcome};
 use crate::ranking::{
-    idfs_from_shard_counts, profiles_for_hits, rank_by_scores, scores_for_profiles, ModeKey,
+    profiles_for_hits, profiles_from_postings, rank_by_scores, scores_for_profiles, ModeKey,
     RankingMode, TfProfile,
 };
 use ppwf_repo::cache::GroupCache;
+use ppwf_repo::keyword_index::{KeywordIndex, TermLists};
 use ppwf_repo::principals::AccessResolver;
 use ppwf_repo::repository::Repository;
 use ppwf_repo::touch::Depends;
@@ -63,18 +62,27 @@ pub(crate) trait ReadMode: Copy + Send + Sync + 'static {
     fn class(self) -> Class;
 
     /// `shard`'s part of the answer to `query` under `access`, over the
-    /// specs of `repo` it indexes. Computed, never looked up: no result
-    /// cache is probed or filled here.
+    /// specs of `repo` it indexes, with `lookup` the query resolved on the
+    /// shard's index. Computed, never looked up: no result cache is probed
+    /// or filled here.
     fn part(
         self,
         repo: &Repository,
         shard: &Shard,
+        lookup: Lookup<'_>,
         access: &AccessResolver,
         query: &KeywordQuery,
     ) -> Self::Part;
 
-    /// Corpus-global IDFs for `query`, if merging reads them.
-    fn corpus_idfs(self, _shards: &[Shard], _query: &KeywordQuery) -> Vec<f64> {
+    /// Corpus-global IDFs for `query`, if merging reads them. `lists` holds
+    /// the query resolved on every shard, shard-major: shard `s`'s lists
+    /// are `lists[s * n..(s + 1) * n]` for `n` terms.
+    fn corpus_idfs(
+        self,
+        _shards: &[Shard],
+        _query: &KeywordQuery,
+        _lists: &[TermLists],
+    ) -> Vec<f64> {
         Vec::new()
     }
 
@@ -82,7 +90,7 @@ pub(crate) trait ReadMode: Copy + Send + Sync + 'static {
     /// order, into the whole answer, in spec order. Every part is already
     /// in spec order, so a single part *is* the answer: it is moved
     /// through, not copied or re-sorted.
-    fn merge(plan: &ReadPlan<Self>, parts: Vec<Self::Part>) -> Self::Answer;
+    fn merge(plan: &ReadPlan<'_, Self>, parts: Vec<Self::Part>) -> Self::Answer;
 }
 
 /// A ranked part: a shard's keyword hits, and their TF profiles aligned
@@ -126,13 +134,14 @@ impl ReadMode for Keyword {
         self,
         repo: &Repository,
         shard: &Shard,
+        lookup: Lookup<'_>,
         access: &AccessResolver,
         query: &KeywordQuery,
     ) -> Vec<KeywordHit> {
-        search_filtered_with_cache(repo, shard.index(), query, access, shard.views())
+        search_in(repo, lookup, query, Some(shard.views()), Some(access))
     }
 
-    fn merge(_plan: &ReadPlan<Self>, parts: Vec<Vec<KeywordHit>>) -> Vec<KeywordHit> {
+    fn merge(_plan: &ReadPlan<'_, Self>, parts: Vec<Vec<KeywordHit>>) -> Vec<KeywordHit> {
         merge_hits(parts)
     }
 }
@@ -150,22 +159,21 @@ impl ReadMode for Private {
         self,
         repo: &Repository,
         shard: &Shard,
+        lookup: Lookup<'_>,
         access: &AccessResolver,
         query: &KeywordQuery,
     ) -> PrivateSearchOutcome {
-        let (index, views) = (shard.index(), shard.views());
+        let views = Some(shard.views());
         match self.0 {
-            Plan::FilterThenSearch => filter_then_search_cached(repo, index, query, access, views),
-            Plan::SearchThenZoomOut => {
-                search_then_zoom_out_cached(repo, index, query, access, views)
-            }
+            Plan::FilterThenSearch => filter_then_search_in(repo, lookup, query, access, views),
+            Plan::SearchThenZoomOut => search_then_zoom_out_in(repo, lookup, query, access, views),
         }
     }
 
     /// The plans' cost counters (views built, zoom steps, discards) are
     /// counts of per-spec work, so their sums equal the single-engine
     /// figures.
-    fn merge(_plan: &ReadPlan<Self>, parts: Vec<PrivateSearchOutcome>) -> PrivateSearchOutcome {
+    fn merge(_plan: &ReadPlan<'_, Self>, parts: Vec<PrivateSearchOutcome>) -> PrivateSearchOutcome {
         let views_built = parts.iter().map(|outcome| outcome.views_built).sum();
         let zoom_steps = parts.iter().map(|outcome| outcome.zoom_steps).sum();
         let discarded = parts.iter().map(|outcome| outcome.discarded).sum();
@@ -183,41 +191,49 @@ impl ReadMode for Ranked {
         Class::Ranked(self.0.cache_key())
     }
 
-    /// The keyword hits and, in the same call, their TF profiles. Nothing
-    /// is scored here: scores need corpus-global IDFs, so the merge (or
-    /// the reference engine, over its one part) scores once ([`Ranked::rank`]).
+    /// The keyword hits and, in the same call, their TF profiles: read off
+    /// the looked-up postings when every term is a single token, by the
+    /// module-text scan when some term is a phrase. Nothing is scored
+    /// here: scores need corpus-global IDFs, so the merge (or the
+    /// reference engine, over its one part) scores once ([`Ranked::rank`]).
     fn part(
         self,
         repo: &Repository,
         shard: &Shard,
+        lookup: Lookup<'_>,
         access: &AccessResolver,
         query: &KeywordQuery,
     ) -> RankedPart {
-        let hits = Keyword.part(repo, shard, access, query);
-        let profiles = profiles_for_hits(repo, &hits, &query.terms);
+        let hits = Keyword.part(repo, shard, lookup, access, query);
+        let profiles = profiles_from_postings(&hits, &query.terms, lookup.lists)
+            .unwrap_or_else(|| profiles_for_hits(repo, &hits, &query.terms));
         (hits, profiles)
     }
 
     /// Summed over *all* shards — including ones the scatter prunes, whose
-    /// document counts still shape the statistics. Per-shard dfs go through
-    /// each index's per-term memo: the first request per term per index
-    /// build materializes (phrases verify adjacency over postings), every
-    /// later one is a map probe.
-    fn corpus_idfs(self, shards: &[Shard], query: &KeywordQuery) -> Vec<f64> {
-        let doc_counts: Vec<usize> = shards.iter().map(|s| s.index().doc_count()).collect();
-        let dfs_per_term: Vec<Vec<usize>> = query
-            .terms
-            .iter()
-            .map(|t| shards.iter().map(|s| s.index().df_cached(t)).collect())
-            .collect();
-        idfs_from_shard_counts(&doc_counts, &dfs_per_term)
+    /// document counts still shape the statistics. An already-normal single
+    /// token's per-shard df is its resolved list's length; any other term's
+    /// goes through the shard index's per-term memo (the first request per
+    /// term per index build materializes — phrases verify adjacency over
+    /// postings — every later one is a map probe). Sums are exact, so the
+    /// IDFs are the single engine's bit for bit.
+    fn corpus_idfs(self, shards: &[Shard], query: &KeywordQuery, lists: &[TermLists]) -> Vec<f64> {
+        let n = query.terms.len();
+        let docs = shards.iter().map(|s| s.index().doc_count()).sum();
+        let df = |t: usize, term: &str| -> usize {
+            let on =
+                |(s, shard): (usize, &Shard)| shard.index().df_resolved(term, &lists[s * n + t]);
+            shards.iter().enumerate().map(on).sum()
+        };
+        let idf = |(t, term): (usize, &String)| KeywordIndex::idf_from_counts(docs, df(t, term));
+        query.terms.iter().enumerate().map(idf).collect()
     }
 
     /// Hits merge by move with their TF profiles, and the merged profiles
     /// are scored once with the plan's corpus-global IDFs ([`Ranked::rank`]
     /// — bitwise the single engine's math), so scores and order come out
     /// bit-identical to a single engine over the same corpus.
-    fn merge(plan: &ReadPlan<Self>, parts: Vec<RankedPart>) -> RankedHits {
+    fn merge(plan: &ReadPlan<'_, Self>, parts: Vec<RankedPart>) -> RankedHits {
         let (hits, profiles) = match <[_; 1]>::try_from(parts) {
             Ok([part]) => part,
             Err(parts) => {
@@ -282,11 +298,11 @@ mod tests {
     }
 
     /// `mode`'s plan for `query` on `cluster` and its target shards' parts.
-    fn planned<M: ReadMode>(
-        cluster: &EngineCluster,
+    fn planned<'c, M: ReadMode>(
+        cluster: &'c EngineCluster,
         mode: M,
         query: &str,
-    ) -> (ReadPlan<M>, Vec<M::Part>) {
+    ) -> (ReadPlan<'c, M>, Vec<M::Part>) {
         let plan = cluster.plan(mode, "researchers".to_owned(), query.to_owned()).unwrap();
         let parts = (0..plan.targets.len()).map(|slot| cluster.run_shard(&plan, slot)).collect();
         (plan, parts)

@@ -30,10 +30,7 @@
 //! cost-free cases (full access, or matches the access view keeps), and
 //! [`same_answers`] is a check a caller makes, not a contract.
 
-use crate::keyword::{
-    build_view, search, search_filtered, search_filtered_with_cache, search_with_cache, KeywordHit,
-    KeywordQuery,
-};
+use crate::keyword::{build_view, looked_up, search_in, KeywordHit, KeywordQuery, Lookup};
 use ppwf_core::policy::Principal;
 use ppwf_model::hierarchy::Prefix;
 use ppwf_repo::keyword_index::KeywordIndex;
@@ -103,9 +100,7 @@ pub fn filter_then_search(
     query: &KeywordQuery,
     access: &impl SpecAccess,
 ) -> PrivateSearchOutcome {
-    let hits = search_filtered(repo, index, query, access);
-    let views_built = hits.len();
-    PrivateSearchOutcome { hits, views_built, zoom_steps: 0, discarded: 0 }
+    looked_up(index, query, |lookup| filter_then_search_in(repo, lookup, query, access, None))
 }
 
 /// [`filter_then_search`] with answer views fetched through `views`.
@@ -118,7 +113,21 @@ pub fn filter_then_search_cached(
     access: &impl SpecAccess,
     views: &ViewCache,
 ) -> PrivateSearchOutcome {
-    let hits = search_filtered_with_cache(repo, index, query, access, views);
+    looked_up(index, query, |lookup| {
+        filter_then_search_in(repo, lookup, query, access, Some(views))
+    })
+}
+
+/// The filter-then-search plan over `query` already looked up on one
+/// index: what a shard runs for a private read.
+pub(crate) fn filter_then_search_in(
+    repo: &Repository,
+    lookup: Lookup<'_>,
+    query: &KeywordQuery,
+    access: &impl SpecAccess,
+    views: Option<&ViewCache>,
+) -> PrivateSearchOutcome {
+    let hits = search_in(repo, lookup, query, views, Some(access));
     let views_built = hits.len();
     PrivateSearchOutcome { hits, views_built, zoom_steps: 0, discarded: 0 }
 }
@@ -133,7 +142,7 @@ pub fn search_then_zoom_out(
     query: &KeywordQuery,
     access: &impl SpecAccess,
 ) -> PrivateSearchOutcome {
-    search_then_zoom_out_inner(repo, index, query, access, None)
+    looked_up(index, query, |lookup| search_then_zoom_out_in(repo, lookup, query, access, None))
 }
 
 /// [`search_then_zoom_out`] with views fetched through `views`: both the
@@ -147,20 +156,21 @@ pub fn search_then_zoom_out_cached(
     access: &impl SpecAccess,
     views: &ViewCache,
 ) -> PrivateSearchOutcome {
-    search_then_zoom_out_inner(repo, index, query, access, Some(views))
+    looked_up(index, query, |lookup| {
+        search_then_zoom_out_in(repo, lookup, query, access, Some(views))
+    })
 }
 
-fn search_then_zoom_out_inner(
+/// The search-then-zoom-out plan over `query` already looked up on one
+/// index: what a shard runs for a private read under this plan.
+pub(crate) fn search_then_zoom_out_in(
     repo: &Repository,
-    index: &KeywordIndex,
+    lookup: Lookup<'_>,
     query: &KeywordQuery,
     access: &impl SpecAccess,
     views: Option<&ViewCache>,
 ) -> PrivateSearchOutcome {
-    let full_hits = match views {
-        Some(cache) => search_with_cache(repo, index, query, cache),
-        None => search(repo, index, query),
-    };
+    let full_hits = search_in(repo, lookup, query, views, None::<&AccessMap>);
     let mut hits = Vec::new();
     let mut views_built = full_hits.len(); // the oblivious pass built these
     let mut zoom_steps = 0usize;

@@ -25,7 +25,7 @@
 
 use ppwf_core::dp::LaplaceMechanism;
 use ppwf_model::hierarchy::Prefix;
-use ppwf_repo::keyword_index::KeywordIndex;
+use ppwf_repo::keyword_index::{KeywordIndex, TermLists};
 use ppwf_repo::postings::with_scratch;
 use ppwf_repo::repository::{Repository, SpecId};
 use rand::rngs::StdRng;
@@ -111,11 +111,13 @@ pub fn tf_profile(repo: &Repository, spec: SpecId, prefix: &Prefix, terms: &[Str
 }
 
 /// TF profiles for a slice of keyword hits, one per hit in order, each
-/// computed under the hit's own answer prefix. This is the ranking layer's
-/// per-query hot loop: the terms are split once per call, and every
-/// module's tokens are borrowed slices of its text in one reused buffer,
-/// so a call allocates the split terms, that buffer and the profiles,
-/// and nothing per module.
+/// computed under the hit's own answer prefix by scanning every module's
+/// text: the terms are split once per call, and every module's tokens are
+/// borrowed slices of its text in one reused buffer, so a call allocates
+/// the split terms, that buffer and the profiles, and nothing per module.
+/// A ranked read whose terms are all single tokens reads its profiles off
+/// the postings instead; the scan serves queries with a phrase, and is the
+/// oracle the posting profiles are tested against.
 pub fn profiles_for_hits(
     repo: &Repository,
     hits: &[crate::keyword::KeywordHit],
@@ -124,6 +126,44 @@ pub fn profiles_for_hits(
     let words = split_terms(terms);
     let mut tokens = Vec::new();
     hits.iter().map(|h| profile_with(repo, h.spec, &h.prefix, &words, &mut tokens)).collect()
+}
+
+/// TF profiles for `hits`, one per hit in order, read off the postings:
+/// `lists` are the query's terms resolved on the index the hits came from
+/// ([`KeywordIndex::term_lists`]). `None` when some term is a phrase — a
+/// phrase's count is a window over a module's tokens, which no posting
+/// holds, so such a query takes the scan, [`profiles_for_hits`]. A single
+/// token's posting for a module carries its `tf` over exactly the name and
+/// tag tokens the scan counts, lowercased as the scan compares them, so
+/// the profiles are the scan's bit for bit; the `ranking` property tests
+/// hold them to it at every prefix.
+pub(crate) fn profiles_from_postings(
+    hits: &[crate::keyword::KeywordHit],
+    terms: &[String],
+    lists: &[TermLists<'_>],
+) -> Option<Vec<TfProfile>> {
+    if terms.iter().any(|t| t.contains(' ')) {
+        return None;
+    }
+    Some(hits.iter().map(|h| posting_profile(h.spec, &h.prefix, lists)).collect())
+}
+
+/// The TF profile of `spec` under `prefix` for single-token terms resolved
+/// to `lists`: each term's run of `spec` postings, `tf` summed by whether
+/// the posting's workflow is in the prefix.
+fn posting_profile(spec: SpecId, prefix: &Prefix, lists: &[TermLists<'_>]) -> TfProfile {
+    let mut profile = TfProfile { visible: vec![0; lists.len()], hidden: vec![0; lists.len()] };
+    for (t, lists) in lists.iter().enumerate() {
+        for p in lists.primary.map_or(&[][..], |list| list.spec_run(spec)) {
+            let counts = if prefix.contains(p.workflow) {
+                &mut profile.visible
+            } else {
+                &mut profile.hidden
+            };
+            counts[t] += u64::from(p.tf);
+        }
+    }
+    profile
 }
 
 /// Each term's words, split once per call.
@@ -313,14 +353,6 @@ pub fn scores_for_profiles_into(
             sum
         }));
     });
-}
-
-/// Sum shard-local `(doc_count, df)` pairs into corpus-global IDFs. Each
-/// module lives in exactly one shard, so per-shard document counts and
-/// document frequencies are additive over a disjoint spec partition.
-pub fn idfs_from_shard_counts(doc_counts: &[usize], dfs_per_term: &[Vec<usize>]) -> Vec<f64> {
-    let n: usize = doc_counts.iter().sum();
-    dfs_per_term.iter().map(|dfs| KeywordIndex::idf_from_counts(n, dfs.iter().sum())).collect()
 }
 
 /// Rank result indices by descending score (stable: ties by index).
@@ -585,6 +617,61 @@ mod tests {
                 let want = tf_profile_by_tokenize(&repo, SpecId(0), &prefix, &terms);
                 proptest::prop_assert_eq!(&got.visible, &want.visible, "terms {:?}", terms);
                 proptest::prop_assert_eq!(&got.hidden, &want.hidden, "terms {:?}", terms);
+            }
+        }
+    }
+
+    /// Every parent-closed prefix of `h` (every subset of its workflows
+    /// that [`Prefix::from_workflows`] accepts).
+    fn every_prefix(h: &ppwf_model::hierarchy::ExpansionHierarchy) -> Vec<Prefix> {
+        use ppwf_model::ids::WorkflowId;
+        (0u32..1 << h.len())
+            .filter_map(|bits| {
+                let members = (0..h.len()).filter(|i| bits >> i & 1 == 1).map(WorkflowId::new);
+                Prefix::from_workflows(h, members).ok()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A ranked read of single tokens takes its TF profiles from the
+        /// postings: they equal the module-text scan bit for bit, for every
+        /// spec of a corpus of adversarial module text (case variants, `É`,
+        /// `ß`, `İ`, final `Σ`, the Kelvin sign, repeated tokens), at every
+        /// prefix of the spec, for terms drawn from the posted vocabulary,
+        /// from normalized pieces and from raw, unnormalized pieces.
+        #[test]
+        fn posting_profiles_match_the_scan_at_every_prefix(seed in proptest::prelude::any::<u64>()) {
+            use ppwf_workloads::gentext::{TextGen, PIECES};
+            let mut gen = TextGen(seed);
+            let mut repo = Repository::new();
+            for _ in 0..1 + gen.below(3) {
+                repo.insert_spec(gen.spec(), Policy::public()).unwrap();
+            }
+            let index = KeywordIndex::build(&repo);
+            let mut vocabulary: Vec<String> = repo
+                .entries()
+                .flat_map(|(sid, _)| index.posted_tokens(sid).unwrap_or_default().to_vec())
+                .collect();
+            vocabulary.extend(PIECES.iter().flat_map(|p| tokenize(p)));
+            vocabulary.extend(PIECES.iter().map(|p| p.to_string()));
+            for _ in 0..4 {
+                let terms: Vec<String> = (0..1 + gen.below(4))
+                    .map(|_| vocabulary[gen.below(vocabulary.len())].clone())
+                    .collect();
+                let mut lists = Vec::new();
+                index.term_lists(&terms, &mut lists);
+                let words = split_terms(&terms);
+                for (sid, entry) in repo.entries() {
+                    for prefix in every_prefix(&entry.hierarchy) {
+                        let got = posting_profile(sid, &prefix, &lists);
+                        let want = profile_with(&repo, sid, &prefix, &words, &mut Vec::new());
+                        proptest::prop_assert_eq!(&got.visible, &want.visible, "terms {:?}", terms);
+                        proptest::prop_assert_eq!(&got.hidden, &want.hidden, "terms {:?}", terms);
+                    }
+                }
             }
         }
     }

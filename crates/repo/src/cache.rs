@@ -31,7 +31,7 @@
 //! and it is the right one to give up before any current entry. Every
 //! inspected slot is reclaimed or loses its bit, so eviction is amortized
 //! O(1) whatever the capacity — no scan, nothing allocated beyond the new
-//! entry's keys, capacity honoured exactly.
+//! entry's key, capacity honoured exactly.
 //!
 //! The policy stays recency-based: an entry hit since the hand last passed
 //! survives the next pass. A scan wider than the capacity sets no bits and
@@ -39,11 +39,10 @@
 //! exactly as under LRU. Scan resistance is deliberately not a goal.
 
 use parking_lot::RwLock;
-use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Cache statistics (monotone counters).
 #[derive(Debug, Default)]
@@ -121,72 +120,74 @@ impl CacheStats {
     }
 }
 
-/// An entry's identity. The index holds one per entry and is probed through
-/// [`KeyParts`], so a warm probe hashes borrowed parts and allocates nothing.
-/// The derived `Hash` and `Eq` visit the fields in [`KeyParts::parts`]
-/// order, so they agree with the borrowed form's.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// An entry's identity, stored once, in its slot: the group and the query
+/// end to end in one allocation, and the class. A probe compares borrowed
+/// parts against it ([`Key::is`]) and never builds one.
 struct Key<K> {
-    group: Arc<str>,
-    query: Arc<str>,
+    /// `group` then `query`.
+    text: Box<str>,
+    /// Where `group` ends in `text`.
+    split: usize,
     class: K,
 }
 
-/// `(group, query, class)` as borrowed parts: what the index hashes and
-/// compares, for a stored [`Key`] and for a probe's borrowed triple alike.
-trait KeyParts<K> {
-    fn parts(&self) -> (&str, &str, &K);
-}
+impl<K: Eq> Key<K> {
+    fn new(group: &str, query: &str, class: K) -> Self {
+        let mut text = String::with_capacity(group.len() + query.len());
+        text.push_str(group);
+        text.push_str(query);
+        Key { text: text.into_boxed_str(), split: group.len(), class }
+    }
 
-impl<K> KeyParts<K> for Key<K> {
-    fn parts(&self) -> (&str, &str, &K) {
-        (&self.group, &self.query, &self.class)
+    /// Whether this is the key of `(group, query, class)`.
+    fn is(&self, group: &str, query: &str, class: &K) -> bool {
+        self.split == group.len()
+            && self.text.len() == group.len() + query.len()
+            && self.class == *class
+            && self.text.starts_with(group)
+            && self.text.ends_with(query)
     }
 }
 
-impl<K> KeyParts<K> for (&str, &str, K) {
-    fn parts(&self) -> (&str, &str, &K) {
-        (self.0, self.1, &self.2)
-    }
-}
-
-impl<K: Hash> Hash for dyn KeyParts<K> + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.parts().hash(state);
-    }
-}
-
-impl<K: Eq> PartialEq for dyn KeyParts<K> + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl<K: Eq> Eq for dyn KeyParts<K> + '_ {}
-
-impl<'a, K: Hash + Eq + 'a> Borrow<dyn KeyParts<K> + 'a> for Key<K> {
-    fn borrow(&self) -> &(dyn KeyParts<K> + 'a) {
-        self
-    }
-}
-
-/// One cached answer: the key that indexes it (to unlink a reclaimed slot),
-/// the version it was computed at or last re-admitted at, and the CLOCK
-/// reference bit — both atomic so probes, under the shared read lock, can
-/// move them.
+/// One cached answer: its key, the keyed hash the index files it under (to
+/// unlink a reclaimed slot without hashing or reading its key), the version
+/// it was computed at or last re-admitted at, and the CLOCK reference bit —
+/// both atomic so probes, under the shared read lock, can move them.
 struct Slot<K, V> {
+    hash: u64,
     key: Key<K>,
     version: AtomicU64,
     value: V,
     referenced: AtomicBool,
 }
 
+/// The index's hasher: its keys are already keyed hashes, so it passes
+/// them through.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
 /// The state behind [`GroupCache`]'s lock. Invariants: the slab is dense
-/// (`slots.len() ≤ capacity`), `index[key] == i` exactly when `slots[i]`
-/// holds `key`, and `hand < max(slots.len(), 1)`.
+/// (`slots.len() ≤ capacity`), `index[h] == i` exactly when `slots[i].hash
+/// == h` (so no two slots share a hash), and `hand < max(slots.len(), 1)`.
 struct Clock<K, V> {
     slots: Vec<Slot<K, V>>,
-    index: HashMap<Key<K>, usize>,
+    index: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
     hand: usize,
 }
 
@@ -196,18 +197,42 @@ struct Clock<K, V> {
 /// so one cache, one capacity and one set of counters serve every kind.
 /// A probe returns a clone of the stored value: store an `Arc` to share a
 /// large answer.
-pub struct GroupCache<K, V> {
+///
+/// **Key and index.** A key is hashed once per probe or insert, with the
+/// cache's own randomly keyed hasher (`S`, a [`RandomState`] outside this
+/// module's tests), and the index maps that 64-bit hash to a slot; the slot
+/// holds the full key in one allocation. A probe is one hash, one table
+/// probe and one compare of the slot's key: a slot holding another key
+/// under the same hash is a miss, never an answer. An insert whose hash is
+/// taken by another key replaces that slot, so two keys never share one:
+/// a collision makes the cache forget an entry, never answer for another
+/// key. Eviction unlinks a victim by its stored hash without reading its
+/// key, and the victim is dropped after the lock is released.
+pub struct GroupCache<K, V, S = RandomState> {
     inner: RwLock<Clock<K, V>>,
     capacity: usize,
     stats: CacheStats,
+    hasher: S,
 }
 
 impl<K: Copy + Eq + Hash, V: Clone> GroupCache<K, V> {
     /// Create with a maximum entry count, over every class.
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity, RandomState::new())
+    }
+}
+
+impl<K: Copy + Eq + Hash, V: Clone, S: BuildHasher> GroupCache<K, V, S> {
+    /// [`Self::new`] hashing keys with `hasher` (the tests' colliding ones).
+    fn with_hasher(capacity: usize, hasher: S) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        let clock = Clock { slots: Vec::new(), index: HashMap::new(), hand: 0 };
-        GroupCache { inner: RwLock::new(clock), capacity, stats: CacheStats::default() }
+        let clock = Clock { slots: Vec::new(), index: HashMap::default(), hand: 0 };
+        GroupCache { inner: RwLock::new(clock), capacity, stats: CacheStats::default(), hasher }
+    }
+
+    /// The keyed hash `(group, query, class)` is filed under.
+    fn hash(&self, group: &str, query: &str, class: K) -> u64 {
+        self.hasher.hash_one((group, query, class))
     }
 
     /// Statistics.
@@ -282,14 +307,15 @@ impl<K: Copy + Eq + Hash, V: Clone> GroupCache<K, V> {
 
     fn probe(
         &self,
-        key: (&str, &str, K),
+        (group, query, class): (&str, &str, K),
         version: u64,
         still_valid: impl FnOnce(u64) -> bool,
         count_failure: bool,
     ) -> Option<V> {
+        let hash = self.hash(group, query, class);
         let guard = self.inner.read();
-        let slot = guard.index.get(&key as &dyn KeyParts<K>).map(|&i| &guard.slots[i]);
-        if let Some(slot) = slot {
+        let slot = guard.index.get(&hash).map(|&i| &guard.slots[i]);
+        if let Some(slot) = slot.filter(|slot| slot.key.is(group, query, &class)) {
             // Relaxed throughout: the tag and the bit publish no other data
             // (the value was written under the write lock), and probes that
             // race on one slot all run at the owner's one current version,
@@ -342,32 +368,36 @@ impl<K: Copy + Eq + Hash, V: Clone> GroupCache<K, V> {
     /// stats-counted [`Self::get`] miss whose recompute needed other lookups
     /// first), reclaiming one slot if the cache is full.
     pub fn insert(&self, group: &str, query: &str, class: K, version: u64, value: V) {
-        // The key's two allocations happen before the lock is taken, and
-        // what this insert displaces — a replaced value, or an evicted
-        // entry's keys and the last `Arc` of a whole answer — is freed only
-        // after it is released (declared first, dropped last), as is the
-        // key when a replace leaves it unused: warm probes wait on neither
-        // an allocation nor a deallocation.
-        let key = Key { group: group.into(), query: query.into(), class };
-        let (_replaced, victim);
+        // The key is hashed and its one allocation made before the lock is
+        // taken, and what this insert displaces — a replaced value, or an
+        // evicted entry's key and the last `Arc` of a whole answer — is
+        // freed only after it is released (declared first, dropped last),
+        // as is the key when a replace leaves it unused: warm probes wait
+        // on neither an allocation nor a deallocation.
+        let hash = self.hash(group, query, class);
+        let key = Key::new(group, query, class);
+        let (_replaced, _victim);
         let mut guard = self.inner.write();
         let Clock { slots, index, hand } = &mut *guard;
-        if let Some(&i) = index.get(&(group, query, class) as &dyn KeyParts<K>) {
-            // Replacing a key (a stale entry, or a racing compute of the
-            // same one) does not grow the slab, so nothing is evicted — it
-            // must not cost an unrelated hot entry. A recompute is a use.
+        if let Some(&i) = index.get(&hash) {
             let slot = &mut slots[i];
-            *slot.version.get_mut() = version;
-            _replaced = std::mem::replace(&mut slot.value, value);
-            *slot.referenced.get_mut() = true;
+            if slot.key.is(group, query, &class) {
+                // Replacing a key (a stale entry, or a racing compute of
+                // the same one) does not grow the slab, so nothing is
+                // evicted — it must not cost an unrelated hot entry. A
+                // recompute is a use.
+                *slot.version.get_mut() = version;
+                _replaced = std::mem::replace(&mut slot.value, value);
+                *slot.referenced.get_mut() = true;
+            } else {
+                // Another key holds the hash: this one takes its slot, and
+                // the other is forgotten, not answered for.
+                let fresh = Slot::new(hash, key, version, value);
+                _victim = std::mem::replace(slot, fresh);
+            }
             return;
         }
-        let fresh = Slot {
-            key: key.clone(),
-            version: AtomicU64::new(version),
-            value,
-            referenced: AtomicBool::new(false),
-        };
+        let fresh = Slot::new(hash, key, version, value);
         let i = if slots.len() < self.capacity {
             slots.push(fresh);
             slots.len() - 1
@@ -387,26 +417,49 @@ impl<K: Copy + Eq + Hash, V: Clone> GroupCache<K, V> {
             }
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             self.stats.sweep_steps.fetch_add(steps, Ordering::Relaxed);
-            // The victim is unlinked under the same lock that hands its
-            // slot over, so no index entry ever points at another key's value.
+            // The victim is unlinked by its stored hash under the same lock
+            // that hands its slot over, so no index entry ever points at
+            // another key's value.
             let i = *hand;
             *hand = (i + 1) % slots.len();
-            victim = std::mem::replace(&mut slots[i], fresh);
-            index.remove(&victim.key);
+            let victim = std::mem::replace(&mut slots[i], fresh);
+            index.remove(&victim.hash);
+            _victim = victim;
             i
         };
-        index.insert(key, i);
+        index.insert(hash, i);
     }
 
-    /// Panic unless the [`Clock`] invariants hold (test instrument).
+    /// Panic unless the [`Clock`] invariants hold (test instrument): the
+    /// slab within capacity, the hand in range, and index and slab in
+    /// one-to-one correspondence, each slot filed under its own key's hash.
     #[doc(hidden)]
     pub fn assert_consistent(&self) {
         let guard = self.inner.read();
         assert!(guard.slots.len() <= self.capacity, "slab exceeds capacity");
         assert!(guard.hand < guard.slots.len().max(1), "hand out of range");
         assert_eq!(guard.index.len(), guard.slots.len(), "index and slab disagree on size");
-        for (key, &i) in &guard.index {
-            assert!(guard.slots[i].key == *key, "index points at another key's slot");
+        for (&hash, &i) in &guard.index {
+            let slot = &guard.slots[i];
+            assert_eq!(slot.hash, hash, "index points at another hash's slot");
+            let (group, query) = slot.key.text.split_at(slot.key.split);
+            assert_eq!(
+                self.hash(group, query, slot.key.class),
+                hash,
+                "slot filed under a stale hash"
+            );
+        }
+    }
+}
+
+impl<K, V> Slot<K, V> {
+    fn new(hash: u64, key: Key<K>, version: u64, value: V) -> Self {
+        Slot {
+            hash,
+            key,
+            version: AtomicU64::new(version),
+            value,
+            referenced: AtomicBool::new(false),
         }
     }
 }
@@ -414,6 +467,7 @@ impl<K: Copy + Eq + Hash, V: Clone> GroupCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn hit_after_compute() {
@@ -611,6 +665,80 @@ mod tests {
     fn zero_lookup_hit_rate_is_defined() {
         let cache: GroupCache<(), u64> = GroupCache::new(4);
         assert_eq!(cache.stats().hit_rate(), 0.0, "fresh cache reports 0, not NaN");
+    }
+
+    /// A hasher that files every key under one of `self.0` hashes:
+    /// collisions on demand (one bucket: a constant hasher).
+    struct Colliding(u64);
+
+    struct CollidingHasher(u64, u64);
+
+    impl BuildHasher for Colliding {
+        type Hasher = CollidingHasher;
+
+        fn build_hasher(&self) -> CollidingHasher {
+            CollidingHasher(self.0, 0)
+        }
+    }
+
+    impl Hasher for CollidingHasher {
+        fn finish(&self) -> u64 {
+            self.1 % self.0
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.1 = (self.1 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+
+    /// Groups and queries whose concatenations alias: `("a", "bc")` and
+    /// `("ab", "c")` are one string end to end.
+    const GROUPS: [&str; 3] = ["a", "ab", ""];
+    const QUERIES: [&str; 4] = ["bc", "c", "", "abc"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Under hashes that collide — all keys on one hash, or on three —
+        /// and interleaved inserts, probes and version moves over groups ×
+        /// queries × classes, a probe never returns another key's value or
+        /// a value older than its key's last insert, the index and slab stay
+        /// consistent, and the capacity holds.
+        #[test]
+        fn colliding_hashes_never_answer_for_another_key(
+            buckets in 1u64..4,
+            ops in proptest::collection::vec((0usize..3, 0usize..4, 0u8..2, 0u8..5), 1..160),
+        ) {
+            let cache: GroupCache<u8, (usize, usize, u8, usize), _> =
+                GroupCache::with_hasher(4, Colliding(buckets));
+            let mut latest: HashMap<(usize, usize, u8), usize> = HashMap::new();
+            let mut version = 1;
+            for (seq, &(g, q, class, op)) in ops.iter().enumerate() {
+                let (group, query) = (GROUPS[g], QUERIES[q]);
+                let served = match op {
+                    0 | 1 => {
+                        cache.insert(group, query, class, version, (g, q, class, seq));
+                        latest.insert((g, q, class), seq);
+                        None
+                    }
+                    2 => cache.get(group, query, class, version),
+                    3 => cache.get_validated(group, query, class, version, |_| true),
+                    _ => {
+                        version += 1;
+                        None
+                    }
+                };
+                if let Some((g2, q2, class2, at)) = served {
+                    proptest::prop_assert_eq!((g2, q2, class2), (g, q, class), "another key's value");
+                    proptest::prop_assert_eq!(Some(&at), latest.get(&(g, q, class)), "a stale value");
+                }
+                cache.assert_consistent();
+                proptest::prop_assert!(cache.len() <= 4);
+                proptest::prop_assert!(cache.len() as u64 <= buckets);
+            }
+        }
     }
 
     #[test]

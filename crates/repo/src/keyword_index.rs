@@ -36,14 +36,14 @@
 //! additive across the partitions.
 
 use crate::mutation::MutationEffect;
-use crate::postings::{intersect_term_specs, with_scratch, PostingList, TermLists};
+use crate::postings::{intersect_term_specs, with_scratch, PostingList};
 use crate::principals::SpecAccess;
 use crate::repository::{Repository, SpecEntry, SpecId};
 use parking_lot::RwLock;
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-pub use crate::postings::Posting;
+pub use crate::postings::{Posting, TermLists};
 
 /// [`tokenize`] for a reader that only looks the tokens up: the same tokens
 /// in the same normal form, one at a time, a token that is already normal
@@ -80,7 +80,8 @@ pub fn tokenize(text: &str) -> Vec<String> {
 struct PostedTerms {
     /// Sorted, deduplicated single-token keys the spec posted under.
     terms: Vec<String>,
-    /// Sorted, deduplicated whole-tag phrase keys.
+    /// Sorted, deduplicated whole-tag phrase keys (tags of two or more
+    /// tokens).
     phrases: Packed,
     /// Each module's name tokens joined by single spaces, by module index
     /// (empty for the pseudo-modules), for [`holds_phrase`].
@@ -142,7 +143,8 @@ pub struct KeywordIndex {
     /// [`crate::postings`]): new specs append, and retraction and splice
     /// edit the one spec's run in place.
     terms: HashMap<String, PostingList>,
-    /// Whole keyword tags, normalized, for phrase matching.
+    /// Whole keyword tags of two or more tokens, normalized, for phrase
+    /// matching.
     phrases: HashMap<String, PostingList>,
     /// Per-live-spec reverse map of posted keys and module names (see
     /// [`PostedTerms`]).
@@ -237,7 +239,8 @@ struct SpecEntries<'r> {
     /// One entry per name- and tag-token occurrence, `tf` 1 each:
     /// [`post_runs`] folds a module's repeats into one posting.
     terms: Vec<(Cow<'r, str>, Posting)>,
-    /// One entry per non-empty normalized tag (a repeated tag posts twice).
+    /// One entry per normalized tag of two or more tokens (a repeated tag
+    /// posts twice).
     phrases: Vec<(Cow<'r, str>, Posting)>,
     /// The run of one key, as it goes into the key's list.
     run: Vec<Posting>,
@@ -291,8 +294,10 @@ fn index_entry<'r>(
         }
         for tag in &module.keywords {
             scratch.terms.extend(tokens(tag).map(|t| (t, posting)));
+            // A one-token tag is already posted as its token, and a query
+            // term of one word reads only the token lists.
             let phrase = phrase_key(tag);
-            if !phrase.is_empty() {
+            if phrase.contains(' ') {
                 scratch.phrases.push((phrase, posting));
             }
         }
@@ -574,57 +579,71 @@ impl KeywordIndex {
         self.phrases.get(phrase)
     }
 
+    /// Resolve one normalized query term (lowercased, single-space-joined —
+    /// the form `KeywordQuery::parse` produces) to the lists its postings
+    /// come from: the one place a query term meets the index's maps. A
+    /// single token reads its own list; a phrase its whole-tag list and its
+    /// first token's list, the seed its consecutive-name-token matches are
+    /// verified from. A tokenless term resolves to no list.
+    pub fn term_list(&self, term: &str) -> TermLists<'_> {
+        let mut words = term.split(' ').filter(|w| !w.is_empty());
+        match (words.next(), words.next()) {
+            (None, _) => TermLists { primary: None, seed: None },
+            (Some(token), None) => TermLists { primary: self.terms.get(token), seed: None },
+            (Some(first), Some(_)) => {
+                TermLists { primary: self.phrases.get(term), seed: self.terms.get(first) }
+            }
+        }
+    }
+
+    /// [`Self::term_list`] for every term of a query, appended to `out` in
+    /// term order. A read resolves its query once per index and hands the
+    /// lists to every later stage — shard pruning, candidate intersection,
+    /// the gather, document frequencies and TF profiles — so no stage looks
+    /// a term up again.
+    pub fn term_lists<'a>(&'a self, terms: &[String], out: &mut Vec<TermLists<'a>>) {
+        out.extend(terms.iter().map(|term| self.term_list(term)));
+    }
+
     /// Postings of a query term or phrase. Phrases match whole keyword tags
     /// or consecutive module-name tokens.
     pub fn lookup_query_term(&self, term: &str) -> Vec<Posting> {
         let normalized = tokenize(term).join(" ");
+        let lists = self.term_list(&normalized);
         let mut out = Vec::new();
-        with_scratch(|s| self.lookup_normalized_into(&normalized, None, &mut s.seed, &mut out));
+        with_scratch(|s| self.gather_into(&normalized, &lists, None, &mut s.seed, &mut out));
         out
     }
 
-    /// Kernel form of [`Self::lookup_query_term`]: `term` must already be
-    /// normalized (lowercased, single-space-joined — the form
-    /// `KeywordQuery::parse` produces), `restrict` optionally limits the
+    /// The postings of normalized `term`, read from `lists` — its
+    /// [`Self::term_list`] on this index. `restrict` optionally limits the
     /// gather to the given sorted candidate specs, and the caller supplies
-    /// the phrase-seed scratch instead of allocating per call. `out` is
-    /// cleared first and receives postings in `(spec, workflow, module)`
-    /// order.
-    pub fn lookup_normalized_into(
+    /// the phrase-seed scratch. `out` is cleared first and receives
+    /// postings in `(spec, workflow, module)` order.
+    pub fn gather_into(
         &self,
         term: &str,
+        lists: &TermLists<'_>,
         restrict: Option<&[u32]>,
         seed: &mut Vec<Posting>,
         out: &mut Vec<Posting>,
     ) {
         out.clear();
-        let mut words = term.split(' ').filter(|w| !w.is_empty());
-        let Some(first) = words.next() else { return };
-        if words.next().is_none() {
-            if let Some(list) = self.terms.get(first) {
-                match restrict {
-                    Some(specs) => list.gather_specs_into(specs, out),
-                    None => list.decode_into(out),
-                }
-            }
+        let read = |list: Option<&PostingList>, into: &mut Vec<Posting>| match (list, restrict) {
+            (Some(list), Some(specs)) => list.gather_specs_into(specs, into),
+            (Some(list), None) => list.decode_into(into),
+            (None, _) => {}
+        };
+        if lists.seed.is_none() {
+            read(lists.primary, out);
             return;
         }
         // Phrase: whole-tag postings, then consecutive-name-token hits
         // seeded from the first token's postings and verified for
         // adjacency.
-        if let Some(list) = self.phrases.get(term) {
-            match restrict {
-                Some(specs) => list.gather_specs_into(specs, out),
-                None => list.decode_into(out),
-            }
-        }
+        read(lists.primary, out);
         seed.clear();
-        if let Some(list) = self.terms.get(first) {
-            match restrict {
-                Some(specs) => list.gather_specs_into(specs, seed),
-                None => list.decode_into(seed),
-            }
-        }
+        read(lists.seed, seed);
         let phrase: Cow<'_, str> = if term.split(' ').any(str::is_empty) {
             Cow::Owned(term.split(' ').filter(|w| !w.is_empty()).collect::<Vec<_>>().join(" "))
         } else {
@@ -656,25 +675,10 @@ impl KeywordIndex {
         tmp: &mut Vec<u32>,
         out: &mut Vec<u32>,
     ) -> bool {
-        out.clear();
-        let mut groups = Vec::with_capacity(terms.len());
-        for term in terms {
-            let mut words = term.split(' ').filter(|w| !w.is_empty());
-            let Some(first) = words.next() else { return false };
-            let group = if words.next().is_none() {
-                TermLists { primary: self.terms.get(first), seed: None }
-            } else {
-                TermLists { primary: self.phrases.get(term.as_str()), seed: self.terms.get(first) }
-            };
-            if group.primary.is_none() && group.seed.is_none() {
-                return false;
-            }
-            groups.push(group);
-        }
-        intersect_term_specs(&groups, tmp, out);
-        true
+        let mut lists = Vec::with_capacity(terms.len());
+        self.term_lists(terms, &mut lists);
+        candidate_specs(&lists, tmp, out)
     }
-
     /// Privilege-filtered postings: only those whose workflow lies inside
     /// the principal's access view for that spec. `access` is any
     /// [`SpecAccess`] — an eager `spec → prefix` map, or a lazy
@@ -693,17 +697,23 @@ impl KeywordIndex {
     /// modules in this index's corpus). Additive across a disjoint spec
     /// partition: a cluster sums per-shard `df`s to recover the corpus df.
     pub fn df(&self, term: &str) -> usize {
-        // Already-normalized single tokens (the query layer's form) count
-        // without materializing the posting list; an ASCII lower/digit term
-        // tokenizes to itself, so this is exactly
-        // `lookup_query_term(term).len()`. Anything else (uppercase,
-        // Unicode titlecase, phrases) takes the normalizing slow path.
-        if !term.is_empty()
-            && term.chars().all(|c| c.is_ascii_alphanumeric() && !c.is_ascii_uppercase())
-        {
-            return self.terms.get(term).map_or(0, |v| v.len());
+        if is_normal_token(term) {
+            return self.df_resolved(term, &self.term_list(term));
         }
         self.lookup_query_term(term).len()
+    }
+
+    /// [`Self::df_cached`] for `term` already resolved to `lists` on this
+    /// index ([`Self::term_list`]). An already-normal single token (ASCII
+    /// lowercase letters and digits — every word of a query the client sent
+    /// in the index's own form) tokenizes to itself, so its df is its list's
+    /// length: no second lookup and no memo lock. Anything else (phrases,
+    /// non-ASCII) goes through the memo.
+    pub fn df_resolved(&self, term: &str, lists: &TermLists<'_>) -> usize {
+        if is_normal_token(term) {
+            return lists.primary.map_or(0, PostingList::len);
+        }
+        self.df_cached(term)
     }
 
     /// [`Self::df`] through the per-term memo. Single already-normalized
@@ -738,25 +748,6 @@ impl KeywordIndex {
         Self::idf_from_counts(self.doc_count, self.df_cached(term))
     }
 
-    /// Whether a *normalized* query term (lowercased, space-joined — the
-    /// form `KeywordQuery::parse` produces) could have a posting here: the
-    /// allocation-free gate a cluster's scatter probes to skip shards before
-    /// any access-map work. Conservative for phrases (whole-tag or
-    /// first-token presence admits the shard), so `false` is always safe to
-    /// prune on.
-    pub fn may_match(&self, term: &str) -> bool {
-        let mut words = term.split(' ');
-        let Some(first) = words.next() else { return false };
-        if first.is_empty() {
-            return false;
-        }
-        if words.next().is_none() {
-            self.terms.contains_key(first)
-        } else {
-            self.phrases.contains_key(term) || self.terms.contains_key(first)
-        }
-    }
-
     /// The IDF formula (ln((N+1)/(df+1)) + 1) over explicit counts, so a
     /// cluster can score with corpus-global statistics summed from shards
     /// and produce bit-identical scores to a single unsharded index.
@@ -768,6 +759,25 @@ impl KeywordIndex {
     pub fn idf(&self, term: &str) -> f64 {
         Self::idf_from_counts(self.doc_count, self.df(term))
     }
+}
+
+/// Whether `term` is one token already in normal form: ASCII lowercase
+/// letters and digits, which tokenize to themselves.
+fn is_normal_token(term: &str) -> bool {
+    !term.is_empty() && term.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit())
+}
+
+/// Sorted candidate specs for an AND query whose terms resolved to `lists`
+/// ([`KeywordIndex::term_lists`]): `false` when some term has no list at
+/// all, else `true` with the intersection of the terms' spec supersets in
+/// `out` ([`intersect_term_specs`]).
+pub fn candidate_specs(lists: &[TermLists<'_>], tmp: &mut Vec<u32>, out: &mut Vec<u32>) -> bool {
+    out.clear();
+    if !lists.iter().all(TermLists::may_match) {
+        return false;
+    }
+    intersect_term_specs(lists, tmp, out);
+    true
 }
 
 /// Drop inadmissible postings in place: only those whose workflow lies
@@ -1279,10 +1289,13 @@ mod tests {
                 for tag in &module.keywords {
                     let tag_tokens = tokenize(tag);
                     let norm = tag_tokens.join(" ");
+                    let phrase = tag_tokens.len() >= 2;
                     for t in tag_tokens {
                         *tf.entry(t).or_insert(0) += 1;
                     }
-                    if !norm.is_empty() {
+                    // A one-token tag posts no phrase: one-word query terms
+                    // read only the token lists.
+                    if phrase {
                         phrase_keys.push(norm.clone());
                         phrases.entry(norm).or_default().push(Posting {
                             spec: sid,
@@ -1340,85 +1353,8 @@ mod tests {
         }
     }
 
-    /// Word pieces for generated module text: case variants, non-ASCII
-    /// letters whose lowercase differs in length or depends on context
-    /// (`İ`, `ẞ`, final `Σ`, the Kelvin sign), digits and repeats.
-    const PIECES: &[&str] = &[
-        "query", "Query", "QUERY", "risks", "Risks", "db", "É", "é", "Étude", "ß", "ẞ", "SS",
-        "Straße", "İ", "i̇", "Σ", "ΣΑΣ", "σας", "\u{212A}", "k", "x1", "42",
-    ];
-    /// Separators: single spaces (an already normal tag), punctuation runs,
-    /// doubled spaces, underscores.
-    const SEPS: &[&str] = &[" ", " ", "  ", "-", "--", ", ", "...", "!?", "_", "/"];
-
-    /// A deterministic generator for the stream (splitmix64).
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % n as u64) as usize
-        }
-
-        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
-            from[self.below(from.len())]
-        }
-
-        /// Up to four pieces, a piece often repeated, sometimes wrapped in
-        /// punctuation; empty and punctuation-only texts included.
-        fn text(&mut self) -> String {
-            let mut text = String::new();
-            match self.below(8) {
-                0 => return text,
-                1 => return "--, ".to_string(),
-                2 => text.push_str(self.pick(&["(", ", ", " "])),
-                _ => {}
-            }
-            let mut last = self.pick(PIECES);
-            for i in 0..1 + self.below(4) {
-                if i > 0 {
-                    text.push_str(self.pick(SEPS));
-                    if self.below(3) > 0 {
-                        last = self.pick(PIECES);
-                    }
-                }
-                text.push_str(last);
-            }
-            if self.below(5) == 0 {
-                text.push_str(self.pick(&[")", "!", " "]));
-            }
-            text
-        }
-
-        /// A module text: a name, and up to three tags, one sometimes
-        /// repeated.
-        fn module_text(&mut self) -> (String, Vec<String>) {
-            let name = self.text();
-            let mut tags: Vec<String> = (0..self.below(4)).map(|_| self.text()).collect();
-            if !tags.is_empty() && self.below(4) == 0 {
-                tags.push(tags[0].clone());
-            }
-            (name, tags)
-        }
-
-        /// The paper's fixture, every proper module retexted.
-        fn spec(&mut self) -> ppwf_model::spec::Specification {
-            let (mut spec, _) = fixtures::disease_susceptibility();
-            for m in proper(&spec) {
-                let (name, tags) = self.module_text();
-                spec.set_module_text(m, &name, &tags).unwrap();
-            }
-            spec
-        }
-    }
-
-    /// The proper (indexed) modules of `spec`.
-    fn proper(spec: &ppwf_model::spec::Specification) -> Vec<ModuleId> {
-        spec.modules().filter(|m| !m.kind.is_distinguished()).map(|m| m.id).collect()
-    }
+    // The shared generator of adversarial module text.
+    use ppwf_workloads::gentext::{proper_modules as proper, TextGen as Rng};
 
     /// `idx` holds exactly what the oracle holds, and every `df` — of each
     /// posted key, of phrases cut from module names, of raw text — agrees.

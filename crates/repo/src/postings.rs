@@ -167,6 +167,13 @@ impl PostingList {
         out.extend(self.postings.chunk_by(|a, b| a.spec == b.spec).map(|run| run[0].spec.0));
     }
 
+    /// `spec`'s run: its postings, in `(workflow, module)` order (empty
+    /// when the list holds none).
+    pub fn spec_run(&self, spec: SpecId) -> &[Posting] {
+        let rest = &self.postings[self.spec_start(spec)..];
+        &rest[..rest.partition_point(|p| p.spec == spec)]
+    }
+
     /// Whether any posting carries `spec`.
     pub fn contains_spec(&self, spec: u32) -> bool {
         let spec = SpecId(spec);
@@ -195,12 +202,14 @@ impl PostingList {
     }
 }
 
-/// One query term's posting sources for candidate-spec intersection. A
-/// single-token term reads one list (`primary`); a phrase's candidates
-/// are the union of its whole-tag list (`primary`) and its first token's
-/// list (`seed`) — a conservative superset of its real matches, since a
-/// phrase hit is either a whole keyword tag or verified against the
-/// module's name tokens seeded from the first token's postings.
+/// One query term's posting sources, resolved once per index
+/// (`KeywordIndex::term_list`). A single-token term reads one list
+/// (`primary`); a phrase's candidates are the union of its whole-tag list
+/// (`primary`) and its first token's list (`seed`) — a conservative
+/// superset of its real matches, since a phrase hit is either a whole
+/// keyword tag or verified against the module's name tokens seeded from
+/// the first token's postings.
+#[derive(Clone, Copy, Debug)]
 pub struct TermLists<'a> {
     /// The term's own list (single token) or whole-tag phrase list.
     pub primary: Option<&'a PostingList>,
@@ -209,6 +218,12 @@ pub struct TermLists<'a> {
 }
 
 impl TermLists<'_> {
+    /// Whether the term can have a posting here at all: `false` proves no
+    /// spec of this index matches it, so an AND query skips the index.
+    pub fn may_match(&self) -> bool {
+        self.primary.is_some() || self.seed.is_some()
+    }
+
     fn upper_bound(&self) -> usize {
         self.primary.map_or(0, |l| l.distinct_specs()) + self.seed.map_or(0, |l| l.distinct_specs())
     }
@@ -236,20 +251,22 @@ impl TermLists<'_> {
 
 /// Multi-term candidate-spec intersection: seed from the spec superset of
 /// the term with the fewest distinct specs, then keep only the candidates
-/// every other term holds. `out` receives the ascending spec ids that
+/// every other term holds, in term order (the result does not depend on
+/// the order). `out` receives the ascending spec ids that
 /// *could* satisfy every term — the exact per-spec AND check happens on the
 /// gathered (and access-filtered) postings.
 pub fn intersect_term_specs(groups: &[TermLists<'_>], tmp: &mut Vec<u32>, out: &mut Vec<u32>) {
     out.clear();
-    let mut order: Vec<usize> = (0..groups.len()).collect();
-    order.sort_by_key(|&i| groups[i].upper_bound());
-    let Some((&smallest, rest)) = order.split_first() else { return };
+    let smallest = (0..groups.len()).min_by_key(|&i| groups[i].upper_bound());
+    let Some(smallest) = smallest else { return };
     groups[smallest].specs_union_into(tmp, out);
-    for &i in rest {
+    for (i, g) in groups.iter().enumerate() {
         if out.is_empty() {
             return;
         }
-        let g = &groups[i];
+        if i == smallest {
+            continue;
+        }
         match (g.primary, g.seed) {
             (Some(a), None) | (None, Some(a)) => a.retain_specs(out),
             (Some(_), Some(_)) => out.retain(|&c| g.contains_spec(c)),

@@ -31,7 +31,7 @@ use parking_lot::RwLock;
 use ppwf_core::policy::AccessLevel;
 use ppwf_model::hierarchy::{ExpansionHierarchy, Prefix};
 use ppwf_model::ids::WorkflowId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How a group's access view is derived for a specification.
@@ -291,11 +291,13 @@ pub struct AccessResolver<'a> {
     group: &'a Group,
     memo: Arc<GroupMemo>,
     stats: &'a CacheStats,
-    /// Per-handle record of resolved specs (the privacy instrument). A
-    /// resolver lives inside one query invocation on one thread, so this
-    /// is a `RefCell`, not a lock — the hot path pays one borrow flag, and
-    /// `AccessResolver` is deliberately `!Sync`.
-    touched: std::cell::RefCell<HashSet<SpecId>>,
+    /// Per-handle record of resolved specs (the privacy instrument), in
+    /// resolution order, a spec asked about again in a row recorded once;
+    /// the readers sort and deduplicate. A resolver lives inside one query
+    /// invocation on one thread, so this is a `RefCell`, not a lock — the
+    /// hot path pays one borrow flag and, per spec run, one push into a
+    /// vector, and `AccessResolver` is deliberately `!Sync`.
+    touched: std::cell::RefCell<Vec<SpecId>>,
 }
 
 impl<'a> AccessResolver<'a> {
@@ -305,13 +307,7 @@ impl<'a> AccessResolver<'a> {
         memo: Arc<GroupMemo>,
         stats: &'a CacheStats,
     ) -> Self {
-        AccessResolver {
-            repo,
-            group,
-            memo,
-            stats,
-            touched: std::cell::RefCell::new(HashSet::new()),
-        }
+        AccessResolver { repo, group, memo, stats, touched: std::cell::RefCell::new(Vec::new()) }
     }
 
     /// The group whose rules this resolver applies.
@@ -331,7 +327,11 @@ impl<'a> AccessResolver<'a> {
     pub fn resolve(&self, spec: SpecId) -> Option<Arc<Prefix>> {
         let entry = self.repo.entry(spec)?;
         let current = |(hierarchy, _): &Resolved| Arc::ptr_eq(hierarchy, &entry.hierarchy);
-        self.touched.borrow_mut().insert(spec);
+        let mut touched = self.touched.borrow_mut();
+        if touched.last() != Some(&spec) {
+            touched.push(spec);
+        }
+        drop(touched);
         if let Some((_, hit)) = self.memo.read().get(&spec).filter(|r| current(r)) {
             self.stats.record_hit();
             return Some(Arc::clone(hit));
@@ -370,13 +370,14 @@ impl<'a> AccessResolver<'a> {
     /// memo probe still *names* the spec, which is what the privacy
     /// assertion cares about).
     pub fn resolved_count(&self) -> usize {
-        self.touched.borrow().len()
+        self.resolved_specs().len()
     }
 
     /// The distinct specs this handle has resolved, in id order.
     pub fn resolved_specs(&self) -> Vec<SpecId> {
-        let mut out: Vec<SpecId> = self.touched.borrow().iter().copied().collect();
-        out.sort();
+        let mut out = self.touched.borrow().clone();
+        out.sort_unstable();
+        out.dedup();
         out
     }
 }

@@ -20,6 +20,8 @@
 //! * [`gencrash`] — deterministic crash schedules (every record boundary
 //!   plus sampled interior offsets) for the durability crash-matrix and
 //!   E15 recovery experiments,
+//! * [`gentext`] — adversarial module text (case variants, context-sensitive
+//!   lowercase, punctuation runs, repeats) for the tokenization oracles,
 //! * [`genmutation`] — applicable typed-mutation streams over an evolving
 //!   corpus, covering the full vocabulary including `DeleteSpec` /
 //!   `EditSpec` (live-slot targeting keeps destructive histories
@@ -35,6 +37,7 @@ pub mod genmodule;
 pub mod genmutation;
 pub mod genquery;
 pub mod genspec;
+pub mod gentext;
 pub mod zipf;
 
 pub use gencrash::{crash_schedule, CrashScheduleParams};
