@@ -143,7 +143,7 @@ fn append_pass(backend: Arc<dyn StorageBackend>, stream: &[Mutation]) -> (f64, u
     for mutation in stream {
         repo.check(mutation).expect("write stream valid");
         let t = Instant::now();
-        log.append(mutation).expect("append on healthy backend");
+        log.append_batch(std::slice::from_ref(mutation)).expect("append on healthy backend");
         us += t.elapsed().as_secs_f64() * 1e6;
         repo.apply(mutation.clone()).expect("checked mutation applies");
     }
@@ -188,7 +188,7 @@ fn recovery_time_us(
             }
         };
         repo.check(&mutation).expect("write stream valid");
-        log.append(&mutation).expect("append on healthy backend");
+        log.append_batch(std::slice::from_ref(&mutation)).expect("append on healthy backend");
         repo.apply(mutation).expect("checked mutation applies");
         log.snapshot_if_due(&repo);
     }

@@ -292,7 +292,7 @@ fn snapshot_pass(
     let t = Instant::now();
     for mutation in stream {
         repo.check(mutation).expect("fault-free stream validates");
-        log.append(mutation).expect("append on healthy storage");
+        log.append_batch(std::slice::from_ref(mutation)).expect("append on healthy storage");
         repo.apply(mutation.clone()).expect("checked mutation applies");
         log.snapshot_if_due(&repo);
     }

@@ -245,7 +245,7 @@ fn drive_pipelined(
         run += 1;
         let before = storage.bytes_appended();
         let acked_cb = Arc::clone(&acked);
-        let outcome = log.append_batch_pipelined(
+        let outcome = log.commit(
             &stream[start..start + len],
             Box::new(move |verdict| {
                 if verdict.is_ok() {
@@ -404,7 +404,7 @@ fn main() {
     let mut at_second_snapshot: Option<DurabilityStats> = None;
     for (i, mutation) in cow_stream.iter().enumerate() {
         repo.check(mutation).expect("generated stream applies");
-        log.append(mutation).expect("healthy storage");
+        log.append_batch(std::slice::from_ref(mutation)).expect("healthy storage");
         repo.apply(mutation.clone()).expect("checked mutation applies");
         log.snapshot_if_due(&repo);
         log.wait_for_background_snapshot();

@@ -649,7 +649,7 @@ impl EngineCluster {
     }
 
     /// [`Self::mutate_batch`] with the covering fsyncs left to the log's
-    /// sync job ([`DurableLog::append_batch_pipelined`]), so this returns
+    /// sync job ([`DurableLog::commit`]), so this returns
     /// — and the caller may admit the next batch — while the fsync
     /// covering the runs is still in flight.
     ///
@@ -746,9 +746,7 @@ impl EngineCluster {
         let batch = std::mem::take(run);
         let log = self.durability.as_mut().expect("runs form only on the durable path");
         let appended = match on_run_durable {
-            Some(mint) => {
-                log.append_batch_pipelined(&batch, mint(out.len()..out.len() + batch.len()))
-            }
+            Some(mint) => log.commit(&batch, mint(out.len()..out.len() + batch.len())),
             None => log.append_batch(&batch),
         };
         if let Err(e) = appended {
@@ -1418,6 +1416,52 @@ mod tests {
         assert_eq!(answer.hits.len(), shits.len());
         assert_eq!(answer.ranked.order, sranked.order);
         assert_eq!(answer.ranked.scores, sranked.scores, "IDF must be corpus-global");
+    }
+
+    /// The query `İ` parses to the term `i` + U+0307, which the index keys
+    /// as its own token but which would re-tokenize to `i`. Its df is its
+    /// own list's — one module here, where `i` has two — and the engine and
+    /// the cluster score it with that IDF, also after a write posts the
+    /// term again (its memoized df is filed under the key it reads).
+    #[test]
+    fn a_normalized_non_ascii_term_is_scored_with_its_own_df() {
+        let speaking = |name: &str| {
+            let mut spec = spec_speaking("filler");
+            let first = spec.modules().find(|m| !m.kind.is_distinguished()).map(|m| m.id);
+            spec.set_module_text(first.unwrap(), name, &[]).unwrap();
+            spec
+        };
+        let mut repo = Repository::new();
+        for name in ["İ", "i", "i"] {
+            repo.insert_spec(speaking(name), Policy::public()).unwrap();
+        }
+        let index = KeywordIndex::build(&repo);
+        let term = KeywordQuery::parse("İ").terms.remove(0);
+        assert_eq!(term, "i\u{307}");
+        let lists = index.term_list(&term);
+        let own = lists.primary.map_or(0, |list| list.len());
+        assert_eq!((own, index.term_list("i").primary.map_or(0, |list| list.len())), (1, 2));
+        assert_eq!(index.df_resolved(&term, &lists), own);
+        assert_eq!((index.df("İ"), index.df_cached("İ")), (own, own), "raw text tokenizes");
+
+        let mode = RankingMode::ExactFull;
+        let mut single = QueryEngine::new(Repository::load(&repo.save()).unwrap(), registry());
+        let mut cluster = EngineCluster::new(repo, registry(), 2);
+        for df in [1, 2] {
+            let (hits, ranked) = single.ranked_search_as("researchers", "İ", mode).unwrap();
+            assert_eq!(hits.len(), df);
+            let idf = KeywordIndex::idf_from_counts(single.index().doc_count(), df);
+            for (score, profile) in ranked.scores.iter().zip(&ranked.profiles) {
+                let want = crate::ranking::score_with_idfs(&[idf], profile, mode);
+                assert_eq!(score.to_bits(), want.to_bits(), "scored with another term's df");
+            }
+            let answer = cluster.ranked_search_as("researchers", "İ", mode).unwrap();
+            assert_eq!(answer.ranked.order, ranked.order);
+            assert_eq!(answer.ranked.scores, ranked.scores);
+            let insert = Mutation::InsertSpec { spec: speaking("İ"), policy: Policy::public() };
+            single.mutate(insert.clone()).unwrap();
+            cluster.mutate(insert).unwrap();
+        }
     }
 
     #[test]

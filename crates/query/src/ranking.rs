@@ -237,7 +237,8 @@ pub fn idfs_for_terms(index: &KeywordIndex, terms: &[String]) -> Vec<f64> {
 /// callers on the cold path reuse one buffer across queries.
 pub fn idfs_for_terms_into(index: &KeywordIndex, terms: &[String], out: &mut Vec<f64>) {
     out.clear();
-    out.extend(terms.iter().map(|t| index.idf_cached(t)));
+    let df = |term: &String| index.df_resolved(term, &index.term_list(term));
+    out.extend(terms.iter().map(|t| KeywordIndex::idf_from_counts(index.doc_count(), df(t))));
 }
 
 /// Score one profile under a mode. IDF weights come from the index.

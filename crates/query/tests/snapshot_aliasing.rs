@@ -119,7 +119,7 @@ fn log_at_k() -> (Arc<MemStorage>, DurableLog, Repository) {
     let (mut log, mut repo) = (opened.log, opened.repository);
     for mutation in history {
         repo.check(&mutation).unwrap();
-        log.append(&mutation).unwrap();
+        log.append_batch(std::slice::from_ref(&mutation)).unwrap();
         repo.apply(mutation).unwrap();
     }
     assert!(log.snapshot_due());
@@ -212,7 +212,7 @@ fn background_job_that_runs_after_later_mutations_writes_the_capture_time_bytes(
     let later = later_writes();
     for mutation in &later {
         repo.check(mutation).unwrap();
-        log.append(mutation).unwrap();
+        log.append_batch(std::slice::from_ref(mutation)).unwrap();
         repo.apply(mutation.clone()).unwrap();
     }
     assert_eq!(snapshot_files(&storage), [], "nothing serialized yet");

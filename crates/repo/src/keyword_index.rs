@@ -189,7 +189,7 @@ impl PartialEq for KeywordIndex {
 /// each token it touched, exactly the memo entries filed under that token.
 #[derive(Debug, Default)]
 struct DfMemo {
-    /// Verbatim query term → df.
+    /// Normalized query term → df.
     df: HashMap<String, usize>,
     /// Normalized first token → the memoized terms that start with it.
     /// Tokenless terms (df always 0) are memoized but filed nowhere.
@@ -205,8 +205,10 @@ impl DfMemo {
             return;
         }
         if self.df.insert(term.to_string(), df).is_none() {
-            if let Some(first) = tokens(term).next() {
-                self.by_first_token.entry(first.into_owned()).or_default().push(term.to_string());
+            // The key is normalized: its first word is the index key it
+            // reads (re-tokenizing could name another, see `df_cached`).
+            if let Some(first) = term.split(' ').find(|w| !w.is_empty()) {
+                self.by_first_token.entry(first.to_string()).or_default().push(term.to_string());
             }
         }
     }
@@ -703,30 +705,44 @@ impl KeywordIndex {
         self.lookup_query_term(term).len()
     }
 
-    /// [`Self::df_cached`] for `term` already resolved to `lists` on this
-    /// index ([`Self::term_list`]). An already-normal single token (ASCII
+    /// The df of normalized `term` (a term of a parsed query) already
+    /// resolved to `lists` on this index ([`Self::term_list`]), through the
+    /// memo [`Self::df_cached`] shares. An already-normal single token (ASCII
     /// lowercase letters and digits — every word of a query the client sent
-    /// in the index's own form) tokenizes to itself, so its df is its list's
-    /// length: no second lookup and no memo lock. Anything else (phrases,
-    /// non-ASCII) goes through the memo.
+    /// in the index's own form) has its list's length as its df: no memo
+    /// lock. Anything else (phrases, non-ASCII) goes through the memo.
     pub fn df_resolved(&self, term: &str, lists: &TermLists<'_>) -> usize {
         if is_normal_token(term) {
             return lists.primary.map_or(0, PostingList::len);
         }
-        self.df_cached(term)
+        self.df_through_memo(term, lists)
     }
 
-    /// [`Self::df`] through the per-term memo. Single already-normalized
-    /// tokens are O(1) either way; the memo exists for **phrases**, whose
-    /// `df` otherwise re-materializes `lookup_query_term` (tag probe +
-    /// adjacency verification over seed postings) — which the cluster's
-    /// ranked gather used to pay per shard per request. First request per
-    /// term per index build computes; every later one is a map probe.
+    /// [`Self::df`] through the per-term memo, which is keyed by the
+    /// normalized term (lowercased, single-space-joined — the form
+    /// `KeywordQuery::parse` produces) and shared with
+    /// [`Self::df_resolved`]. Single tokens are O(1) either way; the memo
+    /// exists for **phrases**, whose df otherwise re-materializes their
+    /// postings (tag probe + adjacency verification over seed postings).
+    /// First request per term per index build computes; every later one is
+    /// a map probe.
+    pub fn df_cached(&self, term: &str) -> usize {
+        let normalized = match is_normal_token(term) {
+            true => Cow::Borrowed(term),
+            false => Cow::Owned(tokenize(term).join(" ")),
+        };
+        self.df_through_memo(&normalized, &self.term_list(&normalized))
+    }
+
+    /// The df of normalized `term`, resolved to `lists`, through the memo:
+    /// the postings `lists` gathers, never a re-tokenization of the term
+    /// (lowercasing is not a fixed point of the tokenizer: `İ` parses to
+    /// `i` + U+0307, which tokenizes to `i`).
     ///
     /// A full memo is seen under the read guard: a miss then computes
     /// without taking the write lock, so past the cap one term's miss never
     /// blocks other readers' lookups.
-    pub fn df_cached(&self, term: &str) -> usize {
+    fn df_through_memo(&self, term: &str, lists: &TermLists<'_>) -> usize {
         let full = {
             let memo = self.df_memo.read();
             if let Some(&df) = memo.df.get(term) {
@@ -734,7 +750,9 @@ impl KeywordIndex {
             }
             memo.df.len() >= DF_MEMO_CAP
         };
-        let df = self.df(term);
+        let mut postings = Vec::new();
+        with_scratch(|s| self.gather_into(term, lists, None, &mut s.seed, &mut postings));
+        let df = postings.len();
         if !full {
             self.df_memo.write().insert(term, df);
         }

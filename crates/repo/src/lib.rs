@@ -62,6 +62,7 @@
 pub mod cache;
 pub(crate) mod fnv;
 pub mod keyword_index;
+pub(crate) mod log_core;
 pub mod mutation;
 pub mod pool;
 pub mod postings;

@@ -114,15 +114,6 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// Flush `name` to stable storage.
     fn sync(&self, name: &str) -> StorageResult<()>;
 
-    /// Whether `name` is currently stored. The pipelined commit's sync
-    /// job uses this to tell a pruned segment (its records are covered by
-    /// a durable snapshot — the deferred fsync is satisfied) from a real
-    /// fsync failure. The default probes via [`list`](Self::list);
-    /// backends with a cheaper membership check should override.
-    fn exists(&self, name: &str) -> StorageResult<bool> {
-        Ok(self.list()?.iter().any(|n| n == name))
-    }
-
     /// Replace `name` with `bytes` atomically (temp file + rename).
     fn write_atomic(&self, name: &str, bytes: &[u8]) -> StorageResult<()>;
 
@@ -240,14 +231,6 @@ impl StorageBackend for FsStorage {
         synced.map_err(|e| StorageError::io("sync", name, e))
     }
 
-    fn exists(&self, name: &str) -> StorageResult<bool> {
-        match fs::metadata(self.path(name)) {
-            Ok(_) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(StorageError::io("exists", name, e)),
-        }
-    }
-
     fn write_atomic(&self, name: &str, bytes: &[u8]) -> StorageResult<()> {
         self.forget(name);
         let tmp = self.path(&format!("{TMP_PREFIX}{name}"));
@@ -259,12 +242,10 @@ impl StorageBackend for FsStorage {
         };
         write().map_err(|e| StorageError::io("write_atomic", name, e))?;
         fs::rename(&tmp, self.path(name)).map_err(|e| StorageError::io("rename", name, e))?;
-        // Durability of the rename itself: sync the directory (best
-        // effort — some platforms refuse to open directories).
-        if let Ok(dir) = fs::File::open(&self.root) {
-            let _ = dir.sync_all();
-        }
-        Ok(())
+        // Durability of the rename itself: a replace whose directory entry
+        // is not synced is not durable, so its failure is the caller's.
+        let dir = fs::File::open(&self.root).and_then(|dir| dir.sync_all());
+        dir.map_err(|e| StorageError::io("sync_dir", name, e))
     }
 
     fn remove(&self, name: &str) -> StorageResult<()> {
@@ -428,12 +409,6 @@ impl StorageBackend for MemStorage {
             return Err(StorageError::io("sync", name, "injected fsync failure"));
         }
         Ok(())
-    }
-
-    fn exists(&self, name: &str) -> StorageResult<bool> {
-        let inner = self.inner.lock().expect("storage");
-        inner.check_alive("exists", name)?;
-        Ok(inner.files.contains_key(name))
     }
 
     fn write_atomic(&self, name: &str, bytes: &[u8]) -> StorageResult<()> {

@@ -1,9 +1,15 @@
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 //! A segmented, checksummed write-ahead log of typed [`Mutation`]s.
 //!
 //! The serving stack is in-memory; this module is what lets it survive a
-//! restart or a torn write. There is **one write path**, and every caller
-//! — a lone [`DurableLog::append`], the cluster's run flush, the serving
-//! front's fenced batches — goes down it:
+//! restart or a torn write. There is **one commit path**,
+//! [`DurableLog::commit`], and every write goes down it — the cluster's
+//! run flush, the serving front's fenced batches, and
+//! [`DurableLog::append_batch`], which is `commit` plus waiting for the
+//! frame's verdict:
 //!
 //! 1. **Frame.** A FIFO run of mutations, each already validated against
 //!    current state, is appended *before it is applied* as **one**
@@ -28,47 +34,50 @@
 //!    are contiguous across segments.
 //! 2. **Covering fsync.** Every frame is owed one fsync of its segment
 //!    before anyone is told it happened; one fsync covers every frame
-//!    appended to that segment before it. [`DurableLog::append_batch`]
-//!    runs it on the calling thread and returns after it.
-//!    [`DurableLog::append_batch_pipelined`] returns as soon as the record
-//!    is in the segment — the caller applies the run, and frames and
-//!    applies the next one, meanwhile — and leaves the fsync to the *sync
-//!    job*: a [`WorkerPool`] job that drains the queue of pending frames in
-//!    FIFO order, fsyncs once per drained run of frames sharing a segment,
-//!    and only then fires each frame's [`DurableCallback`]. Which thread
-//!    the job runs on is the one thing the log reads off its surroundings
-//!    rather than its policy: with a pool attached ([`DurableLog::set_pool`])
-//!    it is a pool job; without one the same fsync runs on the caller
-//!    before the pipelined append returns.
+//!    appended to that segment before it started. `commit` returns as soon
+//!    as the record is in the segment — the caller applies the run, and
+//!    frames and applies the next one, meanwhile — and the *sync runner*
+//!    fsyncs once per run of queued frames sharing a segment and only then
+//!    fires each frame's [`DurableCallback`]. With a pool attached
+//!    ([`DurableLog::set_pool`]) the runner is a pool job; without one it
+//!    runs on the caller before `commit` returns.
 //! 3. **Acknowledge strictly behind durability.** A mutation may be
-//!    acknowledged when `append_batch` returns `Ok`, or when its frame's
-//!    callback fires `Ok` — never earlier, and callbacks fire in append
-//!    order. There is no policy that acknowledges without the fsync. What
-//!    the pipelined end adds is only that the *mutating thread* does not
-//!    idle through fsync latency; in that window the in-memory state (and
-//!    a reader of it) is ahead of the durable prefix by frames nobody has
-//!    been told about — a read-uncommitted window over losable suffix
-//!    data, never over anything acknowledged.
-//! 4. **Failure poisons.** A failed append or covering fsync — on the
-//!    caller or on the sync job — poisons the log: every queued and later
-//!    frame fails with a typed error (nothing acknowledged), and cadence
-//!    snapshots are refused, because the tail is in an unknown state.
-//!    Re-open (recover) to resume. A crash while frames are in flight
-//!    leaves 0..n appended-but-unsynced records on disk; recovery's
-//!    truncate-at-tear rule extends across them (below), so the recovered
-//!    prefix is record-aligned, holds every acknowledged record, and never
-//!    resurrects a torn one.
+//!    acknowledged when its frame's callback fires `Ok` — never earlier,
+//!    and verdicts are released in append order. There is no policy that
+//!    acknowledges without the fsync. What the pool adds is only that the
+//!    *mutating thread* does not idle through fsync latency; in that
+//!    window the in-memory state (and a reader of it) is ahead of the
+//!    durable prefix by frames nobody has been told about — a
+//!    read-uncommitted window over losable suffix data, never over
+//!    anything acknowledged.
+//! 4. **Failure poisons.** A failed append or covering fsync poisons the
+//!    log: the failed frames and every later one fail with a typed error
+//!    (nothing acknowledged), and cadence snapshots are refused, because
+//!    the tail is in an unknown state. Re-open (recover) to resume. A crash
+//!    while frames are in flight leaves 0..n appended-but-unsynced records
+//!    on disk; recovery's truncate-at-tear rule extends across them
+//!    (below), so the recovered prefix is record-aligned, holds every
+//!    acknowledged record, and never resurrects a torn one.
+//!
+//! Every one of these decisions — sequence numbers, rotation, which fsync
+//! covers which frames, verdict order, the poison cell, snapshot cadence,
+//! dirty chunks and the prune set — is made by the crate-private
+//! `LogCore` (`log_core.rs`), a state machine with no backend, lock,
+//! thread, clock or pool, checked against a sequential model. This module
+//! encodes records, replays them, and runs the actions the core hands out
+//! over a [`StorageBackend`] and the pool.
 //!
 //! **Snapshots** bound log size and recovery time. Every
-//! [`DurabilityPolicy::snapshot_every`] records the write path captures a
-//! copy-on-write image (pointer copies of the chunks dirtied since the last
-//! snapshot), rotates to a fresh segment, and hands the image to the
+//! [`DurabilityPolicy::snapshot_every`] mutations the write path captures
+//! a copy-on-write image (pointer copies of the chunks dirtied since the
+//! last snapshot), rotates to a fresh segment, and hands the image to the
 //! *snapshot job*, which writes the dirty chunks and a manifest
-//! ([`crate::snapshot`], format v3) and prunes every segment whose first
-//! sequence number the snapshot covers — on the pool when one is attached,
-//! on the caller otherwise; the same job body either way. The
-//! whole-image v1 writer ([`DurableLog::snapshot_now`]) remains for the
-//! baseline checkpoint of a pre-loaded corpus and for manual checkpoints.
+//! ([`crate::snapshot`], format v3); once it succeeded, every segment whose
+//! first sequence number the snapshot covers is pruned — on the pool when
+//! one is attached, on the caller otherwise. The whole-image v1 writer
+//! ([`DurableLog::snapshot_now`]) remains for the baseline checkpoint of a
+//! pre-loaded corpus and for manual checkpoints; it waits out a snapshot
+//! job in flight, because one snapshot runs at a time.
 //!
 //! **Recovery** ([`Repository::recover`] / [`DurableLog::open`]) replays
 //! `(latest snapshot, log suffix)` with a strict corruption posture:
@@ -103,18 +112,20 @@
 //! reported as corruption ([`WalError::Replay`]), not tolerated.
 
 use crate::fnv::Fnv1a;
+use crate::log_core::{self, parse_segment_name, segment_name, Action, LogCore, Recovered};
 use crate::mutation::{ModuleTextEdit, Mutation, SpecText};
 use crate::pool::WorkerPool;
 use crate::repository::{policy_codec, Repository, SpecId};
-use crate::snapshot::{self, ChunkRef, CowImage, CHUNK_SPECS};
+use crate::snapshot::{self, ChunkRef, ChunkedWrite, CowImage};
 use crate::storage::{StorageBackend, StorageError};
+use crate::ticket::Ticket;
+use parking_lot::Mutex;
 use ppwf_model::codec;
 use ppwf_model::ids::ModuleId;
 use serde::wire;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A typed durability failure.
@@ -267,8 +278,10 @@ pub fn encode_mutation(buf: &mut Vec<u8>, mutation: &Mutation) {
 /// `None` on any framing or nested-codec failure (the caller owns the
 /// offset context for a typed error).
 pub fn decode_mutation(bytes: &mut &[u8]) -> Option<Mutation> {
-    let tag = *bytes.first()?;
-    *bytes = &bytes[1..];
+    let text = |bytes: &mut &[u8]| String::from_utf8(wire::get_len_prefixed(bytes)?.to_vec()).ok();
+    let id = |bytes: &mut &[u8]| u32::try_from(wire::get_uvarint(bytes)?).ok();
+    let (&tag, rest) = bytes.split_first()?;
+    *bytes = rest;
     match tag {
         TAG_INSERT_SPEC => {
             let spec = codec::decode_spec(wire::get_len_prefixed(bytes)?).ok()?;
@@ -276,49 +289,49 @@ pub fn decode_mutation(bytes: &mut &[u8]) -> Option<Mutation> {
             Some(Mutation::InsertSpec { spec, policy })
         }
         TAG_ADD_EXECUTION => {
-            let id = wire::get_uvarint(bytes)?;
+            let spec = SpecId(id(bytes)?);
             let exec = codec::decode_execution(wire::get_len_prefixed(bytes)?).ok()?;
-            Some(Mutation::AddExecution { spec: SpecId(u32::try_from(id).ok()?), exec })
+            Some(Mutation::AddExecution { spec, exec })
         }
         TAG_SET_POLICY => {
-            let id = wire::get_uvarint(bytes)?;
+            let spec = SpecId(id(bytes)?);
             let policy = policy_codec::decode_policy(wire::get_len_prefixed(bytes)?).ok()?;
-            Some(Mutation::SetPolicy { spec: SpecId(u32::try_from(id).ok()?), policy })
+            Some(Mutation::SetPolicy { spec, policy })
         }
-        TAG_DELETE_SPEC => {
-            let id = wire::get_uvarint(bytes)?;
-            Some(Mutation::DeleteSpec { spec: SpecId(u32::try_from(id).ok()?) })
-        }
+        TAG_DELETE_SPEC => Some(Mutation::DeleteSpec { spec: SpecId(id(bytes)?) }),
         TAG_EDIT_SPEC => {
-            let id = wire::get_uvarint(bytes)?;
-            let count = wire::get_uvarint(bytes)?;
-            let mut edits = Vec::with_capacity(usize::try_from(count).ok()?.min(64));
-            for _ in 0..count {
-                let module = wire::get_uvarint(bytes)?;
-                let name = String::from_utf8(wire::get_len_prefixed(bytes)?.to_vec()).ok()?;
-                let kw_count = wire::get_uvarint(bytes)?;
-                let mut keywords = Vec::with_capacity(usize::try_from(kw_count).ok()?.min(64));
-                for _ in 0..kw_count {
-                    let kw = String::from_utf8(wire::get_len_prefixed(bytes)?.to_vec()).ok()?;
-                    keywords.push(kw);
-                }
-                edits.push(ModuleTextEdit {
-                    module: ModuleId(u32::try_from(module).ok()?),
-                    name,
-                    keywords,
-                });
-            }
-            Some(Mutation::EditSpec {
-                spec: SpecId(u32::try_from(id).ok()?),
-                text: SpecText { edits },
-            })
+            let spec = SpecId(id(bytes)?);
+            let edits = (0..wire::get_uvarint(bytes)?)
+                .map(|_| {
+                    let module = ModuleId(id(bytes)?);
+                    let name = text(bytes)?;
+                    let keywords = (0..wire::get_uvarint(bytes)?)
+                        .map(|_| text(bytes))
+                        .collect::<Option<_>>()?;
+                    Some(ModuleTextEdit { module, name, keywords })
+                })
+                .collect::<Option<_>>()?;
+            Some(Mutation::EditSpec { spec, text: SpecText { edits } })
         }
         _ => None,
     }
 }
 
-/// Wrap a record body in the `[len][checksum]` framing.
-fn frame(body: Vec<u8>) -> Vec<u8> {
+/// Frame a FIFO run of mutations as **one** checksummed record: the
+/// plain form for one mutation, a group-commit record covering
+/// `first_seq .. first_seq + mutations.len()` for more. The mutation
+/// payloads are self-delimiting, so no per-mutation framing is needed —
+/// and a torn batch tears as a single record.
+fn encode_frame(first_seq: u64, mutations: &[Mutation]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(64 * mutations.len());
+    wire::put_uvarint(&mut body, first_seq);
+    if mutations.len() != 1 {
+        body.push(TAG_BATCH);
+        wire::put_uvarint(&mut body, mutations.len() as u64);
+    }
+    for mutation in mutations {
+        encode_mutation(&mut body, mutation);
+    }
     let mut record = Vec::with_capacity(RECORD_HEADER + body.len());
     record.extend_from_slice(&(body.len() as u32).to_le_bytes());
     record.extend_from_slice(&checksum_of(&body).to_le_bytes());
@@ -326,37 +339,11 @@ fn frame(body: Vec<u8>) -> Vec<u8> {
     record
 }
 
-/// Frame `(seq, mutation)` as one checksummed record.
-pub(crate) fn encode_record(seq: u64, mutation: &Mutation) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    wire::put_uvarint(&mut body, seq);
-    encode_mutation(&mut body, mutation);
-    frame(body)
-}
-
-/// Frame a FIFO run of mutations as **one** checksummed group-commit
-/// record covering `first_seq .. first_seq + mutations.len()`. The
-/// mutation payloads are self-delimiting, so no per-mutation framing is
-/// needed — and a torn batch tears as a single record.
-pub(crate) fn encode_batch_record(first_seq: u64, mutations: &[Mutation]) -> Vec<u8> {
-    debug_assert!(mutations.len() > 1, "singleton appends use the plain record framing");
-    let mut body = Vec::with_capacity(64 * mutations.len());
-    wire::put_uvarint(&mut body, first_seq);
-    body.push(TAG_BATCH);
-    wire::put_uvarint(&mut body, mutations.len() as u64);
-    for mutation in mutations {
-        encode_mutation(&mut body, mutation);
-    }
-    frame(body)
-}
-
-fn segment_name(first_seq: u64) -> String {
-    format!("wal-{first_seq:016x}.log")
-}
-
-fn parse_segment_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("wal-")?.strip_suffix(".log")?;
-    u64::from_str_radix(hex, 16).ok()
+/// The checksum and body of the record at `at`, when all of it is there.
+fn record_at(bytes: &[u8], at: usize) -> Option<(u64, &[u8])> {
+    let (len, rest) = bytes.get(at..)?.split_first_chunk::<4>()?;
+    let (sum, rest) = rest.split_first_chunk::<8>()?;
+    Some((u64::from_le_bytes(*sum), rest.get(..u32::from_le_bytes(*len) as usize)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -381,27 +368,14 @@ pub struct RecoveryStats {
 struct Replayed {
     repo: Repository,
     stats: RecoveryStats,
-    /// `(name, surviving bytes)` of the segment appends continue into.
-    active_segment: Option<(String, u64)>,
-    /// Chunk manifest of the loaded snapshot, when it was chunked (v3):
-    /// what a re-opened log seeds its copy-on-write reuse from.
-    manifest: Option<Vec<ChunkRef>>,
-    /// Chunks touched by the replayed log suffix — dirty relative to the
-    /// loaded manifest.
-    dirty_chunks: BTreeSet<u32>,
+    /// Where a re-opened log continues.
+    seed: Recovered,
 }
 
 /// The chunk a mutation dirties, given the repository state it applies
-/// to: an insert lands at the next dense id, the others name their spec.
+/// to.
 fn dirtied_chunk(repo: &Repository, mutation: &Mutation) -> u32 {
-    let id = match mutation {
-        Mutation::InsertSpec { .. } => repo.len() as u32,
-        Mutation::AddExecution { spec, .. }
-        | Mutation::SetPolicy { spec, .. }
-        | Mutation::DeleteSpec { spec }
-        | Mutation::EditSpec { spec, .. } => spec.0,
-    };
-    snapshot::chunk_of(id)
+    snapshot::chunk_of(log_core::entry_of(mutation, repo.len() as u64))
 }
 
 /// Whether any checksum-valid record exists at or after `at`, walking the
@@ -412,17 +386,11 @@ fn dirtied_chunk(repo: &Repository, mutation: &Mutation) -> u32 {
 /// tear (a garbled length field desyncs the walk onto garbage checksums,
 /// which is the same answer — truncate).
 fn tail_has_valid_successor(bytes: &[u8], mut at: usize) -> bool {
-    while at + RECORD_HEADER <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-        let stored = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().expect("8 bytes"));
-        let Some(end) = (at + RECORD_HEADER).checked_add(len) else { return false };
-        if end > bytes.len() {
-            return false;
-        }
-        if checksum_of(&bytes[at + RECORD_HEADER..end]) == stored {
+    while let Some((stored, body)) = record_at(bytes, at) {
+        if checksum_of(body) == stored {
             return true;
         }
-        at = end;
+        at += RECORD_HEADER + body.len();
     }
     false
 }
@@ -445,9 +413,9 @@ fn replay(backend: &dyn StorageBackend) -> WalResult<Replayed> {
     };
     let mut dirty_chunks = BTreeSet::new();
     let mut expected_next: Option<u64> = None;
-    let mut active_segment: Option<(String, u64)> = None;
+    let mut active_segment: Option<(u64, u64)> = None;
     let last_index = segments.len().wrapping_sub(1);
-    for (i, (_, name)) in segments.iter().enumerate() {
+    for (i, (first, name)) in segments.iter().enumerate() {
         let bytes = backend
             .read(name)?
             .ok_or_else(|| StorageError::io("read", name, "segment vanished during recovery"))?;
@@ -456,22 +424,17 @@ fn replay(backend: &dyn StorageBackend) -> WalResult<Replayed> {
         let mut torn_at: Option<(usize, String)> = None;
         while offset < bytes.len() {
             let remaining = bytes.len() - offset;
-            if remaining < RECORD_HEADER {
-                torn_at = Some((offset, format!("{remaining}-byte header fragment")));
+            let corrupt = |detail: String| WalError::Corrupt {
+                segment: name.clone(),
+                offset: offset as u64,
+                detail,
+            };
+            let Some((stored_sum, body)) = record_at(&bytes, offset) else {
+                torn_at =
+                    Some((offset, format!("incomplete record in the last {remaining} bytes")));
                 break;
-            }
-            let len =
-                u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-            let stored_sum =
-                u64::from_le_bytes(bytes[offset + 4..offset + 12].try_into().expect("8 bytes"));
-            if remaining < RECORD_HEADER + len {
-                torn_at = Some((
-                    offset,
-                    format!("record wants {len} body bytes, {} present", remaining - RECORD_HEADER),
-                ));
-                break;
-            }
-            let body = &bytes[offset + RECORD_HEADER..offset + RECORD_HEADER + len];
+            };
+            let next = offset + RECORD_HEADER + body.len();
             if checksum_of(body) != stored_sum {
                 // A bad checksum in the last segment with no valid record
                 // after it is a torn (unacknowledged) tail — e.g. blocks
@@ -481,118 +444,60 @@ fn replay(backend: &dyn StorageBackend) -> WalResult<Replayed> {
                 // mismatch be the final record. A valid successor — or
                 // any mismatch in a non-final segment — is interior
                 // corruption of acknowledged data.
-                if is_last_segment
-                    && !tail_has_valid_successor(&bytes, offset + RECORD_HEADER + len)
-                {
-                    torn_at = Some((
-                        offset,
-                        "checksum mismatch with no valid successor (torn tail)".to_string(),
-                    ));
+                if is_last_segment && !tail_has_valid_successor(&bytes, next) {
+                    let detail = "checksum mismatch with no valid successor (torn tail)";
+                    torn_at = Some((offset, detail.to_string()));
                     break;
                 }
-                return Err(WalError::Corrupt {
-                    segment: name.clone(),
-                    offset: offset as u64,
-                    detail: "checksum mismatch on interior record".to_string(),
-                });
+                return Err(corrupt("checksum mismatch on interior record".to_string()));
             }
             let mut cursor = body;
-            let seq = wire::get_uvarint(&mut cursor).ok_or_else(|| WalError::Corrupt {
-                segment: name.clone(),
-                offset: offset as u64,
-                detail: "unreadable sequence number".to_string(),
-            })?;
+            let seq = wire::get_uvarint(&mut cursor)
+                .ok_or_else(|| corrupt("unreadable sequence number".to_string()))?;
             match expected_next {
                 None if seq > snapshot_seq + 1 => {
-                    return Err(WalError::Corrupt {
-                        segment: name.clone(),
-                        offset: offset as u64,
-                        detail: format!(
-                            "log starts at seq {seq} but snapshot covers only through \
-                             {snapshot_seq}: missing records"
-                        ),
-                    });
+                    return Err(corrupt(format!(
+                        "log starts at seq {seq} but snapshot covers only through \
+                         {snapshot_seq}: missing records"
+                    )));
                 }
                 Some(expected) if seq != expected => {
-                    return Err(WalError::Corrupt {
-                        segment: name.clone(),
-                        offset: offset as u64,
-                        detail: format!("sequence gap: expected {expected}, found {seq}"),
-                    });
+                    return Err(corrupt(format!("sequence gap: expected {expected}, found {seq}")));
                 }
                 _ => {}
             }
-            if cursor.first() == Some(&TAG_BATCH) {
-                // A group-commit record: `seq` is the first of a
-                // contiguous run. The whole run was acknowledged by one
-                // fsync, and the record's checksum already verified, so
-                // every member decodes or the record is corrupt.
-                cursor = &cursor[1..];
-                let count = wire::get_uvarint(&mut cursor).ok_or_else(|| WalError::Corrupt {
-                    segment: name.clone(),
-                    offset: offset as u64,
-                    detail: "unreadable batch count".to_string(),
-                })?;
-                if count == 0 {
-                    return Err(WalError::Corrupt {
-                        segment: name.clone(),
-                        offset: offset as u64,
-                        detail: "empty batch record".to_string(),
-                    });
+            // A group-commit record: `seq` is the first of a contiguous run.
+            // The whole run was acknowledged by one fsync, and the record's
+            // checksum already verified, so every member decodes (the
+            // payloads are self-delimiting) or the record is corrupt.
+            let count = match cursor.split_first() {
+                Some((&TAG_BATCH, rest)) => {
+                    cursor = rest;
+                    wire::get_uvarint(&mut cursor)
+                        .filter(|&count| count > 0)
+                        .ok_or_else(|| corrupt("unreadable or empty batch count".to_string()))?
                 }
-                for k in 0..count {
-                    let record_seq = seq + k;
-                    let mutation =
-                        decode_mutation(&mut cursor).ok_or_else(|| WalError::Corrupt {
-                            segment: name.clone(),
-                            offset: offset as u64,
-                            detail: format!("undecodable mutation payload at seq {record_seq}"),
-                        })?;
-                    // Decode unconditionally (the payloads are
-                    // self-delimiting, the cursor must advance); apply
-                    // only past the snapshot point.
-                    if record_seq > snapshot_seq {
-                        dirty_chunks.insert(dirtied_chunk(&repo, &mutation));
-                        repo.apply(mutation).map_err(|e| WalError::Replay {
-                            seq: record_seq,
-                            detail: e.to_string(),
-                        })?;
-                        stats.replayed += 1;
-                        stats.last_seq = record_seq;
-                    }
-                }
-                if !cursor.is_empty() {
-                    return Err(WalError::Corrupt {
-                        segment: name.clone(),
-                        offset: offset as u64,
-                        detail: format!("{} trailing bytes after batch", cursor.len()),
-                    });
-                }
-                expected_next = Some(seq + count);
-            } else {
-                expected_next = Some(seq + 1);
+                _ => 1,
+            };
+            for seq in seq..seq + count {
+                let mutation = decode_mutation(&mut cursor)
+                    .ok_or_else(|| corrupt(format!("undecodable mutation payload at seq {seq}")))?;
+                // Apply only past the snapshot point.
                 if seq > snapshot_seq {
-                    let mutation =
-                        decode_mutation(&mut cursor).ok_or_else(|| WalError::Corrupt {
-                            segment: name.clone(),
-                            offset: offset as u64,
-                            detail: format!("undecodable mutation payload at seq {seq}"),
-                        })?;
-                    if !cursor.is_empty() {
-                        return Err(WalError::Corrupt {
-                            segment: name.clone(),
-                            offset: offset as u64,
-                            detail: format!("{} trailing bytes after mutation", cursor.len()),
-                        });
-                    }
                     dirty_chunks.insert(dirtied_chunk(&repo, &mutation));
-                    repo.apply(mutation)
-                        .map_err(|e| WalError::Replay { seq, detail: e.to_string() })?;
+                    let replayed = repo.apply(mutation);
+                    replayed.map_err(|e| WalError::Replay { seq, detail: e.to_string() })?;
                     stats.replayed += 1;
                     stats.last_seq = seq;
                 }
             }
-            offset += RECORD_HEADER + len;
+            if !cursor.is_empty() {
+                return Err(corrupt(format!("{} trailing bytes after the record", cursor.len())));
+            }
+            // Records the snapshot covers constrain nothing: a segment a
+            // prune failed to remove may sit before a gap it left.
+            expected_next = (seq + count > snapshot_seq + 1).then_some(seq + count);
+            offset = next;
         }
         if let Some((clean, detail)) = torn_at {
             if !is_last_segment {
@@ -607,12 +512,20 @@ fn replay(backend: &dyn StorageBackend) -> WalResult<Replayed> {
             }
             stats.truncated_bytes = (bytes.len() - clean) as u64;
             backend.write_atomic(name, &bytes[..clean])?;
-            active_segment = Some((name.clone(), clean as u64));
+            active_segment = Some((*first, clean as u64));
         } else if is_last_segment {
-            active_segment = Some((name.clone(), bytes.len() as u64));
+            active_segment = Some((*first, bytes.len() as u64));
         }
     }
-    Ok(Replayed { repo, stats, active_segment, manifest, dirty_chunks })
+    let seed = Recovered {
+        last_seq: stats.last_seq,
+        snapshot_seq,
+        active: active_segment.unwrap_or((stats.last_seq + 1, 0)),
+        entry_count: repo.len() as u64,
+        dirty: dirty_chunks,
+        manifest: manifest.unwrap_or_default(),
+    };
+    Ok(Replayed { repo, stats, seed })
 }
 
 impl Repository {
@@ -625,14 +538,6 @@ impl Repository {
     pub fn recover(backend: &dyn StorageBackend) -> WalResult<(Repository, RecoveryStats)> {
         let replayed = replay(backend)?;
         Ok((replayed.repo, replayed.stats))
-    }
-
-    /// [`Self::recover`] over real files rooted at `dir`.
-    pub fn recover_dir(
-        dir: impl Into<std::path::PathBuf>,
-    ) -> WalResult<(Repository, RecoveryStats)> {
-        let storage = crate::storage::FsStorage::open(dir)?;
-        Repository::recover(&storage)
     }
 }
 
@@ -714,7 +619,7 @@ pub struct DurabilityStats {
     pub background_snapshots: u64,
     /// Fully covered segments pruned after snapshots.
     pub segments_pruned: u64,
-    /// Cadence snapshots that failed or were refused (see
+    /// Snapshots that failed, and cadence snapshots refused (see
     /// [`DurableLog::snapshot_if_due`]); the log keeps its longer suffix
     /// and retries at the next cadence point.
     pub snapshot_failures: u64,
@@ -724,16 +629,16 @@ pub struct DurabilityStats {
     /// [`DurableLog::snapshot_if_due_with`]) and the rotation hand-off;
     /// without a pool, the snapshot job itself as well.
     pub snapshot_pause_us: u64,
-    /// µs snapshot jobs spent serializing, writing, and pruning.
+    /// µs snapshot jobs spent serializing and writing.
     pub snapshot_background_us: u64,
     /// Highest appended sequence number.
     pub last_seq: u64,
     /// Sequence number the latest snapshot covers through.
     pub snapshot_seq: u64,
-    /// Deepest the sync queue has been (frames awaiting their covering
-    /// fsync, including the one being synced).
+    /// Deepest the sync queue has been: frames written and not yet taken
+    /// by a covering fsync.
     pub pipeline_depth_high_water: u64,
-    /// Frames enqueued while a sync job was already running — each one is
+    /// Frames written while the sync runner was already out — each one is
     /// an append/apply that overlapped an in-flight fsync.
     pub overlapped_fsyncs: u64,
     /// Chunks serialized and written by copy-on-write snapshots.
@@ -746,226 +651,136 @@ pub struct DurabilityStats {
     pub snapshot_bytes_written: u64,
 }
 
-/// Counters the snapshot job updates; shared between the log and an
-/// in-flight pool job, merged into [`DurabilityStats`] on read.
-#[derive(Default)]
-struct BgSnapshot {
-    /// One snapshot job at a time: set before it starts, cleared by the
-    /// job. While set, due cadences are skipped (and retried later).
-    in_flight: AtomicBool,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    busy_us: AtomicU64,
-    pruned: AtomicU64,
-    snapshot_seq: AtomicU64,
-    chunks_written: AtomicU64,
-    chunks_reused: AtomicU64,
-    bytes_written: AtomicU64,
-    /// The finished job's verdict, harvested by the mutating thread at
-    /// the next snapshot decision ([`DurableLog::refresh_manifest`]):
-    /// `Some(Some(manifest))` — success, the new baseline; `Some(None)` —
-    /// failure, the chunks the job was flushing are still dirty.
-    outcome: Mutex<Option<Option<Vec<ChunkRef>>>>,
-}
-
-/// What each pipelined append hands the sync job: which segment's fsync
-/// covers it, how many mutations it carries (for `fsyncs_saved`), and the
-/// acknowledgement to fire once that fsync lands.
-struct PendingFrame {
-    segment: String,
-    count: u64,
-    on_durable: DurableCallback,
-}
-
-/// Fired exactly once per [`DurableLog::append_batch_pipelined`] frame,
-/// after the fsync covering it succeeds (`Ok`) or the log poisons
-/// (`Err`). With a pool it runs on the sync job's thread — keep it cheap
-/// and lock-light.
+/// Fired exactly once per [`DurableLog::commit`] frame, in append order,
+/// after the fsync covering it succeeds (`Ok`) or the frame fails
+/// (`Err`). With a pool it may run on the sync job's thread — keep it
+/// cheap and lock-light.
 pub type DurableCallback = Box<dyn FnOnce(WalResult<()>) + Send + 'static>;
 
-#[derive(Default)]
-struct SyncQueue {
-    pending: VecDeque<PendingFrame>,
-    /// A sync job is draining the queue; new frames just enqueue.
-    job_active: bool,
-    /// The failure that poisoned the log — an append or covering fsync, on
-    /// the mutating thread or on the sync job: every queued and future
-    /// frame fails, every snapshot is refused. The log's one poison cell.
-    poisoned: Option<String>,
-}
+type Core = LogCore<DurableCallback, CowImage>;
 
-/// State shared between the mutating thread and its sync jobs.
-#[derive(Default)]
-struct SyncShared {
-    queue: Mutex<SyncQueue>,
-    syncs: AtomicU64,
-    fsyncs_saved: AtomicU64,
-    overlapped: AtomicU64,
-    depth_high_water: AtomicU64,
-}
-
-/// The sync job: drain queued frames, fsync once per run of consecutive
-/// frames sharing a segment, then fire their acknowledgements in FIFO
-/// order. Loops until the queue is empty so one job covers every frame
-/// enqueued while it ran. Callbacks always run with the queue lock
-/// released.
-fn run_sync_job(backend: Arc<dyn StorageBackend>, shared: Arc<SyncShared>) {
-    loop {
-        let drained: Vec<PendingFrame> = {
-            let mut q = shared.queue.lock().expect("sync queue lock");
-            if q.pending.is_empty() {
-                q.job_active = false;
-                return;
-            }
-            q.pending.drain(..).collect()
-        };
-        let mut frames = drained.into_iter().peekable();
-        while let Some(frame) = frames.next() {
-            let mut run = vec![frame];
-            while frames.peek().is_some_and(|f| f.segment == run[0].segment) {
-                run.push(frames.next().expect("peeked"));
-            }
-            let segment = run[0].segment.clone();
-            match backend.sync(&segment) {
-                Ok(()) => {
-                    shared.syncs.fetch_add(1, Ordering::Relaxed);
-                    let saved: u64 = run.iter().map(|f| f.count.saturating_sub(1)).sum::<u64>()
-                        + (run.len() as u64 - 1);
-                    shared.fsyncs_saved.fetch_add(saved, Ordering::Relaxed);
-                    for f in run {
-                        (f.on_durable)(Ok(()));
-                    }
-                }
-                Err(e) => {
-                    // A snapshot job may have pruned the segment after its
-                    // records became durable via the snapshot itself; a
-                    // vanished file is covered, not lost.
-                    if matches!(backend.exists(&segment), Ok(false)) {
-                        for f in run {
-                            (f.on_durable)(Ok(()));
-                        }
-                        continue;
-                    }
-                    let detail = e.to_string();
-                    let stragglers: Vec<PendingFrame> = {
-                        let mut q = shared.queue.lock().expect("sync queue lock");
-                        q.poisoned = Some(detail.clone());
-                        q.job_active = false;
-                        q.pending.drain(..).collect()
-                    };
-                    let mut first = Some(WalError::Storage(e));
-                    for f in run.into_iter().chain(frames).chain(stragglers) {
-                        let err = first
-                            .take()
-                            .unwrap_or_else(|| WalError::Poisoned { detail: detail.clone() });
-                        (f.on_durable)(Err(err));
-                    }
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Remove what a snapshot covering `through` supersedes: every segment
-/// whose *first sequence* is ≤ `through` (never "everything but the
-/// active name": a snapshot job races appends, and segments the size
-/// cadence rotated in meanwhile start past `through` and must survive),
-/// older snapshot files, and chunk files outside `referenced`. Returns
-/// the segments removed. Removal failures leak files, never correctness —
-/// replay skips covered records and ignores unreferenced chunks — and the
-/// next snapshot's prune retries them, so they are not surfaced.
-fn prune_covered(backend: &dyn StorageBackend, through: u64, referenced: &HashSet<u64>) -> u64 {
-    let mut segments = 0;
-    for name in backend.list().unwrap_or_default() {
-        let segment = parse_segment_name(&name);
-        let superseded = match (segment, snapshot::parse_name(&name)) {
-            (Some(first), _) => first <= through,
-            (None, Some(older)) => older < through,
-            (None, None) => {
-                snapshot::parse_chunk_name(&name).is_some_and(|hash| !referenced.contains(&hash))
-            }
-        };
-        if superseded && backend.remove(&name).is_ok() && segment.is_some() {
-            segments += 1;
-        }
-    }
-    segments
-}
-
-/// The snapshot job: write `image`'s dirty chunks and manifest as the
-/// snapshot covering `through`, prune what it supersedes, and leave the
-/// verdict where the mutating thread's next snapshot decision harvests it.
-/// Runs on the pool when the log has one, on the mutating thread
-/// otherwise. Failures are counted, never surfaced: by the time a cadence
-/// fires its records are durable in the log, which simply keeps its longer
-/// suffix until a later snapshot succeeds. Returns whether it did.
-fn run_snapshot_job(
-    backend: &dyn StorageBackend,
-    bg: &BgSnapshot,
-    through: u64,
-    image: &CowImage,
-) -> bool {
-    let t = Instant::now();
-    let ok = match snapshot::write_chunked(backend, through, image) {
-        Ok(wrote) => {
-            bg.snapshot_seq.store(through, Ordering::Release);
-            let referenced: HashSet<u64> = wrote.manifest.iter().map(|r| r.hash).collect();
-            bg.pruned.fetch_add(prune_covered(backend, through, &referenced), Ordering::Relaxed);
-            bg.chunks_written.fetch_add(wrote.chunks_written, Ordering::Relaxed);
-            bg.chunks_reused.fetch_add(wrote.chunks_reused, Ordering::Relaxed);
-            bg.bytes_written.fetch_add(wrote.bytes_written, Ordering::Relaxed);
-            *bg.outcome.lock().expect("bg outcome lock") = Some(Some(wrote.manifest));
-            bg.completed.fetch_add(1, Ordering::Relaxed);
-            true
-        }
-        Err(_) => {
-            *bg.outcome.lock().expect("bg outcome lock") = Some(None);
-            bg.failed.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    };
-    bg.busy_us.fetch_add(t.elapsed().as_micros() as u64, Ordering::Relaxed);
-    bg.in_flight.store(false, Ordering::Release);
-    ok
-}
-
-/// The append side of the WAL: owns the backend, the active segment, the
-/// sequence counter and the snapshot cadence. Obtain one (plus the
-/// recovered repository) via [`DurableLog::open`].
-pub struct DurableLog {
+/// What the log, its sync runner and its snapshot job share: the backend
+/// and the one lock, around the core.
+struct Shared {
     backend: Arc<dyn StorageBackend>,
+    core: Mutex<Core>,
+}
+
+impl Shared {
+    /// Raise `event` on the core, then run every action it produced:
+    /// `Sync` and `Snapshot` on `pool` when one is given, the rest here.
+    /// Returns what the event returned, and the first failure of an action
+    /// the caller waits on (its `Write`, an inline snapshot).
+    fn step<R>(
+        self: &Arc<Self>,
+        pool: Option<&Arc<WorkerPool>>,
+        event: impl FnOnce(&mut Core) -> R,
+    ) -> (R, WalResult<()>) {
+        let (returned, actions) = {
+            let mut core = self.core.lock();
+            let returned = event(&mut core);
+            (returned, std::iter::from_fn(|| core.next_action()).collect::<Vec<_>>())
+        };
+        let mut ran = Ok(());
+        for action in actions {
+            let now = self.run(pool, action);
+            ran = ran.and(now);
+        }
+        (returned, ran)
+    }
+
+    /// Run `job` on `pool`, or here without one.
+    fn spawn(
+        self: &Arc<Self>,
+        pool: Option<&Arc<WorkerPool>>,
+        job: impl FnOnce(&Arc<Self>) -> WalResult<()> + Send + 'static,
+    ) -> WalResult<()> {
+        let Some(pool) = pool else { return job(self) };
+        let shared = Arc::clone(self);
+        pool.exec(move || drop(job(&shared)));
+        Ok(())
+    }
+
+    fn run(
+        self: &Arc<Self>,
+        pool: Option<&Arc<WorkerPool>>,
+        action: Action<DurableCallback, CowImage>,
+    ) -> WalResult<()> {
+        match action {
+            Action::Write { segment, record } => {
+                let wrote = self.backend.append(&segment_name(segment), &record);
+                let (written, ran) = self.step(pool, |core| core.written(wrote));
+                written.and(ran)
+            }
+            Action::Sync => self.spawn(pool, Self::run_sync_job),
+            Action::Ack(verdicts) => {
+                for (on_durable, verdict) in verdicts {
+                    on_durable(verdict);
+                }
+                Ok(())
+            }
+            Action::Snapshot { through, image } => {
+                self.spawn(pool, move |shared| shared.run_snapshot_job(through, &image))
+            }
+            Action::Prune { through, referenced } => {
+                // Removal failures leak files, never correctness — replay
+                // skips covered records and ignores unreferenced chunks —
+                // and the next snapshot's prune retries them.
+                let names = self.backend.list().unwrap_or_default();
+                let superseded =
+                    names.iter().filter(|n| log_core::superseded(n, through, &referenced));
+                let removed = superseded.filter(|name| self.backend.remove(name).is_ok());
+                let segments =
+                    removed.filter(|name| parse_segment_name(name).is_some()).count() as u64;
+                self.step(None, |core| core.pruned(segments)).1
+            }
+        }
+    }
+
+    /// The sync runner: fsync what the core hands out until it hands out
+    /// nothing.
+    fn run_sync_job(self: &Arc<Self>) -> WalResult<()> {
+        loop {
+            let next = self.core.lock().sync_start();
+            let Some(segment) = next else { return Ok(()) };
+            let synced = self.backend.sync(&segment_name(segment));
+            // Sync verdicts reach the appenders through their callbacks.
+            let _ = self.step(None, |core| core.synced(segment, synced));
+        }
+    }
+
+    /// The snapshot job: write `image`'s dirty chunks and manifest as the
+    /// snapshot covering `through`, then report to the core (which prunes
+    /// on success). A failure is counted, not surfaced: by the time a
+    /// cadence fires its records are durable in the log, which simply
+    /// keeps its longer suffix until a later snapshot succeeds.
+    fn run_snapshot_job(self: &Arc<Self>, through: u64, image: &CowImage) -> WalResult<()> {
+        let t = Instant::now();
+        let written = snapshot::write_chunked(&*self.backend, through, image);
+        let busy_us = t.elapsed().as_micros() as u64;
+        let (wrote, verdict) = match written {
+            Ok(wrote) => (Some(wrote), Ok(())),
+            Err(e) => (None, Err(e)),
+        };
+        let _ = self.step(None, |core| core.snapshot_done(through, wrote, busy_us));
+        verdict
+    }
+}
+
+/// The append side of the WAL: the executor of the core's actions over
+/// the backend and the pool. Obtain one (plus the recovered repository)
+/// via [`DurableLog::open`].
+pub struct DurableLog {
+    shared: Arc<Shared>,
     policy: DurabilityPolicy,
-    active: String,
-    active_bytes: u64,
-    next_seq: u64,
-    since_snapshot: u64,
-    stats: DurabilityStats,
-    /// Where the sync job and the snapshot job run; without one both run
-    /// on the mutating thread. See [`Self::set_pool`].
+    /// Where the sync runner and the snapshot job run; without one both
+    /// run on the mutating thread. See [`Self::set_pool`].
     pool: Option<Arc<WorkerPool>>,
-    bg: Arc<BgSnapshot>,
-    pipeline: Arc<SyncShared>,
-    /// Entries the appended history has produced — the id the next
-    /// `InsertSpec` lands on, which fixes the chunk it dirties.
-    entry_count: u64,
-    /// Chunks dirtied since the last successful snapshot.
-    dirty_chunks: BTreeSet<u32>,
-    /// Chunk manifest of the last successful copy-on-write snapshot;
-    /// empty after whole-image snapshots (every chunk then rewrites).
-    last_manifest: Vec<ChunkRef>,
-    /// Chunks handed to the in-flight snapshot job: re-dirtied if it
-    /// fails, retired with it if it succeeds.
-    in_flight_dirty: Vec<u32>,
 }
 
 impl fmt::Debug for DurableLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DurableLog")
-            .field("active", &self.active)
-            .field("next_seq", &self.next_seq)
-            .field("poisoned", &self.poison())
-            .finish()
+        f.debug_struct("DurableLog").field("policy", &self.policy).finish_non_exhaustive()
     }
 }
 
@@ -985,233 +800,87 @@ impl DurableLog {
     /// log for appending. On an empty backend this yields an empty
     /// repository and a log starting at sequence 1.
     pub fn open(backend: Arc<dyn StorageBackend>, policy: DurabilityPolicy) -> WalResult<Opened> {
-        let replayed = replay(&*backend)?;
-        let next_seq = replayed.stats.last_seq + 1;
-        let (active, active_bytes) =
-            replayed.active_segment.unwrap_or_else(|| (segment_name(next_seq), 0));
-        let entry_count = replayed.repo.len() as u64;
-        let log = DurableLog {
-            backend,
-            policy,
-            active,
-            active_bytes,
-            next_seq,
-            since_snapshot: replayed.stats.last_seq - replayed.stats.snapshot_seq,
-            stats: DurabilityStats {
-                last_seq: replayed.stats.last_seq,
-                snapshot_seq: replayed.stats.snapshot_seq,
-                ..DurabilityStats::default()
-            },
-            pool: None,
-            bg: Arc::default(),
-            pipeline: Arc::default(),
-            entry_count,
-            dirty_chunks: replayed.dirty_chunks,
-            last_manifest: replayed.manifest.unwrap_or_default(),
-            in_flight_dirty: Vec::new(),
-        };
-        Ok(Opened { log, repository: replayed.repo, recovery: replayed.stats })
+        let Replayed { repo, stats, seed } = replay(&*backend)?;
+        let core = LogCore::new(policy.segment_bytes, policy.snapshot_every, seed);
+        let shared = Arc::new(Shared { backend, core: Mutex::new(core) });
+        let log = DurableLog { shared, policy, pool: None };
+        Ok(Opened { log, repository: repo, recovery: stats })
     }
 
-    /// Run the sync job and the snapshot job on `pool`:
-    /// [`Self::append_batch_pipelined`] then returns before its covering
-    /// fsync and acknowledges from the pool, and a cadence snapshot costs
-    /// the mutating thread one shallow image capture plus a segment
-    /// rotation. Without a pool both jobs run, unchanged, on the mutating
-    /// thread. Do not mix manual [`Self::snapshot_now`] calls with an
-    /// in-flight snapshot job — both walk and prune the same file set.
+    /// Run the sync runner and the snapshot job on `pool`: [`Self::commit`]
+    /// then returns before its covering fsync and acknowledges from the
+    /// pool, and a cadence snapshot costs the mutating thread one shallow
+    /// image capture plus a segment rotation. Without a pool both run,
+    /// unchanged, on the mutating thread.
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
         self.pool = Some(pool);
     }
 
-    /// The failure that poisoned the log, if any — whichever thread hit it.
-    fn poison(&self) -> Option<String> {
-        self.pipeline.queue.lock().expect("sync queue lock").poisoned.clone()
-    }
-
-    /// Poison the log with `e` and hand it back for the caller to return.
-    fn poisoned_by(&self, e: StorageError) -> WalError {
-        self.pipeline.queue.lock().expect("sync queue lock").poisoned = Some(e.to_string());
-        e.into()
-    }
-
-    /// Append (and fsync) one mutation; returns its sequence number. The
-    /// record is durable — and the mutation may be acknowledged — only
-    /// when this returns `Ok`. Any backend failure poisons the log: later
-    /// appends fail fast until the log is re-opened, so acknowledged
-    /// history can never have holes.
-    pub fn append(&mut self, mutation: &Mutation) -> WalResult<u64> {
-        self.append_batch(std::slice::from_ref(mutation))
-    }
-
-    /// The frame kernel under both append ends: refuse a poisoned log,
-    /// encode the FIFO run as **one** record (a one-element run keeps the
-    /// plain framing), rotate if it would overflow the active segment,
-    /// append it, and account for it. With `sync_now` the covering fsync
-    /// runs here, between the append and the accounting, so a frame whose
-    /// fsync failed never counts as appended; otherwise the caller owes
-    /// the frame its covering fsync. All-or-nothing: any backend failure
-    /// poisons the log and nothing of the run may be acknowledged.
-    fn append_frame(&mut self, mutations: &[Mutation], sync_now: bool) -> WalResult<u64> {
-        assert!(!mutations.is_empty(), "a frame needs at least one mutation");
-        if let Some(detail) = self.poison() {
-            return Err(WalError::Poisoned { detail });
-        }
-        let first = self.next_seq;
-        let count = mutations.len() as u64;
-        let record = if count == 1 {
-            encode_record(first, &mutations[0])
-        } else {
-            encode_batch_record(first, mutations)
-        };
-        if self.active_bytes > 0
-            && self.active_bytes + record.len() as u64 > self.policy.segment_bytes
-        {
-            self.active = segment_name(first);
-            self.active_bytes = 0;
-            self.stats.rotations += 1;
-        }
-        if let Err(e) = self.backend.append(&self.active, &record) {
-            return Err(self.poisoned_by(e));
-        }
-        self.active_bytes += record.len() as u64;
-        if sync_now {
-            if let Err(e) = self.backend.sync(&self.active) {
-                // The bytes may or may not be durable; nothing was
-                // acknowledged. Poison so the in-memory state cannot run
-                // ahead of an uncertain log.
-                return Err(self.poisoned_by(e));
-            }
-            self.stats.syncs += 1;
-            self.stats.fsyncs_saved += count - 1;
-        }
-        self.next_seq = first + count;
-        self.since_snapshot += count;
-        self.stats.appends += count;
-        self.stats.records += 1;
-        let bucket = BATCH_SIZE_BOUNDS
-            .iter()
-            .position(|&bound| count <= bound)
-            .unwrap_or(BATCH_SIZE_BOUNDS.len());
-        self.stats.batch_size_counts[bucket] += 1;
-        self.stats.bytes_appended += record.len() as u64;
-        self.stats.last_seq = first + count - 1;
-        self.note_applied(mutations);
-        Ok(first)
-    }
-
-    /// Track which copy-on-write chunks the appended mutations dirty,
-    /// mirroring the id assignment the repository will make when they
-    /// apply.
-    fn note_applied(&mut self, mutations: &[Mutation]) {
-        for m in mutations {
-            let id = match m {
-                Mutation::InsertSpec { .. } => {
-                    let id = self.entry_count as u32;
-                    self.entry_count += 1;
-                    id
-                }
-                Mutation::AddExecution { spec, .. }
-                | Mutation::SetPolicy { spec, .. }
-                | Mutation::DeleteSpec { spec }
-                | Mutation::EditSpec { spec, .. } => spec.0,
-            };
-            self.dirty_chunks.insert(snapshot::chunk_of(id));
-        }
-    }
-
-    /// Append a FIFO run of mutations as **one** record and make it
-    /// durable with **one** fsync on this thread, whether or not a pool is
-    /// attached. Returns the run's first sequence number; the run covers
-    /// `first .. first + mutations.len()` and may be acknowledged once
-    /// this returns `Ok`.
-    pub fn append_batch(&mut self, mutations: &[Mutation]) -> WalResult<u64> {
-        self.append_frame(mutations, true)
-    }
-
-    /// [`Self::append_batch`] with the covering fsync left to the sync
-    /// job: the record is appended (and the in-memory apply may proceed)
-    /// immediately, while `on_durable` fires — exactly once — only after
-    /// the fsync covering this frame succeeds. Acknowledge on the
-    /// callback, never on return.
+    /// Append a FIFO run of mutations as **one** record and return its
+    /// first sequence number; the run covers `first .. first +
+    /// mutations.len()`. `on_durable` fires exactly once on every path, in
+    /// append order: `Ok` only after the fsync covering this frame
+    /// succeeded — acknowledge on the callback, never on return.
     ///
-    /// The callback fires **exactly once on every path**, so callers can
-    /// count completions: `Err` here means the frame is not in the log's
-    /// acknowledgeable history — fail the run inline, as with
-    /// `append_batch` — and the callback fires with a matching error
-    /// before this returns. `Ok` means the frame awaits its fsync; a later
-    /// fsync failure reaches the caller only through `on_durable(Err(_))`,
-    /// poisoning the log for subsequent appends.
-    ///
-    /// Without a pool the same fsync runs here, on the caller, and the
-    /// callback fires before this returns.
-    pub fn append_batch_pipelined(
+    /// `Ok` here means the record is in its segment (and the in-memory
+    /// apply may proceed); a later fsync failure reaches the caller only
+    /// through `on_durable(Err(_))`, poisoning the log for later appends.
+    /// `Err` means the frame is not in the log's acknowledgeable history —
+    /// fail the run inline — and its callback fails too. Without a pool the
+    /// fsync runs here, and the callback fires before this returns.
+    pub fn commit(
         &mut self,
         mutations: &[Mutation],
         on_durable: DurableCallback,
     ) -> WalResult<u64> {
-        let pool = self.pool.clone();
-        let first = match self.append_frame(mutations, pool.is_none()) {
-            Ok(first) => first,
-            Err(e) => {
-                let detail = match &e {
-                    WalError::Poisoned { detail } => detail.clone(),
-                    other => other.to_string(),
-                };
-                on_durable(Err(WalError::Poisoned { detail }));
-                return Err(e);
-            }
-        };
-        let Some(pool) = pool else {
-            on_durable(Ok(()));
-            return Ok(first);
-        };
-        let spawn = {
-            let mut q = self.pipeline.queue.lock().expect("sync queue lock");
-            if let Some(detail) = q.poisoned.clone() {
-                // The sync job failed while this frame was being appended:
-                // it is in the segment but will never be covered.
-                drop(q);
-                on_durable(Err(WalError::Poisoned { detail }));
-                return Ok(first);
-            }
-            if q.job_active {
-                self.pipeline.overlapped.fetch_add(1, Ordering::Relaxed);
-            }
-            let count = mutations.len() as u64;
-            q.pending.push_back(PendingFrame { segment: self.active.clone(), count, on_durable });
-            self.pipeline.depth_high_water.fetch_max(q.pending.len() as u64, Ordering::Relaxed);
-            !std::mem::replace(&mut q.job_active, true)
-        };
-        if spawn {
-            let backend = Arc::clone(&self.backend);
-            let shared = Arc::clone(&self.pipeline);
-            pool.exec(move || run_sync_job(backend, shared));
-        }
+        self.commit_on(self.pool.as_ref(), mutations, on_durable)
+    }
+
+    fn commit_on(
+        &self,
+        pool: Option<&Arc<WorkerPool>>,
+        mutations: &[Mutation],
+        on_durable: DurableCallback,
+    ) -> WalResult<u64> {
+        let first = self.shared.core.lock().next_seq();
+        let record = encode_frame(first, mutations);
+        let (appended, ran) =
+            self.shared.step(pool, |core| core.append(record, mutations, on_durable));
+        appended.and(ran).map(|()| first)
+    }
+
+    /// [`Self::commit`], then wait for the frame's verdict: returns the
+    /// run's first sequence number once the run is durable and may be
+    /// acknowledged, and `Err` when it is not (nothing of the run was
+    /// appended and acknowledged). The fsync runs on this thread unless
+    /// the pool's sync runner already has frames in flight.
+    pub fn append_batch(&mut self, mutations: &[Mutation]) -> WalResult<u64> {
+        let (verdict, done) = Ticket::pending(self.pool.clone());
+        let on_durable = Box::new(move |v: WalResult<()>| done.complete(v));
+        let first = self.commit_on(None, mutations, on_durable)?;
+        verdict.wait()?;
         Ok(first)
+    }
+
+    /// Help the pool with one job, or yield.
+    fn help_pool(&self) {
+        if !self.pool.as_ref().is_some_and(|pool| pool.help_one()) {
+            std::thread::yield_now();
+        }
     }
 
     /// Block until no frame awaits its covering fsync, helping the pool
     /// while waiting. Test/bench teardown and pre-snapshot barriers — the
     /// append path never waits.
     pub fn wait_for_pipeline(&self) {
-        loop {
-            {
-                let q = self.pipeline.queue.lock().expect("sync queue lock");
-                if q.pending.is_empty() && !q.job_active {
-                    return;
-                }
-            }
-            let helped = self.pool.as_ref().is_some_and(|pool| pool.help_one());
-            if !helped {
-                std::thread::yield_now();
-            }
+        while !self.shared.core.lock().pipeline_idle() {
+            self.help_pool();
         }
     }
 
     /// Whether the snapshot cadence says it is time to snapshot.
     pub fn snapshot_due(&self) -> bool {
-        self.policy.snapshot_every > 0 && self.since_snapshot >= self.policy.snapshot_every
+        self.shared.core.lock().snapshot_due()
     }
 
     /// The cadence snapshot of the post-acknowledge write path:
@@ -1226,7 +895,7 @@ impl DurableLog {
     }
 
     /// Start a copy-on-write snapshot if the cadence is due and no
-    /// snapshot job is still running (a busy job skips the cadence without
+    /// snapshot is in flight (a busy job skips the cadence without
     /// resetting it). `capture` receives the chunk plan over `entry_count`
     /// id slots (entry `c` is `Some(chunk_ref)` when chunk `c` is clean
     /// since the last snapshot and rides along by reference, `None` when
@@ -1251,116 +920,26 @@ impl DurableLog {
         entry_count: usize,
         capture: impl FnOnce(&[Option<ChunkRef>]) -> Option<CowImage>,
     ) -> bool {
-        if !self.snapshot_due() || self.bg.in_flight.load(Ordering::Acquire) {
-            return false;
-        }
-        if self.is_poisoned() {
-            self.stats.snapshot_failures += 1;
-            return false;
-        }
         let t = Instant::now();
-        let plan = self.snapshot_chunk_plan(entry_count);
-        let started = capture(&plan).is_some_and(|image| self.start_snapshot(image));
-        self.stats.snapshot_pause_us += t.elapsed().as_micros() as u64;
-        started
-    }
-
-    /// Harvest the outcome of a finished snapshot job: on success its
-    /// manifest becomes the clean baseline and the chunks it flushed stay
-    /// retired; on failure those chunks return to the dirty set so the
-    /// next snapshot re-flushes them. Call only while no job is in flight.
-    fn refresh_manifest(&mut self) {
-        let taken = self.bg.outcome.lock().expect("bg outcome lock").take();
-        match taken {
-            Some(Some(manifest)) => {
-                self.last_manifest = manifest;
-                self.in_flight_dirty.clear();
-            }
-            Some(None) => {
-                let failed = std::mem::take(&mut self.in_flight_dirty);
-                self.dirty_chunks.extend(failed);
-            }
-            None => {}
-        }
-    }
-
-    /// Which chunks the next snapshot may reuse: entry `c` is
-    /// `Some(chunk_ref)` when chunk `c` is clean since the last snapshot
-    /// (same entry population, no dirtying mutation), `None` when it must
-    /// be re-serialized. `entry_count` is the acknowledged entry total
-    /// the image will carry.
-    fn snapshot_chunk_plan(&mut self, entry_count: usize) -> Vec<Option<ChunkRef>> {
-        self.refresh_manifest();
-        let chunks = entry_count.div_ceil(CHUNK_SPECS);
-        (0..chunks)
-            .map(|c| {
-                let lo = c * CHUNK_SPECS;
-                let hi = entry_count.min(lo + CHUNK_SPECS);
-                match self.last_manifest.get(c) {
-                    Some(r)
-                        if !self.dirty_chunks.contains(&(c as u32))
-                            && r.entries == (hi - lo) as u32 =>
-                    {
-                        Some(*r)
-                    }
-                    _ => None,
-                }
-            })
-            .collect()
-    }
-
-    /// Hand the frozen `image` to the snapshot job ([`run_snapshot_job`]).
-    /// The active segment is rotated *first*, so every segment that exists
-    /// when the job starts holds only records ≤ the snapshot's covering
-    /// sequence; with a pool the WAL keeps accepting appends meanwhile —
-    /// into the rotation-fresh segment and, when the size cadence rotates
-    /// again mid-flight, later ones — all of which start past the covering
-    /// sequence and survive the job's prune. One job at a time.
-    fn start_snapshot(&mut self, image: CowImage) -> bool {
-        if self.bg.in_flight.swap(true, Ordering::AcqRel) {
-            return false;
-        }
-        let through = self.next_seq - 1;
-        self.rotate_past(through);
-        self.since_snapshot = 0;
-        // Hand the dirty set to the job: retired on success, returned to
-        // the dirty set on failure (see `refresh_manifest`).
-        self.in_flight_dirty = std::mem::take(&mut self.dirty_chunks).into_iter().collect();
-        let Some(pool) = &self.pool else {
-            return run_snapshot_job(&*self.backend, &self.bg, through, &image);
-        };
-        let (backend, bg) = (Arc::clone(&self.backend), Arc::clone(&self.bg));
-        pool.exec(move || {
-            run_snapshot_job(&*backend, &bg, through, &image);
+        let Some(plan) = self.shared.core.lock().snapshot_plan(entry_count) else { return false };
+        let started = capture(&plan).is_some_and(|image| {
+            let pool = self.pool.as_ref();
+            self.shared.step(pool, |core| core.start_snapshot(image)).1.is_ok()
         });
-        true
-    }
-
-    /// Continue appending in the segment that starts right after
-    /// `through` (lazily — the file appears on the next append), leaving
-    /// every existing segment wholly ≤ `through`.
-    fn rotate_past(&mut self, through: u64) {
-        let fresh = segment_name(through + 1);
-        if self.active != fresh {
-            self.active = fresh;
-            self.active_bytes = 0;
-            self.stats.rotations += 1;
-        }
+        self.shared.core.lock().snapshot_paused(t.elapsed().as_micros() as u64);
+        started
     }
 
     /// Whether a snapshot job is currently running.
     pub fn background_snapshot_in_flight(&self) -> bool {
-        self.bg.in_flight.load(Ordering::Acquire)
+        self.shared.core.lock().snapshot_in_flight()
     }
 
     /// Block until no snapshot job is in flight, helping the pool while
     /// waiting. Test/bench teardown — the write path never waits.
     pub fn wait_for_background_snapshot(&self) {
         while self.background_snapshot_in_flight() {
-            let helped = self.pool.as_ref().is_some_and(|pool| pool.help_one());
-            if !helped {
-                std::thread::yield_now();
-            }
+            self.help_pool();
         }
     }
 
@@ -1370,50 +949,32 @@ impl DurableLog {
     /// appends continue into a fresh segment. This is the *baseline*
     /// writer (one atomic write for a pre-loaded corpus the log has no
     /// records of) and the manual checkpoint; cadence snapshots are
-    /// copy-on-write ([`Self::snapshot_if_due`]). `repo` must be the state
-    /// produced by exactly the appended history (the caller owns that
-    /// invariant; [`DurableLog::open`]'s repository plus every `Ok` append
-    /// maintains it).
+    /// copy-on-write ([`Self::snapshot_if_due`]). A snapshot job in flight
+    /// is waited out first. `repo` must be the state produced by exactly
+    /// the appended history (the caller owns that invariant;
+    /// [`DurableLog::open`]'s repository plus every `Ok` append maintains
+    /// it).
     pub fn snapshot_now(&mut self, repo: &Repository) -> WalResult<()> {
-        if let Some(detail) = self.poison() {
-            return Err(WalError::Poisoned { detail });
-        }
-        let through = self.next_seq - 1;
-        let bytes = snapshot::write(&*self.backend, through, repo)?;
-        self.stats.snapshots += 1;
-        self.stats.snapshot_seq = through;
-        self.stats.snapshot_bytes_written += bytes;
-        self.since_snapshot = 0;
-        // A whole-image snapshot resets the copy-on-write baseline: every
-        // chunk is now clean relative to *no* manifest, so the next
-        // chunked snapshot rewrites them all.
-        self.entry_count = repo.len() as u64;
-        self.dirty_chunks.clear();
-        self.last_manifest.clear();
-        // No manifest references any chunk now: every chunk file goes too.
-        self.stats.segments_pruned += prune_covered(&*self.backend, through, &HashSet::new());
-        self.rotate_past(through);
-        Ok(())
+        let entries = repo.len() as u64;
+        let through = loop {
+            let started = self.shared.core.lock().start_whole_snapshot(entries)?;
+            match started {
+                Some(through) => break through,
+                None => self.help_pool(),
+            }
+        };
+        let written = snapshot::write(&*self.shared.backend, through, repo);
+        let wrote = written
+            .as_ref()
+            .ok()
+            .map(|&bytes_written| ChunkedWrite { bytes_written, ..ChunkedWrite::default() });
+        let _ = self.shared.step(None, |core| core.snapshot_done(through, wrote, 0));
+        written.map(drop)
     }
 
-    /// Lifetime counters, with the sync and snapshot jobs' merged in.
+    /// Lifetime counters.
     pub fn stats(&self) -> DurabilityStats {
-        let mut stats = self.stats;
-        let bg_done = self.bg.completed.load(Ordering::Relaxed);
-        stats.snapshots += bg_done;
-        stats.background_snapshots = bg_done;
-        stats.snapshot_failures += self.bg.failed.load(Ordering::Relaxed);
-        stats.segments_pruned += self.bg.pruned.load(Ordering::Relaxed);
-        stats.snapshot_background_us = self.bg.busy_us.load(Ordering::Relaxed);
-        stats.snapshot_seq = stats.snapshot_seq.max(self.bg.snapshot_seq.load(Ordering::Relaxed));
-        stats.snapshot_chunks_written += self.bg.chunks_written.load(Ordering::Relaxed);
-        stats.snapshot_chunks_reused += self.bg.chunks_reused.load(Ordering::Relaxed);
-        stats.snapshot_bytes_written += self.bg.bytes_written.load(Ordering::Relaxed);
-        stats.syncs += self.pipeline.syncs.load(Ordering::Relaxed);
-        stats.fsyncs_saved += self.pipeline.fsyncs_saved.load(Ordering::Relaxed);
-        stats.overlapped_fsyncs = self.pipeline.overlapped.load(Ordering::Relaxed);
-        stats.pipeline_depth_high_water = self.pipeline.depth_high_water.load(Ordering::Relaxed);
-        stats
+        self.shared.core.lock().stats()
     }
 
     /// The durability knobs this log runs under.
@@ -1423,32 +984,29 @@ impl DurableLog {
 
     /// Sequence number the next append will get.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.shared.core.lock().next_seq()
     }
 
     /// Whether the log has any durable history (snapshot or records).
     pub fn is_empty(&self) -> bool {
-        self.next_seq == 1 && self.stats.snapshot_seq == 0 && self.active_bytes == 0
+        self.shared.core.lock().is_empty()
     }
 
-    /// Whether an earlier failure — on this thread or on the sync job —
+    /// Whether an earlier failure — on this thread or on the sync runner —
     /// poisoned the log (appends fail fast, snapshots are refused).
     pub fn is_poisoned(&self) -> bool {
-        self.poison().is_some()
-    }
-
-    /// The backend this log appends to.
-    pub fn backend(&self) -> &Arc<dyn StorageBackend> {
-        &self.backend
+        self.shared.core.lock().refusal().is_err()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::CHUNK_SPECS;
     use crate::storage::{FaultPlan, MemStorage};
     use ppwf_core::policy::Policy;
     use ppwf_model::fixtures;
+    use std::sync::mpsc;
 
     fn insert() -> Mutation {
         let (spec, _) = fixtures::disease_susceptibility();
@@ -1466,7 +1024,7 @@ mod tests {
     fn drive(log: &mut DurableLog, repo: &mut Repository, mutations: Vec<Mutation>) {
         for m in mutations {
             repo.check(&m).unwrap();
-            log.append(&m).unwrap();
+            log.append_batch(std::slice::from_ref(&m)).unwrap();
             repo.apply(m).unwrap();
             log.snapshot_if_due(repo);
         }
@@ -1616,13 +1174,16 @@ mod tests {
         )
         .unwrap();
         let mut log = opened.log;
-        assert!(log.append(&insert()).is_err(), "fsync failure must not acknowledge");
+        assert!(log.append_batch(&[insert()]).is_err(), "fsync failure must not acknowledge");
         assert!(log.is_poisoned());
-        match log.append(&insert()) {
+        match log.append_batch(&[insert()]) {
             Err(WalError::Poisoned { .. }) => {}
             other => panic!("expected Poisoned, got {other:?}"),
         }
-        assert_eq!(log.stats().appends, 0);
+        // The first frame reached its segment; no fsync ever covered it,
+        // and the refused second one was never appended.
+        let stats = log.stats();
+        assert_eq!((stats.appends, stats.syncs, stats.last_seq), (1, 0, 1));
     }
 
     #[test]
@@ -1657,7 +1218,7 @@ mod tests {
         let mut repo = opened.repository;
         // One singleton append first: the batch must continue its sequence.
         repo.check(&insert()).unwrap();
-        log.append(&insert()).unwrap();
+        log.append_batch(&[insert()]).unwrap();
         repo.apply(insert()).unwrap();
         let batch = vec![insert(), exec_for(&repo, SpecId(0)), insert()];
         for m in &batch {
@@ -1722,7 +1283,7 @@ mod tests {
         log.set_pool(Arc::new(WorkerPool::new(1)));
         for m in [insert(), insert(), insert(), insert(), insert()] {
             repo.check(&m).unwrap();
-            log.append(&m).unwrap();
+            log.append_batch(std::slice::from_ref(&m)).unwrap();
             repo.apply(m).unwrap();
             log.snapshot_if_due(&repo);
             // Serialize with the job so every cadence point fires (the
@@ -1747,7 +1308,7 @@ mod tests {
         let sink = Arc::clone(&acked);
         let make = move || {
             let sink = Arc::clone(&sink);
-            Box::new(move |r: WalResult<()>| sink.lock().unwrap().push(r)) as DurableCallback
+            Box::new(move |r: WalResult<()>| sink.lock().push(r)) as DurableCallback
         };
         (acked, make)
     }
@@ -1766,24 +1327,19 @@ mod tests {
         log.set_pool(Arc::clone(&pool));
         // Plug the single pool thread so every frame queues behind one
         // in-flight "fsync": the appends below all overlap it.
-        let gate = Arc::new(AtomicBool::new(false));
-        let plug = Arc::clone(&gate);
-        pool.exec(move || {
-            while !plug.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        });
+        let (open_gate, gate) = mpsc::channel::<()>();
+        pool.exec(move || gate.recv().unwrap());
         let (acked, make) = acked_sink();
         for _ in 0..4 {
             let m = insert();
             repo.check(&m).unwrap();
-            log.append_batch_pipelined(std::slice::from_ref(&m), make()).unwrap();
+            log.commit(std::slice::from_ref(&m), make()).unwrap();
             repo.apply(m).unwrap();
         }
-        assert!(acked.lock().unwrap().is_empty(), "nothing acknowledged before the fsync");
-        gate.store(true, Ordering::Release);
+        assert!(acked.lock().is_empty(), "nothing acknowledged before the fsync");
+        open_gate.send(()).unwrap();
         log.wait_for_pipeline();
-        let outcomes = acked.lock().unwrap();
+        let outcomes = acked.lock();
         assert_eq!(outcomes.len(), 4, "every frame acknowledged exactly once");
         assert!(outcomes.iter().all(|r| r.is_ok()));
         drop(outcomes);
@@ -1809,26 +1365,21 @@ mod tests {
         let mut log = opened.log;
         let pool = Arc::new(WorkerPool::new(1));
         log.set_pool(Arc::clone(&pool));
-        let gate = Arc::new(AtomicBool::new(false));
-        let plug = Arc::clone(&gate);
-        pool.exec(move || {
-            while !plug.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        });
+        let (open_gate, gate) = mpsc::channel::<()>();
+        pool.exec(move || gate.recv().unwrap());
         let (acked, make) = acked_sink();
         for _ in 0..3 {
-            log.append_batch_pipelined(&[insert()], make()).unwrap();
+            log.commit(&[insert()], make()).unwrap();
         }
-        gate.store(true, Ordering::Release);
+        open_gate.send(()).unwrap();
         log.wait_for_pipeline();
-        let outcomes = acked.lock().unwrap();
+        let outcomes = acked.lock();
         assert_eq!(outcomes.len(), 3, "failed frames still complete their callbacks");
         assert!(outcomes.iter().all(|r| r.is_err()), "no frame may acknowledge");
         assert!(matches!(outcomes[0], Err(WalError::Storage(_))));
         assert!(matches!(outcomes[1], Err(WalError::Poisoned { .. })));
         drop(outcomes);
-        match log.append_batch_pipelined(&[insert()], Box::new(|_| {})) {
+        match log.commit(&[insert()], Box::new(|_| {})) {
             Err(WalError::Poisoned { .. }) => {}
             other => panic!("expected Poisoned, got {other:?}"),
         }
@@ -1856,10 +1407,10 @@ mod tests {
         let (acked, make) = acked_sink();
         let m = insert();
         repo.check(&m).unwrap();
-        log.append_batch_pipelined(std::slice::from_ref(&m), make()).unwrap();
+        log.commit(std::slice::from_ref(&m), make()).unwrap();
         repo.apply(m).unwrap();
         log.wait_for_pipeline();
-        assert!(acked.lock().unwrap()[0].is_err(), "the failed fsync must not acknowledge");
+        assert!(acked.lock()[0].is_err(), "the failed fsync must not acknowledge");
         assert!(log.is_poisoned(), "poison is visible without a further append");
         assert!(log.snapshot_due());
         assert!(!log.snapshot_if_due(&repo), "a poisoned log refuses its cadence snapshot");
@@ -1885,12 +1436,12 @@ mod tests {
         for m in &batch {
             repo.check(m).unwrap();
         }
-        log.append_batch_pipelined(&batch, make()).unwrap();
+        log.commit(&batch, make()).unwrap();
         for m in batch {
             repo.apply(m).unwrap();
         }
-        assert_eq!(acked.lock().unwrap().len(), 1, "callback fired before return");
-        assert!(acked.lock().unwrap()[0].is_ok());
+        assert_eq!(acked.lock().len(), 1, "callback fired before return");
+        assert!(acked.lock()[0].is_ok());
         let stats = log.stats();
         assert_eq!(stats.syncs, 1, "the covering fsync ran inline");
         assert_eq!(stats.fsyncs_saved, 1);
@@ -1950,7 +1501,7 @@ mod tests {
         for _ in 0..(CHUNK_SPECS + 4) {
             let m = insert();
             repo.check(&m).unwrap();
-            log.append(&m).unwrap();
+            log.append_batch(std::slice::from_ref(&m)).unwrap();
             repo.apply(m).unwrap();
             log.snapshot_if_due(&repo);
             log.wait_for_background_snapshot();
@@ -1977,6 +1528,26 @@ mod tests {
         assert_eq!(rstats.snapshot_seq, (CHUNK_SPECS + 4) as u64);
         assert_eq!(recovered.save(), repo.save(), "chunked snapshot replay bit-identical");
         assert_eq!(recovered.version(), repo.version());
+    }
+
+    #[test]
+    fn a_covered_segment_a_prune_left_behind_does_not_break_recovery() {
+        let storage = Arc::new(MemStorage::new());
+        let policy =
+            DurabilityPolicy { snapshot_every: 6, segment_bytes: 1500, ..Default::default() };
+        let opened =
+            DurableLog::open(Arc::clone(&storage) as Arc<dyn StorageBackend>, policy).unwrap();
+        let (mut log, mut repo) = (opened.log, opened.repository);
+        drive(&mut log, &mut repo, vec![insert()]);
+        let first = storage.read(&segment_name(1)).unwrap().unwrap();
+        drive(&mut log, &mut repo, (0..7).map(|_| insert()).collect());
+        assert!(log.stats().segments_pruned >= 2, "the snapshot at 6 pruned wal-1 and more");
+        // The removal of the first segment failed: it survives the prune,
+        // and the segments after it up to the snapshot are gone.
+        storage.append(&segment_name(1), &first).unwrap();
+        let (recovered, stats) = Repository::recover(&*storage).unwrap();
+        assert_eq!((stats.snapshot_seq, stats.last_seq), (6, 8));
+        assert_eq!(recovered.save(), repo.save());
     }
 
     #[test]

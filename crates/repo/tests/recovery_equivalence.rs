@@ -119,7 +119,7 @@ fn drive(
                 acked_cb.fetch_add(len, Ordering::SeqCst);
             }
         });
-        if log.append_batch_pipelined(run, on_durable).is_err() {
+        if log.commit(run, on_durable).is_err() {
             break;
         }
         for mutation in run {
@@ -464,7 +464,7 @@ fn log_reopens_and_extends_after_a_torn_tail() {
     let mut repo = opened.repository;
     for mutation in &stream[3..] {
         repo.check(mutation).unwrap();
-        log.append(mutation).unwrap();
+        log.append_batch(std::slice::from_ref(mutation)).unwrap();
         repo.apply(mutation.clone()).unwrap();
         log.snapshot_if_due(&repo);
     }
