@@ -136,12 +136,6 @@ impl Execution {
         &self.graph
     }
 
-    /// Mutable access to the execution DAG (used by privacy enforcement to
-    /// mask values in place; the shape must not be changed).
-    pub fn graph_mut(&mut self) -> &mut DiGraph<ExecNode, ExecEdge> {
-        &mut self.graph
-    }
-
     /// The unique start node.
     pub fn input(&self) -> NodeId {
         self.input

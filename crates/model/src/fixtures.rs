@@ -22,7 +22,7 @@
 //!   structural-privacy discussion in Sec. 3 (the hidden `M13 → M11` edge,
 //!   and the false `M10 → M14` path introduced by clustering `{M11, M13}`).
 
-use crate::exec::{Execution, Executor, HashOracle, Oracle, Schedule};
+use crate::exec::{Execution, Executor, HashOracle, Schedule};
 use crate::ids::ModuleId;
 use crate::spec::{SpecBuilder, Specification};
 
@@ -174,15 +174,6 @@ pub fn disease_susceptibility_execution(spec: &Specification) -> Execution {
     Executor::with_schedule(spec, paper_schedule(&m))
         .run(&mut HashOracle)
         .expect("paper fixture executes")
-}
-
-/// Execute the Fig. 1 specification with a caller-provided oracle.
-pub fn disease_susceptibility_execution_with(
-    spec: &Specification,
-    oracle: &mut dyn Oracle,
-) -> Execution {
-    let m = handles(spec);
-    Executor::with_schedule(spec, paper_schedule(&m)).run(oracle).expect("paper fixture executes")
 }
 
 /// Recover the module handles from a (possibly decoded) fixture spec by code.

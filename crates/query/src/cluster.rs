@@ -340,8 +340,10 @@ impl EngineCluster {
     /// log's cadence; the log's sync and snapshot jobs run on the cluster's
     /// pool. If the log is empty while the cluster already holds specs, the
     /// corpus's version is re-stamped to the log's sequence
-    /// ([`Repository::set_version`]) and a baseline snapshot is written
-    /// first, so recovery always has a base covering the pre-log history.
+    /// ([`Repository::set_version`]) and a baseline checkpoint
+    /// ([`DurableLog::snapshot_now`]: every slot as one run, one chunk file
+    /// plus its manifest) is written first, on this thread, so recovery
+    /// always has a base covering the pre-log history.
     /// From then on the repository's version is the log's last appended
     /// sequence number, which is what its cadence snapshots are stamped
     /// with.
@@ -409,11 +411,6 @@ impl EngineCluster {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Number of specification ids assigned, deleted ones included.
-    pub fn spec_count(&self) -> usize {
-        self.repo.len()
     }
 
     /// The shards, in shard order (read-only; writes go through
@@ -959,7 +956,6 @@ mod tests {
             .inserted_id()
             .expect("insert returns id");
         assert_eq!(id, SpecId(3), "global ids are dense");
-        assert_eq!(c.spec_count(), 4);
         assert_eq!(
             c.search_as("researchers", "risk").unwrap().len(),
             4,

@@ -309,25 +309,6 @@ pub(crate) fn search_in<A: SpecAccess + ?Sized>(
 /// Scan-backed search (no index): tokenizes every module of every spec per
 /// query — the baseline plan of experiment E5.
 pub fn search_scan(repo: &Repository, query: &KeywordQuery) -> Vec<KeywordHit> {
-    search_scan_inner(repo, query, None)
-}
-
-/// [`search_scan`] with answer views fetched through `views`; the scan
-/// still tokenizes everything (that is the baseline being measured), but
-/// repeated queries stop paying view construction.
-pub fn search_scan_with_cache(
-    repo: &Repository,
-    query: &KeywordQuery,
-    views: &ViewCache,
-) -> Vec<KeywordHit> {
-    search_scan_inner(repo, query, Some(views))
-}
-
-fn search_scan_inner(
-    repo: &Repository,
-    query: &KeywordQuery,
-    views: Option<&ViewCache>,
-) -> Vec<KeywordHit> {
     if query.terms.is_empty() {
         return Vec::new();
     }
@@ -359,7 +340,7 @@ fn search_scan_inner(
             })
             .collect();
         let (prefix, matched) = minimal_cover(entry, &query.terms, &candidates)?;
-        let view = build_view(repo, views, sid, &prefix)?;
+        let view = build_view(repo, None, sid, &prefix)?;
         Some(KeywordHit { spec: sid, prefix, view, matched })
     };
     repo.entries().filter_map(hit).collect()

@@ -294,7 +294,7 @@ fn group_commit_crash_acks_a_whole_batch_prefix() {
 fn background_snapshots_prune_off_thread_and_recover() {
     let (wal, stats, _) = serve_fault_free(&mutation_stream(24, 0xFEED), 4);
     assert!(wal.background_snapshots >= 2, "cadence 4 over 24 writes: {wal:?}");
-    assert_eq!(wal.snapshots, wal.background_snapshots, "no whole-image snapshot may sneak in");
+    assert_eq!(wal.snapshots, wal.background_snapshots, "no checkpoint may sneak in");
     assert!(wal.segments_pruned >= 1, "snapshot jobs prune covered segments");
     assert!(wal.records < wal.appends, "queued writes must have shared records: {wal:?}");
     assert!(stats.snapshot_seq > 0, "recovery must start from a chunked snapshot");

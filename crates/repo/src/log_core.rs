@@ -41,12 +41,16 @@
 //! unknown state. Re-open (recover) to resume.
 //!
 //! **Snapshots.** A cadence snapshot is due every `snapshot_every` written
-//! mutations. One snapshot runs at a time, cadence or whole-image alike.
-//! Starting one rotates appends past its covering sequence `through` — so
-//! every segment that exists then holds only records ≤ `through` — and
-//! hands the chunks dirtied since the last snapshot to it: a success
-//! retires them and makes its manifest the clean baseline, a failure
-//! returns them to the dirty set.
+//! mutations; a checkpoint is asked for by the executor. Both start with
+//! [`LogCore::start_snapshot`], run as the same snapshot job and finish
+//! with [`LogCore::snapshot_done`], and one snapshot runs at a time. A
+//! cadence snapshot writes the chunks its plan asks for and carries the
+//! clean ones by reference; a checkpoint writes every slot as one run and
+//! re-seeds the entry count. Starting one rotates appends past its
+//! covering sequence `through` — so every segment that exists then holds
+//! only records ≤ `through` — and hands the chunks dirtied since the last
+//! snapshot to it: a success retires them and makes its manifest the clean
+//! baseline, a failure returns them to the dirty set.
 //!
 //! **Prune.** A successful snapshot hands out [`Action::Prune`]; what it
 //! removes is [`superseded`]: segments whose first sequence is ≤ `through`,
@@ -150,8 +154,8 @@ struct InFlight {
     through: u64,
     /// The dirty chunks handed to it.
     chunks: BTreeSet<u32>,
-    /// A whole-image checkpoint, with the entry count it carries.
-    whole: Option<u64>,
+    /// A cadence snapshot (counted as a background one), not a checkpoint.
+    cadence: bool,
 }
 
 /// Where recovery left the log.
@@ -164,7 +168,7 @@ pub(crate) struct Recovered {
     pub(crate) entry_count: u64,
     /// Chunks the replayed suffix dirtied, relative to `manifest`.
     pub(crate) dirty: BTreeSet<u32>,
-    /// The loaded snapshot's chunk manifest (empty: none, or whole-image).
+    /// The loaded snapshot's chunk manifest (empty: none, or a v1 file).
     pub(crate) manifest: Vec<ChunkRef>,
 }
 
@@ -342,10 +346,15 @@ impl<C, I> LogCore<C, I> {
 
     /// The chunk plan for a cadence snapshot of `entry_count` entries, when
     /// one is due and none is in flight: entry `c` is `Some(chunk_ref)` when
-    /// chunk `c` is clean since the last snapshot (same entry population,
-    /// no dirtying mutation) and rides along by reference, `None` when it
-    /// must be captured. A poisoned log refuses the cadence and counts it
-    /// failed.
+    /// chunk `c` is clean since the last snapshot and rides along by
+    /// reference, `None` when it must be captured. A poisoned log refuses
+    /// the cadence and counts it failed.
+    ///
+    /// Clean is not enough: the last manifest's ref `c` is reused only when
+    /// its run holds exactly chunk `c`'s slot count. A checkpoint's manifest
+    /// is one run of every slot, and a store re-opened over one seeds the
+    /// same manifest; past [`CHUNK_SPECS`] slots that run is not chunk 0,
+    /// and reusing it as chunk 0 would load every slot twice over.
     pub(crate) fn snapshot_plan(&mut self, entry_count: usize) -> Option<Vec<Option<ChunkRef>>> {
         if !self.snapshot_due() || self.in_flight.is_some() {
             return None;
@@ -362,30 +371,25 @@ impl<C, I> LogCore<C, I> {
         Some(plan.collect())
     }
 
-    /// Event: the cadence snapshot whose plan was just handed out was
-    /// captured as `image`. Hands out its `Snapshot`.
-    pub(crate) fn start_snapshot(&mut self, image: I) {
-        if self.in_flight.is_none() {
-            let through = self.begin_snapshot(None);
-            self.actions.push_back(Action::Snapshot { through, image });
-        }
-    }
-
-    /// Event: a whole-image checkpoint of `entry_count` entries is to be
-    /// written now. Returns its covering sequence, `None` while another
-    /// snapshot is in flight, or an error on a poisoned log.
-    pub(crate) fn start_whole_snapshot(&mut self, entry_count: u64) -> WalResult<Option<u64>> {
+    /// Event: a snapshot was captured as `image` — the cadence snapshot
+    /// whose plan was just handed out (`checkpoint` is `None`), or a
+    /// checkpoint holding every one of `Some(entry_count)` slots as one
+    /// run, which re-seeds the entry count. Hands out its `Snapshot` and
+    /// returns `Ok(true)`; `Ok(false)` starts nothing while another
+    /// snapshot is in flight, and a poisoned log refuses.
+    pub(crate) fn start_snapshot(&mut self, image: I, checkpoint: Option<u64>) -> WalResult<bool> {
         self.refusal()?;
-        Ok(self.in_flight.is_none().then(|| self.begin_snapshot(Some(entry_count))))
-    }
-
-    fn begin_snapshot(&mut self, whole: Option<u64>) -> u64 {
+        if self.in_flight.is_some() {
+            return Ok(false);
+        }
         let through = self.next_seq - 1;
         self.rotate_to(through + 1);
         self.since_snapshot = 0;
+        self.entry_count = checkpoint.unwrap_or(self.entry_count);
         let chunks = std::mem::take(&mut self.dirty);
-        self.in_flight = Some(InFlight { through, chunks, whole });
-        through
+        self.in_flight = Some(InFlight { through, chunks, cadence: checkpoint.is_none() });
+        self.actions.push_back(Action::Snapshot { through, image });
+        Ok(true)
     }
 
     /// Continue appending in the segment that starts at `first`.
@@ -398,14 +402,14 @@ impl<C, I> LogCore<C, I> {
     }
 
     /// Event: the snapshot covering `through` finished: `Some` with what it
-    /// wrote (a whole-image one with an empty manifest), `None` on failure;
-    /// its job was busy `us`. A successful snapshot stays in flight until
-    /// its prune is reported, so nothing waits, snapshots or recovers past
-    /// a prune still removing files.
+    /// wrote, `None` on failure; its job was busy `us` (counted for a
+    /// cadence snapshot). A successful snapshot stays in flight until its
+    /// prune is reported, so nothing waits, snapshots or recovers past a
+    /// prune still removing files.
     pub(crate) fn snapshot_done(&mut self, through: u64, wrote: Option<ChunkedWrite>, us: u64) {
         let Some(job) = self.in_flight.take_if(|job| job.through == through) else { return };
         let stats = &mut self.stats;
-        stats.snapshot_background_us += us;
+        stats.snapshot_background_us += job.cadence as u64 * us;
         let Some(wrote) = wrote else {
             self.dirty.extend(job.chunks);
             stats.snapshot_failures += 1;
@@ -416,10 +420,7 @@ impl<C, I> LogCore<C, I> {
         stats.snapshot_chunks_written += wrote.chunks_written;
         stats.snapshot_chunks_reused += wrote.chunks_reused;
         stats.snapshot_bytes_written += wrote.bytes_written;
-        match job.whole {
-            Some(entries) => self.entry_count = entries,
-            None => stats.background_snapshots += 1,
-        }
+        stats.background_snapshots += job.cadence as u64;
         let referenced = wrote.manifest.iter().map(|r| r.hash).collect();
         self.manifest = wrote.manifest;
         self.actions.push_back(Action::Prune { through, referenced });
@@ -488,10 +489,13 @@ mod tests {
     //! of every event the executor raises — appends of one to three
     //! mutations (inserts and writes to existing specs) with random record
     //! sizes, write verdicts, the sync runner's `sync_start` and its
-    //! verdicts, cadence and whole-image snapshots and their verdicts — and
+    //! verdicts, cadence snapshots and checkpoints and their verdicts — and
     //! drains the actions after each event, as the executor does. Writes
-    //! and syncs may fail. The model keeps its own sequence numbers,
-    //! segments, dirty chunks, manifest and directory listing, and checks:
+    //! and syncs may fail. A checkpoint is one run of more than
+    //! [`CHUNK_SPECS`] slots (the corpus starts at 40), sometimes of slots
+    //! the log has no record of, as a baseline is. The model keeps its own
+    //! sequence numbers, segments, dirty chunks, manifest, the slot run each
+    //! chunk hash holds and directory listing, and checks:
     //!
     //! * each `Write` goes to the segment the model rotated to, and a sync
     //!   takes exactly the written frames of one segment at the front of
@@ -507,10 +511,13 @@ mod tests {
     //!   snapshot's `through`;
     //! * every chunk plan equals the model's: a chunk rides along by
     //!   reference only when it is clean, so a failed snapshot must have
-    //!   re-dirtied its chunks.
+    //!   re-dirtied its chunks;
+    //! * a ref a plan reuses as chunk `c` holds exactly chunk `c`'s slots,
+    //!   so a checkpoint's one run never stands in for chunk 0.
     //!
     //! At the end the model drains the core and checks that every frame
-    //! got exactly one verdict.
+    //! got exactly one verdict, and that the snapshot counters split
+    //! cadence snapshots from checkpoints.
 
     use super::*;
     use crate::repository::SpecId;
@@ -574,9 +581,14 @@ mod tests {
         entry_count: u64,
         dirty: BTreeSet<u32>,
         manifest: Vec<ChunkRef>,
+        /// The slots each chunk hash holds: first id and count.
+        runs: BTreeMap<u64, (u64, u32)>,
         next_hash: u64,
-        /// The cadence snapshot in flight: through, its chunks, its plan.
-        job: Option<(u64, BTreeSet<u32>, Vec<Option<ChunkRef>>)>,
+        /// The snapshot in flight: through, its chunks, the manifest it
+        /// writes, and whether it is a cadence snapshot.
+        job: Option<(u64, BTreeSet<u32>, Vec<ChunkRef>, bool)>,
+        /// Successful snapshots, and the cadence ones among them.
+        snapshots: (u64, u64),
         /// What the latest successful snapshot covers.
         covered: u64,
         /// The stored files; a segment with the frames written into it.
@@ -590,6 +602,7 @@ mod tests {
             let manifest: Vec<ChunkRef> = (0..3)
                 .map(|c| ChunkRef { hash: c, entries: if c < 2 { 16 } else { 8 }, bytes: 1 })
                 .collect();
+            let runs = manifest.iter().map(|r| (r.hash, (r.hash * 16, r.entries))).collect();
             let recovered = Recovered {
                 last_seq: 0,
                 snapshot_seq: 0,
@@ -614,8 +627,10 @@ mod tests {
                 entry_count: ENTRIES,
                 dirty: BTreeSet::new(),
                 manifest,
+                runs,
                 next_hash: 3,
                 job: None,
+                snapshots: (0, 0),
                 covered: 0,
                 files: BTreeMap::new(),
                 syncs: 0,
@@ -795,25 +810,49 @@ mod tests {
             Ok(())
         }
 
+        /// Slots of chunk `c` over the current entry count.
+        fn chunk_len(&self, c: usize) -> u32 {
+            (self.entry_count as usize - c * CHUNK_SPECS).min(CHUNK_SPECS) as u32
+        }
+
         fn plan(&self) -> Vec<Option<ChunkRef>> {
             let chunks = (self.entry_count as usize).div_ceil(CHUNK_SPECS);
             (0..chunks)
                 .map(|c| {
-                    let entries = (self.entry_count as usize - c * CHUNK_SPECS).min(CHUNK_SPECS);
                     let reuse = self.manifest.get(c).copied();
                     reuse.filter(|r| {
-                        !self.dirty.contains(&(c as u32)) && r.entries as usize == entries
+                        !self.dirty.contains(&(c as u32)) && r.entries == self.chunk_len(c)
                     })
                 })
                 .collect()
         }
 
-        /// Start appends past `through` and hand the dirty chunks over.
-        fn begin(&mut self) -> (u64, BTreeSet<u32>) {
+        /// A new chunk holding `entries` slots from id `first`.
+        fn fresh(&mut self, first: u64, entries: u32) -> ChunkRef {
+            self.next_hash += 1;
+            self.runs.insert(self.next_hash, (first, entries));
+            ChunkRef { hash: self.next_hash, entries, bytes: 1 }
+        }
+
+        /// Take the core's hand-out of the snapshot just started, which
+        /// writes `manifest` on success.
+        fn begin(
+            &mut self,
+            image: u32,
+            manifest: Vec<ChunkRef>,
+            cadence: bool,
+        ) -> Result<(), TestCaseError> {
             let through = self.next_seq - 1;
             self.rotate_to(through + 1);
             self.since_snapshot = 0;
-            (through, std::mem::take(&mut self.dirty))
+            let chunks = std::mem::take(&mut self.dirty);
+            let acts = self.actions()?;
+            prop_assert!(
+                matches!(acts.as_slice(), [Action::Snapshot { through: t, image: i }] if *t == through && *i == image),
+                "the started snapshot must be handed out"
+            );
+            self.job = Some((through, chunks, manifest, cadence));
+            Ok(())
         }
 
         fn cadence(&mut self, pick: u32) -> Result<(), TestCaseError> {
@@ -830,39 +869,67 @@ mod tests {
             if pick.is_multiple_of(8) {
                 return Ok(()); // the capture gave the cadence up
             }
-            self.core.start_snapshot(pick);
-            let (through, chunks) = self.begin();
-            let acts = self.actions()?;
-            prop_assert!(
-                matches!(acts.as_slice(), [Action::Snapshot { through: t, image }] if *t == through && *image == pick),
-                "the started snapshot must be handed out"
-            );
-            self.job = plan.map(|plan| (through, chunks, plan));
-            Ok(())
+            let mut manifest = Vec::new();
+            for (c, reuse) in plan.unwrap_or_default().into_iter().enumerate() {
+                let (first, entries) = ((c * CHUNK_SPECS) as u64, self.chunk_len(c));
+                manifest.push(match reuse {
+                    Some(r) => {
+                        let run = self.runs.get(&r.hash).copied();
+                        prop_assert_eq!(
+                            run,
+                            Some((first, entries)),
+                            "chunk {} reuses another run",
+                            c
+                        );
+                        r
+                    }
+                    None => self.fresh(first, entries),
+                });
+            }
+            prop_assert_eq!(self.core.start_snapshot(pick, None).ok(), Some(true));
+            self.begin(pick, manifest, true)
+        }
+
+        /// A checkpoint of one run: of the log's entries, or of a corpus
+        /// with slots the log has no record of, which re-seeds its count.
+        fn checkpoint(&mut self, pick: u32) -> Result<(), TestCaseError> {
+            if self.writing.is_some() {
+                return Ok(());
+            }
+            let extra = if pick.is_multiple_of(3) { (pick >> 8) as u64 % 24 } else { 0 };
+            let entries = self.entry_count + extra;
+            let started = self.core.start_snapshot(pick, Some(entries));
+            if self.poisoned {
+                prop_assert!(
+                    matches!(started, Err(WalError::Poisoned { .. })),
+                    "a poisoned log snapshotted"
+                );
+                return Ok(());
+            }
+            if self.job.is_some() {
+                prop_assert!(matches!(started, Ok(false)), "two snapshots in flight");
+                return Ok(());
+            }
+            prop_assert!(matches!(started, Ok(true)));
+            self.entry_count = entries;
+            let run = self.fresh(0, entries as u32);
+            self.begin(pick, vec![run], false)
         }
 
         fn snapshot_done(&mut self, pick: u32) -> Result<(), TestCaseError> {
-            let Some((through, chunks, plan)) = self.job.take() else { return Ok(()) };
+            let Some((through, chunks, manifest, cadence)) = self.job.take() else {
+                return Ok(());
+            };
             if pick.is_multiple_of(4) {
                 self.core.snapshot_done(through, None, 0);
                 self.dirty.extend(chunks);
                 prop_assert!(self.actions()?.is_empty(), "a failed snapshot must prune nothing");
                 return Ok(());
             }
-            let manifest: Vec<ChunkRef> = plan
-                .iter()
-                .enumerate()
-                .map(|(c, reuse)| {
-                    reuse.unwrap_or_else(|| {
-                        self.next_hash += 1;
-                        let entries =
-                            (self.entry_count as usize - c * CHUNK_SPECS).min(CHUNK_SPECS);
-                        ChunkRef { hash: self.next_hash, entries: entries as u32, bytes: 1 }
-                    })
-                })
-                .collect();
             let wrote = ChunkedWrite { manifest: manifest.clone(), ..ChunkedWrite::default() };
             self.core.snapshot_done(through, Some(wrote), 0);
+            self.snapshots.0 += 1;
+            self.snapshots.1 += cadence as u64;
             self.succeeded(through, manifest)
         }
 
@@ -910,36 +977,6 @@ mod tests {
             Ok(())
         }
 
-        fn whole(&mut self, pick: u32) -> Result<(), TestCaseError> {
-            if self.writing.is_some() {
-                return Ok(());
-            }
-            let started = self.core.start_whole_snapshot(self.entry_count);
-            if self.poisoned {
-                prop_assert!(
-                    matches!(started, Err(WalError::Poisoned { .. })),
-                    "a poisoned log snapshotted"
-                );
-                return Ok(());
-            }
-            if self.job.is_some() {
-                prop_assert!(matches!(started, Ok(None)), "two snapshots in flight");
-                return Ok(());
-            }
-            let (through, chunks) = self.begin();
-            prop_assert!(matches!(started, Ok(Some(t)) if t == through));
-            prop_assert!(self.actions()?.is_empty());
-            if pick.is_multiple_of(4) {
-                self.core.snapshot_done(through, None, 0);
-                self.dirty.extend(chunks);
-                prop_assert!(self.actions()?.is_empty());
-                return Ok(());
-            }
-            let wrote = ChunkedWrite { bytes_written: 1, ..ChunkedWrite::default() };
-            self.core.snapshot_done(through, Some(wrote), 0);
-            self.succeeded(through, Vec::new())
-        }
-
         /// Run everything out: the write, the sync runner, the snapshot.
         fn drain(&mut self) -> Result<(), TestCaseError> {
             self.written(1)?;
@@ -953,6 +990,7 @@ mod tests {
             prop_assert!(!self.core.snapshot_in_flight());
             let stats = self.core.stats();
             prop_assert_eq!(stats.syncs, self.syncs);
+            prop_assert_eq!((stats.snapshots, stats.background_snapshots), self.snapshots);
             prop_assert_eq!(self.core.next_seq(), self.next_seq);
             Ok(())
         }
@@ -973,7 +1011,7 @@ mod tests {
                     8 | 9 => model.synced(pick)?,
                     10 | 11 => model.cadence(pick)?,
                     12 | 13 => model.snapshot_done(pick)?,
-                    _ => model.whole(pick)?,
+                    _ => model.checkpoint(pick)?,
                 }
             }
             model.drain()?;

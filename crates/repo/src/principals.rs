@@ -310,11 +310,6 @@ impl<'a> AccessResolver<'a> {
         AccessResolver { repo, group, memo, stats, touched: std::cell::RefCell::new(Vec::new()) }
     }
 
-    /// The group whose rules this resolver applies.
-    pub fn group_name(&self) -> &str {
-        &self.group.name
-    }
-
     /// Number of specs in the repository — the denominator of the
     /// lazy-vs-eager saving ([`Self::resolved_count`] over this).
     pub fn corpus_len(&self) -> usize {

@@ -1,23 +1,14 @@
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 //! Atomic repository snapshots: the checkpoint half of the durability
 //! pair (`crate::wal` is the log half).
 //!
-//! A **v1** snapshot file `snap-<through_seq:016x>.snap` holds the full
-//! [`Repository::save`] image of the state produced by applying every
-//! mutation with sequence number ≤ `through_seq`:
-//!
-//! ```text
-//! [b"PPWFSNAP"] [u8 version=1] [u64 through_seq (LE)]
-//! [u32 payload_len (LE)] [payload = Repository::save bytes]
-//! [u64 FNV-1a checksum of everything above (LE)]
-//! ```
-//!
-//! A **v3** snapshot is copy-on-write chunked: repository id slots are
-//! partitioned into fixed runs of [`CHUNK_SPECS`] consecutive spec ids,
-//! each run serialized as `run × ([u8 live flag] ++ entry bytes if live)`
-//! (entry wire format identical to the v1 image's per-entry section; a
-//! tombstoned slot is the single flag byte `0`) into a content-addressed
-//! chunk file `chk-<fnv1a(payload):016x>.blob`. The snapshot file itself
-//! is then only a manifest:
+//! There is one writer, `write_chunked`, and it writes the **v3**
+//! format: a snapshot file `snap-<through_seq:016x>.snap` covering every
+//! mutation with sequence number ≤ `through_seq` is a manifest of
+//! content-addressed chunk files `chk-<fnv1a(payload):016x>.blob`:
 //!
 //! ```text
 //! [b"PPWFSNAP"] [u8 version=3] [u64 through_seq (LE)] [u32 payload_len (LE)]
@@ -26,14 +17,25 @@
 //! [u64 FNV-1a checksum of everything above (LE)]
 //! ```
 //!
+//! A manifest reference is a **run**: `entry_count` consecutive id slots,
+//! following the previous reference's, serialized as `entry_count × ([u8
+//! live flag] ++ entry bytes if live)` (a tombstoned slot is the single
+//! flag byte `0`). The loader takes any run length. A cadence snapshot
+//! cuts the id space into chunks of [`CHUNK_SPECS`] slots, chunk `c`
+//! covering ids `[c * CHUNK_SPECS, (c + 1) * CHUNK_SPECS)`; a checkpoint
+//! (`CowImage::one_run`) writes every slot as one run, one chunk file
+//! plus the manifest.
+//!
 //! A chunk untouched since the previous snapshot is carried as a
 //! manifest reference — never re-serialized, never re-written — so a
-//! cadence snapshot costs O(dirty chunks), not O(corpus). Chunk files
-//! are written *before* the manifest commits: a crash mid-snapshot
-//! leaves the previous manifest (whose chunks are never overwritten —
-//! content addressing makes identical payloads idempotent) fully
-//! loadable, and orphaned new chunks are garbage-collected by the next
-//! successful prune.
+//! cadence snapshot costs O(dirty chunks), not O(corpus). A reference is
+//! reused as chunk `c` only when its run holds exactly chunk `c`'s slots
+//! (`LogCore::snapshot_plan`), which is what keeps a checkpoint's one run
+//! from standing in for chunk 0. Chunk files are written *before* the
+//! manifest commits: a crash mid-snapshot leaves the previous manifest
+//! (whose chunks are never overwritten — content addressing makes
+//! identical payloads idempotent) fully loadable, and orphaned new chunks
+//! are garbage-collected by the next successful prune.
 //!
 //! Snapshots are written via [`StorageBackend::write_atomic`] (temp file
 //! plus rename), so a crash mid-snapshot leaves either the old file set
@@ -42,6 +44,12 @@
 //! covered log segments are pruned after a successful write, but leftover
 //! files from a crash-during-prune are harmless (the newest snapshot
 //! wins, and replay skips records it covers).
+//!
+//! The **v1** format — one file holding the whole [`Repository::save`]
+//! image, `[b"PPWFSNAP"] [u8 version=1] [u64 through_seq (LE)] [u32
+//! payload_len (LE)] [payload] [u64 FNV-1a checksum (LE)]` — is read-only:
+//! nothing writes it any more, and the loader still recovers the stores
+//! that hold one. The next snapshot over such a store prunes it.
 
 use crate::fnv::Fnv1a;
 use crate::repository::{self, Repository, SpecEntry, SpecId};
@@ -50,7 +58,8 @@ use crate::wal::{WalError, WalResult};
 use bytes::{BufMut, BytesMut};
 
 const MAGIC: &[u8; 8] = b"PPWFSNAP";
-const VERSION: u8 = 1;
+/// The whole-image format: read, never written.
+const VERSION_WHOLE: u8 = 1;
 /// Chunked manifest format. v2 chunks held bare entries and could not
 /// represent a tombstoned slot; v3 prefixes every slot with a live flag.
 /// A v2 manifest written before destructive mutations existed describes
@@ -64,10 +73,10 @@ const HEADER: usize = 8 + 1 + 8 + 4;
 /// Bytes of one manifest chunk record: hash + entry_count + byte_len.
 const CHUNK_REF_BYTES: usize = 8 + 4 + 4;
 
-/// Spec entries per copy-on-write chunk: chunk `i` covers spec ids
-/// `[i * CHUNK_SPECS, (i + 1) * CHUNK_SPECS)`. Small enough that one
-/// dirtied spec re-serializes a bounded neighborhood, large enough that
-/// manifests stay tiny.
+/// Spec entries per copy-on-write chunk of a cadence snapshot: chunk `i`
+/// covers spec ids `[i * CHUNK_SPECS, (i + 1) * CHUNK_SPECS)`. Small enough
+/// that one dirtied spec re-serializes a bounded neighborhood, large enough
+/// that manifests stay tiny.
 pub const CHUNK_SPECS: usize = 16;
 
 /// The chunk index covering spec id `id`.
@@ -75,12 +84,15 @@ pub fn chunk_of(id: u32) -> u32 {
     id / CHUNK_SPECS as u32
 }
 
-/// A manifest reference to one content-addressed chunk.
+/// A manifest reference to one content-addressed chunk: a run of
+/// consecutive id slots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkRef {
     /// FNV-1a of the chunk payload — also its file name.
     pub hash: u64,
-    /// Spec id slots the chunk carries (live entries and tombstones).
+    /// Spec id slots the run carries (live entries and tombstones):
+    /// [`CHUNK_SPECS`] or fewer for a cadence chunk, every slot for a
+    /// checkpoint's one run.
     pub entries: u32,
     /// Payload length in bytes.
     pub bytes: u32,
@@ -94,8 +106,8 @@ pub struct ChunkRef {
 /// storage).
 #[derive(Clone, Debug)]
 pub enum CowChunk {
-    /// Slots to serialize (`None` = tombstone); covers one chunk-aligned
-    /// id range.
+    /// Slots to serialize (`None` = tombstone): the run of ids following
+    /// the previous chunk's.
     Dirty(Vec<Option<SpecEntry>>),
     /// Untouched since the previous snapshot — reuse by reference.
     Clean(ChunkRef),
@@ -139,6 +151,14 @@ impl CowImage {
             .collect();
         CowImage { version, chunks }
     }
+
+    /// Capture a checkpoint of `repo`: every slot as one run (no chunk at
+    /// all for an empty repository), written as one chunk file.
+    pub(crate) fn one_run(repo: &Repository) -> CowImage {
+        let slots: Vec<_> = repo.slots().map(|(_, entry)| entry.cloned()).collect();
+        let chunks = if slots.is_empty() { Vec::new() } else { vec![CowChunk::Dirty(slots)] };
+        CowImage { version: repo.version(), chunks }
+    }
 }
 
 /// What one chunked snapshot write did.
@@ -175,28 +195,6 @@ pub fn file_name(through_seq: u64) -> String {
 pub fn parse_name(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("snap-")?.strip_suffix(".snap")?;
     u64::from_str_radix(hex, 16).ok()
-}
-
-/// Atomically write a snapshot of `repo` covering mutations through
-/// `through_seq`; returns the bytes written.
-pub(crate) fn write(
-    backend: &dyn StorageBackend,
-    through_seq: u64,
-    repo: &Repository,
-) -> WalResult<u64> {
-    let payload = repo.save();
-    let mut buf = Vec::with_capacity(HEADER + payload.len() + 8);
-    buf.extend_from_slice(MAGIC);
-    buf.push(VERSION);
-    buf.extend_from_slice(&through_seq.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&payload);
-    let mut h = Fnv1a::new();
-    h.mix_bytes(&buf);
-    let sum = h.finish();
-    buf.extend_from_slice(&sum.to_le_bytes());
-    backend.write_atomic(&file_name(through_seq), &buf)?;
-    Ok(buf.len() as u64)
 }
 
 fn hash_of(payload: &[u8]) -> u64 {
@@ -274,29 +272,32 @@ pub(crate) fn write_chunked(
     Ok(out)
 }
 
+/// The little-endian `u64` at `at`, when all of it is there.
+fn u64_at(bytes: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(*bytes.get(at..)?.first_chunk()?))
+}
+
+/// The little-endian `u32` at `at`, when all of it is there.
+fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
+    Some(u32::from_le_bytes(*bytes.get(at..)?.first_chunk()?))
+}
+
 /// Parse a v3 manifest payload into its chunk references.
 fn decode_manifest(name: &str, payload: &[u8]) -> WalResult<(u64, Vec<ChunkRef>)> {
-    if payload.len() < 12 {
+    let (Some(version), Some(count)) = (u64_at(payload, 0), u32_at(payload, 8)) else {
         return Err(corrupt(name, "manifest shorter than its fixed header"));
-    }
-    let version = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    let count = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes")) as usize;
-    let rest = &payload[12..];
+    };
+    let (count, rest) = (count as usize, payload.get(12..).unwrap_or_default());
     if rest.len() != count * CHUNK_REF_BYTES {
         return Err(corrupt(
             name,
             format!("manifest claims {count} chunks but carries {} bytes of refs", rest.len()),
         ));
     }
-    let mut refs = Vec::with_capacity(count);
-    for i in 0..count {
-        let at = i * CHUNK_REF_BYTES;
-        refs.push(ChunkRef {
-            hash: u64::from_le_bytes(rest[at..at + 8].try_into().expect("8 bytes")),
-            entries: u32::from_le_bytes(rest[at + 8..at + 12].try_into().expect("4 bytes")),
-            bytes: u32::from_le_bytes(rest[at + 12..at + 16].try_into().expect("4 bytes")),
-        });
-    }
+    let refs = rest.chunks_exact(CHUNK_REF_BYTES).map(|r| {
+        Some(ChunkRef { hash: u64_at(r, 0)?, entries: u32_at(r, 8)?, bytes: u32_at(r, 12)? })
+    });
+    let refs = refs.collect::<Option<_>>().ok_or_else(|| corrupt(name, "short chunk ref"))?;
     Ok((version, refs))
 }
 
@@ -387,33 +388,31 @@ pub(crate) struct Loaded {
 pub(crate) fn load(backend: &dyn StorageBackend, name: &str) -> WalResult<Loaded> {
     let bytes =
         backend.read(name)?.ok_or_else(|| corrupt(name, "snapshot vanished during recovery"))?;
-    if bytes.len() < HEADER + 8 {
-        return Err(corrupt(
-            name,
-            format!("{} bytes is shorter than a snapshot header", bytes.len()),
-        ));
-    }
-    let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored_sum = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-    if hash_of(body) != stored_sum {
+    let short =
+        || corrupt(name, format!("{} bytes is shorter than a snapshot header", bytes.len()));
+    let (body, stored_sum) = bytes.split_last_chunk().ok_or_else(short)?;
+    let (Some((magic, _)), Some(through_seq), Some(len)) =
+        (body.split_first_chunk::<8>(), u64_at(body, 9), u32_at(body, 17))
+    else {
+        return Err(short());
+    };
+    if hash_of(body) != u64::from_le_bytes(*stored_sum) {
         return Err(corrupt(name, "checksum mismatch"));
     }
-    if &body[..8] != MAGIC {
+    if magic != MAGIC {
         return Err(corrupt(name, "bad magic"));
     }
     let version = body[8];
-    if version != VERSION && version != VERSION_CHUNKED {
+    if version != VERSION_WHOLE && version != VERSION_CHUNKED {
         return Err(corrupt(name, format!("unsupported snapshot version {version}")));
     }
-    let through_seq = u64::from_le_bytes(body[9..17].try_into().expect("8 bytes"));
     if parse_name(name) != Some(through_seq) {
         return Err(corrupt(
             name,
             format!("file name disagrees with embedded through_seq {through_seq}"),
         ));
     }
-    let len = u32::from_le_bytes(body[17..HEADER].try_into().expect("4 bytes")) as usize;
-    let payload = &body[HEADER..];
+    let (len, payload) = (len as usize, &body[HEADER..]);
     if payload.len() != len {
         return Err(corrupt(
             name,
@@ -445,8 +444,11 @@ pub(crate) fn load_latest(backend: &dyn StorageBackend, names: &[String]) -> Wal
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
+    use crate::wal::{DurabilityPolicy, DurableLog};
+    use crate::Mutation;
     use ppwf_core::policy::Policy;
     use ppwf_model::fixtures;
+    use std::sync::Arc;
 
     fn sample() -> Repository {
         let mut repo = Repository::new();
@@ -457,6 +459,75 @@ mod tests {
         repo
     }
 
+    fn paper_insert() -> Mutation {
+        let spec = fixtures::disease_susceptibility_spec();
+        Mutation::InsertSpec { spec, policy: Policy::public() }
+    }
+
+    /// The whole-image (v1) encoder, which nothing outside these tests
+    /// writes with any more: it makes the stores older builds left behind.
+    fn write_v1(backend: &dyn StorageBackend, through_seq: u64, repo: &Repository) {
+        let payload = repo.save();
+        let mut buf = Vec::with_capacity(HEADER + payload.len() + 8);
+        buf.extend_from_slice(MAGIC);
+        buf.push(VERSION_WHOLE);
+        buf.extend_from_slice(&through_seq.to_le_bytes());
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&payload);
+        let sum = hash_of(&buf);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        backend.write_atomic(&file_name(through_seq), &buf).unwrap();
+    }
+
+    /// Plain FNV-1a of a whole file, as `recovery_equivalence`'s golden
+    /// tables hash them.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// The v1 reader stays for the stores that hold a v1 file. The encoder
+    /// reproduces, byte for byte, the baseline that `recovery_equivalence`'s
+    /// golden trace stored while `snapshot_now` still wrote v1 (two paper
+    /// specs, through sequence 0); those bytes recover bit-identically, a
+    /// re-opened log appends after them, and its next snapshot prunes the
+    /// v1 file.
+    #[test]
+    fn a_v1_baseline_recovers_is_extended_and_is_pruned() {
+        let storage = Arc::new(MemStorage::new());
+        let mut repo = Repository::new();
+        repo.apply(paper_insert()).unwrap();
+        repo.apply(paper_insert()).unwrap();
+        write_v1(&*storage, 0, &repo);
+        let v1 = storage.read(&file_name(0)).unwrap().unwrap();
+        assert_eq!(fnv1a(&v1), 0x4463519b666e4a38, "the v1 encoder moved");
+        let (recovered, stats) = Repository::recover(&*storage).unwrap();
+        assert_eq!((stats.snapshot_seq, stats.replayed), (0, 0));
+        assert_eq!(recovered.save(), repo.save());
+        assert_eq!(recovered.version(), repo.version());
+
+        let policy = DurabilityPolicy { snapshot_every: 2, ..DurabilityPolicy::default() };
+        let backend = Arc::clone(&storage) as Arc<dyn StorageBackend>;
+        let opened = DurableLog::open(backend, policy).unwrap();
+        assert_eq!(opened.repository.save(), repo.save());
+        let mut log = opened.log;
+        for mutation in [paper_insert(), paper_insert()] {
+            repo.check(&mutation).unwrap();
+            log.append_batch(std::slice::from_ref(&mutation)).unwrap();
+            repo.apply(mutation).unwrap();
+            log.snapshot_if_due(&repo);
+        }
+        assert_eq!(log.stats().snapshot_seq, 2, "the cadence snapshot ran");
+        let names = storage.list().unwrap();
+        assert!(!names.contains(&file_name(0)), "the v1 file survived the prune: {names:?}");
+        let loaded = load(&*storage, &file_name(2)).unwrap();
+        assert!(loaded.manifest.is_some(), "the new snapshot is v3");
+        let (recovered, stats) = Repository::recover(&*storage).unwrap();
+        assert_eq!((stats.snapshot_seq, stats.replayed), (2, 0));
+        assert_eq!(recovered.save(), repo.save());
+    }
+
     #[test]
     fn name_round_trips() {
         assert_eq!(parse_name(&file_name(0)), Some(0));
@@ -465,26 +536,32 @@ mod tests {
         assert_eq!(parse_name("snap-xyz.snap"), None);
     }
 
+    /// A v1 file loads bit-identically, with no manifest.
     #[test]
     fn write_load_round_trip_is_bit_identical() {
         let storage = MemStorage::new();
         let repo = sample();
-        write(&storage, 7, &repo).unwrap();
+        write_v1(&storage, 7, &repo);
         let loaded = load_latest(&storage, &storage.list().unwrap()).unwrap();
         assert_eq!(loaded.through_seq, 7);
         assert!(loaded.manifest.is_none(), "v1 snapshots carry no manifest");
         assert_eq!(loaded.repo.save(), repo.save());
     }
 
+    /// The highest `through_seq` wins, whichever format each file is in.
     #[test]
     fn latest_snapshot_wins() {
         let storage = MemStorage::new();
-        write(&storage, 3, &Repository::new()).unwrap();
+        write_v1(&storage, 3, &Repository::new());
         let repo = sample();
-        write(&storage, 9, &repo).unwrap();
+        write_chunked(&storage, 9, &CowImage::one_run(&repo)).unwrap();
         let loaded = load_latest(&storage, &storage.list().unwrap()).unwrap();
         assert_eq!(loaded.through_seq, 9);
         assert_eq!(loaded.repo.save(), repo.save());
+        write_v1(&storage, 12, &Repository::new());
+        let loaded = load_latest(&storage, &storage.list().unwrap()).unwrap();
+        assert_eq!(loaded.through_seq, 12);
+        assert!(loaded.repo.is_empty());
     }
 
     #[test]
@@ -500,6 +577,29 @@ mod tests {
     fn all_dirty_image(repo: &Repository) -> CowImage {
         let plan = vec![None; repo.len().div_ceil(CHUNK_SPECS)];
         CowImage::capture(repo.version(), repo.len(), &plan, |id| repo.entry(id).cloned())
+    }
+
+    /// A checkpoint is one run of every slot, however many chunks of
+    /// [`CHUNK_SPECS`] that would be: one chunk file, one manifest ref.
+    #[test]
+    fn a_one_run_checkpoint_round_trips_past_a_chunk() {
+        let storage = MemStorage::new();
+        let mut repo = sample();
+        for _ in 0..CHUNK_SPECS + 3 {
+            repo.apply(paper_insert()).unwrap();
+        }
+        repo.delete_spec(SpecId(CHUNK_SPECS as u32)).unwrap();
+        let wrote = write_chunked(&storage, 4, &CowImage::one_run(&repo)).unwrap();
+        assert_eq!(wrote.chunks_written, 1);
+        assert_eq!(wrote.manifest.len(), 1);
+        assert_eq!(wrote.manifest[0].entries as usize, repo.len(), "one run of every slot");
+        let loaded = load_latest(&storage, &storage.list().unwrap()).unwrap();
+        assert_eq!(loaded.manifest.as_deref(), Some(&wrote.manifest[..]));
+        assert_eq!(loaded.repo.save(), repo.save(), "one-run load must be bit-identical");
+        // An empty repository checkpoints as a manifest with no chunk.
+        let wrote = write_chunked(&storage, 5, &CowImage::one_run(&Repository::new())).unwrap();
+        assert_eq!((wrote.chunks_written, wrote.manifest.len()), (0, 0));
+        assert!(load(&storage, &file_name(5)).unwrap().repo.is_empty());
     }
 
     #[test]
@@ -606,7 +706,7 @@ mod tests {
     fn corruption_is_a_typed_error() {
         let storage = MemStorage::new();
         let repo = sample();
-        write(&storage, 4, &repo).unwrap();
+        write_v1(&storage, 4, &repo);
         let name = file_name(4);
         storage.flip_byte(&name, 40);
         match load(&storage, &name) {
@@ -621,10 +721,31 @@ mod tests {
     #[test]
     fn truncated_snapshot_is_rejected() {
         let storage = MemStorage::new();
-        write(&storage, 2, &sample()).unwrap();
+        write_v1(&storage, 2, &sample());
         let name = file_name(2);
         let len = storage.len_of(&name).unwrap();
         storage.tear(&name, len / 2);
         assert!(matches!(load(&storage, &name), Err(WalError::Snapshot { .. })));
+    }
+
+    /// A manifest too short for its own fixed header, behind a valid
+    /// checksum, is a typed error, not a panic.
+    #[test]
+    fn a_short_manifest_is_a_typed_error() {
+        let storage = MemStorage::new();
+        let mut buf = MAGIC.to_vec();
+        buf.push(VERSION_CHUNKED);
+        buf.extend_from_slice(&6u64.to_le_bytes());
+        buf.extend_from_slice(&4u32.to_le_bytes());
+        buf.extend_from_slice(&[0; 4]);
+        let sum = hash_of(&buf);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        storage.write_atomic(&file_name(6), &buf).unwrap();
+        match load(&storage, &file_name(6)) {
+            Err(WalError::Snapshot { detail, .. }) => {
+                assert!(detail.contains("fixed header"), "unexpected detail: {detail}");
+            }
+            other => panic!("expected Snapshot error, got {other:?}"),
+        }
     }
 }

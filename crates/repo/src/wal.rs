@@ -74,10 +74,11 @@
 //! *snapshot job*, which writes the dirty chunks and a manifest
 //! ([`crate::snapshot`], format v3); once it succeeded, every segment whose
 //! first sequence number the snapshot covers is pruned — on the pool when
-//! one is attached, on the caller otherwise. The whole-image v1 writer
-//! ([`DurableLog::snapshot_now`]) remains for the baseline checkpoint of a
-//! pre-loaded corpus and for manual checkpoints; it waits out a snapshot
-//! job in flight, because one snapshot runs at a time.
+//! one is attached, on the caller otherwise. A checkpoint
+//! ([`DurableLog::snapshot_now`]: the baseline of a pre-loaded corpus, and
+//! manual checkpoints) is the same job over an image of every slot as one
+//! run, one chunk file plus its manifest, run on the caller; it waits out
+//! a snapshot job in flight, because one snapshot runs at a time.
 //!
 //! **Recovery** ([`Repository::recover`] / [`DurableLog::open`]) replays
 //! `(latest snapshot, log suffix)` with a strict corruption posture:
@@ -116,7 +117,7 @@ use crate::log_core::{self, parse_segment_name, segment_name, Action, LogCore, R
 use crate::mutation::{ModuleTextEdit, Mutation, SpecText};
 use crate::pool::WorkerPool;
 use crate::repository::{policy_codec, Repository, SpecId};
-use crate::snapshot::{self, ChunkRef, ChunkedWrite, CowImage};
+use crate::snapshot::{self, ChunkRef, CowImage};
 use crate::storage::{StorageBackend, StorageError};
 use crate::ticket::Ticket;
 use parking_lot::Mutex;
@@ -612,7 +613,8 @@ pub struct DurabilityStats {
     pub batch_size_counts: [u64; BATCH_SIZE_BOUNDS.len() + 1],
     /// Segment rotations.
     pub rotations: u64,
-    /// Snapshots written (cadence and [`DurableLog::snapshot_now`]).
+    /// Snapshots written: cadence snapshots and checkpoints
+    /// ([`DurableLog::snapshot_now`]).
     pub snapshots: u64,
     /// Cadence snapshots the snapshot job completed — on the pool when one
     /// is attached, on the mutating thread otherwise.
@@ -629,7 +631,7 @@ pub struct DurabilityStats {
     /// [`DurableLog::snapshot_if_due_with`]) and the rotation hand-off;
     /// without a pool, the snapshot job itself as well.
     pub snapshot_pause_us: u64,
-    /// µs snapshot jobs spent serializing and writing.
+    /// µs cadence snapshot jobs spent serializing and writing.
     pub snapshot_background_us: u64,
     /// Highest appended sequence number.
     pub last_seq: u64,
@@ -646,8 +648,8 @@ pub struct DurabilityStats {
     /// Chunks reused by reference (clean since the last snapshot, or
     /// deduplicated by content address) across copy-on-write snapshots.
     pub snapshot_chunks_reused: u64,
-    /// Bytes snapshots actually wrote (chunk payloads + manifests for
-    /// copy-on-write snapshots, the full image for whole-image ones).
+    /// Bytes snapshots actually wrote: chunk payloads and manifests, a
+    /// checkpoint's one chunk of every slot included.
     pub snapshot_bytes_written: u64,
 }
 
@@ -924,7 +926,8 @@ impl DurableLog {
         let Some(plan) = self.shared.core.lock().snapshot_plan(entry_count) else { return false };
         let started = capture(&plan).is_some_and(|image| {
             let pool = self.pool.as_ref();
-            self.shared.step(pool, |core| core.start_snapshot(image)).1.is_ok()
+            let (started, ran) = self.shared.step(pool, |core| core.start_snapshot(image, None));
+            started.unwrap_or(false) && ran.is_ok()
         });
         self.shared.core.lock().snapshot_paused(t.elapsed().as_micros() as u64);
         started
@@ -943,33 +946,29 @@ impl DurableLog {
         }
     }
 
-    /// The whole-image checkpoint: atomically write `repo` as one v1
-    /// snapshot covering every record appended so far, then prune — older
-    /// snapshots, every chunk file and every covered segment go, and
-    /// appends continue into a fresh segment. This is the *baseline*
-    /// writer (one atomic write for a pre-loaded corpus the log has no
-    /// records of) and the manual checkpoint; cadence snapshots are
-    /// copy-on-write ([`Self::snapshot_if_due`]). A snapshot job in flight
-    /// is waited out first. `repo` must be the state produced by exactly
+    /// The checkpoint: capture `repo` as one run of every slot and write it
+    /// here, on the snapshot job, as the snapshot covering every record
+    /// appended so far — one chunk file plus its manifest — then prune:
+    /// older snapshots, every chunk file the manifest does not reference and
+    /// every covered segment go, and appends continue into a fresh segment.
+    /// This is the *baseline* (a pre-loaded corpus the log has no records
+    /// of) and the manual checkpoint; cadence snapshots
+    /// ([`Self::snapshot_if_due`]) write only the dirty chunks. A snapshot
+    /// job in flight is waited out first, and the log's entry count is
+    /// re-seeded from `repo`, which must be the state produced by exactly
     /// the appended history (the caller owns that invariant;
     /// [`DurableLog::open`]'s repository plus every `Ok` append maintains
-    /// it).
+    /// it) or, for a baseline, the pre-loaded corpus.
     pub fn snapshot_now(&mut self, repo: &Repository) -> WalResult<()> {
-        let entries = repo.len() as u64;
-        let through = loop {
-            let started = self.shared.core.lock().start_whole_snapshot(entries)?;
-            match started {
-                Some(through) => break through,
-                None => self.help_pool(),
+        let entries = Some(repo.len() as u64);
+        loop {
+            self.wait_for_background_snapshot();
+            let image = CowImage::one_run(repo);
+            let (started, ran) = self.shared.step(None, |core| core.start_snapshot(image, entries));
+            if started? {
+                return ran;
             }
-        };
-        let written = snapshot::write(&*self.shared.backend, through, repo);
-        let wrote = written
-            .as_ref()
-            .ok()
-            .map(|&bytes_written| ChunkedWrite { bytes_written, ..ChunkedWrite::default() });
-        let _ = self.shared.step(None, |core| core.snapshot_done(through, wrote, 0));
-        written.map(drop)
+        }
     }
 
     /// Lifetime counters.
@@ -1292,7 +1291,7 @@ mod tests {
         }
         let stats = log.stats();
         assert!(stats.background_snapshots >= 2, "cadence fired in the background");
-        assert_eq!(stats.snapshots, stats.background_snapshots, "no whole-image snapshots");
+        assert_eq!(stats.snapshots, stats.background_snapshots, "no checkpoints");
         assert!(stats.segments_pruned >= 1, "background jobs prune covered segments");
         assert!(stats.snapshot_seq >= 4);
         let (recovered, rstats) = Repository::recover(&*storage).unwrap();

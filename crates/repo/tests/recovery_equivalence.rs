@@ -20,10 +20,12 @@
 //! on the driving thread and the acknowledged count is exact; with one
 //! they run as pool jobs and the contract widens to `acked ≤ n ≤ appended`.
 //!
-//! The last test pins the *bytes*: every file a fixed trace stores —
-//! segments, the v1 baseline, v3 manifests, chunks — hashed at the commit
-//! before the write paths were unified, so a log written then recovers
-//! now.
+//! The golden test pins the *bytes*: every file a fixed trace stores —
+//! segments, the one-run checkpoint baseline, v3 manifests, chunks — hashed
+//! at the commit before the write paths were unified, so a log written then
+//! recovers now. Only the baseline's manifest has changed since, when the
+//! v1 whole-image writer went; `snapshot.rs`'s unit tests pin the v1 bytes
+//! that commit wrote and recover them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,6 +37,7 @@ use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::mutation::{ModuleTextEdit, SpecText};
 use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::repository::{Repository, SpecId};
+use ppwf_repo::snapshot::CHUNK_SPECS;
 use ppwf_repo::storage::{FaultPlan, MemStorage, StorageBackend};
 use ppwf_repo::wal::{DurabilityPolicy, DurableLog, WalError};
 use ppwf_repo::Mutation;
@@ -530,10 +533,13 @@ fn golden_trace() -> Vec<Mutation> {
 }
 
 /// `(file name, FNV-1a of its bytes)` for every file [`golden_trace`]
-/// stores at `max_batch` 1 — segments at their fullest, the v1 baseline
-/// (`snap-…0000`), the six v3 manifests and their chunks — as written by
-/// commit fe158a1, the last one with three append paths and two cadence
-/// snapshot writers.
+/// stores at `max_batch` 1 — segments at their fullest, the checkpoint
+/// baseline (`snap-…0000`: one run of the two pre-loaded specs, whose chunk
+/// file is byte-identical to a later two-spec chunk 1), the six v3 manifests
+/// and their chunks — as written by commit fe158a1, the last one with three
+/// append paths and two cadence snapshot writers. The baseline line alone
+/// has moved since: that commit wrote it as a v1 whole image
+/// (`0x4463519b666e4a38`).
 const GOLDEN_PER_RECORD: &[(&str, u64)] = &[
     ("chk-06fe70015ba7d270.blob", 0x07d1eb2e7ebd438d),
     ("chk-18f89e6d9a22d9bd.blob", 0xcdfae8efc617a9bd),
@@ -543,7 +549,7 @@ const GOLDEN_PER_RECORD: &[(&str, u64)] = &[
     ("chk-91338500b14aeb1b.blob", 0x2dc739682ac7c8a5),
     ("chk-97fdac7371732691.blob", 0x1ee333cab61b6e4b),
     ("chk-9ec9d9032908b172.blob", 0xd69468cc3800a14d),
-    ("snap-0000000000000000.snap", 0x4463519b666e4a38),
+    ("snap-0000000000000000.snap", 0x4624ac37c92d33b0),
     ("snap-0000000000000005.snap", 0xdcd38f8dc83a746b),
     ("snap-000000000000000a.snap", 0x99fa9afe372816d1),
     ("snap-000000000000000f.snap", 0x957b0054ccf86122),
@@ -571,7 +577,7 @@ const GOLDEN_BATCHED: &[(&str, u64)] = &[
     ("chk-97fdac7371732691.blob", 0x1ee333cab61b6e4b),
     ("chk-aa1e244b590357e9.blob", 0xf5fdcd8077abf6e5),
     ("chk-c7be395f16dca525.blob", 0x1410657c64afb265),
-    ("snap-0000000000000000.snap", 0x4463519b666e4a38),
+    ("snap-0000000000000000.snap", 0x4624ac37c92d33b0),
     ("snap-0000000000000008.snap", 0x0b94b2a7f34b151d),
     ("snap-0000000000000010.snap", 0x6303cb69016045a1),
     ("snap-0000000000000018.snap", 0x299bd6132f7f818e),
@@ -583,7 +589,7 @@ const GOLDEN_BATCHED: &[(&str, u64)] = &[
 ];
 
 /// Format stability across commits, not just within one build: the bytes
-/// of every file the log stores for [`golden_trace`] — whole-image
+/// of every file the log stores for [`golden_trace`] — one-run checkpoint
 /// baseline, per-record and batch frames across size rotations, cadence
 /// snapshots every fifth record with chunk reuse and pruning — are pinned
 /// to what the parent commit wrote, and `Repository::recover` over them
@@ -633,4 +639,52 @@ fn stored_bytes_match_the_parent_commit_and_recover_to_the_sequential_replay() {
         let stored: Vec<(&str, u64)> = stored.iter().map(|(n, h)| (n.as_str(), *h)).collect();
         assert_eq!(stored, golden, "max_batch {max_batch}: stored bytes moved");
     }
+}
+
+/// A store holding only a checkpoint of more than [`CHUNK_SPECS`] specs
+/// re-opens with a one-run manifest. Writes past chunk 0 leave chunk 0
+/// clean, but that run is not chunk 0: the next cadence snapshot captures
+/// chunk 0 afresh, and recovery equals the sequential replay.
+#[test]
+fn a_reopened_checkpoint_is_never_reused_as_chunk_zero() {
+    let mut history: Vec<Mutation> = (0..CHUNK_SPECS + 4).map(|_| paper_insert()).collect();
+    let storage = Arc::new(MemStorage::new());
+    let policy = DurabilityPolicy { snapshot_every: 3, ..DurabilityPolicy::default() };
+    let backend = Arc::clone(&storage) as Arc<dyn StorageBackend>;
+    let mut log = DurableLog::open(backend, policy).unwrap().log;
+    log.snapshot_now(&replay_prefix(&history, history.len())).unwrap();
+    assert_eq!(storage.list().unwrap().len(), 2, "one chunk file and its manifest");
+    drop(log);
+
+    let reopened = Arc::new(storage.reopen());
+    let backend = Arc::clone(&reopened) as Arc<dyn StorageBackend>;
+    let opened = DurableLog::open(backend, policy).unwrap();
+    let (mut log, mut repo) = (opened.log, opened.repository);
+    let past_chunk_zero = SpecId(CHUNK_SPECS as u32 + 1);
+    let spec = fixtures::disease_susceptibility_spec();
+    let writes = [
+        Mutation::AddExecution {
+            spec: past_chunk_zero,
+            exec: fixtures::disease_susceptibility_execution(&spec),
+        },
+        Mutation::SetPolicy { spec: past_chunk_zero, policy: Policy::public() },
+        paper_insert(),
+    ];
+    for mutation in writes {
+        repo.check(&mutation).unwrap();
+        log.append_batch(std::slice::from_ref(&mutation)).unwrap();
+        repo.apply(mutation.clone()).unwrap();
+        history.push(mutation);
+        log.snapshot_if_due(&repo);
+    }
+    let stats = log.stats();
+    assert_eq!(stats.background_snapshots, 1, "the cadence snapshot ran");
+    assert_eq!(
+        (stats.snapshot_chunks_written, stats.snapshot_chunks_reused),
+        (2, 0),
+        "chunk 0 is captured afresh, not carried as the checkpoint's run"
+    );
+    let (recovered, rstats) = Repository::recover(reopened.as_ref()).unwrap();
+    assert_eq!(rstats.snapshot_seq, 3);
+    assert_eq!(recovered.save(), replay_prefix(&history, history.len()).save());
 }

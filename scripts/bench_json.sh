@@ -36,7 +36,7 @@
 # stream at 32 in flight, a crash matrix over every byte of the final
 # in-flight frame recovering batch-aligned acked prefixes
 # bit-identically, and copy-on-write chunked snapshots writing ≤0.5x
-# what the whole-image baseline writer does at 12.5% dirty
+# what a one-run checkpoint of every slot does at 12.5% dirty
 # chunks with ≥0.5 chunk reuse; E19: targeted DeleteSpec/EditSpec
 # index maintenance ≥5x per-write full rebuilds with the maintained
 # index bit-identical to a fresh build of the tombstoned corpus, reads
