@@ -21,6 +21,7 @@
 //! regressions in any layer of the fast path show up as a diff against the
 //! committed baseline.
 
+use ppwf_bench::harness::{fixed, write_record, Json};
 use ppwf_bench::{one_shard_cluster, populated_repo, standard_registry, E10_GROUPS, E10_QUERIES};
 use ppwf_query::engine::Plan;
 use ppwf_query::keyword::{search_filtered, search_filtered_with_cache, KeywordQuery};
@@ -31,41 +32,12 @@ use std::time::Instant;
 
 const SEED: u64 = 91;
 
-struct Config {
-    out: String,
-    specs: Vec<usize>,
-    reps: usize,
-}
-
-fn parse_args() -> Config {
-    let mut config =
-        Config { out: "BENCH_e10_query_cache.json".to_string(), specs: vec![8, 16, 32], reps: 50 };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                config.out = args.get(i + 1).expect("--out needs a path").clone();
-                i += 2;
-            }
-            "--specs" => {
-                config.specs = args
-                    .get(i + 1)
-                    .expect("--specs needs a comma-separated list")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("bad spec count"))
-                    .collect();
-                i += 2;
-            }
-            "--reps" => {
-                config.reps =
-                    args.get(i + 1).expect("--reps needs a count").parse().expect("bad rep count");
-                i += 2;
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
+ppwf_bench::flags! {
+    struct Config {
+        out: String = "BENCH_e10_query_cache.json",
+        specs: Vec<usize> = "8,16,32",
+        reps: usize = "50",
     }
-    config
 }
 
 /// One measured serving plan: total requests and µs per request.
@@ -79,7 +51,7 @@ fn per_query_us(total_us: f64, requests: usize) -> f64 {
 }
 
 fn main() {
-    let config = parse_args();
+    let config = Config::parse();
     let mut sections = Vec::new();
     let mut min_keyword_speedup = f64::INFINITY;
     let mut min_private_speedup = f64::INFINITY;
@@ -198,81 +170,58 @@ fn main() {
             warm_speedup
         );
 
-        sections.push(format!(
-            r#"    {{
-      "specs": {specs},
-      "groups": {groups},
-      "queries": {queries},
-      "repetitions": {reps},
-      "requests": {requests},
-      "keyword": {{
-        "uncached_us_per_query": {unc:.3},
-        "view_cache_us_per_query": {vc:.3},
-        "warm_front_us_per_query": {we:.3},
-        "view_cache_speedup": {vs:.2},
-        "warm_front_speedup": {ws:.2},
-        "hits_served_per_pass": {hits}
-      }},
-      "private_filter_plan": {{
-        "uncached_us_per_query": {punc:.3},
-        "warm_front_us_per_query": {pwe:.3},
-        "warm_front_speedup": {ps:.2}
-      }},
-      "cache_stats": {{
-        "view_hits": {vh}, "view_misses": {vm},
-        "front_hits": {fh}, "front_misses": {fm},
-        "front_hit_rate": {fhr:.4}
-      }}
-    }}"#,
-            specs = specs,
-            groups = E10_GROUPS.len(),
-            queries = queries.len(),
-            reps = config.reps,
-            requests = requests,
-            unc = uncached.us_per_query,
-            vc = view_cache.us_per_query,
-            we = warm_front.us_per_query,
-            vs = view_speedup,
-            ws = warm_speedup,
-            hits = uncached.hits_served / config.reps,
-            punc = private_uncached_us,
-            pwe = private_warm_us,
-            ps = private_speedup,
-            vh = stats.aggregate.views.hits,
-            vm = stats.aggregate.views.misses,
-            fh = stats.front.hits,
-            fm = stats.front.misses,
-            fhr = stats.front.hit_rate(),
-        ));
+        sections.push(
+            Json::obj()
+                .with("specs", specs)
+                .with("groups", E10_GROUPS.len())
+                .with("queries", queries.len())
+                .with("repetitions", config.reps)
+                .with("requests", requests)
+                .with(
+                    "keyword",
+                    Json::obj()
+                        .with("uncached_us_per_query", fixed(uncached.us_per_query, 3))
+                        .with("view_cache_us_per_query", fixed(view_cache.us_per_query, 3))
+                        .with("warm_front_us_per_query", fixed(warm_front.us_per_query, 3))
+                        .with("view_cache_speedup", fixed(view_speedup, 2))
+                        .with("warm_front_speedup", fixed(warm_speedup, 2))
+                        .with("hits_served_per_pass", uncached.hits_served / config.reps),
+                )
+                .with(
+                    "private_filter_plan",
+                    Json::obj()
+                        .with("uncached_us_per_query", fixed(private_uncached_us, 3))
+                        .with("warm_front_us_per_query", fixed(private_warm_us, 3))
+                        .with("warm_front_speedup", fixed(private_speedup, 2)),
+                )
+                .with(
+                    "cache_stats",
+                    Json::obj()
+                        .with("view_hits", stats.aggregate.views.hits)
+                        .with("view_misses", stats.aggregate.views.misses)
+                        .with("front_hits", stats.front.hits)
+                        .with("front_misses", stats.front.misses)
+                        .with("front_hit_rate", fixed(stats.front.hit_rate(), 4)),
+                ),
+        );
     }
 
-    let json = format!(
-        r#"{{
-  "experiment": "E10",
-  "title": "Query fast path: a one-shard cluster's per-user-group front cache + (spec, prefix) view cache vs uncached serving",
-  "seed": {SEED},
-  "query_mix": [{}],
-  "groups": [{}],
-  "configs": [
-{}
-  ],
-  "aggregate": {{
-    "min_warm_keyword_speedup": {:.2},
-    "min_warm_private_speedup": {:.2},
-    "acceptance_threshold_speedup": 5.0
-  }}
-}}
-"#,
-        E10_QUERIES.iter().map(|q| format!("{q:?}")).collect::<Vec<_>>().join(", "),
-        E10_GROUPS.iter().map(|g| format!("{g:?}")).collect::<Vec<_>>().join(", "),
-        sections.join(",\n"),
-        min_keyword_speedup,
-        min_private_speedup,
-    );
-
-    std::fs::write(&config.out, &json).expect("write baseline JSON");
+    let record = Json::obj()
+        .with("experiment", "E10")
+        .with("title", "Query fast path: a one-shard cluster's per-user-group front cache + (spec, prefix) view cache vs uncached serving")
+        .with("seed", SEED)
+        .with("query_mix", E10_QUERIES.to_vec())
+        .with("groups", E10_GROUPS.to_vec())
+        .with("configs", sections)
+        .with(
+            "aggregate",
+            Json::obj()
+                .with("min_warm_keyword_speedup", fixed(min_keyword_speedup, 2))
+                .with("min_warm_private_speedup", fixed(min_private_speedup, 2))
+                .with("acceptance_threshold_speedup", fixed(5.0, 1)),
+        );
+    write_record(&config.out, &record);
     println!("\nminimum warm-front speedup: keyword {min_keyword_speedup:.1}x, private {min_private_speedup:.1}x");
-    println!("baseline written to {}", config.out);
     assert!(
         min_keyword_speedup >= 5.0 && min_private_speedup >= 5.0,
         "E10 acceptance: warm cache must be ≥5x the uncached path"

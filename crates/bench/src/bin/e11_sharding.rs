@@ -39,60 +39,19 @@
 //! binary exits non-zero if the 4-shard cold-path throughput ratio is
 //! below the acceptance threshold.
 
+use ppwf_bench::harness::{assert_same_answers, fixed, hits, serve_pass, write_record, Json};
 use ppwf_bench::{e11_corpus, e11_query_log, e11_repo, standard_registry, E10_GROUPS};
 use ppwf_query::cluster::EngineCluster;
-use std::time::Instant;
 
-struct Config {
-    out: String,
-    specs: usize,
-    shards: Vec<usize>,
-    queries: usize,
-    seed: u64,
-    min_speedup: f64,
-}
-
-fn parse_args() -> Config {
-    let mut config = Config {
-        out: "BENCH_e11_sharding.json".to_string(),
-        specs: 1024,
-        shards: vec![1, 2, 4, 8],
-        queries: 400,
-        seed: 17,
-        min_speedup: 0.7,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need =
-            |n: usize| args.get(n).unwrap_or_else(|| panic!("{} needs a value", args[n - 1]));
-        match args[i].as_str() {
-            "--out" => config.out = need(i + 1).clone(),
-            "--specs" => config.specs = need(i + 1).parse().expect("bad spec count"),
-            "--shards" => {
-                config.shards = need(i + 1)
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("bad shard count"))
-                    .collect()
-            }
-            "--queries" => config.queries = need(i + 1).parse().expect("bad query count"),
-            "--seed" => config.seed = need(i + 1).parse().expect("bad seed"),
-            "--min-speedup" => config.min_speedup = need(i + 1).parse().expect("bad threshold"),
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 2;
+ppwf_bench::flags! {
+    struct Config {
+        out: String = "BENCH_e11_sharding.json",
+        specs: usize = "1024",
+        shards: Vec<usize> = "1,2,4,8",
+        queries: usize = "400",
+        seed: u64 = "17",
+        min_speedup: f64 = "0.7",
     }
-    config
-}
-
-/// Serve the whole stream once; returns (elapsed µs, hits served).
-fn serve_pass(mut serve: impl FnMut(&str, &str) -> usize, log: &[String]) -> (f64, usize) {
-    let t = Instant::now();
-    let mut hits = 0usize;
-    for (i, q) in log.iter().enumerate() {
-        hits += serve(E10_GROUPS[i % E10_GROUPS.len()], q);
-    }
-    (t.elapsed().as_secs_f64() * 1e6, hits)
 }
 
 fn qps(total_us: f64, requests: usize) -> f64 {
@@ -100,7 +59,7 @@ fn qps(total_us: f64, requests: usize) -> f64 {
 }
 
 fn main() {
-    let config = parse_args();
+    let config = Config::parse();
     println!(
         "== E11: sharded vs single-engine serving (blocking read: target shards in sequence) =="
     );
@@ -126,23 +85,12 @@ fn main() {
         .collect();
     {
         let warmup = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
-        let _ = serve_pass(|g, q| warmup.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
+        let _ = serve_pass(hits(&warmup), &log);
     }
 
     // -- single-engine baseline ---------------------------------------------
-    let (single_cold_us, single_cold_hits) =
-        serve_pass(|g, q| single.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
-    // Reference answers (now warm) for the equivalence check.
-    let reference: Vec<Vec<u32>> = log
-        .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            let hits = single.search_as(E10_GROUPS[i % E10_GROUPS.len()], q).unwrap();
-            hits.iter().map(|h| h.spec.0).collect()
-        })
-        .collect();
-    let (single_warm_us, single_warm_hits) =
-        serve_pass(|g, q| single.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
+    let (single_cold_us, single_cold_hits) = serve_pass(hits(&single), &log);
+    let (single_warm_us, single_warm_hits) = serve_pass(hits(&single), &log);
     assert_eq!(single_cold_hits, single_warm_hits, "warm pass changed answers");
 
     println!(
@@ -164,18 +112,12 @@ fn main() {
     let mut sections = Vec::new();
     let mut speedup_at_4: Option<f64> = None;
     for (&shards, cluster) in config.shards.iter().zip(&clusters) {
-        let (cold_us, cold_hits) =
-            serve_pass(|g, q| cluster.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
+        let (cold_us, cold_hits) = serve_pass(hits(cluster), &log);
         // Equivalence: every answer lists exactly the single engine's
-        // spec ids (cluster caches are warm now; answers must not
-        // depend on that).
-        for (i, q) in log.iter().enumerate() {
-            let hits = cluster.search_as(E10_GROUPS[i % E10_GROUPS.len()], q).unwrap();
-            let ids: Vec<u32> = hits.iter().map(|h| h.spec.0).collect();
-            assert_eq!(ids, reference[i], "cluster({shards}) diverged on query {q:?}");
-        }
-        let (warm_us, warm_hits) =
-            serve_pass(|g, q| cluster.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
+        // spec ids (both caches are warm now; answers must not depend on
+        // that).
+        assert_same_answers(cluster, &single, &log, &format!("cluster({shards})"));
+        let (warm_us, warm_hits) = serve_pass(hits(cluster), &log);
         assert_eq!(cold_hits, single_cold_hits, "cluster({shards}) changed total hits");
         assert_eq!(warm_hits, cold_hits);
 
@@ -198,70 +140,43 @@ fn main() {
             cold_hits
         );
 
-        sections.push(format!(
-            r#"    {{
-      "shards": {shards},
-      "cold_qps": {cq:.1},
-      "cold_us_per_query": {cu:.3},
-      "warm_qps": {wq:.1},
-      "warm_us_per_query": {wu:.3},
-      "cold_speedup_vs_single": {cs:.3},
-      "warm_speedup_vs_single": {ws:.3},
-      "avg_target_shards_per_query": {at:.3},
-      "hits_served_per_pass": {hits},
-      "front_hit_rate": {fhr:.4}
-    }}"#,
-            shards = shards,
-            cq = qps(cold_us, log.len()),
-            cu = cold_us / log.len() as f64,
-            wq = qps(warm_us, log.len()),
-            wu = warm_us / log.len() as f64,
-            cs = cold_speedup,
-            ws = single_warm_us / warm_us,
-            at = avg_targets,
-            hits = cold_hits,
-            fhr = stats.front.hit_rate(),
-        ));
+        sections.push(
+            Json::obj()
+                .with("shards", shards)
+                .with("cold_qps", fixed(qps(cold_us, log.len()), 1))
+                .with("cold_us_per_query", fixed(cold_us / log.len() as f64, 3))
+                .with("warm_qps", fixed(qps(warm_us, log.len()), 1))
+                .with("warm_us_per_query", fixed(warm_us / log.len() as f64, 3))
+                .with("cold_speedup_vs_single", fixed(cold_speedup, 3))
+                .with("warm_speedup_vs_single", fixed(single_warm_us / warm_us, 3))
+                .with("avg_target_shards_per_query", fixed(avg_targets, 3))
+                .with("hits_served_per_pass", cold_hits)
+                .with("front_hit_rate", fixed(stats.front.hit_rate(), 4)),
+        );
     }
 
-    let json = format!(
-        r#"{{
-  "experiment": "E11",
-  "title": "Sharded query serving: EngineCluster scatter/gather vs one shard",
-  "seed": {seed},
-  "corpus_specs": {specs},
-  "distinct_queries": {queries},
-  "groups": [{groups}],
-  "single_engine": {{
-    "cold_qps": {scq:.1},
-    "cold_us_per_query": {scu:.3},
-    "warm_qps": {swq:.1},
-    "hits_served_per_pass": {shits}
-  }},
-  "cluster_configs": [
-{sections}
-  ],
-  "aggregate": {{
-    "cold_speedup_at_4_shards": {s4},
-    "acceptance_threshold_speedup": {thr:.1},
-    "note": "post-E12 the single engine resolves access views lazily too, so one-core cold serving sits near parity and the gate is a no-regression floor; index-gated scatter pruning still bounds per-shard work; every read, blocking or through the async front (E14), runs its target shards in sequence"
-  }}
-}}
-"#,
-        seed = config.seed,
-        specs = config.specs,
-        queries = log.len(),
-        groups = E10_GROUPS.iter().map(|g| format!("{g:?}")).collect::<Vec<_>>().join(", "),
-        scq = qps(single_cold_us, log.len()),
-        scu = single_cold_us / log.len() as f64,
-        swq = qps(single_warm_us, log.len()),
-        shits = single_cold_hits,
-        sections = sections.join(",\n"),
-        s4 = speedup_at_4.map(|s| format!("{s:.3}")).unwrap_or_else(|| "null".to_string()),
-        thr = config.min_speedup,
-    );
-    std::fs::write(&config.out, &json).expect("write baseline JSON");
-    println!("\nbaseline written to {}", config.out);
+    let single_engine = Json::obj()
+        .with("cold_qps", fixed(qps(single_cold_us, log.len()), 1))
+        .with("cold_us_per_query", fixed(single_cold_us / log.len() as f64, 3))
+        .with("warm_qps", fixed(qps(single_warm_us, log.len()), 1))
+        .with("hits_served_per_pass", single_cold_hits);
+    let record = Json::obj()
+        .with("experiment", "E11")
+        .with("title", "Sharded query serving: EngineCluster scatter/gather vs one shard")
+        .with("seed", config.seed)
+        .with("corpus_specs", config.specs)
+        .with("distinct_queries", log.len())
+        .with("groups", E10_GROUPS.to_vec())
+        .with("single_engine", single_engine)
+        .with("cluster_configs", sections)
+        .with(
+            "aggregate",
+            Json::obj()
+                .with("cold_speedup_at_4_shards", speedup_at_4.map(|s| fixed(s, 3)))
+                .with("acceptance_threshold_speedup", fixed(config.min_speedup, 1))
+                .with("note", "post-E12 the single engine resolves access views lazily too, so one-core cold serving sits near parity and the gate is a no-regression floor; index-gated scatter pruning still bounds per-shard work; every read, blocking or through the async front (E14), runs its target shards in sequence"),
+        );
+    write_record(&config.out, &record);
 
     if let Some(s4) = speedup_at_4 {
         println!("cold-path speedup at 4 shards: {s4:.2}x (threshold {:.1}x)", config.min_speedup);

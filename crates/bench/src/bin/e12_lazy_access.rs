@@ -34,6 +34,7 @@
 //! one-shard cluster — what serves one index — touches the resolver at all
 //! (the warm path must stay a front-cache probe).
 
+use ppwf_bench::harness::{fixed, write_record, Json};
 use ppwf_bench::{
     e11_corpus, e11_query_log, e11_repo, e12_broad_corpus, e12_broad_query_log, e12_registry,
 };
@@ -45,50 +46,20 @@ use ppwf_repo::view_cache::ViewCache;
 use std::collections::HashSet;
 use std::time::Instant;
 
-struct Config {
-    out: String,
-    specs: usize,
-    queries: usize,
-    groups: usize,
-    seed: u64,
-    min_speedup: f64,
-    broad_queries: usize,
-}
-
-fn parse_args() -> Config {
-    let mut config = Config {
-        out: "BENCH_e12_lazy_access.json".to_string(),
-        specs: 1024,
-        queries: 400,
-        groups: 8,
-        seed: 17,
-        min_speedup: 3.0,
-        broad_queries: 60,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need =
-            |n: usize| args.get(n).unwrap_or_else(|| panic!("{} needs a value", args[n - 1]));
-        match args[i].as_str() {
-            "--out" => config.out = need(i + 1).clone(),
-            "--specs" => config.specs = need(i + 1).parse().expect("bad spec count"),
-            "--queries" => config.queries = need(i + 1).parse().expect("bad query count"),
-            "--groups" => config.groups = need(i + 1).parse().expect("bad group count"),
-            "--seed" => config.seed = need(i + 1).parse().expect("bad seed"),
-            "--min-speedup" => config.min_speedup = need(i + 1).parse().expect("bad threshold"),
-            "--broad-queries" => {
-                config.broad_queries = need(i + 1).parse().expect("bad broad count")
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 2;
+ppwf_bench::flags! {
+    struct Config {
+        out: String = "BENCH_e12_lazy_access.json",
+        specs: usize = "1024",
+        queries: usize = "400",
+        groups: usize = "8",
+        seed: u64 = "17",
+        min_speedup: f64 = "3.0",
+        broad_queries: usize = "60",
     }
-    config
 }
 
 fn main() {
-    let config = parse_args();
+    let config = Config::parse();
     println!("== E12: lazy vs eager access resolution (cold filtered search) ==");
     println!(
         "corpus: {} specs, {} selective + {} broad queries, {} extra groups, seed {}",
@@ -308,63 +279,43 @@ fn main() {
         );
     }
 
-    let json = format!(
-        r#"{{
-  "experiment": "E12",
-  "title": "Lazy per-candidate access resolution vs eager whole-corpus access maps",
-  "seed": {seed},
-  "corpus_specs": {specs},
-  "registry_groups": {groups},
-  "selective_queries": {nsel},
-  "broad_queries": {nbroad},
-  "avg_candidate_specs_per_selective_query": {avgc:.3},
-  "selective": {{
-    "eager_us_per_query": {eu:.3},
-    "lazy_us_per_query": {lu:.3},
-    "speedup_lazy_vs_eager": {sp:.3},
-    "rule_resolutions_eager_total": {re},
-    "rule_resolutions_lazy_total": {rl},
-    "lazy_memo_hits_total": {mh}
-  }},
-  "broad_cold_memo": {{
-    "eager_us_per_query": {beu:.3},
-    "lazy_us_per_query": {blu:.3},
-    "speedup_lazy_vs_eager": {bsp:.3},
-    "rule_resolutions_lazy_per_query": {brl:.1},
-    "avg_candidate_specs_per_query": {bavgc:.1},
-    "note": "selectivity knob at its far end: small-vocabulary corpus, head-term queries, fresh resolver per request — candidates approach the corpus and cold lazy approaches eager; the surviving AccessCache amortizes this in production"
-  }},
-  "warm_engine_us_per_query": {wu:.4},
-  "acceptance": {{
-    "threshold_selective_speedup": {thr:.1},
-    "warm_path_resolver_untouched": true,
-    "answers_bit_identical": true,
-    "resolutions_within_postings_union": true
-  }}
-}}
-"#,
-        seed = config.seed,
-        specs = config.specs,
-        groups = group_names.len(),
-        nsel = selective.len(),
-        nbroad = broad.len(),
-        avgc = avg_candidates,
-        eu = per_q(eager_us, selective.len()),
-        lu = per_q(lazy_us, selective.len()),
-        sp = speedup,
-        re = rules_eager,
-        rl = rules_lazy,
-        mh = access_cache.stats().hits(),
-        beu = per_q(broad_eager_us, broad.len()),
-        blu = per_q(broad_lazy_us, broad.len()),
-        bsp = if broad_lazy_us > 0.0 { broad_eager_us / broad_lazy_us } else { 0.0 },
-        brl = if broad.is_empty() { 0.0 } else { broad_lazy_rules as f64 / broad.len() as f64 },
-        bavgc = broad_avg_candidates,
-        wu = per_q(warm_us, selective.len()),
-        thr = config.min_speedup,
-    );
-    std::fs::write(&config.out, &json).expect("write baseline JSON");
-    println!("\nbaseline written to {}", config.out);
+    let selective_json = Json::obj()
+        .with("eager_us_per_query", fixed(per_q(eager_us, selective.len()), 3))
+        .with("lazy_us_per_query", fixed(per_q(lazy_us, selective.len()), 3))
+        .with("speedup_lazy_vs_eager", fixed(speedup, 3))
+        .with("rule_resolutions_eager_total", rules_eager)
+        .with("rule_resolutions_lazy_total", rules_lazy)
+        .with("lazy_memo_hits_total", access_cache.stats().hits());
+    let broad_speedup = if broad_lazy_us > 0.0 { broad_eager_us / broad_lazy_us } else { 0.0 };
+    let broad_rules = broad_lazy_rules as f64 / broad.len().max(1) as f64;
+    let broad_json = Json::obj()
+        .with("eager_us_per_query", fixed(per_q(broad_eager_us, broad.len()), 3))
+        .with("lazy_us_per_query", fixed(per_q(broad_lazy_us, broad.len()), 3))
+        .with("speedup_lazy_vs_eager", fixed(broad_speedup, 3))
+        .with("rule_resolutions_lazy_per_query", fixed(broad_rules, 1))
+        .with("avg_candidate_specs_per_query", fixed(broad_avg_candidates, 1))
+        .with("note", "selectivity knob at its far end: small-vocabulary corpus, head-term queries, fresh resolver per request — candidates approach the corpus and cold lazy approaches eager; the surviving AccessCache amortizes this in production");
+    let record = Json::obj()
+        .with("experiment", "E12")
+        .with("title", "Lazy per-candidate access resolution vs eager whole-corpus access maps")
+        .with("seed", config.seed)
+        .with("corpus_specs", config.specs)
+        .with("registry_groups", group_names.len())
+        .with("selective_queries", selective.len())
+        .with("broad_queries", broad.len())
+        .with("avg_candidate_specs_per_selective_query", fixed(avg_candidates, 3))
+        .with("selective", selective_json)
+        .with("broad_cold_memo", broad_json)
+        .with("warm_engine_us_per_query", fixed(per_q(warm_us, selective.len()), 4))
+        .with(
+            "acceptance",
+            Json::obj()
+                .with("threshold_selective_speedup", fixed(config.min_speedup, 1))
+                .with("warm_path_resolver_untouched", true)
+                .with("answers_bit_identical", true)
+                .with("resolutions_within_postings_union", true),
+        );
+    write_record(&config.out, &record);
 
     println!("selective cold-path speedup: {speedup:.2}x (threshold {:.1}x)", config.min_speedup);
     assert!(

@@ -41,122 +41,36 @@
 //! maintenance is O(the written spec's text). The binary exits non-zero
 //! when any acceptance gate fails.
 
+use ppwf_bench::harness::{
+    alternate, assert_same_answers, best_pass, fixed, hits, maintenance_pass, serve_pass,
+    write_record, Json,
+};
 use ppwf_bench::{
-    e11_corpus, e11_query_log, e11_repo, e13_write_stream, standard_registry, E10_GROUPS,
+    e11_corpus, e11_query_log, e11_repo, e13_write_stream, replay, standard_registry,
 };
 use ppwf_query::cluster::EngineCluster;
-use ppwf_query::keyword::KeywordQuery;
 use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::mutation::Mutation;
-use ppwf_repo::repository::Repository;
 use std::time::Instant;
 
-struct Config {
-    out: String,
-    specs: usize,
-    writes: usize,
-    reads: usize,
-    shards: usize,
-    seed: u64,
-    exec_pct: u32,
-    policy_pct: u32,
-    min_speedup: f64,
-    max_read_regression: f64,
-    max_warm_ratio: f64,
-}
-
-fn parse_args() -> Config {
-    let mut config = Config {
-        out: "BENCH_e13_incremental_writes.json".to_string(),
-        specs: 1024,
-        writes: 128,
-        reads: 300,
-        shards: 4,
-        seed: 17,
-        exec_pct: 60,
-        policy_pct: 20,
-        min_speedup: 5.0,
-        max_read_regression: 1.2,
-        max_warm_ratio: 1.2,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need =
-            |n: usize| args.get(n).unwrap_or_else(|| panic!("{} needs a value", args[n - 1]));
-        match args[i].as_str() {
-            "--out" => config.out = need(i + 1).clone(),
-            "--specs" => config.specs = need(i + 1).parse().expect("bad spec count"),
-            "--writes" => config.writes = need(i + 1).parse().expect("bad write count"),
-            "--reads" => config.reads = need(i + 1).parse().expect("bad read count"),
-            "--shards" => config.shards = need(i + 1).parse().expect("bad shard count"),
-            "--seed" => config.seed = need(i + 1).parse().expect("bad seed"),
-            "--exec-pct" => config.exec_pct = need(i + 1).parse().expect("bad exec pct"),
-            "--policy-pct" => config.policy_pct = need(i + 1).parse().expect("bad policy pct"),
-            "--min-speedup" => config.min_speedup = need(i + 1).parse().expect("bad threshold"),
-            "--max-read-regression" => {
-                config.max_read_regression = need(i + 1).parse().expect("bad ratio")
-            }
-            "--max-warm-ratio" => config.max_warm_ratio = need(i + 1).parse().expect("bad ratio"),
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 2;
-    }
-    config
-}
-
-/// Serve the whole read log once; returns (elapsed µs, hits served).
-fn serve_pass(mut serve: impl FnMut(&str, &str) -> usize, log: &[String]) -> (f64, usize) {
-    let t = Instant::now();
-    let mut hits = 0usize;
-    for (i, q) in log.iter().enumerate() {
-        hits += serve(E10_GROUPS[i % E10_GROUPS.len()], q);
-    }
-    (t.elapsed().as_secs_f64() * 1e6, hits)
-}
-
-/// Best of `reps` serve passes — warm passes finish in tens of
-/// microseconds, where a single scheduler interrupt dwarfs the signal;
-/// the minimum is the standard noise floor estimate.
-fn best_pass(
-    reps: usize,
-    mut serve: impl FnMut(&str, &str) -> usize,
-    log: &[String],
-) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut hits = 0usize;
-    for _ in 0..reps.max(1) {
-        let (us, h) = serve_pass(&mut serve, log);
-        best = best.min(us);
-        hits = h;
-    }
-    (best, hits)
-}
-
-/// Assert the maintained index answers exactly like a fresh full build.
-fn assert_index_equivalent(maintained: &KeywordIndex, repo: &Repository, log: &[String]) {
-    let fresh = KeywordIndex::build(repo);
-    assert_eq!(maintained.doc_count(), fresh.doc_count(), "doc_count diverged");
-    assert_eq!(maintained.term_count(), fresh.term_count(), "term_count diverged");
-    for q in log {
-        for term in &KeywordQuery::parse(q).terms {
-            assert_eq!(
-                maintained.lookup_query_term(term),
-                fresh.lookup_query_term(term),
-                "postings diverged on {term:?}"
-            );
-            assert_eq!(maintained.df_cached(term), fresh.df(term), "df diverged on {term:?}");
-            assert_eq!(
-                maintained.idf_cached(term).to_bits(),
-                fresh.idf_cached(term).to_bits(),
-                "idf diverged on {term:?}"
-            );
-        }
+ppwf_bench::flags! {
+    struct Config {
+        out: String = "BENCH_e13_incremental_writes.json",
+        specs: usize = "1024",
+        writes: usize = "128",
+        reads: usize = "300",
+        shards: usize = "4",
+        seed: u64 = "17",
+        exec_pct: u32 = "60",
+        policy_pct: u32 = "20",
+        min_speedup: f64 = "5.0",
+        max_read_regression: f64 = "1.2",
+        max_warm_ratio: f64 = "1.2",
     }
 }
 
 fn main() {
-    let config = parse_args();
+    let config = Config::parse();
     println!("== E13: incremental write pipeline vs full per-write index rebuilds ==");
     let insert_pct = 100 - config.exec_pct - config.policy_pct;
     println!(
@@ -180,34 +94,12 @@ fn main() {
         .count();
 
     // -- section A: per-write index maintenance -----------------------------
-    // Baseline: the pre-E13 engine rebuilt the whole index on every write.
-    let mut repo_full = e11_repo(&corpus);
-    let mut index_full = KeywordIndex::build(&repo_full);
-    let mut full_us = 0.0f64;
-    for m in stream.iter().cloned() {
-        repo_full.apply(m).expect("write stream valid");
-        let t = Instant::now();
-        index_full = KeywordIndex::build(&repo_full);
-        full_us += t.elapsed().as_secs_f64() * 1e6;
-    }
-    drop(index_full);
-
-    // Incremental: the typed effect folded into the index.
-    let mut repo_incr = e11_repo(&corpus);
-    let mut index_incr = KeywordIndex::build(&repo_incr);
-    let docs_at_start = index_incr.docs_indexed();
-    let mut incr_us = 0.0f64;
-    for m in stream.iter().cloned() {
-        let effect = repo_incr.apply(m).expect("write stream valid");
-        let t = Instant::now();
-        index_incr.apply_effect(&repo_incr, &effect);
-        incr_us += t.elapsed().as_secs_f64() * 1e6;
-    }
-    assert!(
-        index_incr.docs_indexed() > docs_at_start || structure_free == stream.len(),
-        "inserts must append postings"
-    );
-    assert_index_equivalent(&index_incr, &repo_incr, &log);
+    // Baseline: the pre-E13 engine rebuilt the whole index on every write;
+    // incremental: the typed effect folded into the index.
+    let docs_at_start = KeywordIndex::build(&e11_repo(&corpus)).docs_indexed();
+    let (full_us, incr_us, _, index_incr) = maintenance_pass(|| e11_repo(&corpus), &stream, &log);
+    let docs_appended = index_incr.docs_indexed() - docs_at_start;
+    assert!(docs_appended > 0 || structure_free == stream.len(), "inserts must append postings");
     let maintenance_speedup = full_us / incr_us;
 
     let per_write = |us: f64| us / config.writes.max(1) as f64;
@@ -216,10 +108,8 @@ fn main() {
     println!("{:>22} {:>14.1} {:>12}", "full rebuild", per_write(full_us), "1.0x");
     println!("{:>22} {:>14.1} {:>11.1}x", "apply_effect", per_write(incr_us), maintenance_speedup);
     println!(
-        "index work: {} docs appended over {} writes ({} structure-free writes did zero)",
-        index_incr.docs_indexed() - docs_at_start,
+        "index work: {docs_appended} docs appended over {} writes ({structure_free} structure-free writes did zero)",
         stream.len(),
-        structure_free
     );
 
     // -- section B: read no-regression --------------------------------------
@@ -237,7 +127,7 @@ fn main() {
     {
         // Warm the allocator/page cache outside timing.
         let warmup = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
-        let _ = serve_pass(|g, q| warmup.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
+        let _ = serve_pass(hits(&warmup), &log);
     }
     for rep in 0..COLD_REPS {
         let mut cluster_grown = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
@@ -246,27 +136,13 @@ fn main() {
             cluster_grown.mutate(m).expect("write stream valid");
         }
         pipeline_us = t.elapsed().as_secs_f64() * 1e6;
-        let mut repo_replay = e11_repo(&corpus);
-        for m in stream.iter().cloned() {
-            repo_replay.apply(m).expect("write stream valid");
-        }
-        let cluster_fresh = EngineCluster::new(repo_replay, standard_registry(), 1);
-
-        let serve_fresh = |g: &str, q: &str| -> usize {
-            cluster_fresh.search_as(g, q).map(|h| h.len()).unwrap_or(0)
-        };
-        let serve_grown = |g: &str, q: &str| -> usize {
-            cluster_grown.search_as(g, q).map(|h| h.len()).unwrap_or(0)
-        };
-        let ((fresh_us, fh), (grown_us, gh)) = if rep % 2 == 0 {
-            let f = serve_pass(serve_fresh, &log);
-            let g = serve_pass(serve_grown, &log);
-            (f, g)
-        } else {
-            let g = serve_pass(serve_grown, &log);
-            let f = serve_pass(serve_fresh, &log);
-            (f, g)
-        };
+        let cluster_fresh =
+            EngineCluster::new(replay(e11_repo(&corpus), &stream), standard_registry(), 1);
+        let ((fresh_us, fh), (grown_us, gh)) = alternate(
+            rep,
+            || serve_pass(hits(&cluster_fresh), &log),
+            || serve_pass(hits(&cluster_grown), &log),
+        );
         assert_eq!(gh, fh, "the grown cluster serves different answers");
         fresh_cold_us = fresh_cold_us.min(fresh_us);
         grown_cold_us = grown_cold_us.min(grown_us);
@@ -274,27 +150,10 @@ fn main() {
         pair = Some((cluster_grown, cluster_fresh));
     }
     let (cluster_grown, cluster_fresh) = pair.expect("at least one rep");
-    for (i, q) in log.iter().enumerate() {
-        let g = E10_GROUPS[i % E10_GROUPS.len()];
-        let a = cluster_grown.search_as(g, q).unwrap();
-        let b = cluster_fresh.search_as(g, q).unwrap();
-        assert_eq!(
-            a.iter().map(|h| h.spec.0).collect::<Vec<_>>(),
-            b.iter().map(|h| h.spec.0).collect::<Vec<_>>(),
-            "grown vs fresh diverged on {q:?}"
-        );
-    }
+    assert_same_answers(&cluster_grown, &cluster_fresh, &log, "grown vs fresh");
     const WARM_REPS: usize = 9;
-    let (fresh_warm_us, _) = best_pass(
-        WARM_REPS,
-        |g, q| cluster_fresh.search_as(g, q).map(|h| h.len()).unwrap_or(0),
-        &log,
-    );
-    let (grown_warm_us, _) = best_pass(
-        WARM_REPS,
-        |g, q| cluster_grown.search_as(g, q).map(|h| h.len()).unwrap_or(0),
-        &log,
-    );
+    let (fresh_warm_us, _) = best_pass(WARM_REPS, hits(&cluster_fresh), &log);
+    let (grown_warm_us, _) = best_pass(WARM_REPS, hits(&cluster_grown), &log);
     let cold_ratio = grown_cold_us / fresh_cold_us;
     let warm_ratio = grown_warm_us / fresh_warm_us;
 
@@ -314,16 +173,11 @@ fn main() {
     );
 
     // -- section C: cluster-front warm path ---------------------------------
-    let mut repo_replay2 = e11_repo(&corpus);
-    for m in stream.iter().cloned() {
-        repo_replay2.apply(m).expect("write stream valid");
-    }
-    let mut cluster = EngineCluster::new(repo_replay2, standard_registry(), config.shards);
-    let (cluster_cold_us, cluster_cold_hits) =
-        serve_pass(|g, q| cluster.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
+    let final_repo = replay(e11_repo(&corpus), &stream);
+    let mut cluster = EngineCluster::new(final_repo, standard_registry(), config.shards);
+    let (cluster_cold_us, cluster_cold_hits) = serve_pass(hits(&cluster), &log);
     assert_eq!(cluster_cold_hits, fresh_hits, "cluster changed total hits");
-    let (cluster_warm_us, _) =
-        best_pass(WARM_REPS, |g, q| cluster.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
+    let (cluster_warm_us, _) = best_pass(WARM_REPS, hits(&cluster), &log);
     let warm_vs_single = cluster_warm_us / fresh_warm_us;
     let front_before = cluster.stats().front;
 
@@ -334,8 +188,7 @@ fn main() {
             || e13_write_stream(&corpus, 8, 100, 0, config.seed ^ 0xFE).swap_remove(0),
         );
     cluster.mutate(exec_write).expect("append valid");
-    let (cluster_after_us, cluster_after_hits) =
-        serve_pass(|g, q| cluster.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
+    let (cluster_after_us, cluster_after_hits) = serve_pass(hits(&cluster), &log);
     assert_eq!(cluster_after_hits, cluster_cold_hits, "append changed keyword answers");
     let front_after = cluster.stats().front;
     assert_eq!(
@@ -356,80 +209,52 @@ fn main() {
         front_after.hits as f64 / (front_after.hits + front_after.misses) as f64
     );
 
-    let json = format!(
-        r#"{{
-  "experiment": "E13",
-  "title": "Incremental write pipeline: typed mutations, KeywordIndex::apply_effect, cluster-front result cache",
-  "seed": {seed},
-  "corpus_specs": {specs},
-  "writes": {writes},
-  "write_mix": {{ "exec_append_pct": {ep}, "policy_swap_pct": {pp}, "insert_pct": {ip} }},
-  "reads": {reads},
-  "shards": {shards},
-  "index_maintenance": {{
-    "full_rebuild_us_per_write": {fu:.3},
-    "incremental_refresh_us_per_write": {iu:.3},
-    "speedup_incremental_vs_full": {sp:.3},
-    "full_builds_during_stream": 0,
-    "docs_appended": {docs},
-    "structure_free_writes": {sf},
-    "typed_pipeline_us_per_write": {tp:.3}
-  }},
-  "read_path": {{
-    "fresh_cold_us_per_query": {fc:.3},
-    "grown_cold_us_per_query": {gc:.3},
-    "cold_ratio_grown_vs_fresh": {cr:.3},
-    "fresh_warm_us_per_query": {fw:.4},
-    "grown_warm_us_per_query": {gw:.4},
-    "warm_ratio_grown_vs_fresh": {wr:.3}
-  }},
-  "cluster_front": {{
-    "cluster_cold_us_per_query": {cc:.3},
-    "cluster_warm_us_per_query": {cw:.4},
-    "warm_ratio_cluster_vs_single": {ws:.3},
-    "front_survives_execution_append": true,
-    "post_append_warm_us_per_query": {ca:.4}
-  }},
-  "acceptance": {{
-    "threshold_maintenance_speedup": {thr:.1},
-    "max_read_regression": {mrr:.2},
-    "max_warm_ratio": {mwr:.2},
-    "index_bit_identical_to_full_build": true,
-    "zero_index_work_for_structure_free_writes": true
-  }},
-  "note": "apply_effect folds each typed effect into the index in order and verifies nothing against the repository, so maintenance is O(the written spec's text) per write; bit-identity to a fresh build is asserted here"
-}}
-"#,
-        seed = config.seed,
-        specs = config.specs,
-        writes = stream.len(),
-        ep = config.exec_pct,
-        pp = config.policy_pct,
-        ip = insert_pct,
-        reads = log.len(),
-        shards = config.shards,
-        fu = per_write(full_us),
-        iu = per_write(incr_us),
-        sp = maintenance_speedup,
-        docs = index_incr.docs_indexed() - docs_at_start,
-        sf = structure_free,
-        tp = per_write(pipeline_us),
-        fc = per_q(fresh_cold_us),
-        gc = per_q(grown_cold_us),
-        cr = cold_ratio,
-        fw = per_q(fresh_warm_us),
-        gw = per_q(grown_warm_us),
-        wr = warm_ratio,
-        cc = per_q(cluster_cold_us),
-        cw = per_q(cluster_warm_us),
-        ws = warm_vs_single,
-        ca = per_q(cluster_after_us),
-        thr = config.min_speedup,
-        mrr = config.max_read_regression,
-        mwr = config.max_warm_ratio,
-    );
-    std::fs::write(&config.out, &json).expect("write baseline JSON");
-    println!("\nbaseline written to {}", config.out);
+    let write_mix = Json::obj()
+        .with("exec_append_pct", config.exec_pct)
+        .with("policy_swap_pct", config.policy_pct)
+        .with("insert_pct", insert_pct);
+    let index_maintenance = Json::obj()
+        .with("full_rebuild_us_per_write", fixed(per_write(full_us), 3))
+        .with("incremental_refresh_us_per_write", fixed(per_write(incr_us), 3))
+        .with("speedup_incremental_vs_full", fixed(maintenance_speedup, 3))
+        .with("full_builds_during_stream", 0u64)
+        .with("docs_appended", docs_appended)
+        .with("structure_free_writes", structure_free)
+        .with("typed_pipeline_us_per_write", fixed(per_write(pipeline_us), 3));
+    let read_path = Json::obj()
+        .with("fresh_cold_us_per_query", fixed(per_q(fresh_cold_us), 3))
+        .with("grown_cold_us_per_query", fixed(per_q(grown_cold_us), 3))
+        .with("cold_ratio_grown_vs_fresh", fixed(cold_ratio, 3))
+        .with("fresh_warm_us_per_query", fixed(per_q(fresh_warm_us), 4))
+        .with("grown_warm_us_per_query", fixed(per_q(grown_warm_us), 4))
+        .with("warm_ratio_grown_vs_fresh", fixed(warm_ratio, 3));
+    let cluster_front = Json::obj()
+        .with("cluster_cold_us_per_query", fixed(per_q(cluster_cold_us), 3))
+        .with("cluster_warm_us_per_query", fixed(per_q(cluster_warm_us), 4))
+        .with("warm_ratio_cluster_vs_single", fixed(warm_vs_single, 3))
+        .with("front_survives_execution_append", true)
+        .with("post_append_warm_us_per_query", fixed(per_q(cluster_after_us), 4));
+    let acceptance = Json::obj()
+        .with("threshold_maintenance_speedup", fixed(config.min_speedup, 1))
+        .with("max_read_regression", fixed(config.max_read_regression, 2))
+        .with("max_warm_ratio", fixed(config.max_warm_ratio, 2))
+        .with("index_bit_identical_to_full_build", true)
+        .with("zero_index_work_for_structure_free_writes", true);
+    let record = Json::obj()
+        .with("experiment", "E13")
+        .with("title", "Incremental write pipeline: typed mutations, KeywordIndex::apply_effect, cluster-front result cache")
+        .with("seed", config.seed)
+        .with("corpus_specs", config.specs)
+        .with("writes", stream.len())
+        .with("write_mix", write_mix)
+        .with("reads", log.len())
+        .with("shards", config.shards)
+        .with("index_maintenance", index_maintenance)
+        .with("read_path", read_path)
+        .with("cluster_front", cluster_front)
+        .with("acceptance", acceptance)
+        .with("note", "apply_effect folds each typed effect into the index in order and verifies nothing against the repository, so maintenance is O(the written spec's text) per write; bit-identity to a fresh build is asserted here");
+    write_record(&config.out, &record);
 
     println!(
         "per-write maintenance speedup: {maintenance_speedup:.2}x (threshold {:.1}x)",

@@ -43,6 +43,7 @@
 //! at `--concurrency ≥ 8`; the binary exits non-zero when it fails, or
 //! when any answer diverges from the blocking reference.
 
+use ppwf_bench::harness::{fixed, write_record, Json};
 use ppwf_bench::{
     e11_corpus, e11_repo, e13_write_stream, e14_schedule, standard_registry, E10_GROUPS,
 };
@@ -56,53 +57,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-struct Config {
-    out: String,
-    specs: usize,
-    shards: usize,
-    pool_threads: usize,
-    concurrency: usize,
-    requests: usize,
-    distinct: usize,
-    write_every: usize,
-    seed: u64,
-    min_speedup: f64,
-}
-
-fn parse_args() -> Config {
-    let mut config = Config {
-        out: "BENCH_e14_async_serving.json".to_string(),
-        specs: 512,
-        shards: 4,
-        pool_threads: 2,
-        concurrency: 8,
-        requests: 4000,
-        distinct: 96,
-        write_every: 25,
-        seed: 17,
-        min_speedup: 2.0,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need =
-            |n: usize| args.get(n).unwrap_or_else(|| panic!("{} needs a value", args[n - 1]));
-        match args[i].as_str() {
-            "--out" => config.out = need(i + 1).clone(),
-            "--specs" => config.specs = need(i + 1).parse().expect("bad spec count"),
-            "--shards" => config.shards = need(i + 1).parse().expect("bad shard count"),
-            "--pool-threads" => config.pool_threads = need(i + 1).parse().expect("bad pool size"),
-            "--concurrency" => config.concurrency = need(i + 1).parse().expect("bad concurrency"),
-            "--requests" => config.requests = need(i + 1).parse().expect("bad request count"),
-            "--distinct" => config.distinct = need(i + 1).parse().expect("bad distinct count"),
-            "--write-every" => config.write_every = need(i + 1).parse().expect("bad write spacing"),
-            "--seed" => config.seed = need(i + 1).parse().expect("bad seed"),
-            "--min-speedup" => config.min_speedup = need(i + 1).parse().expect("bad threshold"),
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 2;
+ppwf_bench::flags! {
+    struct Config {
+        out: String = "BENCH_e14_async_serving.json",
+        specs: usize = "512",
+        shards: usize = "4",
+        pool_threads: usize = "2",
+        concurrency: usize = "8",
+        requests: usize = "4000",
+        distinct: usize = "96",
+        write_every: usize = "25",
+        seed: u64 = "17",
+        min_speedup: f64 = "2.0",
     }
-    config
 }
 
 fn build_cluster(corpus: &[ppwf_model::spec::Specification], config: &Config) -> EngineCluster {
@@ -218,7 +185,7 @@ fn best_of(reps: usize, mut run: impl FnMut() -> (f64, usize)) -> (f64, usize) {
 }
 
 fn main() {
-    let config = parse_args();
+    let config = Config::parse();
     println!("== E14: async serving front vs blocking per-thread serving ==");
     println!(
         "corpus: {} specs · {} shards · pool {} threads · concurrency {} · {} requests over {} distinct queries · seed {}",
@@ -404,74 +371,46 @@ fn main() {
         mixed_stats.warm_inline
     );
 
+    let read_throughput = Json::obj()
+        .with("thread_per_request_req_per_s", fixed(throughput(tpr_secs), 0))
+        .with("blocking_pool_req_per_s", fixed(throughput(pool_secs), 0))
+        .with("async_front_req_per_s", fixed(throughput(async_secs), 0))
+        .with("speedup_async_vs_thread_per_request", fixed(speedup_vs_tpr, 3))
+        .with("speedup_async_vs_blocking_pool", fixed(speedup_vs_pool, 3));
     let stats = front.stats();
-    let latency_buckets: Vec<String> = stats.latency_counts.iter().map(|c| c.to_string()).collect();
-    let json = format!(
-        r#"{{
-  "experiment": "E14",
-  "title": "Async serving front: multiplexed in-flight cluster queries on the worker pool",
-  "seed": {seed},
-  "corpus_specs": {specs},
-  "shards": {shards},
-  "pool_threads": {pool_threads},
-  "concurrency": {concurrency},
-  "requests": {requests},
-  "distinct_queries": {distinct},
-  "read_throughput": {{
-    "thread_per_request_req_per_s": {tpr:.0},
-    "blocking_pool_req_per_s": {bp:.0},
-    "async_front_req_per_s": {af:.0},
-    "speedup_async_vs_thread_per_request": {sp:.3},
-    "speedup_async_vs_blocking_pool": {spp:.3}
-  }},
-  "multiplexing": {{
-    "cold_burst_requests": {burst_n},
-    "in_flight_high_water": {hw},
-    "submitting_threads": 1,
-    "warm_inline_completions": {warm},
-    "latency_bucket_bounds_us": [4, 16, 64, 256, 1024, 4096, 16384],
-    "latency_bucket_counts": [{latency}]
-  }},
-  "mixed_stream": {{
-    "requests": {mixed_n},
-    "writes": {mixed_w},
-    "req_per_s": {mixed_rps:.0},
-    "fence_waits": {fences},
-    "mutations_applied": {muts}
-  }},
-  "acceptance": {{
-    "threshold_speedup_vs_thread_per_request": {thr:.1},
-    "answers_bit_identical_to_blocking_cluster": true,
-    "no_requests_lost": true
-  }},
-  "note": "the async win is a dispatch-overhead win (warm probes and selective cold queries are small next to a per-request thread spawn); as query cost grows every mode converges to the pool's CPU throughput — the blocking_pool column shows that limit. Single-core host: multiplexing buys capacity (N in flight per submitting thread), not extra parallelism"
-}}
-"#,
-        seed = config.seed,
-        specs = config.specs,
-        shards = config.shards,
-        pool_threads = config.pool_threads,
-        concurrency = config.concurrency,
-        requests = config.requests,
-        distinct = config.distinct,
-        tpr = throughput(tpr_secs),
-        bp = throughput(pool_secs),
-        af = throughput(async_secs),
-        sp = speedup_vs_tpr,
-        spp = speedup_vs_pool,
-        burst_n = burst.len(),
-        hw = burst_stats.in_flight_high_water,
-        warm = stats.warm_inline,
-        latency = latency_buckets.join(", "),
-        mixed_n = mixed.len(),
-        mixed_w = writes_needed,
-        mixed_rps = mixed.len() as f64 / mixed_secs,
-        fences = mixed_stats.fence_waits,
-        muts = mixed_stats.mutations,
-        thr = config.min_speedup,
-    );
-    std::fs::write(&config.out, &json).expect("write baseline JSON");
-    println!("\nbaseline written to {}", config.out);
+    let multiplexing = Json::obj()
+        .with("cold_burst_requests", burst.len())
+        .with("in_flight_high_water", burst_stats.in_flight_high_water)
+        .with("submitting_threads", 1u64)
+        .with("warm_inline_completions", stats.warm_inline)
+        .with("latency_bucket_bounds_us", vec![4u64, 16, 64, 256, 1024, 4096, 16384])
+        .with("latency_bucket_counts", stats.latency_counts.to_vec());
+    let mixed_stream = Json::obj()
+        .with("requests", mixed.len())
+        .with("writes", writes_needed)
+        .with("req_per_s", fixed(mixed.len() as f64 / mixed_secs, 0))
+        .with("fence_waits", mixed_stats.fence_waits)
+        .with("mutations_applied", mixed_stats.mutations);
+    let acceptance = Json::obj()
+        .with("threshold_speedup_vs_thread_per_request", fixed(config.min_speedup, 1))
+        .with("answers_bit_identical_to_blocking_cluster", true)
+        .with("no_requests_lost", true);
+    let record = Json::obj()
+        .with("experiment", "E14")
+        .with("title", "Async serving front: multiplexed in-flight cluster queries on the worker pool")
+        .with("seed", config.seed)
+        .with("corpus_specs", config.specs)
+        .with("shards", config.shards)
+        .with("pool_threads", config.pool_threads)
+        .with("concurrency", config.concurrency)
+        .with("requests", config.requests)
+        .with("distinct_queries", config.distinct)
+        .with("read_throughput", read_throughput)
+        .with("multiplexing", multiplexing)
+        .with("mixed_stream", mixed_stream)
+        .with("acceptance", acceptance)
+        .with("note", "the async win is a dispatch-overhead win (warm probes and selective cold queries are small next to a per-request thread spawn); as query cost grows every mode converges to the pool's CPU throughput — the blocking_pool column shows that limit. Single-core host: multiplexing buys capacity (N in flight per submitting thread), not extra parallelism");
+    write_record(&config.out, &record);
 
     println!(
         "async vs thread-per-request speedup: {speedup_vs_tpr:.2}x (threshold {:.1}x)",

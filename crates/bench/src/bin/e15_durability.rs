@@ -36,8 +36,10 @@
 //! cluster's pool, and the timed reads start only once those have drained.
 //! The binary exits non-zero when any acceptance gate fails.
 
+use ppwf_bench::harness::{alternate, fixed, hits, serve_pass, write_record, Json};
 use ppwf_bench::{
-    e11_corpus, e11_query_log, e11_repo, e13_write_stream, standard_registry, E10_GROUPS,
+    e11_corpus, e11_query_log, e11_repo, e13_write_stream, replay, standalone_stream,
+    standard_registry,
 };
 use ppwf_query::EngineCluster;
 use ppwf_repo::mutation::Mutation;
@@ -47,84 +49,15 @@ use ppwf_repo::wal::{DurabilityPolicy, DurableLog};
 use std::sync::Arc;
 use std::time::Instant;
 
-struct Config {
-    out: String,
-    specs: usize,
-    writes: usize,
-    reads: usize,
-    seed: u64,
-    max_read_regression: f64,
-}
-
-fn parse_args() -> Config {
-    let mut config = Config {
-        out: "BENCH_e15_durability.json".to_string(),
-        specs: 1024,
-        writes: 256,
-        reads: 200,
-        seed: 17,
-        max_read_regression: 1.2,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need =
-            |n: usize| args.get(n).unwrap_or_else(|| panic!("{} needs a value", args[n - 1]));
-        match args[i].as_str() {
-            "--out" => config.out = need(i + 1).clone(),
-            "--specs" => config.specs = need(i + 1).parse().expect("bad spec count"),
-            "--writes" => config.writes = need(i + 1).parse().expect("bad write count"),
-            "--reads" => config.reads = need(i + 1).parse().expect("bad read count"),
-            "--seed" => config.seed = need(i + 1).parse().expect("bad seed"),
-            "--max-read-regression" => {
-                config.max_read_regression = need(i + 1).parse().expect("bad ratio")
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 2;
+ppwf_bench::flags! {
+    struct Config {
+        out: String = "BENCH_e15_durability.json",
+        specs: usize = "1024",
+        writes: usize = "256",
+        reads: usize = "200",
+        seed: u64 = "17",
+        max_read_regression: f64 = "1.2",
     }
-    config
-}
-
-/// A deterministic mutation stream valid from an empty repository: a
-/// 1:2:1 cycle of spec inserts, execution appends (the dominant write),
-/// and policy swaps, each built against the evolving state.
-fn standalone_stream(writes: usize, seed: u64) -> Vec<Mutation> {
-    use ppwf_core::policy::Policy;
-    use ppwf_model::exec::{Executor, HashOracle};
-    use ppwf_repo::repository::SpecId;
-    use ppwf_workloads::genspec::{generate_spec, SpecParams};
-    let mut repo = Repository::new();
-    let mut out = Vec::with_capacity(writes);
-    for i in 0..writes as u64 {
-        let kind = if repo.is_empty() || i % 4 == 0 {
-            0
-        } else if i % 4 == 3 {
-            2
-        } else {
-            1
-        };
-        let mutation = match kind {
-            0 => Mutation::InsertSpec {
-                spec: generate_spec(&SpecParams { seed: seed ^ (i << 8), ..SpecParams::default() }),
-                policy: Policy::public(),
-            },
-            1 => {
-                let target = SpecId(((seed ^ i) % repo.len() as u64) as u32);
-                let exec = Executor::new(&repo.entry(target).unwrap().spec)
-                    .run(&mut HashOracle)
-                    .expect("stored specs execute");
-                Mutation::AddExecution { spec: target, exec }
-            }
-            _ => Mutation::SetPolicy {
-                spec: SpecId(((seed ^ i) % repo.len() as u64) as u32),
-                policy: Policy::public(),
-            },
-        };
-        repo.apply(mutation.clone()).expect("generated mutation applies");
-        out.push(mutation);
-    }
-    out
 }
 
 /// Append the whole stream through a fresh log over `backend`; returns
@@ -172,21 +105,14 @@ fn recovery_time_us(
     // shift them past the baseline corpus.
     let shift = base.len() as u32;
     for mutation in &stream[..n] {
-        let mutation = match mutation.clone() {
-            Mutation::InsertSpec { spec, policy } => Mutation::InsertSpec { spec, policy },
-            Mutation::AddExecution { spec, exec } => {
-                Mutation::AddExecution { spec: ppwf_repo::repository::SpecId(spec.0 + shift), exec }
-            }
-            Mutation::SetPolicy { spec, policy } => {
-                Mutation::SetPolicy { spec: ppwf_repo::repository::SpecId(spec.0 + shift), policy }
-            }
-            Mutation::DeleteSpec { spec } => {
-                Mutation::DeleteSpec { spec: ppwf_repo::repository::SpecId(spec.0 + shift) }
-            }
-            Mutation::EditSpec { spec, text } => {
-                Mutation::EditSpec { spec: ppwf_repo::repository::SpecId(spec.0 + shift), text }
-            }
-        };
+        let mut mutation = mutation.clone();
+        if let Mutation::AddExecution { spec, .. }
+        | Mutation::SetPolicy { spec, .. }
+        | Mutation::DeleteSpec { spec }
+        | Mutation::EditSpec { spec, .. } = &mut mutation
+        {
+            spec.0 += shift;
+        }
         repo.check(&mutation).expect("write stream valid");
         log.append_batch(std::slice::from_ref(&mutation)).expect("append on healthy backend");
         repo.apply(mutation).expect("checked mutation applies");
@@ -207,18 +133,8 @@ fn recovery_time_us(
     best
 }
 
-/// Serve the whole read log once; returns (elapsed µs, hits served).
-fn serve_pass(mut serve: impl FnMut(&str, &str) -> usize, log: &[String]) -> (f64, usize) {
-    let t = Instant::now();
-    let mut hits = 0usize;
-    for (i, q) in log.iter().enumerate() {
-        hits += serve(E10_GROUPS[i % E10_GROUPS.len()], q);
-    }
-    (t.elapsed().as_secs_f64() * 1e6, hits)
-}
-
 fn main() {
-    let config = parse_args();
+    let config = Config::parse();
     println!("== E15: durable mutation WAL, snapshots, crash recovery ==");
     println!(
         "corpus: {} specs · {} writes · {} reads · seed {}",
@@ -288,7 +204,7 @@ fn main() {
     {
         // Warm the allocator/page cache outside timing.
         let warmup = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
-        let _ = serve_pass(|g, q| warmup.search_as(g, q).map(|h| h.len()).unwrap_or(0), &read_log);
+        let _ = serve_pass(hits(&warmup), &read_log);
     }
     for rep in 0..COLD_REPS {
         let mut engine_durable = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
@@ -307,25 +223,13 @@ fn main() {
             std::thread::yield_now();
         }
 
-        let mut repo_replay = e11_repo(&corpus);
-        for mutation in stream.iter().cloned() {
-            repo_replay.apply(mutation).expect("write stream valid");
-        }
-        let engine_fresh = EngineCluster::new(repo_replay, standard_registry(), 1);
-
-        let serve_fresh =
-            |g: &str, q: &str| engine_fresh.search_as(g, q).map(|h| h.len()).unwrap_or(0);
-        let serve_durable =
-            |g: &str, q: &str| engine_durable.search_as(g, q).map(|h| h.len()).unwrap_or(0);
-        let ((fresh_us, fh), (durable_us, dh)) = if rep % 2 == 0 {
-            let f = serve_pass(serve_fresh, &read_log);
-            let d = serve_pass(serve_durable, &read_log);
-            (f, d)
-        } else {
-            let d = serve_pass(serve_durable, &read_log);
-            let f = serve_pass(serve_fresh, &read_log);
-            (f, d)
-        };
+        let engine_fresh =
+            EngineCluster::new(replay(e11_repo(&corpus), &stream), standard_registry(), 1);
+        let ((fresh_us, fh), (durable_us, dh)) = alternate(
+            rep,
+            || serve_pass(hits(&engine_fresh), &read_log),
+            || serve_pass(hits(&engine_durable), &read_log),
+        );
         assert_eq!(dh, fh, "the durable engine serves different answers");
         fresh_cold_us = fresh_cold_us.min(fresh_us);
         durable_cold_us = durable_cold_us.min(durable_us);
@@ -340,19 +244,11 @@ fn main() {
     const WARM_REPS: usize = 15;
     let (mut fresh_warm_us, mut durable_warm_us) = (f64::INFINITY, f64::INFINITY);
     for rep in 0..WARM_REPS {
-        let serve_fresh =
-            |g: &str, q: &str| engine_fresh.search_as(g, q).map(|h| h.len()).unwrap_or(0);
-        let serve_durable =
-            |g: &str, q: &str| engine_durable.search_as(g, q).map(|h| h.len()).unwrap_or(0);
-        let (f_us, d_us) = if rep % 2 == 0 {
-            let (f, _) = serve_pass(serve_fresh, &read_log);
-            let (d, _) = serve_pass(serve_durable, &read_log);
-            (f, d)
-        } else {
-            let (d, _) = serve_pass(serve_durable, &read_log);
-            let (f, _) = serve_pass(serve_fresh, &read_log);
-            (f, d)
-        };
+        let ((f_us, _), (d_us, _)) = alternate(
+            rep,
+            || serve_pass(hits(&engine_fresh), &read_log),
+            || serve_pass(hits(&engine_durable), &read_log),
+        );
         fresh_warm_us = fresh_warm_us.min(f_us);
         durable_warm_us = durable_warm_us.min(d_us);
     }
@@ -374,69 +270,45 @@ fn main() {
         durable_write_us / stream.len() as f64
     );
 
-    let recovery_json = recovery_rows
+    let recovery: Vec<Json> = recovery_rows
         .iter()
-        .map(|(n, replay, snap)| {
-            format!(
-                "{{ \"records\": {n}, \"replay_only_us\": {replay:.1}, \"with_snapshot_cadence_us\": {snap:.1} }}"
-            )
+        .map(|&(n, replay_us, snap_us)| {
+            Json::obj()
+                .with("records", n)
+                .with("replay_only_us", fixed(replay_us, 1))
+                .with("with_snapshot_cadence_us", fixed(snap_us, 1))
         })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let json = format!(
-        r#"{{
-  "experiment": "E15",
-  "title": "Durable mutation WAL + snapshots: crash recovery, read no-regression",
-  "seed": {seed},
-  "corpus_specs": {specs},
-  "writes": {writes},
-  "reads": {reads},
-  "append_throughput": {{
-    "records": {records},
-    "framed_mib": {mib:.3},
-    "memory_us_per_append": {mem:.3},
-    "fs_fsync_us_per_append": {fss:.3}
-  }},
-  "recovery": [
-    {recovery}
-  ],
-  "read_path": {{
-    "fresh_cold_us_per_query": {fc:.3},
-    "durable_cold_us_per_query": {dc:.3},
-    "cold_ratio_durable_vs_fresh": {cr:.3},
-    "fresh_warm_us_per_query": {fw:.4},
-    "durable_warm_us_per_query": {dw:.4},
-    "warm_ratio_durable_vs_fresh": {wr:.3},
-    "durable_write_us_per_write": {dwu:.3}
-  }},
-  "acceptance": {{
-    "max_read_regression": {mrr:.2},
-    "recovery_bit_identical_at_every_ladder_point": true,
-    "every_mutate_appended_before_apply": true
-  }},
-  "note": "per-record fsync dominates real-file appends (durable-on-acknowledge is priced, not hidden); without a pool a cadence snapshot serializes its dirty chunks while the write path waits, trading recovery replay length against a periodic pause"
-}}
-"#,
-        seed = config.seed,
-        specs = config.specs,
-        writes = stream.len(),
-        reads = read_log.len(),
-        records = standalone.len(),
-        mib = mb,
-        mem = mem_us / appends,
-        fss = fs_sync_us / appends,
-        recovery = recovery_json,
-        fc = per_q(fresh_cold_us),
-        dc = per_q(durable_cold_us),
-        cr = cold_ratio,
-        fw = per_q(fresh_warm_us),
-        dw = per_q(durable_warm_us),
-        wr = warm_ratio,
-        dwu = durable_write_us / stream.len() as f64,
-        mrr = config.max_read_regression,
-    );
-    std::fs::write(&config.out, &json).expect("write baseline JSON");
-    println!("\nbaseline written to {}", config.out);
+        .collect();
+    let append_throughput = Json::obj()
+        .with("records", standalone.len())
+        .with("framed_mib", fixed(mb, 3))
+        .with("memory_us_per_append", fixed(mem_us / appends, 3))
+        .with("fs_fsync_us_per_append", fixed(fs_sync_us / appends, 3));
+    let read_path = Json::obj()
+        .with("fresh_cold_us_per_query", fixed(per_q(fresh_cold_us), 3))
+        .with("durable_cold_us_per_query", fixed(per_q(durable_cold_us), 3))
+        .with("cold_ratio_durable_vs_fresh", fixed(cold_ratio, 3))
+        .with("fresh_warm_us_per_query", fixed(per_q(fresh_warm_us), 4))
+        .with("durable_warm_us_per_query", fixed(per_q(durable_warm_us), 4))
+        .with("warm_ratio_durable_vs_fresh", fixed(warm_ratio, 3))
+        .with("durable_write_us_per_write", fixed(durable_write_us / stream.len() as f64, 3));
+    let acceptance = Json::obj()
+        .with("max_read_regression", fixed(config.max_read_regression, 2))
+        .with("recovery_bit_identical_at_every_ladder_point", true)
+        .with("every_mutate_appended_before_apply", true);
+    let record = Json::obj()
+        .with("experiment", "E15")
+        .with("title", "Durable mutation WAL + snapshots: crash recovery, read no-regression")
+        .with("seed", config.seed)
+        .with("corpus_specs", config.specs)
+        .with("writes", stream.len())
+        .with("reads", read_log.len())
+        .with("append_throughput", append_throughput)
+        .with("recovery", recovery)
+        .with("read_path", read_path)
+        .with("acceptance", acceptance)
+        .with("note", "per-record fsync dominates real-file appends (durable-on-acknowledge is priced, not hidden); without a pool a cadence snapshot serializes its dirty chunks while the write path waits, trading recovery replay length against a periodic pause");
+    write_record(&config.out, &record);
 
     assert!(
         cold_ratio <= config.max_read_regression && warm_ratio <= config.max_read_regression,

@@ -42,6 +42,8 @@
 //!
 //! The binary exits non-zero when any acceptance gate fails.
 
+use ppwf_bench::harness::{best_pass, fixed, hits, serve_pass, write_record, Json};
+use ppwf_bench::E10_GROUPS;
 use ppwf_bench::{e11_corpus, e11_repo, e13_write_stream, e16_query_log, standard_registry};
 use ppwf_model::expand::SpecView;
 use ppwf_model::hierarchy::Prefix;
@@ -57,58 +59,18 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-struct Config {
-    out: String,
-    specs: usize,
-    queries: usize,
-    writes: usize,
-    seed: u64,
-    min_cold_speedup: f64,
-    max_warm_ratio: f64,
-    max_write_ratio: f64,
-    pool_widths: Vec<usize>,
-}
-
-fn parse_args() -> Config {
-    let mut config = Config {
-        out: "BENCH_e16_cold_kernels.json".to_string(),
-        specs: 2048,
-        queries: 400,
-        writes: 96,
-        seed: 17,
-        min_cold_speedup: 3.0,
-        max_warm_ratio: 1.1,
-        max_write_ratio: 1.2,
-        pool_widths: vec![1, 2, 4],
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need =
-            |n: usize| args.get(n).unwrap_or_else(|| panic!("{} needs a value", args[n - 1]));
-        match args[i].as_str() {
-            "--out" => config.out = need(i + 1).clone(),
-            "--specs" => config.specs = need(i + 1).parse().expect("bad spec count"),
-            "--queries" => config.queries = need(i + 1).parse().expect("bad query count"),
-            "--writes" => config.writes = need(i + 1).parse().expect("bad write count"),
-            "--seed" => config.seed = need(i + 1).parse().expect("bad seed"),
-            "--min-cold-speedup" => {
-                config.min_cold_speedup = need(i + 1).parse().expect("bad threshold")
-            }
-            "--max-warm-ratio" => config.max_warm_ratio = need(i + 1).parse().expect("bad ratio"),
-            "--max-write-ratio" => config.max_write_ratio = need(i + 1).parse().expect("bad ratio"),
-            "--pool-widths" => {
-                config.pool_widths = need(i + 1)
-                    .split(',')
-                    .map(|w| w.trim().parse().expect("bad pool width"))
-                    .collect()
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 2;
+ppwf_bench::flags! {
+    struct Config {
+        out: String = "BENCH_e16_cold_kernels.json",
+        specs: usize = "2048",
+        queries: usize = "400",
+        writes: usize = "96",
+        seed: u64 = "17",
+        min_cold_speedup: f64 = "3.0",
+        max_warm_ratio: f64 = "1.1",
+        max_write_ratio: f64 = "1.2",
+        pool_widths: Vec<usize> = "1,2,4",
     }
-    assert!(!config.pool_widths.is_empty(), "need at least one pool width");
-    config
 }
 
 // ---------------------------------------------------------------------------
@@ -418,37 +380,9 @@ fn baseline_search(
 
 // ---------------------------------------------------------------------------
 
-/// Serve one pass of `(group, query)` pairs; returns (elapsed µs, hits).
-fn timed_pass(
-    mut serve: impl FnMut(usize, &str) -> usize,
-    pairs: &[(usize, String)],
-) -> (f64, usize) {
-    let t = Instant::now();
-    let mut hits = 0usize;
-    for (g, q) in pairs {
-        hits += serve(*g, q);
-    }
-    (t.elapsed().as_secs_f64() * 1e6, hits)
-}
-
-/// Best of `reps` passes — the standard noise-floor estimate.
-fn best_pass(
-    reps: usize,
-    mut serve: impl FnMut(usize, &str) -> usize,
-    pairs: &[(usize, String)],
-) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut hits = 0usize;
-    for _ in 0..reps.max(1) {
-        let (us, h) = timed_pass(&mut serve, pairs);
-        best = best.min(us);
-        hits = h;
-    }
-    (best, hits)
-}
-
 fn main() {
-    let config = parse_args();
+    let config = Config::parse();
+    assert!(!config.pool_widths.is_empty(), "need at least one pool width");
     println!("== E16: cold-path kernels vs the PR-6 flat-Vec dataflow ==");
     println!(
         "corpus: {} specs · {} multi-term queries · {} writes · seed {}",
@@ -460,14 +394,13 @@ fn main() {
     let log = e16_query_log(&corpus, config.queries, config.seed ^ 0x5EED);
     assert!(log.len() >= config.queries * 9 / 10, "query log came up short");
     let registry = standard_registry();
-    let groups = ["public", "analysts", "researchers"];
-    let access_maps: Vec<HashMap<SpecId, Prefix>> = groups
+    let access_maps: Vec<HashMap<SpecId, Prefix>> = E10_GROUPS
         .iter()
         .map(|g| registry.access_map(&repo, g).expect("standard group exists"))
         .collect();
+    // Request `i` is group `E10_GROUPS[i % 3]`, as every serve pass runs it.
+    let access = |g: &str| &access_maps[E10_GROUPS.iter().position(|s| *s == g).unwrap()];
     let queries: Vec<KeywordQuery> = log.iter().map(|q| KeywordQuery::parse(q)).collect();
-    let pairs: Vec<(usize, String)> =
-        log.iter().enumerate().map(|(i, q)| (i % groups.len(), q.clone())).collect();
     let multi = queries.iter().filter(|q| q.terms.len() > 1).count();
     assert_eq!(multi, queries.len(), "E16 log must be multi-term only");
 
@@ -476,128 +409,81 @@ fn main() {
     let kernel_index = KeywordIndex::build(&repo);
     let base_views = ViewCache::new(16);
     let kernel_views = ViewCache::new(16);
+    let base_search =
+        |g: &str, q: &KeywordQuery| baseline_search(&repo, &base_index, q, access(g), &base_views);
+    let kernel_search = |g: &str, q: &KeywordQuery| {
+        search_filtered_with_cache(&repo, &kernel_index, q, access(g), &kernel_views)
+    };
 
     // Verification before any number: identical answers per (group, query),
     // and warm both view caches so neither timed side pays view builds.
-    let mut answer_hits = 0usize;
-    for (g, q) in pairs.iter() {
-        let query = KeywordQuery::parse(q);
-        let base = baseline_search(&repo, &base_index, &query, &access_maps[*g], &base_views);
-        let kernel = search_filtered_with_cache(
-            &repo,
-            &kernel_index,
-            &query,
-            &access_maps[*g],
-            &kernel_views,
-        );
-        assert_eq!(base.len(), kernel.len(), "hit count diverged on {q:?}");
-        for (b, k) in base.iter().zip(kernel.iter()) {
-            assert_eq!(b.spec, k.spec, "spec diverged on {q:?}");
-            assert_eq!(b.prefix, k.prefix, "prefix diverged on {q:?}");
-            assert_eq!(b.matched, k.matched, "matched modules diverged on {q:?}");
-        }
-        answer_hits += kernel.len();
-    }
+    let (_, answer_hits) = serve_pass(
+        |g, q| {
+            let query = KeywordQuery::parse(q);
+            let (base, kernel) = (base_search(g, &query), kernel_search(g, &query));
+            assert_eq!(base.len(), kernel.len(), "hit count diverged on {q:?}");
+            for (b, k) in base.iter().zip(kernel.iter()) {
+                assert_eq!(b.spec, k.spec, "spec diverged on {q:?}");
+                assert_eq!(b.prefix, k.prefix, "prefix diverged on {q:?}");
+                assert_eq!(b.matched, k.matched, "matched modules diverged on {q:?}");
+            }
+            kernel.len()
+        },
+        &log,
+    );
     println!(
         "verified: {} (group, query) answers identical across both paths ({answer_hits} hits)",
-        pairs.len()
+        log.len()
     );
 
     const COLD_REPS: usize = 3;
-    let (base_cold_us, base_hits) = best_pass(
-        COLD_REPS,
-        |g, q| {
-            baseline_search(
-                &repo,
-                &base_index,
-                &KeywordQuery::parse(q),
-                &access_maps[g],
-                &base_views,
-            )
-            .len()
-        },
-        &pairs,
-    );
-    let (kernel_cold_us, kernel_hits) = best_pass(
-        COLD_REPS,
-        |g, q| {
-            search_filtered_with_cache(
-                &repo,
-                &kernel_index,
-                &KeywordQuery::parse(q),
-                &access_maps[g],
-                &kernel_views,
-            )
-            .len()
-        },
-        &pairs,
-    );
+    let (base_cold_us, base_hits) =
+        best_pass(COLD_REPS, |g, q| base_search(g, &KeywordQuery::parse(q)).len(), &log);
+    let (kernel_cold_us, kernel_hits) =
+        best_pass(COLD_REPS, |g, q| kernel_search(g, &KeywordQuery::parse(q)).len(), &log);
     assert_eq!(base_hits, kernel_hits, "timed passes diverged");
     let cold_speedup = base_cold_us / kernel_cold_us;
-    println!("\n-- cold selective search ({} queries, {} hits) --", pairs.len(), kernel_hits);
+    let per_q = |us: f64| us / log.len() as f64;
+    println!("\n-- cold selective search ({} queries, {} hits) --", log.len(), kernel_hits);
     println!(
         "  baseline (PR-6 replica): {:>10.0} µs  ({:.1} µs/q)",
         base_cold_us,
-        base_cold_us / pairs.len() as f64
+        per_q(base_cold_us)
     );
     println!(
         "  kernel   (E16)         : {:>10.0} µs  ({:.1} µs/q)",
         kernel_cold_us,
-        kernel_cold_us / pairs.len() as f64
+        per_q(kernel_cold_us)
     );
     println!("  speedup: {cold_speedup:.2}× (gate ≥ {:.1}×)", config.min_cold_speedup);
 
     // -- section B: warm no-regression --------------------------------------
     // The warm path is a (group, query) result probe E16 never touched;
     // load both sides' answers into structurally identical maps.
-    let mut base_warm: HashMap<(usize, &str), Arc<Vec<BaseHit>>> = HashMap::new();
-    let mut kernel_warm: HashMap<(usize, &str), Arc<Vec<KeywordHit>>> = HashMap::new();
-    for (g, q) in pairs.iter() {
-        let query = KeywordQuery::parse(q);
-        base_warm.insert(
-            (*g, q.as_str()),
-            Arc::new(baseline_search(&repo, &base_index, &query, &access_maps[*g], &base_views)),
-        );
-        kernel_warm.insert(
-            (*g, q.as_str()),
-            Arc::new(search_filtered_with_cache(
-                &repo,
-                &kernel_index,
-                &query,
-                &access_maps[*g],
-                &kernel_views,
-            )),
-        );
+    let mut base_warm: HashMap<(&str, &str), Arc<Vec<BaseHit>>> = HashMap::new();
+    let mut kernel_warm: HashMap<(&str, &str), Arc<Vec<KeywordHit>>> = HashMap::new();
+    for (i, (q, query)) in log.iter().zip(&queries).enumerate() {
+        let g = E10_GROUPS[i % E10_GROUPS.len()];
+        base_warm.insert((g, q), Arc::new(base_search(g, query)));
+        kernel_warm.insert((g, q), Arc::new(kernel_search(g, query)));
     }
     const WARM_REPS: usize = 9;
-    let (base_warm_us, _) = best_pass(
-        WARM_REPS,
-        |g, q| base_warm.get(&(g, q)).map(|h| Arc::clone(h).len()).unwrap_or(0),
-        &pairs,
-    );
-    let (kernel_warm_us, _) = best_pass(
-        WARM_REPS,
-        |g, q| kernel_warm.get(&(g, q)).map(|h| Arc::clone(h).len()).unwrap_or(0),
-        &pairs,
-    );
+    let probe = |g: &str, q: &str| base_warm.get(&(g, q)).map_or(0, |h| Arc::clone(h).len());
+    let (base_warm_us, _) = best_pass(WARM_REPS, probe, &log);
+    let probe = |g: &str, q: &str| kernel_warm.get(&(g, q)).map_or(0, |h| Arc::clone(h).len());
+    let (kernel_warm_us, _) = best_pass(WARM_REPS, probe, &log);
     let warm_ratio = kernel_warm_us / base_warm_us;
 
     // And the real serving object: a warm pass must be pure front-cache
     // hits — the kernel pipeline is never re-entered for a repeated query.
     let cluster = EngineCluster::new(e11_repo(&corpus), registry.clone(), 1);
-    for (g, q) in pairs.iter() {
-        cluster.search_as(groups[*g], q);
-    }
+    serve_pass(hits(&cluster), &log);
     let before = cluster.stats().front;
-    let (engine_warm_us, _) = best_pass(
-        WARM_REPS,
-        |g, q| cluster.search_as(groups[g], q).map(|h| h.len()).unwrap_or(0),
-        &pairs,
-    );
+    let (engine_warm_us, _) = best_pass(WARM_REPS, hits(&cluster), &log);
     let after = cluster.stats().front;
     assert_eq!(
         after.hits - before.hits,
-        (WARM_REPS * pairs.len()) as u64,
+        (WARM_REPS * log.len()) as u64,
         "warm pass must be served entirely from the front cache"
     );
     assert_eq!(after.misses, before.misses, "warm pass must not miss");
@@ -652,8 +538,8 @@ fn main() {
     println!("  baseline refresh: {base_write_us:>8.0} µs   kernel refresh: {kernel_write_us:>8.0} µs   ratio {write_ratio:.3} (gate ≤ {:.2})", config.max_write_ratio);
 
     // -- section D: pool-width sweep (cold scatter) -------------------------
-    println!("\n-- pool-width sweep (4-shard cold scatter, {} queries) --", pairs.len());
-    let mut sweep: Vec<(usize, f64, usize)> = Vec::new();
+    println!("\n-- pool-width sweep (4-shard cold scatter, {} queries) --", log.len());
+    let mut sweep = Vec::new();
     for &w in &config.pool_widths {
         let cluster = EngineCluster::with_config(
             e11_repo(&corpus),
@@ -662,78 +548,75 @@ fn main() {
             ShardStrategy::RoundRobin,
             Arc::new(WorkerPool::new(w)),
         );
-        let (us, hits) = timed_pass(
-            |g, q| cluster.search_as(groups[g], q).map(|h| h.len()).unwrap_or(0),
-            &pairs,
-        );
+        let (us, hits) = serve_pass(hits(&cluster), &log);
         assert_eq!(hits, kernel_hits, "cluster answers diverged at width {w}");
-        println!("  width {w}: {us:>10.0} µs  ({:.1} µs/q)", us / pairs.len() as f64);
-        sweep.push((w, us, hits));
+        println!("  width {w}: {us:>10.0} µs  ({:.1} µs/q)", per_q(us));
+        sweep.push(
+            Json::obj()
+                .with("pool_width", w)
+                .with("cold_scatter_us", fixed(us, 0))
+                .with("per_query_us", fixed(per_q(us), 2))
+                .with("hits", hits),
+        );
     }
 
-    // -- JSON + gates --------------------------------------------------------
-    let sweep_json: Vec<String> = sweep
-        .iter()
-        .map(|(w, us, hits)| {
-            format!(
-                r#"{{ "pool_width": {w}, "cold_scatter_us": {us:.0}, "per_query_us": {pq:.2}, "hits": {hits} }}"#,
-                pq = us / pairs.len() as f64,
-            )
-        })
-        .collect();
+    // -- record + gates ------------------------------------------------------
     let cold_pass = cold_speedup >= config.min_cold_speedup;
     let warm_pass = warm_ratio <= config.max_warm_ratio;
     let write_pass = write_ratio <= config.max_write_ratio;
-    let json = format!(
-        r#"{{
-  "experiment": "e16_cold_kernels",
-  "config": {{
-    "specs": {specs}, "queries": {queries}, "writes": {writes}, "seed": {seed},
-    "min_cold_speedup": {min_cold_speedup}, "max_warm_ratio": {max_warm_ratio},
-    "max_write_ratio": {max_write_ratio}
-  }},
-  "cold": {{
-    "queries": {nq}, "hits": {hits},
-    "baseline_us": {base_cold_us:.0}, "kernel_us": {kernel_cold_us:.0},
-    "baseline_per_query_us": {bpq:.2}, "kernel_per_query_us": {kpq:.2},
-    "speedup": {cold_speedup:.3}
-  }},
-  "warm": {{
-    "baseline_probe_us": {base_warm_us:.0}, "kernel_probe_us": {kernel_warm_us:.0},
-    "ratio": {warm_ratio:.4}, "engine_warm_us": {engine_warm_us:.0},
-    "engine_warm_all_cache_hits": true
-  }},
-  "writes": {{
-    "count": {nw}, "baseline_refresh_us": {base_write_us:.0},
-    "kernel_refresh_us": {kernel_write_us:.0}, "ratio": {write_ratio:.4}
-  }},
-  "pool_sweep": [
-    {sweep_json}
-  ],
-  "note": "single-core host: the pool sweep measures dispatch overhead, not parallelism",
-  "gates": {{
-    "cold_speedup": {{ "value": {cold_speedup:.3}, "min": {min_cold_speedup}, "pass": {cold_pass} }},
-    "warm_ratio": {{ "value": {warm_ratio:.4}, "max": {max_warm_ratio}, "pass": {warm_pass} }},
-    "write_ratio": {{ "value": {write_ratio:.4}, "max": {max_write_ratio}, "pass": {write_pass} }}
-  }}
-}}
-"#,
-        specs = config.specs,
-        queries = config.queries,
-        writes = config.writes,
-        seed = config.seed,
-        min_cold_speedup = config.min_cold_speedup,
-        max_warm_ratio = config.max_warm_ratio,
-        max_write_ratio = config.max_write_ratio,
-        nq = pairs.len(),
-        hits = kernel_hits,
-        bpq = base_cold_us / pairs.len() as f64,
-        kpq = kernel_cold_us / pairs.len() as f64,
-        nw = stream.len(),
-        sweep_json = sweep_json.join(",\n    "),
-    );
-    std::fs::write(&config.out, json).expect("write benchmark json");
-    println!("\nwrote {}", config.out);
+    let gate = |value: Json, bound: &str, limit: f64, pass: bool| {
+        Json::obj().with("value", value).with(bound, limit).with("pass", pass)
+    };
+    let settings = Json::obj()
+        .with("specs", config.specs)
+        .with("queries", config.queries)
+        .with("writes", config.writes)
+        .with("seed", config.seed)
+        .with("min_cold_speedup", config.min_cold_speedup)
+        .with("max_warm_ratio", config.max_warm_ratio)
+        .with("max_write_ratio", config.max_write_ratio);
+    let cold = Json::obj()
+        .with("queries", log.len())
+        .with("hits", kernel_hits)
+        .with("baseline_us", fixed(base_cold_us, 0))
+        .with("kernel_us", fixed(kernel_cold_us, 0))
+        .with("baseline_per_query_us", fixed(per_q(base_cold_us), 2))
+        .with("kernel_per_query_us", fixed(per_q(kernel_cold_us), 2))
+        .with("speedup", fixed(cold_speedup, 3));
+    let warm = Json::obj()
+        .with("baseline_probe_us", fixed(base_warm_us, 0))
+        .with("kernel_probe_us", fixed(kernel_warm_us, 0))
+        .with("ratio", fixed(warm_ratio, 4))
+        .with("engine_warm_us", fixed(engine_warm_us, 0))
+        .with("engine_warm_all_cache_hits", true);
+    let writes = Json::obj()
+        .with("count", stream.len())
+        .with("baseline_refresh_us", fixed(base_write_us, 0))
+        .with("kernel_refresh_us", fixed(kernel_write_us, 0))
+        .with("ratio", fixed(write_ratio, 4));
+    let gates = Json::obj()
+        .with(
+            "cold_speedup",
+            gate(fixed(cold_speedup, 3), "min", config.min_cold_speedup, cold_pass),
+        )
+        .with("warm_ratio", gate(fixed(warm_ratio, 4), "max", config.max_warm_ratio, warm_pass))
+        .with(
+            "write_ratio",
+            gate(fixed(write_ratio, 4), "max", config.max_write_ratio, write_pass),
+        );
+    let record = Json::obj()
+        .with("experiment", "e16_cold_kernels")
+        .with("config", settings)
+        .with("cold", cold)
+        .with("warm", warm)
+        .with("writes", writes)
+        .with("pool_sweep", sweep)
+        .with(
+            "note",
+            "single-core host: the pool sweep measures dispatch overhead, not parallelism",
+        )
+        .with("gates", gates);
+    write_record(&config.out, &record);
 
     assert!(cold_pass, "cold gate failed: {cold_speedup:.2}× < {:.1}×", config.min_cold_speedup);
     assert!(warm_pass, "warm gate failed: ratio {warm_ratio:.3} > {:.2}", config.max_warm_ratio);

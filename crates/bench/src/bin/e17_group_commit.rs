@@ -16,8 +16,9 @@
 //! choice that path still has:
 //!
 //! * **Concurrent durable mutations: `max_batch` 1 vs N.** Two typed
-//!   write streams run through a [`ServeFront`] with `--window` requests
-//!   in flight, each once at `max_batch` 1 (one record per mutation) and
+//!   write streams run through a
+//!   [`ServeFront`](ppwf_query::serve::ServeFront) with `--window`
+//!   requests in flight, each once at `max_batch` 1 (one record per mutation) and
 //!   once at `--max-batch` / `--max-delay-us`. Both arms lift the fence
 //!   before the covering fsync, and in both the sync job covers every
 //!   frame queued while the previous fsync ran — so `max_batch` 1 already
@@ -56,119 +57,33 @@
 //! mutating thread's pause for pool occupancy while the job runs.
 //! The binary exits non-zero when any acceptance gate fails.
 
-use ppwf_bench::{standard_registry, E10_GROUPS, E10_QUERIES};
+use ppwf_bench::harness::{alternate, fixed, front_mutation_pass, hits, open_durable};
+use ppwf_bench::harness::{serve_pass, write_record, Json};
+use ppwf_bench::{replay, standalone_stream, standard_registry, E10_QUERIES};
 use ppwf_query::cluster::EngineCluster;
-use ppwf_query::route::ShardStrategy;
-use ppwf_query::serve::{QueryAnswer, ServeFront, ServeRequest, ServeStats};
 use ppwf_repo::mutation::Mutation;
 use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::repository::Repository;
 use ppwf_repo::storage::{FsStorage, StorageBackend};
 use ppwf_repo::wal::{DurabilityPolicy, DurabilityStats, DurableLog, BATCH_SIZE_BOUNDS};
-use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-struct Config {
-    out: String,
-    writes: usize,
-    reads: usize,
-    seed: u64,
-    window: usize,
-    max_batch: usize,
-    max_delay_us: u64,
-    min_grouped_speedup: f64,
-    max_single_writer_ratio: f64,
-    max_read_regression: f64,
-    max_bg_pause_ratio: f64,
-}
-
-fn parse_args() -> Config {
-    let mut config = Config {
-        out: "BENCH_e17_group_commit.json".to_string(),
-        writes: 384,
-        reads: 200,
-        seed: 17,
-        window: 32,
-        max_batch: 16,
-        max_delay_us: 50,
-        min_grouped_speedup: 1.0,
-        max_single_writer_ratio: 1.2,
-        max_read_regression: 1.2,
-        max_bg_pause_ratio: 1.0,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need =
-            |n: usize| args.get(n).unwrap_or_else(|| panic!("{} needs a value", args[n - 1]));
-        match args[i].as_str() {
-            "--out" => config.out = need(i + 1).clone(),
-            "--writes" => config.writes = need(i + 1).parse().expect("bad write count"),
-            "--reads" => config.reads = need(i + 1).parse().expect("bad read count"),
-            "--seed" => config.seed = need(i + 1).parse().expect("bad seed"),
-            "--window" => config.window = need(i + 1).parse().expect("bad window"),
-            "--max-batch" => config.max_batch = need(i + 1).parse().expect("bad max batch"),
-            "--max-delay-us" => config.max_delay_us = need(i + 1).parse().expect("bad delay"),
-            "--min-grouped-speedup" => {
-                config.min_grouped_speedup = need(i + 1).parse().expect("bad threshold")
-            }
-            "--max-single-writer-ratio" => {
-                config.max_single_writer_ratio = need(i + 1).parse().expect("bad ratio")
-            }
-            "--max-read-regression" => {
-                config.max_read_regression = need(i + 1).parse().expect("bad ratio")
-            }
-            "--max-bg-pause-ratio" => {
-                config.max_bg_pause_ratio = need(i + 1).parse().expect("bad ratio")
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 2;
+ppwf_bench::flags! {
+    struct Config {
+        out: String = "BENCH_e17_group_commit.json",
+        writes: usize = "384",
+        reads: usize = "200",
+        seed: u64 = "17",
+        window: usize = "32",
+        max_batch: usize = "16",
+        max_delay_us: u64 = "50",
+        min_grouped_speedup: f64 = "1.0",
+        max_single_writer_ratio: f64 = "1.2",
+        max_read_regression: f64 = "1.2",
+        max_bg_pause_ratio: f64 = "1.0",
     }
-    config
-}
-
-/// A deterministic mutation stream valid from an empty repository: a
-/// 1:2:1 cycle of spec inserts, execution appends (the dominant write),
-/// and policy swaps, each built against the evolving state.
-fn standalone_stream(writes: usize, seed: u64) -> Vec<Mutation> {
-    use ppwf_core::policy::Policy;
-    use ppwf_model::exec::{Executor, HashOracle};
-    use ppwf_repo::repository::SpecId;
-    use ppwf_workloads::genspec::{generate_spec, SpecParams};
-    let mut repo = Repository::new();
-    let mut out = Vec::with_capacity(writes);
-    for i in 0..writes as u64 {
-        let kind = if repo.is_empty() || i % 4 == 0 {
-            0
-        } else if i % 4 == 3 {
-            2
-        } else {
-            1
-        };
-        let mutation = match kind {
-            0 => Mutation::InsertSpec {
-                spec: generate_spec(&SpecParams { seed: seed ^ (i << 8), ..SpecParams::default() }),
-                policy: Policy::public(),
-            },
-            1 => {
-                let target = SpecId(((seed ^ i) % repo.len() as u64) as u32);
-                let exec = Executor::new(&repo.entry(target).unwrap().spec)
-                    .run(&mut HashOracle)
-                    .expect("stored specs execute");
-                Mutation::AddExecution { spec: target, exec }
-            }
-            _ => Mutation::SetPolicy {
-                spec: SpecId(((seed ^ i) % repo.len() as u64) as u32),
-                policy: Policy::public(),
-            },
-        };
-        repo.apply(mutation.clone()).expect("generated mutation applies");
-        out.push(mutation);
-    }
-    out
 }
 
 /// A policy-churn stream: a small spec corpus up front, then pure
@@ -199,73 +114,6 @@ fn policy_churn_stream(specs: usize, writes: usize, seed: u64) -> Vec<Mutation> 
         out.push(Mutation::SetPolicy { spec: SpecId(((seed ^ i) % specs as u64) as u32), policy });
     }
     out
-}
-
-/// Open a durable cluster over a fresh [`FsStorage`] root and push the
-/// whole stream through a [`ServeFront`] with up to `window` requests in
-/// flight. Returns (elapsed µs, WAL stats, serve stats, final image).
-fn front_mutation_pass(
-    root: &Path,
-    stream: &[Mutation],
-    policy: DurabilityPolicy,
-    window: usize,
-) -> (f64, DurabilityStats, ServeStats, Vec<u8>) {
-    let pool = Arc::new(WorkerPool::new(4));
-    let backend: Arc<dyn StorageBackend> =
-        Arc::new(FsStorage::open(root).expect("bench storage root"));
-    let (cluster, _) = EngineCluster::open_durable(
-        Arc::clone(&backend),
-        policy,
-        standard_registry(),
-        2,
-        ShardStrategy::RoundRobin,
-        Arc::clone(&pool),
-    )
-    .expect("open durable cluster on fresh storage");
-    let front = ServeFront::with_pool(cluster, Arc::clone(&pool));
-
-    let t = Instant::now();
-    let mut inflight = VecDeque::with_capacity(window);
-    for mutation in stream {
-        inflight.push_back(front.submit(ServeRequest::mutate(mutation.clone())));
-        if inflight.len() >= window.max(1) {
-            let response = inflight.pop_front().expect("non-empty window").wait();
-            assert!(
-                matches!(response.answer, QueryAnswer::Mutated(Ok(_))),
-                "durable mutation refused on healthy storage"
-            );
-        }
-    }
-    for ticket in inflight {
-        let response = ticket.wait();
-        assert!(
-            matches!(response.answer, QueryAnswer::Mutated(Ok(_))),
-            "durable mutation refused on healthy storage"
-        );
-    }
-    let us = t.elapsed().as_secs_f64() * 1e6;
-    front.quiesce();
-    let stats = front.stats();
-    let wal = front.durability_stats().expect("durable front reports WAL stats");
-    // The equivalence that matters is the *durable* image: replaying the
-    // WAL this pass wrote must rebuild the sequential reference exactly.
-    let (recovered, recovery) =
-        Repository::recover(backend.as_ref()).expect("recovery over healthy log");
-    assert_eq!(recovery.last_seq, stream.len() as u64, "durable log missed mutations");
-    (us, wal, stats, recovered.save().to_vec())
-}
-
-/// Serve the fixed keyword read log once over a blocking cluster;
-/// returns (elapsed µs, hits served).
-fn read_pass(cluster: &EngineCluster, reads: usize) -> (f64, usize) {
-    let t = Instant::now();
-    let mut hits = 0usize;
-    for i in 0..reads {
-        let group = E10_GROUPS[i % E10_GROUPS.len()];
-        let query = E10_QUERIES[i % E10_QUERIES.len()];
-        hits += cluster.search_as(group, query).map(|h| h.len()).unwrap_or(0);
-    }
-    (t.elapsed().as_secs_f64() * 1e6, hits)
 }
 
 /// Drive the stream through a durable log and its repository with the
@@ -304,34 +152,27 @@ fn snapshot_pass(
     // bit-identical to a sequential replay of the same stream.
     let (recovered, stats) = Repository::recover(&*backend).expect("recovery");
     assert_eq!(stats.last_seq, stream.len() as u64, "recovery missed records");
-    let mut replay = Repository::new();
-    for mutation in stream {
-        replay.apply(mutation.clone()).expect("generated stream applies");
-    }
-    assert_eq!(recovered.save(), replay.save(), "recovered image diverges from the stream");
+    let replayed = replay(Repository::new(), stream);
+    assert_eq!(recovered.save(), replayed.save(), "recovered image diverges from the stream");
     (us, wal)
 }
 
 fn main() {
-    let config = parse_args();
+    let config = Config::parse();
     println!("== E17: batch records under one covering fsync; the snapshot job on/off the pool ==");
     println!(
         "{} writes · {} reads · window {} · max batch {} · seed {}",
         config.writes, config.reads, config.window, config.max_batch, config.seed
     );
 
-    let replay = |stream: &[Mutation]| {
-        let mut repo = Repository::new();
-        for mutation in stream {
-            repo.apply(mutation.clone()).expect("generated stream applies");
-        }
-        repo
-    };
     let stream = standalone_stream(config.writes, config.seed ^ 0xE17);
-    let reference = replay(&stream);
+    let reference = replay(Repository::new(), &stream);
     let reference_save = reference.save().to_vec();
     let churn = policy_churn_stream(64, config.writes, config.seed ^ 0xC409);
-    let churn_reference_save = replay(&churn).save().to_vec();
+    let churn_reference_save = replay(Repository::new(), &churn).save().to_vec();
+    // The read log: the E10 query mix, cycled.
+    let read_log: Vec<String> =
+        (0..config.reads).map(|i| E10_QUERIES[i % E10_QUERIES.len()].to_string()).collect();
 
     let fs_root = std::env::temp_dir().join(format!("ppwf-e17-{}", std::process::id()));
     let per_record = DurabilityPolicy {
@@ -411,15 +252,11 @@ fn main() {
     for rep in 0..SOLO_REPS {
         let per_root = fs_root.join(format!("solo-per-{rep}"));
         let grp_root = fs_root.join(format!("solo-grp-{rep}"));
-        let (p, g) = if rep % 2 == 0 {
-            let (p, ..) = front_mutation_pass(&per_root, &stream, per_record, 1);
-            let (g, ..) = front_mutation_pass(&grp_root, &stream, grouped, 1);
-            (p, g)
-        } else {
-            let (g, ..) = front_mutation_pass(&grp_root, &stream, grouped, 1);
-            let (p, ..) = front_mutation_pass(&per_root, &stream, per_record, 1);
-            (p, g)
-        };
+        let ((p, ..), (g, ..)) = alternate(
+            rep,
+            || front_mutation_pass(&per_root, &stream, per_record, 1),
+            || front_mutation_pass(&grp_root, &stream, grouped, 1),
+        );
         solo_per_us = solo_per_us.min(p);
         solo_grp_us = solo_grp_us.min(g);
     }
@@ -438,32 +275,19 @@ fn main() {
     const COLD_REPS: usize = 3;
     let grouped_root = fs_root.join("mixed-grp");
     let open_recovered = || {
-        EngineCluster::open_durable(
-            Arc::new(FsStorage::open(&grouped_root).expect("reopen grouped root"))
-                as Arc<dyn StorageBackend>,
-            grouped,
-            standard_registry(),
-            2,
-            ShardStrategy::RoundRobin,
-            Arc::new(WorkerPool::new(2)),
-        )
-        .expect("recover cluster from the batched log")
-        .0
+        let backend = Arc::new(FsStorage::open(&grouped_root).expect("reopen grouped root"));
+        open_durable(backend, grouped, 2, Arc::new(WorkerPool::new(2))).0
     };
     let (mut fresh_cold_us, mut durable_cold_us) = (f64::INFINITY, f64::INFINITY);
     let mut pair: Option<(EngineCluster, EngineCluster)> = None;
     for rep in 0..COLD_REPS {
         let durable_cluster = open_recovered();
         let fresh_cluster = EngineCluster::new(reference.clone(), standard_registry(), 2);
-        let ((f_us, fh), (d_us, dh)) = if rep % 2 == 0 {
-            let f = read_pass(&fresh_cluster, config.reads);
-            let d = read_pass(&durable_cluster, config.reads);
-            (f, d)
-        } else {
-            let d = read_pass(&durable_cluster, config.reads);
-            let f = read_pass(&fresh_cluster, config.reads);
-            (f, d)
-        };
+        let ((f_us, fh), (d_us, dh)) = alternate(
+            rep,
+            || serve_pass(hits(&fresh_cluster), &read_log),
+            || serve_pass(hits(&durable_cluster), &read_log),
+        );
         assert_eq!(dh, fh, "the recovered cluster serves different answers");
         fresh_cold_us = fresh_cold_us.min(f_us);
         durable_cold_us = durable_cold_us.min(d_us);
@@ -473,15 +297,11 @@ fn main() {
     const WARM_REPS: usize = 15;
     let (mut fresh_warm_us, mut durable_warm_us) = (f64::INFINITY, f64::INFINITY);
     for rep in 0..WARM_REPS {
-        let (f_us, d_us) = if rep % 2 == 0 {
-            let (f, _) = read_pass(&fresh_cluster, config.reads);
-            let (d, _) = read_pass(&durable_cluster, config.reads);
-            (f, d)
-        } else {
-            let (d, _) = read_pass(&durable_cluster, config.reads);
-            let (f, _) = read_pass(&fresh_cluster, config.reads);
-            (f, d)
-        };
+        let ((f_us, _), (d_us, _)) = alternate(
+            rep,
+            || serve_pass(hits(&fresh_cluster), &read_log),
+            || serve_pass(hits(&durable_cluster), &read_log),
+        );
         fresh_warm_us = fresh_warm_us.min(f_us);
         durable_warm_us = durable_warm_us.min(d_us);
     }
@@ -528,123 +348,73 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&fs_root);
 
-    let histogram = |wal: &DurabilityStats| {
-        wal.batch_size_counts.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(", ")
-    };
-    let json = format!(
-        r#"{{
-  "experiment": "E17",
-  "title": "Batch records under one covering fsync (max_batch 1 vs N) and the snapshot job on/off the pool",
-  "seed": {seed},
-  "writes": {writes},
-  "reads": {reads},
-  "window": {window},
-  "max_batch": {max_batch},
-  "max_delay_us": {max_delay},
-  "concurrent_mutations_policy_churn": {{
-    "stream": "64 spec inserts then pure SetPolicy swaps (dispatch- and fsync-bound)",
-    "per_record_us_per_write": {pu:.2},
-    "grouped_us_per_write": {gu:.2},
-    "grouped_speedup": {gs:.3},
-    "per_record_fsyncs": {pf},
-    "grouped_fsyncs": {gf},
-    "fsyncs_saved": {fsv},
-    "wal_batches": {wb},
-    "largest_batch": {lb},
-    "batch_size_histogram": [{hist}],
-    "final_state_bit_identical_to_sequential": true
-  }},
-  "concurrent_mutations_mixed": {{
-    "stream": "1:2:1 inserts, execution appends, policy swaps (apply + data-proportional fsync shared by both policies)",
-    "per_record_us_per_write": {mpu:.2},
-    "grouped_us_per_write": {mgu:.2},
-    "grouped_speedup": {mgsp:.3},
-    "per_record_fsyncs": {mpf},
-    "grouped_fsyncs": {mgf},
-    "fsyncs_saved": {mfsv},
-    "largest_batch": {mlb},
-    "batch_size_histogram": [{mhist}],
-    "final_state_bit_identical_to_sequential": true
-  }},
-  "single_writer": {{
-    "per_record_us_per_write": {spu:.2},
-    "grouped_us_per_write": {sgu:.2},
-    "ratio_grouped_vs_per_record": {swr:.3}
-  }},
-  "read_path": {{
-    "fresh_cold_us_per_query": {fc:.3},
-    "recovered_cold_us_per_query": {dc:.3},
-    "cold_ratio": {cr:.3},
-    "fresh_warm_us_per_query": {fw:.4},
-    "recovered_warm_us_per_query": {dw:.4},
-    "warm_ratio": {wr:.3}
-  }},
-  "snapshot_pause": {{
-    "cadence": {cad},
-    "no_pool_snapshots": {isn},
-    "no_pool_pause_us_per_snapshot": {ip:.1},
-    "pool_snapshots": {bsn},
-    "pool_pause_us_per_snapshot": {bp:.1},
-    "pool_job_us_per_snapshot": {bj:.1},
-    "pause_ratio_pool_vs_no_pool": {pr:.3},
-    "recovery_bit_identical_both_modes": true
-  }},
-  "acceptance": {{
-    "min_grouped_speedup": {mgs:.1},
-    "max_single_writer_ratio": {msw:.2},
-    "max_read_regression": {mrr:.2},
-    "max_bg_pause_ratio": {mbp:.2},
-    "no_response_before_covering_fsync": true
-  }},
-  "note": "per_record is max_batch 1, grouped is max_batch N, both on the one write path: the fence lifts before the covering fsync and the sync job covers every queued frame, so max_batch 1 already shares fsyncs and batching adds one record / lock acquisition / dispatch per run (the fence-held per-record-fsync baseline of the first E17 runs is deleted; its numbers are in crates/bench/BENCHMARKS.md); batching trades latency for throughput and wins only under concurrency (single-writer section is the control); the pooled snapshot job trades the mutating thread's pause for pool occupancy"
-}}
-"#,
-        seed = config.seed,
-        writes = stream.len(),
-        reads = config.reads,
-        window = config.window,
-        max_batch = config.max_batch,
-        max_delay = config.max_delay_us,
-        pu = churn_per_us / writes,
-        gu = churn_grp_us / writes,
-        gs = grouped_speedup,
-        pf = churn_per_wal.syncs,
-        gf = churn_grp_wal.syncs,
-        fsv = churn_grp_wal.fsyncs_saved,
-        wb = churn_serve.write_batches,
-        lb = churn_serve.max_write_batch,
-        hist = histogram(&churn_grp_wal),
-        mpu = mix_per_us / writes,
-        mgu = mix_grp_us / writes,
-        mgsp = mixed_speedup,
-        mpf = mix_per_wal.syncs,
-        mgf = mix_grp_wal.syncs,
-        mfsv = mix_grp_wal.fsyncs_saved,
-        mlb = mix_serve.max_write_batch,
-        mhist = histogram(&mix_grp_wal),
-        spu = solo_per_us / writes,
-        sgu = solo_grp_us / writes,
-        swr = single_writer_ratio,
-        fc = per_q(fresh_cold_us),
-        dc = per_q(durable_cold_us),
-        cr = cold_ratio,
-        fw = per_q(fresh_warm_us),
-        dw = per_q(durable_warm_us),
-        wr = warm_ratio,
-        cad = SNAPSHOT_CADENCE,
-        isn = solo_wal.snapshots,
-        ip = solo_pause,
-        bsn = pool_wal.snapshots,
-        bp = pool_pause,
-        bj = per_snap(pool_wal.snapshot_background_us, pool_wal.snapshots),
-        pr = pause_ratio,
-        mgs = config.min_grouped_speedup,
-        msw = config.max_single_writer_ratio,
-        mrr = config.max_read_regression,
-        mbp = config.max_bg_pause_ratio,
-    );
-    std::fs::write(&config.out, &json).expect("write baseline JSON");
-    println!("\nbaseline written to {}", config.out);
+    let policy_churn = Json::obj()
+        .with("stream", "64 spec inserts then pure SetPolicy swaps (dispatch- and fsync-bound)")
+        .with("per_record_us_per_write", fixed(churn_per_us / writes, 2))
+        .with("grouped_us_per_write", fixed(churn_grp_us / writes, 2))
+        .with("grouped_speedup", fixed(grouped_speedup, 3))
+        .with("per_record_fsyncs", churn_per_wal.syncs)
+        .with("grouped_fsyncs", churn_grp_wal.syncs)
+        .with("fsyncs_saved", churn_grp_wal.fsyncs_saved)
+        .with("wal_batches", churn_serve.write_batches)
+        .with("largest_batch", churn_serve.max_write_batch)
+        .with("batch_size_histogram", churn_grp_wal.batch_size_counts.to_vec())
+        .with("final_state_bit_identical_to_sequential", true);
+    let mixed = Json::obj()
+        .with("stream", "1:2:1 inserts, execution appends, policy swaps (apply + data-proportional fsync shared by both policies)")
+        .with("per_record_us_per_write", fixed(mix_per_us / writes, 2))
+        .with("grouped_us_per_write", fixed(mix_grp_us / writes, 2))
+        .with("grouped_speedup", fixed(mixed_speedup, 3))
+        .with("per_record_fsyncs", mix_per_wal.syncs)
+        .with("grouped_fsyncs", mix_grp_wal.syncs)
+        .with("fsyncs_saved", mix_grp_wal.fsyncs_saved)
+        .with("largest_batch", mix_serve.max_write_batch)
+        .with("batch_size_histogram", mix_grp_wal.batch_size_counts.to_vec())
+        .with("final_state_bit_identical_to_sequential", true);
+    let single_writer = Json::obj()
+        .with("per_record_us_per_write", fixed(solo_per_us / writes, 2))
+        .with("grouped_us_per_write", fixed(solo_grp_us / writes, 2))
+        .with("ratio_grouped_vs_per_record", fixed(single_writer_ratio, 3));
+    let read_path = Json::obj()
+        .with("fresh_cold_us_per_query", fixed(per_q(fresh_cold_us), 3))
+        .with("recovered_cold_us_per_query", fixed(per_q(durable_cold_us), 3))
+        .with("cold_ratio", fixed(cold_ratio, 3))
+        .with("fresh_warm_us_per_query", fixed(per_q(fresh_warm_us), 4))
+        .with("recovered_warm_us_per_query", fixed(per_q(durable_warm_us), 4))
+        .with("warm_ratio", fixed(warm_ratio, 3));
+    let pool_job = per_snap(pool_wal.snapshot_background_us, pool_wal.snapshots);
+    let snapshot_pause = Json::obj()
+        .with("cadence", SNAPSHOT_CADENCE)
+        .with("no_pool_snapshots", solo_wal.snapshots)
+        .with("no_pool_pause_us_per_snapshot", fixed(solo_pause, 1))
+        .with("pool_snapshots", pool_wal.snapshots)
+        .with("pool_pause_us_per_snapshot", fixed(pool_pause, 1))
+        .with("pool_job_us_per_snapshot", fixed(pool_job, 1))
+        .with("pause_ratio_pool_vs_no_pool", fixed(pause_ratio, 3))
+        .with("recovery_bit_identical_both_modes", true);
+    let acceptance = Json::obj()
+        .with("min_grouped_speedup", fixed(config.min_grouped_speedup, 1))
+        .with("max_single_writer_ratio", fixed(config.max_single_writer_ratio, 2))
+        .with("max_read_regression", fixed(config.max_read_regression, 2))
+        .with("max_bg_pause_ratio", fixed(config.max_bg_pause_ratio, 2))
+        .with("no_response_before_covering_fsync", true);
+    let record = Json::obj()
+        .with("experiment", "E17")
+        .with("title", "Batch records under one covering fsync (max_batch 1 vs N) and the snapshot job on/off the pool")
+        .with("seed", config.seed)
+        .with("writes", stream.len())
+        .with("reads", config.reads)
+        .with("window", config.window)
+        .with("max_batch", config.max_batch)
+        .with("max_delay_us", config.max_delay_us)
+        .with("concurrent_mutations_policy_churn", policy_churn)
+        .with("concurrent_mutations_mixed", mixed)
+        .with("single_writer", single_writer)
+        .with("read_path", read_path)
+        .with("snapshot_pause", snapshot_pause)
+        .with("acceptance", acceptance)
+        .with("note", "per_record is max_batch 1, grouped is max_batch N, both on the one write path: the fence lifts before the covering fsync and the sync job covers every queued frame, so max_batch 1 already shares fsyncs and batching adds one record / lock acquisition / dispatch per run (the fence-held per-record-fsync baseline of the first E17 runs is deleted; its numbers are in crates/bench/BENCHMARKS.md); batching trades latency for throughput and wins only under concurrency (single-writer section is the control); the pooled snapshot job trades the mutating thread's pause for pool occupancy");
+    write_record(&config.out, &record);
 
     assert!(
         grouped_speedup >= config.min_grouped_speedup,

@@ -12,9 +12,10 @@
 //! Three measured sections:
 //!
 //! * **Overlap on the write path.** The E17 mixed 1:2:1 stream (inserts,
-//!   execution appends, policy swaps) runs through a [`ServeFront`] over
-//!   real files ([`FsStorage`]) with `--window` requests in flight at
-//!   `--max-batch 2`, where per-batch fsync cost is on the order of
+//!   execution appends, policy swaps) runs through a
+//!   [`ServeFront`](ppwf_query::serve::ServeFront) over real files
+//!   ([`FsStorage`](ppwf_repo::storage::FsStorage)) with `--window`
+//!   requests in flight at `--max-batch 2`, where per-batch fsync cost is on the order of
 //!   per-batch apply cost — the regime overlapping targets. Structural
 //!   gates: `overlapped_fsyncs > 0` (an fsync actually ran while the front
 //!   applied the next batch) and `pipeline_depth_high_water ≥ 1`; µs/write
@@ -55,166 +56,27 @@
 //! wins when mutations have locality. The binary exits non-zero when any
 //! acceptance gate fails.
 
-use ppwf_bench::standard_registry;
-use ppwf_query::cluster::EngineCluster;
-use ppwf_query::route::ShardStrategy;
-use ppwf_query::serve::{QueryAnswer, ServeFront, ServeRequest};
+use ppwf_bench::harness::{fixed, front_mutation_pass, write_record, Json};
+use ppwf_bench::{replay, standalone_stream};
 use ppwf_repo::mutation::Mutation;
 use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::repository::Repository;
-use ppwf_repo::storage::{FaultPlan, FsStorage, MemStorage, StorageBackend};
+use ppwf_repo::storage::{FaultPlan, MemStorage, StorageBackend};
 use ppwf_repo::wal::{DurabilityPolicy, DurabilityStats, DurableLog};
 use ppwf_workloads::gencrash::{crash_schedule, CrashScheduleParams};
-use std::collections::VecDeque;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-struct Config {
-    out: String,
-    writes: usize,
-    seed: u64,
-    window: usize,
-    max_batch: usize,
-    max_incremental_snapshot_ratio: f64,
-    min_chunk_reuse_ratio: f64,
-}
-
-fn parse_args() -> Config {
-    let mut config = Config {
-        out: "BENCH_e18_pipelined_commit.json".to_string(),
-        writes: 384,
-        seed: 18,
-        window: 32,
-        max_batch: 2,
-        max_incremental_snapshot_ratio: 0.5,
-        min_chunk_reuse_ratio: 0.5,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need =
-            |n: usize| args.get(n).unwrap_or_else(|| panic!("{} needs a value", args[n - 1]));
-        match args[i].as_str() {
-            "--out" => config.out = need(i + 1).clone(),
-            "--writes" => config.writes = need(i + 1).parse().expect("bad write count"),
-            "--seed" => config.seed = need(i + 1).parse().expect("bad seed"),
-            "--window" => config.window = need(i + 1).parse().expect("bad window"),
-            "--max-batch" => config.max_batch = need(i + 1).parse().expect("bad max batch"),
-            "--max-incremental-snapshot-ratio" => {
-                config.max_incremental_snapshot_ratio = need(i + 1).parse().expect("bad ratio")
-            }
-            "--min-chunk-reuse-ratio" => {
-                config.min_chunk_reuse_ratio = need(i + 1).parse().expect("bad ratio")
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 2;
+ppwf_bench::flags! {
+    struct Config {
+        out: String = "BENCH_e18_pipelined_commit.json",
+        writes: usize = "384",
+        seed: u64 = "18",
+        window: usize = "32",
+        max_batch: usize = "2",
+        max_incremental_snapshot_ratio: f64 = "0.5",
+        min_chunk_reuse_ratio: f64 = "0.5",
     }
-    config
-}
-
-/// The E17 mixed 1:2:1 stream: spec inserts, execution appends (the
-/// dominant write), and policy swaps, each built against evolving state.
-fn standalone_stream(writes: usize, seed: u64) -> Vec<Mutation> {
-    use ppwf_core::policy::Policy;
-    use ppwf_model::exec::{Executor, HashOracle};
-    use ppwf_repo::repository::SpecId;
-    use ppwf_workloads::genspec::{generate_spec, SpecParams};
-    let mut repo = Repository::new();
-    let mut out = Vec::with_capacity(writes);
-    for i in 0..writes as u64 {
-        let kind = if repo.is_empty() || i % 4 == 0 {
-            0
-        } else if i % 4 == 3 {
-            2
-        } else {
-            1
-        };
-        let mutation = match kind {
-            0 => Mutation::InsertSpec {
-                spec: generate_spec(&SpecParams { seed: seed ^ (i << 8), ..SpecParams::default() }),
-                policy: Policy::public(),
-            },
-            1 => {
-                let target = SpecId(((seed ^ i) % repo.len() as u64) as u32);
-                let exec = Executor::new(&repo.entry(target).unwrap().spec)
-                    .run(&mut HashOracle)
-                    .expect("stored specs execute");
-                Mutation::AddExecution { spec: target, exec }
-            }
-            _ => Mutation::SetPolicy {
-                spec: SpecId(((seed ^ i) % repo.len() as u64) as u32),
-                policy: Policy::public(),
-            },
-        };
-        repo.apply(mutation.clone()).expect("generated mutation applies");
-        out.push(mutation);
-    }
-    out
-}
-
-fn replay_prefix(stream: &[Mutation], n: usize) -> Repository {
-    let mut repo = Repository::new();
-    for mutation in &stream[..n] {
-        repo.apply(mutation.clone()).expect("prefix replays");
-    }
-    repo
-}
-
-/// Open a durable cluster over a fresh [`FsStorage`] root and push the
-/// stream through a [`ServeFront`] with up to `window` requests in
-/// flight. Returns (elapsed µs, WAL stats, final image).
-fn front_mutation_pass(
-    root: &Path,
-    stream: &[Mutation],
-    policy: DurabilityPolicy,
-    window: usize,
-) -> (f64, DurabilityStats, Vec<u8>) {
-    let pool = Arc::new(WorkerPool::new(4));
-    let backend: Arc<dyn StorageBackend> =
-        Arc::new(FsStorage::open(root).expect("bench storage root"));
-    let (cluster, _) = EngineCluster::open_durable(
-        Arc::clone(&backend),
-        policy,
-        standard_registry(),
-        2,
-        ShardStrategy::RoundRobin,
-        Arc::clone(&pool),
-    )
-    .expect("open durable cluster on fresh storage");
-    let front = ServeFront::with_pool(cluster, Arc::clone(&pool));
-
-    let t = Instant::now();
-    let mut inflight = VecDeque::with_capacity(window);
-    for mutation in stream {
-        inflight.push_back(front.submit(ServeRequest::mutate(mutation.clone())));
-        if inflight.len() >= window.max(1) {
-            let response = inflight.pop_front().expect("non-empty window").wait();
-            assert!(
-                matches!(response.answer, QueryAnswer::Mutated(Ok(_))),
-                "durable mutation refused on healthy storage"
-            );
-        }
-    }
-    for ticket in inflight {
-        let response = ticket.wait();
-        assert!(
-            matches!(response.answer, QueryAnswer::Mutated(Ok(_))),
-            "durable mutation refused on healthy storage"
-        );
-    }
-    let us = t.elapsed().as_secs_f64() * 1e6;
-    front.quiesce();
-    front.with_cluster(|c| c.wait_for_pipeline());
-    let wal = front.durability_stats().expect("durable front reports WAL stats");
-    // No time is believed over an unverified log: replaying the WAL this
-    // pass wrote must rebuild the sequential reference exactly.
-    let (recovered, recovery) =
-        Repository::recover(backend.as_ref()).expect("recovery over healthy log");
-    assert_eq!(recovery.last_seq, stream.len() as u64, "durable log missed mutations");
-    (us, wal, recovered.save().to_vec())
 }
 
 /// Drive `stream` through a pipelined log over `storage` in batches whose
@@ -268,7 +130,7 @@ fn drive_pipelined(
 }
 
 fn main() {
-    let config = parse_args();
+    let config = Config::parse();
     println!(
         "== E18: fsync/apply overlap, in-flight crash matrix, copy-on-write chunked snapshots =="
     );
@@ -278,7 +140,7 @@ fn main() {
     );
 
     let stream = standalone_stream(config.writes, config.seed ^ 0xE18);
-    let reference_save = replay_prefix(&stream, stream.len()).save().to_vec();
+    let reference_save = replay(Repository::new(), &stream).save().to_vec();
     let writes = stream.len() as f64;
     let fs_root = std::env::temp_dir().join(format!("ppwf-e18-{}", std::process::id()));
 
@@ -295,7 +157,7 @@ fn main() {
     let (pipe_us, pipe_wal) = (0..REPS)
         .map(|rep| {
             let root = fs_root.join(format!("pipe-{rep}"));
-            let (us, wal, save) = front_mutation_pass(&root, &stream, policy, config.window);
+            let (us, wal, _, save) = front_mutation_pass(&root, &stream, policy, config.window);
             assert_eq!(save, reference_save, "front diverged from sequential replay");
             assert_eq!(wal.appends, stream.len() as u64);
             (us, wal)
@@ -327,7 +189,7 @@ fn main() {
         aligned.push(aligned.last().unwrap() + size);
     }
     let references: Vec<_> =
-        aligned.iter().map(|&n| replay_prefix(&crash_stream, n).save()).collect();
+        aligned.iter().map(|&n| replay(Repository::new(), &crash_stream[..n]).save()).collect();
     let schedule = crash_schedule(
         &deltas,
         &CrashScheduleParams {
@@ -440,7 +302,7 @@ fn main() {
     assert!(rstats.snapshot_seq > 0, "recovery must start from a chunked snapshot");
     assert_eq!(
         recovered.save(),
-        replay_prefix(&cow_stream, cow_stream.len()).save(),
+        replay(Repository::new(), &cow_stream).save(),
         "COW-snapshotted log diverges from sequential replay"
     );
     println!("\n-- COW snapshot write volume (8 chunks, churn confined to chunk 0) --");
@@ -453,71 +315,49 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&fs_root);
 
-    let json = format!(
-        r#"{{
-  "experiment": "E18",
-  "title": "Covering fsync overlapping apply, in-flight crash matrix, copy-on-write chunked snapshots",
-  "seed": {seed},
-  "writes": {writes_n},
-  "window": {window},
-  "max_batch": {mb},
-  "write_path_overlap": {{
-    "stream": "1:2:1 inserts, execution appends, policy swaps; per-batch fsync ~ per-batch apply (the regime overlapping targets)",
-    "us_per_write": {pu:.2},
-    "pipeline_depth_high_water": {dhw},
-    "overlapped_fsyncs": {ovl},
-    "fsyncs": {pfs},
-    "fsyncs_saved": {pfsv},
-    "final_state_bit_identical_to_sequential": true
-  }},
-  "crash_matrix": {{
-    "offsets": {offsets},
-    "schedule": "every record boundary, 3 sampled interiors per record, every byte of the final in-flight frame",
-    "contract": "recovery = batch-aligned prefix n with acked <= n <= appended, bit-identical to sequential replay of n",
-    "all_offsets_bit_identical": true
-  }},
-  "cow_snapshot": {{
-    "chunks": 8,
-    "dirty_fraction": {df:.3},
-    "incremental_snapshot_bytes": {ib},
-    "whole_image_bytes": {wb},
-    "incremental_ratio": {ir:.3},
-    "chunks_written": {cw},
-    "chunks_reused": {crr},
-    "chunk_reuse_ratio": {rr:.3},
-    "recovery_bit_identical": true
-  }},
-  "acceptance": {{
-    "overlap_count_positive": true,
-    "max_incremental_snapshot_ratio": {mis:.2},
-    "min_chunk_reuse_ratio": {mcr:.2},
-    "no_response_before_covering_fsync": true
-  }},
-  "note": "overlap buys at most min(apply, fsync) per batch (the pipelined-vs-grouped comparison that sized it is retired with the grouped path; see crates/bench/BENCHMARKS.md); acknowledgement latency is unchanged (a ticket still waits for its covering fsync) and reads admitted in the overlap window may observe applied-but-unacknowledged state; COW chunking pays a chunk-index probe and manifest entry per snapshot and wins only when mutations have locality"
-}}
-"#,
-        seed = config.seed,
-        writes_n = stream.len(),
-        window = config.window,
-        mb = config.max_batch,
-        pu = pipe_us / writes,
-        dhw = pipe_wal.pipeline_depth_high_water,
-        ovl = pipe_wal.overlapped_fsyncs,
-        pfs = pipe_wal.syncs,
-        pfsv = pipe_wal.fsyncs_saved,
-        offsets = schedule.len(),
-        df = dirty_fraction,
-        ib = incremental_bytes,
-        wb = checkpoint_bytes,
-        ir = incremental_ratio,
-        cw = written_delta,
-        crr = reused_delta,
-        rr = reuse_ratio,
-        mis = config.max_incremental_snapshot_ratio,
-        mcr = config.min_chunk_reuse_ratio,
-    );
-    std::fs::write(&config.out, &json).expect("write baseline JSON");
-    println!("\nbaseline written to {}", config.out);
+    let overlap = Json::obj()
+        .with("stream", "1:2:1 inserts, execution appends, policy swaps; per-batch fsync ~ per-batch apply (the regime overlapping targets)")
+        .with("us_per_write", fixed(pipe_us / writes, 2))
+        .with("pipeline_depth_high_water", pipe_wal.pipeline_depth_high_water)
+        .with("overlapped_fsyncs", pipe_wal.overlapped_fsyncs)
+        .with("fsyncs", pipe_wal.syncs)
+        .with("fsyncs_saved", pipe_wal.fsyncs_saved)
+        .with("final_state_bit_identical_to_sequential", true);
+    let crash_matrix = Json::obj()
+        .with("offsets", schedule.len())
+        .with("schedule", "every record boundary, 3 sampled interiors per record, every byte of the final in-flight frame")
+        .with("contract", "recovery = batch-aligned prefix n with acked <= n <= appended, bit-identical to sequential replay of n")
+        .with("all_offsets_bit_identical", true);
+    // `whole_image_bytes` keeps its name so older records still compare;
+    // it holds a one-run checkpoint's bytes.
+    let cow_snapshot = Json::obj()
+        .with("chunks", 8u64)
+        .with("dirty_fraction", fixed(dirty_fraction, 3))
+        .with("incremental_snapshot_bytes", incremental_bytes)
+        .with("whole_image_bytes", checkpoint_bytes)
+        .with("incremental_ratio", fixed(incremental_ratio, 3))
+        .with("chunks_written", written_delta)
+        .with("chunks_reused", reused_delta)
+        .with("chunk_reuse_ratio", fixed(reuse_ratio, 3))
+        .with("recovery_bit_identical", true);
+    let acceptance = Json::obj()
+        .with("overlap_count_positive", true)
+        .with("max_incremental_snapshot_ratio", fixed(config.max_incremental_snapshot_ratio, 2))
+        .with("min_chunk_reuse_ratio", fixed(config.min_chunk_reuse_ratio, 2))
+        .with("no_response_before_covering_fsync", true);
+    let record = Json::obj()
+        .with("experiment", "E18")
+        .with("title", "Covering fsync overlapping apply, in-flight crash matrix, copy-on-write chunked snapshots")
+        .with("seed", config.seed)
+        .with("writes", stream.len())
+        .with("window", config.window)
+        .with("max_batch", config.max_batch)
+        .with("write_path_overlap", overlap)
+        .with("crash_matrix", crash_matrix)
+        .with("cow_snapshot", cow_snapshot)
+        .with("acceptance", acceptance)
+        .with("note", "overlap buys at most min(apply, fsync) per batch (the pipelined-vs-grouped comparison that sized it is retired with the grouped path; see crates/bench/BENCHMARKS.md); acknowledgement latency is unchanged (a ticket still waits for its covering fsync) and reads admitted in the overlap window may observe applied-but-unacknowledged state; COW chunking pays a chunk-index probe and manifest entry per snapshot and wins only when mutations have locality");
+    write_record(&config.out, &record);
 
     assert!(
         pipe_wal.overlapped_fsyncs > 0,

@@ -17,7 +17,7 @@
 //! slots the stream itself leaves). Three measured sections:
 //!
 //! * **Per-write index maintenance.** The stream drives two repository
-//!   copies; after every write one side rebuilds its [`KeywordIndex`]
+//!   copies; after every write one side rebuilds its `KeywordIndex`
 //!   from scratch, the other hands it the typed effect
 //!   (`KeywordIndex::apply_effect`: `SpecDeleted` → targeted retraction,
 //!   `SpecEdited` → retract + re-index, an insert → append). Before any
@@ -44,126 +44,39 @@
 //! deleted or edited, so group-commit batches shrink as the conflict
 //! rate rises. The binary exits non-zero when any acceptance gate fails.
 
+use ppwf_bench::harness::{
+    alternate, assert_same_answers, best_pass, fixed, hits, maintenance_pass, open_durable,
+    serve_pass, write_record, Json,
+};
 use ppwf_bench::{
-    e11_corpus, e11_query_log, e11_repo, e19_write_stream, standard_registry, E10_GROUPS,
+    e11_corpus, e11_query_log, e11_repo, e19_write_stream, replay, standard_registry,
 };
 use ppwf_query::cluster::EngineCluster;
-use ppwf_query::keyword::KeywordQuery;
-use ppwf_query::route::ShardStrategy;
-use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::mutation::Mutation;
 use ppwf_repo::pool::WorkerPool;
-use ppwf_repo::repository::Repository;
 use ppwf_repo::storage::{MemStorage, StorageBackend};
 use ppwf_repo::wal::DurabilityPolicy;
 use std::sync::Arc;
 use std::time::Instant;
 
-struct Config {
-    out: String,
-    specs: usize,
-    writes: usize,
-    reads: usize,
-    shards: usize,
-    seed: u64,
-    delete_pct: u32,
-    edit_pct: u32,
-    batch: usize,
-    min_speedup: f64,
-    max_read_regression: f64,
-}
-
-fn parse_args() -> Config {
-    let mut config = Config {
-        out: "BENCH_e19_destructive_writes.json".to_string(),
-        specs: 1024,
-        writes: 128,
-        reads: 200,
-        shards: 3,
-        seed: 19,
-        delete_pct: 35,
-        edit_pct: 35,
-        batch: 16,
-        min_speedup: 5.0,
-        max_read_regression: 1.2,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need =
-            |n: usize| args.get(n).unwrap_or_else(|| panic!("{} needs a value", args[n - 1]));
-        match args[i].as_str() {
-            "--out" => config.out = need(i + 1).clone(),
-            "--specs" => config.specs = need(i + 1).parse().expect("bad spec count"),
-            "--writes" => config.writes = need(i + 1).parse().expect("bad write count"),
-            "--reads" => config.reads = need(i + 1).parse().expect("bad read count"),
-            "--shards" => config.shards = need(i + 1).parse().expect("bad shard count"),
-            "--seed" => config.seed = need(i + 1).parse().expect("bad seed"),
-            "--delete-pct" => config.delete_pct = need(i + 1).parse().expect("bad delete pct"),
-            "--edit-pct" => config.edit_pct = need(i + 1).parse().expect("bad edit pct"),
-            "--batch" => config.batch = need(i + 1).parse().expect("bad batch size"),
-            "--min-speedup" => config.min_speedup = need(i + 1).parse().expect("bad threshold"),
-            "--max-read-regression" => {
-                config.max_read_regression = need(i + 1).parse().expect("bad ratio")
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-        i += 2;
-    }
-    config
-}
-
-/// Serve the whole read log once; returns (elapsed µs, hits served).
-fn serve_pass(mut serve: impl FnMut(&str, &str) -> usize, log: &[String]) -> (f64, usize) {
-    let t = Instant::now();
-    let mut hits = 0usize;
-    for (i, q) in log.iter().enumerate() {
-        hits += serve(E10_GROUPS[i % E10_GROUPS.len()], q);
-    }
-    (t.elapsed().as_secs_f64() * 1e6, hits)
-}
-
-/// Best of `reps` passes — the standard noise-floor estimate.
-fn best_pass(
-    reps: usize,
-    mut serve: impl FnMut(&str, &str) -> usize,
-    log: &[String],
-) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut hits = 0usize;
-    for _ in 0..reps.max(1) {
-        let (us, h) = serve_pass(&mut serve, log);
-        best = best.min(us);
-        hits = h;
-    }
-    (best, hits)
-}
-
-/// Assert the maintained index answers exactly like a fresh full build of
-/// the (tombstoned) final corpus.
-fn assert_index_equivalent(maintained: &KeywordIndex, repo: &Repository, log: &[String]) {
-    let fresh = KeywordIndex::build(repo);
-    assert_eq!(maintained.doc_count(), fresh.doc_count(), "doc_count diverged");
-    assert_eq!(maintained.term_count(), fresh.term_count(), "term_count diverged");
-    for q in log {
-        for term in &KeywordQuery::parse(q).terms {
-            assert_eq!(
-                maintained.lookup_query_term(term),
-                fresh.lookup_query_term(term),
-                "postings diverged on {term:?}"
-            );
-            assert_eq!(maintained.df_cached(term), fresh.df(term), "df diverged on {term:?}");
-            assert_eq!(
-                maintained.idf_cached(term).to_bits(),
-                fresh.idf_cached(term).to_bits(),
-                "idf diverged on {term:?}"
-            );
-        }
+ppwf_bench::flags! {
+    struct Config {
+        out: String = "BENCH_e19_destructive_writes.json",
+        specs: usize = "1024",
+        writes: usize = "128",
+        reads: usize = "200",
+        shards: usize = "3",
+        seed: u64 = "19",
+        delete_pct: u32 = "35",
+        edit_pct: u32 = "35",
+        batch: usize = "16",
+        min_speedup: f64 = "5.0",
+        max_read_regression: f64 = "1.2",
     }
 }
 
 fn main() {
-    let config = parse_args();
+    let config = Config::parse();
     println!("== E19: destructive writes — targeted delete/edit maintenance vs full rebuilds ==");
     let insert_pct = 100 - config.delete_pct - config.edit_pct;
     println!(
@@ -190,31 +103,12 @@ fn main() {
     assert!(deletes > 0 && edits > 0, "the stream must exercise both destructive kinds");
 
     // -- section A: per-write index maintenance -----------------------------
-    // Baseline: rebuild the whole index after every destructive write.
-    let mut repo_full = e11_repo(&corpus);
-    let mut index_full = KeywordIndex::build(&repo_full);
-    let mut full_us = 0.0f64;
-    for m in stream.iter().cloned() {
-        repo_full.apply(m).expect("write stream valid");
-        let t = Instant::now();
-        index_full = KeywordIndex::build(&repo_full);
-        full_us += t.elapsed().as_secs_f64() * 1e6;
-    }
-    drop(index_full);
-
-    // Targeted: the typed effect folded into the index — retraction for
+    // Baseline: rebuild the whole index after every destructive write;
+    // targeted: the typed effect folded into the index — retraction for
     // deletes, retract + re-index for edits, append for inserts.
-    let mut repo_incr = e11_repo(&corpus);
-    let mut index_incr = KeywordIndex::build(&repo_incr);
-    let mut incr_us = 0.0f64;
-    for m in stream.iter().cloned() {
-        let effect = repo_incr.apply(m).expect("write stream valid");
-        let t = Instant::now();
-        index_incr.apply_effect(&repo_incr, &effect);
-        incr_us += t.elapsed().as_secs_f64() * 1e6;
-    }
+    let (full_us, incr_us, repo_incr, index_incr) =
+        maintenance_pass(|| e11_repo(&corpus), &stream, &log);
     assert!(index_incr.docs_retracted() > 0, "deletes and edits must retract postings");
-    assert_index_equivalent(&index_incr, &repo_incr, &log);
     let maintenance_speedup = full_us / incr_us;
 
     let per_write = |us: f64| us / config.writes.max(1) as f64;
@@ -237,69 +131,37 @@ fn main() {
     );
 
     // -- section B: read no-regression over the tombstoned corpus ----------
-    let mut cluster_grown = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
+    let grow = || {
+        let mut cluster = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
+        for m in stream.iter().cloned() {
+            cluster.mutate(m).expect("write stream valid");
+        }
+        cluster
+    };
+    let fresh = || EngineCluster::new(replay(e11_repo(&corpus), &stream), standard_registry(), 1);
     let t = Instant::now();
-    for m in stream.iter().cloned() {
-        cluster_grown.mutate(m).expect("write stream valid");
-    }
+    let cluster_grown = grow();
     let pipeline_us = t.elapsed().as_secs_f64() * 1e6;
-    let mut repo_replay = e11_repo(&corpus);
-    for m in stream.iter().cloned() {
-        repo_replay.apply(m).expect("write stream valid");
-    }
-    let cluster_fresh = EngineCluster::new(repo_replay, standard_registry(), 1);
-    for (i, q) in log.iter().enumerate() {
-        let g = E10_GROUPS[i % E10_GROUPS.len()];
-        let a = cluster_grown.search_as(g, q).unwrap();
-        let b = cluster_fresh.search_as(g, q).unwrap();
-        assert_eq!(
-            a.iter().map(|h| h.spec.0).collect::<Vec<_>>(),
-            b.iter().map(|h| h.spec.0).collect::<Vec<_>>(),
-            "grown vs fresh diverged on {q:?}"
-        );
-    }
+    let cluster_fresh = fresh();
+    assert_same_answers(&cluster_grown, &cluster_fresh, &log, "grown vs fresh");
     const COLD_REPS: usize = 3;
     const WARM_REPS: usize = 9;
     let (mut fresh_cold_us, mut grown_cold_us) = (f64::INFINITY, f64::INFINITY);
     let mut fresh_hits = 0usize;
     for rep in 0..COLD_REPS {
-        let mut grown_rep = EngineCluster::new(e11_repo(&corpus), standard_registry(), 1);
-        for m in stream.iter().cloned() {
-            grown_rep.mutate(m).expect("write stream valid");
-        }
-        let mut replay_rep = e11_repo(&corpus);
-        for m in stream.iter().cloned() {
-            replay_rep.apply(m).expect("write stream valid");
-        }
-        let fresh_rep = EngineCluster::new(replay_rep, standard_registry(), 1);
-        let serve_fresh =
-            |g: &str, q: &str| -> usize { fresh_rep.search_as(g, q).map(|h| h.len()).unwrap_or(0) };
-        let serve_grown =
-            |g: &str, q: &str| -> usize { grown_rep.search_as(g, q).map(|h| h.len()).unwrap_or(0) };
-        let ((fresh_us, fh), (grown_us, gh)) = if rep % 2 == 0 {
-            let f = serve_pass(serve_fresh, &log);
-            let g = serve_pass(serve_grown, &log);
-            (f, g)
-        } else {
-            let g = serve_pass(serve_grown, &log);
-            let f = serve_pass(serve_fresh, &log);
-            (f, g)
-        };
+        let (grown_rep, fresh_rep) = (grow(), fresh());
+        let ((fresh_us, fh), (grown_us, gh)) = alternate(
+            rep,
+            || serve_pass(hits(&fresh_rep), &log),
+            || serve_pass(hits(&grown_rep), &log),
+        );
         assert_eq!(gh, fh, "the grown cluster serves different hit totals");
         fresh_cold_us = fresh_cold_us.min(fresh_us);
         grown_cold_us = grown_cold_us.min(grown_us);
         fresh_hits = fh;
     }
-    let (fresh_warm_us, _) = best_pass(
-        WARM_REPS,
-        |g, q| cluster_fresh.search_as(g, q).map(|h| h.len()).unwrap_or(0),
-        &log,
-    );
-    let (grown_warm_us, _) = best_pass(
-        WARM_REPS,
-        |g, q| cluster_grown.search_as(g, q).map(|h| h.len()).unwrap_or(0),
-        &log,
-    );
+    let (fresh_warm_us, _) = best_pass(WARM_REPS, hits(&cluster_fresh), &log);
+    let (grown_warm_us, _) = best_pass(WARM_REPS, hits(&cluster_grown), &log);
     let cold_ratio = grown_cold_us / fresh_cold_us;
     let warm_ratio = grown_warm_us / fresh_warm_us;
 
@@ -326,15 +188,8 @@ fn main() {
     };
     let storage = Arc::new(MemStorage::new());
     let pool = Arc::new(WorkerPool::new(2));
-    let (mut durable, _) = EngineCluster::open_durable(
-        Arc::clone(&storage) as Arc<dyn StorageBackend>,
-        policy,
-        standard_registry(),
-        config.shards,
-        ShardStrategy::RoundRobin,
-        Arc::clone(&pool),
-    )
-    .expect("open durable cluster");
+    let backend = || Arc::clone(&storage) as Arc<dyn StorageBackend>;
+    let (mut durable, _) = open_durable(backend(), policy, config.shards, Arc::clone(&pool));
     for spec in &corpus {
         durable
             .mutate(Mutation::InsertSpec {
@@ -360,29 +215,11 @@ fn main() {
     }
 
     let t = Instant::now();
-    let (recovered, recovery_stats) = EngineCluster::open_durable(
-        Arc::clone(&storage) as Arc<dyn StorageBackend>,
-        policy,
-        standard_registry(),
-        config.shards,
-        ShardStrategy::RoundRobin,
-        Arc::clone(&pool),
-    )
-    .expect("recover durable cluster");
+    let (recovered, recovery_stats) = open_durable(backend(), policy, config.shards, pool);
     let recovery_us = t.elapsed().as_secs_f64() * 1e6;
-    let (_, recovered_hits) =
-        serve_pass(|g, q| recovered.search_as(g, q).map(|h| h.len()).unwrap_or(0), &log);
+    let (_, recovered_hits) = serve_pass(hits(&recovered), &log);
     assert_eq!(recovered_hits, fresh_hits, "recovery changed total hits");
-    for (i, q) in log.iter().enumerate() {
-        let g = E10_GROUPS[i % E10_GROUPS.len()];
-        let a = recovered.search_as(g, q).unwrap();
-        let b = cluster_grown.search_as(g, q).unwrap();
-        assert_eq!(
-            a.iter().map(|h| h.spec.0).collect::<Vec<_>>(),
-            b.iter().map(|h| h.spec.0).collect::<Vec<_>>(),
-            "recovered cluster diverged on {q:?}"
-        );
-    }
+    assert_same_answers(&recovered, &cluster_grown, &log, "recovered cluster");
     let assembled = recovered.repo();
     assert_eq!(assembled.len(), repo_incr.len(), "recovered id space diverged");
     assert_eq!(assembled.live_count(), repo_incr.live_count(), "recovered live count diverged");
@@ -401,84 +238,55 @@ fn main() {
         assembled.len(),
     );
 
-    let json = format!(
-        r#"{{
-  "experiment": "E19",
-  "title": "Destructive writes: targeted DeleteSpec/EditSpec index maintenance, tombstoned read path, durable group-committed pipeline with recovery",
-  "seed": {seed},
-  "corpus_specs": {specs},
-  "writes": {writes},
-  "write_mix": {{ "delete_pct": {dp}, "edit_pct": {ep}, "insert_pct": {ip}, "deletes": {dn}, "edits": {en} }},
-  "reads": {reads},
-  "shards": {shards},
-  "index_maintenance": {{
-    "full_rebuild_us_per_write": {fu:.3},
-    "targeted_us_per_write": {iu:.3},
-    "speedup_targeted_vs_full": {sp:.3},
-    "full_builds_during_stream": 0,
-    "docs_retracted": {dr},
-    "live_slots": {live},
-    "total_slots": {slots},
-    "typed_pipeline_us_per_write": {tp:.3}
-  }},
-  "read_path": {{
-    "fresh_cold_us_per_query": {fc:.3},
-    "grown_cold_us_per_query": {gc:.3},
-    "cold_ratio_grown_vs_fresh": {cr:.3},
-    "fresh_warm_us_per_query": {fw:.4},
-    "grown_warm_us_per_query": {gw:.4},
-    "warm_ratio_grown_vs_fresh": {wr:.3}
-  }},
-  "durable_pipeline": {{
-    "batch": {batch},
-    "durable_us_per_write": {du:.3},
-    "fsyncs": {fs},
-    "recovery_records_replayed": {rr},
-    "recovery_ms": {rm:.3},
-    "recovered_bit_identical": true
-  }},
-  "acceptance": {{
-    "threshold_maintenance_speedup": {thr:.1},
-    "max_read_regression": {mrr:.2},
-    "index_bit_identical_to_full_build": true,
-    "retraction_counters_moved": true
-  }},
-  "note": "targeted delete/edit maintenance retracts the victim's postings term by term (and an edit re-posts all of its keys), so per-write cost is O(victim vocabulary), not O(1); destructive conflicts inside a group-commit run flush it early, shrinking the amortized batch"
-}}
-"#,
-        seed = config.seed,
-        specs = config.specs,
-        writes = stream.len(),
-        dp = config.delete_pct,
-        ep = config.edit_pct,
-        ip = insert_pct,
-        dn = deletes,
-        en = edits,
-        reads = log.len(),
-        shards = config.shards,
-        fu = per_write(full_us),
-        iu = per_write(incr_us),
-        sp = maintenance_speedup,
-        dr = index_incr.docs_retracted(),
-        live = repo_incr.live_count(),
-        slots = repo_incr.len(),
-        tp = per_write(pipeline_us),
-        fc = per_q(fresh_cold_us),
-        gc = per_q(grown_cold_us),
-        cr = cold_ratio,
-        fw = per_q(fresh_warm_us),
-        gw = per_q(grown_warm_us),
-        wr = warm_ratio,
-        batch = config.batch,
-        du = per_write(durable_us),
-        fs = fsyncs,
-        rr = recovery_stats.replayed,
-        rm = recovery_us / 1e3,
-        thr = config.min_speedup,
-        mrr = config.max_read_regression,
-    );
-    std::fs::write(&config.out, &json).expect("write baseline JSON");
-    println!("\nbaseline written to {}", config.out);
+    let write_mix = Json::obj()
+        .with("delete_pct", config.delete_pct)
+        .with("edit_pct", config.edit_pct)
+        .with("insert_pct", insert_pct)
+        .with("deletes", deletes)
+        .with("edits", edits);
+    let index_maintenance = Json::obj()
+        .with("full_rebuild_us_per_write", fixed(per_write(full_us), 3))
+        .with("targeted_us_per_write", fixed(per_write(incr_us), 3))
+        .with("speedup_targeted_vs_full", fixed(maintenance_speedup, 3))
+        .with("full_builds_during_stream", 0u64)
+        .with("docs_retracted", index_incr.docs_retracted())
+        .with("live_slots", repo_incr.live_count())
+        .with("total_slots", repo_incr.len())
+        .with("typed_pipeline_us_per_write", fixed(per_write(pipeline_us), 3));
+    let read_path = Json::obj()
+        .with("fresh_cold_us_per_query", fixed(per_q(fresh_cold_us), 3))
+        .with("grown_cold_us_per_query", fixed(per_q(grown_cold_us), 3))
+        .with("cold_ratio_grown_vs_fresh", fixed(cold_ratio, 3))
+        .with("fresh_warm_us_per_query", fixed(per_q(fresh_warm_us), 4))
+        .with("grown_warm_us_per_query", fixed(per_q(grown_warm_us), 4))
+        .with("warm_ratio_grown_vs_fresh", fixed(warm_ratio, 3));
+    let durable_pipeline = Json::obj()
+        .with("batch", config.batch)
+        .with("durable_us_per_write", fixed(per_write(durable_us), 3))
+        .with("fsyncs", fsyncs)
+        .with("recovery_records_replayed", recovery_stats.replayed)
+        .with("recovery_ms", fixed(recovery_us / 1e3, 3))
+        .with("recovered_bit_identical", true);
+    let acceptance = Json::obj()
+        .with("threshold_maintenance_speedup", fixed(config.min_speedup, 1))
+        .with("max_read_regression", fixed(config.max_read_regression, 2))
+        .with("index_bit_identical_to_full_build", true)
+        .with("retraction_counters_moved", true);
+    let record = Json::obj()
+        .with("experiment", "E19")
+        .with("title", "Destructive writes: targeted DeleteSpec/EditSpec index maintenance, tombstoned read path, durable group-committed pipeline with recovery")
+        .with("seed", config.seed)
+        .with("corpus_specs", config.specs)
+        .with("writes", stream.len())
+        .with("write_mix", write_mix)
+        .with("reads", log.len())
+        .with("shards", config.shards)
+        .with("index_maintenance", index_maintenance)
+        .with("read_path", read_path)
+        .with("durable_pipeline", durable_pipeline)
+        .with("acceptance", acceptance)
+        .with("note", "targeted delete/edit maintenance retracts the victim's postings term by term (and an edit re-posts all of its keys), so per-write cost is O(victim vocabulary), not O(1); destructive conflicts inside a group-commit run flush it early, shrinking the amortized batch");
+    write_record(&config.out, &record);
 
     println!(
         "per-write maintenance speedup: {maintenance_speedup:.2}x (threshold {:.1}x)",

@@ -8,6 +8,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod harness;
+
 use ppwf_core::policy::{AccessLevel, Policy};
 use ppwf_model::graph::DiGraph;
 use ppwf_model::spec::Specification;
@@ -313,6 +315,46 @@ pub fn e19_write_stream(
             mutation
         })
         .collect()
+}
+
+/// A deterministic mutation stream valid from an empty repository: a
+/// 1:2:1 cycle of spec inserts, execution appends (the dominant write)
+/// and policy swaps, each built against the evolving state (E15, E17,
+/// E18).
+pub fn standalone_stream(writes: usize, seed: u64) -> Vec<ppwf_repo::mutation::Mutation> {
+    use ppwf_model::exec::{Executor, HashOracle};
+    use ppwf_repo::mutation::Mutation;
+    use ppwf_repo::repository::SpecId;
+    let mut repo = Repository::new();
+    let mut out = Vec::with_capacity(writes);
+    for i in 0..writes as u64 {
+        let target = || SpecId(((seed ^ i) % repo.len() as u64) as u32);
+        let mutation = if repo.is_empty() || i % 4 == 0 {
+            Mutation::InsertSpec {
+                spec: generate_spec(&SpecParams { seed: seed ^ (i << 8), ..SpecParams::default() }),
+                policy: Policy::public(),
+            }
+        } else if i % 4 == 3 {
+            Mutation::SetPolicy { spec: target(), policy: Policy::public() }
+        } else {
+            let exec = Executor::new(&repo.entry(target()).unwrap().spec)
+                .run(&mut HashOracle)
+                .expect("stored specs execute");
+            Mutation::AddExecution { spec: target(), exec }
+        };
+        repo.apply(mutation.clone()).expect("generated mutation applies");
+        out.push(mutation);
+    }
+    out
+}
+
+/// `repo` after applying every mutation of `stream` in order: the
+/// sequential reference a durable or incremental run is held to.
+pub fn replay(mut repo: Repository, stream: &[ppwf_repo::mutation::Mutation]) -> Repository {
+    for mutation in stream {
+        repo.apply(mutation.clone()).expect("stream replays");
+    }
+    repo
 }
 
 /// The E14 request stream: a warm-heavy serving mix scheduled over the

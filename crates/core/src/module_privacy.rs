@@ -30,14 +30,13 @@
 //! downstream-correlation leakage that per-module analysis misses).
 
 use ppwf_model::bitset::BitSet;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A module as a total function over discrete attribute domains.
 ///
 /// Attributes are indexed `0..in_arity` (inputs) then
 /// `in_arity..in_arity+out_arity` (outputs).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Relation {
     name: String,
     in_domains: Vec<u16>,
@@ -314,7 +313,7 @@ pub fn greedy_min_hiding(rel: &Relation, weights: &[u64], gamma: u64) -> Option<
 // ---------------------------------------------------------------------------
 
 /// Where a module input comes from in a [`Network`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Source {
     /// External workflow input with the given index.
     External(usize),

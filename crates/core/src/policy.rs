@@ -19,13 +19,10 @@ use ppwf_model::hierarchy::{ExpansionHierarchy, Prefix};
 use ppwf_model::ids::ModuleId;
 use ppwf_model::spec::Specification;
 use ppwf_model::{ModelError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An ordered clearance level; 0 is public, higher sees more.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AccessLevel(pub u8);
 
 impl AccessLevel {
@@ -42,7 +39,7 @@ impl AccessLevel {
 /// Module-privacy requirement: the module's input→output mapping must not
 /// be determinable beyond a candidate set of `gamma` outputs per input
 /// (ref \[4\]) for principals below `level`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ModuleRequirement {
     /// Minimum candidate-set size Γ.
     pub gamma: u32,
@@ -52,7 +49,7 @@ pub struct ModuleRequirement {
 
 /// Structural-privacy requirement: principals below `level` must not learn
 /// that `from` contributes to `to` (Sec. 3's `M13 → M11` example).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HidePair {
     /// Upstream module.
     pub from: ModuleId,
@@ -63,7 +60,7 @@ pub struct HidePair {
 }
 
 /// A complete privacy policy for one specification.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Policy {
     /// Channel name → level required to see values on that channel.
     /// Channels not listed are public.
@@ -153,7 +150,7 @@ impl Policy {
 }
 
 /// A user of the repository: clearance level plus access view.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Principal {
     /// Display name.
     pub name: String,

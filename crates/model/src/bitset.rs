@@ -8,13 +8,12 @@
 //! word-parallel time and lets the closure of an `n`-node DAG live in
 //! `n²/8` bytes — small enough to materialize per access class.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const WORD_BITS: usize = 64;
 
 /// Fixed-capacity bit set over the universe `0..nbits`.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitSet {
     nbits: usize,
     words: Vec<u64>,

@@ -495,8 +495,69 @@ pub fn decode_execution(bytes: &[u8]) -> Result<Execution> {
     Ok(exec)
 }
 
+/// Byte-level framing for hand-written record formats: LEB128 varints for
+/// sequence numbers and ids, varint-length-prefixed byte strings for nested
+/// codec payloads. The repository's write-ahead log frames its records with
+/// these.
+pub mod wire {
+    /// Append `v` as an unsigned LEB128 varint (7 value bits per byte,
+    /// high bit = continuation). At most 10 bytes for a `u64`.
+    pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                buf.push(byte);
+                return;
+            }
+            buf.push(byte | 0x80);
+        }
+    }
+
+    /// Decode an unsigned LEB128 varint from the front of `bytes`,
+    /// advancing past it. Returns `None` on truncation or a value that
+    /// would overflow 64 bits (more than 10 bytes, or set bits past 64).
+    pub fn get_uvarint(bytes: &mut &[u8]) -> Option<u64> {
+        let mut v: u64 = 0;
+        for (i, &byte) in bytes.iter().enumerate() {
+            if i == 10 {
+                return None;
+            }
+            let low = (byte & 0x7f) as u64;
+            if i == 9 && low > 1 {
+                return None; // the 10th byte may carry only the top bit
+            }
+            v |= low << (7 * i);
+            if byte & 0x80 == 0 {
+                *bytes = &bytes[i + 1..];
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// Append `payload` preceded by its varint length.
+    pub fn put_len_prefixed(buf: &mut Vec<u8>, payload: &[u8]) {
+        put_uvarint(buf, payload.len() as u64);
+        buf.extend_from_slice(payload);
+    }
+
+    /// Decode a varint-length-prefixed byte string from the front of
+    /// `bytes`, advancing past it. Returns `None` on truncation.
+    pub fn get_len_prefixed<'a>(bytes: &mut &'a [u8]) -> Option<&'a [u8]> {
+        let len = get_uvarint(bytes)? as usize;
+        if bytes.len() < len {
+            return None;
+        }
+        let (head, tail) = bytes.split_at(len);
+        *bytes = tail;
+        Some(head)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::wire::*;
     use super::*;
     use crate::exec::{Executor, HashOracle};
     use crate::spec::SpecBuilder;
@@ -616,5 +677,64 @@ mod tests {
             let mut r = Reader::new(&bytes, 9).unwrap();
             assert_eq!(&read_value(&mut r).unwrap(), v);
         }
+    }
+
+    #[test]
+    fn uvarint_round_trips() {
+        let samples: [u64; 9] =
+            [0, 1, 127, 128, 300, 16_383, 16_384, u64::from(u32::MAX), u64::MAX];
+        for &v in &samples {
+            let mut buf = Vec::new();
+            put_uvarint(&mut buf, v);
+            let mut r: &[u8] = &buf;
+            assert_eq!(get_uvarint(&mut r), Some(v), "value {v}");
+            assert!(r.is_empty(), "value {v} left residue");
+        }
+    }
+
+    #[test]
+    fn uvarint_is_minimal_length() {
+        let mut buf = Vec::new();
+        put_uvarint(&mut buf, 127);
+        assert_eq!(buf.len(), 1);
+        buf.clear();
+        put_uvarint(&mut buf, 128);
+        assert_eq!(buf.len(), 2);
+        buf.clear();
+        put_uvarint(&mut buf, u64::MAX);
+        assert_eq!(buf.len(), 10);
+    }
+
+    #[test]
+    fn uvarint_rejects_truncation_and_overflow() {
+        let mut r: &[u8] = &[0x80]; // continuation bit, then nothing
+        assert_eq!(get_uvarint(&mut r), None);
+        let mut r: &[u8] = &[0x80; 11]; // never terminates within 10 bytes
+        assert_eq!(get_uvarint(&mut r), None);
+        let mut overflow = [0x80u8; 10];
+        overflow[9] = 0x02; // bit 64 set
+        let mut r: &[u8] = &overflow;
+        assert_eq!(get_uvarint(&mut r), None);
+    }
+
+    #[test]
+    fn len_prefixed_round_trips() {
+        let mut buf = Vec::new();
+        put_len_prefixed(&mut buf, b"hello");
+        put_len_prefixed(&mut buf, b"");
+        put_len_prefixed(&mut buf, &[7u8; 300]);
+        let mut r: &[u8] = &buf;
+        assert_eq!(get_len_prefixed(&mut r), Some(&b"hello"[..]));
+        assert_eq!(get_len_prefixed(&mut r), Some(&b""[..]));
+        assert_eq!(get_len_prefixed(&mut r), Some(&[7u8; 300][..]));
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn len_prefixed_rejects_short_payload() {
+        let mut buf = Vec::new();
+        put_len_prefixed(&mut buf, b"hello");
+        let mut r: &[u8] = &buf[..buf.len() - 1];
+        assert_eq!(get_len_prefixed(&mut r), None);
     }
 }

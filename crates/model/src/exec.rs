@@ -34,11 +34,10 @@ use crate::graph::DiGraph;
 use crate::ids::{DataId, EdgeId, ModuleId, NodeId, ProcId};
 use crate::spec::{Module, ModuleKind, Specification};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The kind of a node in an execution graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecNodeKind {
     /// The unique start node `I` of the execution.
     Input,
@@ -69,7 +68,7 @@ impl ExecNodeKind {
 }
 
 /// Payload of an execution node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecNode {
     /// Process id of the owning module execution (None for `I`/`O`).
     pub proc: Option<ProcId>,
@@ -79,7 +78,7 @@ pub struct ExecNode {
 
 /// Payload of an execution edge: the data items flowing along it, plus the
 /// specification edge it instantiates.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecEdge {
     /// Data items on this edge, in production order.
     pub data: Vec<DataId>,
@@ -88,7 +87,7 @@ pub struct ExecEdge {
 }
 
 /// One data item of an execution.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DataItem {
     /// Dense id (`d0..`).
     pub id: DataId,
@@ -101,7 +100,7 @@ pub struct DataItem {
 }
 
 /// One module execution (process): `S1..S15` in Fig. 4.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProcInfo {
     /// Dense process id.
     pub id: ProcId,
@@ -114,7 +113,7 @@ pub struct ProcInfo {
 }
 
 /// A complete execution of a specification.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Execution {
     pub(crate) spec_name: String,
     pub(crate) graph: DiGraph<ExecNode, ExecEdge>,

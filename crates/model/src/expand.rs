@@ -17,10 +17,9 @@ use crate::graph::DiGraph;
 use crate::hierarchy::{ExpansionHierarchy, Prefix};
 use crate::ids::{ModuleId, WorkflowId};
 use crate::spec::{ModuleKind, Specification};
-use serde::{Deserialize, Serialize};
 
 /// A node of a flattened specification view.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ViewNode {
     /// The root workflow's input pseudo-module.
     Input,
@@ -42,7 +41,7 @@ impl ViewNode {
 
 /// An edge of a flattened view, carrying the channel names that survive the
 /// splicing along its path.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ViewEdge {
     /// Channel names carried by this edge.
     pub channels: Vec<String>,

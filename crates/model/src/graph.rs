@@ -33,30 +33,24 @@
 //!   repeated point queries allocate nothing.
 
 use crate::bitset::BitSet;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// A directed multigraph with dense `u32` node indices and arbitrary node and
 /// edge payloads. Parallel edges and self-loops are representable (validation
 /// layers reject them where the model forbids them).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DiGraph<N, E> {
     nodes: Vec<N>,
     edges: Vec<Edge<E>>,
-    /// Lazily built CSR adjacency; reset by structural mutation. Skipped
-    /// for serde: derived state, and `OnceLock` has no serde impls — it
-    /// rebuilds on first traversal after deserialization.
-    #[serde(skip)]
+    /// Lazily built CSR adjacency; reset by structural mutation.
     csr: OnceLock<Csr>,
     /// Lazily built transitive closure; reset by structural mutation.
-    /// Skipped for serde like `csr`.
-    #[serde(skip)]
     closure: OnceLock<Vec<BitSet>>,
 }
 
 /// One edge of a [`DiGraph`]: endpoints plus payload.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Edge<E> {
     /// Source node index.
     pub from: u32,

@@ -12,10 +12,9 @@
 use crate::error::{ModelError, Result};
 use crate::ids::{ModuleId, WorkflowId};
 use crate::spec::Specification;
-use serde::{Deserialize, Serialize};
 
 /// The expansion hierarchy of a specification: a rooted tree of workflows.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExpansionHierarchy {
     root: WorkflowId,
     parent: Vec<Option<WorkflowId>>,
@@ -124,7 +123,7 @@ impl ExpansionHierarchy {
 ///
 /// The paper (Sec. 2, footnote 2): *"a prefix of a rooted tree T is a tree
 /// obtained from T by deleting some of its subtrees."*
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Prefix {
     member: Vec<bool>,
 }

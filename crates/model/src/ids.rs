@@ -8,14 +8,13 @@
 //! container, assigned in creation order — which the paper exploits for its
 //! labeling conventions (`S1..S15`, `d0..d19` in Fig. 4).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
         #[derive(
-            Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(pub u32);
 

@@ -14,11 +14,10 @@
 use crate::bitset::BitSet;
 use crate::exec::Execution;
 use crate::ids::{DataId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A provenance (or impact) subgraph of an execution: node, edge and data
 /// subsets of the owning [`Execution`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProvenanceGraph {
     /// The data item whose provenance/impact this is.
     pub focus: DataId,

@@ -16,11 +16,10 @@
 use crate::error::{ModelError, Result};
 use crate::graph::DiGraph;
 use crate::ids::{EdgeId, ModuleId, WorkflowId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What kind of node a module is within its workflow.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ModuleKind {
     /// The distinguished input pseudo-module `I` of a workflow.
     Input,
@@ -48,7 +47,7 @@ impl ModuleKind {
 }
 
 /// One module of a specification (the paper's `M1..M15`, `I`, `O`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Module {
     /// Global id within the specification.
     pub id: ModuleId,
@@ -70,7 +69,7 @@ pub struct Module {
 /// one or more named channels; at run time each channel produces one data
 /// item per execution (Fig. 1's `"SNPs, ethnicity"` edge carries two
 /// channels and hence `d0, d1` in Fig. 4).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpecEdge {
     /// Global id within the specification.
     pub id: EdgeId,
@@ -85,7 +84,7 @@ pub struct SpecEdge {
 }
 
 /// One workflow of a specification (the paper's `W1..W4`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Workflow {
     /// Id within the specification.
     pub id: WorkflowId,
@@ -108,7 +107,7 @@ pub struct Workflow {
 
 /// A validated workflow specification: workflows, modules, edges and the
 /// τ-expansion relation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Specification {
     pub(crate) name: String,
     pub(crate) workflows: Vec<Workflow>,

@@ -6,11 +6,10 @@
 //! data-privacy mechanism replaces hidden values in-place, preserving graph
 //! shape while removing content.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A data value flowing over an execution edge.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// Absent/unit value (e.g. a pure side-effect acknowledgment).
     Unit,

@@ -107,12 +107,9 @@ use ppwf_repo::keyword_index::{KeywordIndex, TermLists};
 use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::principals::PrincipalRegistry;
 use ppwf_repo::repository::{Repository, SpecId};
-use ppwf_repo::storage::StorageBackend;
 use ppwf_repo::ticket::Ticket;
 use ppwf_repo::touch::TouchStamps;
-use ppwf_repo::wal::{
-    DurabilityPolicy, DurabilityStats, DurableCallback, DurableLog, RecoveryStats, WalResult,
-};
+use ppwf_repo::wal::{DurabilityStats, DurableCallback, DurableLog, WalResult};
 use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
@@ -271,9 +268,9 @@ impl EngineCluster {
     /// spec in each shard's view memo, `results` in the cluster-front cache
     /// (the shards have no result caches). Crate-private — production
     /// always runs the defaults; the eviction-pressure tests starve the
-    /// caches through it. The one constructor under [`Self::new`],
-    /// [`Self::with_config`] and [`Self::open_durable`]: it builds the
-    /// partitions on `pool` as [`Self::with_config`] describes.
+    /// caches through it. The one constructor under [`Self::new`] and
+    /// [`Self::with_config`]: it builds the partitions on `pool` as
+    /// [`Self::with_config`] describes.
     pub(crate) fn with_capacities(
         repo: Repository,
         registry: PrincipalRegistry,
@@ -313,28 +310,6 @@ impl EngineCluster {
         }
     }
 
-    /// Recover `(snapshot, WAL suffix)` from `backend`, partition the
-    /// recovered corpus's index across `shards` shards — built on `pool`,
-    /// as [`Self::with_config`] does — and attach the log: the cluster
-    /// restart path. Placement is a function of the id, so the
-    /// recovered cluster answers bit-identically to the pre-crash one.
-    pub fn open_durable(
-        backend: Arc<dyn StorageBackend>,
-        policy: DurabilityPolicy,
-        registry: PrincipalRegistry,
-        shards: usize,
-        strategy: ShardStrategy,
-        pool: Arc<WorkerPool>,
-    ) -> WalResult<(Self, RecoveryStats)> {
-        let opened = DurableLog::open(backend, policy)?;
-        let mut cluster =
-            EngineCluster::with_config(opened.repository, registry, shards, strategy, pool);
-        let mut log = opened.log;
-        log.set_pool(Arc::clone(&cluster.pool));
-        cluster.durability = Some(log);
-        Ok((cluster, opened.recovery))
-    }
-
     /// Attach a durable log: from here on, every write validates, appends
     /// and only then applies, and the cluster snapshots its corpus on the
     /// log's cadence; the log's sync and snapshot jobs run on the cluster's
@@ -347,6 +322,12 @@ impl EngineCluster {
     /// From then on the repository's version is the log's last appended
     /// sequence number, which is what its cadence snapshots are stamped
     /// with.
+    ///
+    /// The restart path is [`DurableLog::open`], [`Self::with_config`] over
+    /// the recovered repository, then this. Placement is a function of the
+    /// id, so the recovered cluster answers bit-identically to the
+    /// pre-crash one, and a store with any history (a checkpoint at
+    /// sequence 0 included) gets no second baseline.
     pub fn attach_durability(&mut self, mut log: DurableLog) -> WalResult<()> {
         if log.is_empty() && !self.repo.is_empty() {
             self.repo.set_version(log.stats().last_seq);
@@ -833,7 +814,7 @@ impl EngineCluster {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::tests::spec_speaking;
     use crate::engine::QueryEngine;
@@ -841,6 +822,8 @@ mod tests {
     use ppwf_model::fixtures;
     use ppwf_repo::principals::ViewRule;
     use ppwf_repo::repository::deleted_spec_error;
+    use ppwf_repo::storage::StorageBackend;
+    use ppwf_repo::wal::{DurabilityPolicy, RecoveryStats};
 
     fn registry() -> PrincipalRegistry {
         let mut registry = PrincipalRegistry::new();
@@ -860,6 +843,22 @@ mod tests {
 
     fn cluster(specs: usize, shards: usize) -> EngineCluster {
         EngineCluster::new(corpus(specs), registry(), shards)
+    }
+
+    /// The restart path: recover `backend`, partition the recovered
+    /// corpus across `shards` shards on `pool`, attach the log.
+    pub(crate) fn open_durable(
+        backend: Arc<dyn StorageBackend>,
+        policy: DurabilityPolicy,
+        registry: PrincipalRegistry,
+        shards: usize,
+        strategy: ShardStrategy,
+        pool: Arc<WorkerPool>,
+    ) -> WalResult<(EngineCluster, RecoveryStats)> {
+        let opened = DurableLog::open(backend, policy)?;
+        let mut c = EngineCluster::with_config(opened.repository, registry, shards, strategy, pool);
+        c.attach_durability(opened.log)?;
+        Ok((c, opened.recovery))
     }
 
     #[test]
@@ -1236,7 +1235,7 @@ mod tests {
         use ppwf_repo::storage::{FaultPlan, MemStorage};
         let policy = DurabilityPolicy::default();
         let open = |storage: &Arc<MemStorage>| {
-            EngineCluster::open_durable(
+            open_durable(
                 Arc::clone(storage) as Arc<dyn StorageBackend>,
                 policy,
                 registry(),
@@ -1314,6 +1313,35 @@ mod tests {
         }
     }
 
+    /// A fresh store under a pre-loaded corpus gets one baseline; a store
+    /// whose only history is that checkpoint, reopened and attached, is its
+    /// own base: no second baseline, no re-stamped version.
+    #[test]
+    fn a_reopened_checkpoint_gets_no_second_baseline() {
+        use ppwf_repo::storage::MemStorage;
+        let storage = Arc::new(MemStorage::new());
+        let open = || {
+            let backend = Arc::clone(&storage) as Arc<dyn StorageBackend>;
+            DurableLog::open(backend, DurabilityPolicy::default()).unwrap()
+        };
+        let snapshot_files =
+            || storage.list().unwrap().iter().filter(|n| n.ends_with(".snap")).count();
+        let mut c = cluster(3, 2);
+        c.attach_durability(open().log).unwrap();
+        assert_eq!(c.durability_stats().unwrap().snapshots, 1, "a fresh store gets its baseline");
+        let (image, version) = (c.repo().save(), c.repo().version());
+        drop(c);
+
+        let opened = open();
+        let strategy = ShardStrategy::RoundRobin;
+        let pool = Arc::new(WorkerPool::new(1));
+        let mut c = EngineCluster::with_config(opened.repository, registry(), 2, strategy, pool);
+        c.attach_durability(opened.log).unwrap();
+        assert_eq!(c.durability_stats().unwrap().snapshots, 0, "no second baseline");
+        assert_eq!(snapshot_files(), 1);
+        assert_eq!((c.repo().save(), c.repo().version()), (image, version));
+    }
+
     /// Cadence snapshots are stamped with the repository's version, so it
     /// must be the log's last appended sequence number at every point a
     /// snapshot can be taken.
@@ -1366,8 +1394,7 @@ mod tests {
         let image = c.repo().save();
         drop(c);
 
-        let (c, _) =
-            EngineCluster::open_durable(storage, policy, registry(), 3, strategy, pool).unwrap();
+        let (c, _) = open_durable(storage, policy, registry(), 3, strategy, pool).unwrap();
         assert_eq!(in_step(&c), 6);
         assert_eq!(c.repo().save(), image, "snapshot plus suffix recover the corpus");
     }
@@ -1624,7 +1651,7 @@ mod tests {
             ..DurabilityPolicy::default()
         };
         let pool = Arc::new(WorkerPool::new(1));
-        let (mut c, _) = EngineCluster::open_durable(
+        let (mut c, _) = open_durable(
             Arc::new(MemStorage::new()) as Arc<dyn StorageBackend>,
             policy,
             registry(),
@@ -1682,7 +1709,7 @@ mod tests {
         let policy = DurabilityPolicy::pipelined(16, 0);
         let durable = |pool: &Arc<WorkerPool>| {
             let storage = Arc::new(MemStorage::new());
-            EngineCluster::open_durable(
+            open_durable(
                 storage as Arc<dyn StorageBackend>,
                 policy,
                 registry(),

@@ -569,6 +569,7 @@ fn serve_read<M: ReadMode>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::tests::open_durable;
     use ppwf_core::policy::{AccessLevel, Policy};
     use ppwf_model::fixtures;
     use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
@@ -924,7 +925,7 @@ mod tests {
         let policy =
             DurabilityPolicy { snapshot_every: 0, ..DurabilityPolicy::pipelined(max_batch, 0) };
         let backend: Arc<dyn StorageBackend> = Arc::new(MemStorage::new());
-        let (cluster, _) = EngineCluster::open_durable(
+        let (cluster, _) = open_durable(
             backend,
             policy,
             registry(),
@@ -1016,7 +1017,7 @@ mod tests {
         let pool = Arc::new(WorkerPool::new(2));
         let policy = DurabilityPolicy { snapshot_every: 0, ..DurabilityPolicy::pipelined(8, 0) };
         let backend: Arc<dyn StorageBackend> = Arc::new(MemStorage::new());
-        let (cluster, _) = EngineCluster::open_durable(
+        let (cluster, _) = open_durable(
             Arc::clone(&backend),
             policy,
             registry(),
@@ -1071,7 +1072,7 @@ mod tests {
         drop(front);
         // Reopen the same storage: the acked image must recover whole.
         let pool2 = Arc::new(WorkerPool::new(1));
-        let (recovered, _) = EngineCluster::open_durable(
+        let (recovered, _) = open_durable(
             backend,
             policy,
             registry(),

@@ -33,7 +33,7 @@ use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
 use ppwf_repo::repository::Repository;
 use ppwf_repo::storage::{MemStorage, StorageBackend};
-use ppwf_repo::wal::DurabilityPolicy;
+use ppwf_repo::wal::{DurabilityPolicy, DurableLog};
 use ppwf_workloads::genmutation::mutation_stream;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -57,6 +57,22 @@ fn registry() -> PrincipalRegistry {
 /// already holds tombstones plus a WAL suffix that adds more.
 fn durability_policy() -> DurabilityPolicy {
     DurabilityPolicy { snapshot_every: 4, segment_bytes: 4096, ..DurabilityPolicy::pipelined(4, 0) }
+}
+
+/// The restart path: recover `storage`, partition the recovered corpus,
+/// attach the log.
+fn open_durable(
+    storage: &Arc<MemStorage>,
+    strategy: ShardStrategy,
+    pool: &Arc<WorkerPool>,
+) -> EngineCluster {
+    let backend = Arc::clone(storage) as Arc<dyn StorageBackend>;
+    let opened = DurableLog::open(backend, durability_policy()).expect("open durable log");
+    let pool = Arc::clone(pool);
+    let mut cluster =
+        EngineCluster::with_config(opened.repository, registry(), SHARDS, strategy, pool);
+    cluster.attach_durability(opened.log).expect("attach durable log");
+    cluster
 }
 
 fn hits_identical(a: &[KeywordHit], b: &[KeywordHit]) -> bool {
@@ -144,15 +160,7 @@ proptest! {
         // cluster — destructive records ride WAL batch frames.
         let storage = Arc::new(MemStorage::new());
         let pool = Arc::new(WorkerPool::new(3));
-        let (durable, _) = EngineCluster::open_durable(
-            Arc::clone(&storage) as Arc<dyn StorageBackend>,
-            durability_policy(),
-            registry(),
-            SHARDS,
-            strategy,
-            Arc::clone(&pool),
-        )
-        .expect("open durable cluster");
+        let durable = open_durable(&storage, strategy, &pool);
         let front = ServeFront::with_pool(durable, Arc::clone(&pool));
         let tickets: Vec<_> =
             stream.iter().map(|m| front.submit(ServeRequest::mutate(m.clone()))).collect();
@@ -205,15 +213,7 @@ proptest! {
 
         // Stack 3: recover from the front's storage — snapshot with
         // tombstoned chunks plus a WAL suffix of destructive records.
-        let (recovered, _) = EngineCluster::open_durable(
-            Arc::clone(&storage) as Arc<dyn StorageBackend>,
-            durability_policy(),
-            registry(),
-            SHARDS,
-            strategy,
-            Arc::clone(&pool),
-        )
-        .expect("recover durable cluster");
+        let recovered = open_durable(&storage, strategy, &pool);
         assert_reads_match(&single, &recovered, "recovered")?;
 
         // The recovered corpus preserves the id space and its df/idf

@@ -37,7 +37,7 @@ use ppwf_repo::pool::WorkerPool;
 use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
 use ppwf_repo::repository::Repository;
 use ppwf_repo::storage::{FaultPlan, MemStorage, StorageBackend};
-use ppwf_repo::wal::DurabilityPolicy;
+use ppwf_repo::wal::{DurabilityPolicy, DurableLog};
 use ppwf_workloads::genspec::{generate_spec, SpecParams};
 
 const QUERIES: [&str; 4] = ["kw0", "kw0, kw1", "kw2", "kw1, kw3"];
@@ -87,15 +87,18 @@ fn durable_cluster(
     pool: &Arc<WorkerPool>,
     policy: DurabilityPolicy,
 ) -> (EngineCluster, ppwf_repo::wal::RecoveryStats) {
-    EngineCluster::open_durable(
-        Arc::clone(storage) as Arc<dyn StorageBackend>,
-        policy,
+    let backend = Arc::clone(storage) as Arc<dyn StorageBackend>;
+    let opened = DurableLog::open(backend, policy).expect("open durable log");
+    let strategy = ShardStrategy::RoundRobin;
+    let mut cluster = EngineCluster::with_config(
+        opened.repository,
         registry(),
         SHARDS,
-        ShardStrategy::RoundRobin,
+        strategy,
         Arc::clone(pool),
-    )
-    .expect("open durable cluster")
+    );
+    cluster.attach_durability(opened.log).expect("attach durable log");
+    (cluster, opened.recovery)
 }
 
 /// Bring the front to rest: every request completed, every frame's

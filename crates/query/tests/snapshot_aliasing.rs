@@ -180,15 +180,11 @@ fn inline_write_after_later_mutations_is_byte_identical_to_a_write_at_capture() 
     assert_eq!(stats.snapshot_seq, history_through_k().len() as u64);
     assert_eq!(recovered.save(), reference.save());
     // …and so is the corpus of a cluster opened over it.
-    let (cluster, _) = EngineCluster::open_durable(
-        storage as Arc<dyn StorageBackend>,
-        DurabilityPolicy::default(),
-        registry(),
-        3,
-        ShardStrategy::RoundRobin,
-        Arc::new(WorkerPool::new(1)),
-    )
-    .unwrap();
+    let opened = DurableLog::open(storage, DurabilityPolicy::default()).unwrap();
+    let pool = Arc::new(WorkerPool::new(1));
+    let strategy = ShardStrategy::RoundRobin;
+    let mut cluster = EngineCluster::with_config(opened.repository, registry(), 3, strategy, pool);
+    cluster.attach_durability(opened.log).unwrap();
     assert_eq!(cluster.repo().save(), reference.save());
 }
 

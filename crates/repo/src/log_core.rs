@@ -170,6 +170,8 @@ pub(crate) struct Recovered {
     pub(crate) dirty: BTreeSet<u32>,
     /// The loaded snapshot's chunk manifest (empty: none, or a v1 file).
     pub(crate) manifest: Vec<ChunkRef>,
+    /// Whether recovery loaded a snapshot, of any version.
+    pub(crate) based: bool,
 }
 
 /// The log's state machine. See the module docs.
@@ -191,6 +193,10 @@ pub(crate) struct LogCore<C, I> {
     dirty: BTreeSet<u32>,
     /// Chunk manifest of the last successful snapshot.
     manifest: Vec<ChunkRef>,
+    /// Whether the store holds a snapshot: recovery loaded one, or one
+    /// finished here. A checkpoint of a pre-loaded corpus is stamped at
+    /// sequence 0, so no sequence number tells this.
+    based: bool,
     in_flight: Option<InFlight>,
     actions: VecDeque<Action<C, I>>,
     stats: DurabilityStats,
@@ -198,7 +204,8 @@ pub(crate) struct LogCore<C, I> {
 
 impl<C, I> LogCore<C, I> {
     pub(crate) fn new(segment_bytes: u64, snapshot_every: u64, recovered: Recovered) -> Self {
-        let Recovered { last_seq, snapshot_seq, active, entry_count, dirty, manifest } = recovered;
+        let Recovered { last_seq, snapshot_seq, active, entry_count, dirty, manifest, based } =
+            recovered;
         LogCore {
             segment_bytes,
             snapshot_every,
@@ -212,6 +219,7 @@ impl<C, I> LogCore<C, I> {
             entry_count,
             dirty,
             manifest,
+            based,
             in_flight: None,
             actions: VecDeque::new(),
             stats: DurabilityStats { last_seq, snapshot_seq, ..DurabilityStats::default() },
@@ -421,6 +429,7 @@ impl<C, I> LogCore<C, I> {
         stats.snapshot_chunks_reused += wrote.chunks_reused;
         stats.snapshot_bytes_written += wrote.bytes_written;
         stats.background_snapshots += job.cadence as u64;
+        self.based = true;
         let referenced = wrote.manifest.iter().map(|r| r.hash).collect();
         self.manifest = wrote.manifest;
         self.actions.push_back(Action::Prune { through, referenced });
@@ -473,9 +482,10 @@ impl<C, I> LogCore<C, I> {
         self.in_flight.is_some()
     }
 
-    /// Whether the log has any durable history (snapshot or records).
+    /// Whether the store has no durable history: no snapshot and no
+    /// record — so a corpus it is attached to needs a baseline.
     pub(crate) fn is_empty(&self) -> bool {
-        self.next_seq == 1 && self.stats.snapshot_seq == 0 && self.active_bytes == 0
+        !self.based && self.next_seq == 1
     }
 
     pub(crate) fn stats(&self) -> DurabilityStats {
@@ -610,6 +620,7 @@ mod tests {
                 entry_count: ENTRIES,
                 dirty: BTreeSet::new(),
                 manifest: manifest.clone(),
+                based: true,
             };
             Model {
                 core: LogCore::new(SEGMENT_BYTES, SNAPSHOT_EVERY, recovered),

@@ -16,11 +16,10 @@ use ppwf_model::hierarchy::ExpansionHierarchy;
 use ppwf_model::ids::ModuleId;
 use ppwf_model::spec::Specification;
 use ppwf_model::{ModelError, Result};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Identifies a specification within a repository.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpecId(pub u32);
 
 impl SpecId {

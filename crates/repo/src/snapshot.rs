@@ -511,6 +511,7 @@ mod tests {
         let backend = Arc::clone(&storage) as Arc<dyn StorageBackend>;
         let opened = DurableLog::open(backend, policy).unwrap();
         assert_eq!(opened.repository.save(), repo.save());
+        assert!(!opened.log.is_empty(), "a v1 baseline is history, with no manifest");
         let mut log = opened.log;
         for mutation in [paper_insert(), paper_insert()] {
             repo.check(&mutation).unwrap();

@@ -121,9 +121,8 @@ use crate::snapshot::{self, ChunkRef, CowImage};
 use crate::storage::{StorageBackend, StorageError};
 use crate::ticket::Ticket;
 use parking_lot::Mutex;
-use ppwf_model::codec;
+use ppwf_model::codec::{self, wire};
 use ppwf_model::ids::ModuleId;
-use serde::wire;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -525,6 +524,7 @@ fn replay(backend: &dyn StorageBackend) -> WalResult<Replayed> {
         entry_count: repo.len() as u64,
         dirty: dirty_chunks,
         manifest: manifest.unwrap_or_default(),
+        based: names.iter().any(|n| snapshot::parse_name(n).is_some()),
     };
     Ok(Replayed { repo, stats, seed })
 }
@@ -986,7 +986,8 @@ impl DurableLog {
         self.shared.core.lock().next_seq()
     }
 
-    /// Whether the log has any durable history (snapshot or records).
+    /// Whether the store has no durable history: no snapshot (recovered
+    /// or written, a checkpoint at sequence 0 included) and no record.
     pub fn is_empty(&self) -> bool {
         self.shared.core.lock().is_empty()
     }
@@ -1092,6 +1093,26 @@ mod tests {
         assert_eq!(stats.last_seq, 3);
         assert_eq!(stats.truncated_bytes, 0);
         assert_eq!(recovered.save(), repo.save(), "recovery must be bit-identical");
+    }
+
+    #[test]
+    fn a_checkpoint_is_history_before_and_after_a_reopen() {
+        let storage = Arc::new(MemStorage::new());
+        let open = || {
+            let backend = Arc::clone(&storage) as Arc<dyn StorageBackend>;
+            DurableLog::open(backend, DurabilityPolicy::default()).unwrap()
+        };
+        let mut log = open().log;
+        assert!(log.is_empty(), "a fresh store has no history");
+        let mut repo = Repository::new();
+        repo.apply(insert()).unwrap();
+        log.snapshot_now(&repo).unwrap();
+        assert_eq!(log.stats().snapshot_seq, 0, "a checkpoint before any record");
+        assert!(!log.is_empty(), "a checkpoint is history");
+        drop(log);
+        let reopened = open();
+        assert_eq!(reopened.repository.save(), repo.save());
+        assert!(!reopened.log.is_empty(), "a reopened checkpoint is history");
     }
 
     #[test]

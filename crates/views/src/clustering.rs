@@ -8,10 +8,9 @@
 
 use ppwf_model::bitset::BitSet;
 use ppwf_model::graph::DiGraph;
-use serde::{Deserialize, Serialize};
 
 /// A partition of the nodes `0..n` of a flat graph into groups `0..k`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Clustering {
     group_of: Vec<u32>,
     k: u32,

@@ -15,11 +15,10 @@ use ppwf_model::hierarchy::{ExpansionHierarchy, Prefix};
 use ppwf_model::ids::{DataId, ModuleId, NodeId, ProcId};
 use ppwf_model::spec::Specification;
 use ppwf_model::{ModelError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A node of a collapsed execution view.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecViewNode {
     /// The execution's start node.
     Input,
@@ -34,7 +33,7 @@ pub enum ExecViewNode {
 
 /// Edge payload of an execution view: the union of the data items on the
 /// original edges it represents.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecViewEdge {
     /// Visible data items, ascending.
     pub data: Vec<DataId>,
