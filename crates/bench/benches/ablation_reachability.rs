@@ -1,6 +1,6 @@
-//! Ablation — reachability representation (DESIGN.md §2 design choice):
-//! the soundness checker and reachability index materialize bitset
-//! transitive closures instead of answering pairwise queries with BFS.
+//! Ablation — reachability representation: the soundness checker,
+//! structural matching and cached views materialize bitset transitive
+//! closures instead of answering pairwise queries with BFS.
 //! This bench quantifies that choice: closure build cost vs per-query BFS
 //! cost vs closure lookup, at the batch sizes the privacy algorithms use
 //! (soundness checking asks O(k²) pairs per view).

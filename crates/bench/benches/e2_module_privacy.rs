@@ -1,5 +1,6 @@
 //! E2 — min-cost Γ-private hiding: greedy vs exhaustive runtime as the
-//! attribute count grows (Sec. 3's "interesting optimization problem").
+//! attribute count grows (Sec. 3's "interesting optimization problem"), for
+//! standalone modules; the workflow half of ref \[4\] is not reproduced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppwf_core::module_privacy::{exhaustive_min_hiding, greedy_min_hiding};

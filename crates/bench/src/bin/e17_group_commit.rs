@@ -27,9 +27,10 @@
 //!   mutation. The mixed 1:2:1 stream carries full execution records
 //!   (apply-bound); the policy-churn stream (tiny `SetPolicy` records —
 //!   the paper's privacy-policy updates) is dispatch- and fsync-bound and
-//!   carries the wall-clock gate: ≥ `--min-grouped-speedup`. Every run
-//!   must end bit-identical to a sequential reference replay before its
-//!   speedup is believed.
+//!   carries the wall-clock gate: the median speedup of five
+//!   order-alternated pairs ≥ `--min-grouped-speedup`. Every run must end
+//!   bit-identical to a sequential reference replay before its speedup is
+//!   believed.
 //! * **Single-writer overhead.** The same two policies driven closed-loop
 //!   (one request in flight, so every batch has size 1): batching must
 //!   cost nothing when there is nothing to batch. Gate: within
@@ -207,16 +208,31 @@ fn main() {
         mix_grp_wal.records < mix_grp_wal.appends,
         "concurrency must form multi-record batches"
     );
-    let (churn_per_us, churn_per_wal, _, churn_per_save) =
-        front_mutation_pass(&fs_root.join("churn-per"), &churn, per_record, config.window);
-    let (churn_grp_us, churn_grp_wal, churn_serve, churn_grp_save) =
-        front_mutation_pass(&fs_root.join("churn-grp"), &churn, grouped, config.window);
-    assert_eq!(churn_per_save, churn_reference_save, "per-record churn diverged from replay");
-    assert_eq!(churn_grp_save, churn_reference_save, "grouped churn diverged from replay");
-    assert_eq!(churn_per_wal.appends, churn.len() as u64);
-    assert_eq!(churn_grp_wal.appends, churn.len() as u64);
+    // One churn pair swings about 2x run to run on a shared host, so the
+    // gate reads the median speedup of CHURN_PAIRS order-alternated pairs.
+    const CHURN_PAIRS: usize = 5;
+    let churn_pass = |arm: String, policy| {
+        let pass = front_mutation_pass(&fs_root.join(arm), &churn, policy, config.window);
+        assert_eq!(pass.3, churn_reference_save, "churn diverged from replay");
+        assert_eq!(pass.1.appends, churn.len() as u64);
+        pass
+    };
+    let mut churn_pairs: Vec<_> = (0..CHURN_PAIRS)
+        .map(|rep| {
+            let (per, grp) = alternate(
+                rep,
+                || churn_pass(format!("churn-per-{rep}"), per_record),
+                || churn_pass(format!("churn-grp-{rep}"), grouped),
+            );
+            (per.0 / grp.0, per, grp)
+        })
+        .collect();
+    churn_pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let pair_speedups: Vec<f64> = churn_pairs.iter().map(|p| p.0).collect();
+    let (grouped_speedup, per, grp) = churn_pairs.swap_remove(CHURN_PAIRS / 2);
+    let (churn_per_us, churn_per_wal, ..) = per;
+    let (churn_grp_us, churn_grp_wal, churn_serve, _) = grp;
     let mixed_speedup = mix_per_us / mix_grp_us;
-    let grouped_speedup = churn_per_us / churn_grp_us;
     let writes = stream.len() as f64;
     println!("\n-- concurrent durable mutations ({} in flight, real fsync) --", config.window);
     println!(
@@ -236,7 +252,7 @@ fn main() {
         mix_serve.max_write_batch, mix_grp_wal.batch_size_counts, BATCH_SIZE_BOUNDS
     );
     println!(
-        "churn speedup {grouped_speedup:.2}x (gate ≥{:.1}x); {} WAL batches, largest {}, histogram {:?}",
+        "churn speedup {grouped_speedup:.2}x, the median of {CHURN_PAIRS} pairs {pair_speedups:.2?} (gate ≥{:.1}x); {} WAL batches, largest {}, histogram {:?}",
         config.min_grouped_speedup,
         churn_serve.write_batches,
         churn_serve.max_write_batch,
@@ -353,6 +369,7 @@ fn main() {
         .with("per_record_us_per_write", fixed(churn_per_us / writes, 2))
         .with("grouped_us_per_write", fixed(churn_grp_us / writes, 2))
         .with("grouped_speedup", fixed(grouped_speedup, 3))
+        .with("pair_speedups", pair_speedups.iter().map(|&x| fixed(x, 3)).collect::<Vec<_>>())
         .with("per_record_fsyncs", churn_per_wal.syncs)
         .with("grouped_fsyncs", churn_grp_wal.syncs)
         .with("fsyncs_saved", churn_grp_wal.fsyncs_saved)

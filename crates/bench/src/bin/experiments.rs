@@ -1,4 +1,4 @@
-//! Regenerates every experiment table (E1–E9) of EXPERIMENTS.md in one run:
+//! Prints every experiment's shape table (E1–E11) in one run:
 //!
 //! ```bash
 //! cargo run --release -p ppwf-bench --bin experiments
@@ -8,7 +8,7 @@
 //! this binary prints the *shape* results — quality metrics, counts,
 //! trade-off frontiers and coarse timings — that correspond to what the
 //! paper argues qualitatively. Each section header names the experiment id
-//! from DESIGN.md §3.
+//! (see `crates/bench/BENCHMARKS.md`).
 
 use ppwf_bench::{
     deep_spec, layered_dag, one_shard_cluster, parallel_chains, populated_repo, reachable_pair,
@@ -17,18 +17,20 @@ use ppwf_bench::{
 use ppwf_core::dp::{evaluate_mechanism, LaplaceMechanism};
 use ppwf_core::module_privacy::{exhaustive_min_hiding, greedy_min_hiding};
 use ppwf_core::structural::{compare_mechanisms, HideRequest};
-use ppwf_model::exec::{Executor, HashOracle};
+use ppwf_model::exec::{Execution, Executor, HashOracle};
 use ppwf_model::expand::SpecView;
 use ppwf_model::hierarchy::{ExpansionHierarchy, Prefix};
+use ppwf_query::exec_match::count_matching;
 use ppwf_query::keyword::{search, search_scan, KeywordQuery};
 use ppwf_query::privacy_exec::{filter_then_search, search_then_zoom_out, AccessMap};
 use ppwf_query::ranking::{evaluate_ranking, tf_profile, RankingMode};
-use ppwf_query::structural::{match_view, NodeMatcher, Pattern};
+use ppwf_query::structural::{match_and_provenance, match_view, NodeMatcher, Pattern};
 use ppwf_repo::cache::GroupCache;
 use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_views::exec_view::ExecView;
 use ppwf_views::repair::repair;
 use ppwf_views::soundness::check_soundness;
+use ppwf_workloads::genexec::generate_executions;
 use ppwf_workloads::genmodule::{relation, weights, Family};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,7 +98,9 @@ fn e1_views() {
     println!();
 }
 
-/// E2 — min-cost Γ-private hiding: greedy vs exact.
+/// E2 — min-cost Γ-private hiding: greedy vs exact, for standalone modules.
+/// The workflow half of ref \[4\] (composing per-module hiding into one
+/// workflow-wide plan) is not reproduced.
 fn e2_module_privacy() {
     println!("== E2: module privacy optimization (Sec. 3, ref [4]) ==");
     println!(
@@ -309,7 +313,9 @@ fn e8_dp() {
     println!();
 }
 
-/// E9 — structural pattern matching across view granularities.
+/// E9 — structural pattern matching across view granularities: over
+/// specification views, then the paper's query over executions with the
+/// provenance of each match.
 fn e9_structural_query() {
     println!("== E9: structural queries (Sec. 4/5 — τ vs dataflow edges) ==");
     println!(
@@ -349,6 +355,40 @@ fn e9_structural_query() {
                 format!("{}/{}", m_full.len(), m_coarse.len())
             );
         }
+    }
+    // The paper's query over executions: find executions where some module
+    // ran before a `kw0` module, and return the provenance of the latter.
+    println!(
+        "{:>8} {:>12} {:>14} {:>12} {:>16}",
+        "modules", "executions", "matching f/r", "matches f/r", "prov nodes/match"
+    );
+    let pattern = Pattern::before(NodeMatcher::Any, NodeMatcher::Phrase("kw0".into()));
+    for &n in &SIZES {
+        let spec = sized_spec(91, n);
+        let h = ExpansionHierarchy::of(&spec);
+        let execs = generate_executions(&spec, 4, 91);
+        let matching = |p: &Prefix| {
+            let views: Vec<(Execution, ExecView)> = execs
+                .iter()
+                .map(|e| (e.clone(), ExecView::build(&spec, &h, e, p).unwrap()))
+                .collect();
+            count_matching(&spec, &views, &pattern)
+        };
+        let (full, root) = (Prefix::full(&h), Prefix::root_only(&h));
+        let answers = |p: &Prefix| {
+            let view = SpecView::build(&spec, &h, p).unwrap();
+            match_and_provenance(&spec, &view, &execs[0], &pattern, 1)
+        };
+        let (on_full, on_root) = (answers(&full), answers(&root));
+        let prov_nodes: usize = on_full.iter().flat_map(|(_, ps)| ps).map(|p| p.nodes.len()).sum();
+        println!(
+            "{:>8} {:>12} {:>14} {:>12} {:>16.1}",
+            spec.module_count(),
+            execs.len(),
+            format!("{}/{}", matching(&full), matching(&root)),
+            format!("{}/{}", on_full.len(), on_root.len()),
+            prov_nodes as f64 / on_full.len().max(1) as f64
+        );
     }
     println!();
 }

@@ -3,8 +3,8 @@
 //! Every experiment (Criterion bench or the `experiments` table binary)
 //! builds its inputs through these helpers so the measured configurations
 //! are identical across harnesses and documented in one place. The
-//! experiment ids (E1–E9) and their mapping to paper claims live in
-//! DESIGN.md §3; EXPERIMENTS.md records the measured outcomes.
+//! experiment ids, what each measures and the measured baselines are in
+//! `crates/bench/BENCHMARKS.md`.
 
 #![forbid(unsafe_code)]
 

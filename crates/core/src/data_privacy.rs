@@ -27,18 +27,6 @@ pub struct MaskReport {
     pub visible: Vec<DataId>,
 }
 
-impl MaskReport {
-    /// Fraction of items masked (0.0 if the execution has no data).
-    pub fn masked_fraction(&self) -> f64 {
-        let total = self.masked.len() + self.visible.len();
-        if total == 0 {
-            0.0
-        } else {
-            self.masked.len() as f64 / total as f64
-        }
-    }
-}
-
 /// Mask (in place) every data value whose channel requires more clearance
 /// than `level`. Returns the mask report.
 pub fn mask_execution(exec: &mut Execution, policy: &Policy, level: AccessLevel) -> MaskReport {
@@ -137,14 +125,6 @@ mod tests {
         // Unmasked original must fail the public audit.
         assert!(audit_masking(&exec, &policy, AccessLevel::PUBLIC).is_err());
         assert!(audit_masking(&exec, &policy, AccessLevel(2)).is_ok());
-    }
-
-    #[test]
-    fn masked_fraction() {
-        let (exec, policy) = setup();
-        let (_, report) = masked_clone(&exec, &policy, AccessLevel::PUBLIC);
-        let f = report.masked_fraction();
-        assert!((f - 5.0 / 20.0).abs() < 1e-9, "5 of 20 items masked, got {f}");
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! * [`module_privacy`] — Γ-privacy of module functionality (paper ref \[4\],
 //!   Davidson et al., *Preserving Module Privacy in Workflow Provenance*):
 //!   modules as relations, possible-output analysis under partial hiding,
-//!   the min-cost safe-hiding optimization (exact and greedy), and hiding
-//!   propagation through module networks.
+//!   the min-cost safe-hiding optimization (exact and greedy), and module
+//!   networks with the privacy a hidden item set achieves in each module.
+//!   The workflow half of \[4\] — composing per-module hiding into one
+//!   workflow-wide plan — is not reproduced.
 //! * [`structural`] — structural privacy: hiding reachability facts by
 //!   minimum-cut **edge deletion** or by **clustering** into composites,
 //!   with the soundness/false-path accounting of Sec. 3 and the utility
@@ -33,7 +35,6 @@ pub mod data_privacy;
 pub mod dp;
 pub mod enforce;
 pub mod module_privacy;
-pub mod network_hiding;
 pub mod policy;
 pub mod structural;
 

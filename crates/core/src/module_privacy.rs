@@ -24,10 +24,11 @@
 //!
 //! For privacy **in workflows**, hidden attributes propagate along shared
 //! data: an item hidden as one module's output must also be hidden as its
-//! consumers' input. [`Network`] wires relations into a DAG, propagates
-//! hiding sets, and [`Network::empirical_gamma`] measures the privacy level
-//! actually achieved against a full-visible-row adversary (which captures
-//! downstream-correlation leakage that per-module analysis misses).
+//! consumers' input. [`Network`] wires relations into a DAG, maps a hidden
+//! item set onto each module's attributes, and [`Network::empirical_gamma`]
+//! measures the privacy level actually achieved against a full-visible-row
+//! adversary (which captures downstream-correlation leakage that per-module
+//! analysis misses).
 
 use ppwf_model::bitset::BitSet;
 use std::collections::HashMap;
@@ -121,13 +122,6 @@ impl Relation {
     /// Evaluate on an explicit input tuple.
     pub fn eval(&self, x: &[u16]) -> &[u16] {
         &self.rows[encode_mixed(x, &self.in_domains)]
-    }
-
-    /// Decode input index `idx` into a tuple.
-    pub fn decode_input(&self, idx: usize) -> Vec<u16> {
-        let mut x = vec![0u16; self.in_arity()];
-        decode_mixed(idx, &self.in_domains, &mut x);
-        x
     }
 
     /// Product of the domains of **hidden output** attributes under
@@ -423,47 +417,6 @@ impl Network {
         items
     }
 
-    /// Lift per-module hidden **attribute** sets to a hidden **item** set:
-    /// an item is hidden if any endpoint (producer output or consumer
-    /// input) hides it — the propagation rule of \[4\].
-    pub fn propagate_hiding(&self, per_module_hidden: &[BitSet]) -> BitSet {
-        assert_eq!(per_module_hidden.len(), self.relations.len());
-        let mut items = BitSet::new(self.item_count());
-        for (i, rel) in self.relations.iter().enumerate() {
-            let h = &per_module_hidden[i];
-            assert_eq!(h.capacity(), rel.attr_count(), "module {i} hidden-set arity");
-            for a in 0..rel.in_arity() {
-                if h.contains(a) {
-                    items.insert(self.input_item(i, a));
-                }
-            }
-            for o in 0..rel.out_arity() {
-                if h.contains(rel.in_arity() + o) {
-                    items.insert(self.output_item(i, o));
-                }
-            }
-        }
-        items
-    }
-
-    /// The hidden-attribute view module `i` experiences under a hidden item
-    /// set (its input/output attributes mapped through the wiring).
-    pub fn module_hidden_attrs(&self, i: usize, hidden_items: &BitSet) -> BitSet {
-        let rel = &self.relations[i];
-        let mut h = BitSet::new(rel.attr_count());
-        for a in 0..rel.in_arity() {
-            if hidden_items.contains(self.input_item(i, a)) {
-                h.insert(a);
-            }
-        }
-        for o in 0..rel.out_arity() {
-            if hidden_items.contains(self.output_item(i, o)) {
-                h.insert(rel.in_arity() + o);
-            }
-        }
-        h
-    }
-
     /// Empirical workflow privacy of module `i` under a hidden item set,
     /// using the **operational definition of \[4\]** lifted to the workflow's
     /// visible execution table: executions are grouped by the visible
@@ -539,6 +492,25 @@ impl Network {
 mod tests {
     use super::*;
 
+    /// The hidden-attribute view module `i` of `n` experiences under a
+    /// hidden item set (its input/output attributes mapped through the
+    /// wiring): what the standalone analysis of that module is given.
+    fn module_hidden_attrs(n: &Network, i: usize, hidden_items: &BitSet) -> BitSet {
+        let rel = n.relation(i);
+        let mut h = BitSet::new(rel.attr_count());
+        for a in 0..rel.in_arity() {
+            if hidden_items.contains(n.input_item(i, a)) {
+                h.insert(a);
+            }
+        }
+        for o in 0..rel.out_arity() {
+            if hidden_items.contains(n.output_item(i, o)) {
+                h.insert(rel.in_arity() + o);
+            }
+        }
+        h
+    }
+
     /// Boolean XOR with a copy output: (a, b) → (a ⊕ b, a).
     fn xor_copy() -> Relation {
         Relation::from_fn("xor_copy", &[2, 2], &[2, 2], |x| vec![x[0] ^ x[1], x[0]])
@@ -556,7 +528,6 @@ mod tests {
         assert_eq!(r.attr_count(), 4);
         assert_eq!(r.eval(&[1, 1]), &[0, 1]);
         assert_eq!(r.eval(&[0, 1]), &[1, 0]);
-        assert_eq!(r.decode_input(3), vec![1, 1]);
         assert_eq!(r.output_space(), 4);
         assert_eq!(r.domain(0), 2);
     }
@@ -674,20 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn propagation_unions_endpoint_hiding() {
-        let n = chain_network();
-        // m0 hides its out0 (attr 2); m1 hides nothing.
-        let h0 = BitSet::from_iter(4, [2usize]);
-        let h1 = BitSet::new(4);
-        let items = n.propagate_hiding(&[h0, h1]);
-        assert!(items.contains(n.output_item(0, 0)));
-        assert_eq!(items.len(), 1);
-        // Mapping back: m1 sees its input 0 hidden (it is the same item).
-        let h1_view = n.module_hidden_attrs(1, &items);
-        assert!(h1_view.contains(0));
-    }
-
-    #[test]
     fn empirical_gamma_fully_visible_is_one() {
         let n = chain_network();
         let hidden = BitSet::new(n.item_count());
@@ -714,7 +671,7 @@ mod tests {
         hidden.insert(n.output_item(0, 0));
         hidden.insert(n.output_item(0, 1));
         assert_eq!(n.empirical_gamma(0, &hidden), 4);
-        let h0 = n.module_hidden_attrs(0, &hidden);
+        let h0 = module_hidden_attrs(&n, 0, &hidden);
         let vis0 = visible_from_hidden(&h0);
         assert_eq!(n.relation(0).min_possible_outputs(&vis0), 4);
     }

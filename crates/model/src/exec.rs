@@ -15,11 +15,11 @@
 //! *production* order, and the two orders are not the same linear extension
 //! (in Fig. 4, `M14` activates before `M10` — `S12` vs `S13` — yet `M10`'s
 //! outputs `d16, d17` precede `M14`'s `d18`). The executor therefore runs
-//! two independent Kahn traversals of the same execution DAG: one with
-//! start-priority tie-breaking assigns [`ProcId`]s, one with
+//! two independent Kahn traversals of the same execution DAG: one
+//! tie-breaking by creation order assigns [`ProcId`]s, one with
 //! completion-priority tie-breaking assigns [`DataId`]s. Both are valid
 //! topological linear extensions; [`Schedule`] lets fixtures choose the
-//! paper's exact interleaving while defaults stay deterministic.
+//! paper's exact production order while defaults stay deterministic.
 //!
 //! ## Data routing
 //!
@@ -342,12 +342,12 @@ impl Oracle for ConstOracle {
     }
 }
 
-/// Tie-breaking priorities for the two labeling traversals. Lower priority
-/// numbers pop first among simultaneously-ready nodes; modules absent from a
-/// map fall back to node creation order (offset past all explicit entries).
+/// Tie-breaking priorities for the completion traversal, which numbers data
+/// items. Lower priority numbers pop first among simultaneously-ready nodes;
+/// modules absent from the map fall back to node creation order (offset past
+/// all explicit entries). Process ids tie-break by creation order alone.
 #[derive(Clone, Debug, Default)]
 pub struct Schedule {
-    start: HashMap<ModuleId, u32>,
     completion: HashMap<ModuleId, u32>,
 }
 
@@ -357,14 +357,8 @@ impl Schedule {
         Schedule::default()
     }
 
-    /// Set the start (activation) tie-break order: earlier in `order` pops
-    /// first. Errors on duplicate modules.
-    pub fn with_start_order(mut self, order: &[ModuleId]) -> Result<Self> {
-        self.start = index_map(order)?;
-        Ok(self)
-    }
-
-    /// Set the completion (data production) tie-break order.
+    /// Set the completion (data production) tie-break order: earlier in
+    /// `order` pops first. Errors on duplicate modules.
     pub fn with_completion_order(mut self, order: &[ModuleId]) -> Result<Self> {
         self.completion = index_map(order)?;
         Ok(self)
@@ -470,8 +464,7 @@ impl<'s> Executor<'s> {
         }
 
         // ---- Phase B: proc ids in start order. ----------------------------
-        let start_seq =
-            kahn_with_priority(&graph, |n| node_priority(&graph, &self.schedule.start, n));
+        let start_seq = kahn_with_priority(&graph, |n| (n, n));
         let mut procs: Vec<ProcInfo> = Vec::new();
         let mut proc_of_module: HashMap<ModuleId, ProcId> = HashMap::new();
         for &n in &start_seq {
@@ -722,33 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_overrides_labeling() {
-        // Diamond: I → A, I → B, A → C, B → C, C → O. Default start order is
-        // creation order (A before B); an explicit schedule flips it.
-        let mut b = SpecBuilder::new("diamond");
-        let w = b.root_workflow("W1");
-        let a = b.atomic(w, "A", &[]);
-        let bb = b.atomic(w, "B", &[]);
-        let c = b.atomic(w, "C", &[]);
-        b.edge(w, b.input(w), a, &["x"]);
-        b.edge(w, b.input(w), bb, &["y"]);
-        b.edge(w, a, c, &["u"]);
-        b.edge(w, bb, c, &["v"]);
-        b.edge(w, c, b.output(w), &["z"]);
-        let s = b.build().unwrap();
-
-        let canonical = Executor::new(&s).run(&mut HashOracle).unwrap();
-        assert_eq!(canonical.proc_of(a), Some(ProcId::new(0)));
-        assert_eq!(canonical.proc_of(bb), Some(ProcId::new(1)));
-
-        let sched = Schedule::canonical().with_start_order(&[bb, a]).unwrap();
-        let flipped = Executor::with_schedule(&s, sched).run(&mut HashOracle).unwrap();
-        assert_eq!(flipped.proc_of(bb), Some(ProcId::new(0)));
-        assert_eq!(flipped.proc_of(a), Some(ProcId::new(1)));
-        let _ = c;
-    }
-
-    #[test]
     fn completion_order_controls_data_ids() {
         // Same diamond; flip completion order of A and B and observe data
         // numbering change while proc ids stay canonical.
@@ -781,7 +747,7 @@ mod tests {
         let s = linear_spec();
         let a = s.find_module("A").unwrap().id;
         assert!(matches!(
-            Schedule::canonical().with_start_order(&[a, a]),
+            Schedule::canonical().with_completion_order(&[a, a]),
             Err(ModelError::BadSchedule { .. })
         ));
     }

@@ -218,22 +218,11 @@ impl<N, E> DiGraph<N, E> {
         &self.edges[e as usize]
     }
 
-    /// Mutable access to the edge with dense index `e`.
-    ///
-    /// Exposes `from`/`to` as public fields, so conservatively invalidates
-    /// the derived indexes. For payload-only edits use
-    /// [`DiGraph::edge_payload_mut`], which keeps them.
-    #[inline]
-    pub fn edge_mut(&mut self, e: u32) -> &mut Edge<E> {
-        self.invalidate();
-        &mut self.edges[e as usize]
-    }
-
     /// Mutable access to edge `e`'s payload only. Payload edits cannot
-    /// change the graph's shape, so the derived indexes survive — unlike
-    /// [`DiGraph::edge_mut`]. The executor interleaves adjacency reads with
-    /// per-edge payload writes for every node; going through `edge_mut`
-    /// there would rebuild the CSR once per node (quadratic overall).
+    /// change the graph's shape, so the derived indexes survive. The
+    /// executor interleaves adjacency reads with per-edge payload writes for
+    /// every node; dropping the indexes there would rebuild the CSR once per
+    /// node (quadratic overall).
     #[inline]
     pub fn edge_payload_mut(&mut self, e: u32) -> &mut E {
         &mut self.edges[e as usize].payload
@@ -269,11 +258,6 @@ impl<N, E> DiGraph<N, E> {
     /// Successor nodes of `n` (with multiplicity for parallel edges).
     pub fn successors(&self, n: u32) -> impl Iterator<Item = u32> + '_ {
         self.csr().out(n).iter().map(move |&e| self.edges[e as usize].to)
-    }
-
-    /// Predecessor nodes of `n` (with multiplicity for parallel edges).
-    pub fn predecessors(&self, n: u32) -> impl Iterator<Item = u32> + '_ {
-        self.csr().inn(n).iter().map(move |&e| self.edges[e as usize].from)
     }
 
     /// Out-degree of `n`.
@@ -459,30 +443,6 @@ impl<N, E> DiGraph<N, E> {
         rows.iter().map(|row| row.len() - 1).sum()
     }
 
-    /// Build the subgraph induced by `keep` (a node set). Returns the new
-    /// graph together with `old → new` and `new → old` index maps. Node and
-    /// edge payloads are cloned. Edges with a dropped endpoint are dropped.
-    pub fn induced_subgraph(&self, keep: &BitSet) -> (DiGraph<N, E>, Vec<Option<u32>>, Vec<u32>)
-    where
-        N: Clone,
-        E: Clone,
-    {
-        let mut old2new: Vec<Option<u32>> = vec![None; self.nodes.len()];
-        let mut new2old: Vec<u32> = Vec::with_capacity(keep.len());
-        let mut g = DiGraph::with_capacity(keep.len(), 0);
-        for u in keep.iter() {
-            let nu = g.add_node(self.nodes[u].clone());
-            old2new[u] = Some(nu);
-            new2old.push(u as u32);
-        }
-        for e in &self.edges {
-            if let (Some(f), Some(t)) = (old2new[e.from as usize], old2new[e.to as usize]) {
-                g.add_edge(f, t, e.payload.clone());
-            }
-        }
-        (g, old2new, new2old)
-    }
-
     /// Clone the graph while dropping the edges whose dense index is in
     /// `drop` — used by the edge-deletion structural-privacy mechanism.
     pub fn without_edges(&self, drop: &BitSet) -> DiGraph<N, E>
@@ -522,11 +482,6 @@ impl<N, E> DiGraph<N, E> {
     pub fn sources(&self) -> Vec<u32> {
         self.node_ids().filter(|&n| self.in_degree(n) == 0).collect()
     }
-
-    /// Sink nodes (out-degree 0).
-    pub fn sinks(&self) -> Vec<u32> {
-        self.node_ids().filter(|&n| self.out_degree(n) == 0).collect()
-    }
 }
 
 #[cfg(test)]
@@ -555,11 +510,9 @@ mod tests {
         assert_eq!(g.out_degree(0), 2);
         assert_eq!(g.in_degree(3), 2);
         assert_eq!(g.successors(0).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(g.predecessors(3).collect::<Vec<_>>(), vec![1, 2]);
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
         assert_eq!(g.sources(), vec![0]);
-        assert_eq!(g.sinks(), vec![3]);
     }
 
     #[test]
@@ -612,18 +565,6 @@ mod tests {
         let mut g = diamond();
         g.add_edge(3, 0, 9);
         g.transitive_closure();
-    }
-
-    #[test]
-    fn induced_subgraph_drops_dangling_edges() {
-        let g = diamond();
-        let keep = BitSet::from_iter(4, [0, 1, 3]);
-        let (sub, old2new, new2old) = g.induced_subgraph(&keep);
-        assert_eq!(sub.node_count(), 3);
-        assert_eq!(sub.edge_count(), 2); // 0→1 and 1→3 survive
-        assert_eq!(old2new[2], None);
-        assert_eq!(new2old, vec![0, 1, 3]);
-        assert_eq!(*sub.node(old2new[3].unwrap()), "d");
     }
 
     #[test]
@@ -711,10 +652,6 @@ mod tests {
         // Neither cache rebuilt: same backing allocations.
         assert_eq!(g.closure_rows().as_ptr(), rows_before, "closure must survive payload edit");
         assert_eq!(g.out_edges(0).as_ptr(), adj_before, "CSR must survive payload edit");
-        // edge_mut (which exposes from/to) still conservatively invalidates.
-        g.edge_mut(0).payload = 7;
-        assert_eq!(g.edge(0).payload, 7);
-        assert!(g.reaches(0, 3));
     }
 
     #[test]

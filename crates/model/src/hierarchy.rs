@@ -102,18 +102,6 @@ impl ExpansionHierarchy {
         }
         out
     }
-
-    /// Whether `anc` is an ancestor of `desc` (reflexive).
-    pub fn is_ancestor(&self, anc: WorkflowId, desc: WorkflowId) -> bool {
-        let mut cur = Some(desc);
-        while let Some(w) = cur {
-            if w == anc {
-                return true;
-            }
-            cur = self.parent(w);
-        }
-        false
-    }
 }
 
 /// A prefix of the expansion hierarchy: a set of workflows containing the
@@ -233,12 +221,6 @@ impl Prefix {
         self.member.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| WorkflowId::new(i))
     }
 
-    /// Lattice meet (intersection): the coarsest prefix finer than none of
-    /// the inputs — "what both users may see".
-    pub fn meet(&self, other: &Prefix) -> Prefix {
-        Prefix { member: self.member.iter().zip(&other.member).map(|(&a, &b)| a && b).collect() }
-    }
-
     /// Lattice join (union). The union of two parent-closed sets containing
     /// the root is again parent-closed, so this needs no re-validation.
     pub fn join(&self, other: &Prefix) -> Prefix {
@@ -329,9 +311,6 @@ mod tests {
         assert_eq!(h.depth(w1), 0);
         assert_eq!(h.depth(w3), 2);
         assert_eq!(h.max_depth(), 2);
-        assert!(h.is_ancestor(w1, w3));
-        assert!(h.is_ancestor(w3, w3));
-        assert!(!h.is_ancestor(w2, w4));
         assert_eq!(h.preorder(), vec![w1, w2, w3, w4]);
     }
 
@@ -355,14 +334,10 @@ mod tests {
             (WorkflowId::new(0), WorkflowId::new(1), WorkflowId::new(2), WorkflowId::new(3));
         let a = Prefix::from_workflows(&h, [w1, w2, w3]).unwrap();
         let b = Prefix::from_workflows(&h, [w1, w2, w4]).unwrap();
-        let m = a.meet(&b);
-        assert_eq!(m.workflows().collect::<Vec<_>>(), vec![w1, w2]);
         let j = a.join(&b);
         assert_eq!(j.len(), 4);
-        assert!(m.coarser_or_equal(&a) && m.coarser_or_equal(&b));
         assert!(a.coarser_or_equal(&j) && b.coarser_or_equal(&j));
         assert!(!a.coarser_or_equal(&b));
-        m.validate(&h).unwrap();
         j.validate(&h).unwrap();
     }
 

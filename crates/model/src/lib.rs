@@ -18,7 +18,8 @@
 //!   (topological orders, reachability, transitive closure, min-cut),
 //! * [`value`] — runtime data values flowing over edges,
 //! * [`codec`] — a compact binary serialization for repository persistence,
-//! * [`render`] — DOT / ASCII rendering of specs, views and executions,
+//! * [`render`] — DOT rendering of specs and views, ASCII listings of
+//!   executions,
 //! * [`fixtures`] — the paper's running example (Figures 1 and 4) built
 //!   programmatically.
 //!

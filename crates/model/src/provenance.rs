@@ -30,19 +30,9 @@ pub struct ProvenanceGraph {
 }
 
 impl ProvenanceGraph {
-    /// Whether the subgraph contains a node.
-    pub fn contains_node(&self, n: NodeId) -> bool {
-        self.nodes.binary_search(&n).is_ok()
-    }
-
     /// Whether the subgraph contains a data item.
     pub fn contains_data(&self, d: DataId) -> bool {
         self.data.binary_search(&d).is_ok()
-    }
-
-    /// Number of module-execution nodes (excluding pass-through and I/O).
-    pub fn producer_count(&self, exec: &Execution) -> usize {
-        self.nodes.iter().filter(|n| exec.graph().node(n.index() as u32).kind.is_producer()).count()
     }
 }
 
@@ -115,23 +105,6 @@ pub fn impact_of(exec: &Execution, d: DataId) -> ProvenanceGraph {
     ProvenanceGraph { focus: d, nodes, edges, data }
 }
 
-/// The literal reading of the paper's definition — *"the subgraph induced by
-/// the set of paths from the start node to the end node of E that produced
-/// `d` as output"* — i.e. complete input-to-output paths passing through
-/// `d`'s producer. [`provenance_of`] keeps only the backward half, which is
-/// the lineage semantics used by the companion papers; this variant includes
-/// the downstream continuation as well.
-pub fn full_path_provenance_of(exec: &Execution, d: DataId) -> ProvenanceGraph {
-    let g = exec.graph();
-    let producer = exec.data(d).producer;
-    let mut back = g.reaching_to(producer.index() as u32);
-    back.intersect_with(&g.reachable_from(exec.input().index() as u32));
-    let mut fwd = g.reachable_from(producer.index() as u32);
-    fwd.intersect_with(&g.reaching_to(exec.output().index() as u32));
-    back.union_with(&fwd);
-    collect(exec, back, d)
-}
-
 fn collect(exec: &Execution, on_path: BitSet, focus: DataId) -> ProvenanceGraph {
     let g = exec.graph();
     let mut nodes: Vec<NodeId> = on_path.iter().map(NodeId::new).collect();
@@ -150,14 +123,6 @@ fn collect(exec: &Execution, on_path: BitSet, focus: DataId) -> ProvenanceGraph 
     data.sort();
     data.dedup();
     ProvenanceGraph { focus, nodes, edges, data }
-}
-
-/// The set of data items `d` transitively depends on (its *lineage*),
-/// excluding `d` itself: every item flowing on the provenance subgraph edges
-/// that can reach `d`'s producer.
-pub fn lineage_of(exec: &Execution, d: DataId) -> Vec<DataId> {
-    let prov = provenance_of(exec, d);
-    prov.data.into_iter().filter(|&x| x != d).collect()
 }
 
 #[cfg(test)]
@@ -204,7 +169,7 @@ mod tests {
         assert!(!prov.contains_data(find_data(&exec, "s")), "sink feed leaked in");
         // D's node is off-path.
         let d_node = exec.proc(exec.proc_of(s.find_module("D").unwrap().id).unwrap()).begin;
-        assert!(!prov.contains_node(d_node));
+        assert!(!prov.nodes.contains(&d_node));
     }
 
     #[test]
@@ -216,8 +181,6 @@ mod tests {
         assert!(prov.contains_data(find_data(&exec, "x")));
         assert!(!prov.contains_data(find_data(&exec, "y")), "other branch excluded");
         assert!(!prov.contains_data(find_data(&exec, "z")), "downstream excluded");
-        let lin = lineage_of(&exec, u);
-        assert_eq!(lin, vec![find_data(&exec, "x")]);
     }
 
     #[test]
@@ -231,7 +194,7 @@ mod tests {
             assert!(imp.contains_data(find_data(&exec, ch)), "missing {ch}");
         }
         let b_node = exec.proc(exec.proc_of(s.find_module("B").unwrap().id).unwrap()).begin;
-        assert!(!imp.contains_node(b_node));
+        assert!(!imp.nodes.contains(&b_node));
     }
 
     #[test]
@@ -249,18 +212,11 @@ mod tests {
         let y = exec.data_items().find(|d| d.channel == "y").unwrap().id;
         let prov = provenance_of(&exec, y);
         let mp = exec.proc(exec.proc_of(m).unwrap()).clone();
-        assert!(prov.contains_node(mp.begin), "begin lies on the path I → A");
+        assert!(prov.nodes.contains(&mp.begin), "begin lies on the path I → A");
         assert!(
-            !prov.contains_node(mp.end),
+            !prov.nodes.contains(&mp.end),
             "end is downstream of y's producer under lineage semantics"
         );
-        assert_eq!(prov.producer_count(&exec), 2, "input node + A");
-
-        // The literal full-path reading includes the continuation to O.
-        let full = full_path_provenance_of(&exec, y);
-        assert!(full.contains_node(mp.begin));
-        assert!(full.contains_node(mp.end));
-        assert!(full.contains_node(exec.output()));
         let _ = w2;
     }
 
@@ -271,7 +227,7 @@ mod tests {
         for item in exec.data_items() {
             let prov = provenance_of(&exec, item.id);
             assert!(prov.contains_data(item.id), "{} missing from own provenance", item.id);
-            assert!(prov.contains_node(exec.input()));
+            assert!(prov.nodes.contains(&exec.input()));
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Rendering of specifications, views and executions as Graphviz DOT and
-//! compact ASCII listings.
+//! Rendering of specifications and views as Graphviz DOT, and of
+//! executions as compact ASCII listings.
 //!
 //! The figure-reproduction examples print these renderings so that the
 //! regenerated Figures 1–5 can be compared with the paper by eye; the
@@ -102,26 +102,6 @@ pub fn view_dot(spec: &Specification, view: &SpecView) -> String {
     s
 }
 
-/// Render an execution as DOT in the style of Fig. 4: node labels
-/// `S<k>:M<j> [begin|end]`, edge labels listing the data items.
-pub fn execution_dot(spec: &Specification, exec: &Execution) -> String {
-    let g = exec.graph();
-    let mut s = String::new();
-    let _ = writeln!(s, "digraph execution {{");
-    let _ = writeln!(s, "  rankdir=TB;");
-    for (i, _) in g.nodes() {
-        let label = exec.node_label(spec, crate::ids::NodeId::new(i as usize));
-        let _ = writeln!(s, "  n{i} [shape=box, label=\"{label}\"];");
-    }
-    for (_, e) in g.edges() {
-        let data =
-            e.payload.data.iter().map(|&d| paper_data_label(d)).collect::<Vec<_>>().join(",");
-        let _ = writeln!(s, "  n{} -> n{} [label=\"{data}\"];", e.from, e.to);
-    }
-    let _ = writeln!(s, "}}");
-    s
-}
-
 /// A compact, sorted text listing of an execution's edges
 /// (`"I -> S1:M1 begin  {d0,d1}"`), convenient for figure tests and diffs.
 pub fn execution_listing(spec: &Specification, exec: &Execution) -> String {
@@ -196,9 +176,6 @@ mod tests {
     fn execution_outputs_paper_labels() {
         let s = nested();
         let exec = Executor::new(&s).run(&mut HashOracle).unwrap();
-        let dot = execution_dot(&s, &exec);
-        assert!(dot.contains("S1:M1 begin"));
-        assert!(dot.contains("S1:M1 end"));
         let listing = execution_listing(&s, &exec);
         assert!(listing.contains("I -> S1:M1 begin  {d0}"));
         let procs = proc_listing(&s, &exec);

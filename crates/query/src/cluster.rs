@@ -98,9 +98,6 @@ use crate::modes::{FrontCache, Keyword, Private, Ranked, ReadMode};
 use crate::privacy_exec::PrivateSearchOutcome;
 use crate::ranking::RankingMode;
 use crate::route::{place, ShardStrategy};
-use ppwf_core::policy::Policy;
-use ppwf_model::exec::Execution;
-use ppwf_model::spec::Specification;
 use ppwf_model::{ModelError, Result};
 use ppwf_repo::cache::GroupCache;
 use ppwf_repo::keyword_index::{KeywordIndex, TermLists};
@@ -772,26 +769,6 @@ impl EngineCluster {
         Ok(effect)
     }
 
-    /// Insert a specification; returns its id. Goes through
-    /// [`Self::mutate`], so with durability attached the insert is logged
-    /// like any other write.
-    pub fn insert_spec(&mut self, spec: Specification, policy: Policy) -> Result<SpecId> {
-        let effect = self.mutate(Mutation::InsertSpec { spec, policy })?;
-        Ok(effect.inserted_id().expect("insert effect carries the new id"))
-    }
-
-    /// Record an execution of the spec with id `spec`. Goes through
-    /// [`Self::mutate`] (durable when a log is attached).
-    pub fn add_execution(&mut self, spec: SpecId, exec: Execution) -> Result<()> {
-        self.mutate(Mutation::AddExecution { spec, exec }).map(|_| ())
-    }
-
-    /// Replace the policy of the spec with id `spec`. Goes through
-    /// [`Self::mutate`] (durable when a log is attached).
-    pub fn set_policy(&mut self, spec: SpecId, policy: Policy) -> Result<()> {
-        self.mutate(Mutation::SetPolicy { spec, policy }).map(|_| ())
-    }
-
     /// Replace the registry: every shard drops its access memo, and the
     /// front cache — the cluster's only result cache — drops too (group
     /// names may now mean different privileges — epochs cannot see
@@ -818,7 +795,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::engine::tests::spec_speaking;
     use crate::engine::QueryEngine;
-    use ppwf_core::policy::AccessLevel;
+    use ppwf_core::policy::{AccessLevel, Policy};
     use ppwf_model::fixtures;
     use ppwf_repo::principals::ViewRule;
     use ppwf_repo::repository::deleted_spec_error;
@@ -971,7 +948,9 @@ pub(crate) mod tests {
         assert_eq!(c.repo().entry(SpecId(2)).unwrap().executions.len(), 1);
         c.mutate(Mutation::SetPolicy { spec: SpecId(2), policy: Policy::public() }).unwrap();
         // Unknown global ids report the cluster-wide spec count.
-        let err = c.set_policy(SpecId(99), Policy::public()).unwrap_err();
+        let err = c
+            .mutate(Mutation::SetPolicy { spec: SpecId(99), policy: Policy::public() })
+            .unwrap_err();
         match err {
             ModelError::BadId { len, .. } => assert_eq!(len, 4),
             other => panic!("unexpected error {other:?}"),

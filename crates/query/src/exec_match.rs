@@ -150,9 +150,9 @@ pub fn match_exec_view(
     results
 }
 
-/// Count matching executions one by one — the honest per-execution version
-/// of [`crate::structural::count_matching_executions`], usable when
-/// executions differ (e.g. after privacy masking or with failed runs).
+/// Count the executions in which `pattern` matches, each checked on its own
+/// view, so executions that differ (e.g. after privacy masking or with
+/// failed runs) are counted one by one.
 pub fn count_matching(
     spec: &Specification,
     views: &[(Execution, ExecView)],

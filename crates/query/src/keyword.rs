@@ -194,17 +194,6 @@ pub fn search(repo: &Repository, index: &KeywordIndex, query: &KeywordQuery) -> 
     looked_up(index, query, |lookup| search_in(repo, lookup, query, None, no_access()))
 }
 
-/// [`search`] with answer views fetched through `views` instead of built
-/// per hit — the repeated-query fast path.
-pub fn search_with_cache(
-    repo: &Repository,
-    index: &KeywordIndex,
-    query: &KeywordQuery,
-    views: &ViewCache,
-) -> Vec<KeywordHit> {
-    looked_up(index, query, |lookup| search_in(repo, lookup, query, Some(views), no_access()))
-}
-
 /// Index-backed search with privilege filtering: only postings whose
 /// workflow is inside the principal's access view for that spec are
 /// admissible (the paper's one-index-many-views design). `access` is any

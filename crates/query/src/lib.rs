@@ -9,7 +9,12 @@
 //! * [`structural`] — structural pattern queries with direct and
 //!   transitive edges (BP-QL-flavored, ref \[1\]) over specification views
 //!   and executions, including the paper's *"Expand SNP Set executed before
-//!   Query OMIM → return the provenance information for the latter"*.
+//!   Query OMIM → return the provenance information for the latter"*
+//!   (experiment E9).
+//! * [`exec_match`] — the same patterns evaluated on execution views, so a
+//!   principal's access view shapes which processes a match can bind.
+//! * [`private_provenance`] — lineage of a data item computed through a
+//!   disclosure, naming only what the principal may see.
 //! * [`privacy_exec`] — the two evaluation strategies Sec. 4 contrasts:
 //!   **filter-then-search** (privacy pushed into the index) versus
 //!   **search-then-zoom-out** (full answer first, then coarsen until

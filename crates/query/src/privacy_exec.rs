@@ -31,7 +31,6 @@
 //! [`same_answers`] is a check a caller makes, not a contract.
 
 use crate::keyword::{build_view, looked_up, search_in, KeywordHit, KeywordQuery, Lookup};
-use ppwf_core::policy::Principal;
 use ppwf_model::hierarchy::Prefix;
 use ppwf_repo::keyword_index::KeywordIndex;
 use ppwf_repo::principals::SpecAccess;
@@ -46,33 +45,6 @@ use std::collections::HashMap;
 /// through the same entry points and resolves only the specs a query
 /// actually touches.
 pub type AccessMap = HashMap<SpecId, Prefix>;
-
-/// Build the access map giving `principal`'s level-implied views: full
-/// prefixes where the policy has no hide-pairs above their level, and the
-/// supplied per-spec views otherwise. Convenience for tests/benches where
-/// one principal spans all specs at uniform privilege.
-pub fn uniform_access(repo: &Repository, principal: &Principal) -> AccessMap {
-    repo.entries()
-        .map(|(sid, entry)| {
-            let full = Prefix::full(&entry.hierarchy);
-            let capped = if principal.access_view.len() <= full.len()
-                && principal_access_applies(&principal.access_view, &full)
-            {
-                principal.access_view.clone()
-            } else {
-                full
-            };
-            (sid, capped)
-        })
-        .collect()
-}
-
-fn principal_access_applies(view: &Prefix, full: &Prefix) -> bool {
-    // Prefixes are only compatible across specs of identical hierarchy
-    // size; otherwise fall back to full (the caller supplies real maps in
-    // production use).
-    view.coarser_or_equal(full)
-}
 
 /// Cost-annotated result of a privacy-preserving search.
 #[derive(Debug)]
@@ -143,22 +115,6 @@ pub fn search_then_zoom_out(
     access: &impl SpecAccess,
 ) -> PrivateSearchOutcome {
     looked_up(index, query, |lookup| search_then_zoom_out_in(repo, lookup, query, access, None))
-}
-
-/// [`search_then_zoom_out`] with views fetched through `views`: both the
-/// oblivious full-privilege pass and the post-coarsening rebuild hit the
-/// cache, which is what makes even the wasteful plan benchmarkable at
-/// repository scale in E10.
-pub fn search_then_zoom_out_cached(
-    repo: &Repository,
-    index: &KeywordIndex,
-    query: &KeywordQuery,
-    access: &impl SpecAccess,
-    views: &ViewCache,
-) -> PrivateSearchOutcome {
-    looked_up(index, query, |lookup| {
-        search_then_zoom_out_in(repo, lookup, query, access, Some(views))
-    })
 }
 
 /// The search-then-zoom-out plan over `query` already looked up on one
@@ -366,17 +322,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn uniform_access_caps_by_principal_view() {
-        let (repo, _) = setup();
-        let entry = repo.entry(SpecId(0)).unwrap();
-        let admin = Principal::admin(&entry.hierarchy);
-        let acc = uniform_access(&repo, &admin);
-        assert_eq!(acc[&SpecId(0)].len(), 4);
-        let public = Principal::public(&entry.hierarchy);
-        let acc = uniform_access(&repo, &public);
-        assert_eq!(acc[&SpecId(0)].len(), 1);
     }
 }

@@ -1,5 +1,5 @@
-//! Provenance queries under privacy: lineage and impact computed **through
-//! a disclosure**, so the answer never mentions what the principal cannot
+//! Provenance queries under privacy: lineage computed **through a
+//! disclosure**, so the answer never mentions what the principal cannot
 //! see.
 //!
 //! The paper's Sec. 1 motivates provenance queries ("what downstream data
@@ -22,7 +22,7 @@ use ppwf_model::ids::DataId;
 use ppwf_model::{ModelError, Result};
 use ppwf_views::exec_view::ExecView;
 
-/// A provenance (or impact) answer over a disclosed execution view.
+/// A provenance answer over a disclosed execution view.
 #[derive(Clone, Debug)]
 pub struct PrivateProvenance {
     /// The focus item.
@@ -71,63 +71,6 @@ pub fn private_provenance(disclosure: &Disclosure, d: DataId) -> Result<PrivateP
     let mut on_path = g.reaching_to(producer);
     on_path.intersect_with(&g.reachable_from(view.input()));
     collect(view, on_path, d, producer)
-}
-
-/// Downstream impact of `d` through a disclosure (item-level propagation on
-/// the view graph).
-pub fn private_impact(disclosure: &Disclosure, d: DataId) -> Result<PrivateProvenance> {
-    let view = &disclosure.view;
-    if !view.visible_data().contains(&d) {
-        return Err(ModelError::invalid(format!(
-            "data item {d} is not visible in this disclosure"
-        )));
-    }
-    let g = view.graph();
-    let order = g.topo_order().expect("views are DAGs");
-    let max_item = disclosure.execution.data_count();
-    let mut affected = BitSet::new(max_item);
-    affected.insert(d.index());
-    let mut nodes = BitSet::new(g.node_count());
-    if let Some(p) = producer_node(view, d) {
-        nodes.insert(p as usize);
-    }
-    for &u in &order {
-        let incoming = g
-            .in_edges(u)
-            .iter()
-            .any(|&e| g.edge(e).payload.data.iter().any(|x| affected.contains(x.index())));
-        if incoming {
-            nodes.insert(u as usize);
-            // Whether this node *derives* new items from its inputs.
-            // Kept atomic executions do; kept begin/end pass-throughs only
-            // forward identities (their out-edges are covered by the
-            // incoming check downstream); collapsed composites hide their
-            // internals, so everything they emit is conservatively tainted.
-            let derives = match g.node(u) {
-                ppwf_views::exec_view::ExecViewNode::Kept(orig) => {
-                    disclosure.execution.graph().node(orig.index() as u32).kind.is_producer()
-                }
-                ppwf_views::exec_view::ExecViewNode::Collapsed(..) => true,
-                _ => false,
-            };
-            if derives {
-                for &e in g.out_edges(u) {
-                    for &x in &g.edge(e).payload.data {
-                        affected.insert(x.index());
-                    }
-                }
-            }
-        }
-    }
-    let mut node_list: Vec<u32> = nodes.iter().map(|n| n as u32).collect();
-    node_list.sort_unstable();
-    let mut data: Vec<DataId> = affected
-        .iter()
-        .map(DataId::new)
-        .filter(|x| disclosure.view.visible_data().contains(x))
-        .collect();
-    data.sort();
-    Ok(PrivateProvenance { focus: d, nodes: node_list, data })
 }
 
 fn collect(
@@ -189,7 +132,6 @@ mod tests {
         // d13 (M12's result) is inside the collapsed S8:M2.
         let err = private_provenance(&d, DataId::new(13)).unwrap_err();
         assert!(err.to_string().contains("not visible"));
-        assert!(private_impact(&d, DataId::new(13)).is_err());
     }
 
     #[test]
@@ -210,32 +152,5 @@ mod tests {
         let prov = private_provenance(&d, DataId::new(19)).unwrap();
         let raw = ppwf_model::provenance::provenance_of(&d.execution, DataId::new(19));
         assert_eq!(prov.data, raw.data);
-    }
-
-    #[test]
-    fn coarse_impact_of_input() {
-        // Impact of d0 (SNPs) at root-only view: flows into S1:M1, then
-        // everything downstream of it.
-        let d = disclosure(0, false);
-        let imp = private_impact(&d, DataId::new(0)).unwrap();
-        // d0 → S1:M1 → d10 → S8:M2 → d19 → O.
-        let items: Vec<usize> = imp.data.iter().map(|x| x.index()).collect();
-        assert_eq!(items, vec![0, 10, 19]);
-        assert!(imp.nodes.len() >= 3);
-    }
-
-    #[test]
-    fn impact_does_not_cross_independent_branches() {
-        // d2 (lifestyle) at full view: reaches M9's outputs and onward but
-        // never the W2/W4 side (M3, M5..M8 outputs d5..d10).
-        let d = disclosure(5, true);
-        let imp = private_impact(&d, DataId::new(2)).unwrap();
-        for i in [5usize, 6, 7, 8, 9, 10] {
-            assert!(
-                !imp.data.contains(&DataId::new(i)),
-                "d{i} is upstream/parallel, not impacted by d2"
-            );
-        }
-        assert!(imp.data.contains(&DataId::new(19)));
     }
 }

@@ -365,36 +365,6 @@ pub fn rank_by_scores(scores: &[f64]) -> Vec<usize> {
     order
 }
 
-/// Kendall-τ rank correlation between two orderings of the same index set
-/// (+1 identical, −1 reversed). `a` and `b` list indices best-first.
-pub fn kendall_tau(a: &[usize], b: &[usize]) -> f64 {
-    assert_eq!(a.len(), b.len(), "orderings must cover the same items");
-    let n = a.len();
-    if n < 2 {
-        return 1.0;
-    }
-    let pos_b: Vec<usize> = {
-        let mut p = vec![0; n];
-        for (rank, &item) in b.iter().enumerate() {
-            p[item] = rank;
-        }
-        p
-    };
-    let mut concordant = 0i64;
-    let mut discordant = 0i64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let (x, y) = (a[i], a[j]); // x ranked above y in a
-            if pos_b[x] < pos_b[y] {
-                concordant += 1;
-            } else {
-                discordant += 1;
-            }
-        }
-    }
-    (concordant - discordant) as f64 / (n as f64 * (n as f64 - 1.0) / 2.0)
-}
-
 /// Kendall-τ-b between two score vectors over the same items. Tied pairs
 /// contribute no information (a ranker that ties everything leaks
 /// nothing), which is why leakage must be measured on scores, not on a
@@ -709,11 +679,17 @@ mod tests {
 
     #[test]
     fn kendall_tau_extremes() {
-        assert_eq!(kendall_tau(&[0, 1, 2, 3], &[0, 1, 2, 3]), 1.0);
-        assert_eq!(kendall_tau(&[0, 1, 2, 3], &[3, 2, 1, 0]), -1.0);
-        let mid = kendall_tau(&[0, 1, 2, 3], &[1, 0, 2, 3]);
+        let scores = [4.0, 3.0, 2.0, 1.0];
+        assert_eq!(kendall_tau_scores(&scores, &scores), 1.0);
+        assert_eq!(kendall_tau_scores(&scores, &[1.0, 2.0, 3.0, 4.0]), -1.0);
+        let mid = kendall_tau_scores(&scores, &[3.0, 4.0, 2.0, 1.0]);
         assert!(mid > 0.0 && mid < 1.0);
-        assert_eq!(kendall_tau(&[0], &[0]), 1.0);
+        assert_eq!(kendall_tau_scores(&[1.0], &[1.0]), 1.0);
+        assert_eq!(
+            kendall_tau_scores(&scores, &[1.0; 4]),
+            0.0,
+            "an all-tied side is no information"
+        );
     }
 
     #[test]

@@ -178,28 +178,6 @@ pub fn match_and_provenance(
         .collect()
 }
 
-/// Count of executions in which the pattern matches at all — the
-/// provenance counting query the DP experiment (E8) perturbs.
-pub fn count_matching_executions(
-    spec: &Specification,
-    view: &SpecView,
-    execs: &[Execution],
-    pattern: &Pattern,
-) -> u64 {
-    // Pattern matching is per-spec here (all executions share structure);
-    // an execution "matches" when the view match exists — with varied
-    // module behavior this would filter by runtime values; structure-only
-    // executions all agree, so this counts all-or-nothing.
-    if execs.is_empty() {
-        return 0;
-    }
-    if match_view(spec, view, pattern).is_empty() {
-        0
-    } else {
-        execs.len() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,18 +302,5 @@ mod tests {
         };
         let matches = match_view(&spec, &view, &fan);
         assert_eq!(matches, vec![vec![m.m5, m.m6, m.m7]]);
-    }
-
-    #[test]
-    fn counting_executions() {
-        let (spec, _h, view) = setup();
-        let exec = fixtures::disease_susceptibility_execution(&spec);
-        let execs = vec![exec.clone(), exec.clone(), exec];
-        let hit = Pattern::before(NodeMatcher::Code("M3".into()), NodeMatcher::Code("M6".into()));
-        assert_eq!(count_matching_executions(&spec, &view, &execs, &hit), 3);
-        let miss =
-            Pattern::before(NodeMatcher::Code("M10".into()), NodeMatcher::Code("M14".into()));
-        assert_eq!(count_matching_executions(&spec, &view, &execs, &miss), 0);
-        assert_eq!(count_matching_executions(&spec, &view, &[], &hit), 0);
     }
 }

@@ -25,8 +25,6 @@
 //!   per key; spec-level edits, candidate intersection and restricted
 //!   gathers by binary search) plus the thread-local per-query scratch
 //!   arena the cold path runs on,
-//! * [`reach_index`] — materialized reachability over full expansions,
-//!   with visibility-filtered lookups per access view,
 //! * [`cache`] — a user-group-keyed, version-tagged result cache,
 //! * [`touch`] — per-token touch stamps: which older-tagged cache entries
 //!   an answer-changing write can have changed, and which survive it,
@@ -67,7 +65,6 @@ pub mod mutation;
 pub mod pool;
 pub mod postings;
 pub mod principals;
-pub mod reach_index;
 pub mod repository;
 pub mod snapshot;
 pub mod stats;

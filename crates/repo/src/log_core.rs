@@ -525,6 +525,15 @@ mod tests {
     //! * a ref a plan reuses as chunk `c` holds exactly chunk `c`'s slots,
     //!   so a checkpoint's one run never stands in for chunk 0.
     //!
+    //! A case starts on a store with no history or on one recovered from a
+    //! snapshot, and may close and reopen a healthy log at any step: the
+    //! model drains the core, rebuilds it from the `Recovered` its own
+    //! stored files imply (newest snapshot, manifest, surviving segments,
+    //! entry count) and checks that the sequence continues, that the store
+    //! needs a baseline only with no snapshot file and no record, and —
+    //! through the checks above — that later chunk plans reuse exactly what
+    //! the reopened manifest holds.
+    //!
     //! At the end the model drains the core and checks that every frame
     //! got exactly one verdict, and that the snapshot counters split
     //! cadence snapshots from checkpoints.
@@ -568,6 +577,7 @@ mod tests {
     struct Frame {
         last: u64,
         count: u64,
+        bytes: u64,
         segment: u64,
         written: bool,
         fate: Option<Fate>,
@@ -597,7 +607,8 @@ mod tests {
         /// The snapshot in flight: through, its chunks, the manifest it
         /// writes, and whether it is a cadence snapshot.
         job: Option<(u64, BTreeSet<u32>, Vec<ChunkRef>, bool)>,
-        /// Successful snapshots, and the cadence ones among them.
+        /// Successful snapshots since the last (re)open, and the cadence
+        /// ones among them.
         snapshots: (u64, u64),
         /// What the latest successful snapshot covers.
         covered: u64,
@@ -607,20 +618,31 @@ mod tests {
     }
 
     impl Model {
-        fn new() -> Self {
+        /// A store with no history (`fresh`), or one recovered from a
+        /// snapshot of [`ENTRIES`] entries at sequence 0 and no records.
+        fn new(fresh: bool) -> Self {
             let (spec, _) = fixtures::disease_susceptibility();
             let manifest: Vec<ChunkRef> = (0..3)
+                .filter(|_| !fresh)
                 .map(|c| ChunkRef { hash: c, entries: if c < 2 { 16 } else { 8 }, bytes: 1 })
                 .collect();
             let runs = manifest.iter().map(|r| (r.hash, (r.hash * 16, r.entries))).collect();
+            let entry_count = if fresh { 0 } else { ENTRIES };
+            let mut files = BTreeMap::new();
+            if !fresh {
+                files.insert(snapshot::file_name(0), Vec::new());
+                for r in &manifest {
+                    files.insert(snapshot::chunk_file_name(r.hash), Vec::new());
+                }
+            }
             let recovered = Recovered {
                 last_seq: 0,
                 snapshot_seq: 0,
                 active: (1, 0),
-                entry_count: ENTRIES,
+                entry_count,
                 dirty: BTreeSet::new(),
                 manifest: manifest.clone(),
-                based: true,
+                based: !fresh,
             };
             Model {
                 core: LogCore::new(SEGMENT_BYTES, SNAPSHOT_EVERY, recovered),
@@ -635,7 +657,7 @@ mod tests {
                 runner: false,
                 syncing: None,
                 since_snapshot: 0,
-                entry_count: ENTRIES,
+                entry_count,
                 dirty: BTreeSet::new(),
                 manifest,
                 runs,
@@ -643,7 +665,7 @@ mod tests {
                 job: None,
                 snapshots: (0, 0),
                 covered: 0,
-                files: BTreeMap::new(),
+                files,
                 syncs: 0,
             }
         }
@@ -704,7 +726,8 @@ mod tests {
                     "a poisoned log appended"
                 );
                 let fate = Some(Fate::Poisoned);
-                self.frames.push(Frame { last: 0, count: 0, segment: 0, written: false, fate });
+                let frame = Frame { last: 0, count: 0, bytes: 0, segment: 0, written: false, fate };
+                self.frames.push(frame);
                 let acts = self.actions()?;
                 prop_assert!(acts.is_empty(), "a refused append was handed actions");
                 return Ok(());
@@ -721,7 +744,7 @@ mod tests {
             let last = self.next_seq + count - 1;
             self.next_seq += count;
             let segment = self.active;
-            self.frames.push(Frame { last, count, segment, written: false, fate: None });
+            self.frames.push(Frame { last, count, bytes, segment, written: false, fate: None });
             self.writing = Some(id);
             let acts = self.actions()?;
             match acts.as_slice() {
@@ -1003,7 +1026,65 @@ mod tests {
             prop_assert_eq!(stats.syncs, self.syncs);
             prop_assert_eq!((stats.snapshots, stats.background_snapshots), self.snapshots);
             prop_assert_eq!(self.core.next_seq(), self.next_seq);
+            self.check_empty()
+        }
+
+        /// The baseline decision: a corpus needs a baseline only on a store
+        /// with no snapshot file and no record.
+        fn check_empty(&self) -> Result<(), TestCaseError> {
+            let based = self.files.keys().any(|n| snapshot::parse_name(n).is_some());
+            let empty = !based && self.next_seq == 1;
+            prop_assert_eq!(self.core.is_empty(), empty, "is_empty with based {}", based);
             Ok(())
+        }
+
+        /// Close a healthy log and open it again: drain it, then rebuild the
+        /// core from the `Recovered` the stored files imply — the newest
+        /// snapshot and its manifest, the surviving segments and the entry
+        /// count — as `replay` does. A poisoned store's reopen is the crash
+        /// matrix's subject (`recovery_equivalence`), not this model's.
+        fn reopen(&mut self) -> Result<(), TestCaseError> {
+            if self.poisoned {
+                return Ok(());
+            }
+            self.drain()?;
+            let newest = self.files.keys().filter_map(|n| snapshot::parse_name(n)).max();
+            let snapshot_seq = newest.unwrap_or(0);
+            let segments: Vec<(u64, &Vec<usize>)> = self
+                .files
+                .iter()
+                .filter_map(|(name, held)| parse_segment_name(name).map(|first| (first, held)))
+                .collect();
+            let frames = &self.frames;
+            let last_seq = segments
+                .iter()
+                .flat_map(|(_, held)| held.iter().map(|&i| frames[i].last))
+                .fold(snapshot_seq, u64::max);
+            prop_assert_eq!(last_seq + 1, self.next_seq, "the stored files lost a record");
+            let active = segments
+                .iter()
+                .max_by_key(|(first, _)| *first)
+                .map(|(first, held)| (*first, held.iter().map(|&i| frames[i].bytes).sum()))
+                .unwrap_or((last_seq + 1, 0));
+            let recovered = Recovered {
+                last_seq,
+                snapshot_seq,
+                active,
+                entry_count: self.entry_count,
+                dirty: self.dirty.clone(),
+                manifest: self.manifest.clone(),
+                based: newest.is_some(),
+            };
+            self.core = LogCore::new(SEGMENT_BYTES, SNAPSHOT_EVERY, recovered);
+            (self.active, self.active_bytes) = active;
+            self.since_snapshot = last_seq - snapshot_seq;
+            (self.syncs, self.snapshots) = (0, (0, 0));
+            prop_assert_eq!(
+                self.core.next_seq(),
+                self.next_seq,
+                "a reopen must continue the sequence"
+            );
+            self.check_empty()
         }
     }
 
@@ -1011,9 +1092,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn log_core_matches_its_sequential_model(
-            schedule in proptest::collection::vec((0u8..16, any::<u32>()), 1..240),
+            fresh in any::<bool>(),
+            schedule in proptest::collection::vec((0u8..17, any::<u32>()), 1..240),
         ) {
-            let mut model = Model::new();
+            let mut model = Model::new(fresh);
+            model.check_empty()?;
             for (step, pick) in schedule {
                 match step {
                     0..=3 => model.append(pick)?,
@@ -1022,7 +1105,8 @@ mod tests {
                     8 | 9 => model.synced(pick)?,
                     10 | 11 => model.cadence(pick)?,
                     12 | 13 => model.snapshot_done(pick)?,
-                    _ => model.checkpoint(pick)?,
+                    14 => model.checkpoint(pick)?,
+                    _ => model.reopen()?,
                 }
             }
             model.drain()?;

@@ -991,12 +991,6 @@ impl DurableLog {
     pub fn is_empty(&self) -> bool {
         self.shared.core.lock().is_empty()
     }
-
-    /// Whether an earlier failure — on this thread or on the sync runner —
-    /// poisoned the log (appends fail fast, snapshots are refused).
-    pub fn is_poisoned(&self) -> bool {
-        self.shared.core.lock().refusal().is_err()
-    }
 }
 
 #[cfg(test)]
@@ -1007,6 +1001,12 @@ mod tests {
     use ppwf_core::policy::Policy;
     use ppwf_model::fixtures;
     use std::sync::mpsc;
+
+    /// Whether an earlier failure — on the committing thread or on the sync
+    /// runner — poisoned the log (appends fail fast, snapshots are refused).
+    fn is_poisoned(log: &DurableLog) -> bool {
+        log.shared.core.lock().refusal().is_err()
+    }
 
     fn insert() -> Mutation {
         let (spec, _) = fixtures::disease_susceptibility();
@@ -1195,7 +1195,7 @@ mod tests {
         .unwrap();
         let mut log = opened.log;
         assert!(log.append_batch(&[insert()]).is_err(), "fsync failure must not acknowledge");
-        assert!(log.is_poisoned());
+        assert!(is_poisoned(&log));
         match log.append_batch(&[insert()]) {
             Err(WalError::Poisoned { .. }) => {}
             other => panic!("expected Poisoned, got {other:?}"),
@@ -1403,7 +1403,7 @@ mod tests {
             Err(WalError::Poisoned { .. }) => {}
             other => panic!("expected Poisoned, got {other:?}"),
         }
-        assert!(log.is_poisoned());
+        assert!(is_poisoned(&log));
         assert_eq!(log.stats().syncs, 0);
     }
 
@@ -1431,7 +1431,7 @@ mod tests {
         repo.apply(m).unwrap();
         log.wait_for_pipeline();
         assert!(acked.lock()[0].is_err(), "the failed fsync must not acknowledge");
-        assert!(log.is_poisoned(), "poison is visible without a further append");
+        assert!(is_poisoned(&log), "poison is visible without a further append");
         assert!(log.snapshot_due());
         assert!(!log.snapshot_if_due(&repo), "a poisoned log refuses its cadence snapshot");
         let stats = log.stats();

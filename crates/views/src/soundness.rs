@@ -47,12 +47,6 @@ impl SoundnessReport {
     pub fn utility(&self, alpha: f64, beta: f64) -> f64 {
         alpha * self.correct_pairs as f64 + beta * self.groups as f64
     }
-
-    /// A stricter utility that additionally penalizes misleading claims
-    /// (used by the E3 frontier experiment).
-    pub fn penalized_utility(&self, alpha: f64, beta: f64, gamma: f64) -> f64 {
-        self.utility(alpha, beta) - gamma * self.false_pairs as f64
-    }
 }
 
 /// Reachability of a possibly-cyclic graph as one BitSet row per node
@@ -250,7 +244,6 @@ mod tests {
         let fine = check_soundness(&g, &Clustering::identity(5));
         let coarse = check_soundness(&g, &Clustering::from_groups(5, &[vec![1, 3]]));
         assert!(fine.utility(1.0, 1.0) > coarse.utility(1.0, 1.0));
-        assert!(fine.penalized_utility(1.0, 1.0, 5.0) > coarse.penalized_utility(1.0, 1.0, 5.0));
     }
 
     #[test]

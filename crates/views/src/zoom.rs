@@ -54,12 +54,6 @@ pub fn next_victim(h: &ExpansionHierarchy, p: &Prefix) -> Option<WorkflowId> {
     p.frontier(h).into_iter().filter(|&w| w != h.root()).max_by_key(|&w| (h.depth(w), w))
 }
 
-/// Convenience: the coarsest common view of two access prefixes (lattice
-/// meet), used when answers are shared between user groups.
-pub fn common_view(a: &Prefix, b: &Prefix) -> Prefix {
-    a.meet(b)
-}
-
 /// Enumerate **all** prefixes of the hierarchy (all subtrees containing the
 /// root). Expansion hierarchies are small in practice — the count is the
 /// product over the tree of `(1 + Π children)` — so exhaustive enumeration
@@ -230,15 +224,5 @@ mod tests {
         // The trivial predicate returns the cap itself.
         let any = finest_satisfying(&h, &cap, |_| true).unwrap();
         assert_eq!(any, cap);
-    }
-
-    #[test]
-    fn common_view_is_meet() {
-        let h = paper_hierarchy();
-        let a = Prefix::from_workflows(&h, [WorkflowId::new(0), WorkflowId::new(1)]).unwrap();
-        let b = Prefix::from_workflows(&h, [WorkflowId::new(0), WorkflowId::new(2)]).unwrap();
-        let m = common_view(&a, &b);
-        assert_eq!(m.len(), 1);
-        assert!(m.contains(h.root()));
     }
 }

@@ -4,8 +4,7 @@
 //! were myExperiment-era scientific-workflow collections), so the
 //! experiments run on synthetic inputs whose knobs match what the paper's
 //! mechanisms are sensitive to: graph shape, hierarchy depth, fan-in/out,
-//! annotation skew, and module-function structure. See DESIGN.md §1 for the
-//! substitution rationale.
+//! annotation skew, and module-function structure.
 //!
 //! * [`zipf`] — a self-contained Zipf sampler (keyword skew),
 //! * [`genspec`] — random hierarchical workflow specifications,

@@ -29,11 +29,6 @@ impl Zipf {
         Zipf { cumulative }
     }
 
-    /// Support size.
-    pub fn support(&self) -> usize {
-        self.cumulative.len()
-    }
-
     /// Probability of rank `k`.
     pub fn pmf(&self, k: usize) -> f64 {
         let total = *self.cumulative.last().unwrap();
@@ -64,7 +59,6 @@ mod tests {
         let z = Zipf::new(50, 1.1);
         let sum: f64 = (0..50).map(|k| z.pmf(k)).sum();
         assert!((sum - 1.0).abs() < 1e-12);
-        assert_eq!(z.support(), 50);
     }
 
     #[test]

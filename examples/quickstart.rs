@@ -9,8 +9,9 @@ use ppwf::model::exec::{Executor, HashOracle};
 use ppwf::model::hierarchy::{ExpansionHierarchy, Prefix};
 use ppwf::model::provenance::{impact_of, provenance_of};
 use ppwf::model::spec::SpecBuilder;
+use ppwf::privacy::disclose;
 use ppwf::privacy::policy::{AccessLevel, Policy, Principal};
-use ppwf::privacy::{disclose, Disclosure};
+use ppwf::query::private_provenance::private_provenance;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Specify a small pipeline: ingest → (clean → annotate) → report,
@@ -64,12 +65,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     policy.hide_pair(clean, report, AccessLevel(2));
 
     let public = Principal::new("public", AccessLevel::PUBLIC, Prefix::full(&h));
-    let Disclosure { view, mask, zoom_steps, .. } = disclose(&spec, &h, &exec, &policy, &public)?;
+    let d1 = disclose(&spec, &h, &exec, &policy, &public)?;
     println!(
         "disclosed to public: {} visible nodes, {} masked items, {} zoom-out steps",
-        view.graph().node_count(),
-        mask.masked.len(),
-        zoom_steps
+        d1.view.graph().node_count(),
+        d1.mask.masked.len(),
+        d1.zoom_steps
+    );
+    // Provenance questions asked through a disclosure answer over its view:
+    // the public's lineage of the report names the collapsed Process step,
+    // never the modules inside it.
+    let lineage = private_provenance(&d1, report_item)?;
+    println!(
+        "provenance of {} as the public sees it: {} view nodes, {} data items",
+        report_item,
+        lineage.nodes.len(),
+        lineage.data.len()
     );
 
     let analyst = Principal::new("analyst", AccessLevel(2), Prefix::full(&h));

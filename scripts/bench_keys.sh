@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Check that E10–E19 records carry the keys of the committed baselines.
+# Check that E10–E19 records carry the keys and the prose of the committed
+# baselines.
 #
 # Usage:
 #   scripts/bench_keys.sh RECORD...   # e.g. /tmp/BENCH_e1[0-9]_*.json
@@ -10,7 +11,10 @@
 # a smaller sweep still matches; any path present on one side only fails
 # the check. One path may be missing from a record: E11 reports
 # `aggregate.cold_speedup_at_4_shards` only when its `--shards` sweep has
-# a 4-shard entry. Needs `jq`.
+# a 4-shard entry. Every `title` and `note` string, wherever it sits, must
+# also read the same on both sides: they describe the design that made the
+# numbers, so a committed file whose prose a bin no longer prints fails.
+# Needs `jq`.
 set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 optional=(aggregate.cold_speedup_at_4_shards)
@@ -18,6 +22,11 @@ optional=(aggregate.cold_speedup_at_4_shards)
 key_paths() {
   jq -r '[paths(. != null) | map(if type == "number" then "[]" else . end) | join(".")]
          | unique[]' "$1"
+}
+
+prose() {
+  jq -r 'paths(type == "string") as $p | select($p[-1] == "title" or $p[-1] == "note")
+         | "\($p | map(tostring) | join(".")): \(getpath($p))"' "$1"
 }
 
 if [[ $# -eq 0 ]]; then
@@ -44,6 +53,11 @@ for record in "$@"; do
   else
     echo "$(basename "$record"): key paths differ (< committed, > record):" >&2
     diff <(echo "$expected") <(echo "$actual") | grep '^[<>]' >&2 || true
+    status=1
+  fi
+  if ! diff <(prose "$committed") <(prose "$record") >/dev/null; then
+    echo "$(basename "$record"): titles or notes differ (< committed, > record):" >&2
+    diff <(prose "$committed") <(prose "$record") | grep '^[<>]' >&2 || true
     status=1
   fi
 done

@@ -14,8 +14,9 @@
 //!   guarantees and privacy-aware ranking (Sec. 4).
 //! * [`workloads`] — synthetic workload generators for the experiments.
 //!
-//! See `README.md` for a guided tour, `DESIGN.md` for the system inventory
-//! and `EXPERIMENTS.md` for the figure/experiment reproduction log.
+//! The experiments and their measured baselines are described in
+//! `crates/bench/BENCHMARKS.md`; `examples/` walks through the paper's
+//! scenarios.
 
 #![forbid(unsafe_code)]
 
