@@ -19,7 +19,6 @@ pub type ProcBinding = Vec<ProcId>;
 
 /// The module a view node identifiably executes, if any.
 fn node_module(
-    spec: &Specification,
     exec: &Execution,
     view: &ExecView,
     n: u32,
@@ -36,7 +35,6 @@ fn node_module(
                     return None;
                 }
             }
-            let _ = spec;
             Some((p, m))
         }
         ExecViewNode::Collapsed(p, m) => Some((*p, *m)),
@@ -58,7 +56,7 @@ pub fn match_exec_view(
     let mut entities: Vec<(u32, ProcId, ppwf_model::ids::ModuleId)> = view
         .graph()
         .node_ids()
-        .filter_map(|n| node_module(spec, exec, view, n).map(|(p, m)| (n, p, m)))
+        .filter_map(|n| node_module(exec, view, n).map(|(p, m)| (n, p, m)))
         .collect();
     entities.sort_by_key(|&(_, p, _)| p);
     entities.dedup_by_key(|e| e.1);

@@ -70,15 +70,10 @@ pub fn private_provenance(disclosure: &Disclosure, d: DataId) -> Result<PrivateP
     let g = view.graph();
     let mut on_path = g.reaching_to(producer);
     on_path.intersect_with(&g.reachable_from(view.input()));
-    collect(view, on_path, d, producer)
+    collect(view, on_path, d)
 }
 
-fn collect(
-    view: &ExecView,
-    on_path: BitSet,
-    focus: DataId,
-    _producer: u32,
-) -> Result<PrivateProvenance> {
+fn collect(view: &ExecView, on_path: BitSet, focus: DataId) -> Result<PrivateProvenance> {
     let g = view.graph();
     let mut nodes: Vec<u32> = on_path.iter().map(|n| n as u32).collect();
     nodes.sort_unstable();

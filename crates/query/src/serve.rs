@@ -90,7 +90,13 @@
 //! any unsynced suffix.
 //!
 //! A warm inline completion is a [`Ticket::ready`] value, so a front-cache
-//! hit allocates no ticket state and takes no ticket lock.
+//! hit allocates no ticket state and takes no ticket lock. Nor does it read
+//! the clock: it bumps one counter, and [`ServeFront::stats`] folds that
+//! count into `submitted`, `completed`, `warm_inline` and the first latency
+//! bucket — a hit completes inside `submit`, so it is within the first
+//! bucket's bound by construction. A queued request takes its one
+//! [`Instant`] and its `submitted` count in the enqueue, after the probe has
+//! missed, and reads the clock once more when it completes.
 
 use crate::cluster::{EngineCluster, RankedHits};
 use crate::engine::Plan;
@@ -191,15 +197,18 @@ pub const LATENCY_BOUNDS_US: [u64; 7] = [4, 16, 64, 256, 1024, 4096, 16384];
 /// gauge).
 #[derive(Clone, Debug, Default)]
 pub struct ServeStats {
-    /// Requests accepted by [`ServeFront::submit`].
+    /// Requests accepted by [`ServeFront::submit`]: those queued, counted
+    /// at their enqueue, plus those answered inline.
     pub submitted: u64,
-    /// Responses completed (inline or via the queue).
+    /// Responses completed: queued ones, counted as they complete, plus
+    /// inline ones, which complete inside `submit`.
     pub completed: u64,
     /// Reads answered from the cluster-front cache without any shard
     /// work: probes that hit on the submitting thread (never queued, no
-    /// pool job), plus reads that queued — behind a write, or behind an
-    /// identical read — and found the answer warm when their pool job
-    /// re-probed.
+    /// pool job, no clock read — the one count also stands for their
+    /// `submitted`, `completed` and first latency bucket), plus reads that
+    /// queued — behind a write, or behind an identical read — and found
+    /// the answer warm when their pool job re-probed.
     pub warm_inline: u64,
     /// Mutations applied.
     pub mutations: u64,
@@ -227,15 +236,20 @@ pub struct ServeStats {
     pub queue_high_water: u64,
     /// Completion-latency histogram; bucket `i` counts responses with
     /// submit→complete latency ≤ [`LATENCY_BOUNDS_US`]`[i]` µs (last
-    /// bucket: everything slower).
+    /// bucket: everything slower). A queued request is timed from its
+    /// enqueue to its completion; an inline hit is not timed and is filed
+    /// under bucket 0, since it completes within `submit`.
     pub latency_counts: [u64; LATENCY_BOUNDS_US.len() + 1],
 }
 
+/// The queued requests' counts, plus `inline`: reads answered inside
+/// `submit`, counted once and folded into the rest by [`ServeFront::stats`].
 #[derive(Default)]
 struct Counters {
     submitted: AtomicU64,
     completed: AtomicU64,
     warm_inline: AtomicU64,
+    inline: AtomicU64,
     mutations: AtomicU64,
     write_batches: AtomicU64,
     max_write_batch: AtomicU64,
@@ -244,7 +258,7 @@ struct Counters {
 
 impl Counters {
     fn record_latency(&self, started: Instant) {
-        let us = started.elapsed().as_micros() as u64;
+        let us = now().duration_since(started).as_micros() as u64;
         let bucket = LATENCY_BOUNDS_US
             .iter()
             .position(|&bound| us <= bound)
@@ -254,7 +268,15 @@ impl Counters {
     }
 }
 
-/// An accepted request's way back to its client.
+/// The clock, read only here. Under `cfg(test)` each call is tallied on
+/// the calling thread (see `tests::clock_reads`).
+fn now() -> Instant {
+    #[cfg(test)]
+    tests::CLOCK_READS.with(|reads| reads.set(reads.get() + 1));
+    Instant::now()
+}
+
+/// A queued request's way back to its client.
 struct Pending {
     completer: TicketCompleter<ServeResponse>,
     submitted: Instant,
@@ -315,20 +337,18 @@ impl ServeFront {
     /// admission-queued and executed as pool jobs. The ticket resolves
     /// whenever the response is ready; dropping it un-awaited is fine.
     pub fn submit(&self, req: ServeRequest) -> Ticket<ServeResponse> {
-        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        let submitted = Instant::now();
         match req {
             ServeRequest::Keyword { group, query } => {
-                self.submit_read(Keyword, group, query, QueryAnswer::Keyword, submitted)
+                self.submit_read(Keyword, group, query, QueryAnswer::Keyword)
             }
             ServeRequest::Private { group, query, plan } => {
-                self.submit_read(Private(plan), group, query, QueryAnswer::Private, submitted)
+                self.submit_read(Private(plan), group, query, QueryAnswer::Private)
             }
             ServeRequest::Ranked { group, query, mode } => {
-                self.submit_read(Ranked(mode), group, query, QueryAnswer::Ranked, submitted)
+                self.submit_read(Ranked(mode), group, query, QueryAnswer::Ranked)
             }
             ServeRequest::Mutate(mutation) => {
-                self.enqueue(submitted, |pending| Request::Write((mutation, pending)))
+                self.enqueue(|pending| Request::Write((mutation, pending)))
             }
         }
     }
@@ -339,7 +359,6 @@ impl ServeFront {
         group: String,
         query_text: String,
         wrap: Wrap<M>,
-        submitted: Instant,
     ) -> Ticket<ServeResponse> {
         let shared = &self.shared;
         // Warm path: probe the cluster front without blocking — one hash
@@ -348,44 +367,49 @@ impl ServeFront {
         // front's touch stamps. If a writer holds (or waits on) the cluster
         // lock, `try_read` fails and the request queues behind the mutation
         // instead — exactly the FIFO ordering the fence wants. An early
-        // probe: a read that queues is counted when it is admitted.
+        // probe: a read that queues is counted when it is admitted. A hit
+        // is one counter bump and no clock read (see `stats`).
         if let Some(cluster) = shared.cluster.try_read() {
             if let Some(hit) = cluster.probe(mode, &group, &query_text, true) {
                 let epoch = cluster.front_epoch();
                 drop(cluster);
-                shared.counters.warm_inline.fetch_add(1, Ordering::Relaxed);
-                shared.counters.record_latency(submitted);
+                shared.counters.inline.fetch_add(1, Ordering::Relaxed);
                 return Ticket::ready(ServeResponse { epoch, answer: wrap(Some(hit)) });
             }
         }
         let job: ReadJob = Box::new(move |shared: &Arc<Shared>, pending| {
             serve_read(shared, mode, group, query_text, wrap, pending)
         });
-        self.enqueue(submitted, |pending| Request::Read((job, pending)))
+        self.enqueue(|pending| Request::Read((job, pending)))
     }
 
-    fn enqueue(
-        &self,
-        submitted: Instant,
-        request: impl FnOnce(Pending) -> Queued,
-    ) -> Ticket<ServeResponse> {
+    /// Queue a request behind the fence: it is counted submitted and its
+    /// latency clock starts here.
+    fn enqueue(&self, request: impl FnOnce(Pending) -> Queued) -> Ticket<ServeResponse> {
+        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        let submitted = now();
         let (ticket, completer) = Ticket::pending(Some(Arc::clone(&self.shared.pool)));
         let request = request(Pending { completer, submitted });
         step(&self.shared, |fence| fence.submit(request));
         ticket
     }
 
-    /// Current serving counters.
+    /// Current serving counters. An inline hit was counted once; it is
+    /// folded here into `submitted`, `completed`, `warm_inline` and latency
+    /// bucket 0.
     pub fn stats(&self) -> ServeStats {
         let c = &self.shared.counters;
+        let inline = c.inline.load(Ordering::Relaxed);
+        let mut latency_counts = c.latency.each_ref().map(|bucket| bucket.load(Ordering::Relaxed));
+        latency_counts[0] += inline;
         ServeStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            warm_inline: c.warm_inline.load(Ordering::Relaxed),
+            submitted: c.submitted.load(Ordering::Relaxed) + inline,
+            completed: c.completed.load(Ordering::Relaxed) + inline,
+            warm_inline: c.warm_inline.load(Ordering::Relaxed) + inline,
             mutations: c.mutations.load(Ordering::Relaxed),
             write_batches: c.write_batches.load(Ordering::Relaxed),
             max_write_batch: c.max_write_batch.load(Ordering::Relaxed),
-            latency_counts: c.latency.each_ref().map(|bucket| bucket.load(Ordering::Relaxed)),
+            latency_counts,
             // The fence's counters and queue depth, read under its lock.
             ..self.shared.fence.lock().stats()
         }
@@ -413,7 +437,8 @@ impl ServeFront {
     pub fn quiesce(&self) {
         let c = &self.shared.counters;
         // The fence goes idle when it hands out the last tickets, just
-        // before they complete; the counters catch up as they do.
+        // before they complete; the counters catch up as they do. Inline
+        // hits complete inside `submit`, so only queued counts compare.
         while !(self.shared.fence.lock().idle()
             && c.completed.load(Ordering::Relaxed) == c.submitted.load(Ordering::Relaxed))
         {
@@ -574,7 +599,17 @@ mod tests {
     use ppwf_model::fixtures;
     use ppwf_repo::principals::{PrincipalRegistry, ViewRule};
     use ppwf_repo::repository::{Repository, SpecId};
+    use std::cell::Cell;
     use std::sync::Mutex;
+
+    thread_local! {
+        /// Calls of [`now`] made on this thread.
+        pub(super) static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn clock_reads() -> u64 {
+        CLOCK_READS.with(Cell::get)
+    }
 
     fn registry() -> PrincipalRegistry {
         let mut registry = PrincipalRegistry::new();
@@ -1129,6 +1164,94 @@ mod tests {
             blocking.ranked_search_as("researchers", "database", RankingMode::ExactFull).unwrap();
         assert_eq!(answer.ranked.scores, reference.ranked.scores, "f64 bits must agree");
         assert_eq!(answer.ranked.order, reference.ranked.order);
+    }
+
+    /// A warm submit reads the clock 0 times; a queued read reads it twice,
+    /// once at its enqueue and once at its completion. The pool's one
+    /// worker is plugged, so the read's job runs on this thread when `wait`
+    /// helps the pool, and the per-thread tally sees both reads.
+    #[test]
+    fn a_warm_submit_reads_no_clock_and_a_queued_read_reads_it_twice() {
+        let pool = Arc::new(WorkerPool::new(1));
+        let cluster = EngineCluster::with_config(
+            corpus(4),
+            registry(),
+            2,
+            crate::route::ShardStrategy::RoundRobin,
+            Arc::clone(&pool),
+        );
+        let front = ServeFront::with_pool(cluster, Arc::clone(&pool));
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        pool.exec(move || {
+            started_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        });
+        started_rx.recv().unwrap();
+
+        let before = clock_reads();
+        let cold = front.submit(keyword("researchers", "risk"));
+        assert!(!cold.is_complete(), "the first read must queue");
+        assert_eq!(clock_reads() - before, 1, "a queued read starts its clock at enqueue");
+        assert!(matches!(cold.wait().answer, QueryAnswer::Keyword(Some(_))));
+        assert_eq!(clock_reads() - before, 2, "and reads it once more when it completes");
+
+        let before = clock_reads();
+        let warm = front.submit(keyword("researchers", "risk"));
+        assert!(warm.is_complete(), "the repeat is a warm hit");
+        assert_eq!(clock_reads() - before, 0, "a warm submit reads no clock");
+        release_tx.send(()).unwrap();
+    }
+
+    /// Three threads submit warm hits, cold reads and mutations to one
+    /// front on a 2-thread pool. Once quiesced, every request is submitted,
+    /// completed and bucketed exactly once, and a single inline hit moves
+    /// `submitted`, `completed`, `warm_inline` and bucket 0 by one each.
+    #[test]
+    fn stats_stay_exact_across_threads() {
+        const ROUNDS: usize = 20;
+        let front = front(6, 2, 2);
+        assert!(matches!(
+            front.submit(keyword("researchers", "risk")).wait().answer,
+            QueryAnswer::Keyword(Some(_))
+        ));
+        std::thread::scope(|scope| {
+            for thread in 0..3 {
+                let front = &front;
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        let warm = front.submit(keyword("researchers", "risk"));
+                        let cold =
+                            front.submit(keyword("public", &format!("risk, zzz{thread}-{round}")));
+                        let (spec, _) = fixtures::disease_susceptibility();
+                        let exec = fixtures::disease_susceptibility_execution(&spec);
+                        let write = front.submit(ServeRequest::mutate(Mutation::AddExecution {
+                            spec: SpecId(thread as u32),
+                            exec,
+                        }));
+                        assert!(matches!(warm.wait().answer, QueryAnswer::Keyword(Some(_))));
+                        assert!(matches!(cold.wait().answer, QueryAnswer::Keyword(Some(_))));
+                        assert!(matches!(write.wait().answer, QueryAnswer::Mutated(Ok(_))));
+                    }
+                });
+            }
+        });
+        front.quiesce();
+        let requests = 1 + 3 * 3 * ROUNDS as u64;
+        let stats = front.stats();
+        assert_eq!(stats.submitted, requests);
+        assert_eq!(stats.completed, requests);
+        assert_eq!(stats.latency_counts.iter().sum::<u64>(), requests);
+        assert_eq!(stats.mutations, 3 * ROUNDS as u64);
+        assert!(stats.warm_inline > 0);
+
+        let warm = front.submit(keyword("researchers", "risk"));
+        assert!(warm.is_complete(), "an inline hit");
+        let after = front.stats();
+        assert_eq!(after.submitted, stats.submitted + 1);
+        assert_eq!(after.completed, stats.completed + 1);
+        assert_eq!(after.warm_inline, stats.warm_inline + 1);
+        assert_eq!(after.latency_counts[0], stats.latency_counts[0] + 1);
     }
 
     #[test]

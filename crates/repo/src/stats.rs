@@ -1,7 +1,6 @@
 //! Repository statistics: the numbers an operator (or the CLI) wants
 //! before deciding on indexing, caching and privacy-policy strategies.
 
-use crate::keyword_index::KeywordIndex;
 use crate::repository::Repository;
 use std::collections::HashMap;
 
@@ -58,8 +57,11 @@ pub fn repo_stats(repo: &Repository) -> RepoStats {
     s
 }
 
-/// The `k` most frequent keyword-index terms with their posting counts.
-pub fn top_terms(repo: &Repository, index: &KeywordIndex, k: usize) -> Vec<(String, usize)> {
+/// The `k` most frequent tokens of the repository's module names and
+/// keyword tags (distinguished modules skipped), each with how often it
+/// occurs there, most frequent first and ties by token. The tokens are the
+/// keyword index's terms, but the counts are occurrences, not postings.
+pub fn top_terms(repo: &Repository, k: usize) -> Vec<(String, usize)> {
     let mut freq: HashMap<String, usize> = HashMap::new();
     for (_, entry) in repo.entries() {
         for m in entry.spec.modules() {
@@ -79,7 +81,6 @@ pub fn top_terms(repo: &Repository, index: &KeywordIndex, k: usize) -> Vec<(Stri
     let mut v: Vec<(String, usize)> = freq.into_iter().collect();
     v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     v.truncate(k);
-    let _ = index;
     v
 }
 
@@ -125,8 +126,7 @@ mod tests {
     #[test]
     fn top_terms_ranked() {
         let repo = sample();
-        let index = KeywordIndex::build(&repo);
-        let top = top_terms(&repo, &index, 5);
+        let top = top_terms(&repo, 5);
         assert_eq!(top.len(), 5);
         assert!(top[0].1 >= top[4].1);
         // "query" is among the most frequent tokens of the fixture.

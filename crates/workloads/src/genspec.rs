@@ -165,7 +165,7 @@ pub fn generate_spec(params: &SpecParams) -> Specification {
             // fresh channels created above where it was the source, plus
             // possibly the workflow output. Collect from the builder state
             // via the recorded names.
-            let outs = outgoing_channels(&b, w, modules[i]);
+            let outs = outgoing_channels(&b, modules[i]);
             queue.push((sub, depth + 1, inbound[i].clone(), outs));
         }
     }
@@ -173,9 +173,9 @@ pub fn generate_spec(params: &SpecParams) -> Specification {
     b.build().expect("generated specification must validate")
 }
 
-/// Channels on the outgoing edges of `m` within workflow `w`, according to
-/// the builder's current state.
-fn outgoing_channels(b: &SpecBuilder, _w: WorkflowId, m: ModuleId) -> Vec<String> {
+/// Channels on the outgoing edges of `m`, according to the builder's
+/// current state.
+fn outgoing_channels(b: &SpecBuilder, m: ModuleId) -> Vec<String> {
     let mut outs = Vec::new();
     for e in b.edges_snapshot() {
         if e.from == m {

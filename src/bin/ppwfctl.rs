@@ -163,7 +163,7 @@ fn cmd_info(rest: &[String]) -> Result<(), String> {
     let index = KeywordIndex::build(&repo);
     println!("index          : {} docs, {} terms", index.doc_count(), index.term_count());
     println!("top terms      :");
-    for (t, n) in top_terms(&repo, &index, 8) {
+    for (t, n) in top_terms(&repo, 8) {
         println!("  {t:<20} {n}");
     }
     Ok(())
