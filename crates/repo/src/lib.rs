@@ -69,6 +69,7 @@ pub mod repository;
 pub mod snapshot;
 pub mod stats;
 pub mod storage;
+mod stored_formats;
 pub mod ticket;
 pub mod touch;
 pub mod view_cache;

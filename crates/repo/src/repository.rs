@@ -745,7 +745,7 @@ mod tests {
         let repo = sample_repo();
         let bytes = repo.save().to_vec();
         assert!(Repository::load(b"JUNK").is_err());
-        for cut in (0..bytes.len()).step_by(997) {
+        for cut in 0..bytes.len() {
             assert!(Repository::load(&bytes[..cut]).is_err(), "prefix {cut} accepted");
         }
         let mut trailing = bytes.clone();

@@ -440,6 +440,22 @@ pub(crate) fn load_latest(backend: &dyn StorageBackend, names: &[String]) -> Wal
     }
 }
 
+/// The whole-image (v1) encoder, which nothing outside the tests writes
+/// with any more: it makes the stores older builds left behind.
+#[cfg(test)]
+pub(crate) fn write_v1(backend: &dyn StorageBackend, through_seq: u64, repo: &Repository) {
+    let payload = repo.save();
+    let mut buf = Vec::with_capacity(HEADER + payload.len() + 8);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION_WHOLE);
+    buf.extend_from_slice(&through_seq.to_le_bytes());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&payload);
+    let sum = hash_of(&buf);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    backend.write_atomic(&file_name(through_seq), &buf).unwrap();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,21 +478,6 @@ mod tests {
     fn paper_insert() -> Mutation {
         let spec = fixtures::disease_susceptibility_spec();
         Mutation::InsertSpec { spec, policy: Policy::public() }
-    }
-
-    /// The whole-image (v1) encoder, which nothing outside these tests
-    /// writes with any more: it makes the stores older builds left behind.
-    fn write_v1(backend: &dyn StorageBackend, through_seq: u64, repo: &Repository) {
-        let payload = repo.save();
-        let mut buf = Vec::with_capacity(HEADER + payload.len() + 8);
-        buf.extend_from_slice(MAGIC);
-        buf.push(VERSION_WHOLE);
-        buf.extend_from_slice(&through_seq.to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        let sum = hash_of(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        backend.write_atomic(&file_name(through_seq), &buf).unwrap();
     }
 
     /// Plain FNV-1a of a whole file, as `recovery_equivalence`'s golden
