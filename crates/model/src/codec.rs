@@ -1,17 +1,31 @@
-//! Compact binary (de)serialization of specifications and executions.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+//! The workspace's one byte codec, and the binary format of
+//! specifications and executions written with it.
 //!
-//! The repository crate persists workflow specifications and their (many)
-//! executions; a purpose-built binary format keeps snapshots small and the
-//! workspace free of format dependencies. The layout is a straightforward
-//! tagged, length-prefixed encoding over [`bytes`]:
+//! Every stored format — specifications and executions here, the
+//! repository image, its policies, WAL records and snapshots in
+//! `ppwf_repo` — is written by a [`Writer`] and read back by a
+//! [`Reader`]. A `Writer` appends to a `Vec<u8>`: a byte, a little-endian
+//! `u32` or `u64`, an unsigned LEB128 varint, raw bytes, or a byte string
+//! behind a `u32` or a varint length. A `Reader` consumes the same
+//! shapes from a slice, and every read returns a typed
+//! [`ModelError::Codec`] on short or malformed input: its one bounds
+//! check is [`Reader::take`], so damaged bytes end in an error, never a
+//! panic.
+//!
+//! Specifications and executions are tagged, length-prefixed records:
 //!
 //! ```text
 //! magic "PPWF" | version u8 | kind u8 | payload...
 //! ```
 //!
-//! All integers are little-endian. Strings are `u32` length + UTF-8 bytes.
-//! Decoding re-validates specifications so a corrupted snapshot can never
-//! produce a structurally invalid model object.
+//! All integers are little-endian. Strings and collection counts are
+//! `u32` length + contents. Decoding re-validates specifications so a
+//! corrupted snapshot can never produce a structurally invalid model
+//! object.
 
 use crate::error::{ModelError, Result};
 use crate::exec::{DataItem, ExecEdge, ExecNode, ExecNodeKind, Execution, ProcInfo};
@@ -19,7 +33,6 @@ use crate::graph::DiGraph;
 use crate::ids::{DataId, EdgeId, ModuleId, NodeId, ProcId, WorkflowId};
 use crate::spec::{Module, ModuleKind, SpecEdge, Specification, Workflow};
 use crate::value::Value;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"PPWF";
 const VERSION: u8 = 1;
@@ -27,41 +40,73 @@ const KIND_SPEC: u8 = 1;
 const KIND_EXEC: u8 = 2;
 
 // ---------------------------------------------------------------------------
-// Writer / reader primitives
+// Writer / reader
 // ---------------------------------------------------------------------------
 
-struct Writer {
-    buf: BytesMut,
+/// Appends encoded fields to a byte vector.
+pub struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Writer {
-    fn new(kind: u8) -> Self {
-        let mut buf = BytesMut::with_capacity(256);
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(kind);
+impl<'a> Writer<'a> {
+    /// A writer appending to `buf`.
+    pub fn new(buf: &'a mut Vec<u8>) -> Self {
         Writer { buf }
     }
 
-    fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+    /// One byte.
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
     }
 
-    fn u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn usize(&mut self, v: usize) {
-        self.u32(u32::try_from(v).expect("collection too large for codec"));
+    /// An unsigned LEB128 varint: 7 value bits per byte, high bit =
+    /// continuation, at most 10 bytes for a `u64`.
+    pub fn uvarint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
-    fn string(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.put_slice(s.as_bytes());
+    /// Raw bytes, no length.
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
+    /// A count or length as a `u32`.
+    pub fn count(&mut self, n: usize) {
+        // Every stored count and length is a `u32` by format; nothing the
+        // workspace stores comes near 4 GiB in one field.
+        #[allow(clippy::expect_used)]
+        self.u32(u32::try_from(n).expect("collection too large for codec"));
+    }
+
+    /// A byte string behind its `u32` length.
+    pub fn prefixed(&mut self, b: &[u8]) {
+        self.count(b.len());
+        self.bytes(b);
+    }
+
+    /// A byte string behind its varint length.
+    pub fn varint_prefixed(&mut self, b: &[u8]) {
+        self.uvarint(b.len() as u64);
+        self.bytes(b);
+    }
+
+    /// A UTF-8 string behind its `u32` length.
+    pub fn string(&mut self, s: &str) {
+        self.prefixed(s.as_bytes());
     }
 
     fn opt_u32(&mut self, v: Option<u32>) {
@@ -73,75 +118,107 @@ impl Writer {
             }
         }
     }
-
-    fn finish(self) -> Bytes {
-        self.buf.freeze()
-    }
 }
 
-struct Reader<'a> {
+/// Consumes encoded fields from the front of a byte slice.
+pub struct Reader<'a> {
     buf: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], expect_kind: u8) -> Result<Self> {
-        let mut r = Reader { buf };
-        let magic = r.take(4)?;
-        if magic != MAGIC {
-            return Err(ModelError::codec("bad magic"));
-        }
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(ModelError::codec(format!("unsupported version {version}")));
-        }
-        let kind = r.u8()?;
-        if kind != expect_kind {
-            return Err(ModelError::codec(format!("expected kind {expect_kind}, got {kind}")));
-        }
-        Ok(r)
+    /// A reader over `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() < n {
+    /// The next `n` bytes — the one bounds check every read goes through.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let Some((head, tail)) = self.buf.split_at_checked(n) else {
             return Err(ModelError::codec("truncated input"));
-        }
-        let (head, tail) = self.buf.split_at(n);
+        };
         self.buf = tail;
         Ok(head)
     }
 
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8> {
+        Ok(self.array::<1>()?[0])
     }
 
-    fn u32(&mut self) -> Result<u32> {
-        let mut b = self.take(4)?;
-        Ok(b.get_u32_le())
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
-    fn u64(&mut self) -> Result<u64> {
-        let mut b = self.take(8)?;
-        Ok(b.get_u64_le())
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
-    fn usize(&mut self) -> Result<usize> {
-        Ok(self.u32()? as usize)
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 
-    fn len(&mut self, cap: usize) -> Result<usize> {
-        let n = self.usize()?;
-        // A length can never exceed the remaining byte count; this bound
-        // keeps corrupted inputs from causing huge allocations.
-        if n > cap.max(self.buf.len()) {
+    /// An unsigned LEB128 varint. Fails on truncation and on a value
+    /// past 64 bits (more than 10 bytes, or set bits past bit 63).
+    pub fn uvarint(&mut self) -> Result<u64> {
+        let mut v = 0u64;
+        for i in 0..10 {
+            let byte = self.u8()?;
+            let low = u64::from(byte & 0x7f);
+            if i == 9 && low > 1 {
+                break; // the 10th byte may carry only the top bit
+            }
+            v |= low << (7 * i);
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(ModelError::codec("varint overflows 64 bits"))
+    }
+
+    /// A `u32` count or length. It can never exceed the bytes left, a
+    /// bound that keeps corrupted input from causing huge allocations.
+    pub fn count(&mut self) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > self.buf.len() {
             return Err(ModelError::codec(format!("implausible length {n}")));
         }
         Ok(n)
     }
 
-    fn string(&mut self) -> Result<String> {
-        let n = self.len(0)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ModelError::codec("invalid UTF-8"))
+    /// A byte string behind its `u32` length.
+    pub fn prefixed(&mut self) -> Result<&'a [u8]> {
+        let n = self.count()?;
+        self.take(n)
+    }
+
+    /// A byte string behind its varint length.
+    pub fn varint_prefixed(&mut self) -> Result<&'a [u8]> {
+        let n = usize::try_from(self.uvarint()?)
+            .map_err(|_| ModelError::codec("varint length past the address space"))?;
+        self.take(n)
+    }
+
+    /// A UTF-8 string behind its `u32` length.
+    pub fn string(&mut self) -> Result<String> {
+        utf8(self.prefixed()?)
+    }
+
+    /// The bytes not yet consumed.
+    pub fn rest(&self) -> &'a [u8] {
+        self.buf
+    }
+
+    /// Succeeds only when every byte was consumed.
+    pub fn finish(self) -> Result<()> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(ModelError::codec(format!("{} trailing bytes", self.buf.len())))
+        }
     }
 
     fn opt_u32(&mut self) -> Result<Option<u32>> {
@@ -151,14 +228,34 @@ impl<'a> Reader<'a> {
             t => Err(ModelError::codec(format!("bad option tag {t}"))),
         }
     }
+}
 
-    fn finish(self) -> Result<()> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(ModelError::codec(format!("{} trailing bytes", self.buf.len())))
-        }
+/// Bytes as an owned UTF-8 string.
+pub fn utf8(bytes: &[u8]) -> Result<String> {
+    String::from_utf8(bytes.to_vec()).map_err(|_| ModelError::codec("invalid UTF-8"))
+}
+
+/// Write the `magic | version | kind` header.
+fn header(w: &mut Writer, kind: u8) {
+    w.bytes(MAGIC);
+    w.u8(VERSION);
+    w.u8(kind);
+}
+
+/// Check the `magic | version | kind` header.
+fn expect_header(r: &mut Reader, kind: u8) -> Result<()> {
+    if r.take(4)? != MAGIC {
+        return Err(ModelError::codec("bad magic"));
     }
+    let version = r.u8()?;
+    if version != VERSION {
+        return Err(ModelError::codec(format!("unsupported version {version}")));
+    }
+    let got = r.u8()?;
+    if got != kind {
+        return Err(ModelError::codec(format!("expected kind {kind}, got {got}")));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -178,7 +275,7 @@ fn write_value(w: &mut Writer, v: &Value) {
         }
         Value::Tuple(t) => {
             w.u8(3);
-            w.usize(t.len());
+            w.count(t.len());
             for &x in t {
                 w.u32(x as u32);
             }
@@ -193,7 +290,7 @@ fn read_value(r: &mut Reader) -> Result<Value> {
         1 => Value::Int(r.u64()? as i64),
         2 => Value::Str(r.string()?),
         3 => {
-            let n = r.len(0)?;
+            let n = r.count()?;
             let mut t = Vec::with_capacity(n);
             for _ in 0..n {
                 t.push(r.u32()? as u16);
@@ -210,12 +307,14 @@ fn read_value(r: &mut Reader) -> Result<Value> {
 // ---------------------------------------------------------------------------
 
 /// Serialize a specification.
-pub fn encode_spec(spec: &Specification) -> Bytes {
-    let mut w = Writer::new(KIND_SPEC);
+pub fn encode_spec(spec: &Specification) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(256);
+    let mut w = Writer::new(&mut buf);
+    header(&mut w, KIND_SPEC);
     w.string(spec.name());
     w.u32(spec.root().0);
 
-    w.usize(spec.module_count());
+    w.count(spec.module_count());
     for m in spec.modules() {
         w.string(&m.code);
         w.string(&m.name);
@@ -229,48 +328,49 @@ pub fn encode_spec(spec: &Specification) -> Bytes {
                 w.u32(sub.0);
             }
         }
-        w.usize(m.keywords.len());
+        w.count(m.keywords.len());
         for k in &m.keywords {
             w.string(k);
         }
     }
 
-    w.usize(spec.edge_count());
+    w.count(spec.edge_count());
     for e in spec.edges() {
         w.u32(e.workflow.0);
         w.u32(e.from.0);
         w.u32(e.to.0);
-        w.usize(e.channels.len());
+        w.count(e.channels.len());
         for c in &e.channels {
             w.string(c);
         }
     }
 
-    w.usize(spec.workflow_count());
+    w.count(spec.workflow_count());
     for wf in spec.workflows() {
         w.string(&wf.name);
         w.u32(wf.input.0);
         w.u32(wf.output.0);
         w.opt_u32(wf.parent.map(|m| m.0));
-        w.usize(wf.modules.len());
+        w.count(wf.modules.len());
         for m in &wf.modules {
             w.u32(m.0);
         }
-        w.usize(wf.edges.len());
+        w.count(wf.edges.len());
         for e in &wf.edges {
             w.u32(e.0);
         }
     }
-    w.finish()
+    buf
 }
 
 /// Deserialize and re-validate a specification.
 pub fn decode_spec(bytes: &[u8]) -> Result<Specification> {
-    let mut r = Reader::new(bytes, KIND_SPEC)?;
+    let mut r = Reader::new(bytes);
+    expect_header(&mut r, KIND_SPEC)?;
     let name = r.string()?;
     let root = WorkflowId(r.u32()?);
 
-    let nmod = r.len(0)?;
+    let nmod = r.count()?;
     let mut modules = Vec::with_capacity(nmod);
     for i in 0..nmod {
         let code = r.string()?;
@@ -283,7 +383,7 @@ pub fn decode_spec(bytes: &[u8]) -> Result<Specification> {
             3 => ModuleKind::Composite(WorkflowId(r.u32()?)),
             t => return Err(ModelError::codec(format!("bad module kind {t}"))),
         };
-        let nk = r.len(0)?;
+        let nk = r.count()?;
         let mut keywords = Vec::with_capacity(nk);
         for _ in 0..nk {
             keywords.push(r.string()?);
@@ -291,13 +391,13 @@ pub fn decode_spec(bytes: &[u8]) -> Result<Specification> {
         modules.push(Module { id: ModuleId::new(i), code, name: mname, workflow, kind, keywords });
     }
 
-    let nedge = r.len(0)?;
+    let nedge = r.count()?;
     let mut edges = Vec::with_capacity(nedge);
     for i in 0..nedge {
         let workflow = WorkflowId(r.u32()?);
         let from = ModuleId(r.u32()?);
         let to = ModuleId(r.u32()?);
-        let nc = r.len(0)?;
+        let nc = r.count()?;
         let mut channels = Vec::with_capacity(nc);
         for _ in 0..nc {
             channels.push(r.string()?);
@@ -305,7 +405,7 @@ pub fn decode_spec(bytes: &[u8]) -> Result<Specification> {
         edges.push(SpecEdge { id: EdgeId::new(i), workflow, from, to, channels });
     }
 
-    let nwf = r.len(0)?;
+    let nwf = r.count()?;
     let mut workflows = Vec::with_capacity(nwf);
     for i in 0..nwf {
         let wname = r.string()?;
@@ -320,7 +420,7 @@ pub fn decode_spec(bytes: &[u8]) -> Result<Specification> {
                 return Err(ModelError::codec("workflow parent out of range"));
             }
         }
-        let nm = r.len(0)?;
+        let nm = r.count()?;
         let mut wmodules = Vec::with_capacity(nm);
         for _ in 0..nm {
             let m = ModuleId(r.u32()?);
@@ -329,7 +429,7 @@ pub fn decode_spec(bytes: &[u8]) -> Result<Specification> {
             }
             wmodules.push(m);
         }
-        let ne = r.len(0)?;
+        let ne = r.count()?;
         let mut wedges = Vec::with_capacity(ne);
         for _ in 0..ne {
             let e = EdgeId(r.u32()?);
@@ -373,11 +473,13 @@ pub fn decode_spec(bytes: &[u8]) -> Result<Specification> {
 // ---------------------------------------------------------------------------
 
 /// Serialize an execution.
-pub fn encode_execution(exec: &Execution) -> Bytes {
-    let mut w = Writer::new(KIND_EXEC);
+pub fn encode_execution(exec: &Execution) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(256);
+    let mut w = Writer::new(&mut buf);
+    header(&mut w, KIND_EXEC);
     w.string(exec.spec_name());
     let g = exec.graph();
-    w.usize(g.node_count());
+    w.count(g.node_count());
     for (_, n) in g.nodes() {
         w.opt_u32(n.proc.map(|p| p.0));
         match n.kind {
@@ -397,23 +499,23 @@ pub fn encode_execution(exec: &Execution) -> Bytes {
             }
         }
     }
-    w.usize(g.edge_count());
+    w.count(g.edge_count());
     for (_, e) in g.edges() {
         w.u32(e.from);
         w.u32(e.to);
         w.u32(e.payload.spec_edge.0);
-        w.usize(e.payload.data.len());
+        w.count(e.payload.data.len());
         for d in &e.payload.data {
             w.u32(d.0);
         }
     }
-    w.usize(exec.data_count());
+    w.count(exec.data_count());
     for d in exec.data_items() {
         w.u32(d.producer.0);
         w.string(&d.channel);
         write_value(&mut w, &d.value);
     }
-    w.usize(exec.proc_count());
+    w.count(exec.proc_count());
     for p in exec.procs() {
         w.u32(p.module.0);
         w.u32(p.begin.0);
@@ -421,15 +523,16 @@ pub fn encode_execution(exec: &Execution) -> Bytes {
     }
     w.u32(exec.input().0);
     w.u32(exec.output().0);
-    w.finish()
+    buf
 }
 
 /// Deserialize an execution and check its invariants.
 pub fn decode_execution(bytes: &[u8]) -> Result<Execution> {
-    let mut r = Reader::new(bytes, KIND_EXEC)?;
+    let mut r = Reader::new(bytes);
+    expect_header(&mut r, KIND_EXEC)?;
     let spec_name = r.string()?;
 
-    let nnodes = r.len(0)?;
+    let nnodes = r.count()?;
     let mut graph: DiGraph<ExecNode, ExecEdge> = DiGraph::with_capacity(nnodes, 0);
     for _ in 0..nnodes {
         let proc = r.opt_u32()?.map(ProcId);
@@ -443,7 +546,7 @@ pub fn decode_execution(bytes: &[u8]) -> Result<Execution> {
         };
         graph.add_node(ExecNode { proc, kind });
     }
-    let nedges = r.len(0)?;
+    let nedges = r.count()?;
     for _ in 0..nedges {
         let from = r.u32()?;
         let to = r.u32()?;
@@ -451,14 +554,14 @@ pub fn decode_execution(bytes: &[u8]) -> Result<Execution> {
             return Err(ModelError::codec("exec edge endpoint out of range"));
         }
         let spec_edge = EdgeId(r.u32()?);
-        let nd = r.len(0)?;
+        let nd = r.count()?;
         let mut data = Vec::with_capacity(nd);
         for _ in 0..nd {
             data.push(DataId(r.u32()?));
         }
         graph.add_edge(from, to, ExecEdge { data, spec_edge });
     }
-    let ndata = r.len(0)?;
+    let ndata = r.count()?;
     let mut data = Vec::with_capacity(ndata);
     for i in 0..ndata {
         let producer = NodeId(r.u32()?);
@@ -469,7 +572,7 @@ pub fn decode_execution(bytes: &[u8]) -> Result<Execution> {
         let value = read_value(&mut r)?;
         data.push(DataItem { id: DataId::new(i), producer, channel, value });
     }
-    let nprocs = r.len(0)?;
+    let nprocs = r.count()?;
     let mut procs = Vec::with_capacity(nprocs);
     let mut proc_of_module = std::collections::HashMap::with_capacity(nprocs);
     for i in 0..nprocs {
@@ -495,69 +598,8 @@ pub fn decode_execution(bytes: &[u8]) -> Result<Execution> {
     Ok(exec)
 }
 
-/// Byte-level framing for hand-written record formats: LEB128 varints for
-/// sequence numbers and ids, varint-length-prefixed byte strings for nested
-/// codec payloads. The repository's write-ahead log frames its records with
-/// these.
-pub mod wire {
-    /// Append `v` as an unsigned LEB128 varint (7 value bits per byte,
-    /// high bit = continuation). At most 10 bytes for a `u64`.
-    pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                buf.push(byte);
-                return;
-            }
-            buf.push(byte | 0x80);
-        }
-    }
-
-    /// Decode an unsigned LEB128 varint from the front of `bytes`,
-    /// advancing past it. Returns `None` on truncation or a value that
-    /// would overflow 64 bits (more than 10 bytes, or set bits past 64).
-    pub fn get_uvarint(bytes: &mut &[u8]) -> Option<u64> {
-        let mut v: u64 = 0;
-        for (i, &byte) in bytes.iter().enumerate() {
-            if i == 10 {
-                return None;
-            }
-            let low = (byte & 0x7f) as u64;
-            if i == 9 && low > 1 {
-                return None; // the 10th byte may carry only the top bit
-            }
-            v |= low << (7 * i);
-            if byte & 0x80 == 0 {
-                *bytes = &bytes[i + 1..];
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// Append `payload` preceded by its varint length.
-    pub fn put_len_prefixed(buf: &mut Vec<u8>, payload: &[u8]) {
-        put_uvarint(buf, payload.len() as u64);
-        buf.extend_from_slice(payload);
-    }
-
-    /// Decode a varint-length-prefixed byte string from the front of
-    /// `bytes`, advancing past it. Returns `None` on truncation.
-    pub fn get_len_prefixed<'a>(bytes: &mut &'a [u8]) -> Option<&'a [u8]> {
-        let len = get_uvarint(bytes)? as usize;
-        if bytes.len() < len {
-            return None;
-        }
-        let (head, tail) = bytes.split_at(len);
-        *bytes = tail;
-        Some(head)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::wire::*;
     use super::*;
     use crate::exec::{Executor, HashOracle};
     use crate::spec::SpecBuilder;
@@ -671,11 +713,11 @@ mod tests {
             Value::Masked,
         ];
         for v in &values {
-            let mut w = Writer::new(9);
-            write_value(&mut w, v);
-            let bytes = w.finish();
-            let mut r = Reader::new(&bytes, 9).unwrap();
+            let mut bytes = Vec::new();
+            write_value(&mut Writer::new(&mut bytes), v);
+            let mut r = Reader::new(&bytes);
             assert_eq!(&read_value(&mut r).unwrap(), v);
+            r.finish().unwrap();
         }
     }
 
@@ -685,56 +727,56 @@ mod tests {
             [0, 1, 127, 128, 300, 16_383, 16_384, u64::from(u32::MAX), u64::MAX];
         for &v in &samples {
             let mut buf = Vec::new();
-            put_uvarint(&mut buf, v);
-            let mut r: &[u8] = &buf;
-            assert_eq!(get_uvarint(&mut r), Some(v), "value {v}");
-            assert!(r.is_empty(), "value {v} left residue");
+            Writer::new(&mut buf).uvarint(v);
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.uvarint().unwrap(), v, "value {v}");
+            assert!(r.rest().is_empty(), "value {v} left residue");
         }
     }
 
     #[test]
     fn uvarint_is_minimal_length() {
-        let mut buf = Vec::new();
-        put_uvarint(&mut buf, 127);
-        assert_eq!(buf.len(), 1);
-        buf.clear();
-        put_uvarint(&mut buf, 128);
-        assert_eq!(buf.len(), 2);
-        buf.clear();
-        put_uvarint(&mut buf, u64::MAX);
-        assert_eq!(buf.len(), 10);
+        for (v, len) in [(127, 1), (128, 2), (u64::MAX, 10)] {
+            let mut buf = Vec::new();
+            Writer::new(&mut buf).uvarint(v);
+            assert_eq!(buf.len(), len, "value {v}");
+        }
     }
 
     #[test]
     fn uvarint_rejects_truncation_and_overflow() {
-        let mut r: &[u8] = &[0x80]; // continuation bit, then nothing
-        assert_eq!(get_uvarint(&mut r), None);
-        let mut r: &[u8] = &[0x80; 11]; // never terminates within 10 bytes
-        assert_eq!(get_uvarint(&mut r), None);
+        // A continuation bit, then nothing.
+        assert!(Reader::new(&[0x80]).uvarint().is_err());
+        // Never terminates within 10 bytes.
+        assert!(Reader::new(&[0x80; 11]).uvarint().is_err());
         let mut overflow = [0x80u8; 10];
         overflow[9] = 0x02; // bit 64 set
-        let mut r: &[u8] = &overflow;
-        assert_eq!(get_uvarint(&mut r), None);
+        assert!(Reader::new(&overflow).uvarint().is_err());
     }
 
     #[test]
     fn len_prefixed_round_trips() {
         let mut buf = Vec::new();
-        put_len_prefixed(&mut buf, b"hello");
-        put_len_prefixed(&mut buf, b"");
-        put_len_prefixed(&mut buf, &[7u8; 300]);
-        let mut r: &[u8] = &buf;
-        assert_eq!(get_len_prefixed(&mut r), Some(&b"hello"[..]));
-        assert_eq!(get_len_prefixed(&mut r), Some(&b""[..]));
-        assert_eq!(get_len_prefixed(&mut r), Some(&[7u8; 300][..]));
-        assert!(r.is_empty());
+        let mut w = Writer::new(&mut buf);
+        w.varint_prefixed(b"hello");
+        w.varint_prefixed(b"");
+        w.varint_prefixed(&[7u8; 300]);
+        w.prefixed(b"four");
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.varint_prefixed().unwrap(), b"hello");
+        assert_eq!(r.varint_prefixed().unwrap(), b"");
+        assert_eq!(r.varint_prefixed().unwrap(), [7u8; 300]);
+        assert_eq!(r.prefixed().unwrap(), b"four");
+        r.finish().unwrap();
     }
 
     #[test]
     fn len_prefixed_rejects_short_payload() {
         let mut buf = Vec::new();
-        put_len_prefixed(&mut buf, b"hello");
-        let mut r: &[u8] = &buf[..buf.len() - 1];
-        assert_eq!(get_len_prefixed(&mut r), None);
+        Writer::new(&mut buf).varint_prefixed(b"hello");
+        assert!(Reader::new(&buf[..buf.len() - 1]).varint_prefixed().is_err());
+        buf.clear();
+        Writer::new(&mut buf).prefixed(b"hello");
+        assert!(Reader::new(&buf[..buf.len() - 1]).prefixed().is_err());
     }
 }

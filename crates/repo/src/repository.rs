@@ -1,16 +1,20 @@
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 //! The workflow repository: specifications, their executions, and their
 //! privacy policies, in one store serving every privilege level.
 //!
 //! The paper (Sec. 1) argues *against* materializing one repository per
 //! access level — "inconsistencies, inefficiency, and a lack of
 //! flexibility" — so the repository stores full-fidelity artifacts plus
-//! policies, and the query layer hides on the fly. Persistence reuses the
-//! model crate's binary codec with a small framing layer (and its own
-//! encoding for policies).
+//! policies, and the query layer hides on the fly. Persistence writes the
+//! image, its entries and its policies with the model crate's one byte
+//! codec ([`Writer`] / [`Reader`]), and nests the specification and
+//! execution encodings inside.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ppwf_core::policy::{AccessLevel, HidePair, ModuleRequirement, Policy};
-use ppwf_model::codec;
+use ppwf_model::codec::{self, Reader, Writer};
 use ppwf_model::exec::Execution;
 use ppwf_model::hierarchy::ExpansionHierarchy;
 use ppwf_model::ids::ModuleId;
@@ -222,13 +226,11 @@ impl Repository {
     /// before it is changed ([`Arc::make_mut`]); the executions are never
     /// copied.
     pub fn edit_spec(&mut self, spec: SpecId, text: &crate::mutation::SpecText) -> Result<()> {
+        // Checked first, so no edit of the run fails after another landed.
         self.check_edit(spec, text)?;
-        let entry =
-            self.entries[spec.index()].as_mut().expect("check_edit verified the slot is live");
-        let spec = Arc::make_mut(&mut entry.spec);
+        let spec = Arc::make_mut(&mut self.live_entry_mut(spec)?.spec);
         for edit in &text.edits {
-            spec.set_module_text(edit.module, &edit.name, &edit.keywords)
-                .expect("check_edit verified every module edit");
+            spec.set_module_text(edit.module, &edit.name, &edit.keywords)?;
         }
         self.version += 1;
         Ok(())
@@ -336,213 +338,156 @@ impl Repository {
 
     /// Serialize the whole repository. Format **2**: each slot is
     /// prefixed by a live-flag byte, so tombstones round-trip
-    /// bit-identically (id space and all).
-    pub fn save(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"PPWFREPO");
-        buf.put_u8(2); // format version
-        buf.put_u64_le(self.version);
-        buf.put_u32_le(self.entries.len() as u32);
+    /// bit-identically (id space and all):
+    ///
+    /// ```text
+    /// [b"PPWFREPO"] [u8 format=2] [u64 version] [u32 slot_count]
+    /// slot_count × slot (see `encode_slot`)
+    /// ```
+    pub fn save(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
+        w.bytes(MAGIC);
+        w.u8(2); // format version
+        w.u64(self.version);
+        w.count(self.entries.len());
         for slot in &self.entries {
-            match slot {
-                Some(e) => {
-                    buf.put_u8(1);
-                    encode_entry(&mut buf, e);
-                }
-                None => buf.put_u8(0),
-            }
+            encode_slot(&mut w, slot.as_ref());
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserialize a repository, re-validating every artifact. Reads both
     /// format 2 (slot flags) and the pre-tombstone format 1 (every entry
     /// live, no flag bytes).
-    pub fn load(mut bytes: &[u8]) -> Result<Repository> {
-        fn need(bytes: &[u8], n: usize) -> Result<()> {
-            if bytes.len() < n {
-                Err(ModelError::codec("truncated repository"))
-            } else {
-                Ok(())
-            }
-        }
-        need(bytes, 9)?;
-        if &bytes[..8] != b"PPWFREPO" {
+    pub fn load(bytes: &[u8]) -> Result<Repository> {
+        let mut r = Reader::new(bytes);
+        if r.take(MAGIC.len())? != MAGIC {
             return Err(ModelError::codec("bad repository magic"));
         }
-        bytes.advance(8);
-        let v = bytes.get_u8();
+        let v = r.u8()?;
         if v != 1 && v != 2 {
             return Err(ModelError::codec(format!("unsupported repository version {v}")));
         }
-        need(bytes, 12)?;
-        let version = bytes.get_u64_le();
-        let n = bytes.get_u32_le() as usize;
+        let version = r.u64()?;
         let mut repo = Repository::new();
-        for _ in 0..n {
-            if v >= 2 {
-                need(bytes, 1)?;
-                let live = bytes.get_u8();
-                match live {
-                    0 => {
-                        repo.insert_tombstone();
-                        continue;
-                    }
-                    1 => {}
-                    other => {
-                        return Err(ModelError::codec(format!("bad slot flag {other}")));
-                    }
-                }
-            }
-            let (spec, policy, executions) = decode_entry(&mut bytes)?;
-            let id = repo.insert_spec(spec, policy)?;
-            for exec in executions {
-                repo.add_execution(id, exec)?;
+        for _ in 0..r.count()? {
+            if v == 1 {
+                load_entry(&mut repo, &mut r)?;
+            } else {
+                load_slot(&mut repo, &mut r)?;
             }
         }
-        if !bytes.is_empty() {
-            return Err(ModelError::codec("trailing bytes after repository"));
-        }
+        r.finish()?;
         repo.version = version;
         Ok(repo)
     }
 }
 
-/// Append one entry's wire encoding to `buf` — the per-entry section of
-/// [`Repository::save`]'s layout, factored out so chunked snapshots
-/// (`crate::snapshot`) serialize entry ranges byte-identically to the
-/// whole-image format:
+const MAGIC: &[u8; 8] = b"PPWFREPO";
+
+/// Append one id slot — the unit of [`Repository::save`]'s image and of a
+/// snapshot chunk (`crate::snapshot`), which so serialize slot ranges
+/// byte-identically:
 ///
 /// ```text
-/// [u32 spec_len][spec bytes][u32 policy_len][policy bytes]
-/// [u32 exec_count] exec_count × ([u32 exec_len][exec bytes])
+/// [u8 live flag = 0]                              a tombstone
+/// [u8 live flag = 1] [u32 spec_len][spec bytes] [u32 policy_len][policy bytes]
+///     [u32 exec_count] exec_count × ([u32 exec_len][exec bytes])
 /// ```
-pub(crate) fn encode_entry(buf: &mut BytesMut, e: &SpecEntry) {
-    let spec = codec::encode_spec(&e.spec);
-    buf.put_u32_le(spec.len() as u32);
-    buf.put_slice(&spec);
-    let pol = encode_policy(&e.policy);
-    buf.put_u32_le(pol.len() as u32);
-    buf.put_slice(&pol);
-    buf.put_u32_le(e.executions.len() as u32);
+pub(crate) fn encode_slot(w: &mut Writer, slot: Option<&SpecEntry>) {
+    let Some(e) = slot else {
+        w.u8(0);
+        return;
+    };
+    w.u8(1);
+    w.prefixed(&codec::encode_spec(&e.spec));
+    w.prefixed(&encode_policy(&e.policy));
+    w.count(e.executions.len());
     for x in &e.executions {
-        let xb = codec::encode_execution(x);
-        buf.put_u32_le(xb.len() as u32);
-        buf.put_slice(&xb);
+        w.prefixed(&codec::encode_execution(x));
     }
 }
 
-/// Decode one entry's wire encoding from the front of `bytes`, advancing
-/// past it. Artifacts are decoded (and so re-validated by their codecs);
-/// the caller re-runs the repository-level checks by inserting through
-/// [`Repository::insert_spec`] / [`Repository::add_execution`].
-pub(crate) fn decode_entry(bytes: &mut &[u8]) -> Result<(Specification, Policy, Vec<Execution>)> {
-    fn need(bytes: &[u8], n: usize) -> Result<()> {
-        if bytes.len() < n {
-            Err(ModelError::codec("truncated repository entry"))
-        } else {
+/// Read one [`encode_slot`] slot into `repo`'s next id. Artifacts are
+/// decoded (and so re-validated by their codecs) and go in through
+/// [`Repository::insert_spec`] / [`Repository::add_execution`], which
+/// re-run the repository-level checks.
+pub(crate) fn load_slot(repo: &mut Repository, r: &mut Reader) -> Result<()> {
+    match r.u8()? {
+        0 => {
+            repo.insert_tombstone();
             Ok(())
         }
+        1 => load_entry(repo, r),
+        other => Err(ModelError::codec(format!("bad slot flag {other}"))),
     }
-    need(bytes, 4)?;
-    let sl = bytes.get_u32_le() as usize;
-    need(bytes, sl)?;
-    let spec = codec::decode_spec(&bytes[..sl])?;
-    bytes.advance(sl);
-    need(bytes, 4)?;
-    let pl = bytes.get_u32_le() as usize;
-    need(bytes, pl)?;
-    let policy = decode_policy(&bytes[..pl])?;
-    bytes.advance(pl);
-    need(bytes, 4)?;
-    let xs = bytes.get_u32_le() as usize;
-    let mut executions = Vec::with_capacity(xs.min(1024));
-    for _ in 0..xs {
-        need(bytes, 4)?;
-        let xl = bytes.get_u32_le() as usize;
-        need(bytes, xl)?;
-        executions.push(codec::decode_execution(&bytes[..xl])?);
-        bytes.advance(xl);
+}
+
+/// A live slot's entry, after its flag.
+fn load_entry(repo: &mut Repository, r: &mut Reader) -> Result<()> {
+    let spec = codec::decode_spec(r.prefixed()?)?;
+    let id = repo.insert_spec(spec, decode_policy(r.prefixed()?)?)?;
+    for _ in 0..r.count()? {
+        repo.add_execution(id, codec::decode_execution(r.prefixed()?)?)?;
     }
-    Ok((spec, policy, executions))
+    Ok(())
 }
 
 /// Policy wire codec, shared by [`Repository::save`]/[`Repository::load`]
 /// and the WAL's mutation records (`crate::wal`), so a policy serializes
-/// identically whether it travels in a snapshot or in a log record.
-pub(crate) mod policy_codec {
-    pub(crate) use super::{decode_policy, encode_policy};
-}
-
-pub(crate) fn encode_policy(p: &Policy) -> Bytes {
-    let mut b = BytesMut::new();
+/// identically whether it travels in a snapshot or in a log record:
+///
+/// ```text
+/// [u32 n] n × ([u32 len][channel UTF-8][u8 level])        sorted by channel
+/// [u32 n] n × ([u32 module][u32 gamma][u8 level])          sorted by module
+/// [u32 n] n × ([u32 from][u32 to][u8 level])               hide pairs, in order
+/// ```
+pub(crate) fn encode_policy(p: &Policy) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut w = Writer::new(&mut buf);
     let mut channels: Vec<(&String, &AccessLevel)> = p.channel_levels.iter().collect();
     channels.sort();
-    b.put_u32_le(channels.len() as u32);
+    w.count(channels.len());
     for (ch, lvl) in channels {
-        b.put_u32_le(ch.len() as u32);
-        b.put_slice(ch.as_bytes());
-        b.put_u8(lvl.0);
+        w.string(ch);
+        w.u8(lvl.0);
     }
     let mut mods: Vec<(&ModuleId, &ModuleRequirement)> = p.private_modules.iter().collect();
     mods.sort_by_key(|(m, _)| **m);
-    b.put_u32_le(mods.len() as u32);
+    w.count(mods.len());
     for (m, req) in mods {
-        b.put_u32_le(m.0);
-        b.put_u32_le(req.gamma);
-        b.put_u8(req.level.0);
+        w.u32(m.0);
+        w.u32(req.gamma);
+        w.u8(req.level.0);
     }
-    b.put_u32_le(p.hide_pairs.len() as u32);
+    w.count(p.hide_pairs.len());
     for hp in &p.hide_pairs {
-        b.put_u32_le(hp.from.0);
-        b.put_u32_le(hp.to.0);
-        b.put_u8(hp.level.0);
+        w.u32(hp.from.0);
+        w.u32(hp.to.0);
+        w.u8(hp.level.0);
     }
-    b.freeze()
+    buf
 }
 
-pub(crate) fn decode_policy(mut bytes: &[u8]) -> Result<Policy> {
-    fn need(bytes: &[u8], n: usize) -> Result<()> {
-        if bytes.len() < n {
-            Err(ModelError::codec("truncated policy"))
-        } else {
-            Ok(())
-        }
-    }
+/// Decode an [`encode_policy`] encoding, all of it.
+pub(crate) fn decode_policy(bytes: &[u8]) -> Result<Policy> {
+    let mut r = Reader::new(bytes);
     let mut p = Policy::public();
-    need(bytes, 4)?;
-    let nch = bytes.get_u32_le() as usize;
-    for _ in 0..nch {
-        need(bytes, 4)?;
-        let l = bytes.get_u32_le() as usize;
-        need(bytes, l + 1)?;
-        let ch = String::from_utf8(bytes[..l].to_vec())
-            .map_err(|_| ModelError::codec("policy channel not UTF-8"))?;
-        bytes.advance(l);
-        let lvl = AccessLevel(bytes.get_u8());
-        p.channel_levels.insert(ch, lvl);
+    for _ in 0..r.count()? {
+        let channel = r.string()?;
+        p.channel_levels.insert(channel, AccessLevel(r.u8()?));
     }
-    need(bytes, 4)?;
-    let nm = bytes.get_u32_le() as usize;
-    for _ in 0..nm {
-        need(bytes, 9)?;
-        let m = ModuleId(bytes.get_u32_le());
-        let gamma = bytes.get_u32_le();
-        let level = AccessLevel(bytes.get_u8());
-        p.private_modules.insert(m, ModuleRequirement { gamma, level });
+    for _ in 0..r.count()? {
+        let m = ModuleId(r.u32()?);
+        let gamma = r.u32()?;
+        p.private_modules.insert(m, ModuleRequirement { gamma, level: AccessLevel(r.u8()?) });
     }
-    need(bytes, 4)?;
-    let nh = bytes.get_u32_le() as usize;
-    for _ in 0..nh {
-        need(bytes, 9)?;
-        let from = ModuleId(bytes.get_u32_le());
-        let to = ModuleId(bytes.get_u32_le());
-        let level = AccessLevel(bytes.get_u8());
-        p.hide_pairs.push(HidePair { from, to, level });
+    for _ in 0..r.count()? {
+        let (from, to) = (ModuleId(r.u32()?), ModuleId(r.u32()?));
+        p.hide_pairs.push(HidePair { from, to, level: AccessLevel(r.u8()?) });
     }
-    if !bytes.is_empty() {
-        return Err(ModelError::codec("trailing bytes after policy"));
-    }
+    r.finish()?;
     Ok(p)
 }
 

@@ -18,13 +18,15 @@
 //! ```
 //!
 //! A manifest reference is a **run**: `entry_count` consecutive id slots,
-//! following the previous reference's, serialized as `entry_count × ([u8
-//! live flag] ++ entry bytes if live)` (a tombstoned slot is the single
-//! flag byte `0`). The loader takes any run length. A cadence snapshot
-//! cuts the id space into chunks of [`CHUNK_SPECS`] slots, chunk `c`
-//! covering ids `[c * CHUNK_SPECS, (c + 1) * CHUNK_SPECS)`; a checkpoint
-//! (`CowImage::one_run`) writes every slot as one run, one chunk file
-//! plus the manifest.
+//! following the previous reference's, serialized as `entry_count` slots
+//! of the repository image (`[u8 live flag] ++ entry bytes if live`; a
+//! tombstoned slot is the single flag byte `0`). The loader takes any run
+//! length. A cadence snapshot cuts the id space into chunks of
+//! [`CHUNK_SPECS`] slots, chunk `c` covering ids `[c * CHUNK_SPECS, (c +
+//! 1) * CHUNK_SPECS)`; a checkpoint (`CowImage::one_run`) writes every
+//! slot as one run, one chunk file plus the manifest. Headers, manifests
+//! and slots are all written and read with the workspace's one byte
+//! codec, `ppwf_model::codec`'s `Writer` / `Reader`.
 //!
 //! A chunk untouched since the previous snapshot is carried as a
 //! manifest reference — never re-serialized, never re-written — so a
@@ -55,7 +57,7 @@ use crate::fnv::Fnv1a;
 use crate::repository::{self, Repository, SpecEntry, SpecId};
 use crate::storage::StorageBackend;
 use crate::wal::{WalError, WalResult};
-use bytes::{BufMut, BytesMut};
+use ppwf_model::codec::{Reader, Writer};
 
 const MAGIC: &[u8; 8] = b"PPWFSNAP";
 /// The whole-image format: read, never written.
@@ -223,17 +225,11 @@ pub(crate) fn write_chunked(
                 *r
             }
             CowChunk::Dirty(entries) => {
-                let mut payload = BytesMut::new();
+                let mut payload = Vec::new();
+                let mut w = Writer::new(&mut payload);
                 for slot in entries {
-                    match slot {
-                        Some(e) => {
-                            payload.put_u8(1);
-                            repository::encode_entry(&mut payload, e);
-                        }
-                        None => payload.put_u8(0),
-                    }
+                    repository::encode_slot(&mut w, slot.as_ref());
                 }
-                let payload = payload.freeze();
                 let hash = hash_of(&payload);
                 let r =
                     ChunkRef { hash, entries: entries.len() as u32, bytes: payload.len() as u32 };
@@ -251,53 +247,52 @@ pub(crate) fn write_chunked(
         };
         out.manifest.push(chunk_ref);
     }
-    let mut body = Vec::with_capacity(12 + out.manifest.len() * CHUNK_REF_BYTES);
-    body.extend_from_slice(&image.version.to_le_bytes());
-    body.extend_from_slice(&(out.manifest.len() as u32).to_le_bytes());
+    let mut payload = Vec::with_capacity(12 + out.manifest.len() * CHUNK_REF_BYTES);
+    let mut w = Writer::new(&mut payload);
+    w.u64(image.version);
+    w.count(out.manifest.len());
     for r in &out.manifest {
-        body.extend_from_slice(&r.hash.to_le_bytes());
-        body.extend_from_slice(&r.entries.to_le_bytes());
-        body.extend_from_slice(&r.bytes.to_le_bytes());
+        w.u64(r.hash);
+        w.u32(r.entries);
+        w.u32(r.bytes);
     }
-    let mut buf = Vec::with_capacity(HEADER + body.len() + 8);
-    buf.extend_from_slice(MAGIC);
-    buf.push(VERSION_CHUNKED);
-    buf.extend_from_slice(&through_seq.to_le_bytes());
-    buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&body);
-    let sum = hash_of(&buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
+    let buf = envelope(VERSION_CHUNKED, through_seq, &payload);
     backend.write_atomic(&file_name(through_seq), &buf)?;
     out.bytes_written += buf.len() as u64;
     Ok(out)
 }
 
-/// The little-endian `u64` at `at`, when all of it is there.
-fn u64_at(bytes: &[u8], at: usize) -> Option<u64> {
-    Some(u64::from_le_bytes(*bytes.get(at..)?.first_chunk()?))
-}
-
-/// The little-endian `u32` at `at`, when all of it is there.
-fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
-    Some(u32::from_le_bytes(*bytes.get(at..)?.first_chunk()?))
+/// A snapshot file: `payload` behind the header, sealed by the checksum
+/// of everything before it.
+fn envelope(version: u8, through_seq: u64, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER + payload.len() + 8);
+    let mut w = Writer::new(&mut buf);
+    w.bytes(MAGIC);
+    w.u8(version);
+    w.u64(through_seq);
+    w.prefixed(payload);
+    let sum = hash_of(&buf);
+    Writer::new(&mut buf).u64(sum);
+    buf
 }
 
 /// Parse a v3 manifest payload into its chunk references.
 fn decode_manifest(name: &str, payload: &[u8]) -> WalResult<(u64, Vec<ChunkRef>)> {
-    let (Some(version), Some(count)) = (u64_at(payload, 0), u32_at(payload, 8)) else {
+    let mut r = Reader::new(payload);
+    let (Ok(version), Ok(count)) = (r.u64(), r.u32()) else {
         return Err(corrupt(name, "manifest shorter than its fixed header"));
     };
-    let (count, rest) = (count as usize, payload.get(12..).unwrap_or_default());
-    if rest.len() != count * CHUNK_REF_BYTES {
+    let (count, refs) = (count as usize, r.rest().len());
+    if refs != count * CHUNK_REF_BYTES {
         return Err(corrupt(
             name,
-            format!("manifest claims {count} chunks but carries {} bytes of refs", rest.len()),
+            format!("manifest claims {count} chunks but carries {refs} bytes of refs"),
         ));
     }
-    let refs = rest.chunks_exact(CHUNK_REF_BYTES).map(|r| {
-        Some(ChunkRef { hash: u64_at(r, 0)?, entries: u32_at(r, 8)?, bytes: u32_at(r, 12)? })
-    });
-    let refs = refs.collect::<Option<_>>().ok_or_else(|| corrupt(name, "short chunk ref"))?;
+    let refs = (0..count)
+        .map(|_| Ok(ChunkRef { hash: r.u64()?, entries: r.u32()?, bytes: r.u32()? }))
+        .collect::<ppwf_model::Result<_>>()
+        .map_err(|_| corrupt(name, "short chunk ref"))?;
     Ok((version, refs))
 }
 
@@ -327,42 +322,15 @@ fn load_chunked(
         if hash_of(&payload) != r.hash {
             return Err(corrupt(name, format!("chunk {i} (`{chunk_name}`) checksum mismatch")));
         }
-        let mut cursor: &[u8] = &payload;
+        let mut slots = Reader::new(&payload);
         for k in 0..r.entries {
-            let Some((&flag, rest)) = cursor.split_first() else {
-                return Err(corrupt(name, format!("chunk {i} slot {k} missing its live flag")));
-            };
-            cursor = rest;
-            match flag {
-                0 => {
-                    repo.insert_tombstone();
-                }
-                1 => {
-                    let (spec, policy, executions) = repository::decode_entry(&mut cursor)
-                        .map_err(|e| {
-                            corrupt(name, format!("chunk {i} entry {k} undecodable: {e}"))
-                        })?;
-                    let id = repo
-                        .insert_spec(spec, policy)
-                        .map_err(|e| corrupt(name, format!("chunk {i} entry {k} invalid: {e}")))?;
-                    for exec in executions {
-                        repo.add_execution(id, exec).map_err(|e| {
-                            corrupt(name, format!("chunk {i} entry {k} invalid: {e}"))
-                        })?;
-                    }
-                }
-                other => {
-                    return Err(corrupt(
-                        name,
-                        format!("chunk {i} slot {k} has unknown live flag {other}"),
-                    ));
-                }
-            }
+            repository::load_slot(&mut repo, &mut slots)
+                .map_err(|e| corrupt(name, format!("chunk {i} slot {k}: {e}")))?;
         }
-        if !cursor.is_empty() {
+        if !slots.rest().is_empty() {
             return Err(corrupt(
                 name,
-                format!("chunk {i} (`{chunk_name}`) has {} trailing bytes", cursor.len()),
+                format!("chunk {i} (`{chunk_name}`) has {} trailing bytes", slots.rest().len()),
             ));
         }
     }
@@ -390,19 +358,19 @@ pub(crate) fn load(backend: &dyn StorageBackend, name: &str) -> WalResult<Loaded
         backend.read(name)?.ok_or_else(|| corrupt(name, "snapshot vanished during recovery"))?;
     let short =
         || corrupt(name, format!("{} bytes is shorter than a snapshot header", bytes.len()));
-    let (body, stored_sum) = bytes.split_last_chunk().ok_or_else(short)?;
-    let (Some((magic, _)), Some(through_seq), Some(len)) =
-        (body.split_first_chunk::<8>(), u64_at(body, 9), u32_at(body, 17))
+    let (body, stored_sum) = bytes.split_at(bytes.len().saturating_sub(8));
+    let mut r = Reader::new(body);
+    let (Ok(magic), Ok(version), Ok(through_seq), Ok(len), Ok(stored_sum)) =
+        (r.take(MAGIC.len()), r.u8(), r.u64(), r.u32(), Reader::new(stored_sum).u64())
     else {
         return Err(short());
     };
-    if hash_of(body) != u64::from_le_bytes(*stored_sum) {
+    if hash_of(body) != stored_sum {
         return Err(corrupt(name, "checksum mismatch"));
     }
     if magic != MAGIC {
         return Err(corrupt(name, "bad magic"));
     }
-    let version = body[8];
     if version != VERSION_WHOLE && version != VERSION_CHUNKED {
         return Err(corrupt(name, format!("unsupported snapshot version {version}")));
     }
@@ -412,8 +380,8 @@ pub(crate) fn load(backend: &dyn StorageBackend, name: &str) -> WalResult<Loaded
             format!("file name disagrees with embedded through_seq {through_seq}"),
         ));
     }
-    let (len, payload) = (len as usize, &body[HEADER..]);
-    if payload.len() != len {
+    let payload = r.rest();
+    if payload.len() != len as usize {
         return Err(corrupt(
             name,
             format!("payload is {} bytes, header says {len}", payload.len()),
@@ -444,16 +412,8 @@ pub(crate) fn load_latest(backend: &dyn StorageBackend, names: &[String]) -> Wal
 /// with any more: it makes the stores older builds left behind.
 #[cfg(test)]
 pub(crate) fn write_v1(backend: &dyn StorageBackend, through_seq: u64, repo: &Repository) {
-    let payload = repo.save();
-    let mut buf = Vec::with_capacity(HEADER + payload.len() + 8);
-    buf.extend_from_slice(MAGIC);
-    buf.push(VERSION_WHOLE);
-    buf.extend_from_slice(&through_seq.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&payload);
-    let sum = hash_of(&buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    backend.write_atomic(&file_name(through_seq), &buf).unwrap();
+    let file = envelope(VERSION_WHOLE, through_seq, &repo.save());
+    backend.write_atomic(&file_name(through_seq), &file).unwrap();
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use crate::snapshot::{self, file_name, CowChunk, CowImage};
 use crate::storage::{MemStorage, StorageBackend};
 use crate::wal::{decode_mutation, encode_mutation, DurabilityPolicy, DurableLog};
 use ppwf_core::policy::{AccessLevel, Policy};
-use ppwf_model::codec;
+use ppwf_model::codec::{self, Reader, Writer};
 use ppwf_model::exec::{Execution, Executor, HashOracle};
 use ppwf_model::ids::DataId;
 use ppwf_model::spec::{SpecBuilder, Specification};
@@ -241,8 +241,8 @@ fn mutation_decoder_never_panics() {
         let mut payload = Vec::new();
         encode_mutation(&mut payload, &mutation);
         never_panics(&payload, |b| {
-            let mut cursor = b;
-            decode_mutation(&mut cursor).filter(|_| cursor.is_empty())
+            let mut r = Reader::new(b);
+            decode_mutation(&mut r).filter(|_| r.rest().is_empty())
         });
     }
 }
@@ -284,6 +284,20 @@ fn record_walk_never_panics() {
             reseal(&mut b, record.start + 4, record.start + 12..record.end);
             let _ = recover(&b);
         }
+    }
+    // A checksum-valid batch record that claims more members than it has
+    // bytes is corrupt, however large the claim.
+    for count in [2, u64::MAX] {
+        let mut record = vec![0; 12];
+        let mut w = Writer::new(&mut record);
+        w.uvarint(1); // first sequence number
+        w.u8(4); // batch tag
+        w.uvarint(count);
+        encode_mutation(&mut record, &sample_mutations()[0]);
+        let end = record.len();
+        record[..4].copy_from_slice(&((end - 12) as u32).to_le_bytes());
+        reseal(&mut record, 4, 12..end);
+        assert!(recover(&record).is_err(), "a batch of {count} with one member replayed");
     }
 }
 

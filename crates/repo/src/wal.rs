@@ -22,6 +22,10 @@
 //!                            ++ count × mutation payloads
 //!    ```
 //!
+//!    Headers, varints and nested artifacts are written and read with the
+//!    workspace's one byte codec ([`Writer`] / [`Reader`]), the same one
+//!    the snapshot and the repository image use.
+//!
 //!    How long runs may get is the caller's [`DurabilityPolicy::max_batch`];
 //!    at 1 (the default) every record is the plain one-mutation form, so
 //!    such a log is byte-identical to one written before batch records
@@ -116,13 +120,14 @@ use crate::fnv::Fnv1a;
 use crate::log_core::{self, parse_segment_name, segment_name, Action, LogCore, Recovered};
 use crate::mutation::{ModuleTextEdit, Mutation, SpecText};
 use crate::pool::WorkerPool;
-use crate::repository::{policy_codec, Repository, SpecId};
+use crate::repository::{decode_policy, encode_policy, Repository, SpecId};
 use crate::snapshot::{self, ChunkRef, CowImage};
 use crate::storage::{StorageBackend, StorageError};
 use crate::ticket::Ticket;
 use parking_lot::Mutex;
-use ppwf_model::codec::{self, wire};
+use ppwf_model::codec::{self, Reader, Writer};
 use ppwf_model::ids::ModuleId;
+use ppwf_model::ModelError;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -199,9 +204,9 @@ impl From<StorageError> for WalError {
     }
 }
 
-impl From<WalError> for ppwf_model::ModelError {
+impl From<WalError> for ModelError {
     fn from(e: WalError) -> Self {
-        ppwf_model::ModelError::invalid(format!("durability: {e}"))
+        ModelError::invalid(format!("durability: {e}"))
     }
 }
 
@@ -215,8 +220,12 @@ pub type WalResult<T> = std::result::Result<T, WalError>;
 /// Bytes of `[u32 len][u64 checksum]` before each record body.
 const RECORD_HEADER: usize = 4 + 8;
 
+/// A spec insert: varint-prefixed spec bytes, then varint-prefixed policy
+/// bytes.
 const TAG_INSERT_SPEC: u8 = 1;
+/// An execution: `uvarint spec`, then varint-prefixed execution bytes.
 const TAG_ADD_EXECUTION: u8 = 2;
+/// A policy swap: `uvarint spec`, then varint-prefixed policy bytes.
 const TAG_SET_POLICY: u8 = 3;
 /// A group-commit record: `uvarint count` then `count` mutation payloads,
 /// covering sequence numbers `first_seq .. first_seq + count`.
@@ -224,8 +233,8 @@ const TAG_BATCH: u8 = 4;
 /// A spec deletion: `uvarint spec`.
 const TAG_DELETE_SPEC: u8 = 5;
 /// A spec text revision: `uvarint spec`, `uvarint edit count`, then per
-/// edit `uvarint module`, len-prefixed UTF-8 name, `uvarint keyword
-/// count`, and len-prefixed UTF-8 keywords.
+/// edit `uvarint module`, varint-prefixed UTF-8 name, `uvarint keyword
+/// count`, and varint-prefixed UTF-8 keywords.
 const TAG_EDIT_SPEC: u8 = 6;
 
 fn checksum_of(body: &[u8]) -> u64 {
@@ -238,112 +247,119 @@ fn checksum_of(body: &[u8]) -> u64 {
 /// artifact bytes reuse the model codec and the repository's policy
 /// codec, so the WAL inherits their validation on decode.
 pub fn encode_mutation(buf: &mut Vec<u8>, mutation: &Mutation) {
+    let mut w = Writer::new(buf);
     match mutation {
         Mutation::InsertSpec { spec, policy } => {
-            buf.push(TAG_INSERT_SPEC);
-            wire::put_len_prefixed(buf, &codec::encode_spec(spec));
-            wire::put_len_prefixed(buf, &policy_codec::encode_policy(policy));
+            w.u8(TAG_INSERT_SPEC);
+            w.varint_prefixed(&codec::encode_spec(spec));
+            w.varint_prefixed(&encode_policy(policy));
         }
         Mutation::AddExecution { spec, exec } => {
-            buf.push(TAG_ADD_EXECUTION);
-            wire::put_uvarint(buf, spec.0 as u64);
-            wire::put_len_prefixed(buf, &codec::encode_execution(exec));
+            w.u8(TAG_ADD_EXECUTION);
+            w.uvarint(spec.0 as u64);
+            w.varint_prefixed(&codec::encode_execution(exec));
         }
         Mutation::SetPolicy { spec, policy } => {
-            buf.push(TAG_SET_POLICY);
-            wire::put_uvarint(buf, spec.0 as u64);
-            wire::put_len_prefixed(buf, &policy_codec::encode_policy(policy));
+            w.u8(TAG_SET_POLICY);
+            w.uvarint(spec.0 as u64);
+            w.varint_prefixed(&encode_policy(policy));
         }
         Mutation::DeleteSpec { spec } => {
-            buf.push(TAG_DELETE_SPEC);
-            wire::put_uvarint(buf, spec.0 as u64);
+            w.u8(TAG_DELETE_SPEC);
+            w.uvarint(spec.0 as u64);
         }
         Mutation::EditSpec { spec, text } => {
-            buf.push(TAG_EDIT_SPEC);
-            wire::put_uvarint(buf, spec.0 as u64);
-            wire::put_uvarint(buf, text.edits.len() as u64);
+            w.u8(TAG_EDIT_SPEC);
+            w.uvarint(spec.0 as u64);
+            w.uvarint(text.edits.len() as u64);
             for edit in &text.edits {
-                wire::put_uvarint(buf, edit.module.0 as u64);
-                wire::put_len_prefixed(buf, edit.name.as_bytes());
-                wire::put_uvarint(buf, edit.keywords.len() as u64);
+                w.uvarint(edit.module.0 as u64);
+                w.varint_prefixed(edit.name.as_bytes());
+                w.uvarint(edit.keywords.len() as u64);
                 for kw in &edit.keywords {
-                    wire::put_len_prefixed(buf, kw.as_bytes());
+                    w.varint_prefixed(kw.as_bytes());
                 }
             }
         }
     }
 }
 
-/// Decode one mutation from the front of `bytes`, advancing past it.
-/// `None` on any framing or nested-codec failure (the caller owns the
-/// offset context for a typed error).
-pub fn decode_mutation(bytes: &mut &[u8]) -> Option<Mutation> {
-    let text = |bytes: &mut &[u8]| String::from_utf8(wire::get_len_prefixed(bytes)?.to_vec()).ok();
-    let id = |bytes: &mut &[u8]| u32::try_from(wire::get_uvarint(bytes)?).ok();
-    let (&tag, rest) = bytes.split_first()?;
-    *bytes = rest;
-    match tag {
-        TAG_INSERT_SPEC => {
-            let spec = codec::decode_spec(wire::get_len_prefixed(bytes)?).ok()?;
-            let policy = policy_codec::decode_policy(wire::get_len_prefixed(bytes)?).ok()?;
-            Some(Mutation::InsertSpec { spec, policy })
-        }
-        TAG_ADD_EXECUTION => {
-            let spec = SpecId(id(bytes)?);
-            let exec = codec::decode_execution(wire::get_len_prefixed(bytes)?).ok()?;
-            Some(Mutation::AddExecution { spec, exec })
-        }
-        TAG_SET_POLICY => {
-            let spec = SpecId(id(bytes)?);
-            let policy = policy_codec::decode_policy(wire::get_len_prefixed(bytes)?).ok()?;
-            Some(Mutation::SetPolicy { spec, policy })
-        }
-        TAG_DELETE_SPEC => Some(Mutation::DeleteSpec { spec: SpecId(id(bytes)?) }),
-        TAG_EDIT_SPEC => {
-            let spec = SpecId(id(bytes)?);
-            let edits = (0..wire::get_uvarint(bytes)?)
-                .map(|_| {
-                    let module = ModuleId(id(bytes)?);
-                    let name = text(bytes)?;
-                    let keywords = (0..wire::get_uvarint(bytes)?)
-                        .map(|_| text(bytes))
-                        .collect::<Option<_>>()?;
-                    Some(ModuleTextEdit { module, name, keywords })
-                })
-                .collect::<Option<_>>()?;
-            Some(Mutation::EditSpec { spec, text: SpecText { edits } })
-        }
-        _ => None,
+/// Decode one mutation from `r`, advancing past it. `None` on any framing
+/// or nested-codec failure (the caller owns the offset context for a
+/// typed error).
+pub fn decode_mutation(r: &mut Reader) -> Option<Mutation> {
+    fn id(r: &mut Reader) -> ppwf_model::Result<u32> {
+        u32::try_from(r.uvarint()?).map_err(|_| ModelError::codec("id past u32"))
     }
+    fn text(r: &mut Reader) -> ppwf_model::Result<String> {
+        codec::utf8(r.varint_prefixed()?)
+    }
+    fn mutation(r: &mut Reader) -> ppwf_model::Result<Mutation> {
+        Ok(match r.u8()? {
+            TAG_INSERT_SPEC => {
+                let spec = codec::decode_spec(r.varint_prefixed()?)?;
+                Mutation::InsertSpec { spec, policy: decode_policy(r.varint_prefixed()?)? }
+            }
+            TAG_ADD_EXECUTION => {
+                let spec = SpecId(id(r)?);
+                let exec = codec::decode_execution(r.varint_prefixed()?)?;
+                Mutation::AddExecution { spec, exec }
+            }
+            TAG_SET_POLICY => {
+                let spec = SpecId(id(r)?);
+                Mutation::SetPolicy { spec, policy: decode_policy(r.varint_prefixed()?)? }
+            }
+            TAG_DELETE_SPEC => Mutation::DeleteSpec { spec: SpecId(id(r)?) },
+            TAG_EDIT_SPEC => {
+                let spec = SpecId(id(r)?);
+                let edits = (0..r.uvarint()?)
+                    .map(|_| {
+                        let (module, name) = (ModuleId(id(r)?), text(r)?);
+                        let keywords = (0..r.uvarint()?)
+                            .map(|_| text(r))
+                            .collect::<ppwf_model::Result<_>>()?;
+                        Ok(ModuleTextEdit { module, name, keywords })
+                    })
+                    .collect::<ppwf_model::Result<_>>()?;
+                Mutation::EditSpec { spec, text: SpecText { edits } }
+            }
+            tag => return Err(ModelError::codec(format!("unknown mutation tag {tag}"))),
+        })
+    }
+    mutation(r).ok()
 }
 
 /// Frame a FIFO run of mutations as **one** checksummed record: the
 /// plain form for one mutation, a group-commit record covering
 /// `first_seq .. first_seq + mutations.len()` for more. The mutation
 /// payloads are self-delimiting, so no per-mutation framing is needed —
-/// and a torn batch tears as a single record.
+/// and a torn batch tears as a single record. The body is written once,
+/// behind a header whose length and checksum are filled in after it.
 fn encode_frame(first_seq: u64, mutations: &[Mutation]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64 * mutations.len());
-    wire::put_uvarint(&mut body, first_seq);
+    let mut record = Vec::with_capacity(RECORD_HEADER + 64 * mutations.len());
+    record.resize(RECORD_HEADER, 0);
+    let mut w = Writer::new(&mut record);
+    w.uvarint(first_seq);
     if mutations.len() != 1 {
-        body.push(TAG_BATCH);
-        wire::put_uvarint(&mut body, mutations.len() as u64);
+        w.u8(TAG_BATCH);
+        w.uvarint(mutations.len() as u64);
     }
     for mutation in mutations {
-        encode_mutation(&mut body, mutation);
+        encode_mutation(&mut record, mutation);
     }
-    let mut record = Vec::with_capacity(RECORD_HEADER + body.len());
-    record.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    record.extend_from_slice(&checksum_of(&body).to_le_bytes());
-    record.extend_from_slice(&body);
+    let (header, body) = record.split_at_mut(RECORD_HEADER);
+    let (len, sum) = header.split_at_mut(4);
+    len.copy_from_slice(&(body.len() as u32).to_le_bytes());
+    sum.copy_from_slice(&checksum_of(body).to_le_bytes());
     record
 }
 
 /// The checksum and body of the record at `at`, when all of it is there.
 fn record_at(bytes: &[u8], at: usize) -> Option<(u64, &[u8])> {
-    let (len, rest) = bytes.get(at..)?.split_first_chunk::<4>()?;
-    let (sum, rest) = rest.split_first_chunk::<8>()?;
-    Some((u64::from_le_bytes(*sum), rest.get(..u32::from_le_bytes(*len) as usize)?))
+    let mut r = Reader::new(bytes.get(at..)?);
+    let len = r.u32().ok()?;
+    let sum = r.u64().ok()?;
+    Some((sum, r.take(len as usize).ok()?))
 }
 
 // ---------------------------------------------------------------------------
@@ -451,9 +467,8 @@ fn replay(backend: &dyn StorageBackend) -> WalResult<Replayed> {
                 }
                 return Err(corrupt("checksum mismatch on interior record".to_string()));
             }
-            let mut cursor = body;
-            let seq = wire::get_uvarint(&mut cursor)
-                .ok_or_else(|| corrupt("unreadable sequence number".to_string()))?;
+            let mut r = Reader::new(body);
+            let seq = r.uvarint().map_err(|_| corrupt("unreadable sequence number".to_string()))?;
             match expected_next {
                 None if seq > snapshot_seq + 1 => {
                     return Err(corrupt(format!(
@@ -469,18 +484,21 @@ fn replay(backend: &dyn StorageBackend) -> WalResult<Replayed> {
             // A group-commit record: `seq` is the first of a contiguous run.
             // The whole run was acknowledged by one fsync, and the record's
             // checksum already verified, so every member decodes (the
-            // payloads are self-delimiting) or the record is corrupt.
-            let count = match cursor.split_first() {
-                Some((&TAG_BATCH, rest)) => {
-                    cursor = rest;
-                    wire::get_uvarint(&mut cursor)
-                        .filter(|&count| count > 0)
-                        .ok_or_else(|| corrupt("unreadable or empty batch count".to_string()))?
-                }
-                _ => 1,
+            // payloads are self-delimiting) or the record is corrupt. Every
+            // member takes at least one byte, which bounds the count.
+            let count = if r.rest().first() == Some(&TAG_BATCH) {
+                r.take(1)
+                    .and_then(|_| r.uvarint())
+                    .ok()
+                    .filter(|&count| count > 0 && count <= r.rest().len() as u64)
+                    .ok_or_else(|| {
+                        corrupt("unreadable, empty or oversized batch count".to_string())
+                    })?
+            } else {
+                1
             };
             for seq in seq..seq + count {
-                let mutation = decode_mutation(&mut cursor)
+                let mutation = decode_mutation(&mut r)
                     .ok_or_else(|| corrupt(format!("undecodable mutation payload at seq {seq}")))?;
                 // Apply only past the snapshot point.
                 if seq > snapshot_seq {
@@ -491,8 +509,8 @@ fn replay(backend: &dyn StorageBackend) -> WalResult<Replayed> {
                     stats.last_seq = seq;
                 }
             }
-            if !cursor.is_empty() {
-                return Err(corrupt(format!("{} trailing bytes after the record", cursor.len())));
+            if !r.rest().is_empty() {
+                return Err(corrupt(format!("{} trailing bytes after the record", r.rest().len())));
             }
             // Records the snapshot covers constrain nothing: a segment a
             // prune failed to remove may sit before a gap it left.
@@ -1059,9 +1077,9 @@ mod tests {
         for m in &mutations {
             let mut buf = Vec::new();
             encode_mutation(&mut buf, m);
-            let mut r: &[u8] = &buf;
+            let mut r = Reader::new(&buf);
             let decoded = decode_mutation(&mut r).expect("decodes");
-            assert!(r.is_empty(), "residue after decode");
+            assert!(r.rest().is_empty(), "residue after decode");
             // Structural check: applying original vs decoded to clones of
             // the same repository yields identical bytes.
             let mut a = Repository::load(&repo.save()).unwrap();
